@@ -45,11 +45,13 @@
 // version, flags, world fingerprint, per-stage durations and
 // throughput. -cpuprofile/-memprofile write pprof profiles of the run.
 //
-// Analysis snapshots: for binary datasets the driver maintains
-// <out>/samples.snap — the serialized merged analysis state, refreshed
-// at every campaign checkpoint — so the post-campaign figure scan (and
-// any later re-analysis over the grown dataset) decodes only blocks
-// appended since the snapshot. -snapshot off disables it.
+// Analysis snapshots: for binary datasets the post-campaign figure scan
+// writes <out>/samples.snap — the serialized merged analysis state over
+// the whole finished store, written once per run — so any later
+// re-analysis over the (possibly grown) dataset decodes only blocks
+// appended since. The campaign itself never touches it: an interrupted
+// run leaves no snapshot and its -resume pays one cold scan at the end.
+// -snapshot off disables it.
 package main
 
 import (
@@ -116,6 +118,8 @@ type options struct {
 	logDst      io.Writer                       // structured log destination; nil means stderr
 	statusReady func(addr string)               // called with the bound status address
 	onRound     func(round int, samples uint64) // observes each merged campaign round
+	ctx         context.Context                 // campaign context; nil means Background
+	reg         *obs.Registry                   // metrics registry; nil means a fresh one
 }
 
 // snapshotEnabled resolves the -snapshot mode against the store's
@@ -167,7 +171,7 @@ func main() {
 	flag.BoolVar(&o.resume, "resume", false, "resume an interrupted campaign from <out>/checkpoint.json")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", engine.DefaultCheckpointEvery, "rounds between checkpoints (0 disables checkpointing)")
 	flag.StringVar(&o.format, "format", "binary", "dataset storage format: binary (columnar samples.bin) or jsonl")
-	flag.StringVar(&o.snapshot, "snapshot", "auto", "analysis snapshot mode: auto (on for binary stores), on, off")
+	flag.StringVar(&o.snapshot, "snapshot", "auto", "analysis snapshot (samples.snap, written once by the post-campaign figure scan): auto (on for binary stores), on, off")
 	flag.StringVar(&o.tix, "tix", "auto", "temporal aggregate index mode: auto (on for binary stores), on, off")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write an end-of-run heap profile to this file")
@@ -240,7 +244,10 @@ func run(o options) (err error) {
 			}
 		}()
 	}
-	reg := obs.NewRegistry()
+	reg := o.reg
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	m := atlas.NewMetrics(reg)
 	engMetrics := engine.NewMetrics(reg)
 	snapMetrics := snap.NewMetrics(reg)
@@ -361,17 +368,6 @@ func run(o options) (err error) {
 	}
 	sink.Instrument(results.NewMetrics(reg))
 
-	snapEnabled, err := o.snapshotEnabled(store.Format())
-	if err != nil {
-		return err
-	}
-	snapOpts := core.SnapshotOptions{
-		Path:          store.SnapshotPath(),
-		Metrics:       snapMetrics,
-		RefreshFactor: core.DefaultRefreshFactor,
-		Log:           logger.With("snap"),
-	}
-
 	manifest.WorldFingerprint = fingerprint
 	campaignOpts := atlas.CampaignOptions{
 		Workers:       workers,
@@ -389,22 +385,14 @@ func run(o options) (err error) {
 		// offset is always durable on disk — and, for binary stores, a
 		// block boundary Resume can truncate to.
 		campaignOpts.Commit = sink.Commit
-		if snapEnabled {
-			// Fold each durable checkpoint into the analysis snapshot while
-			// the sink is quiesced: the post-campaign scan (and any later
-			// re-analysis) then decodes only blocks written since the last
-			// checkpoint. Snapshot failures never fail the campaign — the
-			// scan falls back to a cold pass.
-			campaignOpts.OnCheckpoint = func(round int, offset int64) {
-				if _, uerr := core.UpdateSnapshot(context.Background(), store, w.Index, cfg.Start, 7*24*time.Hour, workers, nil, snapOpts); uerr != nil {
-					logger.Warn("snapshot update failed", "round", round, "offset", offset, "error", uerr)
-				}
-			}
-		}
 	}
 
 	campSpan := root.Child("campaign")
-	ctx := obs.ContextWith(context.Background(), campSpan)
+	ctx := o.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx = obs.ContextWith(ctx, campSpan)
 	stopProgress := startProgress(logger, m, cfg.Rounds(), o.progressEvery)
 	var n uint64
 	if o.cluster > 0 {
@@ -463,7 +451,10 @@ func run(o options) (err error) {
 	if tixEnabled {
 		// The temporal index is an accelerator: a build failure costs
 		// windowed queries their fast path, never the campaign.
-		if err := buildTix(store, w.Index, logger.With("tix")); err != nil {
+		tixSpan := root.Child("tix.build")
+		err := buildTix(store, w.Index, logger.With("tix"))
+		tixSpan.End()
+		if err != nil {
 			logger.Warn("temporal index build failed", "error", err)
 		}
 	}
@@ -476,12 +467,22 @@ func run(o options) (err error) {
 	// One fused parallel scan of the dataset computes every figure report;
 	// the renderers below only format what it already aggregated.
 	scanCtx := obs.ContextWith(context.Background(), figSpan)
+	snapEnabled, err := o.snapshotEnabled(store.Format())
+	if err != nil {
+		return err
+	}
 	var (
 		rep *core.SuiteReport
 		st  scan.Stats
 	)
 	if snapEnabled {
-		rep, st, err = core.ScanStoreSnap(scanCtx, store, w.Index, cfg.Start, 7*24*time.Hour, workers, scanMetrics, snapOpts)
+		// The scan also writes the run's one snapshot, covering every block.
+		rep, st, err = core.ScanStoreSnap(scanCtx, store, w.Index, cfg.Start, 7*24*time.Hour, workers, scanMetrics, core.SnapshotOptions{
+			Path:          store.SnapshotPath(),
+			Metrics:       snapMetrics,
+			RefreshFactor: core.DefaultRefreshFactor,
+			Log:           logger.With("snap"),
+		})
 	} else {
 		rep, st, err = core.ScanStore(scanCtx, store, w.Index, cfg.Start, 7*24*time.Hour, workers, scanMetrics)
 	}
@@ -554,8 +555,8 @@ func buildTix(store *results.Store, idx *core.Index, logger *obs.Logger) error {
 // and ship cells back over HTTP. The merged dataset is byte-identical
 // to the in-process engine path at any agent count. The coordinator
 // reuses the engine-path campaign options verbatim (sink commit,
-// checkpoint path and cadence, resume watermark, snapshot hook), so
-// checkpoint files from either mode resume in the other.
+// checkpoint path and cadence, resume watermark), so checkpoint files
+// from either mode resume in the other.
 func clusterCampaign(ctx context.Context, o options, p *atlas.Platform, plan cluster.Plan, opts atlas.CampaignOptions, sink *results.Sink, reg *obs.Registry, am *atlas.Metrics, statusMux *http.ServeMux, manifest *obs.RunManifest, logger *obs.Logger) (uint64, error) {
 	// Synthesis happens inside the agents, so the driver's campaign
 	// tallies never see a sample; attribute them at merge time instead,
@@ -587,7 +588,6 @@ func clusterCampaign(ctx context.Context, o options, p *atlas.Platform, plan clu
 		CheckpointEvery: opts.CheckpointEvery,
 		StartRound:      opts.StartRound,
 		StartSamples:    opts.StartSamples,
-		OnCheckpoint:    opts.OnCheckpoint,
 		Metrics:         cluster.NewMetrics(reg),
 		Log:             logger,
 		OnRound: func(round int, samples uint64) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -13,9 +14,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atlas"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/results"
+	"repro/internal/snap"
+	"repro/internal/world"
 )
 
 func TestRunBuildsDataset(t *testing.T) {
@@ -179,7 +184,7 @@ func TestRunWritesTrace(t *testing.T) {
 			}
 			continue
 		}
-		if !strings.HasPrefix(c.Name, "figure:") {
+		if c.Name != "snapshot.write" && !strings.HasPrefix(c.Name, "figure:") {
 			t.Errorf("unexpected figures child %q", c.Name)
 		}
 	}
@@ -464,5 +469,112 @@ func TestRunResumeErrors(t *testing.T) {
 	err = run(options{out: dir, probes: 200, seed: 9, days: 1, quiet: true, resume: true})
 	if err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("fingerprint mismatch not refused: %v", err)
+	}
+}
+
+// TestRunWritesSnapshotOnce pins the snapshot's place in a run, on the
+// engine and the cluster path alike: the campaign's checkpoints (each
+// seals a block) never touch it, the post-campaign scan writes it
+// exactly once covering every block, and re-analysis of the directory —
+// what cmd/figures does — is then a pure hit.
+func TestRunWritesSnapshotOnce(t *testing.T) {
+	w, err := world.Build(world.Config{Seed: 1, Probes: 250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, agents := range []int{0, 2} {
+		dir := filepath.Join(t.TempDir(), "ds")
+		reg := obs.NewRegistry()
+		if err := run(options{out: dir, probes: 250, seed: 1, days: 4, checkpointEvery: 8, cluster: agents,
+			quiet: true, figDir: filepath.Join(t.TempDir(), "figs"), logDst: io.Discard, reg: reg}); err != nil {
+			t.Fatal(err)
+		}
+		var metrics bytes.Buffer
+		if err := reg.WriteText(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(metrics.String(), "snap_writes_total 1\n") {
+			t.Errorf("cluster=%d: run did not write exactly one snapshot", agents)
+		}
+		m, err := obs.ReadRunManifest(filepath.Join(dir, manifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := m.Snapshot; c == nil || c.PrefixBlocks != 0 || c.BlocksTotal < 4 || c.BlocksRead != c.BlocksTotal {
+			t.Fatalf("cluster=%d: manifest snapshot coverage = %+v, want a cold scan of every block", agents, c)
+		}
+
+		store, err := results.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm := snap.NewMetrics(obs.NewRegistry())
+		_, st, err := core.ScanStoreSnap(context.Background(), store, w.Index, atlas.TestCampaign().Start, 7*24*time.Hour, 2, nil,
+			core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, RefreshFactor: core.DefaultRefreshFactor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sm.Hits.Value() != 1 || sm.Writes.Value() != 0 || st.BlocksRead != 0 || st.PrefixBlocks != m.Snapshot.BlocksTotal {
+			t.Errorf("cluster=%d re-analysis: hits=%d writes=%d blocks_read=%d prefix_blocks=%d, want a pure hit over %d blocks",
+				agents, sm.Hits.Value(), sm.Writes.Value(), st.BlocksRead, st.PrefixBlocks, m.Snapshot.BlocksTotal)
+		}
+	}
+}
+
+// TestRunResumeRebuildsSnapshot kills a campaign after its first
+// checkpoint: the interrupted directory holds no snapshot, and the
+// -resume run ends with the same dataset, snapshot and figure bytes as
+// an uninterrupted run.
+func TestRunResumeRebuildsSnapshot(t *testing.T) {
+	base := options{probes: 250, seed: 1, days: 6, checkpointEvery: 8, quiet: true, logDst: io.Discard}
+	ref := base
+	ref.out, ref.figDir, ref.workers = filepath.Join(t.TempDir(), "ds"), filepath.Join(t.TempDir(), "figs"), 2
+	if err := run(ref); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cut := base
+	cut.out, cut.figDir, cut.workers = filepath.Join(t.TempDir(), "ds"), filepath.Join(t.TempDir(), "figs"), 2
+	cut.ctx = ctx
+	cut.onRound = func(round int, _ uint64) {
+		if round == 9 { // past the round-7 checkpoint
+			cancel()
+		}
+	}
+	if err := run(cut); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	if _, err := os.Stat(filepath.Join(cut.out, checkpointFile)); err != nil {
+		t.Fatalf("interrupted run left no checkpoint: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(cut.out, "samples.snap")); !os.IsNotExist(err) {
+		t.Fatalf("interrupted run left a snapshot behind (err=%v)", err)
+	}
+
+	cut.ctx, cut.onRound, cut.resume, cut.workers = nil, nil, true, 3
+	if err := run(cut); err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b string) {
+		t.Helper()
+		want, err := os.ReadFile(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the uninterrupted run's", filepath.Base(b))
+		}
+	}
+	for _, name := range []string{"samples.bin", "samples.snap", "samples.tix"} {
+		same(filepath.Join(ref.out, name), filepath.Join(cut.out, name))
+	}
+	for _, name := range []string{"figure4.csv", "figure5.csv", "figure6.csv", "figure7.csv", "figure8.csv"} {
+		same(filepath.Join(ref.figDir, name), filepath.Join(cut.figDir, name))
 	}
 }

@@ -294,12 +294,14 @@ type FullDistPass struct {
 	// each probe's nearest region at report time; everything else is
 	// spliced back into the next snapshot as raw bytes, so reload and
 	// rewrite cost scales with the delta, not with history.
-	raw map[int][]rawDist
+	raw map[int][]rawSpan
 }
 
-// rawDist is one pending (region, encoded stats.Dist state) span; span
-// is nilled once the entry is decoded into byProbe.
-type rawDist struct {
+// rawSpan is one pending (region, encoded value) entry of a
+// snapshot-seeded pass — a stats.Dist state for FullDistPass, a timedRTT
+// stream for LastMilePass; span is nilled once the entry is decoded into
+// byProbe.
+type rawSpan struct {
 	region string
 	span   []byte
 }
@@ -477,14 +479,7 @@ type LastMilePass struct {
 	byProbe map[int]map[string][]timedRTT
 	// raw holds per-probe encoded sample-stream spans from a snapshot,
 	// region-sorted, decoded lazily exactly like FullDistPass.raw.
-	raw map[int][]rawStream
-}
-
-// rawStream is one pending (region, encoded timedRTT stream) span; span
-// is nilled once the stream is decoded into byProbe.
-type rawStream struct {
-	region string
-	span   []byte
+	raw map[int][]rawSpan
 }
 
 // NewLastMilePass builds the pass; the bin geometry is validated up

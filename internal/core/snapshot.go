@@ -32,7 +32,7 @@ import (
 // suiteStateVersion versions the suite's serialized state layout. Bump
 // it whenever a pass's accumulator or codec changes; old snapshots then
 // invalidate instead of deserializing garbage.
-const suiteStateVersion = 1
+const suiteStateVersion = 2
 
 // ErrEmptyStore reports a store with no samples — analyses have nothing
 // to compute, which callers should surface distinctly rather than as a
@@ -124,40 +124,75 @@ func (s *Suite) Merge(other *Suite) error {
 // the fixed Passes() order. Call it before Report: report-time queries
 // sort distributions in place, and the snapshot must capture the
 // insertion-order state a future merge replays from.
+//
+// The state opens with its region table — every region name the
+// FullDist and LastMile passes reference, ascending, each spelled once —
+// and those passes' entry lists and nearest-trackers carry uvarint
+// table indexes instead, so ascending regions are ascending codes.
 func (s *Suite) EncodeState() []byte {
+	seen := make(map[string]struct{})
+	addRegions(seen, s.FullDist.nearest, s.FullDist.byProbe, s.FullDist.raw)
+	addRegions(seen, s.LastMile.nearest, s.LastMile.byProbe, s.LastMile.raw)
+	table := sortedStrings(seen)
+	codes := make(map[string]uint64, len(table))
 	b := make([]byte, 0, s.stateSizeHint())
+	b = snap.AppendUvarint(b, uint64(len(table)))
+	for i, region := range table {
+		codes[region] = uint64(i)
+		b = snap.AppendString(b, region)
+	}
 	b = appendProximityState(b, s.Proximity)
 	b = appendMinRTTState(b, s.MinRTT)
-	b = appendFullDistState(b, s.FullDist)
-	b = appendLastMileState(b, s.LastMile)
+	b = appendNearestState(b, s.FullDist.nearest, codes)
+	b = appendRegionEntries(b, codes, s.FullDist.byProbe, s.FullDist.raw, func(b []byte, d *stats.Dist) []byte { return d.AppendState(b) })
+	b = appendNearestState(b, s.LastMile.nearest, codes)
+	b = appendRegionEntries(b, codes, s.LastMile.byProbe, s.LastMile.raw, appendStreamState)
 	b = appendDiurnalState(b, s.Diurnal)
 	b = appendProviderState(b, s.Provider)
 	return b
 }
 
+// addRegions collects every region name one pass's state references.
+func addRegions[V any](seen map[string]struct{}, nearest nearestTracker, live map[int]map[string]V, raw map[int][]rawSpan) {
+	for _, best := range nearest {
+		seen[best.region] = struct{}{}
+	}
+	for _, regions := range live {
+		for region := range regions {
+			seen[region] = struct{}{}
+		}
+	}
+	for _, list := range raw {
+		for i := range list {
+			seen[list[i].region] = struct{}{}
+		}
+	}
+}
+
 // stateSizeHint estimates the encoded state size from sample counts and
-// pending span lengths, so EncodeState allocates its buffer once
+// pending span lengths (plus each entry's region code, count prefix and
+// 17 bytes of sums and flag), so EncodeState allocates its buffer once
 // instead of repeatedly copying a multi-megabyte slice while growing.
 func (s *Suite) stateSizeHint() int {
 	n := 4096 + 64*(len(s.FullDist.nearest)+len(s.MinRTT.mins)+len(s.Proximity.byCountry)+len(s.Provider.byProvider))
 	for _, regions := range s.FullDist.byProbe {
 		for _, d := range regions {
-			n += 8*d.N() + 48
+			n += 8*d.N() + 24
 		}
 	}
 	for _, list := range s.FullDist.raw {
 		for i := range list {
-			n += len(list[i].span) + 32
+			n += len(list[i].span) + 4
 		}
 	}
 	for _, regions := range s.LastMile.byProbe {
 		for _, samples := range regions {
-			n += streamRecordBytes*len(samples) + 48
+			n += streamRecordBytes*len(samples) + 8
 		}
 	}
 	for _, list := range s.LastMile.raw {
 		for i := range list {
-			n += len(list[i].span) + 32
+			n += len(list[i].span) + 4
 		}
 	}
 	for h := range s.Diurnal.bins {
@@ -178,16 +213,26 @@ func NewSuiteFromState(idx *Index, start time.Time, binWidth time.Duration, stat
 		return nil, err
 	}
 	c := snap.NewCursor(state)
+	table, err := decodeRegionTable(c)
+	if err != nil {
+		return nil, err
+	}
 	if err := decodeProximityState(c, s.Proximity); err != nil {
 		return nil, err
 	}
 	if err := decodeMinRTTState(c, s.MinRTT); err != nil {
 		return nil, err
 	}
-	if err := decodeFullDistState(c, s.FullDist); err != nil {
+	if err := decodeNearestState(c, s.FullDist.nearest, table); err != nil {
 		return nil, err
 	}
-	if err := decodeLastMileState(c, s.LastMile); err != nil {
+	if s.FullDist.raw, err = decodeRegionEntries(c, table, "full-dist", distSpan); err != nil {
+		return nil, err
+	}
+	if err := decodeNearestState(c, s.LastMile.nearest, table); err != nil {
+		return nil, err
+	}
+	if s.LastMile.raw, err = decodeRegionEntries(c, table, "last-mile", streamSpan); err != nil {
 		return nil, err
 	}
 	if err := decodeDiurnalState(c, s.Diurnal); err != nil {
@@ -232,18 +277,53 @@ func sortedStrings[V any](m map[string]V) []string {
 	return keys
 }
 
-func appendNearestState(b []byte, n nearestTracker) []byte {
+// decodeRegionTable reads the state's region table, insisting on the
+// strictly ascending order the writer emits: that is what makes a code
+// comparison a region comparison everywhere below.
+func decodeRegionTable(c *snap.Cursor) ([]string, error) {
+	n, err := c.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(c.Remaining()) {
+		return nil, fmt.Errorf("core: region table claims %d names, %d bytes remain", n, c.Remaining())
+	}
+	table := make([]string, n)
+	for i := range table {
+		if table[i], err = c.String(); err != nil {
+			return nil, err
+		}
+		if i > 0 && table[i] <= table[i-1] {
+			return nil, fmt.Errorf("core: region table not strictly ascending at entry %d", i)
+		}
+	}
+	return table, nil
+}
+
+// decodeRegion reads one region code and resolves it against table.
+func decodeRegion(c *snap.Cursor, table []string) (uint64, string, error) {
+	code, err := c.Uvarint()
+	if err != nil {
+		return 0, "", err
+	}
+	if code >= uint64(len(table)) {
+		return 0, "", fmt.Errorf("core: region code %d outside the %d-entry table", code, len(table))
+	}
+	return code, table[code], nil
+}
+
+func appendNearestState(b []byte, n nearestTracker, codes map[string]uint64) []byte {
 	b = snap.AppendUvarint(b, uint64(len(n)))
 	for _, id := range sortedProbeIDs(n) {
 		best := n[id]
 		b = snap.AppendVarint(b, int64(id))
-		b = snap.AppendString(b, best.region)
+		b = snap.AppendUvarint(b, codes[best.region])
 		b = snap.AppendFloat(b, best.rtt)
 	}
 	return b
 }
 
-func decodeNearestState(c *snap.Cursor, n nearestTracker) error {
+func decodeNearestState(c *snap.Cursor, n nearestTracker, table []string) error {
 	count, err := c.Uvarint()
 	if err != nil {
 		return err
@@ -253,7 +333,7 @@ func decodeNearestState(c *snap.Cursor, n nearestTracker) error {
 		if err != nil {
 			return err
 		}
-		region, err := c.String()
+		_, region, err := decodeRegion(c, table)
 		if err != nil {
 			return err
 		}
@@ -332,28 +412,6 @@ func decodeMinRTTState(c *snap.Cursor, p *MinRTTPass) error {
 		p.mins[int(id)] = min
 	}
 	return nil
-}
-
-// interner deduplicates decoded strings: a snapshot repeats each region
-// name once per probe, so interning turns tens of thousands of small
-// string allocations into map hits against a few dozen uniques.
-type interner map[string]string
-
-func (in interner) decode(c *snap.Cursor) (string, error) {
-	n, err := c.Uvarint()
-	if err != nil {
-		return "", err
-	}
-	raw, err := c.Bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	if s, ok := in[string(raw)]; ok {
-		return s, nil
-	}
-	s := string(raw)
-	in[s] = s
-	return s, nil
 }
 
 // decodeDistSpan materializes one pending distribution span captured by
@@ -457,15 +515,15 @@ func decodeStreamSpan(span []byte) ([]timedRTT, error) {
 }
 
 // liveOnlyKeys returns the sorted live map keys that have no pending or
-// materialized raw entry — i.e. entries created after the snapshot was
-// taken. rawHas reports membership in the raw list.
-func liveOnlyKeys[V any](live map[string]V, rawHas func(string) bool) []string {
+// materialized entry in rawList — i.e. entries created after the
+// snapshot was taken.
+func liveOnlyKeys[V any](live map[string]V, rawList []rawSpan) []string {
 	if len(live) == 0 {
 		return nil
 	}
 	keys := make([]string, 0, len(live))
 	for k := range live {
-		if !rawHas(k) {
+		if !slices.ContainsFunc(rawList, func(r rawSpan) bool { return r.region == k }) {
 			keys = append(keys, k)
 		}
 	}
@@ -473,191 +531,90 @@ func liveOnlyKeys[V any](live map[string]V, rawHas func(string) bool) []string {
 	return keys
 }
 
-// appendFullDistState writes the pass per probe, regions ascending.
-// Entries still pending from the loaded snapshot are spliced back as
-// raw bytes; only materialized (touched or new) entries are re-encoded,
-// so the write cost of an append-only rescan tracks the delta.
-func appendFullDistState(b []byte, p *FullDistPass) []byte {
-	b = appendNearestState(b, p.nearest)
-	ids := unionProbeIDs(p.byProbe, p.raw)
+// appendRegionEntries writes one pass's buffered (probe, region) values
+// per probe, region codes ascending. Entries still pending from the
+// loaded snapshot are spliced back as raw bytes; only materialized
+// (touched or new) entries are re-encoded through enc, so the write cost
+// of an append-only rescan tracks the delta.
+func appendRegionEntries[V any](b []byte, codes map[string]uint64, live map[int]map[string]V, raw map[int][]rawSpan, enc func([]byte, V) []byte) []byte {
+	ids := unionProbeIDs(live, raw)
 	b = snap.AppendUvarint(b, uint64(len(ids)))
 	for _, id := range ids {
-		rawList := p.raw[id]
-		live := p.byProbe[id]
-		rawHas := func(k string) bool {
-			for i := range rawList {
-				if rawList[i].region == k {
-					return true
-				}
-			}
-			return false
-		}
-		fresh := liveOnlyKeys(live, rawHas)
+		rawList, values := raw[id], live[id]
+		fresh := liveOnlyKeys(values, rawList)
 		b = snap.AppendVarint(b, int64(id))
 		b = snap.AppendUvarint(b, uint64(len(rawList)+len(fresh)))
 		i, j := 0, 0
 		for i < len(rawList) || j < len(fresh) {
+			var r rawSpan
 			if j >= len(fresh) || (i < len(rawList) && rawList[i].region < fresh[j]) {
-				r := rawList[i]
+				r = rawList[i]
 				i++
-				b = snap.AppendString(b, r.region)
-				if r.span != nil {
-					b = append(b, r.span...)
-				} else {
-					b = live[r.region].AppendState(b)
-				}
 			} else {
-				k := fresh[j]
+				r.region = fresh[j]
 				j++
-				b = snap.AppendString(b, k)
-				b = live[k].AppendState(b)
+			}
+			b = snap.AppendUvarint(b, codes[r.region])
+			if r.span != nil {
+				b = append(b, r.span...)
+			} else {
+				b = enc(b, values[r.region])
 			}
 		}
 	}
 	return b
 }
 
-// decodeFullDistState captures every (probe, region) distribution as a
-// pending raw span instead of decoding it — materialization happens
-// lazily on first touch (delta merge or report).
-func decodeFullDistState(c *snap.Cursor, p *FullDistPass) error {
-	if err := decodeNearestState(c, p.nearest); err != nil {
-		return err
-	}
+// decodeRegionEntries captures every (probe, region) value of one pass
+// as a pending raw span instead of decoding it — materialization happens
+// lazily on first touch (delta merge or report). skip consumes one
+// encoded value and returns its bytes; pass names the pass in errors.
+func decodeRegionEntries(c *snap.Cursor, table []string, pass string, skip func(*snap.Cursor) ([]byte, error)) (map[int][]rawSpan, error) {
 	count, err := c.Uvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if p.raw == nil {
-		p.raw = make(map[int][]rawDist, count)
+	if count > uint64(c.Remaining()) {
+		return nil, fmt.Errorf("core: %s state claims %d probes, %d bytes remain", pass, count, c.Remaining())
 	}
-	intern := make(interner, 64)
+	raw := make(map[int][]rawSpan, count)
 	for i := uint64(0); i < count; i++ {
 		id, err := c.Varint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		nRegions, err := c.Uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if nRegions > uint64(c.Remaining()) {
-			return fmt.Errorf("core: probe %d claims %d regions, %d bytes remain", id, nRegions, c.Remaining())
+			return nil, fmt.Errorf("core: probe %d claims %d regions, %d bytes remain", id, nRegions, c.Remaining())
 		}
-		list := make([]rawDist, 0, nRegions)
+		list := make([]rawSpan, 0, nRegions)
+		var prev uint64
 		for j := uint64(0); j < nRegions; j++ {
-			region, err := intern.decode(c)
+			code, region, err := decodeRegion(c, table)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			span, err := distSpan(c)
+			// Writers emit codes ascending, and so is the table; enforcing
+			// it here lets lazy lookups binary-search the pending list.
+			if j > 0 && code <= prev {
+				return nil, fmt.Errorf("core: probe %d regions out of order in %s state", id, pass)
+			}
+			prev = code
+			span, err := skip(c)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			// Writers emit regions in ascending order; enforcing it here
-			// lets lazy lookups binary-search the pending list.
-			if len(list) > 0 && region <= list[len(list)-1].region {
-				return fmt.Errorf("core: probe %d regions out of order in full-dist state", id)
-			}
-			list = append(list, rawDist{region: region, span: span})
+			list = append(list, rawSpan{region: region, span: span})
 		}
-		if _, dup := p.raw[int(id)]; dup {
-			return fmt.Errorf("core: duplicate probe %d in full-dist state", id)
+		if _, dup := raw[int(id)]; dup {
+			return nil, fmt.Errorf("core: duplicate probe %d in %s state", id, pass)
 		}
-		p.raw[int(id)] = list
+		raw[int(id)] = list
 	}
-	return nil
-}
-
-// appendLastMileState mirrors appendFullDistState for the buffered
-// last-mile streams.
-func appendLastMileState(b []byte, p *LastMilePass) []byte {
-	b = appendNearestState(b, p.nearest)
-	ids := unionProbeIDs(p.byProbe, p.raw)
-	b = snap.AppendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		rawList := p.raw[id]
-		live := p.byProbe[id]
-		rawHas := func(k string) bool {
-			for i := range rawList {
-				if rawList[i].region == k {
-					return true
-				}
-			}
-			return false
-		}
-		fresh := liveOnlyKeys(live, rawHas)
-		b = snap.AppendVarint(b, int64(id))
-		b = snap.AppendUvarint(b, uint64(len(rawList)+len(fresh)))
-		i, j := 0, 0
-		for i < len(rawList) || j < len(fresh) {
-			if j >= len(fresh) || (i < len(rawList) && rawList[i].region < fresh[j]) {
-				r := rawList[i]
-				i++
-				b = snap.AppendString(b, r.region)
-				if r.span != nil {
-					b = append(b, r.span...)
-				} else {
-					b = appendStreamState(b, live[r.region])
-				}
-			} else {
-				k := fresh[j]
-				j++
-				b = snap.AppendString(b, k)
-				b = appendStreamState(b, live[k])
-			}
-		}
-	}
-	return b
-}
-
-// decodeLastMileState captures every stream as a pending raw span, like
-// decodeFullDistState.
-func decodeLastMileState(c *snap.Cursor, p *LastMilePass) error {
-	if err := decodeNearestState(c, p.nearest); err != nil {
-		return err
-	}
-	count, err := c.Uvarint()
-	if err != nil {
-		return err
-	}
-	if p.raw == nil {
-		p.raw = make(map[int][]rawStream, count)
-	}
-	intern := make(interner, 64)
-	for i := uint64(0); i < count; i++ {
-		id, err := c.Varint()
-		if err != nil {
-			return err
-		}
-		nRegions, err := c.Uvarint()
-		if err != nil {
-			return err
-		}
-		if nRegions > uint64(c.Remaining()) {
-			return fmt.Errorf("core: probe %d claims %d streams, %d bytes remain", id, nRegions, c.Remaining())
-		}
-		list := make([]rawStream, 0, nRegions)
-		for j := uint64(0); j < nRegions; j++ {
-			region, err := intern.decode(c)
-			if err != nil {
-				return err
-			}
-			span, err := streamSpan(c)
-			if err != nil {
-				return err
-			}
-			if len(list) > 0 && region <= list[len(list)-1].region {
-				return fmt.Errorf("core: probe %d streams out of order in last-mile state", id)
-			}
-			list = append(list, rawStream{region: region, span: span})
-		}
-		if _, dup := p.raw[int(id)]; dup {
-			return fmt.Errorf("core: duplicate probe %d in last-mile state", id)
-		}
-		p.raw[int(id)] = list
-	}
-	return nil
+	return raw, nil
 }
 
 func appendDiurnalState(b []byte, p *DiurnalPass) []byte {
@@ -869,8 +826,11 @@ func scanStoreMerged(ctx context.Context, store *results.Store, idx *Index, star
 		refresh = false
 	}
 	if refresh {
+		span := obs.From(ctx).Child("snapshot.write")
 		merged.sortState()
-		if err := writeSnapshot(so.Path, store, idx, start, binWidth, merged, total, st, so); err != nil {
+		err := writeSnapshot(so.Path, store, idx, start, binWidth, merged, total, st, so)
+		span.End()
+		if err != nil {
 			return nil, 0, st, fmt.Errorf("core: writing snapshot: %w", err)
 		}
 	}
@@ -895,8 +855,9 @@ func ScanStoreSnap(ctx context.Context, store *results.Store, idx *Index, start 
 }
 
 // UpdateSnapshot refreshes the store's snapshot without producing a
-// report — the engine calls it at each checkpoint so a later figure run
-// starts from the freshest covered boundary. An empty store is a no-op.
+// report, so a later figure run starts from the freshest covered
+// boundary. An empty store is a no-op, which lets a checkpoint hook call
+// it before any sample exists.
 func UpdateSnapshot(ctx context.Context, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, workers int, m *scan.Metrics, so SnapshotOptions) (scan.Stats, error) {
 	if so.Path == "" {
 		return scan.Stats{}, errors.New("core: UpdateSnapshot needs a snapshot path")

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/snap"
+	"repro/internal/stats"
 	"repro/internal/world"
 )
 
@@ -302,11 +304,13 @@ func TestSnapshotInvalidation(t *testing.T) {
 
 	// rescan runs one snapshot-enabled scan and asserts it invalidated the
 	// snapshot, fell back cold, rendered the cold reference bytes, and
-	// left a fresh snapshot behind that the next scan hits.
-	rescan := func(t *testing.T, store *results.Store, binWidth time.Duration) {
+	// left a fresh snapshot behind that the next scan hits. It returns
+	// the scan's snapshot log, which names the invalidation reason.
+	rescan := func(t *testing.T, store *results.Store, binWidth time.Duration) string {
 		t.Helper()
+		var log bytes.Buffer
 		sm := snap.NewMetrics(obs.NewRegistry())
-		so := core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm}
+		so := core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Log: obs.NewLogger(&log)}
 		rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, binWidth, 3, nil, so)
 		if err != nil {
 			t.Fatal(err)
@@ -335,6 +339,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 		if sm2.Hits.Value() != 1 || sm2.Invalidations.Value() != 0 {
 			t.Errorf("fresh snapshot not hit: hit=%d invalid=%d", sm2.Hits.Value(), sm2.Invalidations.Value())
 		}
+		return log.String()
 	}
 
 	// tamperHeader rewrites the snapshot with a mutated header, keeping
@@ -357,6 +362,41 @@ func TestSnapshotInvalidation(t *testing.T) {
 		// pass set; the old snapshot's state must not leak into it.
 		store := seed(t, results.FormatBinary)
 		rescan(t, store, 24*time.Hour)
+	})
+
+	t.Run("state version 1 snapshot", func(t *testing.T) {
+		// A file from before the dictionary-coded state layout carries the
+		// old pass-set version: it is refused at the header, its payload
+		// never reaching the state decoder.
+		store := seed(t, results.FormatBinary)
+		tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) {
+			v1 := strings.Replace(h.PassSet, "suite-v2|", "suite-v1|", 1)
+			if v1 == h.PassSet {
+				t.Fatalf("pass set %q is not state version 2", h.PassSet)
+			}
+			h.PassSet = v1
+		})
+		if log := rescan(t, store, snapBinWidth); !strings.Contains(log, `reason="header mismatch"`) {
+			t.Errorf("v1 snapshot not refused as a header mismatch:\n%s", log)
+		}
+	})
+
+	t.Run("malformed state", func(t *testing.T) {
+		// A well-enveloped, correctly bound snapshot whose state breaks a
+		// layout rule is dropped by the state decoder, not applied.
+		store := seed(t, results.FormatBinary)
+		for _, tc := range malformedStates {
+			h, _, err := snap.ReadFile(store.SnapshotPath())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := snap.WriteFile(store.SnapshotPath(), h, tc.shape.encode()); err != nil {
+				t.Fatal(err)
+			}
+			if log := rescan(t, store, snapBinWidth); !strings.Contains(log, "state decode: ") || !strings.Contains(log, tc.want) {
+				t.Errorf("%s: invalidation does not name %q:\n%s", tc.name, tc.want, log)
+			}
+		}
 	})
 
 	t.Run("index fingerprint mismatch", func(t *testing.T) {
@@ -456,6 +496,118 @@ func TestSnapshotInvalidation(t *testing.T) {
 		}
 		rescan(t, store, snapBinWidth)
 	})
+}
+
+// stateShape hand-builds a minimal version-2 suite state: the region
+// table, empty Proximity and MinRTT passes, a FullDist pass with one
+// nearest-tracker entry and one entry list per probe (every list holds
+// the same codes), an empty LastMile pass, 24 empty diurnal bins and no
+// providers.
+type stateShape struct {
+	table   []string
+	nearest uint64   // region code of the one nearest-tracker entry
+	probes  []int64  // probe IDs of the FullDist entry lists
+	codes   []uint64 // region codes of each list's entries
+}
+
+func (sh stateShape) encode() []byte {
+	var d stats.Dist
+	d.Add(12.5)
+	b := snap.AppendUvarint(nil, uint64(len(sh.table)))
+	for _, region := range sh.table {
+		b = snap.AppendString(b, region)
+	}
+	b = snap.AppendUvarint(b, 0) // Proximity countries
+	b = snap.AppendUvarint(b, 0) // MinRTT probes
+	b = snap.AppendUvarint(b, 1) // FullDist nearest tracker
+	b = snap.AppendVarint(b, 1)
+	b = snap.AppendUvarint(b, sh.nearest)
+	b = snap.AppendFloat(b, 12.5)
+	b = snap.AppendUvarint(b, uint64(len(sh.probes)))
+	for _, id := range sh.probes {
+		b = snap.AppendVarint(b, id)
+		b = snap.AppendUvarint(b, uint64(len(sh.codes)))
+		for _, code := range sh.codes {
+			b = snap.AppendUvarint(b, code)
+			b = d.AppendState(b)
+		}
+	}
+	b = snap.AppendUvarint(b, 0) // LastMile nearest tracker
+	b = snap.AppendUvarint(b, 0) // LastMile streams
+	for h := 0; h < 24; h++ {
+		b = (&stats.Dist{}).AppendState(b)
+	}
+	return snap.AppendUvarint(b, 0) // providers
+}
+
+// malformedStates are the layout rules the version-2 decoder enforces,
+// each broken once; want is the fragment of the decode error that names
+// the rule.
+var malformedStates = []struct {
+	name  string
+	shape stateShape
+	want  string
+}{
+	{"nearest region code out of range", stateShape{[]string{"A/a", "B/b"}, 2, []int64{1}, []uint64{0, 1}}, "region code 2 outside the 2-entry table"},
+	{"entry region code out of range", stateShape{[]string{"A/a", "B/b"}, 1, []int64{1}, []uint64{0, 7}}, "region code 7 outside the 2-entry table"},
+	{"unsorted table", stateShape{[]string{"B/b", "A/a"}, 1, []int64{1}, []uint64{0, 1}}, "region table not strictly ascending"},
+	{"duplicate table entry", stateShape{[]string{"A/a", "A/a"}, 1, []int64{1}, []uint64{0, 1}}, "region table not strictly ascending"},
+	{"duplicate probe", stateShape{[]string{"A/a", "B/b"}, 1, []int64{1, 1}, []uint64{0, 1}}, "duplicate probe 1 in full-dist state"},
+	{"entries out of order", stateShape{[]string{"A/a", "B/b"}, 1, []int64{1}, []uint64{1, 0}}, "regions out of order in full-dist state"},
+	{"duplicate entry", stateShape{[]string{"A/a", "B/b"}, 1, []int64{1}, []uint64{1, 1}}, "regions out of order in full-dist state"},
+}
+
+// TestSuiteStateLayoutRules decodes the hand-built states directly: the
+// well-formed shape is accepted (so each rejection below is for the
+// rule it names, not a slip in the builder), and every malformed one
+// fails cleanly with that rule's error.
+func TestSuiteStateLayoutRules(t *testing.T) {
+	w := snapWorldGet(t)
+	start := snapConfig(1).Start
+	ok := stateShape{[]string{"A/a", "B/b"}, 1, []int64{1, 2}, []uint64{0, 1}}
+	if _, err := core.NewSuiteFromState(w.Index, start, snapBinWidth, ok.encode()); err != nil {
+		t.Fatalf("well-formed state refused: %v", err)
+	}
+	for _, tc := range malformedStates {
+		_, err := core.NewSuiteFromState(w.Index, start, snapBinWidth, tc.shape.encode())
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSuiteStateSpellsRegionsOnce is the golden check on the
+// dictionary coding: every region the campaign delivered a sample from
+// is spelled exactly once in the encoded state — in the region table —
+// however many (probe, region) entries and nearest-trackers refer to it.
+func TestSuiteStateSpellsRegionsOnce(t *testing.T) {
+	w := snapWorldGet(t)
+	const rounds = 8
+	full := campaignPrefix(t, w, rounds)
+	cfg := snapConfig(rounds)
+	store := buildStore(t, filepath.Join(t.TempDir(), "ds"), cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len()), results.FormatBinary, full)
+	if _, _, err := core.ScanStoreSnap(context.Background(), store, w.Index, cfg.Start, snapBinWidth, 2, nil,
+		core.SnapshotOptions{Path: store.SnapshotPath()}); err != nil {
+		t.Fatal(err)
+	}
+	_, state, err := snap.ReadFile(store.SnapshotPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := map[string]int{}
+	for _, s := range full {
+		if !s.Lost {
+			refs[s.Region]++
+		}
+	}
+	if len(refs) < 10 {
+		t.Fatalf("campaign reached only %d regions", len(refs))
+	}
+	for region, n := range refs {
+		if got := bytes.Count(state, snap.AppendString(nil, region)); got != 1 {
+			t.Errorf("region %q (%d samples) is spelled %d times in the state, want once", region, n, got)
+		}
+	}
 }
 
 // TestScanStoreEmpty pins the empty-store sentinel for both formats,

@@ -139,16 +139,23 @@ func decodeHeader(c *Cursor) (Header, error) {
 	return h, nil
 }
 
-// Encode frames a header and pass-state payload into a snapshot file
-// image: magic, length-prefixed header, length-prefixed payload, and a
-// CRC32 over everything before it.
-func Encode(h Header, payload []byte) []byte {
+// appendHead appends everything that precedes the payload bytes: magic,
+// the length-prefixed header, and the payload's length prefix.
+func appendHead(b []byte, h Header, payloadLen int) []byte {
 	hb := h.append(nil)
-	b := make([]byte, 0, len(magic)+len(hb)+len(payload)+24)
 	b = append(b, magic[:]...)
 	b = AppendUvarint(b, uint64(len(hb)))
 	b = append(b, hb...)
-	b = AppendUvarint(b, uint64(len(payload)))
+	return AppendUvarint(b, uint64(payloadLen))
+}
+
+// Encode frames a header and pass-state payload into a snapshot file
+// image: magic, length-prefixed header, length-prefixed payload, and a
+// CRC32 over everything before it. WriteFile produces the same bytes
+// without building the image; Encode is the reference tests compare it
+// against.
+func Encode(h Header, payload []byte) []byte {
+	b := appendHead(make([]byte, 0, len(payload)+256), h, len(payload))
 	b = append(b, payload...)
 	return AppendUint32(b, checksum(b))
 }
@@ -207,16 +214,23 @@ func Decode(data []byte) (Header, []byte, error) {
 
 // WriteFile atomically replaces path with the encoded snapshot: write
 // to a temp file in the same directory, fsync, rename. A crash leaves
-// either the old snapshot or the new one, never a torn file.
+// either the old snapshot or the new one, never a torn file. The head,
+// the payload and the trailer stream into the file under one running
+// CRC, so the multi-megabyte payload is never copied into a second
+// image.
 func WriteFile(path string, h Header, payload []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(Encode(h, payload)); err != nil {
-		tmp.Close()
-		return err
+	head := appendHead(nil, h, len(payload))
+	sum := crc32.Update(checksum(head), crcTable, payload)
+	for _, part := range [][]byte{head, payload, AppendUint32(nil, sum)} {
+		if _, err := tmp.Write(part); err != nil {
+			tmp.Close()
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

@@ -102,6 +102,10 @@ func TestWriteReadFile(t *testing.T) {
 	if got != h || string(payload) != "state2" {
 		t.Errorf("rewrite read back %+v %q", got, payload)
 	}
+	// WriteFile streams the parts Encode concatenates: same file bytes.
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, Encode(h, []byte("state2"))) {
+		t.Errorf("file bytes differ from Encode's image (read err %v)", err)
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

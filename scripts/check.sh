@@ -39,6 +39,14 @@ go test -race -count=1 ./internal/scan ./internal/core ./internal/engine ./inter
 echo "== go test -race =="
 go test -race ./...
 
+echo "== bench module (API compile + paper_run parity) =="
+# bench/ is its own module compiled against this one's exported API, and
+# its parity test pins what shears leaves on disk (samples.bin, figure
+# CSVs, samples.snap, samples.tix) to the benchmark's traced composition
+# byte for byte — so a change to either fails here, not at the next
+# benchmark run.
+(cd bench && go vet ./... && go test -run 'TestPaperRunParity|TestBenchmarkJSONMatchesSpec' ./...)
+
 echo "== fuzz smoke =="
 # Short fuzz bursts over the decode boundaries: the columnar block
 # codec (round-trip + corruption), the JSONL fast-path decoder
