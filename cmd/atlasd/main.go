@@ -379,10 +379,26 @@ func (a *app) enableCluster(opts clusterOptions) error {
 // requests and running measurements.
 const shutdownTimeout = 10 * time.Second
 
+// newHTTPServer is the API listener's server: every phase of a
+// connection is bounded, so a client that stalls its headers, trickles a
+// body, never reads its response or parks an idle keep-alive cannot pin
+// a goroutine and its buffers forever. The write bound leaves a window
+// fill its whole deadline and still gets the 504 out.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      serve.DefaultFillTimeout + 30*time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // serveApp runs the HTTP server (and the optional pprof listener) until
 // SIGINT/SIGTERM, then shuts down gracefully.
 func serveApp(a *app, addr, debugAddr string) error {
-	httpSrv := &http.Server{Addr: addr, Handler: a}
+	httpSrv := newHTTPServer(addr, a)
 	if debugAddr != "" {
 		go serveDebug(debugAddr, a.log)
 	}

@@ -7,8 +7,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 func TestBuildServesAPI(t *testing.T) {
@@ -197,5 +199,24 @@ func TestBuildServesFlightRecorder(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("/debug/events lacks %q; has %v", want, seen)
 		}
+	}
+}
+
+// TestHTTPServerTimeouts: every connection phase is bounded, and the
+// write bound outlasts the longest window fill so its 504 still lands.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"ReadTimeout":       srv.ReadTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if d <= 0 {
+			t.Errorf("%s is unset", name)
+		}
+	}
+	if srv.WriteTimeout <= serve.DefaultFillTimeout {
+		t.Errorf("WriteTimeout %v would cut off a fill that runs to its %v deadline", srv.WriteTimeout, serve.DefaultFillTimeout)
 	}
 }

@@ -737,9 +737,9 @@ func parseWindowRange(window, since, until string) (time.Time, time.Time, error)
 // windowOp materializes one [since, until) window through the temporal
 // aggregate index: it opens (or builds) samples.tix next to the
 // samples file, composes the window from pre-merged segment nodes plus
-// edge-block decodes, and prints the per-continent distributions along
-// with exactly how the window was assembled. The sample rows outside
-// the edge blocks are never decoded.
+// edge-block decodes, and prints the per-continent quantiles along
+// with exactly how the window was assembled and where the time went.
+// The sample rows outside the edge blocks are never decoded.
 func windowOp(store *results.Store, window, since, until string) ([]string, error) {
 	if store.Format() != results.FormatBinary {
 		return nil, fmt.Errorf("window op needs a binary store (samples.tix indexes sealed blocks); convert first")
@@ -790,6 +790,18 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 	if err != nil {
 		return nil, err
 	}
+	// The curves and counts are composed; the quantiles below are what
+	// load the distribution slabs.
+	var rows []string
+	for _, ct := range res.Continents() {
+		var qs [3]float64
+		for i, q := range []float64{0.50, 0.95, 0.99} {
+			if qs[i], err = res.Quantile(ct, q); err != nil {
+				return nil, err
+			}
+		}
+		rows = append(rows, fmt.Sprintf("%-14s %8d %8.1fms %8.1fms %8.1fms", ct.String(), res.N(ct), qs[0], qs[1], qs[2]))
+	}
 	elapsed := time.Since(queryStart)
 
 	bound := func(t time.Time) string {
@@ -799,36 +811,20 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 		return t.Format(time.RFC3339)
 	}
 	st := res.Stats
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	lines := []string{
-		fmt.Sprintf("window: [%s, %s) in %v", bound(sinceT), bound(untilT), elapsed.Round(time.Microsecond)),
+		fmt.Sprintf("window: [%s, %s) in %v (grids %v, block decode %v, fold %v, slabs %v for %d bytes, select %v)",
+			bound(sinceT), bound(untilT), us(elapsed),
+			us(st.GridCompose), us(st.EdgeDecode), us(st.Fold), us(st.SlabRead), st.SlabBytes, us(st.Select)),
 		fmt.Sprintf("index: %d nodes composed (%d blocks pre-merged), %d edge blocks decoded, %d stray, %d past frontier, %d skipped",
 			st.Nodes, st.NodeBlocks, st.EdgeBlocks, st.StrayBlocks, st.FrontierBlocks, st.SkippedBlocks),
 		fmt.Sprintf("rows: %d total, %d delivered, %d resolved samples", res.Rows, res.Delivered, res.Samples()),
 	}
-	if res.Samples() == 0 {
+	if len(rows) == 0 {
 		return append(lines, "no resolved samples in window"), nil
 	}
 	lines = append(lines, "continent       samples       p50       p95       p99")
-	for _, ct := range geo.Continents() {
-		d := res.ByContinent[ct]
-		if d == nil || d.N() == 0 {
-			continue
-		}
-		p50, err := d.Quantile(0.50)
-		if err != nil {
-			return nil, err
-		}
-		p95, err := d.Quantile(0.95)
-		if err != nil {
-			return nil, err
-		}
-		p99, err := d.Quantile(0.99)
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, fmt.Sprintf("%-14s %8d %8.1fms %8.1fms %8.1fms", ct.String(), d.N(), p50, p95, p99))
-	}
-	return lines, nil
+	return append(lines, rows...), nil
 }
 
 // filterOp re-exports the samples of one continent into a new dataset,

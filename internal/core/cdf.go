@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/results"
@@ -20,22 +19,6 @@ type ContinentCDF struct {
 // (per-probe minimum RTT) and Figure 6 (every sample).
 type CDFReport struct {
 	byContinent map[geo.Continent]*stats.Dist
-
-	// Precomputed curves, when the report was assembled from temporal
-	// index pre-aggregates: Curve answers from these when asked for
-	// exactly curveGrid, skipping the sweep over the sample buffers.
-	curveGrid []float64
-	curves    map[geo.Continent][]stats.CDFPoint
-}
-
-// SetCurves attaches precomputed CDF curves sampled on grid. They must
-// have been computed from the same sample multisets the report's
-// distributions hold — the temporal index's build discipline — so a
-// Curve call for that grid returns bit-identical points to a sweep,
-// without the per-sample cost. Any other grid, and any continent
-// missing from curves, falls through to the distributions.
-func (r *CDFReport) SetCurves(grid []float64, curves map[geo.Continent][]stats.CDFPoint) {
-	r.curveGrid, r.curves = grid, curves
 }
 
 // Continents returns the continents with data, in canonical order.
@@ -53,6 +36,14 @@ func (r *CDFReport) Continents() []geo.Continent {
 func (r *CDFReport) Dist(ct geo.Continent) (*stats.Dist, bool) {
 	d, ok := r.byContinent[ct]
 	return d, ok
+}
+
+// N returns one continent's sample count, zero when it has no data.
+func (r *CDFReport) N(ct geo.Continent) int {
+	if d, ok := r.byContinent[ct]; ok {
+		return d.N()
+	}
+	return 0
 }
 
 // FractionWithin returns the empirical P(RTT <= ms) for a continent.
@@ -97,23 +88,12 @@ func (r *CDFReport) Clone() *CDFReport {
 	for ct, d := range r.byContinent {
 		out.byContinent[ct] = d.Clone()
 	}
-	out.curveGrid = slices.Clone(r.curveGrid)
-	if r.curves != nil {
-		out.curves = make(map[geo.Continent][]stats.CDFPoint, len(r.curves))
-		for ct, c := range r.curves {
-			out.curves[ct] = slices.Clone(c)
-		}
-	}
 	return out
 }
 
 // Curve samples a continent's CDF at the given grid — the series a figure
-// plots. A precomputed curve (SetCurves) for exactly this grid is
-// returned as-is.
+// plots.
 func (r *CDFReport) Curve(ct geo.Continent, grid []float64) ([]stats.CDFPoint, error) {
-	if c, ok := r.curves[ct]; ok && slices.Equal(grid, r.curveGrid) {
-		return c, nil
-	}
 	d, ok := r.byContinent[ct]
 	if !ok {
 		return nil, fmt.Errorf("analysis: no data for %v", ct)

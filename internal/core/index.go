@@ -42,6 +42,10 @@ func (a AccessClass) String() string {
 type Index struct {
 	db      *geo.DB
 	byProbe map[int]probeInfo
+	// continents is byProbe's continent column as a dense table indexed
+	// by probe ID (IDs are small positive integers), ContinentUnknown
+	// where the probe is not part of the analysis set.
+	continents []geo.Continent
 }
 
 type probeInfo struct {
@@ -69,6 +73,10 @@ func NewIndex(pop *probe.Population, db *geo.DB) (*Index, error) {
 			info.access = AccessWired
 		}
 		idx.byProbe[p.ID] = info
+		if p.ID >= len(idx.continents) {
+			idx.continents = append(idx.continents, make([]geo.Continent, p.ID+1-len(idx.continents))...)
+		}
+		idx.continents[p.ID] = p.Continent
 	}
 	return idx, nil
 }
@@ -90,6 +98,13 @@ func (idx *Index) Continent(probeID int) (geo.Continent, bool) {
 	info, ok := idx.byProbe[probeID]
 	return info.continent, ok
 }
+
+// ContinentTable returns the probe-ID-indexed continent table: entry id
+// is what Continent(id) answers for a known probe and ContinentUnknown
+// for every other ID below len. Batch kernels index it once per row
+// instead of paying a map lookup per probe run; callers must not
+// modify it.
+func (idx *Index) ContinentTable() []geo.Continent { return idx.continents }
 
 // Access returns the probe's tag-derived access class.
 func (idx *Index) Access(probeID int) (AccessClass, bool) {

@@ -234,6 +234,15 @@ func splitLabelKey(key string, n int) []string {
 // latencies, from 100µs to 10s.
 var DurationBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
+// FineDurationBuckets are log-scale histogram bounds in seconds from 1µs
+// to 10s, three per decade — for paths whose fast case runs in
+// microseconds (a cache hit, one stage of a request), which
+// DurationBuckets would lump into its first bucket.
+var FineDurationBuckets = []float64{
+	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+}
+
 // RTTBucketsMs are histogram bounds in milliseconds suited to wide-area
 // ping RTTs, matching the paper's bands of interest (<10, 10-20, 20-100,
 // >100 ms).

@@ -3,6 +3,8 @@ package serve
 import (
 	"hash/fnv"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // response is one finished HTTP payload, immutable once stored: every
@@ -19,30 +21,43 @@ type response struct {
 // contends with requests whose keys hash to the same shard.
 const cacheShards = 16
 
+// shardBudget bounds the response bodies one shard keeps between
+// publishes. Windowed keys are an unbounded space — every distinct
+// since/until pair admits a ~100 KB /cdf body — so without a bound the
+// cache grows on demand until the next publish; with it the whole cache
+// holds at most cacheShards × shardBudget (64 MiB) plus the one body
+// that tipped each shard over.
+const shardBudget = 4 << 20
+
 // cache is the sharded read cache with singleflight coalescing. Keys
 // embed the snapshot fingerprint, so an entry can never serve bytes
 // from a different snapshot than its key names; invalidation on
-// snapshot advance exists to bound memory and re-arm coalescing, not
-// for correctness.
+// snapshot advance and eviction over the byte budget exist to bound
+// memory and re-arm coalescing, not for correctness.
 type cache struct {
-	shards [cacheShards]cacheShard
+	shards  [cacheShards]cacheShard
+	evicted *obs.Counter // body bytes dropped over budget; nil-inert
 }
 
 type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]*cacheEntry
+	mu    sync.Mutex
+	m     map[string]*cacheEntry
+	bytes int // body bytes of the finished entries in m
 }
 
 // cacheEntry is one computation's lifecycle. done closes when the
 // leader finishes; resp/err are written exactly once before that.
+// finished (guarded by the shard mutex) marks an entry whose body is
+// counted in the shard's bytes.
 type cacheEntry struct {
-	done chan struct{}
-	resp *response
-	err  error
+	done     chan struct{}
+	resp     *response
+	err      error
+	finished bool
 }
 
-func newCache() *cache {
-	c := &cache{}
+func newCache(evicted *obs.Counter) *cache {
+	c := &cache{evicted: evicted}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*cacheEntry)
 	}
@@ -81,16 +96,37 @@ func (c *cache) do(key string, fill func() (*response, error)) (resp *response, 
 
 	e.resp, e.err = fill()
 	close(e.done)
-	if e.err != nil {
-		sh.mu.Lock()
-		// Only forget our own failed entry — an invalidation may already
-		// have replaced it.
-		if sh.m[key] == e {
+	sh.mu.Lock()
+	// Only account for (or forget) our own entry — an invalidation may
+	// already have replaced it.
+	if sh.m[key] == e {
+		if e.err != nil {
 			delete(sh.m, key)
+		} else {
+			c.admit(sh, e)
 		}
-		sh.mu.Unlock()
 	}
+	sh.mu.Unlock()
 	return e.resp, e.err, false, false
+}
+
+// admit counts a finished entry against its shard's byte budget. A
+// shard the new body would push over budget first drops every finished
+// entry it holds, the way invalidate does; in-flight fills stay, so
+// their waiters keep coalescing. Called with the shard locked.
+func (c *cache) admit(sh *cacheShard, e *cacheEntry) {
+	size := len(e.resp.body)
+	if sh.bytes+size > shardBudget && sh.bytes > 0 {
+		for k, old := range sh.m {
+			if old.finished {
+				delete(sh.m, k)
+			}
+		}
+		c.evicted.Add(uint64(sh.bytes))
+		sh.bytes = 0
+	}
+	e.finished = true
+	sh.bytes += size
 }
 
 // invalidate drops every finished and future entry, called when the
@@ -102,6 +138,7 @@ func (c *cache) invalidate() {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.m = make(map[string]*cacheEntry)
+		sh.bytes = 0
 		sh.mu.Unlock()
 	}
 }

@@ -2,13 +2,16 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestCacheCoalesce(t *testing.T) {
-	c := newCache()
+	c := newCache(nil)
 	block := make(chan struct{})
 	var fills atomic.Int32
 	fill := func() (*response, error) {
@@ -62,7 +65,7 @@ func TestCacheCoalesce(t *testing.T) {
 }
 
 func TestCacheErrorNotCached(t *testing.T) {
-	c := newCache()
+	c := newCache(nil)
 	boom := errors.New("boom")
 	calls := 0
 	if _, err, _, _ := c.do("k", func() (*response, error) { calls++; return nil, boom }); err != boom {
@@ -78,7 +81,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 }
 
 func TestCacheInvalidate(t *testing.T) {
-	c := newCache()
+	c := newCache(nil)
 	calls := 0
 	fill := func() (*response, error) { calls++; return &response{body: []byte("v")}, nil }
 	c.do("k", fill)
@@ -91,5 +94,66 @@ func TestCacheInvalidate(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("fill calls = %d, want 2", calls)
+	}
+}
+
+// TestCacheByteBudget: a shard keeps at most shardBudget body bytes of
+// finished entries. The entry that would push it over drops every
+// finished one first — counted in the evicted-bytes counter — while an
+// in-flight fill on the same shard stays, still coalescing.
+func TestCacheByteBudget(t *testing.T) {
+	evicted := obs.NewRegistry().Counter("evicted_bytes_total", "")
+	c := newCache(evicted)
+	// Keys that all land on one shard.
+	sh := c.shard("k0")
+	var keys []string
+	for i := 0; len(keys) < 12; i++ {
+		if k := fmt.Sprintf("k%d", i); c.shard(k) == sh {
+			keys = append(keys, k)
+		}
+	}
+	body := make([]byte, shardBudget/4+1) // the fourth does not fit
+	fill := func() (*response, error) { return &response{body: body}, nil }
+
+	// An in-flight fill, parked until the eviction is over.
+	release, entered := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.do(keys[0], func() (*response, error) {
+			close(entered)
+			<-release
+			return &response{body: []byte("slow")}, nil
+		})
+	}()
+	<-entered
+
+	for _, k := range keys[1:4] {
+		c.do(k, fill)
+	}
+	if got := evicted.Value(); got != 0 {
+		t.Fatalf("evicted %d bytes under budget", got)
+	}
+	c.do(keys[4], fill) // over budget: keys[1..3] go
+	if got, want := evicted.Value(), uint64(3*len(body)); got != want {
+		t.Fatalf("evicted %d bytes, want %d", got, want)
+	}
+	sh.mu.Lock()
+	for _, k := range keys[1:4] {
+		if _, ok := sh.m[k]; ok {
+			t.Errorf("%s survived the eviction", k)
+		}
+	}
+	sh.mu.Unlock()
+	if _, _, hit, _ := c.do(keys[4], fill); !hit {
+		t.Fatal("the entry that triggered the eviction was dropped with it")
+	}
+
+	// The parked fill finishes into the entry it started: still in the
+	// map, so later requests hit it instead of filling again.
+	close(release)
+	<-done
+	if resp, _, hit, _ := c.do(keys[0], fill); !hit || string(resp.body) != "slow" {
+		t.Fatal("the in-flight entry was evicted with the finished ones")
 	}
 }

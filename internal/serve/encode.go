@@ -1,0 +1,135 @@
+package serve
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
+	"time"
+
+	"repro/internal/geo"
+	"repro/internal/stats"
+)
+
+// The /cdf body is ~100 KB of {"x":..,"p":..} points. Rendering it
+// through encoding/json reflects over every point and was the largest
+// stage left once the window itself composed from resident grids, so
+// the body is appended by hand instead — pinned byte-identical to
+// json.Marshal of the same shape (TestCDFBodyMatchesEncodingJSON), and
+// shared by the index and scan paths so the two cannot drift apart.
+
+// continentCurve is one continent's entry on /api/v1/cdf.
+type continentCurve struct {
+	ct    geo.Continent
+	n     int
+	curve []stats.CDFPoint
+}
+
+// appendJSONFloat appends f the way encoding/json renders a float64:
+// shortest round-trip digits, %f form except for exponents below -6 or
+// from 21 up, where the exponent drops its padding zero. Integral
+// values (every grid x, the curve's 0 and 1) skip the float formatter.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, fmt.Errorf("serve: unsupported JSON value %v", f)
+	}
+	abs := math.Abs(f)
+	if abs < 1e15 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(b, int64(f), 10), nil
+	}
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		// e-09 becomes e-9, as encoding/json cleans it up.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+		return b, nil
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64), nil
+}
+
+// appendJSONString appends s as encoding/json quotes it. Bodies carry a
+// handful of short strings, so this one defers to the library.
+func appendJSONString(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
+}
+
+// appendCurve appends pts as encoding/json renders []stats.CDFPoint. A
+// curve's tail repeats its P value wherever bins are empty; repeats copy
+// the previous rendering instead of formatting again.
+func appendCurve(b []byte, pts []stats.CDFPoint) ([]byte, error) {
+	if pts == nil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '[')
+	var err error
+	lastStart, lastEnd := 0, 0
+	for i, p := range pts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"x":`...)
+		if b, err = appendJSONFloat(b, p.X); err != nil {
+			return b, err
+		}
+		b = append(b, `,"p":`...)
+		if i > 0 && math.Float64bits(p.P) == math.Float64bits(pts[i-1].P) {
+			start := len(b)
+			b = append(b, b[lastStart:lastEnd]...)
+			lastStart, lastEnd = start, len(b)
+		} else {
+			lastStart = len(b)
+			if b, err = appendJSONFloat(b, p.P); err != nil {
+				return b, err
+			}
+			lastEnd = len(b)
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']'), nil
+}
+
+// encodeCDFBody renders the /api/v1/cdf response: the snapshot, the
+// window bounds as RFC 3339 strings (absent when that side was open),
+// and one entry per continent with samples. A window with no samples
+// lists "continents":null, as the marshalled nil slice always has.
+func encodeCDFBody(fingerprint string, since, until time.Time, curves []continentCurve) ([]byte, error) {
+	// A 400-point curve renders to ~16 KB.
+	b := make([]byte, 0, 256+len(curves)*(20<<10))
+	b = append(b, `{"snapshot":`...)
+	b = appendJSONString(b, fingerprint)
+	if !since.IsZero() {
+		b = append(b, `,"since":`...)
+		b = appendJSONString(b, since.Format(time.RFC3339))
+	}
+	if !until.IsZero() {
+		b = append(b, `,"until":`...)
+		b = appendJSONString(b, until.Format(time.RFC3339))
+	}
+	b = append(b, `,"continents":`...)
+	if len(curves) == 0 {
+		return append(b, "null}\n"...), nil
+	}
+	for i, c := range curves {
+		if i == 0 {
+			b = append(b, '[')
+		} else {
+			b = append(b, ',')
+		}
+		b = append(b, `{"continent":`...)
+		b = appendJSONString(b, c.ct.String())
+		b = append(b, `,"code":`...)
+		b = appendJSONString(b, c.ct.Code())
+		b = append(b, `,"samples":`...)
+		b = strconv.AppendInt(b, int64(c.n), 10)
+		b = append(b, `,"curve":`...)
+		var err error
+		if b, err = appendCurve(b, c.curve); err != nil {
+			return nil, err
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...), nil
+}

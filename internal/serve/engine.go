@@ -144,7 +144,7 @@ func NewEngine(store *results.Store, idx *core.Index, opt Options) (*Engine, err
 	}
 	e := &Engine{
 		store: store, idx: idx, opt: opt,
-		f: f, hot: hot, cache: newCache(),
+		f: f, hot: hot, cache: newCache(opt.Metrics.nilSafe().CacheEvictedBytes),
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	// Recover the full block list once: the covered prefix (needed for

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/colf"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/httpapi"
 	"repro/internal/scan"
-	"repro/internal/stats"
 	"repro/internal/tix"
 )
 
@@ -62,10 +62,65 @@ func (e *Engine) view(w http.ResponseWriter) *snapshotView {
 	return v
 }
 
+// stage indexes one timed stage of a window fill; stageNames are the
+// serve_window_stage_seconds label values and Server-Timing metric
+// names. The first five are tix.QueryStats' durations; scan is the
+// fallback block scan, encode the body rendering.
+type stage int
+
+const (
+	stageGridCompose stage = iota
+	stageSlabRead
+	stageEdgeDecode
+	stageFold
+	stageSelect
+	stageScan
+	stageEncode
+	numStages
+)
+
+var stageNames = [numStages]string{
+	"grid_compose", "slab_read", "edge_decode", "fold", "select", "scan", "encode",
+}
+
+// stageTimes is where one window fill's time went. Only the request
+// that ran the fill has any; cache hits and coalesced waiters report
+// none.
+type stageTimes [numStages]time.Duration
+
+// addQuery folds an index query's stage durations in.
+func (st *stageTimes) addQuery(q tix.QueryStats) {
+	st[stageGridCompose] += q.GridCompose
+	st[stageSlabRead] += q.SlabRead
+	st[stageEdgeDecode] += q.EdgeDecode
+	st[stageFold] += q.Fold
+	st[stageSelect] += q.Select
+}
+
+// serverTiming renders the stages that ran as a Server-Timing header
+// value (durations in milliseconds); empty when none did.
+func (st *stageTimes) serverTiming() string {
+	var sb strings.Builder
+	for i, d := range st {
+		if d == 0 {
+			continue
+		}
+		if sb.Len() > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(stageNames[i])
+		sb.WriteString(";dur=")
+		sb.WriteString(strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 3, 64))
+	}
+	return sb.String()
+}
+
 // serveCached runs key through the read cache and writes the result,
 // handling conditional requests (If-None-Match against the snapshot
-// ETag) and the hit/coalesced/stale accounting.
-func (e *Engine) serveCached(w http.ResponseWriter, r *http.Request, key string, fill func() (*response, error)) {
+// ETag) and the hit/coalesced/stale accounting. st, when non-nil, is
+// the stage breakdown fill records into: the stages that ran are
+// exported as serve_window_stage_seconds and a Server-Timing header.
+func (e *Engine) serveCached(w http.ResponseWriter, r *http.Request, key string, st *stageTimes, fill func() (*response, error)) {
 	m := e.opt.Metrics.nilSafe()
 	var (
 		resp        *response
@@ -96,6 +151,16 @@ func (e *Engine) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	if e.lag.Load() > 0 {
 		m.StaleServed.Inc()
 	}
+	if st != nil {
+		for i, d := range st {
+			if d > 0 {
+				m.WindowStageSeconds.With(stageNames[i]).Observe(d.Seconds())
+			}
+		}
+		if h := st.serverTiming(); h != "" {
+			w.Header().Set("Server-Timing", h)
+		}
+	}
 	if resp.etag != "" {
 		w.Header().Set("Etag", resp.etag)
 		if r.Header.Get("If-None-Match") == resp.etag {
@@ -115,12 +180,17 @@ func jsonResponse(v any, fingerprint string) (*response, error) {
 	if err != nil {
 		return nil, err
 	}
+	return jsonBody(append(body, '\n'), fingerprint), nil
+}
+
+// jsonBody wraps an already rendered JSON body the same way.
+func jsonBody(body []byte, fingerprint string) *response {
 	return &response{
 		status:      http.StatusOK,
 		contentType: "application/json",
 		etag:        etagFor(fingerprint),
-		body:        append(body, '\n'),
-	}, nil
+		body:        body,
+	}
 }
 
 func (e *Engine) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -137,7 +207,7 @@ func (e *Engine) handleFigure(w http.ResponseWriter, r *http.Request) {
 	// The payload was rendered at publish time; the fill is a pointer
 	// hand-off, never a scan.
 	key := "figures/" + fig + "@" + v.fingerprint
-	e.serveCached(w, r, key, func() (*response, error) { return resp, nil })
+	e.serveCached(w, r, key, nil, func() (*response, error) { return resp, nil })
 }
 
 // quantileDTO is one continent's answer on /api/v1/quantile.
@@ -204,7 +274,7 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 		}
 		only = ct
 	}
-	render := func(rep *core.CDFReport) (*response, error) {
+	render := func(rep quantileSource) (*response, error) {
 		body := quantileBody{Snapshot: v.fingerprint, Dist: distName, P: p}
 		if !since.IsZero() {
 			body.Since = since.Format(time.RFC3339)
@@ -216,13 +286,12 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 			if only != geo.ContinentUnknown && ct != only {
 				continue
 			}
-			d, _ := rep.Dist(ct)
 			val, err := rep.Quantile(ct, p)
 			if err != nil {
 				return nil, err
 			}
 			body.Continents = append(body.Continents, quantileDTO{
-				Continent: ct.String(), Code: ct.Code(), Samples: d.N(), Value: val,
+				Continent: ct.String(), Code: ct.Code(), Samples: rep.N(ct), Value: val,
 			})
 		}
 		return jsonResponse(body, v.fingerprint)
@@ -232,17 +301,38 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 		key := fmt.Sprintf("quantile?dist=%s&p=%.17g&continent=%v&%s@%s", distName, p, only, pred.Key(), v.fingerprint)
 		ctx, cancel := e.fillContext(r)
 		defer cancel()
-		e.serveCached(w, r, key, func() (*response, error) {
-			wrep, err := e.windowReport(ctx, v, pred)
+		var st stageTimes
+		e.serveCached(w, r, key, &st, func() (*response, error) {
+			// The index path answers from the lazily loaded slabs; loading
+			// them inside windowIndex is what lets a slab that fails its
+			// CRC fall back to the scan like any other index error.
+			res, err := e.windowIndex(ctx, v, pred, true)
 			if err != nil {
 				return nil, err
 			}
-			return render(wrep)
+			var src quantileSource
+			if res != nil {
+				src = res
+			} else if src, err = e.windowScan(ctx, v, pred, &st); err != nil {
+				return nil, err
+			}
+			t0 := time.Now()
+			resp, err := render(src)
+			encode := time.Since(t0)
+			if res != nil {
+				// The index path's selection ran inside render, timed by
+				// the result: it is its own stage, not encoding.
+				st.addQuery(res.Stats)
+				encode -= res.Stats.Select
+				e.opt.Metrics.nilSafe().WindowSlabBytes.Add(uint64(res.Stats.SlabBytes))
+			}
+			st[stageEncode] += encode
+			return resp, err
 		})
 		return
 	}
 	key := fmt.Sprintf("quantile?dist=%s&p=%.17g&continent=%v@%s", distName, p, only, v.fingerprint)
-	e.serveCached(w, r, key, func() (*response, error) {
+	e.serveCached(w, r, key, nil, func() (*response, error) {
 		// Post-render, every report distribution is materialized and
 		// sorted, so these rank queries are read-only — no scan, no
 		// mutation, safe under concurrent readers.
@@ -250,21 +340,13 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cdfDTO is one continent's curve on /api/v1/cdf.
-type cdfDTO struct {
-	Continent string           `json:"continent"`
-	Code      string           `json:"code"`
-	Samples   int              `json:"samples"`
-	Curve     []stats.CDFPoint `json:"curve"`
-}
-
-// cdfBody is the /api/v1/cdf response shape. The window bounds echo
-// back as RFC 3339 strings, absent when that side was open.
-type cdfBody struct {
-	Snapshot   string   `json:"snapshot"`
-	Since      string   `json:"since,omitempty"`
-	Until      string   `json:"until,omitempty"`
-	Continents []cdfDTO `json:"continents"`
+// quantileSource is what /quantile renders from: the published
+// reports (*core.CDFReport, also the scan fallback's answer) and an
+// index-composed window (*tix.Result) both are one.
+type quantileSource interface {
+	Continents() []geo.Continent
+	N(ct geo.Continent) int
+	Quantile(ct geo.Continent, q float64) (float64, error)
 }
 
 // parseWindowTime accepts RFC 3339 timestamps.
@@ -316,76 +398,97 @@ func (e *Engine) handleCDF(w http.ResponseWriter, r *http.Request) {
 	key := "cdf?" + pred.Key() + "@" + v.fingerprint
 	ctx, cancel := e.fillContext(r)
 	defer cancel()
-	e.serveCached(w, r, key, func() (*response, error) {
-		rep, err := e.windowReport(ctx, v, pred)
+	var st stageTimes
+	e.serveCached(w, r, key, &st, func() (*response, error) {
+		curves, err := e.windowCurves(ctx, v, pred, &st)
 		if err != nil {
 			return nil, err
 		}
-		body := cdfBody{Snapshot: v.fingerprint}
-		if !since.IsZero() {
-			body.Since = since.Format(time.RFC3339)
+		t0 := time.Now()
+		body, err := encodeCDFBody(v.fingerprint, since, until, curves)
+		st[stageEncode] += time.Since(t0)
+		if err != nil {
+			return nil, err
 		}
-		if !until.IsZero() {
-			body.Until = until.Format(time.RFC3339)
-		}
-		grid := core.DefaultGrid()
-		for _, ct := range rep.Continents() {
-			d, _ := rep.Dist(ct)
-			curve, err := rep.Curve(ct, grid)
-			if err != nil {
-				return nil, err
-			}
-			body.Continents = append(body.Continents, cdfDTO{
-				Continent: ct.String(), Code: ct.Code(), Samples: d.N(), Curve: curve,
-			})
-		}
-		return jsonResponse(body, v.fingerprint)
+		return jsonBody(body, v.fingerprint), nil
 	})
 }
 
-// windowReport materializes one [since, until) window. The fast path
-// composes the published temporal index view: O(log n) pre-merged
-// segment nodes plus a batch decode of only the boundary blocks,
-// yielding the same sample multiset a scan would — so every rank query
-// downstream, and therefore the response bytes, are identical either
-// way. Without an index view (disabled, invalidated, or its query
-// failed) the window falls back to the predicate-pushdown block scan.
-// A deadline expiry counts a fill timeout and propagates — the
-// fallback scan would blow the same deadline.
-func (e *Engine) windowReport(ctx context.Context, v *snapshotView, pred *colf.Predicate) (*core.CDFReport, error) {
-	m := e.opt.Metrics.nilSafe()
-	if v.tixView != nil {
-		res, err := v.tixView.Query(ctx, e.f, v.blocks, pred.Since, pred.Until, e.idx)
-		if err == nil {
-			m.WindowIndexQueries.Inc()
-			m.WindowIndexNodes.Add(uint64(res.Stats.Nodes))
-			m.WindowIndexEdgeBlocks.Add(uint64(res.Stats.EdgeBlocks))
-			rep := core.CDFReportFromDists(res.ByContinent)
-			// The composed curve counts make /cdf rendering O(grid) per
-			// continent — the samples are never swept on this path.
-			rep.SetCurves(tix.Grid(), res.Curves())
-			return rep, nil
+// windowCurves answers one [since, until) window's per-continent CDF
+// curves. The index path composes them from the published view's
+// resident grids — O(log n) vector additions plus a count-only fold of
+// the boundary blocks; it reads no sidecar bytes and builds no
+// distribution. The counts are the ones a scan's distributions would
+// yield, so the response bytes are identical either way; without a
+// usable index view the window falls back to the scan.
+func (e *Engine) windowCurves(ctx context.Context, v *snapshotView, pred *colf.Predicate, st *stageTimes) ([]continentCurve, error) {
+	res, err := e.windowIndex(ctx, v, pred, false)
+	if err != nil {
+		return nil, err
+	}
+	var curves []continentCurve
+	if res != nil {
+		st.addQuery(res.Stats)
+		for _, ct := range res.Continents() {
+			curves = append(curves, continentCurve{ct: ct, n: res.N(ct), curve: res.Curve(ct)})
 		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			m.FillTimeouts.Inc()
+		return curves, nil
+	}
+	rep, err := e.windowScan(ctx, v, pred, st)
+	if err != nil {
+		return nil, err
+	}
+	grid := core.DefaultGrid()
+	for _, ct := range rep.Continents() {
+		curve, err := rep.Curve(ct, grid)
+		if err != nil {
 			return nil, err
 		}
-		m.WindowIndexFallbacks.Inc()
-		e.opt.Log.Warn("temporal index query failed; falling back to scan", "error", err)
+		curves = append(curves, continentCurve{ct: ct, n: rep.N(ct), curve: curve})
 	}
-	rep, err := e.windowCDF(ctx, v, pred)
-	if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-		m.FillTimeouts.Inc()
-	}
-	return rep, err
+	return curves, nil
 }
 
-// windowCDF runs the one request-path scan the serving layer allows: a
+// windowIndex materializes one window through the published temporal
+// index view, loading the distribution slabs too when the caller will
+// ask for quantiles. It returns nil with no error when the window must
+// be scanned instead: no index view (disabled or invalidated), or a
+// query or slab load that failed — counted and logged, never served. A
+// deadline expiry counts a fill timeout and propagates: the fallback
+// scan would blow the same deadline.
+func (e *Engine) windowIndex(ctx context.Context, v *snapshotView, pred *colf.Predicate, dists bool) (*tix.Result, error) {
+	if v.tixView == nil {
+		return nil, nil
+	}
+	m := e.opt.Metrics.nilSafe()
+	res, err := v.tixView.Query(ctx, e.f, v.blocks, pred.Since, pred.Until, e.idx)
+	if err == nil && dists {
+		_, err = res.Dists()
+	}
+	if err == nil {
+		m.WindowIndexQueries.Inc()
+		m.WindowIndexNodes.Add(uint64(res.Stats.Nodes))
+		m.WindowIndexEdgeBlocks.Add(uint64(res.Stats.EdgeBlocks))
+		return res, nil
+	}
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		m.FillTimeouts.Inc()
+		return nil, err
+	}
+	m.WindowIndexFallbacks.Inc()
+	e.opt.Log.Warn("temporal index query failed; falling back to scan", "error", err)
+	return nil, nil
+}
+
+// windowScan runs the one request-path scan the serving layer allows: a
 // predicate-pushdown pass over the published snapshot's block list.
 // Zone maps skip blocks wholly outside the window, so the cost tracks
 // the window size, not the store size.
-func (e *Engine) windowCDF(ctx context.Context, v *snapshotView, pred *colf.Predicate) (*core.CDFReport, error) {
-	e.opt.Metrics.nilSafe().RequestScans.Inc()
+func (e *Engine) windowScan(ctx context.Context, v *snapshotView, pred *colf.Predicate, st *stageTimes) (*core.CDFReport, error) {
+	m := e.opt.Metrics.nilSafe()
+	m.RequestScans.Inc()
+	t0 := time.Now()
+	defer func() { st[stageScan] += time.Since(t0) }()
 	var passes []*core.WindowCDFPass
 	cfg := scan.Config{
 		Workers:   e.opt.Workers,
@@ -400,6 +503,9 @@ func (e *Engine) windowCDF(ctx context.Context, v *snapshotView, pred *colf.Pred
 	}
 	size := blockEnd(v.blocks)
 	if _, err := scan.Blocks(ctx, cfg, e.f, size, v.blocks, 0, colf.HeaderSize); err != nil {
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			m.FillTimeouts.Inc()
+		}
 		return nil, err
 	}
 	// The scan merged every worker into the worker-0 pass.

@@ -25,6 +25,9 @@ type Metrics struct {
 	// Coalesced counts requests that waited on another request's
 	// in-flight computation instead of repeating it.
 	Coalesced *obs.Counter
+	// CacheEvictedBytes counts response body bytes dropped because a
+	// cache shard went over its byte budget between publishes.
+	CacheEvictedBytes *obs.Counter
 	// StaleServed counts responses rendered from a snapshot older than
 	// the store's stable tail at request time — served fresh enough to
 	// answer, but behind the appender.
@@ -47,6 +50,13 @@ type Metrics struct {
 	// WindowIndexFallbacks counts windowed requests that had a live
 	// index view but fell back to scanning after a query error.
 	WindowIndexFallbacks *obs.Counter
+	// WindowStageSeconds is where a window fill's time went, by stage
+	// (see the stage* constants); each fill observes only the stages it
+	// ran, so a stage's count is how many fills reached it.
+	WindowStageSeconds *obs.HistogramVec // stage
+	// WindowSlabBytes counts sidecar payload bytes index-served windows
+	// read back — distribution slabs, which only quantiles need.
+	WindowSlabBytes *obs.Counter
 	// Refreshes counts snapshot advances published by the refresher.
 	Refreshes *obs.Counter
 	// RefreshErrors counts refresher passes that failed and kept the
@@ -71,13 +81,15 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Requests: reg.CounterVec("serve_requests_total",
 			"Requests answered by the serving layer.", "route"),
 		RequestSeconds: reg.HistogramVec("serve_request_seconds",
-			"Serving-layer request latency.", obs.DurationBuckets, "route"),
+			"Serving-layer request latency.", obs.FineDurationBuckets, "route"),
 		CacheHits: reg.Counter("serve_cache_hits_total",
 			"Requests served from a finished cache entry."),
 		CacheMisses: reg.Counter("serve_cache_misses_total",
 			"Requests that computed their response."),
 		Coalesced: reg.Counter("serve_cache_coalesced_total",
 			"Requests that waited on an in-flight identical computation."),
+		CacheEvictedBytes: reg.Counter("serve_cache_evicted_bytes_total",
+			"Response body bytes dropped from cache shards over their byte budget."),
 		StaleServed: reg.Counter("serve_stale_served_total",
 			"Responses rendered behind the store's stable tail."),
 		RequestScans: reg.Counter("serve_request_scans_total",
@@ -92,6 +104,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Boundary blocks decoded across index-served windows."),
 		WindowIndexFallbacks: reg.Counter("serve_window_index_fallbacks_total",
 			"Windowed requests that fell back from the index to a block scan."),
+		WindowStageSeconds: reg.HistogramVec("serve_window_stage_seconds",
+			"Time one window fill spent in each stage it ran.", obs.FineDurationBuckets, "stage"),
+		WindowSlabBytes: reg.Counter("serve_window_slab_bytes_total",
+			"Sidecar payload bytes read back by index-served windows."),
 		Refreshes: reg.Counter("serve_refresh_total",
 			"Snapshot advances published by the refresher."),
 		RefreshErrors: reg.Counter("serve_refresh_errors_total",

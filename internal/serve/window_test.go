@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ func (f *fixture) newTixEngine(t testing.TB) (*Engine, *Metrics) {
 func windowTarget(path string, since, until time.Time) string {
 	target := path
 	sep := "?"
-	if p := len(path); p > 0 && path[p-1] == '9' { // already has params (p=0.9)
+	if strings.Contains(path, "?") { // already has params (p=0.9)
 		sep = "&"
 	}
 	if !since.IsZero() {

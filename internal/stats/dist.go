@@ -29,11 +29,12 @@ type Dist struct {
 	// decode, so absorbing a delta costs O(delta) regardless of history
 	// size. A snapshot-decoded distribution carries one span; a window
 	// composed from temporal-index nodes carries one span per node.
-	// Counting queries (CDF, N, Min, Max) answer across the spans and
-	// the sorted overlay without copying; only a query that needs the
-	// full buffer materializes. This keeps snapshot-resumed analysis —
-	// and index-composed windows, whose whole point is to not touch
-	// every sample per query — from paying a merge they don't need.
+	// Counting queries (CDF, N, Min, Max) and order statistics (Quantile)
+	// answer across the spans and the sorted overlay without copying;
+	// only a merge or re-encode materializes. This keeps
+	// snapshot-resumed analysis — and index-composed windows, whose
+	// whole point is to not touch every sample per query — from paying a
+	// merge they don't need.
 	spans [][]byte
 }
 
@@ -122,24 +123,6 @@ func spanAt(s []byte, k int) (float64, error) {
 		return 0, fmt.Errorf("stats: invalid dist sample %v in state", math.Float64frombits(bits))
 	}
 	return math.Float64frombits(bits), nil
-}
-
-// spanCountBelow returns how many slab samples are < y, by binary
-// search over the serialized ascending bits.
-func spanCountBelow(s []byte, y float64) (int, error) {
-	var err error
-	idx := sort.Search(len(s)/8, func(i int) bool {
-		v, e := spanAt(s, i)
-		if e != nil {
-			err = e
-			return true
-		}
-		return v >= y
-	})
-	if err != nil {
-		return 0, err
-	}
-	return idx, nil
 }
 
 // Add appends one sample. NaN and Inf samples are rejected. With spans
@@ -297,7 +280,22 @@ func (d *Dist) Max() (float64, error) {
 
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation
 // between order statistics (type-7, the common default).
-func (d *Dist) Quantile(q float64) (float64, error) {
+func (d *Dist) Quantile(q float64) (float64, error) { return d.quantile(q, nil) }
+
+// A Bracket bounds an order statistic: the k-th smallest sample
+// (0-based) is known to lie in (lo, hi]; either bound may be infinite.
+type Bracket func(k int) (lo, hi float64)
+
+// QuantileBracketed is Quantile for a caller that already knows roughly
+// where each order statistic lies — the temporal index brackets a rank
+// to one bin of its composed curve grid. Over pending spans the
+// selection then starts from the bracket instead of the whole value
+// range and never sorts the overlay: it is filtered to the bracket in
+// one pass. The bracket is a hint, not trusted: one that does not hold
+// the rank is ignored, so the answer always equals Quantile's.
+func (d *Dist) QuantileBracketed(q float64, b Bracket) (float64, error) { return d.quantile(q, b) }
+
+func (d *Dist) quantile(q float64, b Bracket) (float64, error) {
 	n := d.N()
 	if n == 0 {
 		return 0, ErrEmpty
@@ -305,21 +303,20 @@ func (d *Dist) Quantile(q float64) (float64, error) {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
 	}
-	d.ensureSorted()
 	if n == 1 {
-		return d.orderStat(0)
+		return d.orderStat(0, b)
 	}
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
-	vlo, err := d.orderStat(lo)
+	vlo, err := d.orderStat(lo, b)
 	if err != nil {
 		return 0, err
 	}
 	if lo == hi {
 		return vlo, nil
 	}
-	vhi, err := d.orderStat(hi)
+	vhi, err := d.orderStat(hi, b)
 	if err != nil {
 		return 0, err
 	}
@@ -327,67 +324,174 @@ func (d *Dist) Quantile(q float64) (float64, error) {
 	return vlo*(1-frac) + vhi*frac, nil
 }
 
-// orderStat returns the k-th smallest sample. The buffer (or, with
-// spans pending, the overlay) must already be sorted. One pending span
-// selects lazily; several materialize first — order statistics over
-// many runs are rare (index-composed windows answer curves through
-// CDF, which never materializes) and the merge is paid once.
-func (d *Dist) orderStat(k int) (float64, error) {
-	switch len(d.spans) {
-	case 0:
+// orderStat returns the k-th smallest sample. Pending spans select in
+// place (selectRuns) — no order statistic materializes.
+func (d *Dist) orderStat(k int, b Bracket) (float64, error) {
+	if len(d.spans) == 0 {
+		d.ensureSorted()
 		return d.samples[k], nil
-	case 1:
-		return d.selectMerged(k)
 	}
-	if err := d.materialize(); err != nil {
-		return 0, err
+	lo, hi := math.Inf(-1), math.Inf(1)
+	if b != nil {
+		lo, hi = b(k)
 	}
-	return d.samples[k], nil
+	return d.selectRuns(k, lo, hi)
 }
 
-// selectMerged returns the k-th smallest element of the multiset formed
-// by the single span slab and the sorted overlay, by binary-searching
-// the merge split point — O(log n) span reads, no materialization.
-func (d *Dist) selectMerged(k int) (float64, error) {
-	span, ov := d.spans[0], d.samples
-	n, m := len(span)/8, len(ov)
-	// i counts elements taken from the span, j = k+1-i from the overlay.
-	// Find the largest feasible i with span[i-1] <= ov[j]; the matching
-	// condition ov[j-1] <= span[i] then holds automatically.
-	lo, hi := k+1-m, k+1
-	if lo < 0 {
-		lo = 0
+// floatKey maps a finite float64 to a uint64 whose unsigned order is
+// the floats' numeric order, so a value bisection can halve the key
+// range; keyFloat is its inverse. Every key between two finite floats'
+// keys is itself a finite float's.
+func floatKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
 	}
-	if hi > n {
-		hi = n
+	return b | 1<<63
+}
+
+func keyFloat(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
 	}
-	for lo < hi {
-		i := (lo + hi + 1) / 2
-		v, err := spanAt(span, i-1)
-		if err != nil {
-			return 0, err
+	return math.Float64frombits(^k)
+}
+
+// spanCountAtMost returns how many of the slab's samples are <= x,
+// searching only the index range [lo, hi] the caller has already
+// bracketed the answer into.
+func spanCountAtMost(s []byte, lo, hi int, x float64) (int, error) {
+	var err error
+	idx := lo + sort.Search(hi-lo, func(i int) bool {
+		v, e := spanAt(s, lo+i)
+		if e != nil {
+			err = e
+			return true
 		}
-		if j := k + 1 - i; j >= m || v <= ov[j] {
-			lo = i
-		} else {
-			hi = i - 1
+		return v > x
+	})
+	return idx, err
+}
+
+// selectRuns returns the k-th smallest element of the multiset formed
+// by every pending span slab and the overlay — the order statistic a
+// materialize-then-index would return — without decoding or merging the
+// runs. It bisects the value range: each probe value counts the samples
+// at or below it by one binary search per run, and every probe narrows
+// each run's candidate index range, so the whole selection reads
+// O(runs · log n) samples however many the runs hold. (lo, hi] is the
+// caller's bracket for the answer, infinite bounds for none: it seeds
+// the candidate ranges, and lets an unsorted overlay be filtered to its
+// few candidates instead of sorted. Only the samples a selection reads
+// are validated; a NaN or Inf among them fails the query like
+// materialize would.
+func (d *Dist) selectRuns(k int, lo, hi float64) (float64, error) {
+	bracketed := !math.IsInf(lo, -1) || !math.IsInf(hi, 1)
+	// The overlay's candidates, ascending, and how many overlay samples
+	// sort below them.
+	var cand []float64
+	below := 0
+	if bracketed && !d.sorted {
+		for _, v := range d.samples {
+			if v <= lo {
+				below++
+			} else if v <= hi {
+				cand = append(cand, v)
+			}
 		}
+		sort.Float64s(cand)
+	} else {
+		d.ensureSorted()
+		below = sort.Search(len(d.samples), func(i int) bool { return d.samples[i] > lo })
+		cand = d.samples[below:sort.Search(len(d.samples), func(i int) bool { return d.samples[i] > hi })]
 	}
-	i := lo
-	j := k + 1 - i
-	var best float64
+
+	// Span i holds from[i] samples known to sort before the answer and
+	// to[i] known to sort at or before it; the value range bisected is
+	// the one the candidates in between span.
+	nr := len(d.spans)
+	idx := make([]int, 3*nr)
+	from, to, at := idx[:nr], idx[nr:2*nr], idx[2*nr:]
+	var kLo, kHi uint64
 	have := false
-	if i > 0 {
-		v, err := spanAt(span, i-1)
+	widen := func(first, last float64) {
+		f, l := floatKey(first), floatKey(last)
+		if !have || f < kLo {
+			kLo = f
+		}
+		if !have || l > kHi {
+			kHi = l
+		}
+		have = true
+	}
+	before, upTo := below, below+len(cand)
+	for i, s := range d.spans {
+		var err error
+		if to[i] = len(s) / 8; bracketed {
+			if from[i], err = spanCountAtMost(s, 0, to[i], lo); err != nil {
+				return 0, err
+			}
+			if to[i], err = spanCountAtMost(s, from[i], to[i], hi); err != nil {
+				return 0, err
+			}
+		}
+		before += from[i]
+		upTo += to[i]
+		if from[i] == to[i] {
+			continue
+		}
+		first, err := spanAt(s, from[i])
 		if err != nil {
 			return 0, err
 		}
-		best, have = v, true
+		last, err := spanAt(s, to[i]-1)
+		if err != nil {
+			return 0, err
+		}
+		widen(first, last)
 	}
-	if j > 0 && (!have || ov[j-1] > best) {
-		best = ov[j-1]
+	if k < before || k >= upTo {
+		if bracketed { // the hint was wrong; select without it
+			return d.selectRuns(k, math.Inf(-1), math.Inf(1))
+		}
+		return 0, fmt.Errorf("stats: rank %d outside %d samples", k, upTo)
 	}
-	return best, nil
+	if len(cand) > 0 {
+		widen(cand[0], cand[len(cand)-1])
+	}
+	cFrom, cTo := 0, len(cand)
+	for kLo < kHi {
+		mid := kLo + (kHi-kLo)/2
+		x := keyFloat(mid)
+		cAt := cFrom + sort.Search(cTo-cFrom, func(j int) bool { return cand[cFrom+j] > x })
+		total := below + cAt
+		for i, s := range d.spans {
+			c, err := spanCountAtMost(s, from[i], to[i], x)
+			if err != nil {
+				return 0, err
+			}
+			at[i] = c
+			total += c
+		}
+		if total > k {
+			kHi, cTo = mid, cAt
+			copy(to, at)
+		} else {
+			kLo, cFrom = mid+1, cAt
+			copy(from, at)
+		}
+	}
+	// Every sample left in a candidate range equals the answer; return
+	// one as stored. None left means a slab was not ascending.
+	for i, s := range d.spans {
+		if from[i] < to[i] {
+			return spanAt(s, from[i])
+		}
+	}
+	if cFrom < cTo {
+		return cand[cFrom], nil
+	}
+	return 0, fmt.Errorf("stats: dist state slab is not ascending")
 }
 
 // Median returns the 0.5-quantile.
@@ -405,7 +509,7 @@ func (d *Dist) CDF(x float64) (float64, error) {
 	y := math.Nextafter(x, math.Inf(1))
 	idx := sort.SearchFloat64s(d.samples, y)
 	for _, s := range d.spans {
-		j, err := spanCountBelow(s, y)
+		j, err := spanCountAtMost(s, 0, len(s)/8, x)
 		if err != nil {
 			return 0, err
 		}

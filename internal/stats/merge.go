@@ -101,8 +101,8 @@ func (d *Dist) mergeSorted(other *Dist) error {
 // O(k) in run count regardless of sample volume. This is the
 // temporal-index composition kernel — a window assembled from
 // pre-merged segment nodes answers counting queries (CDF curves, N,
-// Min, Max) straight off the composed runs by per-slab binary search;
-// only an order-statistic query over many runs materializes, once.
+// Min, Max) and quantiles straight off the composed runs by per-slab
+// binary search (selectRuns); nothing on that path materializes.
 //
 // The result aliases the inputs' span slabs and copies their overlays;
 // inputs must not be mutated afterwards. The accumulators fold per

@@ -19,7 +19,7 @@ func fuzzSeedPayloads(t testing.TB) [][]byte {
 	}
 	add := func(ns *nodeState, ct geo.Continent, vals ...float64) {
 		d := &stats.Dist{}
-		cnt := ns.bins(ct)
+		cnt := ns.grid.row(ct)
 		for _, v := range vals {
 			if err := d.Add(v); err != nil {
 				t.Fatal(err)
@@ -29,16 +29,17 @@ func fuzzSeedPayloads(t testing.TB) [][]byte {
 			}
 		}
 		ns.dists[ct] = d
+		ns.grid.n[ct] = uint64(d.N())
 	}
 	return [][]byte{
-		mk(func(ns *nodeState) { ns.rows, ns.delivered = 4, 0 }),
+		mk(func(ns *nodeState) { ns.grid.rows, ns.grid.delivered = 4, 0 }),
 		mk(func(ns *nodeState) {
-			ns.rows, ns.delivered = 16, 9
+			ns.grid.rows, ns.grid.delivered = 16, 9
 			add(ns, geo.Europe, 12.5, 3.25, 88, 12.5)
 			add(ns, geo.Oceania, 250.75)
 		}),
 		mk(func(ns *nodeState) {
-			ns.rows, ns.delivered = 6, 6
+			ns.grid.rows, ns.grid.delivered = 6, 6
 			for i, ct := range geo.Continents() {
 				add(ns, ct, float64(i+1)*7.5)
 			}
@@ -92,7 +93,7 @@ func FuzzNodeRoundTrip(f *testing.F) {
 			if n1 == 0 {
 				continue
 			}
-			if !slices.Equal(ns.counts[ct], ns2.counts[ct]) {
+			if !slices.Equal(ns.grid.bins[ct], ns2.grid.bins[ct]) || ns.grid.n[ct] != ns2.grid.n[ct] {
 				t.Fatalf("%v: curve counts drift across re-encode", ct)
 			}
 			for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {

@@ -1,0 +1,420 @@
+package tix_test
+
+import (
+	"context"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/colf"
+	"repro/internal/geo"
+	"repro/internal/results"
+	"repro/internal/tix"
+)
+
+// These tests pin the split this package makes between the curve path —
+// resident grids, a count-only fold, a leaf memo, zero sidecar I/O — and
+// the lazy slab path behind Dists and Quantile.
+
+// TestCurvePathReadsNoSlabs: a query that is only asked for curves reads
+// nothing back from the sidecar and runs no selection; asking for the
+// distributions afterwards is what pays for the slabs, once.
+func TestCurvePathReadsNoSlabs(t *testing.T) {
+	f := getFixture(t)
+	ix := f.build(t, filepath.Join(t.TempDir(), "samples.tix"), f.blocks)
+	sf := f.openSamples(t)
+	res, err := ix.View().Query(context.Background(), sf, f.blocks, time.Time{}, time.Time{}, f.world.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Nodes == 0 {
+		t.Fatal("full window composed no nodes")
+	}
+	for _, ct := range res.Continents() {
+		if len(res.Curve(ct)) != 400 || res.N(ct) == 0 {
+			t.Fatalf("%v: curve of %d points over %d samples", ct, len(res.Curve(ct)), res.N(ct))
+		}
+	}
+	if st := res.Stats; st.SlabBytes != 0 || st.SlabRead != 0 || st.Select != 0 {
+		t.Fatalf("curve path touched the slabs: %d bytes, read %v, select %v", st.SlabBytes, st.SlabRead, st.Select)
+	}
+	if _, err := res.Quantile(res.Continents()[0], 0.5); err != nil {
+		t.Fatal(err)
+	}
+	loaded := res.Stats.SlabBytes
+	if loaded == 0 || res.Stats.SlabRead == 0 || res.Stats.Select == 0 {
+		t.Fatalf("quantile over %d nodes read %d slab bytes (read %v, select %v)",
+			res.Stats.Nodes, loaded, res.Stats.SlabRead, res.Stats.Select)
+	}
+	if _, err := res.Dists(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.SlabBytes != loaded {
+		t.Fatalf("second load re-read the slabs: %d -> %d bytes", loaded, res.Stats.SlabBytes)
+	}
+}
+
+// TestLeafMemo: Extend memoizes the leaves it decodes and a query the
+// frontier blocks it decodes, so a repeated window decodes only its
+// edge blocks — and still answers identically.
+func TestLeafMemo(t *testing.T) {
+	f := getFixture(t)
+	sf := f.openSamples(t)
+	ctx := context.Background()
+	// A window opening mid-block-0 starts its covered run on an odd
+	// block: a stray leaf. An odd block count strands the last leaf too,
+	// and that one no Extend ever decodes (reopened, it reads back as
+	// past the frontier).
+	even := f.blocks[:len(f.blocks)&^1]
+	odd := f.blocks[:len(f.blocks)-1+len(f.blocks)%2]
+	since := f.sampleTime(fixBlockRows / 2).Add(time.Nanosecond)
+
+	t.Run("extend-fills", func(t *testing.T) {
+		ix := f.build(t, filepath.Join(t.TempDir(), "samples.tix"), even)
+		res, err := ix.View().Query(ctx, sf, even, since, time.Time{}, f.world.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.StrayBlocks == 0 || st.EdgeBlocks == 0 {
+			t.Fatalf("window was meant to leave stray leaves and an edge: %+v", st)
+		}
+		if st.MemoBlocks != st.StrayBlocks || st.DecodedBlocks() != st.EdgeBlocks {
+			t.Fatalf("strays decoded despite Extend's memo: %+v", st)
+		}
+	})
+
+	t.Run("query-fills", func(t *testing.T) {
+		// A reopened index has an empty memo: the first query decodes its
+		// strays, the second takes them from the memo.
+		path := filepath.Join(t.TempDir(), "samples.tix")
+		f.build(t, path, odd).Close()
+		ix, err := tix.Open(path, f.binding, odd, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		v := ix.View()
+		first, err := v.Query(ctx, sf, odd, since, time.Time{}, f.world.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Stats.StrayBlocks+first.Stats.FrontierBlocks < 2 || first.Stats.MemoBlocks != 0 {
+			t.Fatalf("first query after reopen: %+v", first.Stats)
+		}
+		again, err := v.Query(ctx, sf, odd, since, time.Time{}, f.world.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Stats.MemoBlocks != again.Stats.StrayBlocks+again.Stats.FrontierBlocks {
+			t.Fatalf("repeat query re-decoded its strays: %+v", again.Stats)
+		}
+		want, _, _ := f.refFoldSamples(t, f.samples[:len(odd)*fixBlockRows], since, time.Time{})
+		assertCurvesIdentical(t, first, want)
+		assertCurvesIdentical(t, again, want)
+		assertDistsIdentical(t, dists(t, again), want)
+	})
+}
+
+// TestWindowInsideOneBlock: a window cut out of the middle of a single
+// block composes no node and decodes exactly that block.
+func TestWindowInsideOneBlock(t *testing.T) {
+	f := getFixture(t)
+	ix := f.build(t, filepath.Join(t.TempDir(), "samples.tix"), f.blocks)
+	sf := f.openSamples(t)
+	// A round (rounds share one timestamp) that lies wholly inside a
+	// block holding other rounds' rows too.
+	var since time.Time
+	for lo := 0; lo < len(f.samples) && since.IsZero(); {
+		hi := lo
+		for hi < len(f.samples) && f.samples[hi].Time.Equal(f.samples[lo].Time) {
+			hi++
+		}
+		if b := lo / fixBlockRows; b == (hi-1)/fixBlockRows && hi-lo < fixBlockRows && b < len(f.blocks)-1 {
+			since = f.samples[lo].Time
+		}
+		lo = hi
+	}
+	if since.IsZero() {
+		t.Fatal("no round lies inside a single block")
+	}
+	until := since.Add(time.Nanosecond)
+	res, err := ix.View().Query(context.Background(), sf, f.blocks, since, until, f.world.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.Nodes != 0 || st.EdgeBlocks != 1 || st.StrayBlocks+st.FrontierBlocks != 0 {
+		t.Fatalf("window inside one block assembled as %+v", st)
+	}
+	want, rows, delivered := f.refFold(t, since, until)
+	if res.Rows != rows || res.Delivered != delivered {
+		t.Fatalf("rows/delivered %d/%d, reference %d/%d", res.Rows, res.Delivered, rows, delivered)
+	}
+	assertCurvesIdentical(t, res, want)
+	assertDistsIdentical(t, dists(t, res), want)
+}
+
+// TestViewBeforeLaterExtend: a view taken over a prefix keeps answering
+// over the grown block list after the index extends past it — the new
+// blocks through frontier decodes — and agrees with a fresh view.
+func TestViewBeforeLaterExtend(t *testing.T) {
+	f := getFixture(t)
+	sf := f.openSamples(t)
+	ctx := context.Background()
+	prefix := len(f.blocks) / 3
+	ix := f.build(t, filepath.Join(t.TempDir(), "samples.tix"), f.blocks[:prefix])
+	old := ix.View()
+	if err := ix.Extend(sf, f.blocks, f.world.Index); err != nil {
+		t.Fatal(err)
+	}
+	since := f.sampleTime(fixBlockRows + 7)
+	want, rows, delivered := f.refFold(t, since, time.Time{})
+	for name, v := range map[string]*tix.View{"old": old, "new": ix.View()} {
+		res, err := v.Query(ctx, sf, f.blocks, since, time.Time{}, f.world.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.Stats.FrontierBlocks > 0) != (name == "old") {
+			t.Fatalf("%s view: %d frontier blocks", name, res.Stats.FrontierBlocks)
+		}
+		if res.Rows != rows || res.Delivered != delivered {
+			t.Fatalf("%s view: rows/delivered %d/%d, reference %d/%d", name, res.Rows, res.Delivered, rows, delivered)
+		}
+		assertCurvesIdentical(t, res, want)
+		assertDistsIdentical(t, dists(t, res), want)
+	}
+}
+
+// synthStore writes a small hand-made store: Oceania's probes only ever
+// report past the 400 ms grid (a continent with N > 0 and all-zero
+// bins), the rest straddle the grid's edges — barely above 0, exactly
+// 400, a hair past it — and a few rows are lost.
+func synthStore(t *testing.T, f *fixture) ([]results.Sample, []colf.BlockInfo, string) {
+	t.Helper()
+	byCt := make(map[geo.Continent][]int)
+	for id, ct := range f.world.Index.ContinentTable() {
+		if ct != geo.ContinentUnknown {
+			byCt[ct] = append(byCt[ct], id)
+		}
+	}
+	if len(byCt[geo.Oceania]) == 0 || len(byCt[geo.Europe]) == 0 {
+		t.Fatal("fixture world lacks Oceania or Europe probes")
+	}
+	edge := []float64{1e-9, 0.25, 1, 1.0000001, 399.5, 400, 400.00000001, 401, 1234.5}
+	rng := rand.New(rand.NewSource(17))
+	start := f.store.Meta().Start
+	var samples []results.Sample
+	for round := 0; round < 40; round++ {
+		at := start.Add(time.Duration(round) * time.Hour)
+		for i := 0; i < 24; i++ {
+			s := results.Sample{Region: "synth/r", Time: at, Lost: rng.Intn(11) == 0}
+			if i%3 == 0 {
+				s.ProbeID = byCt[geo.Oceania][rng.Intn(len(byCt[geo.Oceania]))]
+				s.RTTms = 400.5 + 600*rng.Float64()
+			} else {
+				s.ProbeID = byCt[geo.Europe][rng.Intn(len(byCt[geo.Europe]))]
+				s.RTTms = edge[rng.Intn(len(edge))]
+			}
+			samples = append(samples, s)
+		}
+	}
+	dir := t.TempDir()
+	store, sink, err := results.Create(dir, f.store.Meta(), results.FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range samples {
+		if err := sink.Write(s); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%50 == 0 { // blocks cut mid-round
+			if err := sink.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, closer, err := colf.Open(store.SamplesPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	return samples, append([]colf.BlockInfo(nil), r.Blocks()...), store.SamplesPath()
+}
+
+// TestBeyondGridDifferential: randomized windows over the synthetic
+// store — samples past the grid, a continent whose bins are all zero,
+// values on the bin edges — answer curves and quantiles identical to a
+// cold fold.
+func TestBeyondGridDifferential(t *testing.T) {
+	f := getFixture(t)
+	samples, blocks, path := synthStore(t, f)
+	sf, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	ix, err := tix.Open(filepath.Join(t.TempDir(), "samples.tix"), f.binding, blocks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if err := ix.Extend(sf, blocks, f.world.Index); err != nil {
+		t.Fatal(err)
+	}
+	v := ix.View()
+	start := samples[0].Time
+	rng := rand.New(rand.NewSource(29))
+	zeroBins := false
+	for i := 0; i < 120; i++ {
+		a, b := rng.Intn(41*60), rng.Intn(41*60)
+		if a > b {
+			a, b = b, a
+		}
+		since, until := start.Add(time.Duration(a)*time.Minute), start.Add(time.Duration(b)*time.Minute)
+		if i == 0 {
+			since, until = time.Time{}, time.Time{}
+		}
+		res, err := v.Query(context.Background(), sf, blocks, since, until, f.world.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, rows, delivered := f.refFoldSamples(t, samples, since, until)
+		if res.Rows != rows || res.Delivered != delivered {
+			t.Fatalf("window %d: rows/delivered %d/%d, reference %d/%d", i, res.Rows, res.Delivered, rows, delivered)
+		}
+		assertCurvesIdentical(t, res, want)
+		assertDistsIdentical(t, dists(t, res), want)
+		if n := res.N(geo.Oceania); n > 0 {
+			if c := res.Curve(geo.Oceania); c[len(c)-1].P != 0 {
+				t.Fatalf("window %d: Oceania reports only past the grid, yet its curve reaches %v", i, c[len(c)-1].P)
+			}
+			zeroBins = true
+		}
+	}
+	if !zeroBins {
+		t.Fatal("no window held an all-zero-bin continent")
+	}
+}
+
+// TestCorruptSlabAfterOpen: a node payload damaged on disk after Open
+// validated it fails the slab path's per-read CRC — Dists and Quantile
+// error, nothing is served from the bad bytes — while curves, which
+// compose from the grids decoded at Open, stay correct.
+func TestCorruptSlabAfterOpen(t *testing.T) {
+	f := getFixture(t)
+	path := filepath.Join(t.TempDir(), "samples.tix")
+	ix := f.build(t, path, f.blocks)
+	sf := f.openSamples(t)
+	v := ix.View()
+
+	// Flip one byte in the last record: the widest node written, which
+	// any full-range window composes.
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, off := range []int64{st.Size() / 2, st.Size() - 9} {
+		var b [1]byte
+		if _, err := w.ReadAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x55
+		if _, err := w.WriteAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res, err := v.Query(context.Background(), sf, f.blocks, time.Time{}, time.Time{}, f.world.Index)
+	if err != nil {
+		t.Fatalf("curve path failed on a corrupt slab: %v", err)
+	}
+	want, _, _ := f.refFold(t, time.Time{}, time.Time{})
+	assertCurvesIdentical(t, res, want)
+	if _, err := res.Dists(); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("slab path read a corrupt node: err = %v", err)
+	}
+	if _, err := res.Quantile(res.Continents()[0], 0.5); err == nil {
+		t.Fatal("quantile answered from a corrupt node")
+	}
+}
+
+// TestConcurrentQueryDuringExtend runs queries on an old view — whose
+// frontier decodes fill the shared leaf memo — while the index extends
+// past it and memoizes the same leaves. Run under -race; every answer
+// must still match the reference.
+func TestConcurrentQueryDuringExtend(t *testing.T) {
+	f := getFixture(t)
+	sf := f.openSamples(t)
+	prefix := len(f.blocks) / 4
+	ix := f.build(t, filepath.Join(t.TempDir(), "samples.tix"), f.blocks[:prefix])
+	old := ix.View()
+
+	type win struct{ since, until time.Time }
+	rng := rand.New(rand.NewSource(3))
+	wins := make([]win, 6)
+	for i := range wins {
+		a, b := rng.Intn(len(f.samples)), rng.Intn(len(f.samples))
+		if a > b {
+			a, b = b, a
+		}
+		wins[i] = win{f.sampleTime(a), f.sampleTime(b)}
+	}
+
+	// Workers only query and load; the test goroutine checks the answers
+	// once they are done.
+	type answer struct {
+		w   win
+		res *tix.Result
+		err error
+	}
+	answers := make([][]answer, 4)
+	var wg sync.WaitGroup
+	for g := range answers {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				w := wins[(g+i)%len(wins)]
+				res, err := old.Query(context.Background(), sf, f.blocks, w.since, w.until, f.world.Index)
+				if err == nil && i%4 == 0 {
+					_, err = res.Dists()
+				}
+				answers[g] = append(answers[g], answer{w, res, err})
+			}
+		}(g)
+	}
+	for n := prefix + 2; n < len(f.blocks); n += 2 {
+		if err := ix.Extend(sf, f.blocks[:n], f.world.Index); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	if err := ix.Extend(sf, f.blocks, f.world.Index); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
+	for _, as := range answers {
+		for i, a := range as {
+			if a.err != nil {
+				t.Fatal(a.err)
+			}
+			want, _, _ := f.refFold(t, a.w.since, a.w.until)
+			assertCurvesIdentical(t, a.res, want)
+			if i%4 == 0 {
+				assertDistsIdentical(t, dists(t, a.res), want)
+			}
+		}
+	}
+}

@@ -45,6 +45,17 @@
 // pre-aggregate — per-bin sample counts on the fixed figure grid (see
 // curve.go) — so the dense CDF curve a window renders composes by
 // integer addition instead of a pass over the samples.
+//
+// # What stays resident
+//
+// A window's curves need only the pre-aggregates, so Open — which reads
+// and checksums every record anyway — decodes each node's grid (a few
+// KB) once and keeps it on the node directory; Extend keeps the grid of
+// every node it writes and memoizes the grid of every leaf block it
+// decodes. Views share all of them by pointer, and a query composes its
+// curves with no sidecar I/O at all. The 8-byte-per-sample distribution
+// slabs are read back (CRC re-verified on every read) only when a
+// caller asks a Result for distributions or quantiles.
 package tix
 
 import (
@@ -52,7 +63,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
+	"sync"
 
 	"repro/internal/colf"
 	"repro/internal/geo"
@@ -98,12 +109,13 @@ type Binding struct {
 }
 
 // Continents resolves probe IDs to continents — the slice of core.Index
-// the leaf builder and edge-block folds need. The resolver used at
-// build time must match the one used at query time; the Binding's
-// index fingerprint is what pins that.
+// the leaf builder and edge-block folds need: a dense table indexed by
+// probe ID, ContinentUnknown for probes the analysis skips (as are IDs
+// past its end). The resolver used at build time must match the one
+// used at query time; the Binding's index fingerprint is what pins
+// that.
 type Continents interface {
-	Known(probe int) bool
-	Continent(probe int) (geo.Continent, bool)
+	ContinentTable() []geo.Continent
 }
 
 // nodeKey addresses one segment node: its level and first block index.
@@ -113,8 +125,9 @@ type nodeKey struct {
 }
 
 // nodeRef is the in-memory directory entry for one validated node:
-// where its record payload sits in the sidecar and what it covers.
-// Payloads are read back lazily per query; only refs stay resident.
+// where its record payload sits in the sidecar, what it covers, and its
+// curve pre-aggregate. The payload's distribution slabs are read back
+// lazily, per query that needs them.
 type nodeRef struct {
 	level            int
 	start            int
@@ -122,6 +135,7 @@ type nodeRef struct {
 	rows, delivered  uint64
 	payloadOff       int64 // file offset of the record payload
 	payloadLen       int
+	grid             *grid // decoded from the CRC-verified payload; immutable
 }
 
 // blocks returns the node's covered block count.
@@ -140,10 +154,63 @@ type Index struct {
 	log     *obs.Logger
 
 	nodes    map[nodeKey]nodeRef
+	blocks   *blockState
 	size     int64 // current file size (append offset)
 	frontier int   // sealed blocks processed so far
 	dec      *colf.BlockDecoder
 }
+
+// blockState is what an Index and all its Views share about the
+// store's blocks. leaves keeps the grid of every fully covered leaf
+// block decoded so far — by Extend's leaf folds or by a query's stray
+// and frontier decodes — so the odd leaves of the dyadic decomposition
+// and the newest block of every trailing window decode once, not once
+// per request. Entries are keyed by block offset and sealed blocks never
+// change, so the memo only grows: at most one grid (~10 KB: six
+// continents of 400 uint32 bins) per sealed block. The mutex covers
+// queries filling it while Extend does. decoders keeps idle block
+// decoders: a decode fills ~25 bytes of column buffers per row, and a
+// query that allocated them afresh would hand the collector a megabyte
+// per request.
+type blockState struct {
+	mu       sync.RWMutex
+	leaves   map[int64]leafGrid
+	decoders sync.Pool // of *colf.BlockDecoder
+}
+
+// leafGrid is one memoized leaf: the block length pins the entry to the
+// block it was decoded from.
+type leafGrid struct {
+	len int64
+	g   *grid
+}
+
+func (bs *blockState) leaf(bi colf.BlockInfo) *grid {
+	bs.mu.RLock()
+	e := bs.leaves[bi.Off]
+	bs.mu.RUnlock()
+	if e.len != bi.Len {
+		return nil
+	}
+	return e.g
+}
+
+func (bs *blockState) putLeaf(bi colf.BlockInfo, g *grid) {
+	bs.mu.Lock()
+	bs.leaves[bi.Off] = leafGrid{len: bi.Len, g: g}
+	bs.mu.Unlock()
+}
+
+// decoder takes an idle decoder (or makes one); release returns it. A
+// decoded block is only valid until its decoder is released.
+func (bs *blockState) decoder() *colf.BlockDecoder {
+	if d, ok := bs.decoders.Get().(*colf.BlockDecoder); ok {
+		return d
+	}
+	return colf.NewBlockDecoder()
+}
+
+func (bs *blockState) release(d *colf.BlockDecoder) { bs.decoders.Put(d) }
 
 // Open opens (or creates) the sidecar at path and validates it against
 // the given binding and the store's current sealed block list. A
@@ -158,8 +225,9 @@ func Open(path string, b Binding, blocks []colf.BlockInfo, log *obs.Logger) (*In
 	}
 	ix := &Index{
 		path: path, f: f, binding: b, log: log,
-		nodes: make(map[nodeKey]nodeRef),
-		dec:   colf.NewBlockDecoder(),
+		nodes:  make(map[nodeKey]nodeRef),
+		blocks: &blockState{leaves: make(map[int64]leafGrid)},
+		dec:    colf.NewBlockDecoder(),
 	}
 	if err := ix.load(blocks); err != nil {
 		f.Close()
@@ -168,8 +236,9 @@ func Open(path string, b Binding, blocks []colf.BlockInfo, log *obs.Logger) (*In
 	return ix, nil
 }
 
-// load walks the existing file, validates every record, and truncates
-// or recreates as the discipline demands.
+// load walks the existing file, validates every record — decoding each
+// node in full, which is where its resident grid comes from — and
+// truncates or recreates as the discipline demands.
 func (ix *Index) load(blocks []colf.BlockInfo) error {
 	buf, err := io.ReadAll(ix.f)
 	if err != nil {
@@ -232,7 +301,7 @@ func (ix *Index) load(blocks []colf.BlockInfo) error {
 			if !sawHeader {
 				return reset("node before header")
 			}
-			ref, err := decodeNodeRef(payload)
+			ref, ns, err := decodeNodeState(payload)
 			if err != nil {
 				return truncate("corrupt node: "+err.Error(), off)
 			}
@@ -241,6 +310,7 @@ func (ix *Index) load(blocks []colf.BlockInfo) error {
 			}
 			ref.payloadOff = off + 4
 			ref.payloadLen = int(n)
+			ref.grid = ns.grid
 			ix.nodes[nodeKey{ref.level, ref.start}] = ref
 			if end := ref.start + ref.blocks(); end > ix.frontier {
 				ix.frontier = end
@@ -319,65 +389,39 @@ func decodeHeader(payload []byte) (Binding, error) {
 	return b, nil
 }
 
-// nodeState is one node's decoded aggregate: total rows and delivered
-// rows covered, plus the per-continent delivered-RTT distributions of
-// probes the index resolves and their curve pre-aggregates (per-bin
-// sample counts on the fixed figure grid; always present alongside a
-// non-empty distribution).
+// nodeState is one node's decoded aggregate: its grid (rows covered,
+// per-continent sample counts and curve bins) plus the per-continent
+// delivered-RTT distributions of probes the index resolves. A
+// continent's distribution and its grid row always travel together.
 type nodeState struct {
-	rows, delivered uint64
-	dists           map[geo.Continent]*stats.Dist
-	counts          map[geo.Continent][]uint64
+	grid  *grid
+	dists [numContinents]*stats.Dist
 }
 
-func newNodeState() *nodeState {
-	return &nodeState{
-		dists:  make(map[geo.Continent]*stats.Dist),
-		counts: make(map[geo.Continent][]uint64),
-	}
-}
+func newNodeState() *nodeState { return &nodeState{grid: &grid{}} }
 
-// bins returns ct's curve count vector, creating it on first use.
-func (ns *nodeState) bins(ct geo.Continent) []uint64 {
-	c := ns.counts[ct]
-	if c == nil {
-		c = make([]uint64, curveBins)
-		ns.counts[ct] = c
-	}
-	return c
-}
-
-// merge folds right — covering the blocks after ns's — into ns.
-// Receiver-first ordering keeps the float accumulators a deterministic
-// function of the block range, whichever extend path built the node.
-func (ns *nodeState) merge(right *nodeState) error {
-	ns.rows += right.rows
-	ns.delivered += right.delivered
-	for _, ct := range geo.Continents() {
-		rd := right.dists[ct]
-		if rd == nil {
-			continue
-		}
-		d := ns.dists[ct]
-		if d == nil {
-			ns.dists[ct] = rd
-			continue
-		}
-		if err := d.Merge(rd); err != nil {
-			return err
+// mergeStates folds right — covering the blocks after left's — onto
+// left. Receiver-first ordering keeps the float accumulators a
+// deterministic function of the block range, whichever extend path
+// built the node. left's distributions are consumed; both grids stay
+// untouched (they may already be published).
+func mergeStates(left, right *nodeState) (*nodeState, error) {
+	out := newNodeState()
+	out.grid.add(left.grid)
+	out.grid.add(right.grid)
+	out.dists = left.dists
+	for ct, rd := range right.dists {
+		switch {
+		case rd == nil:
+		case out.dists[ct] == nil:
+			out.dists[ct] = rd
+		default:
+			if err := out.dists[ct].Merge(rd); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for _, ct := range geo.Continents() {
-		rc := right.counts[ct]
-		if rc == nil {
-			continue
-		}
-		c := ns.bins(ct)
-		for i, x := range rc {
-			c[i] += x
-		}
-	}
-	return nil
+	return out, nil
 }
 
 // encodeNode serializes one node record payload. Distributions write
@@ -390,8 +434,8 @@ func encodeNode(level, start int, startOff, endOff int64, ns *nodeState) []byte 
 	p = snap.AppendUvarint(p, uint64(start))
 	p = snap.AppendVarint(p, startOff)
 	p = snap.AppendVarint(p, endOff)
-	p = snap.AppendUvarint(p, ns.rows)
-	p = snap.AppendUvarint(p, ns.delivered)
+	p = snap.AppendUvarint(p, ns.grid.rows)
+	p = snap.AppendUvarint(p, ns.grid.delivered)
 	var cts []geo.Continent
 	for _, ct := range geo.Continents() {
 		if d := ns.dists[ct]; d != nil && d.N() > 0 {
@@ -404,24 +448,17 @@ func encodeNode(level, start int, startOff, endOff int64, ns *nodeState) []byte 
 		d := ns.dists[ct]
 		d.Sort()
 		p = d.AppendState(p)
-		cnt := ns.counts[ct]
+		cnt := ns.grid.bins[ct]
 		p = snap.AppendUvarint(p, curveBins)
 		for k := 0; k < curveBins; k++ {
-			var x uint64
+			var x uint32
 			if cnt != nil {
 				x = cnt[k]
 			}
-			p = snap.AppendUvarint(p, x)
+			p = snap.AppendUvarint(p, uint64(x))
 		}
 	}
 	return p
-}
-
-// decodeNodeRef parses a node payload's fixed fields, skipping the
-// distribution section — what open-time validation needs.
-func decodeNodeRef(payload []byte) (nodeRef, error) {
-	ref, _, err := decodeNodeFixed(payload)
-	return ref, err
 }
 
 // decodeNodeFixed parses the fixed fields and returns the cursor
@@ -482,7 +519,7 @@ func decodeNodeState(payload []byte) (nodeRef, *nodeState, error) {
 		return ref, nil, fmt.Errorf("tix: node claims %d continents", n)
 	}
 	ns := newNodeState()
-	ns.rows, ns.delivered = ref.rows, ref.delivered
+	ns.grid.rows, ns.grid.delivered = ref.rows, ref.delivered
 	prev := -1
 	var total uint64
 	for i := uint64(0); i < n; i++ {
@@ -491,7 +528,7 @@ func decodeNodeState(payload []byte) (nodeRef, *nodeState, error) {
 			return ref, nil, err
 		}
 		ct := geo.Continent(cb)
-		if int(cb) <= prev || ct == geo.ContinentUnknown || ct.Code() == "??" {
+		if int(cb) <= prev || ct == geo.ContinentUnknown || int(cb) >= numContinents {
 			return ref, nil, fmt.Errorf("tix: bad continent byte %d in node", cb)
 		}
 		prev = int(cb)
@@ -508,21 +545,24 @@ func decodeNodeState(payload []byte) (nodeRef, *nodeState, error) {
 		if nb != curveBins {
 			return ref, nil, fmt.Errorf("tix: node curve has %d bins, want %d", nb, curveBins)
 		}
-		cnt := make([]uint64, curveBins)
+		cnt := ns.grid.row(ct)
 		var csum uint64
 		for k := range cnt {
-			if cnt[k], err = c.Uvarint(); err != nil {
+			x, err := c.Uvarint()
+			if err != nil {
 				return ref, nil, err
 			}
-			if cnt[k] > uint64(d.N()) {
-				return ref, nil, fmt.Errorf("tix: node curve bin %d counts %d of %d samples", k, cnt[k], d.N())
+			// Bounding each bin by N first keeps the sum from wrapping.
+			if x > uint64(d.N()) {
+				return ref, nil, fmt.Errorf("tix: node curve bin %d counts %d of %d samples", k, x, d.N())
 			}
-			csum += cnt[k]
+			cnt[k] = uint32(x)
+			csum += x
 		}
 		if csum > uint64(d.N()) {
 			return ref, nil, fmt.Errorf("tix: node curve counts %d samples, dist holds %d", csum, d.N())
 		}
-		ns.counts[ct] = cnt
+		ns.grid.n[ct] = uint64(d.N())
 	}
 	if c.Remaining() != 0 {
 		return ref, nil, fmt.Errorf("tix: %d trailing node bytes", c.Remaining())
@@ -565,75 +605,70 @@ func validateNode(ref nodeRef, blocks []colf.BlockInfo, seen map[nodeKey]nodeRef
 	return nil
 }
 
-// readNodeState reads one node's payload back and decodes it, CRC
-// re-verified (the page-cache read is cheap; the check keeps a
-// post-open corruption from silently skewing a window).
-func readNodeState(r io.ReaderAt, ref nodeRef) (*nodeState, error) {
-	buf := make([]byte, ref.payloadLen+4)
-	if _, err := r.ReadAt(buf, ref.payloadOff); err != nil {
+// readNodeState reads the node payload at off, with its CRC trailer,
+// into buf and decodes it, CRC re-verified (the page-cache read is
+// cheap; the check keeps a post-open corruption from silently skewing a
+// window). The decoded distributions alias buf.
+func readNodeState(r io.ReaderAt, off int64, buf []byte) (*nodeState, error) {
+	if _, err := r.ReadAt(buf, off); err != nil {
 		return nil, err
 	}
-	payload := buf[:ref.payloadLen]
-	if want := binary.LittleEndian.Uint32(buf[ref.payloadLen:]); snap.Checksum(payload) != want {
-		return nil, fmt.Errorf("tix: node at offset %d failed its CRC", ref.payloadOff)
+	payload := buf[:len(buf)-4]
+	if want := binary.LittleEndian.Uint32(buf[len(payload):]); snap.Checksum(payload) != want {
+		return nil, fmt.Errorf("tix: node at offset %d failed its CRC", off)
 	}
 	_, ns, err := decodeNodeState(payload)
 	return ns, err
 }
 
 // leafState decodes one sealed block and folds it into a fresh node
-// state, mirroring core.WindowCDFPass.ObserveBlock exactly (probe-run
-// continent caching, lost rows skipped) so index-composed windows see
-// the same sample multiset a scan pass would.
-func (ix *Index) leafState(store io.ReaderAt, bi colf.BlockInfo, cls Continents) (*nodeState, error) {
+// state, mirroring core.WindowCDFPass.ObserveBlock exactly (lost rows
+// and unresolved probes skipped) so index-composed windows see the same
+// sample multiset a scan pass would. The leaf's grid is memoized.
+func (ix *Index) leafState(store io.ReaderAt, bi colf.BlockInfo, tbl []geo.Continent) (*nodeState, error) {
 	blk, err := ix.dec.DecodeCols(store, bi, 0)
 	if err != nil {
 		return nil, err
 	}
 	ns := newNodeState()
 	// blk.Zone is the CRC-verified footer zone — the trusted row totals.
-	ns.rows = uint64(blk.Zone.Rows)
-	ns.delivered = uint64(blk.Zone.Delivered)
-	if err := foldRows(ns, cls, blk, 0, blk.Rows()); err != nil {
+	ns.grid.rows = uint64(blk.Zone.Rows)
+	ns.grid.delivered = uint64(blk.Zone.Delivered)
+	if err := foldDists(&ns.dists, ns.grid, tbl, blk, rowSel{hi: blk.Rows()}); err != nil {
 		return nil, err
 	}
+	ix.blocks.putLeaf(bi, ns.grid)
 	return ns, nil
 }
 
-// foldRows folds the delivered rows [lo, hi) of blk into ns —
-// distribution and curve counts together — resolving the continent
-// once per probe run.
-func foldRows(ns *nodeState, cls Continents, blk *colf.Block, lo, hi int) error {
-	lastProbe := 0
-	var d *stats.Dist
-	var cnt []uint64
-	for i := lo; i < hi; i++ {
-		if blk.Lost[i] {
+// foldDists folds the selected delivered rows of blk into per-continent
+// distributions and, when g is non-nil (a leaf being built), the same
+// rows into g's counts. It is the slab path's kernel; the curve path
+// counts through foldGrid alone.
+func foldDists(dists *[numContinents]*stats.Dist, g *grid, tbl []geo.Continent, blk *colf.Block, s rowSel) error {
+	for i := s.lo; i < s.hi; i++ {
+		if blk.Lost[i] || !s.keep(blk, i) {
 			continue
 		}
-		probe := blk.Probe[i]
-		if probe != lastProbe {
-			lastProbe = probe
-			d, cnt = nil, nil
-			if cls.Known(probe) {
-				if ct, ok := cls.Continent(probe); ok {
-					if d = ns.dists[ct]; d == nil {
-						d = &stats.Dist{}
-						ns.dists[ct] = d
-					}
-					cnt = ns.bins(ct)
-				}
-			}
+		p := blk.Probe[i]
+		if uint(p) >= uint(len(tbl)) || tbl[p] == geo.ContinentUnknown {
+			continue
 		}
+		ct, v := tbl[p], blk.RTT[i]
+		d := dists[ct]
 		if d == nil {
-			continue
+			d = &stats.Dist{}
+			dists[ct] = d
 		}
-		v := blk.RTT[i]
 		if err := d.Add(v); err != nil {
 			return err
 		}
+		if g == nil {
+			continue
+		}
+		g.n[ct]++
 		if k := curveBin(v); k >= 0 {
-			cnt[k]++
+			g.row(ct)[k]++
 		}
 	}
 	return nil
@@ -650,11 +685,13 @@ func foldRows(ns *nodeState, cls Continents, blk *colf.Block, lo, hi int) error 
 // truncation that dropped interior nodes below the frontier gets them
 // rebuilt on the next call, at the cost of cheap map lookups for
 // everything already present. Appended records are fsynced once per
-// call.
+// call. Every appended node's grid, and every decoded leaf's, stays
+// resident for the views published afterwards.
 func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continents) error {
 	if cls == nil {
 		return fmt.Errorf("tix: nil continent resolver")
 	}
+	tbl := cls.ContinentTable()
 	wrote := false
 	for i := 0; i < len(blocks); i++ {
 		for level := 1; (i+1)%(1<<level) == 0; level++ {
@@ -667,10 +704,10 @@ func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continen
 			var left, right *nodeState
 			var err error
 			if level == 1 {
-				if left, err = ix.leafState(store, blocks[start], cls); err != nil {
+				if left, err = ix.leafState(store, blocks[start], tbl); err != nil {
 					return err
 				}
-				if right, err = ix.leafState(store, blocks[start+1], cls); err != nil {
+				if right, err = ix.leafState(store, blocks[start+1], tbl); err != nil {
 					return err
 				}
 			} else {
@@ -680,25 +717,27 @@ func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continen
 				if !lok || !rok {
 					return fmt.Errorf("tix: children of node level %d start %d missing", level, start)
 				}
-				if left, err = readNodeState(ix.f, lref); err != nil {
+				if left, err = readNodeState(ix.f, lref.payloadOff, make([]byte, lref.payloadLen+4)); err != nil {
 					return err
 				}
-				if right, err = readNodeState(ix.f, rref); err != nil {
+				if right, err = readNodeState(ix.f, rref.payloadOff, make([]byte, rref.payloadLen+4)); err != nil {
 					return err
 				}
 			}
-			if err := left.merge(right); err != nil {
+			ns, err := mergeStates(left, right)
+			if err != nil {
 				return err
 			}
 			startOff := blocks[start].Off
 			lastBlk := blocks[start+span-1]
 			endOff := lastBlk.Off + lastBlk.Len
-			payload := encodeNode(level, start, startOff, endOff, left)
+			payload := encodeNode(level, start, startOff, endOff, ns)
 			ref := nodeRef{
 				level: level, start: start,
 				startOff: startOff, endOff: endOff,
-				rows: left.rows, delivered: left.delivered,
+				rows: ns.grid.rows, delivered: ns.grid.delivered,
 				payloadOff: ix.size + 4, payloadLen: len(payload),
+				grid: ns.grid,
 			}
 			if err := ix.appendRecord(payload); err != nil {
 				return err
@@ -731,27 +770,14 @@ func (ix *Index) Close() error { return ix.f.Close() }
 
 // View publishes an immutable query handle over the nodes stored so
 // far. The directory is copied, so a later Extend never races a
-// concurrent Query; the file handle is shared (records are append-only
-// and a view only references records already written and synced).
+// concurrent Query; the node grids, the block state and the file handle
+// are shared (grids are immutable, the block state locks, and records are
+// append-only — a view only references records already written and
+// synced).
 func (ix *Index) View() *View {
 	nodes := make(map[nodeKey]nodeRef, len(ix.nodes))
 	for k, v := range ix.nodes {
 		nodes[k] = v
 	}
-	return &View{f: ix.f, nodes: nodes, frontier: ix.frontier}
-}
-
-// levels returns the distinct node levels present, descending — handy
-// for tests and the dataset CLI's index report.
-func (ix *Index) levelsDesc() []int {
-	var out []int
-	seen := make(map[int]bool)
-	for k := range ix.nodes {
-		if !seen[k.level] {
-			seen[k.level] = true
-			out = append(out, k.level)
-		}
-	}
-	slices.SortFunc(out, func(a, b int) int { return b - a })
-	return out
+	return &View{f: ix.f, nodes: nodes, frontier: ix.frontier, blocks: ix.blocks}
 }

@@ -181,6 +181,16 @@ func (f *fixture) refFoldSamples(t testing.TB, samples []results.Sample, since, 
 	return dists, rows, delivered
 }
 
+// dists loads a window's distributions through the lazy slab path.
+func dists(t testing.TB, res *tix.Result) map[geo.Continent]*stats.Dist {
+	t.Helper()
+	d, err := res.Dists()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // assertDistsIdentical compares two per-continent distribution sets by
 // the quantities the serving layer publishes: sample counts, a dense
 // quantile sweep, and the figure curve. Identical multisets make every
@@ -221,6 +231,39 @@ func assertDistsIdentical(t testing.TB, got, want map[geo.Continent]*stats.Dist)
 		if !reflect.DeepEqual(gc, wc) {
 			t.Fatalf("%v: CDF curve diverges between index and reference", ct)
 		}
+	}
+}
+
+// assertCurvesIdentical holds the curve path — resident grids and
+// count-only folds, no distribution touched — to the same reference:
+// per continent, N and every curve point must equal what the reference
+// distribution sweeps out.
+func assertCurvesIdentical(t testing.TB, res *tix.Result, want map[geo.Continent]*stats.Dist) {
+	t.Helper()
+	grid := core.DefaultGrid()
+	var live []geo.Continent
+	for _, ct := range geo.Continents() {
+		wd := want[ct]
+		if wd == nil || wd.N() == 0 {
+			if res.N(ct) != 0 || res.Curve(ct) != nil {
+				t.Fatalf("%v: index counts %d samples, reference none", ct, res.N(ct))
+			}
+			continue
+		}
+		live = append(live, ct)
+		if res.N(ct) != wd.N() {
+			t.Fatalf("%v: index counts %d samples, reference %d", ct, res.N(ct), wd.N())
+		}
+		wc, err := wd.Curve(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Curve(ct), wc) {
+			t.Fatalf("%v: composed curve diverges from the reference sweep", ct)
+		}
+	}
+	if !reflect.DeepEqual(res.Continents(), live) {
+		t.Fatalf("continents %v, reference %v", res.Continents(), live)
 	}
 }
 
@@ -291,7 +334,8 @@ func TestQueryMatchesColdFold(t *testing.T) {
 				t.Fatalf("window covers %d/%d rows/delivered, reference %d/%d",
 					res.Rows, res.Delivered, rows, delivered)
 			}
-			assertDistsIdentical(t, res.ByContinent, want)
+			assertCurvesIdentical(t, res, want)
+			assertDistsIdentical(t, dists(t, res), want)
 		})
 	}
 
@@ -308,7 +352,7 @@ func TestQueryMatchesColdFold(t *testing.T) {
 	if dec := res.Stats.DecodedBlocks(); dec >= len(f.blocks)/2 {
 		t.Fatalf("full-window query decoded %d of %d blocks", dec, len(f.blocks))
 	}
-	if got := res.Stats.NodeBlocks + res.Stats.DecodedBlocks() + res.Stats.SkippedBlocks; got != len(f.blocks) {
+	if got := res.Stats.NodeBlocks + res.Stats.EdgeBlocks + res.Stats.StrayBlocks + res.Stats.FrontierBlocks + res.Stats.SkippedBlocks; got != len(f.blocks) {
 		t.Fatalf("query accounted for %d of %d blocks", got, len(f.blocks))
 	}
 }
@@ -334,7 +378,8 @@ func TestQueryPastFrontier(t *testing.T) {
 	if res.Rows != rows || res.Delivered != delivered {
 		t.Fatalf("rows/delivered %d/%d, reference %d/%d", res.Rows, res.Delivered, rows, delivered)
 	}
-	assertDistsIdentical(t, res.ByContinent, want)
+	assertCurvesIdentical(t, res, want)
+	assertDistsIdentical(t, dists(t, res), want)
 }
 
 // TestIncrementalMatchesBatch pins build determinism: growing the
@@ -477,7 +522,7 @@ func TestCorruptionTruncatesSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _, _ := f.refFold(t, time.Time{}, time.Time{})
-	assertDistsIdentical(t, res.ByContinent, want)
+	assertDistsIdentical(t, dists(t, res), want)
 }
 
 // TestTornTailTruncated: a partial trailing record (a crash mid-append)
@@ -536,5 +581,5 @@ func TestStoreTruncationInvalidatesNodes(t *testing.T) {
 	// the first two blocks hold exactly the first 2*fixBlockRows
 	// samples — not by a time window.
 	want, _, _ := f.refFoldSamples(t, f.samples[:2*fixBlockRows], time.Time{}, time.Time{})
-	assertDistsIdentical(t, res.ByContinent, want)
+	assertDistsIdentical(t, dists(t, res), want)
 }

@@ -39,6 +39,19 @@ go test -race -count=1 ./internal/scan ./internal/core ./internal/engine ./inter
 echo "== go test -race =="
 go test -race ./...
 
+echo "== windowed index gate (differential + /cdf cost) =="
+# The race pass above already ran these; this pass runs them without the
+# detector, so the gate's allocation bound measures the code and not the
+# instrumentation. The differential pins /cdf and /quantile bodies from
+# the index path to the scan engine's over randomized windows; the cost
+# gate asserts a /cdf index-path request reads zero sidecar bytes, loads
+# no distribution (nothing to materialize or select over), never scans,
+# and allocates a bounded number of objects; the corrupt-slab test that
+# /quantile's per-read CRC still catches a payload damaged after open.
+go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestServeCorruptSlabFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON' ./internal/serve
+go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestLeafMemo|TestBeyondGridDifferential|TestCorruptSlabAfterOpen' ./internal/tix
+go test -count=1 -run 'TestSelectRuns' ./internal/stats
+
 echo "== bench module (API compile + paper_run parity) =="
 # bench/ is its own module compiled against this one's exported API, and
 # its parity test pins what shears leaves on disk (samples.bin, figure
