@@ -766,6 +766,7 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 	}
 	defer sf.Close()
 
+	openStart := time.Now()
 	ix, err := tix.Open(store.TixPath(), tix.Binding{
 		PassSet: tix.PassSetCDF,
 		Index:   w.Index.Fingerprint(),
@@ -777,12 +778,14 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 	defer ix.Close()
 	before := ix.Nodes()
 	buildStart := time.Now()
+	opened := buildStart.Sub(openStart)
 	if err := ix.Extend(sf, blocks, w.Index); err != nil {
 		return nil, err
 	}
+	extended := time.Since(buildStart)
 	if built := ix.Nodes() - before; built > 0 {
 		log.Printf("index: appended %d segment nodes over %d sealed blocks in %v",
-			built, len(blocks), time.Since(buildStart).Round(time.Millisecond))
+			built, len(blocks), extended.Round(time.Millisecond))
 	}
 
 	queryStart := time.Now()
@@ -813,8 +816,8 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 	st := res.Stats
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	lines := []string{
-		fmt.Sprintf("window: [%s, %s) in %v (grids %v, block decode %v, fold %v, slabs %v for %d bytes, select %v)",
-			bound(sinceT), bound(untilT), us(elapsed),
+		fmt.Sprintf("window: [%s, %s) open %v, extend %v, query %v (grids %v, block decode %v, fold %v, slabs %v for %d bytes, select %v)",
+			bound(sinceT), bound(untilT), us(opened), us(extended), us(elapsed),
 			us(st.GridCompose), us(st.EdgeDecode), us(st.Fold), us(st.SlabRead), st.SlabBytes, us(st.Select)),
 		fmt.Sprintf("index: %d nodes composed (%d blocks pre-merged), %d edge blocks decoded, %d stray, %d past frontier, %d skipped",
 			st.Nodes, st.NodeBlocks, st.EdgeBlocks, st.StrayBlocks, st.FrontierBlocks, st.SkippedBlocks),

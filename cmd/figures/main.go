@@ -14,7 +14,9 @@
 // file; the output is identical for any worker count); synthesized campaigns
 // are analyzed in memory. When the dataset carries an analysis snapshot
 // (samples.snap, maintained by cmd/shears), the scan resumes from it and
-// decodes only blocks appended since — -snapshot off forces a cold scan.
+// decodes only blocks appended since, and works only the suite pass the
+// figure reads unless this run is the one that rewrites the snapshot —
+// -snapshot off forces a cold scan.
 // -rowscan forces the scanner's legacy per-row path on binary stores,
 // bypassing the columnar batch kernels; the output is byte-identical
 // either way (scripts/check.sh pins this), so the flag exists as the
@@ -26,11 +28,14 @@
 // GET /debug/events (flight-recorder dump of recent log events), and
 // GET /api/v1/progress (scan throughput and snapshot cache counters).
 // Renders against a stored dataset also write <data>/run.figures.json — a
-// manifest with the run ID, build version, flags, per-stage durations,
-// scan throughput and snapshot coverage.
+// manifest with the run ID, build version, flags, per-stage durations
+// (world.build, the figure's snap.load, scan, snap.merge, suite.report
+// and snapshot.write, and emit), scan throughput and snapshot coverage: the
+// samples the snapshot stood in for and the passes the run worked.
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -153,8 +158,9 @@ func (e *runEnv) snapInstruments() *snap.Metrics {
 }
 
 // noteScan records one completed dataset scan: the manifest's throughput
-// and snapshot coverage, plus the scan-completion log events.
-func (e *runEnv) noteScan(st scan.Stats) {
+// and snapshot coverage, plus the scan-completion log events. rep is the
+// snapshot-seeded suite report the scan fed, nil for a cold single pass.
+func (e *runEnv) noteScan(st scan.Stats, rep *core.SuiteReport) {
 	if e == nil {
 		return
 	}
@@ -164,9 +170,14 @@ func (e *runEnv) noteScan(st scan.Stats) {
 			e.manifest.SamplesPerSec = st.SamplesPerSec()
 		}
 		if st.Binary {
-			e.manifest.Snapshot = &obs.SnapshotCoverage{
+			cov := &obs.SnapshotCoverage{
 				PrefixBlocks: st.PrefixBlocks, BlocksRead: st.BlocksRead, BlocksTotal: st.BlocksTotal,
 			}
+			if rep != nil {
+				cov.PrefixSamples = rep.Samples - st.Samples
+				cov.Passes = rep.Passes.String()
+			}
+			e.manifest.Snapshot = cov
 		}
 	}
 	e.log.Info("scan complete",
@@ -236,7 +247,18 @@ func run(o options) (err error) {
 			return
 		}
 		manifest.Finish(time.Now())
-		manifest.SetStagesFromDump(root.Dump())
+		dump := root.Dump()
+		manifest.SetStagesFromDump(dump)
+		// The figure span's children (snapshot load, scan, merge, report,
+		// write) are stages too, or the table would not say where the time
+		// inside figure:N went.
+		for _, c := range dump.Children {
+			if strings.HasPrefix(c.Name, "figure:") {
+				for _, g := range c.Children {
+					manifest.Stages = append(manifest.Stages, obs.StageDuration{Name: g.Name, DurationMs: g.DurationMs})
+				}
+			}
+		}
 		if werr := manifest.Write(filepath.Join(o.data, manifestFile)); werr != nil && err == nil {
 			err = werr
 		}
@@ -266,8 +288,15 @@ func run(o options) (err error) {
 	if err != nil {
 		return err
 	}
+	emit := root.Child("emit")
+	out := bufio.NewWriter(stdout)
 	for _, l := range lines {
-		fmt.Fprintln(stdout, l)
+		fmt.Fprintln(out, l)
+	}
+	err = out.Flush()
+	emit.End()
+	if err != nil {
+		return err
 	}
 	logger.Info("figure rendered",
 		"fig", o.fig, "lines", len(lines), "elapsed", time.Since(start).Round(time.Millisecond))
@@ -346,8 +375,8 @@ func render(o options, env *runEnv) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := env.span().Child("figure:" + o.fig)
-	defer fs.End()
+	d.span = env.span().Child("figure:" + o.fig)
+	defer d.span.End()
 	switch o.fig {
 	case "4":
 		rep, err := d.proximity(w.Index)
@@ -409,6 +438,7 @@ type dataset struct {
 	snap    *core.SnapshotOptions // non-nil: seed scans from the analysis snapshot
 	suite   *core.SuiteReport     // cached snapshot-seeded suite report
 	env     *runEnv               // telemetry plumbing; nil disables
+	span    *obs.Span             // the figure's span; scans nest under it
 }
 
 // loadOrSynthesize opens the stored dataset, or runs a fresh test-scale
@@ -429,6 +459,7 @@ func loadOrSynthesize(ctx context.Context, w *world.World, o options, env *runEn
 				Path:          store.SnapshotPath(),
 				RefreshFactor: core.DefaultRefreshFactor,
 				RowScan:       o.rowScan,
+				Passes:        figurePasses(o.fig),
 				Metrics:       env.snapInstruments(),
 				Log:           env.logger().With("snap"),
 			}
@@ -447,6 +478,22 @@ func loadOrSynthesize(ctx context.Context, w *world.World, o options, env *runEn
 	return &dataset{mem: &mem, start: cfg.Start, env: env}, nil
 }
 
+// figurePasses names the suite pass a dataset figure reads, so a
+// snapshot resume that leaves the file alone works only that pass.
+func figurePasses(fig string) core.PassSet {
+	switch fig {
+	case "4":
+		return core.PassProximity
+	case "5":
+		return core.PassMinRTT
+	case "6":
+		return core.PassFullDist
+	case "7", "8":
+		return core.PassLastMile
+	}
+	return 0
+}
+
 // runPass feeds one analysis pass with every sample: a parallel byte-range
 // scan for stored datasets, a sequential walk for in-memory ones. The
 // merged result is identical either way.
@@ -459,7 +506,7 @@ func runPass[P core.Pass](d *dataset, newPass func() (P, error)) (P, error) {
 		return p, core.RunPasses(d.mem, p)
 	}
 	var passes []P
-	st, err := scan.File(obs.ContextWith(context.Background(), d.env.span()), scan.Config{
+	st, err := scan.File(obs.ContextWith(context.Background(), d.span), scan.Config{
 		Path:    d.store.SamplesPath(),
 		Workers: d.workers,
 		RowScan: d.rowScan,
@@ -478,7 +525,7 @@ func runPass[P core.Pass](d *dataset, newPass func() (P, error)) (P, error) {
 		var zero P
 		return zero, err
 	}
-	d.env.noteScan(st)
+	d.env.noteScan(st, nil)
 	return passes[0], nil
 }
 
@@ -504,12 +551,12 @@ func (d *dataset) suiteReport(idx *core.Index) (*core.SuiteReport, error) {
 	if d.suite != nil {
 		return d.suite, nil
 	}
-	ctx := obs.ContextWith(context.Background(), d.env.span())
+	ctx := obs.ContextWith(context.Background(), d.span)
 	rep, st, err := core.ScanStoreSnap(ctx, d.store, idx, d.start, 7*24*time.Hour, d.workers, d.env.scanInstruments(), *d.snap)
 	if err != nil {
 		return nil, err
 	}
-	d.env.noteScan(st)
+	d.env.noteScan(st, rep)
 	d.suite = rep
 	return rep, nil
 }
@@ -599,11 +646,17 @@ func renderCSV(o options, env *runEnv) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := env.span().Child("figure:" + o.fig)
-	defer fs.End()
-	switch o.fig {
+	d.span = env.span().Child("figure:" + o.fig)
+	defer d.span.End()
+	return d.csv(o.fig, w.Index)
+}
+
+// csv renders the machine-readable form of one dataset figure.
+func (d *dataset) csv(fig string, idx *core.Index) ([]string, error) {
+	var buf bytes.Buffer
+	switch fig {
 	case "4":
-		rep, err := d.proximity(w.Index)
+		rep, err := d.proximity(idx)
 		if err != nil {
 			return nil, err
 		}
@@ -611,7 +664,7 @@ func renderCSV(o options, env *runEnv) ([]string, error) {
 			return nil, err
 		}
 	case "5":
-		rep, err := d.minRTT(w.Index)
+		rep, err := d.minRTT(idx)
 		if err != nil {
 			return nil, err
 		}
@@ -619,7 +672,7 @@ func renderCSV(o options, env *runEnv) ([]string, error) {
 			return nil, err
 		}
 	case "6":
-		rep, err := d.fullDist(w.Index)
+		rep, err := d.fullDist(idx)
 		if err != nil {
 			return nil, err
 		}
@@ -627,7 +680,7 @@ func renderCSV(o options, env *runEnv) ([]string, error) {
 			return nil, err
 		}
 	case "7":
-		rep, err := d.lastMile(w.Index)
+		rep, err := d.lastMile(idx)
 		if err != nil {
 			return nil, err
 		}
@@ -635,7 +688,7 @@ func renderCSV(o options, env *runEnv) ([]string, error) {
 			return nil, err
 		}
 	case "8":
-		rep7, err := d.lastMile(w.Index)
+		rep7, err := d.lastMile(idx)
 		if err != nil {
 			return nil, err
 		}
@@ -647,7 +700,7 @@ func renderCSV(o options, env *runEnv) ([]string, error) {
 			return nil, err
 		}
 	default:
-		return nil, fmt.Errorf("figure %q has no CSV form", o.fig)
+		return nil, fmt.Errorf("figure %q has no CSV form", fig)
 	}
 	return splitLines(buf.String()), nil
 }

@@ -187,10 +187,34 @@ func TestRunWritesManifest(t *testing.T) {
 		}
 		stages[s.Name] = true
 	}
-	for _, want := range []string{"world.build", "scan", "figure:5"} {
+	for _, want := range []string{"world.build", "scan", "figure:5", "snap.load", "snapshot.write", "suite.report"} {
 		if !stages[want] {
 			t.Errorf("manifest lacks stage %q; has %v", want, m.Stages)
 		}
+	}
+
+	// The run above left a snapshot; the next one resumes from it and
+	// says what the figure was computed from: the covered samples the
+	// scan did not decode, and the one pass it worked.
+	total := m.Samples
+	if err := run(options{
+		fig: "5", data: dir, probes: 200, seed: 2, workers: 4, snapMode: "auto",
+		stdout: io.Discard, logDst: io.Discard,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = obs.ReadRunManifest(filepath.Join(dir, manifestFile)); err != nil {
+		t.Fatal(err)
+	}
+	if m.Samples != 0 || m.Snapshot == nil || m.Snapshot.PrefixSamples != total || m.Snapshot.Passes != "min-rtt" {
+		t.Errorf("resumed manifest: samples=%d snapshot=%+v, want 0 scanned over %d covered by pass min-rtt", m.Samples, m.Snapshot, total)
+	}
+	stages = map[string]bool{}
+	for _, s := range m.Stages {
+		stages[s.Name] = true
+	}
+	if !stages["snap.merge"] || stages["snapshot.write"] {
+		t.Errorf("resumed manifest stages %v: want a snap.merge and no snapshot.write", m.Stages)
 	}
 }
 

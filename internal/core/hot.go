@@ -48,6 +48,7 @@ func NewHotSuite(store *results.Store, idx *Index, start time.Time, binWidth tim
 	}
 	h := &HotSuite{idx: idx, start: start, binWidth: binWidth, coveredBytes: colf.HeaderSize}
 	if so.Path != "" {
+		so.Passes = 0 // the resident suite serves every figure
 		prefix, samples, resume := loadSnapshot(so.Path, store, idx, start, binWidth, so)
 		if prefix != nil {
 			h.suite, h.samples = prefix, samples

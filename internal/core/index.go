@@ -8,6 +8,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/probe"
@@ -46,6 +47,9 @@ type Index struct {
 	// by probe ID (IDs are small positive integers), ContinentUnknown
 	// where the probe is not part of the analysis set.
 	continents []geo.Continent
+
+	fpOnce sync.Once
+	fp     string // Fingerprint's digest, computed on first use
 }
 
 type probeInfo struct {

@@ -10,8 +10,10 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
+	"repro/internal/colf"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/scan"
@@ -60,6 +62,28 @@ type SnapshotOptions struct {
 	// RowScan forces the scanner's legacy per-row path, disabling the
 	// batch kernels — an escape hatch for equivalence checks.
 	RowScan bool
+	// Passes names the passes the caller will read from the report; the
+	// others come back nil. The zero value reports all six. A resumed
+	// scan that leaves the snapshot alone seeds, scans and merges only
+	// these; one that rewrites it (or runs cold) works the whole suite,
+	// because the file must hold every pass's state.
+	Passes PassSet
+}
+
+// rewriteDue is the refresh gate, asked once before a resumed scan (to
+// pick between the selected passes and the whole suite) and once after
+// every scan (to write): cold scans always write, a pure hit never
+// does — the file already holds exactly that state — and a resumed
+// scan writes once its delta reaches RefreshFactor × the covered prefix.
+func (so SnapshotOptions) rewriteDue(resume *scan.Resume, dataEnd int64) bool {
+	if so.Path == "" {
+		return false
+	}
+	if resume == nil {
+		return true
+	}
+	delta := dataEnd - resume.Bytes
+	return delta != 0 && (so.RefreshFactor <= 0 || float64(delta) >= so.RefreshFactor*float64(resume.Bytes))
 }
 
 // DefaultRefreshFactor is the refresh gate the CLIs use: the snapshot
@@ -73,12 +97,24 @@ const DefaultRefreshFactor = 1.0 / 16
 // set, geography, access class, tier, longitude. Two indexes with equal
 // fingerprints classify every sample identically.
 func (idx *Index) Fingerprint() string {
-	h := fnv.New64a()
-	for _, id := range sortedProbeIDs(idx.byProbe) {
-		info := idx.byProbe[id]
-		fmt.Fprintf(h, "%d|%s|%d|%d|%d|%x;", id, info.country, info.continent, info.access, info.tier, math.Float64bits(info.lon))
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	idx.fpOnce.Do(func() {
+		// One record per probe, ascending: "id|country|continent|access|tier|lon-bits-hex;".
+		b := make([]byte, 0, 32*len(idx.byProbe))
+		for _, id := range sortedProbeIDs(idx.byProbe) {
+			info := idx.byProbe[id]
+			b = strconv.AppendInt(b, int64(id), 10)
+			b = append(append(b, '|'), info.country...)
+			b = strconv.AppendUint(append(b, '|'), uint64(info.continent), 10)
+			b = strconv.AppendUint(append(b, '|'), uint64(info.access), 10)
+			b = strconv.AppendUint(append(b, '|'), uint64(info.tier), 10)
+			b = strconv.AppendUint(append(b, '|'), math.Float64bits(info.lon), 16)
+			b = append(b, ';')
+		}
+		h := fnv.New64a()
+		h.Write(b)
+		idx.fp = fmt.Sprintf("%016x", h.Sum64())
+	})
+	return idx.fp
 }
 
 // MetaFingerprint hashes the campaign identity a snapshot binds to. End
@@ -111,6 +147,9 @@ func snapFormat(f results.Format) snap.Format {
 // merges are earlier-shard-wins, so the receiver must cover the earlier
 // bytes.
 func (s *Suite) Merge(other *Suite) error {
+	if s.sel != other.sel {
+		return fmt.Errorf("core: cannot merge a suite over passes %v into one over %v", other.sel, s.sel)
+	}
 	op := other.Passes()
 	for i, p := range s.Passes() {
 		if err := p.Merge(op[i]); err != nil {
@@ -129,7 +168,12 @@ func (s *Suite) Merge(other *Suite) error {
 // FullDist and LastMile passes reference, ascending, each spelled once —
 // and those passes' entry lists and nearest-trackers carry uvarint
 // table indexes instead, so ascending regions are ascending codes.
-func (s *Suite) EncodeState() []byte {
+//
+// A pass-selective suite holds only part of the state and refuses.
+func (s *Suite) EncodeState() ([]byte, error) {
+	if s.sel != 0 {
+		return nil, fmt.Errorf("core: suite holds only passes %v; its state cannot be encoded", s.sel)
+	}
 	seen := make(map[string]struct{})
 	addRegions(seen, s.FullDist.nearest, s.FullDist.byProbe, s.FullDist.raw)
 	addRegions(seen, s.LastMile.nearest, s.LastMile.byProbe, s.LastMile.raw)
@@ -149,7 +193,7 @@ func (s *Suite) EncodeState() []byte {
 	b = appendRegionEntries(b, codes, s.LastMile.byProbe, s.LastMile.raw, appendStreamState)
 	b = appendDiurnalState(b, s.Diurnal)
 	b = appendProviderState(b, s.Provider)
-	return b
+	return b, nil
 }
 
 // addRegions collects every region name one pass's state references.
@@ -208,9 +252,20 @@ func (s *Suite) stateSizeHint() int {
 // state. The caller must pass the same idx/start/binWidth the state was
 // accumulated under (enforced upstream via the snapshot header).
 func NewSuiteFromState(idx *Index, start time.Time, binWidth time.Duration, state []byte) (*Suite, error) {
+	return suiteFromState(idx, start, binWidth, state, 0)
+}
+
+// suiteFromState is NewSuiteFromState restricted to the passes sel
+// names. The whole state is still walked and held to every layout
+// rule; an unselected FullDist or LastMile pass just keeps none of its
+// entry lists, which is most of what decoding allocates.
+func suiteFromState(idx *Index, start time.Time, binWidth time.Duration, state []byte, sel PassSet) (*Suite, error) {
 	s, err := NewSuite(idx, start, binWidth)
 	if err != nil {
 		return nil, err
+	}
+	if sel.partial() {
+		s.sel = sel
 	}
 	c := snap.NewCursor(state)
 	table, err := decodeRegionTable(c)
@@ -226,13 +281,13 @@ func NewSuiteFromState(idx *Index, start time.Time, binWidth time.Duration, stat
 	if err := decodeNearestState(c, s.FullDist.nearest, table); err != nil {
 		return nil, err
 	}
-	if s.FullDist.raw, err = decodeRegionEntries(c, table, "full-dist", distSpan); err != nil {
+	if s.FullDist.raw, err = decodeRegionEntries(c, table, "full-dist", distSpan, sel.has(PassFullDist)); err != nil {
 		return nil, err
 	}
 	if err := decodeNearestState(c, s.LastMile.nearest, table); err != nil {
 		return nil, err
 	}
-	if s.LastMile.raw, err = decodeRegionEntries(c, table, "last-mile", streamSpan); err != nil {
+	if s.LastMile.raw, err = decodeRegionEntries(c, table, "last-mile", streamSpan, sel.has(PassLastMile)); err != nil {
 		return nil, err
 	}
 	if err := decodeDiurnalState(c, s.Diurnal); err != nil {
@@ -569,7 +624,9 @@ func appendRegionEntries[V any](b []byte, codes map[string]uint64, live map[int]
 // as a pending raw span instead of decoding it — materialization happens
 // lazily on first touch (delta merge or report). skip consumes one
 // encoded value and returns its bytes; pass names the pass in errors.
-func decodeRegionEntries(c *snap.Cursor, table []string, pass string, skip func(*snap.Cursor) ([]byte, error)) (map[int][]rawSpan, error) {
+// With keep false the entries are checked the same way and dropped,
+// and the result is nil.
+func decodeRegionEntries(c *snap.Cursor, table []string, pass string, skip func(*snap.Cursor) ([]byte, error), keep bool) (map[int][]rawSpan, error) {
 	count, err := c.Uvarint()
 	if err != nil {
 		return nil, err
@@ -590,7 +647,10 @@ func decodeRegionEntries(c *snap.Cursor, table []string, pass string, skip func(
 		if nRegions > uint64(c.Remaining()) {
 			return nil, fmt.Errorf("core: probe %d claims %d regions, %d bytes remain", id, nRegions, c.Remaining())
 		}
-		list := make([]rawSpan, 0, nRegions)
+		var list []rawSpan
+		if keep {
+			list = make([]rawSpan, 0, nRegions)
+		}
 		var prev uint64
 		for j := uint64(0); j < nRegions; j++ {
 			code, region, err := decodeRegion(c, table)
@@ -607,12 +667,17 @@ func decodeRegionEntries(c *snap.Cursor, table []string, pass string, skip func(
 			if err != nil {
 				return nil, err
 			}
-			list = append(list, rawSpan{region: region, span: span})
+			if keep {
+				list = append(list, rawSpan{region: region, span: span})
+			}
 		}
 		if _, dup := raw[int(id)]; dup {
 			return nil, fmt.Errorf("core: duplicate probe %d in %s state", id, pass)
 		}
 		raw[int(id)] = list
+	}
+	if !keep {
+		return nil, nil
 	}
 	return raw, nil
 }
@@ -714,12 +779,39 @@ func loadSnapshot(path string, store *results.Store, idx *Index, start time.Time
 		invalidate("content window CRC mismatch")
 		return nil, 0, nil
 	}
-	suite, err := NewSuiteFromState(idx, start, binWidth, payload)
+	resume := &scan.Resume{Bytes: h.CoveredBytes, Blocks: h.CoveredBlocks}
+	// Pass selection is decided here, before the state is decoded and
+	// the delta scanned: a run that will rewrite the snapshot needs every
+	// pass whole, any other run only the passes it reports. A data end
+	// that cannot be located means the resumed scan will fail and fall
+	// back to a cold one, which writes.
+	var sel PassSet
+	if so.Passes.partial() {
+		if end, err := sealedDataEnd(f, fi.Size(), store.Format(), h.CoveredBytes); err == nil && !so.rewriteDue(resume, end) {
+			sel = so.Passes
+		}
+	}
+	suite, err := suiteFromState(idx, start, binWidth, payload, sel)
 	if err != nil {
 		invalidate("state decode: " + err.Error())
 		return nil, 0, nil
 	}
-	return suite, h.Samples, &scan.Resume{Bytes: h.CoveredBytes, Blocks: h.CoveredBlocks}
+	return suite, h.Samples, resume
+}
+
+// sealedDataEnd returns, ahead of the scan, the scan.Stats.DataEnd a
+// scan resumed at boundary will report: the file size on JSONL, the end
+// of the last sealed block on binary stores.
+func sealedDataEnd(f *os.File, size int64, format results.Format, boundary int64) (int64, error) {
+	if format != results.FormatBinary {
+		return size, nil
+	}
+	blocks, err := colf.DeltaBlocks(f, size, boundary)
+	if err != nil || len(blocks) == 0 {
+		return boundary, err
+	}
+	last := blocks[len(blocks)-1]
+	return last.Off + last.Len, nil
 }
 
 // writeSnapshot atomically persists merged's state as covering the
@@ -747,7 +839,11 @@ func writeSnapshot(path string, store *results.Store, idx *Index, start time.Tim
 	if st.Binary {
 		h.CoveredBlocks = st.BlocksTotal
 	}
-	if err := snap.WriteFile(path, h, merged.EncodeState()); err != nil {
+	state, err := merged.EncodeState()
+	if err != nil {
+		return err
+	}
+	if err := snap.WriteFile(path, h, state); err != nil {
 		return err
 	}
 	so.Metrics.Wrote()
@@ -767,7 +863,22 @@ func scanStoreMerged(ctx context.Context, store *results.Store, idx *Index, star
 	var prefixSamples uint64
 	var resume *scan.Resume
 	if so.Path != "" {
+		span := obs.From(ctx).Child("snap.load")
 		prefix, prefixSamples, resume = loadSnapshot(so.Path, store, idx, start, binWidth, so)
+		span.End()
+	}
+	return scanSeeded(ctx, store, idx, start, binWidth, workers, m, so, prefix, prefixSamples, resume)
+}
+
+// scanSeeded is scanStoreMerged after the snapshot decision: it scans
+// past resume, folds the result onto prefix (both nil for a cold scan)
+// and writes the snapshot when the gate says so. A pass-selective
+// prefix keeps the scan and the merge to its passes and is never
+// written, whatever the store did since loadSnapshot looked at it.
+func scanSeeded(ctx context.Context, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, workers int, m *scan.Metrics, so SnapshotOptions, prefix *Suite, prefixSamples uint64, resume *scan.Resume) (*Suite, uint64, scan.Stats, error) {
+	var sel PassSet
+	if prefix != nil {
+		sel = prefix.sel
 	}
 	scanOnce := func(r *scan.Resume) ([]*Suite, scan.Stats, error) {
 		var suites []*Suite
@@ -783,6 +894,7 @@ func scanStoreMerged(ctx context.Context, store *results.Store, idx *Index, star
 				if err != nil {
 					return nil, err
 				}
+				s.sel = sel
 				suites = append(suites, s)
 				return s.Passes(), nil
 			},
@@ -796,7 +908,7 @@ func scanStoreMerged(ctx context.Context, store *results.Store, idx *Index, star
 		so.Metrics.Invalidate()
 		so.Log.Warn("snapshot invalidated", "path", so.Path,
 			"reason", "resumed scan failed past covered boundary", "error", err)
-		prefix, prefixSamples, resume = nil, 0, nil
+		prefix, prefixSamples, resume, sel = nil, 0, nil, 0
 		suites, st, err = scanOnce(nil)
 	}
 	if err != nil {
@@ -804,35 +916,38 @@ func scanStoreMerged(ctx context.Context, store *results.Store, idx *Index, star
 	}
 	merged := suites[0]
 	if prefix != nil {
-		if err := prefix.Merge(merged); err != nil {
+		span := obs.From(ctx).Child("snap.merge")
+		err := prefix.Merge(merged)
+		span.End()
+		if err != nil {
 			return nil, 0, st, err
 		}
 		merged = prefix
 		so.Metrics.Hit(resume.Blocks, resume.Bytes)
 		so.Log.Info("snapshot hit", "path", so.Path,
 			"covered_bytes", resume.Bytes, "covered_blocks", resume.Blocks,
-			"delta_bytes", st.DataEnd-resume.Bytes)
+			"delta_bytes", st.DataEnd-resume.Bytes, "passes", merged.sel.String())
 	}
 	total := prefixSamples + st.Samples
 	if total == 0 {
 		return nil, 0, st, ErrEmptyStore
 	}
-	// Rewrite the snapshot unless this scan was a pure hit with no new
-	// data — then the file on disk already holds exactly this state — or
-	// the delta is still below the refresh gate (see RefreshFactor).
-	refresh := so.Path != "" && (resume == nil || st.DataEnd != resume.Bytes)
-	if refresh && resume != nil && so.RefreshFactor > 0 &&
-		float64(st.DataEnd-resume.Bytes) < so.RefreshFactor*float64(resume.Bytes) {
-		refresh = false
+	if !so.rewriteDue(resume, st.DataEnd) {
+		return merged, total, st, nil
 	}
-	if refresh {
-		span := obs.From(ctx).Child("snapshot.write")
-		merged.sortState()
-		err := writeSnapshot(so.Path, store, idx, start, binWidth, merged, total, st, so)
-		span.End()
-		if err != nil {
-			return nil, 0, st, fmt.Errorf("core: writing snapshot: %w", err)
-		}
+	if merged.sel != 0 {
+		// The store grew past the gate between the decision and the scan.
+		// Deferring is safe (see RefreshFactor): the next run decides from
+		// the larger store and works the whole suite.
+		so.Log.Info("snapshot rewrite deferred", "path", so.Path, "passes", merged.sel.String())
+		return merged, total, st, nil
+	}
+	span := obs.From(ctx).Child("snapshot.write")
+	merged.sortState()
+	err = writeSnapshot(so.Path, store, idx, start, binWidth, merged, total, st, so)
+	span.End()
+	if err != nil {
+		return nil, 0, st, fmt.Errorf("core: writing snapshot: %w", err)
 	}
 	return merged, total, st, nil
 }
@@ -843,15 +958,21 @@ func scanStoreMerged(ctx context.Context, store *results.Store, idx *Index, star
 // snapshot is missing, corrupt, or does not exactly prefix the store.
 // Reports are byte-identical to a cold ScanStore for any worker count.
 func ScanStoreSnap(ctx context.Context, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, workers int, m *scan.Metrics, so SnapshotOptions) (*SuiteReport, scan.Stats, error) {
-	merged, _, st, err := scanStoreMerged(ctx, store, idx, start, binWidth, workers, m, so)
+	merged, total, st, err := scanStoreMerged(ctx, store, idx, start, binWidth, workers, m, so)
 	if err != nil {
 		return nil, st, err
 	}
 	// Report only after the snapshot is on disk: report-time queries sort
 	// accumulated samples in place, and the snapshot must hold the
 	// insertion-order state.
-	rep, err := merged.Report()
-	return rep, st, err
+	span := obs.From(ctx).Child("suite.report")
+	defer span.End()
+	rep, err := merged.report(so.Passes)
+	if err != nil {
+		return nil, st, err
+	}
+	rep.Samples = total
+	return rep, st, nil
 }
 
 // UpdateSnapshot refreshes the store's snapshot without producing a

@@ -721,3 +721,20 @@ func TestSnapshotRefreshGate(t *testing.T) {
 		t.Fatal("post-refresh pure hit diverges from cold scan")
 	}
 }
+
+// TestIndexFingerprintGolden pins the digest of the paper world's probe
+// index (seed 1, 3300 probes). Every samples.snap and samples.tix
+// written for that world binds to it, so a change in how the digest is
+// computed would orphan them all.
+func TestIndexFingerprintGolden(t *testing.T) {
+	w, err := world.Build(world.Config{Seed: 1, Probes: 3300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "3df1f93ee040e30f"
+	for i := 0; i < 2; i++ {
+		if got := w.Index.Fingerprint(); got != want {
+			t.Fatalf("call %d: paper world index fingerprint = %s, want %s", i, got, want)
+		}
+	}
+}

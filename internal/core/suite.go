@@ -3,12 +3,51 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"time"
 
 	"repro/internal/results"
 	"repro/internal/scan"
 	"repro/internal/stats"
 )
+
+// PassSet names a subset of the suite's six passes, one bit each. The
+// zero value means all six.
+type PassSet uint8
+
+// The suite's passes, in Passes() order.
+const (
+	PassProximity PassSet = 1 << iota // Figure 4
+	PassMinRTT                        // Figure 5
+	PassFullDist                      // Figure 6
+	PassLastMile                      // Figures 7 and 8, and the KS significance test
+	PassDiurnal
+	PassProvider
+
+	allPasses = PassProvider<<1 - 1
+)
+
+var passNames = [...]string{"proximity", "min-rtt", "full-dist", "last-mile", "diurnal", "provider"}
+
+// has reports whether the set selects pass p.
+func (ps PassSet) has(p PassSet) bool { return ps == 0 || ps&p != 0 }
+
+// partial reports whether the set leaves any pass out.
+func (ps PassSet) partial() bool { return ps != 0 && ps&allPasses != allPasses }
+
+// String lists the selected passes, "all" for the whole suite.
+func (ps PassSet) String() string {
+	if !ps.partial() {
+		return "all"
+	}
+	var names []string
+	for i, name := range passNames {
+		if ps&(1<<i) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, ",")
+}
 
 // Suite bundles one instance of every per-figure analysis pass so a single
 // scan of the dataset can feed all of them. Each worker of a parallel scan
@@ -21,6 +60,11 @@ type Suite struct {
 	LastMile  *LastMilePass
 	Diurnal   *DiurnalPass
 	Provider  *ProviderPass
+
+	// sel is zero except in a pass-selective snapshot resume, where only
+	// the selected passes observe, merge and report. The other passes'
+	// state is then incomplete, so such a suite refuses to encode.
+	sel PassSet
 }
 
 // NewSuite builds a fresh pass set. start and binWidth parameterize the
@@ -46,11 +90,27 @@ func NewSuite(idx *Index, start time.Time, binWidth time.Duration) (*Suite, erro
 // Passes returns the suite's passes in a fixed order, matching across
 // workers so the scanner can merge them pairwise.
 func (s *Suite) Passes() []Pass {
-	return []Pass{s.Proximity, s.MinRTT, s.FullDist, s.LastMile, s.Diurnal, s.Provider}
+	all := [...]Pass{s.Proximity, s.MinRTT, s.FullDist, s.LastMile, s.Diurnal, s.Provider}
+	passes := make([]Pass, 0, len(all))
+	for i, p := range all {
+		if s.sel.has(1 << i) {
+			passes = append(passes, p)
+		}
+	}
+	return passes
 }
 
-// SuiteReport holds every figure's report, produced from one scan.
+// SuiteReport holds every figure's report, produced from one scan. A
+// pass-selective scan (SnapshotOptions.Passes) leaves the reports of
+// the passes it did not select nil.
 type SuiteReport struct {
+	// Samples counts the samples the reports were computed from: the
+	// snapshot's covered prefix plus whatever the scan decoded.
+	Samples uint64
+	// Passes is the pass set the scan fed; partial only when a resumed
+	// scan left the snapshot alone.
+	Passes PassSet
+
 	Proximity    *ProximityReport
 	MinRTT       *CDFReport
 	FullDist     *CDFReport
@@ -64,28 +124,45 @@ type SuiteReport struct {
 // buffered populations back both the time series and the KS significance
 // test, so neither costs an extra scan.
 func (s *Suite) Report() (*SuiteReport, error) {
-	rep := &SuiteReport{}
+	return s.report(s.sel)
+}
+
+// report finalizes the passes want selects; the suite must hold them.
+func (s *Suite) report(want PassSet) (*SuiteReport, error) {
+	rep := &SuiteReport{Passes: s.sel}
 	var err error
-	if rep.Proximity, err = s.Proximity.Report(); err != nil {
-		return nil, err
+	if want.has(PassProximity) {
+		if rep.Proximity, err = s.Proximity.Report(); err != nil {
+			return nil, err
+		}
 	}
-	if rep.MinRTT, err = s.MinRTT.Report(); err != nil {
-		return nil, err
+	if want.has(PassMinRTT) {
+		if rep.MinRTT, err = s.MinRTT.Report(); err != nil {
+			return nil, err
+		}
 	}
-	if rep.FullDist, err = s.FullDist.Report(); err != nil {
-		return nil, err
+	if want.has(PassFullDist) {
+		if rep.FullDist, err = s.FullDist.Report(); err != nil {
+			return nil, err
+		}
 	}
-	if rep.LastMile, err = s.LastMile.Report(); err != nil {
-		return nil, err
+	if want.has(PassLastMile) {
+		if rep.LastMile, err = s.LastMile.Report(); err != nil {
+			return nil, err
+		}
+		if rep.Significance, err = s.LastMile.Significance(); err != nil {
+			return nil, err
+		}
 	}
-	if rep.Significance, err = s.LastMile.Significance(); err != nil {
-		return nil, err
+	if want.has(PassDiurnal) {
+		if rep.Diurnal, err = s.Diurnal.Report(); err != nil {
+			return nil, err
+		}
 	}
-	if rep.Diurnal, err = s.Diurnal.Report(); err != nil {
-		return nil, err
-	}
-	if rep.Provider, err = s.Provider.Report(); err != nil {
-		return nil, err
+	if want.has(PassProvider) {
+		if rep.Provider, err = s.Provider.Report(); err != nil {
+			return nil, err
+		}
 	}
 	return rep, nil
 }

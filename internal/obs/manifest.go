@@ -75,6 +75,12 @@ type SnapshotCoverage struct {
 	PrefixBlocks int `json:"prefix_blocks"` // blocks the snapshot covered
 	BlocksRead   int `json:"blocks_read"`   // blocks the scan decoded
 	BlocksTotal  int `json:"blocks_total"`  // blocks in the store
+	// PrefixSamples counts the samples the snapshot stood in for, which
+	// the manifest's samples (the scanned delta) leaves out.
+	PrefixSamples uint64 `json:"prefix_samples,omitempty"`
+	// Passes names the suite passes the resumed scan worked
+	// (core.PassSet), "all" unless the run selected some.
+	Passes string `json:"passes,omitempty"`
 }
 
 // NewRunID mints a unique run identifier: UTC timestamp plus random

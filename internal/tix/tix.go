@@ -238,12 +238,20 @@ func Open(path string, b Binding, blocks []colf.BlockInfo, log *obs.Logger) (*In
 
 // load walks the existing file, validates every record — decoding each
 // node in full, which is where its resident grid comes from — and
-// truncates or recreates as the discipline demands.
+// truncates or recreates as the discipline demands. The file is read
+// once into a buffer of its own size: the sidecar runs to tens of
+// megabytes, and growing a buffer towards that was most of Open's cost.
 func (ix *Index) load(blocks []colf.BlockInfo) error {
-	buf, err := io.ReadAll(ix.f)
+	fi, err := ix.f.Stat()
 	if err != nil {
 		return err
 	}
+	buf := make([]byte, fi.Size())
+	n, err := ix.f.ReadAt(buf, 0)
+	if err != nil && err != io.EOF {
+		return err
+	}
+	buf = buf[:n] // a file that shrank under us is a torn suffix like any other
 	reset := func(reason string) error {
 		ix.log.Info("tix reset", "path", ix.path, "reason", reason)
 		ix.nodes = make(map[nodeKey]nodeRef)

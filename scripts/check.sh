@@ -74,14 +74,11 @@ go test -run='^$' -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime=10s ./internal/snap
 go test -run='^$' -fuzz='^FuzzNodeRoundTrip$' -fuzztime=10s ./internal/tix
 
 echo "== bench smoke =="
-# One iteration of every benchmark: catches bit-rot in bench code
-# without paying for real measurement runs. bench.sh smoke also runs
-# the scan/analysis suite; its (non-statistical) output goes to a temp
-# path so it cannot clobber the committed full-run BENCH_scan.json
-# baseline.
+# One iteration of every micro-benchmark catches bit-rot in bench code
+# without paying for real measurement runs; the pipeline benchmark's own
+# smoke runs its four workloads at tiny scale through the real binaries.
 go test -run='^$' -bench=. -benchtime=1x ./...
-BENCH_OUT="${TMPDIR:-/tmp}/BENCH_scan.smoke.json" scripts/bench.sh smoke
-SERVE_BENCH_OUT="${TMPDIR:-/tmp}/BENCH_serve.smoke.json" scripts/bench.sh serve-smoke
+(cd bench && go test -run 'TestSmokeWorkloads' ./...)
 
 echo "== cluster smoke (3 agents, byte-identity) =="
 # Drive a short campaign through the distributed control plane with
