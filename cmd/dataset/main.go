@@ -1,10 +1,9 @@
 // Command dataset inspects a stored campaign dataset without loading it
 // into memory: streaming summary statistics (using a mergeable bucket
 // sketch for quantiles), per-continent/per-band tallies, filtered
-// re-export, and format conversion. Every op runs on either storage
-// format (binary samples.bin or JSONL samples.jsonl) via the parallel
-// scanner; -workers shards the file and the output is identical for any
-// worker count.
+// re-export, and JSONL import/export. Every scan op runs through the
+// parallel scanner; -workers groups the store's blocks and the output is
+// identical for any worker count.
 //
 // Usage:
 //
@@ -15,22 +14,30 @@
 //	dataset -data ./dataset -workers 8 hist
 //	dataset -data ./dataset -continent AF -out ./africa filter
 //	dataset -data ./dataset -out ./ds-jsonl -to jsonl convert
+//	dataset -data ./ds-jsonl -out ./dataset2 -to binary convert
 //	dataset -data ./dataset -since 2019-07-08T00:00:00Z -until 2019-07-15T00:00:00Z stats
 //	dataset -data ./dataset -window 2019-07-08T00:00:00Z,2019-07-15T00:00:00Z window
 //
-// -since/-until restrict the scan ops to a time window; on binary
-// stores the scanner skips whole blocks via their zone maps, so a
-// narrow window touches only a fraction of the file.
+// -since/-until restrict the scan ops to a time window; the scanner
+// skips whole blocks via their zone maps, so a narrow window touches
+// only a fraction of the file.
+//
+// A store is binary (meta.json + samples.bin); JSONL is the interchange
+// encoding. convert -to jsonl exports a store as meta.json +
+// samples.jsonl and convert -to binary imports such a directory. JSONL
+// -> binary -> JSONL is byte-exact; binary -> JSONL -> binary
+// reproduces samples.bin unless a campaign checkpoint sealed a short
+// block in the original (the samples are the same either way).
 //
 // The window op answers from the temporal aggregate index (samples.tix)
 // alone: it opens or builds the sidecar, composes the -window range
 // from pre-merged segment nodes plus edge-block decodes, and prints
 // per-continent quantiles along with how many nodes and edge blocks
-// the composition touched. Binary stores only.
+// the composition touched.
 //
 // -fast switches the stats op to an aggregate-only pass that resolves
 // whole blocks from their zone pre-aggregates with zero row decode on
-// v2 binary stores; it trades the p50/p95 sketch away for that. The
+// v2 stores; it trades the p50/p95 sketch away for that. The
 // regions op likewise folds the zones' per-region aggregate lists when
 // the store carries them, decoding rows only for blocks that don't.
 //
@@ -44,6 +51,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -66,7 +74,7 @@ type options struct {
 	continent string
 	out       string
 	workers   int
-	to        string // convert target format; empty flips the source format
+	to        string // convert direction: "jsonl" exports, "binary" imports; empty picks by what -data holds
 	since     string // RFC 3339 window start for scan ops
 	until     string // RFC 3339 window end (exclusive) for scan ops
 	window    string // "since,until" range for the window op
@@ -81,7 +89,7 @@ func main() {
 	flag.StringVar(&o.continent, "continent", "", "continent filter for the filter op (two-letter code)")
 	flag.StringVar(&o.out, "out", "", "output directory for the filter and convert ops")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "scan worker count (output is identical for any value)")
-	flag.StringVar(&o.to, "to", "", "convert target format: binary or jsonl (default: the other format)")
+	flag.StringVar(&o.to, "to", "", "convert direction: jsonl exports the store in -data, binary imports the JSONL directory in -data (default: export a store, import anything else)")
 	flag.StringVar(&o.since, "since", "", "restrict scan ops to samples at or after this RFC 3339 time")
 	flag.StringVar(&o.until, "until", "", "restrict scan ops to samples before this RFC 3339 time")
 	flag.StringVar(&o.window, "window", "", "window op range as \"since,until\" (RFC 3339; either side may be empty for an open end)")
@@ -101,6 +109,9 @@ func main() {
 }
 
 func run(o options) ([]string, error) {
+	if o.op == "convert" { // the one op whose -data may not be a store
+		return convertOp(o.data, o.out, o.to)
+	}
 	store, err := results.Open(o.data)
 	if err != nil {
 		return nil, err
@@ -123,8 +134,6 @@ func run(o options) ([]string, error) {
 		return filterOp(store, pred, o.continent, o.out, o.workers)
 	case "hist":
 		return histOp(store, pred, o.workers)
-	case "convert":
-		return convertOp(store, o.out, o.to)
 	case "window":
 		return windowOp(store, o.window, o.since, o.until)
 	default:
@@ -171,68 +180,61 @@ func scanWith(store *results.Store, pred *colf.Predicate, workers int, newPass f
 	if err != nil {
 		return nil, err
 	}
-	if st.Binary {
-		log.Printf("scan: %d samples in %v (%.1f MB/s, %.0f samples/s, %d workers, %d/%d blocks read, %d skipped, %d zone-resolved)",
-			st.Samples, st.Duration.Round(time.Millisecond), st.MBPerSec(), st.SamplesPerSec(), st.Workers,
-			st.BlocksRead, st.BlocksTotal, st.BlocksSkipped, st.BlocksZone)
-	} else {
-		log.Printf("scan: %d samples in %v (%.1f MB/s, %.0f samples/s, %d workers)",
-			st.Samples, st.Duration.Round(time.Millisecond), st.MBPerSec(), st.SamplesPerSec(), st.Workers)
-	}
+	log.Printf("scan: %d samples in %v (%.1f MB/s, %.0f samples/s, %d workers, %d/%d blocks read, %d skipped, %d zone-resolved)",
+		st.Samples, st.Duration.Round(time.Millisecond), st.MBPerSec(), st.SamplesPerSec(), st.Workers,
+		st.BlocksRead, st.BlocksTotal, st.BlocksSkipped, st.BlocksZone)
 	return passes[0], nil
 }
 
-// convertOp re-encodes the dataset into the other storage format (or
-// the one named by -to), preserving sample order exactly.
-func convertOp(store *results.Store, out, to string) ([]string, error) {
+// convertOp moves a dataset between the binary store and its JSONL
+// interchange form, preserving sample order exactly: "jsonl" exports
+// the store in data, "binary" imports the interchange directory in
+// data, and an empty to exports when data is a store and imports
+// otherwise.
+func convertOp(data, out, to string) ([]string, error) {
 	if out == "" {
 		return nil, fmt.Errorf("convert needs -out")
-	}
-	target := results.FormatBinary
-	if to == "" {
-		if store.Format() == results.FormatBinary {
-			target = results.FormatJSONL
-		}
-	} else {
-		var err error
-		if target, err = results.ParseFormat(to); err != nil {
-			return nil, err
-		}
 	}
 	if _, err := os.Stat(out); err == nil {
 		return nil, fmt.Errorf("output %s already exists", out)
 	}
-	_, sink, err := results.Create(out, store.Meta(), target)
+	store, err := results.Open(data) // fails unless data is a store
+	if to == "" {
+		to = "jsonl"
+		if err != nil {
+			to = "binary"
+		}
+	}
+	var n uint64
+	from, jsonlDir := "binary", out
+	switch to {
+	case "jsonl":
+		if err == nil {
+			n, err = store.Export(out)
+		}
+	case "binary":
+		from, jsonlDir = "jsonl", data
+		store, n, err = results.Import(data, out)
+	default:
+		err = fmt.Errorf("unknown -to %q (want binary or jsonl)", to)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := store.ForEach(sink.Write); err != nil {
-		sink.Close()
+	size := map[string]int64{}
+	if size["binary"], err = fileSize(store.SamplesPath()); err != nil {
 		return nil, err
 	}
-	n := sink.Count()
-	if err := sink.Close(); err != nil {
-		return nil, err
-	}
-	srcSize, err := sampleFileSize(store)
-	if err != nil {
-		return nil, err
-	}
-	dst, err := results.Open(out)
-	if err != nil {
-		return nil, err
-	}
-	dstSize, err := sampleFileSize(dst)
-	if err != nil {
+	if size["jsonl"], err = fileSize(filepath.Join(jsonlDir, results.InterchangeFile)); err != nil {
 		return nil, err
 	}
 	return []string{fmt.Sprintf("converted %d samples %s (%d bytes) -> %s %s (%d bytes)",
-		n, store.Format(), srcSize, target, out, dstSize)}, nil
+		n, from, size[from], to, out, size[to])}, nil
 }
 
-// sampleFileSize returns the on-disk size of the store's samples file.
-func sampleFileSize(store *results.Store) (int64, error) {
-	fi, err := os.Stat(store.SamplesPath())
+// fileSize returns the on-disk size of path.
+func fileSize(path string) (int64, error) {
+	fi, err := os.Stat(path)
 	if err != nil {
 		return 0, err
 	}
@@ -250,21 +252,28 @@ type statsPass struct {
 
 func newStatsPass() *statsPass { return &statsPass{sketch: stats.NewRTTSketch()} }
 
-func (p *statsPass) Observe(s results.Sample) error {
-	p.total++
-	if s.Lost {
-		p.lost++
-		return nil
+func (p *statsPass) Columns() colf.ColumnSet { return 0 }
+
+func (p *statsPass) ObserveBlock(blk *colf.Block) error {
+	p.total += uint64(blk.Rows())
+	for i, rtt := range blk.RTT {
+		if blk.Lost[i] {
+			p.lost++
+			continue
+		}
+		p.sum += rtt
+		if p.delivered == 0 || rtt < p.min {
+			p.min = rtt
+		}
+		if p.delivered == 0 || rtt > p.max {
+			p.max = rtt
+		}
+		p.delivered++
+		if err := p.sketch.Add(rtt); err != nil {
+			return err
+		}
 	}
-	p.sum += s.RTTms
-	if p.delivered == 0 || s.RTTms < p.min {
-		p.min = s.RTTms
-	}
-	if p.delivered == 0 || s.RTTms > p.max {
-		p.max = s.RTTms
-	}
-	p.delivered++
-	return p.sketch.Add(s.RTTms)
+	return nil
 }
 
 func (p *statsPass) Merge(other scan.Pass) error {
@@ -295,7 +304,7 @@ func statsOp(store *results.Store, pred *colf.Predicate, workers int) ([]string,
 	if p.total == 0 {
 		return nil, fmt.Errorf("dataset is empty")
 	}
-	size, err := sampleFileSize(store)
+	size, err := fileSize(store.SamplesPath())
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +314,7 @@ func statsOp(store *results.Store, pred *colf.Predicate, workers int) ([]string,
 			meta.Seed, meta.Start.Format("2006-01-02"), meta.End.Format("2006-01-02"),
 			meta.IntervalHours, meta.Probes, meta.Regions),
 		fmt.Sprintf("storage: format=%s, %d bytes on disk (%.1f bytes/sample)",
-			store.Format(), size, float64(size)/float64(p.total)),
+			"binary", size, float64(size)/float64(p.total)),
 		fmt.Sprintf("samples: %d total, %d delivered, %d lost (%.2f%%)",
 			p.total, delivered, p.lost, 100*float64(p.lost)/float64(p.total)),
 	}
@@ -324,13 +333,11 @@ func statsOp(store *results.Store, pred *colf.Predicate, workers int) ([]string,
 	return lines, nil
 }
 
-// statsFastPass is the aggregate-only stats kernel. On v2 binary
-// stores it resolves whole blocks from their zone pre-aggregates with
-// zero row decode (ZonePass); blocks without usable aggregates take
-// the columnar batch path (BlockPass); JSONL stores and partially
-// covered blocks fall back to per-row Observe. It keeps no quantile
-// sketch — that is the price of the zone path — so -fast omits
-// p50/p95.
+// statsFastPass is the aggregate-only stats kernel. On v2 stores it
+// resolves whole blocks from their zone pre-aggregates with zero row
+// decode (ZonePass); blocks without usable aggregates and blocks the
+// window covers only partly decode. It keeps no quantile sketch — that
+// is the price of the zone path — so -fast omits p50/p95.
 type statsFastPass struct {
 	total, lost   uint64
 	sum, min, max float64
@@ -351,16 +358,6 @@ func (p *statsFastPass) absorb(min, max, sum float64, delivered uint64) {
 		p.max = max
 	}
 	p.delivered += delivered
-}
-
-func (p *statsFastPass) Observe(s results.Sample) error {
-	p.total++
-	if s.Lost {
-		p.lost++
-		return nil
-	}
-	p.absorb(s.RTTms, s.RTTms, s.RTTms, 1)
-	return nil
 }
 
 func (p *statsFastPass) Columns() colf.ColumnSet { return 0 }
@@ -410,7 +407,7 @@ func statsFastOp(store *results.Store, pred *colf.Predicate, workers int) ([]str
 	if p.total == 0 {
 		return nil, fmt.Errorf("dataset is empty")
 	}
-	size, err := sampleFileSize(store)
+	size, err := fileSize(store.SamplesPath())
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +416,7 @@ func statsFastOp(store *results.Store, pred *colf.Predicate, workers int) ([]str
 			meta.Seed, meta.Start.Format("2006-01-02"), meta.End.Format("2006-01-02"),
 			meta.IntervalHours, meta.Probes, meta.Regions),
 		fmt.Sprintf("storage: format=%s, %d bytes on disk (%.1f bytes/sample)",
-			store.Format(), size, float64(size)/float64(p.total)),
+			"binary", size, float64(size)/float64(p.total)),
 		fmt.Sprintf("samples: %d total, %d delivered, %d lost (%.2f%%)",
 			p.total, p.delivered, p.lost, 100*float64(p.lost)/float64(p.total)),
 	}
@@ -437,10 +434,10 @@ type regionAgg struct {
 }
 
 // regionsPass tallies rows, delivered samples and mean delivered RTT
-// per region. On v2 binary stores whole blocks resolve from the zone's
+// per region. On v2 stores whole blocks resolve from the zone's
 // per-region aggregate list without decoding a row; blocks without the
-// list (v1 stores, dictionaries past the zone cap) use the
-// dictionary-coded batch path, and JSONL stores observe per row.
+// list (v1 stores, dictionaries past the zone cap) decode and fold by
+// dictionary code.
 type regionsPass struct {
 	byRegion map[string]*regionAgg
 	// accs caches the code → accumulator resolution for the current
@@ -455,16 +452,6 @@ func (p *regionsPass) acc(region string) *regionAgg {
 		p.byRegion[region] = a
 	}
 	return a
-}
-
-func (p *regionsPass) Observe(s results.Sample) error {
-	a := p.acc(s.Region)
-	a.rows++
-	if !s.Lost {
-		a.delivered++
-		a.sum += s.RTTms
-	}
-	return nil
 }
 
 func (p *regionsPass) Columns() colf.ColumnSet { return colf.ColRegionIDs }
@@ -548,13 +535,6 @@ func regionsOp(store *results.Store, pred *colf.Predicate, workers int) ([]strin
 // histPass wraps the fixed-bin histogram, whose counts merge exactly.
 type histPass struct{ h *stats.Histogram }
 
-func (p *histPass) Observe(s results.Sample) error {
-	if s.Lost {
-		return nil
-	}
-	return p.h.Add(s.RTTms)
-}
-
 func (p *histPass) Columns() colf.ColumnSet { return 0 }
 
 // ObserveBlock feeds the contiguous delivered runs of the RTT column
@@ -628,17 +608,28 @@ type continentsPass struct {
 	within map[geo.Continent]uint64
 }
 
-func (p *continentsPass) Observe(s results.Sample) error {
-	if s.Lost {
-		return nil
-	}
-	ct, ok := p.idx.Continent(s.ProbeID)
-	if !ok {
-		return nil
-	}
-	p.counts[ct]++
-	if s.RTTms <= core.PLms {
-		p.within[ct]++
+func (p *continentsPass) Columns() colf.ColumnSet { return 0 }
+
+// ObserveBlock resolves the continent once per run of equal probe IDs
+// (0 is no probe: the scanner has validated every ID positive).
+func (p *continentsPass) ObserveBlock(blk *colf.Block) error {
+	lastProbe, ok := 0, false
+	var ct geo.Continent
+	for i, probe := range blk.Probe {
+		if blk.Lost[i] {
+			continue
+		}
+		if probe != lastProbe {
+			lastProbe = probe
+			ct, ok = p.idx.Continent(probe)
+		}
+		if !ok {
+			continue
+		}
+		p.counts[ct]++
+		if blk.RTT[i] <= core.PLms {
+			p.within[ct]++
+		}
 	}
 	return nil
 }
@@ -684,18 +675,23 @@ func continentsOp(store *results.Store, pred *colf.Predicate, workers int) ([]st
 	return lines, nil
 }
 
-// filterPass buffers the samples matching the continent filter; shards
-// concatenate in file order on merge, so the re-export preserves the
-// original sample order exactly.
+// filterPass buffers the samples matching the continent filter; block
+// groups concatenate in file order on merge, so the re-export preserves
+// the original sample order exactly.
 type filterPass struct {
 	idx  *core.Index
 	ct   geo.Continent
 	kept []results.Sample
 }
 
-func (p *filterPass) Observe(s results.Sample) error {
-	if got, ok := p.idx.Continent(s.ProbeID); ok && got == p.ct {
-		p.kept = append(p.kept, s)
+// Columns: a re-exported sample needs every field.
+func (p *filterPass) Columns() colf.ColumnSet { return colf.ColAll }
+
+func (p *filterPass) ObserveBlock(blk *colf.Block) error {
+	for i, probe := range blk.Probe {
+		if got, ok := p.idx.Continent(probe); ok && got == p.ct {
+			p.kept = append(p.kept, results.FromRow(blk.Row(i)))
+		}
 	}
 	return nil
 }
@@ -741,9 +737,6 @@ func parseWindowRange(window, since, until string) (time.Time, time.Time, error)
 // with exactly how the window was assembled and where the time went.
 // The sample rows outside the edge blocks are never decoded.
 func windowOp(store *results.Store, window, since, until string) ([]string, error) {
-	if store.Format() != results.FormatBinary {
-		return nil, fmt.Errorf("window op needs a binary store (samples.tix indexes sealed blocks); convert first")
-	}
 	sinceT, untilT, err := parseWindowRange(window, since, until)
 	if err != nil {
 		return nil, err
@@ -830,8 +823,7 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 	return append(lines, rows...), nil
 }
 
-// filterOp re-exports the samples of one continent into a new dataset,
-// keeping the source's storage format.
+// filterOp re-exports the samples of one continent into a new dataset.
 func filterOp(store *results.Store, pred *colf.Predicate, continent, out string, workers int) ([]string, error) {
 	if continent == "" || out == "" {
 		return nil, fmt.Errorf("filter needs -continent and -out")
@@ -855,7 +847,7 @@ func filterOp(store *results.Store, pred *colf.Predicate, continent, out string,
 		return nil, err
 	}
 	kept := merged.(*filterPass).kept
-	_, sink, err := results.Create(out, meta, store.Format())
+	_, sink, err := results.Create(out, meta, results.FormatBinary)
 	if err != nil {
 		return nil, err
 	}

@@ -3,21 +3,25 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/atlas"
+	"repro/internal/geo"
 	"repro/internal/results"
 	"repro/internal/world"
 )
 
-// buildDataset writes a small campaign to disk in the given storage
-// format and returns its directory.
-func buildDataset(t *testing.T, format results.Format) string {
+// buildDataset writes a small campaign to disk and returns its
+// directory.
+func buildDataset(t *testing.T) string {
 	t.Helper()
 	w, err := world.Build(world.Config{Seed: 1, Probes: 200})
 	if err != nil {
@@ -25,7 +29,7 @@ func buildDataset(t *testing.T, format results.Format) string {
 	}
 	cfg := atlas.TestCampaign()
 	dir := filepath.Join(t.TempDir(), "ds")
-	_, sink, err := results.Create(dir, cfg.Meta(1, 200, w.Catalog.Len()), format)
+	_, sink, err := results.Create(dir, cfg.Meta(1, 200, w.Catalog.Len()), results.FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +43,7 @@ func buildDataset(t *testing.T, format results.Format) string {
 }
 
 func TestStatsOp(t *testing.T) {
-	dir := buildDataset(t, results.FormatBinary)
+	dir := buildDataset(t)
 	lines, err := run(options{data: dir, op: "stats", workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +57,7 @@ func TestStatsOp(t *testing.T) {
 }
 
 func TestContinentsOp(t *testing.T) {
-	dir := buildDataset(t, results.FormatBinary)
+	dir := buildDataset(t)
 	lines, err := run(options{data: dir, op: "continents", workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +71,7 @@ func TestContinentsOp(t *testing.T) {
 }
 
 func TestFilterOp(t *testing.T) {
-	dir := buildDataset(t, results.FormatBinary)
+	dir := buildDataset(t)
 	out := filepath.Join(t.TempDir(), "africa")
 	lines, err := run(options{data: dir, op: "filter", continent: "AF", out: out, workers: 4})
 	if err != nil {
@@ -76,21 +80,34 @@ func TestFilterOp(t *testing.T) {
 	if len(lines) != 1 || !strings.Contains(lines[0], "Africa") {
 		t.Errorf("filter output: %v", lines)
 	}
-	// The filtered dataset opens, keeps the source's binary format, and
-	// contains only African probes.
+	// The filtered dataset opens and holds exactly the source's African
+	// samples, in order.
 	store, err := results.Open(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Format() != results.FormatBinary {
-		t.Errorf("filtered store format = %v, want binary", store.Format())
-	}
-	n := 0
-	if err := store.ForEach(func(results.Sample) error { n++; return nil }); err != nil {
+	w, err := world.Build(world.Config{Seed: 1, Probes: 200})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Error("filtered dataset empty")
+	src, err := results.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []results.Sample
+	if err := src.ForEach(func(s results.Sample) error {
+		if ct, ok := w.Index.Continent(s.ProbeID); ok && ct == geo.Africa {
+			want = append(want, s)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.ForEach(func(s results.Sample) error { got = append(got, s); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("filtered dataset holds %d samples, the source has %d African ones", len(got), len(want))
 	}
 	// Re-filtering into the same directory is refused.
 	if _, err := run(options{data: dir, op: "filter", continent: "AF", out: out, workers: 4}); err == nil {
@@ -99,7 +116,7 @@ func TestFilterOp(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	dir := buildDataset(t, results.FormatBinary)
+	dir := buildDataset(t)
 	if _, err := run(options{data: filepath.Join(t.TempDir(), "missing"), op: "stats", workers: 4}); err == nil {
 		t.Error("missing dataset accepted")
 	}
@@ -127,7 +144,7 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestHistOp(t *testing.T) {
-	dir := buildDataset(t, results.FormatBinary)
+	dir := buildDataset(t)
 	lines, err := run(options{data: dir, op: "hist", workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -147,15 +164,10 @@ func TestHistOp(t *testing.T) {
 // TestStatsFastOp checks the aggregate-only stats variant: it must
 // agree with the sketch-backed op on every shared figure (min, max,
 // mean, the campaign and sample tallies) while omitting the quantiles,
-// and produce identical output on both storage formats and for any
-// worker count — even though on binary stores it resolves blocks from
-// zone pre-aggregates without decoding a row.
+// and produce identical output for any worker count — even though it
+// resolves blocks from zone pre-aggregates without decoding a row.
 func TestStatsFastOp(t *testing.T) {
-	jdir := buildDataset(t, results.FormatJSONL)
-	bdir := filepath.Join(t.TempDir(), "bin")
-	if _, err := run(options{data: jdir, op: "convert", out: bdir}); err != nil {
-		t.Fatal(err)
-	}
+	bdir := buildDataset(t)
 	fast, err := run(options{data: bdir, op: "stats", fast: true, workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -200,23 +212,6 @@ func TestStatsFastOp(t *testing.T) {
 		}
 	}
 
-	// Format equivalence and worker invariance.
-	jfast, err := run(options{data: jdir, op: "stats", fast: true, workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strip := func(lines []string) string {
-		var kept []string
-		for _, l := range lines {
-			if !strings.HasPrefix(l, "storage:") {
-				kept = append(kept, l)
-			}
-		}
-		return strings.Join(kept, "\n")
-	}
-	if strip(jfast) != strip(fast) {
-		t.Errorf("-fast stats differ across formats:\njsonl:\n%s\nbinary:\n%s", strip(jfast), strip(fast))
-	}
 	for _, n := range []int{1, 7} {
 		again, err := run(options{data: bdir, op: "stats", fast: true, workers: n})
 		if err != nil {
@@ -228,200 +223,202 @@ func TestStatsFastOp(t *testing.T) {
 	}
 }
 
-// TestRegionsOp checks the per-region tally op: identical output on
-// both storage formats (zone aggregate list vs per-row fold), with and
-// without a time window, and for any worker count.
+// TestRegionsOp checks the per-region tally op: with no window every
+// block resolves from its zone's aggregate list, with one the clipped
+// blocks decode, and the output is the same for any worker count.
 func TestRegionsOp(t *testing.T) {
-	jdir := buildDataset(t, results.FormatJSONL)
-	bdir := filepath.Join(t.TempDir(), "bin")
-	if _, err := run(options{data: jdir, op: "convert", out: bdir}); err != nil {
-		t.Fatal(err)
-	}
+	dir := buildDataset(t)
 	cfg := atlas.TestCampaign()
 	since := cfg.Start.Add(7 * 24 * time.Hour).Format(time.RFC3339)
 	until := cfg.Start.Add(10 * 24 * time.Hour).Format(time.RFC3339)
 	for _, window := range []bool{false, true} {
-		o := options{data: jdir, op: "regions", workers: 3}
+		o := options{data: dir, op: "regions", workers: 1}
 		if window {
 			o.since, o.until = since, until
 		}
-		want, err := run(o)
+		serial, err := run(o)
 		if err != nil {
-			t.Fatalf("regions jsonl window=%v: %v", window, err)
+			t.Fatalf("regions window=%v: %v", window, err)
 		}
-		if len(want) < 2 || !strings.Contains(want[0], "region") || !strings.Contains(want[0], "mean-rtt") {
-			t.Fatalf("regions output malformed:\n%s", strings.Join(want, "\n"))
+		if len(serial) < 2 || !strings.Contains(serial[0], "region") || !strings.Contains(serial[0], "mean-rtt") {
+			t.Fatalf("regions output malformed:\n%s", strings.Join(serial, "\n"))
 		}
-		o.data = bdir
-		got, err := run(o)
-		if err != nil {
-			t.Fatalf("regions binary window=%v: %v", window, err)
-		}
-		if strings.Join(want, "\n") != strings.Join(got, "\n") {
-			t.Errorf("regions window=%v: jsonl and binary outputs differ", window)
+		for _, n := range []int{2, 7} {
+			o.workers = n
+			parallel, err := run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
+				t.Errorf("regions window=%v output differs between workers=1 and workers=%d", window, n)
+			}
 		}
 	}
-	serial, err := run(options{data: bdir, op: "regions", workers: 1})
+}
+
+// TestConvertOp drives both directions of the interchange: exporting a
+// store to JSONL and importing it back reproduces samples.bin, and
+// importing JSONL and exporting it again reproduces the lines.
+func TestConvertOp(t *testing.T) {
+	dir := buildDataset(t)
+	jl := filepath.Join(t.TempDir(), "jl")
+	// Empty -to exports a store.
+	lines, err := run(options{data: dir, op: "convert", out: jl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{2, 7} {
-		parallel, err := run(options{data: bdir, op: "regions", workers: n})
+	if len(lines) != 1 || !strings.Contains(lines[0], "binary (") || !strings.Contains(lines[0], "-> jsonl") {
+		t.Errorf("convert output: %v", lines)
+	}
+	read := func(dir, name string) []byte {
+		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
-			t.Errorf("regions output differs between workers=1 and workers=%d", n)
-		}
+		return b
 	}
-}
-
-// TestConvertOp round-trips a JSONL dataset through the binary format
-// and back, checking the final JSONL bytes are identical to the source
-// and that the binary encoding is at most half the size.
-func TestConvertOp(t *testing.T) {
-	dir := buildDataset(t, results.FormatJSONL)
-	bin := filepath.Join(t.TempDir(), "bin")
-	// Empty -to flips the source format: jsonl -> binary.
-	lines, err := run(options{data: dir, op: "convert", out: bin})
+	src, jsonl := read(dir, "samples.bin"), read(jl, "samples.jsonl")
+	if len(src) > len(jsonl)/2 {
+		t.Errorf("binary file is %d bytes, want <= half of %d-byte JSONL", len(src), len(jsonl))
+	}
+	// The export is not a store, and says what to do about it.
+	if _, err := run(options{data: jl, op: "stats", workers: 2}); err == nil || !strings.Contains(err.Error(), "convert") {
+		t.Errorf("stats on a JSONL directory: err = %v, want a pointer to convert", err)
+	}
+	// Empty -to imports anything that is not a store.
+	back := filepath.Join(t.TempDir(), "back")
+	lines, err = run(options{data: jl, op: "convert", out: back})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "-> binary") {
+	if len(lines) != 1 || !strings.Contains(lines[0], "jsonl (") || !strings.Contains(lines[0], "-> binary") {
 		t.Errorf("convert output: %v", lines)
 	}
-	src, err := os.ReadFile(filepath.Join(dir, "samples.jsonl"))
-	if err != nil {
+	if !bytes.Equal(read(back, "samples.bin"), src) {
+		t.Error("binary -> jsonl -> binary does not reproduce samples.bin")
+	}
+	again := filepath.Join(t.TempDir(), "again")
+	if _, err := run(options{data: back, op: "convert", out: again, to: "jsonl"}); err != nil {
 		t.Fatal(err)
 	}
-	bi, err := os.Stat(filepath.Join(bin, "samples.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bi.Size() > int64(len(src))/2 {
-		t.Errorf("binary file is %d bytes, want <= half of %d-byte JSONL", bi.Size(), len(src))
-	}
-	// And back: binary -> jsonl must reproduce the source byte for byte.
-	back := filepath.Join(t.TempDir(), "back")
-	if _, err := run(options{data: bin, op: "convert", out: back, to: "jsonl"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(back, "samples.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, src) {
+	if !bytes.Equal(read(again, "samples.jsonl"), jsonl) {
 		t.Error("jsonl -> binary -> jsonl round trip is not byte-identical")
 	}
-	// Converting onto an existing directory is refused.
-	if _, err := run(options{data: dir, op: "convert", out: bin}); err == nil {
+	// A direction the source cannot serve is an error, as is overwriting.
+	if _, err := run(options{data: jl, op: "convert", out: filepath.Join(t.TempDir(), "x"), to: "jsonl"}); err == nil {
+		t.Error("export of a JSONL directory accepted")
+	}
+	if _, err := run(options{data: dir, op: "convert", out: jl}); err == nil {
 		t.Error("overwrite accepted")
+	}
+	// A malformed line fails the import with its line number.
+	bad := append(append([]byte(nil), jsonl...), "{not json\n"...)
+	if err := os.WriteFile(filepath.Join(jl, "samples.jsonl"), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantLine := fmt.Sprintf("line %d", bytes.Count(bad, []byte("\n")))
+	if _, err := run(options{data: jl, op: "convert", out: filepath.Join(t.TempDir(), "y")}); err == nil || !strings.Contains(err.Error(), wantLine) {
+		t.Errorf("import of a malformed line: err = %v, want %s", err, wantLine)
 	}
 }
 
-// TestOpsFormatEquivalence pins every scan op's stdout to be identical
-// on a JSONL store and its binary conversion, with and without a time
-// window.
-func TestOpsFormatEquivalence(t *testing.T) {
-	jdir := buildDataset(t, results.FormatJSONL)
-	bdir := filepath.Join(t.TempDir(), "bin")
-	if _, err := run(options{data: jdir, op: "convert", out: bdir}); err != nil {
-		t.Fatal(err)
+// TestOpsMatchGolden pins every scan op's stdout on the fixture store,
+// with and without a time window, to the bytes the ops printed before
+// their per-row passes became block kernels (digests of `dataset ...`
+// stdout at that commit; the window clips blocks mid-block, so the
+// compacted row selection is on the path).
+func TestOpsMatchGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64; other targets may fuse the float arithmetic differently")
 	}
+	dir := buildDataset(t)
 	cfg := atlas.TestCampaign()
-	since := cfg.Start.Add(7 * 24 * time.Hour).Format(time.RFC3339)
+	since := cfg.Start.Add(7*24*time.Hour + 95*time.Minute).Format(time.RFC3339)
 	until := cfg.Start.Add(10 * 24 * time.Hour).Format(time.RFC3339)
-	for _, op := range []string{"continents", "hist"} {
-		for _, window := range []bool{false, true} {
-			o := options{data: jdir, op: op, workers: 3}
+	golden := map[string][2]string{ // op -> {whole store, window}
+		"stats": {
+			"5539094f7bfe2b95b4ca8a53ab2a9a79c6123df7e28cb199a408efca2f574918",
+			"9a550ddec08457119cda49e897994e2b8dd0452eaa348793064642a92e8d63dc",
+		},
+		"stats-fast": {
+			"e5e21469159537876a99fc50c972b74e42740356bef8442da048e96a9ee33991",
+			"8845bbb217f8901adb743661c7053759338bf3253907eb535c367c7810e93ca8",
+		},
+		"continents": {
+			"20766a9dd7ea7130bf40d5b37176998b7a08cf7abc5c0536f7249389de4aadf4",
+			"7f12e4e5b4098bd659b7b86cd9cae052d70062552b2c49a1540ec24880a9fae4",
+		},
+		"regions": {
+			"bcc47a46664d3f6acce8ee529f3a129099ef6beaa1c060d8982d4e5978950ed5",
+			"50056b3e22db86fa25c7e1f4b90825afe9a6c9739824d23b25d6f167196ba291",
+		},
+		"hist": {
+			"bef754bc5984a90c2010fd4306be9f6e2180b17e4a5fd08df82a0b18fafe6d71",
+			"1379efdf4800d60573ed1183625ea1d9d50aef7a14ea1b119fb1ed735216811b",
+		},
+	}
+	for name, want := range golden {
+		for i, window := range []bool{false, true} {
+			o := options{data: dir, op: strings.TrimSuffix(name, "-fast"), fast: strings.HasSuffix(name, "-fast"), workers: 3}
 			if window {
 				o.since, o.until = since, until
 			}
-			want, err := run(o)
+			lines, err := run(o)
 			if err != nil {
-				t.Fatalf("%s jsonl window=%v: %v", op, window, err)
+				t.Fatalf("%s window=%v: %v", name, window, err)
 			}
-			o.data = bdir
-			got, err := run(o)
-			if err != nil {
-				t.Fatalf("%s binary window=%v: %v", op, window, err)
-			}
-			if strings.Join(want, "\n") != strings.Join(got, "\n") {
-				t.Errorf("%s window=%v: jsonl and binary outputs differ", op, window)
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(lines, "\n")+"\n"))); got != want[i] {
+				t.Errorf("%s window=%v: stdout sha256 %s, want %s", name, window, got, want[i])
 			}
 		}
-	}
-	// stats reports the storage line, so compare the remaining lines.
-	strip := func(lines []string) string {
-		var kept []string
-		for _, l := range lines {
-			if !strings.HasPrefix(l, "storage:") {
-				kept = append(kept, l)
-			}
-		}
-		return strings.Join(kept, "\n")
-	}
-	want, err := run(options{data: jdir, op: "stats", workers: 3, since: since, until: until})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := run(options{data: bdir, op: "stats", workers: 3, since: since, until: until})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strip(want) != strip(got) {
-		t.Errorf("windowed stats differ:\njsonl:\n%s\nbinary:\n%s", strip(want), strip(got))
 	}
 }
 
 // TestOpsWorkerInvariance checks every op emits identical output for any
-// scan worker count on both storage formats, including the byte-exact
-// filtered re-export.
+// scan worker count, including the byte-exact filtered re-export.
 func TestOpsWorkerInvariance(t *testing.T) {
-	for _, format := range []results.Format{results.FormatJSONL, results.FormatBinary} {
-		dir := buildDataset(t, format)
-		for _, op := range []string{"stats", "continents", "hist"} {
-			serial, err := run(options{data: dir, op: op, workers: 1})
+	dir := buildDataset(t)
+	for _, op := range []string{"stats", "continents", "hist"} {
+		serial, err := run(options{data: dir, op: op, workers: 1})
+		if err != nil {
+			t.Fatalf("%s workers=1: %v", op, err)
+		}
+		for _, n := range []int{2, 7} {
+			parallel, err := run(options{data: dir, op: op, workers: n})
 			if err != nil {
-				t.Fatalf("%s %s workers=1: %v", format, op, err)
+				t.Fatalf("%s workers=%d: %v", op, n, err)
 			}
-			for _, n := range []int{2, 7} {
-				parallel, err := run(options{data: dir, op: op, workers: n})
-				if err != nil {
-					t.Fatalf("%s %s workers=%d: %v", format, op, n, err)
-				}
-				if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
-					t.Errorf("%s %s output differs between workers=1 and workers=%d", format, op, n)
-				}
+			if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
+				t.Errorf("%s output differs between workers=1 and workers=%d", op, n)
 			}
 		}
-		filtered := func(workers int) []byte {
-			out := filepath.Join(t.TempDir(), "eu")
-			if _, err := run(options{data: dir, op: "filter", continent: "EU", out: out, workers: workers}); err != nil {
-				t.Fatal(err)
-			}
-			store, err := results.Open(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := os.ReadFile(store.SamplesPath())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
+	}
+	filtered := func(workers int) []byte {
+		out := filepath.Join(t.TempDir(), "eu")
+		if _, err := run(options{data: dir, op: "filter", continent: "EU", out: out, workers: workers}); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(filtered(1), filtered(7)) {
-			t.Errorf("%s filtered dataset differs between workers=1 and workers=7", format)
+		store, err := results.Open(out)
+		if err != nil {
+			t.Fatal(err)
 		}
+		b, err := os.ReadFile(store.SamplesPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if !bytes.Equal(filtered(1), filtered(7)) {
+		t.Error("filtered dataset differs between workers=1 and workers=7")
 	}
 }
 
 // TestWindowOp exercises the index-backed window op: per-continent
 // sample counts must match a direct fold of the same window, the
 // second run must reuse the sidecar built by the first, and the op
-// must reject JSONL stores and malformed ranges.
+// must reject malformed ranges.
 func TestWindowOp(t *testing.T) {
-	dir := buildDataset(t, results.FormatBinary)
+	dir := buildDataset(t)
 	store, err := results.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -500,9 +497,5 @@ func TestWindowOp(t *testing.T) {
 	}
 	if _, err := run(options{data: dir, op: "window", window: "backwards"}); err == nil {
 		t.Error("-window without comma accepted")
-	}
-	jsonl := buildDataset(t, results.FormatJSONL)
-	if _, err := run(options{data: jsonl, op: "window", window: winFlag}); err == nil {
-		t.Error("window op accepted a JSONL store")
 	}
 }

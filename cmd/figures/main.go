@@ -17,10 +17,6 @@
 // decodes only blocks appended since, and works only the suite pass the
 // figure reads unless this run is the one that rewrites the snapshot —
 // -snapshot off forces a cold scan.
-// -rowscan forces the scanner's legacy per-row path on binary stores,
-// bypassing the columnar batch kernels; the output is byte-identical
-// either way (scripts/check.sh pins this), so the flag exists as the
-// equivalence control and escape hatch.
 //
 // Observability: the command emits structured leveled logs (-log-format
 // text|json, -log-level) on stderr, and -status-addr serves live run state
@@ -71,7 +67,6 @@ type options struct {
 	csv        bool
 	workers    int
 	snapMode   string
-	rowScan    bool
 	cpuProfile string
 	memProfile string
 	statusAddr string // live status HTTP listener; empty disables
@@ -103,8 +98,7 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 1, "world seed when synthesizing")
 	flag.BoolVar(&o.csv, "csv", false, "emit CSV instead of text (figures 1, 4, 5, 6, 7, 8)")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "scan worker count for stored datasets")
-	flag.StringVar(&o.snapMode, "snapshot", "auto", "analysis snapshot mode for stored datasets: auto (on for binary stores), on, off")
-	flag.BoolVar(&o.rowScan, "rowscan", false, "force the per-row scan path on binary stores (batch kernels off; output is identical)")
+	flag.StringVar(&o.snapMode, "snapshot", "on", "analysis snapshot (samples.snap) for stored datasets: on or off")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write an end-of-run heap profile to this file")
 	flag.StringVar(&o.statusAddr, "status-addr", "", "serve live run status (/metrics, /debug/events, /api/v1/progress) on this address")
@@ -169,25 +163,21 @@ func (e *runEnv) noteScan(st scan.Stats, rep *core.SuiteReport) {
 		if st.Duration > 0 {
 			e.manifest.SamplesPerSec = st.SamplesPerSec()
 		}
-		if st.Binary {
-			cov := &obs.SnapshotCoverage{
-				PrefixBlocks: st.PrefixBlocks, BlocksRead: st.BlocksRead, BlocksTotal: st.BlocksTotal,
-			}
-			if rep != nil {
-				cov.PrefixSamples = rep.Samples - st.Samples
-				cov.Passes = rep.Passes.String()
-			}
-			e.manifest.Snapshot = cov
+		cov := &obs.SnapshotCoverage{
+			PrefixBlocks: st.PrefixBlocks, BlocksRead: st.BlocksRead, BlocksTotal: st.BlocksTotal,
 		}
+		if rep != nil {
+			cov.PrefixSamples = rep.Samples - st.Samples
+			cov.Passes = rep.Passes.String()
+		}
+		e.manifest.Snapshot = cov
 	}
 	e.log.Info("scan complete",
 		"samples", st.Samples, "duration", st.Duration.Round(time.Millisecond),
 		"mb_per_sec", st.MBPerSec(), "workers", st.Workers)
-	if st.Binary {
-		e.log.Info("snapshot coverage",
-			"blocks_read", st.BlocksRead, "blocks_total", st.BlocksTotal,
-			"prefix_blocks", st.PrefixBlocks)
-	}
+	e.log.Info("snapshot coverage",
+		"blocks_read", st.BlocksRead, "blocks_total", st.BlocksTotal,
+		"prefix_blocks", st.PrefixBlocks)
 }
 
 func run(o options) (err error) {
@@ -434,7 +424,6 @@ type dataset struct {
 	mem     *results.Memory
 	start   time.Time
 	workers int
-	rowScan bool                  // force the per-row scan path (-rowscan)
 	snap    *core.SnapshotOptions // non-nil: seed scans from the analysis snapshot
 	suite   *core.SuiteReport     // cached snapshot-seeded suite report
 	env     *runEnv               // telemetry plumbing; nil disables
@@ -449,8 +438,8 @@ func loadOrSynthesize(ctx context.Context, w *world.World, o options, env *runEn
 		if err != nil {
 			return nil, err
 		}
-		d := &dataset{store: store, start: store.Meta().Start, workers: o.workers, rowScan: o.rowScan, env: env}
-		enabled, err := snapshotEnabled(o.snapMode, store.Format())
+		d := &dataset{store: store, start: store.Meta().Start, workers: o.workers, env: env}
+		enabled, err := snapshotEnabled(o.snapMode)
 		if err != nil {
 			return nil, err
 		}
@@ -458,14 +447,13 @@ func loadOrSynthesize(ctx context.Context, w *world.World, o options, env *runEn
 			d.snap = &core.SnapshotOptions{
 				Path:          store.SnapshotPath(),
 				RefreshFactor: core.DefaultRefreshFactor,
-				RowScan:       o.rowScan,
 				Passes:        figurePasses(o.fig),
 				Metrics:       env.snapInstruments(),
 				Log:           env.logger().With("snap"),
 			}
 		}
 		env.logger().Info("dataset opened",
-			"dir", o.data, "format", store.Format().String(), "snapshot", enabled)
+			"dir", o.data, "snapshot", enabled)
 		return d, nil
 	}
 	cfg := atlas.TestCampaign()
@@ -494,10 +482,10 @@ func figurePasses(fig string) core.PassSet {
 	return 0
 }
 
-// runPass feeds one analysis pass with every sample: a parallel byte-range
+// runPass feeds one analysis pass with every sample: a parallel block
 // scan for stored datasets, a sequential walk for in-memory ones. The
 // merged result is identical either way.
-func runPass[P core.Pass](d *dataset, newPass func() (P, error)) (P, error) {
+func runPass[P core.RowPass](d *dataset, newPass func() (P, error)) (P, error) {
 	if d.store == nil {
 		p, err := newPass()
 		if err != nil {
@@ -509,7 +497,6 @@ func runPass[P core.Pass](d *dataset, newPass func() (P, error)) (P, error) {
 	st, err := scan.File(obs.ContextWith(context.Background(), d.span), scan.Config{
 		Path:    d.store.SamplesPath(),
 		Workers: d.workers,
-		RowScan: d.rowScan,
 		NewPasses: func(int) ([]scan.Pass, error) {
 			p, err := newPass()
 			if err != nil {
@@ -529,19 +516,15 @@ func runPass[P core.Pass](d *dataset, newPass func() (P, error)) (P, error) {
 	return passes[0], nil
 }
 
-// snapshotEnabled resolves the -snapshot mode against the store's
-// format: auto enables snapshots for binary stores, whose block
-// boundaries make resumed scans strict delta decodes.
-func snapshotEnabled(mode string, format results.Format) (bool, error) {
+// snapshotEnabled resolves the -snapshot mode; empty means on.
+func snapshotEnabled(mode string) (bool, error) {
 	switch mode {
-	case "auto", "":
-		return format == results.FormatBinary, nil
-	case "on":
+	case "on", "":
 		return true, nil
 	case "off":
 		return false, nil
 	}
-	return false, fmt.Errorf("invalid -snapshot %q (want auto, on, or off)", mode)
+	return false, fmt.Errorf("invalid -snapshot %q (want on or off)", mode)
 }
 
 // suiteReport runs the snapshot-seeded fused scan once per invocation and

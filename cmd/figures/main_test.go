@@ -19,7 +19,7 @@ import (
 
 func TestRenderDatasetIndependentFigures(t *testing.T) {
 	for _, fig := range []string{"1", "2", "3a", "3b"} {
-		lines, err := render(options{fig: fig, probes: 200, seed: 1, snapMode: "auto"}, nil)
+		lines, err := render(options{fig: fig, probes: 200, seed: 1, snapMode: "on"}, nil)
 		if err != nil {
 			t.Fatalf("fig %s: %v", fig, err)
 		}
@@ -30,7 +30,7 @@ func TestRenderDatasetIndependentFigures(t *testing.T) {
 }
 
 func TestRenderUnknownFigure(t *testing.T) {
-	_, err := render(options{fig: "42", probes: 200, seed: 1, snapMode: "auto"}, nil)
+	_, err := render(options{fig: "42", probes: 200, seed: 1, snapMode: "on"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown figure") {
 		t.Errorf("unknown figure: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestRenderFromStoredDataset(t *testing.T) {
 		return options{fig: fig, data: dir, probes: 200, seed: 2, workers: workers, snapMode: snapMode}
 	}
 	for _, fig := range []string{"4", "5", "6", "7", "8"} {
-		lines, err := render(opts(fig, 4, "auto"), nil)
+		lines, err := render(opts(fig, 4, "on"), nil)
 		if err != nil {
 			t.Fatalf("fig %s: %v", fig, err)
 		}
@@ -74,19 +74,19 @@ func TestRenderFromStoredDataset(t *testing.T) {
 		}
 	}
 	// The parallel scan is worker-count invariant.
-	serial, err := render(opts("6", 1, "auto"), nil)
+	serial, err := render(opts("6", 1, "on"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := render(opts("6", 7, "auto"), nil)
+	parallel, err := render(opts("6", 7, "on"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
 		t.Error("figure 6 output differs between workers=1 and workers=7")
 	}
-	// The renders above left a snapshot behind (binary store, -snapshot
-	// auto); a forced cold scan must produce the identical figure.
+	// The renders above left a snapshot behind; a forced cold scan must
+	// produce the identical figure.
 	cold, err := render(opts("6", 3, "off"), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -94,38 +94,18 @@ func TestRenderFromStoredDataset(t *testing.T) {
 	if strings.Join(cold, "\n") != strings.Join(parallel, "\n") {
 		t.Error("figure 6 output differs between snapshot and cold scans")
 	}
+	// The modes are on and off; the old "auto" spelling is refused.
+	if _, err := render(opts("6", 3, "auto"), nil); err == nil || !strings.Contains(err.Error(), "want on or off") {
+		t.Errorf("-snapshot auto: err = %v", err)
+	}
 	// Missing dataset directory surfaces an error.
-	if _, err := render(options{fig: "4", data: dir + "/nope", probes: 200, seed: 2, workers: 4, snapMode: "auto"}, nil); err == nil {
+	if _, err := render(options{fig: "4", data: dir + "/nope", probes: 200, seed: 2, workers: 4, snapMode: "on"}, nil); err == nil {
 		t.Error("missing dataset accepted")
 	}
 }
 
-// TestRenderRowScanEquivalence pins -rowscan: the forced per-row path
-// renders identical figures to the batch kernels, on both the
-// snapshot-seeded and cold scan routes.
-func TestRenderRowScanEquivalence(t *testing.T) {
-	dir, _ := buildDataset(t, 2, 200)
-	for _, fig := range []string{"4", "7"} {
-		for _, snapMode := range []string{"off", "auto"} {
-			o := options{fig: fig, data: dir, probes: 200, seed: 2, workers: 4, snapMode: snapMode}
-			batch, err := render(o, nil)
-			if err != nil {
-				t.Fatalf("fig %s snapshot=%s: %v", fig, snapMode, err)
-			}
-			o.rowScan = true
-			row, err := render(o, nil)
-			if err != nil {
-				t.Fatalf("fig %s snapshot=%s rowscan: %v", fig, snapMode, err)
-			}
-			if strings.Join(batch, "\n") != strings.Join(row, "\n") {
-				t.Errorf("fig %s snapshot=%s: -rowscan output differs from batch", fig, snapMode)
-			}
-		}
-	}
-}
-
 func TestRenderSynthesizes(t *testing.T) {
-	lines, err := render(options{fig: "4", probes: 200, seed: 1, snapMode: "auto"}, nil)
+	lines, err := render(options{fig: "4", probes: 200, seed: 1, snapMode: "on"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +116,7 @@ func TestRenderSynthesizes(t *testing.T) {
 
 func TestRenderCSV(t *testing.T) {
 	for _, fig := range []string{"1", "4", "7"} {
-		lines, err := render(options{fig: fig, probes: 200, seed: 1, snapMode: "auto", csv: true}, nil)
+		lines, err := render(options{fig: fig, probes: 200, seed: 1, snapMode: "on", csv: true}, nil)
 		if err != nil {
 			t.Fatalf("fig %s: %v", fig, err)
 		}
@@ -144,7 +124,7 @@ func TestRenderCSV(t *testing.T) {
 			t.Errorf("fig %s CSV output malformed: %v", fig, lines[:1])
 		}
 	}
-	if _, err := render(options{fig: "2", probes: 200, seed: 1, snapMode: "auto", csv: true}, nil); err == nil {
+	if _, err := render(options{fig: "2", probes: 200, seed: 1, snapMode: "on", csv: true}, nil); err == nil {
 		t.Error("figure without CSV form accepted")
 	}
 }
@@ -155,7 +135,7 @@ func TestRenderCSV(t *testing.T) {
 func TestRunWritesManifest(t *testing.T) {
 	dir, _ := buildDataset(t, 2, 200)
 	err := run(options{
-		fig: "5", data: dir, probes: 200, seed: 2, workers: 4, snapMode: "auto",
+		fig: "5", data: dir, probes: 200, seed: 2, workers: 4, snapMode: "on",
 		stdout: io.Discard, logDst: io.Discard,
 	})
 	if err != nil {
@@ -198,7 +178,7 @@ func TestRunWritesManifest(t *testing.T) {
 	// scan did not decode, and the one pass it worked.
 	total := m.Samples
 	if err := run(options{
-		fig: "5", data: dir, probes: 200, seed: 2, workers: 4, snapMode: "auto",
+		fig: "5", data: dir, probes: 200, seed: 2, workers: 4, snapMode: "on",
 		stdout: io.Discard, logDst: io.Discard,
 	}); err != nil {
 		t.Fatal(err)
@@ -231,7 +211,7 @@ func TestRunServesStatusEndpoints(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- run(options{
-			fig: "6", data: dir, probes: 200, seed: 2, workers: 2, snapMode: "auto",
+			fig: "6", data: dir, probes: 200, seed: 2, workers: 2, snapMode: "on",
 			stdout: io.Discard, logDst: io.Discard,
 			statusAddr: "127.0.0.1:0",
 			statusReady: func(addr string) {

@@ -199,7 +199,7 @@ func TestSelectedPassesMatchCold(t *testing.T) {
 					selDir := copyDir(t, tmpl)
 					sm := snap.NewMetrics(obs.NewRegistry())
 					var log bytes.Buffer
-					opts.data, opts.workers, opts.snapMode = selDir, workers, "auto"
+					opts.data, opts.workers, opts.snapMode = selDir, workers, "on"
 					sel, err := render(opts, &runEnv{snapMetrics: sm, log: obs.NewLogger(&log)})
 					if err != nil {
 						t.Fatalf("fig %s workers=%d selected: %v", fig, workers, err)

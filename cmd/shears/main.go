@@ -35,8 +35,8 @@
 // ETA, per-continent tallies) every -progress interval while the campaign
 // runs, and -trace out.json dumps the span tree of the whole run
 // (world build -> campaign rounds -> result write -> figure generation)
-// twice: as legacy span JSON at the given path and as Chrome trace-event
-// JSON (loadable in Perfetto or chrome://tracing) at <path>.chrome.json.
+// as Chrome trace-event JSON, loadable in Perfetto or chrome://tracing
+// and summarized by `trace -summary`.
 // -status-addr serves live run state over HTTP while the run executes:
 // GET /metrics (Prometheus text), GET /debug/events (flight-recorder
 // dump of recent log events), and GET /api/v1/progress (campaign round
@@ -45,8 +45,8 @@
 // version, flags, world fingerprint, per-stage durations and
 // throughput. -cpuprofile/-memprofile write pprof profiles of the run.
 //
-// Analysis snapshots: for binary datasets the post-campaign figure scan
-// writes <out>/samples.snap — the serialized merged analysis state over
+// Analysis snapshots: the post-campaign figure scan writes
+// <out>/samples.snap — the serialized merged analysis state over
 // the whole finished store, written once per run — so any later
 // re-analysis over the (possibly grown) dataset decodes only blocks
 // appended since. The campaign itself never touches it: an interrupted
@@ -104,9 +104,8 @@ type options struct {
 	clusterShards   int // cluster partition width; <= 0 means cluster.DefaultShards
 	resume          bool
 	checkpointEvery int    // rounds; 0 disables checkpointing
-	format          string // dataset storage format; empty means binary
-	snapshot        string // analysis snapshot mode: auto, on, off
-	tix             string // temporal index mode: auto, on, off
+	snapshot        string // analysis snapshot mode: on, off
+	tix             string // temporal index mode: on, off
 	cpuProfile      string
 	memProfile      string
 	statusAddr      string // live status HTTP listener; empty disables
@@ -122,34 +121,15 @@ type options struct {
 	reg         *obs.Registry                   // metrics registry; nil means a fresh one
 }
 
-// snapshotEnabled resolves the -snapshot mode against the store's
-// format: auto enables snapshots for binary stores, whose block
-// boundaries make resumed scans strict delta decodes.
-func (o options) snapshotEnabled(format results.Format) (bool, error) {
-	switch o.snapshot {
-	case "auto", "":
-		return format == results.FormatBinary, nil
-	case "on":
+// parseOnOff resolves an on|off mode flag; empty means on.
+func parseOnOff(flagName, mode string) (bool, error) {
+	switch mode {
+	case "on", "":
 		return true, nil
 	case "off":
 		return false, nil
 	}
-	return false, fmt.Errorf("invalid -snapshot %q (want auto, on, or off)", o.snapshot)
-}
-
-// tixEnabled resolves the -tix mode against the store's format: auto
-// builds the temporal aggregate index for binary stores, whose sealed
-// block ranges are what the segment tree indexes.
-func (o options) tixEnabled(format results.Format) (bool, error) {
-	switch o.tix {
-	case "auto", "":
-		return format == results.FormatBinary, nil
-	case "on":
-		return true, nil
-	case "off":
-		return false, nil
-	}
-	return false, fmt.Errorf("invalid -tix %q (want auto, on, or off)", o.tix)
+	return false, fmt.Errorf("invalid -%s %q (want on or off)", flagName, mode)
 }
 
 func main() {
@@ -163,16 +143,15 @@ func main() {
 	flag.IntVar(&o.days, "days", 0, "override campaign length in days (0 = config default)")
 	flag.BoolVar(&o.quiet, "quiet", false, "skip figure output; only build the dataset")
 	flag.StringVar(&o.figDir, "figdir", "", "also write figure artifacts (CSV + SVG) into this directory")
-	flag.StringVar(&o.tracePath, "trace", "", "write the run's span tree as JSON to this file")
+	flag.StringVar(&o.tracePath, "trace", "", "write the run's span tree to this file as Chrome trace-event JSON (Perfetto, chrome://tracing, trace -summary)")
 	flag.DurationVar(&o.progressEvery, "progress", 5*time.Second, "campaign progress reporting interval (0 disables)")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "campaign worker count (output is identical for any value)")
 	flag.IntVar(&o.cluster, "cluster", 0, "run the campaign through the distributed control plane with this many in-process agents (0 disables)")
 	flag.IntVar(&o.clusterShards, "cluster-shards", 0, "cluster partition width (0 = default; output is identical for any value)")
 	flag.BoolVar(&o.resume, "resume", false, "resume an interrupted campaign from <out>/checkpoint.json")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", engine.DefaultCheckpointEvery, "rounds between checkpoints (0 disables checkpointing)")
-	flag.StringVar(&o.format, "format", "binary", "dataset storage format: binary (columnar samples.bin) or jsonl")
-	flag.StringVar(&o.snapshot, "snapshot", "auto", "analysis snapshot (samples.snap, written once by the post-campaign figure scan): auto (on for binary stores), on, off")
-	flag.StringVar(&o.tix, "tix", "auto", "temporal aggregate index mode: auto (on for binary stores), on, off")
+	flag.StringVar(&o.snapshot, "snapshot", "on", "analysis snapshot (samples.snap, written once by the post-campaign figure scan): on or off")
+	flag.StringVar(&o.tix, "tix", "on", "temporal aggregate index (samples.tix): on or off")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write an end-of-run heap profile to this file")
 	flag.StringVar(&o.statusAddr, "status-addr", "", "serve live run status (/metrics, /debug/events, /api/v1/progress) on this address")
@@ -202,12 +181,13 @@ const flightRecorderSize = 512
 
 func run(o options) (err error) {
 	start := time.Now()
-	// Reject a bad -snapshot mode before any campaign work; the store's
-	// format (which resolves "auto") is only known once it is open.
-	if _, err := (options{snapshot: o.snapshot}).snapshotEnabled(results.FormatBinary); err != nil {
+	// Reject a bad mode before any campaign work.
+	snapEnabled, err := parseOnOff("snapshot", o.snapshot)
+	if err != nil {
 		return err
 	}
-	if _, err := (options{tix: o.tix}).tixEnabled(results.FormatBinary); err != nil {
+	tixEnabled, err := parseOnOff("tix", o.tix)
+	if err != nil {
 		return err
 	}
 	level, err := obs.ParseLevel(o.logLevel)
@@ -354,14 +334,10 @@ func run(o options) (err error) {
 		startRound, startSamples = cp.Round+1, cp.Samples
 		logger.Info("resuming campaign",
 			"rounds_done", startRound, "rounds_total", cfg.Rounds(),
-			"samples", startSamples, "format", store.Format().String(), "sink_offset", cp.SinkOffset)
+			"samples", startSamples, "sink_offset", cp.SinkOffset)
 	} else {
-		format, err := results.ParseFormat(o.format)
-		if err != nil {
-			return err
-		}
 		meta := cfg.Meta(o.seed, w.Probes.Len(), w.Catalog.Len())
-		store, sink, err = results.Create(o.out, meta, format)
+		store, sink, err = results.Create(o.out, meta, results.FormatBinary)
 		if err != nil {
 			return err
 		}
@@ -444,10 +420,6 @@ func run(o options) (err error) {
 	logger.Info("campaign complete",
 		"samples", n, "out", o.out, "elapsed", time.Since(start).Round(time.Millisecond))
 
-	tixEnabled, err := o.tixEnabled(store.Format())
-	if err != nil {
-		return err
-	}
 	if tixEnabled {
 		// The temporal index is an accelerator: a build failure costs
 		// windowed queries their fast path, never the campaign.
@@ -467,10 +439,6 @@ func run(o options) (err error) {
 	// One fused parallel scan of the dataset computes every figure report;
 	// the renderers below only format what it already aggregated.
 	scanCtx := obs.ContextWith(context.Background(), figSpan)
-	snapEnabled, err := o.snapshotEnabled(store.Format())
-	if err != nil {
-		return err
-	}
 	var (
 		rep *core.SuiteReport
 		st  scan.Stats
@@ -492,7 +460,7 @@ func run(o options) (err error) {
 	logger.Info("scan complete",
 		"samples", st.Samples, "duration", st.Duration.Round(time.Millisecond),
 		"mb_per_sec", st.MBPerSec(), "workers", st.Workers)
-	if snapEnabled && st.Binary {
+	if snapEnabled {
 		logger.Info("snapshot coverage",
 			"blocks_read", st.BlocksRead, "blocks_total", st.BlocksTotal,
 			"prefix_blocks", st.PrefixBlocks)
@@ -663,41 +631,23 @@ loop:
 	return coord.Samples(), runErr
 }
 
-// writeTrace dumps the span tree twice: legacy span JSON at path and
-// Chrome trace-event JSON (Perfetto/chrome://tracing loadable) at the
-// derived <path>.chrome.json. Write and close failures are surfaced —
-// a truncated trace must fail the run, not pass silently.
+// writeTrace dumps the span tree as Chrome trace-event JSON
+// (Perfetto/chrome://tracing loadable). Write and close failures are
+// surfaced — a truncated trace must fail the run, not pass silently.
 func writeTrace(path string, root *obs.Span, logger *obs.Logger) error {
-	write := func(p string, emit func(io.Writer) error) error {
-		f, err := os.Create(p)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing trace %s: %w", p, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("closing trace %s: %w", p, err)
-		}
-		return nil
-	}
-	if err := write(path, root.WriteJSON); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	chromePath := chromeTracePath(path)
-	if err := write(chromePath, root.WriteChromeTrace); err != nil {
-		return err
+	if err := root.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing trace %s: %w", path, err)
 	}
-	logger.Info("trace written", "path", path, "chrome_path", chromePath)
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("closing trace %s: %w", path, err)
+	}
+	logger.Info("trace written", "path", path)
 	return nil
-}
-
-// chromeTracePath derives the Chrome trace's file name: x.json becomes
-// x.chrome.json (extension-less paths get .chrome appended).
-func chromeTracePath(path string) string {
-	ext := filepath.Ext(path)
-	return strings.TrimSuffix(path, ext) + ".chrome" + ext
 }
 
 // progressSnapshot builds the /api/v1/progress payload function: a

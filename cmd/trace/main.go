@@ -8,8 +8,7 @@
 //	trace -country NG              # first probe in Nigeria, nearest region
 //	trace -summary trace.json      # per-stage wall-time table of a run trace
 //
-// -summary accepts both trace encodings shears emits: the legacy span-tree
-// JSON and the Chrome trace-event JSON (<path>.chrome.json).
+// -summary reads the Chrome trace-event JSON shears -trace writes.
 package main
 
 import (
@@ -36,7 +35,7 @@ func main() {
 		probes  = flag.Int("probes", 400, "probe census size")
 		seed    = flag.Uint64("seed", 1, "world seed")
 		atStr   = flag.String("at", "2019-09-01T12:00:00Z", "sample time (RFC 3339)")
-		summary = flag.String("summary", "", "summarize this run trace (legacy or Chrome JSON) instead of tracerouting")
+		summary = flag.String("summary", "", "summarize this run trace (Chrome trace-event JSON) instead of tracerouting")
 	)
 	flag.Parse()
 	var lines []string
@@ -54,8 +53,8 @@ func main() {
 	}
 }
 
-// summarize reads a run trace — legacy span-tree JSON or Chrome
-// trace-event JSON — and formats its per-stage wall-time table.
+// summarize reads a run trace (Chrome trace-event JSON) and formats its
+// per-stage wall-time table.
 func summarize(path string) ([]string, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {

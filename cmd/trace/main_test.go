@@ -1,7 +1,8 @@
 package main
 
 import (
-	"io"
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,8 +56,9 @@ func TestTraceErrors(t *testing.T) {
 	}
 }
 
-// TestSummarizeBothFormats renders the stage table from the same span
-// tree written in both trace encodings shears emits.
+// TestSummarizeBothFormats renders the same stage table from both
+// shapes of a Chrome trace: the container object shears writes and the
+// bare event array other tools export.
 func TestSummarizeBothFormats(t *testing.T) {
 	root := obs.NewTrace("shears.run")
 	c := root.Child("world.build")
@@ -65,36 +67,40 @@ func TestSummarizeBothFormats(t *testing.T) {
 	c.End()
 	root.End()
 
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "trace.json")
-	chrome := filepath.Join(dir, "trace.chrome.json")
-	for path, write := range map[string]func(w io.Writer) error{
-		legacy: root.WriteJSON,
-		chrome: root.WriteChromeTrace,
-	} {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	var object bytes.Buffer
+	if err := root.WriteChromeTrace(&object); err != nil {
+		t.Fatal(err)
 	}
-
-	for _, path := range []string{legacy, chrome} {
+	var container struct {
+		TraceEvents json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(object.Bytes(), &container); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var tables []string
+	for name, body := range map[string][]byte{"object.json": object.Bytes(), "array.json": container.TraceEvents} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		lines, err := summarize(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		joined := strings.Join(lines, "\n")
-		for _, want := range []string{`root "shears.run"`, "world.build", "campaign", "stage"} {
-			if !strings.Contains(joined, want) {
-				t.Errorf("%s summary missing %q:\n%s", path, want, joined)
+		table := strings.Join(lines[1:], "\n") // line 0 names the file
+		for _, want := range []string{"world.build", "campaign", "stage"} {
+			if !strings.Contains(table, want) {
+				t.Errorf("%s summary missing %q:\n%s", path, want, table)
 			}
 		}
+		if !strings.Contains(lines[0], `root "shears.run"`) {
+			t.Errorf("%s header = %q", path, lines[0])
+		}
+		tables = append(tables, table)
+	}
+	if tables[0] != tables[1] {
+		t.Errorf("shapes disagree:\n%s\n--\n%s", tables[0], tables[1])
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -22,7 +21,7 @@ func equivCampaign() CampaignConfig {
 	return cfg
 }
 
-// campaignBytes renders a campaign run to its on-disk JSONL byte stream.
+// campaignBytes renders a campaign run to its JSONL byte stream.
 func campaignBytes(t *testing.T, p *Platform, cfg CampaignConfig, opts CampaignOptions) ([]byte, uint64) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -68,21 +67,42 @@ func TestEngineByteIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestEngineKillAndResume interrupts a checkpointing run mid-flight and
-// verifies the resumed dataset matches an uninterrupted run byte for
-// byte.
+// TestEngineKillAndResume interrupts a checkpointing run mid-flight,
+// shuts the sink down cleanly (Close seals the file with its block
+// index), and verifies the checkpoint is sane and the resumed dataset
+// matches an uninterrupted run sample for sample.
 func TestEngineKillAndResume(t *testing.T) {
+	killAndResume(t, (*results.Sink).Close)
+}
+
+// TestEngineKillAndResumeBinary is the hard kill: a real kill never
+// runs Close, so the file ends in flushed blocks with no trailing
+// index, plus whatever the last checkpoint didn't cover.
+func TestEngineKillAndResumeBinary(t *testing.T) {
+	killAndResume(t, (*results.Sink).Flush)
+}
+
+// killAndResume runs the kill-and-resume drill; die is how the killed
+// run leaves its sink. Block boundaries depend on where checkpoints
+// flushed, so the file bytes legitimately differ from an uninterrupted
+// run — the decoded sample stream must not.
+func killAndResume(t *testing.T, die func(*results.Sink) error) {
 	p := smallPlatform(t)
 	cfg := equivCampaign()
 	fp := cfg.Fingerprint(7, p.Population.Len())
 
-	// Reference: one uninterrupted engine run.
-	reference, total := campaignBytes(t, p, cfg, CampaignOptions{Workers: 4})
+	// Reference: the decoded sample stream of one uninterrupted run.
+	var reference []results.Sample
+	total, err := p.RunCampaignOpts(context.Background(), cfg, CampaignOptions{Workers: 4},
+		func(s results.Sample) error { reference = append(reference, s); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	dir := t.TempDir()
 	ckPath := filepath.Join(dir, "checkpoint.json")
 	meta := cfg.Meta(7, p.Population.Len(), p.Catalog.Len())
-	_, sink, err := results.Create(dir, meta, results.FormatJSONL)
+	_, sink, err := results.Create(dir, meta, results.FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +130,7 @@ func TestEngineKillAndResume(t *testing.T) {
 	if !errors.Is(err, kill) {
 		t.Fatalf("interrupted run err = %v, want simulated kill", err)
 	}
-	if err := sink.Close(); err != nil {
+	if err := die(sink); err != nil {
 		t.Fatal(err)
 	}
 	if em.CheckpointWrites.Value() == 0 {
@@ -133,99 +153,6 @@ func TestEngineKillAndResume(t *testing.T) {
 	reopened, err := results.Open(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	sink2, err := reopened.Resume(cp.SinkOffset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := p.RunCampaignOpts(context.Background(), cfg, CampaignOptions{
-		Workers:         3,
-		CheckpointPath:  ckPath,
-		CheckpointEvery: 8,
-		Commit:          sink2.Commit,
-		Fingerprint:     fp,
-		StartRound:      cp.Round + 1,
-		StartSamples:    cp.Samples,
-	}, sink2.Write)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n != total {
-		t.Fatalf("resumed run total = %d, want %d", n, total)
-	}
-
-	got, err := os.ReadFile(filepath.Join(dir, "samples.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, reference) {
-		t.Fatal("resumed dataset diverges from uninterrupted run")
-	}
-}
-
-// TestEngineKillAndResumeBinary mirrors the kill-and-resume check on a
-// binary (colf) store. Block boundaries depend on where checkpoints
-// flushed, so the file bytes legitimately differ from an uninterrupted
-// run — the decoded sample stream must not.
-func TestEngineKillAndResumeBinary(t *testing.T) {
-	p := smallPlatform(t)
-	cfg := equivCampaign()
-	fp := cfg.Fingerprint(7, p.Population.Len())
-
-	// Reference: the decoded sample stream of one uninterrupted run.
-	var reference []results.Sample
-	total, err := p.RunCampaignOpts(context.Background(), cfg, CampaignOptions{Workers: 4},
-		func(s results.Sample) error { reference = append(reference, s); return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	ckPath := filepath.Join(dir, "checkpoint.json")
-	meta := cfg.Meta(7, p.Population.Len(), p.Catalog.Len())
-	_, sink, err := results.Create(dir, meta, results.FormatBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	kill := errors.New("simulated kill")
-	limit := total * 5 / 8
-	var seen uint64
-	_, err = p.RunCampaignOpts(context.Background(), cfg, CampaignOptions{
-		Workers:         4,
-		CheckpointPath:  ckPath,
-		CheckpointEvery: 8,
-		Commit:          sink.Commit,
-		Fingerprint:     fp,
-	}, func(s results.Sample) error {
-		if seen == limit {
-			return kill
-		}
-		seen++
-		return sink.Write(s)
-	})
-	if !errors.Is(err, kill) {
-		t.Fatalf("interrupted run err = %v, want simulated kill", err)
-	}
-	// A real kill never runs Close: the file ends in flushed blocks with
-	// no trailing index, plus whatever the last checkpoint didn't cover.
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	cp, err := engine.LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := results.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reopened.Format() != results.FormatBinary {
-		t.Fatalf("reopened store format %v", reopened.Format())
 	}
 	sink2, err := reopened.Resume(cp.SinkOffset)
 	if err != nil {

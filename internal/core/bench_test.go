@@ -8,58 +8,22 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/atlas"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/snap"
-	"repro/internal/world"
 )
-
-// BenchmarkAllFiguresLegacy measures the pre-fusion cost of a full figure
-// regeneration: one sequential scan of the stored dataset per analysis
-// (seven scans total, decoding through encoding/json each time).
-func BenchmarkAllFiguresLegacy(b *testing.B) {
-	store, w, cfg := fileDataset(b)
-	info, err := os.Stat(store.SamplesPath())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(7 * info.Size())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Proximity(store, w.Index); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.MinRTTByProbe(store, w.Index); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.FullDistribution(store, w.Index); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.LastMile(store, w.Index, cfg.Start, 7*24*time.Hour); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.LastMileSignificance(store, w.Index); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.Diurnal(store, w.Index); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.ProviderComparison(store, w.Index); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkIncrementalAppend measures re-analysis after one 3-hour round
 // is appended to the stored 30-day binary campaign: a cold full rescan
 // versus a snapshot-resumed scan that decodes only the appended blocks.
 // The resumed path must stay a strict delta scan — the benchmark fails
-// if it decodes more than a tenth of the store's blocks.
+// if it decodes more than a tenth of the store's blocks. bench/'s
+// snap.resume_ms times one such resume inside a larger composition;
+// this keeps the cold and resumed scans side by side on one store, with
+// allocation counts, which no per-layer metric reports.
 func BenchmarkIncrementalAppend(b *testing.B) {
-	src, w, cfg := fileDatasetBinary(b)
+	src, w, cfg := fileDataset(b)
 	ctx := context.Background()
 
 	// Work on a copy: appending must not pollute the shared fixture.
@@ -152,23 +116,13 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 	})
 }
 
-// BenchmarkAllFiguresFused measures the same workload as one fused
-// parallel scan: every pass fed from a single pass over the file, decoded
-// by the fast-path decoder across GOMAXPROCS workers.
-func BenchmarkAllFiguresFused(b *testing.B) {
-	benchAllFiguresFused(b, fileDataset)
-}
-
-// BenchmarkAllFiguresFusedBinary is the same fused scan over the
-// binary twin of the store — the configuration the batch kernels
-// target: column arrays feed ObserveBlock directly, with no per-row
-// Sample materialization.
+// BenchmarkAllFiguresFusedBinary measures a full figure regeneration:
+// one fused parallel scan feeding every pass's ObserveBlock kernel
+// across GOMAXPROCS workers. bench/'s scan.cold_samples_per_s_w1/_w2
+// time the same scan at one and two workers; this one adds B/op and
+// allocs/op at the host's full width.
 func BenchmarkAllFiguresFusedBinary(b *testing.B) {
-	benchAllFiguresFused(b, fileDatasetBinary)
-}
-
-func benchAllFiguresFused(b *testing.B, dataset func(testing.TB) (*results.Store, *world.World, atlas.CampaignConfig)) {
-	store, w, cfg := dataset(b)
+	store, w, cfg := fileDataset(b)
 	info, err := os.Stat(store.SamplesPath())
 	if err != nil {
 		b.Fatal(err)

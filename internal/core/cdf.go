@@ -124,25 +124,10 @@ func MinRTTByProbe(src results.Source, idx *Index) (*CDFReport, error) {
 	return p.Report()
 }
 
-// NearestRegion determines, per probe, the datacenter with the lowest
-// observed RTT over the campaign — the probe's "closest datacenter" in the
-// figure captions. It needs one pass over the dataset.
-func NearestRegion(src results.Source, idx *Index) (map[int]string, error) {
-	if src == nil || idx == nil {
-		return nil, errors.New("analysis: nil source or index")
-	}
-	p := &nearestPass{idx: idx, bests: make(nearestTracker)}
-	if err := RunPasses(src, p); err != nil {
-		return nil, err
-	}
-	return p.report()
-}
-
 // FullDistribution builds Figure 6: the CDF, per continent, of all ping
 // measurements from every probe to its closest datacenter (§4.3). It is a
 // single-pass wrapper over FullDistPass, which folds nearest-region
-// tracking into the same scan that buffers the samples — the former
-// two-pass implementation (NearestRegion, then a re-scan) is gone.
+// tracking into the same scan that buffers the samples.
 func FullDistribution(src results.Source, idx *Index) (*CDFReport, error) {
 	if src == nil || idx == nil {
 		return nil, errors.New("analysis: nil source or index")

@@ -33,18 +33,13 @@ type HotSuite struct {
 	coveredBlocks int
 }
 
-// NewHotSuite builds the resident suite for a binary store, seeded from
-// the snapshot named by so.Path when it validates (the same
-// prefix-proof rules as ScanStoreSnap; any mismatch just seeds empty —
-// never wrong state). The store must be colf: live serving leans on
-// block boundaries to advance past a torn tail, which JSONL cannot
-// offer.
+// NewHotSuite builds the resident suite for a store, seeded from the
+// snapshot named by so.Path when it validates (the same prefix-proof
+// rules as ScanStoreSnap; any mismatch just seeds empty — never wrong
+// state).
 func NewHotSuite(store *results.Store, idx *Index, start time.Time, binWidth time.Duration, so SnapshotOptions) (*HotSuite, error) {
 	if store == nil || idx == nil {
 		return nil, errors.New("core: nil store or index")
-	}
-	if store.Format() != results.FormatBinary {
-		return nil, fmt.Errorf("core: hot serving needs a binary store, not %v", store.Format())
 	}
 	h := &HotSuite{idx: idx, start: start, binWidth: binWidth, coveredBytes: colf.HeaderSize}
 	if so.Path != "" {

@@ -15,16 +15,26 @@ import (
 )
 
 // Pass is the streaming-aggregate contract shared with the parallel
-// scanner: Observe every sample, Merge a later shard's partial state,
-// and (per concrete type) Report the finished analysis. Every figure's
-// analysis is a Pass, so one scan of the dataset can feed all of them
-// at once — sequentially via RunPasses, or sharded via scan.File.
+// scanner: ObserveBlock every decoded block, Merge a later group's
+// partial state, and (per concrete type) Report the finished analysis.
+// Every figure's analysis is a Pass, so one scan of the dataset can feed
+// all of them at once.
 type Pass = scan.Pass
 
+// RowPass is a Pass that also folds one sample at a time. Observe must
+// fold exactly the state ObserveBlock folds for the same rows in the
+// same order: RunPasses over a results.Source is the sequential
+// reference the block kernels are tested against, and the only way to
+// analyse samples that are not in a store.
+type RowPass interface {
+	Pass
+	Observe(s results.Sample) error
+}
+
 // RunPasses streams src once, feeding every sample to each pass in
-// order. It is the sequential single-scan driver; the legacy per-figure
+// order. It is the sequential single-scan driver; the per-figure
 // functions are thin wrappers over it.
-func RunPasses(src results.Source, passes ...Pass) error {
+func RunPasses(src results.Source, passes ...RowPass) error {
 	if src == nil {
 		return errors.New("analysis: nil source")
 	}
@@ -114,7 +124,7 @@ func NewProximityPass(idx *Index) *ProximityPass {
 	return &ProximityPass{idx: idx, byCountry: make(map[string]*proximityAcc)}
 }
 
-// Observe implements Pass.
+// Observe implements RowPass.
 func (p *ProximityPass) Observe(s results.Sample) error {
 	if s.Lost {
 		return nil
@@ -194,7 +204,7 @@ func NewMinRTTPass(idx *Index) *MinRTTPass {
 	return &MinRTTPass{idx: idx, mins: make(map[int]float64)}
 }
 
-// Observe implements Pass.
+// Observe implements RowPass.
 func (p *MinRTTPass) Observe(s results.Sample) error {
 	if s.Lost || !p.idx.Known(s.ProbeID) {
 		return nil
@@ -243,46 +253,11 @@ func (p *MinRTTPass) Report() (*CDFReport, error) {
 	return rep, nil
 }
 
-// nearestPass backs NearestRegion as a single pass.
-type nearestPass struct {
-	idx   *Index
-	bests nearestTracker
-}
-
-func (p *nearestPass) Observe(s results.Sample) error {
-	if s.Lost || !p.idx.Known(s.ProbeID) {
-		return nil
-	}
-	p.bests.observe(s)
-	return nil
-}
-
-func (p *nearestPass) Merge(other Pass) error {
-	o, ok := other.(*nearestPass)
-	if !ok {
-		return mergeTypeError("nearestPass", other)
-	}
-	p.bests.merge(o.bests)
-	return nil
-}
-
-func (p *nearestPass) report() (map[int]string, error) {
-	if len(p.bests) == 0 {
-		return nil, errors.New("analysis: no delivered samples")
-	}
-	out := make(map[int]string, len(p.bests))
-	for id, b := range p.bests {
-		out[id] = b.region
-	}
-	return out, nil
-}
-
 // FullDistPass accumulates Figure 6 in a single pass: it tracks each
 // probe's nearest region while buffering every delivered (probe, region)
 // RTT stream, then keeps only the nearest region's stream at report
-// time. This replaces FullDistribution's two passes (NearestRegion, then
-// a re-scan) with one, at the cost of holding the delivered samples in
-// memory — about one float per delivered sample, which at the paper's
+// time. One scan instead of two (nearest region, then a re-scan), at the
+// cost of holding the delivered samples in memory — about one float per delivered sample, which at the paper's
 // 3.2M-sample scale is a few tens of MB.
 type FullDistPass struct {
 	idx     *Index
@@ -374,7 +349,7 @@ func (p *FullDistPass) materializeAll() error {
 	return nil
 }
 
-// Observe implements Pass.
+// Observe implements RowPass.
 func (p *FullDistPass) Observe(s results.Sample) error {
 	if s.Lost || !p.idx.Known(s.ProbeID) {
 		return nil
@@ -504,7 +479,7 @@ func newLastMileAccum(idx *Index) *LastMilePass {
 	}
 }
 
-// Observe implements Pass.
+// Observe implements RowPass.
 func (p *LastMilePass) Observe(s results.Sample) error {
 	if s.Lost || !p.idx.Known(s.ProbeID) {
 		return nil
@@ -728,7 +703,7 @@ func NewDiurnalPass(idx *Index) *DiurnalPass {
 	return &DiurnalPass{idx: idx}
 }
 
-// Observe implements Pass.
+// Observe implements RowPass.
 func (p *DiurnalPass) Observe(s results.Sample) error {
 	if s.Lost {
 		return nil
@@ -799,7 +774,7 @@ func NewProviderPass(idx *Index) *ProviderPass {
 	return &ProviderPass{idx: idx, byProvider: make(map[string]*providerAcc)}
 }
 
-// Observe implements Pass.
+// Observe implements RowPass.
 func (p *ProviderPass) Observe(s results.Sample) error {
 	if !p.idx.Known(s.ProbeID) {
 		return nil

@@ -24,8 +24,7 @@ import (
 // Analysis snapshots: the suite's merged pass state, persisted next to
 // the samples file so re-analyzing an append-only store costs O(delta).
 // A snapshot binds to (pass-set version + figure geometry, probe index,
-// campaign meta, store format, covered byte/block boundary, content
-// window CRCs); any mismatch discards it and the scan runs cold, so a
+// campaign meta, covered byte/block boundary, content window CRCs); any mismatch discards it and the scan runs cold, so a
 // stale or corrupt snapshot can never change a figure — the worst case
 // is a cache miss. State is serialized with exact IEEE-754 bits and in
 // insertion order, which keeps figures byte-identical whether computed
@@ -59,9 +58,6 @@ type SnapshotOptions struct {
 	// Log, when set, receives snapshot lifecycle events (hit, miss,
 	// invalidation, write) for the run's flight recorder.
 	Log *obs.Logger
-	// RowScan forces the scanner's legacy per-row path, disabling the
-	// batch kernels — an escape hatch for equivalence checks.
-	RowScan bool
 	// Passes names the passes the caller will read from the report; the
 	// others come back nil. The zero value reports all six. A resumed
 	// scan that leaves the snapshot alone seeds, scans and merges only
@@ -133,13 +129,6 @@ func MetaFingerprint(m results.Meta) string {
 // Figure 7 geometry the LastMile pass is parameterized by.
 func passSetID(start time.Time, binWidth time.Duration) string {
 	return fmt.Sprintf("suite-v%d|start=%d|width=%d", suiteStateVersion, start.UTC().UnixNano(), int64(binWidth))
-}
-
-func snapFormat(f results.Format) snap.Format {
-	if f == results.FormatBinary {
-		return snap.FormatBinary
-	}
-	return snap.FormatJSONL
 }
 
 // Merge folds other — the suite accumulated over the samples after the
@@ -756,7 +745,7 @@ func loadSnapshot(path string, store *results.Store, idx *Index, start time.Time
 	if h.PassSet != passSetID(start, binWidth) ||
 		h.Index != idx.Fingerprint() ||
 		h.Meta != MetaFingerprint(store.Meta()) ||
-		h.Format != snapFormat(store.Format()) ||
+		h.Format != snap.FormatBinary ||
 		h.CoveredBytes <= 0 {
 		invalidate("header mismatch")
 		return nil, 0, nil
@@ -787,7 +776,7 @@ func loadSnapshot(path string, store *results.Store, idx *Index, start time.Time
 	// back to a cold one, which writes.
 	var sel PassSet
 	if so.Passes.partial() {
-		if end, err := sealedDataEnd(f, fi.Size(), store.Format(), h.CoveredBytes); err == nil && !so.rewriteDue(resume, end) {
+		if end, err := sealedDataEnd(f, fi.Size(), h.CoveredBytes); err == nil && !so.rewriteDue(resume, end) {
 			sel = so.Passes
 		}
 	}
@@ -800,12 +789,9 @@ func loadSnapshot(path string, store *results.Store, idx *Index, start time.Time
 }
 
 // sealedDataEnd returns, ahead of the scan, the scan.Stats.DataEnd a
-// scan resumed at boundary will report: the file size on JSONL, the end
-// of the last sealed block on binary stores.
-func sealedDataEnd(f *os.File, size int64, format results.Format, boundary int64) (int64, error) {
-	if format != results.FormatBinary {
-		return size, nil
-	}
+// scan resumed at boundary will report: the end of the last sealed
+// block.
+func sealedDataEnd(f *os.File, size int64, boundary int64) (int64, error) {
 	blocks, err := colf.DeltaBlocks(f, size, boundary)
 	if err != nil || len(blocks) == 0 {
 		return boundary, err
@@ -827,17 +813,15 @@ func writeSnapshot(path string, store *results.Store, idx *Index, start time.Tim
 		return err
 	}
 	h := snap.Header{
-		PassSet:      passSetID(start, binWidth),
-		Index:        idx.Fingerprint(),
-		Meta:         MetaFingerprint(store.Meta()),
-		Format:       snapFormat(store.Format()),
-		CoveredBytes: st.DataEnd,
-		Samples:      samples,
-		HeadCRC:      head,
-		TailCRC:      tail,
-	}
-	if st.Binary {
-		h.CoveredBlocks = st.BlocksTotal
+		PassSet:       passSetID(start, binWidth),
+		Index:         idx.Fingerprint(),
+		Meta:          MetaFingerprint(store.Meta()),
+		Format:        snap.FormatBinary,
+		CoveredBytes:  st.DataEnd,
+		CoveredBlocks: st.BlocksTotal,
+		Samples:       samples,
+		HeadCRC:       head,
+		TailCRC:       tail,
 	}
 	state, err := merged.EncodeState()
 	if err != nil {
@@ -887,7 +871,6 @@ func scanSeeded(ctx context.Context, store *results.Store, idx *Index, start tim
 			Workers: workers,
 			Metrics: m,
 			Log:     so.Log,
-			RowScan: so.RowScan,
 			Resume:  r,
 			NewPasses: func(worker int) ([]scan.Pass, error) {
 				s, err := NewSuite(idx, start, binWidth)

@@ -82,17 +82,9 @@ func campaignPrefix(t *testing.T, w *world.World, rounds int) []results.Sample {
 }
 
 // storeDataEnd returns the append boundary of the store's samples file:
-// the end of the last block (binary, excluding the trailing index) or
-// the file size (JSONL).
+// the end of the last block, excluding the trailing index.
 func storeDataEnd(t testing.TB, store *results.Store) int64 {
 	t.Helper()
-	if store.Format() != results.FormatBinary {
-		fi, err := os.Stat(store.SamplesPath())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fi.Size()
-	}
 	r, closer, err := colf.Open(store.SamplesPath())
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +100,7 @@ func storeDataEnd(t testing.TB, store *results.Store) int64 {
 
 // appendSamples grows the store in place, exactly like a checkpoint
 // resume would: reopen at the data end, append, close (which rewrites
-// the binary index).
+// the block index).
 func appendSamples(t testing.TB, store *results.Store, smps []results.Sample) {
 	t.Helper()
 	sink, err := store.Resume(storeDataEnd(t, store))
@@ -127,9 +119,9 @@ func appendSamples(t testing.TB, store *results.Store, smps []results.Sample) {
 }
 
 // buildStore writes samples into a fresh store under dir.
-func buildStore(t testing.TB, dir string, meta results.Meta, format results.Format, smps []results.Sample) *results.Store {
+func buildStore(t testing.TB, dir string, meta results.Meta, smps []results.Sample) *results.Store {
 	t.Helper()
-	store, sink, err := results.Create(dir, meta, format)
+	store, sink, err := results.Create(dir, meta, results.FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +151,7 @@ func coldRender(t *testing.T, store *results.Store, w *world.World, start time.T
 // starting from a 24-round store, three successive one-round appends
 // each render byte-identical figure lines and CSVs whether scanned cold
 // or resumed from the pre-append snapshot, for workers 1, 2, 4 and 7 —
-// and the resumed binary scans decode only the appended blocks.
+// and the resumed scans decode only the appended blocks.
 func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 	w := snapWorldGet(t)
 	full := campaignPrefix(t, w, 27)
@@ -175,98 +167,88 @@ func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 	meta := cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len())
 	ctx := context.Background()
 
-	for _, format := range []results.Format{results.FormatBinary, results.FormatJSONL} {
-		name := "binary"
-		if format == results.FormatJSONL {
-			name = "jsonl"
+	// The subtest name is the store encoding, kept from when there were two.
+	t.Run("binary", func(t *testing.T) {
+		store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, full[:cuts[0]])
+		snapPath := store.SnapshotPath()
+		opts := func(sm *snap.Metrics) core.SnapshotOptions {
+			return core.SnapshotOptions{Path: snapPath, Metrics: sm}
 		}
-		t.Run(name, func(t *testing.T) {
-			store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, format, full[:cuts[0]])
-			snapPath := store.SnapshotPath()
-			opts := func(sm *snap.Metrics) core.SnapshotOptions {
-				return core.SnapshotOptions{Path: snapPath, Metrics: sm}
-			}
 
-			// First snapshot-enabled scan: no file yet, so a counted miss,
-			// a cold scan, and a write — rendering the cold bytes.
-			sm := snap.NewMetrics(obs.NewRegistry())
-			rep, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil, opts(sm))
+		// First snapshot-enabled scan: no file yet, so a counted miss,
+		// a cold scan, and a write — rendering the cold bytes.
+		sm := snap.NewMetrics(obs.NewRegistry())
+		rep, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil, opts(sm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sm.Misses.Value() != 1 || sm.Writes.Value() != 1 || sm.Hits.Value() != 0 || sm.Invalidations.Value() != 0 {
+			t.Fatalf("seed scan counters: miss=%d write=%d hit=%d invalid=%d",
+				sm.Misses.Value(), sm.Writes.Value(), sm.Hits.Value(), sm.Invalidations.Value())
+		}
+		if got, want := renderSuite(t, rep), coldRender(t, store, w, cfg.Start); !bytes.Equal(got, want) {
+			t.Fatal("seed snapshot scan diverges from cold scan")
+		}
+
+		// Pure hit: nothing appended, so nothing is decoded and the
+		// snapshot is not rewritten.
+		sm = snap.NewMetrics(obs.NewRegistry())
+		rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil, opts(sm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sm.Hits.Value() != 1 || sm.Writes.Value() != 0 || sm.Invalidations.Value() != 0 {
+			t.Fatalf("pure-hit counters: hit=%d write=%d invalid=%d",
+				sm.Hits.Value(), sm.Writes.Value(), sm.Invalidations.Value())
+		}
+		if st.Samples != 0 || st.BlocksRead != 0 {
+			t.Fatalf("pure hit decoded %d samples, %d blocks", st.Samples, st.BlocksRead)
+		}
+		if got, want := renderSuite(t, rep), coldRender(t, store, w, cfg.Start); !bytes.Equal(got, want) {
+			t.Fatal("pure-hit scan diverges from cold scan")
+		}
+
+		prev := cuts[0]
+		for ai, cut := range []int{cuts[1], cuts[2], len(full)} {
+			appendSamples(t, store, full[prev:cut])
+			prev = cut
+			// The snapshot on disk covers the pre-append prefix; replay
+			// every worker count from that same starting point.
+			preSnap, err := os.ReadFile(snapPath)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sm.Misses.Value() != 1 || sm.Writes.Value() != 1 || sm.Hits.Value() != 0 || sm.Invalidations.Value() != 0 {
-				t.Fatalf("seed scan counters: miss=%d write=%d hit=%d invalid=%d",
-					sm.Misses.Value(), sm.Writes.Value(), sm.Hits.Value(), sm.Invalidations.Value())
-			}
-			if got, want := renderSuite(t, rep), coldRender(t, store, w, cfg.Start); !bytes.Equal(got, want) {
-				t.Fatal("seed snapshot scan diverges from cold scan")
-			}
-
-			// Pure hit: nothing appended, so nothing is decoded and the
-			// snapshot is not rewritten.
-			sm = snap.NewMetrics(obs.NewRegistry())
-			rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil, opts(sm))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sm.Hits.Value() != 1 || sm.Writes.Value() != 0 || sm.Invalidations.Value() != 0 {
-				t.Fatalf("pure-hit counters: hit=%d write=%d invalid=%d",
-					sm.Hits.Value(), sm.Writes.Value(), sm.Invalidations.Value())
-			}
-			if st.Samples != 0 || st.BlocksRead != 0 {
-				t.Fatalf("pure hit decoded %d samples, %d blocks", st.Samples, st.BlocksRead)
-			}
-			if got, want := renderSuite(t, rep), coldRender(t, store, w, cfg.Start); !bytes.Equal(got, want) {
-				t.Fatal("pure-hit scan diverges from cold scan")
-			}
-
-			prev := cuts[0]
-			for ai, cut := range []int{cuts[1], cuts[2], len(full)} {
-				appendSamples(t, store, full[prev:cut])
-				prev = cut
-				// The snapshot on disk covers the pre-append prefix; replay
-				// every worker count from that same starting point.
-				preSnap, err := os.ReadFile(snapPath)
-				if err != nil {
+			want := coldRender(t, store, w, cfg.Start)
+			for _, workers := range []int{1, 2, 4, 7} {
+				if err := os.WriteFile(snapPath, preSnap, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				want := coldRender(t, store, w, cfg.Start)
-				for _, workers := range []int{1, 2, 4, 7} {
-					if err := os.WriteFile(snapPath, preSnap, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					sm := snap.NewMetrics(obs.NewRegistry())
-					rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, workers, nil, opts(sm))
-					if err != nil {
-						t.Fatalf("append %d workers=%d: %v", ai+1, workers, err)
-					}
-					if !bytes.Equal(renderSuite(t, rep), want) {
-						t.Errorf("append %d workers=%d: rendered figures diverge from cold scan", ai+1, workers)
-					}
-					if sm.Hits.Value() != 1 || sm.Misses.Value() != 0 || sm.Invalidations.Value() != 0 || sm.Writes.Value() != 1 {
-						t.Errorf("append %d workers=%d counters: hit=%d miss=%d invalid=%d write=%d",
-							ai+1, workers, sm.Hits.Value(), sm.Misses.Value(), sm.Invalidations.Value(), sm.Writes.Value())
-					}
-					if st.PrefixBytes == 0 {
-						t.Errorf("append %d workers=%d: scan reports no resumed prefix", ai+1, workers)
-					}
-					if format == results.FormatBinary {
-						if !st.Binary {
-							t.Fatalf("append %d: binary store scanned as JSONL", ai+1)
-						}
-						if st.PrefixBlocks == 0 || st.BlocksRead != st.BlocksTotal-st.PrefixBlocks {
-							t.Errorf("append %d workers=%d: decoded %d of %d blocks with %d-block prefix; want delta only",
-								ai+1, workers, st.BlocksRead, st.BlocksTotal, st.PrefixBlocks)
-						}
-						if sm.BlocksSkipped.Value() != uint64(st.PrefixBlocks) {
-							t.Errorf("append %d workers=%d: snap_blocks_skipped_total=%d, prefix holds %d blocks",
-								ai+1, workers, sm.BlocksSkipped.Value(), st.PrefixBlocks)
-						}
-					}
+				sm := snap.NewMetrics(obs.NewRegistry())
+				rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, workers, nil, opts(sm))
+				if err != nil {
+					t.Fatalf("append %d workers=%d: %v", ai+1, workers, err)
+				}
+				if !bytes.Equal(renderSuite(t, rep), want) {
+					t.Errorf("append %d workers=%d: rendered figures diverge from cold scan", ai+1, workers)
+				}
+				if sm.Hits.Value() != 1 || sm.Misses.Value() != 0 || sm.Invalidations.Value() != 0 || sm.Writes.Value() != 1 {
+					t.Errorf("append %d workers=%d counters: hit=%d miss=%d invalid=%d write=%d",
+						ai+1, workers, sm.Hits.Value(), sm.Misses.Value(), sm.Invalidations.Value(), sm.Writes.Value())
+				}
+				if st.PrefixBytes == 0 {
+					t.Errorf("append %d workers=%d: scan reports no resumed prefix", ai+1, workers)
+				}
+				if st.PrefixBlocks == 0 || st.BlocksRead != st.BlocksTotal-st.PrefixBlocks {
+					t.Errorf("append %d workers=%d: decoded %d of %d blocks with %d-block prefix; want delta only",
+						ai+1, workers, st.BlocksRead, st.BlocksTotal, st.PrefixBlocks)
+				}
+				if sm.BlocksSkipped.Value() != uint64(st.PrefixBlocks) {
+					t.Errorf("append %d workers=%d: snap_blocks_skipped_total=%d, prefix holds %d blocks",
+						ai+1, workers, sm.BlocksSkipped.Value(), st.PrefixBlocks)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSnapshotInvalidation covers every discard path: a snapshot that
@@ -294,10 +276,10 @@ func TestSnapshotInvalidation(t *testing.T) {
 		}
 	}
 
-	// seed builds a store in the given format with a fresh valid snapshot.
-	seed := func(t *testing.T, format results.Format) *results.Store {
+	// seed builds a store with a fresh valid snapshot.
+	seed := func(t *testing.T) *results.Store {
 		t.Helper()
-		store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, format, full)
+		store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, full)
 		seedSnap(t, store)
 		return store
 	}
@@ -360,7 +342,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 	t.Run("pass set change", func(t *testing.T) {
 		// Analyzing with a different Figure 7 bin width is a different
 		// pass set; the old snapshot's state must not leak into it.
-		store := seed(t, results.FormatBinary)
+		store := seed(t)
 		rescan(t, store, 24*time.Hour)
 	})
 
@@ -368,7 +350,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 		// A file from before the dictionary-coded state layout carries the
 		// old pass-set version: it is refused at the header, its payload
 		// never reaching the state decoder.
-		store := seed(t, results.FormatBinary)
+		store := seed(t)
 		tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) {
 			v1 := strings.Replace(h.PassSet, "suite-v2|", "suite-v1|", 1)
 			if v1 == h.PassSet {
@@ -384,7 +366,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 	t.Run("malformed state", func(t *testing.T) {
 		// A well-enveloped, correctly bound snapshot whose state breaks a
 		// layout rule is dropped by the state decoder, not applied.
-		store := seed(t, results.FormatBinary)
+		store := seed(t)
 		for _, tc := range malformedStates {
 			h, _, err := snap.ReadFile(store.SnapshotPath())
 			if err != nil {
@@ -400,13 +382,23 @@ func TestSnapshotInvalidation(t *testing.T) {
 	})
 
 	t.Run("index fingerprint mismatch", func(t *testing.T) {
-		store := seed(t, results.FormatBinary)
+		store := seed(t)
 		tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) { h.Index = "0000000000000000" })
 		rescan(t, store, snapBinWidth)
 	})
 
+	t.Run("format byte", func(t *testing.T) {
+		// The header's store-encoding byte has one valid value; a file
+		// written for any other encoding binds to no store.
+		store := seed(t)
+		tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) { h.Format = 0 })
+		if log := rescan(t, store, snapBinWidth); !strings.Contains(log, "header mismatch") {
+			t.Errorf("invalidation reason not header mismatch:\n%s", log)
+		}
+	})
+
 	t.Run("meta fingerprint mismatch", func(t *testing.T) {
-		store := seed(t, results.FormatJSONL)
+		store := seed(t)
 		tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) { h.Meta = "0000000000000000" })
 		rescan(t, store, snapBinWidth)
 	})
@@ -415,7 +407,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 		// A covered boundary that passes every header check but is not a
 		// block boundary fails at scan time; the scan must then drop the
 		// snapshot and retry cold instead of surfacing the error.
-		store := seed(t, results.FormatBinary)
+		store := seed(t)
 		f, err := os.Open(store.SamplesPath())
 		if err != nil {
 			t.Fatal(err)
@@ -433,7 +425,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 	})
 
 	t.Run("corrupt snapshot file", func(t *testing.T) {
-		store := seed(t, results.FormatBinary)
+		store := seed(t)
 		data, err := os.ReadFile(store.SnapshotPath())
 		if err != nil {
 			t.Fatal(err)
@@ -451,7 +443,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 		// store and must go.
 		// Build the store in two sink sessions so it holds two blocks and
 		// a mid-file block boundary exists to truncate at.
-		store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, results.FormatBinary, full[:len(full)/2])
+		store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, full[:len(full)/2])
 		appendSamples(t, store, full[len(full)/2:])
 		seedSnap(t, store)
 		r, closer, err := colf.Open(store.SamplesPath())
@@ -472,24 +464,19 @@ func TestSnapshotInvalidation(t *testing.T) {
 
 	t.Run("modified store content", func(t *testing.T) {
 		// Same length, different bytes: the head window CRC catches an
-		// in-place rewrite of covered data.
-		store := seed(t, results.FormatJSONL)
-		data, err := os.ReadFile(store.SamplesPath())
+		// in-place rewrite of covered data. RTTs are stored as raw bits,
+		// so a store rebuilt with one RTT changed is a valid file of the
+		// same size.
+		store := seed(t)
+		altered := append([]results.Sample(nil), full...)
+		altered[0].RTTms += 0.25
+		twin := buildStore(t, filepath.Join(t.TempDir(), "twin"), meta, altered)
+		data, err := os.ReadFile(twin.SamplesPath())
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := bytes.Index(data, []byte(`"rtt_ms":`))
-		if i < 0 {
-			t.Fatal("no rtt field in first line")
-		}
-		i += len(`"rtt_ms":`)
-		for data[i] < '0' || data[i] > '9' {
-			i++
-		}
-		if data[i] == '1' {
-			data[i] = '3'
-		} else {
-			data[i] = '1'
+		if fi, err := os.Stat(store.SamplesPath()); err != nil || fi.Size() != int64(len(data)) {
+			t.Fatalf("twin store is %d bytes, original %v (%v); the rewrite must preserve length", len(data), fi, err)
 		}
 		if err := os.WriteFile(store.SamplesPath(), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -585,7 +572,7 @@ func TestSuiteStateSpellsRegionsOnce(t *testing.T) {
 	const rounds = 8
 	full := campaignPrefix(t, w, rounds)
 	cfg := snapConfig(rounds)
-	store := buildStore(t, filepath.Join(t.TempDir(), "ds"), cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len()), results.FormatBinary, full)
+	store := buildStore(t, filepath.Join(t.TempDir(), "ds"), cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len()), full)
 	if _, _, err := core.ScanStoreSnap(context.Background(), store, w.Index, cfg.Start, snapBinWidth, 2, nil,
 		core.SnapshotOptions{Path: store.SnapshotPath()}); err != nil {
 		t.Fatal(err)
@@ -610,33 +597,31 @@ func TestSuiteStateSpellsRegionsOnce(t *testing.T) {
 	}
 }
 
-// TestScanStoreEmpty pins the empty-store sentinel for both formats,
-// with and without snapshots enabled; an empty store must never leave a
-// snapshot file behind.
+// TestScanStoreEmpty pins the empty-store sentinel, with and without
+// snapshots enabled; an empty store must never leave a snapshot file
+// behind.
 func TestScanStoreEmpty(t *testing.T) {
 	w := snapWorldGet(t)
 	cfg := snapConfig(4)
 	meta := cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len())
-	for _, format := range []results.Format{results.FormatBinary, results.FormatJSONL} {
-		store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, format, nil)
-		if _, _, err := core.ScanStore(context.Background(), store, w.Index, cfg.Start, snapBinWidth, 2, nil); !errors.Is(err, core.ErrEmptyStore) {
-			t.Errorf("format %v: cold scan of empty store: err=%v, want ErrEmptyStore", format, err)
-		}
-		sm := snap.NewMetrics(obs.NewRegistry())
-		_, _, err := core.ScanStoreSnap(context.Background(), store, w.Index, cfg.Start, snapBinWidth, 2, nil,
-			core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm})
-		if !errors.Is(err, core.ErrEmptyStore) {
-			t.Errorf("format %v: snapshot scan of empty store: err=%v, want ErrEmptyStore", format, err)
-		}
-		if _, err := os.Stat(store.SnapshotPath()); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("format %v: empty store grew a snapshot file", format)
-		}
-		// UpdateSnapshot treats empty as a no-op, not an error: the engine
-		// calls it from checkpoint hooks before any samples may exist.
-		if _, err := core.UpdateSnapshot(context.Background(), store, w.Index, cfg.Start, snapBinWidth, 2, nil,
-			core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm}); err != nil {
-			t.Errorf("format %v: UpdateSnapshot on empty store: %v", format, err)
-		}
+	store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, nil)
+	if _, _, err := core.ScanStore(context.Background(), store, w.Index, cfg.Start, snapBinWidth, 2, nil); !errors.Is(err, core.ErrEmptyStore) {
+		t.Errorf("cold scan of empty store: err=%v, want ErrEmptyStore", err)
+	}
+	sm := snap.NewMetrics(obs.NewRegistry())
+	_, _, err := core.ScanStoreSnap(context.Background(), store, w.Index, cfg.Start, snapBinWidth, 2, nil,
+		core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm})
+	if !errors.Is(err, core.ErrEmptyStore) {
+		t.Errorf("snapshot scan of empty store: err=%v, want ErrEmptyStore", err)
+	}
+	if _, err := os.Stat(store.SnapshotPath()); !errors.Is(err, os.ErrNotExist) {
+		t.Error("empty store grew a snapshot file")
+	}
+	// UpdateSnapshot treats empty as a no-op, not an error: the engine
+	// calls it from checkpoint hooks before any samples may exist.
+	if _, err := core.UpdateSnapshot(context.Background(), store, w.Index, cfg.Start, snapBinWidth, 2, nil,
+		core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm}); err != nil {
+		t.Errorf("UpdateSnapshot on empty store: %v", err)
 	}
 }
 
@@ -656,7 +641,7 @@ func TestSnapshotRefreshGate(t *testing.T) {
 	meta := cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len())
 	ctx := context.Background()
 
-	store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, results.FormatBinary, prefix)
+	store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, prefix)
 	snapPath := store.SnapshotPath()
 
 	// Seed write: the gate never blocks the first snapshot of a store.

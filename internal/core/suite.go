@@ -176,7 +176,7 @@ func RunSuite(src results.Source, idx *Index, start time.Time, binWidth time.Dur
 	if err != nil {
 		return nil, err
 	}
-	if err := RunPasses(src, s.Passes()...); err != nil {
+	if err := RunPasses(src, s.Proximity, s.MinRTT, s.FullDist, s.LastMile, s.Diurnal, s.Provider); err != nil {
 		return nil, err
 	}
 	return s.Report()

@@ -12,9 +12,11 @@ import (
 	"time"
 
 	"repro/internal/atlas"
+	"repro/internal/colf"
 	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/results"
+	"repro/internal/scan"
 	"repro/internal/world"
 )
 
@@ -36,9 +38,8 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// fileDataset returns a stored month-long test campaign (~400 probes)
-// in JSONL form. A binary twin of the same campaign lives next to it;
-// fileDatasetBinary opens that one.
+// fileDataset returns a stored month-long test campaign (~400 probes,
+// ~190k samples in two dozen blocks).
 func fileDataset(tb testing.TB) (*results.Store, *world.World, atlas.CampaignConfig) {
 	tb.Helper()
 	fileOnce.Do(func() {
@@ -53,7 +54,7 @@ func fileDataset(tb testing.TB) (*results.Store, *world.World, atlas.CampaignCon
 		fileCfg = atlas.TestCampaign()
 		meta := fileCfg.Meta(7, fileWorld.Probes.Len(), fileWorld.Catalog.Len())
 		var sink *results.Sink
-		_, sink, fileErr = results.Create(filepath.Join(fileDir, "ds"), meta, results.FormatJSONL)
+		_, sink, fileErr = results.Create(filepath.Join(fileDir, "ds"), meta, results.FormatBinary)
 		if fileErr != nil {
 			return
 		}
@@ -61,25 +62,7 @@ func fileDataset(tb testing.TB) (*results.Store, *world.World, atlas.CampaignCon
 			sink.Close()
 			return
 		}
-		if fileErr = sink.Close(); fileErr != nil {
-			return
-		}
-		// Binary twin: the same samples re-encoded into a colf store.
-		var src *results.Store
-		src, fileErr = results.Open(filepath.Join(fileDir, "ds"))
-		if fileErr != nil {
-			return
-		}
-		var bsink *results.Sink
-		_, bsink, fileErr = results.Create(filepath.Join(fileDir, "ds-bin"), meta, results.FormatBinary)
-		if fileErr != nil {
-			return
-		}
-		if fileErr = src.ForEach(bsink.Write); fileErr != nil {
-			bsink.Close()
-			return
-		}
-		fileErr = bsink.Close()
+		fileErr = sink.Close()
 	})
 	if fileErr != nil {
 		tb.Fatal(fileErr)
@@ -91,24 +74,11 @@ func fileDataset(tb testing.TB) (*results.Store, *world.World, atlas.CampaignCon
 	return store, fileWorld, fileCfg
 }
 
-// fileDatasetBinary returns the binary twin of fileDataset's campaign.
-func fileDatasetBinary(tb testing.TB) (*results.Store, *world.World, atlas.CampaignConfig) {
-	tb.Helper()
-	fileDataset(tb) // ensure both stores exist
-	store, err := results.Open(filepath.Join(fileDir, "ds-bin"))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if store.Format() != results.FormatBinary {
-		tb.Fatalf("ds-bin detected as %v", store.Format())
-	}
-	return store, fileWorld, fileCfg
-}
-
 // TestScanStoreMatchesLegacy is the fused pipeline's acceptance check: for
 // any worker count, the parallel single-scan suite renders byte-identical
-// figure lines and CSVs to the legacy one-analysis-per-scan path, and its
-// non-rendered reports are deeply equal.
+// figure lines and CSVs to the one-analysis-per-scan functions — each a
+// sequential row fold over Store.ForEach — and its non-rendered reports
+// are deeply equal.
 func TestScanStoreMatchesLegacy(t *testing.T) {
 	store, w, cfg := fileDataset(t)
 
@@ -278,75 +248,125 @@ func renderSuite(tb testing.TB, rep *core.SuiteReport) []byte {
 	return buf.Bytes()
 }
 
-// TestScanStoreFormatEquivalence is the storage tentpole's acceptance
-// check: the fused suite renders byte-identical figure lines and CSVs
-// from the JSONL store and its binary twin, for every worker count.
-func TestScanStoreFormatEquivalence(t *testing.T) {
-	jstore, w, cfg := fileDataset(t)
-	bstore, _, _ := fileDatasetBinary(t)
-
-	var reference []byte
-	for _, tc := range []struct {
-		name  string
-		store *results.Store
-	}{{"jsonl", jstore}, {"binary", bstore}} {
-		for _, workers := range []int{1, 2, 4, 7} {
-			rep, st, err := core.ScanStore(context.Background(), tc.store, w.Index, cfg.Start, 7*24*time.Hour, workers, nil)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
-			if tc.name == "binary" {
-				if !st.Binary {
-					t.Fatalf("binary store scanned as %d-worker JSONL", st.Workers)
-				}
-				if st.BlocksRead != st.BlocksTotal || st.BlocksSkipped != 0 {
-					t.Errorf("unfiltered binary scan read %d/%d blocks, skipped %d",
-						st.BlocksRead, st.BlocksTotal, st.BlocksSkipped)
-				}
-			}
-			got := renderSuite(t, rep)
-			if reference == nil {
-				reference = got
-				continue
-			}
-			if !bytes.Equal(got, reference) {
-				t.Errorf("%s workers=%d: rendered figures diverge from jsonl workers=1", tc.name, workers)
-			}
-		}
-	}
+// matching is src restricted to the rows pred admits.
+type matching struct {
+	src  results.Source
+	pred *colf.Predicate
 }
 
-// TestScanStoreRowScanEquivalence is the batch tentpole's acceptance
-// check: on the same binary store, the columnar batch kernels and the
-// forced per-row path render byte-identical figures AND write
-// byte-identical analysis snapshots, for every worker count.
-func TestScanStoreRowScanEquivalence(t *testing.T) {
-	store, w, cfg := fileDatasetBinary(t)
-	ctx := context.Background()
+func (m matching) ForEach(fn func(results.Sample) error) error {
+	return m.src.ForEach(func(s results.Sample) error {
+		if !m.pred.MatchRow(s.ProbeID, s.Time.UnixNano(), s.Region) {
+			return nil
+		}
+		return fn(s)
+	})
+}
 
-	var refRender, refSnap []byte
-	for _, rowScan := range []bool{false, true} {
+// TestScanStoreMatchesRowOracle is the scanner's acceptance check. The
+// oracle is the sequential row fold: core.RunSuite's passes observing
+// Store.ForEach — every block decoded in full, row by row — filtered
+// by MatchRow. For every worker count and for predicates that leave blocks whole, cut
+// them mid-block, select a probe range and select a region prefix, the
+// block scan must leave the suite in the same state byte for byte
+// (Suite.EncodeState) and render the same figure lines and CSVs. With
+// no predicate the same holds through core.ScanStore and
+// core.ScanStoreSnap, whose samples.snap must not depend on the worker
+// count either.
+func TestScanStoreMatchesRowOracle(t *testing.T) {
+	store, w, cfg := fileDataset(t)
+	ctx := context.Background()
+	const week = 7 * 24 * time.Hour
+
+	preds := map[string]*colf.Predicate{
+		"none":   nil,
+		"window": {Since: cfg.Start.Add(5*24*time.Hour + 97*time.Minute), Until: cfg.Start.Add(19*24*time.Hour + 11*time.Minute)},
+		"probes": {MinProbe: 60, MaxProbe: 310},
+		"region": {RegionPrefix: "Amazon/"},
+	}
+	for name, pred := range preds {
+		oracle, err := core.NewSuite(w.Index, cfg.Start, week)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.RunPasses(matching{store, pred}, oracle.Proximity, oracle.MinRTT, oracle.FullDist, oracle.LastMile, oracle.Diurnal, oracle.Provider); err != nil {
+			t.Fatal(err)
+		}
+		wantState, err := oracle.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := oracle.Report()
+		if err != nil {
+			t.Fatalf("%s: oracle report: %v", name, err)
+		}
+		wantRender := renderSuite(t, rep)
+
 		for _, workers := range []int{1, 2, 4, 7} {
-			snapPath := filepath.Join(t.TempDir(), "samples.snap")
-			rep, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, 7*24*time.Hour, workers, nil,
-				core.SnapshotOptions{Path: snapPath, RowScan: rowScan})
+			var suites []*core.Suite
+			st, err := scan.File(ctx, scan.Config{
+				Path:      store.SamplesPath(),
+				Workers:   workers,
+				Predicate: pred,
+				NewPasses: func(int) ([]scan.Pass, error) {
+					s, err := core.NewSuite(w.Index, cfg.Start, week)
+					suites = append(suites, s)
+					return s.Passes(), err
+				},
+			})
 			if err != nil {
-				t.Fatalf("rowscan=%v workers=%d: %v", rowScan, workers, err)
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			render := renderSuite(t, rep)
+			if name == "window" && (st.BlocksSkipped == 0 || st.RowsScanned == st.Samples) {
+				t.Fatalf("window cuts no block mid-block: %+v", st)
+			}
+			gotState, err := suites[0].EncodeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotState, wantState) {
+				t.Errorf("%s workers=%d: suite state differs from the row oracle's", name, workers)
+			}
+			rep, err := suites[0].Report()
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if !bytes.Equal(renderSuite(t, rep), wantRender) {
+				t.Errorf("%s workers=%d: rendered figures differ from the row oracle's", name, workers)
+			}
+		}
+		if pred != nil {
+			continue
+		}
+		var refSnap []byte
+		for _, workers := range []int{1, 2, 4, 7} {
+			rep, st, err := core.ScanStore(ctx, store, w.Index, cfg.Start, week, workers, nil)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if st.BlocksRead != st.BlocksTotal || st.BlocksSkipped != 0 || st.BlocksZone != 0 {
+				t.Errorf("unfiltered scan read %d/%d blocks, skipped %d, zone-resolved %d",
+					st.BlocksRead, st.BlocksTotal, st.BlocksSkipped, st.BlocksZone)
+			}
+			if !bytes.Equal(renderSuite(t, rep), wantRender) {
+				t.Errorf("workers=%d: ScanStore figures differ from the row oracle's", workers)
+			}
+			snapPath := filepath.Join(t.TempDir(), "samples.snap")
+			rep, _, err = core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, week, workers, nil, core.SnapshotOptions{Path: snapPath})
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if !bytes.Equal(renderSuite(t, rep), wantRender) {
+				t.Errorf("workers=%d: ScanStoreSnap figures differ from the row oracle's", workers)
+			}
 			snapBytes, err := os.ReadFile(snapPath)
 			if err != nil {
-				t.Fatalf("rowscan=%v workers=%d: %v", rowScan, workers, err)
+				t.Fatal(err)
 			}
-			if refRender == nil {
-				refRender, refSnap = render, snapBytes
-				continue
-			}
-			if !bytes.Equal(render, refRender) {
-				t.Errorf("rowscan=%v workers=%d: rendered figures diverge from batch workers=1", rowScan, workers)
-			}
-			if !bytes.Equal(snapBytes, refSnap) {
-				t.Errorf("rowscan=%v workers=%d: samples.snap diverges from batch workers=1", rowScan, workers)
+			if refSnap == nil {
+				refSnap = snapBytes
+			} else if !bytes.Equal(snapBytes, refSnap) {
+				t.Errorf("workers=%d: samples.snap differs from workers=1", workers)
 			}
 		}
 	}

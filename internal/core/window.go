@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/colf"
 	"repro/internal/geo"
-	"repro/internal/results"
 	"repro/internal/stats"
 )
 
@@ -21,27 +20,6 @@ type WindowCDFPass struct {
 // NewWindowCDFPass builds the pass.
 func NewWindowCDFPass(idx *Index) *WindowCDFPass {
 	return &WindowCDFPass{idx: idx, byContinent: make(map[geo.Continent]*stats.Dist)}
-}
-
-func (p *WindowCDFPass) observe(probeID int, rtt float64) error {
-	ct, ok := p.idx.Continent(probeID)
-	if !ok {
-		return nil
-	}
-	d := p.byContinent[ct]
-	if d == nil {
-		d = &stats.Dist{}
-		p.byContinent[ct] = d
-	}
-	return d.Add(rtt)
-}
-
-// Observe implements Pass.
-func (p *WindowCDFPass) Observe(s results.Sample) error {
-	if s.Lost || !p.idx.Known(s.ProbeID) {
-		return nil
-	}
-	return p.observe(s.ProbeID, s.RTTms)
 }
 
 // Merge implements Pass. Continent distributions back rank-based

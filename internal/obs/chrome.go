@@ -197,33 +197,23 @@ func FormatStageTable(totals []StageTotal, wall time.Duration) []string {
 	return lines
 }
 
-// ParseTrace decodes a trace file in either supported format — the
-// legacy SpanDump JSON written by Span.WriteJSON, or the Chrome
-// trace-event JSON written by WriteChromeTrace — into a SpanDump tree.
-// Chrome events reconstruct nesting per lane from timestamp containment.
+// ParseTrace decodes a Chrome trace-event JSON file — the container
+// object WriteChromeTrace writes, or a bare array of events — into a
+// SpanDump tree, reconstructing nesting from timestamp containment.
 func ParseTrace(data []byte) (SpanDump, error) {
-	trimmed := strings.TrimSpace(string(data))
-	if trimmed == "" {
+	if strings.TrimSpace(string(data)) == "" {
 		return SpanDump{}, fmt.Errorf("obs: empty trace file")
 	}
-	// Try the Chrome container first: it is distinguished by traceEvents.
-	var ct struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
+	var ct chromeTrace
+	if err := json.Unmarshal(data, &ct); err != nil {
+		// Not the container object: a bare event array, or garbage.
+		if aerr := json.Unmarshal(data, &ct.TraceEvents); aerr != nil {
+			return SpanDump{}, fmt.Errorf("obs: trace file is not Chrome trace JSON: %w", err)
+		}
 	}
-	if err := json.Unmarshal(data, &ct); err == nil && len(ct.TraceEvents) > 0 {
-		return dumpFromChrome(ct.TraceEvents), nil
-	}
-	// Chrome traces may also be a bare JSON array of events.
-	var events []chromeEvent
-	if err := json.Unmarshal(data, &events); err == nil && len(events) > 0 && events[0].Ph != "" {
-		return dumpFromChrome(events), nil
-	}
-	var d SpanDump
-	if err := json.Unmarshal(data, &d); err != nil {
-		return SpanDump{}, fmt.Errorf("obs: trace file is neither span JSON nor Chrome trace JSON: %w", err)
-	}
+	d := dumpFromChrome(ct.TraceEvents)
 	if d.Name == "" {
-		return SpanDump{}, fmt.Errorf("obs: trace file decodes to an empty span dump")
+		return SpanDump{}, fmt.Errorf("obs: trace file holds no complete (ph \"X\") events")
 	}
 	return d, nil
 }

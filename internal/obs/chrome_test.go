@@ -129,18 +129,13 @@ func TestStageTotals(t *testing.T) {
 	}
 }
 
+// TestParseTraceLegacyJSON pins what happens to the nested span-JSON
+// shears wrote before it settled on Chrome trace events: it is valid
+// JSON but no longer a trace, and the error says what is missing.
 func TestParseTraceLegacyJSON(t *testing.T) {
-	var buf bytes.Buffer
-	root := testTrace()
-	if err := root.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ParseTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name != "run" || len(d.Children) != 2 {
-		t.Errorf("parsed dump: name=%q children=%d", d.Name, len(d.Children))
+	legacy := `{"name":"run","duration_ms":3,"children":[{"name":"scan","duration_ms":1}]}`
+	if _, err := ParseTrace([]byte(legacy)); err == nil || !strings.Contains(err.Error(), "no complete") {
+		t.Errorf("ParseTrace(span JSON) err = %v, want it refused as holding no complete events", err)
 	}
 }
 
@@ -157,7 +152,7 @@ func TestParseTraceChromeRoundTrip(t *testing.T) {
 	if d.Name != "run" {
 		t.Fatalf("chrome round-trip root = %q, want run", d.Name)
 	}
-	// Stage totals must agree between the legacy dump and the
+	// Stage totals must agree between the in-memory dump and the
 	// reconstructed chrome tree (both aggregate the same durations).
 	want := StageTotals(root.Dump())
 	got := StageTotals(d)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -226,7 +225,7 @@ func TestNilSafety(t *testing.T) {
 	if s.Duration() != 0 || c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Error("nil receivers leaked state")
 	}
-	if err := s.WriteJSON(&strings.Builder{}); err != nil {
+	if err := s.WriteChromeTrace(&strings.Builder{}); err != nil {
 		t.Error(err)
 	}
 }
@@ -248,24 +247,17 @@ func TestSpanTree(t *testing.T) {
 	campaign.End()
 	root.End()
 
-	var sb strings.Builder
-	if err := root.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var d SpanDump
-	if err := json.Unmarshal([]byte(sb.String()), &d); err != nil {
-		t.Fatal(err)
-	}
+	d := root.Dump()
 	if d.Name != "run" || len(d.Children) != 2 {
 		t.Fatalf("root = %+v", d)
 	}
-	if d.Attrs["seed"] != float64(1) {
+	if d.Attrs["seed"] != 1 {
 		t.Errorf("attrs = %v", d.Attrs)
 	}
 	if d.Children[0].Name != "build" || d.Children[1].Name != "campaign" {
 		t.Errorf("children = %v, %v", d.Children[0].Name, d.Children[1].Name)
 	}
-	if len(d.Children[1].Children) != 1 || d.Children[1].Children[0].Attrs["round"] != float64(0) {
+	if len(d.Children[1].Children) != 1 || d.Children[1].Children[0].Attrs["round"] != 0 {
 		t.Errorf("round span = %+v", d.Children[1].Children)
 	}
 	if d.DurationMs <= 0 || d.End.IsZero() {

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -97,15 +95,15 @@ func (s *Span) Duration() time.Duration {
 	return s.end.Sub(s.start)
 }
 
-// SpanDump is the exported snapshot of a span tree, as serialized by
-// WriteJSON.
+// SpanDump is the exported snapshot of a span tree: what
+// WriteChromeTrace serializes and ParseTrace rebuilds.
 type SpanDump struct {
-	Name       string         `json:"name"`
-	Start      time.Time      `json:"start"`
-	End        time.Time      `json:"end"` // zero if the span is still open
-	DurationMs float64        `json:"duration_ms"`
-	Attrs      map[string]any `json:"attrs,omitempty"`
-	Children   []SpanDump     `json:"children,omitempty"`
+	Name       string
+	Start      time.Time
+	End        time.Time // zero if the span is still open
+	DurationMs float64
+	Attrs      map[string]any
+	Children   []SpanDump
 }
 
 // Dump snapshots the span tree. Open spans report their duration so far
@@ -137,16 +135,6 @@ func (s *Span) Dump() SpanDump {
 		d.Children = append(d.Children, c.Dump())
 	}
 	return d
-}
-
-// WriteJSON serializes the span tree as indented JSON.
-func (s *Span) WriteJSON(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s.Dump())
 }
 
 // spanKey is the context key for the active span.

@@ -27,12 +27,6 @@ func TestNilSpanInert(t *testing.T) {
 		t.Errorf("nil.Dump = %+v, want zero value", d)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Errorf("nil.WriteJSON error: %v", err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("nil.WriteJSON wrote %q, want nothing", buf.String())
-	}
 	if err := s.WriteChromeTrace(&buf); err != nil {
 		t.Errorf("nil.WriteChromeTrace error: %v", err)
 	}

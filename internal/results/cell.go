@@ -38,7 +38,7 @@ func DecodeCell(b []byte) ([]Sample, error) {
 	}
 	samples := make([]Sample, len(rows))
 	for i, r := range rows {
-		s := fromRow(r)
+		s := FromRow(r)
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("results: cell sample %d: %w", i, err)
 		}

@@ -16,24 +16,3 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Bytes:   reg.Counter("results_bytes_written_total", "Encoded sample bytes written to the dataset."),
 	}
 }
-
-// Instrument attaches throughput instruments to the writer. Call it
-// before the first Write; samples already written are not back-counted.
-func (w *Writer) Instrument(m *Metrics) {
-	if w != nil {
-		w.metrics = m
-	}
-}
-
-// countingWriter sits between the JSON encoder and the buffer, crediting
-// encoded bytes to the writer's byte offset and metrics.
-type countingWriter struct{ w *Writer }
-
-func (c countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.bw.Write(p)
-	c.w.bytes += uint64(n)
-	if c.w.metrics != nil {
-		c.w.metrics.Bytes.Add(uint64(n))
-	}
-	return n, err
-}

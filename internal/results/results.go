@@ -1,8 +1,9 @@
 // Package results is the dataset layer: the campaign's measurement samples
-// as an append-only JSONL store with streaming readers, plus an in-memory
-// source for tests and benchmarks. The paper's dataset is 3.2M datapoints
-// over nine months (§4.1); everything here streams so the analysis never
-// needs the full dataset in memory.
+// as an append-only binary columnar store (internal/colf) with streaming
+// readers, a JSONL interchange codec for import and export, plus an
+// in-memory source for tests and benchmarks. The paper's dataset is 3.2M
+// datapoints over nine months (§4.1); everything here streams so the
+// analysis never needs the full dataset in memory.
 package results
 
 import (
@@ -76,13 +77,23 @@ func (m *Memory) ForEach(fn func(Sample) error) error {
 	return nil
 }
 
-// Writer streams samples to JSONL.
+// Writer streams samples to JSONL, the interchange encoding `dataset
+// convert` exports.
 type Writer struct {
-	bw      *bufio.Writer
-	enc     *json.Encoder
-	n       uint64
-	bytes   uint64
-	metrics *Metrics
+	bw    *bufio.Writer
+	enc   *json.Encoder
+	n     uint64
+	bytes uint64
+}
+
+// countingWriter sits between the JSON encoder and the buffer, crediting
+// encoded bytes to the writer's byte offset.
+type countingWriter struct{ w *Writer }
+
+func (c countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.bw.Write(p)
+	c.w.bytes += uint64(n)
+	return n, err
 }
 
 // NewWriter wraps w.
@@ -101,9 +112,6 @@ func (w *Writer) Write(s Sample) error {
 		return err
 	}
 	w.n++
-	if w.metrics != nil {
-		w.metrics.Samples.Inc()
-	}
 	return nil
 }
 
@@ -112,7 +120,7 @@ func (w *Writer) Count() uint64 { return w.n }
 
 // BytesWritten returns the encoded bytes accepted so far (buffered bytes
 // included). After a successful Flush it equals the bytes pushed to the
-// underlying writer, which is what checkpoint offsets are made of.
+// underlying writer.
 func (w *Writer) BytesWritten() uint64 { return w.bytes }
 
 // Flush drains the buffer.
@@ -125,7 +133,8 @@ func (w *Writer) Flush() error { return w.bw.Flush() }
 // bare scanner error.
 const MaxLineBytes = 16 << 20
 
-// Reader streams samples from JSONL.
+// Reader streams samples from JSONL, the interchange encoding `dataset
+// convert` imports.
 type Reader struct {
 	sc   *bufio.Scanner
 	line int
@@ -208,97 +217,112 @@ func (m Meta) Validate() error {
 
 const (
 	metaFile     = "meta.json"
-	samplesFile  = "samples.jsonl"
-	binaryFile   = "samples.bin"
+	samplesFile  = "samples.bin"
 	snapshotFile = "samples.snap"
 	tixFile      = "samples.tix"
+
+	// InterchangeFile is the JSONL samples file Import reads and Export
+	// writes next to meta.json. It is not a store: Open refuses a
+	// directory that holds only this.
+	InterchangeFile = "samples.jsonl"
 )
 
+// Format identifies the on-disk encoding of a store's samples file.
+// There is one — binary colf — and the type survives only so Create's
+// callers keep naming it.
+type Format int
+
+// FormatBinary is the colf columnar block encoding (samples.bin).
+const FormatBinary Format = 1
+
 // Store is an on-disk campaign dataset: a directory holding meta.json
-// plus the samples file — samples.bin (binary columnar, the default)
-// or samples.jsonl (line JSON). Open detects the format from which
-// file exists.
+// plus samples.bin, the binary columnar samples file.
 type Store struct {
-	dir    string
-	meta   Meta
-	format Format
+	dir  string
+	meta Meta
 }
 
-// Create initializes a dataset directory in the given storage format
-// and returns the store plus a sink for its samples. Callers must
-// Close the sink.
+// Create initializes a dataset directory and returns the store plus a
+// sink for its samples. Callers must Close the sink.
 func Create(dir string, meta Meta, format Format) (*Store, *Sink, error) {
-	if err := meta.Validate(); err != nil {
+	if format != FormatBinary {
+		return nil, nil, fmt.Errorf("results: unknown dataset format %d", int(format))
+	}
+	if err := writeMeta(dir, meta); err != nil {
 		return nil, nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	mb, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := os.WriteFile(filepath.Join(dir, metaFile), mb, 0o644); err != nil {
-		return nil, nil, err
-	}
-	// A dataset holds exactly one samples file; drop any leftover of the
-	// other format so Open's sniffing cannot pick up stale data.
-	other := FormatJSONL
-	if format == FormatJSONL {
-		other = FormatBinary
-	}
-	if err := os.Remove(filepath.Join(dir, other.file())); err != nil && !os.IsNotExist(err) {
-		return nil, nil, err
-	}
-	// Likewise any analysis snapshot or temporal aggregate index: they
-	// summarized the old samples file. (Stale ones would be rejected by
-	// their binding headers anyway; removing them keeps the directory
-	// honest.)
+	// Any analysis snapshot or temporal aggregate index summarized the
+	// old samples file. (Stale ones would be rejected by their binding
+	// headers anyway; removing them keeps the directory honest.)
 	for _, stale := range []string{snapshotFile, tixFile} {
 		if err := os.Remove(filepath.Join(dir, stale)); err != nil && !os.IsNotExist(err) {
 			return nil, nil, err
 		}
 	}
-	f, err := os.Create(filepath.Join(dir, format.file()))
+	f, err := os.Create(filepath.Join(dir, samplesFile))
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Store{dir: dir, meta: meta, format: format}, newSink(f, format, 0, nil), nil
+	return &Store{dir: dir, meta: meta}, newSink(f, 0, nil), nil
 }
 
-// Open loads an existing dataset directory, detecting the storage
-// format: a samples.bin file marks a binary store, otherwise the store
-// reads samples.jsonl.
-func Open(dir string) (*Store, error) {
+// writeMeta validates meta and writes dir/meta.json, creating dir.
+func writeMeta(dir string, meta Meta) error {
+	if err := meta.Validate(); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	mb, err := json.MarshalIndent(meta, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, metaFile), mb, 0o644)
+}
+
+// readMeta loads and validates dir/meta.json.
+func readMeta(dir string) (Meta, error) {
 	mb, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if err != nil {
-		return nil, err
+		return Meta{}, err
 	}
 	var meta Meta
 	if err := json.Unmarshal(mb, &meta); err != nil {
-		return nil, fmt.Errorf("results: corrupt meta: %w", err)
+		return Meta{}, fmt.Errorf("results: corrupt meta: %w", err)
 	}
-	if err := meta.Validate(); err != nil {
+	return meta, meta.Validate()
+}
+
+// Open loads an existing dataset directory. A directory without
+// samples.bin is not a store; one that holds JSONL interchange data
+// instead is told how to import it.
+func Open(dir string) (*Store, error) {
+	meta, err := readMeta(dir)
+	if err != nil {
 		return nil, err
 	}
-	format := FormatJSONL
-	if _, err := os.Stat(filepath.Join(dir, binaryFile)); err == nil {
-		format = FormatBinary
+	if _, err := os.Stat(filepath.Join(dir, samplesFile)); err != nil {
+		if !os.IsNotExist(err) {
+			return nil, err
+		}
+		if _, jerr := os.Stat(filepath.Join(dir, InterchangeFile)); jerr == nil {
+			return nil, fmt.Errorf("results: %s holds %s but no %s; import it with `dataset -data %s -out NEWDIR convert`",
+				dir, InterchangeFile, samplesFile, dir)
+		}
+		return nil, fmt.Errorf("results: %s holds no %s", dir, samplesFile)
 	}
-	return &Store{dir: dir, meta: meta, format: format}, nil
+	return &Store{dir: dir, meta: meta}, nil
 }
 
 // Meta returns the campaign metadata.
 func (s *Store) Meta() Meta { return s.meta }
 
-// Format returns the store's storage format.
-func (s *Store) Format() Format { return s.format }
-
 // Resume reopens the samples file for appending at the given byte
 // offset, truncating whatever follows it (the partial round after the
-// last checkpoint). For binary stores the offset must be a block
-// boundary — which every Sink.Commit offset is — and the blocks before
-// it are re-indexed so Close can write a complete file index.
+// last checkpoint). The offset must be a block boundary — which every
+// Sink.Commit offset is — and the blocks before it are re-indexed so
+// Close can write a complete file index.
 func (s *Store) Resume(offset int64) (*Sink, error) {
 	f, err := os.OpenFile(s.SamplesPath(), os.O_RDWR, 0)
 	if err != nil {
@@ -314,7 +338,7 @@ func (s *Store) Resume(offset int64) (*Sink, error) {
 		return nil, fmt.Errorf("results: resume offset %d outside file of %d bytes", offset, st.Size())
 	}
 	var existing []colf.BlockInfo
-	if s.format == FormatBinary && offset > 0 {
+	if offset > 0 {
 		if existing, err = colf.BlocksTo(f, offset); err != nil {
 			f.Close()
 			return nil, err
@@ -328,14 +352,13 @@ func (s *Store) Resume(offset int64) (*Sink, error) {
 		f.Close()
 		return nil, err
 	}
-	return newSink(f, s.format, offset, existing), nil
+	return newSink(f, offset, existing), nil
 }
 
 // SamplesPath returns the path of the underlying samples file, for
-// consumers (like the parallel scanner) that read the dataset by byte
-// range rather than through ForEach. The scanner sniffs the encoding
-// from the file's leading bytes.
-func (s *Store) SamplesPath() string { return filepath.Join(s.dir, s.format.file()) }
+// consumers (like the parallel scanner) that read the dataset by block
+// rather than through ForEach.
+func (s *Store) SamplesPath() string { return filepath.Join(s.dir, samplesFile) }
 
 // SnapshotPath returns where the dataset's analysis snapshot lives (see
 // internal/snap). The file is optional — it may not exist.
@@ -347,24 +370,63 @@ func (s *Store) TixPath() string { return filepath.Join(s.dir, tixFile) }
 
 // ForEach streams every stored sample in storage order.
 func (s *Store) ForEach(fn func(Sample) error) error {
-	if s.format == FormatBinary {
-		r, closer, err := colf.Open(s.SamplesPath())
-		if err != nil {
-			return err
-		}
-		defer closer.Close()
-		return r.ForEachRow(func(row colf.Row) error {
-			smp := fromRow(row)
-			if err := smp.Validate(); err != nil {
-				return err
-			}
-			return fn(smp)
-		})
-	}
-	f, err := os.Open(s.SamplesPath())
+	r, closer, err := colf.Open(s.SamplesPath())
 	if err != nil {
 		return err
 	}
+	defer closer.Close()
+	return r.ForEachRow(func(row colf.Row) error {
+		smp := FromRow(row)
+		if err := smp.Validate(); err != nil {
+			return err
+		}
+		return fn(smp)
+	})
+}
+
+// Import builds a store in out from the JSONL interchange directory
+// dir (meta.json plus samples.jsonl), preserving sample order. A
+// malformed or oversized line fails the import with its line number.
+func Import(dir, out string) (*Store, uint64, error) {
+	meta, err := readMeta(dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	f, err := os.Open(filepath.Join(dir, InterchangeFile))
+	if err != nil {
+		return nil, 0, err
+	}
 	defer f.Close()
-	return NewReader(f).ForEach(fn)
+	store, sink, err := Create(out, meta, FormatBinary)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := NewReader(f).ForEach(sink.Write); err != nil {
+		sink.Close()
+		return nil, 0, err
+	}
+	return store, sink.Count(), sink.Close()
+}
+
+// Export writes the store to out as a JSONL interchange directory and
+// returns the sample count. Import reads it back into the same sample
+// stream — and the same samples.bin bytes, unless a checkpoint Commit
+// sealed a short block in the original, which an import never does.
+func (s *Store) Export(out string) (uint64, error) {
+	if err := writeMeta(out, s.meta); err != nil {
+		return 0, err
+	}
+	f, err := os.Create(filepath.Join(out, InterchangeFile))
+	if err != nil {
+		return 0, err
+	}
+	w := NewWriter(f)
+	err = s.ForEach(w.Write)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return w.Count(), err
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -155,75 +156,149 @@ func TestMetaValidate(t *testing.T) {
 	}
 }
 
-func TestStoreRoundTrip(t *testing.T) {
-	for _, format := range []Format{FormatJSONL, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "campaign")
-			meta := Meta{Seed: 42, Start: t0, End: t0.Add(24 * time.Hour), IntervalHours: 3, Probes: 2, Regions: 1}
-			_, sink, err := Create(dir, meta, format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i <= 10; i++ {
-				if err := sink.Write(sample(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if sink.Count() != 10 {
-				t.Errorf("sink Count = %d", sink.Count())
-			}
-			if err := sink.Close(); err != nil {
-				t.Fatal(err)
-			}
+// writeStore creates a store of samples 1..n in dir and closes it.
+func writeStore(t *testing.T, dir string, meta Meta, n int) *Store {
+	t.Helper()
+	st, sink, err := Create(dir, meta, FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		if err := sink.Write(sample(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sink.Count() != uint64(n) {
+		t.Errorf("sink Count = %d", sink.Count())
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
-			st, err := Open(dir)
-			if err != nil {
+// checkStore reopens dir and expects samples 1..n under meta.
+func checkStore(t *testing.T, dir string, meta Meta, n int) {
+	t.Helper()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Meta(); got.Seed != meta.Seed || !got.Start.Equal(meta.Start) {
+		t.Errorf("meta = %+v", got)
+	}
+	var got []Sample
+	if err := st.ForEach(func(s Sample) error { got = append(got, s); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("streamed %d samples, want %d", len(got), n)
+	}
+	for i, s := range got {
+		want := sample(i + 1)
+		if s.ProbeID != want.ProbeID || s.Region != want.Region || !s.Time.Equal(want.Time) ||
+			s.RTTms != want.RTTms || s.Lost != want.Lost {
+			t.Errorf("sample %d: %+v vs %+v", i, s, want)
+		}
+	}
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestStoreRoundTrip(t *testing.T) {
+	meta := Meta{Seed: 42, Start: t0, End: t0.Add(24 * time.Hour), IntervalHours: 3, Probes: 2, Regions: 1}
+	t.Run("binary", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "campaign")
+		writeStore(t, dir, meta, 10)
+		checkStore(t, dir, meta, 10)
+	})
+	// The interchange round trip, both ways: binary -> JSONL -> binary
+	// reproduces samples.bin, and JSONL -> binary -> JSONL the lines.
+	t.Run("jsonl", func(t *testing.T) {
+		root := t.TempDir()
+		bin, jl, bin2, jl2 := filepath.Join(root, "bin"), filepath.Join(root, "jl"), filepath.Join(root, "bin2"), filepath.Join(root, "jl2")
+		st := writeStore(t, bin, meta, 10)
+		if n, err := st.Export(jl); err != nil || n != 10 {
+			t.Fatalf("Export = %d, %v", n, err)
+		}
+		st2, n, err := Import(jl, bin2)
+		if err != nil || n != 10 {
+			t.Fatalf("Import = %d, %v", n, err)
+		}
+		checkStore(t, bin2, meta, 10)
+		if !bytes.Equal(mustRead(t, st.SamplesPath()), mustRead(t, st2.SamplesPath())) {
+			t.Error("binary -> JSONL -> binary changed samples.bin")
+		}
+		if _, err := st2.Export(jl2); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{InterchangeFile, metaFile} {
+			if !bytes.Equal(mustRead(t, filepath.Join(jl, name)), mustRead(t, filepath.Join(jl2, name))) {
+				t.Errorf("JSONL -> binary -> JSONL changed %s", name)
+			}
+		}
+	})
+}
+
+// TestImportRejectsBadLines pins that a malformed or oversized
+// interchange line fails the import naming its line number.
+func TestImportRejectsBadLines(t *testing.T) {
+	meta := Meta{Seed: 1, Start: t0, End: t0.Add(time.Hour), IntervalHours: 1, Probes: 5, Regions: 3}
+	good := `{"probe":1,"region":"r","t":"2019-09-01T00:00:00Z","rtt_ms":5}` + "\n"
+	for name, tc := range map[string]struct{ body, want string }{
+		"malformed": {good + "\n" + good + "{not json\n", "line 4"},
+		"invalid":   {good + `{"probe":0,"region":"r","t":"2019-09-01T00:00:00Z","rtt_ms":5}` + "\n", "line 2"},
+		"oversized": {good + `{"probe":3,"region":"` + strings.Repeat("y", MaxLineBytes) + `"}` + "\n", "line 2"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			src := t.TempDir()
+			if err := writeMeta(src, meta); err != nil {
 				t.Fatal(err)
 			}
-			if st.Format() != format {
-				t.Errorf("detected format %v, want %v", st.Format(), format)
-			}
-			if got := st.Meta(); got.Seed != 42 || !got.Start.Equal(t0) {
-				t.Errorf("meta = %+v", got)
-			}
-			var got []Sample
-			if err := st.ForEach(func(s Sample) error { got = append(got, s); return nil }); err != nil {
+			if err := os.WriteFile(filepath.Join(src, InterchangeFile), []byte(tc.body), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != 10 {
-				t.Fatalf("streamed %d samples, want 10", len(got))
-			}
-			for i, s := range got {
-				want := sample(i + 1)
-				if s.ProbeID != want.ProbeID || s.Region != want.Region || !s.Time.Equal(want.Time) ||
-					s.RTTms != want.RTTms || s.Lost != want.Lost {
-					t.Errorf("sample %d: %+v vs %+v", i, s, want)
-				}
+			_, _, err := Import(src, filepath.Join(t.TempDir(), "out"))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Import err = %v, want it to name %s", err, tc.want)
 			}
 		})
 	}
 }
 
 func TestStoreErrors(t *testing.T) {
-	if _, _, err := Create(t.TempDir(), Meta{}, FormatJSONL); err == nil {
+	if _, _, err := Create(t.TempDir(), Meta{}, FormatBinary); err == nil {
 		t.Error("invalid meta accepted")
+	}
+	meta := Meta{Seed: 1, Start: t0, End: t0.Add(time.Hour), IntervalHours: 1, Probes: 5, Regions: 3}
+	if _, _, err := Create(t.TempDir(), meta, Format(0)); err == nil {
+		t.Error("unknown format accepted")
 	}
 	if _, err := Open(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing dir opened")
 	}
-}
-
-func TestParseFormat(t *testing.T) {
-	cases := map[string]Format{"": FormatBinary, "binary": FormatBinary, "bin": FormatBinary,
-		"jsonl": FormatJSONL, "json": FormatJSONL}
-	for in, want := range cases {
-		got, err := ParseFormat(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = %v, %v", in, got, err)
-		}
+	// An interchange directory is not a store; Open says how to make one.
+	jl := t.TempDir()
+	if _, err := writeStore(t, t.TempDir(), meta, 3).Export(jl); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseFormat("parquet"); err == nil {
-		t.Error("unknown format accepted")
+	if _, err := Open(jl); err == nil || !strings.Contains(err.Error(), "dataset") || !strings.Contains(err.Error(), "convert") {
+		t.Errorf("Open(JSONL dir) err = %v, want a pointer to dataset convert", err)
+	}
+	// Neither samples file: the failure is Open's, and names what is missing.
+	bare := t.TempDir()
+	if err := writeMeta(bare, meta); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(bare); err == nil || !strings.Contains(err.Error(), "holds no "+samplesFile) {
+		t.Errorf("Open(meta only) err = %v, want it to name %s", err, samplesFile)
 	}
 }
 
@@ -310,72 +385,71 @@ func TestWriterBytesWritten(t *testing.T) {
 }
 
 func TestStoreResumeTruncates(t *testing.T) {
-	for _, format := range []Format{FormatJSONL, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			meta := Meta{Seed: 1, Start: t0, End: t0.Add(time.Hour), IntervalHours: 1, Probes: 5, Regions: 3}
-			_, sink, err := Create(dir, meta, format)
-			if err != nil {
+	// The subtest name is the store encoding, kept from when there were two.
+	t.Run("binary", func(t *testing.T) {
+		dir := t.TempDir()
+		meta := Meta{Seed: 1, Start: t0, End: t0.Add(time.Hour), IntervalHours: 1, Probes: 5, Regions: 3}
+		_, sink, err := Create(dir, meta, FormatBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 4; i++ {
+			if err := sink.Write(sample(i)); err != nil {
 				t.Fatal(err)
 			}
-			for i := 1; i <= 4; i++ {
-				if err := sink.Write(sample(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			offset, err := sink.Commit() // durable watermark after 4 samples
-			if err != nil {
+		}
+		offset, err := sink.Commit() // durable watermark after 4 samples
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Simulate a partial post-checkpoint round.
+		for i := 5; i <= 7; i++ {
+			if err := sink.Write(sample(i)); err != nil {
 				t.Fatal(err)
 			}
-			// Simulate a partial post-checkpoint round.
-			for i := 5; i <= 7; i++ {
-				if err := sink.Write(sample(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sink.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			st, err := Open(dir)
-			if err != nil {
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink2, err := st.Resume(offset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 5; i <= 6; i++ {
+			if err := sink2.Write(sample(i)); err != nil {
 				t.Fatal(err)
 			}
-			sink2, err := st.Resume(offset)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 5; i <= 6; i++ {
-				if err := sink2.Write(sample(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sink2.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := sink2.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			var ids []int
-			if err := st.ForEach(func(s Sample) error { ids = append(ids, s.ProbeID); return nil }); err != nil {
-				t.Fatal(err)
+		var ids []int
+		if err := st.ForEach(func(s Sample) error { ids = append(ids, s.ProbeID); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		want := []int{1, 2, 3, 4, 5, 6}
+		if len(ids) != len(want) {
+			t.Fatalf("resumed store has %d samples, want %d", len(ids), len(want))
+		}
+		for i := range want {
+			if ids[i] != want[i] {
+				t.Fatalf("sample %d = probe %d, want %d", i, ids[i], want[i])
 			}
-			want := []int{1, 2, 3, 4, 5, 6}
-			if len(ids) != len(want) {
-				t.Fatalf("resumed store has %d samples, want %d", len(ids), len(want))
-			}
-			for i := range want {
-				if ids[i] != want[i] {
-					t.Fatalf("sample %d = probe %d, want %d", i, ids[i], want[i])
-				}
-			}
+		}
 
-			if _, err := st.Resume(1 << 40); err == nil {
-				t.Error("offset past EOF accepted")
-			}
-			if _, err := st.Resume(-1); err == nil {
-				t.Error("negative offset accepted")
-			}
-		})
-	}
+		if _, err := st.Resume(1 << 40); err == nil {
+			t.Error("offset past EOF accepted")
+		}
+		if _, err := st.Resume(-1); err == nil {
+			t.Error("negative offset accepted")
+		}
+	})
 }
 
 func TestBinaryResumeRejectsMidBlockOffset(t *testing.T) {

@@ -8,47 +8,6 @@ import (
 	"repro/internal/colf"
 )
 
-// Format identifies the on-disk encoding of a store's samples file.
-type Format int
-
-const (
-	// FormatJSONL is the line-oriented JSON encoding (samples.jsonl).
-	FormatJSONL Format = iota
-	// FormatBinary is the colf columnar block encoding (samples.bin).
-	FormatBinary
-)
-
-// String returns the flag spelling of the format.
-func (f Format) String() string {
-	switch f {
-	case FormatJSONL:
-		return "jsonl"
-	case FormatBinary:
-		return "binary"
-	}
-	return fmt.Sprintf("Format(%d)", int(f))
-}
-
-// file returns the samples file name the format stores under.
-func (f Format) file() string {
-	if f == FormatBinary {
-		return binaryFile
-	}
-	return samplesFile
-}
-
-// ParseFormat maps a flag spelling to a Format. The empty string
-// selects the default, binary.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "", "binary", "bin", "colf":
-		return FormatBinary, nil
-	case "jsonl", "json":
-		return FormatJSONL, nil
-	}
-	return 0, fmt.Errorf("results: unknown dataset format %q (want binary or jsonl)", s)
-}
-
 // The binary format stores timestamps as Unix nanoseconds, which only
 // represent times in roughly [1678, 2262); anything outside is refused
 // at write time rather than silently wrapped.
@@ -71,10 +30,10 @@ func toRow(s Sample) (colf.Row, error) {
 	}, nil
 }
 
-// fromRow converts a decoded row back to a sample. Times come back in
-// UTC, which is also what the JSONL encoding round-trips through
-// RFC 3339.
-func fromRow(r colf.Row) Sample {
+// FromRow converts a decoded row back to a sample. Times come back in
+// UTC, which is also what the JSONL interchange encoding round-trips
+// through RFC 3339.
+func FromRow(r colf.Row) Sample {
 	return Sample{
 		ProbeID: r.Probe,
 		Region:  r.Region,
@@ -84,52 +43,34 @@ func fromRow(r colf.Row) Sample {
 	}
 }
 
-// Sink appends samples to a store's samples file in its storage
-// format. It is the write half of a Store: engines stream samples in,
-// Commit durably flushes at checkpoint time, and Close finalizes the
-// file (for binary stores, appending the block index).
+// Sink appends samples to a store's samples file. It is the write half
+// of a Store: engines stream samples in, Commit durably flushes at
+// checkpoint time, and Close finalizes the file by appending the block
+// index.
 type Sink struct {
 	f       *os.File
-	format  Format
 	base    int64 // samples-file offset where this sink started
-	jw      *Writer
 	cw      *colf.Writer
 	metrics *Metrics
-	counted uint64 // binary bytes already credited to metrics
+	counted uint64 // bytes already credited to metrics
 	closed  bool
 }
 
 // newSink wraps an open samples file positioned at base.
-func newSink(f *os.File, format Format, base int64, existing []colf.BlockInfo) *Sink {
-	s := &Sink{f: f, format: format, base: base}
-	if format == FormatBinary {
-		s.cw = colf.NewWriterAt(f, base, existing)
-	} else {
-		s.jw = NewWriter(f)
-	}
-	return s
+func newSink(f *os.File, base int64, existing []colf.BlockInfo) *Sink {
+	return &Sink{f: f, base: base, cw: colf.NewWriterAt(f, base, existing)}
 }
-
-// Format returns the sink's storage format.
-func (s *Sink) Format() Format { return s.format }
 
 // Instrument attaches throughput instruments. Call it before the first
 // Write; samples already written are not back-counted.
 func (s *Sink) Instrument(m *Metrics) {
-	if s == nil {
-		return
-	}
-	s.metrics = m
-	if s.jw != nil {
-		s.jw.Instrument(m)
+	if s != nil {
+		s.metrics = m
 	}
 }
 
 // Write validates and appends one sample.
 func (s *Sink) Write(smp Sample) error {
-	if s.jw != nil {
-		return s.jw.Write(smp)
-	}
 	if err := smp.Validate(); err != nil {
 		return err
 	}
@@ -147,31 +88,17 @@ func (s *Sink) Write(smp Sample) error {
 }
 
 // Count returns the number of samples this sink accepted.
-func (s *Sink) Count() uint64 {
-	if s.jw != nil {
-		return s.jw.Count()
-	}
-	return s.cw.Count()
-}
+func (s *Sink) Count() uint64 { return s.cw.Count() }
 
 // BytesWritten returns the absolute samples-file offset this sink's
 // writes reach. After a successful Flush it is the on-disk file size —
-// and for binary stores a block boundary, which is what makes it a
-// valid checkpoint offset.
-func (s *Sink) BytesWritten() int64 {
-	if s.jw != nil {
-		return s.base + int64(s.jw.BytesWritten())
-	}
-	return s.base + int64(s.cw.BytesWritten())
-}
+// and a block boundary, which is what makes it a valid checkpoint
+// offset.
+func (s *Sink) BytesWritten() int64 { return s.base + int64(s.cw.BytesWritten()) }
 
-// Flush pushes buffered samples to the file. For binary stores this
-// seals the open partial block, so the flushed prefix is a valid block
-// sequence.
+// Flush pushes buffered samples to the file by sealing the open partial
+// block, so the flushed prefix is a valid block sequence.
 func (s *Sink) Flush() error {
-	if s.jw != nil {
-		return s.jw.Flush()
-	}
 	if err := s.cw.Flush(); err != nil {
 		return err
 	}
@@ -179,9 +106,8 @@ func (s *Sink) Flush() error {
 	return nil
 }
 
-// credit adds newly flushed binary bytes to the byte counter. The
-// JSONL path counts at encode time instead (pre-buffer); binary blocks
-// only materialize bytes when they seal.
+// credit adds newly flushed bytes to the byte counter: blocks only
+// materialize bytes when they seal.
 func (s *Sink) credit() {
 	if s.metrics == nil {
 		return
@@ -206,26 +132,18 @@ func (s *Sink) Commit() (int64, error) {
 	return s.BytesWritten(), nil
 }
 
-// Close flushes, finalizes the file (binary: appends the block index),
-// syncs and closes it. Close is idempotent.
+// Close flushes, appends the block index, syncs and closes the file.
+// Close is idempotent.
 func (s *Sink) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	err := func() error {
-		if s.jw != nil {
-			if err := s.jw.Flush(); err != nil {
-				return err
-			}
-			return s.f.Sync()
-		}
-		if err := s.cw.Finish(); err != nil {
-			return err
-		}
+	err := s.cw.Finish()
+	if err == nil {
 		s.credit()
-		return s.f.Sync()
-	}()
+		err = s.f.Sync()
+	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}

@@ -2,6 +2,8 @@ package scan
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,29 +11,59 @@ import (
 	"repro/internal/results"
 )
 
-// countingPass is a tallyPass that also records which dispatch path fed
-// it, so tests can assert the batch kernels actually engaged.
-type countingPass struct {
-	tallyPass
-	batched int    // ObserveBlock invocations
-	rowed   uint64 // Observe invocations
+// rowSeq is an observed row sequence: probe and RTT bits, in order.
+type rowSeq struct {
+	probe []int
+	rtt   []float64
 }
 
-func (p *countingPass) Observe(s results.Sample) error {
-	p.rowed++
-	return p.tallyPass.Observe(s)
+func (a rowSeq) equal(b rowSeq) bool {
+	return slices.Equal(a.probe, b.probe) && slices.Equal(a.rtt, b.rtt)
 }
+
+// refRows is the sequential reference: the rows of samples that pred
+// admits, in file order — what a scan of the store must hand its passes
+// for every worker count.
+func refRows(samples []results.Sample, pred *colf.Predicate) rowSeq {
+	var ref rowSeq
+	for _, s := range samples {
+		if pred.MatchRow(s.ProbeID, s.Time.UnixNano(), s.Region) {
+			ref.probe = append(ref.probe, s.ProbeID)
+			ref.rtt = append(ref.rtt, s.RTTms)
+		}
+	}
+	return ref
+}
+
+// countingPass records every row it is handed, concatenating on merge,
+// and how the blocks reached it, so tests can assert both what the
+// scanner folded and which dispatch it took.
+type countingPass struct {
+	rowSeq
+	whole     int // blocks observed with every stored row
+	compacted int // blocks observed as a row selection
+}
+
+func (p *countingPass) Columns() colf.ColumnSet { return 0 }
 
 func (p *countingPass) ObserveBlock(blk *colf.Block) error {
-	p.batched++
-	return p.tallyPass.ObserveBlock(blk)
+	if blk.Rows() == blk.Zone.Rows {
+		p.whole++
+	} else {
+		p.compacted++
+	}
+	p.probe = append(p.probe, blk.Probe...)
+	p.rtt = append(p.rtt, blk.RTT...)
+	return nil
 }
 
 func (p *countingPass) Merge(other Pass) error {
 	o := other.(*countingPass)
-	p.batched += o.batched
-	p.rowed += o.rowed
-	return p.tallyPass.Merge(&o.tallyPass)
+	p.whole += o.whole
+	p.compacted += o.compacted
+	p.probe = append(p.probe, o.probe...)
+	p.rtt = append(p.rtt, o.rtt...)
+	return nil
 }
 
 // scanCounting runs one scan of path through a countingPass.
@@ -53,64 +85,82 @@ func scanCounting(t *testing.T, path string, cfg Config) (*countingPass, Stats) 
 	return merged, st
 }
 
-// TestBinaryBatchEquivalence pins the three binary decode paths to each
-// other on the same store: the batch kernels, the RowScan escape hatch,
-// and the NoMmap positional-read fallback all produce the same
-// order-sensitive checksum for every worker count — and the dispatch
-// counters prove each path actually ran.
+// TestBinaryBatchEquivalence pins the block fold to the sequential
+// reference on an unfiltered store: for every worker count the passes
+// see exactly the stored rows in file order, whole block by whole
+// block, through the mapping and through the NoMmap positional-read
+// fallback alike.
 func TestBinaryBatchEquivalence(t *testing.T) {
 	samples := genSamples(20_000)
 	path := writeBinary(t, samples, 256)
+	ref := refRows(samples, nil)
 
 	for _, workers := range []int{1, 2, 4, 7} {
-		batch, _ := scanCounting(t, path, Config{Workers: workers})
-		if batch.batched == 0 || batch.rowed != 0 {
-			t.Fatalf("workers=%d: batch scan dispatched %d blocks, %d rows; want all-batch",
-				workers, batch.batched, batch.rowed)
-		}
-		row, _ := scanCounting(t, path, Config{Workers: workers, RowScan: true})
-		if row.batched != 0 || row.rowed != uint64(len(samples)) {
-			t.Fatalf("workers=%d: RowScan dispatched %d blocks, %d rows; want all-row",
-				workers, row.batched, row.rowed)
-		}
-		noMmap, _ := scanCounting(t, path, Config{Workers: workers, NoMmap: true})
-		if batch.n != row.n || batch.fold != row.fold {
-			t.Errorf("workers=%d: batch (n=%d fold=%#x) != row (n=%d fold=%#x)",
-				workers, batch.n, batch.fold, row.n, row.fold)
-		}
-		if noMmap.n != batch.n || noMmap.fold != batch.fold {
-			t.Errorf("workers=%d: NoMmap (n=%d fold=%#x) != mmap (n=%d fold=%#x)",
-				workers, noMmap.n, noMmap.fold, batch.n, batch.fold)
+		for _, noMmap := range []bool{false, true} {
+			got, st := scanCounting(t, path, Config{Workers: workers, NoMmap: noMmap})
+			if got.whole != st.BlocksTotal || got.compacted != 0 {
+				t.Fatalf("workers=%d noMmap=%v: %d whole + %d compacted blocks of %d; want all whole",
+					workers, noMmap, got.whole, got.compacted, st.BlocksTotal)
+			}
+			if !got.equal(ref) {
+				t.Errorf("workers=%d noMmap=%v: scan folded %d rows that differ from the %d stored",
+					workers, noMmap, len(got.probe), len(ref.probe))
+			}
 		}
 	}
 }
 
-// TestBinaryBatchFilteredEquivalence repeats the batch-vs-row check
-// under a predicate that covers some blocks fully and clips others, so
-// both the covered-block kernel dispatch and the partial-cover row
-// fallback are exercised.
+// TestBinaryBatchFilteredEquivalence repeats the reference check under
+// predicates that cover some blocks fully and clip others, so both the
+// whole-block dispatch and the compacted row selection are exercised —
+// on a time-ordered store and on one whose time column is shuffled
+// inside every block, where no row range describes the window. The
+// Stats columns are the values the scanner reported before compaction
+// replaced its per-row filter loop.
 func TestBinaryBatchFilteredEquivalence(t *testing.T) {
-	samples := genSamples(20_000)
-	path := writeBinary(t, samples, 256)
-	pred := &colf.Predicate{
-		Since: samples[0].Time.Add(1 * time.Hour),
-		Until: samples[0].Time.Add(4 * time.Hour),
+	ordered := genSamples(20_000)
+	shuffled := append([]results.Sample(nil), ordered...)
+	rng := rand.New(rand.NewSource(7))
+	for lo := 0; lo < len(shuffled); lo += 256 {
+		blk := shuffled[lo:min(lo+256, len(shuffled))]
+		rng.Shuffle(len(blk), func(i, j int) { blk[i], blk[j] = blk[j], blk[i] })
 	}
-	for _, workers := range []int{1, 2, 4, 7} {
-		batch, bst := scanCounting(t, path, Config{Workers: workers, Predicate: pred})
-		row, rst := scanCounting(t, path, Config{Workers: workers, Predicate: pred, RowScan: true})
-		if batch.n != row.n || batch.fold != row.fold {
-			t.Errorf("workers=%d: filtered batch (n=%d fold=%#x) != row (n=%d fold=%#x)",
-				workers, batch.n, batch.fold, row.n, row.fold)
+	window := &colf.Predicate{
+		Since: ordered[0].Time.Add(1 * time.Hour),
+		Until: ordered[0].Time.Add(4 * time.Hour),
+	}
+	cases := []struct {
+		name                       string
+		samples                    []results.Sample
+		pred                       *colf.Predicate
+		rows                       uint64 // Stats.RowsScanned
+		read, skipped, whole, part int
+	}{
+		{"window", ordered, window, 11008, 43, 36, 41, 2},
+		{"window, shuffled time", shuffled, window, 11008, 43, 36, 41, 2},
+		{"probes", ordered, &colf.Predicate{MinProbe: 100, MaxProbe: 200}, 20000, 79, 0, 0, 79},
+		{"region", ordered, &colf.Predicate{RegionPrefix: "aws/"}, 20000, 79, 0, 0, 79},
+	}
+	for _, tc := range cases {
+		path := writeBinary(t, tc.samples, 256)
+		ref := refRows(tc.samples, tc.pred)
+		if len(ref.probe) == 0 || len(ref.probe) == len(tc.samples) {
+			t.Fatalf("%s: degenerate predicate keeps %d of %d", tc.name, len(ref.probe), len(tc.samples))
 		}
-		if bst.Samples != rst.Samples {
-			t.Errorf("workers=%d: filtered batch saw %d samples, row %d", workers, bst.Samples, rst.Samples)
-		}
-		if batch.batched == 0 {
-			t.Errorf("workers=%d: window clipped every block; widen it so some are covered", workers)
-		}
-		if batch.rowed == 0 {
-			t.Errorf("workers=%d: window covered every kept block; no partial-cover fallback exercised", workers)
+		for _, workers := range []int{1, 2, 4, 7} {
+			got, st := scanCounting(t, path, Config{Workers: workers, Predicate: tc.pred})
+			if !got.equal(ref) {
+				t.Errorf("%s workers=%d: scan folded %d rows that differ from the %d the predicate admits",
+					tc.name, workers, len(got.probe), len(ref.probe))
+			}
+			if st.Samples != uint64(len(ref.probe)) || st.RowsScanned != tc.rows || st.BlocksRead != tc.read ||
+				st.BlocksSkipped != tc.skipped || st.BlocksZone != 0 {
+				t.Errorf("%s workers=%d: stats %+v", tc.name, workers, st)
+			}
+			if got.whole != tc.whole || got.compacted != tc.part {
+				t.Errorf("%s workers=%d: %d whole + %d compacted blocks, want %d + %d",
+					tc.name, workers, got.whole, got.compacted, tc.whole, tc.part)
+			}
 		}
 	}
 }
@@ -121,10 +171,14 @@ type zoneTally struct {
 	rows, delivered uint64
 }
 
-func (p *zoneTally) Observe(s results.Sample) error {
-	p.rows++
-	if !s.Lost {
-		p.delivered++
+func (p *zoneTally) Columns() colf.ColumnSet { return 0 }
+
+func (p *zoneTally) ObserveBlock(blk *colf.Block) error {
+	p.rows += uint64(blk.Rows())
+	for _, lost := range blk.Lost {
+		if !lost {
+			p.delivered++
+		}
 	}
 	return nil
 }
@@ -145,9 +199,9 @@ func (p *zoneTally) Merge(other Pass) error {
 }
 
 // TestBinaryZoneResolution pins the zone fast path: a scan whose only
-// pass is zone-capable resolves every block from its footer
-// pre-aggregates — zero rows decoded — and matches the row path's
-// tallies exactly.
+// pass is zone-capable resolves every covered block from its footer
+// pre-aggregates — zero rows decoded — decodes only the blocks a window
+// clips, and matches the tallies of the rows themselves.
 func TestBinaryZoneResolution(t *testing.T) {
 	samples := genSamples(20_000)
 	path := writeBinary(t, samples, 256)
@@ -168,21 +222,40 @@ func TestBinaryZoneResolution(t *testing.T) {
 		}
 		return merged, st
 	}
+	tally := func(pred *colf.Predicate) (want zoneTally) {
+		for _, s := range samples {
+			if pred.MatchRow(s.ProbeID, s.Time.UnixNano(), s.Region) {
+				want.rows++
+				if !s.Lost {
+					want.delivered++
+				}
+			}
+		}
+		return want
+	}
 
 	zoned, zst := run(Config{Workers: 4})
-	if zst.BlocksZone != zst.BlocksTotal || zst.RowsScanned != 0 {
+	if zst.BlocksZone != zst.BlocksTotal || zst.RowsScanned != 0 || zst.BlocksRead != 0 {
 		t.Fatalf("zone scan resolved %d/%d blocks from zones, decoded %d rows; want all, 0",
 			zst.BlocksZone, zst.BlocksTotal, zst.RowsScanned)
 	}
 	if zst.Samples != uint64(len(samples)) {
 		t.Errorf("zone scan counted %d samples, want %d", zst.Samples, len(samples))
 	}
-	rowed, rst := run(Config{Workers: 4, RowScan: true})
-	if rst.BlocksZone != 0 || rst.RowsScanned != uint64(len(samples)) {
-		t.Fatalf("RowScan resolved %d blocks from zones, decoded %d rows; want 0, %d",
-			rst.BlocksZone, rst.RowsScanned, len(samples))
+	if want := tally(nil); *zoned != want {
+		t.Errorf("zone tallies %+v != row tallies %+v", *zoned, want)
 	}
-	if *zoned != *rowed {
-		t.Errorf("zone tallies %+v != row tallies %+v", *zoned, *rowed)
+
+	window := &colf.Predicate{
+		Since: samples[0].Time.Add(1 * time.Hour),
+		Until: samples[0].Time.Add(4 * time.Hour),
+	}
+	clipped, cst := run(Config{Workers: 4, Predicate: window})
+	if cst.BlocksZone != 41 || cst.BlocksRead != 2 || cst.BlocksSkipped != 36 || cst.RowsScanned != 512 {
+		t.Errorf("windowed zone scan: %d zone, %d read, %d skipped, %d rows decoded; want 41, 2, 36, 512",
+			cst.BlocksZone, cst.BlocksRead, cst.BlocksSkipped, cst.RowsScanned)
+	}
+	if want := tally(window); *clipped != want || cst.Samples != want.rows {
+		t.Errorf("windowed zone tallies %+v (stats %d) != row tallies %+v", *clipped, cst.Samples, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -12,20 +13,23 @@ import (
 	"repro/internal/results"
 )
 
-// scanBinary is the columnar twin of the JSONL shard scan: it shards
-// the file by block index instead of by byte range, skips blocks whose
-// zone maps cannot match cfg.Predicate, and merges the per-worker
-// partials in file order — the same determinism guarantee, one layer
-// up (blocks instead of lines). blocks is the block list to decode —
-// the whole file on a cold scan, the suffix past the resume boundary
-// otherwise, with prefixBlocks/prefixBytes naming what was skipped.
-// r is the data source for block payloads — a *colf.Mapping when the
-// platform maps files, the file handle otherwise.
-func scanBinary(ctx context.Context, cfg Config, r io.ReaderAt, size int64, workers int, span *obs.Span, blocks []colf.BlockInfo, prefixBlocks int, prefixBytes int64) (Stats, error) {
+// scanBlocks is the scan proper: it skips blocks whose zone maps cannot
+// match cfg.Predicate, cuts the rest into contiguous groups, folds each
+// group on its own worker and merges the per-worker partials in file
+// order. blocks is the block list to decode — the whole file on a cold
+// scan, the suffix past the resume boundary otherwise, with
+// prefixBlocks/prefixBytes naming what was skipped. r is the data
+// source for block payloads — a *colf.Mapping when the platform maps
+// files, the file handle otherwise.
+func scanBlocks(ctx context.Context, cfg Config, r io.ReaderAt, size int64, span *obs.Span, blocks []colf.BlockInfo, prefixBlocks int, prefixBytes int64) (Stats, error) {
+	workers := cfg.Workers
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	// Zone-map pushdown: a block whose ranges cannot satisfy the
 	// predicate is dropped here, before any worker touches its payload.
-	// Kept blocks still carry non-matching rows; the row-level filter in
-	// the decode loop below keeps the semantics exact.
+	// Kept blocks still carry non-matching rows; foldGroup filters those
+	// out exactly.
 	kept := blocks
 	if !cfg.Predicate.Empty() {
 		kept = make([]colf.BlockInfo, 0, len(blocks))
@@ -43,7 +47,6 @@ func scanBinary(ctx context.Context, cfg Config, r io.ReaderAt, size int64, work
 		dataEnd = colf.HeaderSize // headered but empty store
 	}
 	st := Stats{
-		Binary:        true,
 		Bytes:         size,
 		BlocksTotal:   prefixBlocks + len(blocks),
 		BlocksSkipped: len(blocks) - len(kept),
@@ -55,12 +58,12 @@ func scanBinary(ctx context.Context, cfg Config, r io.ReaderAt, size int64, work
 	groups := groupBlocks(kept, workers)
 	if len(groups) == 0 {
 		// Nothing to decode (empty dataset, or every block skipped):
-		// build the worker-0 passes so the caller reports from a
-		// consistent state, mirroring the empty-file JSONL path.
+		// build the worker-0 passes so the caller reports (typically an
+		// empty-dataset error) from a consistent state.
 		if _, err := cfg.NewPasses(0); err != nil {
 			return Stats{}, err
 		}
-		finishBinary(&st, span, cfg.Metrics)
+		finish(&st, span, cfg)
 		return st, nil
 	}
 
@@ -91,7 +94,7 @@ func scanBinary(ctx context.Context, cfg Config, r io.ReaderAt, size int64, work
 		go func(w int, group []colf.BlockInfo) {
 			defer wg.Done()
 			t0 := time.Now()
-			res[w], errs[w] = scanBlocks(scanCtx, r, group, cfg.Predicate, passes[w], cfg.RowScan)
+			res[w], errs[w] = foldGroup(scanCtx, r, group, cfg.Predicate, passes[w])
 			busy[w] = time.Since(t0)
 			if errs[w] != nil {
 				cancel() // fail fast: stop the other groups
@@ -128,14 +131,13 @@ func scanBinary(ctx context.Context, cfg Config, r io.ReaderAt, size int64, work
 		}
 	}
 	st.Duration = time.Since(start)
-	finishBinary(&st, span, cfg.Metrics)
+	finish(&st, span, cfg)
 	return st, nil
 }
 
-// finishBinary records the span attributes and metrics of a completed
-// binary scan.
-func finishBinary(st *Stats, span *obs.Span, m *Metrics) {
-	span.SetAttr("format", "binary")
+// finish records the span attributes, metrics and completion event of
+// a successful scan.
+func finish(st *Stats, span *obs.Span, cfg Config) {
 	span.SetAttr("workers", st.Workers)
 	span.SetAttr("samples", st.Samples)
 	span.SetAttr("bytes", st.Bytes)
@@ -147,7 +149,12 @@ func finishBinary(st *Stats, span *obs.Span, m *Metrics) {
 	span.SetAttr("bytes_decoded", st.BytesDecoded)
 	span.SetAttr("rows_scanned", st.RowsScanned)
 	span.SetAttr("samples_per_sec", st.SamplesPerSec())
-	m.observe(*st)
+	cfg.Metrics.observe(*st)
+	cfg.Log.Debug("scan complete",
+		"workers", st.Workers, "samples", st.Samples,
+		"blocks_read", st.BlocksRead, "blocks_skipped", st.BlocksSkipped,
+		"blocks_zone", st.BlocksZone,
+		"blocks_total", st.BlocksTotal, "duration_ms", st.Duration.Milliseconds())
 }
 
 // groupBlocks cuts the kept blocks into at most n contiguous groups of
@@ -200,53 +207,29 @@ type groupStats struct {
 	zoned   int
 }
 
-// scanBlocks decodes one contiguous block group and feeds every
-// predicate-matching sample to ps. Per block it picks the cheapest
-// sufficient path, most specific first:
+// foldGroup decodes one contiguous block group and feeds every
+// predicate-matching row to ps. Per block it resolves from the zone
+// when it can and decodes otherwise:
 //
 //   - zone: the predicate covers the zone and every pass can absorb the
 //     zone's pre-aggregates — no decode at all;
-//   - batch: the predicate covers the zone and every row passes the
-//     validity sweep — BlockPass kernels see the column arrays, any
-//     remaining passes share one per-row loop without filter or
-//     validation overhead;
-//   - row: everything else (partial predicate cover, a row the sweep
-//     flagged, or cfg.RowScan) — the legacy loop, byte-identical error
-//     text and per-row semantics included.
-func scanBlocks(ctx context.Context, r io.ReaderAt, group []colf.BlockInfo, pred *colf.Predicate, ps []Pass, rowScan bool) (gs groupStats, err error) {
+//   - decode: everything else. A block the predicate covers only partly
+//     is compacted to its matching rows, a block whose footer zone does
+//     not prove every row valid is validated row by row, and the passes
+//     then see the column arrays through ObserveBlock.
+func foldGroup(ctx context.Context, r io.ReaderAt, group []colf.BlockInfo, pred *colf.Predicate, ps []Pass) (gs groupStats, err error) {
 	dec := colf.NewBlockDecoder()
 
 	// Classify the pass set once; every worker holds the same types.
-	var batch []BlockPass
-	var rowPs []Pass
 	cols := colf.ColumnSet(0)
-	if rowScan {
-		rowPs = ps
-	} else {
-		for _, p := range ps {
-			if bp, ok := p.(BlockPass); ok {
-				batch = append(batch, bp)
-				cols |= bp.Columns()
-			} else {
-				rowPs = append(rowPs, p)
-			}
-		}
-	}
-	if len(rowPs) > 0 {
-		cols = colf.ColAll // the row loop materializes full samples
-	}
-	zoneAll := !rowScan && len(ps) > 0
-	var zonePs []ZonePass
-	if zoneAll {
-		for _, p := range ps {
-			zp, ok := p.(ZonePass)
-			if !ok {
-				zoneAll = false
-				break
-			}
+	zonePs := make([]ZonePass, 0, len(ps))
+	for _, p := range ps {
+		cols |= p.Columns()
+		if zp, ok := p.(ZonePass); ok {
 			zonePs = append(zonePs, zp)
 		}
 	}
+	zoneAll := len(ps) > 0 && len(zonePs) == len(ps)
 
 	for _, bi := range group {
 		if err := ctx.Err(); err != nil {
@@ -264,8 +247,8 @@ func scanBlocks(ctx context.Context, r io.ReaderAt, group []colf.BlockInfo, pred
 			continue
 		}
 		want := cols
-		if rowScan || !covered {
-			want = colf.ColAll
+		if !covered {
+			want = colf.ColAll // MatchRow reads time and region
 		}
 		blk, err := dec.DecodeCols(r, bi, want)
 		if err != nil {
@@ -273,70 +256,69 @@ func scanBlocks(ctx context.Context, r io.ReaderAt, group []colf.BlockInfo, pred
 		}
 		gs.read++
 		gs.decoded += bi.Len
-		rows := blk.Rows()
-		gs.rows += uint64(rows)
+		gs.rows += uint64(blk.Rows())
 
-		if !rowScan && covered && blockRowsValid(blk) {
-			// blk.Zone is the CRC-verified footer zone, not the (unchecked)
-			// index copy in bi.Zone — the sweep's trust anchor.
-			for _, bp := range batch {
-				if err := bp.ObserveBlock(blk); err != nil {
+		// blk.Zone is the CRC-verified footer zone, not the (unchecked)
+		// index copy in bi.Zone — the validity proof's trust anchor.
+		if !blockRowsValid(blk) {
+			// Rare: some row would fail validation. Decode what Validate
+			// reads and name the first bad row the predicate admits,
+			// before any pass sees the block.
+			if want != colf.ColAll {
+				if blk, err = dec.DecodeCols(r, bi, colf.ColAll); err != nil {
 					return gs, err
 				}
 			}
-			if len(rowPs) > 0 {
-				// Covered and swept: no filter, no Validate, just the fold.
-				for i := 0; i < rows; i++ {
-					s := results.Sample{
-						ProbeID: blk.Probe[i],
-						Region:  blk.Region[i],
-						Time:    time.Unix(0, blk.TimeNano[i]).UTC(),
-						RTTms:   blk.RTT[i],
-						Lost:    blk.Lost[i],
-					}
-					for _, p := range rowPs {
-						if err := p.Observe(s); err != nil {
-							return gs, err
-						}
-					}
-				}
-			}
-			gs.samples += uint64(rows)
-			continue
-		}
-
-		// Legacy row path. The sweep only ever sends a block here when
-		// some row would fail validation, so re-decoding the skipped
-		// columns first is rare; error text and the rows observed before
-		// a bad one match the pre-batch scanner exactly.
-		if want != colf.ColAll {
-			if blk, err = dec.DecodeCols(r, bi, colf.ColAll); err != nil {
+			if err := validateRows(blk, bi.Off, pred); err != nil {
 				return gs, err
 			}
 		}
-		for i := 0; i < rows; i++ {
-			if !pred.Empty() && !pred.MatchRow(blk.Probe[i], blk.TimeNano[i], blk.Region[i]) {
-				continue
-			}
-			s := results.Sample{
-				ProbeID: blk.Probe[i],
-				Region:  blk.Region[i],
-				Time:    time.Unix(0, blk.TimeNano[i]).UTC(),
-				RTTms:   blk.RTT[i],
-				Lost:    blk.Lost[i],
-			}
-			if err := s.Validate(); err != nil {
-				return gs, fmt.Errorf("block at offset %d row %d: %w", bi.Off, i, err)
-			}
-			for _, p := range ps {
-				if err := p.Observe(s); err != nil {
-					return gs, err
-				}
-			}
-			gs.samples++
+		if !covered {
+			compact(blk, pred)
 		}
+		for _, p := range ps {
+			if err := p.ObserveBlock(blk); err != nil {
+				return gs, err
+			}
+		}
+		gs.samples += uint64(blk.Rows())
 	}
 	return gs, nil
+}
+
+// validateRows runs results.Sample.Validate over the rows of blk —
+// decoded with every column — that pred admits.
+func validateRows(blk *colf.Block, off int64, pred *colf.Predicate) error {
+	for i, probe := range blk.Probe {
+		if !pred.MatchRow(probe, blk.TimeNano[i], blk.Region[i]) {
+			continue
+		}
+		if err := results.FromRow(blk.Row(i)).Validate(); err != nil {
+			return fmt.Errorf("block at offset %d row %d: %w", off, i, err)
+		}
+	}
+	return nil
+}
+
+// compact filters blk — decoded with every column — in place to the
+// rows pred.MatchRow admits, keeping row order. The dictionary is
+// untouched: surviving region codes still index it.
+func compact(blk *colf.Block, pred *colf.Predicate) {
+	n := 0
+	for i, probe := range blk.Probe {
+		if !pred.MatchRow(probe, blk.TimeNano[i], blk.Region[i]) {
+			continue
+		}
+		blk.Probe[n] = probe
+		blk.TimeNano[n] = blk.TimeNano[i]
+		blk.Region[n] = blk.Region[i]
+		blk.RegionID[n] = blk.RegionID[i]
+		blk.RTT[n] = blk.RTT[i]
+		blk.Lost[n] = blk.Lost[i]
+		n++
+	}
+	blk.Probe, blk.TimeNano, blk.Region = blk.Probe[:n], blk.TimeNano[:n], blk.Region[:n]
+	blk.RegionID, blk.RTT, blk.Lost = blk.RegionID[:n], blk.RTT[:n], blk.Lost[:n]
 }
 
 // canObserveZone reports whether every pass can absorb z.
@@ -350,14 +332,14 @@ func canObserveZone(zonePs []ZonePass, z colf.Zone) bool {
 }
 
 // blockRowsValid reports whether every row of the block provably
-// passes results.Sample.Validate, so the batch path can skip per-row
+// passes results.Sample.Validate, so the scan can skip per-row
 // validation. It reads only the CRC-verified footer zone: MinProbe > 0
 // covers the probe check, a non-empty MinRegion rules out empty
 // regions (the lexicographic minimum), and MinRTT > 0 covers every
 // delivered row's RTT check (lost rows validate regardless of RTT).
 // The zero-Time check needs no proof at all — time.Unix(0, n) is
 // non-zero for every int64 n. It errs toward false (e.g. a NaN MinRTT
-// fails the > 0 test and falls back to the row loop, which accepts
+// fails the > 0 test and falls back to the row sweep, which accepts
 // NaN RTTs just as Validate does) — a false negative only costs
 // speed, never correctness.
 func blockRowsValid(blk *colf.Block) bool {

@@ -64,29 +64,6 @@ func writeBinary(t testing.TB, samples []results.Sample, blockRows int) string {
 	return path
 }
 
-// writeJSONL encodes the same samples in the legacy line format.
-func writeJSONL(t testing.TB, samples []results.Sample) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "samples.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := results.NewWriter(f)
-	for _, s := range samples {
-		if err := w.Write(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 // scanOrder runs an order-recording scan and returns the merged ids.
 func scanOrder(t *testing.T, cfg Config) ([]int, Stats) {
 	t.Helper()
@@ -103,17 +80,14 @@ func scanOrder(t *testing.T, cfg Config) ([]int, Stats) {
 	return keep[0].ids, st
 }
 
-// TestBinaryFilePreservesOrder mirrors TestFilePreservesOrder on the
-// columnar path: for any worker count, the merged pass observes file
-// order exactly, and the stats carry full block accounting.
+// TestBinaryFilePreservesOrder is the core determinism check: for any
+// worker count, the merged pass observes file order exactly, and the
+// stats carry full block accounting.
 func TestBinaryFilePreservesOrder(t *testing.T) {
 	samples := genSamples(1201)
 	path := writeBinary(t, samples, 64)
 	for _, workers := range []int{1, 2, 4, 7, 64} {
 		ids, st := scanOrder(t, Config{Path: path, Workers: workers})
-		if !st.Binary {
-			t.Fatalf("workers=%d: binary file scanned as JSONL", workers)
-		}
 		if st.Samples != uint64(len(samples)) {
 			t.Errorf("workers=%d: %d samples, want %d", workers, st.Samples, len(samples))
 		}
@@ -140,12 +114,10 @@ func TestBinaryFilePreservesOrder(t *testing.T) {
 
 // TestBinaryPredicatePushdown is the zone-map acceptance check: a
 // narrow time window decodes only the covering blocks, and the rows it
-// yields are exactly the rows a JSONL scan with the same predicate
-// yields.
+// yields are exactly the rows inside the window.
 func TestBinaryPredicatePushdown(t *testing.T) {
 	samples := genSamples(4000)
 	bpath := writeBinary(t, samples, 64) // ~63 blocks, one per ~64 seconds
-	jpath := writeJSONL(t, samples)
 
 	// A ~10-minute window in the middle of the ~67-minute stream.
 	pred := &colf.Predicate{
@@ -177,22 +149,12 @@ func TestBinaryPredicatePushdown(t *testing.T) {
 			t.Errorf("workers=%d: windowed scan decoded %d/%d blocks, want < 25%%",
 				workers, st.BlocksRead, st.BlocksTotal)
 		}
+		if len(ids) != len(want) {
+			t.Fatalf("workers=%d: kept %d rows, want %d", workers, len(ids), len(want))
+		}
 		for i := range want {
 			if ids[i] != want[i] {
 				t.Fatalf("workers=%d: filtered id[%d] = %d, want %d", workers, i, ids[i], want[i])
-			}
-		}
-		// Same predicate on the JSONL twin yields the same rows.
-		jids, jst := scanOrder(t, Config{Path: jpath, Workers: workers, Predicate: pred})
-		if jst.Binary {
-			t.Fatal("JSONL twin sniffed as binary")
-		}
-		if len(jids) != len(ids) {
-			t.Fatalf("workers=%d: jsonl kept %d rows, binary kept %d", workers, len(jids), len(ids))
-		}
-		for i := range ids {
-			if jids[i] != ids[i] {
-				t.Fatalf("workers=%d: formats disagree at row %d", workers, i)
 			}
 		}
 	}
@@ -302,7 +264,7 @@ func TestBinaryCorruptBlock(t *testing.T) {
 	}
 }
 
-// TestBinaryCancellation mirrors TestFileCancellation on the block path.
+// TestBinaryCancellation starts a scan under an already-cancelled context.
 func TestBinaryCancellation(t *testing.T) {
 	path := writeBinary(t, genSamples(5000), 64)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -16,8 +16,6 @@ type Metrics struct {
 	Samples *obs.Counter
 	// Bytes counts file bytes covered across all scans.
 	Bytes *obs.Counter
-	// Fallbacks counts lines that fell back to encoding/json.
-	Fallbacks *obs.Counter
 	// SamplesPerSec is the decode throughput of the latest scan.
 	SamplesPerSec *obs.Gauge
 	// BytesPerSec is the byte throughput of the latest scan.
@@ -26,8 +24,7 @@ type Metrics struct {
 	Utilization *obs.Gauge
 	// WorkerBusy is the per-worker busy time of the latest scan, seconds.
 	WorkerBusy *obs.GaugeVec // worker
-	// Colf holds the columnar reader's block accounting, recorded only
-	// by binary scans.
+	// Colf holds the columnar reader's block accounting.
 	Colf *colf.Metrics
 }
 
@@ -40,8 +37,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Samples decoded by the parallel scanner."),
 		Bytes: reg.Counter("scan_bytes_total",
 			"Dataset bytes covered by the parallel scanner."),
-		Fallbacks: reg.Counter("scan_decode_fallbacks_total",
-			"Lines the fast-path decoder handed to encoding/json."),
 		SamplesPerSec: reg.Gauge("scan_samples_per_second",
 			"Decode throughput of the latest scan."),
 		BytesPerSec: reg.Gauge("scan_bytes_per_second",
@@ -62,7 +57,6 @@ func (m *Metrics) observe(st Stats) {
 	m.Scans.Inc()
 	m.Samples.Add(st.Samples)
 	m.Bytes.Add(uint64(st.Bytes))
-	m.Fallbacks.Add(st.Fallbacks)
 	if st.Duration > 0 {
 		m.SamplesPerSec.Set(st.SamplesPerSec())
 		m.BytesPerSec.Set(st.MBPerSec() * 1e6)
@@ -71,7 +65,5 @@ func (m *Metrics) observe(st Stats) {
 	for w, b := range st.Busy {
 		m.WorkerBusy.With(strconv.Itoa(w)).Set(b.Seconds())
 	}
-	if st.Binary {
-		m.Colf.Observe(st.BlocksRead, st.BlocksSkipped, st.BytesDecoded)
-	}
+	m.Colf.Observe(st.BlocksRead, st.BlocksSkipped, st.BytesDecoded)
 }

@@ -1,60 +1,45 @@
-// Package scan is the parallel dataset scanner. It sniffs the samples
-// file's encoding from its leading bytes and shards accordingly: JSONL
-// stores split into line-aligned byte ranges decoded by a
-// low-allocation fast-path decoder; binary (colf) stores split by
-// block index, with zone-map predicate pushdown skipping blocks that
-// cannot match. Either way each shard runs on its own worker feeding
-// per-worker partial aggregates (Passes), and the partials merge in
-// shard order. Because shards are contiguous and merged in file order,
-// a scan produces the same report bytes for any worker count — the same
-// determinism guarantee internal/engine gives the generation side.
+// Package scan is the parallel dataset scanner. A store's samples file
+// is a sequence of colf blocks; the scanner skips blocks whose zone maps
+// cannot match the predicate, cuts the rest into contiguous groups, and
+// runs each group on its own worker feeding per-worker partial
+// aggregates (Passes), which merge in group order. Because groups are
+// contiguous and merged in file order, a scan produces the same report
+// bytes for any worker count — the same determinism guarantee
+// internal/engine gives the generation side.
 package scan
 
 import (
-	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/colf"
 	"repro/internal/obs"
-	"repro/internal/results"
 )
 
-// Pass is one streaming aggregate: it observes every sample of a shard
-// and can fold another worker's partial state into itself. Merge is
-// always called with partials from later shards, in shard order, so an
-// order-sensitive accumulation (a float sum, a first-wins minimum)
-// reconstructs the sequential file-order fold exactly.
+// Pass is one streaming aggregate: it observes every matching row of a
+// block group, block by block, and can fold another worker's partial
+// state into itself. Merge is always called with partials from later
+// groups, in group order, so an order-sensitive accumulation (a float
+// sum, a first-wins minimum) reconstructs the sequential file-order
+// fold exactly.
 type Pass interface {
-	Observe(s results.Sample) error
+	// Columns reports the optional columns ObserveBlock reads. Probe,
+	// RTT and loss are always decoded; ColTime, ColRegionIDs and
+	// ColRegionStrings only when some pass (or the predicate) needs
+	// them, which is a major perf lever for passes that ignore
+	// timestamps.
+	Columns() colf.ColumnSet
+	// ObserveBlock observes every row of blk in row order. Every row
+	// passes results.Sample.Validate and matches the scan's predicate:
+	// a block the predicate covers only partly arrives compacted to its
+	// matching rows (Dict and Zone still describe the stored block).
+	ObserveBlock(blk *colf.Block) error
 	// Merge folds other — the same Pass type built by a later worker —
 	// into the receiver.
 	Merge(other Pass) error
-}
-
-// BlockPass is a Pass with a columnar fast path. When every row of a
-// block provably matches the predicate (Predicate.CoversZone) and the
-// block passes the row-validity sweep, the scanner hands the decoded
-// column arrays to ObserveBlock instead of materializing one
-// results.Sample per row. ObserveBlock must fold exactly the state the
-// equivalent row-order Observe calls would — the scanner's batch/row
-// equivalence is pinned by tests and the figure byte-identity checks.
-type BlockPass interface {
-	Pass
-	// Columns reports the optional columns ObserveBlock reads. Probe,
-	// RTT, loss and the region dictionary (Dict/RegionID) are always
-	// decoded; ColTime and ColRegionStrings are decoded only when some
-	// pass asks for them, which is a major perf lever for passes that
-	// ignore timestamps.
-	Columns() colf.ColumnSet
-	// ObserveBlock observes every row of blk in row order.
-	ObserveBlock(blk *colf.Block) error
 }
 
 // ZonePass is a Pass that can absorb a whole block from its zone
@@ -74,10 +59,9 @@ type ZonePass interface {
 
 // Config describes one scan.
 type Config struct {
-	// Path is the samples file to scan — JSONL or binary colf; the
-	// scanner sniffs the encoding from the file's leading bytes.
+	// Path is the colf samples file to scan.
 	Path string
-	// Workers is the shard/worker count; values < 1 use GOMAXPROCS.
+	// Workers is the group/worker count; values < 1 use GOMAXPROCS.
 	Workers int
 	// NewPasses builds the pass set for one worker. It is called
 	// sequentially with worker = 0..n-1 before any decoding starts; the
@@ -86,25 +70,19 @@ type Config struct {
 	// All workers must produce the same pass types in the same order.
 	NewPasses func(worker int) ([]Pass, error)
 	// Predicate, when non-empty, restricts the scan to matching samples:
-	// rows are filtered exactly on both formats, and binary scans
-	// additionally skip whole blocks whose zone maps cannot match —
-	// the pushdown that makes windowed queries cheap.
+	// whole blocks whose zone maps cannot match are skipped — the
+	// pushdown that makes windowed queries cheap — and the rows of the
+	// remaining blocks are filtered exactly.
 	Predicate *colf.Predicate
-	// RowScan forces the legacy per-row path on binary stores: every
-	// kept block decodes all columns and feeds passes one
-	// results.Sample at a time, ignoring BlockPass/ZonePass fast paths.
-	// The batch path is byte-equivalent; this switch exists to prove it
-	// (tests, the check.sh equivalence smoke, figures -rowscan).
-	RowScan bool
-	// NoMmap disables memory-mapping binary stores, forcing the
+	// NoMmap disables memory-mapping the store, forcing the
 	// positional-read fallback that platforms without mmap use.
 	NoMmap bool
 	// Resume, when set, skips the store prefix a snapshot already
-	// covers: only bytes (JSONL) or blocks (binary) past the boundary
-	// are sharded and decoded. The boundary must be line- or
-	// block-aligned; a bogus one fails the scan rather than decoding
-	// garbage. The caller is responsible for proving the prefix still
-	// matches the snapshotted state (see internal/snap).
+	// covers: only blocks past the boundary are grouped and decoded.
+	// The boundary must be block-aligned; a bogus one fails the scan
+	// rather than decoding garbage. The caller is responsible for
+	// proving the prefix still matches the snapshotted state (see
+	// internal/snap).
 	Resume *Resume
 	// Metrics, when set, receives scan_* instruments.
 	Metrics *Metrics
@@ -113,7 +91,7 @@ type Config struct {
 }
 
 // Resume names the covered boundary a scan may skip to: the byte
-// offset, and for binary stores the block count before it.
+// offset and the block count before it.
 type Resume struct {
 	Bytes  int64
 	Blocks int
@@ -121,29 +99,25 @@ type Resume struct {
 
 // Stats summarises one completed scan.
 type Stats struct {
-	Workers int    // shards actually scanned
-	Samples uint64 // samples decoded and observed
+	Workers int    // block groups actually scanned
+	Samples uint64 // samples observed
 	// RowsScanned counts rows decoded and examined, before predicate
 	// row-filtering (Samples counts only matches). Zone-resolved blocks
 	// contribute to Samples but not RowsScanned — their rows were never
 	// decoded.
 	RowsScanned uint64
 	Bytes       int64           // file bytes covered
-	Fallbacks   uint64          // lines decoded through encoding/json
 	Duration    time.Duration   // wall-clock scan time
-	Busy        []time.Duration // per-worker busy time, shard order
+	Busy        []time.Duration // per-worker busy time, group order
 
 	// Resume accounting; zero on cold scans.
-	PrefixBlocks int   // blocks before the resume boundary (binary)
+	PrefixBlocks int   // blocks before the resume boundary
 	PrefixBytes  int64 // bytes before the resume boundary
-	// DataEnd is where sample data ends: the end of the last block on
-	// binary stores (excluding any trailing index), the file size on
-	// JSONL. A snapshot taken from this scan covers [0, DataEnd).
+	// DataEnd is where sample data ends: the end of the last block,
+	// excluding any trailing index. A snapshot taken from this scan
+	// covers [0, DataEnd).
 	DataEnd int64
 
-	// Binary block accounting; zero on JSONL scans except BytesDecoded,
-	// which then equals the bytes scanned past the resume boundary.
-	Binary        bool  // scanned a colf store
 	BlocksTotal   int   // blocks in the file, including the resumed prefix
 	BlocksRead    int   // blocks decoded
 	BlocksSkipped int   // blocks skipped via zone maps
@@ -182,16 +156,11 @@ func (st Stats) Utilization() float64 {
 
 // File scans the samples file at cfg.Path through the configured pass
 // set. On success the worker-0 passes (retained by the caller via
-// NewPasses) hold the fully merged aggregates. Line handling matches
-// results.Reader: empty lines are skipped, each sample is validated,
-// and lines beyond results.MaxLineBytes fail the scan.
+// NewPasses) hold the fully merged aggregates. A zero-length file — a
+// store created but never written — scans as an empty dataset.
 func File(ctx context.Context, cfg Config) (Stats, error) {
 	if cfg.Path == "" || cfg.NewPasses == nil {
 		return Stats{}, fmt.Errorf("scan: missing Path or NewPasses")
-	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	span := obs.From(ctx).Child("scan")
 	defer span.End()
@@ -200,189 +169,58 @@ func File(ctx context.Context, cfg Config) (Stats, error) {
 		return Stats{}, err
 	}
 	defer f.Close()
-	var resumeBytes int64
-	var resumeBlocks int
-	if cfg.Resume != nil {
-		resumeBytes, resumeBlocks = cfg.Resume.Bytes, cfg.Resume.Blocks
-	}
-	// Sniff the encoding: a colf magic routes to the block scanner,
-	// anything else is treated as JSONL.
-	var hdr [colf.HeaderSize]byte
-	if n, _ := f.ReadAt(hdr[:], 0); colf.Sniff(hdr[:n]) {
-		st, err := f.Stat()
-		if err != nil {
-			return Stats{}, err
-		}
-		size := st.Size()
-		var blocks []colf.BlockInfo
-		if resumeBytes > 0 {
-			// Resume: locate only the blocks past the covered boundary.
-			blocks, err = colf.DeltaBlocks(f, size, resumeBytes)
-			if err != nil {
-				return Stats{}, fmt.Errorf("scan: resume at offset %d: %w", resumeBytes, err)
-			}
-		} else {
-			rd, err := colf.NewReader(f, size)
-			if err != nil {
-				return Stats{}, err
-			}
-			blocks = rd.Blocks()
-			resumeBlocks = 0
-		}
-		// Decode straight out of the page cache when the platform maps
-		// files; any mmap failure silently keeps the positional-read
-		// path, which is what platforms without mmap use.
-		src := io.ReaderAt(f)
-		if !cfg.NoMmap {
-			if m, merr := colf.OpenMapping(f, size); merr == nil {
-				defer m.Close()
-				src = m
-			}
-		}
-		bst, berr := scanBinary(ctx, cfg, src, size, workers, span, blocks, resumeBlocks, resumeBytes)
-		if berr == nil {
-			cfg.Log.Debug("scan complete", "format", "binary",
-				"workers", bst.Workers, "samples", bst.Samples,
-				"blocks_read", bst.BlocksRead, "blocks_skipped", bst.BlocksSkipped,
-				"blocks_zone", bst.BlocksZone,
-				"blocks_total", bst.BlocksTotal, "duration_ms", bst.Duration.Milliseconds())
-		}
-		return bst, berr
-	}
-	shards, size, err := shardFile(f, workers, resumeBytes)
+	fi, err := f.Stat()
 	if err != nil {
 		return Stats{}, err
 	}
-	if len(shards) == 0 {
-		// Nothing past the boundary (empty file, or a resume that already
-		// covers everything): build the worker-0 passes so the caller can
-		// report (typically an empty-dataset error) from a consistent state.
-		if _, err := cfg.NewPasses(0); err != nil {
-			return Stats{}, err
-		}
-		return Stats{Workers: 0, Bytes: size, PrefixBytes: resumeBytes, DataEnd: size}, nil
-	}
-
-	passes := make([][]Pass, len(shards))
-	for w := range shards {
-		ps, err := cfg.NewPasses(w)
-		if err != nil {
-			return Stats{}, err
-		}
-		if w > 0 && len(ps) != len(passes[0]) {
-			return Stats{}, fmt.Errorf("scan: worker %d built %d passes, worker 0 built %d", w, len(ps), len(passes[0]))
-		}
-		passes[w] = ps
-	}
-
-	start := time.Now()
-	scanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+	size := fi.Size()
 	var (
-		wg        sync.WaitGroup
-		errs      = make([]error, len(shards))
-		samples   = make([]uint64, len(shards))
-		rows      = make([]uint64, len(shards))
-		fallbacks = make([]uint64, len(shards))
-		busy      = make([]time.Duration, len(shards))
+		blocks       []colf.BlockInfo
+		prefixBytes  int64
+		prefixBlocks int
 	)
-	for w, sh := range shards {
-		wg.Add(1)
-		go func(w int, sh Shard) {
-			defer wg.Done()
-			t0 := time.Now()
-			samples[w], rows[w], fallbacks[w], errs[w] = scanShard(scanCtx, f, sh, cfg.Predicate, passes[w])
-			busy[w] = time.Since(t0)
-			if errs[w] != nil {
-				cancel() // fail fast: stop the other shards
-			}
-		}(w, sh)
-	}
-	wg.Wait()
-
-	st := Stats{
-		Workers: len(shards), Bytes: size, BytesDecoded: size - resumeBytes,
-		PrefixBytes: resumeBytes, DataEnd: size, Busy: busy,
-	}
-	for w := range shards {
-		st.Samples += samples[w]
-		st.RowsScanned += rows[w]
-		st.Fallbacks += fallbacks[w]
-	}
-	// First error in shard (= file) order, so the reported failure is
-	// deterministic even when several shards fail.
-	for w, err := range errs {
+	switch {
+	case cfg.Resume != nil && cfg.Resume.Bytes > 0:
+		// Resume: locate only the blocks past the covered boundary.
+		prefixBytes, prefixBlocks = cfg.Resume.Bytes, cfg.Resume.Blocks
+		if blocks, err = colf.DeltaBlocks(f, size, prefixBytes); err != nil {
+			return Stats{}, fmt.Errorf("scan: resume at offset %d: %w", prefixBytes, err)
+		}
+	case size == 0:
+	default:
+		rd, err := colf.NewReader(f, size)
 		if err != nil {
-			st.Duration = time.Since(start)
-			return st, fmt.Errorf("scan: shard %d (offset %d): %w", w, shards[w].Off, err)
+			return Stats{}, err
+		}
+		blocks = rd.Blocks()
+	}
+	// Decode straight out of the page cache when the platform maps
+	// files; any mmap failure silently keeps the positional-read path,
+	// which is what platforms without mmap use.
+	src := io.ReaderAt(f)
+	if !cfg.NoMmap && size > 0 {
+		if m, merr := colf.OpenMapping(f, size); merr == nil {
+			defer m.Close()
+			src = m
 		}
 	}
-
-	// Merge partials into the worker-0 passes in shard order.
-	for w := 1; w < len(shards); w++ {
-		for i, p := range passes[0] {
-			if err := p.Merge(passes[w][i]); err != nil {
-				st.Duration = time.Since(start)
-				return st, fmt.Errorf("scan: merging shard %d pass %d: %w", w, i, err)
-			}
-		}
-	}
-	st.Duration = time.Since(start)
-	span.SetAttr("format", "jsonl")
-	span.SetAttr("workers", st.Workers)
-	span.SetAttr("samples", st.Samples)
-	span.SetAttr("bytes", st.Bytes)
-	span.SetAttr("fallbacks", st.Fallbacks)
-	span.SetAttr("samples_per_sec", st.SamplesPerSec())
-	cfg.Metrics.observe(st)
-	cfg.Log.Debug("scan complete", "format", "jsonl",
-		"workers", st.Workers, "samples", st.Samples, "bytes", st.Bytes,
-		"fallbacks", st.Fallbacks, "duration_ms", st.Duration.Milliseconds())
-	return st, nil
+	return scanBlocks(ctx, cfg, src, size, span, blocks, prefixBlocks, prefixBytes)
 }
 
-// scanShard decodes one byte range and feeds every predicate-matching
-// sample to ps. rows counts every decoded sample, matched or not.
-func scanShard(ctx context.Context, f *os.File, sh Shard, pred *colf.Predicate, ps []Pass) (samples, rows, fallbacks uint64, err error) {
-	sc := bufio.NewScanner(io.NewSectionReader(f, sh.Off, sh.Len))
-	sc.Buffer(make([]byte, 0, 64*1024), results.MaxLineBytes)
-	dec := NewDecoder()
-	var line uint64
-	for sc.Scan() {
-		line++
-		if line%1024 == 0 {
-			if err := ctx.Err(); err != nil {
-				return samples, rows, dec.Fallbacks, err
-			}
-		}
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		s, err := dec.Decode(raw)
-		if err != nil {
-			return samples, rows, dec.Fallbacks, err
-		}
-		if err := s.Validate(); err != nil {
-			return samples, rows, dec.Fallbacks, err
-		}
-		rows++
-		if !pred.Empty() && !pred.MatchRow(s.ProbeID, s.Time.UnixNano(), s.Region) {
-			continue
-		}
-		for _, p := range ps {
-			if err := p.Observe(s); err != nil {
-				return samples, rows, dec.Fallbacks, err
-			}
-		}
-		samples++
+// Blocks scans an already-located colf block list against an open data
+// source, for callers that hold a long-lived handle or mapping and walk
+// the file themselves — the serving layer's incremental refresh, which
+// locates new blocks with colf.ScanBlocksAvailable and must not reopen
+// and re-walk the store on every advance. The semantics match File
+// exactly (same grouping, pushdown, merge order and stats); cfg.Path,
+// cfg.NoMmap and cfg.Resume are ignored — the caller already resolved
+// them into r, blocks and prefixBlocks/prefixBytes (the blocks and
+// bytes before blocks[0] that an earlier scan covered).
+func Blocks(ctx context.Context, cfg Config, r io.ReaderAt, size int64, blocks []colf.BlockInfo, prefixBlocks int, prefixBytes int64) (Stats, error) {
+	if cfg.NewPasses == nil {
+		return Stats{}, fmt.Errorf("scan: missing NewPasses")
 	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return samples, rows, dec.Fallbacks, fmt.Errorf("line %d exceeds %d bytes: %w", line+1, results.MaxLineBytes, err)
-		}
-		return samples, rows, dec.Fallbacks, err
-	}
-	return samples, rows, dec.Fallbacks, nil
+	span := obs.From(ctx).Child("scan")
+	defer span.End()
+	return scanBlocks(ctx, cfg, r, size, span, blocks, prefixBlocks, prefixBytes)
 }

@@ -24,7 +24,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		HeadCRC:       1,
 		TailCRC:       2,
 	}, []byte("state")))
-	data := Encode(Header{Format: FormatJSONL, CoveredBytes: 42, Samples: 7}, bytes.Repeat([]byte{0xaa}, 64))
+	data := Encode(Header{Format: 0, CoveredBytes: 42, Samples: 7}, bytes.Repeat([]byte{0xaa}, 64))
 	f.Add(data)
 	data = append([]byte(nil), data...)
 	data[len(data)/2] ^= 0xff

@@ -43,17 +43,14 @@ func checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 // one polynomial.
 func Checksum(b []byte) uint32 { return checksum(b) }
 
-// Format mirrors the store's sample encoding; a snapshot binds to one.
+// Format is the header's store-encoding byte; a snapshot binds to one.
 type Format uint8
 
-const (
-	// FormatJSONL covers line-oriented stores; CoveredBytes is a byte
-	// offset on a line boundary.
-	FormatJSONL Format = iota
-	// FormatBinary covers colf stores; CoveredBytes is a block boundary
-	// and CoveredBlocks counts the blocks before it.
-	FormatBinary
-)
+// FormatBinary covers colf stores, the only kind there is: CoveredBytes
+// is a block boundary and CoveredBlocks counts the blocks before it.
+// Its value is the byte every written snapshot carries; a header with
+// another value decodes but binds to no store.
+const FormatBinary Format = 1
 
 // Header binds a snapshot to the exact store prefix it summarizes.
 type Header struct {
@@ -69,8 +66,7 @@ type Header struct {
 	// CoveredBytes is the store data size (bytes of sample data, not
 	// counting any trailing index) the snapshot summarizes.
 	CoveredBytes int64
-	// CoveredBlocks is the block count before CoveredBytes (binary
-	// stores only; zero for JSONL).
+	// CoveredBlocks is the block count before CoveredBytes.
 	CoveredBlocks int
 	// Samples is the number of samples folded into the state.
 	Samples uint64

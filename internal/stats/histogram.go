@@ -106,25 +106,3 @@ func (h *Histogram) Underflow() uint64 { return h.underflow }
 
 // Overflow returns the count of samples at or above the range.
 func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// CountBelow returns how many samples were strictly below x, where x must be
-// a bin boundary (or the range bounds); other values return an error because
-// the histogram cannot resolve them.
-func (h *Histogram) CountBelow(x float64) (uint64, error) {
-	if x <= h.min {
-		return h.underflow, nil
-	}
-	rel := (x - h.min) / h.width
-	idx := math.Round(rel)
-	if math.Abs(rel-idx) > 1e-9 {
-		return 0, fmt.Errorf("stats: %v is not a bin boundary", x)
-	}
-	n := h.underflow
-	for i := 0; i < int(idx) && i < len(h.counts); i++ {
-		n += h.counts[i]
-	}
-	if x >= h.max {
-		n += h.overflow
-	}
-	return n, nil
-}

@@ -56,30 +56,3 @@ func TestHistogramCounts(t *testing.T) {
 		t.Errorf("bin[9] = %d, want 1", bins[9].Count)
 	}
 }
-
-func TestHistogramCountBelow(t *testing.T) {
-	h, err := NewHistogram(0, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-1, 5, 15, 25, 99, 150} {
-		if err := h.Add(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := h.CountBelow(20)
-	if err != nil || got != 3 { // -1, 5, 15
-		t.Errorf("CountBelow(20) = %d, %v; want 3", got, err)
-	}
-	got, err = h.CountBelow(0)
-	if err != nil || got != 1 {
-		t.Errorf("CountBelow(0) = %d, %v; want 1", got, err)
-	}
-	got, err = h.CountBelow(100)
-	if err != nil || got != 6 {
-		t.Errorf("CountBelow(100) = %d, %v; want 6 (incl overflow)", got, err)
-	}
-	if _, err := h.CountBelow(17); err == nil {
-		t.Error("CountBelow(non-boundary) accepted")
-	}
-}

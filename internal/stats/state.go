@@ -6,18 +6,17 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/snap"
 )
 
-// Snapshot state codecs. Each aggregate serializes its exact in-memory
+// Snapshot state codec. A Dist serializes its exact in-memory
 // accumulator — float fields as raw IEEE-754 bits, samples in insertion
-// order — so a decoded aggregate continues adding and merging bitwise
-// identically to one that never left memory. Decoders validate
-// structure (counts vs remaining bytes, totals vs bucket sums) and
-// reject values Add would reject, so corrupt state surfaces as an error
-// rather than a subtly wrong figure.
+// order — so a decoded Dist continues adding and merging bitwise
+// identically to one that never left memory. The decoder validates
+// structure (counts vs remaining bytes) and rejects values Add would
+// reject, so corrupt state surfaces as an error rather than a subtly
+// wrong figure.
 
 // AppendState appends d's serialized accumulator state to b. The sample
 // buffer is written as one contiguous slab of IEEE-754 bits — snapshots
@@ -100,15 +99,6 @@ func (d *Dist) Sort() {
 	d.ensureSorted()
 }
 
-func sortedKeys(m map[int]*Dist) []int {
-	idxs := make([]int, 0, len(m))
-	for i := range m {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	return idxs
-}
-
 // DecodeDistState decodes one Dist state from c. A sorted sample slab is
 // captured by reference as a lazy span (see Dist.spans): the cursor's
 // buffer must therefore outlive the distribution, which holds for
@@ -151,160 +141,4 @@ func DecodeDistState(c *snap.Cursor) (*Dist, error) {
 		}
 	}
 	return d, nil
-}
-
-// AppendState appends ts's serialized state to b.
-func (ts *TimeSeries) AppendState(b []byte) []byte {
-	b = snap.AppendVarint(b, ts.start.Unix())
-	b = snap.AppendVarint(b, int64(ts.start.Nanosecond()))
-	b = snap.AppendVarint(b, int64(ts.width))
-	b = snap.AppendUvarint(b, uint64(len(ts.bins)))
-	for _, i := range sortedKeys(ts.bins) {
-		b = snap.AppendVarint(b, int64(i))
-		b = ts.bins[i].AppendState(b)
-	}
-	return b
-}
-
-// DecodeTimeSeriesState decodes one TimeSeries state from c.
-func DecodeTimeSeriesState(c *snap.Cursor) (*TimeSeries, error) {
-	sec, err := c.Varint()
-	if err != nil {
-		return nil, err
-	}
-	ns, err := c.Varint()
-	if err != nil {
-		return nil, err
-	}
-	width, err := c.Varint()
-	if err != nil {
-		return nil, err
-	}
-	ts, err := NewTimeSeries(time.Unix(sec, ns).UTC(), time.Duration(width))
-	if err != nil {
-		return nil, err
-	}
-	n, err := c.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for j := uint64(0); j < n; j++ {
-		i, err := c.Varint()
-		if err != nil {
-			return nil, err
-		}
-		d, err := DecodeDistState(c)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := ts.bins[int(i)]; dup {
-			return nil, fmt.Errorf("stats: duplicate series bin %d in state", i)
-		}
-		ts.bins[int(i)] = d
-	}
-	return ts, nil
-}
-
-// AppendState appends h's serialized state to b.
-func (h *Histogram) AppendState(b []byte) []byte {
-	b = snap.AppendFloat(b, h.min)
-	b = snap.AppendFloat(b, h.max)
-	b = snap.AppendUvarint(b, uint64(len(h.counts)))
-	for _, c := range h.counts {
-		b = snap.AppendUvarint(b, c)
-	}
-	b = snap.AppendUvarint(b, h.underflow)
-	b = snap.AppendUvarint(b, h.overflow)
-	return snap.AppendUvarint(b, h.total)
-}
-
-// DecodeHistogramState decodes one Histogram state from c.
-func DecodeHistogramState(c *snap.Cursor) (*Histogram, error) {
-	min, err := c.Float()
-	if err != nil {
-		return nil, err
-	}
-	max, err := c.Float()
-	if err != nil {
-		return nil, err
-	}
-	n, err := c.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > uint64(c.Remaining()) {
-		return nil, fmt.Errorf("stats: histogram claims %d bins, %d bytes remain", n, c.Remaining())
-	}
-	// NewHistogram recomputes width from (min, max, n) exactly as the
-	// original construction did, so decoded bin edges are bit-identical.
-	h, err := NewHistogram(min, max, int(n))
-	if err != nil {
-		return nil, err
-	}
-	var sum uint64
-	for i := range h.counts {
-		if h.counts[i], err = c.Uvarint(); err != nil {
-			return nil, err
-		}
-		sum += h.counts[i]
-	}
-	if h.underflow, err = c.Uvarint(); err != nil {
-		return nil, err
-	}
-	if h.overflow, err = c.Uvarint(); err != nil {
-		return nil, err
-	}
-	if h.total, err = c.Uvarint(); err != nil {
-		return nil, err
-	}
-	if h.total != sum+h.underflow+h.overflow {
-		return nil, fmt.Errorf("stats: histogram total %d != bucket sum %d", h.total, sum+h.underflow+h.overflow)
-	}
-	return h, nil
-}
-
-// AppendState appends s's serialized state to b.
-func (s *QuantileSketch) AppendState(b []byte) []byte {
-	b = snap.AppendFloat(b, s.lo)
-	b = snap.AppendFloat(b, s.gamma)
-	b = snap.AppendUvarint(b, uint64(len(s.counts)))
-	for _, c := range s.counts {
-		b = snap.AppendUvarint(b, c)
-	}
-	return b
-}
-
-// DecodeQuantileSketchState decodes one QuantileSketch state from c.
-func DecodeQuantileSketchState(c *snap.Cursor) (*QuantileSketch, error) {
-	lo, err := c.Float()
-	if err != nil {
-		return nil, err
-	}
-	gamma, err := c.Float()
-	if err != nil {
-		return nil, err
-	}
-	if !(lo > 0) || math.IsInf(lo, 0) || !(gamma > 1) || math.IsInf(gamma, 0) {
-		return nil, fmt.Errorf("stats: invalid sketch parameters lo=%v gamma=%v in state", lo, gamma)
-	}
-	n, err := c.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > uint64(c.Remaining()) {
-		return nil, fmt.Errorf("stats: sketch claims %d buckets, %d bytes remain", n, c.Remaining())
-	}
-	s := &QuantileSketch{
-		lo:     lo,
-		gamma:  gamma,
-		invLnG: 1 / math.Log(gamma),
-		counts: make([]uint64, n),
-	}
-	for i := range s.counts {
-		if s.counts[i], err = c.Uvarint(); err != nil {
-			return nil, err
-		}
-		s.total += s.counts[i]
-	}
-	return s, nil
 }

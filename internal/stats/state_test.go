@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/snap"
 )
@@ -118,104 +117,6 @@ func TestDecodeDistStateRejectsCorruption(t *testing.T) {
 	bad = snap.AppendBool(bad, false)
 	if _, err := DecodeDistState(snap.NewCursor(bad)); err == nil {
 		t.Fatal("NaN sample decoded")
-	}
-}
-
-func TestTimeSeriesStateRoundTrip(t *testing.T) {
-	start := time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
-	ts, err := NewTimeSeries(start, 7*24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range []float64{10, 20, 15, 40, 8} {
-		if err := ts.Add(start.Add(time.Duration(i*50)*time.Hour), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := snap.NewCursor(ts.AppendState(nil))
-	got, err := DecodeTimeSeriesState(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Remaining() != 0 {
-		t.Fatalf("%d bytes remain", c.Remaining())
-	}
-	if !got.start.Equal(ts.start) || got.width != ts.width || !reflect.DeepEqual(got.bins, ts.bins) {
-		t.Fatalf("round trip: got %+v want %+v", got, ts)
-	}
-	wantPts, err := ts.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPts, err := got.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotPts, wantPts) {
-		t.Fatal("points differ after round trip")
-	}
-}
-
-func TestHistogramStateRoundTrip(t *testing.T) {
-	h, err := NewHistogram(0, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-5, 0, 12, 55, 99.9, 100, 1e9} {
-		if err := h.Add(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := snap.NewCursor(h.AppendState(nil))
-	got, err := DecodeHistogramState(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Remaining() != 0 || !reflect.DeepEqual(got, h) {
-		t.Fatalf("round trip: got %+v want %+v (%d remain)", got, h, c.Remaining())
-	}
-
-	// Inconsistent total is rejected.
-	state := h.AppendState(nil)
-	bad := append([]byte(nil), state[:len(state)-1]...)
-	bad = snap.AppendUvarint(bad, h.total+1)
-	if _, err := DecodeHistogramState(snap.NewCursor(bad)); err == nil {
-		t.Fatal("inconsistent total decoded")
-	}
-}
-
-func TestQuantileSketchStateRoundTrip(t *testing.T) {
-	s := NewRTTSketch()
-	for _, v := range []float64{0.005, 0.3, 12, 90, 450, 99999, 1e9} {
-		if err := s.Add(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := snap.NewCursor(s.AppendState(nil))
-	got, err := DecodeQuantileSketchState(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Remaining() != 0 || !reflect.DeepEqual(got, s) {
-		t.Fatalf("round trip mismatch (%d remain)", c.Remaining())
-	}
-	// Merging the decoded sketch back into a fresh one works (parameters
-	// survived bitwise).
-	fresh := NewRTTSketch()
-	if err := fresh.Merge(got); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.N() != s.N() {
-		t.Fatalf("merged N %d want %d", fresh.N(), s.N())
-	}
-
-	// Bad parameters are rejected.
-	bad := snap.AppendFloat(nil, -1)
-	bad = snap.AppendFloat(bad, 1.02)
-	bad = snap.AppendUvarint(bad, 1)
-	bad = snap.AppendUvarint(bad, 0)
-	if _, err := DecodeQuantileSketchState(snap.NewCursor(bad)); err == nil {
-		t.Fatal("negative lo decoded")
 	}
 }
 

@@ -62,14 +62,12 @@ echo "== bench module (API compile + paper_run parity) =="
 
 echo "== fuzz smoke =="
 # Short fuzz bursts over the decode boundaries: the columnar block
-# codec (round-trip + corruption), the JSONL fast-path decoder
-# (differential against encoding/json), the snapshot envelope
+# codec (round-trip + corruption), the snapshot envelope
 # (header/payload round-trip + corruption), and the temporal index's
 # segment-node codec (decode must never panic; accepted payloads must
 # re-encode to the same aggregate). Ten seconds each catches format
 # regressions without turning the gate into a fuzz farm.
 go test -run='^$' -fuzz='^FuzzBlockRoundTrip$' -fuzztime=10s ./internal/colf
-go test -run='^$' -fuzz='^FuzzSampleDecode$' -fuzztime=10s ./internal/scan
 go test -run='^$' -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime=10s ./internal/snap
 go test -run='^$' -fuzz='^FuzzNodeRoundTrip$' -fuzztime=10s ./internal/tix
 
@@ -90,17 +88,29 @@ go run ./cmd/shears -cluster 3 -days 2 -probes 200 -quiet -out "$smokedir/cluste
 go run ./cmd/shears -days 2 -probes 200 -quiet -out "$smokedir/serial"
 cmp "$smokedir/cluster/samples.bin" "$smokedir/serial/samples.bin"
 
-echo "== batch-vs-row smoke (figure byte-identity) =="
-# Render figures from the binary store twice — once through the
-# columnar batch kernels, once with -rowscan forcing the legacy per-row
-# path — and pin the stdout bytes identical. -snapshot off keeps both
-# runs cold so the whole store decodes through the path under test.
+echo "== convert smoke (JSONL export/import round trip) =="
+# JSONL is the interchange encoding: exporting the serial store and
+# importing the export must reproduce samples.bin byte for byte (the
+# two-day run ends before its first checkpoint, so no block was sealed
+# short), and exporting that again the same lines.
+go run ./cmd/dataset -data "$smokedir/serial" -out "$smokedir/jsonl" -to jsonl convert
+go run ./cmd/dataset -data "$smokedir/jsonl" -out "$smokedir/reimport" -to binary convert
+cmp "$smokedir/serial/samples.bin" "$smokedir/reimport/samples.bin"
+go run ./cmd/dataset -data "$smokedir/reimport" -out "$smokedir/jsonl2" -to jsonl convert
+cmp "$smokedir/jsonl/samples.jsonl" "$smokedir/jsonl2/samples.jsonl"
+
+echo "== figure digests (worker-count byte-identity) =="
+# Render figures from the store cold (-snapshot off, so the whole store
+# decodes through the scanner) at one and four workers; the stdout
+# bytes must not depend on the worker count.
 for fig in 6 7; do
-    go run ./cmd/figures -fig "$fig" -data "$smokedir/serial" -workers 4 \
-        -snapshot off >"$smokedir/fig$fig.batch.txt" 2>/dev/null
-    go run ./cmd/figures -fig "$fig" -data "$smokedir/serial" -workers 4 \
-        -snapshot off -rowscan >"$smokedir/fig$fig.row.txt" 2>/dev/null
-    cmp "$smokedir/fig$fig.batch.txt" "$smokedir/fig$fig.row.txt"
+    for workers in 1 4; do
+        go run ./cmd/figures -fig "$fig" -data "$smokedir/serial" -probes 200 \
+            -workers "$workers" -snapshot off 2>/dev/null | sha256sum | cut -d' ' -f1 \
+            >"$smokedir/fig$fig.w$workers.sha256"
+    done
+    cmp "$smokedir/fig$fig.w1.sha256" "$smokedir/fig$fig.w4.sha256"
+    echo "figure $fig sha256 $(cat "$smokedir/fig$fig.w1.sha256")"
 done
 
 echo "== temporal index smoke (windowed equivalence) =="
@@ -121,5 +131,8 @@ go run ./cmd/dataset -data "$smokedir/serial" \
 tally='/^continent /{t=1;next} t{rest=substr($0,15); split(rest,a," "); print substr($0,1,14), a[1]}'
 diff <(awk "$tally" "$smokedir/window.idx.txt") \
     <(awk "$tally" "$smokedir/window.scan.txt")
+
+echo "== non-test Go lines =="
+scripts/loc.sh
 
 echo "OK"
