@@ -64,6 +64,8 @@ type options struct {
 	data       string
 	probes     int
 	seed       uint64
+	probesSet  bool // -probes was given on the command line
+	seedSet    bool // -seed was given on the command line
 	csv        bool
 	workers    int
 	snapMode   string
@@ -94,8 +96,8 @@ func main() {
 	var o options
 	flag.StringVar(&o.fig, "fig", "", "figure to render: 1, 2, 3a, 3b, 4, 5, 6, 7, 8")
 	flag.StringVar(&o.data, "data", "", "stored dataset directory (optional)")
-	flag.IntVar(&o.probes, "probes", 400, "probe count when synthesizing")
-	flag.Uint64Var(&o.seed, "seed", 1, "world seed when synthesizing")
+	flag.IntVar(&o.probes, "probes", 400, "world probe count; with -data the default is the dataset's (meta.json)")
+	flag.Uint64Var(&o.seed, "seed", 1, "world seed; with -data the default is the dataset's (meta.json)")
 	flag.BoolVar(&o.csv, "csv", false, "emit CSV instead of text (figures 1, 4, 5, 6, 7, 8)")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "scan worker count for stored datasets")
 	flag.StringVar(&o.snapMode, "snapshot", "on", "analysis snapshot (samples.snap) for stored datasets: on or off")
@@ -105,6 +107,14 @@ func main() {
 	flag.StringVar(&o.logFormat, "log-format", "text", "structured log encoding: text (logfmt) or json")
 	flag.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "probes":
+			o.probesSet = true
+		case "seed":
+			o.seedSet = true
+		}
+	})
 	if err := run(o); err != nil {
 		if errors.Is(err, core.ErrEmptyStore) {
 			log.Fatalf("dataset %s holds no samples yet — run cmd/shears against it first, then retry", o.data)
@@ -350,18 +360,19 @@ func render(o options, env *runEnv) ([]string, error) {
 		return figures.Figure2(apps.Paper())
 	}
 
-	w, err := buildWorld(o, env)
-	if err != nil {
-		return nil, err
-	}
 	switch o.fig {
-	case "3a":
-		return figures.Figure3a(w.Catalog)
-	case "3b":
+	case "3a", "3b":
+		w, err := buildWorld(o, env)
+		if err != nil {
+			return nil, err
+		}
+		if o.fig == "3a" {
+			return figures.Figure3a(w.Catalog)
+		}
 		return figures.Figure3b(w.Probes)
 	}
 
-	d, err := loadOrSynthesize(ctx, w, o, env)
+	w, d, err := loadOrSynthesize(ctx, o, env)
 	if err != nil {
 		return nil, err
 	}
@@ -430,18 +441,38 @@ type dataset struct {
 	span    *obs.Span             // the figure's span; scans nest under it
 }
 
-// loadOrSynthesize opens the stored dataset, or runs a fresh test-scale
-// campaign against the supplied world.
-func loadOrSynthesize(ctx context.Context, w *world.World, o options, env *runEnv) (*dataset, error) {
+// loadOrSynthesize builds the world and the figure's sample source: the
+// stored dataset, or a fresh test-scale campaign. A stored dataset is
+// analysed under the world its meta.json records unless -probes/-seed
+// say otherwise on the command line; a world that differs from the
+// dataset's classifies its samples differently, so such a run warns and
+// stays away from samples.snap, which is bound to the dataset's world.
+func loadOrSynthesize(ctx context.Context, o options, env *runEnv) (*world.World, *dataset, error) {
 	if o.data != "" {
 		store, err := results.Open(o.data)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		d := &dataset{store: store, start: store.Meta().Start, workers: o.workers, env: env}
+		meta := store.Meta()
+		if !o.probesSet {
+			o.probes = meta.Probes
+		}
+		if !o.seedSet {
+			o.seed = meta.Seed
+		}
+		w, err := buildWorld(o, env)
+		if err != nil {
+			return nil, nil, err
+		}
+		d := &dataset{store: store, start: meta.Start, workers: o.workers, env: env}
 		enabled, err := snapshotEnabled(o.snapMode)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		if o.probes != meta.Probes || o.seed != meta.Seed {
+			env.logger().Warn("world differs from the dataset's; samples.snap is left alone",
+				"probes", o.probes, "seed", o.seed, "dataset_probes", meta.Probes, "dataset_seed", meta.Seed)
+			enabled = false
 		}
 		if enabled {
 			d.snap = &core.SnapshotOptions{
@@ -454,16 +485,20 @@ func loadOrSynthesize(ctx context.Context, w *world.World, o options, env *runEn
 		}
 		env.logger().Info("dataset opened",
 			"dir", o.data, "snapshot", enabled)
-		return d, nil
+		return w, d, nil
+	}
+	w, err := buildWorld(o, env)
+	if err != nil {
+		return nil, nil, err
 	}
 	cfg := atlas.TestCampaign()
 	s := env.span().Child("campaign.synthesize")
 	defer s.End()
 	var mem results.Memory
 	if _, err := w.Platform.RunCampaign(obs.ContextWith(ctx, s), cfg, mem.Add); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &dataset{mem: &mem, start: cfg.Start, env: env}, nil
+	return w, &dataset{mem: &mem, start: cfg.Start, env: env}, nil
 }
 
 // figurePasses names the suite pass a dataset figure reads, so a
@@ -582,11 +617,11 @@ func (d *dataset) fullDist(idx *core.Index) (*core.CDFReport, error) {
 		}
 		return rep.FullDist, nil
 	}
-	p, err := runPass(d, func() (*core.FullDistPass, error) { return core.NewFullDistPass(idx), nil })
+	p, err := runPass(d, func() (*core.NearestPass, error) { return core.NewNearestPass(idx), nil })
 	if err != nil {
 		return nil, err
 	}
-	return p.Report()
+	return p.FullDist()
 }
 
 func (d *dataset) lastMile(idx *core.Index) (*core.LastMileReport, error) {
@@ -597,13 +632,11 @@ func (d *dataset) lastMile(idx *core.Index) (*core.LastMileReport, error) {
 		}
 		return rep.LastMile, nil
 	}
-	p, err := runPass(d, func() (*core.LastMilePass, error) {
-		return core.NewLastMilePass(idx, d.start, 7*24*time.Hour)
-	})
+	p, err := runPass(d, func() (*core.NearestPass, error) { return core.NewNearestPass(idx), nil })
 	if err != nil {
 		return nil, err
 	}
-	return p.Report()
+	return p.LastMile(d.start, 7*24*time.Hour)
 }
 
 // renderCSV emits the machine-readable form of a figure.
@@ -621,11 +654,7 @@ func renderCSV(o options, env *runEnv) ([]string, error) {
 		return splitLines(buf.String()), nil
 	}
 
-	w, err := buildWorld(o, env)
-	if err != nil {
-		return nil, err
-	}
-	d, err := loadOrSynthesize(ctx, w, o, env)
+	w, d, err := loadOrSynthesize(ctx, o, env)
 	if err != nil {
 		return nil, err
 	}

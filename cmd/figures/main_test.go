@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/atlas"
 	"repro/internal/obs"
 	"repro/internal/results"
+	"repro/internal/snap"
 	"repro/internal/world"
 )
 
@@ -101,6 +104,64 @@ func TestRenderFromStoredDataset(t *testing.T) {
 	// Missing dataset directory surfaces an error.
 	if _, err := render(options{fig: "4", data: dir + "/nope", probes: 200, seed: 2, workers: 4, snapMode: "on"}, nil); err == nil {
 		t.Error("missing dataset accepted")
+	}
+}
+
+// TestDatasetWorldFromMeta pins where a stored dataset's world comes
+// from. Left at their defaults, -probes and -seed are the dataset's own
+// (meta.json), so the figure and the snapshot are those of a run that
+// spelled them out; given on the command line and different, they win,
+// with a warning — and samples.snap, which is bound to the dataset's
+// world, is neither read nor overwritten.
+func TestDatasetWorldFromMeta(t *testing.T) {
+	dir, _ := buildDataset(t, 2, 200)
+	explicit := options{fig: "6", data: dir, probes: 200, seed: 2, probesSet: true, seedSet: true, workers: 2, snapMode: "on"}
+	want, err := render(explicit, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := os.ReadFile(filepath.Join(dir, "samples.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The flag defaults describe a different world (400 probes, seed 1).
+	var log bytes.Buffer
+	sm := snap.NewMetrics(obs.NewRegistry())
+	defaults := options{fig: "6", data: dir, probes: 400, seed: 1, workers: 2, snapMode: "on"}
+	got, err := render(defaults, &runEnv{snapMetrics: sm, log: obs.NewLogger(&log)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Error("figure under the flag defaults differs from the dataset's world")
+	}
+	if sm.Hits.Value() != 1 || sm.Invalidations.Value() != 0 || sm.Writes.Value() != 0 {
+		t.Errorf("defaults run: hit=%d invalid=%d write=%d, want a pure snapshot hit", sm.Hits.Value(), sm.Invalidations.Value(), sm.Writes.Value())
+	}
+	if strings.Contains(log.String(), "level=warn") {
+		t.Errorf("defaults run warned:\n%s", log.String())
+	}
+
+	log.Reset()
+	sm = snap.NewMetrics(obs.NewRegistry())
+	other := explicit
+	other.probes = 250
+	got, err = render(other, &runEnv{snapMetrics: sm, log: obs.NewLogger(&log)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, "\n") == strings.Join(want, "\n") {
+		t.Error("an explicit -probes 250 analysed the dataset's 200-probe world")
+	}
+	if !strings.Contains(log.String(), "level=warn") || !strings.Contains(log.String(), "dataset_probes=200") {
+		t.Errorf("mismatched world not warned about:\n%s", log.String())
+	}
+	if n := sm.Hits.Value() + sm.Misses.Value() + sm.Invalidations.Value() + sm.Writes.Value(); n != 0 {
+		t.Errorf("mismatched world touched the snapshot machinery %d times", n)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, "samples.snap")); err != nil || !bytes.Equal(after, snapshot) {
+		t.Errorf("mismatched world changed samples.snap (err %v)", err)
 	}
 }
 
@@ -204,6 +265,7 @@ func TestRunWritesManifest(t *testing.T) {
 func TestRunServesStatusEndpoints(t *testing.T) {
 	dir, _ := buildDataset(t, 2, 200)
 	ready := make(chan string, 1)
+	parked := make(chan struct{})
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	unblock := func() { releaseOnce.Do(func() { close(release) }) }
@@ -220,7 +282,7 @@ func TestRunServesStatusEndpoints(t *testing.T) {
 				default:
 				}
 			},
-			beforeRender: func() { <-release },
+			beforeRender: func() { close(parked); <-release },
 		})
 	}()
 	var addr string
@@ -230,6 +292,13 @@ func TestRunServesStatusEndpoints(t *testing.T) {
 		t.Fatalf("run finished before the status server came up: %v", err)
 	case <-time.After(30 * time.Second):
 		t.Fatal("status server never came up")
+	}
+	// Poll only once the run is parked in the hook: it logs the
+	// rendering event between announcing the address and parking.
+	select {
+	case <-parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run never reached the render hook")
 	}
 
 	get := func(path string) []byte {

@@ -420,18 +420,25 @@ func run(o options) (err error) {
 	logger.Info("campaign complete",
 		"samples", n, "out", o.out, "elapsed", time.Since(start).Round(time.Millisecond))
 
+	figSpan := root.Child("figures")
 	if tixEnabled {
 		// The temporal index is an accelerator: a build failure costs
-		// windowed queries their fast path, never the campaign.
+		// windowed queries their fast path, never the campaign. It runs
+		// beside the figure scan: both only read the closed samples file,
+		// tix.Extend is single-threaded, and the snapshot write and the
+		// renderers leave a core idle. Its span opens after the figures
+		// span, so the trace draws it on a lane of its own.
 		tixSpan := root.Child("tix.build")
-		err := buildTix(store, w.Index, logger.With("tix"))
-		tixSpan.End()
-		if err != nil {
-			logger.Warn("temporal index build failed", "error", err)
-		}
+		tixDone := make(chan struct{})
+		go func() {
+			defer close(tixDone)
+			defer tixSpan.End()
+			if err := buildTix(store, w.Index, logger.With("tix")); err != nil {
+				logger.Warn("temporal index build failed", "error", err)
+			}
+		}()
+		defer func() { <-tixDone }()
 	}
-
-	figSpan := root.Child("figures")
 	defer figSpan.End()
 	if o.quiet && o.figDir == "" {
 		return nil

@@ -133,7 +133,9 @@ func TestRunWritesArtifacts(t *testing.T) {
 // must keep producing exactly what the paths they replaced produced
 // (`shears -probes 250 -seed 1 -days 7 -workers 3 -checkpoint-every 0
 // -quiet -figdir DIR` at the commit before wrote these bytes). A
-// deliberate format change updates the digest it moves and says so.
+// deliberate format change updates the digest it moves and says so:
+// samples.snap moved once since, to suite state v3 (Figures 6-8 held as
+// one per-probe column buffer); nothing else has.
 func TestRunGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64; other targets may fuse the float arithmetic differently")
@@ -145,7 +147,7 @@ func TestRunGoldenDigests(t *testing.T) {
 	}
 	golden := map[string]string{
 		filepath.Join(dir, "samples.bin"):    "d73e4c7519a2d9cb454f3f782c1e349ebcad3055c2a8cce89489ad76c1bb205b",
-		filepath.Join(dir, "samples.snap"):   "51199ee21e017b0653727082fc35d8fb0e1142f1bc51784bfb1a58d2630304de",
+		filepath.Join(dir, "samples.snap"):   "9b9f0b12aae80b0276676dc390251ca291a9611b4e926a0ee6342d69e368c1bc",
 		filepath.Join(dir, "samples.tix"):    "dec55deb4b04ddb2d0eda86cac1619c7552d2c79f5e24960e2acb24293836b63",
 		filepath.Join(figDir, "figure4.csv"): "0769f523f93c6e187269a61d2466261d7310ce283b62dac630c3582c8868a8fa",
 		filepath.Join(figDir, "figure5.csv"): "058670c0b8a579c903ad842bd4301cf3432fc8b99e8cfb06bf13c29cd5720f54",
@@ -190,7 +192,7 @@ func TestRunWritesTrace(t *testing.T) {
 	for _, c := range root.Children {
 		byName[c.Name] = c
 	}
-	for _, want := range []string{"world.build", "campaign", "results.flush", "figures"} {
+	for _, want := range []string{"world.build", "campaign", "results.flush", "figures", "tix.build"} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("root lacks %q child; has %d children", want, len(root.Children))
 		}
@@ -231,7 +233,15 @@ func TestRunWritesTrace(t *testing.T) {
 			continue
 		}
 		switch c.Name {
-		case "snap.load", "snap.merge", "snapshot.write", "suite.report":
+		case "snap.load", "snap.merge", "suite.report":
+		case "snapshot.write":
+			var parts []string
+			for _, g := range c.Children {
+				parts = append(parts, g.Name)
+			}
+			if got := strings.Join(parts, ","); got != "snap.sort,snap.encode,snap.fsync" {
+				t.Errorf("snapshot.write splits into %q, want snap.sort,snap.encode,snap.fsync", got)
+			}
 		default:
 			if !strings.HasPrefix(c.Name, "figure:") {
 				t.Errorf("unexpected figures child %q", c.Name)
@@ -240,6 +250,25 @@ func TestRunWritesTrace(t *testing.T) {
 	}
 	if !sawScan {
 		t.Error("figures span lacks the fused dataset scan child")
+	}
+	// The overlapped index build is drawn beside the figures stage, not
+	// inside its lane.
+	var events struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Tid  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &events); err != nil {
+		t.Fatal(err)
+	}
+	lanes := map[string]int{}
+	for _, e := range events.TraceEvents {
+		lanes[e.Name] = e.Tid
+	}
+	if lanes["tix.build"] == 0 || lanes["tix.build"] == lanes["figures"] || lanes["tix.build"] == lanes["scan"] {
+		t.Errorf("tix.build on lane %d, figures on %d, scan on %d; want tix.build on a lane of its own",
+			lanes["tix.build"], lanes["figures"], lanes["scan"])
 	}
 }
 

@@ -65,10 +65,19 @@ type Region struct {
 	City     string    // nearest city, for display
 	Country  string    // ISO2 country code
 	Location geo.Point // datacenter coordinates
+
+	addr string // Addr's answer, spelled once by NewCatalog
 }
 
 // Addr returns the region's stable simulator address ("provider/id").
-func (r *Region) Addr() string { return r.Provider.Name + "/" + r.ID }
+// The campaign asks for it twice per sample, so a catalog's regions
+// carry the string; a region outside any catalog builds it on demand.
+func (r *Region) Addr() string {
+	if r.addr != "" {
+		return r.addr
+	}
+	return r.Provider.Name + "/" + r.ID
+}
 
 // Catalog is an immutable set of regions with lookup helpers.
 type Catalog struct {
@@ -98,6 +107,7 @@ func NewCatalog(db *geo.DB, regions []Region) (*Catalog, error) {
 			return nil, fmt.Errorf("cloud: region %s in unknown country %q", r.ID, r.Country)
 		}
 		rr := r
+		rr.addr = rr.Provider.Name + "/" + rr.ID
 		if _, dup := c.byAddr[rr.Addr()]; dup {
 			return nil, fmt.Errorf("cloud: duplicate region %s", rr.Addr())
 		}

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/colf"
-	"repro/internal/geo"
 	"repro/internal/stats"
 )
 
@@ -94,158 +91,6 @@ func (p *MinRTTPass) ObserveBlock(blk *colf.Block) error {
 	}
 	if dirty {
 		p.mins[lastProbe] = cur
-	}
-	return nil
-}
-
-// Columns implements scan.BlockPass. Region strings come from the
-// block dictionary, so only the codes are needed, not the per-row
-// string column.
-func (p *FullDistPass) Columns() colf.ColumnSet { return colf.ColRegionIDs }
-
-// ObserveBlock implements scan.BlockPass. The nearest-region best runs
-// locally per probe run; the destination distribution is re-resolved
-// only when the dictionary code changes, so the (probe, region) map
-// walk happens once per run of equal codes instead of once per row.
-func (p *FullDistPass) ObserveBlock(blk *colf.Block) error {
-	dict := blk.Dict
-	lastProbe := 0
-	known, haveBest, dirty := false, false, false
-	var best nearestBest
-	var curDist *stats.Dist
-	lastCode := ^uint32(0)
-	for i, probe := range blk.Probe {
-		if blk.Lost[i] {
-			continue
-		}
-		if probe != lastProbe {
-			if dirty {
-				p.nearest[lastProbe] = best
-			}
-			lastProbe = probe
-			known = p.idx.Known(probe)
-			dirty = false
-			curDist, lastCode = nil, ^uint32(0)
-			if known {
-				best, haveBest = p.nearest[probe]
-			}
-		}
-		if !known {
-			continue
-		}
-		rtt := blk.RTT[i]
-		code := blk.RegionID[i]
-		if !haveBest || rtt < best.rtt {
-			best = nearestBest{region: dict[code], rtt: rtt}
-			haveBest, dirty = true, true
-		}
-		if code != lastCode {
-			region := dict[code]
-			d, err := p.materializeDist(probe, region)
-			if err != nil {
-				if dirty {
-					p.nearest[probe] = best
-				}
-				return err
-			}
-			if d == nil {
-				d = &stats.Dist{}
-				p.liveRegions(probe)[region] = d
-			}
-			curDist, lastCode = d, code
-		}
-		if err := curDist.Add(rtt); err != nil {
-			if dirty {
-				p.nearest[probe] = best
-			}
-			return err
-		}
-	}
-	if dirty {
-		p.nearest[lastProbe] = best
-	}
-	return nil
-}
-
-// Columns implements scan.BlockPass; the buffered streams carry
-// timestamps, so the time column must decode.
-func (p *LastMilePass) Columns() colf.ColumnSet { return colf.ColTime | colf.ColRegionIDs }
-
-// ObserveBlock implements scan.BlockPass. Tier and access tags are
-// per-probe constants resolved once per run; time.Time values are
-// built only for the rows that survive the tier/access filter.
-func (p *LastMilePass) ObserveBlock(blk *colf.Block) error {
-	dict := blk.Dict
-	lastProbe := 0
-	known, kept, haveBest, dirty := false, false, false, false
-	var best nearestBest
-	var regions map[string][]timedRTT
-	var cur []timedRTT
-	var curRegion string
-	lastCode := ^uint32(0)
-	flush := func(probe int) {
-		if dirty {
-			p.nearest[probe] = best
-		}
-		if lastCode != ^uint32(0) {
-			regions[curRegion] = cur
-		}
-	}
-	for i, probe := range blk.Probe {
-		if blk.Lost[i] {
-			continue
-		}
-		if probe != lastProbe {
-			if lastProbe != 0 {
-				flush(lastProbe)
-			}
-			lastProbe = probe
-			known = p.idx.Known(probe)
-			dirty, kept = false, false
-			regions, cur, lastCode = nil, nil, ^uint32(0)
-			if known {
-				best, haveBest = p.nearest[probe]
-				if tier, ok := p.idx.Tier(probe); ok && tier <= geo.Tier2 {
-					switch access, _ := p.idx.Access(probe); access {
-					case AccessWired, AccessWireless:
-						kept = true
-					}
-				}
-			}
-		}
-		if !known {
-			continue
-		}
-		rtt := blk.RTT[i]
-		code := blk.RegionID[i]
-		if !haveBest || rtt < best.rtt {
-			best = nearestBest{region: dict[code], rtt: rtt}
-			haveBest, dirty = true, true
-		}
-		if !kept {
-			continue
-		}
-		if code != lastCode {
-			if lastCode != ^uint32(0) {
-				regions[curRegion] = cur
-			}
-			region := dict[code]
-			if err := p.materializeStream(probe, region); err != nil {
-				if dirty {
-					p.nearest[probe] = best
-				}
-				return err
-			}
-			if regions == nil {
-				regions = p.liveStreams(probe)
-			}
-			curRegion, cur = region, regions[region]
-			lastCode = code
-		}
-		cur = append(cur, timedRTT{T: time.Unix(0, blk.TimeNano[i]).UTC(), V: rtt})
-	}
-	if lastProbe != 0 {
-		flush(lastProbe)
 	}
 	return nil
 }

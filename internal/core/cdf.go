@@ -126,15 +126,14 @@ func MinRTTByProbe(src results.Source, idx *Index) (*CDFReport, error) {
 
 // FullDistribution builds Figure 6: the CDF, per continent, of all ping
 // measurements from every probe to its closest datacenter (§4.3). It is a
-// single-pass wrapper over FullDistPass, which folds nearest-region
-// tracking into the same scan that buffers the samples.
+// single-pass wrapper over NearestPass.
 func FullDistribution(src results.Source, idx *Index) (*CDFReport, error) {
 	if src == nil || idx == nil {
 		return nil, errors.New("analysis: nil source or index")
 	}
-	p := NewFullDistPass(idx)
+	p := NewNearestPass(idx)
 	if err := RunPasses(src, p); err != nil {
 		return nil, err
 	}
-	return p.Report()
+	return p.FullDist()
 }

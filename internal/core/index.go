@@ -8,6 +8,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/geo"
@@ -41,10 +42,12 @@ func (a AccessClass) String() string {
 // analyses group by. It is built once from the population and then shared
 // by every figure pass.
 type Index struct {
-	db      *geo.DB
-	byProbe map[int]probeInfo
-	// continents is byProbe's continent column as a dense table indexed
-	// by probe ID (IDs are small positive integers), ContinentUnknown
+	db *geo.DB
+	// byID is the probe table, dense by probe ID (IDs are small positive
+	// integers); an ID outside the analysis set holds a zero entry with
+	// known false. The per-probe accumulators are indexed the same way.
+	byID []probeInfo
+	// continents is byID's continent column on its own, ContinentUnknown
 	// where the probe is not part of the analysis set.
 	continents []geo.Continent
 
@@ -53,6 +56,7 @@ type Index struct {
 }
 
 type probeInfo struct {
+	known     bool
 	country   string
 	continent geo.Continent
 	access    AccessClass
@@ -67,39 +71,53 @@ func NewIndex(pop *probe.Population, db *geo.DB) (*Index, error) {
 	if pop == nil || db == nil {
 		return nil, errors.New("analysis: nil population or database")
 	}
-	idx := &Index{db: db, byProbe: make(map[int]probeInfo, pop.Len())}
+	idx := &Index{db: db}
 	for _, p := range pop.Public() {
-		info := probeInfo{country: p.Country, continent: p.Continent, access: AccessOther, tier: p.Tier, lon: p.Location.Lon}
+		if p.ID < 0 {
+			return nil, fmt.Errorf("analysis: negative probe ID %d", p.ID)
+		}
+		info := probeInfo{known: true, country: p.Country, continent: p.Continent, access: AccessOther, tier: p.Tier, lon: p.Location.Lon}
 		switch {
 		case p.HasAnyTag(probe.WirelessTags):
 			info.access = AccessWireless
 		case p.HasAnyTag(probe.WiredTags):
 			info.access = AccessWired
 		}
-		idx.byProbe[p.ID] = info
-		if p.ID >= len(idx.continents) {
-			idx.continents = append(idx.continents, make([]geo.Continent, p.ID+1-len(idx.continents))...)
+		if grow := p.ID + 1 - len(idx.byID); grow > 0 {
+			idx.byID = append(idx.byID, make([]probeInfo, grow)...)
+			idx.continents = append(idx.continents, make([]geo.Continent, grow)...)
 		}
+		idx.byID[p.ID] = info
 		idx.continents[p.ID] = p.Continent
 	}
 	return idx, nil
 }
 
+// info returns the probe's entry; ok is false for a probe outside the
+// analysis set.
+func (idx *Index) info(probeID int) (probeInfo, bool) {
+	if uint(probeID) >= uint(len(idx.byID)) {
+		return probeInfo{}, false
+	}
+	info := idx.byID[probeID]
+	return info, info.known
+}
+
 // Known reports whether the probe is part of the analysis set.
 func (idx *Index) Known(probeID int) bool {
-	_, ok := idx.byProbe[probeID]
+	_, ok := idx.info(probeID)
 	return ok
 }
 
 // Country returns the probe's ISO2 country.
 func (idx *Index) Country(probeID int) (string, bool) {
-	info, ok := idx.byProbe[probeID]
+	info, ok := idx.info(probeID)
 	return info.country, ok
 }
 
 // Continent returns the probe's continent.
 func (idx *Index) Continent(probeID int) (geo.Continent, bool) {
-	info, ok := idx.byProbe[probeID]
+	info, ok := idx.info(probeID)
 	return info.continent, ok
 }
 
@@ -112,19 +130,19 @@ func (idx *Index) ContinentTable() []geo.Continent { return idx.continents }
 
 // Access returns the probe's tag-derived access class.
 func (idx *Index) Access(probeID int) (AccessClass, bool) {
-	info, ok := idx.byProbe[probeID]
+	info, ok := idx.info(probeID)
 	return info.access, ok
 }
 
 // Tier returns the probe's country infrastructure tier.
 func (idx *Index) Tier(probeID int) (geo.Tier, bool) {
-	info, ok := idx.byProbe[probeID]
+	info, ok := idx.info(probeID)
 	return info.tier, ok
 }
 
 // Longitude returns the probe's longitude (for local-time binning).
 func (idx *Index) Longitude(probeID int) (float64, bool) {
-	info, ok := idx.byProbe[probeID]
+	info, ok := idx.info(probeID)
 	return info.lon, ok
 }
 

@@ -21,20 +21,20 @@ type LastMileReport struct {
 // "deployed in similar regions in both sets" enter the comparison: we keep
 // tier-1/tier-2 countries, where the access link rather than the transit
 // path dominates the difference.
-// It is a single-pass wrapper over LastMilePass, which fuses the former
-// separate nearest-region scan into the same pass.
+// It is a single-pass wrapper over NearestPass; a bad bin width fails
+// before the source is read.
 func LastMile(src results.Source, idx *Index, start time.Time, binWidth time.Duration) (*LastMileReport, error) {
 	if src == nil || idx == nil {
 		return nil, errors.New("analysis: nil source or index")
 	}
-	p, err := NewLastMilePass(idx, start, binWidth)
-	if err != nil {
+	if _, err := stats.NewTimeSeries(start, binWidth); err != nil {
 		return nil, err
 	}
+	p := NewNearestPass(idx)
 	if err := RunPasses(src, p); err != nil {
 		return nil, err
 	}
-	return p.Report()
+	return p.LastMile(start, binWidth)
 }
 
 // MedianRatio returns the campaign-wide wireless/wired ratio of the median
@@ -86,7 +86,7 @@ func LastMileSignificance(src results.Source, idx *Index) (stats.KSResult, error
 	if src == nil || idx == nil {
 		return stats.KSResult{}, errors.New("core: nil source or index")
 	}
-	p := newLastMileAccum(idx)
+	p := NewNearestPass(idx)
 	if err := RunPasses(src, p); err != nil {
 		return stats.KSResult{}, err
 	}

@@ -48,55 +48,12 @@ func RunPasses(src results.Source, passes ...RowPass) error {
 	})
 }
 
-// nearestBest tracks one probe's lowest-RTT region. Strict < with
-// first-wins ties matches the sequential fold: observing shards in file
-// order and merging earlier-shard-wins reproduces it exactly.
-type nearestBest struct {
-	region string
-	rtt    float64
-}
-
-type nearestTracker map[int]nearestBest
-
-func (n nearestTracker) observe(s results.Sample) {
-	if b, ok := n[s.ProbeID]; !ok || s.RTTms < b.rtt {
-		n[s.ProbeID] = nearestBest{region: s.Region, rtt: s.RTTms}
-	}
-}
-
-// merge folds a later shard's tracker in; the receiver (earlier shard)
-// wins ties, mirroring file-order first-wins.
-func (n nearestTracker) merge(other nearestTracker) {
-	for id, ob := range other {
-		if b, ok := n[id]; !ok || ob.rtt < b.rtt {
-			n[id] = ob
-		}
-	}
-}
-
 // sortedProbeIDs returns the tracker's keys ascending, for deterministic
 // report-time iteration.
 func sortedProbeIDs[V any](m map[int]V) []int {
 	ids := make([]int, 0, len(m))
 	for id := range m {
 		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// unionProbeIDs returns the ascending union of a pass's live and
-// pending-raw probe IDs — a snapshot-seeded pass holds a probe in
-// either map (or both once partially materialized).
-func unionProbeIDs[A, B any](live map[int]A, raw map[int]B) []int {
-	ids := make([]int, 0, len(live)+len(raw))
-	for id := range live {
-		ids = append(ids, id)
-	}
-	for id := range raw {
-		if _, ok := live[id]; !ok {
-			ids = append(ids, id)
-		}
 	}
 	sort.Ints(ids)
 	return ids
@@ -251,409 +208,6 @@ func (p *MinRTTPass) Report() (*CDFReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// FullDistPass accumulates Figure 6 in a single pass: it tracks each
-// probe's nearest region while buffering every delivered (probe, region)
-// RTT stream, then keeps only the nearest region's stream at report
-// time. One scan instead of two (nearest region, then a re-scan), at the
-// cost of holding the delivered samples in memory — about one float per delivered sample, which at the paper's
-// 3.2M-sample scale is a few tens of MB.
-type FullDistPass struct {
-	idx     *Index
-	nearest nearestTracker
-	byProbe map[int]map[string]*stats.Dist
-	// raw holds per-probe encoded distribution spans from a snapshot,
-	// region-sorted, decoded lazily on first touch (see materializeDist).
-	// A resumed scan touches only the delta's (probe, region) entries and
-	// each probe's nearest region at report time; everything else is
-	// spliced back into the next snapshot as raw bytes, so reload and
-	// rewrite cost scales with the delta, not with history.
-	raw map[int][]rawSpan
-}
-
-// rawSpan is one pending (region, encoded value) entry of a
-// snapshot-seeded pass — a stats.Dist state for FullDistPass, a timedRTT
-// stream for LastMilePass; span is nilled once the entry is decoded into
-// byProbe.
-type rawSpan struct {
-	region string
-	span   []byte
-}
-
-// NewFullDistPass builds the pass.
-func NewFullDistPass(idx *Index) *FullDistPass {
-	return &FullDistPass{
-		idx:     idx,
-		nearest: make(nearestTracker),
-		byProbe: make(map[int]map[string]*stats.Dist),
-	}
-}
-
-// liveRegions returns the probe's materialized region map, creating it
-// if needed.
-func (p *FullDistPass) liveRegions(id int) map[string]*stats.Dist {
-	regions := p.byProbe[id]
-	if regions == nil {
-		regions = make(map[string]*stats.Dist)
-		p.byProbe[id] = regions
-	}
-	return regions
-}
-
-// materializeDist returns the live distribution for (id, region),
-// decoding a pending snapshot span on first touch. A nil result with a
-// nil error means the entry does not exist.
-func (p *FullDistPass) materializeDist(id int, region string) (*stats.Dist, error) {
-	if live := p.byProbe[id]; live != nil {
-		if d := live[region]; d != nil {
-			return d, nil
-		}
-	}
-	// Raw lists are decoded in ascending region order (the decoder
-	// enforces it), so the pending span is found by binary search.
-	list := p.raw[id]
-	i := sort.Search(len(list), func(k int) bool { return list[k].region >= region })
-	if i < len(list) && list[i].region == region && list[i].span != nil {
-		r := &list[i]
-		d, err := decodeDistSpan(r.span)
-		if err != nil {
-			return nil, err
-		}
-		r.span = nil
-		p.liveRegions(id)[region] = d
-		return d, nil
-	}
-	return nil, nil
-}
-
-// materializeAll decodes every pending span, leaving the pass fully
-// live — used when the pass is the source side of a merge.
-func (p *FullDistPass) materializeAll() error {
-	for id, spans := range p.raw {
-		live := p.liveRegions(id)
-		for i := range spans {
-			r := &spans[i]
-			if r.span == nil {
-				continue
-			}
-			d, err := decodeDistSpan(r.span)
-			if err != nil {
-				return err
-			}
-			r.span = nil
-			live[r.region] = d
-		}
-	}
-	p.raw = nil
-	return nil
-}
-
-// Observe implements RowPass.
-func (p *FullDistPass) Observe(s results.Sample) error {
-	if s.Lost || !p.idx.Known(s.ProbeID) {
-		return nil
-	}
-	p.nearest.observe(s)
-	d, err := p.materializeDist(s.ProbeID, s.Region)
-	if err != nil {
-		return err
-	}
-	if d == nil {
-		d = &stats.Dist{}
-		p.liveRegions(s.ProbeID)[s.Region] = d
-	}
-	return d.Add(s.RTTms)
-}
-
-// Merge implements Pass. Buffered streams merge by replay (Dist.Merge),
-// so each (probe, region) stream stays in file order for any sharding.
-// Only the receiver entries the source actually touches are
-// materialized; the rest stay pending raw spans.
-func (p *FullDistPass) Merge(other Pass) error {
-	o, ok := other.(*FullDistPass)
-	if !ok {
-		return mergeTypeError("FullDistPass", other)
-	}
-	p.nearest.merge(o.nearest)
-	if err := o.materializeAll(); err != nil {
-		return err
-	}
-	for id, oRegions := range o.byProbe {
-		if p.byProbe[id] == nil && len(p.raw[id]) == 0 {
-			p.byProbe[id] = oRegions
-			continue
-		}
-		for region, od := range oRegions {
-			d, err := p.materializeDist(id, region)
-			if err != nil {
-				return err
-			}
-			if d == nil {
-				p.liveRegions(id)[region] = od
-				continue
-			}
-			if err := d.Merge(od); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Report selects each probe's nearest-region stream and groups by
-// continent, iterating probes in ascending order for determinism.
-func (p *FullDistPass) Report() (*CDFReport, error) {
-	if len(p.nearest) == 0 {
-		return nil, errors.New("analysis: no delivered samples")
-	}
-	rep := &CDFReport{byContinent: make(map[geo.Continent]*stats.Dist)}
-	for _, probeID := range sortedProbeIDs(p.nearest) {
-		ct, ok := p.idx.Continent(probeID)
-		if !ok {
-			continue
-		}
-		// Only each probe's nearest-region stream is reported, so only
-		// those entries are decoded from a snapshot-seeded pass.
-		src, err := p.materializeDist(probeID, p.nearest[probeID].region)
-		if err != nil {
-			return nil, err
-		}
-		if src == nil {
-			continue
-		}
-		d := rep.byContinent[ct]
-		if d == nil {
-			d = &stats.Dist{}
-			rep.byContinent[ct] = d
-		}
-		if err := d.Merge(src); err != nil {
-			return nil, err
-		}
-	}
-	if len(rep.byContinent) == 0 {
-		return nil, errors.New("analysis: no delivered samples")
-	}
-	return rep, nil
-}
-
-// timedRTT is one buffered nearest-region candidate sample: a
-// timestamped RTT, shaped so whole streams feed stats.TimeSeries.AddBulk.
-type timedRTT = stats.TimedSample
-
-// LastMilePass accumulates Figure 7 and its significance test in a
-// single pass: the nearest-region tracker runs over all known probes,
-// while per-(probe, region) sample streams are buffered only for the
-// tier-1/tier-2 wired- or wireless-tagged probes that enter the
-// comparison. Report time picks each probe's nearest-region stream.
-type LastMilePass struct {
-	idx     *Index
-	start   time.Time
-	width   time.Duration
-	nearest nearestTracker
-	byProbe map[int]map[string][]timedRTT
-	// raw holds per-probe encoded sample-stream spans from a snapshot,
-	// region-sorted, decoded lazily exactly like FullDistPass.raw.
-	raw map[int][]rawSpan
-}
-
-// NewLastMilePass builds the pass; the bin geometry is validated up
-// front so a bad width fails before any scanning.
-func NewLastMilePass(idx *Index, start time.Time, binWidth time.Duration) (*LastMilePass, error) {
-	if _, err := stats.NewTimeSeries(start, binWidth); err != nil {
-		return nil, err
-	}
-	p := newLastMileAccum(idx)
-	p.start, p.width = start, binWidth
-	return p, nil
-}
-
-// newLastMileAccum builds the accumulator without bin geometry — enough
-// for Significance, which does not bin.
-func newLastMileAccum(idx *Index) *LastMilePass {
-	return &LastMilePass{
-		idx:     idx,
-		width:   time.Hour, // placeholder; Report validates real geometry
-		nearest: make(nearestTracker),
-		byProbe: make(map[int]map[string][]timedRTT),
-	}
-}
-
-// Observe implements RowPass.
-func (p *LastMilePass) Observe(s results.Sample) error {
-	if s.Lost || !p.idx.Known(s.ProbeID) {
-		return nil
-	}
-	p.nearest.observe(s)
-	if tier, ok := p.idx.Tier(s.ProbeID); !ok || tier > geo.Tier2 {
-		return nil
-	}
-	switch access, _ := p.idx.Access(s.ProbeID); access {
-	case AccessWired, AccessWireless:
-	default:
-		return nil // untagged probes are excluded from Fig. 7
-	}
-	if err := p.materializeStream(s.ProbeID, s.Region); err != nil {
-		return err
-	}
-	regions := p.liveStreams(s.ProbeID)
-	regions[s.Region] = append(regions[s.Region], timedRTT{T: s.Time, V: s.RTTms})
-	return nil
-}
-
-// liveStreams returns the probe's materialized stream map, creating it
-// if needed.
-func (p *LastMilePass) liveStreams(id int) map[string][]timedRTT {
-	regions := p.byProbe[id]
-	if regions == nil {
-		regions = make(map[string][]timedRTT)
-		p.byProbe[id] = regions
-	}
-	return regions
-}
-
-// materializeStream decodes the pending snapshot span for (id, region),
-// if one exists, into byProbe, so appends and reads see the buffered
-// history.
-func (p *LastMilePass) materializeStream(id int, region string) error {
-	list := p.raw[id]
-	i := sort.Search(len(list), func(k int) bool { return list[k].region >= region })
-	if i < len(list) && list[i].region == region && list[i].span != nil {
-		r := &list[i]
-		samples, err := decodeStreamSpan(r.span)
-		if err != nil {
-			return err
-		}
-		r.span = nil
-		p.liveStreams(id)[region] = samples
-	}
-	return nil
-}
-
-// materializeAll decodes every pending span, leaving the pass fully
-// live — used when the pass is the source side of a merge.
-func (p *LastMilePass) materializeAll() error {
-	for id, spans := range p.raw {
-		live := p.liveStreams(id)
-		for i := range spans {
-			r := &spans[i]
-			if r.span == nil {
-				continue
-			}
-			samples, err := decodeStreamSpan(r.span)
-			if err != nil {
-				return err
-			}
-			r.span = nil
-			live[r.region] = samples
-		}
-	}
-	p.raw = nil
-	return nil
-}
-
-// Merge implements Pass; buffered streams concatenate in shard order,
-// reconstructing file order. Receiver streams the source does not touch
-// stay pending raw spans.
-func (p *LastMilePass) Merge(other Pass) error {
-	o, ok := other.(*LastMilePass)
-	if !ok {
-		return mergeTypeError("LastMilePass", other)
-	}
-	p.nearest.merge(o.nearest)
-	if err := o.materializeAll(); err != nil {
-		return err
-	}
-	for id, oRegions := range o.byProbe {
-		if p.byProbe[id] == nil && len(p.raw[id]) == 0 {
-			p.byProbe[id] = oRegions
-			continue
-		}
-		for region, os := range oRegions {
-			if err := p.materializeStream(id, region); err != nil {
-				return err
-			}
-			regions := p.liveStreams(id)
-			regions[region] = append(regions[region], os...)
-		}
-	}
-	return nil
-}
-
-// forEachKept walks the nearest-region streams of the qualifying
-// probes in ascending probe order, one whole stream per call (the
-// samples of a stream share their probe's access class, so callers can
-// bulk-fold them). Only each probe's nearest-region stream is read, so
-// only those streams are decoded from a snapshot-seeded pass.
-func (p *LastMilePass) forEachKept(fn func(access AccessClass, samples []timedRTT) error) error {
-	if len(p.nearest) == 0 {
-		return errors.New("analysis: no delivered samples")
-	}
-	for _, probeID := range unionProbeIDs(p.byProbe, p.raw) {
-		access, _ := p.idx.Access(probeID)
-		region := p.nearest[probeID].region
-		if err := p.materializeStream(probeID, region); err != nil {
-			return err
-		}
-		if err := fn(access, p.byProbe[probeID][region]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Report finishes Figure 7.
-func (p *LastMilePass) Report() (*LastMileReport, error) {
-	wired, err := stats.NewTimeSeries(p.start, p.width)
-	if err != nil {
-		return nil, err
-	}
-	wireless, err := stats.NewTimeSeries(p.start, p.width)
-	if err != nil {
-		return nil, err
-	}
-	err = p.forEachKept(func(access AccessClass, samples []timedRTT) error {
-		if access == AccessWired {
-			return wired.AddBulk(samples)
-		}
-		return wireless.AddBulk(samples)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := &LastMileReport{}
-	if rep.Wired, err = wired.Points(); err != nil {
-		return nil, err
-	}
-	if rep.Wireless, err = wireless.Points(); err != nil {
-		return nil, err
-	}
-	if len(rep.Wired) == 0 || len(rep.Wireless) == 0 {
-		return nil, errors.New("analysis: a last-mile class has no samples")
-	}
-	return rep, nil
-}
-
-// Significance runs the wired-vs-wireless Kolmogorov-Smirnov test over
-// the same population Report uses.
-func (p *LastMilePass) Significance() (stats.KSResult, error) {
-	var wired, wireless stats.Dist
-	err := p.forEachKept(func(access AccessClass, samples []timedRTT) error {
-		d := &wireless
-		if access == AccessWired {
-			d = &wired
-		}
-		for _, s := range samples {
-			if err := d.Add(s.V); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return stats.KSResult{}, err
-	}
-	return stats.KolmogorovSmirnov(&wired, &wireless)
 }
 
 // localHour maps a UTC timestamp to the probe's approximate local hour

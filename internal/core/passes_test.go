@@ -100,7 +100,7 @@ func TestPartialSuiteNeverEncodes(t *testing.T) {
 		t.Errorf("partial suite encoded: err = %v", err)
 	}
 	path := filepath.Join(dir, "samples.snap")
-	err = writeSnapshot(path, store, f.idx, f.cfg.Start, passBinWidth, s, 2000, scan.Stats{DataEnd: end, BlocksTotal: 1}, SnapshotOptions{Path: path})
+	err = writeSnapshot(context.Background(), path, store, f.idx, f.cfg.Start, passBinWidth, s, 2000, scan.Stats{DataEnd: end, BlocksTotal: 1}, SnapshotOptions{Path: path})
 	if err == nil {
 		t.Error("partial suite written as a snapshot")
 	}

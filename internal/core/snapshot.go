@@ -33,7 +33,7 @@ import (
 // suiteStateVersion versions the suite's serialized state layout. Bump
 // it whenever a pass's accumulator or codec changes; old snapshots then
 // invalidate instead of deserializing garbage.
-const suiteStateVersion = 2
+const suiteStateVersion = 3
 
 // ErrEmptyStore reports a store with no samples — analyses have nothing
 // to compute, which callers should surface distinctly rather than as a
@@ -95,9 +95,11 @@ const DefaultRefreshFactor = 1.0 / 16
 func (idx *Index) Fingerprint() string {
 	idx.fpOnce.Do(func() {
 		// One record per probe, ascending: "id|country|continent|access|tier|lon-bits-hex;".
-		b := make([]byte, 0, 32*len(idx.byProbe))
-		for _, id := range sortedProbeIDs(idx.byProbe) {
-			info := idx.byProbe[id]
+		b := make([]byte, 0, 32*len(idx.byID))
+		for id, info := range idx.byID {
+			if !info.known {
+				continue
+			}
 			b = strconv.AppendInt(b, int64(id), 10)
 			b = append(append(b, '|'), info.country...)
 			b = strconv.AppendUint(append(b, '|'), uint64(info.continent), 10)
@@ -154,79 +156,36 @@ func (s *Suite) Merge(other *Suite) error {
 // insertion-order state a future merge replays from.
 //
 // The state opens with its region table — every region name the
-// FullDist and LastMile passes reference, ascending, each spelled once —
-// and those passes' entry lists and nearest-trackers carry uvarint
-// table indexes instead, so ascending regions are ascending codes.
+// nearest-region buffer references, ascending, each spelled once — and
+// the buffer's region column carries table indexes.
 //
 // A pass-selective suite holds only part of the state and refuses.
 func (s *Suite) EncodeState() ([]byte, error) {
 	if s.sel != 0 {
 		return nil, fmt.Errorf("core: suite holds only passes %v; its state cannot be encoded", s.sel)
 	}
-	seen := make(map[string]struct{})
-	addRegions(seen, s.FullDist.nearest, s.FullDist.byProbe, s.FullDist.raw)
-	addRegions(seen, s.LastMile.nearest, s.LastMile.byProbe, s.LastMile.raw)
-	table := sortedStrings(seen)
-	codes := make(map[string]uint64, len(table))
+	table, codes := s.Nearest.sortedRegions()
 	b := make([]byte, 0, s.stateSizeHint())
 	b = snap.AppendUvarint(b, uint64(len(table)))
-	for i, region := range table {
-		codes[region] = uint64(i)
+	for _, region := range table {
 		b = snap.AppendString(b, region)
 	}
 	b = appendProximityState(b, s.Proximity)
 	b = appendMinRTTState(b, s.MinRTT)
-	b = appendNearestState(b, s.FullDist.nearest, codes)
-	b = appendRegionEntries(b, codes, s.FullDist.byProbe, s.FullDist.raw, func(b []byte, d *stats.Dist) []byte { return d.AppendState(b) })
-	b = appendNearestState(b, s.LastMile.nearest, codes)
-	b = appendRegionEntries(b, codes, s.LastMile.byProbe, s.LastMile.raw, appendStreamState)
+	b = appendNearestState(b, s.Nearest, codes)
 	b = appendDiurnalState(b, s.Diurnal)
 	b = appendProviderState(b, s.Provider)
 	return b, nil
 }
 
-// addRegions collects every region name one pass's state references.
-func addRegions[V any](seen map[string]struct{}, nearest nearestTracker, live map[int]map[string]V, raw map[int][]rawSpan) {
-	for _, best := range nearest {
-		seen[best.region] = struct{}{}
-	}
-	for _, regions := range live {
-		for region := range regions {
-			seen[region] = struct{}{}
-		}
-	}
-	for _, list := range raw {
-		for i := range list {
-			seen[list[i].region] = struct{}{}
-		}
-	}
-}
-
-// stateSizeHint estimates the encoded state size from sample counts and
-// pending span lengths (plus each entry's region code, count prefix and
-// 17 bytes of sums and flag), so EncodeState allocates its buffer once
-// instead of repeatedly copying a multi-megabyte slice while growing.
+// stateSizeHint estimates the encoded state size from sample counts, so
+// EncodeState allocates its buffer once instead of repeatedly copying a
+// multi-megabyte slice while growing.
 func (s *Suite) stateSizeHint() int {
-	n := 4096 + 64*(len(s.FullDist.nearest)+len(s.MinRTT.mins)+len(s.Proximity.byCountry)+len(s.Provider.byProvider))
-	for _, regions := range s.FullDist.byProbe {
-		for _, d := range regions {
-			n += 8*d.N() + 24
-		}
-	}
-	for _, list := range s.FullDist.raw {
-		for i := range list {
-			n += len(list[i].span) + 4
-		}
-	}
-	for _, regions := range s.LastMile.byProbe {
-		for _, samples := range regions {
-			n += streamRecordBytes*len(samples) + 8
-		}
-	}
-	for _, list := range s.LastMile.raw {
-		for i := range list {
-			n += len(list[i].span) + 4
-		}
+	n := 4096 + 64*(len(s.Nearest.regions)+len(s.MinRTT.mins)+len(s.Proximity.byCountry)+len(s.Provider.byProvider))
+	for i := range s.Nearest.probes {
+		r := &s.Nearest.probes[i]
+		n += nearestRowBytes*len(r.rtt) + 8*len(r.nanos) + 16
 	}
 	for h := range s.Diurnal.bins {
 		n += 8*s.Diurnal.bins[h].N() + 32
@@ -246,8 +205,9 @@ func NewSuiteFromState(idx *Index, start time.Time, binWidth time.Duration, stat
 
 // suiteFromState is NewSuiteFromState restricted to the passes sel
 // names. The whole state is still walked and held to every layout
-// rule; an unselected FullDist or LastMile pass just keeps none of its
-// entry lists, which is most of what decoding allocates.
+// rule; a suite that selects neither Figure 6 nor Figure 7 just keeps
+// none of the nearest-region buffer, which is most of what decoding
+// allocates.
 func suiteFromState(idx *Index, start time.Time, binWidth time.Duration, state []byte, sel PassSet) (*Suite, error) {
 	s, err := NewSuite(idx, start, binWidth)
 	if err != nil {
@@ -267,16 +227,7 @@ func suiteFromState(idx *Index, start time.Time, binWidth time.Duration, state [
 	if err := decodeMinRTTState(c, s.MinRTT); err != nil {
 		return nil, err
 	}
-	if err := decodeNearestState(c, s.FullDist.nearest, table); err != nil {
-		return nil, err
-	}
-	if s.FullDist.raw, err = decodeRegionEntries(c, table, "full-dist", distSpan, sel.has(PassFullDist)); err != nil {
-		return nil, err
-	}
-	if err := decodeNearestState(c, s.LastMile.nearest, table); err != nil {
-		return nil, err
-	}
-	if s.LastMile.raw, err = decodeRegionEntries(c, table, "last-mile", streamSpan, sel.has(PassLastMile)); err != nil {
+	if err := decodeNearestState(c, s.Nearest, table, sel == 0 || sel&nearestPasses != 0); err != nil {
 		return nil, err
 	}
 	if err := decodeDiurnalState(c, s.Diurnal); err != nil {
@@ -298,11 +249,6 @@ func suiteFromState(idx *Index, start time.Time, binWidth time.Duration, state [
 // sorts of the whole history. Sorting commutes with every figure — sums
 // are carried as exact bits and quantiles see the same multiset.
 func (s *Suite) sortState() {
-	for _, regions := range s.FullDist.byProbe {
-		for _, d := range regions {
-			d.Sort()
-		}
-	}
 	for h := range s.Diurnal.bins {
 		s.Diurnal.bins[h].Sort()
 	}
@@ -344,51 +290,150 @@ func decodeRegionTable(c *snap.Cursor) ([]string, error) {
 	return table, nil
 }
 
-// decodeRegion reads one region code and resolves it against table.
-func decodeRegion(c *snap.Cursor, table []string) (uint64, string, error) {
-	code, err := c.Uvarint()
-	if err != nil {
-		return 0, "", err
+// The nearest-region buffer serializes per probe, ascending, as three
+// length-prefixed fixed-width columns: region codes (2 bytes, indexes
+// into the state's region table), RTT bits (8) and, for the probes
+// Figure 7 admits, unix nanoseconds (8). The nearest row itself is not
+// stored; it is the first minimum of the RTT column.
+const nearestRowBytes = 2 + 8
+
+// sortedRegions returns the pass's region names ascending and, per
+// interned id, the name's index in that order.
+func (p *NearestPass) sortedRegions() (table []string, codes []uint16) {
+	table = slices.Clone(p.regions)
+	sort.Strings(table)
+	codes = make([]uint16, len(p.regions))
+	for id, name := range p.regions {
+		code, _ := slices.BinarySearch(table, name)
+		codes[id] = uint16(code)
 	}
-	if code >= uint64(len(table)) {
-		return 0, "", fmt.Errorf("core: region code %d outside the %d-entry table", code, len(table))
-	}
-	return code, table[code], nil
+	return table, codes
 }
 
-func appendNearestState(b []byte, n nearestTracker, codes map[string]uint64) []byte {
-	b = snap.AppendUvarint(b, uint64(len(n)))
-	for _, id := range sortedProbeIDs(n) {
-		best := n[id]
+func appendNearestState(b []byte, p *NearestPass, codes []uint16) []byte {
+	count := 0
+	for i := range p.probes {
+		if len(p.probes[i].rtt) > 0 {
+			count++
+		}
+	}
+	b = snap.AppendUvarint(b, uint64(count))
+	for id := range p.probes {
+		r := &p.probes[id]
+		n := len(r.rtt)
+		if n == 0 {
+			continue
+		}
 		b = snap.AppendVarint(b, int64(id))
-		b = snap.AppendUvarint(b, codes[best.region])
-		b = snap.AppendFloat(b, best.rtt)
+		b = snap.AppendUvarint(b, uint64(n))
+		for _, region := range r.region {
+			b = binary.LittleEndian.AppendUint16(b, codes[region])
+		}
+		b = snap.AppendUvarint(b, uint64(n))
+		for _, rtt := range r.rtt {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rtt))
+		}
+		b = snap.AppendUvarint(b, uint64(len(r.nanos)))
+		for _, t := range r.nanos {
+			b = binary.LittleEndian.AppendUint64(b, uint64(t))
+		}
 	}
 	return b
 }
 
-func decodeNearestState(c *snap.Cursor, n nearestTracker, table []string) error {
+// readColumn reads one length-prefixed column of width-byte cells.
+func readColumn(c *snap.Cursor, width int) ([]byte, error) {
+	n, err := c.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(c.Remaining()/width) {
+		return nil, fmt.Errorf("core: column claims %d cells of %d bytes, %d bytes remain", n, width, c.Remaining())
+	}
+	return c.Bytes(int(n) * width)
+}
+
+// decodeNearestState reads the buffer into the fresh pass p, holding
+// every probe to the layout rules: IDs strictly ascending and in idx,
+// equally long non-empty region and RTT columns, a time column of the
+// same length exactly when Figure 7 admits the probe, region codes
+// inside table, finite RTTs. With keep false the rows are checked the
+// same way and dropped.
+func decodeNearestState(c *snap.Cursor, p *NearestPass, table []string, keep bool) error {
 	count, err := c.Uvarint()
 	if err != nil {
 		return err
 	}
+	if keep {
+		// The table is ascending, so interning it in order makes every
+		// code its own id.
+		for _, name := range table {
+			if _, err := p.intern(name); err != nil {
+				return err
+			}
+		}
+	}
+	prev := int64(-1)
 	for i := uint64(0); i < count; i++ {
 		id, err := c.Varint()
 		if err != nil {
 			return err
 		}
-		_, region, err := decodeRegion(c, table)
+		if id <= prev {
+			return fmt.Errorf("core: probe %d out of order in nearest-region state", id)
+		}
+		prev = id
+		if id >= int64(len(p.probes)) || p.rows(int(id)) == nil {
+			return fmt.Errorf("core: probe %d in nearest-region state is not in the index", id)
+		}
+		r := &p.probes[id]
+		regions, err := readColumn(c, 2)
 		if err != nil {
 			return err
 		}
-		rtt, err := c.Float()
+		rtts, err := readColumn(c, 8)
 		if err != nil {
 			return err
 		}
-		if _, dup := n[int(id)]; dup {
-			return fmt.Errorf("core: duplicate probe %d in nearest state", id)
+		nanos, err := readColumn(c, 8)
+		if err != nil {
+			return err
 		}
-		n[int(id)] = nearestBest{region: region, rtt: rtt}
+		n, timed := len(rtts)/8, 0
+		if r.lastMile {
+			timed = n
+		}
+		if n == 0 || len(regions)/2 != n || len(nanos)/8 != timed {
+			return fmt.Errorf("core: probe %d columns hold %d regions, %d RTTs, %d times (want %d)", id, len(regions)/2, n, len(nanos)/8, timed)
+		}
+		var row probeRows
+		if keep {
+			row = probeRows{region: make([]uint16, n), rtt: make([]float64, n), nanos: make([]int64, timed), lastMile: r.lastMile}
+		}
+		best := math.Inf(1)
+		for k := 0; k < n; k++ {
+			code := binary.LittleEndian.Uint16(regions[2*k:])
+			if int(code) >= len(table) {
+				return fmt.Errorf("core: region code %d outside the %d-entry table", code, len(table))
+			}
+			rtt := math.Float64frombits(binary.LittleEndian.Uint64(rtts[8*k:]))
+			if math.IsNaN(rtt) || math.IsInf(rtt, 0) {
+				return fmt.Errorf("core: invalid RTT %v in nearest-region state", rtt)
+			}
+			if !keep {
+				continue
+			}
+			if rtt < best {
+				best, row.best = rtt, k
+			}
+			row.region[k], row.rtt[k] = code, rtt
+		}
+		if keep {
+			for k := range row.nanos {
+				row.nanos[k] = int64(binary.LittleEndian.Uint64(nanos[8*k:]))
+			}
+			*r = row
+		}
 	}
 	return nil
 }
@@ -456,219 +501,6 @@ func decodeMinRTTState(c *snap.Cursor, p *MinRTTPass) error {
 		p.mins[int(id)] = min
 	}
 	return nil
-}
-
-// decodeDistSpan materializes one pending distribution span captured by
-// distSpan, insisting the whole span is consumed.
-func decodeDistSpan(span []byte) (*stats.Dist, error) {
-	c := snap.NewCursor(span)
-	d, err := stats.DecodeDistState(c)
-	if err != nil {
-		return nil, err
-	}
-	if c.Remaining() != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes in dist span", c.Remaining())
-	}
-	return d, nil
-}
-
-// distSpan skips one encoded stats.Dist state (sample count, sample
-// slab, sums, sorted flag) and returns its raw bytes without decoding
-// the floats — O(1) regardless of sample count.
-func distSpan(c *snap.Cursor) ([]byte, error) {
-	start := c.Pos()
-	n, err := c.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(c.Remaining())/8 {
-		return nil, fmt.Errorf("core: dist span claims %d samples, %d bytes remain", n, c.Remaining())
-	}
-	if _, err := c.Bytes(int(n)*8 + 17); err != nil {
-		return nil, err
-	}
-	return c.Since(start), nil
-}
-
-// A last-mile stream serializes as a sample count followed by a slab of
-// fixed-width records: unix seconds (8 bytes), nanoseconds (4 bytes),
-// RTT bits (8 bytes). Fixed records make skipping O(1) and
-// encode/decode a tight copy loop.
-const streamRecordBytes = 20
-
-func appendStreamState(b []byte, samples []timedRTT) []byte {
-	b = snap.AppendUvarint(b, uint64(len(samples)))
-	b = slices.Grow(b, streamRecordBytes*len(samples))
-	off := len(b)
-	b = b[:off+streamRecordBytes*len(samples)]
-	for i, s := range samples {
-		rec := b[off+streamRecordBytes*i:]
-		binary.LittleEndian.PutUint64(rec, uint64(s.T.Unix()))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(s.T.Nanosecond()))
-		binary.LittleEndian.PutUint64(rec[12:], math.Float64bits(s.V))
-	}
-	return b
-}
-
-// streamSpan skips one encoded last-mile stream and returns its raw
-// bytes, O(1) regardless of length.
-func streamSpan(c *snap.Cursor) ([]byte, error) {
-	start := c.Pos()
-	n, err := c.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(c.Remaining())/streamRecordBytes {
-		return nil, fmt.Errorf("core: last-mile stream claims %d samples, %d bytes remain", n, c.Remaining())
-	}
-	if _, err := c.Bytes(int(n) * streamRecordBytes); err != nil {
-		return nil, err
-	}
-	return c.Since(start), nil
-}
-
-// decodeStreamSpan materializes one pending stream span.
-func decodeStreamSpan(span []byte) ([]timedRTT, error) {
-	c := snap.NewCursor(span)
-	n, err := c.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	raw, err := c.Bytes(int(n) * streamRecordBytes)
-	if err != nil {
-		return nil, err
-	}
-	if c.Remaining() != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes in stream span", c.Remaining())
-	}
-	samples := make([]timedRTT, n)
-	for i := range samples {
-		rec := raw[streamRecordBytes*i:]
-		sec := int64(binary.LittleEndian.Uint64(rec))
-		ns := binary.LittleEndian.Uint32(rec[8:])
-		if ns >= 1e9 {
-			return nil, fmt.Errorf("core: stream nanoseconds %d out of range", ns)
-		}
-		rtt := math.Float64frombits(binary.LittleEndian.Uint64(rec[12:]))
-		if math.IsNaN(rtt) || math.IsInf(rtt, 0) {
-			return nil, fmt.Errorf("core: invalid stream RTT %v in state", rtt)
-		}
-		samples[i] = timedRTT{T: time.Unix(sec, int64(ns)).UTC(), V: rtt}
-	}
-	return samples, nil
-}
-
-// liveOnlyKeys returns the sorted live map keys that have no pending or
-// materialized entry in rawList — i.e. entries created after the
-// snapshot was taken.
-func liveOnlyKeys[V any](live map[string]V, rawList []rawSpan) []string {
-	if len(live) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(live))
-	for k := range live {
-		if !slices.ContainsFunc(rawList, func(r rawSpan) bool { return r.region == k }) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// appendRegionEntries writes one pass's buffered (probe, region) values
-// per probe, region codes ascending. Entries still pending from the
-// loaded snapshot are spliced back as raw bytes; only materialized
-// (touched or new) entries are re-encoded through enc, so the write cost
-// of an append-only rescan tracks the delta.
-func appendRegionEntries[V any](b []byte, codes map[string]uint64, live map[int]map[string]V, raw map[int][]rawSpan, enc func([]byte, V) []byte) []byte {
-	ids := unionProbeIDs(live, raw)
-	b = snap.AppendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		rawList, values := raw[id], live[id]
-		fresh := liveOnlyKeys(values, rawList)
-		b = snap.AppendVarint(b, int64(id))
-		b = snap.AppendUvarint(b, uint64(len(rawList)+len(fresh)))
-		i, j := 0, 0
-		for i < len(rawList) || j < len(fresh) {
-			var r rawSpan
-			if j >= len(fresh) || (i < len(rawList) && rawList[i].region < fresh[j]) {
-				r = rawList[i]
-				i++
-			} else {
-				r.region = fresh[j]
-				j++
-			}
-			b = snap.AppendUvarint(b, codes[r.region])
-			if r.span != nil {
-				b = append(b, r.span...)
-			} else {
-				b = enc(b, values[r.region])
-			}
-		}
-	}
-	return b
-}
-
-// decodeRegionEntries captures every (probe, region) value of one pass
-// as a pending raw span instead of decoding it — materialization happens
-// lazily on first touch (delta merge or report). skip consumes one
-// encoded value and returns its bytes; pass names the pass in errors.
-// With keep false the entries are checked the same way and dropped,
-// and the result is nil.
-func decodeRegionEntries(c *snap.Cursor, table []string, pass string, skip func(*snap.Cursor) ([]byte, error), keep bool) (map[int][]rawSpan, error) {
-	count, err := c.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(c.Remaining()) {
-		return nil, fmt.Errorf("core: %s state claims %d probes, %d bytes remain", pass, count, c.Remaining())
-	}
-	raw := make(map[int][]rawSpan, count)
-	for i := uint64(0); i < count; i++ {
-		id, err := c.Varint()
-		if err != nil {
-			return nil, err
-		}
-		nRegions, err := c.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nRegions > uint64(c.Remaining()) {
-			return nil, fmt.Errorf("core: probe %d claims %d regions, %d bytes remain", id, nRegions, c.Remaining())
-		}
-		var list []rawSpan
-		if keep {
-			list = make([]rawSpan, 0, nRegions)
-		}
-		var prev uint64
-		for j := uint64(0); j < nRegions; j++ {
-			code, region, err := decodeRegion(c, table)
-			if err != nil {
-				return nil, err
-			}
-			// Writers emit codes ascending, and so is the table; enforcing
-			// it here lets lazy lookups binary-search the pending list.
-			if j > 0 && code <= prev {
-				return nil, fmt.Errorf("core: probe %d regions out of order in %s state", id, pass)
-			}
-			prev = code
-			span, err := skip(c)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				list = append(list, rawSpan{region: region, span: span})
-			}
-		}
-		if _, dup := raw[int(id)]; dup {
-			return nil, fmt.Errorf("core: duplicate probe %d in %s state", id, pass)
-		}
-		raw[int(id)] = list
-	}
-	if !keep {
-		return nil, nil
-	}
-	return raw, nil
 }
 
 func appendDiurnalState(b []byte, p *DiurnalPass) []byte {
@@ -801,16 +633,44 @@ func sealedDataEnd(f *os.File, size int64, boundary int64) (int64, error) {
 }
 
 // writeSnapshot atomically persists merged's state as covering the
-// store prefix the scan just consumed.
-func writeSnapshot(path string, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, merged *Suite, samples uint64, st scan.Stats, so SnapshotOptions) error {
-	f, err := os.Open(store.SamplesPath())
+// store prefix the scan just consumed. Its three child spans split the
+// cost into CPU (snap.sort, snap.encode) and the file write with its
+// fsync and rename (snap.fsync).
+func writeSnapshot(ctx context.Context, path string, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, merged *Suite, samples uint64, st scan.Stats, so SnapshotOptions) error {
+	parent := obs.From(ctx).Child("snapshot.write")
+	defer parent.End()
+	span := parent.Child("snap.sort")
+	merged.sortState()
+	span.End()
+	span = parent.Child("snap.encode")
+	h, state, err := snapshotImage(store, idx, start, binWidth, merged, samples, st)
+	span.End()
 	if err != nil {
 		return err
+	}
+	span = parent.Child("snap.fsync")
+	err = snap.WriteFile(path, h, state)
+	span.End()
+	if err != nil {
+		return err
+	}
+	so.Metrics.Wrote()
+	so.Log.Info("snapshot written", "path", path,
+		"covered_bytes", h.CoveredBytes, "covered_blocks", h.CoveredBlocks, "samples", samples)
+	return nil
+}
+
+// snapshotImage builds the header binding merged's state to the store
+// prefix st covers, and the encoded state.
+func snapshotImage(store *results.Store, idx *Index, start time.Time, binWidth time.Duration, merged *Suite, samples uint64, st scan.Stats) (snap.Header, []byte, error) {
+	f, err := os.Open(store.SamplesPath())
+	if err != nil {
+		return snap.Header{}, nil, err
 	}
 	defer f.Close()
 	head, tail, err := snap.WindowCRCs(f, st.DataEnd)
 	if err != nil {
-		return err
+		return snap.Header{}, nil, err
 	}
 	h := snap.Header{
 		PassSet:       passSetID(start, binWidth),
@@ -824,16 +684,7 @@ func writeSnapshot(path string, store *results.Store, idx *Index, start time.Tim
 		TailCRC:       tail,
 	}
 	state, err := merged.EncodeState()
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteFile(path, h, state); err != nil {
-		return err
-	}
-	so.Metrics.Wrote()
-	so.Log.Info("snapshot written", "path", path,
-		"covered_bytes", h.CoveredBytes, "covered_blocks", h.CoveredBlocks, "samples", samples)
-	return nil
+	return h, state, err
 }
 
 // scanStoreMerged runs the scan — snapshot-seeded when so.Path names a
@@ -925,11 +776,7 @@ func scanSeeded(ctx context.Context, store *results.Store, idx *Index, start tim
 		so.Log.Info("snapshot rewrite deferred", "path", so.Path, "passes", merged.sel.String())
 		return merged, total, st, nil
 	}
-	span := obs.From(ctx).Child("snapshot.write")
-	merged.sortState()
-	err = writeSnapshot(so.Path, store, idx, start, binWidth, merged, total, st, so)
-	span.End()
-	if err != nil {
+	if err := writeSnapshot(ctx, so.Path, store, idx, start, binWidth, merged, total, st, so); err != nil {
 		return nil, 0, st, fmt.Errorf("core: writing snapshot: %w", err)
 	}
 	return merged, total, st, nil

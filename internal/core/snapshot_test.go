@@ -3,10 +3,15 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +20,7 @@ import (
 	"repro/internal/atlas"
 	"repro/internal/colf"
 	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/snap"
@@ -147,11 +153,13 @@ func coldRender(t *testing.T, store *results.Store, w *world.World, start time.T
 	return renderSuite(t, rep)
 }
 
-// TestSnapshotEquivalenceOverAppends is the tentpole's acceptance check:
-// starting from a 24-round store, three successive one-round appends
-// each render byte-identical figure lines and CSVs whether scanned cold
-// or resumed from the pre-append snapshot, for workers 1, 2, 4 and 7 —
-// and the resumed scans decode only the appended blocks.
+// TestSnapshotEquivalenceOverAppends is the snapshot's acceptance check:
+// starting from a 24-round store, three successive one-round appends —
+// at least one of which moves a probe's nearest region — each render
+// byte-identical figure lines and CSVs and leave a byte-identical
+// samples.snap whether scanned cold or resumed from the pre-append
+// snapshot, for workers 1, 2, 4 and 7 — and the resumed scans decode
+// only the appended blocks.
 func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 	w := snapWorldGet(t)
 	full := campaignPrefix(t, w, 27)
@@ -208,9 +216,10 @@ func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 			t.Fatal("pure-hit scan diverges from cold scan")
 		}
 
-		prev := cuts[0]
+		prev, flips := cuts[0], 0
 		for ai, cut := range []int{cuts[1], cuts[2], len(full)} {
 			appendSamples(t, store, full[prev:cut])
+			flips += nearestFlips(w.Index, full[:cut], prev)
 			prev = cut
 			// The snapshot on disk covers the pre-append prefix; replay
 			// every worker count from that same starting point.
@@ -219,6 +228,16 @@ func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := coldRender(t, store, w, cfg.Start)
+			// What a cold scan of the grown store writes: the file every
+			// resumed scan below must leave behind, byte for byte.
+			coldPath := filepath.Join(t.TempDir(), "cold.snap")
+			if _, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 1, nil, core.SnapshotOptions{Path: coldPath}); err != nil {
+				t.Fatal(err)
+			}
+			coldSnap, err := os.ReadFile(coldPath)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, workers := range []int{1, 2, 4, 7} {
 				if err := os.WriteFile(snapPath, preSnap, 0o644); err != nil {
 					t.Fatal(err)
@@ -230,6 +249,9 @@ func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 				}
 				if !bytes.Equal(renderSuite(t, rep), want) {
 					t.Errorf("append %d workers=%d: rendered figures diverge from cold scan", ai+1, workers)
+				}
+				if resumed, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(resumed, coldSnap) {
+					t.Errorf("append %d workers=%d: resumed scan left a different samples.snap than a cold scan (err %v)", ai+1, workers, err)
 				}
 				if sm.Hits.Value() != 1 || sm.Misses.Value() != 0 || sm.Invalidations.Value() != 0 || sm.Writes.Value() != 1 {
 					t.Errorf("append %d workers=%d counters: hit=%d miss=%d invalid=%d write=%d",
@@ -247,6 +269,11 @@ func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 						ai+1, workers, sm.BlocksSkipped.Value(), st.PrefixBlocks)
 				}
 			}
+		}
+		// The appends must exercise the case a kept-rows-only state could
+		// not serve: a probe whose nearest region moves after the resume.
+		if flips == 0 {
+			t.Error("no append moved any probe's nearest region")
 		}
 	})
 }
@@ -346,28 +373,39 @@ func TestSnapshotInvalidation(t *testing.T) {
 		rescan(t, store, 24*time.Hour)
 	})
 
-	t.Run("state version 1 snapshot", func(t *testing.T) {
-		// A file from before the dictionary-coded state layout carries the
-		// old pass-set version: it is refused at the header, its payload
-		// never reaching the state decoder.
-		store := seed(t)
-		tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) {
-			v1 := strings.Replace(h.PassSet, "suite-v2|", "suite-v1|", 1)
-			if v1 == h.PassSet {
-				t.Fatalf("pass set %q is not state version 2", h.PassSet)
+	for _, old := range []string{"1", "2"} {
+		t.Run("state version "+old+" snapshot", func(t *testing.T) {
+			// A file written under an earlier state layout carries that
+			// layout's pass-set version: it is refused at the header, its
+			// payload never reaching the state decoder, and the cold rebuild
+			// leaves exactly the file a store that never had one gets.
+			store := seed(t)
+			fresh, err := os.ReadFile(store.SnapshotPath())
+			if err != nil {
+				t.Fatal(err)
 			}
-			h.PassSet = v1
+			tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) {
+				stale := strings.Replace(h.PassSet, "suite-v3|", "suite-v"+old+"|", 1)
+				if stale == h.PassSet {
+					t.Fatalf("pass set %q is not state version 3", h.PassSet)
+				}
+				h.PassSet = stale
+			})
+			if log := rescan(t, store, snapBinWidth); !strings.Contains(log, `reason="header mismatch"`) {
+				t.Errorf("v%s snapshot not refused as a header mismatch:\n%s", old, log)
+			}
+			if rebuilt, err := os.ReadFile(store.SnapshotPath()); err != nil || !bytes.Equal(rebuilt, fresh) {
+				t.Errorf("rebuild over a v%s file left a different snapshot (err %v)", old, err)
+			}
 		})
-		if log := rescan(t, store, snapBinWidth); !strings.Contains(log, `reason="header mismatch"`) {
-			t.Errorf("v1 snapshot not refused as a header mismatch:\n%s", log)
-		}
-	})
+	}
 
 	t.Run("malformed state", func(t *testing.T) {
 		// A well-enveloped, correctly bound snapshot whose state breaks a
 		// layout rule is dropped by the state decoder, not applied.
 		store := seed(t)
-		for _, tc := range malformedStates {
+		_, bad := malformedStates(t, w.Index)
+		for _, tc := range bad {
 			h, _, err := snap.ReadFile(store.SnapshotPath())
 			if err != nil {
 				t.Fatal(err)
@@ -485,77 +523,132 @@ func TestSnapshotInvalidation(t *testing.T) {
 	})
 }
 
-// stateShape hand-builds a minimal version-2 suite state: the region
-// table, empty Proximity and MinRTT passes, a FullDist pass with one
-// nearest-tracker entry and one entry list per probe (every list holds
-// the same codes), an empty LastMile pass, 24 empty diurnal bins and no
-// providers.
+// shapeProbe is one probe of a hand-built nearest-region buffer.
+type shapeProbe struct {
+	id      int64
+	regions []uint16
+	rtts    []float64
+	nanos   []int64
+}
+
+// stateShape hand-builds a minimal version-3 suite state: the region
+// table, empty Proximity and MinRTT passes, the nearest-region buffer,
+// 24 empty diurnal bins and no providers.
 type stateShape struct {
-	table   []string
-	nearest uint64   // region code of the one nearest-tracker entry
-	probes  []int64  // probe IDs of the FullDist entry lists
-	codes   []uint64 // region codes of each list's entries
+	table  []string
+	probes []shapeProbe
 }
 
 func (sh stateShape) encode() []byte {
-	var d stats.Dist
-	d.Add(12.5)
 	b := snap.AppendUvarint(nil, uint64(len(sh.table)))
 	for _, region := range sh.table {
 		b = snap.AppendString(b, region)
 	}
 	b = snap.AppendUvarint(b, 0) // Proximity countries
 	b = snap.AppendUvarint(b, 0) // MinRTT probes
-	b = snap.AppendUvarint(b, 1) // FullDist nearest tracker
-	b = snap.AppendVarint(b, 1)
-	b = snap.AppendUvarint(b, sh.nearest)
-	b = snap.AppendFloat(b, 12.5)
 	b = snap.AppendUvarint(b, uint64(len(sh.probes)))
-	for _, id := range sh.probes {
-		b = snap.AppendVarint(b, id)
-		b = snap.AppendUvarint(b, uint64(len(sh.codes)))
-		for _, code := range sh.codes {
-			b = snap.AppendUvarint(b, code)
-			b = d.AppendState(b)
+	for _, p := range sh.probes {
+		b = snap.AppendVarint(b, p.id)
+		b = snap.AppendUvarint(b, uint64(len(p.regions)))
+		for _, code := range p.regions {
+			b = binary.LittleEndian.AppendUint16(b, code)
+		}
+		b = snap.AppendUvarint(b, uint64(len(p.rtts)))
+		for _, rtt := range p.rtts {
+			b = snap.AppendFloat(b, rtt)
+		}
+		b = snap.AppendUvarint(b, uint64(len(p.nanos)))
+		for _, t := range p.nanos {
+			b = binary.LittleEndian.AppendUint64(b, uint64(t))
 		}
 	}
-	b = snap.AppendUvarint(b, 0) // LastMile nearest tracker
-	b = snap.AppendUvarint(b, 0) // LastMile streams
 	for h := 0; h < 24; h++ {
 		b = (&stats.Dist{}).AppendState(b)
 	}
 	return snap.AppendUvarint(b, 0) // providers
 }
 
-// malformedStates are the layout rules the version-2 decoder enforces,
-// each broken once; want is the fragment of the decode error that names
-// the rule.
-var malformedStates = []struct {
+// shapeProbes picks the probes the hand-built states use: one Figure 7
+// admits (tier 1-2, wired or wireless tag), whose rows carry times, one
+// it does not, and an ID outside the index.
+func shapeProbes(t testing.TB, idx *core.Index) (timed, untimed, unknown int64) {
+	t.Helper()
+	for id := 1; id < 1<<20; id++ {
+		tier, ok := idx.Tier(id)
+		if !ok {
+			if timed != 0 && untimed != 0 {
+				return timed, untimed, int64(id)
+			}
+			continue
+		}
+		access, _ := idx.Access(id)
+		if tier <= geo.Tier2 && access != core.AccessOther {
+			if timed == 0 {
+				timed = int64(id)
+			}
+		} else if untimed == 0 {
+			untimed = int64(id)
+		}
+	}
+	t.Fatal("world lacks a probe of each kind")
+	return
+}
+
+// malformedStates returns a well-formed shape and the layout rules the
+// version-3 decoder enforces, each broken once in a copy of it; want is
+// the fragment of the decode error that names the rule.
+func malformedStates(t testing.TB, idx *core.Index) (ok stateShape, bad []malformedState) {
+	timed, untimed, unknown := shapeProbes(t, idx)
+	table := []string{"A/a", "B/b"}
+	a := shapeProbe{timed, []uint16{0, 1}, []float64{12.5, 9}, []int64{1e18, 2e18}}
+	b := shapeProbe{untimed, []uint16{1}, []float64{30}, nil}
+	ok = stateShape{table, []shapeProbe{a, b}}
+	sort.Slice(ok.probes, func(i, j int) bool { return ok.probes[i].id < ok.probes[j].id })
+	with := func(mutate func(p *shapeProbe)) stateShape {
+		p := a
+		mutate(&p)
+		return stateShape{table, []shapeProbe{p}}
+	}
+	bad = []malformedState{
+		{"region code out of range", with(func(p *shapeProbe) { p.regions = []uint16{0, 2} }), "region code 2 outside the 2-entry table"},
+		{"unsorted table", stateShape{[]string{"B/b", "A/a"}, []shapeProbe{a}}, "region table not strictly ascending"},
+		{"duplicate table entry", stateShape{[]string{"A/a", "A/a"}, []shapeProbe{a}}, "region table not strictly ascending"},
+		{"duplicate probe", stateShape{table, []shapeProbe{a, a}}, fmt.Sprintf("probe %d out of order", a.id)},
+		{"descending probes", stateShape{table, []shapeProbe{{max(a.id, b.id), a.regions[:1], a.rtts[:1], nil}, {min(a.id, b.id), nil, nil, nil}}}, "out of order in nearest-region state"},
+		{"unknown probe", with(func(p *shapeProbe) { p.id = unknown }), fmt.Sprintf("probe %d in nearest-region state is not in the index", unknown)},
+		{"short region column", with(func(p *shapeProbe) { p.regions = p.regions[:1] }), "columns hold 1 regions, 2 RTTs, 2 times"},
+		{"short time column", with(func(p *shapeProbe) { p.nanos = p.nanos[:1] }), "columns hold 2 regions, 2 RTTs, 1 times (want 2)"},
+		{"times on a probe Figure 7 leaves out", stateShape{table, []shapeProbe{{b.id, b.regions, b.rtts, []int64{1e18}}}}, "1 times (want 0)"},
+		{"no rows", with(func(p *shapeProbe) { p.regions, p.rtts, p.nanos = nil, nil, nil }), "columns hold 0 regions, 0 RTTs"},
+		{"infinite RTT", with(func(p *shapeProbe) { p.rtts = []float64{12.5, math.Inf(1)} }), "invalid RTT +Inf"},
+		{"NaN RTT", with(func(p *shapeProbe) { p.rtts = []float64{math.NaN(), 9} }), "invalid RTT NaN"},
+	}
+	return ok, bad
+}
+
+type malformedState struct {
 	name  string
 	shape stateShape
 	want  string
-}{
-	{"nearest region code out of range", stateShape{[]string{"A/a", "B/b"}, 2, []int64{1}, []uint64{0, 1}}, "region code 2 outside the 2-entry table"},
-	{"entry region code out of range", stateShape{[]string{"A/a", "B/b"}, 1, []int64{1}, []uint64{0, 7}}, "region code 7 outside the 2-entry table"},
-	{"unsorted table", stateShape{[]string{"B/b", "A/a"}, 1, []int64{1}, []uint64{0, 1}}, "region table not strictly ascending"},
-	{"duplicate table entry", stateShape{[]string{"A/a", "A/a"}, 1, []int64{1}, []uint64{0, 1}}, "region table not strictly ascending"},
-	{"duplicate probe", stateShape{[]string{"A/a", "B/b"}, 1, []int64{1, 1}, []uint64{0, 1}}, "duplicate probe 1 in full-dist state"},
-	{"entries out of order", stateShape{[]string{"A/a", "B/b"}, 1, []int64{1}, []uint64{1, 0}}, "regions out of order in full-dist state"},
-	{"duplicate entry", stateShape{[]string{"A/a", "B/b"}, 1, []int64{1}, []uint64{1, 1}}, "regions out of order in full-dist state"},
 }
 
 // TestSuiteStateLayoutRules decodes the hand-built states directly: the
-// well-formed shape is accepted (so each rejection below is for the
-// rule it names, not a slip in the builder), and every malformed one
-// fails cleanly with that rule's error.
+// well-formed shape is accepted and re-encodes to the same bytes (so
+// each rejection below is for the rule it names, not a slip in the
+// builder), and every malformed one fails cleanly with that rule's
+// error.
 func TestSuiteStateLayoutRules(t *testing.T) {
 	w := snapWorldGet(t)
 	start := snapConfig(1).Start
-	ok := stateShape{[]string{"A/a", "B/b"}, 1, []int64{1, 2}, []uint64{0, 1}}
-	if _, err := core.NewSuiteFromState(w.Index, start, snapBinWidth, ok.encode()); err != nil {
+	ok, bad := malformedStates(t, w.Index)
+	s, err := core.NewSuiteFromState(w.Index, start, snapBinWidth, ok.encode())
+	if err != nil {
 		t.Fatalf("well-formed state refused: %v", err)
 	}
-	for _, tc := range malformedStates {
+	if again, err := s.EncodeState(); err != nil || !bytes.Equal(again, ok.encode()) {
+		t.Errorf("well-formed state does not round-trip (err %v)", err)
+	}
+	for _, tc := range bad {
 		_, err := core.NewSuiteFromState(w.Index, start, snapBinWidth, tc.shape.encode())
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
@@ -566,7 +659,7 @@ func TestSuiteStateLayoutRules(t *testing.T) {
 // TestSuiteStateSpellsRegionsOnce is the golden check on the
 // dictionary coding: every region the campaign delivered a sample from
 // is spelled exactly once in the encoded state — in the region table —
-// however many (probe, region) entries and nearest-trackers refer to it.
+// however many buffered rows refer to it.
 func TestSuiteStateSpellsRegionsOnce(t *testing.T) {
 	w := snapWorldGet(t)
 	const rounds = 8
@@ -722,4 +815,73 @@ func TestIndexFingerprintGolden(t *testing.T) {
 			t.Fatalf("call %d: paper world index fingerprint = %s, want %s", i, got, want)
 		}
 	}
+}
+
+// FuzzSuiteState feeds arbitrary bytes to the suite-state decoder. It
+// must never panic and never allocate out of proportion to its input —
+// every count is checked against the bytes that remain before anything
+// is sized by it — and a state it accepts must survive a round trip: the
+// re-encoding decodes again and encodes to the same bytes. The seeds are
+// a real campaign's state (which must re-encode to itself exactly), the
+// hand-built well-formed shape and every malformed one.
+func FuzzSuiteState(f *testing.F) {
+	w, err := world.Build(world.Config{Seed: snapSeed, Probes: 200})
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := snapConfig(1)
+	real, err := core.NewSuite(w.Index, cfg.Start, snapBinWidth)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := w.Platform.RunCampaign(context.Background(), cfg, func(s results.Sample) error {
+		for _, p := range []core.RowPass{real.Proximity, real.MinRTT, real.Nearest, real.Diurnal, real.Provider} {
+			if err := p.Observe(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		f.Fatal(err)
+	}
+	realState, err := real.EncodeState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(realState)
+	f.Add(realState[:len(realState)/2])
+	ok, bad := malformedStates(f, w.Index)
+	f.Add(ok.encode())
+	for _, tc := range bad {
+		f.Add(tc.shape.encode())
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := core.NewSuiteFromState(w.Index, cfg.Start, snapBinWidth, data)
+		runtime.ReadMemStats(&after)
+		// A fresh suite is ~100 KB at this world size; past that, decoding
+		// may hold a small multiple of what the input spells.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		enc, err := s.EncodeState()
+		if err != nil {
+			t.Fatalf("accepted state does not encode: %v", err)
+		}
+		if bytes.Equal(data, realState) && !bytes.Equal(enc, data) {
+			t.Fatal("a written state does not re-encode to itself")
+		}
+		again, err := core.NewSuiteFromState(w.Index, cfg.Start, snapBinWidth, enc)
+		if err != nil {
+			t.Fatalf("re-encoded state refused: %v", err)
+		}
+		if enc2, err := again.EncodeState(); err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("round trip is not stable (err %v)", err)
+		}
+	})
 }

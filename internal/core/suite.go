@@ -49,17 +49,20 @@ func (ps PassSet) String() string {
 	return strings.Join(names, ",")
 }
 
-// Suite bundles one instance of every per-figure analysis pass so a single
-// scan of the dataset can feed all of them. Each worker of a parallel scan
-// owns its own Suite; after the scan the merged state lives in the first
+// Suite bundles one instance of every analysis pass so a single scan of
+// the dataset can feed all of them. Each worker of a parallel scan owns
+// its own Suite; after the scan the merged state lives in the first
 // worker's passes.
 type Suite struct {
 	Proximity *ProximityPass
 	MinRTT    *MinRTTPass
-	FullDist  *FullDistPass
-	LastMile  *LastMilePass
+	Nearest   *NearestPass // Figures 6, 7, 8 and the KS test
 	Diurnal   *DiurnalPass
 	Provider  *ProviderPass
+
+	// start and binWidth are the Figure 7 bin geometry.
+	start    time.Time
+	binWidth time.Duration
 
 	// sel is zero except in a pass-selective snapshot resume, where only
 	// the selected passes observe, merge and report. The other passes'
@@ -68,33 +71,43 @@ type Suite struct {
 }
 
 // NewSuite builds a fresh pass set. start and binWidth parameterize the
-// Figure 7 time series exactly as LastMile does.
+// Figure 7 time series exactly as LastMile does; a bad width fails here,
+// before any scanning.
 func NewSuite(idx *Index, start time.Time, binWidth time.Duration) (*Suite, error) {
 	if idx == nil {
 		return nil, errors.New("analysis: nil index")
 	}
-	lm, err := NewLastMilePass(idx, start, binWidth)
-	if err != nil {
+	if _, err := stats.NewTimeSeries(start, binWidth); err != nil {
 		return nil, err
 	}
 	return &Suite{
 		Proximity: NewProximityPass(idx),
 		MinRTT:    NewMinRTTPass(idx),
-		FullDist:  NewFullDistPass(idx),
-		LastMile:  lm,
+		Nearest:   NewNearestPass(idx),
 		Diurnal:   NewDiurnalPass(idx),
 		Provider:  NewProviderPass(idx),
+		start:     start,
+		binWidth:  binWidth,
 	}, nil
 }
+
+// nearestPasses are the two selectable passes the one NearestPass serves.
+const nearestPasses = PassFullDist | PassLastMile
 
 // Passes returns the suite's passes in a fixed order, matching across
 // workers so the scanner can merge them pairwise.
 func (s *Suite) Passes() []Pass {
-	all := [...]Pass{s.Proximity, s.MinRTT, s.FullDist, s.LastMile, s.Diurnal, s.Provider}
+	all := [...]struct {
+		pass Pass
+		bits PassSet
+	}{
+		{s.Proximity, PassProximity}, {s.MinRTT, PassMinRTT}, {s.Nearest, nearestPasses},
+		{s.Diurnal, PassDiurnal}, {s.Provider, PassProvider},
+	}
 	passes := make([]Pass, 0, len(all))
-	for i, p := range all {
-		if s.sel.has(1 << i) {
-			passes = append(passes, p)
+	for _, p := range all {
+		if s.sel == 0 || s.sel&p.bits != 0 {
+			passes = append(passes, p.pass)
 		}
 	}
 	return passes
@@ -120,9 +133,7 @@ type SuiteReport struct {
 	Provider     *ProviderReport
 }
 
-// Report finalizes all passes. The Figure 7 pass serves double duty: its
-// buffered populations back both the time series and the KS significance
-// test, so neither costs an extra scan.
+// Report finalizes all passes.
 func (s *Suite) Report() (*SuiteReport, error) {
 	return s.report(s.sel)
 }
@@ -142,15 +153,15 @@ func (s *Suite) report(want PassSet) (*SuiteReport, error) {
 		}
 	}
 	if want.has(PassFullDist) {
-		if rep.FullDist, err = s.FullDist.Report(); err != nil {
+		if rep.FullDist, err = s.Nearest.FullDist(); err != nil {
 			return nil, err
 		}
 	}
 	if want.has(PassLastMile) {
-		if rep.LastMile, err = s.LastMile.Report(); err != nil {
+		if rep.LastMile, err = s.Nearest.LastMile(s.start, s.binWidth); err != nil {
 			return nil, err
 		}
-		if rep.Significance, err = s.LastMile.Significance(); err != nil {
+		if rep.Significance, err = s.Nearest.Significance(); err != nil {
 			return nil, err
 		}
 	}
@@ -176,7 +187,7 @@ func RunSuite(src results.Source, idx *Index, start time.Time, binWidth time.Dur
 	if err != nil {
 		return nil, err
 	}
-	if err := RunPasses(src, s.Proximity, s.MinRTT, s.FullDist, s.LastMile, s.Diurnal, s.Provider); err != nil {
+	if err := RunPasses(src, s.Proximity, s.MinRTT, s.Nearest, s.Diurnal, s.Provider); err != nil {
 		return nil, err
 	}
 	return s.Report()

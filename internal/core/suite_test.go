@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/atlas"
 	"repro/internal/colf"
 	"repro/internal/core"
@@ -245,7 +247,53 @@ func renderSuite(tb testing.TB, rep *core.SuiteReport) []byte {
 	if err := figures.Figure7CSV(&buf, rep.LastMile); err != nil {
 		tb.Fatal(err)
 	}
+	rep8, _, err := figures.Figure8(rep.LastMile, apps.Paper())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := figures.Figure8CSV(&buf, rep8); err != nil {
+		tb.Fatal(err)
+	}
+	fmt.Fprintf(&buf, "ks %+v\n", rep.Significance)
 	return buf.Bytes()
+}
+
+// nearestRegions folds smps the way the analyses define a probe's
+// nearest region: the region of its lowest delivered RTT, the earliest
+// sample winning a tie.
+func nearestRegions(idx *core.Index, smps []results.Sample) map[int]string {
+	type best struct {
+		region string
+		rtt    float64
+	}
+	bests := map[int]best{}
+	for _, s := range smps {
+		if s.Lost || !idx.Known(s.ProbeID) {
+			continue
+		}
+		if b, ok := bests[s.ProbeID]; !ok || s.RTTms < b.rtt {
+			bests[s.ProbeID] = best{s.Region, s.RTTms}
+		}
+	}
+	out := make(map[int]string, len(bests))
+	for id, b := range bests {
+		out[id] = b.region
+	}
+	return out
+}
+
+// nearestFlips counts the probes whose nearest region over all of smps
+// differs from the one over smps[:cut] — the probes for which an append
+// of smps[cut:] changes which rows Figures 6-8 keep.
+func nearestFlips(idx *core.Index, smps []results.Sample, cut int) int {
+	before, after := nearestRegions(idx, smps[:cut]), nearestRegions(idx, smps)
+	flips := 0
+	for id, region := range before {
+		if after[id] != region {
+			flips++
+		}
+	}
+	return flips
 }
 
 // matching is src restricted to the rows pred admits.
@@ -270,7 +318,8 @@ func (m matching) ForEach(fn func(results.Sample) error) error {
 // them mid-block, select a probe range and select a region prefix, the
 // block scan must leave the suite in the same state byte for byte
 // (Suite.EncodeState) and render the same figure lines and CSVs. With
-// no predicate the same holds through core.ScanStore and
+// no predicate the same holds through a decoded prefix state merged
+// with a scan of the remaining blocks, and through core.ScanStore and
 // core.ScanStoreSnap, whose samples.snap must not depend on the worker
 // count either.
 func TestScanStoreMatchesRowOracle(t *testing.T) {
@@ -289,7 +338,7 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := core.RunPasses(matching{store, pred}, oracle.Proximity, oracle.MinRTT, oracle.FullDist, oracle.LastMile, oracle.Diurnal, oracle.Provider); err != nil {
+		if err := core.RunPasses(matching{store, pred}, oracle.Proximity, oracle.MinRTT, oracle.Nearest, oracle.Diurnal, oracle.Provider); err != nil {
 			t.Fatal(err)
 		}
 		wantState, err := oracle.EncodeState()
@@ -338,6 +387,85 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 		if pred != nil {
 			continue
 		}
+
+		// The same end state must be reached through a resume: the row
+		// oracle's state over the first two thirds of the blocks,
+		// serialized and decoded, then merged with a block scan of the
+		// rest — a delta that moves some probes' nearest region, so the
+		// rows Figures 6-8 keep for them change after the decode.
+		r, closer, err := colf.Open(store.SamplesPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := append([]colf.BlockInfo(nil), r.Blocks()...)
+		closer.Close()
+		covered := len(blocks) * 2 / 3
+		var all []results.Sample
+		if err := store.ForEach(func(s results.Sample) error {
+			all = append(all, s)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		cut := 0
+		for _, b := range blocks[:covered] {
+			cut += b.Zone.Rows
+		}
+		if flips := nearestFlips(w.Index, all, cut); flips == 0 {
+			t.Fatal("no probe's nearest region moves in the resumed delta; the test needs one that does")
+		}
+		var head results.Memory
+		for _, s := range all[:cut] {
+			head.Add(s)
+		}
+		prefix, err := core.NewSuite(w.Index, cfg.Start, week)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.RunPasses(&head, prefix.Proximity, prefix.MinRTT, prefix.Nearest, prefix.Diurnal, prefix.Provider); err != nil {
+			t.Fatal(err)
+		}
+		prefixState, err := prefix.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4, 7} {
+			seeded, err := core.NewSuiteFromState(w.Index, cfg.Start, week, prefixState)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var suites []*core.Suite
+			if _, err := scan.File(ctx, scan.Config{
+				Path:    store.SamplesPath(),
+				Workers: workers,
+				Resume:  &scan.Resume{Bytes: blocks[covered].Off, Blocks: covered},
+				NewPasses: func(int) ([]scan.Pass, error) {
+					s, err := core.NewSuite(w.Index, cfg.Start, week)
+					suites = append(suites, s)
+					return s.Passes(), err
+				},
+			}); err != nil {
+				t.Fatalf("resumed workers=%d: %v", workers, err)
+			}
+			if err := seeded.Merge(suites[0]); err != nil {
+				t.Fatal(err)
+			}
+			gotState, err := seeded.EncodeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotState, wantState) {
+				t.Errorf("resumed workers=%d: suite state differs from the row oracle's", workers)
+			}
+			rep, err := seeded.Report()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(renderSuite(t, rep), wantRender) {
+				t.Errorf("resumed workers=%d: rendered figures differ from the row oracle's", workers)
+			}
+		}
+
 		var refSnap []byte
 		for _, workers := range []int{1, 2, 4, 7} {
 			rep, st, err := core.ScanStore(ctx, store, w.Index, cfg.Start, week, workers, nil)

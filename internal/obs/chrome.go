@@ -17,15 +17,20 @@ import (
 // instead of corrupting the per-lane nesting stack.
 
 // chromeEvent is one trace-event record. Timestamps and durations are
-// microseconds, per the format.
+// microseconds, per the format. Span and Parent are this exporter's own
+// fields (viewers ignore keys they do not know): the span's 1-based
+// number and its parent's, so ParseTrace rebuilds the exact tree even
+// where overlapping stages make containment ambiguous.
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
+	Name   string         `json:"name"`
+	Ph     string         `json:"ph"`
+	Ts     float64        `json:"ts"`
+	Dur    float64        `json:"dur"`
+	Pid    int            `json:"pid"`
+	Tid    int            `json:"tid"`
+	Span   int            `json:"span,omitempty"`
+	Parent int            `json:"parent,omitempty"`
+	Args   map[string]any `json:"args,omitempty"`
 }
 
 // chromeTrace is the JSON-object container form of the format.
@@ -69,6 +74,7 @@ func flattenDump(d SpanDump, epoch time.Time, parent, depth int, out *[]chromeEv
 		e.Args = d.Attrs
 	}
 	idx := len(*out)
+	e.Span, e.Parent = idx+1, parent+1
 	*out = append(*out, e)
 	*parents = append(*parents, parent)
 	*depths = append(*depths, depth)
@@ -218,9 +224,11 @@ func ParseTrace(data []byte) (SpanDump, error) {
 	return d, nil
 }
 
-// dumpFromChrome rebuilds a span tree from complete events: the event
-// covering the widest interval becomes the root and every other event
-// nests under the smallest event that contains it.
+// dumpFromChrome rebuilds a span tree from complete events. Events that
+// carry this exporter's span numbers link to the parent they name. In
+// any other trace the event covering the widest interval becomes the
+// root and every other event nests under the smallest event that
+// contains it.
 func dumpFromChrome(events []chromeEvent) SpanDump {
 	complete := events[:0:0]
 	for _, e := range events {
@@ -230,6 +238,27 @@ func dumpFromChrome(events []chromeEvent) SpanDump {
 	}
 	if len(complete) == 0 {
 		return SpanDump{}
+	}
+	children := make([][]int, len(complete))
+	var build func(i int) SpanDump
+	build = func(i int) SpanDump {
+		d := SpanDump{Name: complete[i].Name, DurationMs: complete[i].Dur / 1e3, Attrs: complete[i].Args}
+		for _, c := range children[i] {
+			d.Children = append(d.Children, build(c))
+		}
+		return d
+	}
+	// flattenDump numbers spans in the order it writes them, parents
+	// first: event i is span i+1 and names an earlier span, the root none.
+	linked := true
+	for i, e := range complete {
+		linked = linked && e.Span == i+1 && e.Parent <= i && (e.Parent > 0) == (i > 0)
+	}
+	if linked {
+		for i, e := range complete[1:] {
+			children[e.Parent-1] = append(children[e.Parent-1], i+1)
+		}
+		return build(0)
 	}
 	order := make([]int, len(complete))
 	for i := range order {
@@ -244,7 +273,6 @@ func dumpFromChrome(events []chromeEvent) SpanDump {
 	})
 	// Stack of enclosing events along the containment path; children are
 	// linked by index first so the tree can be materialized bottom-up.
-	children := make([][]int, len(complete))
 	type open struct {
 		end float64
 		idx int
@@ -259,14 +287,6 @@ func dumpFromChrome(events []chromeEvent) SpanDump {
 		parent := stack[len(stack)-1].idx
 		children[parent] = append(children[parent], i)
 		stack = append(stack, open{end: e.Ts + e.Dur, idx: i})
-	}
-	var build func(i int) SpanDump
-	build = func(i int) SpanDump {
-		d := SpanDump{Name: complete[i].Name, DurationMs: complete[i].Dur / 1e3, Attrs: complete[i].Args}
-		for _, c := range children[i] {
-			d.Children = append(d.Children, build(c))
-		}
-		return d
 	}
 	return build(rootIdx)
 }

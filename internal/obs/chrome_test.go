@@ -169,6 +169,48 @@ func TestParseTraceChromeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseTraceOverlappingSiblings pins the span links: two stages of
+// one parent run side by side, the shorter inside the longer's interval
+// and covering the longer's own child, so containment alone would hang
+// both under the wrong span. The exported span numbers keep the tree.
+func TestParseTraceOverlappingSiblings(t *testing.T) {
+	now := time.Unix(0, 0)
+	root := NewTrace("run", WithTraceClock(func() time.Time { return now }))
+	figures := root.Child("figures")
+	now = now.Add(time.Millisecond)
+	index := root.Child("index")
+	now = now.Add(time.Millisecond)
+	scan := figures.Child("scan")
+	now = now.Add(time.Millisecond)
+	scan.End()
+	now = now.Add(time.Millisecond)
+	index.End()
+	now = now.Add(time.Millisecond)
+	figures.End()
+	root.End()
+	var buf bytes.Buffer
+	if err := root.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ParseTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Children) != 2 || d.Children[0].Name != "figures" || d.Children[1].Name != "index" {
+		t.Fatalf("root children = %+v, want figures and index", d.Children)
+	}
+	if fc := d.Children[0].Children; len(fc) != 1 || fc[0].Name != "scan" || len(d.Children[1].Children) != 0 {
+		t.Errorf("scan not under figures alone: figures %+v, index %+v", fc, d.Children[1].Children)
+	}
+	lanes := map[string]int{}
+	for _, e := range decodeChrome(t, buf.Bytes()) {
+		lanes[e.Name] = e.Tid
+	}
+	if lanes["index"] == lanes["figures"] || lanes["scan"] != lanes["figures"] {
+		t.Errorf("lanes %v: want index beside figures, scan inside it", lanes)
+	}
+}
+
 func TestParseTraceBareEventArray(t *testing.T) {
 	events := `[{"name":"a","ph":"X","ts":0,"dur":100,"pid":1,"tid":1},
 	            {"name":"b","ph":"X","ts":10,"dur":50,"pid":1,"tid":1}]`
