@@ -16,9 +16,10 @@
 //     traceroute, placement). No per-layer metric touches these
 //     packages; figures.render_ms times only Figures 4-7 rendering
 //     from an already-computed suite report.
-//   - BenchmarkFigure4Proximity .. Figure7LastMile, ProviderComparison,
-//     KSLastMile: each analysis alone, as a sequential row fold over an
-//     in-memory results.Source — the reference path. bench/ only ever
+//   - BenchmarkFigure4Proximity .. Figure7LastMile, ProviderComparison:
+//     each analysis alone — core.ScanMemory restricted to the one pass,
+//     folding an in-memory campaign's column blocks, then the figure's
+//     lines (Figure 7's report carries the KS test). bench/ only ever
 //     runs the six passes fused through the block scanner
 //     (scan.cold_samples_per_s_w1/_w2) and times their reports
 //     together (core.suite_report_ms), never one analysis by itself.
@@ -89,6 +90,16 @@ func getEnv(b *testing.B) *benchEnv {
 	return env
 }
 
+// scanPasses folds the shared campaign through the named suite passes.
+func scanPasses(b *testing.B, e *benchEnv, passes core.PassSet) *core.SuiteReport {
+	b.Helper()
+	rep, err := core.ScanMemory(e.mem, e.w.Index, e.cfg.Start, 7*24*time.Hour, passes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
+
 // BenchmarkFigure1Trends crawls the scholar server and assembles the
 // zeitgeist series (Figure 1).
 func BenchmarkFigure1Trends(b *testing.B) {
@@ -140,9 +151,7 @@ func BenchmarkFigure4Proximity(b *testing.B) {
 	e := getEnv(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := figures.Figure4(e.mem, e.w.Index); err != nil {
-			b.Fatal(err)
-		}
+		figures.Figure4Lines(scanPasses(b, e, core.PassProximity).Proximity)
 	}
 }
 
@@ -151,7 +160,7 @@ func BenchmarkFigure5MinCDF(b *testing.B) {
 	e := getEnv(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := figures.Figure5(e.mem, e.w.Index); err != nil {
+		if _, err := figures.CDFLines(scanPasses(b, e, core.PassMinRTT).MinRTT); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +172,7 @@ func BenchmarkFigure6FullCDF(b *testing.B) {
 	e := getEnv(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := figures.Figure6(e.mem, e.w.Index); err != nil {
+		if _, err := figures.CDFLines(scanPasses(b, e, core.PassFullDist).FullDist); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -174,7 +183,7 @@ func BenchmarkFigure7LastMile(b *testing.B) {
 	e := getEnv(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := figures.Figure7(e.mem, e.w.Index, e.cfg.Start); err != nil {
+		if _, err := figures.Figure7Lines(scanPasses(b, e, core.PassLastMile).LastMile); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -184,10 +193,7 @@ func BenchmarkFigure7LastMile(b *testing.B) {
 // the catalog (Figure 8).
 func BenchmarkFigure8Feasibility(b *testing.B) {
 	e := getEnv(b)
-	rep7, _, err := figures.Figure7(e.mem, e.w.Index, e.cfg.Start)
-	if err != nil {
-		b.Fatal(err)
-	}
+	rep7 := scanPasses(b, e, core.PassLastMile).LastMile
 	catalog := apps.Paper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -365,9 +371,7 @@ func BenchmarkProviderComparison(b *testing.B) {
 	e := getEnv(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ProviderComparison(e.mem, e.w.Index); err != nil {
-			b.Fatal(err)
-		}
+		scanPasses(b, e, core.PassProvider)
 	}
 }
 
@@ -463,18 +467,6 @@ func BenchmarkExpansionGreedy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := expansion.Greedy(e.w.Platform, cands, 3, e.cfg.Start); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKSLastMile runs the wired-vs-wireless significance test over
-// the campaign dataset.
-func BenchmarkKSLastMile(b *testing.B) {
-	e := getEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.LastMileSignificance(e.mem, e.w.Index); err != nil {
 			b.Fatal(err)
 		}
 	}

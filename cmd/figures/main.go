@@ -10,13 +10,18 @@
 //	figures -fig 6 -data ./dataset -workers 8
 //
 // Dataset-independent figures: 1, 2, 3a, 3b. Dataset figures: 4, 5, 6, 7, 8.
-// Stored datasets are read with the parallel scanner (-workers shards the
-// file; the output is identical for any worker count); synthesized campaigns
-// are analyzed in memory. When the dataset carries an analysis snapshot
-// (samples.snap, maintained by cmd/shears), the scan resumes from it and
-// decodes only blocks appended since, and works only the suite pass the
-// figure reads unless this run is the one that rewrites the snapshot —
-// -snapshot off forces a cold scan.
+// -fig, the figure's CSV form and -snapshot are checked before any work.
+// With -data, every figure that needs a world (3a, 3b, 4-8) builds the
+// dataset's own (meta.json) unless -probes/-seed are given.
+// Every dataset figure is one suite report over the pass it reads: a
+// stored dataset is read with the parallel scanner (-workers shards the
+// file; the output is identical for any worker count), a synthesized
+// campaign is folded in memory as the same column blocks. When the
+// dataset carries an analysis snapshot (samples.snap, maintained by
+// cmd/shears), the scan resumes from it, decodes only blocks appended
+// since, and works the whole suite only when this run is the one that
+// rewrites the snapshot — -snapshot off is the same scan with no
+// snapshot: cold, one pass, samples.snap neither read nor written.
 //
 // Observability: the command emits structured leveled logs (-log-format
 // text|json, -log-level) on stderr, and -status-addr serves live run state
@@ -44,6 +49,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -163,7 +169,7 @@ func (e *runEnv) snapInstruments() *snap.Metrics {
 
 // noteScan records one completed dataset scan: the manifest's throughput
 // and snapshot coverage, plus the scan-completion log events. rep is the
-// snapshot-seeded suite report the scan fed, nil for a cold single pass.
+// suite report the scan fed.
 func (e *runEnv) noteScan(st scan.Stats, rep *core.SuiteReport) {
 	if e == nil {
 		return
@@ -173,14 +179,10 @@ func (e *runEnv) noteScan(st scan.Stats, rep *core.SuiteReport) {
 		if st.Duration > 0 {
 			e.manifest.SamplesPerSec = st.SamplesPerSec()
 		}
-		cov := &obs.SnapshotCoverage{
+		e.manifest.Snapshot = &obs.SnapshotCoverage{
 			PrefixBlocks: st.PrefixBlocks, BlocksRead: st.BlocksRead, BlocksTotal: st.BlocksTotal,
+			PrefixSamples: rep.Samples - st.Samples, Passes: rep.Passes.String(),
 		}
-		if rep != nil {
-			cov.PrefixSamples = rep.Samples - st.Samples
-			cov.Passes = rep.Passes.String()
-		}
-		e.manifest.Snapshot = cov
 	}
 	e.log.Info("scan complete",
 		"samples", st.Samples, "duration", st.Duration.Round(time.Millisecond),
@@ -347,72 +349,65 @@ func figuresProgress(manifest *obs.RunManifest, start time.Time, fig string, sm 
 	}
 }
 
+// check rejects a flag combination no work can satisfy — a figure with
+// no CSV form, an unknown figure, a bad -snapshot — before a world is
+// built or a sample synthesized.
+func (o options) check() error {
+	if o.csv && o.fig != "1" && figurePasses(o.fig) == 0 {
+		return fmt.Errorf("figure %q has no CSV form", o.fig)
+	}
+	if !slices.Contains(figures.Names(), o.fig) {
+		return fmt.Errorf("unknown figure %q (want one of %v)", o.fig, figures.Names())
+	}
+	if o.snapMode != "on" && o.snapMode != "off" && o.snapMode != "" {
+		return fmt.Errorf("invalid -snapshot %q (want on or off)", o.snapMode)
+	}
+	return nil
+}
+
 func render(o options, env *runEnv) ([]string, error) {
-	if o.csv {
-		return renderCSV(o, env)
+	if err := o.check(); err != nil {
+		return nil, err
 	}
 	ctx := obs.ContextWith(context.Background(), env.span())
 	switch o.fig {
 	case "1":
-		_, lines, err := figures.Figure1(ctx, o.seed)
-		return lines, err
+		series, lines, err := figures.Figure1(ctx, o.seed)
+		if err != nil || !o.csv {
+			return lines, err
+		}
+		var buf bytes.Buffer
+		if err := figures.Figure1CSV(&buf, series); err != nil {
+			return nil, err
+		}
+		return splitLines(buf.String()), nil
 	case "2":
 		return figures.Figure2(apps.Paper())
 	}
 
-	switch o.fig {
-	case "3a", "3b":
-		w, err := buildWorld(o, env)
-		if err != nil {
-			return nil, err
-		}
-		if o.fig == "3a" {
-			return figures.Figure3a(w.Catalog)
-		}
-		return figures.Figure3b(w.Probes)
-	}
-
-	w, d, err := loadOrSynthesize(ctx, o, env)
+	w, d, err := loadWorld(o, env)
 	if err != nil {
 		return nil, err
 	}
-	d.span = env.span().Child("figure:" + o.fig)
-	defer d.span.End()
 	switch o.fig {
-	case "4":
-		rep, err := d.proximity(w.Index)
-		if err != nil {
-			return nil, err
-		}
-		return figures.Figure4Lines(rep), nil
-	case "5":
-		rep, err := d.minRTT(w.Index)
-		if err != nil {
-			return nil, err
-		}
-		return figures.CDFLines(rep)
-	case "6":
-		rep, err := d.fullDist(w.Index)
-		if err != nil {
-			return nil, err
-		}
-		return figures.CDFLines(rep)
-	case "7":
-		rep, err := d.lastMile(w.Index)
-		if err != nil {
-			return nil, err
-		}
-		return figures.Figure7Lines(rep)
-	case "8":
-		rep7, err := d.lastMile(w.Index)
-		if err != nil {
-			return nil, err
-		}
-		_, lines, err := figures.Figure8(rep7, apps.Paper())
-		return lines, err
-	default:
-		return nil, fmt.Errorf("unknown figure %q (want one of %v)", o.fig, figures.Names())
+	case "3a":
+		return figures.Figure3a(w.Catalog)
+	case "3b":
+		return figures.Figure3b(w.Probes)
 	}
+
+	span := env.span().Child("figure:" + o.fig)
+	defer span.End()
+	if d.store == nil {
+		if err := d.synthesize(ctx, w); err != nil {
+			return nil, err
+		}
+	}
+	rep, err := d.report(obs.ContextWith(ctx, span), w.Index, figurePasses(o.fig))
+	if err != nil {
+		return nil, err
+	}
+	return figureLines(o.fig, o.csv, rep)
 }
 
 // buildWorld synthesizes the world under its own stage span.
@@ -429,25 +424,25 @@ func buildWorld(o options, env *runEnv) (*world.World, error) {
 }
 
 // dataset is a figure's sample source: a stored campaign scanned in
-// parallel, or a freshly synthesized in-memory one analyzed sequentially.
+// parallel, or a freshly synthesized in-memory one folded block by block.
 type dataset struct {
-	store   *results.Store // non-nil when loaded from disk
-	mem     *results.Memory
+	store   *results.Store  // non-nil when loaded from disk
+	mem     *results.Memory // the synthesized campaign otherwise
 	start   time.Time
 	workers int
-	snap    *core.SnapshotOptions // non-nil: seed scans from the analysis snapshot
-	suite   *core.SuiteReport     // cached snapshot-seeded suite report
-	env     *runEnv               // telemetry plumbing; nil disables
-	span    *obs.Span             // the figure's span; scans nest under it
+	snap    core.SnapshotOptions // empty Path: scan cold, leave samples.snap alone
+	env     *runEnv              // telemetry plumbing; nil disables
 }
 
-// loadOrSynthesize builds the world and the figure's sample source: the
-// stored dataset, or a fresh test-scale campaign. A stored dataset is
-// analysed under the world its meta.json records unless -probes/-seed
-// say otherwise on the command line; a world that differs from the
-// dataset's classifies its samples differently, so such a run warns and
-// stays away from samples.snap, which is bound to the dataset's world.
-func loadOrSynthesize(ctx context.Context, o options, env *runEnv) (*world.World, *dataset, error) {
+// loadWorld resolves, in one place for every figure that needs one, the
+// world a run analyses under, and opens the stored dataset when -data
+// names one. A stored dataset's figures come from the world its
+// meta.json records unless -probes/-seed say otherwise on the command
+// line; a world that differs from the dataset's classifies its samples
+// differently, so such a run warns and stays away from samples.snap,
+// which is bound to the dataset's world.
+func loadWorld(o options, env *runEnv) (*world.World, *dataset, error) {
+	d := &dataset{workers: o.workers, env: env}
 	if o.data != "" {
 		store, err := results.Open(o.data)
 		if err != nil {
@@ -460,49 +455,43 @@ func loadOrSynthesize(ctx context.Context, o options, env *runEnv) (*world.World
 		if !o.seedSet {
 			o.seed = meta.Seed
 		}
-		w, err := buildWorld(o, env)
-		if err != nil {
-			return nil, nil, err
+		d.store, d.start = store, meta.Start
+		// -snapshot off is the same scan without a snapshot path.
+		d.snap = core.SnapshotOptions{
+			RefreshFactor: core.DefaultRefreshFactor,
+			Metrics:       env.snapInstruments(),
+			Log:           env.logger().With("snap"),
 		}
-		d := &dataset{store: store, start: meta.Start, workers: o.workers, env: env}
-		enabled, err := snapshotEnabled(o.snapMode)
-		if err != nil {
-			return nil, nil, err
-		}
-		if o.probes != meta.Probes || o.seed != meta.Seed {
+		own := o.probes == meta.Probes && o.seed == meta.Seed
+		if !own {
 			env.logger().Warn("world differs from the dataset's; samples.snap is left alone",
 				"probes", o.probes, "seed", o.seed, "dataset_probes", meta.Probes, "dataset_seed", meta.Seed)
-			enabled = false
 		}
+		enabled := own && o.snapMode != "off"
 		if enabled {
-			d.snap = &core.SnapshotOptions{
-				Path:          store.SnapshotPath(),
-				RefreshFactor: core.DefaultRefreshFactor,
-				Passes:        figurePasses(o.fig),
-				Metrics:       env.snapInstruments(),
-				Log:           env.logger().With("snap"),
-			}
+			d.snap.Path = store.SnapshotPath()
 		}
 		env.logger().Info("dataset opened",
 			"dir", o.data, "snapshot", enabled)
-		return w, d, nil
 	}
 	w, err := buildWorld(o, env)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := atlas.TestCampaign()
-	s := env.span().Child("campaign.synthesize")
-	defer s.End()
-	var mem results.Memory
-	if _, err := w.Platform.RunCampaign(obs.ContextWith(ctx, s), cfg, mem.Add); err != nil {
-		return nil, nil, err
-	}
-	return w, &dataset{mem: &mem, start: cfg.Start, env: env}, nil
+	return w, d, err
 }
 
-// figurePasses names the suite pass a dataset figure reads, so a
-// snapshot resume that leaves the file alone works only that pass.
+// synthesize stands in for a stored dataset: a fresh test-scale
+// campaign over w, held in memory.
+func (d *dataset) synthesize(ctx context.Context, w *world.World) error {
+	cfg := atlas.TestCampaign()
+	s := d.env.span().Child("campaign.synthesize")
+	defer s.End()
+	d.mem, d.start = &results.Memory{}, cfg.Start
+	_, err := w.Platform.RunCampaign(obs.ContextWith(ctx, s), cfg, d.mem.Add)
+	return err
+}
+
+// figurePasses names the suite pass a dataset figure reads, so a scan
+// that writes no snapshot works only that pass. Zero for the figures
+// that read no dataset.
 func figurePasses(fig string) core.PassSet {
 	switch fig {
 	case "4":
@@ -517,202 +506,59 @@ func figurePasses(fig string) core.PassSet {
 	return 0
 }
 
-// runPass feeds one analysis pass with every sample: a parallel block
-// scan for stored datasets, a sequential walk for in-memory ones. The
-// merged result is identical either way.
-func runPass[P core.RowPass](d *dataset, newPass func() (P, error)) (P, error) {
+// report is the one way a dataset figure gets its numbers: the suite
+// report over the passes it reads. A store goes through
+// core.ScanStoreSnap — seeded from samples.snap, or cold when d.snap
+// names no path — and a synthesized campaign through core.ScanMemory.
+func (d *dataset) report(ctx context.Context, idx *core.Index, passes core.PassSet) (*core.SuiteReport, error) {
+	const week = 7 * 24 * time.Hour
 	if d.store == nil {
-		p, err := newPass()
-		if err != nil {
-			return p, err
-		}
-		return p, core.RunPasses(d.mem, p)
+		return core.ScanMemory(d.mem, idx, d.start, week, passes)
 	}
-	var passes []P
-	st, err := scan.File(obs.ContextWith(context.Background(), d.span), scan.Config{
-		Path:    d.store.SamplesPath(),
-		Workers: d.workers,
-		NewPasses: func(int) ([]scan.Pass, error) {
-			p, err := newPass()
-			if err != nil {
-				return nil, err
-			}
-			passes = append(passes, p)
-			return []scan.Pass{p}, nil
-		},
-		Metrics: d.env.scanInstruments(),
-		Log:     d.env.logger(),
-	})
-	if err != nil {
-		var zero P
-		return zero, err
-	}
-	d.env.noteScan(st, nil)
-	return passes[0], nil
-}
-
-// snapshotEnabled resolves the -snapshot mode; empty means on.
-func snapshotEnabled(mode string) (bool, error) {
-	switch mode {
-	case "on", "":
-		return true, nil
-	case "off":
-		return false, nil
-	}
-	return false, fmt.Errorf("invalid -snapshot %q (want on or off)", mode)
-}
-
-// suiteReport runs the snapshot-seeded fused scan once per invocation and
-// caches it: every figure reads from the same suite, and the snapshot
-// means only blocks appended since the last analysis are decoded.
-func (d *dataset) suiteReport(idx *core.Index) (*core.SuiteReport, error) {
-	if d.suite != nil {
-		return d.suite, nil
-	}
-	ctx := obs.ContextWith(context.Background(), d.span)
-	rep, st, err := core.ScanStoreSnap(ctx, d.store, idx, d.start, 7*24*time.Hour, d.workers, d.env.scanInstruments(), *d.snap)
+	so := d.snap
+	so.Passes = passes
+	rep, st, err := core.ScanStoreSnap(ctx, d.store, idx, d.start, week, d.workers, d.env.scanInstruments(), so)
 	if err != nil {
 		return nil, err
 	}
 	d.env.noteScan(st, rep)
-	d.suite = rep
 	return rep, nil
 }
 
-func (d *dataset) proximity(idx *core.Index) (*core.ProximityReport, error) {
-	if d.snap != nil {
-		rep, err := d.suiteReport(idx)
-		if err != nil {
-			return nil, err
-		}
-		return rep.Proximity, nil
-	}
-	p, err := runPass(d, func() (*core.ProximityPass, error) { return core.NewProximityPass(idx), nil })
-	if err != nil {
-		return nil, err
-	}
-	return p.Report()
-}
-
-func (d *dataset) minRTT(idx *core.Index) (*core.CDFReport, error) {
-	if d.snap != nil {
-		rep, err := d.suiteReport(idx)
-		if err != nil {
-			return nil, err
-		}
-		return rep.MinRTT, nil
-	}
-	p, err := runPass(d, func() (*core.MinRTTPass, error) { return core.NewMinRTTPass(idx), nil })
-	if err != nil {
-		return nil, err
-	}
-	return p.Report()
-}
-
-func (d *dataset) fullDist(idx *core.Index) (*core.CDFReport, error) {
-	if d.snap != nil {
-		rep, err := d.suiteReport(idx)
-		if err != nil {
-			return nil, err
-		}
-		return rep.FullDist, nil
-	}
-	p, err := runPass(d, func() (*core.NearestPass, error) { return core.NewNearestPass(idx), nil })
-	if err != nil {
-		return nil, err
-	}
-	return p.FullDist()
-}
-
-func (d *dataset) lastMile(idx *core.Index) (*core.LastMileReport, error) {
-	if d.snap != nil {
-		rep, err := d.suiteReport(idx)
-		if err != nil {
-			return nil, err
-		}
-		return rep.LastMile, nil
-	}
-	p, err := runPass(d, func() (*core.NearestPass, error) { return core.NewNearestPass(idx), nil })
-	if err != nil {
-		return nil, err
-	}
-	return p.LastMile(d.start, 7*24*time.Hour)
-}
-
-// renderCSV emits the machine-readable form of a figure.
-func renderCSV(o options, env *runEnv) ([]string, error) {
-	ctx := obs.ContextWith(context.Background(), env.span())
+// figureLines renders a dataset figure, as text or CSV, from the suite
+// report holding its pass.
+func figureLines(fig string, csv bool, rep *core.SuiteReport) ([]string, error) {
 	var buf bytes.Buffer
-	if o.fig == "1" {
-		series, _, err := figures.Figure1(ctx, o.seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := figures.Figure1CSV(&buf, series); err != nil {
-			return nil, err
-		}
-		return splitLines(buf.String()), nil
-	}
-
-	w, d, err := loadOrSynthesize(ctx, o, env)
-	if err != nil {
-		return nil, err
-	}
-	d.span = env.span().Child("figure:" + o.fig)
-	defer d.span.End()
-	return d.csv(o.fig, w.Index)
-}
-
-// csv renders the machine-readable form of one dataset figure.
-func (d *dataset) csv(fig string, idx *core.Index) ([]string, error) {
-	var buf bytes.Buffer
+	var err error
 	switch fig {
 	case "4":
-		rep, err := d.proximity(idx)
-		if err != nil {
-			return nil, err
+		if !csv {
+			return figures.Figure4Lines(rep.Proximity), nil
 		}
-		if err := figures.Figure4CSV(&buf, rep); err != nil {
-			return nil, err
+		err = figures.Figure4CSV(&buf, rep.Proximity)
+	case "5", "6":
+		cdf := rep.MinRTT
+		if fig == "6" {
+			cdf = rep.FullDist
 		}
-	case "5":
-		rep, err := d.minRTT(idx)
-		if err != nil {
-			return nil, err
+		if !csv {
+			return figures.CDFLines(cdf)
 		}
-		if err := figures.CDFCSV(&buf, rep); err != nil {
-			return nil, err
-		}
-	case "6":
-		rep, err := d.fullDist(idx)
-		if err != nil {
-			return nil, err
-		}
-		if err := figures.CDFCSV(&buf, rep); err != nil {
-			return nil, err
-		}
+		err = figures.CDFCSV(&buf, cdf)
 	case "7":
-		rep, err := d.lastMile(idx)
-		if err != nil {
-			return nil, err
+		if !csv {
+			return figures.Figure7Lines(rep.LastMile)
 		}
-		if err := figures.Figure7CSV(&buf, rep); err != nil {
-			return nil, err
-		}
+		err = figures.Figure7CSV(&buf, rep.LastMile)
 	case "8":
-		rep7, err := d.lastMile(idx)
-		if err != nil {
-			return nil, err
+		rep8, lines, ferr := figures.Figure8(rep.LastMile, apps.Paper())
+		if ferr != nil || !csv {
+			return lines, ferr
 		}
-		rep, _, err := figures.Figure8(rep7, apps.Paper())
-		if err != nil {
-			return nil, err
-		}
-		if err := figures.Figure8CSV(&buf, rep); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("figure %q has no CSV form", fig)
+		err = figures.Figure8CSV(&buf, rep8)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return splitLines(buf.String()), nil
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -363,5 +365,173 @@ func TestRunServesStatusEndpoints(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("run did not finish")
+	}
+}
+
+// TestWorldFiguresFromMeta extends TestDatasetWorldFromMeta's rule to
+// the figures that need a world but no samples: with -data, 3a and 3b
+// describe the dataset's world (meta.json), not the flag defaults —
+// unless -probes/-seed are given, in which case the run warns.
+func TestWorldFiguresFromMeta(t *testing.T) {
+	dir, _ := buildDataset(t, 2, 200)
+	for _, fig := range []string{"3a", "3b"} {
+		want, err := render(options{fig: fig, probes: 200, seed: 2, snapMode: "on"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log bytes.Buffer
+		got, err := render(options{fig: fig, data: dir, probes: 400, seed: 1, snapMode: "on"}, &runEnv{log: obs.NewLogger(&log)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("fig %s -data under the flag defaults is not the dataset's world:\n%s", fig, strings.Join(got, "\n"))
+		}
+		if !strings.Contains(log.String(), "seed=2") || strings.Contains(log.String(), "level=warn") {
+			t.Errorf("fig %s: want the dataset's world built without a warning:\n%s", fig, log.String())
+		}
+	}
+	defaults, err := render(options{fig: "3b", probes: 400, seed: 1, snapMode: "on"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	explicit, err := render(options{fig: "3b", data: dir, probes: 400, seed: 1, probesSet: true, seedSet: true, snapMode: "on"}, &runEnv{log: obs.NewLogger(&log)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(explicit, "\n") != strings.Join(defaults, "\n") {
+		t.Error("an explicit -probes 400 -seed 1 did not win over the dataset's world")
+	}
+	if !strings.Contains(log.String(), "level=warn") || !strings.Contains(log.String(), "dataset_probes=200") {
+		t.Errorf("mismatched world not warned about:\n%s", log.String())
+	}
+}
+
+// TestBadFlagsFailBeforeAnyWork pins the validation order: an unknown
+// figure, a figure with no CSV form and a bad -snapshot are refused
+// with their usual messages before a world is built or a campaign
+// synthesized, with or without -data.
+func TestBadFlagsFailBeforeAnyWork(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    options
+		want string
+	}{
+		{"unknown figure", options{fig: "9", snapMode: "on"}, `unknown figure "9"`},
+		{"no figure", options{snapMode: "on"}, `unknown figure ""`},
+		{"unknown figure on a store", options{fig: "9", data: "/nonexistent", snapMode: "on"}, `unknown figure "9"`},
+		{"figure 2 as CSV", options{fig: "2", csv: true, snapMode: "on"}, `figure "2" has no CSV form`},
+		{"figure 3a as CSV", options{fig: "3a", csv: true, snapMode: "on"}, `figure "3a" has no CSV form`},
+		{"unknown figure as CSV", options{fig: "9", csv: true, snapMode: "on"}, `figure "9" has no CSV form`},
+		{"bad -snapshot without -data", options{fig: "4", snapMode: "bogus"}, `invalid -snapshot "bogus" (want on or off)`},
+		{"bad -snapshot on a store", options{fig: "4", data: "/nonexistent", snapMode: "bogus"}, `invalid -snapshot "bogus" (want on or off)`},
+		{"bad -snapshot on a world figure", options{fig: "3b", snapMode: "auto"}, `invalid -snapshot "auto" (want on or off)`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.o.probes, tc.o.seed = 400, 1
+			var log bytes.Buffer
+			root := obs.NewTrace("figures.run")
+			_, err := render(tc.o, &runEnv{root: root, log: obs.NewLogger(&log)})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want %s", err, tc.want)
+			}
+			if strings.Contains(log.String(), "world built") {
+				t.Errorf("a world was built first:\n%s", log.String())
+			}
+			if kids := root.Dump().Children; len(kids) != 0 {
+				t.Errorf("work preceded the refusal: first span %q", kids[0].Name)
+			}
+		})
+	}
+}
+
+// TestSyntheticCSVGoldenDigests pins `figures -fig N -csv` without
+// -data — the synthesized 400-probe, seed-1 test campaign — to the
+// stdout digests recorded when these figures were still row folds over
+// results.Memory. The in-memory block fold must print the same bytes.
+func TestSyntheticCSVGoldenDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesizes five campaigns")
+	}
+	for fig, want := range map[string]string{
+		"4": "2f4492fcecb06ae37592e388b61495fe9a816f69ae3017085dfdc6d870aab381",
+		"5": "3d92a56293163a0558f4c1300291945a65b2d72af5a555d4ef151fa67fbee2f3",
+		"6": "0d166ce5d6e2cfc601cff6ad7f4f744dd312b38b00c55710a96849644c625358",
+		"7": "9aaba4e7594718c7e6b21c9214ba4d43a6001fa0508dfd388152433f021663cc",
+		"8": "57d5d0139c6c0b9b63f4917bec6f20b1716fb47c70b44ac2752f1c8b1db4adad",
+	} {
+		var out bytes.Buffer
+		if err := run(options{fig: fig, csv: true, probes: 400, seed: 1, snapMode: "on", stdout: &out, logDst: io.Discard}); err != nil {
+			t.Fatalf("fig %s: %v", fig, err)
+		}
+		sum := sha256.Sum256(out.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("figures -fig %s -csv digest = %s, want %s", fig, got, want)
+		}
+	}
+}
+
+// TestSnapshotOffWorksOnePass pins what -snapshot off is: the same
+// ScanStoreSnap call without a snapshot path. The cold scan decodes the
+// whole store but feeds only the pass the figure reads, and
+// samples.snap is neither created nor, when one exists, read or
+// touched.
+func TestSnapshotOffWorksOnePass(t *testing.T) {
+	dir, _ := buildDataset(t, 2, 200)
+	snapPath := filepath.Join(dir, "samples.snap")
+	cold := func(fig string) *obs.RunManifest {
+		t.Helper()
+		if err := run(options{
+			fig: fig, data: dir, probes: 200, seed: 2, workers: 2, snapMode: "off",
+			stdout: io.Discard, logDst: io.Discard,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := obs.ReadRunManifest(filepath.Join(dir, manifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Samples == 0 || m.Snapshot == nil || m.Snapshot.BlocksRead != m.Snapshot.BlocksTotal || m.Snapshot.PrefixSamples != 0 {
+			t.Errorf("fig %s: not a cold scan of the whole store: samples=%d snapshot=%+v", fig, m.Samples, m.Snapshot)
+		}
+		if want := figurePasses(fig).String(); m.Snapshot == nil || m.Snapshot.Passes != want {
+			t.Errorf("fig %s: scan worked passes %+v, want %s", fig, m.Snapshot, want)
+		}
+		for _, s := range m.Stages {
+			if strings.HasPrefix(s.Name, "snap") {
+				t.Errorf("fig %s: stage %q in a -snapshot off run", fig, s.Name)
+			}
+		}
+		return m
+	}
+	for _, fig := range []string{"4", "5", "6", "7", "8"} {
+		cold(fig)
+		if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
+			t.Fatalf("fig %s: -snapshot off left %s behind (stat: %v)", fig, snapPath, err)
+		}
+	}
+
+	if err := run(options{
+		fig: "5", data: dir, probes: 200, seed: 2, workers: 2, snapMode: "on",
+		stdout: io.Discard, logDst: io.Discard,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp, err := os.Stat(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold("6")
+	after, err := os.ReadFile(snapPath)
+	if err != nil || !bytes.Equal(after, before) {
+		t.Errorf("-snapshot off changed samples.snap (err %v)", err)
+	}
+	if now, err := os.Stat(snapPath); err != nil || !now.ModTime().Equal(stamp.ModTime()) {
+		t.Errorf("-snapshot off touched samples.snap (err %v)", err)
 	}
 }

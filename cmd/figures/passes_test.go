@@ -190,7 +190,11 @@ func TestSelectedPassesMatchCold(t *testing.T) {
 					}
 					fullSo := so
 					fullSo.Path = fullStore.SnapshotPath()
-					full, err := (&dataset{store: fullStore, start: cfg.Start, workers: workers, snap: &fullSo}).csv(fig, w.Index)
+					fullRep, err := (&dataset{store: fullStore, start: cfg.Start, workers: workers, snap: fullSo}).report(context.Background(), w.Index, 0)
+					if err != nil {
+						t.Fatalf("fig %s workers=%d whole suite: %v", fig, workers, err)
+					}
+					full, err := figureLines(fig, true, fullRep)
 					if err != nil {
 						t.Fatalf("fig %s workers=%d whole suite: %v", fig, workers, err)
 					}

@@ -8,10 +8,12 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/atlas"
 	"repro/internal/bandwidth"
+	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/results"
 	"repro/internal/world"
@@ -47,10 +49,11 @@ func run() error {
 	if _, err := w.Platform.RunCampaign(context.Background(), cfg, mem.Add); err != nil {
 		return err
 	}
-	lastMile, _, err := figures.Figure7(&mem, w.Index, cfg.Start)
+	suite, err := core.ScanMemory(&mem, w.Index, cfg.Start, 7*24*time.Hour, core.PassLastMile)
 	if err != nil {
 		return err
 	}
+	lastMile := suite.LastMile
 	added, err := lastMile.AddedLatencyMs()
 	if err != nil {
 		return err

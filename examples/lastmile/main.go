@@ -39,10 +39,11 @@ func run() error {
 	}
 	fmt.Printf("campaign: %d samples over %d rounds\n", n, cfg.Rounds())
 
-	rep, err := core.LastMile(&mem, w.Index, cfg.Start, cfg.Interval*8) // daily bins
+	suite, err := core.ScanMemory(&mem, w.Index, cfg.Start, cfg.Interval*8, core.PassLastMile) // daily bins
 	if err != nil {
 		return err
 	}
+	rep := suite.LastMile
 	days := len(rep.Wired)
 	if len(rep.Wireless) < days {
 		days = len(rep.Wireless)

@@ -36,19 +36,15 @@ func run() error {
 	if _, err := w.Platform.RunCampaign(context.Background(), cfg, mem.Add); err != nil {
 		return err
 	}
-	lastMile, err := core.LastMile(&mem, w.Index, cfg.Start, cfg.Interval*8)
+	rep, err := core.ScanMemory(&mem, w.Index, cfg.Start, cfg.Interval*8, core.PassLastMile|core.PassFullDist)
 	if err != nil {
 		return err
 	}
-	edgeRTT, err := lastMile.AddedLatencyMs()
+	edgeRTT, err := rep.LastMile.AddedLatencyMs()
 	if err != nil {
 		return err
 	}
-	full, err := core.FullDistribution(&mem, w.Index)
-	if err != nil {
-		return err
-	}
-	cloudRTT, err := full.Quantile(geo.Europe, 0.5)
+	cloudRTT, err := rep.FullDist.Quantile(geo.Europe, 0.5)
 	if err != nil {
 		return err
 	}

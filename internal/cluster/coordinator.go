@@ -51,10 +51,6 @@ type CoordinatorConfig struct {
 	// count). It runs with the coordinator's lock held and must not
 	// call back into the coordinator.
 	OnRound func(round int, samples uint64)
-	// OnCheckpoint, when set, runs after each checkpoint is durably
-	// written, with the checkpointed round and committed sink offset.
-	// Same locking caveat as OnRound.
-	OnCheckpoint func(round int, offset int64)
 	// Metrics, when set, receives the cluster instrument set.
 	Metrics *Metrics
 	// Log, when set, receives structured control-plane events.
@@ -499,9 +495,6 @@ func (c *Coordinator) writeCheckpoint(round int) error {
 	c.m.checkpointWrite()
 	c.log.Info("checkpoint written",
 		"path", c.cfg.CheckpointPath, "round", round, "samples", c.samples, "sink_offset", offset)
-	if c.cfg.OnCheckpoint != nil {
-		c.cfg.OnCheckpoint(round, offset)
-	}
 	return nil
 }
 

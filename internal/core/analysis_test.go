@@ -61,6 +61,17 @@ func dataset(t testing.TB) *fixture {
 	return cached
 }
 
+// scanned runs the in-memory entry point over the fixture, restricted to
+// passes, with Figure 7 bins of the given width.
+func scanned(t testing.TB, f *fixture, binWidth time.Duration, passes PassSet) *SuiteReport {
+	t.Helper()
+	rep, err := ScanMemory(f.mem, f.idx, f.cfg.Start, binWidth, passes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestIndexValidation(t *testing.T) {
 	f := dataset(t)
 	if _, err := NewIndex(nil, geo.World()); err == nil {
@@ -119,10 +130,7 @@ func TestBandOf(t *testing.T) {
 
 func TestProximityFigure4(t *testing.T) {
 	f := dataset(t)
-	rep, err := Proximity(f.mem, f.idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := scanned(t, f, passBinWidth, PassProximity).Proximity
 	nCountries := len(rep.Rows)
 	if nCountries < 150 {
 		t.Fatalf("proximity covers %d countries, want most of the world", nCountries)
@@ -177,10 +185,7 @@ func TestProximityFigure4(t *testing.T) {
 
 func TestMinRTTFigure5(t *testing.T) {
 	f := dataset(t)
-	rep, err := MinRTTByProbe(f.mem, f.idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := scanned(t, f, passBinWidth, PassMinRTT).MinRTT
 	// All six continents appear.
 	if got := len(rep.Continents()); got != 6 {
 		t.Fatalf("CDF covers %d continents", got)
@@ -246,10 +251,8 @@ func TestMinRTTFigure5(t *testing.T) {
 
 func TestFullDistributionFigure6(t *testing.T) {
 	f := dataset(t)
-	rep, err := FullDistribution(f.mem, f.idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	both := scanned(t, f, passBinWidth, PassFullDist|PassMinRTT)
+	rep, minRep := both.FullDist, both.MinRTT
 	// Figure 6 shape: >75% of NA/EU/OC samples below PL; the NA/EU top
 	// quartile supports MTP.
 	for _, ct := range []geo.Continent{geo.NorthAmerica, geo.Europe, geo.Oceania} {
@@ -283,10 +286,6 @@ func TestFullDistributionFigure6(t *testing.T) {
 		t.Errorf("Africa (%.2f) not worse than Europe (%.2f)", af, eu)
 	}
 	// Full distribution sits at or above the per-probe minimum curve.
-	minRep, err := MinRTTByProbe(f.mem, f.idx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, ct := range rep.Continents() {
 		fullMed, err := rep.Quantile(ct, 0.5)
 		if err != nil {
@@ -304,10 +303,7 @@ func TestFullDistributionFigure6(t *testing.T) {
 
 func TestLastMileFigure7(t *testing.T) {
 	f := dataset(t)
-	rep, err := LastMile(f.mem, f.idx, f.cfg.Start, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := scanned(t, f, 24*time.Hour, PassLastMile).LastMile
 	if len(rep.Wired) < 25 || len(rep.Wireless) < 25 {
 		t.Fatalf("series too short: wired=%d wireless=%d", len(rep.Wired), len(rep.Wireless))
 	}
@@ -345,27 +341,23 @@ func TestLastMileFigure7(t *testing.T) {
 
 func TestAnalysisInputValidation(t *testing.T) {
 	f := dataset(t)
-	if _, err := Proximity(nil, f.idx); err == nil {
+	if _, err := ScanMemory(nil, f.idx, f.cfg.Start, passBinWidth, PassProximity); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := MinRTTByProbe(f.mem, nil); err == nil {
+	if _, err := ScanMemory(f.mem, nil, f.cfg.Start, passBinWidth, PassMinRTT); err == nil {
 		t.Error("nil index accepted")
 	}
-	if _, err := FullDistribution(nil, nil); err == nil {
+	if _, err := ScanMemory(nil, nil, f.cfg.Start, passBinWidth, PassFullDist); err == nil {
 		t.Error("nil everything accepted")
 	}
-	if _, err := LastMile(f.mem, f.idx, f.cfg.Start, 0); err == nil {
+	if _, err := ScanMemory(f.mem, f.idx, f.cfg.Start, 0, PassLastMile); err == nil {
 		t.Error("zero bin width accepted")
 	}
 	var empty results.Memory
-	if _, err := Proximity(&empty, f.idx); err == nil {
-		t.Error("empty dataset accepted")
-	}
-	if _, err := MinRTTByProbe(&empty, f.idx); err == nil {
-		t.Error("empty dataset accepted")
-	}
-	if _, err := FullDistribution(&empty, f.idx); err == nil {
-		t.Error("empty dataset accepted")
+	for _, passes := range []PassSet{0, PassProximity, PassMinRTT, PassFullDist, PassLastMile} {
+		if _, err := ScanMemory(&empty, f.idx, f.cfg.Start, passBinWidth, passes); err == nil {
+			t.Errorf("empty dataset accepted for passes %v", passes)
+		}
 	}
 }
 
@@ -377,10 +369,7 @@ func TestAccessClassString(t *testing.T) {
 
 func TestLastMileSignificance(t *testing.T) {
 	f := dataset(t)
-	res, err := LastMileSignificance(f.mem, f.idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := scanned(t, f, passBinWidth, PassLastMile).Significance
 	// The wired/wireless gap is a real distributional difference.
 	if !res.Different(0.001) {
 		t.Errorf("wired vs wireless not significant: D=%.3f p=%.4f", res.D, res.P)
@@ -388,20 +377,11 @@ func TestLastMileSignificance(t *testing.T) {
 	if res.D < 0.3 {
 		t.Errorf("KS statistic %.3f implausibly small for a 2.5x gap", res.D)
 	}
-	if _, err := LastMileSignificance(nil, f.idx); err == nil {
-		t.Error("nil source accepted")
-	}
-	if _, err := LastMileSignificance(f.mem, nil); err == nil {
-		t.Error("nil index accepted")
-	}
 }
 
 func TestDiurnalProfile(t *testing.T) {
 	f := dataset(t)
-	rep, err := Diurnal(f.mem, f.idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := scanned(t, f, passBinWidth, PassDiurnal).Diurnal
 	total := 0
 	for h := 0; h < 24; h++ {
 		total += rep.Counts[h]
@@ -426,11 +406,8 @@ func TestDiurnalProfile(t *testing.T) {
 	if lines := rep.Format(); len(lines) < 20 {
 		t.Errorf("Format lines = %d", len(lines))
 	}
-	if _, err := Diurnal(nil, f.idx); err == nil {
-		t.Error("nil source accepted")
-	}
 	var empty results.Memory
-	if _, err := Diurnal(&empty, f.idx); err == nil {
+	if _, err := ScanMemory(&empty, f.idx, f.cfg.Start, passBinWidth, PassDiurnal); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }

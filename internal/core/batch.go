@@ -5,16 +5,18 @@ import (
 	"repro/internal/stats"
 )
 
-// Batch kernels: every suite pass implements scan.BlockPass, so the
-// scanner's batch path feeds whole column arrays instead of assembling
-// a results.Sample per row. Each ObserveBlock folds exactly the state
-// its row-order Observe would — same accumulators, same insertion
-// order, same lazy creation — so figures, snapshots, and merge results
-// stay byte-identical between the two paths.
+// Batch kernels: every suite pass folds whole column arrays, never a
+// results.Sample per row. ObserveBlock is the only fold production code
+// reaches — a store's blocks come from the scanner, an in-memory
+// campaign's from results.Memory.ForEachBlock. Each kernel leaves
+// exactly the state a sample-by-sample fold of the same rows would —
+// same accumulators, same insertion order, same lazy creation — which
+// the row oracle in oracle_test.go pins byte for byte.
 //
 // The kernels assume every row already passes results.Sample.Validate,
 // which the scanner proves from the CRC-verified footer zone before
-// dispatching here (see scan.blockRowsValid). Probe IDs are therefore
+// dispatching here (see scan.blockRowsValid) and results.Memory checks
+// on Add. Probe IDs are therefore
 // > 0, making 0 a safe "no previous probe" sentinel for the run caches
 // below: blocks group consecutive rows by probe, so per-probe index
 // lookups (country, tier, longitude, ...) resolve once per run instead
@@ -130,8 +132,8 @@ func (p *ProviderPass) Columns() colf.ColumnSet { return colf.ColRegionIDs }
 // ObserveBlock implements scan.BlockPass. The provider prefix is
 // carved off each dictionary entry once per block; accumulators
 // resolve lazily per code — only when a known probe's row actually
-// lands in one, exactly as Observe creates them, since an eagerly
-// created empty accumulator would change the encoded snapshot state.
+// lands in one, since an eagerly created empty accumulator would
+// change the encoded snapshot state.
 func (p *ProviderPass) ObserveBlock(blk *colf.Block) error {
 	p.provs, p.provOK, p.accs = p.provs[:0], p.provOK[:0], p.accs[:0]
 	for _, region := range blk.Dict {

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/geo"
-	"repro/internal/results"
 	"repro/internal/stats"
 )
 
@@ -64,21 +62,6 @@ func (r *CDFReport) Quantile(ct geo.Continent, q float64) (float64, error) {
 	return d.Quantile(q)
 }
 
-// CDFReportFromDists wraps per-continent distributions assembled
-// outside a scan pass — the temporal aggregate index composes a window
-// by merging pre-aggregated segment-node state and hands the result
-// here. Every CDFReport query is rank-based, so a report built from any
-// merge order of the same sample multiset answers identically to one
-// accumulated row by row; the serving layer leans on that for its
-// byte-identity guarantee between index-composed and cold-scanned
-// windows. The map is adopted, not copied.
-func CDFReportFromDists(byContinent map[geo.Continent]*stats.Dist) *CDFReport {
-	if byContinent == nil {
-		byContinent = make(map[geo.Continent]*stats.Dist)
-	}
-	return &CDFReport{byContinent: byContinent}
-}
-
 // Clone returns a deep copy sharing no distribution state with the
 // receiver. Reports handed out by a long-lived suite alias its
 // accumulators — which the next merge mutates — so a caller that
@@ -108,32 +91,4 @@ func DefaultGrid() []float64 {
 		grid = append(grid, x)
 	}
 	return grid
-}
-
-// MinRTTByProbe builds Figure 5: the CDF, per continent, of each probe's
-// minimum observed RTT to any datacenter over the whole campaign (§4.2).
-// It is a single-pass wrapper over MinRTTPass.
-func MinRTTByProbe(src results.Source, idx *Index) (*CDFReport, error) {
-	if src == nil || idx == nil {
-		return nil, errors.New("analysis: nil source or index")
-	}
-	p := NewMinRTTPass(idx)
-	if err := RunPasses(src, p); err != nil {
-		return nil, err
-	}
-	return p.Report()
-}
-
-// FullDistribution builds Figure 6: the CDF, per continent, of all ping
-// measurements from every probe to its closest datacenter (§4.3). It is a
-// single-pass wrapper over NearestPass.
-func FullDistribution(src results.Source, idx *Index) (*CDFReport, error) {
-	if src == nil || idx == nil {
-		return nil, errors.New("analysis: nil source or index")
-	}
-	p := NewNearestPass(idx)
-	if err := RunPasses(src, p); err != nil {
-		return nil, err
-	}
-	return p.FullDist()
 }

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/results"
 )
 
 // DiurnalReport bins delivered samples by the probe's local hour of day,
@@ -18,19 +15,6 @@ type DiurnalReport struct {
 	// volume behind each bin.
 	Medians [24]float64
 	Counts  [24]int
-}
-
-// Diurnal computes the local-hour profile over every delivered sample.
-// It is a single-pass wrapper over DiurnalPass.
-func Diurnal(src results.Source, idx *Index) (*DiurnalReport, error) {
-	if src == nil || idx == nil {
-		return nil, errors.New("core: nil source or index")
-	}
-	p := NewDiurnalPass(idx)
-	if err := RunPasses(src, p); err != nil {
-		return nil, err
-	}
-	return p.Report()
 }
 
 // Peak returns the local hour with the highest median RTT and its value.

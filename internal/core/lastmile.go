@@ -2,9 +2,7 @@ package core
 
 import (
 	"errors"
-	"time"
 
-	"repro/internal/results"
 	"repro/internal/stats"
 )
 
@@ -13,28 +11,6 @@ import (
 type LastMileReport struct {
 	Wired    []stats.SeriesPoint `json:"wired"`
 	Wireless []stats.SeriesPoint `json:"wireless"`
-}
-
-// LastMile bins the delivered nearest-region samples of wired- and
-// wireless-tagged probes into windows of the given width and reports
-// per-bin medians/quartiles. Following the paper's methodology, only probes
-// "deployed in similar regions in both sets" enter the comparison: we keep
-// tier-1/tier-2 countries, where the access link rather than the transit
-// path dominates the difference.
-// It is a single-pass wrapper over NearestPass; a bad bin width fails
-// before the source is read.
-func LastMile(src results.Source, idx *Index, start time.Time, binWidth time.Duration) (*LastMileReport, error) {
-	if src == nil || idx == nil {
-		return nil, errors.New("analysis: nil source or index")
-	}
-	if _, err := stats.NewTimeSeries(start, binWidth); err != nil {
-		return nil, err
-	}
-	p := NewNearestPass(idx)
-	if err := RunPasses(src, p); err != nil {
-		return nil, err
-	}
-	return p.LastMile(start, binWidth)
 }
 
 // MedianRatio returns the campaign-wide wireless/wired ratio of the median
@@ -76,19 +52,4 @@ func medianOfMedians(points []stats.SeriesPoint) (float64, error) {
 		}
 	}
 	return d.Median()
-}
-
-// LastMileSignificance runs a two-sample Kolmogorov-Smirnov test on the
-// wired and wireless nearest-region RTT populations (same filtering as
-// Figure 7), confirming the gap is a distributional difference and not a
-// binning artifact.
-func LastMileSignificance(src results.Source, idx *Index) (stats.KSResult, error) {
-	if src == nil || idx == nil {
-		return stats.KSResult{}, errors.New("core: nil source or index")
-	}
-	p := NewNearestPass(idx)
-	if err := RunPasses(src, p); err != nil {
-		return stats.KSResult{}, err
-	}
-	return p.Significance()
 }

@@ -1,0 +1,147 @@
+package core
+
+import (
+	"errors"
+	"time"
+
+	"repro/internal/results"
+	"repro/internal/stats"
+)
+
+// The row oracle: the sample-at-a-time fold every suite pass had before
+// ObserveBlock became the only fold production code reaches. It lives
+// in test files because it is a reference, not a path — each Observe
+// states in the plainest form what its pass accumulates, and
+// TestScanStoreMatchesRowOracle holds the block kernels (over a store
+// and over results.Memory) to it byte for byte: Suite.EncodeState,
+// every figure's lines and CSVs, the KS result.
+
+// Source is anything the oracle can stream samples from: a
+// results.Store, a results.Memory, a results.Reader.
+type Source interface {
+	// ForEach calls fn for every sample in storage order. It stops at the
+	// first error and returns it.
+	ForEach(fn func(results.Sample) error) error
+}
+
+// RowPass is a Pass that also folds one sample at a time. Observe must
+// fold exactly the state ObserveBlock folds for the same rows in the
+// same order.
+type RowPass interface {
+	Pass
+	Observe(s results.Sample) error
+}
+
+// RunPasses streams src once, feeding every sample to each pass in
+// order.
+func RunPasses(src Source, passes ...RowPass) error {
+	if src == nil {
+		return errors.New("analysis: nil source")
+	}
+	return src.ForEach(func(s results.Sample) error {
+		for _, p := range passes {
+			if err := p.Observe(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// RowOracle folds src row by row through a fresh suite — all five
+// passes in one walk — and returns it before any report runs.
+func RowOracle(src Source, idx *Index, start time.Time, binWidth time.Duration) (*Suite, error) {
+	s, err := NewSuite(idx, start, binWidth)
+	if err != nil {
+		return nil, err
+	}
+	return s, RunPasses(src, s.Proximity, s.MinRTT, s.Nearest, s.Diurnal, s.Provider)
+}
+
+// Observe implements RowPass.
+func (p *ProximityPass) Observe(s results.Sample) error {
+	if s.Lost {
+		return nil
+	}
+	country, ok := p.idx.Country(s.ProbeID)
+	if !ok {
+		return nil // privileged or unknown probe: filtered
+	}
+	a := p.byCountry[country]
+	if a == nil {
+		a = &proximityAcc{min: s.RTTms}
+		p.byCountry[country] = a
+	} else if s.RTTms < a.min {
+		a.min = s.RTTms
+	}
+	a.samples++
+	return nil
+}
+
+// Observe implements RowPass.
+func (p *MinRTTPass) Observe(s results.Sample) error {
+	if s.Lost || !p.idx.Known(s.ProbeID) {
+		return nil
+	}
+	if cur, ok := p.mins[s.ProbeID]; !ok || s.RTTms < cur {
+		p.mins[s.ProbeID] = s.RTTms
+	}
+	return nil
+}
+
+// Observe implements RowPass.
+func (p *NearestPass) Observe(s results.Sample) error {
+	if s.Lost {
+		return nil
+	}
+	r := p.rows(s.ProbeID)
+	if r == nil {
+		return nil
+	}
+	id, err := p.intern(s.Region)
+	if err != nil {
+		return err
+	}
+	r.add(id, s.RTTms, s.Time.UnixNano())
+	return nil
+}
+
+// localHour maps a UTC timestamp to the probe's approximate local hour,
+// through time.Time where the kernels do arithmetic on raw nanoseconds
+// (localHourNanos).
+func localHour(t time.Time, lon float64) int {
+	return localHourHM(t.Hour(), t.Minute(), lon)
+}
+
+// Observe implements RowPass.
+func (p *DiurnalPass) Observe(s results.Sample) error {
+	if s.Lost {
+		return nil
+	}
+	lon, ok := p.idx.Longitude(s.ProbeID)
+	if !ok {
+		return nil
+	}
+	return p.bins[localHour(s.Time, lon)].Add(s.RTTms)
+}
+
+// Observe implements RowPass.
+func (p *ProviderPass) Observe(s results.Sample) error {
+	if !p.idx.Known(s.ProbeID) {
+		return nil
+	}
+	provider, ok := providerOf(s.Region)
+	if !ok {
+		return nil
+	}
+	a := p.byProvider[provider]
+	if a == nil {
+		a = &providerAcc{dist: &stats.Dist{}}
+		p.byProvider[provider] = a
+	}
+	if s.Lost {
+		a.lost++
+		return nil
+	}
+	return a.dist.Add(s.RTTms)
+}

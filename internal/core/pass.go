@@ -6,10 +6,8 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/geo"
-	"repro/internal/results"
 	"repro/internal/scan"
 	"repro/internal/stats"
 )
@@ -20,33 +18,6 @@ import (
 // Every figure's analysis is a Pass, so one scan of the dataset can feed
 // all of them at once.
 type Pass = scan.Pass
-
-// RowPass is a Pass that also folds one sample at a time. Observe must
-// fold exactly the state ObserveBlock folds for the same rows in the
-// same order: RunPasses over a results.Source is the sequential
-// reference the block kernels are tested against, and the only way to
-// analyse samples that are not in a store.
-type RowPass interface {
-	Pass
-	Observe(s results.Sample) error
-}
-
-// RunPasses streams src once, feeding every sample to each pass in
-// order. It is the sequential single-scan driver; the per-figure
-// functions are thin wrappers over it.
-func RunPasses(src results.Source, passes ...RowPass) error {
-	if src == nil {
-		return errors.New("analysis: nil source")
-	}
-	return src.ForEach(func(s results.Sample) error {
-		for _, p := range passes {
-			if err := p.Observe(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
 
 // sortedProbeIDs returns the tracker's keys ascending, for deterministic
 // report-time iteration.
@@ -79,26 +50,6 @@ type proximityAcc struct {
 // NewProximityPass builds the pass.
 func NewProximityPass(idx *Index) *ProximityPass {
 	return &ProximityPass{idx: idx, byCountry: make(map[string]*proximityAcc)}
-}
-
-// Observe implements RowPass.
-func (p *ProximityPass) Observe(s results.Sample) error {
-	if s.Lost {
-		return nil
-	}
-	country, ok := p.idx.Country(s.ProbeID)
-	if !ok {
-		return nil // privileged or unknown probe: filtered
-	}
-	a := p.byCountry[country]
-	if a == nil {
-		a = &proximityAcc{min: s.RTTms}
-		p.byCountry[country] = a
-	} else if s.RTTms < a.min {
-		a.min = s.RTTms
-	}
-	a.samples++
-	return nil
 }
 
 // Merge implements Pass. Minima and counts merge exactly, so the result
@@ -161,17 +112,6 @@ func NewMinRTTPass(idx *Index) *MinRTTPass {
 	return &MinRTTPass{idx: idx, mins: make(map[int]float64)}
 }
 
-// Observe implements RowPass.
-func (p *MinRTTPass) Observe(s results.Sample) error {
-	if s.Lost || !p.idx.Known(s.ProbeID) {
-		return nil
-	}
-	if cur, ok := p.mins[s.ProbeID]; !ok || s.RTTms < cur {
-		p.mins[s.ProbeID] = s.RTTms
-	}
-	return nil
-}
-
 // Merge implements Pass; min-of-mins is exact.
 func (p *MinRTTPass) Merge(other Pass) error {
 	o, ok := other.(*MinRTTPass)
@@ -210,23 +150,16 @@ func (p *MinRTTPass) Report() (*CDFReport, error) {
 	return rep, nil
 }
 
-// localHour maps a UTC timestamp to the probe's approximate local hour
-// (15 degrees of longitude per hour).
-func localHour(t time.Time, lon float64) int {
-	return localHourHM(t.Hour(), t.Minute(), lon)
-}
-
-// localHourHM is the shared arithmetic of localHour and its raw-nanos
-// twin localHourNanos; both must fold the same float expression so the
-// batch and row paths bin identically.
+// localHourHM maps a UTC hour and minute to the probe's approximate
+// local hour (15 degrees of longitude per hour).
 func localHourHM(hour, minute int, lon float64) int {
 	utc := float64(hour) + float64(minute)/60
 	return int(math.Mod(utc+lon/15+48, 24)) % 24
 }
 
-// localHourNanos is localHour over a raw unix-nanosecond timestamp,
-// skipping the time.Time round trip: bit-identical to
-// localHour(time.Unix(0, n).UTC(), lon) for every int64 n.
+// localHourNanos is the local hour of a raw unix-nanosecond timestamp,
+// skipping the time.Time round trip: bit-identical to localHourHM over
+// time.Unix(0, n).UTC()'s Hour and Minute for every int64 n.
 func localHourNanos(n int64, lon float64) int {
 	sec := n / 1e9
 	if n%1e9 < 0 {
@@ -255,18 +188,6 @@ type DiurnalPass struct {
 // NewDiurnalPass builds the pass.
 func NewDiurnalPass(idx *Index) *DiurnalPass {
 	return &DiurnalPass{idx: idx}
-}
-
-// Observe implements RowPass.
-func (p *DiurnalPass) Observe(s results.Sample) error {
-	if s.Lost {
-		return nil
-	}
-	lon, ok := p.idx.Longitude(s.ProbeID)
-	if !ok {
-		return nil
-	}
-	return p.bins[localHour(s.Time, lon)].Add(s.RTTms)
 }
 
 // Merge implements Pass; per-bin replay keeps each hour's stream in
@@ -326,27 +247,6 @@ type providerAcc struct {
 // NewProviderPass builds the pass.
 func NewProviderPass(idx *Index) *ProviderPass {
 	return &ProviderPass{idx: idx, byProvider: make(map[string]*providerAcc)}
-}
-
-// Observe implements RowPass.
-func (p *ProviderPass) Observe(s results.Sample) error {
-	if !p.idx.Known(s.ProbeID) {
-		return nil
-	}
-	provider, ok := providerOf(s.Region)
-	if !ok {
-		return nil
-	}
-	a := p.byProvider[provider]
-	if a == nil {
-		a = &providerAcc{dist: &stats.Dist{}}
-		p.byProvider[provider] = a
-	}
-	if s.Lost {
-		a.lost++
-		return nil
-	}
-	return a.dist.Add(s.RTTms)
 }
 
 // Merge implements Pass. Per-provider streams merge by replay, so the

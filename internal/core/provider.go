@@ -1,11 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"repro/internal/results"
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // ProviderRow summarizes one cloud operator's reachability over the
 // campaign: the per-sample latency distribution of all delivered pings
@@ -22,20 +17,6 @@ type ProviderRow struct {
 // per-provider latency comparison.
 type ProviderReport struct {
 	Rows []ProviderRow `json:"rows"` // sorted by median RTT
-}
-
-// ProviderComparison streams the dataset once and aggregates per provider.
-// The provider is the prefix of the region address ("Amazon/eu-west-1").
-// It is a single-pass wrapper over ProviderPass.
-func ProviderComparison(src results.Source, idx *Index) (*ProviderReport, error) {
-	if src == nil || idx == nil {
-		return nil, errors.New("core: nil source or index")
-	}
-	p := NewProviderPass(idx)
-	if err := RunPasses(src, p); err != nil {
-		return nil, err
-	}
-	return p.Report()
 }
 
 // Lookup returns one provider's row.

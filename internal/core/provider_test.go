@@ -8,10 +8,7 @@ import (
 
 func TestProviderComparison(t *testing.T) {
 	f := dataset(t)
-	rep, err := ProviderComparison(f.mem, f.idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := scanned(t, f, passBinWidth, PassProvider).Provider
 	if len(rep.Rows) != 7 {
 		t.Fatalf("compared %d providers, want 7", len(rep.Rows))
 	}
@@ -60,20 +57,17 @@ func TestProviderComparison(t *testing.T) {
 
 func TestProviderComparisonValidation(t *testing.T) {
 	f := dataset(t)
-	if _, err := ProviderComparison(nil, f.idx); err == nil {
+	if _, err := ScanMemory(nil, f.idx, f.cfg.Start, passBinWidth, PassProvider); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := ProviderComparison(f.mem, nil); err == nil {
+	if _, err := ScanMemory(f.mem, nil, f.cfg.Start, passBinWidth, PassProvider); err == nil {
 		t.Error("nil index accepted")
 	}
 	var empty results.Memory
-	if _, err := ProviderComparison(&empty, f.idx); err == nil {
+	if _, err := ScanMemory(&empty, f.idx, f.cfg.Start, passBinWidth, PassProvider); err == nil {
 		t.Error("empty dataset accepted")
 	}
-	rep, err := ProviderComparison(f.mem, f.idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := scanned(t, f, passBinWidth, PassProvider).Provider
 	if _, ok := rep.Lookup("Nebula"); ok {
 		t.Error("unknown provider found")
 	}

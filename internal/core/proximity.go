@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/geo"
-	"repro/internal/results"
 )
 
 // Band is the Figure 4 latency coloring of a country.
@@ -65,20 +63,6 @@ type ProximityRow struct {
 // latency.
 type ProximityReport struct {
 	Rows []ProximityRow `json:"rows"` // sorted by ascending minimum RTT
-}
-
-// Proximity streams the dataset once and extracts the per-country minimum
-// RTT to any datacenter (Fig. 4, §4.2). It is a single-pass wrapper over
-// ProximityPass; fused multi-figure scans run the pass directly.
-func Proximity(src results.Source, idx *Index) (*ProximityReport, error) {
-	if src == nil || idx == nil {
-		return nil, errors.New("analysis: nil source or index")
-	}
-	p := NewProximityPass(idx)
-	if err := RunPasses(src, p); err != nil {
-		return nil, err
-	}
-	return p.Report()
 }
 
 // CountByBand tallies countries per Figure 4 band.

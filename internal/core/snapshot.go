@@ -59,9 +59,9 @@ type SnapshotOptions struct {
 	// invalidation, write) for the run's flight recorder.
 	Log *obs.Logger
 	// Passes names the passes the caller will read from the report; the
-	// others come back nil. The zero value reports all six. A resumed
-	// scan that leaves the snapshot alone seeds, scans and merges only
-	// these; one that rewrites it (or runs cold) works the whole suite,
+	// others come back nil. The zero value reports all six. A scan with
+	// no Path, or a resumed one that leaves the snapshot alone, works
+	// only these; one that writes the file works the whole suite,
 	// because the file must hold every pass's state.
 	Passes PassSet
 }
@@ -709,11 +709,15 @@ func scanStoreMerged(ctx context.Context, store *results.Store, idx *Index, star
 // past resume, folds the result onto prefix (both nil for a cold scan)
 // and writes the snapshot when the gate says so. A pass-selective
 // prefix keeps the scan and the merge to its passes and is never
-// written, whatever the store did since loadSnapshot looked at it.
+// written, whatever the store did since loadSnapshot looked at it; a
+// cold scan without a snapshot path works only so.Passes.
 func scanSeeded(ctx context.Context, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, workers int, m *scan.Metrics, so SnapshotOptions, prefix *Suite, prefixSamples uint64, resume *scan.Resume) (*Suite, uint64, scan.Stats, error) {
 	var sel PassSet
-	if prefix != nil {
+	switch {
+	case prefix != nil:
 		sel = prefix.sel
+	case so.Path == "" && so.Passes.partial():
+		sel = so.Passes // no snapshot to write: no pass needs to be whole
 	}
 	scanOnce := func(r *scan.Resume) ([]*Suite, scan.Stats, error) {
 		var suites []*Suite

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/colf"
 	"repro/internal/results"
 	"repro/internal/scan"
 	"repro/internal/stats"
@@ -64,15 +65,16 @@ type Suite struct {
 	start    time.Time
 	binWidth time.Duration
 
-	// sel is zero except in a pass-selective snapshot resume, where only
-	// the selected passes observe, merge and report. The other passes'
-	// state is then incomplete, so such a suite refuses to encode.
+	// sel is zero except in a pass-selective scan (a snapshot resume that
+	// leaves the file alone, a scan with no snapshot to write, an
+	// in-memory campaign), where only the selected passes observe, merge
+	// and report. The other passes' state is then incomplete, so such a
+	// suite refuses to encode.
 	sel PassSet
 }
 
 // NewSuite builds a fresh pass set. start and binWidth parameterize the
-// Figure 7 time series exactly as LastMile does; a bad width fails here,
-// before any scanning.
+// Figure 7 time series; a bad width fails here, before any scanning.
 func NewSuite(idx *Index, start time.Time, binWidth time.Duration) (*Suite, error) {
 	if idx == nil {
 		return nil, errors.New("analysis: nil index")
@@ -120,8 +122,8 @@ type SuiteReport struct {
 	// Samples counts the samples the reports were computed from: the
 	// snapshot's covered prefix plus whatever the scan decoded.
 	Samples uint64
-	// Passes is the pass set the scan fed; partial only when a resumed
-	// scan left the snapshot alone.
+	// Passes is the pass set the scan fed; partial only when the scan
+	// had no snapshot to write.
 	Passes PassSet
 
 	Proximity    *ProximityReport
@@ -178,24 +180,45 @@ func (s *Suite) report(want PassSet) (*SuiteReport, error) {
 	return rep, nil
 }
 
-// RunSuite computes every figure report in one sequential pass over src.
-func RunSuite(src results.Source, idx *Index, start time.Time, binWidth time.Duration) (*SuiteReport, error) {
-	if src == nil || idx == nil {
+// ScanMemory is the in-memory counterpart of ScanStore, for a campaign
+// that never went to a store: it folds mem's column blocks through the
+// suite restricted to passes (zero means all) and reports exactly what a
+// scan of the same samples in a store would. The reports of passes left
+// out come back nil.
+func ScanMemory(mem *results.Memory, idx *Index, start time.Time, binWidth time.Duration, passes PassSet) (*SuiteReport, error) {
+	if mem == nil || idx == nil {
 		return nil, errors.New("analysis: nil source or index")
 	}
 	s, err := NewSuite(idx, start, binWidth)
 	if err != nil {
 		return nil, err
 	}
-	if err := RunPasses(src, s.Proximity, s.MinRTT, s.Nearest, s.Diurnal, s.Provider); err != nil {
+	if passes.partial() {
+		s.sel = passes
+	}
+	selected := s.Passes()
+	err = mem.ForEachBlock(func(blk *colf.Block) error {
+		for _, p := range selected {
+			if err := p.ObserveBlock(blk); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return s.Report()
+	rep, err := s.Report()
+	if err != nil {
+		return nil, err
+	}
+	rep.Samples = uint64(mem.Len())
+	return rep, nil
 }
 
 // ScanStore computes every figure report with one parallel scan over the
 // store's samples file. workers <= 0 means one worker per CPU; m may be nil.
-// The report is byte-for-byte identical to RunSuite's for any worker count.
+// The report is byte-for-byte identical for any worker count.
 // A store with no samples returns ErrEmptyStore.
 func ScanStore(ctx context.Context, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, workers int, m *scan.Metrics) (*SuiteReport, scan.Stats, error) {
 	return ScanStoreSnap(ctx, store, idx, start, binWidth, workers, m, SnapshotOptions{})

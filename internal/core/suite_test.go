@@ -78,78 +78,80 @@ func fileDataset(tb testing.TB) (*results.Store, *world.World, atlas.CampaignCon
 
 // TestScanStoreMatchesLegacy is the fused pipeline's acceptance check: for
 // any worker count, the parallel single-scan suite renders byte-identical
-// figure lines and CSVs to the one-analysis-per-scan functions — each a
+// figure lines and CSVs to one analysis per scan — each pass alone, a
 // sequential row fold over Store.ForEach — and its non-rendered reports
 // are deeply equal.
 func TestScanStoreMatchesLegacy(t *testing.T) {
 	store, w, cfg := fileDataset(t)
+	const week = 7 * 24 * time.Hour
 
-	_, lines4, err := figures.Figure4(store, w.Index)
-	if err != nil {
-		t.Fatal(err)
+	// alone walks the store once for one pass.
+	alone := func(p core.RowPass) {
+		t.Helper()
+		if err := core.RunPasses(store, p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_, lines5, err := figures.Figure5(store, w.Index)
-	if err != nil {
-		t.Fatal(err)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	_, lines6, err := figures.Figure6(store, w.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep7, lines7, err := figures.Figure7(store, w.Index, cfg.Start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	provider, err := core.ProviderComparison(store, w.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diurnal, err := core.Diurnal(store, w.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks, err := core.LastMileSignificance(store, w.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proximity := core.NewProximityPass(w.Index)
+	alone(proximity)
+	rep4, err := proximity.Report()
+	must(err)
+	minRTT := core.NewMinRTTPass(w.Index)
+	alone(minRTT)
+	rep5, err := minRTT.Report()
+	must(err)
+	// Figures 6, 7 and the KS test each get a nearest-region pass of
+	// their own, as the three per-figure functions did.
+	nearest6, nearest7, nearestKS := core.NewNearestPass(w.Index), core.NewNearestPass(w.Index), core.NewNearestPass(w.Index)
+	alone(nearest6)
+	rep6, err := nearest6.FullDist()
+	must(err)
+	alone(nearest7)
+	rep7, err := nearest7.LastMile(cfg.Start, week)
+	must(err)
+	alone(nearestKS)
+	ks, err := nearestKS.Significance()
+	must(err)
+	providerPass := core.NewProviderPass(w.Index)
+	alone(providerPass)
+	provider, err := providerPass.Report()
+	must(err)
+	diurnalPass := core.NewDiurnalPass(w.Index)
+	alone(diurnalPass)
+	diurnal, err := diurnalPass.Report()
+	must(err)
+
+	lines4 := figures.Figure4Lines(rep4)
+	lines5, err := figures.CDFLines(rep5)
+	must(err)
+	lines6, err := figures.CDFLines(rep6)
+	must(err)
+	lines7, err := figures.Figure7Lines(rep7)
+	must(err)
 	legacyCSV := map[string][]byte{}
 	{
-		rep4, _, err := figures.Figure4(store, w.Index)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep5, _, err := figures.Figure5(store, w.Index)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep6, _, err := figures.Figure6(store, w.Index)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
-		if err := figures.Figure4CSV(&buf, rep4); err != nil {
-			t.Fatal(err)
-		}
+		must(figures.Figure4CSV(&buf, rep4))
 		legacyCSV["4"] = append([]byte(nil), buf.Bytes()...)
 		buf.Reset()
-		if err := figures.CDFCSV(&buf, rep5); err != nil {
-			t.Fatal(err)
-		}
+		must(figures.CDFCSV(&buf, rep5))
 		legacyCSV["5"] = append([]byte(nil), buf.Bytes()...)
 		buf.Reset()
-		if err := figures.CDFCSV(&buf, rep6); err != nil {
-			t.Fatal(err)
-		}
+		must(figures.CDFCSV(&buf, rep6))
 		legacyCSV["6"] = append([]byte(nil), buf.Bytes()...)
 		buf.Reset()
-		if err := figures.Figure7CSV(&buf, rep7); err != nil {
-			t.Fatal(err)
-		}
+		must(figures.Figure7CSV(&buf, rep7))
 		legacyCSV["7"] = append([]byte(nil), buf.Bytes()...)
 	}
 
 	for _, workers := range []int{1, 2, 4, 7} {
-		rep, st, err := core.ScanStore(context.Background(), store, w.Index, cfg.Start, 7*24*time.Hour, workers, nil)
+		rep, st, err := core.ScanStore(context.Background(), store, w.Index, cfg.Start, week, workers, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -298,7 +300,7 @@ func nearestFlips(idx *core.Index, smps []results.Sample, cut int) int {
 
 // matching is src restricted to the rows pred admits.
 type matching struct {
-	src  results.Source
+	src  core.Source
 	pred *colf.Predicate
 }
 
@@ -312,16 +314,17 @@ func (m matching) ForEach(fn func(results.Sample) error) error {
 }
 
 // TestScanStoreMatchesRowOracle is the scanner's acceptance check. The
-// oracle is the sequential row fold: core.RunSuite's passes observing
-// Store.ForEach — every block decoded in full, row by row — filtered
-// by MatchRow. For every worker count and for predicates that leave blocks whole, cut
+// oracle is the sequential row fold (oracle_test.go): the suite's passes
+// observing Store.ForEach — every block decoded in full, row by row —
+// filtered by MatchRow. For every worker count and for predicates that leave blocks whole, cut
 // them mid-block, select a probe range and select a region prefix, the
 // block scan must leave the suite in the same state byte for byte
 // (Suite.EncodeState) and render the same figure lines and CSVs. With
 // no predicate the same holds through a decoded prefix state merged
 // with a scan of the remaining blocks, and through core.ScanStore and
 // core.ScanStoreSnap, whose samples.snap must not depend on the worker
-// count either.
+// count either — and through the in-memory entry point, which folds the
+// same samples as results.Memory's column blocks (memoryLeg).
 func TestScanStoreMatchesRowOracle(t *testing.T) {
 	store, w, cfg := fileDataset(t)
 	ctx := context.Background()
@@ -334,11 +337,8 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 		"region": {RegionPrefix: "Amazon/"},
 	}
 	for name, pred := range preds {
-		oracle, err := core.NewSuite(w.Index, cfg.Start, week)
+		oracle, err := core.RowOracle(matching{store, pred}, w.Index, cfg.Start, week)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.RunPasses(matching{store, pred}, oracle.Proximity, oracle.MinRTT, oracle.Nearest, oracle.Diurnal, oracle.Provider); err != nil {
 			t.Fatal(err)
 		}
 		wantState, err := oracle.EncodeState()
@@ -418,11 +418,8 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 		for _, s := range all[:cut] {
 			head.Add(s)
 		}
-		prefix, err := core.NewSuite(w.Index, cfg.Start, week)
+		prefix, err := core.RowOracle(&head, w.Index, cfg.Start, week)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.RunPasses(&head, prefix.Proximity, prefix.MinRTT, prefix.Nearest, prefix.Diurnal, prefix.Provider); err != nil {
 			t.Fatal(err)
 		}
 		prefixState, err := prefix.EncodeState()
@@ -497,14 +494,169 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 				t.Errorf("workers=%d: samples.snap differs from workers=1", workers)
 			}
 		}
+		memoryLeg(t, all, w.Index, cfg.Start, wantState, wantRender)
 	}
 }
 
-// TestRunSuiteMatchesScanStore pins the sequential fused path to the
-// parallel one.
+// figureCSVs renders the reports rep holds — a pass-selective scan
+// leaves the others nil — to each figure's CSV bytes, plus the KS result
+// and the two non-rendered reports.
+func figureCSVs(tb testing.TB, rep *core.SuiteReport) map[string]string {
+	tb.Helper()
+	out := map[string]string{}
+	var buf bytes.Buffer
+	emit := func(name string, err error) {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[name] = buf.String()
+		buf.Reset()
+	}
+	if rep.Proximity != nil {
+		emit("4", figures.Figure4CSV(&buf, rep.Proximity))
+	}
+	if rep.MinRTT != nil {
+		emit("5", figures.CDFCSV(&buf, rep.MinRTT))
+	}
+	if rep.FullDist != nil {
+		emit("6", figures.CDFCSV(&buf, rep.FullDist))
+	}
+	if rep.LastMile != nil {
+		emit("7", figures.Figure7CSV(&buf, rep.LastMile))
+		rep8, _, err := figures.Figure8(rep.LastMile, apps.Paper())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		emit("8", figures.Figure8CSV(&buf, rep8))
+		out["ks"] = fmt.Sprintf("%+v", rep.Significance)
+	}
+	if rep.Diurnal != nil {
+		out["diurnal"] = fmt.Sprintf("%+v", *rep.Diurnal)
+	}
+	if rep.Provider != nil {
+		out["provider"] = fmt.Sprintf("%+v", *rep.Provider)
+	}
+	return out
+}
+
+// memoryLeg holds the in-memory entry point to the row oracle over the
+// same samples: results.Memory presents them as column blocks — the
+// last one short — and folding those leaves the oracle's suite state
+// byte for byte; core.ScanMemory renders the oracle's figures; a
+// pass-selective call reports exactly the selected passes, each equal to
+// the full run's; an empty Memory fails the way the per-figure
+// functions did; and a timestamp the binary format cannot hold is
+// refused, not wrapped.
+func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.Time, wantState, wantRender []byte) {
+	t.Helper()
+	const week = 7 * 24 * time.Hour
+	if len(all)%colf.DefaultBlockRows == 0 {
+		t.Fatalf("%d samples fill whole blocks; the test needs a short last block", len(all))
+	}
+	var mem results.Memory
+	for _, s := range all {
+		if err := mem.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	suite, err := core.NewSuite(idx, start, week)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, blocks := 0, 0
+	if err := mem.ForEachBlock(func(blk *colf.Block) error {
+		if blk.Rows() > colf.DefaultBlockRows {
+			t.Errorf("block %d holds %d rows", blocks, blk.Rows())
+		}
+		rows += blk.Rows()
+		blocks++
+		for _, p := range suite.Passes() {
+			if err := p.ObserveBlock(blk); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := (len(all) + colf.DefaultBlockRows - 1) / colf.DefaultBlockRows; rows != len(all) || blocks != want {
+		t.Errorf("memory presented %d rows in %d blocks, want %d in %d", rows, blocks, len(all), want)
+	}
+	gotState, err := suite.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotState, wantState) {
+		t.Error("memory blocks: suite state differs from the row oracle's")
+	}
+
+	full, err := core.ScanMemory(&mem, idx, start, week, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Samples != uint64(len(all)) || full.Passes != 0 {
+		t.Errorf("ScanMemory reports %d samples over passes %v, want %d over all", full.Samples, full.Passes, len(all))
+	}
+	if !bytes.Equal(renderSuite(t, full), wantRender) {
+		t.Error("ScanMemory figures differ from the row oracle's")
+	}
+	fullCSVs := figureCSVs(t, full)
+	for sel, reports := range map[core.PassSet][]string{
+		core.PassProximity:                    {"4"},
+		core.PassMinRTT:                       {"5"},
+		core.PassFullDist:                     {"6"},
+		core.PassLastMile:                     {"7", "8", "ks"},
+		core.PassDiurnal:                      {"diurnal"},
+		core.PassProvider:                     {"provider"},
+		core.PassLastMile | core.PassMinRTT:   {"5", "7", "8", "ks"},
+		core.PassFullDist | core.PassLastMile: {"6", "7", "8", "ks"},
+	} {
+		rep, err := core.ScanMemory(&mem, idx, start, week, sel)
+		if err != nil {
+			t.Fatalf("passes %v: %v", sel, err)
+		}
+		if rep.Passes != sel {
+			t.Errorf("passes %v: report says it worked %v", sel, rep.Passes)
+		}
+		got := figureCSVs(t, rep)
+		if len(got) != len(reports) {
+			t.Errorf("passes %v: %d reports came back, want exactly %v", sel, len(got), reports)
+		}
+		for _, name := range reports {
+			if got[name] == "" || got[name] != fullCSVs[name] {
+				t.Errorf("passes %v: report %s differs from the full run's", sel, name)
+			}
+		}
+	}
+
+	var empty results.Memory
+	if _, err := core.ScanMemory(&empty, idx, start, week, core.PassMinRTT); err == nil || err.Error() != "analysis: no delivered samples" {
+		t.Errorf("empty memory: err = %v", err)
+	}
+
+	var far results.Memory
+	beyond := all[0]
+	beyond.Time = time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, s := range []results.Sample{all[0], beyond} {
+		if err := far.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := core.ScanMemory(&far, idx, start, week, 0); err == nil || !strings.Contains(err.Error(), "nanosecond range") {
+		t.Errorf("timestamp outside the binary range: err = %v", err)
+	}
+}
+
+// TestRunSuiteMatchesScanStore pins the sequential fused row fold — all
+// five oracle passes in one walk of the store — to the parallel one.
 func TestRunSuiteMatchesScanStore(t *testing.T) {
 	store, w, cfg := fileDataset(t)
-	seq, err := core.RunSuite(store, w.Index, cfg.Start, 7*24*time.Hour)
+	oracle, err := core.RowOracle(store, w.Index, cfg.Start, 7*24*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := oracle.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,6 +666,6 @@ func TestRunSuiteMatchesScanStore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq.Provider, par.Provider) || !reflect.DeepEqual(seq.Diurnal, par.Diurnal) ||
 		seq.Significance != par.Significance {
-		t.Error("RunSuite and ScanStore disagree")
+		t.Error("the fused row oracle and ScanStore disagree")
 	}
 }

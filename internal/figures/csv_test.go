@@ -43,10 +43,8 @@ func TestFigure1CSV(t *testing.T) {
 func TestFigureCSVFromDataset(t *testing.T) {
 	f := dataset(t)
 
-	rep4, _, err := Figure4(f.mem, f.w.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := scanned(t, f)
+	rep4, rep5, rep7 := rep.Proximity, rep.MinRTT, rep.LastMile
 	var buf bytes.Buffer
 	if err := Figure4CSV(&buf, rep4); err != nil {
 		t.Fatal(err)
@@ -56,10 +54,6 @@ func TestFigureCSVFromDataset(t *testing.T) {
 		t.Errorf("figure 4 CSV rows = %d", len(rows))
 	}
 
-	rep5, _, err := Figure5(f.mem, f.w.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf.Reset()
 	if err := CDFCSV(&buf, rep5); err != nil {
 		t.Fatal(err)
@@ -70,10 +64,6 @@ func TestFigureCSVFromDataset(t *testing.T) {
 		t.Errorf("CDF CSV rows = %d", len(rows))
 	}
 
-	rep7, _, err := Figure7(f.mem, f.w.Index, f.cfg.Start)
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf.Reset()
 	if err := Figure7CSV(&buf, rep7); err != nil {
 		t.Fatal(err)

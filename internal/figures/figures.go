@@ -1,7 +1,7 @@
 // Package figures regenerates every figure of the paper's evaluation as
 // text rows/series: the same numbers the plots encode, in a form a harness
 // can assert against. One function per figure, each returning printable
-// lines plus the underlying report for programmatic checks.
+// lines; Figures 4-8 render the reports of one core.SuiteReport.
 package figures
 
 import (
@@ -9,14 +9,12 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"sort"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/probe"
-	"repro/internal/results"
 	"repro/internal/trends"
 )
 
@@ -105,17 +103,8 @@ func Figure3b(pop *probe.Population) ([]string, error) {
 	return lines, nil
 }
 
-// Figure4 renders per-country minimum latency bands.
-func Figure4(src results.Source, idx *core.Index) (*core.ProximityReport, []string, error) {
-	rep, err := core.Proximity(src, idx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, Figure4Lines(rep), nil
-}
-
-// Figure4Lines renders an already-computed proximity report, letting fused
-// scans reuse the exact Figure 4 formatting without re-reading the dataset.
+// Figure4Lines renders per-country minimum latency bands from the
+// suite's proximity report.
 func Figure4Lines(rep *core.ProximityReport) []string {
 	bands := rep.CountByBand()
 	lines := []string{fmt.Sprintf("countries: <10ms=%d  10-20ms=%d  20-100ms=%d  >=100ms=%d  (within PL: %d/%d)",
@@ -124,8 +113,9 @@ func Figure4Lines(rep *core.ProximityReport) []string {
 	return append(lines, rep.Format()...)
 }
 
-// CDFLines renders one CDF report at the canonical thresholds — the shared
-// body of Figures 5 and 6.
+// CDFLines renders one CDF report at the canonical thresholds — Figure 5
+// from the per-probe minimum-RTT report, Figure 6 from the
+// closest-datacenter full distribution.
 func CDFLines(rep *core.CDFReport) ([]string, error) {
 	marks := []float64{10, core.MTPms, 50, core.PLms, 150, core.HRTms}
 	var lines []string
@@ -144,37 +134,8 @@ func CDFLines(rep *core.CDFReport) ([]string, error) {
 	return lines, nil
 }
 
-// Figure5 renders the per-probe minimum-RTT CDFs by continent.
-func Figure5(src results.Source, idx *core.Index) (*core.CDFReport, []string, error) {
-	rep, err := core.MinRTTByProbe(src, idx)
-	if err != nil {
-		return nil, nil, err
-	}
-	lines, err := CDFLines(rep)
-	return rep, lines, err
-}
-
-// Figure6 renders the closest-datacenter full-distribution CDFs.
-func Figure6(src results.Source, idx *core.Index) (*core.CDFReport, []string, error) {
-	rep, err := core.FullDistribution(src, idx)
-	if err != nil {
-		return nil, nil, err
-	}
-	lines, err := CDFLines(rep)
-	return rep, lines, err
-}
-
-// Figure7 renders the wired-vs-wireless comparison.
-func Figure7(src results.Source, idx *core.Index, start time.Time) (*core.LastMileReport, []string, error) {
-	rep, err := core.LastMile(src, idx, start, 7*24*time.Hour)
-	if err != nil {
-		return nil, nil, err
-	}
-	lines, err := Figure7Lines(rep)
-	return rep, lines, err
-}
-
-// Figure7Lines renders an already-computed last-mile report.
+// Figure7Lines renders the wired-vs-wireless comparison from the suite's
+// last-mile report.
 func Figure7Lines(rep *core.LastMileReport) ([]string, error) {
 	ratio, err := rep.MedianRatio()
 	if err != nil {

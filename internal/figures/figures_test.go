@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/atlas"
@@ -25,17 +26,23 @@ func dataset(t testing.TB) *fixture {
 	if cached != nil {
 		return cached
 	}
-	w, err := world.Build(world.Config{Seed: 3, Probes: 400})
+	f, err := buildFixture(context.Background(), 3, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mem results.Memory
-	cfg := atlas.TestCampaign()
-	if _, err := w.Platform.RunCampaign(context.Background(), cfg, mem.Add); err != nil {
+	cached = f
+	return cached
+}
+
+// scanned folds the fixture campaign through the whole suite, the way
+// every caller of Figures 4-8 gets its reports.
+func scanned(t testing.TB, f *fixture) *core.SuiteReport {
+	t.Helper()
+	rep, err := core.ScanMemory(f.mem, f.w.Index, f.cfg.Start, 7*24*time.Hour, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cached = &fixture{w: w, mem: &mem, cfg: cfg}
-	return cached
+	return rep
 }
 
 func TestFigure1(t *testing.T) {
@@ -93,14 +100,13 @@ func TestFigure3(t *testing.T) {
 
 func TestFigures4Through8(t *testing.T) {
 	f := dataset(t)
-	rep4, lines4, err := Figure4(f.mem, f.w.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := scanned(t, f)
+	rep4, lines4 := rep.Proximity, Figure4Lines(rep.Proximity)
 	if len(lines4) != len(rep4.Rows)+1 {
 		t.Errorf("figure 4: %d lines for %d rows", len(lines4), len(rep4.Rows))
 	}
-	rep5, lines5, err := Figure5(f.mem, f.w.Index)
+	rep5 := rep.MinRTT
+	lines5, err := CDFLines(rep5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +116,15 @@ func TestFigures4Through8(t *testing.T) {
 	if !strings.Contains(lines5[0], "P(<=20ms)") {
 		t.Errorf("figure 5 missing MTP mark: %q", lines5[0])
 	}
-	_, lines6, err := Figure6(f.mem, f.w.Index)
+	lines6, err := CDFLines(rep.FullDist)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lines6) == 0 {
 		t.Error("figure 6 empty")
 	}
-	rep7, lines7, err := Figure7(f.mem, f.w.Index, f.cfg.Start)
+	rep7 := rep.LastMile
+	lines7, err := Figure7Lines(rep7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,19 +156,12 @@ func TestNames(t *testing.T) {
 // headline claims on the small fixture (shape, not absolutes).
 func TestHeadlineNumbers(t *testing.T) {
 	f := dataset(t)
-	rep4, _, err := Figure4(f.mem, f.w.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bands := rep4.CountByBand()
+	rep := scanned(t, f)
+	bands := rep.Proximity.CountByBand()
 	if bands[core.BandSub10] == 0 {
 		t.Error("no sub-10ms countries")
 	}
-	rep7, _, err := Figure7(f.mem, f.w.Index, f.cfg.Start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio, err := rep7.MedianRatio()
+	ratio, err := rep.LastMile.MedianRatio()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,28 @@ package figures
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
-	"repro/internal/analysisutil"
+	"repro/internal/atlas"
+	"repro/internal/results"
+	"repro/internal/world"
 )
+
+// buildFixture assembles a world with the given seed and census size and
+// runs the standard test-scale campaign over it.
+func buildFixture(ctx context.Context, seed uint64, probes int) (*fixture, error) {
+	w, err := world.Build(world.Config{Seed: seed, Probes: probes})
+	if err != nil {
+		return nil, err
+	}
+	cfg := atlas.TestCampaign()
+	var mem results.Memory
+	if _, err := w.Platform.RunCampaign(ctx, cfg, mem.Add); err != nil {
+		return nil, err
+	}
+	return &fixture{w: w, mem: &mem, cfg: cfg}, nil
+}
 
 // TestHeadlineStabilityAcrossSeeds re-runs the core headline numbers under
 // three different world seeds: the paper's conclusions must not hinge on
@@ -16,15 +34,13 @@ func TestHeadlineStabilityAcrossSeeds(t *testing.T) {
 	}
 	for _, seed := range []uint64{11, 22, 33} {
 		seed := seed
-		t.Run(analysisutil.SeedName(seed), func(t *testing.T) {
-			f, err := analysisutil.BuildFixture(context.Background(), seed, 400)
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			f, err := buildFixture(context.Background(), seed, 400)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep4, _, err := Figure4(f.Mem, f.World.Index)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep := scanned(t, f)
+			rep4, rep7 := rep.Proximity, rep.LastMile
 			// Figure 4 shape: a healthy sub-10ms block, a 10-20 tranche,
 			// and a bounded >=100ms tail, every seed.
 			bands := rep4.CountByBand()
@@ -40,10 +56,6 @@ func TestHeadlineStabilityAcrossSeeds(t *testing.T) {
 				t.Errorf("seed %d: %d countries >= 100ms", seed, over)
 			}
 			// Figure 7 shape: the wireless penalty holds for every seed.
-			rep7, _, err := Figure7(f.Mem, f.World.Index, f.Cfg.Start)
-			if err != nil {
-				t.Fatal(err)
-			}
 			ratio, err := rep7.MedianRatio()
 			if err != nil {
 				t.Fatal(err)

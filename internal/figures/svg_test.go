@@ -82,24 +82,17 @@ func TestFigureSVGs(t *testing.T) {
 		t.Errorf("figure 1 has %d polylines, want 2", n)
 	}
 
-	rep5, _, err := Figure5(f.mem, f.w.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := scanned(t, f)
 	buf.Reset()
-	if err := CDFSVG(&buf, rep5, "Figure 5"); err != nil {
+	if err := CDFSVG(&buf, rep.MinRTT, "Figure 5"); err != nil {
 		t.Fatal(err)
 	}
 	if n := validateSVG(t, &buf); n != 6 {
 		t.Errorf("figure 5 has %d polylines, want 6 continents", n)
 	}
 
-	rep7, _, err := Figure7(f.mem, f.w.Index, f.cfg.Start)
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf.Reset()
-	if err := Figure7SVG(&buf, rep7, f.cfg.Start); err != nil {
+	if err := Figure7SVG(&buf, rep.LastMile, f.cfg.Start); err != nil {
 		t.Fatal(err)
 	}
 	if n := validateSVG(t, &buf); n != 2 {

@@ -1,9 +1,10 @@
 // Package results is the dataset layer: the campaign's measurement samples
 // as an append-only binary columnar store (internal/colf) with streaming
 // readers, a JSONL interchange codec for import and export, plus an
-// in-memory source for tests and benchmarks. The paper's dataset is 3.2M
-// datapoints over nine months (§4.1); everything here streams so the
-// analysis never needs the full dataset in memory.
+// in-memory campaign that presents itself as the same column blocks.
+// The paper's dataset is 3.2M datapoints over nine months (§4.1);
+// everything here streams so the analysis never needs the full dataset
+// in memory.
 package results
 
 import (
@@ -45,14 +46,8 @@ func (s Sample) Validate() error {
 	return nil
 }
 
-// Source is anything the analysis pipeline can stream samples from.
-type Source interface {
-	// ForEach calls fn for every sample in storage order. It stops at the
-	// first error and returns it.
-	ForEach(fn func(Sample) error) error
-}
-
-// Memory is an in-memory Source.
+// Memory holds a campaign's samples in memory, for campaigns small
+// enough to analyse without a store.
 type Memory struct{ samples []Sample }
 
 // Add validates and appends one sample.
@@ -67,7 +62,8 @@ func (m *Memory) Add(s Sample) error {
 // Len returns the number of stored samples.
 func (m *Memory) Len() int { return len(m.samples) }
 
-// ForEach implements Source.
+// ForEach calls fn for every sample in storage order. It stops at the
+// first error and returns it.
 func (m *Memory) ForEach(fn func(Sample) error) error {
 	for _, s := range m.samples {
 		if err := fn(s); err != nil {
@@ -77,30 +73,56 @@ func (m *Memory) ForEach(fn func(Sample) error) error {
 	return nil
 }
 
+// ForEachBlock presents the samples the way a store's scanner does: as
+// column blocks of at most colf.DefaultBlockRows rows, in storage
+// order. One block is reused across calls, with the probe, time, RTT,
+// loss and region-code columns filled; its dictionary grows over the
+// walk, so a code means the same region in every block. Timestamps
+// pass the store's range check — one outside the binary format's
+// nanosecond range is refused, as a sink would refuse it.
+func (m *Memory) ForEachBlock(fn func(*colf.Block) error) error {
+	var blk colf.Block
+	codes := make(map[string]uint32)
+	for lo := 0; lo < len(m.samples); lo += colf.DefaultBlockRows {
+		hi := min(lo+colf.DefaultBlockRows, len(m.samples))
+		blk.Probe, blk.TimeNano, blk.RTT, blk.Lost, blk.RegionID =
+			blk.Probe[:0], blk.TimeNano[:0], blk.RTT[:0], blk.Lost[:0], blk.RegionID[:0]
+		for _, s := range m.samples[lo:hi] {
+			r, err := toRow(s)
+			if err != nil {
+				return err
+			}
+			code, ok := codes[r.Region]
+			if !ok {
+				code = uint32(len(blk.Dict))
+				codes[r.Region] = code
+				blk.Dict = append(blk.Dict, r.Region)
+			}
+			blk.Probe = append(blk.Probe, r.Probe)
+			blk.TimeNano = append(blk.TimeNano, r.TimeNano)
+			blk.RTT = append(blk.RTT, r.RTT)
+			blk.Lost = append(blk.Lost, r.Lost)
+			blk.RegionID = append(blk.RegionID, code)
+		}
+		if err := fn(&blk); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Writer streams samples to JSONL, the interchange encoding `dataset
 // convert` exports.
 type Writer struct {
-	bw    *bufio.Writer
-	enc   *json.Encoder
-	n     uint64
-	bytes uint64
-}
-
-// countingWriter sits between the JSON encoder and the buffer, crediting
-// encoded bytes to the writer's byte offset.
-type countingWriter struct{ w *Writer }
-
-func (c countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.bw.Write(p)
-	c.w.bytes += uint64(n)
-	return n, err
+	bw  *bufio.Writer
+	enc *json.Encoder
+	n   uint64
 }
 
 // NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer {
-	wr := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
-	wr.enc = json.NewEncoder(countingWriter{w: wr})
-	return wr
+	bw := bufio.NewWriterSize(w, 1<<16)
+	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
 }
 
 // Write validates and appends one sample.
@@ -117,11 +139,6 @@ func (w *Writer) Write(s Sample) error {
 
 // Count returns the number of samples written.
 func (w *Writer) Count() uint64 { return w.n }
-
-// BytesWritten returns the encoded bytes accepted so far (buffered bytes
-// included). After a successful Flush it equals the bytes pushed to the
-// underlying writer.
-func (w *Writer) BytesWritten() uint64 { return w.bytes }
 
 // Flush drains the buffer.
 func (w *Writer) Flush() error { return w.bw.Flush() }
@@ -175,7 +192,8 @@ func (r *Reader) Next() (Sample, error) {
 	return Sample{}, io.EOF
 }
 
-// ForEach implements Source semantics over the remaining stream.
+// ForEach calls fn for every sample left in the stream, stopping at the
+// first error.
 func (r *Reader) ForEach(fn func(Sample) error) error {
 	for {
 		s, err := r.Next()

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/colf"
 )
 
 var t0 = time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -121,6 +123,75 @@ func TestForEachStopsOnCallbackError(t *testing.T) {
 	})
 	if !errors.Is(err, sentinel) || seen != 2 {
 		t.Errorf("err=%v seen=%d", err, seen)
+	}
+}
+
+// TestMemoryForEachBlock pins the block view: every sample once, in
+// order, in blocks of at most colf.DefaultBlockRows rows (the last one
+// short), region codes resolving through the growing dictionary — and a
+// timestamp the binary format cannot hold refused, as a sink refuses it.
+func TestMemoryForEachBlock(t *testing.T) {
+	var m Memory
+	regions := []string{"Amazon/eu-north-1", "Google/us-east1", "Vultr/ams"}
+	n := 2*colf.DefaultBlockRows + 17
+	for i := 1; i <= n; i++ {
+		s := sample(i)
+		s.Region = regions[i%len(regions)]
+		s.Lost = i%11 == 0
+		if err := m.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want, got []Sample
+	if err := m.ForEach(func(s Sample) error { want = append(want, s); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	if err := m.ForEachBlock(func(blk *colf.Block) error {
+		sizes = append(sizes, blk.Rows())
+		for i := range blk.Probe {
+			got = append(got, FromRow(colf.Row{
+				Probe: blk.Probe[i], TimeNano: blk.TimeNano[i], Region: blk.Dict[blk.RegionID[i]],
+				RTT: blk.RTT[i], Lost: blk.Lost[i],
+			}))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sizes) != 3 || sizes[0] != colf.DefaultBlockRows || sizes[1] != colf.DefaultBlockRows || sizes[2] != 17 {
+		t.Errorf("block sizes = %v", sizes)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("blocks hold %d rows, memory %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Time.Equal(want[i].Time) {
+			t.Fatalf("row %d: time %v, want %v", i, got[i].Time, want[i].Time)
+		}
+		got[i].Time = want[i].Time
+		if got[i] != want[i] {
+			t.Fatalf("row %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	sentinel := errors.New("stop")
+	calls := 0
+	if err := m.ForEachBlock(func(*colf.Block) error { calls++; return sentinel }); !errors.Is(err, sentinel) || calls != 1 {
+		t.Errorf("callback error: err=%v after %d calls", err, calls)
+	}
+	var empty Memory
+	if err := empty.ForEachBlock(func(*colf.Block) error { t.Error("empty memory presented a block"); return nil }); err != nil {
+		t.Error(err)
+	}
+
+	far := sample(1)
+	far.Time = time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
+	if err := m.Add(far); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ForEachBlock(func(*colf.Block) error { return nil }); err == nil || !strings.Contains(err.Error(), "nanosecond range") {
+		t.Errorf("timestamp outside the binary range: err = %v", err)
 	}
 }
 
@@ -365,22 +436,6 @@ func TestReaderOversizedLineSurfacesErrTooLong(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("error %q does not name line 3", err)
-	}
-}
-
-func TestWriterBytesWritten(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := 1; i <= 5; i++ {
-		if err := w.Write(sample(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.BytesWritten(); got != uint64(buf.Len()) {
-		t.Errorf("BytesWritten = %d, flushed %d", got, buf.Len())
 	}
 }
 

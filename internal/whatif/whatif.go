@@ -144,23 +144,19 @@ func runScenario(ctx context.Context, sc Scenario, cfg Config, pop *probe.Popula
 		return Outcome{}, err
 	}
 
-	lastMile, err := core.LastMile(&mem, idx, cfg.Campaign.Start, 7*24*time.Hour)
+	rep, err := core.ScanMemory(&mem, idx, cfg.Campaign.Start, 7*24*time.Hour, core.PassLastMile|core.PassMinRTT)
 	if err != nil {
 		return Outcome{}, err
 	}
-	ratio, err := lastMile.MedianRatio()
+	ratio, err := rep.LastMile.MedianRatio()
 	if err != nil {
 		return Outcome{}, err
 	}
-	added, err := lastMile.AddedLatencyMs()
+	added, err := rep.LastMile.AddedLatencyMs()
 	if err != nil {
 		return Outcome{}, err
 	}
-	minRTT, err := core.MinRTTByProbe(&mem, idx)
-	if err != nil {
-		return Outcome{}, err
-	}
-	eu, err := minRTT.FractionWithin(geo.Europe, core.MTPms)
+	eu, err := rep.MinRTT.FractionWithin(geo.Europe, core.MTPms)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -2,6 +2,9 @@ package whatif
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,5 +115,21 @@ func TestFormat(t *testing.T) {
 	}
 	if _, ok := rep.Lookup("nope"); ok {
 		t.Error("unknown scenario found")
+	}
+}
+
+// TestFormatGoldenDigest pins the comparison table byte for byte: the
+// digest was recorded before the scenarios moved from two row folds each
+// onto core.ScanMemory's one block fold, and must never move with the
+// analysis plumbing.
+func TestFormatGoldenDigest(t *testing.T) {
+	rep, err := Run(context.Background(), smallConfig(), Baseline(), FiveGEarly(), FiveG(), NoBufferbloat())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "af957ed696df240372a27b8fa903fd308006594eeba08fe958a0d4302eadf2fc"
+	sum := sha256.Sum256([]byte(strings.Join(rep.Format(), "\n") + "\n"))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("Format() digest = %s, want %s:\n%s", got, want, strings.Join(rep.Format(), "\n"))
 	}
 }

@@ -2,7 +2,9 @@
 # loc.sh prints the repository's tracked size metric: non-test Go lines
 # per package, for the five packages ROADMAP tracks together
 # (scan+results+core+stats+obs), and for the whole repository. bench/ is
-# the benchmark's own module and is not counted.
+# the benchmark's own module and is not counted. The last two lines are a
+# ratchet: scripts/check.sh fails when either exceeds its ceiling in
+# scripts/loc.max.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
