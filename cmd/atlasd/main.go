@@ -68,7 +68,6 @@ import (
 	"repro/internal/results"
 	"repro/internal/scan"
 	"repro/internal/serve"
-	"repro/internal/snap"
 	"repro/internal/world"
 )
 
@@ -235,13 +234,11 @@ func (a *app) enableServing(dir string, refresh time.Duration) error {
 	}
 	logger := a.log.With("serve")
 	eng, err := serve.NewEngine(store, a.world.Index, serve.Options{
-		Refresh:      refresh,
-		SnapshotPath: store.SnapshotPath(),
-		TixPath:      store.TixPath(),
-		Metrics:      serve.NewMetrics(a.registry),
-		ScanMetrics:  scan.NewMetrics(a.registry),
-		SnapMetrics:  snap.NewMetrics(a.registry),
-		Log:          logger,
+		Refresh:     refresh,
+		TixPath:     store.TixPath(),
+		Metrics:     serve.NewMetrics(a.registry),
+		ScanMetrics: scan.NewMetrics(a.registry),
+		Log:         logger,
 	})
 	if err != nil {
 		return err

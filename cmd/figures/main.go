@@ -16,12 +16,15 @@
 // Every dataset figure is one suite report over the pass it reads: a
 // stored dataset is read with the parallel scanner (-workers shards the
 // file; the output is identical for any worker count), a synthesized
-// campaign is folded in memory as the same column blocks. When the
-// dataset carries an analysis snapshot (samples.snap, maintained by
-// cmd/shears), the scan resumes from it, decodes only blocks appended
-// since, and works the whole suite only when this run is the one that
-// rewrites the snapshot — -snapshot off is the same scan with no
-// snapshot: cold, one pass, samples.snap neither read nor written.
+// campaign is folded in memory as the same column blocks. Figures 4
+// and 5 resume from the dataset's analysis snapshot (samples.snap, a
+// few kilobytes of per-country and per-probe minima maintained by
+// cmd/shears): the scan decodes only blocks appended since and rewrites
+// the file once the delta has grown enough. Figures 6-8 read state
+// sized by the samples, which is never persisted: they scan cold and
+// leave samples.snap alone. -snapshot off is the same scan with no
+// snapshot: cold, one pass, samples.snap neither read nor written. A
+// snapshot that cannot be written is a warning; the figure still prints.
 //
 // Observability: the command emits structured leveled logs (-log-format
 // text|json, -log-level) on stderr, and -status-addr serves live run state
@@ -32,7 +35,7 @@
 // manifest with the run ID, build version, flags, per-stage durations
 // (world.build, the figure's snap.load, scan, snap.merge, suite.report
 // and snapshot.write, and emit), scan throughput and snapshot coverage: the
-// samples the snapshot stood in for and the passes the run worked.
+// samples the snapshot stood in for and the passes the run folded.
 package main
 
 import (
@@ -489,9 +492,8 @@ func (d *dataset) synthesize(ctx context.Context, w *world.World) error {
 	return err
 }
 
-// figurePasses names the suite pass a dataset figure reads, so a scan
-// that writes no snapshot works only that pass. Zero for the figures
-// that read no dataset.
+// figurePasses names the suite pass a dataset figure reads. Zero for
+// the figures that read no dataset.
 func figurePasses(fig string) core.PassSet {
 	switch fig {
 	case "4":
@@ -508,8 +510,9 @@ func figurePasses(fig string) core.PassSet {
 
 // report is the one way a dataset figure gets its numbers: the suite
 // report over the passes it reads. A store goes through
-// core.ScanStoreSnap — seeded from samples.snap, or cold when d.snap
-// names no path — and a synthesized campaign through core.ScanMemory.
+// core.ScanStoreSnap — Figures 4 and 5 seeded from samples.snap, the
+// rest (and everything when d.snap names no path) cold — and a
+// synthesized campaign through core.ScanMemory.
 func (d *dataset) report(ctx context.Context, idx *core.Index, passes core.PassSet) (*core.SuiteReport, error) {
 	const week = 7 * 24 * time.Hour
 	if d.store == nil {

@@ -117,7 +117,7 @@ func TestRenderFromStoredDataset(t *testing.T) {
 // world, is neither read nor overwritten.
 func TestDatasetWorldFromMeta(t *testing.T) {
 	dir, _ := buildDataset(t, 2, 200)
-	explicit := options{fig: "6", data: dir, probes: 200, seed: 2, probesSet: true, seedSet: true, workers: 2, snapMode: "on"}
+	explicit := options{fig: "5", data: dir, probes: 200, seed: 2, probesSet: true, seedSet: true, workers: 2, snapMode: "on"}
 	want, err := render(explicit, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestDatasetWorldFromMeta(t *testing.T) {
 	// The flag defaults describe a different world (400 probes, seed 1).
 	var log bytes.Buffer
 	sm := snap.NewMetrics(obs.NewRegistry())
-	defaults := options{fig: "6", data: dir, probes: 400, seed: 1, workers: 2, snapMode: "on"}
+	defaults := options{fig: "5", data: dir, probes: 400, seed: 1, workers: 2, snapMode: "on"}
 	got, err := render(defaults, &runEnv{snapMetrics: sm, log: obs.NewLogger(&log)})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestRunWritesManifest(t *testing.T) {
 
 	// The run above left a snapshot; the next one resumes from it and
 	// says what the figure was computed from: the covered samples the
-	// scan did not decode, and the one pass it worked.
+	// scan did not decode, and the two snapshot passes it folded.
 	total := m.Samples
 	if err := run(options{
 		fig: "5", data: dir, probes: 200, seed: 2, workers: 4, snapMode: "on",
@@ -249,8 +249,8 @@ func TestRunWritesManifest(t *testing.T) {
 	if m, err = obs.ReadRunManifest(filepath.Join(dir, manifestFile)); err != nil {
 		t.Fatal(err)
 	}
-	if m.Samples != 0 || m.Snapshot == nil || m.Snapshot.PrefixSamples != total || m.Snapshot.Passes != "min-rtt" {
-		t.Errorf("resumed manifest: samples=%d snapshot=%+v, want 0 scanned over %d covered by pass min-rtt", m.Samples, m.Snapshot, total)
+	if m.Samples != 0 || m.Snapshot == nil || m.Snapshot.PrefixSamples != total || m.Snapshot.Passes != "proximity,min-rtt" {
+		t.Errorf("resumed manifest: samples=%d snapshot=%+v, want 0 scanned over %d covered by passes proximity,min-rtt", m.Samples, m.Snapshot, total)
 	}
 	stages = map[string]bool{}
 	for _, s := range m.Stages {
@@ -258,6 +258,40 @@ func TestRunWritesManifest(t *testing.T) {
 	}
 	if !stages["snap.merge"] || stages["snapshot.write"] {
 		t.Errorf("resumed manifest stages %v: want a snap.merge and no snapshot.write", m.Stages)
+	}
+}
+
+// TestUnwritableSnapshotStillPrints puts a directory where samples.snap
+// goes, so the snapshot can be neither read nor replaced. The snapshot
+// is an accelerator: the scan succeeded, so the figure prints — the
+// bytes of a -snapshot off run — the run exits clean, and the failure
+// is a warning and a snap_write_errors_total count, not the outcome.
+func TestUnwritableSnapshotStillPrints(t *testing.T) {
+	dir, _ := buildDataset(t, 2, 200)
+	var want bytes.Buffer
+	if err := run(options{fig: "4", data: dir, csv: true, workers: 2, snapMode: "off", stdout: &want, logDst: io.Discard}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "samples.snap", "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var got, log bytes.Buffer
+	if err := run(options{fig: "4", data: dir, csv: true, workers: 2, snapMode: "on", stdout: &got, logDst: &log, logLevel: "info"}); err != nil {
+		t.Fatalf("a snapshot that cannot be written failed the run: %v", err)
+	}
+	if got.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("figure printed beside an unwritable snapshot differs from -snapshot off (%d vs %d bytes)", got.Len(), want.Len())
+	}
+	if !strings.Contains(log.String(), "level=warn") || !strings.Contains(log.String(), "snapshot not written") {
+		t.Errorf("no warning about the failed write:\n%s", log.String())
+	}
+
+	sm := snap.NewMetrics(obs.NewRegistry())
+	if _, err := render(options{fig: "5", data: dir, workers: 2, snapMode: "on"}, &runEnv{snapMetrics: sm}); err != nil {
+		t.Fatal(err)
+	}
+	if sm.WriteErrors.Value() != 1 || sm.Writes.Value() != 0 {
+		t.Errorf("snap_write_errors_total = %d, snap_writes_total = %d; want 1 and 0", sm.WriteErrors.Value(), sm.Writes.Value())
 	}
 }
 

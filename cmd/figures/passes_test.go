@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -121,12 +122,47 @@ func snapBytes(t *testing.T, dir string) []byte {
 	return data
 }
 
-// TestSelectedPassesMatchCold pins the pass-selective resume: whatever
-// state the snapshot is in, a figure run that works only its own pass
-// prints the CSV bytes of a cold scan and of a resume that works the
-// whole suite, for every worker count — and it leaves the same
-// samples.snap behind as the whole-suite run: untouched below the
-// refresh gate, rewritten once (from the whole suite) above it.
+// snapFigures and nearestFigures split the dataset figures by the rule
+// samples.snap follows: Figures 4 and 5 read state sized by the world
+// and resume from the file; Figures 6-8 read state sized by the samples,
+// which is never persisted.
+var (
+	snapFigures    = []string{"4", "5"}
+	nearestFigures = []string{"6", "7", "8"}
+)
+
+// snapStamp is a snapshot file's bytes and mtime; the zero value is "no
+// file".
+type snapStamp struct {
+	data  []byte
+	mtime time.Time
+}
+
+func stampOf(t *testing.T, dir string) snapStamp {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, "samples.snap"))
+	if os.IsNotExist(err) {
+		return snapStamp{}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snapStamp{snapBytes(t, dir), fi.ModTime()}
+}
+
+func (s snapStamp) equal(o snapStamp) bool {
+	return bytes.Equal(s.data, o.data) && s.mtime.Equal(o.mtime)
+}
+
+// TestSelectedPassesMatchCold pins what a figure run does with the
+// snapshot next to the store, whatever state that file is in. Every
+// figure prints the CSV bytes of a cold scan, for every worker count.
+// A Figure 4 or 5 run resumes from the file and leaves it untouched
+// below the refresh gate; above it, or when the file is missing or
+// unusable, it rewrites it once — to the bytes a cold whole-suite scan
+// of the same store (what shears runs) writes. A Figure 6, 7 or 8 run
+// never opens it: no snap_* counter moves and the file keeps its bytes
+// and mtime, spoiled or not.
 func TestSelectedPassesMatchCold(t *testing.T) {
 	const seed, probes = 2, 200
 	w, err := world.Build(world.Config{Seed: seed, Probes: probes})
@@ -148,7 +184,7 @@ func TestSelectedPassesMatchCold(t *testing.T) {
 	for _, sc := range passScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			// The template: the first 80 % in two sink sessions, a
-			// whole-suite snapshot over it, then the scenario's delta.
+			// whole-suite scan's snapshot over it, then the scenario's delta.
 			tmpl := t.TempDir()
 			store, sink, err := results.Create(tmpl, meta, results.FormatBinary)
 			if err != nil {
@@ -169,76 +205,206 @@ func TestSelectedPassesMatchCold(t *testing.T) {
 			if sc.spoil != nil {
 				sc.spoil(t, store.SnapshotPath())
 			}
-			before := snapBytes(t, tmpl)
+			before := stampOf(t, tmpl)
 
-			for _, fig := range []string{"4", "5", "6", "7", "8"} {
+			// What a cold whole-suite scan of this store writes.
+			coldDir := copyDir(t, tmpl)
+			coldStore, err := results.Open(coldDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := core.ScanStoreSnap(context.Background(), coldStore, w.Index, cfg.Start, 7*24*time.Hour, 1, nil,
+				core.SnapshotOptions{Path: coldStore.SnapshotPath()}); err != nil {
+				t.Fatal(err)
+			}
+			coldSnap := snapBytes(t, coldDir)
+
+			for _, fig := range append(append([]string(nil), snapFigures...), nearestFigures...) {
+				resumes := fig == "4" || fig == "5"
 				opts := options{fig: fig, data: tmpl, probes: probes, seed: seed, workers: 1, snapMode: "off", csv: true}
 				cold, err := render(opts, nil)
 				if err != nil {
 					t.Fatalf("fig %s cold: %v", fig, err)
 				}
-				if !bytes.Equal(snapBytes(t, tmpl), before) {
+				if !stampOf(t, tmpl).equal(before) {
 					t.Fatalf("fig %s: a -snapshot off run touched the snapshot", fig)
 				}
-				for _, workers := range []int{1, 2, 4, 7} {
-					// The whole suite, as every resume ran before passes could
-					// be selected.
-					fullDir := copyDir(t, tmpl)
-					fullStore, err := results.Open(fullDir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fullSo := so
-					fullSo.Path = fullStore.SnapshotPath()
-					fullRep, err := (&dataset{store: fullStore, start: cfg.Start, workers: workers, snap: fullSo}).report(context.Background(), w.Index, 0)
-					if err != nil {
-						t.Fatalf("fig %s workers=%d whole suite: %v", fig, workers, err)
-					}
-					full, err := figureLines(fig, true, fullRep)
-					if err != nil {
-						t.Fatalf("fig %s workers=%d whole suite: %v", fig, workers, err)
-					}
-
-					// The figure's own pass, as the command selects it.
-					selDir := copyDir(t, tmpl)
+				for _, workers := range []int{1, 2, 5} {
+					dir := copyDir(t, tmpl)
+					start := stampOf(t, dir)
 					sm := snap.NewMetrics(obs.NewRegistry())
 					var log bytes.Buffer
-					opts.data, opts.workers, opts.snapMode = selDir, workers, "on"
-					sel, err := render(opts, &runEnv{snapMetrics: sm, log: obs.NewLogger(&log)})
+					opts.data, opts.workers, opts.snapMode = dir, workers, "on"
+					got, err := render(opts, &runEnv{snapMetrics: sm, log: obs.NewLogger(&log)})
 					if err != nil {
-						t.Fatalf("fig %s workers=%d selected: %v", fig, workers, err)
+						t.Fatalf("fig %s workers=%d: %v", fig, workers, err)
 					}
-
-					want := strings.Join(cold, "\n")
-					if strings.Join(full, "\n") != want {
-						t.Errorf("fig %s workers=%d: whole-suite resume diverges from the cold scan", fig, workers)
+					if strings.Join(got, "\n") != strings.Join(cold, "\n") {
+						t.Errorf("fig %s workers=%d: -snapshot on diverges from the cold scan", fig, workers)
 					}
-					if strings.Join(sel, "\n") != want {
-						t.Errorf("fig %s workers=%d: selected-pass resume diverges from the cold scan", fig, workers)
+					after := stampOf(t, dir)
+					if !resumes {
+						if n := sm.Hits.Value() + sm.Misses.Value() + sm.Invalidations.Value() + sm.Writes.Value(); n != 0 {
+							t.Errorf("fig %s workers=%d: a figure that cannot resume touched the snapshot machinery %d times:\n%s", fig, workers, n, log.String())
+						}
+						if !after.equal(start) {
+							t.Errorf("fig %s workers=%d: samples.snap changed under a figure that never opens it", fig, workers)
+						}
+						continue
 					}
 					if got := sm.Writes.Value(); got != sc.writes {
 						t.Errorf("fig %s workers=%d: snap_writes_total = %d, want %d", fig, workers, got, sc.writes)
 					}
-					// A hit that leaves the file alone works the one pass; one
-					// that rewrites it works all six.
-					if sc.spoil == nil {
-						worked := "passes=all"
-						if sc.writes == 0 {
-							worked = "passes=" + figurePasses(fig).String()
-						}
-						if !strings.Contains(log.String(), worked) {
-							t.Errorf("fig %s workers=%d: snapshot hit does not report %s:\n%s", fig, workers, worked, log.String())
-						}
+					if hit := strings.Contains(log.String(), "snapshot hit"); hit != (sc.spoil == nil) {
+						t.Errorf("fig %s workers=%d: snapshot hit logged = %v on a snapshot spoiled = %v:\n%s", fig, workers, hit, sc.spoil != nil, log.String())
 					}
-					after := snapBytes(t, selDir)
-					if !bytes.Equal(after, snapBytes(t, fullDir)) {
-						t.Errorf("fig %s workers=%d: selected-pass run left a different samples.snap than the whole-suite run", fig, workers)
-					}
-					if sc.writes == 0 && !bytes.Equal(after, before) {
+					switch {
+					case sc.writes == 0 && !after.equal(start):
 						t.Errorf("fig %s workers=%d: a run below the gate touched samples.snap", fig, workers)
+					case sc.writes == 1 && !bytes.Equal(after.data, coldSnap):
+						t.Errorf("fig %s workers=%d: the rewritten samples.snap differs from a cold whole-suite scan's", fig, workers)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestSnapFiguresResumeFromEveryPrefix grows a store block by block and
+// keeps the snapshot a Figure 4 run leaves at every length. On the full
+// store, a Figure 4 or 5 run resumed from any of them prints the cold
+// scan's bytes at workers 1, 2 and 5, and the file it rewrites is the
+// one a cold scan of the full store writes.
+func TestSnapFiguresResumeFromEveryPrefix(t *testing.T) {
+	const seed, probes, sessions = 2, 200, 6
+	w, err := world.Build(world.Config{Seed: seed, Probes: probes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := atlas.TestCampaign()
+	cfg.End = cfg.Start.Add(6 * 24 * time.Hour)
+	var all []results.Sample
+	if _, err := w.Platform.RunCampaign(context.Background(), cfg, func(s results.Sample) error {
+		all = append(all, s)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, sink, err := results.Create(dir, cfg.Meta(seed, w.Probes.Len(), w.Catalog.Len()), results.FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts := options{fig: "4", data: dir, probes: probes, seed: seed, workers: 2, snapMode: "on", csv: true}
+	var prefixSnaps [][]byte
+	for k := 0; k < sessions; k++ {
+		appendTo(t, store, all[k*len(all)/sessions:(k+1)*len(all)/sessions])
+		if err := os.Remove(store.SnapshotPath()); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if _, err := render(opts, nil); err != nil {
+			t.Fatal(err)
+		}
+		prefixSnaps = append(prefixSnaps, snapBytes(t, dir))
+	}
+	coldSnap := prefixSnaps[sessions-1] // written by a cold scan of the full store
+
+	for _, fig := range snapFigures {
+		opts.fig, opts.snapMode = fig, "off"
+		cold, err := render(opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.snapMode = "on"
+		for k, prefix := range prefixSnaps {
+			for _, workers := range []int{1, 2, 5} {
+				if err := os.WriteFile(store.SnapshotPath(), prefix, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				sm := snap.NewMetrics(obs.NewRegistry())
+				opts.workers = workers
+				got, err := render(opts, &runEnv{snapMetrics: sm})
+				if err != nil {
+					t.Fatalf("fig %s from %d blocks, workers=%d: %v", fig, k+1, workers, err)
+				}
+				if strings.Join(got, "\n") != strings.Join(cold, "\n") {
+					t.Errorf("fig %s from %d blocks, workers=%d: resumed output diverges from the cold scan", fig, k+1, workers)
+				}
+				if sm.Hits.Value() != 1 || sm.Invalidations.Value() != 0 {
+					t.Errorf("fig %s from %d blocks, workers=%d: hit=%d invalid=%d, want a resume", fig, k+1, workers, sm.Hits.Value(), sm.Invalidations.Value())
+				}
+				wantWrites := uint64(1)
+				if k == sessions-1 {
+					wantWrites = 0 // the file already covers the whole store
+				}
+				if sm.Writes.Value() != wantWrites {
+					t.Errorf("fig %s from %d blocks, workers=%d: %d snapshot writes, want %d", fig, k+1, workers, sm.Writes.Value(), wantWrites)
+				}
+				if !bytes.Equal(snapBytes(t, dir), coldSnap) {
+					t.Errorf("fig %s from %d blocks, workers=%d: samples.snap differs from a cold scan's", fig, k+1, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestNearestFiguresLeaveSnapshotAlone runs Figures 6, 7 and 8 with
+// -snapshot on beside a valid samples.snap, none at all, and a file of
+// the previous state version: each stays byte- and mtime-identical (or
+// absent), and the manifest says the run was a cold scan of the
+// figure's own pass, never a hit.
+func TestNearestFiguresLeaveSnapshotAlone(t *testing.T) {
+	dir, _ := buildDataset(t, 2, 200)
+	snapPath := filepath.Join(dir, "samples.snap")
+	states := []struct {
+		name    string
+		prepare func()
+	}{
+		{"absent", func() {}},
+		{"present", func() {
+			if err := run(options{fig: "5", data: dir, workers: 2, snapMode: "on", stdout: io.Discard, logDst: io.Discard}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"state version 3", func() {
+			h, _, err := snap.ReadFile(snapPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.PassSet = strings.Replace(h.PassSet, "suite-v4|", "suite-v3|", 1)
+			if err := snap.WriteFile(snapPath, h, bytes.Repeat([]byte{0x5a}, 1<<16)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, state := range states {
+		state.prepare()
+		before := stampOf(t, dir)
+		if (state.name == "absent") != (before.data == nil) {
+			t.Fatalf("%s: samples.snap holds %d bytes", state.name, len(before.data))
+		}
+		for _, fig := range nearestFigures {
+			if err := run(options{fig: fig, data: dir, workers: 2, snapMode: "on", stdout: io.Discard, logDst: io.Discard}); err != nil {
+				t.Fatalf("%s fig %s: %v", state.name, fig, err)
+			}
+			if !stampOf(t, dir).equal(before) {
+				t.Errorf("%s: fig %s with -snapshot on touched samples.snap", state.name, fig)
+			}
+			m, err := obs.ReadRunManifest(filepath.Join(dir, manifestFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := m.Snapshot; c == nil || c.PrefixBlocks != 0 || c.PrefixSamples != 0 || c.BlocksRead != c.BlocksTotal || c.Passes != figurePasses(fig).String() {
+				t.Errorf("%s: fig %s manifest coverage %+v, want a cold scan of pass %s", state.name, fig, c, figurePasses(fig))
+			}
+			for _, s := range m.Stages {
+				if strings.HasPrefix(s.Name, "snap") {
+					t.Errorf("%s: fig %s ran stage %q", state.name, fig, s.Name)
+				}
+			}
+		}
 	}
 }

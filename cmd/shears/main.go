@@ -46,12 +46,13 @@
 // throughput. -cpuprofile/-memprofile write pprof profiles of the run.
 //
 // Analysis snapshots: the post-campaign figure scan writes
-// <out>/samples.snap — the serialized merged analysis state over
-// the whole finished store, written once per run — so any later
-// re-analysis over the (possibly grown) dataset decodes only blocks
-// appended since. The campaign itself never touches it: an interrupted
-// run leaves no snapshot and its -resume pays one cold scan at the end.
-// -snapshot off disables it.
+// <out>/samples.snap — the Figure 4 and 5 state (per-country and
+// per-probe minima, kilobytes) over the whole finished store, written
+// once per run — so a later figures -fig 4|5 over the (possibly grown)
+// dataset decodes only blocks appended since. A failed write is a
+// warning, not a failed run. The campaign itself never touches the
+// file: an interrupted run leaves no snapshot and its -resume pays one
+// cold scan at the end. -snapshot off disables it.
 package main
 
 import (
@@ -446,21 +447,19 @@ func run(o options) (err error) {
 	// One fused parallel scan of the dataset computes every figure report;
 	// the renderers below only format what it already aggregated.
 	scanCtx := obs.ContextWith(context.Background(), figSpan)
-	var (
-		rep *core.SuiteReport
-		st  scan.Stats
-	)
-	if snapEnabled {
-		// The scan also writes the run's one snapshot, covering every block.
-		rep, st, err = core.ScanStoreSnap(scanCtx, store, w.Index, cfg.Start, 7*24*time.Hour, workers, scanMetrics, core.SnapshotOptions{
-			Path:          store.SnapshotPath(),
-			Metrics:       snapMetrics,
-			RefreshFactor: core.DefaultRefreshFactor,
-			Log:           logger.With("snap"),
-		})
-	} else {
-		rep, st, err = core.ScanStore(scanCtx, store, w.Index, cfg.Start, 7*24*time.Hour, workers, scanMetrics)
+	// Each process folds what it prints: Figures 4-8 and the provider
+	// table. The scan also writes the run's one snapshot, covering every
+	// block; -snapshot off is the same call without a path.
+	so := core.SnapshotOptions{
+		Metrics:       snapMetrics,
+		RefreshFactor: core.DefaultRefreshFactor,
+		Log:           logger.With("snap"),
+		Passes:        core.PassProximity | core.PassMinRTT | core.PassFullDist | core.PassLastMile | core.PassProvider,
 	}
+	if snapEnabled {
+		so.Path = store.SnapshotPath()
+	}
+	rep, st, err := core.ScanStoreSnap(scanCtx, store, w.Index, cfg.Start, 7*24*time.Hour, workers, scanMetrics, so)
 	if err != nil {
 		return err
 	}

@@ -147,7 +147,7 @@ func TestRunGoldenDigests(t *testing.T) {
 	}
 	golden := map[string]string{
 		filepath.Join(dir, "samples.bin"):    "d73e4c7519a2d9cb454f3f782c1e349ebcad3055c2a8cce89489ad76c1bb205b",
-		filepath.Join(dir, "samples.snap"):   "9b9f0b12aae80b0276676dc390251ca291a9611b4e926a0ee6342d69e368c1bc",
+		filepath.Join(dir, "samples.snap"):   "9e95c82909dcad7156a3150a088e8eb28d5f62baccf694369f0b43472cb0eb4b",
 		filepath.Join(dir, "samples.tix"):    "dec55deb4b04ddb2d0eda86cac1619c7552d2c79f5e24960e2acb24293836b63",
 		filepath.Join(figDir, "figure4.csv"): "0769f523f93c6e187269a61d2466261d7310ce283b62dac630c3582c8868a8fa",
 		filepath.Join(figDir, "figure5.csv"): "058670c0b8a579c903ad842bd4301cf3432fc8b99e8cfb06bf13c29cd5720f54",
@@ -239,8 +239,8 @@ func TestRunWritesTrace(t *testing.T) {
 			for _, g := range c.Children {
 				parts = append(parts, g.Name)
 			}
-			if got := strings.Join(parts, ","); got != "snap.sort,snap.encode,snap.fsync" {
-				t.Errorf("snapshot.write splits into %q, want snap.sort,snap.encode,snap.fsync", got)
+			if got := strings.Join(parts, ","); got != "snap.encode,snap.fsync" {
+				t.Errorf("snapshot.write splits into %q, want snap.encode,snap.fsync", got)
 			}
 		default:
 			if !strings.HasPrefix(c.Name, "figure:") {
@@ -552,7 +552,7 @@ func TestRunResumeErrors(t *testing.T) {
 // engine and the cluster path alike: the campaign's checkpoints (each
 // seals a block) never touch it, the post-campaign scan writes it
 // exactly once covering every block, and re-analysis of the directory —
-// what cmd/figures does — is then a pure hit.
+// what cmd/figures -fig 4|5 does — is then a pure hit.
 func TestRunWritesSnapshotOnce(t *testing.T) {
 	w, err := world.Build(world.Config{Seed: 1, Probes: 250})
 	if err != nil {
@@ -586,7 +586,7 @@ func TestRunWritesSnapshotOnce(t *testing.T) {
 		}
 		sm := snap.NewMetrics(obs.NewRegistry())
 		_, st, err := core.ScanStoreSnap(context.Background(), store, w.Index, atlas.TestCampaign().Start, 7*24*time.Hour, 2, nil,
-			core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, RefreshFactor: core.DefaultRefreshFactor})
+			core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: core.PassProximity})
 		if err != nil {
 			t.Fatal(err)
 		}

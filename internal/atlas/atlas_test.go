@@ -3,6 +3,8 @@ package atlas
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,6 +88,83 @@ func TestPathCaching(t *testing.T) {
 	}
 	if p1 != p2 {
 		t.Error("path not cached")
+	}
+
+	// A region outside the probe's own target list (delay, route and
+	// expansion ask for those) is cached the same way, concurrent first
+	// lookups collapse to one instance, and a region of some other
+	// catalog is derived without a cell, not misfiled.
+	var far *cloud.Region
+	for _, c := range p.Catalog.All() {
+		if !slices.Contains(p.Targets(pr), c) {
+			far = c
+			break
+		}
+	}
+	if far == nil {
+		t.Fatal("every region is a target of the first probe")
+	}
+	got := make([]*netem.Path, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			path, err := p.Path(pr, far)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = path
+		}()
+	}
+	wg.Wait()
+	for _, path := range got {
+		if path == nil || path != got[0] {
+			t.Fatal("racing lookups of one pair returned different paths")
+		}
+	}
+	if got[0] == p1 {
+		t.Error("two regions share a path")
+	}
+	other, err := cloud.Deployment(geo.World())
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, _ := other.Lookup(r.Addr())
+	if foreign, err := p.Path(pr, twin); err != nil || foreign == p1 {
+		t.Errorf("a region of another catalog was served from the table (err %v)", err)
+	}
+}
+
+// TestSynthesizeRoundSteadyStateAllocs is the ceiling on the campaign's
+// inner loop: once a round has filled the path table, synthesizing
+// another allocates nothing per sample beyond what emit does — no boxed
+// key, no hashed string. A few allocations per round are tolerated;
+// the round below emits ~400 samples.
+func TestSynthesizeRoundSteadyStateAllocs(t *testing.T) {
+	p := smallPlatform(t)
+	cfg := TestCampaign()
+	probes := p.Population.Public()
+	var samples uint64
+	emit := func(results.Sample) error { samples++; return nil }
+	round := 0
+	synth := func() {
+		if _, err := p.synthesizeRound(context.Background(), cfg, round, probes, nil, emit); err != nil {
+			t.Fatal(err)
+		}
+		round++
+	}
+	for round < p.Catalog.Len() {
+		synth() // until every probe has rotated through its whole target list
+	}
+	samples = 0
+	allocs := testing.AllocsPerRun(10, synth)
+	if perRound := samples / 11; perRound < 300 {
+		t.Fatalf("a round emits %d samples; the ceiling means nothing", perRound)
+	}
+	t.Logf("%.0f allocations per warmed round", allocs)
+	if allocs > 4 {
+		t.Errorf("a warmed round allocates %.0f times, want a handful at most", allocs)
 	}
 }
 

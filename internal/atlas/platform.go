@@ -9,7 +9,7 @@ package atlas
 import (
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cloud"
@@ -29,19 +29,18 @@ type Platform struct {
 	// progress and per-continent sample tallies from RunCampaign.
 	Metrics *Metrics
 
-	// paths caches pathKey -> *netem.Path. It is a sync.Map because the
-	// campaign engine hits it from every shard worker on every sample:
-	// after first-round warmup the cache is read-only, which is the
-	// append-mostly access pattern sync.Map makes lock-free.
-	paths sync.Map
+	// paths is the path cache: one row per probe ID, allocated on the
+	// probe's first lookup, one slot per catalog region. The campaign
+	// engine reads it from every shard worker on every sample, so a
+	// lookup is two atomic loads — no key to box, no string to hash.
+	paths []atomic.Pointer[pathRow]
 
 	targets map[geo.Continent][]*cloud.Region
 }
 
-type pathKey struct {
-	probeID int
-	region  string
-}
+// pathRow holds one probe's paths, indexed by the region's catalog
+// position.
+type pathRow []atomic.Pointer[netem.Path]
 
 // NewPlatform wires the pieces together.
 func NewPlatform(pop *probe.Population, cat *cloud.Catalog, model *netem.Model) (*Platform, error) {
@@ -58,6 +57,7 @@ func NewPlatform(pop *probe.Population, cat *cloud.Catalog, model *netem.Model) 
 		Population: pop,
 		Catalog:    cat,
 		Model:      model,
+		paths:      make([]atomic.Pointer[pathRow], pop.All()[pop.Len()-1].ID+1),
 		targets:    make(map[geo.Continent][]*cloud.Region),
 	}
 	for _, ct := range geo.Continents() {
@@ -73,13 +73,15 @@ func (p *Platform) Targets(pr *probe.Probe) []*cloud.Region {
 }
 
 // Path returns the (cached) network path between a probe and a region.
-// It is safe for concurrent use; racing derivations of the same key are
+// It is safe for concurrent use; racing derivations of the same pair are
 // deterministic (the model is immutable) and collapse to one canonical
-// instance via LoadOrStore.
+// instance.
 func (p *Platform) Path(pr *probe.Probe, r *cloud.Region) (*netem.Path, error) {
-	key := pathKey{probeID: pr.ID, region: r.Addr()}
-	if v, ok := p.paths.Load(key); ok {
-		return v.(*netem.Path), nil
+	slot := p.pathSlot(pr, r)
+	if slot != nil {
+		if path := slot.Load(); path != nil {
+			return path, nil
+		}
 	}
 	path, err := p.Model.Path(pr.Site(), netem.Target{
 		ID:        r.Addr(),
@@ -87,13 +89,35 @@ func (p *Platform) Path(pr *probe.Probe, r *cloud.Region) (*netem.Path, error) {
 		Continent: p.Catalog.Continent(r),
 		Private:   r.Provider.Backbone == cloud.BackbonePrivate,
 	})
-	if err != nil {
-		return nil, err
+	if err != nil || slot == nil {
+		return path, err
 	}
-	if v, loaded := p.paths.LoadOrStore(key, path); loaded {
-		return v.(*netem.Path), nil
+	if !slot.CompareAndSwap(nil, path) {
+		return slot.Load(), nil
 	}
 	return path, nil
+}
+
+// pathSlot returns the cache cell of a pair, allocating the probe's row
+// on its first lookup. A pair the table has no cell for — a probe ID
+// past the population's, a region that is not the catalog's — gets nil
+// and is derived on every call.
+func (p *Platform) pathSlot(pr *probe.Probe, r *cloud.Region) *atomic.Pointer[netem.Path] {
+	pos, ok := p.Catalog.Position(r)
+	if !ok || uint(pr.ID) >= uint(len(p.paths)) {
+		return nil
+	}
+	cell := &p.paths[pr.ID]
+	row := cell.Load()
+	if row == nil {
+		fresh := make(pathRow, p.Catalog.Len())
+		if cell.CompareAndSwap(nil, &fresh) {
+			row = &fresh
+		} else {
+			row = cell.Load()
+		}
+	}
+	return &(*row)[pos]
 }
 
 // Link implements netsim.Linker over the platform's paths: it resolves

@@ -67,6 +67,7 @@ type Region struct {
 	Location geo.Point // datacenter coordinates
 
 	addr string // Addr's answer, spelled once by NewCatalog
+	pos  int    // index in its catalog's All()
 }
 
 // Addr returns the region's stable simulator address ("provider/id").
@@ -116,6 +117,9 @@ func NewCatalog(db *geo.DB, regions []Region) (*Catalog, error) {
 		c.continent[&rr] = country.Continent
 	}
 	sort.Slice(c.regions, func(i, j int) bool { return c.regions[i].Addr() < c.regions[j].Addr() })
+	for i, r := range c.regions {
+		r.pos = i
+	}
 	return c, nil
 }
 
@@ -135,6 +139,15 @@ func (c *Catalog) Len() int { return len(c.regions) }
 func (c *Catalog) Lookup(addr string) (*Region, bool) {
 	r, ok := c.byAddr[addr]
 	return r, ok
+}
+
+// Position returns r's index in All(); false for a region that is not
+// one of this catalog's.
+func (c *Catalog) Position(r *Region) (int, bool) {
+	if r.pos < len(c.regions) && c.regions[r.pos] == r {
+		return r.pos, true
+	}
+	return 0, false
 }
 
 // Continent returns the continent a catalog region sits on.

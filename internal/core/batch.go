@@ -131,9 +131,8 @@ func (p *ProviderPass) Columns() colf.ColumnSet { return colf.ColRegionIDs }
 
 // ObserveBlock implements scan.BlockPass. The provider prefix is
 // carved off each dictionary entry once per block; accumulators
-// resolve lazily per code — only when a known probe's row actually
-// lands in one, since an eagerly created empty accumulator would
-// change the encoded snapshot state.
+// resolve lazily per code, only when a known probe's row actually
+// lands in one.
 func (p *ProviderPass) ObserveBlock(blk *colf.Block) error {
 	p.provs, p.provOK, p.accs = p.provs[:0], p.provOK[:0], p.accs[:0]
 	for _, region := range blk.Dict {

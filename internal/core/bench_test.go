@@ -16,7 +16,8 @@ import (
 
 // BenchmarkIncrementalAppend measures re-analysis after one 3-hour round
 // is appended to the stored 30-day binary campaign: a cold full rescan
-// versus a snapshot-resumed scan that decodes only the appended blocks.
+// versus a snapshot-resumed Figure 4/5 scan that decodes only the
+// appended blocks.
 // The resumed path must stay a strict delta scan — the benchmark fails
 // if it decodes more than a tenth of the store's blocks. bench/'s
 // snap.resume_ms times one such resume inside a larger composition;
@@ -91,7 +92,7 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 			sm := snap.NewMetrics(obs.NewRegistry())
 			b.StartTimer()
 			_, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, 7*24*time.Hour, 0, nil,
-				core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor})
+				core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: core.PassProximity | core.PassMinRTT})
 			b.StopTimer()
 			if err != nil {
 				b.Fatal(err)

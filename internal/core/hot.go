@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"repro/internal/colf"
@@ -13,12 +14,12 @@ import (
 )
 
 // HotSuite is the suite held resident for query serving: the merged
-// pass state over the store prefix scanned so far, advanced
-// incrementally as the campaign appends. Unlike ScanStoreSnap — which
-// reopens the store, replays the snapshot, and rescans the suffix on
-// every call — a HotSuite pays the seed cost once and each Advance
-// folds only the blocks written since the previous one, so steady-state
-// refresh cost tracks the append rate, not the store size.
+// state of the four figure passes the serving layer publishes over the
+// store prefix scanned so far, advanced incrementally as the campaign
+// appends. Unlike ScanStore — which rescans the store on every call — a
+// HotSuite pays the seed scan once and each Advance folds only the
+// blocks written since the previous one, so steady-state refresh cost
+// tracks the append rate, not the store size.
 //
 // A HotSuite is not safe for concurrent use; the serving layer advances
 // it from a single refresher goroutine and publishes immutable reports.
@@ -33,30 +34,42 @@ type HotSuite struct {
 	coveredBlocks int
 }
 
-// NewHotSuite builds the resident suite for a store, seeded from the
-// snapshot named by so.Path when it validates (the same prefix-proof
-// rules as ScanStoreSnap; any mismatch just seeds empty — never wrong
-// state).
-func NewHotSuite(store *results.Store, idx *Index, start time.Time, binWidth time.Duration, so SnapshotOptions) (*HotSuite, error) {
+// hotPasses are the figures the serving layer publishes (4 to 7).
+const hotPasses = PassProximity | PassMinRTT | PassFullDist | PassLastMile
+
+// NewHotSuite builds the resident suite for a store and folds the
+// complete blocks the store already holds, so Report is valid on
+// return. The nearest-region buffer is sized by the samples and so
+// never comes from a snapshot: the options are ignored (the parameter
+// stays for callers that still pass one).
+func NewHotSuite(store *results.Store, idx *Index, start time.Time, binWidth time.Duration, _ SnapshotOptions) (*HotSuite, error) {
 	if store == nil || idx == nil {
 		return nil, errors.New("core: nil store or index")
 	}
-	h := &HotSuite{idx: idx, start: start, binWidth: binWidth, coveredBytes: colf.HeaderSize}
-	if so.Path != "" {
-		so.Passes = 0 // the resident suite serves every figure
-		prefix, samples, resume := loadSnapshot(so.Path, store, idx, start, binWidth, so)
-		if prefix != nil {
-			h.suite, h.samples = prefix, samples
-			h.coveredBytes, h.coveredBlocks = resume.Bytes, resume.Blocks
-			so.Metrics.Hit(resume.Blocks, resume.Bytes)
-		}
+	s, err := NewSuite(idx, start, binWidth)
+	if err != nil {
+		return nil, err
 	}
-	if h.suite == nil {
-		s, err := NewSuite(idx, start, binWidth)
-		if err != nil {
-			return nil, err
-		}
-		h.suite = s
+	s.sel = hotPasses
+	h := &HotSuite{idx: idx, start: start, binWidth: binWidth, suite: s, coveredBytes: colf.HeaderSize}
+	f, err := os.Open(store.SamplesPath())
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() <= colf.HeaderSize {
+		return h, nil
+	}
+	blocks, stableEnd, err := colf.DeltaBlocksAvailable(f, fi.Size(), colf.HeaderSize)
+	if err != nil {
+		return nil, fmt.Errorf("core: indexing store: %w", err)
+	}
+	if _, err := h.Advance(context.Background(), f, fi.Size(), blocks, stableEnd, scan.Config{}); err != nil {
+		return nil, err
 	}
 	return h, nil
 }
@@ -81,6 +94,7 @@ func (h *HotSuite) Advance(ctx context.Context, r io.ReaderAt, size int64, block
 		if err != nil {
 			return nil, err
 		}
+		s.sel = h.suite.sel
 		suites = append(suites, s)
 		return s.Passes(), nil
 	}

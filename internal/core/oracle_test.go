@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/results"
+	"repro/internal/snap"
 	"repro/internal/stats"
 )
 
@@ -13,8 +14,8 @@ import (
 // in test files because it is a reference, not a path — each Observe
 // states in the plainest form what its pass accumulates, and
 // TestScanStoreMatchesRowOracle holds the block kernels (over a store
-// and over results.Memory) to it byte for byte: Suite.EncodeState,
-// every figure's lines and CSVs, the KS result.
+// and over results.Memory) to it byte for byte: Suite.StateDump, every
+// figure's lines and CSVs, the KS result.
 
 // Source is anything the oracle can stream samples from: a
 // results.Store, a results.Memory, a results.Reader.
@@ -56,6 +57,53 @@ func RowOracle(src Source, idx *Index, start time.Time, binWidth time.Duration) 
 		return nil, err
 	}
 	return s, RunPasses(src, s.Proximity, s.MinRTT, s.Nearest, s.Diurnal, s.Provider)
+}
+
+// Select restricts a fresh suite to the passes ps names, as a
+// pass-selective scan does, and returns it.
+func (s *Suite) Select(ps PassSet) *Suite {
+	s.sel = ps
+	return s
+}
+
+// StateDump spells out every accumulator of a whole suite — the two
+// snapshot passes as EncodeState writes them, then the passes that are
+// never persisted: the nearest-region buffer per probe in file order
+// (region by name, so interning order does not show), each diurnal bin
+// and each provider's distribution with its loss count — so two folds
+// can be held to the same state, not just the same figures.
+func (s *Suite) StateDump() ([]byte, error) {
+	b, err := s.EncodeState()
+	if err != nil {
+		return nil, err
+	}
+	for id := range s.Nearest.probes {
+		r := &s.Nearest.probes[id]
+		if len(r.rtt) == 0 {
+			continue
+		}
+		b = snap.AppendVarint(b, int64(id))
+		b = snap.AppendUvarint(b, uint64(len(r.rtt)))
+		for k, rtt := range r.rtt {
+			b = snap.AppendString(b, s.Nearest.regions[r.region[k]])
+			b = snap.AppendFloat(b, rtt)
+		}
+		b = snap.AppendUvarint(b, uint64(len(r.nanos)))
+		for _, t := range r.nanos {
+			b = snap.AppendVarint(b, t)
+		}
+		b = snap.AppendUvarint(b, uint64(r.best))
+	}
+	for h := range s.Diurnal.bins {
+		b = s.Diurnal.bins[h].AppendState(b)
+	}
+	for _, provider := range sortedStrings(s.Provider.byProvider) {
+		a := s.Provider.byProvider[provider]
+		b = snap.AppendString(b, provider)
+		b = a.dist.AppendState(b)
+		b = snap.AppendUvarint(b, uint64(a.lost))
+	}
+	return b, nil
 }
 
 // Observe implements RowPass.

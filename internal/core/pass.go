@@ -233,7 +233,7 @@ type ProviderPass struct {
 	byProvider map[string]*providerAcc
 	// Per-block scratch for ObserveBlock, reused across blocks: the
 	// provider prefix of each dictionary code and the lazily resolved
-	// accumulator per code. Never serialized.
+	// accumulator per code.
 	provs  []string
 	provOK []bool
 	accs   []*providerAcc

@@ -75,10 +75,10 @@ func curves(t *testing.T, rep *CDFReport) map[geo.Continent][]stats.CDFPoint {
 	return out
 }
 
-// TestPartialSuiteNeverEncodes pins the guard behind the pass-selective
-// resume: a suite restricted to some passes holds the other passes'
-// state incomplete, so encoding it — and therefore writing it as a
-// snapshot — is an error, and nothing reaches the disk.
+// TestPartialSuiteNeverEncodes pins the guard behind the snapshot
+// write: the state is the two snapshot passes, so a suite that leaves
+// either out cannot be encoded — and therefore not written — and
+// nothing reaches the disk; one restricted to exactly those two can.
 func TestPartialSuiteNeverEncodes(t *testing.T) {
 	f := dataset(t)
 	dir := t.TempDir()
@@ -92,17 +92,28 @@ func TestPartialSuiteNeverEncodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.EncodeState(); err != nil {
-		t.Fatalf("whole suite refused to encode: %v", err)
+	for _, sel := range []PassSet{0, snapshotPasses, snapshotPasses | PassProvider} {
+		s.sel = sel
+		if _, err := s.EncodeState(); err != nil {
+			t.Fatalf("suite over %v refused to encode: %v", sel, err)
+		}
+	}
+	s.sel = PassFullDist | PassLastMile | PassDiurnal | PassProvider | PassProximity
+	if _, err := s.EncodeState(); err == nil {
+		t.Error("a suite without the min-rtt pass encoded")
 	}
 	s.sel = PassMinRTT
 	if _, err := s.EncodeState(); err == nil || !strings.Contains(err.Error(), "min-rtt") {
 		t.Errorf("partial suite encoded: err = %v", err)
 	}
 	path := filepath.Join(dir, "samples.snap")
-	err = writeSnapshot(context.Background(), path, store, f.idx, f.cfg.Start, passBinWidth, s, 2000, scan.Stats{DataEnd: end, BlocksTotal: 1}, SnapshotOptions{Path: path})
-	if err == nil {
+	so := SnapshotOptions{Path: path}
+	st := scan.Stats{DataEnd: end, BlocksTotal: 1}
+	if err := writeSnapshot(context.Background(), path, store, f.idx, f.cfg.Start, passBinWidth, s, 2000, st, so); err == nil {
 		t.Error("partial suite written as a snapshot")
+	}
+	if err := writeIfDue(context.Background(), store, f.idx, f.cfg.Start, passBinWidth, s, 2000, st, so); err != nil {
+		t.Errorf("a suite without both snapshot passes is not due a write: %v", err)
 	}
 	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
 		t.Errorf("refused write left %s behind (stat: %v)", path, serr)
@@ -118,11 +129,14 @@ func TestPartialSuiteNeverEncodes(t *testing.T) {
 }
 
 // TestStoreGrowsAfterGateDecision appends to the store between the
-// pre-scan gate decision and the scan. The decision (delta below the
-// gate: work one pass) stands, the scan folds the larger delta into
-// that pass, the figure matches a cold scan of the grown store, and
-// the rewrite the post-scan gate now asks for is skipped — the partial
-// suite never reaches the file.
+// snapshot load and the scan. There is no decision to go stale any
+// more: a Figure 5 resume folds both snapshot passes whatever the delta
+// turns out to be, so the scan folds the larger delta, the figure
+// matches a cold scan of the grown store, and the rewrite the gate asks
+// for afterwards happens — leaving the file a cold scan would. A
+// Figure 6 run over the same growing store never opens the file: same
+// figure as a cold scan, samples.snap byte- and mtime-identical, no
+// snap_* counter moved.
 func TestStoreGrowsAfterGateDecision(t *testing.T) {
 	f := dataset(t)
 	smps := fixtureSamples(t, 60000)
@@ -146,63 +160,103 @@ func TestStoreGrowsAfterGateDecision(t *testing.T) {
 			}
 			sm := snap.NewMetrics(obs.NewRegistry())
 			so := SnapshotOptions{Path: store.SnapshotPath(), RefreshFactor: DefaultRefreshFactor, Metrics: sm, Passes: sel}
-			if _, _, err := ScanStoreSnap(ctx, store, f.idx, f.cfg.Start, passBinWidth, 2, nil, so); err != nil {
+			if _, err := UpdateSnapshot(ctx, store, f.idx, f.cfg.Start, passBinWidth, 2, nil, so); err != nil {
 				t.Fatal(err)
 			}
-			if sm.Writes.Value() != 1 {
-				t.Fatalf("seeding wrote %d snapshots", sm.Writes.Value())
+			if sm.Writes.Value() != 1 || sm.Misses.Value() != 1 {
+				t.Fatalf("seeding: %d writes, %d misses", sm.Writes.Value(), sm.Misses.Value())
 			}
-			before, err := os.ReadFile(store.SnapshotPath())
+			before, err := os.ReadFile(so.Path)
 			if err != nil {
 				t.Fatal(err)
 			}
+			beforeInfo, err := os.Stat(so.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldFigure := func() map[geo.Continent][]stats.CDFPoint {
+				t.Helper()
+				cold, _, err := ScanStore(ctx, store, f.idx, f.cfg.Start, passBinWidth, 1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sel == PassFullDist {
+					return curves(t, cold.FullDist)
+				}
+				return curves(t, cold.MinRTT)
+			}
 
 			grow(40000, 41000) // 2.5 % of the covered prefix: below the gate
+			if sel == PassFullDist {
+				grow(41000, 60000)
+				rep, st, err := ScanStoreSnap(ctx, store, f.idx, f.cfg.Start, passBinWidth, 2, nil, so)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Passes != PassFullDist || st.PrefixBlocks != 0 || st.Samples != 60000 {
+					t.Errorf("full-dist run folded %v over a %d-block prefix and %d samples; want its own pass, cold, 60000", rep.Passes, st.PrefixBlocks, st.Samples)
+				}
+				if !reflect.DeepEqual(curves(t, rep.FullDist), coldFigure()) {
+					t.Error("full-dist figure over the grown store diverges from a cold scan")
+				}
+				if sm.Writes.Value() != 1 || sm.Hits.Value() != 0 || sm.Misses.Value() != 1 || sm.Invalidations.Value() != 0 {
+					t.Errorf("full-dist run moved a snap_* counter: writes=%d hits=%d misses=%d invalid=%d",
+						sm.Writes.Value(), sm.Hits.Value(), sm.Misses.Value(), sm.Invalidations.Value())
+				}
+				after, err := os.ReadFile(so.Path)
+				afterInfo, serr := os.Stat(so.Path)
+				if err != nil || serr != nil || !bytes.Equal(after, before) || !afterInfo.ModTime().Equal(beforeInfo.ModTime()) {
+					t.Errorf("full-dist run touched samples.snap (err %v, %v)", err, serr)
+				}
+				return
+			}
+
 			prefix, covered, resume := loadSnapshot(so.Path, store, f.idx, f.cfg.Start, passBinWidth, so)
-			if prefix == nil || prefix.sel != sel {
-				t.Fatalf("decision below the gate: prefix = %v, want one over %v", prefix, sel)
+			if prefix == nil || prefix.sel != snapshotPasses || covered != 40000 {
+				t.Fatalf("loaded prefix = %v over %d samples, want the snapshot passes over 40000", prefix, covered)
 			}
 			grow(41000, 60000) // now 50 %: above it
 
-			merged, total, st, err := scanSeeded(ctx, store, f.idx, f.cfg.Start, passBinWidth, 2, nil, so, prefix, covered, resume)
+			merged, total, st, err := scanSeeded(ctx, store, f.idx, f.cfg.Start, passBinWidth, 2, nil, so, snapshotPasses, prefix, covered, resume)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if total != 60000 || st.Samples != 20000 {
 				t.Errorf("folded %d samples (%d scanned), want 60000 (20000)", total, st.Samples)
 			}
-			if !so.rewriteDue(resume, st.DataEnd) {
+			if !so.rewriteDue(st) {
 				t.Fatal("the grown delta does not trip the gate; the test store is too small")
 			}
-			if sm.Writes.Value() != 1 {
-				t.Errorf("snap_writes_total = %d after the scan, want the seeding write only", sm.Writes.Value())
+			if err := writeIfDue(ctx, store, f.idx, f.cfg.Start, passBinWidth, merged, total, st, so); err != nil {
+				t.Fatal(err)
 			}
-			if after, err := os.ReadFile(store.SnapshotPath()); err != nil || !bytes.Equal(after, before) {
-				t.Errorf("snapshot changed under a partial suite (err %v)", err)
+			if sm.Writes.Value() != 2 {
+				t.Errorf("snap_writes_total = %d after the resumed scan, want 2", sm.Writes.Value())
 			}
 			got, err := merged.report(sel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, _, err := ScanStore(ctx, store, f.idx, f.cfg.Start, passBinWidth, 1, nil)
-			if err != nil {
+			if got.Proximity != nil || !reflect.DeepEqual(curves(t, got.MinRTT), coldFigure()) {
+				t.Errorf("%v figure over the grown store diverges from a cold scan (proximity report %v)", sel, got.Proximity)
+			}
+			coldPath := filepath.Join(t.TempDir(), "cold.snap")
+			if _, err := UpdateSnapshot(ctx, store, f.idx, f.cfg.Start, passBinWidth, 1, nil, SnapshotOptions{Path: coldPath}); err != nil {
 				t.Fatal(err)
 			}
-			gotRep, coldRep := got.MinRTT, cold.MinRTT
-			if sel == PassFullDist {
-				gotRep, coldRep = got.FullDist, cold.FullDist
-			}
-			if !reflect.DeepEqual(curves(t, gotRep), curves(t, coldRep)) {
-				t.Errorf("%v figure over the grown store diverges from a cold scan", sel)
+			resumedSnap, err1 := os.ReadFile(so.Path)
+			coldSnap, err2 := os.ReadFile(coldPath)
+			if err1 != nil || err2 != nil || !bytes.Equal(resumedSnap, coldSnap) {
+				t.Errorf("the resumed rewrite differs from a cold scan's file (%v, %v)", err1, err2)
 			}
 
-			// The next run decides from the grown store: whole suite, one write.
-			rep, _, err := ScanStoreSnap(ctx, store, f.idx, f.cfg.Start, passBinWidth, 2, nil, so)
+			// The next run is a pure hit on the rewritten file.
+			rep, st, err := ScanStoreSnap(ctx, store, f.idx, f.cfg.Start, passBinWidth, 2, nil, so)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Passes.partial() || sm.Writes.Value() != 2 {
-				t.Errorf("follow-up run worked %v and left snap_writes_total at %d; want all passes and 2", rep.Passes, sm.Writes.Value())
+			if rep.Passes != snapshotPasses || st.BlocksRead != 0 || sm.Writes.Value() != 2 {
+				t.Errorf("follow-up run folded %v, read %d blocks and left snap_writes_total at %d; want the snapshot passes, 0 and 2", rep.Passes, st.BlocksRead, sm.Writes.Value())
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -11,7 +10,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -20,11 +18,10 @@ import (
 	"repro/internal/atlas"
 	"repro/internal/colf"
 	"repro/internal/core"
-	"repro/internal/geo"
+	"repro/internal/figures"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/snap"
-	"repro/internal/stats"
 	"repro/internal/world"
 )
 
@@ -143,6 +140,29 @@ func buildStore(t testing.TB, dir string, meta results.Meta, smps []results.Samp
 	return store
 }
 
+// snapPasses is the pass set of the figures a snapshot can answer:
+// every scan below that is meant to open samples.snap asks for it.
+const snapPasses = core.PassProximity | core.PassMinRTT
+
+// renderSnapPasses renders Figures 4 and 5 — what a snapPasses report
+// holds — to their user-visible bytes, lines then CSVs.
+func renderSnapPasses(tb testing.TB, rep *core.SuiteReport) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	lines5, err := figures.CDFLines(rep.MinRTT)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	buf.WriteString(strings.Join(append(figures.Figure4Lines(rep.Proximity), lines5...), "\n") + "\n")
+	if err := figures.Figure4CSV(&buf, rep.Proximity); err != nil {
+		tb.Fatal(err)
+	}
+	if err := figures.CDFCSV(&buf, rep.MinRTT); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // coldRender renders the reference figures with a snapshot-free scan.
 func coldRender(t *testing.T, store *results.Store, w *world.World, start time.Time) []byte {
 	t.Helper()
@@ -150,16 +170,15 @@ func coldRender(t *testing.T, store *results.Store, w *world.World, start time.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	return renderSuite(t, rep)
+	return renderSnapPasses(t, rep)
 }
 
 // TestSnapshotEquivalenceOverAppends is the snapshot's acceptance check:
-// starting from a 24-round store, three successive one-round appends —
-// at least one of which moves a probe's nearest region — each render
-// byte-identical figure lines and CSVs and leave a byte-identical
-// samples.snap whether scanned cold or resumed from the pre-append
-// snapshot, for workers 1, 2, 4 and 7 — and the resumed scans decode
-// only the appended blocks.
+// starting from a 24-round store, three successive one-round appends
+// each render byte-identical Figure 4/5 lines and CSVs and leave a
+// byte-identical samples.snap whether scanned cold or resumed from the
+// pre-append snapshot, for workers 1, 2, 4 and 7 — and the resumed
+// scans decode only the appended blocks.
 func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 	w := snapWorldGet(t)
 	full := campaignPrefix(t, w, 27)
@@ -180,7 +199,7 @@ func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 		store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, full[:cuts[0]])
 		snapPath := store.SnapshotPath()
 		opts := func(sm *snap.Metrics) core.SnapshotOptions {
-			return core.SnapshotOptions{Path: snapPath, Metrics: sm}
+			return core.SnapshotOptions{Path: snapPath, Metrics: sm, Passes: snapPasses}
 		}
 
 		// First snapshot-enabled scan: no file yet, so a counted miss,
@@ -194,7 +213,7 @@ func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 			t.Fatalf("seed scan counters: miss=%d write=%d hit=%d invalid=%d",
 				sm.Misses.Value(), sm.Writes.Value(), sm.Hits.Value(), sm.Invalidations.Value())
 		}
-		if got, want := renderSuite(t, rep), coldRender(t, store, w, cfg.Start); !bytes.Equal(got, want) {
+		if got, want := renderSnapPasses(t, rep), coldRender(t, store, w, cfg.Start); !bytes.Equal(got, want) {
 			t.Fatal("seed snapshot scan diverges from cold scan")
 		}
 
@@ -212,14 +231,13 @@ func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 		if st.Samples != 0 || st.BlocksRead != 0 {
 			t.Fatalf("pure hit decoded %d samples, %d blocks", st.Samples, st.BlocksRead)
 		}
-		if got, want := renderSuite(t, rep), coldRender(t, store, w, cfg.Start); !bytes.Equal(got, want) {
+		if got, want := renderSnapPasses(t, rep), coldRender(t, store, w, cfg.Start); !bytes.Equal(got, want) {
 			t.Fatal("pure-hit scan diverges from cold scan")
 		}
 
-		prev, flips := cuts[0], 0
+		prev := cuts[0]
 		for ai, cut := range []int{cuts[1], cuts[2], len(full)} {
 			appendSamples(t, store, full[prev:cut])
-			flips += nearestFlips(w.Index, full[:cut], prev)
 			prev = cut
 			// The snapshot on disk covers the pre-append prefix; replay
 			// every worker count from that same starting point.
@@ -231,7 +249,7 @@ func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 			// What a cold scan of the grown store writes: the file every
 			// resumed scan below must leave behind, byte for byte.
 			coldPath := filepath.Join(t.TempDir(), "cold.snap")
-			if _, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 1, nil, core.SnapshotOptions{Path: coldPath}); err != nil {
+			if _, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 1, nil, core.SnapshotOptions{Path: coldPath, Passes: snapPasses}); err != nil {
 				t.Fatal(err)
 			}
 			coldSnap, err := os.ReadFile(coldPath)
@@ -247,7 +265,7 @@ func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 				if err != nil {
 					t.Fatalf("append %d workers=%d: %v", ai+1, workers, err)
 				}
-				if !bytes.Equal(renderSuite(t, rep), want) {
+				if !bytes.Equal(renderSnapPasses(t, rep), want) {
 					t.Errorf("append %d workers=%d: rendered figures diverge from cold scan", ai+1, workers)
 				}
 				if resumed, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(resumed, coldSnap) {
@@ -270,11 +288,6 @@ func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 				}
 			}
 		}
-		// The appends must exercise the case a kept-rows-only state could
-		// not serve: a probe whose nearest region moves after the resume.
-		if flips == 0 {
-			t.Error("no append moved any probe's nearest region")
-		}
 	})
 }
 
@@ -295,7 +308,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 		t.Helper()
 		sm := snap.NewMetrics(obs.NewRegistry())
 		if _, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 2, nil,
-			core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm}); err != nil {
+			core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Passes: snapPasses}); err != nil {
 			t.Fatal(err)
 		}
 		if sm.Writes.Value() != 1 {
@@ -311,7 +324,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 		return store
 	}
 
-	// rescan runs one snapshot-enabled scan and asserts it invalidated the
+	// rescan runs one Figure 4/5 scan and asserts it invalidated the
 	// snapshot, fell back cold, rendered the cold reference bytes, and
 	// left a fresh snapshot behind that the next scan hits. It returns
 	// the scan's snapshot log, which names the invalidation reason.
@@ -319,7 +332,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 		t.Helper()
 		var log bytes.Buffer
 		sm := snap.NewMetrics(obs.NewRegistry())
-		so := core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Log: obs.NewLogger(&log)}
+		so := core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Log: obs.NewLogger(&log), Passes: snapPasses}
 		rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, binWidth, 3, nil, so)
 		if err != nil {
 			t.Fatal(err)
@@ -334,7 +347,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(renderSuite(t, rep), renderSuite(t, coldRep)) {
+		if !bytes.Equal(renderSnapPasses(t, rep), renderSnapPasses(t, coldRep)) {
 			t.Error("cold fallback diverges from snapshot-free scan")
 		}
 		if sm.Writes.Value() != 1 {
@@ -368,12 +381,12 @@ func TestSnapshotInvalidation(t *testing.T) {
 
 	t.Run("pass set change", func(t *testing.T) {
 		// Analyzing with a different Figure 7 bin width is a different
-		// pass set; the old snapshot's state must not leak into it.
+		// pass set; the file binds to the geometry it was written under.
 		store := seed(t)
 		rescan(t, store, 24*time.Hour)
 	})
 
-	for _, old := range []string{"1", "2"} {
+	for _, old := range []string{"1", "2", "3"} {
 		t.Run("state version "+old+" snapshot", func(t *testing.T) {
 			// A file written under an earlier state layout carries that
 			// layout's pass-set version: it is refused at the header, its
@@ -385,9 +398,9 @@ func TestSnapshotInvalidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) {
-				stale := strings.Replace(h.PassSet, "suite-v3|", "suite-v"+old+"|", 1)
+				stale := strings.Replace(h.PassSet, "suite-v4|", "suite-v"+old+"|", 1)
 				if stale == h.PassSet {
-					t.Fatalf("pass set %q is not state version 3", h.PassSet)
+					t.Fatalf("pass set %q is not state version 4", h.PassSet)
 				}
 				h.PassSet = stale
 			})
@@ -523,105 +536,84 @@ func TestSnapshotInvalidation(t *testing.T) {
 	})
 }
 
-// shapeProbe is one probe of a hand-built nearest-region buffer.
-type shapeProbe struct {
-	id      int64
-	regions []uint16
-	rtts    []float64
-	nanos   []int64
+// stateShape hand-builds a version-4 suite state: the proximity section
+// (country, minimum, samples), the min-rtt section (probe, minimum) and
+// whatever follows them.
+type stateShape struct {
+	countries []shapeCountry
+	probes    []shapeProbe
+	tail      []byte
 }
 
-// stateShape hand-builds a minimal version-3 suite state: the region
-// table, empty Proximity and MinRTT passes, the nearest-region buffer,
-// 24 empty diurnal bins and no providers.
-type stateShape struct {
-	table  []string
-	probes []shapeProbe
+type shapeCountry struct {
+	iso     string
+	min     float64
+	samples uint64
+}
+
+type shapeProbe struct {
+	id  int64
+	min float64
 }
 
 func (sh stateShape) encode() []byte {
-	b := snap.AppendUvarint(nil, uint64(len(sh.table)))
-	for _, region := range sh.table {
-		b = snap.AppendString(b, region)
+	b := snap.AppendUvarint(nil, uint64(len(sh.countries)))
+	for _, c := range sh.countries {
+		b = snap.AppendString(b, c.iso)
+		b = snap.AppendFloat(b, c.min)
+		b = snap.AppendUvarint(b, c.samples)
 	}
-	b = snap.AppendUvarint(b, 0) // Proximity countries
-	b = snap.AppendUvarint(b, 0) // MinRTT probes
 	b = snap.AppendUvarint(b, uint64(len(sh.probes)))
 	for _, p := range sh.probes {
 		b = snap.AppendVarint(b, p.id)
-		b = snap.AppendUvarint(b, uint64(len(p.regions)))
-		for _, code := range p.regions {
-			b = binary.LittleEndian.AppendUint16(b, code)
-		}
-		b = snap.AppendUvarint(b, uint64(len(p.rtts)))
-		for _, rtt := range p.rtts {
-			b = snap.AppendFloat(b, rtt)
-		}
-		b = snap.AppendUvarint(b, uint64(len(p.nanos)))
-		for _, t := range p.nanos {
-			b = binary.LittleEndian.AppendUint64(b, uint64(t))
-		}
+		b = snap.AppendFloat(b, p.min)
 	}
-	for h := 0; h < 24; h++ {
-		b = (&stats.Dist{}).AppendState(b)
-	}
-	return snap.AppendUvarint(b, 0) // providers
+	return append(b, sh.tail...)
 }
 
-// shapeProbes picks the probes the hand-built states use: one Figure 7
-// admits (tier 1-2, wired or wireless tag), whose rows carry times, one
-// it does not, and an ID outside the index.
-func shapeProbes(t testing.TB, idx *core.Index) (timed, untimed, unknown int64) {
+// shapeProbes picks the probes the hand-built states use: two the index
+// knows, ascending, and an ID outside it.
+func shapeProbes(t testing.TB, idx *core.Index) (first, second, unknown int64) {
 	t.Helper()
 	for id := 1; id < 1<<20; id++ {
-		tier, ok := idx.Tier(id)
-		if !ok {
-			if timed != 0 && untimed != 0 {
-				return timed, untimed, int64(id)
+		switch {
+		case !idx.Known(id):
+			if second != 0 {
+				return first, second, int64(id)
 			}
-			continue
-		}
-		access, _ := idx.Access(id)
-		if tier <= geo.Tier2 && access != core.AccessOther {
-			if timed == 0 {
-				timed = int64(id)
-			}
-		} else if untimed == 0 {
-			untimed = int64(id)
+		case first == 0:
+			first = int64(id)
+		case second == 0:
+			second = int64(id)
 		}
 	}
-	t.Fatal("world lacks a probe of each kind")
+	t.Fatal("world lacks two known probes and an unknown one")
 	return
 }
 
 // malformedStates returns a well-formed shape and the layout rules the
-// version-3 decoder enforces, each broken once in a copy of it; want is
+// version-4 decoder enforces, each broken once in a copy of it; want is
 // the fragment of the decode error that names the rule.
 func malformedStates(t testing.TB, idx *core.Index) (ok stateShape, bad []malformedState) {
-	timed, untimed, unknown := shapeProbes(t, idx)
-	table := []string{"A/a", "B/b"}
-	a := shapeProbe{timed, []uint16{0, 1}, []float64{12.5, 9}, []int64{1e18, 2e18}}
-	b := shapeProbe{untimed, []uint16{1}, []float64{30}, nil}
-	ok = stateShape{table, []shapeProbe{a, b}}
-	sort.Slice(ok.probes, func(i, j int) bool { return ok.probes[i].id < ok.probes[j].id })
-	with := func(mutate func(p *shapeProbe)) stateShape {
-		p := a
-		mutate(&p)
-		return stateShape{table, []shapeProbe{p}}
-	}
+	first, second, unknown := shapeProbes(t, idx)
+	de, fr := shapeCountry{"DE", 4.5, 12}, shapeCountry{"FR", 9, 3}
+	a, b := shapeProbe{first, 12.5}, shapeProbe{second, 30}
+	ok = stateShape{countries: []shapeCountry{de, fr}, probes: []shapeProbe{a, b}}
+	countries := func(cs ...shapeCountry) stateShape { return stateShape{countries: cs, probes: ok.probes} }
+	probes := func(ps ...shapeProbe) stateShape { return stateShape{countries: ok.countries, probes: ps} }
 	bad = []malformedState{
-		{"region code out of range", with(func(p *shapeProbe) { p.regions = []uint16{0, 2} }), "region code 2 outside the 2-entry table"},
-		{"unsorted table", stateShape{[]string{"B/b", "A/a"}, []shapeProbe{a}}, "region table not strictly ascending"},
-		{"duplicate table entry", stateShape{[]string{"A/a", "A/a"}, []shapeProbe{a}}, "region table not strictly ascending"},
-		{"duplicate probe", stateShape{table, []shapeProbe{a, a}}, fmt.Sprintf("probe %d out of order", a.id)},
-		{"descending probes", stateShape{table, []shapeProbe{{max(a.id, b.id), a.regions[:1], a.rtts[:1], nil}, {min(a.id, b.id), nil, nil, nil}}}, "out of order in nearest-region state"},
-		{"unknown probe", with(func(p *shapeProbe) { p.id = unknown }), fmt.Sprintf("probe %d in nearest-region state is not in the index", unknown)},
-		{"short region column", with(func(p *shapeProbe) { p.regions = p.regions[:1] }), "columns hold 1 regions, 2 RTTs, 2 times"},
-		{"short time column", with(func(p *shapeProbe) { p.nanos = p.nanos[:1] }), "columns hold 2 regions, 2 RTTs, 1 times (want 2)"},
-		{"times on a probe Figure 7 leaves out", stateShape{table, []shapeProbe{{b.id, b.regions, b.rtts, []int64{1e18}}}}, "1 times (want 0)"},
-		{"no rows", with(func(p *shapeProbe) { p.regions, p.rtts, p.nanos = nil, nil, nil }), "columns hold 0 regions, 0 RTTs"},
-		{"infinite RTT", with(func(p *shapeProbe) { p.rtts = []float64{12.5, math.Inf(1)} }), "invalid RTT +Inf"},
-		{"NaN RTT", with(func(p *shapeProbe) { p.rtts = []float64{math.NaN(), 9} }), "invalid RTT NaN"},
+		{"descending countries", countries(fr, de), "out of order in proximity state"},
+		{"duplicate country", countries(de, de), "out of order in proximity state"},
+		{"NaN country minimum", countries(shapeCountry{"DE", math.NaN(), 1}), "invalid RTT NaN in proximity state"},
+		{"infinite country minimum", countries(shapeCountry{"DE", math.Inf(1), 1}), "invalid RTT +Inf in proximity state"},
+		{"country without samples", countries(shapeCountry{"DE", 4.5, 0}), "holds 0 samples in proximity state"},
+		{"descending probes", probes(b, a), fmt.Sprintf("probe %d out of order", a.id)},
+		{"duplicate probe", probes(a, a), fmt.Sprintf("probe %d out of order", a.id)},
+		{"negative probe", probes(shapeProbe{-1, 9}), "probe -1 out of order"},
+		{"unknown probe", probes(shapeProbe{unknown, 9}), fmt.Sprintf("probe %d in min-rtt state is not in the index", unknown)},
+		{"NaN probe minimum", probes(shapeProbe{a.id, math.NaN()}), "invalid RTT NaN in min-rtt state"},
+		{"infinite probe minimum", probes(shapeProbe{a.id, math.Inf(-1)}), "invalid RTT -Inf in min-rtt state"},
+		{"a third section", stateShape{ok.countries, ok.probes, []byte{0}}, "1 trailing bytes in suite state"},
 	}
 	return ok, bad
 }
@@ -656,37 +648,34 @@ func TestSuiteStateLayoutRules(t *testing.T) {
 	}
 }
 
-// TestSuiteStateSpellsRegionsOnce is the golden check on the
-// dictionary coding: every region the campaign delivered a sample from
-// is spelled exactly once in the encoded state — in the region table —
-// however many buffered rows refer to it.
-func TestSuiteStateSpellsRegionsOnce(t *testing.T) {
+// TestSnapshotSizeFollowsWorld pins the rule the state grammar encodes:
+// samples.snap is a function of the world — countries and probes — not
+// of how many samples the campaign delivered. A 10-day and a 40-day run
+// of one world differ by under a kibibyte (varint widths of the counts)
+// and both stay under 64 KiB.
+func TestSnapshotSizeFollowsWorld(t *testing.T) {
 	w := snapWorldGet(t)
-	const rounds = 8
-	full := campaignPrefix(t, w, rounds)
-	cfg := snapConfig(rounds)
-	store := buildStore(t, filepath.Join(t.TempDir(), "ds"), cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len()), full)
-	if _, _, err := core.ScanStoreSnap(context.Background(), store, w.Index, cfg.Start, snapBinWidth, 2, nil,
-		core.SnapshotOptions{Path: store.SnapshotPath()}); err != nil {
-		t.Fatal(err)
-	}
-	_, state, err := snap.ReadFile(store.SnapshotPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := map[string]int{}
-	for _, s := range full {
-		if !s.Lost {
-			refs[s.Region]++
+	sizes := map[int]int64{}
+	for _, days := range []int{10, 40} {
+		rounds := days * 8
+		cfg := snapConfig(rounds)
+		full := campaignPrefix(t, w, rounds)
+		store := buildStore(t, filepath.Join(t.TempDir(), "ds"), cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len()), full)
+		if _, _, err := core.ScanStoreSnap(context.Background(), store, w.Index, cfg.Start, snapBinWidth, 2, nil,
+			core.SnapshotOptions{Path: store.SnapshotPath()}); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(store.SnapshotPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[days] = fi.Size()
+		if fi.Size() >= 64<<10 {
+			t.Errorf("%d-day snapshot is %d bytes over %d samples, want < 64 KiB", days, fi.Size(), len(full))
 		}
 	}
-	if len(refs) < 10 {
-		t.Fatalf("campaign reached only %d regions", len(refs))
-	}
-	for region, n := range refs {
-		if got := bytes.Count(state, snap.AppendString(nil, region)); got != 1 {
-			t.Errorf("region %q (%d samples) is spelled %d times in the state, want once", region, n, got)
-		}
+	if d := sizes[40] - sizes[10]; d < 0 || d >= 1<<10 {
+		t.Errorf("10-day snapshot %d bytes, 40-day %d: four times the samples moved the size by %d", sizes[10], sizes[40], d)
 	}
 }
 
@@ -718,6 +707,46 @@ func TestScanStoreEmpty(t *testing.T) {
 	}
 }
 
+// TestSnapshotWriteFailureKeepsReport occupies the snapshot path with a
+// directory. ScanStoreSnap's job is the report: the scan succeeded, so
+// it returns the cold scan's figures, counts the failed write and warns.
+// UpdateSnapshot's only job is the write, so it returns the error.
+func TestSnapshotWriteFailureKeepsReport(t *testing.T) {
+	w := snapWorldGet(t)
+	cfg := snapConfig(8)
+	store := buildStore(t, filepath.Join(t.TempDir(), "ds"), cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len()), campaignPrefix(t, w, 8))
+	if err := os.MkdirAll(filepath.Join(store.SnapshotPath(), "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, passes := range []core.PassSet{core.PassProximity, 0} {
+		var log bytes.Buffer
+		sm := snap.NewMetrics(obs.NewRegistry())
+		so := core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Log: obs.NewLogger(&log), Passes: passes}
+		rep, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 2, nil, so)
+		if err != nil {
+			t.Fatalf("passes %v: an unwritable snapshot cost the report: %v", passes, err)
+		}
+		cold, _, err := core.ScanStore(ctx, store, w.Index, cfg.Start, snapBinWidth, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if figureCSVs(t, rep)["4"] != figureCSVs(t, cold)["4"] {
+			t.Errorf("passes %v: Figure 4 beside an unwritable snapshot differs from a cold scan's", passes)
+		}
+		if sm.WriteErrors.Value() != 1 || sm.Writes.Value() != 0 {
+			t.Errorf("passes %v: snap_write_errors_total=%d snap_writes_total=%d, want 1 and 0", passes, sm.WriteErrors.Value(), sm.Writes.Value())
+		}
+		if !strings.Contains(log.String(), "level=warn") || !strings.Contains(log.String(), "snapshot not written") {
+			t.Errorf("passes %v: the failed write is not warned about:\n%s", passes, log.String())
+		}
+	}
+	if _, err := core.UpdateSnapshot(ctx, store, w.Index, cfg.Start, snapBinWidth, 2, nil,
+		core.SnapshotOptions{Path: store.SnapshotPath()}); err == nil || !strings.Contains(err.Error(), "writing snapshot") {
+		t.Errorf("UpdateSnapshot over an unwritable path: err = %v", err)
+	}
+}
+
 // TestSnapshotRefreshGate exercises the amortized-rewrite policy: a
 // resumed scan whose delta sits below RefreshFactor of the covered
 // prefix serves correct figures but defers the snapshot rewrite, so the
@@ -740,7 +769,7 @@ func TestSnapshotRefreshGate(t *testing.T) {
 	// Seed write: the gate never blocks the first snapshot of a store.
 	sm := snap.NewMetrics(obs.NewRegistry())
 	_, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil,
-		core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor})
+		core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: snapPasses})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -756,7 +785,7 @@ func TestSnapshotRefreshGate(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		sm = snap.NewMetrics(obs.NewRegistry())
 		rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil,
-			core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor})
+			core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: snapPasses})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -768,7 +797,7 @@ func TestSnapshotRefreshGate(t *testing.T) {
 			t.Fatalf("pass %d decoded %d blocks, delta is %d",
 				pass, st.BlocksRead, st.BlocksTotal-st.PrefixBlocks)
 		}
-		if !bytes.Equal(renderSuite(t, rep), want) {
+		if !bytes.Equal(renderSnapPasses(t, rep), want) {
 			t.Fatalf("pass %d: below-gate resumed scan diverges from cold scan", pass)
 		}
 	}
@@ -776,7 +805,7 @@ func TestSnapshotRefreshGate(t *testing.T) {
 	// A factor small enough that the delta crosses it forces the rewrite.
 	sm = snap.NewMetrics(obs.NewRegistry())
 	if _, _, err = core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil,
-		core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: 1e-9}); err != nil {
+		core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: 1e-9, Passes: snapPasses}); err != nil {
 		t.Fatal(err)
 	}
 	if sm.Hits.Value() != 1 || sm.Writes.Value() != 1 {
@@ -787,7 +816,7 @@ func TestSnapshotRefreshGate(t *testing.T) {
 	// decoded, same figures.
 	sm = snap.NewMetrics(obs.NewRegistry())
 	rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil,
-		core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor})
+		core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: snapPasses})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -795,7 +824,7 @@ func TestSnapshotRefreshGate(t *testing.T) {
 		t.Fatalf("pure-hit counters: hit=%d write=%d blocksRead=%d",
 			sm.Hits.Value(), sm.Writes.Value(), st.BlocksRead)
 	}
-	if !bytes.Equal(renderSuite(t, rep), want) {
+	if !bytes.Equal(renderSnapPasses(t, rep), want) {
 		t.Fatal("post-refresh pure hit diverges from cold scan")
 	}
 }
@@ -819,8 +848,8 @@ func TestIndexFingerprintGolden(t *testing.T) {
 
 // FuzzSuiteState feeds arbitrary bytes to the suite-state decoder. It
 // must never panic and never allocate out of proportion to its input —
-// every count is checked against the bytes that remain before anything
-// is sized by it — and a state it accepts must survive a round trip: the
+// nothing is sized by a count the input spells; the maps grow one
+// decoded entry at a time — and a state it accepts must survive a round trip: the
 // re-encoding decodes again and encodes to the same bytes. The seeds are
 // a real campaign's state (which must re-encode to itself exactly), the
 // hand-built well-formed shape and every malformed one.
@@ -830,18 +859,12 @@ func FuzzSuiteState(f *testing.F) {
 		f.Fatal(err)
 	}
 	cfg := snapConfig(1)
-	real, err := core.NewSuite(w.Index, cfg.Start, snapBinWidth)
-	if err != nil {
+	var mem results.Memory
+	if _, err := w.Platform.RunCampaign(context.Background(), cfg, mem.Add); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := w.Platform.RunCampaign(context.Background(), cfg, func(s results.Sample) error {
-		for _, p := range []core.RowPass{real.Proximity, real.MinRTT, real.Nearest, real.Diurnal, real.Provider} {
-			if err := p.Observe(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	real, err := core.RowOracle(&mem, w.Index, cfg.Start, snapBinWidth)
+	if err != nil {
 		f.Fatal(err)
 	}
 	realState, err := real.EncodeState()

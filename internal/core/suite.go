@@ -36,6 +36,9 @@ func (ps PassSet) has(p PassSet) bool { return ps == 0 || ps&p != 0 }
 // partial reports whether the set leaves any pass out.
 func (ps PassSet) partial() bool { return ps != 0 && ps&allPasses != allPasses }
 
+// holds reports whether the suite feeds every pass in ps.
+func (s *Suite) holds(ps PassSet) bool { return s.sel == 0 || s.sel&ps == ps }
+
 // String lists the selected passes, "all" for the whole suite.
 func (ps PassSet) String() string {
 	if !ps.partial() {
@@ -65,11 +68,9 @@ type Suite struct {
 	start    time.Time
 	binWidth time.Duration
 
-	// sel is zero except in a pass-selective scan (a snapshot resume that
-	// leaves the file alone, a scan with no snapshot to write, an
-	// in-memory campaign), where only the selected passes observe, merge
-	// and report. The other passes' state is then incomplete, so such a
-	// suite refuses to encode.
+	// sel is zero except in a pass-selective scan, where only the
+	// selected passes observe, merge and report. A suite that leaves a
+	// snapshot pass out refuses to encode.
 	sel PassSet
 }
 
@@ -122,8 +123,7 @@ type SuiteReport struct {
 	// Samples counts the samples the reports were computed from: the
 	// snapshot's covered prefix plus whatever the scan decoded.
 	Samples uint64
-	// Passes is the pass set the scan fed; partial only when the scan
-	// had no snapshot to write.
+	// Passes is the pass set the scan fed, zero for all six.
 	Passes PassSet
 
 	Proximity    *ProximityReport

@@ -319,9 +319,11 @@ func (m matching) ForEach(fn func(results.Sample) error) error {
 // filtered by MatchRow. For every worker count and for predicates that leave blocks whole, cut
 // them mid-block, select a probe range and select a region prefix, the
 // block scan must leave the suite in the same state byte for byte
-// (Suite.EncodeState) and render the same figure lines and CSVs. With
-// no predicate the same holds through a decoded prefix state merged
-// with a scan of the remaining blocks, and through core.ScanStore and
+// (Suite.StateDump) and render the same figure lines and CSVs. With
+// no predicate the same holds through a prefix fold merged with a scan
+// of the remaining blocks, as a resident suite advances — and, for the
+// two snapshot passes, through that prefix's encoded and decoded state,
+// as a Figure 4/5 resume does — and through core.ScanStore and
 // core.ScanStoreSnap, whose samples.snap must not depend on the worker
 // count either — and through the in-memory entry point, which folds the
 // same samples as results.Memory's column blocks (memoryLeg).
@@ -341,7 +343,11 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantState, err := oracle.EncodeState()
+		wantState, err := oracle.StateDump()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSnapState, err := oracle.EncodeState()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +375,7 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 			if name == "window" && (st.BlocksSkipped == 0 || st.RowsScanned == st.Samples) {
 				t.Fatalf("window cuts no block mid-block: %+v", st)
 			}
-			gotState, err := suites[0].EncodeState()
+			gotState, err := suites[0].StateDump()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -388,11 +394,13 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 			continue
 		}
 
-		// The same end state must be reached through a resume: the row
-		// oracle's state over the first two thirds of the blocks,
-		// serialized and decoded, then merged with a block scan of the
-		// rest — a delta that moves some probes' nearest region, so the
-		// rows Figures 6-8 keep for them change after the decode.
+		// The same end state must be reached by advancing: the row oracle
+		// over the first two thirds of the blocks, merged with a block scan
+		// of the rest — a delta that moves some probes' nearest region, so
+		// the rows Figures 6-8 keep for them change after the merge. The
+		// whole prefix suite is what a resident suite holds; its snapshot
+		// passes, serialized and decoded, are what a Figure 4/5 resume
+		// starts from.
 		r, closer, err := colf.Open(store.SamplesPath())
 		if err != nil {
 			t.Fatal(err)
@@ -418,19 +426,8 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 		for _, s := range all[:cut] {
 			head.Add(s)
 		}
-		prefix, err := core.RowOracle(&head, w.Index, cfg.Start, week)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prefixState, err := prefix.EncodeState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			seeded, err := core.NewSuiteFromState(w.Index, cfg.Start, week, prefixState)
-			if err != nil {
-				t.Fatal(err)
-			}
+		scanRest := func(workers int, sel core.PassSet) *core.Suite {
+			t.Helper()
 			var suites []*core.Suite
 			if _, err := scan.File(ctx, scan.Config{
 				Path:    store.SamplesPath(),
@@ -438,28 +435,67 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 				Resume:  &scan.Resume{Bytes: blocks[covered].Off, Blocks: covered},
 				NewPasses: func(int) ([]scan.Pass, error) {
 					s, err := core.NewSuite(w.Index, cfg.Start, week)
-					suites = append(suites, s)
-					return s.Passes(), err
+					if err != nil {
+						return nil, err
+					}
+					suites = append(suites, s.Select(sel))
+					return s.Passes(), nil
 				},
 			}); err != nil {
 				t.Fatalf("resumed workers=%d: %v", workers, err)
 			}
-			if err := seeded.Merge(suites[0]); err != nil {
+			return suites[0]
+		}
+		for _, workers := range []int{1, 2, 4, 7} {
+			prefix, err := core.RowOracle(&head, w.Index, cfg.Start, week)
+			if err != nil {
 				t.Fatal(err)
 			}
-			gotState, err := seeded.EncodeState()
+			prefixState, err := prefix.EncodeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prefix.Merge(scanRest(workers, 0)); err != nil {
+				t.Fatal(err)
+			}
+			gotState, err := prefix.StateDump()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gotState, wantState) {
-				t.Errorf("resumed workers=%d: suite state differs from the row oracle's", workers)
+				t.Errorf("advanced workers=%d: suite state differs from the row oracle's", workers)
 			}
-			rep, err := seeded.Report()
+			rep, err := prefix.Report()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(renderSuite(t, rep), wantRender) {
-				t.Errorf("resumed workers=%d: rendered figures differ from the row oracle's", workers)
+				t.Errorf("advanced workers=%d: rendered figures differ from the row oracle's", workers)
+			}
+
+			seeded, err := core.NewSuiteFromState(w.Index, cfg.Start, week, prefixState)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := seeded.Merge(scanRest(workers, core.PassProximity|core.PassMinRTT)); err != nil {
+				t.Fatal(err)
+			}
+			gotSnapState, err := seeded.EncodeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotSnapState, wantSnapState) {
+				t.Errorf("resumed workers=%d: snapshot state differs from the row oracle's", workers)
+			}
+			resumed, err := seeded.Report()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.FullDist != nil || resumed.LastMile != nil || resumed.Diurnal != nil || resumed.Provider != nil {
+				t.Errorf("resumed workers=%d: a suite decoded from snapshot state reports passes it does not hold", workers)
+			}
+			if got, want := figureCSVs(t, resumed), figureCSVs(t, rep); got["4"] != want["4"] || got["5"] != want["5"] {
+				t.Errorf("resumed workers=%d: Figures 4/5 differ from the row oracle's", workers)
 			}
 		}
 
@@ -543,7 +579,7 @@ func figureCSVs(tb testing.TB, rep *core.SuiteReport) map[string]string {
 // memoryLeg holds the in-memory entry point to the row oracle over the
 // same samples: results.Memory presents them as column blocks — the
 // last one short — and folding those leaves the oracle's suite state
-// byte for byte; core.ScanMemory renders the oracle's figures; a
+// (StateDump) byte for byte; core.ScanMemory renders the oracle's figures; a
 // pass-selective call reports exactly the selected passes, each equal to
 // the full run's; an empty Memory fails the way the per-figure
 // functions did; and a timestamp the binary format cannot hold is
@@ -583,7 +619,7 @@ func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.T
 	if want := (len(all) + colf.DefaultBlockRows - 1) / colf.DefaultBlockRows; rows != len(all) || blocks != want {
 		t.Errorf("memory presented %d rows in %d blocks, want %d in %d", rows, blocks, len(all), want)
 	}
-	gotState, err := suite.EncodeState()
+	gotState, err := suite.StateDump()
 	if err != nil {
 		t.Fatal(err)
 	}

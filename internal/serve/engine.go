@@ -22,8 +22,8 @@ import (
 )
 
 // BinWidth is the Figure 7 bin geometry the serving layer analyzes
-// with — the same one the figures CLI uses, so snapshots written by
-// either side seed the other and served bytes match offline renders.
+// with — the same one the figures CLI uses, so served bytes match
+// offline renders.
 const BinWidth = 7 * 24 * time.Hour
 
 // DefaultRefresh is the refresher's poll interval when Options.Refresh
@@ -45,8 +45,9 @@ type Options struct {
 	// Refresh is the poll interval between refresh passes; zero means
 	// DefaultRefresh.
 	Refresh time.Duration
-	// SnapshotPath, when set, seeds the resident state from a snapshot
-	// file (normally store.SnapshotPath()); serving never writes it.
+	// SnapshotPath is ignored: the resident state is sized by the
+	// samples, so it is folded from the store and never read from a
+	// snapshot. The field stays for callers that still set it.
 	SnapshotPath string
 	// TixPath, when set, maintains the temporal aggregate index at that
 	// path (normally store.TixPath()): the refresher extends it as
@@ -57,11 +58,10 @@ type Options struct {
 	// FillTimeout is the hard deadline on one cache fill; zero means
 	// DefaultFillTimeout.
 	FillTimeout time.Duration
-	// Metrics, ScanMetrics and SnapMetrics receive the serve_*, scan_*
-	// and snap_* instruments; any nil disables that set.
+	// Metrics and ScanMetrics receive the serve_* and scan_*
+	// instruments; either nil disables that set.
 	Metrics     *Metrics
 	ScanMetrics *scan.Metrics
-	SnapMetrics *snap.Metrics
 	// Log, when set, receives serving lifecycle events.
 	Log *obs.Logger
 }
@@ -117,9 +117,9 @@ type Engine struct {
 }
 
 // NewEngine builds the serving engine over an opened binary store. The
-// resident state seeds from Options.SnapshotPath when it validates and
-// the store prefix is walked once to recover the block list; no
-// snapshot is published until the first Refresh.
+// resident state is seeded by folding the complete blocks the store
+// already holds and the store prefix is walked once to recover the
+// block list; no snapshot is published until the first Refresh.
 func NewEngine(store *results.Store, idx *core.Index, opt Options) (*Engine, error) {
 	if store == nil || idx == nil {
 		return nil, errors.New("serve: nil store or index")
@@ -130,11 +130,7 @@ func NewEngine(store *results.Store, idx *core.Index, opt Options) (*Engine, err
 	if opt.FillTimeout <= 0 {
 		opt.FillTimeout = DefaultFillTimeout
 	}
-	hot, err := core.NewHotSuite(store, idx, store.Meta().Start, BinWidth, core.SnapshotOptions{
-		Path:    opt.SnapshotPath,
-		Metrics: opt.SnapMetrics,
-		Log:     opt.Log,
-	})
+	hot, err := core.NewHotSuite(store, idx, store.Meta().Start, BinWidth, core.SnapshotOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -163,19 +159,19 @@ func NewEngine(store *results.Store, idx *core.Index, opt Options) (*Engine, err
 			return nil, fmt.Errorf("serve: indexing store: %w", err)
 		}
 		allBlocks = blocks
-		// Keep only the snapshot-covered prefix; Refresh folds the rest,
-		// appending to this list as it goes.
+		// Keep only the prefix the resident suite folded; Refresh folds
+		// the rest, appending to this list as it goes.
 		n := sort.Search(len(blocks), func(i int) bool { return blocks[i].Off >= covered })
 		if n < len(blocks) && blocks[n].Off != covered || n == len(blocks) && covered > blockEnd(blocks) {
 			f.Close()
-			return nil, fmt.Errorf("serve: snapshot boundary %d is not a block boundary", covered)
+			return nil, fmt.Errorf("serve: covered boundary %d is not a block boundary", covered)
 		}
 		e.blocks = blocks[:n:n]
 	}
 	if opt.TixPath != "" {
 		// Validate against every stable complete block, not just the
-		// snapshot-covered prefix — an index built offline (shears) may
-		// already cover blocks the resident suite has not folded yet.
+		// folded prefix — an index built offline (shears) may already
+		// cover blocks the resident suite has not folded yet.
 		ti, err := tix.Open(opt.TixPath, tix.Binding{
 			PassSet: tix.PassSetCDF,
 			Index:   idx.Fingerprint(),

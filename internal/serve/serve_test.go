@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +18,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/results"
-	"repro/internal/snap"
 	"repro/internal/stats"
 	"repro/internal/world"
 )
@@ -471,41 +472,100 @@ func TestServeChurn(t *testing.T) {
 	}
 }
 
-// TestServeSeedsFromSnapshot proves a restart resumes from the
-// snapshot file instead of rescanning the whole store.
+// TestServeSeedsFromSnapshot keeps its name from when a restart resumed
+// from samples.snap. The resident state is sized by the samples, so it
+// is never persisted: an engine seeds by folding the store, and what it
+// first publishes — Figures 4-7 and a seeded set of /cdf and /quantile
+// bodies — equals a cold scan's whether samples.snap is present, absent
+// or corrupt. The file is left byte- and mtime-identical, and the
+// published report holds exactly the four figure passes.
 func TestServeSeedsFromSnapshot(t *testing.T) {
 	f := newFixture(t, 200)
 	f.append(t, 0, f.mem.Len())
-
-	// First engine: cold build, then persist a snapshot via the
-	// offline path (serving never writes snapshots itself).
-	_, _, err := core.ScanStoreSnap(context.Background(), f.store, f.world.Index,
-		f.store.Meta().Start, BinWidth, 0, nil,
-		core.SnapshotOptions{Path: f.store.SnapshotPath()})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sm := snap.NewMetrics(obs.NewRegistry())
-	e, err := NewEngine(f.store, f.world.Index, Options{
-		Refresh:      time.Hour,
-		SnapshotPath: f.store.SnapshotPath(),
-		SnapMetrics:  sm,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if sm.Hits.Value() != 1 {
-		t.Fatalf("snapshot hits %d, want 1", sm.Hits.Value())
-	}
 	cold := f.coldFigures(t)
-	w := get(e.Handler(), "/api/v1/figures/5")
-	if !bytes.Equal(w.Body.Bytes(), cold["5"].body) {
-		t.Fatal("snapshot-seeded figure differs from cold scan")
+	ctx := context.Background()
+
+	start, end := f.cfg.Start, f.cfg.End
+	rng := rand.New(rand.NewSource(5))
+	var targets []string
+	for i := 0; i < 4; i++ {
+		lo := start.Add(time.Duration(rng.Int63n(int64(end.Sub(start)) / 2)))
+		hi := lo.Add(time.Duration(1 + rng.Int63n(int64(end.Sub(lo)))))
+		window := "since=" + lo.UTC().Format(time.RFC3339) + "&until=" + hi.UTC().Format(time.RFC3339)
+		targets = append(targets, "/api/v1/cdf?"+window, fmt.Sprintf("/api/v1/quantile?p=0.%d&%s", 5+i, window))
+	}
+	targets = append(targets, "/api/v1/cdf", "/api/v1/quantile?p=0.5&dist=min", "/api/v1/quantile?p=0.9&dist=full&continent=EU")
+
+	snapPath := f.store.SnapshotPath()
+	states := []struct {
+		name    string
+		prepare func()
+	}{
+		{"absent", func() {}},
+		{"present", func() {
+			if _, err := core.UpdateSnapshot(ctx, f.store, f.world.Index, f.store.Meta().Start, BinWidth, 0, nil,
+				core.SnapshotOptions{Path: snapPath}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"corrupt", func() {
+			data, err := os.ReadFile(snapPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x40
+			if err := os.WriteFile(snapPath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	var want map[string][]byte
+	for _, state := range states {
+		state.prepare()
+		before, _ := os.ReadFile(snapPath)
+		beforeInfo, _ := os.Stat(snapPath)
+
+		e, err := NewEngine(f.store, f.world.Index, Options{Refresh: time.Hour, SnapshotPath: snapPath})
+		if err != nil {
+			t.Fatalf("%s: %v", state.name, err)
+		}
+		if err := e.Refresh(ctx); err != nil {
+			t.Fatalf("%s: %v", state.name, err)
+		}
+		h := e.Handler()
+		for _, fig := range []string{"4", "5", "6", "7"} {
+			if w := get(h, "/api/v1/figures/"+fig); !bytes.Equal(w.Body.Bytes(), cold[fig].body) {
+				t.Errorf("%s: first published figure %s differs from a cold scan's", state.name, fig)
+			}
+		}
+		got := map[string][]byte{}
+		for _, target := range targets {
+			w := get(h, target)
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: %s: status %d: %s", state.name, target, w.Code, w.Body.String())
+			}
+			got[target] = w.Body.Bytes()
+		}
+		if want == nil {
+			want = got
+		}
+		for _, target := range targets {
+			if !bytes.Equal(got[target], want[target]) {
+				t.Errorf("%s: %s body differs from the one served with no samples.snap", state.name, target)
+			}
+		}
+		if rep := e.cur.Load().rep; rep.Diurnal != nil || rep.Provider != nil ||
+			rep.Proximity == nil || rep.MinRTT == nil || rep.FullDist == nil || rep.LastMile == nil {
+			t.Errorf("%s: published report holds %+v, want exactly the four figure passes", state.name, rep)
+		}
+		e.Close()
+
+		after, _ := os.ReadFile(snapPath)
+		afterInfo, _ := os.Stat(snapPath)
+		if !bytes.Equal(after, before) || (beforeInfo != nil) != (afterInfo != nil) ||
+			beforeInfo != nil && !afterInfo.ModTime().Equal(beforeInfo.ModTime()) {
+			t.Errorf("%s: serving touched samples.snap", state.name)
+		}
 	}
 }
 

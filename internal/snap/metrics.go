@@ -9,6 +9,7 @@ type Metrics struct {
 	Misses        *obs.Counter
 	Invalidations *obs.Counter
 	Writes        *obs.Counter
+	WriteErrors   *obs.Counter
 	BlocksSkipped *obs.Counter
 	BytesSkipped  *obs.Counter
 }
@@ -20,6 +21,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Misses:        reg.Counter("snap_misses_total", "Scans with no snapshot on disk."),
 		Invalidations: reg.Counter("snap_invalidations_total", "Snapshots discarded as unusable (corrupt, mismatched, or stale)."),
 		Writes:        reg.Counter("snap_writes_total", "Snapshots written."),
+		WriteErrors:   reg.Counter("snap_write_errors_total", "Snapshot writes that failed; the scan's report was returned regardless."),
 		BlocksSkipped: reg.Counter("snap_blocks_skipped_total", "Store blocks not decoded because a snapshot covered them."),
 		BytesSkipped:  reg.Counter("snap_bytes_skipped_total", "Store bytes not decoded because a snapshot covered them."),
 	}
@@ -58,4 +60,12 @@ func (m *Metrics) Wrote() {
 		return
 	}
 	m.Writes.Inc()
+}
+
+// WriteFailed records a snapshot write that failed.
+func (m *Metrics) WriteFailed() {
+	if m == nil {
+		return
+	}
+	m.WriteErrors.Inc()
 }

@@ -27,14 +27,13 @@ type Dist struct {
 	// form, aliasing the buffers they were decoded from. While spans are
 	// pending, samples holds only the overlay of values added since
 	// decode, so absorbing a delta costs O(delta) regardless of history
-	// size. A snapshot-decoded distribution carries one span; a window
-	// composed from temporal-index nodes carries one span per node.
+	// size. A distribution decoded from a temporal-index node carries one
+	// span; a window composed from several nodes carries one per node.
 	// Counting queries (CDF, N, Min, Max) and order statistics (Quantile)
 	// answer across the spans and the sorted overlay without copying;
-	// only a merge or re-encode materializes. This keeps
-	// snapshot-resumed analysis — and index-composed windows, whose
-	// whole point is to not touch every sample per query — from paying a
-	// merge they don't need.
+	// only a merge or re-encode materializes. This keeps index-composed
+	// windows, whose whole point is to not touch every sample per query,
+	// from paying a merge they don't need.
 	spans [][]byte
 }
 
@@ -145,7 +144,7 @@ func (d *Dist) AddAll(vs ...float64) error { return d.AddBulk(vs) }
 // Clone returns an independent copy: no later mutation of either side
 // — adds, merges, lazy materialization — can touch the other. A
 // pending span slab is copied too, so the clone never aliases a
-// snapshot buffer whose owner may keep mutating.
+// decoded buffer whose owner may keep mutating.
 func (d *Dist) Clone() *Dist {
 	c := &Dist{sorted: d.sorted, sum: d.sum, sumSq: d.sumSq}
 	if d.samples != nil {

@@ -63,9 +63,9 @@ func (d *Dist) Merge(other *Dist) error {
 // the sort: the accumulators replay other's insertion order exactly as
 // the plain path does (float folds stay sequential-identical), while
 // the sample buffers — order-free multisets for every rank query — are
-// combined by a linear two-way merge. This keeps a snapshot-resumed
-// suite sorted through delta merges, so neither the snapshot rewrite
-// nor the report pays an O(n log n) re-sort of the whole history.
+// combined by a linear two-way merge. This keeps a resident or
+// index-composed distribution sorted through delta merges, so a report
+// never pays an O(n log n) re-sort of the whole history.
 func (d *Dist) mergeSorted(other *Dist) error {
 	for _, v := range other.samples {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

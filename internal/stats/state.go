@@ -10,18 +10,18 @@ import (
 	"repro/internal/snap"
 )
 
-// Snapshot state codec. A Dist serializes its exact in-memory
-// accumulator — float fields as raw IEEE-754 bits, samples in insertion
-// order — so a decoded Dist continues adding and merging bitwise
+// State codec, used by the temporal index's node records. A Dist
+// serializes its exact in-memory accumulator — float fields as raw
+// IEEE-754 bits, samples in insertion order — so a decoded Dist continues adding and merging bitwise
 // identically to one that never left memory. The decoder validates
 // structure (counts vs remaining bytes) and rejects values Add would
 // reject, so corrupt state surfaces as an error rather than a subtly
 // wrong figure.
 
 // AppendState appends d's serialized accumulator state to b. The sample
-// buffer is written as one contiguous slab of IEEE-754 bits — snapshots
-// carry a few buffered floats per dataset sample, so this loop is the
-// bulk of every snapshot write.
+// buffer is written as one contiguous slab of IEEE-754 bits — index
+// nodes carry log₂ n buffered floats per dataset sample, so this loop
+// is the bulk of every index build.
 func (d *Dist) AppendState(b []byte) []byte {
 	if len(d.spans) == 1 {
 		span := d.spans[0]
@@ -91,7 +91,7 @@ func (d *Dist) AppendState(b []byte) []byte {
 // queries do lazily. Sorting commutes with every downstream result —
 // the running sums are carried explicitly and quantiles see the same
 // multiset — but a buffer sorted before serialization round-trips with
-// sorted=true, so a snapshot-seeded report skips the large re-sort.
+// sorted=true, so a query over the decoded state skips the large re-sort.
 func (d *Dist) Sort() {
 	if len(d.spans) > 0 {
 		return // spans are sorted by construction
@@ -101,10 +101,10 @@ func (d *Dist) Sort() {
 
 // DecodeDistState decodes one Dist state from c. A sorted sample slab is
 // captured by reference as a lazy span (see Dist.spans): the cursor's
-// buffer must therefore outlive the distribution, which holds for
-// snapshot payloads (the decoded suite keeps the payload alive).
+// buffer must therefore outlive the distribution unmodified, as the
+// temporal index's record buffers do.
 // Per-sample validation runs when the span is first touched; untouched
-// spans are vouched for by the snapshot's checksums.
+// spans are vouched for by the record's checksum.
 func DecodeDistState(c *snap.Cursor) (*Dist, error) {
 	n, err := c.Uvarint()
 	if err != nil {

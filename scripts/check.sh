@@ -52,13 +52,16 @@ go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|Tes
 go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestLeafMemo|TestBeyondGridDifferential|TestCorruptSlabAfterOpen' ./internal/tix
 go test -count=1 -run 'TestSelectRuns' ./internal/stats
 
-echo "== bench module (API compile + paper_run parity) =="
+echo "== bench module (API compile + paper_run parity + traced smoke) =="
 # bench/ is its own module compiled against this one's exported API, and
 # its parity test pins what shears leaves on disk (samples.bin, figure
 # CSVs, samples.snap, samples.tix) to the benchmark's traced composition
 # byte for byte — so a change to either fails here, not at the next
-# benchmark run.
-(cd bench && go vet ./... && go test -run 'TestPaperRunParity|TestBenchmarkJSONMatchesSpec' ./...)
+# benchmark run. The traced smoke is the only test that drives
+# bench/trace.go end to end against the core/serve contracts it leans on
+# (a HotSuite that reports straight after its constructor, a cold
+# ScanStoreSnap beside a resumed one).
+(cd bench && go vet ./... && go test -run 'TestPaperRunParity|TestSmokeTraced|TestBenchmarkJSONMatchesSpec' ./...)
 
 echo "== fuzz smoke =="
 # Short fuzz bursts over the decode boundaries: the columnar block
