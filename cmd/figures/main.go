@@ -264,7 +264,11 @@ func run(o options) (err error) {
 				}
 			}
 		}
-		if werr := manifest.Write(filepath.Join(o.data, manifestFile)); werr != nil && err == nil {
+		data, werr := manifest.JSON()
+		if werr == nil {
+			werr = snap.ReplaceFile(filepath.Join(o.data, manifestFile), data)
+		}
+		if werr != nil && err == nil {
 			err = werr
 		}
 	}()

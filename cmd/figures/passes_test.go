@@ -53,15 +53,30 @@ var passScenarios = []passScenario{
 		}
 	}},
 	{name: "pass-set mismatch", store: 0.82, writes: 1, spoil: func(t *testing.T, path string) {
-		h, payload, err := snap.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.PassSet += "|other"
-		if err := snap.WriteFile(path, h, payload); err != nil {
-			t.Fatal(err)
-		}
+		rebind(t, path, func(b *snap.Binding) { b.PassSet += "|other" }, nil)
 	}},
+}
+
+// rebind rewrites the snapshot at path under the binding edit leaves,
+// holding payload (nil keeps the record there), with every CRC valid.
+func rebind(t *testing.T, path string, edit func(*snap.Binding), payload []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := snap.Validate(data, snap.Binding{}).Binding
+	if payload == nil {
+		p := snap.Validate(data, b)
+		if len(p.Records) != 1 {
+			t.Fatalf("%s holds %d records", path, len(p.Records))
+		}
+		payload = p.Records[0].Payload
+	}
+	edit(&b)
+	if err := os.WriteFile(path, snap.Image(b, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // appendTo grows the store in place by one sink session, so the
@@ -370,14 +385,9 @@ func TestNearestFiguresLeaveSnapshotAlone(t *testing.T) {
 			}
 		}},
 		{"state version 3", func() {
-			h, _, err := snap.ReadFile(snapPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.PassSet = strings.Replace(h.PassSet, "suite-v4|", "suite-v3|", 1)
-			if err := snap.WriteFile(snapPath, h, bytes.Repeat([]byte{0x5a}, 1<<16)); err != nil {
-				t.Fatal(err)
-			}
+			rebind(t, snapPath, func(b *snap.Binding) {
+				b.PassSet = strings.Replace(b.PassSet, "suite-v5|", "suite-v3|", 1)
+			}, bytes.Repeat([]byte{0x5a}, 1<<16))
 		}},
 	}
 	for _, state := range states {

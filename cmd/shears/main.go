@@ -255,7 +255,11 @@ func run(o options) (err error) {
 			manifest.Finish(time.Now())
 			manifest.SetStagesFromDump(dump)
 			manifest.PeakQueueDepth = engMetrics.QueueDepthPeak.Value()
-			if werr := manifest.Write(filepath.Join(o.out, manifestFile)); werr != nil && err == nil {
+			data, werr := manifest.JSON()
+			if werr == nil {
+				werr = snap.ReplaceFile(filepath.Join(o.out, manifestFile), data)
+			}
+			if werr != nil && err == nil {
 				err = werr
 			}
 		}

@@ -134,8 +134,9 @@ func TestRunWritesArtifacts(t *testing.T) {
 // (`shears -probes 250 -seed 1 -days 7 -workers 3 -checkpoint-every 0
 // -quiet -figdir DIR` at the commit before wrote these bytes). A
 // deliberate format change updates the digest it moves and says so:
-// samples.snap moved once since, to suite state v3 (Figures 6-8 held as
-// one per-probe column buffer); nothing else has.
+// samples.snap moved with each suite state version since (v3, v4, v5),
+// and samples.tix once, when both took the shared record format of
+// internal/snap (snapshot +8 bytes, index -2); nothing else has.
 func TestRunGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64; other targets may fuse the float arithmetic differently")
@@ -147,8 +148,8 @@ func TestRunGoldenDigests(t *testing.T) {
 	}
 	golden := map[string]string{
 		filepath.Join(dir, "samples.bin"):    "d73e4c7519a2d9cb454f3f782c1e349ebcad3055c2a8cce89489ad76c1bb205b",
-		filepath.Join(dir, "samples.snap"):   "9e95c82909dcad7156a3150a088e8eb28d5f62baccf694369f0b43472cb0eb4b",
-		filepath.Join(dir, "samples.tix"):    "dec55deb4b04ddb2d0eda86cac1619c7552d2c79f5e24960e2acb24293836b63",
+		filepath.Join(dir, "samples.snap"):   "bdb075e5aeab3fe71332d9d43b38dc69cf857a1823b75b84104cccc34c27c781",
+		filepath.Join(dir, "samples.tix"):    "db7d98b2b91789aac69d371db112d271b9efdc326d8a38321dca0ed8b01774b0",
 		filepath.Join(figDir, "figure4.csv"): "0769f523f93c6e187269a61d2466261d7310ce283b62dac630c3582c8868a8fa",
 		filepath.Join(figDir, "figure5.csv"): "058670c0b8a579c903ad842bd4301cf3432fc8b99e8cfb06bf13c29cd5720f54",
 		filepath.Join(figDir, "figure6.csv"): "ae36b4f26a621f72645d571516bce1976cce2d5c73438bb895433d4868cc45d7",
@@ -545,6 +546,35 @@ func TestRunResumeErrors(t *testing.T) {
 	err = run(options{out: dir, probes: 200, seed: 9, days: 1, quiet: true, resume: true})
 	if err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("fingerprint mismatch not refused: %v", err)
+	}
+
+	// A checkpoint that is plain JSON (the old format), empty or torn is
+	// refused before the store is opened: samples.bin keeps its bytes.
+	ckPath := filepath.Join(dir, "checkpoint.json")
+	samples := filepath.Join(dir, "samples.bin")
+	before, err := os.ReadFile(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"plain json": plain, "empty": nil, "torn": written[:len(written)/2]} {
+		if err := os.WriteFile(ckPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run(options{out: dir, probes: 200, seed: 1, days: 1, quiet: true, resume: true})
+		if err == nil || !strings.Contains(err.Error(), ckPath) {
+			t.Errorf("%s checkpoint: err = %v, want one naming %s", name, err, ckPath)
+		}
+		if after, err := os.ReadFile(samples); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s checkpoint: a refused resume touched samples.bin (err %v)", name, err)
+		}
 	}
 }
 

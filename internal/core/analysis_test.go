@@ -378,36 +378,3 @@ func TestLastMileSignificance(t *testing.T) {
 		t.Errorf("KS statistic %.3f implausibly small for a 2.5x gap", res.D)
 	}
 }
-
-func TestDiurnalProfile(t *testing.T) {
-	f := dataset(t)
-	rep := scanned(t, f, passBinWidth, PassDiurnal).Diurnal
-	total := 0
-	for h := 0; h < 24; h++ {
-		total += rep.Counts[h]
-	}
-	if total == 0 {
-		t.Fatal("no samples binned")
-	}
-	// The model's evening congestion peak (§4.3): the peak hour falls in
-	// the local afternoon/evening, the trough overnight/morning, and the
-	// swing is visible.
-	peakHour, peak := rep.Peak()
-	troughHour, trough := rep.Trough()
-	if peakHour < 10 || peakHour > 22 {
-		t.Errorf("peak at %dh (%.1fms), want afternoon/evening", peakHour, peak)
-	}
-	if troughHour >= 10 && troughHour <= 22 {
-		t.Errorf("trough at %dh (%.1fms), want overnight", troughHour, trough)
-	}
-	if amp := rep.Amplitude(); amp < 1.02 {
-		t.Errorf("diurnal amplitude = %.3f, want a visible swing", amp)
-	}
-	if lines := rep.Format(); len(lines) < 20 {
-		t.Errorf("Format lines = %d", len(lines))
-	}
-	var empty results.Memory
-	if _, err := ScanMemory(&empty, f.idx, f.cfg.Start, passBinWidth, PassDiurnal); err == nil {
-		t.Error("empty dataset accepted")
-	}
-}

@@ -19,7 +19,7 @@ import (
 // on Add. Probe IDs are therefore
 // > 0, making 0 a safe "no previous probe" sentinel for the run caches
 // below: blocks group consecutive rows by probe, so per-probe index
-// lookups (country, tier, longitude, ...) resolve once per run instead
+// lookups (country, tier, access, ...) resolve once per run instead
 // of once per row.
 
 // Columns implements scan.BlockPass; probe, RTT, loss, and region
@@ -93,34 +93,6 @@ func (p *MinRTTPass) ObserveBlock(blk *colf.Block) error {
 	}
 	if dirty {
 		p.mins[lastProbe] = cur
-	}
-	return nil
-}
-
-// Columns implements scan.BlockPass; local-hour binning needs the
-// timestamp column.
-func (p *DiurnalPass) Columns() colf.ColumnSet { return colf.ColTime }
-
-// ObserveBlock implements scan.BlockPass, binning by arithmetic on the
-// raw nanosecond column (see localHourNanos).
-func (p *DiurnalPass) ObserveBlock(blk *colf.Block) error {
-	lastProbe := 0
-	ok := false
-	var lon float64
-	for i, probe := range blk.Probe {
-		if blk.Lost[i] {
-			continue
-		}
-		if probe != lastProbe {
-			lastProbe = probe
-			lon, ok = p.idx.Longitude(probe)
-		}
-		if !ok {
-			continue
-		}
-		if err := p.bins[localHourNanos(blk.TimeNano[i], lon)].Add(blk.RTT[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -61,7 +61,7 @@ type probeInfo struct {
 	continent geo.Continent
 	access    AccessClass
 	tier      geo.Tier
-	lon       float64 // longitude, for local-time analyses
+	lon       float64 // longitude: only Fingerprint reads it, so bound files keep their digest
 }
 
 // NewIndex builds the lookup table from the public (non-privileged) probes;
@@ -138,12 +138,6 @@ func (idx *Index) Access(probeID int) (AccessClass, bool) {
 func (idx *Index) Tier(probeID int) (geo.Tier, bool) {
 	info, ok := idx.info(probeID)
 	return info.tier, ok
-}
-
-// Longitude returns the probe's longitude (for local-time binning).
-func (idx *Index) Longitude(probeID int) (float64, bool) {
-	info, ok := idx.info(probeID)
-	return info.lon, ok
 }
 
 // CountryName resolves an ISO2 code to the display name.

@@ -49,14 +49,14 @@ func RunPasses(src Source, passes ...RowPass) error {
 	})
 }
 
-// RowOracle folds src row by row through a fresh suite — all five
+// RowOracle folds src row by row through a fresh suite — all four
 // passes in one walk — and returns it before any report runs.
 func RowOracle(src Source, idx *Index, start time.Time, binWidth time.Duration) (*Suite, error) {
 	s, err := NewSuite(idx, start, binWidth)
 	if err != nil {
 		return nil, err
 	}
-	return s, RunPasses(src, s.Proximity, s.MinRTT, s.Nearest, s.Diurnal, s.Provider)
+	return s, RunPasses(src, s.Proximity, s.MinRTT, s.Nearest, s.Provider)
 }
 
 // Select restricts a fresh suite to the passes ps names, as a
@@ -69,8 +69,8 @@ func (s *Suite) Select(ps PassSet) *Suite {
 // StateDump spells out every accumulator of a whole suite — the two
 // snapshot passes as EncodeState writes them, then the passes that are
 // never persisted: the nearest-region buffer per probe in file order
-// (region by name, so interning order does not show), each diurnal bin
-// and each provider's distribution with its loss count — so two folds
+// (region by name, so interning order does not show) and each
+// provider's distribution with its loss count — so two folds
 // can be held to the same state, not just the same figures.
 func (s *Suite) StateDump() ([]byte, error) {
 	b, err := s.EncodeState()
@@ -93,9 +93,6 @@ func (s *Suite) StateDump() ([]byte, error) {
 			b = snap.AppendVarint(b, t)
 		}
 		b = snap.AppendUvarint(b, uint64(r.best))
-	}
-	for h := range s.Diurnal.bins {
-		b = s.Diurnal.bins[h].AppendState(b)
 	}
 	for _, provider := range sortedStrings(s.Provider.byProvider) {
 		a := s.Provider.byProvider[provider]
@@ -152,25 +149,6 @@ func (p *NearestPass) Observe(s results.Sample) error {
 	}
 	r.add(id, s.RTTms, s.Time.UnixNano())
 	return nil
-}
-
-// localHour maps a UTC timestamp to the probe's approximate local hour,
-// through time.Time where the kernels do arithmetic on raw nanoseconds
-// (localHourNanos).
-func localHour(t time.Time, lon float64) int {
-	return localHourHM(t.Hour(), t.Minute(), lon)
-}
-
-// Observe implements RowPass.
-func (p *DiurnalPass) Observe(s results.Sample) error {
-	if s.Lost {
-		return nil
-	}
-	lon, ok := p.idx.Longitude(s.ProbeID)
-	if !ok {
-		return nil
-	}
-	return p.bins[localHour(s.Time, lon)].Add(s.RTTms)
 }
 
 // Observe implements RowPass.

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -150,81 +149,11 @@ func (p *MinRTTPass) Report() (*CDFReport, error) {
 	return rep, nil
 }
 
-// localHourHM maps a UTC hour and minute to the probe's approximate
-// local hour (15 degrees of longitude per hour).
-func localHourHM(hour, minute int, lon float64) int {
-	utc := float64(hour) + float64(minute)/60
-	return int(math.Mod(utc+lon/15+48, 24)) % 24
-}
-
-// localHourNanos is the local hour of a raw unix-nanosecond timestamp,
-// skipping the time.Time round trip: bit-identical to localHourHM over
-// time.Unix(0, n).UTC()'s Hour and Minute for every int64 n.
-func localHourNanos(n int64, lon float64) int {
-	sec := n / 1e9
-	if n%1e9 < 0 {
-		sec-- // floor, as time.Unix normalizes negative nanos
-	}
-	sod := sec % 86400
-	if sod < 0 {
-		sod += 86400 // Euclidean: Hour() works on absolute (unsigned) time
-	}
-	return localHourHM(int(sod/3600), int(sod%3600/60), lon)
-}
-
 // providerOf extracts the operator prefix of a "provider/id" region
 // address.
 func providerOf(region string) (string, bool) {
 	provider, _, ok := strings.Cut(region, "/")
 	return provider, ok
-}
-
-// DiurnalPass accumulates the local-hour congestion profile.
-type DiurnalPass struct {
-	idx  *Index
-	bins [24]stats.Dist
-}
-
-// NewDiurnalPass builds the pass.
-func NewDiurnalPass(idx *Index) *DiurnalPass {
-	return &DiurnalPass{idx: idx}
-}
-
-// Merge implements Pass; per-bin replay keeps each hour's stream in
-// file order.
-func (p *DiurnalPass) Merge(other Pass) error {
-	o, ok := other.(*DiurnalPass)
-	if !ok {
-		return mergeTypeError("DiurnalPass", other)
-	}
-	for h := range p.bins {
-		if err := p.bins[h].Merge(&o.bins[h]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Report finishes the profile.
-func (p *DiurnalPass) Report() (*DiurnalReport, error) {
-	rep := &DiurnalReport{}
-	nonEmpty := 0
-	for h := range p.bins {
-		rep.Counts[h] = p.bins[h].N()
-		if p.bins[h].N() == 0 {
-			continue
-		}
-		med, err := p.bins[h].Median()
-		if err != nil {
-			return nil, err
-		}
-		rep.Medians[h] = med
-		nonEmpty++
-	}
-	if nonEmpty == 0 {
-		return nil, errors.New("core: no delivered samples")
-	}
-	return rep, nil
 }
 
 // ProviderPass accumulates the per-provider latency comparison.

@@ -98,7 +98,7 @@ func TestPartialSuiteNeverEncodes(t *testing.T) {
 			t.Fatalf("suite over %v refused to encode: %v", sel, err)
 		}
 	}
-	s.sel = PassFullDist | PassLastMile | PassDiurnal | PassProvider | PassProximity
+	s.sel = PassFullDist | PassLastMile | PassProvider | PassProximity
 	if _, err := s.EncodeState(); err == nil {
 		t.Error("a suite without the min-rtt pass encoded")
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"math"
 	"os"
 	"sort"
@@ -33,7 +34,7 @@ import (
 // suiteStateVersion versions the suite's serialized state layout. Bump
 // it whenever a snapshot pass's accumulator or codec changes; old
 // snapshots then invalidate instead of deserializing garbage.
-const suiteStateVersion = 4
+const suiteStateVersion = 5
 
 // snapshotPasses are the passes a snapshot carries: per-country and
 // per-probe minima, sized by the world.
@@ -303,6 +304,58 @@ func decodeMinRTTState(c *snap.Cursor, p *MinRTTPass) error {
 	return nil
 }
 
+// coverage heads the snapshot's one record: the store prefix the state
+// after it summarizes.
+type coverage struct {
+	// Bytes is the store data size covered, a block boundary; Blocks
+	// counts the blocks before it.
+	Bytes  int64
+	Blocks int
+	// Samples is the number of samples folded into the state.
+	Samples uint64
+	// HeadCRC and TailCRC are snap.WindowCRCs over [0, Bytes): they catch
+	// in-place rewrites of the covered data that keep its length.
+	HeadCRC, TailCRC uint32
+}
+
+func (c coverage) append(b []byte) []byte {
+	b = snap.AppendVarint(b, c.Bytes)
+	b = snap.AppendUvarint(b, uint64(c.Blocks))
+	b = snap.AppendUvarint(b, c.Samples)
+	b = snap.AppendUint32(b, c.HeadCRC)
+	return snap.AppendUint32(b, c.TailCRC)
+}
+
+func decodeCoverage(cur *snap.Cursor) (coverage, error) {
+	var c coverage
+	var err error
+	if c.Bytes, err = cur.Varint(); err != nil {
+		return c, err
+	}
+	blocks, err := cur.Uvarint()
+	if err != nil {
+		return c, err
+	}
+	if c.Bytes <= 0 || blocks > uint64(c.Bytes) {
+		return c, fmt.Errorf("core: %d blocks covering %d bytes", blocks, c.Bytes)
+	}
+	c.Blocks = int(blocks)
+	if c.Samples, err = cur.Uvarint(); err != nil {
+		return c, err
+	}
+	if c.HeadCRC, err = cur.Uint32(); err != nil {
+		return c, err
+	}
+	c.TailCRC, err = cur.Uint32()
+	return c, err
+}
+
+// snapshotBinding is what a snapshot of store binds to: the pass set and
+// figure geometry, the probe index and the campaign meta.
+func snapshotBinding(store *results.Store, idx *Index, start time.Time, binWidth time.Duration) snap.Binding {
+	return snap.Binding{PassSet: passSetID(start, binWidth), Index: idx.Fingerprint(), Meta: MetaFingerprint(store.Meta())}
+}
+
 // loadSnapshot reads, validates, and deserializes the snapshot at path.
 // Any failure returns nils after counting a miss (no file) or an
 // invalidation (anything else) — the caller then scans cold.
@@ -312,22 +365,23 @@ func loadSnapshot(path string, store *results.Store, idx *Index, start time.Time
 		sm.Invalidate()
 		so.Log.Info("snapshot invalidated", "path", path, "reason", reason)
 	}
-	h, payload, err := snap.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, snap.ErrNoSnapshot) {
-			sm.Miss()
-			so.Log.Debug("snapshot miss", "path", path)
-		} else {
-			invalidate("unreadable: " + err.Error())
-		}
+	rec, err := snap.ReadFile(path, snapshotBinding(store, idx, start, binWidth))
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		sm.Miss()
+		so.Log.Debug("snapshot miss", "path", path)
+		return nil, 0, nil
+	case errors.Is(err, snap.ErrMismatch):
+		invalidate("header mismatch")
+		return nil, 0, nil
+	case err != nil:
+		invalidate("unreadable: " + err.Error())
 		return nil, 0, nil
 	}
-	if h.PassSet != passSetID(start, binWidth) ||
-		h.Index != idx.Fingerprint() ||
-		h.Meta != MetaFingerprint(store.Meta()) ||
-		h.Format != snap.FormatBinary ||
-		h.CoveredBytes <= 0 {
-		invalidate("header mismatch")
+	cur := snap.NewCursor(rec)
+	cov, err := decodeCoverage(cur)
+	if err != nil {
+		invalidate("coverage: " + err.Error())
 		return nil, 0, nil
 	}
 	f, err := os.Open(store.SamplesPath())
@@ -337,75 +391,68 @@ func loadSnapshot(path string, store *results.Store, idx *Index, start time.Time
 	}
 	defer f.Close()
 	fi, err := f.Stat()
-	if err != nil || h.CoveredBytes > fi.Size() {
+	if err != nil || cov.Bytes > fi.Size() {
 		// Covered data no longer exists: the store was truncated (e.g. a
 		// checkpoint resume rolled back a partial round).
 		invalidate("store truncated below covered boundary")
 		return nil, 0, nil
 	}
-	head, tail, err := snap.WindowCRCs(f, h.CoveredBytes)
-	if err != nil || head != h.HeadCRC || tail != h.TailCRC {
+	head, tail, err := snap.WindowCRCs(f, cov.Bytes)
+	if err != nil || head != cov.HeadCRC || tail != cov.TailCRC {
 		invalidate("content window CRC mismatch")
 		return nil, 0, nil
 	}
-	suite, err := NewSuiteFromState(idx, start, binWidth, payload)
+	state, _ := cur.Bytes(cur.Remaining()) // the rest of the record: cannot fail
+	suite, err := NewSuiteFromState(idx, start, binWidth, state)
 	if err != nil {
 		invalidate("state decode: " + err.Error())
 		return nil, 0, nil
 	}
-	return suite, h.Samples, &scan.Resume{Bytes: h.CoveredBytes, Blocks: h.CoveredBlocks}
+	return suite, cov.Samples, &scan.Resume{Bytes: cov.Bytes, Blocks: cov.Blocks}
 }
 
-// writeSnapshot atomically persists merged's state as covering the
-// store prefix the scan just consumed. Its child spans split the cost
-// into CPU (snap.encode) and the file write with its fsync and rename
+// writeSnapshot durably persists merged's state as covering the store
+// prefix the scan just consumed. Its child spans split the cost into CPU
+// (snap.encode) and the file write with its fsyncs and rename
 // (snap.fsync).
 func writeSnapshot(ctx context.Context, path string, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, merged *Suite, samples uint64, st scan.Stats, so SnapshotOptions) error {
 	parent := obs.From(ctx).Child("snapshot.write")
 	defer parent.End()
 	span := parent.Child("snap.encode")
-	h, state, err := snapshotImage(store, idx, start, binWidth, merged, samples, st)
+	img, err := snapshotImage(store, idx, start, binWidth, merged, samples, st)
 	span.End()
 	if err != nil {
 		return err
 	}
 	span = parent.Child("snap.fsync")
-	err = snap.WriteFile(path, h, state)
+	err = snap.ReplaceFile(path, img)
 	span.End()
 	if err != nil {
 		return err
 	}
 	so.Metrics.Wrote()
 	so.Log.Info("snapshot written", "path", path,
-		"covered_bytes", h.CoveredBytes, "covered_blocks", h.CoveredBlocks, "samples", samples)
+		"covered_bytes", st.DataEnd, "covered_blocks", st.BlocksTotal, "samples", samples)
 	return nil
 }
 
-// snapshotImage builds the header binding merged's state to the store
-// prefix st covers, and the encoded state.
-func snapshotImage(store *results.Store, idx *Index, start time.Time, binWidth time.Duration, merged *Suite, samples uint64, st scan.Stats) (snap.Header, []byte, error) {
+// snapshotImage frames the snapshot file: the binding, then one record
+// of the coverage st describes followed by merged's encoded state.
+func snapshotImage(store *results.Store, idx *Index, start time.Time, binWidth time.Duration, merged *Suite, samples uint64, st scan.Stats) ([]byte, error) {
 	f, err := os.Open(store.SamplesPath())
 	if err != nil {
-		return snap.Header{}, nil, err
+		return nil, err
 	}
 	defer f.Close()
-	head, tail, err := snap.WindowCRCs(f, st.DataEnd)
-	if err != nil {
-		return snap.Header{}, nil, err
-	}
-	h := snap.Header{
-		PassSet:       passSetID(start, binWidth),
-		Index:         idx.Fingerprint(),
-		Meta:          MetaFingerprint(store.Meta()),
-		Format:        snap.FormatBinary,
-		CoveredBytes:  st.DataEnd,
-		CoveredBlocks: st.BlocksTotal,
-		Samples:       samples,
-		HeadCRC:       head,
-		TailCRC:       tail,
+	cov := coverage{Bytes: st.DataEnd, Blocks: st.BlocksTotal, Samples: samples}
+	if cov.HeadCRC, cov.TailCRC, err = snap.WindowCRCs(f, st.DataEnd); err != nil {
+		return nil, err
 	}
 	state, err := merged.EncodeState()
-	return h, state, err
+	if err != nil {
+		return nil, err
+	}
+	return snap.Image(snapshotBinding(store, idx, start, binWidth), append(cov.append(nil), state...)), nil
 }
 
 // scanStoreMerged runs the scan so.Passes asks for and returns the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -364,17 +365,16 @@ func TestSnapshotInvalidation(t *testing.T) {
 		return log.String()
 	}
 
-	// tamperHeader rewrites the snapshot with a mutated header, keeping
-	// the envelope internally consistent (CRC included) so only the
-	// binding check can reject it.
-	tamperHeader := func(t *testing.T, path string, mutate func(*snap.Header)) {
+	// tamper rewrites the snapshot with one field changed and every CRC
+	// recomputed, so only the check the change targets can reject it.
+	tamper := func(t *testing.T, path string, mutate func(*core.SnapshotFile)) {
 		t.Helper()
-		h, payload, err := snap.ReadFile(path)
+		f, err := core.ReadSnapshotFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mutate(&h)
-		if err := snap.WriteFile(path, h, payload); err != nil {
+		mutate(&f)
+		if err := f.Write(path); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,12 +397,12 @@ func TestSnapshotInvalidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) {
-				stale := strings.Replace(h.PassSet, "suite-v4|", "suite-v"+old+"|", 1)
-				if stale == h.PassSet {
-					t.Fatalf("pass set %q is not state version 4", h.PassSet)
+			tamper(t, store.SnapshotPath(), func(f *core.SnapshotFile) {
+				stale := strings.Replace(f.Binding.PassSet, "suite-v5|", "suite-v"+old+"|", 1)
+				if stale == f.Binding.PassSet {
+					t.Fatalf("pass set %q is not state version 5", f.Binding.PassSet)
 				}
-				h.PassSet = stale
+				f.Binding.PassSet = stale
 			})
 			if log := rescan(t, store, snapBinWidth); !strings.Contains(log, `reason="header mismatch"`) {
 				t.Errorf("v%s snapshot not refused as a header mismatch:\n%s", old, log)
@@ -413,19 +413,38 @@ func TestSnapshotInvalidation(t *testing.T) {
 		})
 	}
 
+	t.Run("state version 4 envelope", func(t *testing.T) {
+		// The whole-file-CRC envelope the snapshot had before it took the
+		// shared record format: its first bytes are another format
+		// version, so it is refused at the magic, and the cold rebuild
+		// replaces it with the file a fresh store gets.
+		store := seed(t)
+		fresh, err := os.ReadFile(store.SnapshotPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := core.ReadSnapshotFile(store.SnapshotPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(store.SnapshotPath(), v4Envelope(f), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if log := rescan(t, store, snapBinWidth); !strings.Contains(log, `reason="header mismatch"`) {
+			t.Errorf("v4 envelope not refused as a header mismatch:\n%s", log)
+		}
+		if rebuilt, err := os.ReadFile(store.SnapshotPath()); err != nil || !bytes.Equal(rebuilt, fresh) {
+			t.Errorf("rebuild over a v4 envelope left a different snapshot (err %v)", err)
+		}
+	})
+
 	t.Run("malformed state", func(t *testing.T) {
-		// A well-enveloped, correctly bound snapshot whose state breaks a
+		// A well-framed, correctly bound snapshot whose state breaks a
 		// layout rule is dropped by the state decoder, not applied.
 		store := seed(t)
 		_, bad := malformedStates(t, w.Index)
 		for _, tc := range bad {
-			h, _, err := snap.ReadFile(store.SnapshotPath())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := snap.WriteFile(store.SnapshotPath(), h, tc.shape.encode()); err != nil {
-				t.Fatal(err)
-			}
+			tamper(t, store.SnapshotPath(), func(f *core.SnapshotFile) { f.State = tc.shape.encode() })
 			if log := rescan(t, store, snapBinWidth); !strings.Contains(log, "state decode: ") || !strings.Contains(log, tc.want) {
 				t.Errorf("%s: invalidation does not name %q:\n%s", tc.name, tc.want, log)
 			}
@@ -434,15 +453,22 @@ func TestSnapshotInvalidation(t *testing.T) {
 
 	t.Run("index fingerprint mismatch", func(t *testing.T) {
 		store := seed(t)
-		tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) { h.Index = "0000000000000000" })
+		tamper(t, store.SnapshotPath(), func(f *core.SnapshotFile) { f.Binding.Index = "0000000000000000" })
 		rescan(t, store, snapBinWidth)
 	})
 
 	t.Run("format byte", func(t *testing.T) {
-		// The header's store-encoding byte has one valid value; a file
-		// written for any other encoding binds to no store.
+		// The magic's format version byte has one valid value; a file of
+		// any other version binds to nothing, its records unread.
 		store := seed(t)
-		tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) { h.Format = 0 })
+		data, err := os.ReadFile(store.SnapshotPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[4]++
+		if err := os.WriteFile(store.SnapshotPath(), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		if log := rescan(t, store, snapBinWidth); !strings.Contains(log, "header mismatch") {
 			t.Errorf("invalidation reason not header mismatch:\n%s", log)
 		}
@@ -450,12 +476,12 @@ func TestSnapshotInvalidation(t *testing.T) {
 
 	t.Run("meta fingerprint mismatch", func(t *testing.T) {
 		store := seed(t)
-		tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) { h.Meta = "0000000000000000" })
+		tamper(t, store.SnapshotPath(), func(f *core.SnapshotFile) { f.Binding.Meta = "0000000000000000" })
 		rescan(t, store, snapBinWidth)
 	})
 
 	t.Run("boundary not a block boundary", func(t *testing.T) {
-		// A covered boundary that passes every header check but is not a
+		// A covered boundary that passes every file check but is not a
 		// block boundary fails at scan time; the scan must then drop the
 		// snapshot and retry cold instead of surfacing the error.
 		store := seed(t)
@@ -464,13 +490,13 @@ func TestSnapshotInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		tamperHeader(t, store.SnapshotPath(), func(h *snap.Header) {
-			h.CoveredBytes--
-			head, tail, err := snap.WindowCRCs(f, h.CoveredBytes)
+		tamper(t, store.SnapshotPath(), func(sf *core.SnapshotFile) {
+			sf.Cover.Bytes--
+			head, tail, err := snap.WindowCRCs(f, sf.Cover.Bytes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.HeadCRC, h.TailCRC = head, tail
+			sf.Cover.HeadCRC, sf.Cover.TailCRC = head, tail
 		})
 		rescan(t, store, snapBinWidth)
 	})
@@ -536,7 +562,27 @@ func TestSnapshotInvalidation(t *testing.T) {
 	})
 }
 
-// stateShape hand-builds a version-4 suite state: the proximity section
+// v4Envelope frames f the way the snapshot was written before it took
+// the shared record format: magic "SNAP" 1, a length-prefixed header
+// (binding under state version 4, store-format byte, coverage), the
+// length-prefixed state, and a CRC32C over everything before it.
+func v4Envelope(f core.SnapshotFile) []byte {
+	h := snap.AppendString(nil, strings.Replace(f.Binding.PassSet, "suite-v5|", "suite-v4|", 1))
+	h = snap.AppendString(h, f.Binding.Index)
+	h = snap.AppendString(h, f.Binding.Meta)
+	h = append(h, 1)
+	h = snap.AppendVarint(h, f.Cover.Bytes)
+	h = snap.AppendUvarint(h, uint64(f.Cover.Blocks))
+	h = snap.AppendUvarint(h, f.Cover.Samples)
+	h = snap.AppendUint32(h, f.Cover.HeadCRC)
+	h = snap.AppendUint32(h, f.Cover.TailCRC)
+	img := snap.AppendUvarint([]byte("SNAP\x01\x00\x00\n"), uint64(len(h)))
+	img = snap.AppendUvarint(append(img, h...), uint64(len(f.State)))
+	img = append(img, f.State...)
+	return snap.AppendUint32(img, crc32.Checksum(img, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// stateShape hand-builds a version-5 suite state: the proximity section
 // (country, minimum, samples), the min-rtt section (probe, minimum) and
 // whatever follows them.
 type stateShape struct {
@@ -592,7 +638,7 @@ func shapeProbes(t testing.TB, idx *core.Index) (first, second, unknown int64) {
 }
 
 // malformedStates returns a well-formed shape and the layout rules the
-// version-4 decoder enforces, each broken once in a copy of it; want is
+// version-5 decoder enforces, each broken once in a copy of it; want is
 // the fragment of the decode error that names the rule.
 func malformedStates(t testing.TB, idx *core.Index) (ok stateShape, bad []malformedState) {
 	first, second, unknown := shapeProbes(t, idx)

@@ -12,8 +12,8 @@ import (
 	"repro/internal/stats"
 )
 
-// PassSet names a subset of the suite's six passes, one bit each. The
-// zero value means all six.
+// PassSet names a subset of the suite's five passes, one bit each. The
+// zero value means all five.
 type PassSet uint8
 
 // The suite's passes, in Passes() order.
@@ -22,13 +22,12 @@ const (
 	PassMinRTT                        // Figure 5
 	PassFullDist                      // Figure 6
 	PassLastMile                      // Figures 7 and 8, and the KS significance test
-	PassDiurnal
-	PassProvider
+	PassProvider                      // §4.1's per-provider table
 
 	allPasses = PassProvider<<1 - 1
 )
 
-var passNames = [...]string{"proximity", "min-rtt", "full-dist", "last-mile", "diurnal", "provider"}
+var passNames = [...]string{"proximity", "min-rtt", "full-dist", "last-mile", "provider"}
 
 // has reports whether the set selects pass p.
 func (ps PassSet) has(p PassSet) bool { return ps == 0 || ps&p != 0 }
@@ -61,7 +60,6 @@ type Suite struct {
 	Proximity *ProximityPass
 	MinRTT    *MinRTTPass
 	Nearest   *NearestPass // Figures 6, 7, 8 and the KS test
-	Diurnal   *DiurnalPass
 	Provider  *ProviderPass
 
 	// start and binWidth are the Figure 7 bin geometry.
@@ -87,7 +85,6 @@ func NewSuite(idx *Index, start time.Time, binWidth time.Duration) (*Suite, erro
 		Proximity: NewProximityPass(idx),
 		MinRTT:    NewMinRTTPass(idx),
 		Nearest:   NewNearestPass(idx),
-		Diurnal:   NewDiurnalPass(idx),
 		Provider:  NewProviderPass(idx),
 		start:     start,
 		binWidth:  binWidth,
@@ -105,7 +102,7 @@ func (s *Suite) Passes() []Pass {
 		bits PassSet
 	}{
 		{s.Proximity, PassProximity}, {s.MinRTT, PassMinRTT}, {s.Nearest, nearestPasses},
-		{s.Diurnal, PassDiurnal}, {s.Provider, PassProvider},
+		{s.Provider, PassProvider},
 	}
 	passes := make([]Pass, 0, len(all))
 	for _, p := range all {
@@ -123,7 +120,7 @@ type SuiteReport struct {
 	// Samples counts the samples the reports were computed from: the
 	// snapshot's covered prefix plus whatever the scan decoded.
 	Samples uint64
-	// Passes is the pass set the scan fed, zero for all six.
+	// Passes is the pass set the scan fed, zero for all five.
 	Passes PassSet
 
 	Proximity    *ProximityReport
@@ -131,7 +128,6 @@ type SuiteReport struct {
 	FullDist     *CDFReport
 	LastMile     *LastMileReport
 	Significance stats.KSResult
-	Diurnal      *DiurnalReport
 	Provider     *ProviderReport
 }
 
@@ -164,11 +160,6 @@ func (s *Suite) report(want PassSet) (*SuiteReport, error) {
 			return nil, err
 		}
 		if rep.Significance, err = s.Nearest.Significance(); err != nil {
-			return nil, err
-		}
-	}
-	if want.has(PassDiurnal) {
-		if rep.Diurnal, err = s.Diurnal.Report(); err != nil {
 			return nil, err
 		}
 	}

@@ -122,10 +122,6 @@ func TestScanStoreMatchesLegacy(t *testing.T) {
 	alone(providerPass)
 	provider, err := providerPass.Report()
 	must(err)
-	diurnalPass := core.NewDiurnalPass(w.Index)
-	alone(diurnalPass)
-	diurnal, err := diurnalPass.Report()
-	must(err)
 
 	lines4 := figures.Figure4Lines(rep4)
 	lines5, err := figures.CDFLines(rep5)
@@ -211,9 +207,6 @@ func TestScanStoreMatchesLegacy(t *testing.T) {
 
 		if !reflect.DeepEqual(rep.Provider, provider) {
 			t.Errorf("workers=%d: provider report differs from legacy", workers)
-		}
-		if !reflect.DeepEqual(rep.Diurnal, diurnal) {
-			t.Errorf("workers=%d: diurnal report differs from legacy", workers)
 		}
 		if rep.Significance != ks {
 			t.Errorf("workers=%d: KS result differs: %+v vs %+v", workers, rep.Significance, ks)
@@ -491,7 +484,7 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resumed.FullDist != nil || resumed.LastMile != nil || resumed.Diurnal != nil || resumed.Provider != nil {
+			if resumed.FullDist != nil || resumed.LastMile != nil || resumed.Provider != nil {
 				t.Errorf("resumed workers=%d: a suite decoded from snapshot state reports passes it does not hold", workers)
 			}
 			if got, want := figureCSVs(t, resumed), figureCSVs(t, rep); got["4"] != want["4"] || got["5"] != want["5"] {
@@ -567,9 +560,6 @@ func figureCSVs(tb testing.TB, rep *core.SuiteReport) map[string]string {
 		emit("8", figures.Figure8CSV(&buf, rep8))
 		out["ks"] = fmt.Sprintf("%+v", rep.Significance)
 	}
-	if rep.Diurnal != nil {
-		out["diurnal"] = fmt.Sprintf("%+v", *rep.Diurnal)
-	}
 	if rep.Provider != nil {
 		out["provider"] = fmt.Sprintf("%+v", *rep.Provider)
 	}
@@ -643,7 +633,6 @@ func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.T
 		core.PassMinRTT:                       {"5"},
 		core.PassFullDist:                     {"6"},
 		core.PassLastMile:                     {"7", "8", "ks"},
-		core.PassDiurnal:                      {"diurnal"},
 		core.PassProvider:                     {"provider"},
 		core.PassLastMile | core.PassMinRTT:   {"5", "7", "8", "ks"},
 		core.PassFullDist | core.PassLastMile: {"6", "7", "8", "ks"},
@@ -685,7 +674,7 @@ func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.T
 }
 
 // TestRunSuiteMatchesScanStore pins the sequential fused row fold — all
-// five oracle passes in one walk of the store — to the parallel one.
+// four oracle passes in one walk of the store — to the parallel one.
 func TestRunSuiteMatchesScanStore(t *testing.T) {
 	store, w, cfg := fileDataset(t)
 	oracle, err := core.RowOracle(store, w.Index, cfg.Start, 7*24*time.Hour)
@@ -700,7 +689,7 @@ func TestRunSuiteMatchesScanStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq.Provider, par.Provider) || !reflect.DeepEqual(seq.Diurnal, par.Diurnal) ||
+	if !reflect.DeepEqual(seq.Provider, par.Provider) ||
 		seq.Significance != par.Significance {
 		t.Error("the fused row oracle and ScanStore disagree")
 	}

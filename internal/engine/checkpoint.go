@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
-	"path/filepath"
+
+	"repro/internal/snap"
 )
 
 // CheckpointVersion is the current checkpoint format version. It is
@@ -54,35 +54,24 @@ func (c *Checkpoint) Validate() error {
 	return nil
 }
 
-// Save atomically writes the checkpoint: a temp file in the same
-// directory followed by a rename, so a crash mid-write leaves the
-// previous checkpoint intact.
+// checkpointBinding marks a file as a checkpoint of this format
+// version; the campaign identity is the payload's Fingerprint, so a
+// mismatch there gets its own message from the caller.
+var checkpointBinding = snap.Binding{PassSet: fmt.Sprintf("engine-checkpoint-v%d", CheckpointVersion)}
+
+// Save durably replaces the checkpoint at path: one CRC-guarded record
+// holding the checkpoint as JSON, behind the shared file header
+// (internal/snap), written to a temp file, fsynced and renamed, so a
+// crash leaves the previous checkpoint or this one, never a torn file.
 func (c *Checkpoint) Save(path string) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(c, "", "  ")
+	b, err := json.Marshal(c)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return snap.ReplaceFile(path, snap.Image(checkpointBinding, b))
 }
 
 // ErrNoCheckpoint reports that a resume was requested but no checkpoint
@@ -90,14 +79,16 @@ func (c *Checkpoint) Save(path string) error {
 var ErrNoCheckpoint = errors.New("engine: no checkpoint")
 
 // LoadCheckpoint reads and validates a checkpoint file. A missing file
-// maps to ErrNoCheckpoint.
+// maps to ErrNoCheckpoint; a file that is empty, torn, corrupt or of
+// another format (the plain JSON checkpoints once were included) is an
+// error naming the path, never a resume point.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("%w at %s", ErrNoCheckpoint, path)
-		}
-		return nil, err
+	b, err := snap.ReadFile(path, checkpointBinding)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, fmt.Errorf("%w at %s", ErrNoCheckpoint, path)
+	case err != nil:
+		return nil, fmt.Errorf("engine: corrupt checkpoint %s: %w", path, err)
 	}
 	var c Checkpoint
 	if err := json.Unmarshal(b, &c); err != nil {

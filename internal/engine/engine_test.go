@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -300,11 +302,32 @@ func TestCheckpointSaveLoadRoundtrip(t *testing.T) {
 		t.Fatalf("missing file err = %v, want ErrNoCheckpoint", err)
 	}
 
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+	// Every file but the one Save wrote is an error that names the path:
+	// the plain JSON checkpoints once were, an empty file (a power cut
+	// before the data reached the disk), and the written file torn.
+	written, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path); err == nil {
-		t.Fatal("corrupt checkpoint accepted")
+	plain, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("dir holds %d entries after Save, want only the checkpoint", len(entries))
+	}
+	for name, data := range map[string][]byte{
+		"plain json": plain,
+		"empty":      nil,
+		"torn":       written[:len(written)-1],
+		"garbage":    []byte("{not json"),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(path); err == nil || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s checkpoint: err = %v, want a corrupt-checkpoint error naming %s", name, err, path)
+		}
 	}
 
 	bad := cp

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime/debug"
 	"time"
 )
@@ -153,37 +152,18 @@ func (m *RunManifest) SetStagesFromDump(d SpanDump) {
 	}
 }
 
-// Write atomically persists the manifest as indented JSON at path: a
-// same-directory temp file is renamed over the target so readers never
-// see a torn manifest.
-func (m *RunManifest) Write(path string) error {
+// JSON encodes the manifest as the indented JSON of run.json. The
+// binaries write it with snap.ReplaceFile, the durable replace every
+// file beside a store goes through.
+func (m *RunManifest) JSON() ([]byte, error) {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		return fmt.Errorf("obs: encoding run manifest: %w", err)
+		return nil, fmt.Errorf("obs: encoding run manifest: %w", err)
 	}
-	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".run-*.json")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return append(data, '\n'), nil
 }
 
-// ReadRunManifest loads a manifest written by Write.
+// ReadRunManifest loads a run.json written from JSON.
 func ReadRunManifest(path string) (*RunManifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

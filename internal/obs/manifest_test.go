@@ -2,6 +2,7 @@ package obs
 
 import (
 	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,8 +27,12 @@ func TestRunManifestRoundTrip(t *testing.T) {
 	m.SetStagesFromDump(testTrace().Dump())
 	m.Finish(start.Add(90 * time.Second))
 
+	data, err := m.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "run.json")
-	if err := m.Write(path); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadRunManifest(path)

@@ -554,7 +554,7 @@ func TestServeSeedsFromSnapshot(t *testing.T) {
 				t.Errorf("%s: %s body differs from the one served with no samples.snap", state.name, target)
 			}
 		}
-		if rep := e.cur.Load().rep; rep.Diurnal != nil || rep.Provider != nil ||
+		if rep := e.cur.Load().rep; rep.Provider != nil ||
 			rep.Proximity == nil || rep.MinRTT == nil || rep.FullDist == nil || rep.LastMile == nil {
 			t.Errorf("%s: published report holds %+v, want exactly the four figure passes", state.name, rep)
 		}

@@ -6,11 +6,11 @@ import (
 	"math"
 )
 
-// Codec primitives shared by every snapshot state encoder: varints for
-// counts and identifiers, raw IEEE-754 bits for floats (so accumulator
-// state round-trips bitwise), length-prefixed strings, and a
-// bounds-checked Cursor for decoding. Higher layers (stats, core)
-// compose these into per-aggregate state codecs.
+// Codec primitives shared by every record payload: varints for counts
+// and identifiers, raw IEEE-754 bits for floats (so accumulator state
+// round-trips bitwise), length-prefixed strings, and a bounds-checked
+// Cursor for decoding. Higher layers (stats, core, tix) compose these
+// into per-aggregate state codecs.
 
 // AppendUvarint appends v in unsigned varint encoding.
 func AppendUvarint(b []byte, v uint64) []byte {
@@ -122,21 +122,6 @@ func (c *Cursor) Bool() (bool, error) {
 		return false, fmt.Errorf("snap: bad bool byte %d at offset %d", v, c.off-1)
 	}
 	return v == 1, nil
-}
-
-// Pos returns the cursor's current offset, for re-slicing a decoded
-// region out of the buffer with Since.
-func (c *Cursor) Pos() int { return c.off }
-
-// Since returns the bytes between a previously captured Pos and the
-// current offset. The returned slice aliases the cursor's buffer —
-// this is what lets a decoder keep an encoded span verbatim (to splice
-// back into the next encode) without copying it.
-func (c *Cursor) Since(pos int) []byte {
-	if pos < 0 || pos > c.off {
-		return nil
-	}
-	return c.b[pos:c.off]
 }
 
 // Bytes consumes the next n bytes. The returned slice aliases the

@@ -2,75 +2,63 @@ package snap
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
-// FuzzSnapshotRoundTrip drives Decode with arbitrary bytes: it must
-// either reject the input or yield a header+payload that re-encode and
-// re-decode to the same values — a snapshot is never silently
-// misapplied. Seeds cover valid images so mutation explores near-valid
-// corruptions.
+// FuzzSnapshotRoundTrip drives Validate — the one reader of every
+// sidecar file — with arbitrary bytes, under the binding the input
+// itself carries so that mutation reaches the records behind it. It
+// must never panic or allocate out of proportion to its input, and
+// whatever it accepts must re-encode to exactly the bytes it was read
+// from: no record is ever made up. Seeds cover the three kinds of file
+// and the ways they break.
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(Encode(Header{}, nil))
-	f.Add(Encode(Header{
-		PassSet:       "suite-v1",
-		Index:         "idx",
-		Meta:          "meta",
-		Format:        FormatBinary,
-		CoveredBytes:  1 << 20,
-		CoveredBlocks: 88,
-		Samples:       345600,
-		HeadCRC:       1,
-		TailCRC:       2,
-	}, []byte("state")))
-	data := Encode(Header{Format: 0, CoveredBytes: 42, Samples: 7}, bytes.Repeat([]byte{0xaa}, 64))
-	f.Add(data)
-	data = append([]byte(nil), data...)
-	data[len(data)/2] ^= 0xff
-	f.Add(data)
-
-	// Payloads shaped like the suite's version-2 state — a region table,
-	// then (probe, region code) entries — well-formed once, then with each
-	// rule the state decoder enforces broken: unsorted table, duplicate
-	// table entry, code out of range, duplicate probe.
-	v2 := Header{PassSet: "suite-v2|start=0|width=1", Format: FormatBinary, CoveredBytes: 1 << 10, CoveredBlocks: 2, Samples: 9}
-	for _, sh := range []struct {
-		table  []string
-		probes []int64
-		code   uint64
-	}{
-		{[]string{"A/a", "B/b"}, []int64{1, 2}, 1},
-		{[]string{"B/b", "A/a"}, []int64{1, 2}, 1},
-		{[]string{"A/a", "A/a"}, []int64{1, 2}, 1},
-		{[]string{"A/a", "B/b"}, []int64{1, 2}, 2},
-		{[]string{"A/a", "B/b"}, []int64{1, 1}, 0},
+	b := testBinding()
+	valid := Image(b, testPayloads...)
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0xff
+	for _, seed := range [][]byte{
+		{},
+		Image(Binding{}),
+		valid,
+		valid[:len(valid)-3],
+		flipped,
+		append(append([]byte(nil), valid...), make([]byte, 12)...),
+		Image(Binding{PassSet: "continent-cdf-v1", Index: "idx", Meta: "meta"}, append([]byte{1}, bytes.Repeat([]byte{0xaa}, 64)...)),
+		Image(Binding{PassSet: "engine-checkpoint-v1"}, []byte(`{"version":1,"fingerprint":"fp","workers":2,"round":7}`)),
+		[]byte(`{"version":1,"fingerprint":"fp"}`),
+		append([]byte("SNAP\x01\x00\x00\n"), valid[8:]...),
 	} {
-		state := AppendUvarint(nil, uint64(len(sh.table)))
-		for _, region := range sh.table {
-			state = AppendString(state, region)
-		}
-		state = AppendUvarint(state, uint64(len(sh.probes)))
-		for _, id := range sh.probes {
-			state = AppendVarint(state, id)
-			state = AppendUvarint(state, sh.code)
-			state = AppendFloat(state, 12.5)
-		}
-		f.Add(Encode(v2, state))
+		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, payload, err := Decode(data)
-		if err != nil {
+		want := Validate(data, Binding{}).Binding
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p := Validate(data, want)
+		runtime.ReadMemStats(&after)
+		// The fuzzing machinery allocates beside the call; past a fixed
+		// allowance for it, only the Records slice may grow with the input.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+8*uint64(len(data)) {
+			t.Fatalf("validating %d bytes allocated %d", len(data), grew)
+		}
+		if p.Valid == 0 {
+			if len(p.Records) != 0 {
+				t.Fatalf("%d records behind a refused header", len(p.Records))
+			}
 			return
 		}
-		re := Encode(h, payload)
-		h2, payload2, err := Decode(re)
-		if err != nil {
-			t.Fatalf("re-encoded snapshot failed to decode: %v", err)
+		payloads := make([][]byte, len(p.Records))
+		for i, rec := range p.Records {
+			payloads[i] = rec.Payload
 		}
-		if h2 != h || !bytes.Equal(payload2, payload) {
-			t.Fatalf("round trip diverged: %+v %q vs %+v %q", h, payload, h2, payload2)
+		if re := Image(p.Binding, payloads...); !bytes.Equal(re, data[:p.Valid]) {
+			t.Fatalf("accepted prefix of %d bytes re-encodes to %d different bytes", p.Valid, len(re))
+		}
+		if (p.Stop == "") != (p.Valid == int64(len(data))) {
+			t.Fatalf("valid %d of %d bytes, stop %q", p.Valid, len(data), p.Stop)
 		}
 	})
 }

@@ -1,271 +1,281 @@
-// Package snap persists merged analysis-pass state between scans so an
-// append-only store can be re-analyzed at O(delta) cost: load the
-// snapshot, seed the passes, decode only the bytes written since the
-// snapshot's covered boundary, merge, rewrite.
+// Package snap is the one format of the derived files a campaign store
+// keeps beside its samples: the analysis snapshot (samples.snap), the
+// temporal aggregate index (samples.tix) and the campaign checkpoint
+// (checkpoint.json). It also holds the codec primitives their payloads
+// are built from (codec.go).
 //
-// The file is a small versioned envelope — magic, a binding header, an
-// opaque pass-state payload, and a whole-file CRC. The header carries
-// everything needed to prove the snapshot is an exact prefix of the
-// store it is applied to (format, covered byte/block boundary, content
-// window CRCs, index/meta/pass-set fingerprints); any mismatch discards
-// the snapshot and the caller falls back to a cold scan. Corruption is
-// therefore never worse than a cache miss.
+// # File layout
+//
+//	file    = magic[8] | record(binding) | record*
+//	record  = u32 len(payload) | payload | u32 crc32c(payload)
+//	binding = string passSet | string index | string meta
+//
+// The binding names what the records were computed from; nothing past a
+// binding other than the one the reader expects is ever read. Validate
+// is the one reader: over a file image it returns the CRC-valid records
+// after a matching binding and the length of that valid prefix, and says
+// why it stopped. What a short prefix means is the owner's call — the
+// append-only index truncates to it, the whole-file snapshot and
+// checkpoint refuse it — so corruption costs a rebuild or an error,
+// never a record that was not written. Whole files are written by
+// ReplaceFile, the one durable replace in the repository.
 package snap
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 )
 
-// ErrNoSnapshot reports that no snapshot file exists at the given path.
-var ErrNoSnapshot = errors.New("snap: no snapshot")
+// magic opens every file; the fifth byte is the format version. Version
+// 1 was the snapshot's whole-file-CRC envelope, which therefore reads as
+// a header mismatch, as does the index's own former "TIX" layout.
+var magic = [8]byte{'S', 'N', 'A', 'P', 2, 0, 0, '\n'}
 
-// magic identifies a snapshot file; the fifth byte is the envelope
-// version.
-var magic = [8]byte{'S', 'N', 'A', 'P', 1, 0, 0, '\n'}
+// overhead is a record's framing: the length prefix and the CRC trailer.
+const overhead = 8
 
-// crcTable selects the Castagnoli polynomial: snapshots checksum the
-// whole multi-megabyte state on every load, and Castagnoli has a
-// dedicated instruction on amd64/arm64 where the IEEE polynomial does
-// not, so validation stays a small fraction of the file read itself.
+// crcTable selects the Castagnoli polynomial, which has a dedicated
+// instruction on amd64/arm64 where the IEEE polynomial does not, so
+// checking a multi-megabyte index stays a small fraction of reading it.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
-// Checksum is the envelope checksum other sidecar formats share (the
-// temporal aggregate index guards its records with the same Castagnoli
-// CRC), so every CRC-guarded companion file of a store validates with
-// one polynomial.
-func Checksum(b []byte) uint32 { return checksum(b) }
+// ErrMismatch reports a file whose magic or binding is not the one the
+// reader asked for: a file of another format version, of another kind,
+// or computed from other inputs.
+var ErrMismatch = errors.New("snap: header mismatch")
 
-// Format is the header's store-encoding byte; a snapshot binds to one.
-type Format uint8
-
-// FormatBinary covers colf stores, the only kind there is: CoveredBytes
-// is a block boundary and CoveredBlocks counts the blocks before it.
-// Its value is the byte every written snapshot carries; a header with
-// another value decodes but binds to no store.
-const FormatBinary Format = 1
-
-// Header binds a snapshot to the exact store prefix it summarizes.
-type Header struct {
-	// PassSet fingerprints the analysis configuration (pass-set version,
-	// window geometry). State from a different pass set never applies.
+// Binding is the identity a file binds to: the pass set (the producer's
+// layout and parameters, versioned), the probe index fingerprint and the
+// campaign meta fingerprint. A file is read only under the binding it
+// was written with.
+type Binding struct {
 	PassSet string
-	// Index fingerprints the probe index the passes were seeded with.
-	Index string
-	// Meta fingerprints the store's campaign metadata.
-	Meta string
-	// Format is the store encoding the snapshot was taken from.
-	Format Format
-	// CoveredBytes is the store data size (bytes of sample data, not
-	// counting any trailing index) the snapshot summarizes.
-	CoveredBytes int64
-	// CoveredBlocks is the block count before CoveredBytes.
-	CoveredBlocks int
-	// Samples is the number of samples folded into the state.
-	Samples uint64
-	// HeadCRC and TailCRC checksum the first and last WindowBytes of the
-	// covered prefix, catching in-place rewrites that preserve length.
-	HeadCRC uint32
-	TailCRC uint32
+	Index   string
+	Meta    string
 }
 
-func (h Header) append(b []byte) []byte {
-	b = AppendString(b, h.PassSet)
-	b = AppendString(b, h.Index)
-	b = AppendString(b, h.Meta)
-	b = append(b, byte(h.Format))
-	b = AppendVarint(b, h.CoveredBytes)
-	b = AppendUvarint(b, uint64(h.CoveredBlocks))
-	b = AppendUvarint(b, h.Samples)
-	b = AppendUint32(b, h.HeadCRC)
-	b = AppendUint32(b, h.TailCRC)
-	return b
+func (b Binding) append(p []byte) []byte {
+	p = AppendString(p, b.PassSet)
+	p = AppendString(p, b.Index)
+	return AppendString(p, b.Meta)
 }
 
-func decodeHeader(c *Cursor) (Header, error) {
-	var h Header
+func decodeBinding(p []byte) (Binding, error) {
+	var b Binding
 	var err error
-	if h.PassSet, err = c.String(); err != nil {
-		return h, err
+	c := NewCursor(p)
+	if b.PassSet, err = c.String(); err != nil {
+		return b, err
 	}
-	if h.Index, err = c.String(); err != nil {
-		return h, err
+	if b.Index, err = c.String(); err != nil {
+		return b, err
 	}
-	if h.Meta, err = c.String(); err != nil {
-		return h, err
-	}
-	f, err := c.Byte()
-	if err != nil {
-		return h, err
-	}
-	if f > byte(FormatBinary) {
-		return h, fmt.Errorf("snap: unknown format %d", f)
-	}
-	h.Format = Format(f)
-	if h.CoveredBytes, err = c.Varint(); err != nil {
-		return h, err
-	}
-	if h.CoveredBytes < 0 {
-		return h, fmt.Errorf("snap: negative covered bytes %d", h.CoveredBytes)
-	}
-	blocks, err := c.Uvarint()
-	if err != nil {
-		return h, err
-	}
-	if blocks > uint64(h.CoveredBytes) {
-		return h, fmt.Errorf("snap: %d covered blocks exceed %d covered bytes", blocks, h.CoveredBytes)
-	}
-	h.CoveredBlocks = int(blocks)
-	if h.Samples, err = c.Uvarint(); err != nil {
-		return h, err
-	}
-	if h.HeadCRC, err = c.Uint32(); err != nil {
-		return h, err
-	}
-	if h.TailCRC, err = c.Uint32(); err != nil {
-		return h, err
-	}
-	return h, nil
-}
-
-// appendHead appends everything that precedes the payload bytes: magic,
-// the length-prefixed header, and the payload's length prefix.
-func appendHead(b []byte, h Header, payloadLen int) []byte {
-	hb := h.append(nil)
-	b = append(b, magic[:]...)
-	b = AppendUvarint(b, uint64(len(hb)))
-	b = append(b, hb...)
-	return AppendUvarint(b, uint64(payloadLen))
-}
-
-// Encode frames a header and pass-state payload into a snapshot file
-// image: magic, length-prefixed header, length-prefixed payload, and a
-// CRC32 over everything before it. WriteFile produces the same bytes
-// without building the image; Encode is the reference tests compare it
-// against.
-func Encode(h Header, payload []byte) []byte {
-	b := appendHead(make([]byte, 0, len(payload)+256), h, len(payload))
-	b = append(b, payload...)
-	return AppendUint32(b, checksum(b))
-}
-
-// Decode parses a snapshot file image, verifying magic, CRC, and that
-// every byte is accounted for. The returned payload aliases data.
-func Decode(data []byte) (Header, []byte, error) {
-	var h Header
-	if len(data) < len(magic)+4 {
-		return h, nil, fmt.Errorf("snap: %d bytes is too short for a snapshot", len(data))
-	}
-	if string(data[:len(magic)]) != string(magic[:]) {
-		return h, nil, errors.New("snap: bad magic")
-	}
-	body, sum := data[:len(data)-4], data[len(data)-4:]
-	c := NewCursor(sum)
-	want, _ := c.Uint32()
-	if got := checksum(body); got != want {
-		return h, nil, fmt.Errorf("snap: checksum mismatch: file %08x, computed %08x", want, got)
-	}
-	c = NewCursor(body[len(magic):])
-	hlen, err := c.Uvarint()
-	if err != nil {
-		return h, nil, err
-	}
-	if hlen > uint64(c.Remaining()) {
-		return h, nil, fmt.Errorf("snap: header length %d exceeds %d remaining bytes", hlen, c.Remaining())
-	}
-	hb, err := c.Bytes(int(hlen))
-	if err != nil {
-		return h, nil, err
-	}
-	hc := NewCursor(hb)
-	if h, err = decodeHeader(hc); err != nil {
-		return h, nil, err
-	}
-	if hc.Remaining() != 0 {
-		return h, nil, fmt.Errorf("snap: %d trailing header bytes", hc.Remaining())
-	}
-	plen, err := c.Uvarint()
-	if err != nil {
-		return h, nil, err
-	}
-	if plen > uint64(c.Remaining()) {
-		return h, nil, fmt.Errorf("snap: payload length %d exceeds %d remaining bytes", plen, c.Remaining())
-	}
-	payload, err := c.Bytes(int(plen))
-	if err != nil {
-		return h, nil, err
+	if b.Meta, err = c.String(); err != nil {
+		return b, err
 	}
 	if c.Remaining() != 0 {
-		return h, nil, fmt.Errorf("snap: %d trailing bytes after payload", c.Remaining())
+		return b, fmt.Errorf("snap: %d trailing binding bytes", c.Remaining())
 	}
-	return h, payload, nil
+	return b, nil
 }
 
-// WriteFile atomically replaces path with the encoded snapshot: write
-// to a temp file in the same directory, fsync, rename. A crash leaves
-// either the old snapshot or the new one, never a torn file. The head,
-// the payload and the trailer stream into the file under one running
-// CRC, so the multi-megabyte payload is never copied into a second
-// image.
-func WriteFile(path string, h Header, payload []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
+// AppendRecord appends payload framed as one record.
+func AppendRecord(b, payload []byte) []byte {
+	b = AppendUint32(b, uint32(len(payload)))
+	b = append(b, payload...)
+	return AppendUint32(b, checksum(payload))
+}
+
+// Image returns a whole file: magic, b's binding record, then one record
+// per payload.
+func Image(b Binding, payloads ...[]byte) []byte {
+	img := AppendRecord(append([]byte(nil), magic[:]...), b.append(nil))
+	for _, p := range payloads {
+		img = AppendRecord(img, p)
+	}
+	return img
+}
+
+// Record is one CRC-valid record of a file image.
+type Record struct {
+	// Off is the file offset of the record's first byte.
+	Off int64
+	// Payload aliases the image the record was found in.
+	Payload []byte
+}
+
+// Len returns the record's framed size in the file.
+func (r Record) Len() int { return len(r.Payload) + overhead }
+
+// Prefix is what Validate found in a file image.
+type Prefix struct {
+	// Binding is the file's binding, zero when it did not decode.
+	Binding Binding
+	// Records are the CRC-valid records after a binding equal to the one
+	// asked for, in file order.
+	Records []Record
+	// Valid is the length of the image's valid prefix: the end of the
+	// last record in Records, or of the binding record when there are
+	// none. Zero means the file is not bound to what was asked for.
+	Valid int64
+	// Stop says why validation ended before the image did; empty when
+	// all of it is valid.
+	Stop string
+}
+
+// record frames the record at off in data, or says why there is none.
+// A zero length is refused as torn: a zero-filled tail would otherwise
+// read as a run of valid empty records (the CRC of nothing is zero).
+func record(data []byte, off int64) (Record, string) {
+	rest := data[off:]
+	if len(rest) < 4 {
+		return Record{}, "torn record length"
+	}
+	n := int64(binary.LittleEndian.Uint32(rest))
+	if n == 0 || int64(len(rest)) < n+overhead {
+		return Record{}, "torn record"
+	}
+	payload := rest[4 : 4+n]
+	if checksum(payload) != binary.LittleEndian.Uint32(rest[4+n:]) {
+		return Record{}, "record CRC mismatch"
+	}
+	return Record{Off: off, Payload: payload}, ""
+}
+
+// Validate checks a file image against want: the magic, then a binding
+// record equal to want, then records up to the first that is torn or
+// fails its CRC. It allocates nothing but the Records slice — a record
+// takes at least nine bytes of data — and every payload aliases data.
+func Validate(data []byte, want Binding) Prefix {
+	var p Prefix
+	switch {
+	case len(data) < len(magic):
+		p.Stop = "short file"
+		return p
+	case string(data[:len(magic)]) != string(magic[:]):
+		p.Stop = "bad magic"
+		return p
+	}
+	rec, stop := record(data, int64(len(magic)))
+	if stop != "" {
+		p.Stop = "binding: " + stop
+		return p
+	}
+	b, err := decodeBinding(rec.Payload)
 	if err != nil {
-		return err
+		p.Stop = "binding: " + err.Error()
+		return p
 	}
-	defer os.Remove(tmp.Name())
-	head := appendHead(nil, h, len(payload))
-	sum := crc32.Update(checksum(head), crcTable, payload)
-	for _, part := range [][]byte{head, payload, AppendUint32(nil, sum)} {
-		if _, err := tmp.Write(part); err != nil {
-			tmp.Close()
-			return err
+	p.Binding = b
+	if b != want {
+		p.Stop = "binding mismatch"
+		return p
+	}
+	p.Valid = rec.Off + int64(rec.Len())
+	for p.Valid < int64(len(data)) {
+		if rec, p.Stop = record(data, p.Valid); p.Stop != "" {
+			break
 		}
+		p.Records = append(p.Records, rec)
+		p.Valid += int64(rec.Len())
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return p
 }
 
-// ReadFile loads and decodes the snapshot at path. A missing file is
-// ErrNoSnapshot; any other failure surfaces as-is for the caller to
-// treat as an invalidation.
-func ReadFile(path string) (Header, []byte, error) {
+// ReadRecord reads the len(buf)-byte record at off — located earlier by
+// Validate — into buf and returns its payload, aliasing buf, once its
+// length prefix and CRC check out again.
+func ReadRecord(r io.ReaderAt, off int64, buf []byte) ([]byte, error) {
+	if _, err := r.ReadAt(buf, off); err != nil {
+		return nil, err
+	}
+	rec, stop := record(buf, 0)
+	if stop == "" && rec.Len() != len(buf) {
+		stop = "record length changed"
+	}
+	if stop != "" {
+		return nil, fmt.Errorf("snap: record at offset %d: %s", off, stop)
+	}
+	return rec.Payload, nil
+}
+
+// ReadFile reads a whole file that ReplaceFile wrote as Image(want,
+// payload) and returns the payload. A missing file is the os error; a
+// file with another magic or binding is ErrMismatch; anything but
+// exactly one CRC-valid record after the binding is an error saying
+// what was found instead.
+func ReadFile(path string, want Binding) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return Header{}, nil, ErrNoSnapshot
-		}
-		return Header{}, nil, err
+		return nil, err
 	}
-	return Decode(data)
+	p := Validate(data, want)
+	switch {
+	case p.Valid == 0:
+		return nil, fmt.Errorf("%w: %s", ErrMismatch, p.Stop)
+	case p.Stop != "":
+		return nil, fmt.Errorf("snap: %s at offset %d", p.Stop, p.Valid)
+	case len(p.Records) != 1:
+		return nil, fmt.Errorf("snap: %d records, want 1", len(p.Records))
+	}
+	return p.Records[0].Payload, nil
+}
+
+// ReplaceFile durably replaces path with data: a temp file in the same
+// directory is written, fsynced and renamed over path, and then the
+// directory is fsynced so that the rename survives a crash too. A reader
+// sees the old file or the new one, never a torn one.
+func ReplaceFile(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // fails harmlessly once renamed
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Fingerprint derives a compact identity for a store prefix from the
-// same evidence a snapshot header binds to: the covered byte boundary,
-// the sample count, and the head/tail content-window CRCs. Two prefixes
+// evidence a snapshot binds its state to: the covered byte boundary, the
+// sample count, and the head/tail content-window CRCs. Two prefixes
 // with equal fingerprints carry the same analysis state for practical
-// purposes, which is what cache keys and HTTP ETags need — the serving
-// layer stamps every response with the fingerprint of the snapshot
-// that produced it.
+// purposes, which is what cache keys and HTTP ETags need.
 func Fingerprint(covered int64, samples uint64, head, tail uint32) string {
 	return fmt.Sprintf("%x-%x-%08x%08x", covered, samples, head, tail)
 }
 
-// WindowBytes is the size of the head and tail content windows hashed
-// into the header. Two 64 KiB reads bound validation cost regardless of
-// store size while still catching same-length rewrites at either end.
+// WindowBytes is the size of the head and tail content windows a
+// snapshot checks its covered prefix by. Two 64 KiB reads bound
+// validation cost regardless of store size while still catching
+// same-length rewrites at either end.
 const WindowBytes = 64 << 10
 
 // WindowCRCs checksums the first and last WindowBytes of the covered
@@ -278,10 +288,7 @@ func WindowCRCs(r io.ReaderAt, covered int64) (head, tail uint32, err error) {
 		}
 		return checksum(buf), nil
 	}
-	n := covered
-	if n > WindowBytes {
-		n = WindowBytes
-	}
+	n := min(covered, WindowBytes)
 	if head, err = window(0, n); err != nil {
 		return 0, 0, err
 	}

@@ -3,115 +3,137 @@ package snap
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-func testHeader() Header {
-	return Header{
-		PassSet:       "suite-v1|start=1567296000000000000|width=604800000000000",
-		Index:         "8f3a1c5d9e2b4a60",
-		Meta:          "0011223344556677",
-		Format:        FormatBinary,
-		CoveredBytes:  1 << 20,
-		CoveredBlocks: 88,
-		Samples:       345600,
-		HeadCRC:       0xdeadbeef,
-		TailCRC:       0x01020304,
+func testBinding() Binding {
+	return Binding{
+		PassSet: "suite-v5|start=1567296000000000000|width=604800000000000",
+		Index:   "8f3a1c5d9e2b4a60",
+		Meta:    "0011223344556677",
 	}
 }
 
+var testPayloads = [][]byte{[]byte("first record"), {0}, []byte("third \x00\x01\x02")}
+
+// TestEncodeDecodeRoundTrip validates an image back: the binding, every
+// payload in order at the offsets the framing puts them, the whole image
+// valid. ReadRecord reads each record back from those offsets, and a
+// zero binding with no records round-trips too.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	h := testHeader()
-	payload := []byte("opaque pass state \x00\x01\x02")
-	data := Encode(h, payload)
-	got, gotPayload, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
+	b := testBinding()
+	img := Image(b, testPayloads...)
+	p := Validate(img, b)
+	if p.Binding != b || p.Stop != "" || p.Valid != int64(len(img)) || len(p.Records) != len(testPayloads) {
+		t.Fatalf("Validate = %+v over %d bytes", p, len(img))
 	}
-	if got != h {
-		t.Errorf("header round trip: got %+v want %+v", got, h)
+	for i, rec := range p.Records {
+		if !bytes.Equal(rec.Payload, testPayloads[i]) {
+			t.Errorf("record %d = %q, want %q", i, rec.Payload, testPayloads[i])
+		}
+		got, err := ReadRecord(bytes.NewReader(img), rec.Off, make([]byte, rec.Len()))
+		if err != nil || !bytes.Equal(got, testPayloads[i]) {
+			t.Errorf("ReadRecord %d = %q, %v", i, got, err)
+		}
 	}
-	if !bytes.Equal(gotPayload, payload) {
-		t.Errorf("payload round trip: got %q want %q", gotPayload, payload)
+	last := p.Records[len(p.Records)-1]
+	if _, err := ReadRecord(bytes.NewReader(img), last.Off, make([]byte, last.Len()-1)); err == nil {
+		t.Error("ReadRecord accepted a buffer shorter than the record")
 	}
 
-	// Empty payload and zero-valued header round-trip too.
-	data = Encode(Header{}, nil)
-	got, gotPayload, err = Decode(data)
-	if err != nil {
-		t.Fatal(err)
+	if p := Validate(Image(Binding{}), Binding{}); p.Stop != "" || len(p.Records) != 0 || p.Valid != int64(len(Image(Binding{}))) {
+		t.Errorf("bare zero binding: %+v", p)
 	}
-	if got != (Header{}) || len(gotPayload) != 0 {
-		t.Errorf("zero round trip: %+v payload %d bytes", got, len(gotPayload))
+	if p := Validate(img, Binding{PassSet: b.PassSet}); p.Stop != "binding mismatch" || p.Valid != 0 || p.Binding != b {
+		t.Errorf("other binding: %+v", p)
 	}
 }
 
-// TestDecodeRejectsCorruption flips every byte of a valid snapshot in
-// turn; each mutation must fail to decode (the CRC covers everything),
-// and so must every truncation.
+// TestDecodeRejectsCorruption flips every byte of a valid image in turn
+// and cuts it at every length: what Validate returns is always a prefix
+// of the records written — never all of them after a flip, never a
+// payload that differs — and a cut ends the valid prefix at a record
+// boundary at or before it.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	data := Encode(testHeader(), []byte("payload"))
-	for i := range data {
-		mut := append([]byte(nil), data...)
+	b := testBinding()
+	img := Image(b, testPayloads...)
+	prefixOf := func(p Prefix) bool {
+		for i, rec := range p.Records {
+			if i >= len(testPayloads) || !bytes.Equal(rec.Payload, testPayloads[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := range img {
+		mut := append([]byte(nil), img...)
 		mut[i] ^= 0x40
-		if _, _, err := Decode(mut); err == nil {
-			t.Fatalf("byte %d flipped but Decode succeeded", i)
+		p := Validate(mut, b)
+		if !prefixOf(p) || len(p.Records) == len(testPayloads) || p.Stop == "" {
+			t.Fatalf("byte %d flipped: %d records, stop %q", i, len(p.Records), p.Stop)
 		}
 	}
-	for n := 0; n < len(data); n++ {
-		if _, _, err := Decode(data[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes decoded", n)
+	for n := 0; n <= len(img); n++ {
+		p := Validate(img[:n], b)
+		if !prefixOf(p) || p.Valid > int64(n) || (p.Stop == "") != (p.Valid == int64(n) && n > 0) {
+			t.Fatalf("cut at %d: %d records, valid %d, stop %q", n, len(p.Records), p.Valid, p.Stop)
 		}
 	}
-	if _, _, err := Decode(append(append([]byte(nil), data...), 0)); err == nil {
-		t.Fatal("trailing byte decoded")
+	if p := Validate(append(append([]byte(nil), img...), 0), b); p.Stop == "" || p.Valid != int64(len(img)) {
+		t.Fatalf("trailing byte: %+v", p)
+	}
+	// A zero-filled tail is torn, not a run of empty records.
+	if p := Validate(append(append([]byte(nil), img...), make([]byte, 16)...), b); len(p.Records) != len(testPayloads) || p.Stop != "torn record" {
+		t.Fatalf("zero tail: %+v", p)
 	}
 }
 
+// TestWriteReadFile pins the whole-file pair: ReplaceFile leaves exactly
+// the image and no temp file, a rewrite replaces it, and ReadFile hands
+// back the one record or says what it found instead.
 func TestWriteReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "samples.snap")
+	b := testBinding()
 
-	if _, _, err := ReadFile(path); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("missing file: got %v, want ErrNoSnapshot", err)
+	if _, err := ReadFile(path, b); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file: got %v, want fs.ErrNotExist", err)
+	}
+	for _, payload := range [][]byte{[]byte("state"), []byte("state2")} {
+		if err := ReplaceFile(path, Image(b, payload)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadFile(path, b); err != nil || string(got) != string(payload) {
+			t.Errorf("read back %q, %v; want %q", got, err, payload)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("dir has %d entries after rewrite, want 1 (%v)", len(entries), err)
 	}
 
-	h := testHeader()
-	if err := WriteFile(path, h, []byte("state")); err != nil {
-		t.Fatal(err)
+	other := b
+	other.Meta = "ffffffffffffffff"
+	if _, err := ReadFile(path, other); !errors.Is(err, ErrMismatch) {
+		t.Errorf("other binding: got %v, want ErrMismatch", err)
 	}
-	got, payload, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for name, data := range map[string][]byte{
+		"two records": Image(b, []byte("a"), []byte("b")),
+		"no record":   Image(b),
+		"torn":        Image(b, []byte("state"))[:40],
+		"empty":       nil,
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadFile(path, b); err == nil {
+			t.Errorf("%s: read %q", name, got)
+		}
 	}
-	if got != h || string(payload) != "state" {
-		t.Errorf("read back %+v %q", got, payload)
-	}
-
-	// Rewrite replaces atomically; no temp files linger.
-	h.Samples++
-	if err := WriteFile(path, h, []byte("state2")); err != nil {
-		t.Fatal(err)
-	}
-	got, payload, err = ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h || string(payload) != "state2" {
-		t.Errorf("rewrite read back %+v %q", got, payload)
-	}
-	// WriteFile streams the parts Encode concatenates: same file bytes.
-	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, Encode(h, []byte("state2"))) {
-		t.Errorf("file bytes differ from Encode's image (read err %v)", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("dir has %d entries after rewrite, want 1", len(entries))
+	if err := ReplaceFile(filepath.Join(dir, "absent", "x"), nil); err == nil {
+		t.Error("ReplaceFile into a missing directory succeeded")
 	}
 }
 

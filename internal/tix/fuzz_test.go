@@ -58,7 +58,7 @@ func FuzzNodeRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{recNode})
-	f.Add([]byte{recHeader, 1, 2, 3})
+	f.Add([]byte{0x00, 1, 2, 3}) // not a node record
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) == 0 || payload[0] != recNode {

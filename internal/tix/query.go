@@ -80,8 +80,8 @@ func (q QueryStats) DecodedBlocks() int {
 // again — cheaper than every curve query keeping its edge blocks'
 // column buffers alive in case a quantile follows).
 type piece struct {
-	slabOff int64 // node: payload offset in the sidecar
-	slabLen int   // node: payload length plus CRC trailer; 0 for a block
+	slabOff int64 // node: record offset in the sidecar
+	slabLen int   // node: framed record size; 0 for a block
 	block   int
 	edge    bool           // block: fold only sel's rows, not all of them
 	cols    colf.ColumnSet // edge: the columns sel needs
@@ -269,7 +269,7 @@ func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.Block
 				t0 := time.Now()
 				res.add(ref.grid)
 				st.GridCompose += time.Since(t0)
-				res.plan = append(res.plan, piece{slabOff: ref.payloadOff, slabLen: ref.payloadLen + 4})
+				res.plan = append(res.plan, piece{slabOff: ref.recOff, slabLen: ref.recLen})
 				st.Nodes++
 				st.NodeBlocks += span
 				lo += span

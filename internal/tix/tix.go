@@ -6,28 +6,23 @@
 // nodes plus a batch decode of only the partially covered edge blocks,
 // instead of re-scanning every row in the window.
 //
-// The index lives in a CRC-guarded sidecar (samples.tix) next to the
-// samples file and grows incrementally as blocks seal, following the
-// same binding-fingerprint/cold-fallback discipline as internal/snap: a
-// header binds the file to (pass set, probe index, campaign meta,
-// store format), every record carries its own Castagnoli CRC, and any
-// mismatch — binding, torn tail, a node whose byte range no longer
-// matches the store's block list — drops the invalid suffix or the
-// whole file. Corruption is never worse than a cache miss: queries fall
-// back to decoding blocks.
+// The index lives in a sidecar (samples.tix) next to the samples file,
+// in the record format every derived file of a store shares
+// (internal/snap): a binding record ties it to (pass set, probe index,
+// campaign meta), and each node is one CRC-guarded record appended as
+// blocks seal. Any mismatch — binding, torn tail, a node whose byte
+// range no longer matches the store's block list — drops the invalid
+// suffix or the whole file. Corruption is never worse than a cache
+// miss: queries fall back to decoding blocks.
 //
-// # File layout
+// # Node record
 //
-//	magic[8] = "TIX" 1 0 0 0 '\n'
-//	record   = u32 len(payload) | payload | u32 crc32c(payload)
-//	payload  = header (exactly one, first) | node
-//	header   = 0x00 | passSet | indexFP | metaFP | format byte
-//	node     = 0x01 | uvarint level | uvarint start
-//	         | varint startOff | varint endOff
-//	         | uvarint rows | uvarint delivered
-//	         | uvarint #continents
-//	         | ( continent byte | Dist state
-//	           | uvarint #bins | uvarint bin increment * )*
+//	node = 0x01 | uvarint level | uvarint start
+//	     | varint startOff | varint endOff
+//	     | uvarint rows | uvarint delivered
+//	     | uvarint #continents
+//	     | ( continent byte | Dist state
+//	       | uvarint #bins | uvarint bin increment * )*
 //
 // A node at level L covers blocks [start, start+2^L); level-0 leaves
 // are never stored — a single block decodes in microseconds through
@@ -59,7 +54,6 @@
 package tix
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -72,10 +66,6 @@ import (
 	"repro/internal/stats"
 )
 
-// magic identifies a temporal index sidecar; the fourth byte is the
-// format version.
-var magic = [8]byte{'T', 'I', 'X', 2, 0, 0, 0, '\n'}
-
 // PassSetCDF names the pass state this format version stores per node:
 // the per-continent delivered-RTT distribution behind /cdf and the
 // windowed /quantile. A different pass set never applies.
@@ -85,28 +75,14 @@ const PassSetCDF = "continent-cdf-v1"
 // far past any real store); decoded levels above it mark corruption.
 const maxLevel = 48
 
-// maxRecordBytes bounds one record's payload. A node's payload is
-// dominated by 8 bytes per delivered sample; half a billion samples in
-// one node is past any store this format serves, so larger lengths are
-// treated as corruption rather than allocated.
-const maxRecordBytes = 1 << 32
+// recNode tags a node record.
+const recNode = 0x01
 
-// Record type tags.
-const (
-	recHeader = 0x00
-	recNode   = 0x01
-)
-
-// Binding is the identity the sidecar binds to, mirroring the snapshot
-// envelope: the pass set (PassSetCDF), the probe index fingerprint
-// (core.Index.Fingerprint) and the campaign meta fingerprint
-// (core.MetaFingerprint). An index opened under a different binding is
-// discarded and rebuilt.
-type Binding struct {
-	PassSet string
-	Index   string
-	Meta    string
-}
+// Binding is the identity the sidecar binds to: the pass set
+// (PassSetCDF), the probe index fingerprint (core.Index.Fingerprint) and
+// the campaign meta fingerprint (core.MetaFingerprint). An index opened
+// under a different binding is discarded and rebuilt.
+type Binding = snap.Binding
 
 // Continents resolves probe IDs to continents — the slice of core.Index
 // the leaf builder and edge-block folds need: a dense table indexed by
@@ -125,16 +101,16 @@ type nodeKey struct {
 }
 
 // nodeRef is the in-memory directory entry for one validated node:
-// where its record payload sits in the sidecar, what it covers, and its
-// curve pre-aggregate. The payload's distribution slabs are read back
-// lazily, per query that needs them.
+// where its record sits in the sidecar, what it covers, and its curve
+// pre-aggregate. The record's distribution slabs are read back lazily,
+// per query that needs them.
 type nodeRef struct {
 	level            int
 	start            int
 	startOff, endOff int64 // covered byte range in the samples file
 	rows, delivered  uint64
-	payloadOff       int64 // file offset of the record payload
-	payloadLen       int
+	recOff           int64 // sidecar offset of the node's record
+	recLen           int   // the record's framed size
 	grid             *grid // decoded from the CRC-verified payload; immutable
 }
 
@@ -236,11 +212,12 @@ func Open(path string, b Binding, blocks []colf.BlockInfo, log *obs.Logger) (*In
 	return ix, nil
 }
 
-// load walks the existing file, validates every record — decoding each
-// node in full, which is where its resident grid comes from — and
-// truncates or recreates as the discipline demands. The file is read
-// once into a buffer of its own size: the sidecar runs to tens of
-// megabytes, and growing a buffer towards that was most of Open's cost.
+// load validates the existing file — the shared record checks first,
+// then each node in full, which is where its resident grid comes from —
+// and truncates to the valid prefix or resets the file as the discipline
+// demands. The file is read once into a buffer of its own size: the
+// sidecar runs to tens of megabytes, and growing a buffer towards that
+// was most of Open's cost.
 func (ix *Index) load(blocks []colf.BlockInfo) error {
 	fi, err := ix.f.Stat()
 	if err != nil {
@@ -252,149 +229,51 @@ func (ix *Index) load(blocks []colf.BlockInfo) error {
 		return err
 	}
 	buf = buf[:n] // a file that shrank under us is a torn suffix like any other
-	reset := func(reason string) error {
-		ix.log.Info("tix reset", "path", ix.path, "reason", reason)
-		ix.nodes = make(map[nodeKey]nodeRef)
-		ix.frontier = 0
-		return ix.recreate()
-	}
-	if len(buf) < len(magic) {
+	p := snap.Validate(buf, ix.binding)
+	if p.Valid == 0 {
 		if len(buf) != 0 {
-			return reset("short file")
+			ix.log.Info("tix reset", "path", ix.path, "reason", p.Stop)
 		}
-		return ix.recreate()
+		return ix.reset()
 	}
-	if string(buf[:len(magic)]) != string(magic[:]) {
-		return reset("bad magic")
-	}
-
-	off := int64(len(magic))
-	sawHeader := false
-	truncate := func(reason string, at int64) error {
-		ix.log.Info("tix truncated", "path", ix.path, "reason", reason, "offset", at)
-		if err := ix.f.Truncate(at); err != nil {
-			return err
+	valid, stop := p.Valid, p.Stop
+	for _, rec := range p.Records {
+		ref, ns, err := decodeNodeState(rec.Payload)
+		if err != nil {
+			valid, stop = rec.Off, "corrupt node: "+err.Error()
+			break
 		}
-		ix.size = at
+		if err := validateNode(ref, blocks, ix.nodes); err != nil {
+			valid, stop = rec.Off, "stale node: "+err.Error()
+			break
+		}
+		ref.recOff, ref.recLen, ref.grid = rec.Off, rec.Len(), ns.grid
+		ix.nodes[nodeKey{ref.level, ref.start}] = ref
+		if end := ref.start + ref.blocks(); end > ix.frontier {
+			ix.frontier = end
+		}
+	}
+	ix.size = valid
+	if valid == int64(len(buf)) {
 		return nil
 	}
-	for int(off) < len(buf) {
-		rest := buf[off:]
-		if len(rest) < 4 {
-			return truncate("torn record length", off)
-		}
-		n := int64(binary.LittleEndian.Uint32(rest))
-		if n == 0 || n > maxRecordBytes || int64(len(rest)) < 4+n+4 {
-			return truncate("torn record", off)
-		}
-		payload := rest[4 : 4+n]
-		want := binary.LittleEndian.Uint32(rest[4+n:])
-		if snap.Checksum(payload) != want {
-			return truncate("record crc mismatch", off)
-		}
-		switch payload[0] {
-		case recHeader:
-			if sawHeader {
-				return truncate("duplicate header", off)
-			}
-			hb, err := decodeHeader(payload)
-			if err != nil {
-				return reset("corrupt header: " + err.Error())
-			}
-			if hb != ix.binding {
-				return reset("binding mismatch")
-			}
-			sawHeader = true
-		case recNode:
-			if !sawHeader {
-				return reset("node before header")
-			}
-			ref, ns, err := decodeNodeState(payload)
-			if err != nil {
-				return truncate("corrupt node: "+err.Error(), off)
-			}
-			if err := validateNode(ref, blocks, ix.nodes); err != nil {
-				return truncate("stale node: "+err.Error(), off)
-			}
-			ref.payloadOff = off + 4
-			ref.payloadLen = int(n)
-			ref.grid = ns.grid
-			ix.nodes[nodeKey{ref.level, ref.start}] = ref
-			if end := ref.start + ref.blocks(); end > ix.frontier {
-				ix.frontier = end
-			}
-		default:
-			return truncate("unknown record type", off)
-		}
-		off += 4 + n + 4
-	}
-	if !sawHeader {
-		return reset("missing header")
-	}
-	ix.size = off
-	return nil
+	ix.log.Info("tix truncated", "path", ix.path, "reason", stop, "offset", valid)
+	return ix.f.Truncate(valid)
 }
 
-// recreate truncates the file to a fresh magic + header.
-func (ix *Index) recreate() error {
+// reset empties the index and rewrites the file as a bare binding.
+func (ix *Index) reset() error {
+	ix.nodes = make(map[nodeKey]nodeRef)
+	ix.frontier = 0
+	img := snap.Image(ix.binding)
 	if err := ix.f.Truncate(0); err != nil {
 		return err
 	}
-	if _, err := ix.f.WriteAt(magic[:], 0); err != nil {
+	if _, err := ix.f.WriteAt(img, 0); err != nil {
 		return err
 	}
-	ix.size = int64(len(magic))
-	payload := encodeHeader(ix.binding)
-	if err := ix.appendRecord(payload); err != nil {
-		return err
-	}
+	ix.size = int64(len(img))
 	return ix.f.Sync()
-}
-
-// appendRecord writes one length-prefixed, CRC-trailed record at the
-// append offset.
-func (ix *Index) appendRecord(payload []byte) error {
-	rec := make([]byte, 0, len(payload)+8)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.LittleEndian.AppendUint32(rec, snap.Checksum(payload))
-	if _, err := ix.f.WriteAt(rec, ix.size); err != nil {
-		return err
-	}
-	ix.size += int64(len(rec))
-	return nil
-}
-
-// encodeHeader serializes the binding record.
-func encodeHeader(b Binding) []byte {
-	p := []byte{recHeader}
-	p = snap.AppendString(p, b.PassSet)
-	p = snap.AppendString(p, b.Index)
-	p = snap.AppendString(p, b.Meta)
-	return snap.AppendBool(p, true) // format: binary (the only store format indexed)
-}
-
-// decodeHeader parses a header record payload.
-func decodeHeader(payload []byte) (Binding, error) {
-	c := snap.NewCursor(payload[1:])
-	var b Binding
-	var err error
-	if b.PassSet, err = c.String(); err != nil {
-		return b, err
-	}
-	if b.Index, err = c.String(); err != nil {
-		return b, err
-	}
-	if b.Meta, err = c.String(); err != nil {
-		return b, err
-	}
-	if _, err = c.Bool(); err != nil {
-		return b, err
-	}
-	if c.Remaining() != 0 {
-		return b, fmt.Errorf("tix: %d trailing header bytes", c.Remaining())
-	}
-	return b, nil
 }
 
 // nodeState is one node's decoded aggregate: its grid (rows covered,
@@ -473,6 +352,9 @@ func encodeNode(level, start int, startOff, endOff int64, ns *nodeState) []byte 
 // positioned at the distribution section.
 func decodeNodeFixed(payload []byte) (nodeRef, *snap.Cursor, error) {
 	var ref nodeRef
+	if len(payload) == 0 || payload[0] != recNode {
+		return ref, nil, fmt.Errorf("tix: not a node record")
+	}
 	c := snap.NewCursor(payload[1:])
 	level, err := c.Uvarint()
 	if err != nil {
@@ -613,17 +495,14 @@ func validateNode(ref nodeRef, blocks []colf.BlockInfo, seen map[nodeKey]nodeRef
 	return nil
 }
 
-// readNodeState reads the node payload at off, with its CRC trailer,
-// into buf and decodes it, CRC re-verified (the page-cache read is
-// cheap; the check keeps a post-open corruption from silently skewing a
-// window). The decoded distributions alias buf.
+// readNodeState reads the node record at off into buf — sized to the
+// framed record — and decodes it, CRC re-verified (the page-cache read
+// is cheap; the check keeps a post-open corruption from silently
+// skewing a window). The decoded distributions alias buf.
 func readNodeState(r io.ReaderAt, off int64, buf []byte) (*nodeState, error) {
-	if _, err := r.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	payload := buf[:len(buf)-4]
-	if want := binary.LittleEndian.Uint32(buf[len(payload):]); snap.Checksum(payload) != want {
-		return nil, fmt.Errorf("tix: node at offset %d failed its CRC", off)
+	payload, err := snap.ReadRecord(r, off, buf)
+	if err != nil {
+		return nil, fmt.Errorf("tix: node: %w", err)
 	}
 	_, ns, err := decodeNodeState(payload)
 	return ns, err
@@ -725,10 +604,10 @@ func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continen
 				if !lok || !rok {
 					return fmt.Errorf("tix: children of node level %d start %d missing", level, start)
 				}
-				if left, err = readNodeState(ix.f, lref.payloadOff, make([]byte, lref.payloadLen+4)); err != nil {
+				if left, err = readNodeState(ix.f, lref.recOff, make([]byte, lref.recLen)); err != nil {
 					return err
 				}
-				if right, err = readNodeState(ix.f, rref.payloadOff, make([]byte, rref.payloadLen+4)); err != nil {
+				if right, err = readNodeState(ix.f, rref.recOff, make([]byte, rref.recLen)); err != nil {
 					return err
 				}
 			}
@@ -739,18 +618,18 @@ func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continen
 			startOff := blocks[start].Off
 			lastBlk := blocks[start+span-1]
 			endOff := lastBlk.Off + lastBlk.Len
-			payload := encodeNode(level, start, startOff, endOff, ns)
-			ref := nodeRef{
+			rec := snap.AppendRecord(nil, encodeNode(level, start, startOff, endOff, ns))
+			if _, err := ix.f.WriteAt(rec, ix.size); err != nil {
+				return err
+			}
+			ix.nodes[key] = nodeRef{
 				level: level, start: start,
 				startOff: startOff, endOff: endOff,
 				rows: ns.grid.rows, delivered: ns.grid.delivered,
-				payloadOff: ix.size + 4, payloadLen: len(payload),
+				recOff: ix.size, recLen: len(rec),
 				grid: ns.grid,
 			}
-			if err := ix.appendRecord(payload); err != nil {
-				return err
-			}
-			ix.nodes[key] = ref
+			ix.size += int64(len(rec))
 			wrote = true
 		}
 	}

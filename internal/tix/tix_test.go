@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/results"
+	"repro/internal/snap"
 	"repro/internal/stats"
 	"repro/internal/tix"
 	"repro/internal/world"
@@ -479,6 +480,45 @@ func TestBindingInvalidation(t *testing.T) {
 	}
 	if st.Size() > 256 {
 		t.Fatalf("reset index still holds %d bytes", st.Size())
+	}
+}
+
+// TestTIXv2Rebuilds: a sidecar in the index's own former layout — magic
+// "TIX" 2 and the binding as a tagged first record — holds the same node
+// payloads, yet it is reset at open, never parsed, and Extend rebuilds
+// the file a fresh build writes.
+func TestTIXv2Rebuilds(t *testing.T) {
+	f := getFixture(t)
+	path := filepath.Join(t.TempDir(), "samples.tix")
+	f.build(t, path, f.blocks).Close()
+	fresh, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := snap.AppendString([]byte{0x00}, f.binding.PassSet)
+	header = snap.AppendString(header, f.binding.Index)
+	header = snap.AppendBool(snap.AppendString(header, f.binding.Meta), true)
+	v2 := snap.AppendRecord([]byte("TIX\x02\x00\x00\x00\n"), header)
+	for _, rec := range snap.Validate(fresh, f.binding).Records {
+		v2 = snap.AppendRecord(v2, rec.Payload)
+	}
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := tix.Open(path, f.binding, f.blocks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Nodes() != 0 {
+		t.Fatalf("a TIX v2 file kept %d nodes", re.Nodes())
+	}
+	if err := re.Extend(f.openSamples(t), f.blocks, f.world.Index); err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt, err := os.ReadFile(path); err != nil || !bytes.Equal(rebuilt, fresh) {
+		t.Fatalf("rebuild over a TIX v2 file differs from a fresh build (err %v)", err)
 	}
 }
 

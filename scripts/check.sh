@@ -65,13 +65,16 @@ echo "== bench module (API compile + paper_run parity + traced smoke) =="
 
 echo "== fuzz smoke =="
 # Short fuzz bursts over the decode boundaries: the columnar block
-# codec (round-trip + corruption), the snapshot envelope
-# (header/payload round-trip + corruption), the suite state that
-# envelope carries (decode must never panic or allocate past its input;
-# accepted states must round-trip), and the temporal index's
-# segment-node codec (decode must never panic; accepted payloads must
-# re-encode to the same aggregate). Ten seconds each catches format
-# regressions without turning the gate into a fuzz farm.
+# codec (round-trip + corruption), the one validator every sidecar file
+# is read through — samples.snap, samples.tix, checkpoint.json (it must
+# never panic or allocate past its input, and the records it accepts
+# must re-encode to the bytes they were read from; the target kept its
+# FuzzSnapshotRoundTrip name) — the suite state samples.snap carries
+# (decode must never panic or allocate past its input; accepted states
+# must round-trip), and the temporal index's segment-node codec (decode
+# must never panic; accepted payloads must re-encode to the same
+# aggregate). Ten seconds each catches format regressions without
+# turning the gate into a fuzz farm.
 go test -run='^$' -fuzz='^FuzzBlockRoundTrip$' -fuzztime=10s ./internal/colf
 go test -run='^$' -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime=10s ./internal/snap
 go test -run='^$' -fuzz='^FuzzSuiteState$' -fuzztime=10s ./internal/core
