@@ -31,9 +31,9 @@
 //
 // The window op answers from the temporal aggregate index (samples.tix)
 // alone: it opens or builds the sidecar, composes the -window range
-// from pre-merged segment nodes plus edge-block decodes, and prints
-// per-continent quantiles along with how many nodes and edge blocks
-// the composition touched.
+// from per-block records plus edge-block decodes, and prints
+// per-continent quantiles along with how many block records and edge
+// blocks the composition touched.
 //
 // -fast switches the stats op to an aggregate-only pass that resolves
 // whole blocks from their zone pre-aggregates with zero row decode on
@@ -732,8 +732,8 @@ func parseWindowRange(window, since, until string) (time.Time, time.Time, error)
 
 // windowOp materializes one [since, until) window through the temporal
 // aggregate index: it opens (or builds) samples.tix next to the
-// samples file, composes the window from pre-merged segment nodes plus
-// edge-block decodes, and prints the per-continent quantiles along
+// samples file, composes the window from the block records' prefix rows
+// plus edge-block decodes, and prints the per-continent quantiles along
 // with exactly how the window was assembled and where the time went.
 // The sample rows outside the edge blocks are never decoded.
 func windowOp(store *results.Store, window, since, until string) ([]string, error) {
@@ -777,7 +777,7 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 	}
 	extended := time.Since(buildStart)
 	if built := ix.Nodes() - before; built > 0 {
-		log.Printf("index: appended %d segment nodes over %d sealed blocks in %v",
+		log.Printf("index: appended %d block records over %d sealed blocks in %v",
 			built, len(blocks), extended.Round(time.Millisecond))
 	}
 
@@ -787,7 +787,7 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 		return nil, err
 	}
 	// The curves and counts are composed; the quantiles below are what
-	// load the distribution slabs.
+	// load the slabs.
 	var rows []string
 	for _, ct := range res.Continents() {
 		var qs [3]float64
@@ -812,8 +812,8 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 		fmt.Sprintf("window: [%s, %s) open %v, extend %v, query %v (grids %v, block decode %v, fold %v, slabs %v for %d bytes, select %v)",
 			bound(sinceT), bound(untilT), us(opened), us(extended), us(elapsed),
 			us(st.GridCompose), us(st.EdgeDecode), us(st.Fold), us(st.SlabRead), st.SlabBytes, us(st.Select)),
-		fmt.Sprintf("index: %d nodes composed (%d blocks pre-merged), %d edge blocks decoded, %d stray, %d past frontier, %d skipped",
-			st.Nodes, st.NodeBlocks, st.EdgeBlocks, st.StrayBlocks, st.FrontierBlocks, st.SkippedBlocks),
+		fmt.Sprintf("index: %d block records composed, %d edge blocks decoded, %d past frontier, %d skipped",
+			st.Nodes, st.EdgeBlocks, st.FrontierBlocks, st.SkippedBlocks),
 		fmt.Sprintf("rows: %d total, %d delivered, %d resolved samples", res.Rows, res.Delivered, res.Samples()),
 	}
 	if len(rows) == 0 {

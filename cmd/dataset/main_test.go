@@ -452,7 +452,7 @@ func TestWindowOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined := strings.Join(lines, "\n")
-	for _, wantStr := range []string{"window: [", ") open ", ", extend ", ", query ", "index: ", "rows: ", "nodes composed"} {
+	for _, wantStr := range []string{"window: [", ") open ", ", extend ", ", query ", "index: ", "rows: ", "block records composed"} {
 		if !strings.Contains(joined, wantStr) {
 			t.Errorf("window output missing %q:\n%s", wantStr, joined)
 		}

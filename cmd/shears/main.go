@@ -492,10 +492,10 @@ func run(o options) (err error) {
 
 // buildTix builds (or incrementally extends) the dataset's temporal
 // aggregate index so that windowed queries — dataset -op window, or an
-// atlasd serving this directory — compose pre-merged segment nodes
-// instead of rescanning the campaign. The schedule is deterministic, so
-// rebuilding after an interrupted run appends exactly the nodes the
-// earlier run would have.
+// atlasd serving this directory — compose per-block records instead of
+// rescanning the campaign. A record is a function of its block alone,
+// so rebuilding after an interrupted run appends exactly the records
+// the earlier run would have.
 func buildTix(store *results.Store, idx *core.Index, logger *obs.Logger) error {
 	r, closer, err := colf.Open(store.SamplesPath())
 	if err != nil {
@@ -522,7 +522,7 @@ func buildTix(store *results.Store, idx *core.Index, logger *obs.Logger) error {
 		return err
 	}
 	logger.Info("temporal index ready",
-		"path", ix.Path(), "nodes", ix.Nodes(), "blocks", len(blocks),
+		"path", ix.Path(), "records", ix.Nodes(), "blocks", len(blocks),
 		"elapsed", time.Since(start).Round(time.Millisecond))
 	return ix.Close()
 }

@@ -135,8 +135,9 @@ func TestRunWritesArtifacts(t *testing.T) {
 // -quiet -figdir DIR` at the commit before wrote these bytes). A
 // deliberate format change updates the digest it moves and says so:
 // samples.snap moved with each suite state version since (v3, v4, v5),
-// and samples.tix once, when both took the shared record format of
-// internal/snap (snapshot +8 bytes, index -2); nothing else has.
+// and samples.tix twice: when both took the shared record format of
+// internal/snap (snapshot +8 bytes, index -2), and when the index became
+// one record per block (pass set continent-cdf-v2); nothing else has.
 func TestRunGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64; other targets may fuse the float arithmetic differently")
@@ -149,7 +150,7 @@ func TestRunGoldenDigests(t *testing.T) {
 	golden := map[string]string{
 		filepath.Join(dir, "samples.bin"):    "d73e4c7519a2d9cb454f3f782c1e349ebcad3055c2a8cce89489ad76c1bb205b",
 		filepath.Join(dir, "samples.snap"):   "bdb075e5aeab3fe71332d9d43b38dc69cf857a1823b75b84104cccc34c27c781",
-		filepath.Join(dir, "samples.tix"):    "db7d98b2b91789aac69d371db112d271b9efdc326d8a38321dca0ed8b01774b0",
+		filepath.Join(dir, "samples.tix"):    "91a047d2325b714d8fc09b53bf0b60a3873497bc68e910bd85c25aad2c71d9e2",
 		filepath.Join(figDir, "figure4.csv"): "0769f523f93c6e187269a61d2466261d7310ce283b62dac630c3582c8868a8fa",
 		filepath.Join(figDir, "figure5.csv"): "058670c0b8a579c903ad842bd4301cf3432fc8b99e8cfb06bf13c29cd5720f54",
 		filepath.Join(figDir, "figure6.csv"): "ae36b4f26a621f72645d571516bce1976cce2d5c73438bb895433d4868cc45d7",

@@ -70,8 +70,8 @@ func (s *Suite) Select(ps PassSet) *Suite {
 // snapshot passes as EncodeState writes them, then the passes that are
 // never persisted: the nearest-region buffer per probe in file order
 // (region by name, so interning order does not show) and each
-// provider's distribution with its loss count — so two folds
-// can be held to the same state, not just the same figures.
+// provider's distribution (see appendDist) with its loss count — so two
+// folds can be held to the same state, not just the same figures.
 func (s *Suite) StateDump() ([]byte, error) {
 	b, err := s.EncodeState()
 	if err != nil {
@@ -97,8 +97,45 @@ func (s *Suite) StateDump() ([]byte, error) {
 	for _, provider := range sortedStrings(s.Provider.byProvider) {
 		a := s.Provider.byProvider[provider]
 		b = snap.AppendString(b, provider)
-		b = a.dist.AppendState(b)
+		if b, err = appendDist(b, a.dist); err != nil {
+			return nil, err
+		}
 		b = snap.AppendUvarint(b, uint64(a.lost))
+	}
+	return b, nil
+}
+
+// appendDist spells a distribution out through its public queries — N,
+// the Mean and StdDev bits, and the quantile at every rank's position
+// k/(n-1), i.e. each order statistic — which is every value a report
+// built on it can observe. It queries a
+// clone, so the dump never sorts the suite's own buffer.
+func appendDist(b []byte, d *stats.Dist) ([]byte, error) {
+	d = d.Clone()
+	n := d.N()
+	b = snap.AppendUvarint(b, uint64(n))
+	if n == 0 {
+		return b, nil
+	}
+	mean, err := d.Mean()
+	if err != nil {
+		return nil, err
+	}
+	sd, err := d.StdDev()
+	if err != nil {
+		return nil, err
+	}
+	b = snap.AppendFloat(snap.AppendFloat(b, mean), sd)
+	for k := 0; k < n; k++ {
+		q := 0.0
+		if n > 1 {
+			q = float64(k) / float64(n-1)
+		}
+		v, err := d.Quantile(q)
+		if err != nil {
+			return nil, err
+		}
+		b = snap.AppendFloat(b, v)
 	}
 	return b, nil
 }

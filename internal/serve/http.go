@@ -303,30 +303,32 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		var st stageTimes
 		e.serveCached(w, r, key, &st, func() (*response, error) {
-			// The index path answers from the lazily loaded slabs; loading
-			// them inside windowIndex is what lets a slab that fails its
-			// CRC fall back to the scan like any other index error.
-			res, err := e.windowIndex(ctx, v, pred, true)
+			// The index path loads the slabs before rendering, so the
+			// render's own time splits into select and encode. A slab that
+			// fails its CRC, or a selection that disagrees with the counts,
+			// falls back to the scan like any other index error.
+			var resp *response
+			ok, err := e.windowIndex(ctx, v, pred, func(res *tix.Result) error {
+				err := res.Load()
+				if err == nil {
+					t0 := time.Now()
+					resp, err = render(res)
+					st[stageEncode] += time.Since(t0) - res.Stats.Select
+				}
+				st.addQuery(res.Stats)
+				e.opt.Metrics.nilSafe().WindowSlabBytes.Add(uint64(res.Stats.SlabBytes))
+				return err
+			})
+			if ok || err != nil {
+				return resp, err
+			}
+			src, err := e.windowScan(ctx, v, pred, &st)
 			if err != nil {
 				return nil, err
 			}
-			var src quantileSource
-			if res != nil {
-				src = res
-			} else if src, err = e.windowScan(ctx, v, pred, &st); err != nil {
-				return nil, err
-			}
 			t0 := time.Now()
-			resp, err := render(src)
-			encode := time.Since(t0)
-			if res != nil {
-				// The index path's selection ran inside render, timed by
-				// the result: it is its own stage, not encoding.
-				st.addQuery(res.Stats)
-				encode -= res.Stats.Select
-				e.opt.Metrics.nilSafe().WindowSlabBytes.Add(uint64(res.Stats.SlabBytes))
-			}
-			st[stageEncode] += encode
+			resp, err = render(src)
+			st[stageEncode] += time.Since(t0)
 			return resp, err
 		})
 		return
@@ -416,23 +418,22 @@ func (e *Engine) handleCDF(w http.ResponseWriter, r *http.Request) {
 
 // windowCurves answers one [since, until) window's per-continent CDF
 // curves. The index path composes them from the published view's
-// resident grids — O(log n) vector additions plus a count-only fold of
-// the boundary blocks; it reads no sidecar bytes and builds no
-// distribution. The counts are the ones a scan's distributions would
-// yield, so the response bytes are identical either way; without a
-// usable index view the window falls back to the scan.
+// resident prefix rows plus a count-only fold of the boundary blocks; it
+// reads no sidecar bytes and selects nothing. The counts are the ones a
+// scan's distributions would yield, so the response bytes are identical
+// either way; without a usable index view the window falls back to the
+// scan.
 func (e *Engine) windowCurves(ctx context.Context, v *snapshotView, pred *colf.Predicate, st *stageTimes) ([]continentCurve, error) {
-	res, err := e.windowIndex(ctx, v, pred, false)
-	if err != nil {
-		return nil, err
-	}
 	var curves []continentCurve
-	if res != nil {
+	ok, err := e.windowIndex(ctx, v, pred, func(res *tix.Result) error {
 		st.addQuery(res.Stats)
 		for _, ct := range res.Continents() {
 			curves = append(curves, continentCurve{ct: ct, n: res.N(ct), curve: res.Curve(ct)})
 		}
-		return curves, nil
+		return nil
+	})
+	if ok || err != nil {
+		return curves, err
 	}
 	rep, err := e.windowScan(ctx, v, pred, st)
 	if err != nil {
@@ -449,35 +450,35 @@ func (e *Engine) windowCurves(ctx context.Context, v *snapshotView, pred *colf.P
 	return curves, nil
 }
 
-// windowIndex materializes one window through the published temporal
-// index view, loading the distribution slabs too when the caller will
-// ask for quantiles. It returns nil with no error when the window must
-// be scanned instead: no index view (disabled or invalidated), or a
-// query or slab load that failed — counted and logged, never served. A
-// deadline expiry counts a fill timeout and propagates: the fallback
-// scan would blow the same deadline.
-func (e *Engine) windowIndex(ctx context.Context, v *snapshotView, pred *colf.Predicate, dists bool) (*tix.Result, error) {
+// windowIndex answers one window through the published temporal index
+// view: it queries the view and hands the result to answer. It reports
+// false with no error when the window must be scanned instead: no index
+// view (disabled or invalidated), or a query or answer that failed —
+// counted and logged, never served. A deadline expiry counts a fill
+// timeout and propagates: the fallback scan would blow the same
+// deadline.
+func (e *Engine) windowIndex(ctx context.Context, v *snapshotView, pred *colf.Predicate, answer func(*tix.Result) error) (bool, error) {
 	if v.tixView == nil {
-		return nil, nil
+		return false, nil
 	}
 	m := e.opt.Metrics.nilSafe()
 	res, err := v.tixView.Query(ctx, e.f, v.blocks, pred.Since, pred.Until, e.idx)
-	if err == nil && dists {
-		_, err = res.Dists()
+	if err == nil {
+		err = answer(res)
 	}
 	if err == nil {
 		m.WindowIndexQueries.Inc()
 		m.WindowIndexNodes.Add(uint64(res.Stats.Nodes))
 		m.WindowIndexEdgeBlocks.Add(uint64(res.Stats.EdgeBlocks))
-		return res, nil
+		return true, nil
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		m.FillTimeouts.Inc()
-		return nil, err
+		return false, err
 	}
 	m.WindowIndexFallbacks.Inc()
 	e.opt.Log.Warn("temporal index query failed; falling back to scan", "error", err)
-	return nil, nil
+	return false, nil
 }
 
 // windowScan runs the one request-path scan the serving layer allows: a

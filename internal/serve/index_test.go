@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -10,9 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/results"
+	"repro/internal/snap"
+	"repro/internal/tix"
 )
 
 // enginePair is a scan-only engine and an index engine refreshed over
@@ -24,7 +29,7 @@ type enginePair struct {
 	tixEng    *Engine
 }
 
-func (f *fixture) newEnginePair(t *testing.T) enginePair {
+func (f *fixture) newEnginePair(t testing.TB) enginePair {
 	t.Helper()
 	scanEng, _ := f.newEngine(t)
 	tixEng, tixM := f.newTixEngine(t)
@@ -39,12 +44,14 @@ func (f *fixture) newEnginePair(t *testing.T) enginePair {
 	return enginePair{scanEng.Handler(), tixEng.Handler(), tixM, tixEng}
 }
 
-// appendBlocks seals the campaign into uneven blocks — an odd count, so
-// the dyadic decomposition strands leaves and the last block has no
-// node — then a synthetic tail after the campaign's end in which
-// Oceania's probes alone report, every sample past the 400 ms grid: a
-// continent with N > 0 and all-zero bins.
-func (f *fixture) appendBlocks(t *testing.T) (tailStart time.Time) {
+// appendBlocks seals the campaign into uneven blocks, then two
+// synthetic tails after the campaign's end. In the first, Oceania's
+// probes alone report, every sample past the 400 ms grid: a continent
+// with N > 0 and all-zero bins, whose quantiles bracket to (400, +Inf).
+// In the second, from dupStart, Europe's probes report from five values
+// at or below 7 ms — bin 0 included — so equal samples straddle every
+// rank.
+func (f *fixture) appendBlocks(t testing.TB) (tailStart, dupStart time.Time) {
 	t.Helper()
 	n := f.mem.Len()
 	rng := rand.New(rand.NewSource(13))
@@ -53,25 +60,31 @@ func (f *fixture) appendBlocks(t *testing.T) (tailStart time.Time) {
 		f.append(t, from, to)
 		from = to
 	}
-	var oceania []int
+	byCt := make(map[geo.Continent][]int)
 	for id, ct := range f.world.Index.ContinentTable() {
-		if ct == geo.Oceania {
-			oceania = append(oceania, id)
-		}
+		byCt[ct] = append(byCt[ct], id)
 	}
-	if len(oceania) == 0 {
-		t.Fatal("fixture world has no Oceania probes")
+	if len(byCt[geo.Oceania]) == 0 || len(byCt[geo.Europe]) == 0 {
+		t.Fatal("fixture world has no Oceania or no Europe probes")
 	}
 	tailStart = f.cfg.End.Add(24 * time.Hour)
-	for i := 0; i < 600; i++ {
-		err := f.sink.Write(results.Sample{
-			ProbeID: oceania[i%len(oceania)],
+	dupStart = tailStart.Add(8 * time.Hour)
+	dups := []float64{0.5, 1, 1, 2.5, 2.5, 2.5, 7}
+	for i := 0; i < 1000; i++ {
+		s := results.Sample{
+			ProbeID: byCt[geo.Oceania][i%len(byCt[geo.Oceania])],
 			Region:  "synth/far",
 			Time:    tailStart.Add(time.Duration(i/100) * time.Hour),
 			RTTms:   400.5 + float64(i),
 			Lost:    i%17 == 0,
-		})
-		if err != nil {
+		}
+		if i >= 600 {
+			s.ProbeID = byCt[geo.Europe][i%len(byCt[geo.Europe])]
+			s.Region = "synth/near"
+			s.Time = dupStart.Add(time.Duration(i/100-6) * time.Hour)
+			s.RTTms = dups[i%len(dups)]
+		}
+		if err := f.sink.Write(s); err != nil {
 			t.Fatal(err)
 		}
 		if i%200 == 199 {
@@ -80,26 +93,29 @@ func (f *fixture) appendBlocks(t *testing.T) (tailStart time.Time) {
 			}
 		}
 	}
-	return tailStart
+	return tailStart, dupStart
 }
 
 // TestServeWindowDifferential is the randomized gate on the index
 // path's responses: over a few hundred windows — forced shapes first,
 // then random ones at second resolution — /cdf and /quantile bodies
 // from the index engine equal the scan engine's byte for byte, without
-// one fallback and without one request-path scan.
+// one fallback and without one request-path scan. Last, a record whose
+// CRC holds but whose slab does not (a NaN) must truncate the log when
+// an engine opens it, and that engine too serves the scan's bytes.
 func TestServeWindowDifferential(t *testing.T) {
 	f := newFixture(t, 200)
-	tailStart := f.appendBlocks(t)
+	tailStart, dupStart := f.appendBlocks(t)
 	p := f.newEnginePair(t)
 
-	start, end := f.cfg.Start, tailStart.Add(6*time.Hour)
+	start, end := f.cfg.Start, dupStart.Add(4*time.Hour)
 	type window struct{ since, until time.Time }
 	wins := []window{
-		{},                            // everything: nodes, stray leaves, the nodeless last block
-		{since: start.Add(time.Hour)}, // opens mid-block: an edge, then an odd-aligned run
-		{until: tailStart},            // the campaign alone
-		{since: tailStart},            // only past-grid samples: N > 0, bins all zero
+		{},                                  // everything: every record composed
+		{since: start.Add(time.Hour)},       // opens mid-block: an edge, then a covered run
+		{until: tailStart},                  // the campaign alone
+		{since: tailStart, until: dupStart}, // only past-grid samples: N > 0, bins all zero, bracket (400, +Inf)
+		{since: dupStart},                   // duplicates straddle every rank; p=0 ranks in bin 0
 		{since: tailStart.Add(time.Hour), until: tailStart.Add(2 * time.Hour)}, // inside one block
 		{since: start.Add(-48 * time.Hour), until: start.Add(-time.Second)},    // empty, before
 		{since: end.Add(time.Hour), until: end.Add(2 * time.Hour)},             // empty, after
@@ -152,13 +168,51 @@ func TestServeWindowDifferential(t *testing.T) {
 	if fb, scans := p.tixM.WindowIndexFallbacks.Value(), p.tixM.RequestScans.Value(); fb != 0 || scans != 0 {
 		t.Fatalf("index engine fell back %d times, scanned %d times", fb, scans)
 	}
+
+	path := f.store.TixPath()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := tix.Binding{PassSet: tix.PassSetCDF, Index: f.world.Index.Fingerprint(), Meta: core.MetaFingerprint(f.store.Meta())}
+	recs := snap.Validate(data, b).Records
+	k := len(recs) / 2
+	payload := append([]byte(nil), recs[k].Payload...)
+	binary.LittleEndian.PutUint64(payload[len(payload)-8:], math.Float64bits(math.NaN()))
+	img := snap.AppendRecord(append([]byte(nil), data[:recs[k].Off]...), payload)
+	if err := os.WriteFile(path, append(img, data[recs[k].Off+int64(recs[k].Len()):]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, m := f.newTixEngine(t)
+	if st, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if st.Size() != recs[k].Off {
+		t.Fatalf("open kept a %d-byte sidecar over a NaN slab, want the %d bytes before it", st.Size(), recs[k].Off)
+	}
+	if err := reopened.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	h := reopened.Handler()
+	for i, w := range wins[:5] {
+		for _, target := range []string{
+			windowTarget("/api/v1/cdf", w.since, w.until),
+			windowTarget("/api/v1/quantile?p="+ps[i%len(ps)], w.since, w.until),
+		} {
+			if ws, wt := get(p.scan, target), get(h, target); wt.Code != http.StatusOK || !bytes.Equal(ws.Body.Bytes(), wt.Body.Bytes()) {
+				t.Fatalf("%s after a NaN slab: status %d, bodies equal %v", target, wt.Code, bytes.Equal(ws.Body.Bytes(), wt.Body.Bytes()))
+			}
+		}
+	}
+	if fb, scans := m.WindowIndexFallbacks.Value(), m.RequestScans.Value(); fb != 0 || scans != 0 {
+		t.Fatalf("rebuilt index fell back %d times, scanned %d times", fb, scans)
+	}
 }
 
 // TestServeCDFIndexPathGate is the cost gate on the /cdf index path: a
-// request composes from resident grids — it reads no sidecar bytes,
-// loads no distribution (so nothing can reach Dist.materialize or a
-// selection), never scans, and allocates a small bounded number of
-// objects however many samples the window holds.
+// request composes from resident prefix rows — it reads no sidecar
+// bytes, loads no slab (so nothing can reach a selection), never scans,
+// and allocates a small bounded number of objects however many samples
+// the window holds.
 func TestServeCDFIndexPathGate(t *testing.T) {
 	f := newFixture(t, 200)
 	f.appendBlocks(t)
@@ -168,7 +222,6 @@ func TestServeCDFIndexPathGate(t *testing.T) {
 	since := f.cfg.Start.Add(26 * time.Hour)
 	until := f.cfg.Start.Add(15*24*time.Hour + 7*time.Minute)
 	target := windowTarget("/api/v1/cdf", since, until)
-	get(p.tix, target) // the first request may fill the leaf memo
 	allocs := testing.AllocsPerRun(20, func() {
 		if w := get(p.tix, target); w.Code != http.StatusOK {
 			t.Fatalf("status %d", w.Code)
@@ -220,11 +273,11 @@ func TestStageNamesAreValidNames(t *testing.T) {
 	}
 }
 
-// TestServeCorruptSlabFallsBack damages a node payload on disk after
+// TestServeCorruptSlabFallsBack damages the block records on disk after
 // the engine opened and validated the index. /cdf composes from the
-// grids decoded at open and stays correct with no fallback; /quantile
-// reads the payload back, fails its CRC, and falls back to the scan —
-// both still byte-identical to the scan engine.
+// prefix rows derived at open and stays correct with no fallback;
+// /quantile reads the records back, fails a CRC, and falls back to the
+// scan — both still byte-identical to the scan engine.
 func TestServeCorruptSlabFallsBack(t *testing.T) {
 	f := newFixture(t, 200)
 	f.appendBlocks(t)
@@ -240,7 +293,7 @@ func TestServeCorruptSlabFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	// Damage every node: one byte per 4 KB across the whole record log.
+	// Damage the log: one byte per 4 KB across the whole of it.
 	for off := int64(4096); off < st.Size(); off += 4096 {
 		var b [1]byte
 		if _, err := w.ReadAt(b[:], off); err != nil {

@@ -43,8 +43,8 @@ type Metrics struct {
 	// the temporal aggregate index instead of a block scan.
 	WindowIndexQueries *obs.Counter
 	// WindowIndexNodes and WindowIndexEdgeBlocks accumulate, across
-	// index-served windows, the pre-merged segment nodes composed and
-	// the boundary blocks that still had to decode.
+	// index-served windows, the block records composed from prefix rows
+	// and the boundary blocks that still had to decode.
 	WindowIndexNodes      *obs.Counter
 	WindowIndexEdgeBlocks *obs.Counter
 	// WindowIndexFallbacks counts windowed requests that had a live
@@ -54,8 +54,8 @@ type Metrics struct {
 	// (see the stage* constants); each fill observes only the stages it
 	// ran, so a stage's count is how many fills reached it.
 	WindowStageSeconds *obs.HistogramVec // stage
-	// WindowSlabBytes counts sidecar payload bytes index-served windows
-	// read back — distribution slabs, which only quantiles need.
+	// WindowSlabBytes counts sidecar record bytes index-served windows
+	// read back — the slabs, which only quantiles need.
 	WindowSlabBytes *obs.Counter
 	// Refreshes counts snapshot advances published by the refresher.
 	Refreshes *obs.Counter
@@ -99,7 +99,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		WindowIndexQueries: reg.Counter("serve_window_index_queries_total",
 			"Windowed requests materialized through the temporal aggregate index."),
 		WindowIndexNodes: reg.Counter("serve_window_index_nodes_total",
-			"Pre-merged segment nodes composed across index-served windows."),
+			"Block records composed across index-served windows."),
 		WindowIndexEdgeBlocks: reg.Counter("serve_window_index_edge_blocks_total",
 			"Boundary blocks decoded across index-served windows."),
 		WindowIndexFallbacks: reg.Counter("serve_window_index_fallbacks_total",
@@ -107,7 +107,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		WindowStageSeconds: reg.HistogramVec("serve_window_stage_seconds",
 			"Time one window fill spent in each stage it ran.", obs.FineDurationBuckets, "stage"),
 		WindowSlabBytes: reg.Counter("serve_window_slab_bytes_total",
-			"Sidecar payload bytes read back by index-served windows."),
+			"Sidecar record bytes read back by index-served windows."),
 		Refreshes: reg.Counter("serve_refresh_total",
 			"Snapshot advances published by the refresher."),
 		RefreshErrors: reg.Counter("serve_refresh_errors_total",

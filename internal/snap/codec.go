@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Codec primitives shared by every record payload: varints for counts
@@ -61,20 +62,26 @@ func NewCursor(b []byte) *Cursor { return &Cursor{b: b} }
 // Remaining returns the undecoded byte count.
 func (c *Cursor) Remaining() int { return len(c.b) - c.off }
 
-// Uvarint decodes one unsigned varint.
+// uvarintLen is the length of ux's shortest varint encoding.
+func uvarintLen(ux uint64) int { return (bits.Len64(ux|1) + 6) / 7 }
+
+// Uvarint decodes one unsigned varint. Only the shortest encoding is
+// accepted: a padded one decodes to the same value but re-encodes to
+// other bytes, and a decoded record must re-encode to the bytes it was
+// read from.
 func (c *Cursor) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
+	if n <= 0 || n != uvarintLen(v) {
 		return 0, fmt.Errorf("snap: corrupt uvarint at offset %d", c.off)
 	}
 	c.off += n
 	return v, nil
 }
 
-// Varint decodes one zig-zag varint.
+// Varint decodes one zig-zag varint, shortest encoding only.
 func (c *Cursor) Varint() (int64, error) {
 	v, n := binary.Varint(c.b[c.off:])
-	if n <= 0 {
+	if n <= 0 || n != uvarintLen(uint64(v<<1)^uint64(v>>63)) {
 		return 0, fmt.Errorf("snap: corrupt varint at offset %d", c.off)
 	}
 	c.off += n

@@ -32,12 +32,6 @@ func KolmogorovSmirnov(a, b *Dist) (KSResult, error) {
 	if n1 == 0 || n2 == 0 {
 		return KSResult{}, ErrEmpty
 	}
-	if err := a.materialize(); err != nil {
-		return KSResult{}, err
-	}
-	if err := b.materialize(); err != nil {
-		return KSResult{}, err
-	}
 	s1 := append([]float64(nil), a.samples...)
 	s2 := append([]float64(nil), b.samples...)
 	sort.Float64s(s1)

@@ -21,26 +21,7 @@ func (d *Dist) Merge(other *Dist) error {
 	if other == d {
 		return fmt.Errorf("stats: cannot merge distribution into itself")
 	}
-	// An empty other folds nothing; returning here keeps a span-backed d
-	// lazy, so merging a sparse delta leaves untouched bins serialized.
 	if other.N() == 0 {
-		return nil
-	}
-	if err := other.materialize(); err != nil {
-		return err
-	}
-	if len(d.spans) > 0 {
-		// Fold into the overlay: the serialized history is untouched, so
-		// a delta merge costs O(delta) however large the history is.
-		for _, v := range other.samples {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("stats: invalid sample %v", v)
-			}
-			d.sum += v
-			d.sumSq += v * v
-		}
-		d.samples = append(d.samples, other.samples...)
-		d.sorted = false
 		return nil
 	}
 	// Replaying other.samples directly is only order-faithful while other
@@ -63,9 +44,9 @@ func (d *Dist) Merge(other *Dist) error {
 // the sort: the accumulators replay other's insertion order exactly as
 // the plain path does (float folds stay sequential-identical), while
 // the sample buffers — order-free multisets for every rank query — are
-// combined by a linear two-way merge. This keeps a resident or
-// index-composed distribution sorted through delta merges, so a report
-// never pays an O(n log n) re-sort of the whole history.
+// combined by a linear two-way merge. This keeps a resident
+// distribution sorted through delta merges, so a report never pays an
+// O(n log n) re-sort of the whole history.
 func (d *Dist) mergeSorted(other *Dist) error {
 	for _, v := range other.samples {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -93,62 +74,6 @@ func (d *Dist) mergeSorted(other *Dist) error {
 		}
 	}
 	return nil
-}
-
-// CombineSorted builds one distribution holding the union multiset of
-// ds without merging any sample buffers: serialized sorted slabs are
-// adopted as lazy spans and the overlays concatenate, so composition is
-// O(k) in run count regardless of sample volume. This is the
-// temporal-index composition kernel — a window assembled from
-// pre-merged segment nodes answers counting queries (CDF curves, N,
-// Min, Max) and quantiles straight off the composed runs by per-slab
-// binary search (selectRuns); nothing on that path materializes.
-//
-// The result aliases the inputs' span slabs and copies their overlays;
-// inputs must not be mutated afterwards. The accumulators fold per
-// input in slice order (sum += ds[i].sum), not per sample, so
-// mean/stddev can differ in final bits from a sequential replay; every
-// rank query sees the exact union multiset. Nil and empty inputs are
-// skipped; a single non-empty input is returned as-is.
-func CombineSorted(ds []*Dist) (*Dist, error) {
-	live := make([]*Dist, 0, len(ds))
-	for _, d := range ds {
-		if d != nil && d.N() > 0 {
-			live = append(live, d)
-		}
-	}
-	if len(live) == 0 {
-		return &Dist{}, nil
-	}
-	if len(live) == 1 {
-		return live[0], nil
-	}
-	out := &Dist{}
-	for _, d := range live {
-		out.sum += d.sum
-		out.sumSq += d.sumSq
-		out.spans = append(out.spans, d.spans...)
-		out.samples = append(out.samples, d.samples...)
-	}
-	return out, nil
-}
-
-// mergeTwoSorted linearly merges two ascending runs into a fresh
-// buffer.
-func mergeTwoSorted(a, b []float64) []float64 {
-	out := make([]float64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // Merge folds other's bins into ts. Both series must share the same

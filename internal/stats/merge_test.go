@@ -1,13 +1,10 @@
 package stats
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
-
-	"repro/internal/snap"
 )
 
 // TestDistMergeMatchesSequentialFold is the determinism contract the
@@ -238,194 +235,6 @@ func TestDistMergeSortedEquivalence(t *testing.T) {
 			if math.Float64bits(pv) != math.Float64bits(sv) {
 				t.Fatalf("round %d: q%v %v != %v", round, q, sv, pv)
 			}
-		}
-	}
-}
-
-// TestCombineSorted pins the index-composition kernel: combining any
-// mix of sorted runs, unsorted tails, span-backed states, and empty
-// inputs yields the exact union multiset — every rank query identical
-// to a sequential fold — without re-sorting the combined buffer.
-func TestCombineSorted(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	samples := make([]float64, 8009)
-	for i := range samples {
-		samples[i] = 1 + 300*rng.Float64()
-	}
-	var seq Dist
-	if err := seq.AddAll(samples...); err != nil {
-		t.Fatal(err)
-	}
-	for _, runs := range []int{1, 2, 3, 8, 17} {
-		parts := make([]*Dist, 0, runs+2)
-		parts = append(parts, nil, &Dist{}) // skipped
-		for s := 0; s < runs; s++ {
-			p := &Dist{}
-			lo, hi := len(samples)*s/runs, len(samples)*(s+1)/runs
-			if err := p.AddAll(samples[lo:hi]...); err != nil {
-				t.Fatal(err)
-			}
-			switch s % 3 {
-			case 1:
-				p.Sort() // pre-sorted run
-			case 2:
-				// Round-trip through serialized state: a sorted slab
-				// decodes as a lazy span, the shape index nodes arrive in.
-				p.Sort()
-				c := snap.NewCursor(p.AppendState(nil))
-				var err error
-				if p, err = DecodeDistState(c); err != nil {
-					t.Fatal(err)
-				}
-			}
-			parts = append(parts, p)
-		}
-		got, err := CombineSorted(parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.N() != seq.N() {
-			t.Fatalf("runs=%d: n=%d, want %d", runs, got.N(), seq.N())
-		}
-		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.99, 1} {
-			gv, err := got.Quantile(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sv, err := seq.Quantile(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gv != sv {
-				t.Fatalf("runs=%d: q%.2f = %v, want %v", runs, q, gv, sv)
-			}
-		}
-		for _, x := range []float64{0.5, 80, 151, 280, 400} {
-			gv, err := got.CDF(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sv, err := seq.CDF(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gv != sv {
-				t.Fatalf("runs=%d: CDF(%v) = %v, want %v", runs, x, gv, sv)
-			}
-		}
-	}
-	if d, err := CombineSorted(nil); err != nil || d.N() != 0 {
-		t.Fatalf("empty combine: %v, n=%d", err, d.N())
-	}
-}
-
-// spanDist round-trips sorted values through the state codec, so they
-// come back as one lazy span — the shape index nodes arrive in.
-func spanDist(t *testing.T, vals []float64) *Dist {
-	t.Helper()
-	p := &Dist{}
-	if err := p.AddAll(vals...); err != nil {
-		t.Fatal(err)
-	}
-	p.Sort()
-	d, err := DecodeDistState(snap.NewCursor(p.AppendState(nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
-// TestSelectRunsMatchesMaterialize pins the multi-span order statistic
-// to materialize-then-index: for random span counts, overlay sizes and
-// heavily duplicated values (negatives and zero included), every rank —
-// 0 and n-1 among them — selects the bit-identical sample, with no
-// bracket, with the unit-interval bracket the temporal index supplies,
-// and with a wrong bracket; no selection materializes the composed
-// distribution.
-func TestSelectRunsMatchesMaterialize(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for round := 0; round < 60; round++ {
-		nSpans := 1 + rng.Intn(9)
-		distinct := 1 + rng.Intn(40) // few distinct values => many duplicates
-		draw := func() float64 {
-			if round%3 == 0 {
-				return float64(rng.Intn(distinct)-distinct/2) * 0.5
-			}
-			return -50 + 500*rng.Float64()
-		}
-		var parts []*Dist
-		for s := 0; s < nSpans; s++ {
-			vals := make([]float64, 1+rng.Intn(200))
-			for i := range vals {
-				vals[i] = draw()
-			}
-			parts = append(parts, spanDist(t, vals))
-		}
-		if over := rng.Intn(3) * rng.Intn(50); over > 0 {
-			o := &Dist{}
-			for i := 0; i < over; i++ {
-				if err := o.Add(draw()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			parts = append(parts, o)
-		}
-		got, err := CombineSorted(parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := got.Clone()
-		if err := want.materialize(); err != nil {
-			t.Fatal(err)
-		}
-		spans := len(got.spans)
-		// A grid-style bracket — the unit interval holding the answer —
-		// and a wrong one, which must be ignored rather than believed.
-		unit := func(k int) (float64, float64) {
-			c := math.Ceil(want.samples[k])
-			return c - 1, c
-		}
-		wrong := func(k int) (float64, float64) { return want.samples[k] + 1, want.samples[k] + 2 }
-		for k := 0; k < got.N(); k++ {
-			for name, b := range map[string]Bracket{"none": nil, "unit": unit, "wrong": wrong} {
-				// A fresh composition each time: an unbracketed selection
-				// sorts the overlay, a bracketed one must cope without.
-				if k%17 == 0 {
-					if got, err = CombineSorted(parts); err != nil {
-						t.Fatal(err)
-					}
-				}
-				v, err := got.orderStat(k, b)
-				if err != nil {
-					t.Fatalf("round %d: rank %d (%s bracket): %v", round, k, name, err)
-				}
-				if math.Float64bits(v) != math.Float64bits(want.samples[k]) {
-					t.Fatalf("round %d (%d spans, %s bracket): rank %d of %d = %v, materialized %v",
-						round, nSpans, name, k, got.N(), v, want.samples[k])
-				}
-			}
-		}
-		if len(got.spans) != spans {
-			t.Fatalf("round %d: selection materialized the spans", round)
-		}
-	}
-}
-
-// TestSelectRunsRejectsInvalidBits: a NaN or Inf a selection reads out
-// of any of several spans fails the quantile instead of ordering it.
-func TestSelectRunsRejectsInvalidBits(t *testing.T) {
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		clean := spanDist(t, []float64{1, 2, 3, 4})
-		dirty := spanDist(t, []float64{2, 5, 9})
-		// The last sample of the second slab: every selection reads it
-		// while bracketing the value range.
-		binary.LittleEndian.PutUint64(dirty.spans[0][16:], math.Float64bits(bad))
-		d, err := CombineSorted([]*Dist{clean, dirty})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, err := d.Quantile(0.5); err == nil {
-			t.Fatalf("median over a slab holding %v answered %v", bad, v)
 		}
 	}
 }

@@ -8,76 +8,46 @@ import (
 	"repro/internal/geo"
 )
 
-// Curve pre-aggregates. Every node stores, per continent, how many of
-// its samples fall into each integer-millisecond bin of the fixed
-// figure grid (1..curveBins ms — the axis core.DefaultGrid serves), so
-// a window's whole CDF curve composes by integer vector addition over
-// the O(log n) nodes plus the edge folds, and one prefix sum at the
-// end. The per-query cost is O(log n · bins) regardless of how many
-// samples the window holds — the sample buffers are only touched for
-// quantiles.
+// Curve grids. Per continent, a block's samples are counted into the
+// integer-millisecond bins of the fixed figure grid (1..curveBins ms —
+// the axis core.DefaultGrid serves), so a window's whole CDF curve
+// composes by integer arithmetic over prefix sums plus the edge folds.
+// The per-query cost is O(bins) regardless of how many samples or
+// blocks the window holds — the slabs are only touched for quantiles.
 //
-// Bin k holds the samples v with ceil(v) = k+1 (v <= 0 clamps into bin
-// 0; v past the grid lands in no bin but still counts toward N). The
-// prefix sum through bin k is then exactly |{v : v <= k+1}| — the same
-// integer Dist.CDF computes at grid point x = k+1 — so the final
-// division float64(cum)/float64(N) reproduces the swept curve bit for
-// bit.
+// Bin k < curveBins holds the samples v with ceil(v) = k+1 (v <= 0
+// clamps into bin 0); bin curveBins holds every sample past the grid.
+// Summed cumulatively, count[k] is then exactly |{v : v <= k+1}| — the
+// same integer Dist.CDF computes at grid point x = k+1 — so the division
+// float64(count[k])/float64(N) reproduces the swept curve bit for bit,
+// and count[curveBins] is N.
 const curveBins = 400
 
 // numContinents sizes the per-continent arrays; geo.Continent values
 // index them directly and slot 0 (ContinentUnknown) stays empty.
 const numContinents = int(geo.SouthAmerica) + 1
 
-// grid is everything the curve path needs from one piece of a window —
-// a stored node, a fully covered leaf block, or the in-window rows of
-// an edge block: the rows it covers and, per continent, the resolved
-// sample count N and the per-bin counts. Bins are uint32: a stored
-// node holds fewer than 2^29 samples (maxRecordBytes) and a block far
-// fewer. A published grid is immutable — node directories, the leaf
-// memo and every View share it by pointer.
-type grid struct {
+// counts holds one value per continent and bin, bins 0..curveBins.
+type counts [numContinents][curveBins + 1]uint64
+
+// prefix is one resident prefix row: the totals of every block before
+// it. bins[ct][k] counts ct's samples in bins 0..k, so bins[ct][curveBins]
+// is ct's sample count. Rows are immutable once appended; the Index and
+// all its views share them.
+type prefix struct {
 	rows, delivered uint64
-	n               [numContinents]uint64
-	bins            [numContinents][]uint32 // nil until the continent counts a sample
+	bins            counts
 }
 
-// row returns ct's bin vector, creating it on first use.
-func (g *grid) row(ct geo.Continent) []uint32 {
-	if g.bins[ct] == nil {
-		g.bins[ct] = make([]uint32, curveBins)
-	}
-	return g.bins[ct]
-}
-
-// add folds o into g.
-func (g *grid) add(o *grid) {
-	g.rows += o.rows
-	g.delivered += o.delivered
-	for ct, ob := range o.bins {
-		g.n[ct] += o.n[ct]
-		if ob == nil {
-			continue
-		}
-		dst := g.row(geo.Continent(ct))
-		for k, x := range ob {
-			dst[k] += x
-		}
-	}
-}
-
-// curveBin maps one sample to its increment bin, or -1 when the sample
-// lies past the grid. Samples pass Dist.Add validation before they are
-// bucketed, so NaN and infinities never reach here.
+// curveBin maps one finite sample to its bin.
 func curveBin(v float64) int {
-	if v > curveBins {
-		return -1
+	switch {
+	case v > curveBins:
+		return curveBins
+	case v <= 1:
+		return 0
 	}
-	k := int(math.Ceil(v)) - 1
-	if k < 0 {
-		k = 0
-	}
-	return k
+	return int(math.Ceil(v)) - 1
 }
 
 // rowSel selects the rows of one decoded block a piece folds: the index
@@ -110,11 +80,11 @@ func (s rowSel) count(blk *colf.Block) (rows, delivered uint64) {
 }
 
 // foldGrid is the count-only kernel of the curve path: every selected
-// delivered row of a resolved probe bumps its continent's N and one bin
-// — no stats.Dist, no sort, and the continent comes from the dense
-// probe table instead of a map lookup. It rejects exactly the samples
-// Dist.Add would. Row totals are the caller's (see rowSel.count).
-func foldGrid(g *grid, tbl []geo.Continent, blk *colf.Block, s rowSel) error {
+// delivered row of a resolved probe bumps one bin of its continent in c
+// (per-bin, not yet cumulative) — no sort, and the continent comes from
+// the dense probe table instead of a map lookup. It rejects exactly the
+// samples Dist.Add would. Row totals are the caller's (see rowSel.count).
+func foldGrid(c *counts, tbl []geo.Continent, blk *colf.Block, s rowSel) error {
 	for i := s.lo; i < s.hi; i++ {
 		if blk.Lost[i] || !s.keep(blk, i) {
 			continue
@@ -123,14 +93,11 @@ func foldGrid(g *grid, tbl []geo.Continent, blk *colf.Block, s rowSel) error {
 		if uint(p) >= uint(len(tbl)) || tbl[p] == geo.ContinentUnknown {
 			continue
 		}
-		ct, v := tbl[p], blk.RTT[i]
+		v := blk.RTT[i]
 		if v-v != 0 { // NaN or ±Inf
-			return fmt.Errorf("stats: invalid sample %v", v)
+			return fmt.Errorf("tix: invalid sample %v", v)
 		}
-		g.n[ct]++
-		if k := curveBin(v); k >= 0 {
-			g.row(ct)[k]++
-		}
+		c[tbl[p]][curveBin(v)]++
 	}
 	return nil
 }

@@ -1,111 +1,77 @@
 package tix
 
 import (
-	"slices"
+	"bytes"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geo"
-	"repro/internal/stats"
 )
 
-// fuzzSeedPayloads builds a few well-formed node payloads so the fuzzer
+// PrefixRowBytes is the size of the prefix row each block record keeps
+// resident, for tests that bound what Open allocates.
+const PrefixRowBytes = int64(unsafe.Sizeof(prefix{}))
+
+// fuzzSeedPayloads builds a few well-formed block payloads so the fuzzer
 // starts from the interesting part of the input space.
-func fuzzSeedPayloads(t testing.TB) [][]byte {
-	t.Helper()
-	mk := func(fill func(*nodeState)) []byte {
-		ns := newNodeState()
-		fill(ns)
-		return encodeNode(1, 0, 8, 4096, ns)
+func fuzzSeedPayloads() [][]byte {
+	h := header{startOff: 8, endOff: 4096, rows: 16, delivered: 9}
+	var all [numContinents][]float64
+	for i, ct := range geo.Continents() {
+		all[ct] = []float64{float64(i+1) * 7.5}
 	}
-	add := func(ns *nodeState, ct geo.Continent, vals ...float64) {
-		d := &stats.Dist{}
-		cnt := ns.grid.row(ct)
-		for _, v := range vals {
-			if err := d.Add(v); err != nil {
-				t.Fatal(err)
-			}
-			if k := curveBin(v); k >= 0 {
-				cnt[k]++
-			}
-		}
-		ns.dists[ct] = d
-		ns.grid.n[ct] = uint64(d.N())
-	}
+	h6 := h
+	h6.rows, h6.delivered = 6, 6
 	return [][]byte{
-		mk(func(ns *nodeState) { ns.grid.rows, ns.grid.delivered = 4, 0 }),
-		mk(func(ns *nodeState) {
-			ns.grid.rows, ns.grid.delivered = 16, 9
-			add(ns, geo.Europe, 12.5, 3.25, 88, 12.5)
-			add(ns, geo.Oceania, 250.75)
+		encodeBlock(nil, header{startOff: 8, endOff: 64, rows: 4}, &[numContinents][]float64{}),
+		encodeBlock(nil, h, &[numContinents][]float64{
+			geo.Europe:  {0.25, 3.25, 12.5, 12.5, 88, 400},
+			geo.Oceania: {250.75, 400.5, 1234},
 		}),
-		mk(func(ns *nodeState) {
-			ns.grid.rows, ns.grid.delivered = 6, 6
-			for i, ct := range geo.Continents() {
-				add(ns, ct, float64(i+1)*7.5)
-			}
-		}),
+		encodeBlock(nil, h6, &all),
 	}
 }
 
-// FuzzNodeRoundTrip hammers the segment-node codec: arbitrary bytes
-// must never panic the decoder, and any payload it accepts must
-// re-encode into a payload that decodes to the same aggregate — the
-// stability the on-disk tree depends on when parents merge children
-// read back from the file.
+// FuzzNodeRoundTrip hammers the block-record codec: arbitrary bytes
+// must never panic the decoder, and any payload Open would accept must
+// re-encode byte for byte and derive the same prefix row as the
+// per-sample bin kernel (foldGrid's arithmetic) computes from its
+// values.
 func FuzzNodeRoundTrip(f *testing.F) {
-	for _, seed := range fuzzSeedPayloads(f) {
+	for _, seed := range fuzzSeedPayloads() {
 		f.Add(seed)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{recNode})
-	f.Add([]byte{0x00, 1, 2, 3}) // not a node record
+	f.Add([]byte{recBlock})
+	f.Add([]byte{0x01, 1, 2, 3}) // not a block record
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if len(payload) == 0 || payload[0] != recNode {
-			return
-		}
-		ref, ns, err := decodeNodeState(payload)
+		h, s, err := decodeBlock(payload)
 		if err != nil {
 			return
 		}
-		re := encodeNode(ref.level, ref.start, ref.startOff, ref.endOff, ns)
-		ref2, ns2, err := decodeNodeState(re)
-		if err != nil {
-			t.Fatalf("re-encoded payload rejected: %v", err)
+		ix := &Index{cum: make([]prefix, 1)}
+		if ix.grow(h, s) != nil {
+			return
 		}
-		if ref2.level != ref.level || ref2.start != ref.start ||
-			ref2.startOff != ref.startOff || ref2.endOff != ref.endOff ||
-			ref2.rows != ref.rows || ref2.delivered != ref.delivered {
-			t.Fatalf("fixed fields drift: %+v vs %+v", ref2, ref)
+		var vals [numContinents][]float64
+		var want prefix
+		want.rows, want.delivered = h.rows, h.delivered
+		for ct, slab := range s {
+			for j := 0; j < len(slab)/8; j++ {
+				v := at(slab, j)
+				vals[ct] = append(vals[ct], v)
+				want.bins[ct][curveBin(v)]++
+			}
+			for k := 1; k <= curveBins; k++ {
+				want.bins[ct][k] += want.bins[ct][k-1]
+			}
 		}
-		for _, ct := range geo.Continents() {
-			d1, d2 := ns.dists[ct], ns2.dists[ct]
-			n1, n2 := 0, 0
-			if d1 != nil {
-				n1 = d1.N()
-			}
-			if d2 != nil {
-				n2 = d2.N()
-			}
-			if n1 != n2 {
-				t.Fatalf("%v: %d samples decode to %d after re-encode", ct, n1, n2)
-			}
-			if n1 == 0 {
-				continue
-			}
-			if !slices.Equal(ns.grid.bins[ct], ns2.grid.bins[ct]) || ns.grid.n[ct] != ns2.grid.n[ct] {
-				t.Fatalf("%v: curve counts drift across re-encode", ct)
-			}
-			for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
-				v1, err1 := d1.Quantile(q)
-				v2, err2 := d2.Quantile(q)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%v: quantile errors %v / %v", ct, err1, err2)
-				}
-				if v1 != v2 && !(v1 != v1 && v2 != v2) { // NaN-tolerant equality
-					t.Fatalf("%v: q%.2f = %v before, %v after re-encode", ct, q, v1, v2)
-				}
-			}
+		if re := encodeBlock(nil, h, &vals); !bytes.Equal(re, payload) {
+			t.Fatalf("accepted payload re-encodes differently:\n%x\n%x", payload, re)
+		}
+		if ix.cum[1] != want {
+			t.Fatal("prefix row derived from the slabs differs from the per-sample bin counts")
 		}
 	})
 }

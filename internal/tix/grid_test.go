@@ -1,7 +1,11 @@
 package tix_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,16 +17,17 @@ import (
 	"repro/internal/colf"
 	"repro/internal/geo"
 	"repro/internal/results"
+	"repro/internal/snap"
 	"repro/internal/tix"
 )
 
 // These tests pin the split this package makes between the curve path —
-// resident grids, a count-only fold, a leaf memo, zero sidecar I/O — and
-// the lazy slab path behind Dists and Quantile.
+// resident prefix rows, a count-only fold, zero sidecar I/O — and the
+// lazy slab path behind Load and Quantile.
 
 // TestCurvePathReadsNoSlabs: a query that is only asked for curves reads
-// nothing back from the sidecar and runs no selection; asking for the
-// distributions afterwards is what pays for the slabs, once.
+// nothing back from the sidecar and runs no selection; asking for a
+// quantile afterwards is what pays for the slabs, once.
 func TestCurvePathReadsNoSlabs(t *testing.T) {
 	f := getFixture(t)
 	ix := f.build(t, filepath.Join(t.TempDir(), "samples.tix"), f.blocks)
@@ -32,7 +37,7 @@ func TestCurvePathReadsNoSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Stats.Nodes == 0 {
-		t.Fatal("full window composed no nodes")
+		t.Fatal("full window composed no records")
 	}
 	for _, ct := range res.Continents() {
 		if len(res.Curve(ct)) != 400 || res.N(ct) == 0 {
@@ -42,86 +47,25 @@ func TestCurvePathReadsNoSlabs(t *testing.T) {
 	if st := res.Stats; st.SlabBytes != 0 || st.SlabRead != 0 || st.Select != 0 {
 		t.Fatalf("curve path touched the slabs: %d bytes, read %v, select %v", st.SlabBytes, st.SlabRead, st.Select)
 	}
-	if _, err := res.Quantile(res.Continents()[0], 0.5); err != nil {
+	cts := res.Continents()
+	if _, err := res.Quantile(cts[0], 0.5); err != nil {
 		t.Fatal(err)
 	}
 	loaded := res.Stats.SlabBytes
 	if loaded == 0 || res.Stats.SlabRead == 0 || res.Stats.Select == 0 {
-		t.Fatalf("quantile over %d nodes read %d slab bytes (read %v, select %v)",
+		t.Fatalf("quantile over %d records read %d slab bytes (read %v, select %v)",
 			res.Stats.Nodes, loaded, res.Stats.SlabRead, res.Stats.Select)
 	}
-	if _, err := res.Dists(); err != nil {
+	if _, err := res.Quantile(cts[len(cts)-1], 0.9); err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.SlabBytes != loaded {
-		t.Fatalf("second load re-read the slabs: %d -> %d bytes", loaded, res.Stats.SlabBytes)
+		t.Fatalf("second quantile re-read the slabs: %d -> %d bytes", loaded, res.Stats.SlabBytes)
 	}
 }
 
-// TestLeafMemo: Extend memoizes the leaves it decodes and a query the
-// frontier blocks it decodes, so a repeated window decodes only its
-// edge blocks — and still answers identically.
-func TestLeafMemo(t *testing.T) {
-	f := getFixture(t)
-	sf := f.openSamples(t)
-	ctx := context.Background()
-	// A window opening mid-block-0 starts its covered run on an odd
-	// block: a stray leaf. An odd block count strands the last leaf too,
-	// and that one no Extend ever decodes (reopened, it reads back as
-	// past the frontier).
-	even := f.blocks[:len(f.blocks)&^1]
-	odd := f.blocks[:len(f.blocks)-1+len(f.blocks)%2]
-	since := f.sampleTime(fixBlockRows / 2).Add(time.Nanosecond)
-
-	t.Run("extend-fills", func(t *testing.T) {
-		ix := f.build(t, filepath.Join(t.TempDir(), "samples.tix"), even)
-		res, err := ix.View().Query(ctx, sf, even, since, time.Time{}, f.world.Index)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := res.Stats
-		if st.StrayBlocks == 0 || st.EdgeBlocks == 0 {
-			t.Fatalf("window was meant to leave stray leaves and an edge: %+v", st)
-		}
-		if st.MemoBlocks != st.StrayBlocks || st.DecodedBlocks() != st.EdgeBlocks {
-			t.Fatalf("strays decoded despite Extend's memo: %+v", st)
-		}
-	})
-
-	t.Run("query-fills", func(t *testing.T) {
-		// A reopened index has an empty memo: the first query decodes its
-		// strays, the second takes them from the memo.
-		path := filepath.Join(t.TempDir(), "samples.tix")
-		f.build(t, path, odd).Close()
-		ix, err := tix.Open(path, f.binding, odd, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		v := ix.View()
-		first, err := v.Query(ctx, sf, odd, since, time.Time{}, f.world.Index)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first.Stats.StrayBlocks+first.Stats.FrontierBlocks < 2 || first.Stats.MemoBlocks != 0 {
-			t.Fatalf("first query after reopen: %+v", first.Stats)
-		}
-		again, err := v.Query(ctx, sf, odd, since, time.Time{}, f.world.Index)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.Stats.MemoBlocks != again.Stats.StrayBlocks+again.Stats.FrontierBlocks {
-			t.Fatalf("repeat query re-decoded its strays: %+v", again.Stats)
-		}
-		want, _, _ := f.refFoldSamples(t, f.samples[:len(odd)*fixBlockRows], since, time.Time{})
-		assertCurvesIdentical(t, first, want)
-		assertCurvesIdentical(t, again, want)
-		assertDistsIdentical(t, dists(t, again), want)
-	})
-}
-
 // TestWindowInsideOneBlock: a window cut out of the middle of a single
-// block composes no node and decodes exactly that block.
+// block composes no record and decodes exactly that block.
 func TestWindowInsideOneBlock(t *testing.T) {
 	f := getFixture(t)
 	ix := f.build(t, filepath.Join(t.TempDir(), "samples.tix"), f.blocks)
@@ -147,7 +91,7 @@ func TestWindowInsideOneBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := res.Stats; st.Nodes != 0 || st.EdgeBlocks != 1 || st.StrayBlocks+st.FrontierBlocks != 0 {
+	if st := res.Stats; st.Nodes != 0 || st.EdgeBlocks != 1 || st.FrontierBlocks != 0 {
 		t.Fatalf("window inside one block assembled as %+v", st)
 	}
 	want, rows, delivered := f.refFold(t, since, until)
@@ -155,12 +99,12 @@ func TestWindowInsideOneBlock(t *testing.T) {
 		t.Fatalf("rows/delivered %d/%d, reference %d/%d", res.Rows, res.Delivered, rows, delivered)
 	}
 	assertCurvesIdentical(t, res, want)
-	assertDistsIdentical(t, dists(t, res), want)
+	assertQuantilesIdentical(t, res, want)
 }
 
 // TestViewBeforeLaterExtend: a view taken over a prefix keeps answering
 // over the grown block list after the index extends past it — the new
-// blocks through frontier decodes — and agrees with a fresh view.
+// blocks decode as whole-block pieces — and agrees with a fresh view.
 func TestViewBeforeLaterExtend(t *testing.T) {
 	f := getFixture(t)
 	sf := f.openSamples(t)
@@ -185,7 +129,7 @@ func TestViewBeforeLaterExtend(t *testing.T) {
 			t.Fatalf("%s view: rows/delivered %d/%d, reference %d/%d", name, res.Rows, res.Delivered, rows, delivered)
 		}
 		assertCurvesIdentical(t, res, want)
-		assertDistsIdentical(t, dists(t, res), want)
+		assertQuantilesIdentical(t, res, want)
 	}
 }
 
@@ -251,7 +195,11 @@ func synthStore(t *testing.T, f *fixture) ([]results.Sample, []colf.BlockInfo, s
 // TestBeyondGridDifferential: randomized windows over the synthetic
 // store — samples past the grid, a continent whose bins are all zero,
 // values on the bin edges — answer curves and quantiles identical to a
-// cold fold.
+// cold fold, and so does a view taken before a later Extend. The
+// quantile kernel's own shapes are pinned on the whole store: a
+// bracket of (400, +Inf), a rank in bin 0, equal samples straddling
+// the rank. A record whose CRC holds but whose slab is out of order or
+// holds a NaN truncates the log at Open.
 func TestBeyondGridDifferential(t *testing.T) {
 	f := getFixture(t)
 	samples, blocks, path := synthStore(t, f)
@@ -260,15 +208,20 @@ func TestBeyondGridDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sf.Close()
-	ix, err := tix.Open(filepath.Join(t.TempDir(), "samples.tix"), f.binding, blocks, nil)
+	ctx := context.Background()
+	tixPath := filepath.Join(t.TempDir(), "samples.tix")
+	ix, err := tix.Open(tixPath, f.binding, blocks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
+	if err := ix.Extend(sf, blocks[:len(blocks)/3], f.world.Index); err != nil {
+		t.Fatal(err)
+	}
+	old := ix.View()
 	if err := ix.Extend(sf, blocks, f.world.Index); err != nil {
 		t.Fatal(err)
 	}
-	v := ix.View()
 	start := samples[0].Time
 	rng := rand.New(rand.NewSource(29))
 	zeroBins := false
@@ -281,32 +234,90 @@ func TestBeyondGridDifferential(t *testing.T) {
 		if i == 0 {
 			since, until = time.Time{}, time.Time{}
 		}
-		res, err := v.Query(context.Background(), sf, blocks, since, until, f.world.Index)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want, rows, delivered := f.refFoldSamples(t, samples, since, until)
-		if res.Rows != rows || res.Delivered != delivered {
-			t.Fatalf("window %d: rows/delivered %d/%d, reference %d/%d", i, res.Rows, res.Delivered, rows, delivered)
-		}
-		assertCurvesIdentical(t, res, want)
-		assertDistsIdentical(t, dists(t, res), want)
-		if n := res.N(geo.Oceania); n > 0 {
-			if c := res.Curve(geo.Oceania); c[len(c)-1].P != 0 {
-				t.Fatalf("window %d: Oceania reports only past the grid, yet its curve reaches %v", i, c[len(c)-1].P)
+		for name, v := range map[string]*tix.View{"new": ix.View(), "old": old} {
+			res, err := v.Query(ctx, sf, blocks, since, until, f.world.Index)
+			if err != nil {
+				t.Fatal(err)
 			}
-			zeroBins = true
+			if res.Rows != rows || res.Delivered != delivered {
+				t.Fatalf("window %d, %s view: rows/delivered %d/%d, reference %d/%d", i, name, res.Rows, res.Delivered, rows, delivered)
+			}
+			if i == 0 && (res.Stats.FrontierBlocks > 0) != (name == "old") {
+				t.Fatalf("%s view decoded %d whole blocks past its frontier", name, res.Stats.FrontierBlocks)
+			}
+			assertCurvesIdentical(t, res, want)
+			assertQuantilesIdentical(t, res, want)
+			if n := res.N(geo.Oceania); n > 0 {
+				if c := res.Curve(geo.Oceania); c[len(c)-1].P != 0 {
+					t.Fatalf("window %d: Oceania reports only past the grid, yet its curve reaches %v", i, c[len(c)-1].P)
+				}
+				zeroBins = true
+			}
 		}
 	}
 	if !zeroBins {
 		t.Fatal("no window held an all-zero-bin continent")
 	}
+
+	full, err := ix.View().Query(ctx, sf, blocks, time.Time{}, time.Time{}, f.world.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, _ := f.refFoldSamples(t, samples, time.Time{}, time.Time{})
+	ocMed, err1 := full.Quantile(geo.Oceania, 0.5)
+	euMin, err2 := full.Quantile(geo.Europe, 0)
+	euMed, err3 := full.Quantile(geo.Europe, 0.5)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		t.Fatal(err)
+	}
+	if ocMed <= 400 || euMin > 1 || want[geo.Europe].N() <= 2*9 {
+		t.Fatalf("shapes not reached: Oceania p50 %v (want > 400), Europe p0 %v (want bin 0), %d Europe samples over 9 values",
+			ocMed, euMin, want[geo.Europe].N())
+	}
+	if wantMed, _ := want[geo.Europe].Quantile(0.5); euMed != wantMed {
+		t.Fatalf("Europe p50 %v, reference %v", euMed, wantMed)
+	}
+
+	ix.Close()
+	data, err := os.ReadFile(tixPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := snap.Validate(data, f.binding).Records
+	k := len(recs) / 2
+	for _, bad := range []float64{-1, math.NaN()} {
+		// The last 8 payload bytes are the last sample of the block's
+		// highest continent — Oceania's, above 400 ms.
+		payload := append([]byte(nil), recs[k].Payload...)
+		binary.LittleEndian.PutUint64(payload[len(payload)-8:], math.Float64bits(bad))
+		end := recs[k].Off + int64(recs[k].Len())
+		img := snap.AppendRecord(append([]byte(nil), data[:recs[k].Off]...), payload)
+		if err := os.WriteFile(tixPath, append(img, data[end:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := tix.Open(tixPath, f.binding, blocks, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.Nodes() != k {
+			t.Fatalf("a slab ending in %v kept %d records, want the %d before it", bad, re.Nodes(), k)
+		}
+		err = re.Extend(sf, blocks, f.world.Index)
+		re.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rebuilt, err := os.ReadFile(tixPath); err != nil || !bytes.Equal(rebuilt, data) {
+			t.Fatalf("rebuild after a slab ending in %v differs (err %v)", bad, err)
+		}
+	}
 }
 
-// TestCorruptSlabAfterOpen: a node payload damaged on disk after Open
-// validated it fails the slab path's per-read CRC — Dists and Quantile
+// TestCorruptSlabAfterOpen: a record damaged on disk after Open
+// validated it fails the slab path's per-read CRC — Load and Quantile
 // error, nothing is served from the bad bytes — while curves, which
-// compose from the grids decoded at Open, stay correct.
+// compose from the prefix rows derived at Open, stay correct.
 func TestCorruptSlabAfterOpen(t *testing.T) {
 	f := getFixture(t)
 	path := filepath.Join(t.TempDir(), "samples.tix")
@@ -314,8 +325,8 @@ func TestCorruptSlabAfterOpen(t *testing.T) {
 	sf := f.openSamples(t)
 	v := ix.View()
 
-	// Flip one byte in the last record: the widest node written, which
-	// any full-range window composes.
+	// Flip one byte in the middle record and one in the last: any
+	// full-range window composes both.
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -342,18 +353,18 @@ func TestCorruptSlabAfterOpen(t *testing.T) {
 	}
 	want, _, _ := f.refFold(t, time.Time{}, time.Time{})
 	assertCurvesIdentical(t, res, want)
-	if _, err := res.Dists(); err == nil || !strings.Contains(err.Error(), "CRC") {
-		t.Fatalf("slab path read a corrupt node: err = %v", err)
+	if err := res.Load(); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("slab path read a corrupt record: err = %v", err)
 	}
 	if _, err := res.Quantile(res.Continents()[0], 0.5); err == nil {
-		t.Fatal("quantile answered from a corrupt node")
+		t.Fatal("quantile answered from a corrupt record")
 	}
 }
 
-// TestConcurrentQueryDuringExtend runs queries on an old view — whose
-// frontier decodes fill the shared leaf memo — while the index extends
-// past it and memoizes the same leaves. Run under -race; every answer
-// must still match the reference.
+// TestConcurrentQueryDuringExtend runs queries on an old view — which
+// decodes the blocks past its frontier and shares the decoder pool and
+// the prefix rows — while the index extends past it, appending to both.
+// Run under -race; every answer must still match the reference.
 func TestConcurrentQueryDuringExtend(t *testing.T) {
 	f := getFixture(t)
 	sf := f.openSamples(t)
@@ -389,7 +400,7 @@ func TestConcurrentQueryDuringExtend(t *testing.T) {
 				w := wins[(g+i)%len(wins)]
 				res, err := old.Query(context.Background(), sf, f.blocks, w.since, w.until, f.world.Index)
 				if err == nil && i%4 == 0 {
-					_, err = res.Dists()
+					err = res.Load()
 				}
 				answers[g] = append(answers[g], answer{w, res, err})
 			}
@@ -413,7 +424,7 @@ func TestConcurrentQueryDuringExtend(t *testing.T) {
 			want, _, _ := f.refFold(t, a.w.since, a.w.until)
 			assertCurvesIdentical(t, a.res, want)
 			if i%4 == 0 {
-				assertDistsIdentical(t, dists(t, a.res), want)
+				assertQuantilesIdentical(t, a.res, want)
 			}
 		}
 	}

@@ -5,129 +5,113 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"os"
+	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/colf"
 	"repro/internal/geo"
+	"repro/internal/snap"
 	"repro/internal/stats"
 )
 
-// View is an immutable query handle over the nodes an Index had stored
-// when it was taken. Views are safe for concurrent use and for use
-// concurrent with a later Extend on the parent Index.
+// View is an immutable query handle over the block records an Index had
+// stored when it was taken. Views are safe for concurrent use and for
+// use concurrent with a later Extend on the parent Index.
 type View struct {
 	f        *os.File
-	nodes    map[nodeKey]nodeRef
-	frontier int
-	blocks   *blockState
+	recs     []blockRec
+	cum      []prefix
+	decoders *sync.Pool
 }
 
 // QueryStats reports how a window was materialized — the observable
 // difference between the index path and a cold scan — and where its
 // time went. The slab-path fields (SlabRead, SlabBytes, Select) stay
-// zero until the Result is asked for distributions or quantiles.
+// zero until the Result is asked for quantiles.
 type QueryStats struct {
-	// Nodes is how many pre-merged segment nodes composed the window.
+	// Nodes is how many block records composed the window from their
+	// prefix rows — blocks the query never decoded.
 	Nodes int
-	// NodeBlocks is how many sealed blocks those nodes covered — rows
-	// the query never decoded.
-	NodeBlocks int
 	// EdgeBlocks is how many partially covered blocks were decoded and
 	// row-filtered at the window boundaries.
 	EdgeBlocks int
-	// StrayBlocks is how many fully covered blocks below the frontier
-	// had no stored node aligned with them (the odd leaves of the
-	// decomposition).
-	StrayBlocks int
-	// FrontierBlocks is how many fully covered blocks lay past the built
-	// frontier.
+	// FrontierBlocks is how many fully covered blocks lay past the last
+	// record and were decoded whole.
 	FrontierBlocks int
-	// MemoBlocks is how many of the stray and frontier blocks took their
-	// grid from the leaf memo instead of a decode.
-	MemoBlocks int
 	// SkippedBlocks is how many blocks the window excluded outright.
 	SkippedBlocks int
 
-	// GridCompose is the time spent adding resident grids (nodes and
-	// memoized leaves) into the window's curves.
+	// GridCompose is the time spent composing the covered runs' prefix
+	// rows and the folded blocks' bins into the window's curves.
 	GridCompose time.Duration
-	// SlabRead is the time spent reading node payloads back from the
-	// sidecar: pread, CRC check and decode.
+	// SlabRead is the time spent reading the covered records back from
+	// the sidecar: pread, CRC check and parse.
 	SlabRead time.Duration
-	// EdgeDecode is the time spent decoding store blocks — edge, stray
-	// and frontier alike.
+	// EdgeDecode is the time spent decoding store blocks — edge and
+	// frontier alike.
 	EdgeDecode time.Duration
-	// Fold is the time spent folding decoded rows: the count-only kernel
-	// on the curve path, distribution appends on the slab path.
+	// Fold is the time spent folding decoded rows: bin counts on the
+	// curve path, sample values on the slab path.
 	Fold time.Duration
-	// Select is the time spent in order statistics over the composed
-	// slabs (Result.Quantile).
+	// Select is the time spent gathering and selecting order statistics
+	// (Result.Quantile).
 	Select time.Duration
-	// SlabBytes is how many sidecar payload bytes the window read.
+	// SlabBytes is how many sidecar record bytes the window read.
 	SlabBytes int64
 }
 
 // DecodedBlocks is the total number of blocks the query had to decode.
-func (q QueryStats) DecodedBlocks() int {
-	return q.EdgeBlocks + q.StrayBlocks + q.FrontierBlocks - q.MemoBlocks
-}
+func (q QueryStats) DecodedBlocks() int { return q.EdgeBlocks + q.FrontierBlocks }
 
-// piece is one step of a window's composition plan, kept so the
-// distribution slabs can load after the curves were answered: a stored
-// node, or the selected rows of one block (which the slab path decodes
-// again — cheaper than every curve query keeping its edge blocks'
-// column buffers alive in case a quantile follows).
+// piece is one block a window decodes rather than composes — an edge
+// block (only sel's rows) or a covered block past the last record — kept
+// so the slab path can fold its values after the curves were answered
+// (decoding again is cheaper than every curve query keeping its column
+// buffers alive in case a quantile follows).
 type piece struct {
-	slabOff int64 // node: record offset in the sidecar
-	slabLen int   // node: framed record size; 0 for a block
-	block   int
-	edge    bool           // block: fold only sel's rows, not all of them
-	cols    colf.ColumnSet // edge: the columns sel needs
-	sel     rowSel
+	block int
+	cols  colf.ColumnSet // the columns sel needs
+	sel   rowSel
 }
 
 // Result is a materialized window: the row totals [since, until)
-// covers, its per-continent sample counts and CDF curves — composed
-// eagerly, from grids alone — and, on demand, the per-continent
-// delivered-RTT distributions behind quantiles.
+// covers and its per-continent sample counts and CDF curves — composed
+// eagerly, from prefix rows and folded bins — and, on demand, the
+// per-continent order statistics behind quantiles.
 type Result struct {
 	Rows      uint64 // rows inside the window
 	Delivered uint64 // delivered rows inside the window
 	Stats     QueryStats
 
-	n      [numContinents]uint64
-	counts [numContinents][curveBins]uint64
+	// cum[ct][k] counts ct's samples in bins 0..k, cum[ct][curveBins]
+	// all of them (see curve.go).
+	cum counts
 
-	// The slab path's inputs: Dists replays plan against the same
-	// sidecar, store and resolver, under the context Query ran with.
-	ctx     context.Context
-	sidecar io.ReaderAt
-	bstate  *blockState
-	store   io.ReaderAt
-	blocks  []colf.BlockInfo
-	tbl     []geo.Continent
-	plan    []piece
+	// The slab path's inputs: Load replays runs and pieces against the
+	// same sidecar, store and resolver, under the context Query ran with.
+	ctx      context.Context
+	sidecar  io.ReaderAt
+	recs     []blockRec
+	decoders *sync.Pool
+	store    io.ReaderAt
+	blocks   []colf.BlockInfo
+	tbl      []geo.Continent
+	runs     [][2]int // covered record runs [i, j)
+	pieces   []piece
 
 	loaded  bool
-	dists   map[geo.Continent]*stats.Dist
-	distErr error
-}
-
-// add composes one piece's grid into the window.
-func (r *Result) add(g *grid) {
-	r.Rows += g.rows
-	r.Delivered += g.delivered
-	for ct, b := range g.bins {
-		r.n[ct] += g.n[ct]
-		if b == nil {
-			continue
-		}
-		c := &r.counts[ct]
-		for k, x := range b {
-			c[k] += uint64(x)
-		}
+	loadErr error
+	slabs   []slabs                  // per covered record, in block order
+	edge    [numContinents][]float64 // the pieces' samples, unsorted
+	// gather keeps the last bin orderStat gathered: a type-7 quantile's
+	// two ranks nearly always share a bin, so the second reuses it.
+	gather struct {
+		ct    geo.Continent
+		bin   int
+		cand  []float64
+		valid bool
 	}
 }
 
@@ -136,7 +120,7 @@ func (r *Result) add(g *grid) {
 func (r *Result) Continents() []geo.Continent {
 	var out []geo.Continent
 	for _, ct := range geo.Continents() {
-		if r.n[ct] > 0 {
+		if r.N(ct) > 0 {
 			out = append(out, ct)
 		}
 	}
@@ -145,34 +129,32 @@ func (r *Result) Continents() []geo.Continent {
 
 // N returns one continent's sample count: the delivered rows in the
 // window whose probes the index resolves there.
-func (r *Result) N(ct geo.Continent) int { return int(r.n[ct]) }
+func (r *Result) N(ct geo.Continent) int { return int(r.cum[ct][curveBins]) }
 
 // Samples returns the total sample count across continents.
 func (r *Result) Samples() int {
 	n := 0
-	for _, x := range r.n {
-		n += int(x)
+	for ct := range r.cum {
+		n += r.N(geo.Continent(ct))
 	}
 	return n
 }
 
 // Curve returns one continent's CDF curve over the fixed figure grid
-// (x = 1..400 ms, core.DefaultGrid), composed purely from the node
-// pre-aggregates and edge folds — no pass over the sample buffers.
-// Every P value equals float64(samples <= x) / float64(N), the exact
-// division Dist.CDF performs, so a figure rendered from these points is
-// bit-identical to one swept from the window's distributions. A
-// continent with no samples has no curve.
+// (x = 1..400 ms, core.DefaultGrid), composed purely from prefix rows
+// and edge folds — no pass over the samples. Every P value equals
+// float64(samples <= x) / float64(N), the exact division Dist.CDF
+// performs, so a figure rendered from these points is bit-identical to
+// one swept from the window's samples. A continent with no samples has
+// no curve.
 func (r *Result) Curve(ct geo.Continent) []stats.CDFPoint {
-	n := r.n[ct]
+	n := r.cum[ct][curveBins]
 	if n == 0 {
 		return nil
 	}
 	pts := make([]stats.CDFPoint, curveBins)
-	var cum uint64
-	for k, x := range r.counts[ct] {
-		cum += x
-		pts[k] = stats.CDFPoint{X: float64(k + 1), P: float64(cum) / float64(n)}
+	for k := range pts {
+		pts[k] = stats.CDFPoint{X: float64(k + 1), P: float64(r.cum[ct][k]) / float64(n)}
 	}
 	return pts
 }
@@ -191,272 +173,278 @@ func windowNanos(since, until time.Time) (int64, int64) {
 }
 
 // Query materializes the window [since, until) over the store's sealed
-// blocks: fully covered block runs compose from O(log n) pre-merged
-// nodes, boundary blocks batch-decode and count only their edge rows,
-// and anything the index has not reached yet falls back to a direct
-// decode (memoized, so it happens once per block). Curves and counts
-// compose here, from resident grids, with no sidecar read; the
-// distributions load lazily (Result.Dists) and then hold exactly the
-// sample multiset a cold row scan of the same window would accumulate,
-// so every rank query downstream answers identically.
+// blocks: each run of fully covered blocks with records composes as
+// cum[j] − cum[i], boundary blocks batch-decode and count only their
+// edge rows, and covered blocks past the last record decode whole.
+// Curves and counts compose here, with no sidecar read; the slabs load
+// lazily (Result.Load) for quantiles, which then answer exactly what a
+// cold row scan of the same window would.
 //
 // blocks must be the same sealed block list the parent Index was
 // validated and extended against (or a prefix-consistent extension of
-// it — extra blocks past the frontier are served by fallback decodes).
-// store is the samples file; cls resolves probes exactly as at build
-// time. The context is checked once per composed piece, here and on
-// the lazy slab path.
+// it — extra blocks past the frontier are decoded). store is the
+// samples file; cls resolves probes exactly as at build time. The
+// context is checked once per block, here and on the slab path.
 func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.BlockInfo, since, until time.Time, cls Continents) (*Result, error) {
 	if cls == nil {
 		return nil, fmt.Errorf("tix: nil continent resolver")
 	}
 	pred := &colf.Predicate{Since: since, Until: until}
 	sinceN, untilN := windowNanos(since, until)
-	res := &Result{ctx: ctx, sidecar: v.f, bstate: v.blocks, store: store, blocks: blocks, tbl: cls.ContinentTable()}
+	res := &Result{ctx: ctx, sidecar: v.f, recs: v.recs, decoders: v.decoders, store: store, blocks: blocks, tbl: cls.ContinentTable()}
 	st := &res.Stats
-	dec := v.blocks.decoder()
-	defer v.blocks.release(dec)
+	dec := decoder(v.decoders)
+	defer v.decoders.Put(dec)
 
-	// leaf composes one fully covered block with no usable node: from
-	// the memo when some query or Extend decoded it before, else by a
-	// decode and count-only fold that fills the memo.
-	leaf := func(i int) error {
-		bi := blocks[i]
-		g := v.blocks.leaf(bi)
-		if g != nil {
-			st.MemoBlocks++
-		} else {
-			t0 := time.Now()
-			blk, err := dec.DecodeCols(store, bi, 0)
-			if err != nil {
-				return err
-			}
-			t1 := time.Now()
-			st.EdgeDecode += t1.Sub(t0)
-			// blk.Zone is the CRC-verified footer zone — the trusted totals.
-			g = &grid{rows: uint64(blk.Zone.Rows), delivered: uint64(blk.Zone.Delivered)}
-			if err := foldGrid(g, res.tbl, blk, rowSel{hi: blk.Rows()}); err != nil {
-				return err
-			}
-			v.blocks.putLeaf(bi, g)
-			st.Fold += time.Since(t1)
+	runStart := -1 // start of the current covered run of records, -1 if none
+	flush := func(end int) {
+		if runStart >= 0 {
+			res.runs = append(res.runs, [2]int{runStart, end})
+			st.Nodes += end - runStart
+			runStart = -1
 		}
-		t0 := time.Now()
-		res.add(g)
-		st.GridCompose += time.Since(t0)
-		res.plan = append(res.plan, piece{block: i})
-		return nil
 	}
-
-	// flushRun decomposes a run of fully covered blocks [lo, hi) into
-	// the largest aligned stored nodes, leaving the stray leaves of the
-	// dyadic decomposition at the ends.
-	flushRun := func(lo, hi int) error {
-		for lo < hi {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			used := false
-			for level := bits.Len(uint(hi-lo)) - 1; level >= 1; level-- {
-				span := 1 << level
-				if lo%span != 0 {
-					continue
-				}
-				ref, ok := v.nodes[nodeKey{level, lo}]
-				if !ok {
-					continue
-				}
-				t0 := time.Now()
-				res.add(ref.grid)
-				st.GridCompose += time.Since(t0)
-				res.plan = append(res.plan, piece{slabOff: ref.recOff, slabLen: ref.recLen})
-				st.Nodes++
-				st.NodeBlocks += span
-				lo += span
-				used = true
-				break
-			}
-			if used {
-				continue
-			}
-			if lo < v.frontier {
-				st.StrayBlocks++
-			} else {
-				st.FrontierBlocks++
-			}
-			if err := leaf(lo); err != nil {
-				return err
-			}
-			lo++
-		}
-		return nil
-	}
-
-	runStart := -1 // start of the current fully covered run, -1 if none
 	for i, bi := range blocks {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		match := pred.MatchZone(bi.Zone)
-		if match && pred.CoversZone(bi.Zone) {
+		covered := match && pred.CoversZone(bi.Zone)
+		if covered && i < len(v.recs) {
 			if runStart < 0 {
 				runStart = i
 			}
 			continue
 		}
-		if runStart >= 0 {
-			if err := flushRun(runStart, i); err != nil {
-				return nil, err
-			}
-			runStart = -1
-		}
+		flush(i)
 		if !match {
 			st.SkippedBlocks++
 			continue
 		}
-		// Edge block: the window cuts through it. Decode with the time
-		// column and count only the in-window rows.
-		st.EdgeBlocks++
+		// The window cuts through this block, or it lies past the last
+		// record: decode it and count the rows the window selects.
+		cols := colf.ColTime
+		if covered {
+			cols = 0
+			st.FrontierBlocks++
+		} else {
+			st.EdgeBlocks++
+		}
 		t0 := time.Now()
-		blk, err := dec.DecodeCols(store, bi, colf.ColTime)
+		blk, err := dec.DecodeCols(store, bi, cols)
 		if err != nil {
 			return nil, err
 		}
 		t1 := time.Now()
 		st.EdgeDecode += t1.Sub(t0)
-		// A monotone time column (the normal case) pins the rows to an
-		// index range, which the slab path can reuse without the column.
-		sel, cols := rowSel{hi: blk.Rows(), timed: true, since: sinceN, until: untilN}, colf.ColTime
-		if lo, hi, exact := blk.EdgeRows(sinceN, untilN); exact {
-			sel, cols = rowSel{lo: lo, hi: hi}, 0
+		sel := rowSel{hi: blk.Rows()}
+		if !covered {
+			// A monotone time column (the normal case) pins the rows to an
+			// index range, which the slab path can reuse without the column.
+			sel = rowSel{hi: blk.Rows(), timed: true, since: sinceN, until: untilN}
+			if lo, hi, exact := blk.EdgeRows(sinceN, untilN); exact {
+				sel, cols = rowSel{lo: lo, hi: hi}, 0
+			}
 		}
-		g := &grid{}
-		g.rows, g.delivered = sel.count(blk)
-		if err := foldGrid(g, res.tbl, blk, sel); err != nil {
+		rows, delivered := sel.count(blk)
+		res.Rows += rows
+		res.Delivered += delivered
+		if err := foldGrid(&res.cum, res.tbl, blk, sel); err != nil {
 			return nil, err
 		}
-		res.add(g)
 		st.Fold += time.Since(t1)
-		res.plan = append(res.plan, piece{block: i, edge: true, cols: cols, sel: sel})
+		res.pieces = append(res.pieces, piece{block: i, cols: cols, sel: sel})
 	}
-	if runStart >= 0 {
-		if err := flushRun(runStart, len(blocks)); err != nil {
-			return nil, err
+	flush(len(blocks))
+
+	// The folded blocks' bins are per-bin so far; sum them cumulatively,
+	// then add each covered run's prefix difference.
+	t0 := time.Now()
+	for ct := range res.cum {
+		c := &res.cum[ct]
+		for k := 1; k <= curveBins; k++ {
+			c[k] += c[k-1]
 		}
 	}
+	for _, run := range res.runs {
+		lo, hi := &v.cum[run[0]], &v.cum[run[1]]
+		res.Rows += hi.rows - lo.rows
+		res.Delivered += hi.delivered - lo.delivered
+		for ct := range res.cum {
+			c, l, h := &res.cum[ct], &lo.bins[ct], &hi.bins[ct]
+			for k := range c {
+				c[k] += h[k] - l[k]
+			}
+		}
+	}
+	st.GridCompose += time.Since(t0)
 	return res, nil
 }
 
-// Dists returns the window's per-continent distributions, loading them
-// on first use: every composed node's payload is read back from the
-// sidecar (CRC re-verified — a corruption after Open fails here, never
-// skews a quantile) into one buffer the serialized slabs stay aliased
-// to, and the plan's blocks fold their selected rows. The composed
-// distributions answer quantiles in place (stats' multi-span order
-// statistic); nothing merges. The outcome, error included, is
-// remembered.
-func (r *Result) Dists() (map[geo.Continent]*stats.Dist, error) {
+// Load reads what the window's quantiles select from, once: every
+// covered block record is read back from the sidecar (CRC re-verified —
+// a corruption after Open fails here, never skews a quantile) into one
+// buffer its slabs stay aliased to, and every decoded piece folds its
+// selected rows' values again. The outcome, error included, is
+// remembered; Quantile calls it.
+func (r *Result) Load() error {
 	if !r.loaded {
 		r.loaded = true
-		r.dists, r.distErr = r.loadDists()
+		r.loadErr = r.load()
 	}
-	return r.dists, r.distErr
+	return r.loadErr
 }
 
-func (r *Result) loadDists() (map[geo.Continent]*stats.Dist, error) {
+func (r *Result) load() error {
 	st := &r.Stats
-	slab := 0
-	for _, p := range r.plan {
-		slab += p.slabLen
-	}
-	buf := make([]byte, slab)
-	dec := r.bstate.decoder()
-	defer r.bstate.release(dec)
-
-	// Pieces arrive in block order; combining is a concatenation of runs
-	// (stats.CombineSorted), and the final multiset is independent of how
-	// the window was pieced together.
-	var runs [numContinents][]*stats.Dist
-	for _, p := range r.plan {
-		if err := r.ctx.Err(); err != nil {
-			return nil, err
+	size := 0
+	for _, run := range r.runs {
+		for _, rec := range r.recs[run[0]:run[1]] {
+			size += rec.len
 		}
-		var dists [numContinents]*stats.Dist
-		t0 := time.Now()
-		if n := p.slabLen; n > 0 {
-			ns, err := readNodeState(r.sidecar, p.slabOff, buf[:n:n])
+	}
+	buf := make([]byte, size)
+	t0 := time.Now()
+	for _, run := range r.runs {
+		for i := run[0]; i < run[1]; i++ {
+			if err := r.ctx.Err(); err != nil {
+				return err
+			}
+			n := r.recs[i].len
+			payload, err := snap.ReadRecord(r.sidecar, r.recs[i].off, buf[:n:n])
 			if err != nil {
-				return nil, err
+				return fmt.Errorf("tix: block record %d: %w", i, err)
 			}
 			buf = buf[n:]
-			dists = ns.dists
-			st.SlabBytes += int64(n)
-			st.SlabRead += time.Since(t0)
-		} else {
-			blk, err := dec.DecodeCols(r.store, r.blocks[p.block], p.cols)
+			_, s, err := decodeBlock(payload)
 			if err != nil {
-				return nil, err
+				return fmt.Errorf("tix: block record %d: %w", i, err)
 			}
-			t1 := time.Now()
-			st.EdgeDecode += t1.Sub(t0)
-			sel := rowSel{hi: blk.Rows()}
-			if p.edge {
-				sel = p.sel
-			}
-			if err := foldDists(&dists, nil, r.tbl, blk, sel); err != nil {
-				return nil, err
-			}
-			st.Fold += time.Since(t1)
-		}
-		for ct, d := range dists {
-			if d != nil {
-				runs[ct] = append(runs[ct], d)
-			}
+			r.slabs = append(r.slabs, s)
+			st.SlabBytes += int64(n)
 		}
 	}
-	out := make(map[geo.Continent]*stats.Dist)
-	for ct, ds := range runs {
-		if len(ds) == 0 {
-			continue
+	st.SlabRead += time.Since(t0)
+
+	dec := decoder(r.decoders)
+	defer r.decoders.Put(dec)
+	for _, p := range r.pieces {
+		if err := r.ctx.Err(); err != nil {
+			return err
 		}
-		d, err := stats.CombineSorted(ds)
+		t0 := time.Now()
+		blk, err := dec.DecodeCols(r.store, r.blocks[p.block], p.cols)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[geo.Continent(ct)] = d
+		t1 := time.Now()
+		st.EdgeDecode += t1.Sub(t0)
+		if err := foldValues(&r.edge, r.tbl, blk, p.sel); err != nil {
+			return err
+		}
+		st.Fold += time.Since(t1)
 	}
-	return out, nil
+	return nil
 }
 
-// Quantile returns one continent's q-quantile RTT over the window,
-// loading the distributions if no call has yet. The composed curve
-// counts bracket every rank to one grid bin before the slabs are
-// searched (stats.QuantileBracketed), so the selection starts from a
-// 1 ms value range and the edge rows are filtered, not sorted.
+// Quantile returns one continent's q-quantile RTT over the window — the
+// type-7 interpolation stats.Dist.Quantile uses, between order
+// statistics orderStat selects — loading the slabs if no call has yet.
 func (r *Result) Quantile(ct geo.Continent, q float64) (float64, error) {
-	dists, err := r.Dists()
-	if err != nil {
-		return 0, err
-	}
-	d := dists[ct]
-	if d == nil {
+	n := r.N(ct)
+	if n == 0 {
 		return 0, fmt.Errorf("tix: no data for %v", ct)
 	}
+	if err := r.Load(); err != nil {
+		return 0, err
+	}
 	t0 := time.Now()
-	v, err := d.QuantileBracketed(q, func(k int) (lo, hi float64) {
-		// Bin b holds the samples in (b, b+1]; bin 0 also everything
-		// below, and samples past the grid sit in no bin.
-		var cum uint64
-		for b, x := range r.counts[ct] {
-			if cum += x; uint64(k) < cum {
-				if b == 0 {
-					return math.Inf(-1), 1
-				}
-				return float64(b), float64(b + 1)
-			}
-		}
-		return curveBins, math.Inf(1)
-	})
+	v, err := stats.QuantileOf(n, q, func(k int) (float64, error) { return r.orderStat(ct, k) })
 	r.Stats.Select += time.Since(t0)
 	return v, err
+}
+
+// orderStat returns ct's k-th smallest sample in the window. The
+// composed counts bracket rank k to one bin b and say exactly how many
+// samples lie below it; the bin's candidates are gathered — by two
+// binary searches per covered slab and a filter over the edge values —
+// and rank k − below is selected among them in linear time. A gather
+// that disagrees with the counts means a slab changed after Open: that
+// is an error, never an answer.
+func (r *Result) orderStat(ct geo.Continent, k int) (float64, error) {
+	c := &r.cum[ct]
+	b := sort.Search(curveBins+1, func(j int) bool { return c[j] > uint64(k) })
+	var below uint64
+	if b > 0 {
+		below = c[b-1]
+	}
+	g := &r.gather
+	if !g.valid || g.ct != ct || g.bin != b {
+		// Bin b holds the samples in (b, b+1]; bin 0 also everything
+		// below, and bin curveBins everything past the grid.
+		lo, hi := float64(b), float64(b+1)
+		switch b {
+		case 0:
+			lo = math.Inf(-1)
+		case curveBins:
+			hi = math.Inf(1)
+		}
+		g.valid, g.ct, g.bin, g.cand = false, ct, b, g.cand[:0]
+		var under uint64
+		for _, s := range r.slabs {
+			slab := s[ct]
+			n := len(slab) / 8
+			from := sort.Search(n, func(j int) bool { return at(slab, j) > lo })
+			to := from + sort.Search(n-from, func(j int) bool { return at(slab, from+j) > hi })
+			under += uint64(from)
+			for j := from; j < to; j++ {
+				g.cand = append(g.cand, at(slab, j))
+			}
+		}
+		for _, v := range r.edge[ct] {
+			if v <= lo {
+				under++
+			} else if v <= hi {
+				g.cand = append(g.cand, v)
+			}
+		}
+		if under != below || uint64(len(g.cand)) != c[b]-below {
+			return 0, fmt.Errorf("tix: %v bin %d gathered %d candidates over %d, counts say %d over %d",
+				ct, b, len(g.cand), under, c[b]-below, below)
+		}
+		g.valid = true
+	}
+	return selectRank(g.cand, k-int(below)), nil
+}
+
+// selectRank returns the k-th smallest element of a (0 <= k < len(a)),
+// reordering a: quickselect with a three-way partition, so runs of equal
+// samples — common at millisecond resolution — cost one pass, not many.
+func selectRank(a []float64, k int) float64 {
+	for len(a) > 1 {
+		p := a[len(a)/2]
+		lt, i, gt := 0, 0, len(a)
+		for i < gt {
+			switch {
+			case a[i] < p:
+				a[lt], a[i] = a[i], a[lt]
+				lt++
+				i++
+			case a[i] > p:
+				gt--
+				a[i], a[gt] = a[gt], a[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			a = a[:lt]
+		case k < gt:
+			return a[lt]
+		default:
+			a, k = a[gt:], k-gt
+		}
+	}
+	return a[0]
 }

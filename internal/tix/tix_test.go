@@ -3,6 +3,7 @@ package tix_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -24,9 +25,9 @@ import (
 
 // The tix tests drive a real campaign store sealed into many small
 // blocks, and hold the index to the tentpole bar: whatever window is
-// asked, composing pre-merged segment nodes must produce the same
-// sample multiset — hence bit-identical quantiles and curves — as a
-// cold fold over the raw samples.
+// asked, composing block records must produce the same sample multiset
+// — hence bit-identical quantiles and curves — as a cold fold over the
+// raw samples.
 
 // fixture is one built world + sealed binary store shared by the tests
 // (read-only after construction).
@@ -44,7 +45,7 @@ var (
 	fixErr  error
 )
 
-const fixBlockRows = 512 // small sealed blocks => a deep segment tree
+const fixBlockRows = 512 // small sealed blocks => many records per window
 
 func getFixture(t testing.TB) *fixture {
 	t.Helper()
@@ -182,55 +183,33 @@ func (f *fixture) refFoldSamples(t testing.TB, samples []results.Sample, since, 
 	return dists, rows, delivered
 }
 
-// dists loads a window's distributions through the lazy slab path.
-func dists(t testing.TB, res *tix.Result) map[geo.Continent]*stats.Dist {
+// assertQuantilesIdentical holds the slab path to the reference: per
+// continent, the same sample count and a dense quantile sweep that is
+// bit-identical. Identical multisets make every quantile identical; any
+// drift is a real divergence.
+func assertQuantilesIdentical(t testing.TB, res *tix.Result, want map[geo.Continent]*stats.Dist) {
 	t.Helper()
-	d, err := res.Dists()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
-// assertDistsIdentical compares two per-continent distribution sets by
-// the quantities the serving layer publishes: sample counts, a dense
-// quantile sweep, and the figure curve. Identical multisets make every
-// one of these bit-identical; any drift is a real divergence.
-func assertDistsIdentical(t testing.TB, got, want map[geo.Continent]*stats.Dist) {
-	t.Helper()
-	grid := core.DefaultGrid()
 	for _, ct := range geo.Continents() {
-		gd, wd := got[ct], want[ct]
-		gn, wn := 0, 0
-		if gd != nil {
-			gn = gd.N()
-		}
+		wd := want[ct]
+		wn := 0
 		if wd != nil {
 			wn = wd.N()
 		}
-		if gn != wn {
-			t.Fatalf("%v: index has %d samples, reference %d", ct, gn, wn)
+		if res.N(ct) != wn {
+			t.Fatalf("%v: index has %d samples, reference %d", ct, res.N(ct), wn)
 		}
-		if gn == 0 {
+		if wn == 0 {
 			continue
 		}
 		for q := 0; q <= 100; q++ {
-			gq, err1 := gd.Quantile(float64(q) / 100)
+			gq, err1 := res.Quantile(ct, float64(q)/100)
 			wq, err2 := wd.Quantile(float64(q) / 100)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%v: quantile errors %v / %v", ct, err1, err2)
 			}
-			if gq != wq {
+			if math.Float64bits(gq) != math.Float64bits(wq) {
 				t.Fatalf("%v: q%d = %v via index, %v via reference", ct, q, gq, wq)
 			}
-		}
-		gc, err1 := gd.Curve(grid)
-		wc, err2 := wd.Curve(grid)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%v: curve errors %v / %v", ct, err1, err2)
-		}
-		if !reflect.DeepEqual(gc, wc) {
-			t.Fatalf("%v: CDF curve diverges between index and reference", ct)
 		}
 	}
 }
@@ -336,24 +315,21 @@ func TestQueryMatchesColdFold(t *testing.T) {
 					res.Rows, res.Delivered, rows, delivered)
 			}
 			assertCurvesIdentical(t, res, want)
-			assertDistsIdentical(t, dists(t, res), want)
+			assertQuantilesIdentical(t, res, want)
 		})
 	}
 
-	// The full window must actually be served by the tree, not by
-	// decoding everything: composed nodes cover most blocks, and the
-	// decode count stays logarithmic-ish, not linear.
+	// The full window must actually be served by the records, not by
+	// decoding anything: every block composes from its prefix row.
 	res, err := v.Query(ctx, sf, f.blocks, time.Time{}, time.Time{}, f.world.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Nodes == 0 {
-		t.Fatal("full-window query composed no segment nodes")
+	if res.Stats.Nodes != len(f.blocks) || res.Stats.DecodedBlocks() != 0 {
+		t.Fatalf("full-window query composed %d of %d records and decoded %d blocks",
+			res.Stats.Nodes, len(f.blocks), res.Stats.DecodedBlocks())
 	}
-	if dec := res.Stats.DecodedBlocks(); dec >= len(f.blocks)/2 {
-		t.Fatalf("full-window query decoded %d of %d blocks", dec, len(f.blocks))
-	}
-	if got := res.Stats.NodeBlocks + res.Stats.EdgeBlocks + res.Stats.StrayBlocks + res.Stats.FrontierBlocks + res.Stats.SkippedBlocks; got != len(f.blocks) {
+	if got := res.Stats.Nodes + res.Stats.EdgeBlocks + res.Stats.FrontierBlocks + res.Stats.SkippedBlocks; got != len(f.blocks) {
 		t.Fatalf("query accounted for %d of %d blocks", got, len(f.blocks))
 	}
 }
@@ -380,7 +356,7 @@ func TestQueryPastFrontier(t *testing.T) {
 		t.Fatalf("rows/delivered %d/%d, reference %d/%d", res.Rows, res.Delivered, rows, delivered)
 	}
 	assertCurvesIdentical(t, res, want)
-	assertDistsIdentical(t, dists(t, res), want)
+	assertQuantilesIdentical(t, res, want)
 }
 
 // TestIncrementalMatchesBatch pins build determinism: growing the
@@ -433,11 +409,8 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	// The frontier reconstructs from node ends, so an odd tail block
-	// reads back as not-yet-processed; the nodes themselves must all
-	// survive the reopen.
-	if re.Nodes() != nodes || re.Frontier() > frontier {
-		t.Fatalf("reopen lost state: %d/%d nodes, %d/%d frontier", re.Nodes(), nodes, re.Frontier(), frontier)
+	if re.Nodes() != nodes || re.Frontier() != frontier {
+		t.Fatalf("reopen lost state: %d/%d records, %d/%d frontier", re.Nodes(), nodes, re.Frontier(), frontier)
 	}
 	if err := re.Extend(sf, f.blocks, f.world.Index); err != nil {
 		t.Fatal(err)
@@ -448,6 +421,55 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	}
 	if !bytes.Equal(after, inc) {
 		t.Fatal("idempotent re-extend changed the file")
+	}
+}
+
+// TestExtendAfterFailedWrite: an Extend whose record write fails (a full
+// or failing disk) must leave the index as if the record had never been
+// attempted, so the next Extend — the serving layer retries on its next
+// refresh — writes the batch build's bytes and composes curves and
+// quantiles identical to a cold fold.
+func TestExtendAfterFailedWrite(t *testing.T) {
+	f := getFixture(t)
+	sf := f.openSamples(t)
+	path := filepath.Join(t.TempDir(), "samples.tix")
+	third := len(f.blocks) / 3
+	ix := f.build(t, path, f.blocks[:third])
+
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := tix.SwapFile(ix, ro)
+	if err := ix.Extend(sf, f.blocks[:2*third], f.world.Index); err == nil {
+		t.Fatal("Extend over a read-only sidecar handle reported no error")
+	}
+	tix.SwapFile(ix, rw)
+	ro.Close()
+	if ix.Frontier() != third {
+		t.Fatalf("failed Extend moved the frontier to %d, want %d", ix.Frontier(), third)
+	}
+
+	if err := ix.Extend(sf, f.blocks, f.world.Index); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ix.View().Query(context.Background(), sf, f.blocks, time.Time{}, time.Time{}, f.world.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, rows, delivered := f.refFold(t, time.Time{}, time.Time{})
+	if res.Rows != rows || res.Delivered != delivered {
+		t.Fatalf("rows/delivered %d/%d, reference %d/%d", res.Rows, res.Delivered, rows, delivered)
+	}
+	assertCurvesIdentical(t, res, want)
+	assertQuantilesIdentical(t, res, want)
+
+	batchPath := filepath.Join(t.TempDir(), "batch.tix")
+	f.build(t, batchPath, f.blocks)
+	got, err1 := os.ReadFile(path)
+	batch, err2 := os.ReadFile(batchPath)
+	if err1 != nil || err2 != nil || !bytes.Equal(got, batch) {
+		t.Fatalf("retried Extend diverges from a batch build (errors %v, %v)", err1, err2)
 	}
 }
 
@@ -471,7 +493,7 @@ func TestBindingInvalidation(t *testing.T) {
 	}
 	defer re.Close()
 	if re.Nodes() != 0 || re.Frontier() != 0 {
-		t.Fatalf("binding mismatch kept %d nodes, frontier %d", re.Nodes(), re.Frontier())
+		t.Fatalf("binding mismatch kept %d records, frontier %d", re.Nodes(), re.Frontier())
 	}
 	// And the file on disk was actually reset, not just ignored.
 	st, err := os.Stat(path)
@@ -484,7 +506,7 @@ func TestBindingInvalidation(t *testing.T) {
 }
 
 // TestTIXv2Rebuilds: a sidecar in the index's own former layout — magic
-// "TIX" 2 and the binding as a tagged first record — holds the same node
+// "TIX" 2 and the binding as a tagged first record — holds the same record
 // payloads, yet it is reset at open, never parsed, and Extend rebuilds
 // the file a fresh build writes.
 func TestTIXv2Rebuilds(t *testing.T) {
@@ -512,7 +534,7 @@ func TestTIXv2Rebuilds(t *testing.T) {
 	}
 	defer re.Close()
 	if re.Nodes() != 0 {
-		t.Fatalf("a TIX v2 file kept %d nodes", re.Nodes())
+		t.Fatalf("a TIX v2 file kept %d records", re.Nodes())
 	}
 	if err := re.Extend(f.openSamples(t), f.blocks, f.world.Index); err != nil {
 		t.Fatal(err)
@@ -548,21 +570,22 @@ func TestCorruptionTruncatesSuffix(t *testing.T) {
 	}
 	defer re.Close()
 	if re.Nodes() >= nodes {
-		t.Fatalf("corruption kept all %d nodes", re.Nodes())
+		t.Fatalf("corruption kept all %d records", re.Nodes())
 	}
 	sf := f.openSamples(t)
 	if err := re.Extend(sf, f.blocks, f.world.Index); err != nil {
 		t.Fatal(err)
 	}
 	if re.Nodes() != nodes {
-		t.Fatalf("rebuilt index has %d nodes, want %d", re.Nodes(), nodes)
+		t.Fatalf("rebuilt index has %d records, want %d", re.Nodes(), nodes)
 	}
 	res, err := re.View().Query(context.Background(), sf, f.blocks, time.Time{}, time.Time{}, f.world.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _, _ := f.refFold(t, time.Time{}, time.Time{})
-	assertDistsIdentical(t, dists(t, res), want)
+	assertCurvesIdentical(t, res, want)
+	assertQuantilesIdentical(t, res, want)
 }
 
 // TestTornTailTruncated: a partial trailing record (a crash mid-append)
@@ -587,13 +610,13 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	defer re.Close()
 	if re.Nodes() != nodes-1 {
-		t.Fatalf("torn tail left %d nodes, want %d", re.Nodes(), nodes-1)
+		t.Fatalf("torn tail left %d records, want %d", re.Nodes(), nodes-1)
 	}
 }
 
 // TestStoreTruncationInvalidatesNodes: shrinking the sealed block list
-// (a checkpoint rollback) must drop every node that no longer fits,
-// because node byte ranges are pinned to the store's block layout.
+// (a checkpoint rollback) must drop every record that no longer fits,
+// because record byte ranges are pinned to the store's block layout.
 func TestStoreTruncationInvalidatesNodes(t *testing.T) {
 	f := getFixture(t)
 	path := filepath.Join(t.TempDir(), "samples.tix")
@@ -621,5 +644,6 @@ func TestStoreTruncationInvalidatesNodes(t *testing.T) {
 	// the first two blocks hold exactly the first 2*fixBlockRows
 	// samples — not by a time window.
 	want, _, _ := f.refFoldSamples(t, f.samples[:2*fixBlockRows], time.Time{}, time.Time{})
-	assertDistsIdentical(t, dists(t, res), want)
+	assertCurvesIdentical(t, res, want)
+	assertQuantilesIdentical(t, res, want)
 }

@@ -45,12 +45,13 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # instrumentation. The differential pins /cdf and /quantile bodies from
 # the index path to the scan engine's over randomized windows; the cost
 # gate asserts a /cdf index-path request reads zero sidecar bytes, loads
-# no distribution (nothing to materialize or select over), never scans,
-# and allocates a bounded number of objects; the corrupt-slab test that
-# /quantile's per-read CRC still catches a payload damaged after open.
+# no slab (nothing to select over), never scans, and allocates a bounded
+# number of objects; the corrupt-slab test that /quantile's per-read CRC
+# still catches a record damaged after open. The tix kernel tests pin
+# the windowed quantile's bin gather and linear-time selection against
+# sorting, and a gather that disagrees with the counts as an error.
 go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestServeCorruptSlabFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON' ./internal/serve
-go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestLeafMemo|TestBeyondGridDifferential|TestCorruptSlabAfterOpen' ./internal/tix
-go test -count=1 -run 'TestSelectRuns' ./internal/stats
+go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestSelectRankMatchesSort|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather' ./internal/tix
 
 echo "== bench module (API compile + paper_run parity + traced smoke) =="
 # bench/ is its own module compiled against this one's exported API, and
@@ -71,14 +72,18 @@ echo "== fuzz smoke =="
 # must re-encode to the bytes they were read from; the target kept its
 # FuzzSnapshotRoundTrip name) — the suite state samples.snap carries
 # (decode must never panic or allocate past its input; accepted states
-# must round-trip), and the temporal index's segment-node codec (decode
-# must never panic; accepted payloads must re-encode to the same
-# aggregate). Ten seconds each catches format regressions without
-# turning the gate into a fuzz farm.
+# must round-trip), the temporal index's block-record codec (decode
+# must never panic; a payload Open accepts must re-encode byte for byte
+# and derive the same prefix row; the target kept its FuzzNodeRoundTrip
+# name), and the window parameters of /cdf and /quantile (never a panic
+# or a 5xx; every 200 body equal to the index-less engine's). Ten
+# seconds each catches regressions without turning the gate into a
+# fuzz farm.
 go test -run='^$' -fuzz='^FuzzBlockRoundTrip$' -fuzztime=10s ./internal/colf
 go test -run='^$' -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime=10s ./internal/snap
 go test -run='^$' -fuzz='^FuzzSuiteState$' -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz='^FuzzNodeRoundTrip$' -fuzztime=10s ./internal/tix
+go test -run='^$' -fuzz='^FuzzWindowParams$' -fuzztime=10s ./internal/serve
 
 echo "== bench smoke =="
 # One iteration of every micro-benchmark catches bit-rot in bench code
@@ -124,8 +129,8 @@ done
 
 echo "== temporal index smoke (windowed equivalence) =="
 # The serial shears run above built samples.tix alongside the dataset;
-# -op window answers from it, composing pre-merged segment nodes plus
-# edge-block decodes. Pin its per-continent delivered sample counts
+# -op window answers from it, composing block records plus edge-block
+# decodes. Pin its per-continent delivered sample counts
 # against -op continents, which cold-scans the same [since, until)
 # row by row — the index must agree with the scan exactly.
 test -s "$smokedir/serial/samples.tix"
