@@ -36,10 +36,10 @@
 // blocks the composition touched.
 //
 // -fast switches the stats op to an aggregate-only pass that resolves
-// whole blocks from their zone pre-aggregates with zero row decode on
-// v2 stores; it trades the p50/p95 sketch away for that. The
-// regions op likewise folds the zones' per-region aggregate lists when
-// the store carries them, decoding rows only for blocks that don't.
+// whole blocks from their zone pre-aggregates with zero row decode; it
+// trades the p50/p95 sketch away for that. The regions op likewise
+// folds the zones' per-region aggregate lists when the store carries
+// them, decoding rows only for blocks that don't.
 //
 // Flags precede the op: flag parsing stops at the first positional
 // argument.
@@ -333,11 +333,11 @@ func statsOp(store *results.Store, pred *colf.Predicate, workers int) ([]string,
 	return lines, nil
 }
 
-// statsFastPass is the aggregate-only stats kernel. On v2 stores it
-// resolves whole blocks from their zone pre-aggregates with zero row
-// decode (ZonePass); blocks without usable aggregates and blocks the
-// window covers only partly decode. It keeps no quantile sketch — that
-// is the price of the zone path — so -fast omits p50/p95.
+// statsFastPass is the aggregate-only stats kernel. It resolves whole
+// blocks from their zone pre-aggregates with zero row decode
+// (ZonePass); blocks the window covers only partly decode. It keeps no
+// quantile sketch — that is the price of the zone path — so -fast
+// omits p50/p95.
 type statsFastPass struct {
 	total, lost   uint64
 	sum, min, max float64
@@ -374,11 +374,9 @@ func (p *statsFastPass) ObserveBlock(blk *colf.Block) error {
 	return nil
 }
 
-func (p *statsFastPass) CanObserveZone(z colf.Zone) bool {
-	// v1 zones carry min/max but no RTT sum; without it the mean is
-	// unrecoverable, so such blocks decode instead.
-	return z.Delivered == 0 || z.HasAgg
-}
+// CanObserveZone accepts every zone: each carries the delivered-RTT
+// sum the mean needs.
+func (p *statsFastPass) CanObserveZone(colf.Zone) bool { return true }
 
 func (p *statsFastPass) ObserveZone(z colf.Zone) error {
 	p.total += uint64(z.Rows)
@@ -434,10 +432,9 @@ type regionAgg struct {
 }
 
 // regionsPass tallies rows, delivered samples and mean delivered RTT
-// per region. On v2 stores whole blocks resolve from the zone's
-// per-region aggregate list without decoding a row; blocks without the
-// list (v1 stores, dictionaries past the zone cap) decode and fold by
-// dictionary code.
+// per region. Whole blocks resolve from the zone's per-region aggregate
+// list without decoding a row; blocks without the list (dictionaries
+// past the zone cap) decode and fold by dictionary code.
 type regionsPass struct {
 	byRegion map[string]*regionAgg
 	// accs caches the code → accumulator resolution for the current
@@ -480,7 +477,7 @@ func (p *regionsPass) ObserveBlock(blk *colf.Block) error {
 }
 
 func (p *regionsPass) CanObserveZone(z colf.Zone) bool {
-	return z.Rows == 0 || (z.HasAgg && len(z.Regions) > 0)
+	return z.Rows == 0 || len(z.Regions) > 0
 }
 
 func (p *regionsPass) ObserveZone(z colf.Zone) error {
@@ -746,18 +743,12 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 	if err != nil {
 		return nil, err
 	}
-	r, closer, err := colf.Open(store.SamplesPath())
+	sf, closer, err := colf.Open(store.SamplesPath())
 	if err != nil {
 		return nil, err
 	}
-	blocks := append([]colf.BlockInfo(nil), r.Blocks()...)
-	closer.Close()
-
-	sf, err := os.Open(store.SamplesPath())
-	if err != nil {
-		return nil, err
-	}
-	defer sf.Close()
+	defer closer.Close()
+	blocks := sf.Blocks()
 
 	openStart := time.Now()
 	ix, err := tix.Open(store.TixPath(), tix.Binding{

@@ -10,12 +10,15 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/atlas"
+	"repro/internal/colf"
 	"repro/internal/geo"
 	"repro/internal/results"
+	"repro/internal/scan"
 	"repro/internal/world"
 )
 
@@ -497,5 +500,97 @@ func TestWindowOp(t *testing.T) {
 	}
 	if _, err := run(options{data: dir, op: "window", window: "backwards"}); err == nil {
 		t.Error("-window without comma accepted")
+	}
+}
+
+// countPass counts the rows any scan worker observes.
+type countPass struct{ rows *atomic.Int64 }
+
+func (p countPass) Columns() colf.ColumnSet { return 0 }
+func (p countPass) ObserveBlock(blk *colf.Block) error {
+	p.rows.Add(int64(blk.Rows()))
+	return nil
+}
+func (p countPass) Merge(scan.Pass) error { return nil }
+
+// TestV1StoreRefused opens a format v1 store — colf's committed
+// fixture, built by its v1 encoder — through every entry point that
+// reads samples.bin. Each must refuse it with the one error naming
+// version 1, before any pass observes a row and without touching the
+// file.
+func TestV1StoreRefused(t *testing.T) {
+	v1, err := os.ReadFile("../../internal/colf/testdata/v1.colf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same v1 blocks and index under a version-2 header: the index
+	// trailer alone names the version.
+	v1Trailer := append([]byte(nil), v1...)
+	v1Trailer[4] = 2
+
+	dir := filepath.Join(t.TempDir(), "v1")
+	store, sink, err := results.Create(dir, atlas.TestCampaign().Meta(1, 200, 10), results.FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.SamplesPath(), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var rows atomic.Int64
+	cases := []struct {
+		name string
+		open func() error
+	}{
+		{"colf.NewReader", func() error {
+			_, err := colf.NewReader(bytes.NewReader(v1), int64(len(v1)))
+			return err
+		}},
+		{"colf.NewReader, v1 index trailer", func() error {
+			_, err := colf.NewReader(bytes.NewReader(v1Trailer), int64(len(v1Trailer)))
+			return err
+		}},
+		{"colf.Locate", func() error {
+			_, _, err := colf.Locate(bytes.NewReader(v1), int64(len(v1)), colf.HeaderSize)
+			return err
+		}},
+		{"colf.DecodeRows", func() error {
+			got, err := colf.DecodeRows(v1)
+			rows.Add(int64(len(got)))
+			return err
+		}},
+		{"results.Store.Resume", func() error {
+			_, err := store.Resume(int64(len(v1)))
+			return err
+		}},
+		{"scan.File", func() error {
+			_, err := scan.File(context.Background(), scan.Config{
+				Path:      store.SamplesPath(),
+				NewPasses: func(int) ([]scan.Pass, error) { return []scan.Pass{countPass{&rows}}, nil },
+			})
+			return err
+		}},
+		{"dataset stats", func() error {
+			lines, err := run(options{data: dir, op: "stats", workers: 2})
+			if lines != nil {
+				t.Errorf("stats printed %q", lines)
+			}
+			return err
+		}},
+	}
+	const want = "colf: format version 1 is not readable; only version 2 is"
+	for _, c := range cases {
+		if err := c.open(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, want)
+		}
+	}
+	if n := rows.Load(); n != 0 {
+		t.Errorf("%d rows observed from a refused store", n)
+	}
+	if got, err := os.ReadFile(store.SamplesPath()); err != nil || !bytes.Equal(got, v1) {
+		t.Errorf("refusals changed samples.bin (err %v)", err)
 	}
 }

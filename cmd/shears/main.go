@@ -497,17 +497,12 @@ func run(o options) (err error) {
 // so rebuilding after an interrupted run appends exactly the records
 // the earlier run would have.
 func buildTix(store *results.Store, idx *core.Index, logger *obs.Logger) error {
-	r, closer, err := colf.Open(store.SamplesPath())
+	sf, closer, err := colf.Open(store.SamplesPath())
 	if err != nil {
 		return err
 	}
-	blocks := append([]colf.BlockInfo(nil), r.Blocks()...)
-	closer.Close()
-	sf, err := os.Open(store.SamplesPath())
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
+	defer closer.Close()
+	blocks := sf.Blocks()
 	ix, err := tix.Open(store.TixPath(), tix.Binding{
 		PassSet: tix.PassSetCDF,
 		Index:   idx.Fingerprint(),

@@ -1,9 +1,6 @@
 package colf
 
-import (
-	"bytes"
-	"errors"
-)
+import "bytes"
 
 // This file is the block handoff codec: a standalone colf stream (file
 // header followed by sealed blocks, no trailing index) used to ship row
@@ -36,28 +33,18 @@ func EncodeRows(rows []Row) ([]byte, error) {
 // block's CRC. Any torn, truncated, or corrupted input is an error —
 // never a silently short row slice.
 func DecodeRows(b []byte) ([]Row, error) {
-	if !Sniff(b) {
-		return nil, errors.New("colf: row stream missing file header")
+	if err := checkHeader(b); err != nil {
+		return nil, err
 	}
 	r := bytes.NewReader(b)
-	blocks, err := ScanBlocks(r, int64(len(b)), true)
+	blocks, _, err := walk(r, HeaderSize, int64(len(b)))
 	if err != nil {
 		return nil, err
 	}
-	var total int
-	for _, bi := range blocks {
-		total += bi.Zone.Rows
-	}
-	rows := make([]Row, 0, total)
-	dec := NewBlockDecoder()
-	for _, bi := range blocks {
-		blk, err := dec.Decode(r, bi)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < blk.Rows(); i++ {
-			rows = append(rows, blk.Row(i))
-		}
+	rd := &Reader{r: r, blocks: blocks}
+	rows := make([]Row, 0, rd.Rows())
+	if err := rd.ForEachRow(func(row Row) error { rows = append(rows, row); return nil }); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

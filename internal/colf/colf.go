@@ -16,6 +16,11 @@
 // appending; the index is (re)written on Finish and rebuilt from block
 // footers when missing.
 //
+// Reading is one decision: Locate finds the blocks (from the index, or
+// by walking the block chain), a BlockDecoder decodes them, and every
+// byte arrives through positional io.ReaderAt reads. Only format
+// version 2 reads; any other version is refused at every entry point.
+//
 // colf deliberately knows nothing about the results package: it moves
 // Rows, and the dataset layer converts. That keeps the dependency
 // arrow pointing one way (results -> colf) while both scan and results
@@ -49,19 +54,14 @@ const DefaultBlockRows = 8192
 const HeaderSize = 8
 
 // header is the file magic: "COLF", format version, reserved bytes.
-// Version 2 (additive) grew the zone footer with pre-aggregates
-// (delivered-RTT sum, per-region row ranges) and length-prefixed the
-// file-level index entries; fresh streams are written at version 2, and
-// readers accept both versions — every block footer self-describes its
-// zone encoding, so v1 and v2 blocks mix freely in one file.
+// Version 2 carries zone footers with pre-aggregates (delivered-RTT
+// sum, per-region row ranges) and length-prefixed index entries.
 var header = [HeaderSize]byte{'C', 'O', 'L', 'F', 2, 0, 0, '\n'}
 
-// indexMagic / indexMagicV1 trail the file-level block index; their
-// presence at EOF is how readers find the index without scanning, and
-// the version byte selects the index entry encoding (v1 concatenates
-// zones, v2 length-prefixes them so zone growth stays additive).
+// indexMagic trails the file-level block index; its presence at EOF is
+// how readers find the index without scanning. Its version byte matches
+// the header's.
 var indexMagic = [8]byte{'C', 'I', 'D', 'X', 2, 0, 0, '\n'}
-var indexMagicV1 = [8]byte{'C', 'I', 'D', 'X', 1, 0, 0, '\n'}
 
 // indexTrailerSize is the fixed tail after the index body: a u32
 // little-endian body length plus the index magic.
@@ -72,15 +72,18 @@ const indexTrailerSize = 4 + 8
 // reader into a multi-gigabyte allocation.
 const maxBlockBytes = 1 << 28
 
-// Sniff reports whether prefix begins with a colf file header of any
-// supported format version. Eight bytes are enough; shorter prefixes
-// never match.
-func Sniff(prefix []byte) bool {
-	if len(prefix) < HeaderSize || !bytes.Equal(prefix[:4], header[:4]) {
-		return false
+// checkMagic reports whether got begins with want's magic, the version
+// byte at offset 4 aside. A magic of another format version is refused
+// with the one error that names the version, whichever entry point
+// reads it.
+func checkMagic(got []byte, want [8]byte) (bool, error) {
+	if len(got) < len(want) || !bytes.Equal(got[:4], want[:4]) || !bytes.Equal(got[5:len(want)], want[5:]) {
+		return false, nil
 	}
-	v := prefix[4]
-	return (v == 1 || v == 2) && prefix[5] == 0 && prefix[6] == 0 && prefix[7] == '\n'
+	if v := got[4]; v != want[4] {
+		return true, fmt.Errorf("colf: format version %d is not readable; only version %d is", v, want[4])
+	}
+	return true, nil
 }
 
 // BlockInfo locates one block and carries its zone map.

@@ -101,11 +101,11 @@ func TestRoundTripViaRebuild(t *testing.T) {
 
 func TestSniff(t *testing.T) {
 	file, _ := encodeRows(t, genRows(10), 8)
-	if !Sniff(file) {
-		t.Error("colf file not sniffed")
+	if err := checkHeader(file); err != nil {
+		t.Errorf("colf file refused: %v", err)
 	}
-	for _, bad := range [][]byte{nil, []byte("COLF"), []byte(`{"probe":1}`), []byte("XOLF\x01\x00\x00\n....")} {
-		if Sniff(bad) {
+	for _, bad := range [][]byte{nil, []byte("COLF"), []byte(`{"probe":1}`), []byte("XOLF\x02\x00\x00\n....")} {
+		if checkHeader(bad) == nil {
 			t.Errorf("false sniff on %q", bad)
 		}
 	}

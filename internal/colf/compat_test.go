@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -12,8 +13,8 @@ import (
 // encodeRowsV1 hand-encodes rows exactly as the format v1 writer did:
 // version-1 header byte, v1-only zone footers (no aggregate
 // extension), and a v1 index whose zones are concatenated without
-// length prefixes. It pins backward compatibility: the v2 rev is
-// additive, and stores written before it must keep reading.
+// length prefixes. It builds testdata/v1.colf, the fixture every entry
+// point must refuse (cmd/dataset TestV1StoreRefused).
 func encodeRowsV1(t testing.TB, rows []Row, blockRows int) []byte {
 	t.Helper()
 	out := []byte{'C', 'O', 'L', 'F', 1, 0, 0, '\n'}
@@ -74,10 +75,7 @@ func encodeRowsV1(t testing.TB, rows []Row, blockRows int) []byte {
 		for _, r := range chunk {
 			zone.observe(r)
 		}
-		// Strip the v2 aggregates: appendZone then emits the exact v1
-		// footer encoding.
-		zone.HasAgg, zone.RTTSum, zone.Regions = false, 0, nil
-		zoneBytes := appendZone(nil, zone)
+		zoneBytes := appendZoneV1(zone)
 
 		bodyLen := len(payload) + len(zoneBytes) + 4
 		var head [8]byte
@@ -100,89 +98,41 @@ func encodeRowsV1(t testing.TB, rows []Row, blockRows int) []byte {
 	for _, b := range blocks {
 		idx = appendUvarint(idx, uint64(b.Off-prevOff))
 		idx = appendUvarint(idx, uint64(b.Len))
-		idx = appendZone(idx, b.Zone)
+		idx = append(idx, appendZoneV1(b.Zone)...)
 		prevOff = b.Off
 	}
 	out = append(out, idx...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(idx)))
-	out = append(out, indexMagicV1[:]...)
+	out = append(out, 'C', 'I', 'D', 'X', 1, 0, 0, '\n')
 	return out
 }
 
-func TestV1StoreStillReads(t *testing.T) {
-	rows := genRows(700)
-	v1 := encodeRowsV1(t, rows, 128)
-	if !Sniff(v1) {
-		t.Fatal("v1 header not sniffed")
+// appendZoneV1 encodes z's column bounds as v1 did. A v2 zone without a
+// region list is those bounds followed by the extension: one flags byte
+// and, when some row was delivered, the RTT sum's eight bytes.
+func appendZoneV1(z Zone) []byte {
+	z.Regions = nil
+	ext := 1
+	if z.Delivered > 0 {
+		ext += 8
 	}
-
-	// Indexed read path.
-	r, err := NewReader(bytes.NewReader(v1), int64(len(v1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameRows(rows, readAll(t, v1)); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range r.Blocks() {
-		if b.Zone.HasAgg || b.Zone.Regions != nil {
-			t.Fatalf("v1 block %d decoded with invented aggregates: %+v", i, b.Zone)
-		}
-	}
-
-	// Footer-rebuild path (index chopped off).
-	idxLen := int64(binary.LittleEndian.Uint32(v1[len(v1)-indexTrailerSize:]))
-	chopped := v1[:int64(len(v1))-indexTrailerSize-idxLen]
-	if err := sameRows(rows, readAll(t, chopped)); err != nil {
-		t.Fatalf("footer rebuild: %v", err)
-	}
-
-	// Corruption in a v1 block must still surface.
-	mut := append([]byte(nil), v1...)
-	mut[HeaderSize+40] ^= 0x41
-	if err := decodeErr(mut); err == nil {
-		t.Fatal("corruption in v1 block went unnoticed")
-	}
+	b := appendZone(nil, z)
+	return b[:len(b)-ext]
 }
 
-func TestV1StoreAppendsMixedBlocks(t *testing.T) {
-	rows := genRows(500)
-	v1 := encodeRowsV1(t, rows[:300], 64)
-	idxLen := int64(binary.LittleEndian.Uint32(v1[len(v1)-indexTrailerSize:]))
-	data := v1[:int64(len(v1))-indexTrailerSize-idxLen]
+// v1Fixture is the committed v1 store the refusal tests read.
+const v1Fixture = "testdata/v1.colf"
 
-	// Resume-append onto the v1 data region with the v2 writer: the file
-	// ends up with mixed v1/v2 blocks under a v2 index.
-	existing, err := BlocksTo(bytes.NewReader(data), int64(len(data)))
+// TestV1FixtureMatchesBuilder pins the committed fixture to the
+// builder, so the store the refusal tests read is a v1 file by
+// construction.
+func TestV1FixtureMatchesBuilder(t *testing.T) {
+	got, err := os.ReadFile(v1Fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tail bytes.Buffer
-	w := NewWriterAt(&tail, int64(len(data)), existing)
-	w.SetBlockRows(64)
-	for _, r := range rows[300:] {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	full := append(append([]byte(nil), data...), tail.Bytes()...)
-	if err := sameRows(rows, readAll(t, full)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(full), int64(len(full)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := r.Blocks()
-	if blocks[0].Zone.HasAgg {
-		t.Error("v1 prefix block gained aggregates through the index round-trip")
-	}
-	last := blocks[len(blocks)-1].Zone
-	if !last.HasAgg || len(last.Regions) == 0 {
-		t.Errorf("appended v2 block lost its aggregates: %+v", last)
+	if want := encodeRowsV1(t, genRows(100), 32); !bytes.Equal(got, want) {
+		t.Fatalf("%s (%d bytes) differs from encodeRowsV1's %d bytes", v1Fixture, len(got), len(want))
 	}
 }
 
@@ -195,16 +145,16 @@ func TestZoneV2IndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanned, err := ScanBlocks(bytes.NewReader(file), fileDataEnd(t, file), true)
+	walked, _, err := walk(bytes.NewReader(file), HeaderSize, fileDataEnd(t, file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r.Blocks(), scanned) {
-		t.Fatalf("index blocks %+v\nfooter blocks %+v", r.Blocks(), scanned)
+	if !reflect.DeepEqual(r.Blocks(), walked) {
+		t.Fatalf("index blocks %+v\nfooter blocks %+v", r.Blocks(), walked)
 	}
 	for i, b := range r.Blocks() {
 		z := b.Zone
-		if !z.HasAgg || len(z.Regions) == 0 {
+		if len(z.Regions) == 0 {
 			t.Fatalf("block %d missing aggregates: %+v", i, z)
 		}
 		var sum float64

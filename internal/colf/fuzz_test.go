@@ -3,15 +3,17 @@ package colf
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 )
 
 // FuzzBlockRoundTrip drives the writer with fuzz-derived rows and
-// checks three properties: encode→decode is the identity (exact float
-// bits included), the index and footer-rebuild paths agree, and a
-// single corrupted data byte is always rejected — never a panic, never
-// silently wrong rows.
+// checks four properties: encode→decode is the identity (exact float
+// bits included), the index and footer-rebuild paths agree, a single
+// corrupted data byte is always rejected — never a panic, never
+// silently wrong rows — and the block walk's two policies hold at
+// every cut of the index-less stream (see checkCut).
 func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint8(4), uint16(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(1), uint16(3))
@@ -72,6 +74,23 @@ func FuzzBlockRoundTrip(f *testing.F) {
 			}
 		}
 
+		// Cut leg: up to 64 fuzz-placed offsets past the header, each also
+		// snapped back to the block boundary before it, and the whole
+		// stream. A stream of no rows has no header to cut past.
+		if dataLen >= HeaderSize {
+			idx, err := NewReader(bytes.NewReader(file), int64(len(file)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := 1 + (dataLen-HeaderSize)/64
+			for cut := HeaderSize + int64(corruptAt)%step; cut <= dataLen; cut += step {
+				if stable := checkCut(t, file[:dataLen], idx.Blocks(), cut); stable != cut {
+					checkCut(t, file[:dataLen], idx.Blocks(), stable)
+				}
+			}
+			checkCut(t, file[:dataLen], idx.Blocks(), dataLen)
+		}
+
 		// Single-byte corruption anywhere in the CRC-protected data region
 		// must surface an error (readers may also legitimately error while
 		// indexing); it must never decode successfully or panic.
@@ -91,6 +110,50 @@ func FuzzBlockRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkCut cuts the index-less stream data at cut — what a live
+// appender or a crash leaves behind — and checks the walk's two
+// policies against the stream's blocks. The live locator returns
+// exactly the blocks that end at or before the cut, with the last one's
+// end as the stable end, and flags ErrTorn when bytes lie past it. The
+// strict readers (a cold open, BlocksTo) fail if and only if the cut
+// is not a block boundary. It returns the stable end.
+func checkCut(t *testing.T, data []byte, blocks []BlockInfo, cut int64) int64 {
+	t.Helper()
+	var want []BlockInfo
+	stable := int64(HeaderSize)
+	for _, b := range blocks {
+		if b.Off+b.Len <= cut {
+			want = append(want, b)
+			stable = b.Off + b.Len
+		}
+	}
+	r := bytes.NewReader(data[:cut])
+	got, end, err := Locate(r, cut, HeaderSize)
+	if err != nil && !errors.Is(err, ErrTorn) {
+		t.Fatalf("cut %d: locate: %v", cut, err)
+	}
+	if (err != nil) != (stable != cut) {
+		t.Fatalf("cut %d: locate err %v with stable end %d", cut, err, stable)
+	}
+	if end != stable || len(got) != len(want) {
+		t.Fatalf("cut %d: located %d blocks ending at %d, want %d ending at %d", cut, len(got), end, len(want), stable)
+	}
+	for i, b := range got {
+		// Zones compare encoded: a NaN bound is not equal to itself.
+		if b.Off != want[i].Off || b.Len != want[i].Len || !bytes.Equal(appendZone(nil, b.Zone), appendZone(nil, want[i].Zone)) {
+			t.Fatalf("cut %d: block %d located as %+v, indexed as %+v", cut, i, b, want[i])
+		}
+	}
+	_, openErr := NewReader(r, cut)
+	_, toErr := BlocksTo(bytes.NewReader(data), cut)
+	for name, err := range map[string]error{"cold open": openErr, "BlocksTo": toErr} {
+		if (err != nil) != (stable != cut) {
+			t.Fatalf("cut %d (stable end %d): %s err = %v", cut, stable, name, err)
+		}
+	}
+	return stable
 }
 
 // rowsFromBytes deterministically derives a row stream from fuzz

@@ -2,6 +2,7 @@ package colf
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -10,46 +11,30 @@ import (
 	"sort"
 )
 
-// Reader locates the blocks of a colf stream. Opening reads only the
-// file-level index (or, when the index is missing after a crash,
-// rebuilds it from the block footers); payloads stay untouched until a
-// BlockDecoder asks for them.
+// Reader holds the located blocks of a colf stream and reads their
+// bytes from it. Opening reads only the file-level index (or, when the
+// index is missing after a crash, rebuilds it from the block footers);
+// payloads stay untouched until a BlockDecoder asks for them.
 type Reader struct {
 	r      io.ReaderAt
-	size   int64
 	blocks []BlockInfo
 }
 
 // NewReader indexes the colf stream held by r. A zero-length stream is
-// an empty dataset; anything else must start with the colf header.
+// an empty dataset; anything else must be a version-2 colf stream whose
+// blocks are all complete.
 func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	if size == 0 {
-		return &Reader{r: r, size: 0}, nil
+		return &Reader{r: r}, nil
 	}
 	if size < HeaderSize {
 		return nil, fmt.Errorf("colf: file of %d bytes is shorter than the header", size)
 	}
-	var hdr [HeaderSize]byte
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return nil, err
-	}
-	if !Sniff(hdr[:]) {
-		return nil, fmt.Errorf("colf: bad file header % x", hdr)
-	}
-	rd := &Reader{r: r, size: size}
-	blocks, ok, err := loadIndex(r, size)
+	blocks, _, err := Locate(r, size, HeaderSize)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		// No trailing index (interrupted run): rebuild from the block
-		// footers, verifying payload CRCs along the way.
-		if blocks, err = ScanBlocks(r, size, true); err != nil {
-			return nil, err
-		}
-	}
-	rd.blocks = blocks
-	return rd, nil
+	return &Reader{r: r, blocks: blocks}, nil
 }
 
 // Open indexes the colf file at path. The returned closer owns the
@@ -71,6 +56,10 @@ func Open(path string) (*Reader, io.Closer, error) {
 	}
 	return r, f, nil
 }
+
+// ReadAt reads from the underlying stream, so a Reader is the data
+// source its blocks decode from.
+func (r *Reader) ReadAt(p []byte, off int64) (int, error) { return r.r.ReadAt(p, off) }
 
 // Blocks returns the stream's blocks in file order. The slice is
 // shared; don't mutate it.
@@ -102,6 +91,83 @@ func (r *Reader) ForEachRow(fn func(Row) error) error {
 	return nil
 }
 
+// ErrTorn marks a block chain that ends in a torn block: the prefix of
+// a block a live appender has not finished writing, or that a crash
+// cut short.
+var ErrTorn = errors.New("torn block")
+
+// Locate returns the complete blocks of the colf stream r (size bytes)
+// that start at or after from, and the stable end they reach. from
+// must be HeaderSize or a block boundary; anything else is an error, so
+// a stale boundary can never be applied. A sealed stream resolves from
+// its trailing index. An unsealed one — a live store, whose appender
+// writes the index only at close — is walked from from with CRC checks;
+// when it ends in a torn block, Locate returns the complete blocks and
+// their stable end together with an error wrapping ErrTorn. Strict
+// readers fail on that error; a live reader consumes the stable blocks
+// and waits for the rest.
+func Locate(r io.ReaderAt, size, from int64) ([]BlockInfo, int64, error) {
+	if from < HeaderSize || from > size {
+		return nil, 0, fmt.Errorf("colf: boundary %d outside the %d-byte stream", from, size)
+	}
+	if err := readHeader(r); err != nil {
+		return nil, 0, err
+	}
+	blocks, ok, err := loadIndex(r, size)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !ok {
+		return walk(r, from, size)
+	}
+	end := int64(HeaderSize)
+	if len(blocks) > 0 {
+		end = blocks[len(blocks)-1].Off + blocks[len(blocks)-1].Len
+	}
+	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].Off >= from })
+	if from != end && (i == len(blocks) || blocks[i].Off != from) {
+		return nil, 0, fmt.Errorf("colf: boundary %d is not a block boundary", from)
+	}
+	return blocks[i:], end, nil
+}
+
+// BlocksTo walks the block chain up to exactly offset, verifying CRCs,
+// and returns the blocks of that prefix. It errors when offset is not
+// a block boundary — the caller is about to truncate there, and
+// cutting a block in half would corrupt the stream.
+func BlocksTo(r io.ReaderAt, offset int64) ([]BlockInfo, error) {
+	if offset < HeaderSize {
+		return nil, fmt.Errorf("colf: offset %d is inside the file header", offset)
+	}
+	if err := readHeader(r); err != nil {
+		return nil, err
+	}
+	blocks, _, err := walk(r, HeaderSize, offset)
+	if err != nil {
+		return nil, fmt.Errorf("colf: offset %d is not a block boundary: %w", offset, err)
+	}
+	return blocks, nil
+}
+
+// readHeader refuses a stream r that does not begin with a version-2
+// colf file header.
+func readHeader(r io.ReaderAt) error {
+	var hdr [HeaderSize]byte
+	if _, err := r.ReadAt(hdr[:], 0); err != nil {
+		return err
+	}
+	return checkHeader(hdr[:])
+}
+
+// checkHeader refuses a prefix that is not a version-2 colf header.
+func checkHeader(prefix []byte) error {
+	ok, err := checkMagic(prefix, header)
+	if !ok {
+		return fmt.Errorf("colf: bad file header % x", prefix[:min(len(prefix), HeaderSize)])
+	}
+	return err
+}
+
 // loadIndex tries the trailing file-level index. ok=false means the
 // trailer is absent (not an error: the stream may simply never have
 // been finished); a present-but-corrupt index is an error.
@@ -113,13 +179,8 @@ func loadIndex(r io.ReaderAt, size int64) ([]BlockInfo, bool, error) {
 	if _, err := r.ReadAt(trailer[:], size-indexTrailerSize); err != nil {
 		return nil, false, err
 	}
-	var v2 bool
-	switch {
-	case string(trailer[4:]) == string(indexMagic[:]):
-		v2 = true
-	case string(trailer[4:]) == string(indexMagicV1[:]):
-	default:
-		return nil, false, nil
+	if ok, err := checkMagic(trailer[4:], indexMagic); !ok || err != nil {
+		return nil, false, err
 	}
 	idxLen := int64(binary.LittleEndian.Uint32(trailer[:4]))
 	idxStart := size - indexTrailerSize - idxLen
@@ -141,33 +202,23 @@ func loadIndex(r io.ReaderAt, size int64) ([]BlockInfo, bool, error) {
 	blocks := make([]BlockInfo, 0, count)
 	prevOff, prevEnd := int64(0), int64(HeaderSize)
 	for i := uint64(0); i < count; i++ {
-		offDelta, err := c.uvarint()
+		// An entry is the offset delta, the length and the
+		// length-prefixed zone.
+		var f [3]uint64
+		for k := range f {
+			if f[k], err = c.uvarint(); err != nil {
+				return nil, false, fmt.Errorf("colf: corrupt index entry %d: %w", i, err)
+			}
+		}
+		raw, err := c.bytes(int(f[2]))
 		if err != nil {
 			return nil, false, fmt.Errorf("colf: corrupt index entry %d: %w", i, err)
 		}
-		length, err := c.uvarint()
+		zone, err := decodeZone(&byteCursor{b: raw})
 		if err != nil {
 			return nil, false, fmt.Errorf("colf: corrupt index entry %d: %w", i, err)
 		}
-		var zone Zone
-		if v2 {
-			// v2 length-prefixes each zone so the entry stream stays
-			// parseable however the zone encoding grows.
-			zLen, err := c.uvarint()
-			if err != nil {
-				return nil, false, fmt.Errorf("colf: corrupt index entry %d: %w", i, err)
-			}
-			raw, err := c.bytes(int(zLen))
-			if err != nil {
-				return nil, false, fmt.Errorf("colf: corrupt index entry %d: %w", i, err)
-			}
-			if zone, err = decodeZoneFull(&byteCursor{b: raw}); err != nil {
-				return nil, false, fmt.Errorf("colf: corrupt index entry %d: %w", i, err)
-			}
-		} else if zone, err = decodeZone(c); err != nil {
-			return nil, false, fmt.Errorf("colf: corrupt index entry %d: %w", i, err)
-		}
-		bi := BlockInfo{Off: prevOff + int64(offDelta), Len: int64(length), Zone: zone}
+		bi := BlockInfo{Off: prevOff + int64(f[0]), Len: int64(f[1]), Zone: zone}
 		if bi.Off != prevEnd || bi.Len < 12 || bi.Off+bi.Len > idxStart {
 			return nil, false, fmt.Errorf("colf: index entry %d places block at [%d,%d) outside [%d,%d)",
 				i, bi.Off, bi.Off+bi.Len, prevEnd, idxStart)
@@ -184,82 +235,20 @@ func loadIndex(r io.ReaderAt, size int64) ([]BlockInfo, bool, error) {
 	return blocks, true, nil
 }
 
-// ScanBlocks walks the block chain from the header to end, parsing
-// each block's footer (and, when verify is set, checking its CRC
-// against the payload). It fails on a torn or truncated block — the
-// state a crash leaves behind, which checkpoint-based resume repairs
-// by truncating to a known block boundary.
-func ScanBlocks(r io.ReaderAt, end int64, verify bool) ([]BlockInfo, error) {
-	return ScanBlocksFrom(r, HeaderSize, end, verify)
-}
-
-// ScanBlocksFrom walks the block chain over [start, end). start must be
-// a block boundary (or HeaderSize); the walk fails on the first torn or
-// misaligned block, so a bogus start cannot yield a plausible-looking
-// block list.
-func ScanBlocksFrom(r io.ReaderAt, start, end int64, verify bool) ([]BlockInfo, error) {
+// walk follows the block chain from start, a block boundary, toward
+// end, checking each block's CRC and parsing its footer zone. A block
+// that does not fit before end is a torn tail and stops the walk: walk
+// returns the complete blocks and the stable end they reach, with an
+// error wrapping ErrTorn when that falls short of end. Corruption
+// inside a complete block (implausible lengths, a bad CRC, a corrupt
+// zone) is an error with no blocks: appends only ever leave a prefix of
+// a block behind, never a complete-looking block with wrong bytes.
+func walk(r io.ReaderAt, start, end int64) ([]BlockInfo, int64, error) {
 	var blocks []BlockInfo
-	var head [8]byte
+	var buf []byte
 	off := start
-	for off < end {
-		if end-off < 8 {
-			return nil, fmt.Errorf("colf: %d stray bytes at offset %d (torn block?)", end-off, off)
-		}
-		if _, err := r.ReadAt(head[:], off); err != nil {
-			return nil, err
-		}
-		bodyLen := int64(binary.LittleEndian.Uint32(head[0:4]))
-		payloadLen := int64(binary.LittleEndian.Uint32(head[4:8]))
-		if bodyLen > maxBlockBytes || payloadLen+4 > bodyLen {
-			return nil, fmt.Errorf("colf: implausible block lengths (%d, %d) at offset %d", bodyLen, payloadLen, off)
-		}
-		if off+8+bodyLen > end {
-			return nil, fmt.Errorf("colf: block at offset %d runs past byte %d (torn block?)", off, end)
-		}
-		footer := make([]byte, bodyLen-payloadLen)
-		if _, err := r.ReadAt(footer, off+8+payloadLen); err != nil {
-			return nil, err
-		}
-		c := &byteCursor{b: footer[:len(footer)-4]}
-		zone, err := decodeZoneFull(c)
-		if err != nil {
-			return nil, fmt.Errorf("colf: block at offset %d: %w", off, err)
-		}
-		if verify {
-			payload := make([]byte, payloadLen)
-			if _, err := r.ReadAt(payload, off+8); err != nil {
-				return nil, err
-			}
-			crc := crc32.ChecksumIEEE(head[4:8])
-			crc = crc32.Update(crc, crc32.IEEETable, payload)
-			crc = crc32.Update(crc, crc32.IEEETable, footer[:len(footer)-4])
-			if got := binary.LittleEndian.Uint32(footer[len(footer)-4:]); got != crc {
-				return nil, fmt.Errorf("colf: block at offset %d fails CRC (%08x != %08x)", off, got, crc)
-			}
-		}
-		blocks = append(blocks, BlockInfo{Off: off, Len: 8 + bodyLen, Zone: zone})
-		off += 8 + bodyLen
-	}
-	return blocks, nil
-}
-
-// ScanBlocksAvailable walks the block chain over [start, end) like
-// ScanBlocksFrom, but tolerates a torn tail: a trailing partial block —
-// the state a live appender's in-flight write leaves visible — ends the
-// walk cleanly instead of failing it. It returns the complete blocks
-// and the boundary they cover (the stable data end a reader may safely
-// consume). Corruption strictly inside the stable range (a bad CRC, an
-// implausible length) is still an error: sequential appends only ever
-// leave a *prefix* of a block behind, never a complete-looking block
-// with wrong bytes.
-func ScanBlocksAvailable(r io.ReaderAt, start, end int64, verify bool) ([]BlockInfo, int64, error) {
-	var blocks []BlockInfo
-	var head [8]byte
-	off := start
-	for off < end {
-		if end-off < 8 {
-			break // torn head: the appender has not finished this block
-		}
+	for end-off >= 8 {
+		var head [8]byte
 		if _, err := r.ReadAt(head[:], off); err != nil {
 			return nil, 0, err
 		}
@@ -269,128 +258,49 @@ func ScanBlocksAvailable(r io.ReaderAt, start, end int64, verify bool) ([]BlockI
 			return nil, 0, fmt.Errorf("colf: implausible block lengths (%d, %d) at offset %d", bodyLen, payloadLen, off)
 		}
 		if off+8+bodyLen > end {
-			break // torn body: only a prefix of the block is on disk yet
+			break
 		}
-		footer := make([]byte, bodyLen-payloadLen)
-		if _, err := r.ReadAt(footer, off+8+payloadLen); err != nil {
+		buf = grow(buf, int(8+bodyLen))
+		if _, err := r.ReadAt(buf, off); err != nil {
 			return nil, 0, err
 		}
-		c := &byteCursor{b: footer[:len(footer)-4]}
-		zone, err := decodeZoneFull(c)
+		_, zone, err := openBlock(buf, off)
 		if err != nil {
-			return nil, 0, fmt.Errorf("colf: block at offset %d: %w", off, err)
-		}
-		if verify {
-			payload := make([]byte, payloadLen)
-			if _, err := r.ReadAt(payload, off+8); err != nil {
-				return nil, 0, err
-			}
-			crc := crc32.ChecksumIEEE(head[4:8])
-			crc = crc32.Update(crc, crc32.IEEETable, payload)
-			crc = crc32.Update(crc, crc32.IEEETable, footer[:len(footer)-4])
-			if got := binary.LittleEndian.Uint32(footer[len(footer)-4:]); got != crc {
-				return nil, 0, fmt.Errorf("colf: block at offset %d fails CRC (%08x != %08x)", off, got, crc)
-			}
+			return nil, 0, err
 		}
 		blocks = append(blocks, BlockInfo{Off: off, Len: 8 + bodyLen, Zone: zone})
 		off += 8 + bodyLen
 	}
+	if off != end {
+		return blocks, off, fmt.Errorf("colf: the %d bytes at offset %d are not a complete block: %w", end-off, off, ErrTorn)
+	}
 	return blocks, off, nil
 }
 
-// BlocksTo walks the block chain up to exactly offset, verifying CRCs,
-// and returns the blocks of that prefix. It errors when offset is not
-// a block boundary — the caller is about to truncate there, and
-// cutting a block in half would corrupt the stream.
-func BlocksTo(r io.ReaderAt, offset int64) ([]BlockInfo, error) {
-	if offset < HeaderSize {
-		return nil, fmt.Errorf("colf: offset %d is inside the file header", offset)
+// openBlock checks the encoded block buf (length fields included),
+// stored at file offset off: its lengths, its CRC over the payload
+// length, payload and footer, and its footer zone. It returns the
+// payload and the zone.
+func openBlock(buf []byte, off int64) ([]byte, Zone, error) {
+	bodyLen := int64(binary.LittleEndian.Uint32(buf[0:4]))
+	payloadLen := int64(binary.LittleEndian.Uint32(buf[4:8]))
+	if 8+bodyLen != int64(len(buf)) || payloadLen+4 > bodyLen {
+		return nil, Zone{}, fmt.Errorf("colf: block at offset %d: lengths (%d, %d) disagree with block length %d",
+			off, bodyLen, payloadLen, len(buf))
 	}
-	blocks, err := ScanBlocks(r, offset, true)
+	payload := buf[8 : 8+payloadLen]
+	footer := buf[8+payloadLen : len(buf)-4]
+	crc := crc32.ChecksumIEEE(buf[4:8])
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	crc = crc32.Update(crc, crc32.IEEETable, footer)
+	if got := binary.LittleEndian.Uint32(buf[len(buf)-4:]); got != crc {
+		return nil, Zone{}, fmt.Errorf("colf: block at offset %d fails CRC (%08x != %08x)", off, got, crc)
+	}
+	zone, err := decodeZone(&byteCursor{b: footer})
 	if err != nil {
-		return nil, fmt.Errorf("colf: offset %d is not a block boundary: %w", offset, err)
+		return nil, Zone{}, fmt.Errorf("colf: block at offset %d: corrupt footer: %w", off, err)
 	}
-	return blocks, nil
-}
-
-// DeltaBlocks returns the blocks at or after boundary in the colf
-// stream held by r — the suffix a snapshot-resumed scan must decode.
-// boundary must be a block boundary previously covered by a snapshot;
-// anything else (mid-block offset, boundary past the data) is an error
-// so a stale snapshot can never be silently applied. With a trailing
-// index present the suffix costs one binary search; without one (an
-// unfinished stream) the suffix alone is re-walked with CRC checks.
-func DeltaBlocks(r io.ReaderAt, size, boundary int64) ([]BlockInfo, error) {
-	if boundary < HeaderSize {
-		return nil, fmt.Errorf("colf: resume boundary %d is inside the file header", boundary)
-	}
-	blocks, ok, err := loadIndex(r, size)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		dataEnd := size
-		if boundary == dataEnd {
-			return nil, nil
-		}
-		if boundary > dataEnd {
-			return nil, fmt.Errorf("colf: resume boundary %d past data end %d", boundary, dataEnd)
-		}
-		return ScanBlocksFrom(r, boundary, dataEnd, true)
-	}
-	dataEnd := int64(HeaderSize)
-	if len(blocks) > 0 {
-		last := blocks[len(blocks)-1]
-		dataEnd = last.Off + last.Len
-	}
-	if boundary == dataEnd {
-		return nil, nil
-	}
-	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].Off >= boundary })
-	if i == len(blocks) || blocks[i].Off != boundary {
-		return nil, fmt.Errorf("colf: resume boundary %d is not a block boundary", boundary)
-	}
-	return blocks[i:], nil
-}
-
-// DeltaBlocksAvailable returns the complete blocks at or after boundary
-// plus the stable data end they reach — the live-store twin of
-// DeltaBlocks. A sealed store (trailing index present) resolves from
-// the index like DeltaBlocks; a live store (no index yet — the appender
-// only writes it at close) walks the suffix with CRC checks, treating a
-// torn tail as the clean end of available data rather than an error.
-// The serving layer polls this to advance its in-memory state while the
-// campaign is still writing.
-func DeltaBlocksAvailable(r io.ReaderAt, size, boundary int64) ([]BlockInfo, int64, error) {
-	if boundary < HeaderSize {
-		return nil, 0, fmt.Errorf("colf: resume boundary %d is inside the file header", boundary)
-	}
-	if boundary > size {
-		return nil, 0, fmt.Errorf("colf: resume boundary %d past file size %d", boundary, size)
-	}
-	blocks, ok, err := loadIndex(r, size)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !ok {
-		return ScanBlocksAvailable(r, boundary, size, true)
-	}
-	dataEnd := int64(HeaderSize)
-	if len(blocks) > 0 {
-		last := blocks[len(blocks)-1]
-		dataEnd = last.Off + last.Len
-	}
-	if boundary == dataEnd {
-		return nil, dataEnd, nil
-	}
-	if boundary > dataEnd {
-		return nil, 0, fmt.Errorf("colf: resume boundary %d past data end %d", boundary, dataEnd)
-	}
-	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].Off >= boundary })
-	if i == len(blocks) || blocks[i].Off != boundary {
-		return nil, 0, fmt.Errorf("colf: resume boundary %d is not a block boundary", boundary)
-	}
-	return blocks[i:], dataEnd, nil
+	return payload, zone, nil
 }
 
 // Block holds one decoded block in columnar form. Slices are owned by
@@ -494,52 +404,23 @@ func (d *BlockDecoder) Decode(r io.ReaderAt, bi BlockInfo) (*Block, error) {
 // DecodeCols decodes the block described by bi, materializing only the
 // requested optional columns. Skipped columns come back empty (length
 // zero, so stale data can never be read by mistake); their bytes are
-// still CRC-verified but not parsed. When r is a *Mapping the block
-// decodes zero-copy out of the page cache — everything a Block retains
-// is copied or interned, so nothing aliases the map afterwards.
+// still CRC-verified but not parsed.
 func (d *BlockDecoder) DecodeCols(r io.ReaderAt, bi BlockInfo, cols ColumnSet) (*Block, error) {
 	if bi.Len < 12 || bi.Len > maxBlockBytes {
 		return nil, fmt.Errorf("colf: implausible block length %d at offset %d", bi.Len, bi.Off)
 	}
-	var buf []byte
-	if m, ok := r.(*Mapping); ok {
-		b, err := m.Slice(bi.Off, bi.Len)
-		if err != nil {
-			return nil, err
-		}
-		buf = b
-	} else {
-		if cap(d.buf) < int(bi.Len) {
-			d.buf = make([]byte, bi.Len)
-		}
-		buf = d.buf[:bi.Len]
-		if _, err := r.ReadAt(buf, bi.Off); err != nil {
-			return nil, err
-		}
+	d.buf = grow(d.buf, int(bi.Len))
+	if _, err := r.ReadAt(d.buf, bi.Off); err != nil {
+		return nil, err
 	}
-	bodyLen := int64(binary.LittleEndian.Uint32(buf[0:4]))
-	payloadLen := int64(binary.LittleEndian.Uint32(buf[4:8]))
-	if 8+bodyLen != bi.Len || payloadLen+4 > bodyLen {
-		return nil, fmt.Errorf("colf: block at offset %d: lengths (%d, %d) disagree with index length %d",
-			bi.Off, bodyLen, payloadLen, bi.Len)
-	}
-	payload := buf[8 : 8+payloadLen]
-	footer := buf[8+payloadLen : 8+bodyLen-4]
-	crc := crc32.ChecksumIEEE(buf[4:8])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	crc = crc32.Update(crc, crc32.IEEETable, footer)
-	if got := binary.LittleEndian.Uint32(buf[8+bodyLen-4:]); got != crc {
-		return nil, fmt.Errorf("colf: block at offset %d fails CRC (%08x != %08x)", bi.Off, got, crc)
-	}
-	fc := &byteCursor{b: footer}
-	zone, err := decodeZoneFull(fc)
+	payload, zone, err := openBlock(d.buf, bi.Off)
 	if err != nil {
-		return nil, fmt.Errorf("colf: block at offset %d: corrupt footer: %w", bi.Off, err)
+		return nil, err
 	}
 	rows := zone.Rows
-	if rows > int(payloadLen)+1 {
+	if rows > len(payload)+1 {
 		// Every row costs at least one payload byte in some column.
-		return nil, fmt.Errorf("colf: block at offset %d claims %d rows in %d payload bytes", bi.Off, rows, payloadLen)
+		return nil, fmt.Errorf("colf: block at offset %d claims %d rows in %d payload bytes", bi.Off, rows, len(payload))
 	}
 	d.blk.Zone = zone
 

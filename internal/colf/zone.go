@@ -44,19 +44,15 @@ type Zone struct {
 	// MinRegion/MaxRegion bound the region column lexicographically.
 	MinRegion, MaxRegion string
 
-	// Format v2 pre-aggregates. HasAgg reports whether the block was
-	// written with them (v1 blocks decode with HasAgg false); RTTSum is
-	// then the row-order sum of RTT over delivered rows. Regions holds
-	// the per-region breakdown, and is nil on v1 blocks or when the
-	// block's dictionary exceeded maxZoneRegions.
-	HasAgg  bool
+	// RTTSum is the row-order sum of RTT over delivered rows. Regions
+	// holds the per-region breakdown, and is nil when the block's
+	// dictionary exceeded maxZoneRegions.
 	RTTSum  float64
 	Regions []RegionZone
 }
 
 // observe folds one row into the zone.
 func (z *Zone) observe(r Row) {
-	z.HasAgg = true
 	if z.Rows == 0 {
 		z.MinProbe, z.MaxProbe = r.Probe, r.Probe
 		z.MinTime, z.MaxTime = r.TimeNano, r.TimeNano
@@ -98,18 +94,15 @@ func (z *Zone) observe(r Row) {
 	}
 }
 
-// Zone extension flags (format v2). The extension is self-describing:
-// a v1 zone simply ends after MaxRegion, so its presence is detected by
-// leftover bytes in the (exactly bounded) footer or index entry.
+// Zone extension flags: the aggregate extension follows MaxRegion in
+// every zone, and the flags say which of its parts are present.
 const (
 	zoneFlagAgg     = 1 << 0 // RTTSum present (when Delivered > 0)
 	zoneFlagRegions = 1 << 1 // per-region aggregate list present
 )
 
 // appendZone encodes z. The same encoding serves block footers and the
-// file-level index. Zones observed by a v2 writer carry the aggregate
-// extension; zones decoded from v1 blocks re-encode as v1 (HasAgg is
-// false — inventing an RTTSum of zero would be wrong, not additive).
+// file-level index.
 func appendZone(b []byte, z Zone) []byte {
 	b = appendUvarint(b, uint64(z.Rows))
 	b = appendVarint(b, int64(z.MinProbe))
@@ -125,9 +118,6 @@ func appendZone(b []byte, z Zone) []byte {
 	b = append(b, z.MinRegion...)
 	b = appendUvarint(b, uint64(len(z.MaxRegion)))
 	b = append(b, z.MaxRegion...)
-	if !z.HasAgg {
-		return b
-	}
 	flags := uint64(zoneFlagAgg)
 	if len(z.Regions) > 0 {
 		flags |= zoneFlagRegions
@@ -152,7 +142,9 @@ func appendZone(b []byte, z Zone) []byte {
 	return b
 }
 
-// decodeZone parses one zone from the cursor.
+// decodeZone parses a zone that owns the whole cursor: the column
+// bounds, the aggregate extension, and nothing after. Block footers and
+// index entries are exactly bounded, so stray bytes are corruption.
 func decodeZone(c *byteCursor) (Zone, error) {
 	var z Zone
 	rows, err := c.uvarint()
@@ -210,36 +202,39 @@ func decodeZone(c *byteCursor) (Zone, error) {
 		return z, err
 	}
 	z.MaxRegion = string(raw)
+
+	flags, err := c.uvarint()
+	if err != nil {
+		return z, err
+	}
+	if flags&zoneFlagAgg == 0 || flags&^uint64(zoneFlagAgg|zoneFlagRegions) != 0 {
+		return z, fmt.Errorf("colf: unknown zone extension flags %#x", flags)
+	}
+	if z.Delivered > 0 {
+		if z.RTTSum, err = c.floatBits(); err != nil {
+			return z, err
+		}
+	}
+	if flags&zoneFlagRegions != 0 {
+		if z.Regions, err = decodeRegionZones(c, z); err != nil {
+			return z, err
+		}
+	}
+	if c.remaining() != 0 {
+		return z, fmt.Errorf("colf: %d stray bytes after zone", c.remaining())
+	}
 	return z, nil
 }
 
-// decodeZoneExt parses the v2 aggregate extension into z. Callers
-// invoke it only when the zone's bounds (an exactly sized footer or a
-// length-prefixed index entry) show bytes past the v1 fields, and must
-// check the cursor is fully consumed afterwards.
-func decodeZoneExt(c *byteCursor, z *Zone) error {
-	flags, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	if flags&zoneFlagAgg == 0 || flags&^uint64(zoneFlagAgg|zoneFlagRegions) != 0 {
-		return fmt.Errorf("colf: unknown zone extension flags %#x", flags)
-	}
-	z.HasAgg = true
-	if z.Delivered > 0 {
-		if z.RTTSum, err = c.floatBits(); err != nil {
-			return err
-		}
-	}
-	if flags&zoneFlagRegions == 0 {
-		return nil
-	}
+// decodeRegionZones parses the per-region aggregate list of zone z and
+// checks that it tiles the zone's rows and delivered rows.
+func decodeRegionZones(c *byteCursor, z Zone) ([]RegionZone, error) {
 	count, err := c.uvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if count == 0 || count > maxZoneRegions || count > uint64(z.Rows) {
-		return fmt.Errorf("colf: implausible zone region count %d for %d rows", count, z.Rows)
+		return nil, fmt.Errorf("colf: implausible zone region count %d for %d rows", count, z.Rows)
 	}
 	regions := make([]RegionZone, 0, count)
 	var sumRows, sumDelivered int
@@ -247,33 +242,33 @@ func decodeZoneExt(c *byteCursor, z *Zone) error {
 		var rz RegionZone
 		n, err := c.uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		raw, err := c.bytes(int(n))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rz.Region = string(raw)
 		first, err := c.uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rows, err := c.uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		delivered, err := c.uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if first >= uint64(z.Rows) || rows > uint64(z.Rows) || delivered > rows {
-			return fmt.Errorf("colf: implausible zone region entry %d (first %d, rows %d, delivered %d)",
+			return nil, fmt.Errorf("colf: implausible zone region entry %d (first %d, rows %d, delivered %d)",
 				i, first, rows, delivered)
 		}
 		rz.FirstRow, rz.Rows, rz.Delivered = int(first), int(rows), int(delivered)
 		if rz.Delivered > 0 {
 			if rz.RTTSum, err = c.floatBits(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		sumRows += rz.Rows
@@ -281,31 +276,10 @@ func decodeZoneExt(c *byteCursor, z *Zone) error {
 		regions = append(regions, rz)
 	}
 	if sumRows != z.Rows || sumDelivered != z.Delivered {
-		return fmt.Errorf("colf: zone region aggregates cover %d rows/%d delivered, zone has %d/%d",
+		return nil, fmt.Errorf("colf: zone region aggregates cover %d rows/%d delivered, zone has %d/%d",
 			sumRows, sumDelivered, z.Rows, z.Delivered)
 	}
-	z.Regions = regions
-	return nil
-}
-
-// decodeZoneFull parses a zone that owns the remainder of the cursor:
-// v1 fields, the v2 extension when bytes remain, and nothing after.
-// Block footers and v2 index entries are exactly bounded, which is what
-// makes the extension's presence unambiguous.
-func decodeZoneFull(c *byteCursor) (Zone, error) {
-	z, err := decodeZone(c)
-	if err != nil {
-		return z, err
-	}
-	if c.remaining() > 0 {
-		if err := decodeZoneExt(c, &z); err != nil {
-			return z, err
-		}
-		if c.remaining() != 0 {
-			return z, fmt.Errorf("colf: %d stray bytes after zone extension", c.remaining())
-		}
-	}
-	return z, nil
+	return regions, nil
 }
 
 // Predicate is a conjunction of per-column range filters. MatchZone is

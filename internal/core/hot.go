@@ -28,10 +28,10 @@ type HotSuite struct {
 	start    time.Time
 	binWidth time.Duration
 
-	suite         *Suite
-	samples       uint64
-	coveredBytes  int64
-	coveredBlocks int
+	suite        *Suite
+	samples      uint64
+	coveredBytes int64
+	blocks       []colf.BlockInfo // every block folded so far, in file order
 }
 
 // hotPasses are the figures the serving layer publishes (4 to 7).
@@ -64,8 +64,10 @@ func NewHotSuite(store *results.Store, idx *Index, start time.Time, binWidth tim
 	if fi.Size() <= colf.HeaderSize {
 		return h, nil
 	}
-	blocks, stableEnd, err := colf.DeltaBlocksAvailable(f, fi.Size(), colf.HeaderSize)
-	if err != nil {
+	// A live store may end in a block the campaign is still writing: fold
+	// the complete ones, and a later Advance takes the rest.
+	blocks, stableEnd, err := colf.Locate(f, fi.Size(), colf.HeaderSize)
+	if err != nil && !errors.Is(err, colf.ErrTorn) {
 		return nil, fmt.Errorf("core: indexing store: %w", err)
 	}
 	if _, err := h.Advance(context.Background(), f, fi.Size(), blocks, stableEnd, scan.Config{}); err != nil {
@@ -75,8 +77,8 @@ func NewHotSuite(store *results.Store, idx *Index, start time.Time, binWidth tim
 }
 
 // Advance folds blocks — the complete blocks appended since the
-// covered boundary, located by the caller (colf.DeltaBlocksAvailable)
-// against its long-lived data source r — into the resident state.
+// covered boundary, located by the caller (colf.Locate) against its
+// long-lived data source r — into the resident state.
 // stableEnd is the boundary the blocks reach; a torn tail past it waits
 // for the next Advance. On error the resident state is unchanged and
 // still serviceable: a failed Advance loses freshness, never
@@ -98,7 +100,7 @@ func (h *HotSuite) Advance(ctx context.Context, r io.ReaderAt, size int64, block
 		suites = append(suites, s)
 		return s.Passes(), nil
 	}
-	st, err := scan.Blocks(ctx, cfg, r, size, blocks, h.coveredBlocks, h.coveredBytes)
+	st, err := scan.Blocks(ctx, cfg, r, size, blocks, len(h.blocks), h.coveredBytes)
 	if err != nil {
 		return st, err
 	}
@@ -108,7 +110,7 @@ func (h *HotSuite) Advance(ctx context.Context, r io.ReaderAt, size int64, block
 	}
 	h.samples += st.Samples
 	h.coveredBytes = stableEnd
-	h.coveredBlocks += len(blocks)
+	h.blocks = append(h.blocks, blocks...)
 	return st, nil
 }
 
@@ -126,8 +128,13 @@ func (h *HotSuite) Report() (*SuiteReport, error) {
 
 // Covered reports the store prefix the resident state summarizes.
 func (h *HotSuite) Covered() (bytes int64, blocks int) {
-	return h.coveredBytes, h.coveredBlocks
+	return h.coveredBytes, len(h.blocks)
 }
+
+// Blocks returns the blocks folded so far, in file order: the block
+// list of the covered prefix. Advance only appends, so a prefix of the
+// slice taken with a capped length stays valid; don't mutate it.
+func (h *HotSuite) Blocks() []colf.BlockInfo { return h.blocks }
 
 // Samples reports the number of samples folded into the state.
 func (h *HotSuite) Samples() uint64 { return h.samples }

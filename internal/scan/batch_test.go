@@ -88,24 +88,21 @@ func scanCounting(t *testing.T, path string, cfg Config) (*countingPass, Stats) 
 // TestBinaryBatchEquivalence pins the block fold to the sequential
 // reference on an unfiltered store: for every worker count the passes
 // see exactly the stored rows in file order, whole block by whole
-// block, through the mapping and through the NoMmap positional-read
-// fallback alike.
+// block.
 func TestBinaryBatchEquivalence(t *testing.T) {
 	samples := genSamples(20_000)
 	path := writeBinary(t, samples, 256)
 	ref := refRows(samples, nil)
 
 	for _, workers := range []int{1, 2, 4, 7} {
-		for _, noMmap := range []bool{false, true} {
-			got, st := scanCounting(t, path, Config{Workers: workers, NoMmap: noMmap})
-			if got.whole != st.BlocksTotal || got.compacted != 0 {
-				t.Fatalf("workers=%d noMmap=%v: %d whole + %d compacted blocks of %d; want all whole",
-					workers, noMmap, got.whole, got.compacted, st.BlocksTotal)
-			}
-			if !got.equal(ref) {
-				t.Errorf("workers=%d noMmap=%v: scan folded %d rows that differ from the %d stored",
-					workers, noMmap, len(got.probe), len(ref.probe))
-			}
+		got, st := scanCounting(t, path, Config{Workers: workers})
+		if got.whole != st.BlocksTotal || got.compacted != 0 {
+			t.Fatalf("workers=%d: %d whole + %d compacted blocks of %d; want all whole",
+				workers, got.whole, got.compacted, st.BlocksTotal)
+		}
+		if !got.equal(ref) {
+			t.Errorf("workers=%d: scan folded %d rows that differ from the %d stored",
+				workers, len(got.probe), len(ref.probe))
 		}
 	}
 }
@@ -183,7 +180,7 @@ func (p *zoneTally) ObserveBlock(blk *colf.Block) error {
 	return nil
 }
 
-func (p *zoneTally) CanObserveZone(z colf.Zone) bool { return z.Delivered == 0 || z.HasAgg }
+func (p *zoneTally) CanObserveZone(colf.Zone) bool { return true }
 
 func (p *zoneTally) ObserveZone(z colf.Zone) error {
 	p.rows += uint64(z.Rows)

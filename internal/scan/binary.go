@@ -19,8 +19,7 @@ import (
 // order. blocks is the block list to decode — the whole file on a cold
 // scan, the suffix past the resume boundary otherwise, with
 // prefixBlocks/prefixBytes naming what was skipped. r is the data
-// source for block payloads — a *colf.Mapping when the platform maps
-// files, the file handle otherwise.
+// source block payloads are read from.
 func scanBlocks(ctx context.Context, cfg Config, r io.ReaderAt, size int64, span *obs.Span, blocks []colf.BlockInfo, prefixBlocks int, prefixBytes int64) (Stats, error) {
 	workers := cfg.Workers
 	if workers < 1 {

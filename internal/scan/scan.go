@@ -51,7 +51,7 @@ type Pass interface {
 type ZonePass interface {
 	Pass
 	// CanObserveZone reports whether z carries enough pre-aggregates for
-	// this pass (e.g. v1 zones lack the delivered-RTT sum).
+	// this pass (e.g. a zone whose block outgrew the per-region list).
 	CanObserveZone(z colf.Zone) bool
 	// ObserveZone folds the whole block summarized by z.
 	ObserveZone(z colf.Zone) error
@@ -74,9 +74,6 @@ type Config struct {
 	// pushdown that makes windowed queries cheap — and the rows of the
 	// remaining blocks are filtered exactly.
 	Predicate *colf.Predicate
-	// NoMmap disables memory-mapping the store, forcing the
-	// positional-read fallback that platforms without mmap use.
-	NoMmap bool
 	// Resume, when set, skips the store prefix a snapshot already
 	// covers: only blocks past the boundary are grouped and decoded.
 	// The boundary must be block-aligned; a bogus one fails the scan
@@ -181,9 +178,10 @@ func File(ctx context.Context, cfg Config) (Stats, error) {
 	)
 	switch {
 	case cfg.Resume != nil && cfg.Resume.Bytes > 0:
-		// Resume: locate only the blocks past the covered boundary.
+		// Resume: locate only the blocks past the covered boundary. A
+		// torn tail fails the scan just as a cold open does.
 		prefixBytes, prefixBlocks = cfg.Resume.Bytes, cfg.Resume.Blocks
-		if blocks, err = colf.DeltaBlocks(f, size, prefixBytes); err != nil {
+		if blocks, _, err = colf.Locate(f, size, prefixBytes); err != nil {
 			return Stats{}, fmt.Errorf("scan: resume at offset %d: %w", prefixBytes, err)
 		}
 	case size == 0:
@@ -194,28 +192,18 @@ func File(ctx context.Context, cfg Config) (Stats, error) {
 		}
 		blocks = rd.Blocks()
 	}
-	// Decode straight out of the page cache when the platform maps
-	// files; any mmap failure silently keeps the positional-read path,
-	// which is what platforms without mmap use.
-	src := io.ReaderAt(f)
-	if !cfg.NoMmap && size > 0 {
-		if m, merr := colf.OpenMapping(f, size); merr == nil {
-			defer m.Close()
-			src = m
-		}
-	}
-	return scanBlocks(ctx, cfg, src, size, span, blocks, prefixBlocks, prefixBytes)
+	return scanBlocks(ctx, cfg, f, size, span, blocks, prefixBlocks, prefixBytes)
 }
 
 // Blocks scans an already-located colf block list against an open data
-// source, for callers that hold a long-lived handle or mapping and walk
-// the file themselves — the serving layer's incremental refresh, which
-// locates new blocks with colf.ScanBlocksAvailable and must not reopen
-// and re-walk the store on every advance. The semantics match File
-// exactly (same grouping, pushdown, merge order and stats); cfg.Path,
-// cfg.NoMmap and cfg.Resume are ignored — the caller already resolved
-// them into r, blocks and prefixBlocks/prefixBytes (the blocks and
-// bytes before blocks[0] that an earlier scan covered).
+// source, for callers that hold a long-lived handle and locate blocks
+// themselves — the serving layer's incremental refresh, which locates
+// new blocks with colf.Locate and must not reopen and re-walk the store
+// on every advance. The semantics match File exactly (same grouping,
+// pushdown, merge order and stats); cfg.Path and cfg.Resume are ignored
+// — the caller already resolved them into r, blocks and
+// prefixBlocks/prefixBytes (the blocks and bytes before blocks[0] that
+// an earlier scan covered).
 func Blocks(ctx context.Context, cfg Config, r io.ReaderAt, size int64, blocks []colf.BlockInfo, prefixBlocks int, prefixBytes int64) (Stats, error) {
 	if cfg.NewPasses == nil {
 		return Stats{}, fmt.Errorf("scan: missing NewPasses")

@@ -75,7 +75,7 @@ func (p *orderPass) Merge(other Pass) error {
 }
 
 // TestFilePreservesOrder resumes past a covered prefix: for any worker
-// count, with and without the mapping, the merged pass observes exactly
+// count the merged pass observes exactly
 // the rows past the boundary in file order, and a boundary that is not
 // a block boundary fails the scan instead of decoding garbage.
 func TestFilePreservesOrder(t *testing.T) {
@@ -91,18 +91,16 @@ func TestFilePreservesOrder(t *testing.T) {
 	resume := &Resume{Bytes: blocks[skip].Off, Blocks: skip}
 	want := samples[skip*64:]
 	for _, workers := range []int{1, 2, 4, 7, 64} {
-		for _, noMmap := range []bool{false, true} {
-			ids, st := scanOrder(t, Config{Path: path, Workers: workers, Resume: resume, NoMmap: noMmap})
-			if st.PrefixBlocks != skip || st.PrefixBytes != resume.Bytes || st.BlocksTotal != len(blocks) || st.BlocksRead != len(blocks)-skip {
-				t.Errorf("workers=%d: resume accounting %+v", workers, st)
-			}
-			if len(ids) != len(want) {
-				t.Fatalf("workers=%d: merged %d ids, want %d", workers, len(ids), len(want))
-			}
-			for i := range want {
-				if ids[i] != want[i].ProbeID {
-					t.Fatalf("workers=%d: id[%d] = %d, want %d (order broken)", workers, i, ids[i], want[i].ProbeID)
-				}
+		ids, st := scanOrder(t, Config{Path: path, Workers: workers, Resume: resume})
+		if st.PrefixBlocks != skip || st.PrefixBytes != resume.Bytes || st.BlocksTotal != len(blocks) || st.BlocksRead != len(blocks)-skip {
+			t.Errorf("workers=%d: resume accounting %+v", workers, st)
+		}
+		if len(ids) != len(want) {
+			t.Fatalf("workers=%d: merged %d ids, want %d", workers, len(ids), len(want))
+		}
+		for i := range want {
+			if ids[i] != want[i].ProbeID {
+				t.Fatalf("workers=%d: id[%d] = %d, want %d (order broken)", workers, i, ids[i], want[i].ProbeID)
 			}
 		}
 	}

@@ -3,9 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,9 +97,8 @@ type Engine struct {
 	// Refresher-owned state, serialized by refreshMu (the background
 	// loop and any test-driven RefreshNow).
 	refreshMu sync.Mutex
-	hot       *core.HotSuite
-	blocks    []colf.BlockInfo // every complete block folded so far
-	tix       *tix.Index       // temporal aggregate index; nil when disabled
+	hot       *core.HotSuite // its Blocks are every complete block folded so far
+	tix       *tix.Index     // temporal aggregate index; nil when disabled
 
 	cur   atomic.Pointer[snapshotView]
 	lag   atomic.Int64 // stable bytes past the published boundary
@@ -118,8 +115,8 @@ type Engine struct {
 
 // NewEngine builds the serving engine over an opened binary store. The
 // resident state is seeded by folding the complete blocks the store
-// already holds and the store prefix is walked once to recover the
-// block list; no snapshot is published until the first Refresh.
+// already holds — the one walk of the store, whose block list the
+// engine keeps — and no snapshot is published until the first Refresh.
 func NewEngine(store *results.Store, idx *core.Index, opt Options) (*Engine, error) {
 	if store == nil || idx == nil {
 		return nil, errors.New("serve: nil store or index")
@@ -143,40 +140,14 @@ func NewEngine(store *results.Store, idx *core.Index, opt Options) (*Engine, err
 		f: f, hot: hot, cache: newCache(opt.Metrics.nilSafe().CacheEvictedBytes),
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
-	// Recover the full block list once: the covered prefix (needed for
-	// windowed scans) plus whatever is already stable past it.
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	var allBlocks []colf.BlockInfo
-	if fi.Size() > colf.HeaderSize {
-		covered, _ := hot.Covered()
-		blocks, _, err := colf.DeltaBlocksAvailable(f, fi.Size(), colf.HeaderSize)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("serve: indexing store: %w", err)
-		}
-		allBlocks = blocks
-		// Keep only the prefix the resident suite folded; Refresh folds
-		// the rest, appending to this list as it goes.
-		n := sort.Search(len(blocks), func(i int) bool { return blocks[i].Off >= covered })
-		if n < len(blocks) && blocks[n].Off != covered || n == len(blocks) && covered > blockEnd(blocks) {
-			f.Close()
-			return nil, fmt.Errorf("serve: covered boundary %d is not a block boundary", covered)
-		}
-		e.blocks = blocks[:n:n]
-	}
 	if opt.TixPath != "" {
-		// Validate against every stable complete block, not just the
-		// folded prefix — an index built offline (shears) may already
-		// cover blocks the resident suite has not folded yet.
+		// Validate against the blocks the resident suite folded: every
+		// complete block the store held when it was opened.
 		ti, err := tix.Open(opt.TixPath, tix.Binding{
 			PassSet: tix.PassSetCDF,
 			Index:   idx.Fingerprint(),
 			Meta:    core.MetaFingerprint(store.Meta()),
-		}, allBlocks, opt.Log)
+		}, hot.Blocks(), opt.Log)
 		if err != nil {
 			// The index is an accelerator: serving must come up without it.
 			opt.Log.Warn("temporal index unavailable; windowed queries will scan",
@@ -253,8 +224,10 @@ func (e *Engine) Refresh(ctx context.Context) error {
 	size := fi.Size()
 	covered, _ := e.hot.Covered()
 	if size > covered {
-		delta, stableEnd, err := colf.DeltaBlocksAvailable(e.f, size, covered)
-		if err != nil {
+		// A torn tail is a block the campaign is still writing: fold the
+		// complete blocks before it and take the rest on a later pass.
+		delta, stableEnd, err := colf.Locate(e.f, size, covered)
+		if err != nil && !errors.Is(err, colf.ErrTorn) {
 			return err
 		}
 		// Publish the gap before folding: if the fold fails, the lag
@@ -270,7 +243,6 @@ func (e *Engine) Refresh(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
-			e.blocks = append(e.blocks, delta...)
 			e.opt.Log.Debug("serving state advanced",
 				"delta_blocks", len(delta), "delta_samples", st.Samples,
 				"covered_bytes", stableEnd)
@@ -310,9 +282,10 @@ func (e *Engine) Refresh(ctx context.Context) error {
 	// Bring the temporal index up to the blocks this view serves, then
 	// publish its directory with the view. An extend failure downgrades
 	// windowed queries to scans — never a stale or wrong index answer.
+	blocks := e.hot.Blocks()
 	var tixView *tix.View
 	if e.tix != nil {
-		if err := e.tix.Extend(e.f, e.blocks, e.idx); err != nil {
+		if err := e.tix.Extend(e.f, blocks, e.idx); err != nil {
 			e.opt.Log.Warn("temporal index extend failed; windowed queries will scan", "error", err)
 		} else {
 			tixView = e.tix.View()
@@ -325,7 +298,7 @@ func (e *Engine) Refresh(ctx context.Context) error {
 		samples:       e.hot.Samples(),
 		rep:           rep,
 		figures:       figs,
-		blocks:        e.blocks[:len(e.blocks):len(e.blocks)],
+		blocks:        blocks[:len(blocks):len(blocks)],
 		tixView:       tixView,
 		published:     time.Now(),
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/atlas"
+	"repro/internal/colf"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
@@ -469,6 +470,47 @@ func TestServeChurn(t *testing.T) {
 	}
 	if st.Samples == 0 || st.CoveredBytes == 0 {
 		t.Fatalf("empty coverage in status: %+v", st)
+	}
+}
+
+// TestServeTornTail pins the live policy: a block the campaign is still
+// writing ends what the engine folds, when it opens and when it
+// refreshes, instead of failing either.
+func TestServeTornTail(t *testing.T) {
+	f := newFixture(t, 200)
+	f.append(t, 0, f.mem.Len()/2)
+	cold := f.coldFigures(t)
+	fi, err := os.Stat(f.store.SamplesPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first bytes of a block: its length fields and a little payload.
+	blk, err := colf.EncodeRows([]colf.Row{{Probe: 1, Region: "r", RTT: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := os.OpenFile(f.store.SamplesPath(), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tf.Write(blk[colf.HeaderSize : colf.HeaderSize+12]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e, _ := f.newEngine(t)
+	for i := 0; i < 2; i++ { // the first publish, then a pass with no new block
+		if err := e.Refresh(context.Background()); err != nil {
+			t.Fatalf("refresh %d: %v", i, err)
+		}
+	}
+	if st := e.Status(); st.CoveredBytes != fi.Size() || st.LagBytes != 0 {
+		t.Fatalf("covered %d bytes with lag %d, want the %d stable bytes", st.CoveredBytes, st.LagBytes, fi.Size())
+	}
+	if w := get(e.Handler(), "/api/v1/figures/5"); !bytes.Equal(w.Body.Bytes(), cold["5"].body) {
+		t.Fatal("figure 5 over a torn tail differs from the cold scan of the stable blocks")
 	}
 }
 

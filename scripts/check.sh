@@ -66,7 +66,10 @@ echo "== bench module (API compile + paper_run parity + traced smoke) =="
 
 echo "== fuzz smoke =="
 # Short fuzz bursts over the decode boundaries: the columnar block
-# codec (round-trip + corruption), the one validator every sidecar file
+# codec (round-trip, corruption, and a cut leg: at any cut of an
+# index-less stream the live locator returns exactly the blocks that end
+# by the cut and the strict readers fail unless the cut is a block
+# boundary), the one validator every sidecar file
 # is read through — samples.snap, samples.tix, checkpoint.json (it must
 # never panic or allocate past its input, and the records it accepts
 # must re-encode to the bytes they were read from; the target kept its
