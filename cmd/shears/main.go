@@ -115,6 +115,7 @@ type options struct {
 	logLevel        string // minimum log level: debug, info, warn, error
 
 	// Test hooks (unexported, zero in production).
+	stdout      io.Writer                       // figure output; nil means os.Stdout
 	logDst      io.Writer                       // structured log destination; nil means stderr
 	statusReady func(addr string)               // called with the bound status address
 	onRound     func(round int, samples uint64) // observes each merged campaign round
@@ -448,6 +449,26 @@ func run(o options) (err error) {
 	if o.quiet && o.figDir == "" {
 		return nil
 	}
+	// §4.3 samples the world's paths, not the campaign, so it runs beside
+	// the figure scan on a lane of its own; printFigures waits for it
+	// where it prints. Only a run that prints computes it.
+	var attribution func() (*delay.Report, error)
+	if !o.quiet {
+		attrSpan := root.Child("delay.attribution")
+		attrDone := make(chan struct{})
+		var attr *delay.Report
+		var attrErr error
+		go func() {
+			defer close(attrDone)
+			defer attrSpan.End()
+			attr, attrErr = delay.WhereIsTheDelay(w.Platform, delay.DefaultConfig())
+		}()
+		defer func() { <-attrDone }()
+		attribution = func() (*delay.Report, error) {
+			<-attrDone
+			return attr, attrErr
+		}
+	}
 	// One fused parallel scan of the dataset computes every figure report;
 	// the renderers below only format what it already aggregated.
 	scanCtx := obs.ContextWith(context.Background(), figSpan)
@@ -487,7 +508,11 @@ func run(o options) (err error) {
 	if o.quiet {
 		return nil
 	}
-	return printFigures(rep, w, figSpan)
+	stdout := o.stdout
+	if stdout == nil {
+		stdout = os.Stdout
+	}
+	return printFigures(stdout, rep, w, figSpan, attribution)
 }
 
 // buildTix builds (or incrementally extends) the dataset's temporal
@@ -852,12 +877,14 @@ func writeArtifacts(dir string, rep *core.SuiteReport, cfg atlas.CampaignConfig,
 	return write("figure8.csv", func(f io.Writer) error { return figures.Figure8CSV(f, rep8) })
 }
 
-func printFigures(rep *core.SuiteReport, w *world.World, span *obs.Span) error {
+// printFigures writes every figure and companion table to out. The §4.3
+// table comes from attribution, which may still be computing.
+func printFigures(out io.Writer, rep *core.SuiteReport, w *world.World, span *obs.Span, attribution func() (*delay.Report, error)) error {
 	ctx := context.Background()
 	emit := func(name string, lines []string) {
-		fmt.Printf("\n=== Figure %s ===\n", name)
+		fmt.Fprintf(out, "\n=== Figure %s ===\n", name)
 		for _, l := range lines {
-			fmt.Println(l)
+			fmt.Fprintln(out, l)
 		}
 	}
 	// figure runs fn under a child span and prints its lines.
@@ -922,7 +949,7 @@ func printFigures(rep *core.SuiteReport, w *world.World, span *obs.Span) error {
 
 	// §4.3 and §5 companion tables.
 	if err := figure("§4.3 (where is the delay?)", func() ([]string, error) {
-		rep, err := delay.WhereIsTheDelay(w.Platform, delay.DefaultConfig())
+		rep, err := attribution()
 		if err != nil {
 			return nil, err
 		}

@@ -138,33 +138,45 @@ func TestRunWritesArtifacts(t *testing.T) {
 // and samples.tix twice: when both took the shared record format of
 // internal/snap (snapshot +8 bytes, index -2), and when the index became
 // one record per block (pass set continent-cdf-v2); nothing else has.
+// stdout — every figure table, the §4.1 provider table and the §4.3
+// attribution — was recorded later, from `shears` without -quiet at the
+// commit before provider summaries came from selection and §4.3 ran
+// beside the figure scan, and is asserted at one and three workers.
 func TestRunGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64; other targets may fuse the float arithmetic differently")
 	}
-	dir := filepath.Join(t.TempDir(), "ds")
-	figDir := filepath.Join(t.TempDir(), "figs")
-	if err := run(options{out: dir, probes: 250, seed: 1, days: 7, quiet: true, figDir: figDir, workers: 3}); err != nil {
-		t.Fatal(err)
-	}
-	golden := map[string]string{
-		filepath.Join(dir, "samples.bin"):    "d73e4c7519a2d9cb454f3f782c1e349ebcad3055c2a8cce89489ad76c1bb205b",
-		filepath.Join(dir, "samples.snap"):   "bdb075e5aeab3fe71332d9d43b38dc69cf857a1823b75b84104cccc34c27c781",
-		filepath.Join(dir, "samples.tix"):    "91a047d2325b714d8fc09b53bf0b60a3873497bc68e910bd85c25aad2c71d9e2",
-		filepath.Join(figDir, "figure4.csv"): "0769f523f93c6e187269a61d2466261d7310ce283b62dac630c3582c8868a8fa",
-		filepath.Join(figDir, "figure5.csv"): "058670c0b8a579c903ad842bd4301cf3432fc8b99e8cfb06bf13c29cd5720f54",
-		filepath.Join(figDir, "figure6.csv"): "ae36b4f26a621f72645d571516bce1976cce2d5c73438bb895433d4868cc45d7",
-		filepath.Join(figDir, "figure7.csv"): "81d6fa79721692c8df9f09c562fdaee6499c4be9c11dcf08b39fe0ea36f78e1c",
-		filepath.Join(figDir, "figure8.csv"): "57d5d0139c6c0b9b63f4917bec6f20b1716fb47c70b44ac2752f1c8b1db4adad",
-	}
-	for path, want := range golden {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Error(err)
-			continue
+	for _, workers := range []int{1, 3} {
+		dir := filepath.Join(t.TempDir(), "ds")
+		figDir := filepath.Join(t.TempDir(), "figs")
+		var stdout bytes.Buffer
+		if err := run(options{out: dir, probes: 250, seed: 1, days: 7, figDir: figDir, workers: workers,
+			stdout: &stdout, logDst: io.Discard}); err != nil {
+			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
-			t.Errorf("%s: sha256 %s, want %s", filepath.Base(path), got, want)
+		golden := map[string]string{
+			filepath.Join(dir, "samples.bin"):    "d73e4c7519a2d9cb454f3f782c1e349ebcad3055c2a8cce89489ad76c1bb205b",
+			filepath.Join(dir, "samples.snap"):   "bdb075e5aeab3fe71332d9d43b38dc69cf857a1823b75b84104cccc34c27c781",
+			filepath.Join(dir, "samples.tix"):    "91a047d2325b714d8fc09b53bf0b60a3873497bc68e910bd85c25aad2c71d9e2",
+			filepath.Join(figDir, "figure4.csv"): "0769f523f93c6e187269a61d2466261d7310ce283b62dac630c3582c8868a8fa",
+			filepath.Join(figDir, "figure5.csv"): "058670c0b8a579c903ad842bd4301cf3432fc8b99e8cfb06bf13c29cd5720f54",
+			filepath.Join(figDir, "figure6.csv"): "ae36b4f26a621f72645d571516bce1976cce2d5c73438bb895433d4868cc45d7",
+			filepath.Join(figDir, "figure7.csv"): "81d6fa79721692c8df9f09c562fdaee6499c4be9c11dcf08b39fe0ea36f78e1c",
+			filepath.Join(figDir, "figure8.csv"): "57d5d0139c6c0b9b63f4917bec6f20b1716fb47c70b44ac2752f1c8b1db4adad",
+		}
+		for path, want := range golden {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Error(err)
+				continue
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+				t.Errorf("workers=%d %s: sha256 %s, want %s", workers, filepath.Base(path), got, want)
+			}
+		}
+		const wantStdout = "b0509c4411d0d34b3c21286770ca983ad0d09cfb5bfc9a6218367dbc13071c61"
+		if got := fmt.Sprintf("%x", sha256.Sum256(stdout.Bytes())); got != wantStdout {
+			t.Errorf("workers=%d stdout: sha256 %s, want %s", workers, got, wantStdout)
 		}
 	}
 }
@@ -194,7 +206,7 @@ func TestRunWritesTrace(t *testing.T) {
 	for _, c := range root.Children {
 		byName[c.Name] = c
 	}
-	for _, want := range []string{"world.build", "campaign", "results.flush", "figures", "tix.build"} {
+	for _, want := range []string{"world.build", "campaign", "results.flush", "figures", "tix.build", "delay.attribution"} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("root lacks %q child; has %d children", want, len(root.Children))
 		}
@@ -253,8 +265,8 @@ func TestRunWritesTrace(t *testing.T) {
 	if !sawScan {
 		t.Error("figures span lacks the fused dataset scan child")
 	}
-	// The overlapped index build is drawn beside the figures stage, not
-	// inside its lane.
+	// The overlapped index build and §4.3 attribution are drawn beside the
+	// figures stage, not inside its lane.
 	var events struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
@@ -268,9 +280,11 @@ func TestRunWritesTrace(t *testing.T) {
 	for _, e := range events.TraceEvents {
 		lanes[e.Name] = e.Tid
 	}
-	if lanes["tix.build"] == 0 || lanes["tix.build"] == lanes["figures"] || lanes["tix.build"] == lanes["scan"] {
-		t.Errorf("tix.build on lane %d, figures on %d, scan on %d; want tix.build on a lane of its own",
-			lanes["tix.build"], lanes["figures"], lanes["scan"])
+	for _, name := range []string{"tix.build", "delay.attribution"} {
+		if lanes[name] == 0 || lanes[name] == lanes["figures"] || lanes[name] == lanes["scan"] {
+			t.Errorf("%s on lane %d, figures on %d, scan on %d; want %[1]s on a lane of its own",
+				name, lanes[name], lanes["figures"], lanes["scan"])
+		}
 	}
 }
 

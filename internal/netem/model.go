@@ -338,8 +338,7 @@ func (p *Path) Sample(t time.Time) Breakdown {
 	}
 	transit := r.inRange(p.transit.Lo, p.transit.Hi)
 	// Evening congestion peak in the probe's local time, scaled by tier.
-	localHour := math.Mod(float64(t.Unix())/3600+p.src.Location.Lon/15+48, 24)
-	peak := math.Max(0, math.Sin((localHour-8)/12*math.Pi)) // peaks at 14-20h local
+	peak := diurnalPeak(float64(t.Unix())/3600 + p.src.Location.Lon/15 + 48)
 	transit *= 1 + p.diurnal*peak*r.float64()
 
 	lastMile := p.lmBase
@@ -372,4 +371,34 @@ func (p *Path) Sample(t time.Time) Breakdown {
 	}
 	b.TotalMs = b.PropagationMs + b.TransitMs + b.LastMileMs + b.BloatMs + b.ProcessingMs
 	return b
+}
+
+// diurnalPeak is max(0, sin((h-8)/12·π)) for the local hour h = x mod 24:
+// zero outside 8-20h, peaking at 14h. The sine is skipped only where it
+// is ≤ 0 beyond doubt — an argument in (−π+ε, 0] or [π+ε, 4π/3), ε far
+// above math.Sin's error — so the result is bit-identical to computing
+// it. A campaign's hours map to [−2π/3, 4π/3); the negative hours
+// math.Mod returns before 1970 reach below −π, where the sine is positive.
+func diurnalPeak(x float64) float64 {
+	const eps = 1e-9
+	theta := (mod24(x) - 8) / 12 * math.Pi
+	if theta > -math.Pi+eps && theta <= 0 || theta >= math.Pi+eps {
+		return 0
+	}
+	return math.Max(0, math.Sin(theta))
+}
+
+// mod24 is math.Mod(x, 24), bit for bit, without its frexp/ldexp loop
+// where that is safe. For 0 < x < 2^52 the floor q of the rounded x/24
+// is the true quotient's: below 24(q+1), x is at least ulp(x) short of
+// it, and ulp(x)/24 exceeds half the float spacing below q+1 (ulp(x) ≥
+// 16·ulp(q+1) once q ≥ 2; q < 2 holds by inspection), so x/24 never
+// rounds up to q+1. Then 24q is exact and so is x−24q (Sterbenz).
+// Elsewhere — ±0, negative hours (times before 1970 on the live path),
+// x ≥ 2^52, NaN — math.Mod keeps its sign and edge rules.
+func mod24(x float64) float64 {
+	if !(x > 0 && x < 1<<52) {
+		return math.Mod(x, 24)
+	}
+	return x - 24*math.Floor(x/24)
 }

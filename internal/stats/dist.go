@@ -110,24 +110,6 @@ func (d *Dist) ensureSorted() {
 	}
 }
 
-// Min returns the smallest sample.
-func (d *Dist) Min() (float64, error) {
-	if d.N() == 0 {
-		return 0, ErrEmpty
-	}
-	d.ensureSorted()
-	return d.samples[0], nil
-}
-
-// Max returns the largest sample.
-func (d *Dist) Max() (float64, error) {
-	if d.N() == 0 {
-		return 0, ErrEmpty
-	}
-	d.ensureSorted()
-	return d.samples[len(d.samples)-1], nil
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation
 // between order statistics (type-7, the common default).
 func (d *Dist) Quantile(q float64) (float64, error) {
@@ -218,36 +200,73 @@ type Summary struct {
 	StdDev float64 `json:"stddev"`
 }
 
-// Summarize computes a Summary of the distribution.
+// Summarize computes a Summary of the distribution. Its six order
+// statistics are read in ascending rank, so an unsorted Dist selects
+// each within the suffix the previous selection left above it — linear
+// time instead of a sort, and the same values. The samples stay a
+// permutation of themselves; later queries sort as usual.
 func (d *Dist) Summarize() (Summary, error) {
-	if d.N() == 0 {
+	n := d.N()
+	if n == 0 {
 		return Summary{}, ErrEmpty
 	}
-	s := Summary{N: d.N()}
-	var err error
-	if s.Min, err = d.Min(); err != nil {
-		return Summary{}, err
+	// Ranks are read in nondecreasing order — 0, each quantile's floor
+	// and ceiling, n-1 — so each selection runs on the suffix above the
+	// last, and a rank below from was itself selected and stays placed.
+	from := 0
+	at := func(k int) (float64, error) {
+		if !d.sorted && k >= from {
+			SelectRank(d.samples[from:], k-from)
+			from = k + 1
+		}
+		return d.samples[k], nil
 	}
-	if s.P25, err = d.Quantile(0.25); err != nil {
-		return Summary{}, err
+	quantile := func(q float64) float64 {
+		v, _ := QuantileOf(n, q, at) // at never fails and q is in [0,1]
+		return v
 	}
-	if s.Median, err = d.Median(); err != nil {
-		return Summary{}, err
-	}
-	if s.P75, err = d.Quantile(0.75); err != nil {
-		return Summary{}, err
-	}
-	if s.P95, err = d.Quantile(0.95); err != nil {
-		return Summary{}, err
-	}
-	if s.Max, err = d.Max(); err != nil {
-		return Summary{}, err
-	}
-	if s.Mean, err = d.Mean(); err != nil {
-		return Summary{}, err
-	}
-	if s.StdDev, err = d.StdDev(); err != nil {
-		return Summary{}, err
-	}
+	s := Summary{N: n}
+	s.Min = quantile(0)
+	s.P25 = quantile(0.25)
+	s.Median = quantile(0.5)
+	s.P75 = quantile(0.75)
+	s.P95 = quantile(0.95)
+	s.Max = quantile(1)
+	s.Mean, _ = d.Mean()
+	s.StdDev, _ = d.StdDev()
 	return s, nil
+}
+
+// SelectRank returns the k-th smallest element of a (0 <= k < len(a)),
+// reordering a so that a[k] holds it, with nothing larger before it and
+// nothing smaller after: quickselect with a three-way partition, so runs
+// of equal samples — common at millisecond resolution — cost one pass,
+// not many.
+func SelectRank(a []float64, k int) float64 {
+	for len(a) > 1 {
+		p := a[len(a)/2]
+		lt, i, gt := 0, 0, len(a)
+		for i < gt {
+			switch {
+			case a[i] < p:
+				a[lt], a[i] = a[i], a[lt]
+				lt++
+				i++
+			case a[i] > p:
+				gt--
+				a[i], a[gt] = a[gt], a[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			a = a[:lt]
+		case k < gt:
+			return a[lt]
+		default:
+			a, k = a[gt:], k-gt
+		}
+	}
+	return a[0]
 }

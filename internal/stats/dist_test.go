@@ -22,11 +22,11 @@ func TestDistBasics(t *testing.T) {
 	if m, _ := d.Mean(); m != 3 {
 		t.Errorf("Mean = %v, want 3", m)
 	}
-	if m, _ := d.Min(); m != 1 {
-		t.Errorf("Min = %v, want 1", m)
+	if m, _ := d.Quantile(0); m != 1 {
+		t.Errorf("Quantile(0) = %v, want 1", m)
 	}
-	if m, _ := d.Max(); m != 5 {
-		t.Errorf("Max = %v, want 5", m)
+	if m, _ := d.Quantile(1); m != 5 {
+		t.Errorf("Quantile(1) = %v, want 5", m)
 	}
 	if m, _ := d.Median(); m != 3 {
 		t.Errorf("Median = %v, want 3", m)

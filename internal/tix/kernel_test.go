@@ -1,7 +1,6 @@
 package tix
 
 import (
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -9,28 +8,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/snap"
 )
-
-// TestSelectRankMatchesSort: selectRank returns the sorted slice's k-th
-// element at every rank, over short slices heavy with equal values.
-func TestSelectRankMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 300; round++ {
-		vals := make([]float64, 1+rng.Intn(60))
-		distinct := 1 + rng.Intn(8)
-		for i := range vals {
-			vals[i] = float64(rng.Intn(distinct)-distinct/2) * 0.5
-		}
-		sorted := slices.Clone(vals)
-		slices.Sort(sorted)
-		for k := range vals {
-			a := slices.Clone(vals)
-			rng.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-			if got := selectRank(a, k); got != sorted[k] {
-				t.Fatalf("round %d: rank %d of %v = %v, sorted %v", round, k, vals, got, sorted[k])
-			}
-		}
-	}
-}
 
 // kernelResult is a loaded window over one covered record holding
 // Europe's slab, plus edge values, with counts derived from both.

@@ -414,37 +414,5 @@ func (r *Result) orderStat(ct geo.Continent, k int) (float64, error) {
 		}
 		g.valid = true
 	}
-	return selectRank(g.cand, k-int(below)), nil
-}
-
-// selectRank returns the k-th smallest element of a (0 <= k < len(a)),
-// reordering a: quickselect with a three-way partition, so runs of equal
-// samples — common at millisecond resolution — cost one pass, not many.
-func selectRank(a []float64, k int) float64 {
-	for len(a) > 1 {
-		p := a[len(a)/2]
-		lt, i, gt := 0, 0, len(a)
-		for i < gt {
-			switch {
-			case a[i] < p:
-				a[lt], a[i] = a[i], a[lt]
-				lt++
-				i++
-			case a[i] > p:
-				gt--
-				a[i], a[gt] = a[gt], a[i]
-			default:
-				i++
-			}
-		}
-		switch {
-		case k < lt:
-			a = a[:lt]
-		case k < gt:
-			return a[lt]
-		default:
-			a, k = a[gt:], k-gt
-		}
-	}
-	return a[0]
+	return stats.SelectRank(g.cand, k-int(below)), nil
 }

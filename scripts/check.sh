@@ -48,10 +48,12 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # no slab (nothing to select over), never scans, and allocates a bounded
 # number of objects; the corrupt-slab test that /quantile's per-read CRC
 # still catches a record damaged after open. The tix kernel tests pin
-# the windowed quantile's bin gather and linear-time selection against
-# sorting, and a gather that disagrees with the counts as an error.
+# the windowed quantile's bin gather, and a gather that disagrees with
+# the counts as an error; the selection kernel it calls lives in
+# internal/stats, pinned against sorting there.
 go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestServeCorruptSlabFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON' ./internal/serve
-go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestSelectRankMatchesSort|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather' ./internal/tix
+go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather' ./internal/tix
+go test -count=1 -run 'TestSelectRankMatchesSort|TestSummarizeMatchesSort' ./internal/stats
 
 echo "== bench module (API compile + paper_run parity + traced smoke) =="
 # bench/ is its own module compiled against this one's exported API, and
