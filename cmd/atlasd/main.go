@@ -88,7 +88,7 @@ func main() {
 		clusterShards = flag.Int("cluster-shards", 0, "cluster partition width (0 = default; output is identical for any value)")
 		clusterDays   = flag.Int("cluster-days", 0, "override the cluster campaign length in days (0 = config default)")
 		serveData     = flag.String("serve-data", "", "serve the analysis API (figures, quantile, cdf) from this dataset directory")
-		serveRefresh  = flag.Duration("serve-refresh", serve.DefaultRefresh, "snapshot refresh poll interval for -serve-data")
+		serveRefresh  = flag.Duration("serve-refresh", serve.DefaultRefresh, "least time between snapshot refresh passes for -serve-data (growth is checked 8 times per interval)")
 		logFormat     = flag.String("log-format", "text", "structured log encoding: text (logfmt) or json")
 		logLevel      = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	)

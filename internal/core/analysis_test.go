@@ -367,9 +367,18 @@ func TestAccessClassString(t *testing.T) {
 	}
 }
 
+// TestLastMileSignificance pins the on-demand KS test: no report carries
+// it, so it is asked of the pass that folded the fixture.
 func TestLastMileSignificance(t *testing.T) {
 	f := dataset(t)
-	res := scanned(t, f, passBinWidth, PassLastMile).Significance
+	p := NewNearestPass(f.idx, f.cfg.Start, passBinWidth)
+	if err := f.mem.ForEachBlock(p.ObserveBlock); err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Significance()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The wired/wireless gap is a real distributional difference.
 	if !res.Different(0.001) {
 		t.Errorf("wired vs wireless not significant: D=%.3f p=%.4f", res.D, res.P)

@@ -62,18 +62,6 @@ func (r *CDFReport) Quantile(ct geo.Continent, q float64) (float64, error) {
 	return d.Quantile(q)
 }
 
-// Clone returns a deep copy sharing no distribution state with the
-// receiver. Reports handed out by a long-lived suite alias its
-// accumulators — which the next merge mutates — so a caller that
-// publishes a report past the suite's next advance must clone it.
-func (r *CDFReport) Clone() *CDFReport {
-	out := &CDFReport{byContinent: make(map[geo.Continent]*stats.Dist, len(r.byContinent))}
-	for ct, d := range r.byContinent {
-		out.byContinent[ct] = d.Clone()
-	}
-	return out
-}
-
 // Curve samples a continent's CDF at the given grid — the series a figure
 // plots.
 func (r *CDFReport) Curve(ct geo.Continent, grid []float64) ([]stats.CDFPoint, error) {

@@ -1,0 +1,22 @@
+package core
+
+// Hooks core_test reads the resident report through: what no report
+// carries, and how much work the last update did.
+
+// Suite returns the resident suite, so a test can ask it for what no
+// report carries (NearestPass.Significance).
+func (h *HotSuite) Suite() *Suite { return h.suite }
+
+// ResidentWork reports how many rows the last Figure 6 and Figure 7
+// updates gathered (added plus removed), -1 for a figure whose resident
+// multisets were never built.
+func (s *Suite) ResidentWork() (full, weeks int) {
+	full, weeks = -1, -1
+	if v := s.Nearest.full; v != nil {
+		full = v.gathered
+	}
+	if v := s.Nearest.weeks; v != nil {
+		weeks = v.gathered
+	}
+	return full, weeks
+}

@@ -18,8 +18,10 @@ import (
 // store prefix scanned so far, advanced incrementally as the campaign
 // appends. Unlike ScanStore — which rescans the store on every call — a
 // HotSuite pays the seed scan once and each Advance folds only the
-// blocks written since the previous one, so steady-state refresh cost
-// tracks the append rate, not the store size.
+// blocks written since the previous one, and each Report after the first
+// updates only the Figure 6/7 multisets those blocks touched (see
+// NearestPass), so steady-state refresh cost tracks the append rate, not
+// the store size.
 //
 // A HotSuite is not safe for concurrent use; the serving layer advances
 // it from a single refresher goroutine and publishes immutable reports.
@@ -114,11 +116,10 @@ func (h *HotSuite) Advance(ctx context.Context, r io.ReaderAt, size int64, block
 	return st, nil
 }
 
-// Report finalizes the resident state into a fresh figure report.
-// Calling it between Advances is safe: report-time queries sort
-// distribution buffers in place, and every later merge re-establishes
-// the sequential file-order fold, so the bytes match a cold scan at the
-// same covered boundary. An empty suite returns ErrEmptyStore.
+// Report finalizes the resident state into a fresh figure report whose
+// bytes match a cold scan at the same covered boundary. A later Advance
+// or Report never writes to anything an earlier report holds. An empty
+// suite returns ErrEmptyStore.
 func (h *HotSuite) Report() (*SuiteReport, error) {
 	if h.samples == 0 {
 		return nil, ErrEmptyStore

@@ -2,7 +2,9 @@ package core
 
 import (
 	"os"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/colf"
 	"repro/internal/results"
@@ -36,7 +38,7 @@ func TestNearestObserveBlockSteadyStateAllocs(t *testing.T) {
 	if len(blocks) < 3 {
 		t.Fatalf("store holds %d blocks, test needs a few", len(blocks))
 	}
-	p := NewNearestPass(f.idx)
+	p := NewNearestPass(f.idx, f.cfg.Start, passBinWidth)
 	dec := colf.NewBlockDecoder()
 	observe := func(bi colf.BlockInfo) *colf.Block {
 		blk, err := dec.DecodeCols(file, bi, p.Columns())
@@ -71,5 +73,85 @@ func TestNearestObserveBlockSteadyStateAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per %d-row block holding %d (probe, region) pairs", allocs, blk.Rows(), len(pairs))
 	if allocs > rows/32 || allocs > float64(len(pairs))/8 {
 		t.Errorf("warm ObserveBlock allocates %.0f times for %.0f rows and %d (probe, region) pairs", allocs, rows, len(pairs))
+	}
+}
+
+// lastMileProbes returns one wired and one wireless probe Figure 7
+// admits.
+func lastMileProbes(t *testing.T, idx *Index) (wired, wireless int) {
+	t.Helper()
+	for id, info := range idx.byID {
+		switch {
+		case !info.known || !info.lastMile():
+		case info.access == AccessWired && wired == 0:
+			wired = id
+		case info.access == AccessWireless && wireless == 0:
+			wireless = id
+		}
+	}
+	if wired == 0 || wireless == 0 {
+		t.Fatal("the fixture has no wired or no wireless Figure 7 probe")
+	}
+	return wired, wireless
+}
+
+// TestLastMileBinning pins Figure 7's binning: a sample falls in bin
+// ⌊(t − start) / width⌋, a bin reports its N, median and quartiles, empty
+// bins are skipped and the points come in time order.
+func TestLastMileBinning(t *testing.T) {
+	f := dataset(t)
+	wired, wireless := lastMileProbes(t, f.idx)
+	start := time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
+	p := NewNearestPass(f.idx, start, 24*time.Hour)
+	observe := func(probe int, at time.Duration, rtt float64) {
+		t.Helper()
+		if err := p.Observe(results.Sample{ProbeID: probe, Region: "AWS/r", RTTms: rtt, Time: start.Add(at)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Day 0: 10, 20, 30 -> median 20. Day 2: 100 -> median 100.
+	for _, v := range []float64{10, 20, 30} {
+		observe(wired, time.Hour, v)
+	}
+	observe(wired, 49*time.Hour, 100)
+	observe(wireless, 0, 50)
+	rep, err := p.LastMile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := rep.Wired
+	if len(pts) != 2 || len(rep.Wireless) != 1 {
+		t.Fatalf("got %d wired and %d wireless points, want 2 (empty day skipped) and 1", len(pts), len(rep.Wireless))
+	}
+	if pts[0].Median != 20 || pts[0].P25 != 15 || pts[0].P75 != 25 || pts[0].N != 3 || !pts[0].Start.Equal(start) {
+		t.Errorf("day 0 = %+v", pts[0])
+	}
+	if pts[1].Median != 100 || pts[1].N != 1 || !pts[1].Start.Equal(start.Add(48*time.Hour)) {
+		t.Errorf("day 2 = %+v", pts[1])
+	}
+}
+
+// TestLastMileValidation pins the geometry's refusals: a suite with a
+// non-positive bin width fails before any scanning, and a kept sample
+// before the series start fails the report rather than landing in a
+// negative bin.
+func TestLastMileValidation(t *testing.T) {
+	f := dataset(t)
+	start := time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
+	if _, err := NewSuite(f.idx, start, 0); err == nil || err.Error() != "stats: non-positive bin width 0s" {
+		t.Errorf("zero width: err = %v", err)
+	}
+	wired, wireless := lastMileProbes(t, f.idx)
+	p := NewNearestPass(f.idx, start, time.Hour)
+	for _, s := range []results.Sample{
+		{ProbeID: wired, Region: "AWS/r", RTTms: 1, Time: start.Add(-time.Minute)},
+		{ProbeID: wireless, Region: "AWS/r", RTTms: 1, Time: start},
+	} {
+		if err := p.Observe(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.LastMile(); err == nil || !strings.Contains(err.Error(), "precedes series start") {
+		t.Errorf("pre-start sample: err = %v", err)
 	}
 }

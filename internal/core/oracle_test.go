@@ -108,10 +108,10 @@ func (s *Suite) StateDump() ([]byte, error) {
 // appendDist spells a distribution out through its public queries — N,
 // the Mean and StdDev bits, and the quantile at every rank's position
 // k/(n-1), i.e. each order statistic — which is every value a report
-// built on it can observe. It queries a
-// clone, so the dump never sorts the suite's own buffer.
+// built on it can observe. The quantiles come from a copy made by
+// replaying the samples into an empty Dist, so the dump never sorts the
+// suite's own buffer.
 func appendDist(b []byte, d *stats.Dist) ([]byte, error) {
-	d = d.Clone()
 	n := d.N()
 	b = snap.AppendUvarint(b, uint64(n))
 	if n == 0 {
@@ -126,12 +126,16 @@ func appendDist(b []byte, d *stats.Dist) ([]byte, error) {
 		return nil, err
 	}
 	b = snap.AppendFloat(snap.AppendFloat(b, mean), sd)
+	var c stats.Dist
+	if err := c.Merge(d); err != nil {
+		return nil, err
+	}
 	for k := 0; k < n; k++ {
 		q := 0.0
 		if n > 1 {
 			q = float64(k) / float64(n-1)
 		}
-		v, err := d.Quantile(q)
+		v, err := c.Quantile(q)
 		if err != nil {
 			return nil, err
 		}

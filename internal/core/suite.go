@@ -3,13 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"time"
 
 	"repro/internal/colf"
 	"repro/internal/results"
 	"repro/internal/scan"
-	"repro/internal/stats"
 )
 
 // PassSet names a subset of the suite's five passes, one bit each. The
@@ -21,7 +21,7 @@ const (
 	PassProximity PassSet = 1 << iota // Figure 4
 	PassMinRTT                        // Figure 5
 	PassFullDist                      // Figure 6
-	PassLastMile                      // Figures 7 and 8, and the KS significance test
+	PassLastMile                      // Figures 7 and 8 (and NearestPass.Significance)
 	PassProvider                      // §4.1's per-provider table
 
 	allPasses = PassProvider<<1 - 1
@@ -62,10 +62,6 @@ type Suite struct {
 	Nearest   *NearestPass // Figures 6, 7, 8 and the KS test
 	Provider  *ProviderPass
 
-	// start and binWidth are the Figure 7 bin geometry.
-	start    time.Time
-	binWidth time.Duration
-
 	// sel is zero except in a pass-selective scan, where only the
 	// selected passes observe, merge and report. A suite that leaves a
 	// snapshot pass out refuses to encode.
@@ -78,16 +74,14 @@ func NewSuite(idx *Index, start time.Time, binWidth time.Duration) (*Suite, erro
 	if idx == nil {
 		return nil, errors.New("analysis: nil index")
 	}
-	if _, err := stats.NewTimeSeries(start, binWidth); err != nil {
-		return nil, err
+	if binWidth <= 0 {
+		return nil, fmt.Errorf("stats: non-positive bin width %v", binWidth)
 	}
 	return &Suite{
 		Proximity: NewProximityPass(idx),
 		MinRTT:    NewMinRTTPass(idx),
-		Nearest:   NewNearestPass(idx),
+		Nearest:   NewNearestPass(idx, start, binWidth),
 		Provider:  NewProviderPass(idx),
-		start:     start,
-		binWidth:  binWidth,
 	}, nil
 }
 
@@ -123,12 +117,11 @@ type SuiteReport struct {
 	// Passes is the pass set the scan fed, zero for all five.
 	Passes PassSet
 
-	Proximity    *ProximityReport
-	MinRTT       *CDFReport
-	FullDist     *CDFReport
-	LastMile     *LastMileReport
-	Significance stats.KSResult
-	Provider     *ProviderReport
+	Proximity *ProximityReport
+	MinRTT    *CDFReport
+	FullDist  *CDFReport
+	LastMile  *LastMileReport
+	Provider  *ProviderReport
 }
 
 // Report finalizes all passes.
@@ -156,10 +149,7 @@ func (s *Suite) report(want PassSet) (*SuiteReport, error) {
 		}
 	}
 	if want.has(PassLastMile) {
-		if rep.LastMile, err = s.Nearest.LastMile(s.start, s.binWidth); err != nil {
-			return nil, err
-		}
-		if rep.Significance, err = s.Nearest.Significance(); err != nil {
+		if rep.LastMile, err = s.Nearest.LastMile(); err != nil {
 			return nil, err
 		}
 	}

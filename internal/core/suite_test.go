@@ -106,17 +106,14 @@ func TestScanStoreMatchesLegacy(t *testing.T) {
 	alone(minRTT)
 	rep5, err := minRTT.Report()
 	must(err)
-	// Figures 6, 7 and the KS test each get a nearest-region pass of
-	// their own, as the three per-figure functions did.
-	nearest6, nearest7, nearestKS := core.NewNearestPass(w.Index), core.NewNearestPass(w.Index), core.NewNearestPass(w.Index)
+	// Figures 6 and 7 each get a nearest-region pass of their own, as the
+	// per-figure functions did.
+	nearest6, nearest7 := core.NewNearestPass(w.Index, cfg.Start, week), core.NewNearestPass(w.Index, cfg.Start, week)
 	alone(nearest6)
 	rep6, err := nearest6.FullDist()
 	must(err)
 	alone(nearest7)
-	rep7, err := nearest7.LastMile(cfg.Start, week)
-	must(err)
-	alone(nearestKS)
-	ks, err := nearestKS.Significance()
+	rep7, err := nearest7.LastMile()
 	must(err)
 	providerPass := core.NewProviderPass(w.Index)
 	alone(providerPass)
@@ -208,9 +205,6 @@ func TestScanStoreMatchesLegacy(t *testing.T) {
 		if !reflect.DeepEqual(rep.Provider, provider) {
 			t.Errorf("workers=%d: provider report differs from legacy", workers)
 		}
-		if rep.Significance != ks {
-			t.Errorf("workers=%d: KS result differs: %+v vs %+v", workers, rep.Significance, ks)
-		}
 	}
 }
 
@@ -249,8 +243,18 @@ func renderSuite(tb testing.TB, rep *core.SuiteReport) []byte {
 	if err := figures.Figure8CSV(&buf, rep8); err != nil {
 		tb.Fatal(err)
 	}
-	fmt.Fprintf(&buf, "ks %+v\n", rep.Significance)
 	return buf.Bytes()
+}
+
+// significance is the on-demand KS result of a suite's nearest-region
+// pass, as text.
+func significance(tb testing.TB, s *core.Suite) string {
+	tb.Helper()
+	ks, err := s.Nearest.Significance()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fmt.Sprintf("%+v", ks)
 }
 
 // nearestRegions folds smps the way the analyses define a probe's
@@ -349,6 +353,7 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 			t.Fatalf("%s: oracle report: %v", name, err)
 		}
 		wantRender := renderSuite(t, rep)
+		wantKS := significance(t, oracle)
 
 		for _, workers := range []int{1, 2, 4, 7} {
 			var suites []*core.Suite
@@ -381,6 +386,9 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 			}
 			if !bytes.Equal(renderSuite(t, rep), wantRender) {
 				t.Errorf("%s workers=%d: rendered figures differ from the row oracle's", name, workers)
+			}
+			if got := significance(t, suites[0]); got != wantKS {
+				t.Errorf("%s workers=%d: KS result %s, the row oracle's %s", name, workers, got, wantKS)
 			}
 		}
 		if pred != nil {
@@ -465,6 +473,9 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 			if !bytes.Equal(renderSuite(t, rep), wantRender) {
 				t.Errorf("advanced workers=%d: rendered figures differ from the row oracle's", workers)
 			}
+			if got := significance(t, prefix); got != wantKS {
+				t.Errorf("advanced workers=%d: KS result %s, the row oracle's %s", workers, got, wantKS)
+			}
 
 			seeded, err := core.NewSuiteFromState(w.Index, cfg.Start, week, prefixState)
 			if err != nil {
@@ -523,13 +534,13 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 				t.Errorf("workers=%d: samples.snap differs from workers=1", workers)
 			}
 		}
-		memoryLeg(t, all, w.Index, cfg.Start, wantState, wantRender)
+		memoryLeg(t, all, w.Index, cfg.Start, wantState, wantRender, wantKS)
 	}
 }
 
 // figureCSVs renders the reports rep holds — a pass-selective scan
-// leaves the others nil — to each figure's CSV bytes, plus the KS result
-// and the two non-rendered reports.
+// leaves the others nil — to each figure's CSV bytes, plus the
+// non-rendered provider report.
 func figureCSVs(tb testing.TB, rep *core.SuiteReport) map[string]string {
 	tb.Helper()
 	out := map[string]string{}
@@ -558,7 +569,6 @@ func figureCSVs(tb testing.TB, rep *core.SuiteReport) map[string]string {
 			tb.Fatal(err)
 		}
 		emit("8", figures.Figure8CSV(&buf, rep8))
-		out["ks"] = fmt.Sprintf("%+v", rep.Significance)
 	}
 	if rep.Provider != nil {
 		out["provider"] = fmt.Sprintf("%+v", *rep.Provider)
@@ -574,7 +584,7 @@ func figureCSVs(tb testing.TB, rep *core.SuiteReport) map[string]string {
 // the full run's; an empty Memory fails the way the per-figure
 // functions did; and a timestamp the binary format cannot hold is
 // refused, not wrapped.
-func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.Time, wantState, wantRender []byte) {
+func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.Time, wantState, wantRender []byte, wantKS string) {
 	t.Helper()
 	const week = 7 * 24 * time.Hour
 	if len(all)%colf.DefaultBlockRows == 0 {
@@ -616,6 +626,9 @@ func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.T
 	if !bytes.Equal(gotState, wantState) {
 		t.Error("memory blocks: suite state differs from the row oracle's")
 	}
+	if got := significance(t, suite); got != wantKS {
+		t.Errorf("memory blocks: KS result %s, the row oracle's %s", got, wantKS)
+	}
 
 	full, err := core.ScanMemory(&mem, idx, start, week, 0)
 	if err != nil {
@@ -632,10 +645,10 @@ func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.T
 		core.PassProximity:                    {"4"},
 		core.PassMinRTT:                       {"5"},
 		core.PassFullDist:                     {"6"},
-		core.PassLastMile:                     {"7", "8", "ks"},
+		core.PassLastMile:                     {"7", "8"},
 		core.PassProvider:                     {"provider"},
-		core.PassLastMile | core.PassMinRTT:   {"5", "7", "8", "ks"},
-		core.PassFullDist | core.PassLastMile: {"6", "7", "8", "ks"},
+		core.PassLastMile | core.PassMinRTT:   {"5", "7", "8"},
+		core.PassFullDist | core.PassLastMile: {"6", "7", "8"},
 	} {
 		rep, err := core.ScanMemory(&mem, idx, start, week, sel)
 		if err != nil {
@@ -689,8 +702,7 @@ func TestRunSuiteMatchesScanStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq.Provider, par.Provider) ||
-		seq.Significance != par.Significance {
+	if !reflect.DeepEqual(seq.Provider, par.Provider) {
 		t.Error("the fused row oracle and ScanStore disagree")
 	}
 }

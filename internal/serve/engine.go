@@ -24,9 +24,13 @@ import (
 // offline renders.
 const BinWidth = 7 * 24 * time.Hour
 
-// DefaultRefresh is the refresher's poll interval when Options.Refresh
+// DefaultRefresh is the refresher's pass interval when Options.Refresh
 // is zero.
 const DefaultRefresh = 500 * time.Millisecond
+
+// pollsPerRefresh is how many times per Refresh interval the refresher
+// stats the store for growth.
+const pollsPerRefresh = 8
 
 // DefaultFillTimeout caps one cache fill (a windowed materialization)
 // when Options.FillTimeout is zero. Fills run outside the request's
@@ -40,8 +44,10 @@ type Options struct {
 	// Workers is the scan worker count for refresh and /cdf scans;
 	// values < 1 use GOMAXPROCS.
 	Workers int
-	// Refresh is the poll interval between refresh passes; zero means
-	// DefaultRefresh.
+	// Refresh is the least time between the starts of two background
+	// refresh passes; zero means DefaultRefresh. The refresher stats the
+	// store pollsPerRefresh times per interval and starts a pass once the
+	// store has grown and the interval has passed.
 	Refresh time.Duration
 	// SnapshotPath is ignored: the resident state is sized by the
 	// samples, so it is folded from the store and never read from a
@@ -179,11 +185,17 @@ func (e *Engine) Start(ctx context.Context) {
 	go e.run(ctx)
 }
 
-// run is the refresher loop: poll, advance, publish, until Close.
+// run is the refresher loop until Close: once a pass has work (pending)
+// and Refresh has passed since the last pass, advance and publish.
+// Passes are not pinned to a fixed-phase Refresh ticker: there, an
+// append landing just after a tick waited a whole interval more than
+// one landing just before it, so publish latency jumped by whole
+// intervals with small shifts in when appends land.
 func (e *Engine) run(ctx context.Context) {
 	defer close(e.done)
-	t := time.NewTicker(e.opt.Refresh)
+	t := time.NewTicker(max(e.opt.Refresh/pollsPerRefresh, 1))
 	defer t.Stop()
+	var last time.Time
 	for {
 		select {
 		case <-e.stop:
@@ -191,12 +203,31 @@ func (e *Engine) run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if err := e.Refresh(ctx); err != nil {
-				e.opt.Metrics.nilSafe().RefreshErrors.Inc()
-				e.opt.Log.Warn("refresh failed", "error", err)
-			}
+		}
+		if time.Since(last) < e.opt.Refresh || !e.pending() {
+			continue
+		}
+		last = time.Now()
+		if err := e.Refresh(ctx); err != nil {
+			e.opt.Metrics.nilSafe().RefreshErrors.Inc()
+			e.opt.Log.Warn("refresh failed", "error", err)
 		}
 	}
+}
+
+// pending reports whether a pass has work: bytes past the folded prefix,
+// or a folded prefix no published view covers yet (a pass that failed
+// after its fold). A failed stat counts, so the pass that follows
+// reports it.
+func (e *Engine) pending() bool {
+	e.refreshMu.Lock()
+	covered, _ := e.hot.Covered()
+	e.refreshMu.Unlock()
+	if v := e.cur.Load(); v == nil || v.coveredBytes != covered {
+		return true
+	}
+	fi, err := e.f.Stat()
+	return err != nil || fi.Size() > covered
 }
 
 // nilSafe lets engine internals touch metric fields without guarding.
@@ -216,6 +247,9 @@ func (e *Engine) Refresh(ctx context.Context) error {
 	defer e.refreshMu.Unlock()
 	m := e.opt.Metrics.nilSafe()
 	t0 := time.Now()
+	// Each stage gets a child of the caller's span: inert when ctx
+	// carries none, as in production.
+	parent := obs.From(ctx)
 
 	fi, err := e.f.Stat()
 	if err != nil {
@@ -235,11 +269,13 @@ func (e *Engine) Refresh(ctx context.Context) error {
 		e.lag.Store(stableEnd - covered)
 		m.RefreshLagBytes.Set(float64(stableEnd - covered))
 		if len(delta) > 0 {
-			st, err := e.hot.Advance(ctx, e.f, size, delta, stableEnd, scan.Config{
+			sp := parent.Child("refresh_fold")
+			st, err := e.hot.Advance(obs.ContextWith(ctx, sp), e.f, size, delta, stableEnd, scan.Config{
 				Workers: e.opt.Workers,
 				Metrics: e.opt.ScanMetrics,
 				Log:     e.opt.Log,
 			})
+			sp.End()
 			if err != nil {
 				return err
 			}
@@ -261,20 +297,18 @@ func (e *Engine) Refresh(ctx context.Context) error {
 		return nil // nothing to serve yet
 	}
 
+	sp := parent.Child("refresh_report")
 	rep, err := e.hot.Report()
+	sp.End()
 	if err != nil {
 		return err
 	}
+	sp = parent.Child("refresh_render")
 	figs, err := renderFigures(rep)
+	sp.End()
 	if err != nil {
 		return err
 	}
-	// The report still aliases the resident suite's accumulators, which
-	// the next Advance mutates. Freeze the two reports the request path
-	// reads after publish (quantile queries); figures are already frozen
-	// as rendered bytes.
-	rep.MinRTT = rep.MinRTT.Clone()
-	rep.FullDist = rep.FullDist.Clone()
 	head, tail, err := snap.WindowCRCs(e.f, covered)
 	if err != nil {
 		return err
@@ -285,7 +319,10 @@ func (e *Engine) Refresh(ctx context.Context) error {
 	blocks := e.hot.Blocks()
 	var tixView *tix.View
 	if e.tix != nil {
-		if err := e.tix.Extend(e.f, blocks, e.idx); err != nil {
+		sp = parent.Child("refresh_tix_extend")
+		err := e.tix.Extend(e.f, blocks, e.idx)
+		sp.End()
+		if err != nil {
 			e.opt.Log.Warn("temporal index extend failed; windowed queries will scan", "error", err)
 		} else {
 			tixView = e.tix.View()
@@ -319,9 +356,10 @@ func (e *Engine) Refresh(ctx context.Context) error {
 }
 
 // renderFigures renders every served figure once, at publish time.
-// Rendering is also what freezes the report: the CDF marks materialize
-// and sort every distribution the quantile endpoint later queries, so
-// request-path reads are strictly read-only.
+// Rendering is also what freezes the report: Figure 6's distributions
+// arrive sorted, and the CDF marks sort Figure 5's, so the quantile
+// endpoint's reads are strictly read-only. No later Advance or Report
+// writes to either.
 func renderFigures(rep *core.SuiteReport) (map[string]*response, error) {
 	out := make(map[string]*response, 4)
 	put := func(fig string, lines []string) {

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -208,6 +210,48 @@ func TestServeErrorShape(t *testing.T) {
 	}
 }
 
+// The background refresher publishes appends with no caller-driven
+// Refresh, and starts its passes at least Options.Refresh apart.
+func TestRefresherPublishesAppends(t *testing.T) {
+	f := newFixture(t, 200)
+	n := f.mem.Len()
+	f.append(t, 0, n/3)
+	const every = 100 * time.Millisecond
+	e, err := NewEngine(f.store, f.world.Index, Options{Workers: 2, Refresh: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	e.Start(context.Background())
+	if got, want := e.Status().CoveredBytes, f.sink.BytesWritten(); got != want {
+		t.Fatalf("Start published %d bytes, store holds %d", got, want)
+	}
+
+	publish := func(from, to int) Status {
+		t.Helper()
+		f.append(t, from, to)
+		want := f.sink.BytesWritten()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := e.Status()
+			if st.CoveredBytes == want {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("refresher published %d bytes in 10s, store holds %d", st.CoveredBytes, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	first := publish(n/3, 2*n/3)
+	second := publish(2*n/3, n)
+	// The passes start at least every apart; each takes milliseconds on
+	// this store, so their publishes land well over half of it apart.
+	if gap := second.PublishedAt.Sub(first.PublishedAt); gap < every/2 {
+		t.Fatalf("publishes %v apart, refresh interval %v", gap, every)
+	}
+}
+
 func TestServeQuantile(t *testing.T) {
 	f := newFixture(t, 200)
 	f.append(t, 0, f.mem.Len())
@@ -390,7 +434,11 @@ func TestServeWindowedCDF(t *testing.T) {
 // concurrent readers and live appends: responses must never mix
 // snapshots (one ETag, one body), a completed refresh must serve the
 // new fingerprint immediately, and the final state must be
-// byte-identical to a cold scan of the finished store.
+// byte-identical to a cold scan of the finished store. The first
+// published view is held across every later publish — which between
+// them move some probes' nearest region — and re-rendered throughout:
+// nothing the refresher does may write to what a view holds, so its
+// figures and /quantile bodies keep their bytes.
 func TestServeChurn(t *testing.T) {
 	f := newFixture(t, 200)
 	half := f.mem.Len() / 2
@@ -400,6 +448,26 @@ func TestServeChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := e.Handler()
+
+	held := e.cur.Load()
+	heldWant := heldBodies(t, held)
+	for key, body := range heldWant {
+		r, ok := held.figures[key]
+		if ok && !bytes.Equal(r.body, body) {
+			t.Fatalf("figure %s re-rendered from the held view differs from its published bytes", key)
+		}
+		if !ok && !bytes.Equal(get(h, key).Body.Bytes(), body) {
+			t.Fatalf("%s from the held view differs from the handler's body", key)
+		}
+	}
+	checkHeld := func() error {
+		for key, body := range heldBodies(t, held) {
+			if !bytes.Equal(body, heldWant[key]) {
+				return fmt.Errorf("%s re-rendered from the held view changed", key)
+			}
+		}
+		return nil
+	}
 
 	// Readers hammer the API; for any one resource, an ETag must name
 	// exactly one body for the whole run (the ETag is snapshot-scoped,
@@ -434,6 +502,22 @@ func TestServeChurn(t *testing.T) {
 		}(r)
 	}
 
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := checkHeld(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
 	// Appender: grow the store in batches, refreshing after each. A
 	// finished refresh must be visible to the very next request.
 	const batches = 8
@@ -456,6 +540,12 @@ func TestServeChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if err := checkHeld(); err != nil {
+		t.Error(err)
+	}
+	if flips := nearestFlips(f, half); flips == 0 {
+		t.Error("no publish after the held view moved a nearest region; the test needs one that does")
+	}
 
 	cold := f.coldFigures(t)
 	for _, fig := range []string{"4", "5", "6", "7"} {
@@ -471,6 +561,116 @@ func TestServeChurn(t *testing.T) {
 	if st.Samples == 0 || st.CoveredBytes == 0 {
 		t.Fatalf("empty coverage in status: %+v", st)
 	}
+}
+
+// TestRefreshRecordsStages pins the refresh's attribution: a publishing
+// Refresh whose context carries a span records the fold, the report,
+// the render and the index extend once each, as children of that span,
+// with the fold's scan under the fold; a Refresh with nothing new
+// records none.
+func TestRefreshRecordsStages(t *testing.T) {
+	f := newFixture(t, 200)
+	half := f.mem.Len() / 2
+	f.append(t, 0, half)
+	e, _ := f.newTixEngine(t)
+	ctx := context.Background()
+	if err := e.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	f.append(t, half, f.mem.Len())
+	traced := func() map[string]int {
+		t.Helper()
+		root := obs.NewTrace("serve.refresh")
+		if err := e.Refresh(obs.ContextWith(ctx, root)); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		stages := map[string]int{}
+		for _, c := range root.Dump().Children {
+			stages[c.Name]++
+			if c.Name == "refresh_fold" && (len(c.Children) != 1 || c.Children[0].Name != "scan") {
+				t.Errorf("the fold's children are %+v, want its one scan", c.Children)
+			}
+		}
+		return stages
+	}
+	want := map[string]int{"refresh_fold": 1, "refresh_report": 1, "refresh_render": 1, "refresh_tix_extend": 1}
+	if got := traced(); !reflect.DeepEqual(got, want) {
+		t.Errorf("a publishing refresh recorded %v, want %v", got, want)
+	}
+	if got := traced(); len(got) != 0 {
+		t.Errorf("a refresh with nothing new recorded %v", got)
+	}
+}
+
+// heldBodies renders what a view answers from memory: Figures 4-7,
+// keyed by figure name, and the /api/v1/quantile bodies for both
+// distributions at three ranks, keyed by their target, built the way
+// the handler builds them.
+func heldBodies(t testing.TB, v *snapshotView) map[string][]byte {
+	t.Helper()
+	figs, err := renderFigures(v.rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for fig, r := range figs {
+		out[fig] = r.body
+	}
+	for _, dist := range []string{"full", "min"} {
+		rep := v.rep.FullDist
+		if dist == "min" {
+			rep = v.rep.MinRTT
+		}
+		for _, p := range []float64{0.01, 0.5, 0.99} {
+			body := quantileBody{Snapshot: v.fingerprint, Dist: dist, P: p}
+			for _, ct := range rep.Continents() {
+				val, err := rep.Quantile(ct, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body.Continents = append(body.Continents, quantileDTO{
+					Continent: ct.String(), Code: ct.Code(), Samples: rep.N(ct), Value: val,
+				})
+			}
+			resp, err := jsonResponse(body, v.fingerprint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("/api/v1/quantile?p=%g&dist=%s", p, dist)] = resp.body
+		}
+	}
+	return out
+}
+
+// nearestFlips counts the known probes whose nearest region — the
+// region of their first lowest delivered RTT — over the whole campaign
+// differs from the one over its first cut samples.
+func nearestFlips(f *fixture, cut int) int {
+	type best struct {
+		region string
+		rtt    float64
+	}
+	var before map[int]best
+	cur := map[int]best{}
+	i := 0
+	f.mem.ForEach(func(s results.Sample) error {
+		if i == cut {
+			before = maps.Clone(cur)
+		}
+		i++
+		if b, ok := cur[s.ProbeID]; !s.Lost && f.world.Index.Known(s.ProbeID) && (!ok || s.RTTms < b.rtt) {
+			cur[s.ProbeID] = best{s.Region, s.RTTms}
+		}
+		return nil
+	})
+	flips := 0
+	for id, b := range before {
+		if cur[id].region != b.region {
+			flips++
+		}
+	}
+	return flips
 }
 
 // TestServeTornTail pins the live policy: a block the campaign is still

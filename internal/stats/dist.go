@@ -1,7 +1,7 @@
 // Package stats is the statistics substrate for the analysis pipeline:
 // exact empirical distributions (CDFs, quantiles), streaming quantile
 // estimation for datasets too large to hold in memory, histograms, and
-// time-binned series used by the figure generators.
+// the time-series points the figure generators plot.
 package stats
 
 import (
@@ -38,14 +38,18 @@ func (d *Dist) Add(v float64) error {
 // AddAll appends many samples, stopping at the first invalid one.
 func (d *Dist) AddAll(vs ...float64) error { return d.AddBulk(vs) }
 
-// Clone returns an independent copy: no later mutation of either side
-// — adds, merges, the lazy sort of a query — can touch the other.
-func (d *Dist) Clone() *Dist {
-	c := &Dist{sorted: d.sorted, sum: d.sum, sumSq: d.sumSq}
-	if d.samples != nil {
-		c.samples = append(make([]float64, 0, len(d.samples)), d.samples...)
+// FromSorted returns a Dist over samples, which must be finite and
+// ascending. The Dist adopts the slice capped at its length, so a query
+// never sorts it and an Add reallocates: the caller may share the slice
+// with other readers as long as nothing writes to it. Its sums fold the
+// samples in ascending order.
+func FromSorted(samples []float64) *Dist {
+	d := &Dist{samples: samples[:len(samples):len(samples)], sorted: true}
+	for _, v := range samples {
+		d.sum += v
+		d.sumSq += v * v
 	}
-	return c
+	return d
 }
 
 // AddBulk appends a batch of samples in order — the batch-kernel entry

@@ -76,39 +76,6 @@ func (d *Dist) mergeSorted(other *Dist) error {
 	return nil
 }
 
-// Merge folds other's bins into ts. Both series must share the same
-// start and bin width so bin indices line up; per-bin distributions are
-// merged by replay (see Dist.Merge) to stay order-faithful under
-// shard-ordered merging.
-func (ts *TimeSeries) Merge(other *TimeSeries) error {
-	if other == nil {
-		return nil
-	}
-	if !other.start.Equal(ts.start) || other.width != ts.width {
-		return fmt.Errorf("stats: cannot merge series start=%v width=%v into start=%v width=%v",
-			other.start, other.width, ts.start, ts.width)
-	}
-	idxs := make([]int, 0, len(other.bins))
-	for i := range other.bins {
-		idxs = append(idxs, i)
-	}
-	// Deterministic bin visit order; per-bin replay order is what matters
-	// for the float folds, but a stable iteration keeps error selection
-	// (first failing bin) reproducible too.
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		d := ts.bins[i]
-		if d == nil {
-			d = &Dist{}
-			ts.bins[i] = d
-		}
-		if err := d.Merge(other.bins[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Merge adds other's counts into h. The histograms must have identical
 // bounds and bin counts. Counts are integers, so histogram merging is
 // exact and order-independent.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // TestDistMergeMatchesSequentialFold is the determinism contract the
@@ -59,72 +58,6 @@ func TestDistMergeRejectsSelf(t *testing.T) {
 	}
 	if err := d.Merge(nil); err != nil {
 		t.Errorf("nil merge = %v, want nil", err)
-	}
-}
-
-func TestTimeSeriesMerge(t *testing.T) {
-	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	mk := func() *TimeSeries {
-		ts, err := NewTimeSeries(start, time.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ts
-	}
-	rng := rand.New(rand.NewSource(3))
-	type obs struct {
-		t time.Time
-		v float64
-	}
-	var all []obs
-	for i := 0; i < 500; i++ {
-		all = append(all, obs{
-			t: start.Add(time.Duration(rng.Intn(72)) * time.Minute * 10),
-			v: 1 + 100*rng.Float64(),
-		})
-	}
-	seq := mk()
-	for _, o := range all {
-		if err := seq.Add(o.t, o.v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, b := mk(), mk()
-	for i, o := range all {
-		dst := a
-		if i >= len(all)/2 {
-			dst = b
-		}
-		if err := dst.Add(o.t, o.v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	want, err := seq.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("points: got %d bins, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bin %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-
-	other, err := NewTimeSeries(start.Add(time.Minute), time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Merge(other); err == nil {
-		t.Error("mismatched series start accepted")
 	}
 }
 

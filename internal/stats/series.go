@@ -1,77 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"time"
-)
-
-// TimeSeries bins timestamped samples into fixed windows and reports a
-// per-bin aggregate. Figure 7 uses it to plot wired vs wireless medians over
-// the measurement period.
-type TimeSeries struct {
-	start time.Time
-	width time.Duration
-	bins  map[int]*Dist
-}
-
-// NewTimeSeries creates a series whose first bin starts at start and whose
-// bins are width wide.
-func NewTimeSeries(start time.Time, width time.Duration) (*TimeSeries, error) {
-	if width <= 0 {
-		return nil, fmt.Errorf("stats: non-positive bin width %v", width)
-	}
-	return &TimeSeries{start: start, width: width, bins: make(map[int]*Dist)}, nil
-}
-
-// Add records a sample at time t. Samples before the series start are
-// rejected.
-func (ts *TimeSeries) Add(t time.Time, v float64) error {
-	if t.Before(ts.start) {
-		return fmt.Errorf("stats: sample at %v precedes series start %v", t, ts.start)
-	}
-	idx := int(t.Sub(ts.start) / ts.width)
-	d := ts.bins[idx]
-	if d == nil {
-		d = &Dist{}
-		ts.bins[idx] = d
-	}
-	return d.Add(v)
-}
-
-// TimedSample is one timestamped value, the record type batch callers
-// hand to AddBulk.
-type TimedSample struct {
-	T time.Time
-	V float64
-}
-
-// AddBulk records a batch of samples in order — the batch-kernel entry
-// point, equivalent to calling Add per sample. The bin lookup is
-// cached across consecutive samples landing in the same bin, which is
-// the common case for time-ordered streams.
-func (ts *TimeSeries) AddBulk(samples []TimedSample) error {
-	var d *Dist
-	lastIdx := 0
-	for _, s := range samples {
-		if s.T.Before(ts.start) {
-			return fmt.Errorf("stats: sample at %v precedes series start %v", s.T, ts.start)
-		}
-		idx := int(s.T.Sub(ts.start) / ts.width)
-		if d == nil || idx != lastIdx {
-			d = ts.bins[idx]
-			if d == nil {
-				d = &Dist{}
-				ts.bins[idx] = d
-			}
-			lastIdx = idx
-		}
-		if err := d.Add(s.V); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+import "time"
 
 // SeriesPoint is one aggregated bin of a time series.
 type SeriesPoint struct {
@@ -80,38 +9,4 @@ type SeriesPoint struct {
 	Median float64   `json:"median"` // bin median
 	P25    float64   `json:"p25"`
 	P75    float64   `json:"p75"`
-}
-
-// Points returns the non-empty bins in time order with their medians and
-// quartiles.
-func (ts *TimeSeries) Points() ([]SeriesPoint, error) {
-	idxs := make([]int, 0, len(ts.bins))
-	for i := range ts.bins {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	out := make([]SeriesPoint, 0, len(idxs))
-	for _, i := range idxs {
-		d := ts.bins[i]
-		med, err := d.Median()
-		if err != nil {
-			return nil, err
-		}
-		p25, err := d.Quantile(0.25)
-		if err != nil {
-			return nil, err
-		}
-		p75, err := d.Quantile(0.75)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SeriesPoint{
-			Start:  ts.start.Add(time.Duration(i) * ts.width),
-			N:      d.N(),
-			Median: med,
-			P25:    p25,
-			P75:    p75,
-		})
-	}
-	return out, nil
 }

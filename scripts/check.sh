@@ -50,8 +50,13 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # still catches a record damaged after open. The tix kernel tests pin
 # the windowed quantile's bin gather, and a gather that disagrees with
 # the counts as an error; the selection kernel it calls lives in
-# internal/stats, pinned against sorting there.
-go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestServeCorruptSlabFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON' ./internal/serve
+# internal/stats, pinned against sorting there. The resident report is
+# pinned the same way: a HotSuite updated by delta after every Advance
+# against a cold scan at every boundary (its work counted), a published
+# view held byte-identical across later publishes, and a traced refresh
+# recording each of its stages once.
+go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestServeCorruptSlabFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
+go test -count=1 -run 'TestResidentReportMatchesColdEveryStep' ./internal/core
 go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather' ./internal/tix
 go test -count=1 -run 'TestSelectRankMatchesSort|TestSummarizeMatchesSort' ./internal/stats
 
