@@ -5,13 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -221,45 +218,5 @@ func TestHTTPServerTimeouts(t *testing.T) {
 	}
 	if srv.WriteTimeout <= serve.DefaultFillTimeout {
 		t.Errorf("WriteTimeout %v would cut off a fill that runs to its %v deadline", srv.WriteTimeout, serve.DefaultFillTimeout)
-	}
-}
-
-// TestClusterRefusesDamagedCheckpoint: a checkpoint.json in the plain
-// JSON checkpoints once were, empty or torn is an error naming it, and
-// the coordinator never starts — samples.bin keeps its bytes.
-func TestClusterRefusesDamagedCheckpoint(t *testing.T) {
-	a, err := build(200, 1, 0.01, "", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	ckPath := filepath.Join(dir, checkpointFile)
-	samples := filepath.Join(dir, "samples.bin")
-	if err := os.WriteFile(samples, []byte("a merged campaign"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cp := engine.Checkpoint{Version: engine.CheckpointVersion, Fingerprint: "fp", Workers: 2, Round: 3, Samples: 10, SinkOffset: 100}
-	if err := cp.Save(ckPath); err != nil {
-		t.Fatal(err)
-	}
-	written, err := os.ReadFile(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := json.Marshal(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"plain json": plain, "empty": nil, "torn": written[:len(written)-1]} {
-		if err := os.WriteFile(ckPath, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err := a.enableCluster(clusterOptions{out: dir, days: 1, seed: 1, probes: 200})
-		if err == nil || !strings.Contains(err.Error(), ckPath) {
-			t.Errorf("%s checkpoint: err = %v, want one naming %s", name, err, ckPath)
-		}
-		if got, err := os.ReadFile(samples); err != nil || string(got) != "a merged campaign" {
-			t.Errorf("%s checkpoint: samples.bin changed to %q (err %v)", name, got, err)
-		}
 	}
 }

@@ -557,11 +557,6 @@ func TestV1StoreRefused(t *testing.T) {
 			_, _, err := colf.Locate(bytes.NewReader(v1), int64(len(v1)), colf.HeaderSize)
 			return err
 		}},
-		{"colf.DecodeRows", func() error {
-			got, err := colf.DecodeRows(v1)
-			rows.Add(int64(len(got)))
-			return err
-		}},
 		{"results.Store.Resume", func() error {
 			_, err := store.Resume(int64(len(v1)))
 			return err

@@ -10,7 +10,6 @@
 //	shears -out ./dataset -days 60   # custom window
 //	shears -out ./dataset -workers 8 # shard the campaign across 8 workers
 //	shears -out ./dataset -resume    # continue an interrupted run
-//	shears -out ./dataset -cluster 3 # distributed control plane, 3 agents
 //	shears -remote http://host:8080  # print figures from a live atlasd -serve-data API
 //
 // The campaign runs on the parallel execution engine (internal/engine):
@@ -19,16 +18,6 @@
 // its progress into <out>/checkpoint.json every -checkpoint-every rounds
 // so -resume continues an interrupted run from the last watermark
 // instead of restarting.
-//
-// -cluster N routes the campaign through the distributed control plane
-// (internal/cluster) instead of the in-process engine: a loopback
-// coordinator owns the sink and the round-major merge, and N in-process
-// worker agents register, lease shards, and ship each completed cell
-// back over resumable CRC-checked uploads. -cluster-shards fixes the
-// partition width (default 8; like -workers, it never changes the
-// output bytes). Checkpointing and -resume work identically in this
-// mode, and external agents (cmd/agent) may join the printed
-// coordinator URL mid-run.
 //
 // Observability: the driver emits structured leveled logs (-log-format
 // text|json, -log-level), prints periodic progress lines (samples/sec,
@@ -74,13 +63,11 @@ import (
 	"repro/internal/apps"
 	"repro/internal/atlas"
 	"repro/internal/bandwidth"
-	"repro/internal/cluster"
 	"repro/internal/colf"
 	"repro/internal/core"
 	"repro/internal/delay"
 	"repro/internal/engine"
 	"repro/internal/figures"
-	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/scan"
@@ -101,8 +88,6 @@ type options struct {
 	tracePath       string
 	progressEvery   time.Duration
 	workers         int // <= 0 means GOMAXPROCS
-	cluster         int // in-process cluster agents; 0 disables cluster mode
-	clusterShards   int // cluster partition width; <= 0 means cluster.DefaultShards
 	resume          bool
 	checkpointEvery int    // rounds; 0 disables checkpointing
 	snapshot        string // analysis snapshot mode: on, off
@@ -148,8 +133,6 @@ func main() {
 	flag.StringVar(&o.tracePath, "trace", "", "write the run's span tree to this file as Chrome trace-event JSON (Perfetto, chrome://tracing, trace -summary)")
 	flag.DurationVar(&o.progressEvery, "progress", 5*time.Second, "campaign progress reporting interval (0 disables)")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "campaign worker count (output is identical for any value)")
-	flag.IntVar(&o.cluster, "cluster", 0, "run the campaign through the distributed control plane with this many in-process agents (0 disables)")
-	flag.IntVar(&o.clusterShards, "cluster-shards", 0, "cluster partition width (0 = default; output is identical for any value)")
 	flag.BoolVar(&o.resume, "resume", false, "resume an interrupted campaign from <out>/checkpoint.json")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", engine.DefaultCheckpointEvery, "rounds between checkpoints (0 disables checkpointing)")
 	flag.StringVar(&o.snapshot, "snapshot", "on", "analysis snapshot (samples.snap, written once by the post-campaign figure scan): on or off")
@@ -292,16 +275,13 @@ func run(o options) (err error) {
 		"campaign_end", cfg.End.Format("2006-01-02"), "workers", workers)
 
 	// Live status: /metrics, /debug/events and /api/v1/progress serve the
-	// run's state while it executes. The mux is kept so cluster mode can
-	// mount the coordinator's endpoints on the same listener.
-	var statusMux *http.ServeMux
+	// run's state while it executes.
 	if o.statusAddr != "" {
 		ln, lerr := net.Listen("tcp", o.statusAddr)
 		if lerr != nil {
 			return lerr
 		}
-		statusMux = obs.NewStatusMux(reg, rec, progressSnapshot(manifest, start, m, engMetrics, snapMetrics, scanMetrics, cfg.Rounds()))
-		srv := &http.Server{Handler: statusMux}
+		srv := &http.Server{Handler: obs.NewStatusMux(reg, rec, progressSnapshot(manifest, start, m, engMetrics, snapMetrics, scanMetrics, cfg.Rounds()))}
 		go srv.Serve(ln)
 		defer srv.Close()
 		logger.Info("status server listening", "addr", ln.Addr().String())
@@ -376,29 +356,7 @@ func run(o options) (err error) {
 	}
 	ctx = obs.ContextWith(ctx, campSpan)
 	stopProgress := startProgress(logger, m, cfg.Rounds(), o.progressEvery)
-	var n uint64
-	if o.cluster > 0 {
-		shards := o.clusterShards
-		if shards <= 0 {
-			shards = cluster.DefaultShards
-		}
-		if p := w.Platform.PublicProbes(); shards > p {
-			shards = p
-		}
-		m.CampaignRoundsTotal.Set(float64(cfg.Rounds()))
-		m.CampaignRoundsDone.Set(float64(startRound))
-		plan := cluster.Plan{
-			Fingerprint: fingerprint,
-			Seed:        o.seed,
-			Probes:      o.probes,
-			Shards:      shards,
-			Rounds:      cfg.Rounds(),
-			Campaign:    cfg,
-		}
-		n, err = clusterCampaign(ctx, o, w.Platform, plan, campaignOpts, sink, reg, m, statusMux, manifest, logger.With("cluster"))
-	} else {
-		n, err = w.Platform.RunCampaignOpts(ctx, cfg, campaignOpts, sink.Write)
-	}
+	n, err := w.Platform.RunCampaignOpts(ctx, cfg, campaignOpts, sink.Write)
 	stopProgress()
 	campSpan.End()
 	manifest.Samples = n
@@ -545,120 +503,6 @@ func buildTix(store *results.Store, idx *core.Index, logger *obs.Logger) error {
 		"path", ix.Path(), "records", ix.Nodes(), "blocks", len(blocks),
 		"elapsed", time.Since(start).Round(time.Millisecond))
 	return ix.Close()
-}
-
-// clusterCampaign runs the campaign through the distributed control
-// plane: a loopback coordinator owns the sink and the round-major
-// merge, and o.cluster in-process worker agents register, lease shards,
-// and ship cells back over HTTP. The merged dataset is byte-identical
-// to the in-process engine path at any agent count. The coordinator
-// reuses the engine-path campaign options verbatim (sink commit,
-// checkpoint path and cadence, resume watermark), so checkpoint files
-// from either mode resume in the other.
-func clusterCampaign(ctx context.Context, o options, p *atlas.Platform, plan cluster.Plan, opts atlas.CampaignOptions, sink *results.Sink, reg *obs.Registry, am *atlas.Metrics, statusMux *http.ServeMux, manifest *obs.RunManifest, logger *obs.Logger) (uint64, error) {
-	// Synthesis happens inside the agents, so the driver's campaign
-	// tallies never see a sample; attribute them at merge time instead,
-	// keeping the progress reporter and /api/v1/progress meaningful in
-	// cluster mode. The merge is single-threaded, so per-sample counter
-	// adds cost nothing worth batching.
-	continent := make(map[int]geo.Continent)
-	for _, pr := range p.Population.Public() {
-		continent[pr.ID] = pr.Continent
-	}
-	write := sink.Write
-	if am != nil {
-		write = func(s results.Sample) error {
-			if err := sink.Write(s); err != nil {
-				return err
-			}
-			am.CampaignSamples.With(continent[s.ProbeID].Code()).Add(1)
-			if s.Lost {
-				am.CampaignLost.Add(1)
-			}
-			return nil
-		}
-	}
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		Plan:            plan,
-		Sink:            write,
-		Commit:          opts.Commit,
-		CheckpointPath:  opts.CheckpointPath,
-		CheckpointEvery: opts.CheckpointEvery,
-		StartRound:      opts.StartRound,
-		StartSamples:    opts.StartSamples,
-		Metrics:         cluster.NewMetrics(reg),
-		Log:             logger,
-		OnRound: func(round int, samples uint64) {
-			if am != nil {
-				am.CampaignRoundsDone.Set(float64(round + 1))
-			}
-			if opts.OnRound != nil {
-				opts.OnRound(round, samples)
-			}
-		},
-	})
-	if err != nil {
-		return 0, err
-	}
-	if statusMux != nil {
-		coord.Mount(statusMux)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	srv := &http.Server{Handler: coord.Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-	logger.Info("coordinator listening",
-		"addr", base, "agents", o.cluster, "shards", plan.Shards, "rounds", plan.Rounds)
-
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	agentErrs := make(chan error, o.cluster)
-	for i := 0; i < o.cluster; i++ {
-		id := fmt.Sprintf("local-%d", i)
-		go func() {
-			ag, aerr := cluster.NewAgent(cluster.AgentConfig{ID: id, BaseURL: base, Log: logger})
-			if aerr != nil {
-				agentErrs <- aerr
-				return
-			}
-			agentErrs <- ag.Run(actx)
-		}()
-	}
-	waitc := make(chan error, 1)
-	go func() { waitc <- coord.Wait(actx) }()
-	running := o.cluster
-	var runErr, agentErr error
-loop:
-	for {
-		select {
-		case runErr = <-waitc:
-			break loop
-		case aerr := <-agentErrs:
-			running--
-			if aerr != nil && agentErr == nil && actx.Err() == nil {
-				agentErr = aerr
-			}
-			if running == 0 && !coord.Done() {
-				runErr = fmt.Errorf("all cluster agents exited before the campaign finished: %w", agentErr)
-				break loop
-			}
-		}
-	}
-	cancel()
-	for ; running > 0; running-- {
-		<-agentErrs
-	}
-	manifest.Cluster = &obs.ClusterTopology{
-		Agents:         o.cluster,
-		Shards:         plan.Shards,
-		ShardsPerAgent: float64(plan.Shards) / float64(o.cluster),
-		Reassignments:  coord.Reassignments(),
-	}
-	return coord.Samples(), runErr
 }
 
 // writeTrace dumps the span tree as Chrome trace-event JSON

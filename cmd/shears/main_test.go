@@ -593,52 +593,50 @@ func TestRunResumeErrors(t *testing.T) {
 	}
 }
 
-// TestRunWritesSnapshotOnce pins the snapshot's place in a run, on the
-// engine and the cluster path alike: the campaign's checkpoints (each
-// seals a block) never touch it, the post-campaign scan writes it
-// exactly once covering every block, and re-analysis of the directory —
-// what cmd/figures -fig 4|5 does — is then a pure hit.
+// TestRunWritesSnapshotOnce pins the snapshot's place in a run: the
+// campaign's checkpoints (each seals a block) never touch it, the
+// post-campaign scan writes it exactly once covering every block, and
+// re-analysis of the directory — what cmd/figures -fig 4|5 does — is
+// then a pure hit.
 func TestRunWritesSnapshotOnce(t *testing.T) {
 	w, err := world.Build(world.Config{Seed: 1, Probes: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, agents := range []int{0, 2} {
-		dir := filepath.Join(t.TempDir(), "ds")
-		reg := obs.NewRegistry()
-		if err := run(options{out: dir, probes: 250, seed: 1, days: 4, checkpointEvery: 8, cluster: agents,
-			quiet: true, figDir: filepath.Join(t.TempDir(), "figs"), logDst: io.Discard, reg: reg}); err != nil {
-			t.Fatal(err)
-		}
-		var metrics bytes.Buffer
-		if err := reg.WriteText(&metrics); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(metrics.String(), "snap_writes_total 1\n") {
-			t.Errorf("cluster=%d: run did not write exactly one snapshot", agents)
-		}
-		m, err := obs.ReadRunManifest(filepath.Join(dir, manifestFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c := m.Snapshot; c == nil || c.PrefixBlocks != 0 || c.BlocksTotal < 4 || c.BlocksRead != c.BlocksTotal {
-			t.Fatalf("cluster=%d: manifest snapshot coverage = %+v, want a cold scan of every block", agents, c)
-		}
+	dir := filepath.Join(t.TempDir(), "ds")
+	reg := obs.NewRegistry()
+	if err := run(options{out: dir, probes: 250, seed: 1, days: 4, checkpointEvery: 8,
+		quiet: true, figDir: filepath.Join(t.TempDir(), "figs"), logDst: io.Discard, reg: reg}); err != nil {
+		t.Fatal(err)
+	}
+	var metrics bytes.Buffer
+	if err := reg.WriteText(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics.String(), "snap_writes_total 1\n") {
+		t.Error("run did not write exactly one snapshot")
+	}
+	m, err := obs.ReadRunManifest(filepath.Join(dir, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := m.Snapshot; c == nil || c.PrefixBlocks != 0 || c.BlocksTotal < 4 || c.BlocksRead != c.BlocksTotal {
+		t.Fatalf("manifest snapshot coverage = %+v, want a cold scan of every block", c)
+	}
 
-		store, err := results.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sm := snap.NewMetrics(obs.NewRegistry())
-		_, st, err := core.ScanStoreSnap(context.Background(), store, w.Index, atlas.TestCampaign().Start, 7*24*time.Hour, 2, nil,
-			core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: core.PassProximity})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sm.Hits.Value() != 1 || sm.Writes.Value() != 0 || st.BlocksRead != 0 || st.PrefixBlocks != m.Snapshot.BlocksTotal {
-			t.Errorf("cluster=%d re-analysis: hits=%d writes=%d blocks_read=%d prefix_blocks=%d, want a pure hit over %d blocks",
-				agents, sm.Hits.Value(), sm.Writes.Value(), st.BlocksRead, st.PrefixBlocks, m.Snapshot.BlocksTotal)
-		}
+	store, err := results.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := snap.NewMetrics(obs.NewRegistry())
+	_, st, err := core.ScanStoreSnap(context.Background(), store, w.Index, atlas.TestCampaign().Start, 7*24*time.Hour, 2, nil,
+		core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: core.PassProximity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sm.Hits.Value() != 1 || sm.Writes.Value() != 0 || st.BlocksRead != 0 || st.PrefixBlocks != m.Snapshot.BlocksTotal {
+		t.Errorf("re-analysis: hits=%d writes=%d blocks_read=%d prefix_blocks=%d, want a pure hit over %d blocks",
+			sm.Hits.Value(), sm.Writes.Value(), st.BlocksRead, st.PrefixBlocks, m.Snapshot.BlocksTotal)
 	}
 }
 

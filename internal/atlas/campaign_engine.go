@@ -48,11 +48,11 @@ type CampaignOptions struct {
 	OnRound func(round int, samples uint64)
 
 	// EngineMetrics, when set, receives shard progress, queue depth,
-	// merge stall, retry and checkpoint instruments.
+	// merge stall and checkpoint instruments.
 	EngineMetrics *engine.Metrics
 
 	// Log, when set, receives the engine's structured events (checkpoint
-	// writes, sink retries, run completion).
+	// writes, run completion).
 	Log *obs.Logger
 }
 
@@ -151,11 +151,11 @@ func (p *Platform) RunCampaignOpts(ctx context.Context, cfg CampaignConfig, opts
 
 // ShardGen returns an engine.GenFunc that synthesizes the cells of an
 // n-way contiguous shard partition of the public probe population —
-// the exact workload RunCampaignOpts hands the in-process engine,
-// exposed so cluster worker agents can execute single leased shards of
-// a fixed partition with identical output. The shard count, like the
-// worker count, never affects the merged byte stream: concatenating
-// every shard's round in shard order reproduces the serial round.
+// the exact workload RunCampaignOpts hands the engine, exposed so the
+// benchmark's dataset builder can synthesize rounds one at a time
+// between timed operations. The shard count, like the worker count,
+// never affects the merged byte stream: concatenating every shard's
+// round in shard order reproduces the serial round.
 func (p *Platform) ShardGen(cfg CampaignConfig, shards int) (engine.GenFunc, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -177,10 +177,6 @@ func (p *Platform) ShardGen(cfg CampaignConfig, shards int) (engine.GenFunc, err
 		return err
 	}, nil
 }
-
-// PublicProbes returns the size of the public probe population — the
-// upper bound on a usable shard count.
-func (p *Platform) PublicProbes() int { return len(p.Population.Public()) }
 
 // shardProbes splits the probe slice into n contiguous chunks whose sizes
 // differ by at most one, preserving ID order. Shard boundaries depend on

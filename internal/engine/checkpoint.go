@@ -9,10 +9,9 @@ import (
 	"repro/internal/snap"
 )
 
-// CheckpointVersion is the current checkpoint format version. It is
-// exported for external checkpoint writers (the cluster coordinator
-// persists its merge watermark in the same format, so engine and
-// cluster runs resume interchangeably).
+// CheckpointVersion is the current checkpoint format version; it names
+// the file's binding (engine-checkpoint-v1), so a file of another version
+// is refused on load.
 const CheckpointVersion = 1
 
 // ShardMark records one shard's completed-round watermark.

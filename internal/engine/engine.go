@@ -10,9 +10,8 @@
 // The engine also owns restartability: it periodically persists a small
 // JSON checkpoint (completed-round watermark per shard plus the sink's
 // durable byte offset) so an interrupted multi-month run resumes from the
-// last checkpoint instead of restarting, applies backpressure through
-// bounded per-shard queues, and retries transient sink errors a bounded
-// number of times.
+// last checkpoint instead of restarting, and applies backpressure through
+// bounded per-shard queues.
 package engine
 
 import (
@@ -38,7 +37,6 @@ type CommitFunc func() (int64, error)
 // Defaults for the tunable knobs; zero values in Config select these.
 const (
 	DefaultQueueDepth      = 4
-	DefaultMaxRetries      = 3
 	DefaultCheckpointEvery = 16
 )
 
@@ -57,8 +55,6 @@ type Config struct {
 	// QueueDepth bounds the per-shard batch queue (backpressure): a shard
 	// may run at most QueueDepth rounds ahead of the merger.
 	QueueDepth int
-	// MaxRetries bounds per-sample retries of transient sink errors.
-	MaxRetries int
 	// BatchHint is the expected sample count of one (shard, round) cell;
 	// workers preallocate batch buffers to this capacity so the hot loop
 	// avoids append-growth reallocation. Zero means no preallocation.
@@ -66,7 +62,8 @@ type Config struct {
 
 	// Gen produces each (shard, round) batch.
 	Gen GenFunc
-	// Sink receives every sample in canonical order.
+	// Sink receives every sample in canonical order; its first error
+	// stops the run.
 	Sink func(results.Sample) error
 
 	// Commit, CheckpointPath and CheckpointEvery enable checkpointing:
@@ -92,11 +89,11 @@ type Config struct {
 	OnCheckpoint func(round int, offset int64)
 
 	// Metrics, when set, receives shard progress, queue depth, merge
-	// stalls, retry and checkpoint instruments.
+	// stalls and checkpoint instruments.
 	Metrics *Metrics
 
-	// Log, when set, receives structured events (checkpoint writes, sink
-	// retries, shard failures) for the run's flight recorder.
+	// Log, when set, receives structured events (checkpoint writes, run
+	// completion or failure) for the run's flight recorder.
 	Log *obs.Logger
 }
 
@@ -194,7 +191,7 @@ merge:
 				break merge
 			}
 			for _, smp := range b.samples {
-				if err := writeWithRetry(cfg.Sink, smp, cfg.MaxRetries, m, cfg.Log); err != nil {
+				if err := cfg.Sink(smp); err != nil {
 					runErr = err
 					break merge
 				}
@@ -266,26 +263,6 @@ func recvBatch(ctx context.Context, ch <-chan batch, m *Metrics) (batch, bool) {
 	}
 }
 
-// writeWithRetry pushes one sample into the sink, retrying transient
-// errors up to maxRetries extra attempts.
-func writeWithRetry(sink func(results.Sample) error, s results.Sample, maxRetries int, m *Metrics, log *obs.Logger) error {
-	if maxRetries <= 0 {
-		maxRetries = DefaultMaxRetries
-	}
-	var err error
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if err = sink(s); err == nil {
-			return nil
-		}
-		if !IsTransient(err) {
-			return err
-		}
-		m.sinkRetry()
-		log.Warn("sink retry", "attempt", attempt+1, "error", err)
-	}
-	return fmt.Errorf("engine: sink still failing after %d retries: %w", maxRetries, err)
-}
-
 // writeCheckpoint commits the sink and atomically persists the watermark.
 func writeCheckpoint(cfg Config, workers, round int, emitted uint64) error {
 	offset, err := cfg.Commit()
@@ -317,26 +294,4 @@ func writeCheckpoint(cfg Config, workers, round int, emitted uint64) error {
 		cfg.OnCheckpoint(round, offset)
 	}
 	return nil
-}
-
-// transientError marks a sink error as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the engine's sink retry policy applies to it.
-// A nil err returns nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked
-// retryable via Transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
 }

@@ -121,57 +121,6 @@ func TestRunSinkErrorStops(t *testing.T) {
 	}
 }
 
-func TestRunRetriesTransientSinkErrors(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	fails := 2
-	var got []results.Sample
-	n, err := Run(context.Background(), Config{
-		Workers: 2,
-		Rounds:  3,
-		Gen:     testGen(2, 2),
-		Metrics: m,
-		Sink: func(s results.Sample) error {
-			if fails > 0 {
-				fails--
-				return Transient(errors.New("flaky"))
-			}
-			got = append(got, s)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := serialOrder(2, 3, 2)
-	if n != uint64(len(want)) || !reflect.DeepEqual(got, want) {
-		t.Fatalf("retried run emitted %d samples, want %d in canonical order", n, len(want))
-	}
-	if v := m.SinkRetries.Value(); v != 2 {
-		t.Fatalf("sink retries counter = %d, want 2", v)
-	}
-}
-
-func TestRunTransientRetryLimit(t *testing.T) {
-	calls := 0
-	_, err := Run(context.Background(), Config{
-		Workers:    1,
-		Rounds:     1,
-		MaxRetries: 2,
-		Gen:        testGen(1, 1),
-		Sink: func(results.Sample) error {
-			calls++
-			return Transient(errors.New("always failing"))
-		},
-	})
-	if err == nil {
-		t.Fatal("permanently transient sink accepted")
-	}
-	if calls != 3 { // initial attempt + 2 retries
-		t.Fatalf("sink called %d times, want 3", calls)
-	}
-}
-
 func TestRunHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var n int
@@ -334,23 +283,6 @@ func TestCheckpointSaveLoadRoundtrip(t *testing.T) {
 	bad.Version = 9
 	if err := bad.Save(path); err == nil {
 		t.Fatal("bad version accepted")
-	}
-}
-
-func TestTransientMarking(t *testing.T) {
-	if Transient(nil) != nil {
-		t.Fatal("Transient(nil) != nil")
-	}
-	base := errors.New("io")
-	te := Transient(base)
-	if !IsTransient(te) || !errors.Is(te, base) {
-		t.Fatal("transient wrapper broken")
-	}
-	if IsTransient(base) {
-		t.Fatal("unmarked error reported transient")
-	}
-	if !IsTransient(fmt.Errorf("wrapped: %w", te)) {
-		t.Fatal("wrapped transient not detected")
 	}
 }
 

@@ -21,8 +21,6 @@ type Metrics struct {
 	QueueDepthPeak *obs.Gauge
 	// MergeStalls counts merges that had to wait for a shard to deliver.
 	MergeStalls *obs.Counter
-	// SinkRetries counts transient sink errors that were retried.
-	SinkRetries *obs.Counter
 	// CheckpointWrites counts checkpoints persisted.
 	CheckpointWrites *obs.Counter
 }
@@ -40,8 +38,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"High-water mark of the shard-to-merger queue depth."),
 		MergeStalls: reg.Counter("engine_merge_stalls_total",
 			"Merge steps that blocked waiting for a shard's batch."),
-		SinkRetries: reg.Counter("engine_sink_retries_total",
-			"Transient sink errors retried."),
 		CheckpointWrites: reg.Counter("engine_checkpoint_writes_total",
 			"Checkpoints persisted."),
 	}
@@ -58,12 +54,6 @@ func (m *Metrics) shardGauge(shard int) *obs.Gauge {
 func (m *Metrics) mergeStall() {
 	if m != nil {
 		m.MergeStalls.Inc()
-	}
-}
-
-func (m *Metrics) sinkRetry() {
-	if m != nil {
-		m.SinkRetries.Inc()
 	}
 }
 

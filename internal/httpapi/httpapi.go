@@ -1,8 +1,7 @@
 // Package httpapi holds the small wire conventions every HTTP surface
 // of the platform shares: JSON responses, the stable {"error": ...}
 // error shape, and uniform 405 handling. Handlers across atlasd (the
-// platform API, the cluster control plane, the serving layer) all
-// encode through these helpers so clients see one contract — errors
+// platform API and the serving layer) all encode through these helpers so clients see one contract — errors
 // are always JSON with Content-Type application/json, never a mix of
 // plain-text http.Error bodies and ad-hoc encodings.
 package httpapi

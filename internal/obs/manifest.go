@@ -45,22 +45,6 @@ type RunManifest struct {
 
 	// PeakQueueDepth is the engine's high-water batch queue depth.
 	PeakQueueDepth float64 `json:"peak_queue_depth,omitempty"`
-
-	// Cluster is the execution topology of a distributed run, when the
-	// campaign ran under the cluster control plane.
-	Cluster *ClusterTopology `json:"cluster,omitempty"`
-}
-
-// ClusterTopology records how a distributed campaign was laid out:
-// how many agents participated, how the fixed shard partition spread
-// across them, and how many leases had to be reassigned from dead or
-// stalled agents. The topology never affects the dataset bytes — it is
-// recorded so runs can be compared by their execution shape.
-type ClusterTopology struct {
-	Agents         int     `json:"agents"`
-	Shards         int     `json:"shards"`
-	ShardsPerAgent float64 `json:"shards_per_agent"`
-	Reassignments  uint64  `json:"reassignments"`
 }
 
 // StageDuration is one named stage's wall time.

@@ -685,10 +685,15 @@ func TestServeTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first bytes of a block: its length fields and a little payload.
-	blk, err := colf.EncodeRows([]colf.Row{{Probe: 1, Region: "r", RTT: 1}})
-	if err != nil {
+	var enc bytes.Buffer
+	cw := colf.NewWriter(&enc)
+	if err := cw.Write(colf.Row{Probe: 1, Region: "r", RTT: 1}); err != nil {
 		t.Fatal(err)
 	}
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	blk := enc.Bytes()
 	tf, err := os.OpenFile(f.store.SamplesPath(), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)

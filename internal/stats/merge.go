@@ -1,11 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"slices"
-	"sort"
-)
+import "fmt"
 
 // Merge folds other's samples into d by replaying them through Add in
 // their stored insertion order. Replay — rather than summing the cached
@@ -28,49 +23,11 @@ func (d *Dist) Merge(other *Dist) error {
 	// has never been queried (queries sort in place). Scan merges satisfy
 	// this — partials are merged before any report runs — and for queried
 	// distributions the sorted replay still yields an equivalent sample
-	// multiset, so every rank-based query is unaffected.
-	if d.sorted && len(d.samples) > 0 {
-		return d.mergeSorted(other)
-	}
+	// multiset, so every rank-based query is unaffected. A queried d is
+	// fine too: Add clears its sorted flag, and the next query re-sorts.
 	for _, v := range other.samples {
 		if err := d.Add(v); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// mergeSorted folds other into an already-sorted d without discarding
-// the sort: the accumulators replay other's insertion order exactly as
-// the plain path does (float folds stay sequential-identical), while
-// the sample buffers — order-free multisets for every rank query — are
-// combined by a linear two-way merge. This keeps a resident
-// distribution sorted through delta merges, so a report never pays an
-// O(n log n) re-sort of the whole history.
-func (d *Dist) mergeSorted(other *Dist) error {
-	for _, v := range other.samples {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("stats: invalid sample %v", v)
-		}
-		d.sum += v
-		d.sumSq += v * v
-	}
-	tail := append([]float64(nil), other.samples...)
-	sort.Float64s(tail)
-	// Merge from the back, in place: the buffer grows by the tail's
-	// length and elements shift right only until the tail is placed, so
-	// a large sorted history absorbs a small append without a fresh
-	// allocation or a full copy.
-	n, m := len(d.samples), len(tail)
-	d.samples = slices.Grow(d.samples, m)[:n+m]
-	i, k := n-1, n+m-1
-	for j := m - 1; j >= 0; k-- {
-		if i >= 0 && d.samples[i] > tail[j] {
-			d.samples[k] = d.samples[i]
-			i--
-		} else {
-			d.samples[k] = tail[j]
-			j--
 		}
 	}
 	return nil

@@ -110,10 +110,10 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-// TestDistMergeSortedEquivalence pins the sorted-receiver merge path
-// (mergeSorted, used by snapshot-resumed suites) to the plain replay
-// path: identical accumulator bits, identical sorted sample multiset,
-// and sortedness preserved through successive merges.
+// TestDistMergeSortedEquivalence pins a merge into a receiver that has
+// already been queried (its samples sorted in place) to the same merges
+// into one never queried: identical accumulator bits, sample counts and
+// quantiles after every round.
 func TestDistMergeSortedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	base := make([]float64, 5003)
@@ -143,18 +143,10 @@ func TestDistMergeSortedEquivalence(t *testing.T) {
 		if err := sorted.Merge(delta); err != nil {
 			t.Fatal(err)
 		}
-		if !sorted.sorted {
-			t.Fatalf("round %d: merge discarded sortedness", round)
-		}
 		if math.Float64bits(sorted.sum) != math.Float64bits(plain.sum) ||
 			math.Float64bits(sorted.sumSq) != math.Float64bits(plain.sumSq) ||
 			sorted.N() != plain.N() {
 			t.Fatalf("round %d: accumulators diverged", round)
-		}
-		for i := 1; i < len(sorted.samples); i++ {
-			if sorted.samples[i-1] > sorted.samples[i] {
-				t.Fatalf("round %d: buffer not sorted at %d", round, i)
-			}
 		}
 		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.95, 1} {
 			pv, err := plain.Quantile(q)

@@ -29,12 +29,11 @@ echo "== go test -race (concurrency suites, uncached) =="
 # The scanner, the fused analysis passes, the campaign engine, the
 # storage layer (columnar codec + sinks), and the telemetry plane
 # (registry scrapes racing registration, flight recorder) are the
-# shard-and-merge packages — internal/cluster (coordinator + agents
-# over loopback HTTP) most of all, plus internal/serve (concurrent
-# readers against snapshot swaps and cache invalidation under churn);
-# run them uncached so every gate exercises the race detector on fresh
+# shard-and-merge packages, and internal/serve runs concurrent readers
+# against snapshot swaps and cache invalidation under churn; run them
+# uncached so every gate exercises the race detector on fresh
 # schedules.
-go test -race -count=1 ./internal/scan ./internal/core ./internal/engine ./internal/cluster ./internal/colf ./internal/results ./internal/snap ./internal/stats ./internal/obs ./internal/serve ./internal/tix
+go test -race -count=1 ./internal/scan ./internal/core ./internal/engine ./internal/colf ./internal/results ./internal/snap ./internal/stats ./internal/obs ./internal/serve ./internal/tix
 
 echo "== go test -race =="
 go test -race ./...
@@ -102,15 +101,13 @@ echo "== bench smoke =="
 go test -run='^$' -bench=. -benchtime=1x ./...
 (cd bench && go test -run 'TestSmokeWorkloads' ./...)
 
-echo "== cluster smoke (3 agents, byte-identity) =="
-# Drive a short campaign through the distributed control plane with
-# three in-process agents and pin the merged dataset byte-identical to
-# the single-process run.
+echo "== smoke dataset =="
+# A short serial campaign the convert, figure-digest and temporal-index
+# smokes below read. Worker-count byte identity of samples.bin is pinned
+# by cmd/shears TestRunWorkerCountInvariance.
 smokedir="$(mktemp -d)"
 trap 'rm -rf "$smokedir"' EXIT
-go run ./cmd/shears -cluster 3 -days 2 -probes 200 -quiet -out "$smokedir/cluster"
 go run ./cmd/shears -days 2 -probes 200 -quiet -out "$smokedir/serial"
-cmp "$smokedir/cluster/samples.bin" "$smokedir/serial/samples.bin"
 
 echo "== convert smoke (JSONL export/import round trip) =="
 # JSONL is the interchange encoding: exporting the serial store and
