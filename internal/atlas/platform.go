@@ -35,7 +35,10 @@ type Platform struct {
 	// lookup is two atomic loads — no key to box, no string to hash.
 	paths []atomic.Pointer[pathRow]
 
-	targets map[geo.Continent][]*cloud.Region
+	// targets is each continent's target list, indexed by the continent
+	// (ContinentUnknown's entry stays nil): the engine reads it once per
+	// probe per round.
+	targets [geo.SouthAmerica + 1][]*cloud.Region
 }
 
 // pathRow holds one probe's paths, indexed by the region's catalog
@@ -58,7 +61,6 @@ func NewPlatform(pop *probe.Population, cat *cloud.Catalog, model *netem.Model) 
 		Catalog:    cat,
 		Model:      model,
 		paths:      make([]atomic.Pointer[pathRow], pop.All()[pop.Len()-1].ID+1),
-		targets:    make(map[geo.Continent][]*cloud.Region),
 	}
 	for _, ct := range geo.Continents() {
 		p.targets[ct] = cat.TargetsFor(ct)
@@ -69,6 +71,9 @@ func NewPlatform(pop *probe.Population, cat *cloud.Catalog, model *netem.Model) 
 // Targets returns the regions a probe measures to under the paper's
 // same-continent methodology.
 func (p *Platform) Targets(pr *probe.Probe) []*cloud.Region {
+	if int(pr.Continent) >= len(p.targets) {
+		return nil
+	}
 	return p.targets[pr.Continent]
 }
 

@@ -8,15 +8,15 @@ package core
 func (h *HotSuite) Suite() *Suite { return h.suite }
 
 // ResidentWork reports how many rows the last Figure 6 and Figure 7
-// updates gathered (added plus removed), -1 for a figure whose resident
-// multisets were never built.
-func (s *Suite) ResidentWork() (full, weeks int) {
-	full, weeks = -1, -1
+// updates gathered (added plus removed) and how many buffered rows each
+// read, -1 for a figure whose resident multisets were never built.
+func (s *Suite) ResidentWork() (full, weeks, fullRead, weeksRead int) {
+	full, weeks, fullRead, weeksRead = -1, -1, -1, -1
 	if v := s.Nearest.full; v != nil {
-		full = v.gathered
+		full, fullRead = v.gathered, v.read
 	}
 	if v := s.Nearest.weeks; v != nil {
-		weeks = v.gathered
+		weeks, weeksRead = v.gathered, v.read
 	}
-	return full, weeks
+	return full, weeks, fullRead, weeksRead
 }

@@ -19,18 +19,22 @@ import (
 // append can move it — so the pass buffers every delivered sample of
 // every known probe and the reports keep the rows of the region that
 // won. Holding all rows rather than the winning region's is what lets a
-// snapshot-seeded or resident pass be advanced by a delta instead of
-// rescanning the store when a probe's nearest region flips.
+// resident pass be advanced by a delta instead of rescanning the store
+// when a probe's nearest region flips.
 //
-// The buffer is three parallel columns per probe, in file order: the
-// interned region id, the RTT, and (only for the probes Figure 7
-// admits) the timestamp. About 18 bytes per delivered sample, no
-// per-(probe, region) object, nothing for the collector to walk.
+// The buffer is one column chunk per observed block, in file order:
+// probe, interned region id, RTT and timestamp, allocated once at the
+// block's delivered count — 22 bytes per delivered sample, no
+// per-probe growth and nothing for the collector to walk. Beside it the
+// pass keeps each probe's best row, whose region is the probe's nearest.
+// A report filters the chunks against that per-probe nearest region and
+// sorts only the rows it keeps, about one in twenty.
 //
 // Once a report has been taken, the pass also keeps that figure's kept
 // rows resident as ascending multisets (keptSets): the next report
-// updates only the sets the rows appended since touched, and wraps the
-// slices without gathering or sorting.
+// filters only the chunks appended since, reaches the rows of a probe
+// whose nearest region flipped through a per-probe row chain (rowChain),
+// and wraps the slices without gathering or sorting the rest.
 type NearestPass struct {
 	idx *Index
 	// start and binWidth are the Figure 7 bin geometry.
@@ -40,8 +44,13 @@ type NearestPass struct {
 	// first-reference order; ids inverts it.
 	regions []string
 	ids     map[string]uint16
-	// probes is dense by probe ID, like Index.byID.
-	probes []probeRows
+	// chunks is the row buffer, one chunk per observed block.
+	chunks []rowChunk
+	// best is dense by probe ID, like Index.byID.
+	best []bestRow
+	// chain links the chunks' rows by probe, as far as a report has
+	// needed it.
+	chain rowChain
 	// remap is scratch: a block's dictionary codes (ObserveBlock) or a
 	// later pass's region ids (Merge) as ids of this pass, -1 until a
 	// kept row needs the entry.
@@ -58,18 +67,38 @@ type weekKey struct {
 	bin    int
 }
 
-// probeRows is one probe's buffered delivered samples.
-type probeRows struct {
-	region []uint16
+// rowChunk is one block's delivered samples of known probes, in file
+// order, as four parallel columns.
+type rowChunk struct {
+	probe  []int32
+	region []uint16 // the pass's interned region id
 	rtt    []float64
-	nanos  []int64 // unix nanoseconds; stays empty unless lastMile
-	// best is the row of the lowest RTT, the earliest such row on a tie:
-	// strict < with first-wins is the sequential fold, and observing in
-	// file order and merging earlier-pass-wins reproduces it exactly.
-	// region[best] is the probe's nearest region.
-	best int
-	// lastMile caches probeInfo.lastMile: the probe enters Figure 7.
-	lastMile bool
+	nanos  []int64 // unix nanoseconds
+}
+
+// add appends one delivered sample.
+func (c *rowChunk) add(probe int, region uint16, rtt float64, nanos int64) {
+	c.probe = append(c.probe, int32(probe))
+	c.region = append(c.region, region)
+	c.rtt = append(c.rtt, rtt)
+	c.nanos = append(c.nanos, nanos)
+}
+
+// bestRow is a probe's row of the lowest RTT, the earliest such row on a
+// tie: strict < with first-wins is the sequential fold, and observing in
+// file order and merging earlier-pass-wins reproduces it exactly. region
+// is the probe's nearest region.
+type bestRow struct {
+	rtt    float64
+	region uint16
+	seen   bool
+}
+
+// offer folds a later row into the best one.
+func (b *bestRow) offer(region uint16, rtt float64) {
+	if !b.seen || rtt < b.rtt {
+		*b = bestRow{rtt: rtt, region: region, seen: true}
+	}
 }
 
 // lastMile reports whether the probe enters the Figure 7 comparison:
@@ -81,20 +110,7 @@ func (i probeInfo) lastMile() bool {
 // NewNearestPass builds the pass; start and binWidth (positive) are the
 // Figure 7 bin geometry.
 func NewNearestPass(idx *Index, start time.Time, binWidth time.Duration) *NearestPass {
-	p := &NearestPass{idx: idx, start: start, binWidth: binWidth, ids: make(map[string]uint16), probes: make([]probeRows, len(idx.byID))}
-	for id, info := range idx.byID {
-		p.probes[id].lastMile = info.known && info.lastMile()
-	}
-	return p
-}
-
-// rows returns the probe's buffer, nil for a probe outside the
-// analysis set.
-func (p *NearestPass) rows(probeID int) *probeRows {
-	if !p.idx.Known(probeID) {
-		return nil
-	}
-	return &p.probes[probeID]
+	return &NearestPass{idx: idx, start: start, binWidth: binWidth, ids: make(map[string]uint16), best: make([]bestRow, len(idx.byID))}
 }
 
 // intern returns the pass's id for a region name.
@@ -111,41 +127,40 @@ func (p *NearestPass) intern(name string) (uint16, error) {
 	return id, nil
 }
 
-// add appends one delivered sample.
-func (r *probeRows) add(region uint16, rtt float64, nanos int64) {
-	if len(r.rtt) == 0 || rtt < r.rtt[r.best] {
-		r.best = len(r.rtt)
-	}
-	r.region = append(r.region, region)
-	r.rtt = append(r.rtt, rtt)
-	if r.lastMile {
-		r.nanos = append(r.nanos, nanos)
-	}
-}
-
 // Columns implements Pass: region names come from the block dictionary
 // and Figure 7 bins by time.
 func (p *NearestPass) Columns() colf.ColumnSet { return colf.ColTime | colf.ColRegionIDs }
 
-// ObserveBlock implements Pass. A dictionary entry is interned the
-// first time a kept row references it — at most one map lookup per
-// entry per block, and the table never names a region no row holds.
+// ObserveBlock implements Pass: the block's kept rows become one chunk,
+// allocated once at the CRC-checked footer's delivered count — or at the
+// row count when the footer does not describe the rows at hand (a block
+// compacted to a predicate's rows, or one from results.Memory). A
+// dictionary entry is interned the first time a kept row references it
+// — at most one map lookup per entry per block, and the table never
+// names a region no row holds.
 func (p *NearestPass) ObserveBlock(blk *colf.Block) error {
 	p.remap = p.remap[:0]
 	for range blk.Dict {
 		p.remap = append(p.remap, -1)
 	}
-	lastProbe := 0
-	var r *probeRows
+	n := blk.Zone.Delivered
+	if blk.Zone.Rows != blk.Rows() {
+		n = blk.Rows()
+	}
+	ch := rowChunk{probe: make([]int32, 0, n), region: make([]uint16, 0, n), rtt: make([]float64, 0, n), nanos: make([]int64, 0, n)}
+	lastProbe, known := 0, false
+	var best *bestRow
 	for i, probe := range blk.Probe {
 		if blk.Lost[i] {
 			continue
 		}
 		if probe != lastProbe {
-			lastProbe = probe
-			r = p.rows(probe)
+			lastProbe, known = probe, p.idx.Known(probe)
+			if known {
+				best = &p.best[probe]
+			}
 		}
-		if r == nil {
+		if !known {
 			continue
 		}
 		code := blk.RegionID[i]
@@ -158,20 +173,25 @@ func (p *NearestPass) ObserveBlock(blk *colf.Block) error {
 			id = int32(fresh)
 			p.remap[code] = id
 		}
-		r.add(uint16(id), blk.RTT[i], blk.TimeNano[i])
+		best.offer(uint16(id), blk.RTT[i])
+		ch.add(probe, uint16(id), blk.RTT[i], blk.TimeNano[i])
+	}
+	if len(ch.rtt) > 0 {
+		p.chunks = append(p.chunks, ch)
 	}
 	return nil
 }
 
 // Merge implements Pass: other's rows follow the receiver's in file
-// order, so each column concatenates and the receiver's best row wins
-// a tie.
+// order, so the receiver takes over other's chunks — relabelling their
+// region ids in place, not copying rows — and its best row wins a tie.
+// other must not be used afterwards.
 func (p *NearestPass) Merge(other Pass) error {
 	o, ok := other.(*NearestPass)
 	if !ok {
 		return mergeTypeError("NearestPass", other)
 	}
-	if len(o.probes) != len(p.probes) {
+	if len(o.best) != len(p.best) {
 		return errors.New("analysis: cannot merge nearest-region passes over different indexes")
 	}
 	p.remap = p.remap[:0]
@@ -182,20 +202,17 @@ func (p *NearestPass) Merge(other Pass) error {
 		}
 		p.remap = append(p.remap, int32(id))
 	}
-	for i := range o.probes {
-		src, dst := &o.probes[i], &p.probes[i]
-		if len(src.rtt) == 0 {
-			continue
+	for _, ch := range o.chunks {
+		for i, id := range ch.region {
+			ch.region[i] = uint16(p.remap[id])
 		}
-		if n := len(dst.rtt); n == 0 || src.rtt[src.best] < dst.rtt[dst.best] {
-			dst.best = n + src.best
+	}
+	p.chunks = append(p.chunks, o.chunks...)
+	o.chunks = nil
+	for id, b := range o.best {
+		if b.seen {
+			p.best[id].offer(uint16(p.remap[b.region]), b.rtt)
 		}
-		dst.region = slices.Grow(dst.region, len(src.region))
-		for _, id := range src.region {
-			dst.region = append(dst.region, uint16(p.remap[id]))
-		}
-		dst.rtt = append(dst.rtt, src.rtt...)
-		dst.nanos = append(dst.nanos, src.nanos...)
 	}
 	return nil
 }
@@ -205,9 +222,9 @@ func (p *NearestPass) Merge(other Pass) error {
 // later update writes to.
 func (p *NearestPass) FullDist() (*CDFReport, error) {
 	if p.full == nil {
-		p.full = newKeptSets[geo.Continent](len(p.probes))
+		p.full = newKeptSets[geo.Continent]()
 	}
-	err := p.full.sync(p, func(*probeRows) bool { return true }, func(id int, _ *probeRows, _ int) (geo.Continent, error) {
+	err := p.full.sync(p, func(int) bool { return true }, func(id int, _ *rowChunk, _ int) (geo.Continent, error) {
 		return p.idx.continents[id], nil
 	})
 	if err != nil {
@@ -228,10 +245,10 @@ func (p *NearestPass) FullDist() (*CDFReport, error) {
 // and bin. A sample before the series start is refused.
 func (p *NearestPass) syncWeeks() error {
 	if p.weeks == nil {
-		p.weeks = newKeptSets[weekKey](len(p.probes))
+		p.weeks = newKeptSets[weekKey]()
 	}
-	err := p.weeks.sync(p, func(r *probeRows) bool { return r.lastMile }, func(id int, r *probeRows, row int) (weekKey, error) {
-		t := time.Unix(0, r.nanos[row])
+	err := p.weeks.sync(p, func(id int) bool { return p.idx.byID[id].lastMile() }, func(id int, c *rowChunk, i int) (weekKey, error) {
+		t := time.Unix(0, c.nanos[i])
 		if t.Before(p.start) {
 			return weekKey{}, fmt.Errorf("stats: sample at %v precedes series start %v", t.UTC(), p.start)
 		}
@@ -240,12 +257,10 @@ func (p *NearestPass) syncWeeks() error {
 	if err != nil {
 		return err
 	}
-	for i := range p.probes {
-		if len(p.probes[i].rtt) > 0 {
-			return nil
-		}
+	if len(p.chunks) == 0 {
+		return errors.New("analysis: no delivered samples")
 	}
-	return errors.New("analysis: no delivered samples")
+	return nil
 }
 
 // LastMile reports Figure 7: the delivered nearest-region samples of
@@ -313,51 +328,122 @@ func (p *NearestPass) Significance() (stats.KSResult, error) {
 // published reports stay valid while the pass advances.
 type keptSets[K comparable] struct {
 	sets map[K][]float64
-	// synced and region are per probe: how many of its rows the sets
-	// account for, and the nearest region their kept rows were chosen by.
-	synced []int
-	region []uint16
-	// gathered counts the rows the last sync added or removed.
-	gathered int
+	// chunks counts the pass's chunks the sets account for; region is per
+	// probe the nearest region their kept rows were chosen by, -1 for a
+	// probe the figure does not admit or that had no row.
+	chunks int
+	region []int32
+	// gathered counts the rows the last sync added or removed, read the
+	// buffered rows it read.
+	gathered, read int
 }
 
 // setDelta is what one sync changes in one set.
 type setDelta struct{ add, remove []float64 }
 
-func newKeptSets[K comparable](probes int) *keptSets[K] {
-	return &keptSets[K]{sets: make(map[K][]float64), synced: make([]int, probes), region: make([]uint16, probes)}
+func newKeptSets[K comparable]() *keptSets[K] {
+	return &keptSets[K]{sets: make(map[K][]float64)}
 }
 
-// sync brings the sets up to the pass's rows. For each probe admit
-// accepts that has rows past synced: if its nearest region is the one
-// its kept rows were chosen by (or nothing was kept yet), the new rows
-// of that region join their sets; if the nearest region flipped, the old
-// kept rows leave and every row of the new region joins. key places row
-// i of probe id. Each touched set is then rebuilt by one linear merge of
-// its old slice with the sorted additions less the sorted removals; the
-// others keep theirs. A cold report is this update with every probe new.
-// On error nothing changes.
-func (v *keptSets[K]) sync(p *NearestPass, admit func(*probeRows) bool, key func(id int, r *probeRows, i int) (K, error)) error {
-	v.gathered = 0
-	deltas := make(map[K]*setDelta)
-	var touched []int
-	for id := range p.probes {
-		r := &p.probes[id]
-		from := v.synced[id]
-		if from == len(r.rtt) || !admit(r) {
-			continue
-		}
-		nearest := r.region[r.best]
-		if from > 0 && v.region[id] != nearest {
-			if err := v.collect(deltas, id, r, v.region[id], 0, from, true, key); err != nil {
-				return err
-			}
-			from = 0
-		}
-		if err := v.collect(deltas, id, r, nearest, from, len(r.rtt), false, key); err != nil {
+// sync brings the sets up to the pass's chunks. Every row of the chunks
+// appended since the last sync joins its set when it is of its probe's
+// nearest region and admit accepts the probe: one sequential filter
+// against a dense per-probe table. A probe whose nearest region flipped
+// is reached through the row chain instead: its kept rows of the chunks
+// synced before leave, and those chunks' rows of its new nearest region
+// join. key places row i of chunk c, a row of probe id. Each touched set
+// is then rebuilt by one linear merge of its old slice with the sorted
+// additions less the sorted removals; the others keep theirs. A cold
+// report is this update with every chunk new. On error nothing changes.
+func (v *keptSets[K]) sync(p *NearestPass, admit func(id int) bool, key func(id int, c *rowChunk, i int) (K, error)) error {
+	v.gathered, v.read = 0, 0
+	from := v.chunks
+	if from == len(p.chunks) {
+		return nil
+	}
+	var end int // the first row past the synced chunks
+	if from > 0 {
+		// An incremental sync reaches flipped probes through the chain: the
+		// first one builds it, every later one extends it over the chunks
+		// appended since.
+		if err := p.chain.extend(p.chunks, len(p.best)); err != nil {
 			return err
 		}
-		touched = append(touched, id)
+		end = p.chain.base[from]
+	}
+	nearest := make([]int32, len(p.best))
+	for id, b := range p.best {
+		nearest[id] = -1
+		if b.seen && admit(id) {
+			nearest[id] = int32(b.region)
+		}
+	}
+	deltas := make(map[K]*setDelta)
+	var (
+		last     K
+		d        *setDelta
+		gathered int
+	)
+	// gather adds row i of c, a row of probe id, to its set's additions or
+	// removals. An addition that is not finite is refused, as Dist.Add
+	// refuses it.
+	gather := func(id int, c *rowChunk, i int, remove bool) error {
+		x := c.rtt[i]
+		if !remove && (math.IsNaN(x) || math.IsInf(x, 0)) {
+			return fmt.Errorf("stats: invalid sample %v", x)
+		}
+		k, err := key(id, c, i)
+		if err != nil {
+			return err
+		}
+		if d == nil || k != last {
+			if d = deltas[k]; d == nil {
+				d = &setDelta{}
+				deltas[k] = d
+			}
+			last = k
+		}
+		if remove {
+			d.remove = append(d.remove, x)
+		} else {
+			d.add = append(d.add, x)
+		}
+		gathered++
+		return nil
+	}
+	read := 0
+	for id, was := range v.region {
+		now := nearest[id]
+		if was < 0 || was == now {
+			continue
+		}
+		err := p.chain.walk(id, func(c, i, row int) error {
+			read++
+			if row >= end {
+				return nil // the filter below takes the new rows
+			}
+			switch ch := &p.chunks[c]; int32(ch.region[i]) {
+			case was:
+				return gather(id, ch, i, true)
+			case now:
+				return gather(id, ch, i, false)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	for c := from; c < len(p.chunks); c++ {
+		ch := &p.chunks[c]
+		read += len(ch.probe)
+		for i, probe := range ch.probe {
+			if int32(ch.region[i]) == nearest[probe] {
+				if err := gather(int(probe), ch, i, false); err != nil {
+					return err
+				}
+			}
+		}
 	}
 	next := make(map[K][]float64, len(deltas))
 	for k, d := range deltas {
@@ -374,44 +460,63 @@ func (v *keptSets[K]) sync(p *NearestPass, admit func(*probeRows) bool, key func
 			v.sets[k] = set
 		}
 	}
-	for _, id := range touched {
-		r := &p.probes[id]
-		v.synced[id], v.region[id] = len(r.rtt), r.region[r.best]
+	v.chunks, v.region = len(p.chunks), nearest
+	v.gathered, v.read = gathered, read
+	return nil
+}
+
+// rowChain links every chained row to its probe's previous row, so the
+// rows of one probe are reachable without walking the whole buffer. Row
+// numbers are global: row i of chunk c is row base[c]+i. Chunks are
+// chained in order and only as a whole, so appending the chain of a new
+// chunk never rewrites an older one; about 4 bytes per row.
+type rowChain struct {
+	base []int
+	prev [][]int32 // prev[c][i]: the probe's previous row, -1 for its first
+	last []int32   // per probe: its latest chained row, -1 for none
+}
+
+// extend chains the chunks past those already chained; probes sizes the
+// per-probe table.
+func (c *rowChain) extend(chunks []rowChunk, probes int) error {
+	if c.last == nil {
+		c.last = make([]int32, probes)
+		for i := range c.last {
+			c.last[i] = -1
+		}
+	}
+	next := 0
+	if n := len(c.base); n > 0 {
+		next = c.base[n-1] + len(c.prev[n-1])
+	}
+	for _, ch := range chunks[len(c.prev):] {
+		if next+len(ch.probe) > math.MaxInt32 {
+			return fmt.Errorf("analysis: more than %d buffered rows", math.MaxInt32)
+		}
+		prev := make([]int32, len(ch.probe))
+		for i, probe := range ch.probe {
+			prev[i], c.last[probe] = c.last[probe], int32(next+i)
+		}
+		c.base = append(c.base, next)
+		c.prev = append(c.prev, prev)
+		next += len(prev)
 	}
 	return nil
 }
 
-// collect gathers probe id's rows [from, to) of region into deltas, as
-// removals or as additions. An addition that is not finite is refused,
-// as Dist.Add refuses it.
-func (v *keptSets[K]) collect(deltas map[K]*setDelta, id int, r *probeRows, region uint16, from, to int, remove bool, key func(int, *probeRows, int) (K, error)) error {
-	var last K
-	var d *setDelta
-	for i := from; i < to; i++ {
-		if r.region[i] != region {
-			continue
+// walk calls fn for every chained row of probe, latest first, with its
+// chunk, its index in the chunk and its global row number.
+func (c *rowChain) walk(probe int, fn func(chunk, i, row int) error) error {
+	k := len(c.base) - 1
+	for row := int(c.last[probe]); row >= 0; {
+		for c.base[k] > row {
+			k--
 		}
-		x := r.rtt[i]
-		if !remove && (math.IsNaN(x) || math.IsInf(x, 0)) {
-			return fmt.Errorf("stats: invalid sample %v", x)
-		}
-		k, err := key(id, r, i)
-		if err != nil {
+		i := row - c.base[k]
+		if err := fn(k, i, row); err != nil {
 			return err
 		}
-		if d == nil || k != last {
-			if d = deltas[k]; d == nil {
-				d = &setDelta{}
-				deltas[k] = d
-			}
-			last = k
-		}
-		if remove {
-			d.remove = append(d.remove, x)
-		} else {
-			d.add = append(d.add, x)
-		}
-		v.gathered++
+		row = int(c.prev[k][i])
 	}
 	return nil
 }

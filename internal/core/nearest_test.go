@@ -11,11 +11,10 @@ import (
 )
 
 // TestNearestObserveBlockSteadyStateAllocs pins the kernel's allocation
-// behaviour on a warm pass — one that has interned every region and
-// whose columns have grown past their first few doublings: folding one
-// more block appends to three columns per probe and nothing else, so
-// the allocations are the occasional amortized column growth, far below
-// one per row and below one per (probe, region) pair of the block.
+// behaviour on a warm pass — one that has interned every region: folding
+// one more block allocates its chunk (four columns, sized once from the
+// footer's delivered count) and nothing per row, so two blocks of
+// different row counts cost the same constant number of allocations.
 func TestNearestObserveBlockSteadyStateAllocs(t *testing.T) {
 	f := dataset(t)
 	dir := t.TempDir()
@@ -39,40 +38,102 @@ func TestNearestObserveBlockSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("store holds %d blocks, test needs a few", len(blocks))
 	}
 	p := NewNearestPass(f.idx, f.cfg.Start, passBinWidth)
-	dec := colf.NewBlockDecoder()
-	observe := func(bi colf.BlockInfo) *colf.Block {
-		blk, err := dec.DecodeCols(file, bi, p.Columns())
+	for _, bi := range blocks {
+		blk, err := colf.NewBlockDecoder().DecodeCols(file, bi, p.Columns())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := p.ObserveBlock(blk); err != nil {
 			t.Fatal(err)
 		}
-		return blk
 	}
-	// Three passes over the store put a few hundred rows behind every
-	// probe, as a paper-scale campaign does within its first week.
-	for pass := 0; pass < 3; pass++ {
-		for _, bi := range blocks {
-			observe(bi)
-		}
-	}
-	blk := observe(blocks[0])
-	pairs := map[[2]int]bool{}
-	for i, probe := range blk.Probe {
-		if !blk.Lost[i] && f.idx.Known(probe) {
-			pairs[[2]int{probe, int(blk.RegionID[i])}] = true
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := p.ObserveBlock(blk); err != nil {
+	// The first block is full and the last one short.
+	first, last := blocks[0], blocks[len(blocks)-1]
+	var rows [2]int
+	var allocs [2]float64
+	for k, bi := range []colf.BlockInfo{first, last} {
+		blk, err := colf.NewBlockDecoder().DecodeCols(file, bi, p.Columns())
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	rows := float64(blk.Rows())
-	t.Logf("%.0f allocations per %d-row block holding %d (probe, region) pairs", allocs, blk.Rows(), len(pairs))
-	if allocs > rows/32 || allocs > float64(len(pairs))/8 {
-		t.Errorf("warm ObserveBlock allocates %.0f times for %.0f rows and %d (probe, region) pairs", allocs, rows, len(pairs))
+		rows[k] = blk.Rows()
+		allocs[k] = testing.AllocsPerRun(20, func() {
+			if err := p.ObserveBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("%.0f and %.0f allocations per %d- and %d-row block", allocs[0], allocs[1], rows[0], rows[1])
+	if rows[0] == rows[1] {
+		t.Fatalf("both blocks hold %d rows; the test needs two sizes", rows[0])
+	}
+	// Four columns, plus an occasional growth of the chunk list that the
+	// average over runs rounds away.
+	for k := range allocs {
+		if allocs[k] != 4 {
+			t.Errorf("warm ObserveBlock allocates %.0f times for a %d-row block, want 4 (its chunk)", allocs[k], rows[k])
+		}
+	}
+}
+
+// TestNearestMergeTieKeepsReceiversRow pins Merge's tie rule across
+// chunks: when the later pass's best RTT equals the receiver's, the
+// receiver's row — the earlier one in file order — stays the probe's
+// best, so its region's rows are the ones Figure 6 keeps. The later pass
+// interns its regions in another order, so its chunk's ids are
+// relabelled on the way in.
+func TestNearestMergeTieKeepsReceiversRow(t *testing.T) {
+	f := dataset(t)
+	probe, _ := lastMileProbes(t, f.idx)
+	ct, _ := f.idx.Continent(probe)
+	start := f.cfg.Start
+	type row struct {
+		code uint32
+		rtt  float64
+	}
+	block := func(dict []string, rows ...row) *colf.Block {
+		blk := &colf.Block{Dict: dict}
+		for i, r := range rows {
+			blk.Probe = append(blk.Probe, probe)
+			blk.TimeNano = append(blk.TimeNano, start.Add(time.Duration(i)*time.Hour).UnixNano())
+			blk.RTT = append(blk.RTT, r.rtt)
+			blk.Lost = append(blk.Lost, false)
+			blk.RegionID = append(blk.RegionID, r.code)
+		}
+		return blk
+	}
+	observe := func(p *NearestPass, blks ...*colf.Block) {
+		t.Helper()
+		for _, blk := range blks {
+			if err := p.ObserveBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	recv := NewNearestPass(f.idx, start, passBinWidth)
+	observe(recv,
+		block([]string{"AWS/a"}, row{0, 10}),
+		block([]string{"AWS/a", "AWS/c"}, row{0, 20}, row{1, 15}))
+	later := NewNearestPass(f.idx, start, passBinWidth)
+	observe(later, block([]string{"AWS/b", "AWS/a"}, row{0, 10}, row{1, 40}, row{0, 30}))
+	if err := recv.Merge(later); err != nil {
+		t.Fatal(err)
+	}
+	if len(recv.chunks) != 3 {
+		t.Fatalf("merged pass holds %d chunks, want the receiver's 2 and the later pass's 1", len(recv.chunks))
+	}
+	if best := recv.best[probe]; recv.regions[best.region] != "AWS/a" || best.rtt != 10 {
+		t.Fatalf("best row %s at %v, want the receiver's AWS/a at 10", recv.regions[best.region], best.rtt)
+	}
+	rep, err := recv.FullDist()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rep.N(ct); n != 3 {
+		t.Errorf("Figure 6 keeps %d rows, want AWS/a's 3", n)
+	}
+	if max, err := rep.Quantile(ct, 1); err != nil || max != 40 {
+		t.Errorf("Figure 6 maximum %v (%v), want AWS/a's 40 from the later chunk", max, err)
 	}
 }
 

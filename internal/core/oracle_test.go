@@ -69,7 +69,8 @@ func (s *Suite) Select(ps PassSet) *Suite {
 // StateDump spells out every accumulator of a whole suite — the two
 // snapshot passes as EncodeState writes them, then the passes that are
 // never persisted: the nearest-region buffer per probe in file order
-// (region by name, so interning order does not show) and each
+// with its best row (region by name, so neither interning order nor
+// chunk boundaries show) and each
 // provider's distribution (see appendDist) with its loss count — so two
 // folds can be held to the same state, not just the same figures.
 func (s *Suite) StateDump() ([]byte, error) {
@@ -77,22 +78,29 @@ func (s *Suite) StateDump() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for id := range s.Nearest.probes {
-		r := &s.Nearest.probes[id]
-		if len(r.rtt) == 0 {
+	n := s.Nearest
+	byProbe := make([][]int, len(n.best)) // each probe's rows as (chunk, row) pairs, in file order
+	for c := range n.chunks {
+		for i, probe := range n.chunks[c].probe {
+			byProbe[probe] = append(byProbe[probe], c, i)
+		}
+	}
+	for id, rows := range byProbe {
+		if len(rows) == 0 {
 			continue
 		}
 		b = snap.AppendVarint(b, int64(id))
-		b = snap.AppendUvarint(b, uint64(len(r.rtt)))
-		for k, rtt := range r.rtt {
-			b = snap.AppendString(b, s.Nearest.regions[r.region[k]])
-			b = snap.AppendFloat(b, rtt)
+		b = snap.AppendUvarint(b, uint64(len(rows)/2))
+		for k := 0; k < len(rows); k += 2 {
+			c := &n.chunks[rows[k]]
+			i := rows[k+1]
+			b = snap.AppendString(b, n.regions[c.region[i]])
+			b = snap.AppendFloat(b, c.rtt[i])
+			b = snap.AppendVarint(b, c.nanos[i])
 		}
-		b = snap.AppendUvarint(b, uint64(len(r.nanos)))
-		for _, t := range r.nanos {
-			b = snap.AppendVarint(b, t)
-		}
-		b = snap.AppendUvarint(b, uint64(r.best))
+		best := n.best[id]
+		b = snap.AppendString(b, n.regions[best.region])
+		b = snap.AppendFloat(b, best.rtt)
 	}
 	for _, provider := range sortedStrings(s.Provider.byProvider) {
 		a := s.Provider.byProvider[provider]
@@ -180,15 +188,21 @@ func (p *NearestPass) Observe(s results.Sample) error {
 	if s.Lost {
 		return nil
 	}
-	r := p.rows(s.ProbeID)
-	if r == nil {
+	if !p.idx.Known(s.ProbeID) {
 		return nil
 	}
 	id, err := p.intern(s.Region)
 	if err != nil {
 		return err
 	}
-	r.add(id, s.RTTms, s.Time.UnixNano())
+	// Rows join the last chunk until a report has read it.
+	last := len(p.chunks) - 1
+	if last < 0 || (p.full != nil && p.full.chunks > last) || (p.weeks != nil && p.weeks.chunks > last) {
+		p.chunks = append(p.chunks, rowChunk{})
+		last++
+	}
+	p.chunks[last].add(s.ProbeID, id, s.RTTms, s.Time.UnixNano())
+	p.best[s.ProbeID].offer(id, s.RTTms)
 	return nil
 }
 

@@ -28,9 +28,11 @@ import (
 // region between them. Two pass-selective suites, one reporting only
 // Figure 6 and one only Figure 7, advance beside it by merging each
 // step's scan; they must match the cold figures and never build the
-// other figure's sets. The replay holds no RTT the store lacks, so it
-// cannot move a nearest region, and the update must gather exactly its
-// kept rows.
+// other figure's sets. Every update must read no more buffered rows
+// than the step appended plus every row of the probes whose nearest
+// region it flipped: the rest of the buffer is never walked. The replay
+// holds no RTT the store lacks, so it cannot move a nearest region, and
+// the update must gather exactly its kept rows.
 func TestResidentReportMatchesColdEveryStep(t *testing.T) {
 	src, w, cfg := fileDataset(t)
 	ctx := context.Background()
@@ -164,7 +166,8 @@ func TestResidentReportMatchesColdEveryStep(t *testing.T) {
 		default:
 			write(all[piece*(step+1) : piece*(step+2)])
 		}
-		moved := nearestFlips(w.Index, written, cut)
+		flipped := flippedProbes(w.Index, written, cut)
+		moved := len(flipped)
 		if replay && moved != 0 {
 			t.Fatalf("the replay moved %d nearest regions", moved)
 		}
@@ -175,7 +178,22 @@ func TestResidentReportMatchesColdEveryStep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		gatheredFull, gatheredWeeks := hot.Suite().ResidentWork()
+		gatheredFull, gatheredWeeks, readFull, readWeeks := hot.Suite().ResidentWork()
+		appended, flippedRows := 0, 0
+		for i, s := range written {
+			if s.Lost || !w.Index.Known(s.ProbeID) {
+				continue
+			}
+			if i >= cut {
+				appended++
+			}
+			if flipped[s.ProbeID] {
+				flippedRows++
+			}
+		}
+		if bound := appended + flippedRows; readFull > bound || readWeeks > bound || readFull < appended {
+			t.Errorf("step %d: the updates read %d and %d buffered rows; %d were appended and the %d flipped probes hold %d", step, readFull, readWeeks, appended, moved, flippedRows)
+		}
 		cold, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, week, 2, nil, core.SnapshotOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -220,7 +238,7 @@ func TestResidentReportMatchesColdEveryStep(t *testing.T) {
 					t.Errorf("step %d: the %v suite's figure %s differs from the cold scan's", step, sel, name)
 				}
 			}
-			full, weeks := resident.ResidentWork()
+			full, weeks, _, _ := resident.ResidentWork()
 			if (sel == core.PassFullDist) != (weeks < 0) || (sel == core.PassLastMile) != (full < 0) {
 				t.Errorf("step %d: the %v suite built sets for a figure it does not report (work %d, %d)", step, sel, full, weeks)
 			}

@@ -285,14 +285,19 @@ func nearestRegions(idx *core.Index, smps []results.Sample) map[int]string {
 // differs from the one over smps[:cut] — the probes for which an append
 // of smps[cut:] changes which rows Figures 6-8 keep.
 func nearestFlips(idx *core.Index, smps []results.Sample, cut int) int {
+	return len(flippedProbes(idx, smps, cut))
+}
+
+// flippedProbes is the set nearestFlips counts.
+func flippedProbes(idx *core.Index, smps []results.Sample, cut int) map[int]bool {
 	before, after := nearestRegions(idx, smps[:cut]), nearestRegions(idx, smps)
-	flips := 0
+	flipped := map[int]bool{}
 	for id, region := range before {
 		if after[id] != region {
-			flips++
+			flipped[id] = true
 		}
 	}
-	return flips
+	return flipped
 }
 
 // matching is src restricted to the rows pred admits.
@@ -704,5 +709,35 @@ func TestRunSuiteMatchesScanStore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq.Provider, par.Provider) {
 		t.Error("the fused row oracle and ScanStore disagree")
+	}
+}
+
+// TestNearestFiguresAtAnyWorkerCount pins Figures 6 and 7 as `figures
+// -fig 6|7` computes them — a cold scan over the one nearest-region pass
+// — byte for byte at one, two and three scan workers, so the chunks a
+// merge takes over reach every report in file order.
+func TestNearestFiguresAtAnyWorkerCount(t *testing.T) {
+	store, w, cfg := fileDataset(t)
+	const week = 7 * 24 * time.Hour
+	for _, sel := range []core.PassSet{core.PassFullDist, core.PassLastMile} {
+		var want map[string]string
+		for _, workers := range []int{1, 2, 3} {
+			rep, st, err := core.ScanStoreSnap(context.Background(), store, w.Index, cfg.Start, week, workers, nil, core.SnapshotOptions{Passes: sel})
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", sel, workers, err)
+			}
+			if st.Workers != workers {
+				t.Errorf("%v workers=%d: scan used %d workers", sel, workers, st.Workers)
+			}
+			got := figureCSVs(t, rep)
+			if len(got) == 0 {
+				t.Fatalf("%v workers=%d: no figure came back", sel, workers)
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v workers=%d: figures differ from one worker's", sel, workers)
+			}
+		}
 	}
 }

@@ -51,11 +51,16 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # the counts as an error; the selection kernel it calls lives in
 # internal/stats, pinned against sorting there. The resident report is
 # pinned the same way: a HotSuite updated by delta after every Advance
-# against a cold scan at every boundary (its work counted), a published
-# view held byte-identical across later publishes, and a traced refresh
-# recording each of its stages once.
+# against a cold scan at every boundary (its work counted: the rows each
+# update gathers, and the buffered rows it reads — no more than the step
+# appended plus the rows of the probes whose nearest region flipped), a
+# published view held byte-identical across later publishes, and a
+# traced refresh recording each of its stages once. The nearest-region
+# kernel beside it: a warm ObserveBlock allocates its chunk and nothing
+# per row, a merge keeps the receiver's best row on a tie, and Figures
+# 6/7 come out byte-identical at 1, 2 and 3 scan workers.
 go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestServeCorruptSlabFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
-go test -count=1 -run 'TestResidentReportMatchesColdEveryStep' ./internal/core
+go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestNearestObserveBlockSteadyStateAllocs|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount' ./internal/core
 go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather' ./internal/tix
 go test -count=1 -run 'TestSelectRankMatchesSort|TestSummarizeMatchesSort' ./internal/stats
 
