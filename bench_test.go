@@ -391,11 +391,9 @@ func BenchmarkBandwidthJustify(b *testing.B) {
 // BenchmarkWhatIf runs the baseline-vs-5G counterfactual pair on a short
 // campaign (§5 discussion).
 func BenchmarkWhatIf(b *testing.B) {
-	cfg := whatif.DefaultConfig()
-	cfg.Probes = 250
 	campaign := atlas.TestCampaign()
 	campaign.End = campaign.Start.Add(7 * 24 * time.Hour)
-	cfg.Campaign = campaign
+	cfg := whatif.Config{Seed: 1, Probes: 250, Campaign: campaign}
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

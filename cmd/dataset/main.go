@@ -1,14 +1,13 @@
 // Command dataset inspects a stored campaign dataset without loading it
-// into memory: streaming summary statistics (using a mergeable bucket
-// sketch for quantiles), per-continent/per-band tallies, filtered
-// re-export, and JSONL import/export. Every scan op runs through the
-// parallel scanner; -workers groups the store's blocks and the output is
+// into memory: streaming summary statistics (exact min/max/mean over
+// every decoded row), per-continent/per-band tallies, filtered re-export,
+// and JSONL import/export. Every scan op runs through the parallel
+// scanner; -workers groups the store's blocks and the output is
 // identical for any worker count.
 //
 // Usage:
 //
 //	dataset -data ./dataset stats
-//	dataset -data ./dataset -fast stats
 //	dataset -data ./dataset continents
 //	dataset -data ./dataset regions
 //	dataset -data ./dataset -workers 8 hist
@@ -35,11 +34,8 @@
 // per-continent quantiles along with how many block records and edge
 // blocks the composition touched.
 //
-// -fast switches the stats op to an aggregate-only pass that resolves
-// whole blocks from their zone pre-aggregates with zero row decode; it
-// trades the p50/p95 sketch away for that. The regions op likewise
-// folds the zones' per-region aggregate lists when the store carries
-// them, decoding rows only for blocks that don't.
+// The regions op folds the zones' per-region aggregate lists when the
+// store carries them, decoding rows only for blocks that don't.
 //
 // Flags precede the op: flag parsing stops at the first positional
 // argument.
@@ -78,7 +74,6 @@ type options struct {
 	since     string // RFC 3339 window start for scan ops
 	until     string // RFC 3339 window end (exclusive) for scan ops
 	window    string // "since,until" range for the window op
-	fast      bool   // stats: aggregate-only pass, zone-resolved where possible
 }
 
 func main() {
@@ -93,7 +88,6 @@ func main() {
 	flag.StringVar(&o.since, "since", "", "restrict scan ops to samples at or after this RFC 3339 time")
 	flag.StringVar(&o.until, "until", "", "restrict scan ops to samples before this RFC 3339 time")
 	flag.StringVar(&o.window, "window", "", "window op range as \"since,until\" (RFC 3339; either side may be empty for an open end)")
-	flag.BoolVar(&o.fast, "fast", false, "stats op: aggregate-only pass resolving blocks from zone pre-aggregates (omits p50/p95)")
 	flag.Parse()
 	o.op = flag.Arg(0)
 	if o.op == "" {
@@ -122,9 +116,6 @@ func run(o options) ([]string, error) {
 	}
 	switch o.op {
 	case "stats":
-		if o.fast {
-			return statsFastOp(store, pred, o.workers)
-		}
 		return statsOp(store, pred, o.workers)
 	case "continents":
 		return continentsOp(store, pred, o.workers)
@@ -241,112 +232,19 @@ func fileSize(path string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// statsPass keeps O(1) summary state: exact count/min/max/mean plus a
-// mergeable quantile sketch, so shards combine without replaying samples.
+// statsPass keeps O(1) summary state: the row tallies and the exact
+// min/max/mean of the delivered RTTs, so shards combine without
+// replaying samples. It decodes every row, so a damaged block fails the
+// op instead of being summarised from its footer.
 type statsPass struct {
 	total, lost   uint64
 	sum, min, max float64
 	delivered     uint64
-	sketch        *stats.QuantileSketch
 }
 
-func newStatsPass() *statsPass { return &statsPass{sketch: stats.NewRTTSketch()} }
-
-func (p *statsPass) Columns() colf.ColumnSet { return 0 }
-
-func (p *statsPass) ObserveBlock(blk *colf.Block) error {
-	p.total += uint64(blk.Rows())
-	for i, rtt := range blk.RTT {
-		if blk.Lost[i] {
-			p.lost++
-			continue
-		}
-		p.sum += rtt
-		if p.delivered == 0 || rtt < p.min {
-			p.min = rtt
-		}
-		if p.delivered == 0 || rtt > p.max {
-			p.max = rtt
-		}
-		p.delivered++
-		if err := p.sketch.Add(rtt); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *statsPass) Merge(other scan.Pass) error {
-	o := other.(*statsPass)
-	p.total += o.total
-	p.lost += o.lost
-	p.sum += o.sum
-	if o.delivered > 0 {
-		if p.delivered == 0 || o.min < p.min {
-			p.min = o.min
-		}
-		if p.delivered == 0 || o.max > p.max {
-			p.max = o.max
-		}
-	}
-	p.delivered += o.delivered
-	return p.sketch.Merge(o.sketch)
-}
-
-// statsOp scans the dataset once, keeping O(1) state per worker.
-func statsOp(store *results.Store, pred *colf.Predicate, workers int) ([]string, error) {
-	meta := store.Meta()
-	merged, err := scanWith(store, pred, workers, func() scan.Pass { return newStatsPass() })
-	if err != nil {
-		return nil, err
-	}
-	p := merged.(*statsPass)
-	if p.total == 0 {
-		return nil, fmt.Errorf("dataset is empty")
-	}
-	size, err := fileSize(store.SamplesPath())
-	if err != nil {
-		return nil, err
-	}
-	delivered := p.total - p.lost
-	lines := []string{
-		fmt.Sprintf("campaign: seed=%d %s..%s interval=%.0fh probes=%d regions=%d",
-			meta.Seed, meta.Start.Format("2006-01-02"), meta.End.Format("2006-01-02"),
-			meta.IntervalHours, meta.Probes, meta.Regions),
-		fmt.Sprintf("storage: format=%s, %d bytes on disk (%.1f bytes/sample)",
-			"binary", size, float64(size)/float64(p.total)),
-		fmt.Sprintf("samples: %d total, %d delivered, %d lost (%.2f%%)",
-			p.total, delivered, p.lost, 100*float64(p.lost)/float64(p.total)),
-	}
-	if delivered > 0 {
-		med, err := p.sketch.Quantile(0.5)
-		if err != nil {
-			return nil, err
-		}
-		q95, err := p.sketch.Quantile(0.95)
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, fmt.Sprintf("rtt: min=%.1fms p50~%.1fms p95~%.1fms max=%.1fms mean=%.1fms",
-			p.min, med, q95, p.max, p.sum/float64(delivered)))
-	}
-	return lines, nil
-}
-
-// statsFastPass is the aggregate-only stats kernel. It resolves whole
-// blocks from their zone pre-aggregates with zero row decode
-// (ZonePass); blocks the window covers only partly decode. It keeps no
-// quantile sketch — that is the price of the zone path — so -fast
-// omits p50/p95.
-type statsFastPass struct {
-	total, lost   uint64
-	sum, min, max float64
-	delivered     uint64
-}
-
-// absorb folds a delivered-RTT aggregate (one row, one block, or one
-// zone) into the pass state.
-func (p *statsFastPass) absorb(min, max, sum float64, delivered uint64) {
+// absorb folds a delivered-RTT aggregate (one row, or one shard) into
+// the pass state.
+func (p *statsPass) absorb(min, max, sum float64, delivered uint64) {
 	if delivered == 0 {
 		return
 	}
@@ -360,9 +258,9 @@ func (p *statsFastPass) absorb(min, max, sum float64, delivered uint64) {
 	p.delivered += delivered
 }
 
-func (p *statsFastPass) Columns() colf.ColumnSet { return 0 }
+func (p *statsPass) Columns() colf.ColumnSet { return 0 }
 
-func (p *statsFastPass) ObserveBlock(blk *colf.Block) error {
+func (p *statsPass) ObserveBlock(blk *colf.Block) error {
 	p.total += uint64(blk.Rows())
 	for i, v := range blk.RTT {
 		if blk.Lost[i] {
@@ -374,34 +272,22 @@ func (p *statsFastPass) ObserveBlock(blk *colf.Block) error {
 	return nil
 }
 
-// CanObserveZone accepts every zone: each carries the delivered-RTT
-// sum the mean needs.
-func (p *statsFastPass) CanObserveZone(colf.Zone) bool { return true }
-
-func (p *statsFastPass) ObserveZone(z colf.Zone) error {
-	p.total += uint64(z.Rows)
-	p.lost += uint64(z.Rows - z.Delivered)
-	p.absorb(z.MinRTT, z.MaxRTT, z.RTTSum, uint64(z.Delivered))
-	return nil
-}
-
-func (p *statsFastPass) Merge(other scan.Pass) error {
-	o := other.(*statsFastPass)
+func (p *statsPass) Merge(other scan.Pass) error {
+	o := other.(*statsPass)
 	p.total += o.total
 	p.lost += o.lost
 	p.absorb(o.min, o.max, o.sum, o.delivered)
 	return nil
 }
 
-// statsFastOp is the -fast variant of statsOp: identical campaign,
-// storage and sample lines, min/max/mean without the quantile sketch.
-func statsFastOp(store *results.Store, pred *colf.Predicate, workers int) ([]string, error) {
+// statsOp scans the dataset once, keeping O(1) state per worker.
+func statsOp(store *results.Store, pred *colf.Predicate, workers int) ([]string, error) {
 	meta := store.Meta()
-	merged, err := scanWith(store, pred, workers, func() scan.Pass { return &statsFastPass{} })
+	merged, err := scanWith(store, pred, workers, func() scan.Pass { return &statsPass{} })
 	if err != nil {
 		return nil, err
 	}
-	p := merged.(*statsFastPass)
+	p := merged.(*statsPass)
 	if p.total == 0 {
 		return nil, fmt.Errorf("dataset is empty")
 	}

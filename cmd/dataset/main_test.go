@@ -52,10 +52,13 @@ func TestStatsOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"campaign:", "samples:", "rtt:", "p50~", "storage: format=binary", "bytes/sample"} {
+	for _, want := range []string{"campaign:", "samples:", "rtt: min=", "storage: format=binary", "bytes/sample"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("stats output missing %q:\n%s", want, joined)
 		}
+	}
+	if strings.Contains(joined, "p50~") {
+		t.Errorf("stats reports an approximate quantile:\n%s", joined)
 	}
 }
 
@@ -161,68 +164,6 @@ func TestHistOp(t *testing.T) {
 	}
 	if !strings.Contains(joined, ">=300ms") {
 		t.Error("overflow bucket missing")
-	}
-}
-
-// TestStatsFastOp checks the aggregate-only stats variant: it must
-// agree with the sketch-backed op on every shared figure (min, max,
-// mean, the campaign and sample tallies) while omitting the quantiles,
-// and produce identical output for any worker count — even though it
-// resolves blocks from zone pre-aggregates without decoding a row.
-func TestStatsFastOp(t *testing.T) {
-	bdir := buildDataset(t)
-	fast, err := run(options{data: bdir, op: "stats", fast: true, workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(fast, "\n")
-	if strings.Contains(joined, "p50~") || strings.Contains(joined, "p95~") {
-		t.Errorf("-fast stats reports quantiles:\n%s", joined)
-	}
-	for _, want := range []string{"campaign:", "samples:", "rtt: min="} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("-fast stats missing %q:\n%s", want, joined)
-		}
-	}
-
-	// Shared figures agree with the sketch-backed op.
-	slow, err := run(options{data: bdir, op: "stats", workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tokens := func(lines []string) map[string]string {
-		m := map[string]string{}
-		for _, l := range lines {
-			if strings.HasPrefix(l, "campaign:") || strings.HasPrefix(l, "samples:") {
-				m[strings.SplitN(l, ":", 2)[0]] = l
-			}
-			if strings.HasPrefix(l, "rtt:") {
-				for _, f := range strings.Fields(l) {
-					for _, key := range []string{"min=", "max=", "mean="} {
-						if strings.HasPrefix(f, key) {
-							m[key] = f
-						}
-					}
-				}
-			}
-		}
-		return m
-	}
-	ft, st := tokens(fast), tokens(slow)
-	for _, key := range []string{"campaign", "samples", "min=", "max=", "mean="} {
-		if ft[key] != st[key] {
-			t.Errorf("fast/slow stats disagree on %s: %q vs %q", key, ft[key], st[key])
-		}
-	}
-
-	for _, n := range []int{1, 7} {
-		again, err := run(options{data: bdir, op: "stats", fast: true, workers: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Join(again, "\n") != joined {
-			t.Errorf("-fast stats differ between workers=4 and workers=%d", n)
-		}
 	}
 }
 
@@ -340,10 +281,6 @@ func TestOpsMatchGolden(t *testing.T) {
 	until := cfg.Start.Add(10 * 24 * time.Hour).Format(time.RFC3339)
 	golden := map[string][2]string{ // op -> {whole store, window}
 		"stats": {
-			"5539094f7bfe2b95b4ca8a53ab2a9a79c6123df7e28cb199a408efca2f574918",
-			"9a550ddec08457119cda49e897994e2b8dd0452eaa348793064642a92e8d63dc",
-		},
-		"stats-fast": {
 			"e5e21469159537876a99fc50c972b74e42740356bef8442da048e96a9ee33991",
 			"8845bbb217f8901adb743661c7053759338bf3253907eb535c367c7810e93ca8",
 		},
@@ -362,7 +299,7 @@ func TestOpsMatchGolden(t *testing.T) {
 	}
 	for name, want := range golden {
 		for i, window := range []bool{false, true} {
-			o := options{data: dir, op: strings.TrimSuffix(name, "-fast"), fast: strings.HasSuffix(name, "-fast"), workers: 3}
+			o := options{data: dir, op: name, workers: 3}
 			if window {
 				o.since, o.until = since, until
 			}

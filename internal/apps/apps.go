@@ -20,12 +20,6 @@ type Span struct {
 // Valid reports interval sanity.
 func (s Span) Valid() bool { return s.Lo >= 0 && s.Hi >= s.Lo }
 
-// Contains reports whether v falls inside the span.
-func (s Span) Contains(v float64) bool { return v >= s.Lo && v <= s.Hi }
-
-// Overlaps reports whether two spans intersect.
-func (s Span) Overlaps(o Span) bool { return s.Lo <= o.Hi && o.Lo <= s.Hi }
-
 // App is one Figure 2 application.
 type App struct {
 	Name string
@@ -63,11 +57,11 @@ type Quadrant uint8
 
 // The four quadrants.
 const (
-	QuadrantUnknown Quadrant = iota
-	Q1                       // low latency, low bandwidth (wearables, health)
-	Q2                       // low latency, high bandwidth (AR/VR, vehicles, gaming)
-	Q3                       // high latency, high bandwidth (smart city, video analytics)
-	Q4                       // high latency, low bandwidth (smart home, weather)
+	_  Quadrant = iota // the zero value is no quadrant
+	Q1                 // low latency, low bandwidth (wearables, health)
+	Q2                 // low latency, high bandwidth (AR/VR, vehicles, gaming)
+	Q3                 // high latency, high bandwidth (smart city, video analytics)
+	Q4                 // high latency, low bandwidth (smart home, weather)
 )
 
 // String names the quadrant as in the figure.
@@ -148,19 +142,6 @@ func Paper() *Catalog {
 // All returns the applications sorted by name.
 func (c *Catalog) All() []App { return c.apps }
 
-// Len returns the catalog size.
-func (c *Catalog) Len() int { return len(c.apps) }
-
-// Lookup finds an application by name.
-func (c *Catalog) Lookup(name string) (App, bool) {
-	for _, a := range c.apps {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return App{}, false
-}
-
 // ByQuadrant groups the catalog for the Figure 2 rendering.
 func (c *Catalog) ByQuadrant() map[Quadrant][]App {
 	out := make(map[Quadrant][]App)
@@ -169,13 +150,4 @@ func (c *Catalog) ByQuadrant() map[Quadrant][]App {
 		out[q] = append(out[q], a)
 	}
 	return out
-}
-
-// TotalMarket sums the expected market of the given apps.
-func TotalMarket(apps []App) float64 {
-	sum := 0.0
-	for _, a := range apps {
-		sum += a.MarketBUSD
-	}
-	return sum
 }

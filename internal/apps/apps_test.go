@@ -3,13 +3,12 @@ package apps
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestPaperCatalog(t *testing.T) {
 	c := Paper()
-	if c.Len() < 14 {
-		t.Errorf("catalog has %d apps, Figure 2 shows more", c.Len())
+	if n := len(c.All()); n < 14 {
+		t.Errorf("catalog has %d apps, Figure 2 shows more", n)
 	}
 	// Every quadrant is populated.
 	byQ := c.ByQuadrant()
@@ -29,18 +28,22 @@ func TestPaperCatalog(t *testing.T) {
 		"Weather monitoring":  Q4,
 	}
 	for name, want := range cases {
-		a, ok := c.Lookup(name)
-		if !ok {
-			t.Errorf("%s missing from catalog", name)
-			continue
-		}
-		if got := a.Quadrant(); got != want {
+		if got := paperApp(t, name).Quadrant(); got != want {
 			t.Errorf("%s in %v, want %v", name, got, want)
 		}
 	}
-	if _, ok := c.Lookup("Teleportation"); ok {
-		t.Error("nonexistent app found")
+}
+
+// paperApp finds an application of the paper's catalog by name.
+func paperApp(t *testing.T, name string) App {
+	t.Helper()
+	for _, a := range Paper().All() {
+		if a.Name == name {
+			return a
+		}
 	}
+	t.Fatalf("%s missing from catalog", name)
+	return App{}
 }
 
 func TestCatalogValidation(t *testing.T) {
@@ -62,32 +65,6 @@ func TestCatalogValidation(t *testing.T) {
 	}
 	if _, err := NewCatalog(nil); err == nil {
 		t.Error("empty catalog accepted")
-	}
-}
-
-func TestSpanProperties(t *testing.T) {
-	overlapSym := func(a, b Span) bool {
-		norm := func(s Span) Span {
-			if s.Lo < 0 {
-				s.Lo = -s.Lo
-			}
-			if s.Hi < s.Lo {
-				s.Lo, s.Hi = s.Hi, s.Lo
-			}
-			return s
-		}
-		a, b = norm(a), norm(b)
-		return a.Overlaps(b) == b.Overlaps(a)
-	}
-	if err := quick.Check(overlapSym, nil); err != nil {
-		t.Error(err)
-	}
-	s := Span{10, 20}
-	if !s.Contains(10) || !s.Contains(20) || s.Contains(9.99) || s.Contains(20.01) {
-		t.Error("Contains boundary mismatch")
-	}
-	if !s.Overlaps(Span{20, 30}) || s.Overlaps(Span{21, 30}) {
-		t.Error("Overlaps boundary mismatch")
 	}
 }
 
@@ -140,7 +117,7 @@ func TestFeasibilityFigure8(t *testing.T) {
 		t.Errorf("in-zone market $%gB >= out-zone $%gB; paper reports the opposite",
 			rep.MarketInZone, rep.MarketOutZone)
 	}
-	if got := len(rep.Format()); got != Paper().Len() {
+	if got := len(rep.Format()); got != len(Paper().All()) {
 		t.Errorf("Format lines = %d", got)
 	}
 }
@@ -148,7 +125,7 @@ func TestFeasibilityFigure8(t *testing.T) {
 func TestEvaluateReasons(t *testing.T) {
 	z := PaperZone()
 	// Too strict: autonomous vehicles need < 10ms.
-	av, _ := Paper().Lookup("Autonomous vehicles")
+	av := paperApp(t, "Autonomous vehicles")
 	v, err := z.Evaluate(av)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +137,7 @@ func TestEvaluateReasons(t *testing.T) {
 		t.Errorf("reasons = %v", v.Reasons)
 	}
 	// Too relaxed: weather monitoring is fine in the cloud and too light.
-	wm, _ := Paper().Lookup("Weather monitoring")
+	wm := paperApp(t, "Weather monitoring")
 	v, err = z.Evaluate(wm)
 	if err != nil {
 		t.Fatal(err)
@@ -183,18 +160,8 @@ func TestEvaluateReasons(t *testing.T) {
 	}
 }
 
-func TestTotalMarket(t *testing.T) {
-	apps := []App{{MarketBUSD: 1.5}, {MarketBUSD: 2.5}}
-	if got := TotalMarket(apps); got != 4 {
-		t.Errorf("TotalMarket = %v", got)
-	}
-	if TotalMarket(nil) != 0 {
-		t.Error("empty market not zero")
-	}
-}
-
 func TestQuadrantString(t *testing.T) {
-	for q, want := range map[Quadrant]string{Q1: "Q1", Q2: "Q2", Q3: "Q3", Q4: "Q4", QuadrantUnknown: "unknown"} {
+	for q, want := range map[Quadrant]string{Q1: "Q1", Q2: "Q2", Q3: "Q3", Q4: "Q4", 0: "unknown"} {
 		if !strings.HasPrefix(q.String(), want) {
 			t.Errorf("%d.String() = %q", q, q.String())
 		}

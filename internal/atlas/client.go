@@ -101,13 +101,6 @@ func (c *Client) Probes(ctx context.Context, f ProbeFilter) ([]ProbeDTO, error) 
 	return out, err
 }
 
-// Probe fetches one probe by ID.
-func (c *Client) Probe(ctx context.Context, id int) (ProbeDTO, error) {
-	var out ProbeDTO
-	err := c.get(ctx, fmt.Sprintf("/api/v1/probes/%d", id), &out)
-	return out, err
-}
-
 // Regions lists the measurement targets.
 func (c *Client) Regions(ctx context.Context) ([]RegionDTO, error) {
 	var out []RegionDTO
@@ -172,29 +165,6 @@ func (c *Client) Results(ctx context.Context, id int) ([]results.Sample, error) 
 	var out []results.Sample
 	err := c.get(ctx, fmt.Sprintf("/api/v1/measurements/%d/results", id), &out)
 	return out, err
-}
-
-// Measurements lists this account's measurements (without results).
-func (c *Client) Measurements(ctx context.Context) ([]Measurement, error) {
-	var out []Measurement
-	err := c.get(ctx, "/api/v1/measurements?account="+url.QueryEscape(c.account), &out)
-	return out, err
-}
-
-// StopMeasurement cancels a running measurement; collected results stay
-// available and unused credits are refunded.
-func (c *Client) StopMeasurement(ctx context.Context, id int) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		fmt.Sprintf("%s/api/v1/measurements/%d", c.base, id), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, nil)
 }
 
 // WaitDone polls until the measurement completes, then returns its results.

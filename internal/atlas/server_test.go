@@ -2,6 +2,7 @@ package atlas
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -93,12 +94,13 @@ func TestAPIProbeDiscovery(t *testing.T) {
 
 	// Single probe fetch and not-found.
 	if len(all) > 0 {
-		got, err := c.Probe(ctx, all[0].ID)
+		var got ProbeDTO
+		err := c.get(ctx, fmt.Sprintf("/api/v1/probes/%d", all[0].ID), &got)
 		if err != nil || got.ID != all[0].ID {
 			t.Errorf("Probe(%d) = %+v, %v", all[0].ID, got, err)
 		}
 	}
-	if _, err := c.Probe(ctx, 999999); err == nil {
+	if err := c.get(ctx, "/api/v1/probes/999999", &ProbeDTO{}); err == nil {
 		t.Error("missing probe fetched")
 	}
 }
@@ -260,7 +262,7 @@ func TestStopMeasurement(t *testing.T) {
 		t.Fatalf("spent = %d, want >= 50", spentBefore)
 	}
 	time.Sleep(20 * time.Millisecond) // let a few rounds land
-	if err := c.StopMeasurement(ctx, id); err != nil {
+	if err := stopMeasurement(ctx, c, id); err != nil {
 		t.Fatal(err)
 	}
 	m, err := c.Measurement(ctx, id)
@@ -283,13 +285,35 @@ func TestStopMeasurement(t *testing.T) {
 		t.Errorf("net spend = %d, want %d (for %d collected samples)", got, wantSpend, len(samples))
 	}
 	// Stopping again conflicts.
-	if err := c.StopMeasurement(ctx, id); err == nil {
+	if err := stopMeasurement(ctx, c, id); err == nil {
 		t.Error("double stop accepted")
 	}
 	// Stopping a missing measurement conflicts.
-	if err := c.StopMeasurement(ctx, 99999); err == nil {
+	if err := stopMeasurement(ctx, c, 99999); err == nil {
 		t.Error("stop of unknown measurement accepted")
 	}
+}
+
+// stopMeasurement cancels a measurement through the API's DELETE.
+func stopMeasurement(ctx context.Context, c *Client, id int) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
+		fmt.Sprintf("%s/api/v1/measurements/%d", c.base, id), nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return decodeResponse(resp, nil)
+}
+
+// listMeasurements lists c's account's measurements.
+func listMeasurements(ctx context.Context, c *Client) ([]Measurement, error) {
+	var out []Measurement
+	err := c.get(ctx, "/api/v1/measurements?account="+c.account, &out)
+	return out, err
 }
 
 func TestListMeasurements(t *testing.T) {
@@ -298,7 +322,7 @@ func TestListMeasurements(t *testing.T) {
 	defer cancel()
 
 	// Nothing yet.
-	ms, err := c.Measurements(ctx)
+	ms, err := listMeasurements(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +339,7 @@ func TestListMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err = c.Measurements(ctx)
+	ms, err = listMeasurements(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +359,7 @@ func TestListMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err = other.Measurements(ctx)
+	ms, err = listMeasurements(ctx, other)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,11 +69,6 @@ func (d Deployment) Utilization(withEdge bool) float64 {
 	return demand / d.BackhaulMbps
 }
 
-// SavedMbps is the backhaul bandwidth the edge saves.
-func (d Deployment) SavedMbps() float64 {
-	return d.DemandMbps() - d.EdgeDemandMbps()
-}
-
 // Metro is the reference aggregation point used to justify the zone
 // threshold: ~100k entities behind a 10 Gbps metro backhaul.
 func Metro() Deployment {
@@ -175,16 +170,6 @@ func Justify(catalog *apps.Catalog, ref Deployment, reduction float64) (*Report,
 		return rep.Rows[i].App < rep.Rows[j].App
 	})
 	return rep, nil
-}
-
-// Lookup finds one application's row.
-func (r *Report) Lookup(app string) (AppRow, bool) {
-	for _, row := range r.Rows {
-		if row.App == app {
-			return row, true
-		}
-	}
-	return AppRow{}, false
 }
 
 // Format renders figure-ready lines.

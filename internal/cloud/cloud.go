@@ -19,9 +19,9 @@ type Backbone uint8
 
 // Backbone classes.
 const (
-	BackboneUnknown Backbone = iota
-	BackbonePrivate          // private backbone, broad ISP peering
-	BackbonePublic           // public-Internet transit
+	_               Backbone = iota // the zero value is unclassified
+	BackbonePrivate                 // private backbone, broad ISP peering
+	BackbonePublic                  // public-Internet transit
 )
 
 // String names the backbone class.

@@ -50,7 +50,7 @@ func TestBackboneClasses(t *testing.T) {
 			t.Errorf("%s backbone = %v, want public", p.Name, p.Backbone)
 		}
 	}
-	if BackboneUnknown.String() != "unknown" || BackbonePrivate.String() != "private" || BackbonePublic.String() != "public" {
+	if Backbone(0).String() != "unknown" || BackbonePrivate.String() != "private" || BackbonePublic.String() != "public" {
 		t.Error("Backbone.String mismatch")
 	}
 }

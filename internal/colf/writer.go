@@ -164,10 +164,6 @@ func (w *Writer) Count() uint64 { return w.n }
 // they aren't on disk yet.
 func (w *Writer) BytesWritten() uint64 { return w.written }
 
-// Blocks returns the blocks written so far (including any pre-existing
-// ones handed to NewWriterAt). The slice is shared; don't mutate it.
-func (w *Writer) Blocks() []BlockInfo { return w.blocks }
-
 func (w *Writer) ensureHeader() error {
 	if w.headerDone {
 		return nil

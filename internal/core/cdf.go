@@ -7,12 +7,6 @@ import (
 	"repro/internal/stats"
 )
 
-// ContinentCDF holds one continent's empirical RTT distribution.
-type ContinentCDF struct {
-	Continent geo.Continent
-	Dist      *stats.Dist
-}
-
 // CDFReport groups distributions by continent; it backs both Figure 5
 // (per-probe minimum RTT) and Figure 6 (every sample).
 type CDFReport struct {

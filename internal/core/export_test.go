@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/geo"
+
 // Hooks core_test reads the resident report through: what no report
 // carries, and how much work the last update did.
 
@@ -19,4 +21,11 @@ func (s *Suite) ResidentWork() (full, weeks, fullRead, weeksRead int) {
 		weeks, weeksRead = v.gathered, v.read
 	}
 	return full, weeks, fullRead, weeksRead
+}
+
+// AccessTier returns a probe's access class and its country's
+// infrastructure tier, the two inputs of Figure 7's admission.
+func (idx *Index) AccessTier(probeID int) (AccessClass, geo.Tier) {
+	info, _ := idx.info(probeID)
+	return info.access, info.tier
 }

@@ -128,18 +128,6 @@ func (idx *Index) Continent(probeID int) (geo.Continent, bool) {
 // modify it.
 func (idx *Index) ContinentTable() []geo.Continent { return idx.continents }
 
-// Access returns the probe's tag-derived access class.
-func (idx *Index) Access(probeID int) (AccessClass, bool) {
-	info, ok := idx.info(probeID)
-	return info.access, ok
-}
-
-// Tier returns the probe's country infrastructure tier.
-func (idx *Index) Tier(probeID int) (geo.Tier, bool) {
-	info, ok := idx.info(probeID)
-	return info.tier, ok
-}
-
 // CountryName resolves an ISO2 code to the display name.
 func (idx *Index) CountryName(iso2 string) string {
 	if c, ok := idx.db.Lookup(iso2); ok {

@@ -18,13 +18,3 @@ type ProviderRow struct {
 type ProviderReport struct {
 	Rows []ProviderRow `json:"rows"` // sorted by median RTT
 }
-
-// Lookup returns one provider's row.
-func (r *ProviderReport) Lookup(provider string) (ProviderRow, bool) {
-	for _, row := range r.Rows {
-		if row.Provider == provider {
-			return row, true
-		}
-	}
-	return ProviderRow{}, false
-}

@@ -31,16 +31,10 @@ func TestProviderComparison(t *testing.T) {
 	// public-transit Vultr and Linode. Compare the best private median
 	// against the worst public median rather than every pair, since
 	// footprint geometry also moves the medians.
-	amazon, ok := rep.Lookup("Amazon")
-	if !ok {
-		t.Fatal("Amazon missing")
-	}
-	google, _ := rep.Lookup("Google")
-	vultr, ok := rep.Lookup("Vultr")
-	if !ok {
-		t.Fatal("Vultr missing")
-	}
-	linode, _ := rep.Lookup("Linode")
+	amazon := providerRow(t, rep, "Amazon")
+	google := providerRow(t, rep, "Google")
+	vultr := providerRow(t, rep, "Vultr")
+	linode := providerRow(t, rep, "Linode")
 	bestPrivate := amazon.Summary.Median
 	if google.Summary.Median < bestPrivate {
 		bestPrivate = google.Summary.Median
@@ -67,8 +61,16 @@ func TestProviderComparisonValidation(t *testing.T) {
 	if _, err := ScanMemory(&empty, f.idx, f.cfg.Start, passBinWidth, PassProvider); err == nil {
 		t.Error("empty dataset accepted")
 	}
-	rep := scanned(t, f, passBinWidth, PassProvider).Provider
-	if _, ok := rep.Lookup("Nebula"); ok {
-		t.Error("unknown provider found")
+}
+
+// providerRow finds one provider's row.
+func providerRow(t *testing.T, rep *ProviderReport, provider string) ProviderRow {
+	t.Helper()
+	for _, row := range rep.Rows {
+		if row.Provider == provider {
+			return row
+		}
 	}
+	t.Fatalf("%s missing", provider)
+	return ProviderRow{}
 }

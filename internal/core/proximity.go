@@ -11,11 +11,11 @@ type Band uint8
 
 // Figure 4 bands.
 const (
-	BandUnknown Band = iota
-	BandSub10        // < 10 ms: country hosts (or nearly hosts) a datacenter
-	Band10to20       // 10-20 ms: borders or direct fiber to a DC country
-	Band20to100      // 20-100 ms: within perceivable latency of the cloud
-	BandOver100      // >= 100 ms: beyond the PL threshold
+	_           Band = iota // the zero value is no data
+	BandSub10               // < 10 ms: country hosts (or nearly hosts) a datacenter
+	Band10to20              // 10-20 ms: borders or direct fiber to a DC country
+	Band20to100             // 20-100 ms: within perceivable latency of the cloud
+	BandOver100             // >= 100 ms: beyond the PL threshold
 )
 
 // String formats the band the way the figure legend does.
@@ -84,16 +84,6 @@ func (r *ProximityReport) CountWithin(ms float64) int {
 		}
 	}
 	return n
-}
-
-// Lookup returns the row for a country.
-func (r *ProximityReport) Lookup(iso2 string) (ProximityRow, bool) {
-	for _, row := range r.Rows {
-		if row.Country == iso2 {
-			return row, true
-		}
-	}
-	return ProximityRow{}, false
 }
 
 // Format renders the rows as figure-ready text lines.

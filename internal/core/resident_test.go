@@ -255,8 +255,7 @@ func TestResidentReportMatchesColdEveryStep(t *testing.T) {
 					continue
 				}
 				wantFull++
-				access, _ := w.Index.Access(s.ProbeID)
-				if tier, _ := w.Index.Tier(s.ProbeID); tier <= geo.Tier2 && access != core.AccessOther {
+				if access, tier := w.Index.AccessTier(s.ProbeID); tier <= geo.Tier2 && access != core.AccessOther {
 					wantWeeks++
 				}
 			}

@@ -7,9 +7,6 @@ const (
 	// stay below ~20 ms for immersive applications (AR/VR); of that, ~13 ms
 	// goes to the display pipeline, leaving ~7 ms for compute + RTT.
 	MTPms = 20.0
-	// MTPComputeBudgetMs is the compute-and-RTT share of MTP after the
-	// display pipeline.
-	MTPComputeBudgetMs = 7.0
 	// PLms is the perceivable-latency threshold: delays beyond ~100 ms are
 	// visible to the human eye (video stutter, input lag).
 	PLms = 100.0
@@ -17,30 +14,3 @@ const (
 	// response; active-engagement applications (teleoperation) must fit it.
 	HRTms = 250.0
 )
-
-// Threshold pairs a named perception limit with its RTT budget.
-type Threshold struct {
-	Name string  `json:"name"`
-	Ms   float64 `json:"ms"`
-}
-
-// Thresholds returns the three §3 limits in ascending order.
-func Thresholds() []Threshold {
-	return []Threshold{
-		{Name: "MTP", Ms: MTPms},
-		{Name: "PL", Ms: PLms},
-		{Name: "HRT", Ms: HRTms},
-	}
-}
-
-// Supports reports which perception classes an RTT satisfies: an RTT below
-// MTP supports everything; one above HRT supports nothing interactive.
-func Supports(rttMs float64) []Threshold {
-	var out []Threshold
-	for _, th := range Thresholds() {
-		if rttMs <= th.Ms {
-			out = append(out, th)
-		}
-	}
-	return out
-}

@@ -27,14 +27,6 @@ type Attribution struct {
 	BloatMs       float64 `json:"bloat_ms"`
 }
 
-// Share returns a component's fraction of the mean RTT.
-func (a Attribution) Share(componentMs float64) float64 {
-	if a.MeanRTTms <= 0 {
-		return 0
-	}
-	return componentMs / a.MeanRTTms
-}
-
 // Dominant names the largest component.
 func (a Attribution) Dominant() string {
 	best, name := a.PropagationMs, "propagation"
@@ -182,21 +174,6 @@ func (r *Report) Format() []string {
 	emit(r.ByContinent)
 	emit(r.ByAccess)
 	return lines
-}
-
-// Lookup finds a group's attribution in either grouping.
-func (r *Report) Lookup(group string) (Attribution, bool) {
-	for _, a := range r.ByContinent {
-		if a.Group == group {
-			return a, true
-		}
-	}
-	for _, a := range r.ByAccess {
-		if a.Group == group {
-			return a, true
-		}
-	}
-	return Attribution{}, false
 }
 
 // consistencyGapMs is used by tests: the mean components must reconstruct

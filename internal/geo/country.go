@@ -101,12 +101,3 @@ func (db *DB) ByContinent(ct Continent) []*Country {
 	}
 	return out
 }
-
-// CountByContinent tallies countries per continent.
-func (db *DB) CountByContinent() map[Continent]int {
-	out := make(map[Continent]int)
-	for _, c := range db.all {
-		out[c.Continent]++
-	}
-	return out
-}

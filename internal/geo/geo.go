@@ -47,31 +47,3 @@ func DistanceKm(a, b Point) float64 {
 	}
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
 }
-
-// Midpoint returns the great-circle midpoint between a and b. It is used by
-// the latency model to route inter-continental paths through submarine-cable
-// hubs.
-func Midpoint(a, b Point) Point {
-	const degToRad = math.Pi / 180
-	const radToDeg = 180 / math.Pi
-	lat1, lon1 := a.Lat*degToRad, a.Lon*degToRad
-	lat2 := b.Lat * degToRad
-	dLon := (b.Lon - a.Lon) * degToRad
-
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return Point{Lat: lat * radToDeg, Lon: normalizeLon(lon * radToDeg)}
-}
-
-func normalizeLon(lon float64) float64 {
-	for lon > 180 {
-		lon -= 360
-	}
-	for lon < -180 {
-		lon += 360
-	}
-	return lon
-}

@@ -28,10 +28,10 @@ type Access uint8
 
 // Access classes.
 const (
-	AccessUnknown  Access = iota
-	AccessWired           // ethernet, broadband, fibre
-	AccessWireless        // wifi, wlan, lte
-	AccessCore            // datacenter/IXP-hosted: no residential last mile
+	_              Access = iota // the zero value is unclassified
+	AccessWired                  // ethernet, broadband, fibre
+	AccessWireless               // wifi, wlan, lte
+	AccessCore                   // datacenter/IXP-hosted: no residential last mile
 )
 
 // String names the access class.
@@ -297,12 +297,6 @@ func (p *Path) SerializationMs(payloadBytes int) float64 {
 // DistanceKm returns the great-circle endpoint distance.
 func (p *Path) DistanceKm() float64 {
 	return geo.DistanceKm(p.src.Location, p.dst.Location)
-}
-
-// FloorMs returns the physics floor of the path: stretched propagation plus
-// endpoint processing. No sample can fall below it.
-func (p *Path) FloorMs() float64 {
-	return p.propMs + p.cfg.ProcessingMs
 }
 
 // bloatWindow is the wall-clock granularity of bufferbloat episodes; the

@@ -238,7 +238,7 @@ func TestFloorIsRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	floor := p.FloorMs()
+	floor := p.propMs + p.cfg.ProcessingMs // the physics floor
 	if floor <= 0 {
 		t.Fatalf("floor = %v", floor)
 	}
@@ -302,7 +302,7 @@ func TestDistanceKm(t *testing.T) {
 func TestAccessString(t *testing.T) {
 	cases := map[Access]string{
 		AccessWired: "wired", AccessWireless: "wireless",
-		AccessCore: "core", AccessUnknown: "unknown",
+		AccessCore: "core", 0: "unknown",
 	}
 	for a, want := range cases {
 		if a.String() != want {

@@ -26,7 +26,7 @@ func TestFloorMonotoneInDistance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		floor := p.FloorMs()
+		floor := p.propMs + p.cfg.ProcessingMs
 		if floor <= prev {
 			t.Fatalf("floor not monotone at %d deg: %.2f <= %.2f", d, floor, prev)
 		}
@@ -92,7 +92,7 @@ func TestStretchWithinBand(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			floor := p.FloorMs() - cfg.ProcessingMs
+			floor := p.propMs
 			base := pure(src.Location, tc.dst.Location)
 			if floor < base || floor > base*tc.maxFrac+1e-9 {
 				t.Errorf("stretched propagation %.2f outside [%.2f, %.2f]", floor, base, base*tc.maxFrac)

@@ -2,10 +2,8 @@ package netsim
 
 import "repro/internal/obs"
 
-// Metrics mirror the network's Stats counters into an obs registry so a
-// live platform can expose link/packet telemetry alongside its own. The
-// internal Stats struct stays authoritative (and lock-consistent); these
-// are incremented on the same code paths.
+// Metrics count the network's packet events in an obs registry, so a
+// live platform can expose link/packet telemetry alongside its own.
 type Metrics struct {
 	Sent        *obs.Counter
 	Delivered   *obs.Counter

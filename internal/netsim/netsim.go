@@ -37,15 +37,6 @@ func (f LinkerFunc) Link(src, dst string, at time.Time) (time.Duration, bool, er
 // Handler consumes a delivered payload. src is the sender's address.
 type Handler func(src string, payload []byte)
 
-// Stats counts network-level events.
-type Stats struct {
-	Sent        uint64 // packets submitted
-	Delivered   uint64 // packets handed to a handler
-	Dropped     uint64 // lost in transit (Linker said lost)
-	Unroutable  uint64 // destination unknown at delivery time
-	LinkerError uint64 // Linker refused the packet
-}
-
 // Network routes packets between attached endpoints with Linker-provided
 // delays. The zero value is not usable; call NewNetwork.
 type Network struct {
@@ -53,7 +44,6 @@ type Network struct {
 
 	mu        sync.Mutex
 	endpoints map[string]*Endpoint
-	stats     Stats
 	metrics   *Metrics
 	closed    bool
 	inflight  sync.WaitGroup
@@ -115,25 +105,6 @@ func (n *Network) Attach(addr string) (*Endpoint, error) {
 	return ep, nil
 }
 
-// Detach removes the endpoint at addr. Packets in flight toward it are
-// counted unroutable on arrival.
-func (n *Network) Detach(addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.endpoints, addr)
-}
-
-// Stats returns a snapshot of the counters.
-func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
-}
-
-// Drain blocks until every packet currently in transit has been delivered
-// (or dropped). Callers must stop sending before draining.
-func (n *Network) Drain() { n.inflight.Wait() }
-
 // Close stops accepting sends, cancels packets still in transit (they
 // count as dropped), and waits for deliveries already firing to finish.
 func (n *Network) Close() {
@@ -154,7 +125,6 @@ func (n *Network) Close() {
 			n.mu.Lock()
 			if _, ok := n.timers[t]; ok {
 				delete(n.timers, t)
-				n.stats.Dropped++
 				n.metrics.Dropped.Inc()
 				n.inflight.Done()
 			}
@@ -170,7 +140,6 @@ func (n *Network) send(src, dst string, payload []byte) error {
 		n.mu.Unlock()
 		return errors.New("netsim: network closed")
 	}
-	n.stats.Sent++
 	n.mu.Unlock()
 	n.metrics.Sent.Inc()
 
@@ -183,12 +152,10 @@ func (n *Network) send(src, dst string, payload []byte) error {
 		delay, lost, err = n.linker.Link(src, dst, time.Now())
 	}
 	if err != nil {
-		n.count(func(s *Stats) { s.LinkerError++ })
 		n.metrics.LinkerError.Inc()
 		return fmt.Errorf("netsim: %s -> %s: %w", src, dst, err)
 	}
 	if lost {
-		n.count(func(s *Stats) { s.Dropped++ })
 		n.metrics.Dropped.Inc()
 		return nil // loss is silent, like the real network
 	}
@@ -199,7 +166,6 @@ func (n *Network) send(src, dst string, payload []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		n.stats.Dropped++
 		n.metrics.Dropped.Inc()
 		return nil
 	}
@@ -229,21 +195,13 @@ func (n *Network) deliver(src, dst string, payload []byte) {
 		h = ep.handler
 	}
 	if ep == nil || h == nil {
-		n.stats.Unroutable++
 		n.mu.Unlock()
 		n.metrics.Unroutable.Inc()
 		return
 	}
-	n.stats.Delivered++
 	n.mu.Unlock()
 	n.metrics.Delivered.Inc()
 	h(src, payload)
-}
-
-func (n *Network) count(f func(*Stats)) {
-	n.mu.Lock()
-	f(&n.stats)
-	n.mu.Unlock()
 }
 
 // Endpoint is one attached network participant. The handler field is

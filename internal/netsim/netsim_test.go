@@ -6,12 +6,25 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func constLinker(d time.Duration) Linker {
 	return LinkerFunc(func(src, dst string, at time.Time) (time.Duration, bool, error) {
 		return d, false, nil
 	})
+}
+
+// counted builds a network over l whose counters the test reads.
+func counted(t *testing.T, l Linker) (*Network, *Metrics) {
+	t.Helper()
+	m := NewMetrics(obs.NewRegistry())
+	n, err := NewNetwork(l, WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, m
 }
 
 func TestNewNetworkValidation(t *testing.T) {
@@ -38,10 +51,7 @@ func TestAttachValidation(t *testing.T) {
 }
 
 func TestDelivery(t *testing.T) {
-	n, err := NewNetwork(constLinker(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, m := counted(t, constLinker(time.Millisecond))
 	defer n.Close()
 	a, err := n.Attach("a")
 	if err != nil {
@@ -66,9 +76,8 @@ func TestDelivery(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("packet never arrived")
 	}
-	st := n.Stats()
-	if st.Sent != 1 || st.Delivered != 1 {
-		t.Errorf("stats = %+v", st)
+	if m.Sent.Value() != 1 || m.Delivered.Value() != 1 {
+		t.Errorf("sent %d, delivered %d", m.Sent.Value(), m.Delivered.Value())
 	}
 }
 
@@ -101,10 +110,7 @@ func TestLoss(t *testing.T) {
 	lossy := LinkerFunc(func(src, dst string, at time.Time) (time.Duration, bool, error) {
 		return 0, true, nil
 	})
-	n, err := NewNetwork(lossy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, m := counted(t, lossy)
 	defer n.Close()
 	a, _ := n.Attach("a")
 	b, _ := n.Attach("b")
@@ -119,8 +125,8 @@ func TestLoss(t *testing.T) {
 	if delivered.Load() != 0 {
 		t.Errorf("%d packets delivered on a fully lossy link", delivered.Load())
 	}
-	if st := n.Stats(); st.Dropped != 10 {
-		t.Errorf("Dropped = %d, want 10", st.Dropped)
+	if got := m.Dropped.Value(); got != 10 {
+		t.Errorf("Dropped = %d, want 10", got)
 	}
 }
 
@@ -128,25 +134,20 @@ func TestLinkerError(t *testing.T) {
 	bad := LinkerFunc(func(src, dst string, at time.Time) (time.Duration, bool, error) {
 		return 0, false, errors.New("no route")
 	})
-	n, err := NewNetwork(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, m := counted(t, bad)
 	defer n.Close()
 	a, _ := n.Attach("a")
 	if err := a.Send("b", nil); err == nil {
 		t.Error("linker error not surfaced")
 	}
-	if st := n.Stats(); st.LinkerError != 1 {
-		t.Errorf("LinkerError = %d", st.LinkerError)
+	if got := m.LinkerError.Value(); got != 1 {
+		t.Errorf("LinkerError = %d", got)
 	}
 }
 
 func TestUnroutable(t *testing.T) {
-	n, err := NewNetwork(constLinker(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, m := counted(t, constLinker(0))
+	defer n.Close()
 	a, _ := n.Attach("a")
 	// No handler on b, and c never attached.
 	if _, err := n.Attach("b"); err != nil {
@@ -158,33 +159,11 @@ func TestUnroutable(t *testing.T) {
 	if err := a.Send("c", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	n.Drain()
-	n.Close()
-	if st := n.Stats(); st.Unroutable != 2 {
-		t.Errorf("Unroutable = %d, want 2", st.Unroutable)
-	}
-}
-
-func TestDetach(t *testing.T) {
-	n, err := NewNetwork(constLinker(10 * time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := n.Attach("a")
-	b, _ := n.Attach("b")
-	var delivered atomic.Int32
-	b.SetHandler(func(string, []byte) { delivered.Add(1) })
-	if err := a.Send("b", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	n.Detach("b") // before the 10ms delay elapses
-	n.Close()
-	if delivered.Load() != 0 {
-		t.Error("packet delivered to detached endpoint")
-	}
-	// Address can be reused after detach.
-	if _, err := n.Attach("b"); err == nil {
-		t.Error("attach after close should fail")
+	// Both packets are in flight; wait for their arrival to be counted.
+	for deadline := time.Now().Add(2 * time.Second); m.Unroutable.Value() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Unroutable = %d, want 2", m.Unroutable.Value())
+		}
 	}
 }
 
@@ -199,6 +178,9 @@ func TestSendAfterClose(t *testing.T) {
 		t.Error("send after close accepted")
 	}
 	n.Close() // double close is a no-op
+	if _, err := n.Attach("b"); err == nil {
+		t.Error("attach after close accepted")
+	}
 }
 
 func TestTimeScaleCompressesDelay(t *testing.T) {
@@ -235,7 +217,12 @@ func TestConcurrentSends(t *testing.T) {
 	const perSender = 50
 	sink, _ := n.Attach("sink")
 	var delivered atomic.Int32
-	sink.SetHandler(func(string, []byte) { delivered.Add(1) })
+	all := make(chan struct{})
+	sink.SetHandler(func(string, []byte) {
+		if delivered.Add(1) == senders*perSender {
+			close(all)
+		}
+	})
 	var wg sync.WaitGroup
 	for i := 0; i < senders; i++ {
 		ep, err := n.Attach(string(rune('a' + i)))
@@ -254,11 +241,12 @@ func TestConcurrentSends(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	n.Drain()
-	n.Close()
-	if delivered.Load() != senders*perSender {
+	select {
+	case <-all:
+	case <-time.After(5 * time.Second):
 		t.Errorf("delivered %d, want %d", delivered.Load(), senders*perSender)
 	}
+	n.Close()
 }
 
 func TestEmptyDestination(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 func testTrace() *Span {
 	now := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	root := NewTrace("run", WithTraceClock(clock))
+	root := newTrace("run", clock)
 	root.SetAttr("seed", 1)
 
 	build := root.Child("world.build")
@@ -175,7 +175,7 @@ func TestParseTraceChromeRoundTrip(t *testing.T) {
 // both under the wrong span. The exported span numbers keep the tree.
 func TestParseTraceOverlappingSiblings(t *testing.T) {
 	now := time.Unix(0, 0)
-	root := NewTrace("run", WithTraceClock(func() time.Time { return now }))
+	root := newTrace("run", func() time.Time { return now })
 	figures := root.Child("figures")
 	now = now.Add(time.Millisecond)
 	index := root.Child("index")

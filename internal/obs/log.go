@@ -235,15 +235,6 @@ func WithRecorder(r *Recorder) LoggerOption {
 	return func(s *logSink) { s.rec = r }
 }
 
-// WithLogClock overrides the logger's time source (tests).
-func WithLogClock(now func() time.Time) LoggerOption {
-	return func(s *logSink) {
-		if now != nil {
-			s.clock = now
-		}
-	}
-}
-
 // NewLogger builds a root logger writing to w (defaults: text format,
 // info level, wall clock, no recorder).
 func NewLogger(w io.Writer, opts ...LoggerOption) *Logger {
@@ -266,30 +257,6 @@ func (l *Logger) With(component string) *Logger {
 		name = l.component + "." + component
 	}
 	return &Logger{sink: l.sink, component: name}
-}
-
-// Component returns the logger's component label.
-func (l *Logger) Component() string {
-	if l == nil {
-		return ""
-	}
-	return l.component
-}
-
-// Recorder returns the flight recorder wired into the logger, or nil.
-func (l *Logger) Recorder() *Recorder {
-	if l == nil {
-		return nil
-	}
-	return l.sink.rec
-}
-
-// Enabled reports whether events at the given level would be emitted.
-func (l *Logger) Enabled(level Level) bool {
-	if l == nil {
-		return false
-	}
-	return level >= l.sink.level
 }
 
 // Debug emits a debug event. kv alternates keys and values.

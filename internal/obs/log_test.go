@@ -14,9 +14,15 @@ func fixedClock() func() time.Time {
 	return func() time.Time { return time.Date(2020, 6, 1, 12, 0, 0, 0, time.UTC) }
 }
 
+// clocked pins l's clock to fixedClock.
+func clocked(l *Logger) *Logger {
+	l.sink.clock = fixedClock()
+	return l
+}
+
 func TestLoggerTextFormat(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, WithLogClock(fixedClock()))
+	l := clocked(NewLogger(&buf))
 	l.With("shears").Info("campaign done", "samples", 42, "rate", 1.5, "out", "my dir")
 	got := buf.String()
 	want := `ts=2020-06-01T12:00:00Z level=info component=shears msg="campaign done" samples=42 rate=1.5 out="my dir"` + "\n"
@@ -27,7 +33,7 @@ func TestLoggerTextFormat(t *testing.T) {
 
 func TestLoggerJSONFormat(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, WithLogFormat(FormatJSON), WithLogClock(fixedClock()))
+	l := clocked(NewLogger(&buf, WithLogFormat(FormatJSON)))
 	l.With("atlasd").Warn("slow request", "route", "probes", "ms", 12.5)
 	var obj map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
@@ -59,12 +65,6 @@ func TestLoggerLevelGate(t *testing.T) {
 	if n := strings.Count(buf.String(), "\n"); n != 2 {
 		t.Errorf("level gate let %d lines through, want 2:\n%s", n, buf.String())
 	}
-	if l.Enabled(LevelInfo) {
-		t.Error("Enabled(info) = true with warn-level logger")
-	}
-	if !l.Enabled(LevelError) {
-		t.Error("Enabled(error) = false with warn-level logger")
-	}
 }
 
 func TestLoggerNilInert(t *testing.T) {
@@ -77,15 +77,6 @@ func TestLoggerNilInert(t *testing.T) {
 	if l.With("sub") != nil {
 		t.Error("nil Logger With returned non-nil")
 	}
-	if l.Enabled(LevelError) {
-		t.Error("nil Logger Enabled returned true")
-	}
-	if l.Component() != "" {
-		t.Error("nil Logger Component returned non-empty")
-	}
-	if l.Recorder() != nil {
-		t.Error("nil Logger Recorder returned non-nil")
-	}
 	var r *Recorder
 	r.Record(Event{})
 	if r.Events() != nil || r.Total() != 0 {
@@ -95,15 +86,17 @@ func TestLoggerNilInert(t *testing.T) {
 
 func TestLoggerSubComponentNesting(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf).With("shears").With("scan")
-	if got := l.Component(); got != "shears.scan" {
-		t.Errorf("nested component = %q, want shears.scan", got)
+	l := clocked(NewLogger(&buf)).With("shears").With("scan")
+	l.Info("m")
+	want := `ts=2020-06-01T12:00:00Z level=info component=shears.scan msg=m` + "\n"
+	if got := buf.String(); got != want {
+		t.Errorf("nested component line = %q, want %q", got, want)
 	}
 }
 
 func TestLoggerNormalizesValues(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, WithLogClock(fixedClock()))
+	l := clocked(NewLogger(&buf))
 	l.Info("m", "err", fmt.Errorf("sink: broken"), "took", 1500*time.Millisecond)
 	got := buf.String()
 	if !strings.Contains(got, `err="sink: broken"`) {
@@ -144,7 +137,7 @@ func TestRecorderRingEviction(t *testing.T) {
 
 func TestRecorderWriteJSON(t *testing.T) {
 	r := NewRecorder(2)
-	l := NewLogger(nil, WithRecorder(r), WithLogClock(fixedClock()))
+	l := clocked(NewLogger(nil, WithRecorder(r)))
 	l.With("engine").Info("checkpoint", "round", 16)
 	l.With("engine").Info("checkpoint", "round", 32)
 	l.With("engine").Info("checkpoint", "round", 48)

@@ -21,25 +21,13 @@ type Span struct {
 	clock    func() time.Time
 }
 
-// TraceOption configures a root span.
-type TraceOption func(*Span)
-
-// WithTraceClock overrides the trace's time source (tests).
-func WithTraceClock(now func() time.Time) TraceOption {
-	return func(s *Span) {
-		if now != nil {
-			s.clock = now
-		}
-	}
-}
-
 // NewTrace starts a root span.
-func NewTrace(name string, opts ...TraceOption) *Span {
-	s := &Span{name: name, clock: time.Now}
-	for _, o := range opts {
-		o(s)
-	}
-	s.start = s.clock()
+func NewTrace(name string) *Span { return newTrace(name, time.Now) }
+
+// newTrace starts a root span whose spans read the given clock.
+func newTrace(name string, clock func() time.Time) *Span {
+	s := &Span{name: name, clock: clock}
+	s.start = clock()
 	return s
 }
 

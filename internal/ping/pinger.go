@@ -22,7 +22,6 @@ type Pinger struct {
 	tr       Transport
 	id       uint16
 	rttScale float64
-	now      func() time.Time
 	metrics  *Metrics
 
 	mu      sync.Mutex
@@ -44,15 +43,6 @@ func WithRTTScale(f float64) PingerOption {
 	}
 }
 
-// WithClock overrides the time source (tests).
-func WithClock(now func() time.Time) PingerOption {
-	return func(p *Pinger) {
-		if now != nil {
-			p.now = now
-		}
-	}
-}
-
 // NewPinger wraps a transport and installs its receive handler. The id
 // distinguishes this pinger's traffic, mirroring the ICMP echo identifier.
 func NewPinger(tr Transport, id uint16, opts ...PingerOption) (*Pinger, error) {
@@ -63,7 +53,6 @@ func NewPinger(tr Transport, id uint16, opts ...PingerOption) (*Pinger, error) {
 		tr:       tr,
 		id:       id,
 		rttScale: 1,
-		now:      time.Now,
 		pending:  make(map[uint16]chan time.Duration),
 	}
 	for _, o := range opts {
@@ -78,7 +67,7 @@ func (p *Pinger) onPacket(src string, payload []byte) {
 	if err != nil || m.Type != echo.TypeEchoReply || m.ID != p.id {
 		return // not ours; drop like a kernel would
 	}
-	elapsed := p.now().Sub(time.Unix(0, m.SentUnixNano))
+	elapsed := time.Since(time.Unix(0, m.SentUnixNano))
 	if elapsed < 0 {
 		return
 	}
@@ -121,7 +110,7 @@ func (p *Pinger) Ping(ctx context.Context, dst string, timeout time.Duration) (t
 		Type:         echo.TypeEchoRequest,
 		ID:           p.id,
 		Seq:          seq,
-		SentUnixNano: p.now().UnixNano(),
+		SentUnixNano: time.Now().UnixNano(),
 	}
 	buf, err := req.Marshal()
 	if err != nil {
@@ -150,62 +139,4 @@ func (p *Pinger) Ping(ctx context.Context, dst string, timeout time.Duration) (t
 	case <-ctx.Done():
 		return 0, ctx.Err()
 	}
-}
-
-// Stats summarizes a ping series, in the shape of the classic ping footer.
-type Stats struct {
-	Sent     int           `json:"sent"`
-	Received int           `json:"received"`
-	Min      time.Duration `json:"min"`
-	Avg      time.Duration `json:"avg"`
-	Max      time.Duration `json:"max"`
-}
-
-// Loss returns the fraction of unanswered requests.
-func (s Stats) Loss() float64 {
-	if s.Sent == 0 {
-		return 0
-	}
-	return float64(s.Sent-s.Received) / float64(s.Sent)
-}
-
-// Series sends count echo requests to dst, spaced by interval, and
-// aggregates the results. A fully lost series returns valid Stats with
-// Received == 0, not an error; the campaign layer decides what loss means.
-func (p *Pinger) Series(ctx context.Context, dst string, count int, interval, timeout time.Duration) (Stats, error) {
-	if count <= 0 {
-		return Stats{}, fmt.Errorf("ping: non-positive count %d", count)
-	}
-	var st Stats
-	var sum time.Duration
-	for i := 0; i < count; i++ {
-		if i > 0 && interval > 0 {
-			select {
-			case <-time.After(interval):
-			case <-ctx.Done():
-				return st, ctx.Err()
-			}
-		}
-		st.Sent++
-		rtt, err := p.Ping(ctx, dst, timeout)
-		switch {
-		case err == nil:
-			st.Received++
-			sum += rtt
-			if st.Min == 0 || rtt < st.Min {
-				st.Min = rtt
-			}
-			if rtt > st.Max {
-				st.Max = rtt
-			}
-		case errors.Is(err, ErrTimeout):
-			// loss: keep going
-		default:
-			return st, err
-		}
-	}
-	if st.Received > 0 {
-		st.Avg = sum / time.Duration(st.Received)
-	}
-	return st, nil
 }

@@ -2,7 +2,6 @@ package ping
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"repro/internal/echo"
 )
@@ -10,9 +9,7 @@ import (
 // Responder answers echo requests on a transport, playing the role of the
 // VM the paper establishes in every cloud region (§4.1).
 type Responder struct {
-	tr      Transport
-	served  atomic.Uint64
-	dropped atomic.Uint64
+	tr Transport
 }
 
 // NewResponder installs the responder as the transport's handler.
@@ -28,24 +25,12 @@ func NewResponder(tr Transport) (*Responder, error) {
 func (r *Responder) onPacket(src string, payload []byte) {
 	m, err := echo.Unmarshal(payload)
 	if err != nil || m.Type != echo.TypeEchoRequest {
-		r.dropped.Add(1)
-		return
+		return // malformed, or not a request: dropped, as a host would
 	}
 	rep, err := m.Reply().Marshal()
 	if err != nil {
-		r.dropped.Add(1)
 		return
 	}
-	if err := r.tr.Send(src, rep); err != nil {
-		r.dropped.Add(1)
-		return
-	}
-	r.served.Add(1)
+	// A reply that cannot be sent is lost, like any reply on the wire.
+	_ = r.tr.Send(src, rep)
 }
-
-// Served returns how many requests were answered.
-func (r *Responder) Served() uint64 { return r.served.Load() }
-
-// Dropped returns how many packets were discarded (malformed, wrong type,
-// or unsendable replies).
-func (r *Responder) Dropped() uint64 { return r.dropped.Load() }

@@ -18,10 +18,10 @@ type Environment uint8
 
 // Environments.
 const (
-	EnvUnknown Environment = iota
-	EnvHome                // residential connection
-	EnvAccess              // office / access network
-	EnvCore                // datacenter, IXP or backbone (privileged)
+	_         Environment = iota // the zero value is unclassified
+	EnvHome                      // residential connection
+	EnvAccess                    // office / access network
+	EnvCore                      // datacenter, IXP or backbone (privileged)
 )
 
 // String names the environment.
@@ -152,11 +152,6 @@ func (pop *Population) Filter(pred func(*Probe) bool) []*Probe {
 // filter.
 func (pop *Population) Public() []*Probe {
 	return pop.Filter(func(p *Probe) bool { return !p.Privileged() })
-}
-
-// ByContinent returns the public probes on one continent.
-func (pop *Population) ByContinent(ct geo.Continent) []*Probe {
-	return pop.Filter(func(p *Probe) bool { return !p.Privileged() && p.Continent == ct })
 }
 
 // WithAnyTag returns the public probes carrying at least one of the tags.

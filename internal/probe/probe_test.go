@@ -227,7 +227,7 @@ func TestNewPopulationValidation(t *testing.T) {
 }
 
 func TestEnvironmentString(t *testing.T) {
-	cases := map[Environment]string{EnvHome: "home", EnvAccess: "access", EnvCore: "core", EnvUnknown: "unknown"}
+	cases := map[Environment]string{EnvHome: "home", EnvAccess: "access", EnvCore: "core", 0: "unknown"}
 	for e, want := range cases {
 		if e.String() != want {
 			t.Errorf("%d.String() = %q", e, e.String())

@@ -126,18 +126,6 @@ func Expand(p *netem.Path, src netem.Site, dstID string, t time.Time) (*Trace, e
 	return tr, nil
 }
 
-// RTTms returns the end-to-end round trip of the trace (the last hop's
-// cumulative delay).
-func (tr *Trace) RTTms() (float64, error) {
-	if tr.Lost {
-		return 0, errors.New("route: trace lost")
-	}
-	if len(tr.Hops) == 0 {
-		return 0, errors.New("route: empty trace")
-	}
-	return tr.Hops[len(tr.Hops)-1].CumulativeMs, nil
-}
-
 // SegmentMs sums the per-hop deltas of one kind.
 func (tr *Trace) SegmentMs(kind HopKind) float64 {
 	total := 0.0

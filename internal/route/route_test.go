@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/netem"
-	"repro/internal/world"
 )
 
 var t0 = time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -53,11 +52,8 @@ func TestExpandConsistentWithRTT(t *testing.T) {
 		if lost {
 			continue
 		}
-		got, err := tr.RTTms()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The hop cumulative total reconstructs the end-to-end RTT exactly.
+		got := tr.Hops[len(tr.Hops)-1].CumulativeMs
+		// The last hop's cumulative total reconstructs the end-to-end RTT exactly.
 		if math.Abs(got-rtt) > 1e-9 {
 			t.Fatalf("trace total %.4f != RTT %.4f", got, rtt)
 		}
@@ -166,44 +162,5 @@ func TestTraceFormat(t *testing.T) {
 	lost := &Trace{Dst: "dst", Lost: true}
 	if lines := lost.Format(); len(lines) != 1 || !strings.Contains(lines[0], "lost") {
 		t.Errorf("lost format = %v", lines)
-	}
-	if _, err := lost.RTTms(); err == nil {
-		t.Error("lost trace RTT accepted")
-	}
-	if _, err := (&Trace{}).RTTms(); err == nil {
-		t.Error("empty trace RTT accepted")
-	}
-}
-
-func TestLengthsByContinent(t *testing.T) {
-	w, err := world.Build(world.Config{Seed: 2, Probes: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Lengths(w.Platform, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Continents()) != 6 {
-		t.Fatalf("lengths cover %d continents", len(rep.Continents()))
-	}
-	// §4.3: under-served regions traverse more networks: Africa's median
-	// path is longer than Europe's.
-	af, err := rep.MedianHops(geo.Africa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eu, err := rep.MedianHops(geo.Europe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if af <= eu {
-		t.Errorf("Africa median hops %.1f <= Europe %.1f", af, eu)
-	}
-	if _, err := rep.MedianHops(geo.ContinentUnknown); err == nil {
-		t.Error("unknown continent accepted")
-	}
-	if _, err := Lengths(nil, t0); err == nil {
-		t.Error("nil platform accepted")
 	}
 }

@@ -38,6 +38,7 @@ func FuzzWindowParams(f *testing.F) {
 		{rfc(tailStart), rfc(tailStart.Add(2 * time.Hour)), "0.99", ""},                 // exactly one covered block
 		{"", "", "0.5", "AF"},
 		{"2019-13-01T00:00:00Z", "x", "NaN", "Atlantis"},
+		{"", "", "NaN", ""},
 		{"0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "1e-300", "Oceania"},
 	} {
 		f.Add(seed[0], seed[1], seed[2], seed[3])

@@ -115,11 +115,10 @@ func (st *stageTimes) serverTiming() string {
 	return sb.String()
 }
 
-// serveCached runs key through the read cache and writes the result,
-// handling conditional requests (If-None-Match against the snapshot
-// ETag) and the hit/coalesced/stale accounting. st, when non-nil, is
-// the stage breakdown fill records into: the stages that ran are
-// exported as serve_window_stage_seconds and a Server-Timing header.
+// serveCached runs key through the read cache and writes the result
+// with writeResponse, counting the hit, coalesced wait or miss. st, when
+// non-nil, is the stage breakdown fill records into: the stages that ran
+// are exported as serve_window_stage_seconds and a Server-Timing header.
 func (e *Engine) serveCached(w http.ResponseWriter, r *http.Request, key string, st *stageTimes, fill func() (*response, error)) {
 	m := e.opt.Metrics.nilSafe()
 	var (
@@ -148,9 +147,6 @@ func (e *Engine) serveCached(w http.ResponseWriter, r *http.Request, key string,
 		httpapi.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if e.lag.Load() > 0 {
-		m.StaleServed.Inc()
-	}
 	if st != nil {
 		for i, d := range st {
 			if d > 0 {
@@ -160,6 +156,16 @@ func (e *Engine) serveCached(w http.ResponseWriter, r *http.Request, key string,
 		if h := st.serverTiming(); h != "" {
 			w.Header().Set("Server-Timing", h)
 		}
+	}
+	e.writeResponse(w, r, resp)
+}
+
+// writeResponse writes a ready response, handling conditional requests
+// (If-None-Match against the snapshot ETag) and counting a response
+// served while the snapshot lags the store.
+func (e *Engine) writeResponse(w http.ResponseWriter, r *http.Request, resp *response) {
+	if e.lag.Load() > 0 {
+		e.opt.Metrics.nilSafe().StaleServed.Inc()
 	}
 	if resp.etag != "" {
 		w.Header().Set("Etag", resp.etag)
@@ -204,10 +210,9 @@ func (e *Engine) handleFigure(w http.ResponseWriter, r *http.Request) {
 		httpapi.Errorf(w, http.StatusNotFound, "unknown figure %q (serving 4, 5, 6, 7)", fig)
 		return
 	}
-	// The payload was rendered at publish time; the fill is a pointer
-	// hand-off, never a scan.
-	key := "figures/" + fig + "@" + v.fingerprint
-	e.serveCached(w, r, key, nil, func() (*response, error) { return resp, nil })
+	// The payload was rendered at publish time: it is written as is, with
+	// no trip through the read cache.
+	e.writeResponse(w, r, resp)
 }
 
 // quantileDTO is one continent's answer on /api/v1/quantile.
@@ -236,7 +241,7 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	p, err := strconv.ParseFloat(q.Get("p"), 64)
-	if err != nil || p < 0 || p > 1 {
+	if err != nil || !(p >= 0 && p <= 1) { // !(...) also rejects NaN
 		httpapi.Errorf(w, http.StatusBadRequest, "p must be a number in [0, 1], got %q", q.Get("p"))
 		return
 	}

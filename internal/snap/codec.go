@@ -35,14 +35,6 @@ func AppendUint32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
 }
 
-// AppendBool appends v as one byte.
-func AppendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 // AppendString appends s length-prefixed.
 func AppendString(b []byte, s string) []byte {
 	b = AppendUvarint(b, uint64(len(s)))
@@ -116,19 +108,6 @@ func (c *Cursor) Byte() (byte, error) {
 	v := c.b[c.off]
 	c.off++
 	return v, nil
-}
-
-// Bool decodes one byte written by AppendBool, rejecting values other
-// than 0 and 1.
-func (c *Cursor) Bool() (bool, error) {
-	v, err := c.Byte()
-	if err != nil {
-		return false, err
-	}
-	if v > 1 {
-		return false, fmt.Errorf("snap: bad bool byte %d at offset %d", v, c.off-1)
-	}
-	return v == 1, nil
 }
 
 // Bytes consumes the next n bytes. The returned slice aliases the

@@ -187,7 +187,6 @@ func TestCursorPrimitives(t *testing.T) {
 	b = AppendUvarint(b, 300)
 	b = AppendVarint(b, -7)
 	b = AppendFloat(b, 3.5)
-	b = AppendBool(b, true)
 	b = AppendString(b, "hé")
 	b = AppendUint32(b, 0xcafef00d)
 
@@ -200,9 +199,6 @@ func TestCursorPrimitives(t *testing.T) {
 	}
 	if v, err := c.Float(); err != nil || v != 3.5 {
 		t.Fatalf("float %v %v", v, err)
-	}
-	if v, err := c.Bool(); err != nil || !v {
-		t.Fatalf("bool %v %v", v, err)
 	}
 	if v, err := c.String(); err != nil || v != "hé" {
 		t.Fatalf("string %q %v", v, err)
@@ -217,10 +213,7 @@ func TestCursorPrimitives(t *testing.T) {
 		t.Fatal("read past end succeeded")
 	}
 
-	// Bad bool byte and oversized string length are rejected.
-	if _, err := NewCursor([]byte{2}).Bool(); err == nil {
-		t.Error("bool byte 2 accepted")
-	}
+	// An oversized string length is rejected.
 	if _, err := NewCursor([]byte{0xff, 0x01}).String(); err == nil {
 		t.Error("string length past end accepted")
 	}

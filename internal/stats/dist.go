@@ -35,9 +35,6 @@ func (d *Dist) Add(v float64) error {
 	return nil
 }
 
-// AddAll appends many samples, stopping at the first invalid one.
-func (d *Dist) AddAll(vs ...float64) error { return d.AddBulk(vs) }
-
 // FromSorted returns a Dist over samples, which must be finite and
 // ascending. The Dist adopts the slice capped at its length, so a query
 // never sorts it and an Add reallocates: the caller may share the slice

@@ -13,7 +13,7 @@ func TestDistBasics(t *testing.T) {
 	if _, err := d.Mean(); err != ErrEmpty {
 		t.Errorf("Mean on empty = %v, want ErrEmpty", err)
 	}
-	if err := d.AddAll(3, 1, 2, 5, 4); err != nil {
+	if err := d.AddBulk([]float64{3, 1, 2, 5, 4}); err != nil {
 		t.Fatal(err)
 	}
 	if d.N() != 5 {
@@ -51,7 +51,7 @@ func TestDistRejectsInvalid(t *testing.T) {
 
 func TestQuantileInterpolation(t *testing.T) {
 	var d Dist
-	if err := d.AddAll(10, 20); err != nil {
+	if err := d.AddBulk([]float64{10, 20}); err != nil {
 		t.Fatal(err)
 	}
 	q, err := d.Quantile(0.5)
@@ -79,7 +79,7 @@ func TestQuantileInterpolation(t *testing.T) {
 
 func TestCDF(t *testing.T) {
 	var d Dist
-	if err := d.AddAll(1, 2, 2, 3); err != nil {
+	if err := d.AddBulk([]float64{1, 2, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct{ x, want float64 }{

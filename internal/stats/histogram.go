@@ -6,14 +6,14 @@ import (
 )
 
 // Histogram counts samples into fixed-width bins over [min, max), with
-// overflow/underflow buckets. It backs the latency-band tallies of Figure 4.
+// an overflow bucket; samples below min count only toward the total. It
+// backs the latency-band tallies of Figure 4.
 type Histogram struct {
-	min, max  float64
-	width     float64
-	counts    []uint64
-	underflow uint64
-	overflow  uint64
-	total     uint64
+	min, max float64
+	width    float64
+	counts   []uint64
+	overflow uint64
+	total    uint64
 }
 
 // NewHistogram creates a histogram with n equal bins spanning [min, max).
@@ -32,31 +32,8 @@ func NewHistogram(min, max float64, n int) (*Histogram, error) {
 	}, nil
 }
 
-// Add counts one sample.
-func (h *Histogram) Add(v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("stats: invalid sample %v", v)
-	}
-	h.total++
-	switch {
-	case v < h.min:
-		h.underflow++
-	case v >= h.max:
-		h.overflow++
-	default:
-		idx := int((v - h.min) / h.width)
-		if idx >= len(h.counts) { // guard against float rounding at max
-			idx = len(h.counts) - 1
-		}
-		h.counts[idx]++
-	}
-	return nil
-}
-
-// AddBulk counts a batch of samples — the batch-kernel entry point.
-// Behaviour matches calling Add per value (samples before the first
-// invalid one are counted, then the error), with the bin math hoisted
-// out of the interface-call-per-row shape.
+// AddBulk counts a batch of samples. The samples before the first
+// invalid one are counted, then it returns the error.
 func (h *Histogram) AddBulk(vs []float64) error {
 	for _, v := range vs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -64,8 +41,7 @@ func (h *Histogram) AddBulk(vs []float64) error {
 		}
 		h.total++
 		switch {
-		case v < h.min:
-			h.underflow++
+		case v < h.min: // below the range: counted in the total only
 		case v >= h.max:
 			h.overflow++
 		default:
@@ -100,9 +76,6 @@ func (h *Histogram) Bins() []Bin {
 	}
 	return out
 }
-
-// Underflow returns the count of samples below the range.
-func (h *Histogram) Underflow() uint64 { return h.underflow }
 
 // Overflow returns the count of samples at or above the range.
 func (h *Histogram) Overflow() uint64 { return h.overflow }

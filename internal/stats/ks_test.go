@@ -27,7 +27,7 @@ func TestKSSameDistribution(t *testing.T) {
 	if res.D > 0.06 {
 		t.Errorf("same-distribution D = %.3f", res.D)
 	}
-	if res.Different(0.01) {
+	if res.P < 0.01 {
 		t.Errorf("same distribution flagged as different (p=%.4f)", res.P)
 	}
 }
@@ -40,7 +40,7 @@ func TestKSShiftedDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Different(0.001) {
+	if res.P >= 0.001 {
 		t.Errorf("clearly shifted distributions not detected (D=%.3f p=%.4f)", res.D, res.P)
 	}
 	if res.D < 0.5 {
@@ -81,10 +81,10 @@ func TestKSValidation(t *testing.T) {
 
 func TestKSDoesNotMutateInputs(t *testing.T) {
 	var a, b Dist
-	if err := a.AddAll(3, 1, 2); err != nil {
+	if err := a.AddBulk([]float64{3, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddAll(9, 7, 8); err != nil {
+	if err := b.AddBulk([]float64{9, 7, 8}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := KolmogorovSmirnov(&a, &b); err != nil {

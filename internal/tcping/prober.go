@@ -34,41 +34,21 @@ func (r Result) ProcessingDelay() time.Duration {
 
 // Prober runs TCP-style probes from one transport endpoint.
 type Prober struct {
-	tr       ping.Transport
-	rttScale float64
-	now      func() time.Time
+	tr ping.Transport
 
 	mu      sync.Mutex
 	nextID  uint32
 	pending map[uint32]chan *Segment
 }
 
-// ProberOption configures a Prober.
-type ProberOption func(*Prober)
-
-// WithRTTScale multiplies measured durations (pair with compressed
-// simulation time).
-func WithRTTScale(f float64) ProberOption {
-	return func(p *Prober) {
-		if f > 0 {
-			p.rttScale = f
-		}
-	}
-}
-
 // NewProber wraps a transport and installs its receive handler.
-func NewProber(tr ping.Transport, opts ...ProberOption) (*Prober, error) {
+func NewProber(tr ping.Transport) (*Prober, error) {
 	if tr == nil {
 		return nil, errors.New("tcping: nil transport")
 	}
 	p := &Prober{
-		tr:       tr,
-		rttScale: 1,
-		now:      time.Now,
-		pending:  make(map[uint32]chan *Segment),
-	}
-	for _, o := range opts {
-		o(p)
+		tr:      tr,
+		pending: make(map[uint32]chan *Segment),
 	}
 	tr.SetHandler(p.onPacket)
 	return p, nil
@@ -105,7 +85,7 @@ func (p *Prober) exchange(ctx context.Context, dst string, connID uint32, sendTy
 		p.mu.Unlock()
 	}()
 
-	start := p.now()
+	start := time.Now()
 	seg := &Segment{Type: sendType, ConnID: connID, SentUnixNano: start.UnixNano()}
 	buf, err := seg.Marshal()
 	if err != nil {
@@ -122,8 +102,7 @@ func (p *Prober) exchange(ctx context.Context, dst string, connID uint32, sendTy
 			if reply.Type != wantType {
 				continue // stale segment from a previous phase
 			}
-			elapsed := p.now().Sub(start)
-			return time.Duration(float64(elapsed) * p.rttScale), nil
+			return time.Since(start), nil
 		case <-timer.C:
 			return 0, ErrTimeout
 		case <-ctx.Done():
@@ -148,7 +127,7 @@ func (p *Prober) Probe(ctx context.Context, dst string, timeout time.Duration) (
 	if err != nil {
 		return Result{}, fmt.Errorf("tcping: connect: %w", err)
 	}
-	ack := &Segment{Type: TypeACK, ConnID: connID, SentUnixNano: p.now().UnixNano()}
+	ack := &Segment{Type: TypeACK, ConnID: connID, SentUnixNano: time.Now().UnixNano()}
 	buf, err := ack.Marshal()
 	if err != nil {
 		return Result{}, err

@@ -3,7 +3,6 @@ package tcping
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ping"
@@ -17,9 +16,8 @@ type Server struct {
 	delayFn func(connID uint32) time.Duration
 	sleep   func(time.Duration)
 
-	mu     sync.Mutex
-	open   map[uint32]bool
-	served atomic.Uint64
+	mu   sync.Mutex
+	open map[uint32]bool
 }
 
 // ServerOption configures a Server.
@@ -81,7 +79,6 @@ func (s *Server) onPacket(src string, payload []byte) {
 			s.sleep(d)
 		}
 		s.reply(src, TypeRESP, seg.ConnID)
-		s.served.Add(1)
 	}
 }
 
@@ -93,6 +90,3 @@ func (s *Server) reply(dst string, typ uint8, connID uint32) {
 	}
 	_ = s.tr.Send(dst, buf) // loss is silent, like the network
 }
-
-// Served returns the number of answered requests.
-func (s *Server) Served() uint64 { return s.served.Load() }

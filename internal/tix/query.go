@@ -62,9 +62,6 @@ type QueryStats struct {
 	SlabBytes int64
 }
 
-// DecodedBlocks is the total number of blocks the query had to decode.
-func (q QueryStats) DecodedBlocks() int { return q.EdgeBlocks + q.FrontierBlocks }
-
 // piece is one block a window decodes rather than composes — an edge
 // block (only sel's rows) or a covered block past the last record — kept
 // so the slab path can fold its values after the curves were answered

@@ -325,9 +325,9 @@ func TestQueryMatchesColdFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Nodes != len(f.blocks) || res.Stats.DecodedBlocks() != 0 {
+	if res.Stats.Nodes != len(f.blocks) || res.Stats.EdgeBlocks+res.Stats.FrontierBlocks != 0 {
 		t.Fatalf("full-window query composed %d of %d records and decoded %d blocks",
-			res.Stats.Nodes, len(f.blocks), res.Stats.DecodedBlocks())
+			res.Stats.Nodes, len(f.blocks), res.Stats.EdgeBlocks+res.Stats.FrontierBlocks)
 	}
 	if got := res.Stats.Nodes + res.Stats.EdgeBlocks + res.Stats.FrontierBlocks + res.Stats.SkippedBlocks; got != len(f.blocks) {
 		t.Fatalf("query accounted for %d of %d blocks", got, len(f.blocks))
@@ -519,7 +519,7 @@ func TestTIXv2Rebuilds(t *testing.T) {
 	}
 	header := snap.AppendString([]byte{0x00}, f.binding.PassSet)
 	header = snap.AppendString(header, f.binding.Index)
-	header = snap.AppendBool(snap.AppendString(header, f.binding.Meta), true)
+	header = append(snap.AppendString(header, f.binding.Meta), 1)
 	v2 := snap.AppendRecord([]byte("TIX\x02\x00\x00\x00\n"), header)
 	for _, rec := range snap.Validate(fresh, f.binding).Records {
 		v2 = snap.AppendRecord(v2, rec.Payload)

@@ -9,76 +9,43 @@ import (
 	"net/url"
 	"regexp"
 	"strconv"
-	"strings"
-	"time"
 )
 
 // Crawler scrapes yearly result counts from a scholar-like server, with
-// polite pacing and bounded retries — the operational concerns the paper's
-// custom crawler [38] had to handle.
+// bounded retries — an operational concern the paper's custom crawler
+// [38] had to handle.
 type Crawler struct {
-	base    string
-	hc      *http.Client
-	delay   time.Duration
-	retries int
+	base string
+	hc   *http.Client
 }
 
-// CrawlerOption configures a Crawler.
-type CrawlerOption func(*Crawler)
-
-// WithDelay sets the inter-request pause (politeness; default none).
-func WithDelay(d time.Duration) CrawlerOption {
-	return func(c *Crawler) {
-		if d >= 0 {
-			c.delay = d
-		}
-	}
-}
-
-// WithRetries sets how many times a failed fetch is retried (default 2).
-func WithRetries(n int) CrawlerOption {
-	return func(c *Crawler) {
-		if n >= 0 {
-			c.retries = n
-		}
-	}
-}
+// fetchRetries is how many times a failed fetch is retried.
+const fetchRetries = 2
 
 // NewCrawler targets a server base URL.
-func NewCrawler(base string, hc *http.Client, opts ...CrawlerOption) (*Crawler, error) {
+func NewCrawler(base string, hc *http.Client) (*Crawler, error) {
 	if base == "" {
 		return nil, errors.New("trends: empty base URL")
 	}
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	c := &Crawler{base: base, hc: hc, retries: 2}
-	for _, o := range opts {
-		o(c)
-	}
-	return c, nil
+	return &Crawler{base: base, hc: hc}, nil
 }
 
 var aboutRe = regexp.MustCompile(`About (\d+) results`)
 
-// fetch grabs one result page.
-func (c *Crawler) fetch(ctx context.Context, term Term, year, start int) (string, error) {
+// fetch grabs the first result page.
+func (c *Crawler) fetch(ctx context.Context, term Term, year int) (string, error) {
 	q := url.Values{}
 	q.Set("q", string(term))
 	q.Set("as_ylo", strconv.Itoa(year))
 	q.Set("as_yhi", strconv.Itoa(year))
-	if start > 0 {
-		q.Set("start", strconv.Itoa(start))
-	}
 	u := c.base + "/scholar?" + q.Encode()
 	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 || c.delay > 0 {
-			select {
-			case <-ctx.Done():
-				return "", ctx.Err()
-			case <-time.After(c.delay):
-			}
+	for attempt := 0; attempt <= fetchRetries; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return "", err
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 		if err != nil {
@@ -106,7 +73,7 @@ func (c *Crawler) fetch(ctx context.Context, term Term, year, start int) (string
 
 // Count scrapes the "About N results" header for (term, year).
 func (c *Crawler) Count(ctx context.Context, term Term, year int) (int, error) {
-	page, err := c.fetch(ctx, term, year, 0)
+	page, err := c.fetch(ctx, term, year)
 	if err != nil {
 		return 0, err
 	}
@@ -115,55 +82,6 @@ func (c *Crawler) Count(ctx context.Context, term Term, year int) (int, error) {
 		return 0, fmt.Errorf("trends: no result count on page for %q %d", term, year)
 	}
 	return strconv.Atoi(m[1])
-}
-
-// Titles paginates through result pages collecting titles, up to limit.
-// It exercises the pagination path the count header shortcut avoids.
-func (c *Crawler) Titles(ctx context.Context, term Term, year, limit int) ([]string, error) {
-	if limit <= 0 {
-		return nil, fmt.Errorf("trends: non-positive limit %d", limit)
-	}
-	var out []string
-	for start := 0; len(out) < limit; start += PageSize {
-		page, err := c.fetch(ctx, term, year, start)
-		if err != nil {
-			return nil, err
-		}
-		titles := extractTitles(page)
-		if len(titles) == 0 {
-			break // past the last page
-		}
-		out = append(out, titles...)
-	}
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out, nil
-}
-
-// extractTitles pulls <h3>...</h3> contents out of a result page.
-func extractTitles(page string) []string {
-	var out []string
-	rest := page
-	for {
-		i := strings.Index(rest, "<h3>")
-		if i < 0 {
-			return out
-		}
-		rest = rest[i+len("<h3>"):]
-		j := strings.Index(rest, "</h3>")
-		if j < 0 {
-			return out
-		}
-		out = append(out, htmlUnescape(rest[:j]))
-		rest = rest[j+len("</h3>"):]
-	}
-}
-
-// htmlUnescape reverses the entities html.EscapeString produces.
-func htmlUnescape(s string) string {
-	r := strings.NewReplacer("&lt;", "<", "&gt;", ">", "&quot;", `"`, "&#39;", "'", "&amp;", "&")
-	return r.Replace(s)
 }
 
 // YearlyCounts scrapes the full Figure 1 publication series for a term.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -132,32 +131,6 @@ func mustCountT(t *testing.T, c *Corpus, term Term, year int) int {
 	return n
 }
 
-func TestCrawlerPagination(t *testing.T) {
-	_, crawler := scholarFixture(t)
-	titles, err := crawler.Titles(context.Background(), EdgeComputing, 2005, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2005 edge-computing corpus is small (CDN-era noise, ~30 papers) but
-	// larger than two pages.
-	if len(titles) < 20 {
-		t.Fatalf("paginated %d titles", len(titles))
-	}
-	seen := map[string]bool{}
-	for _, title := range titles {
-		if !strings.Contains(title, "edge computing") {
-			t.Errorf("title %q lacks the term", title)
-		}
-		if seen[title] {
-			t.Errorf("duplicate title %q across pages", title)
-		}
-		seen[title] = true
-	}
-	if _, err := crawler.Titles(context.Background(), EdgeComputing, 2005, 0); err == nil {
-		t.Error("zero limit accepted")
-	}
-}
-
 func TestCrawlerErrors(t *testing.T) {
 	_, crawler := scholarFixture(t)
 	ctx := context.Background()
@@ -171,7 +144,7 @@ func TestCrawlerErrors(t *testing.T) {
 		t.Error("empty base accepted")
 	}
 	// Unreachable server exhausts retries.
-	dead, err := NewCrawler("http://127.0.0.1:1", &http.Client{}, WithRetries(1))
+	dead, err := NewCrawler("http://127.0.0.1:1", &http.Client{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,11 +85,6 @@ type Config struct {
 	Campaign atlas.CampaignConfig
 }
 
-// DefaultConfig uses a compact world and the 30-day test campaign.
-func DefaultConfig() Config {
-	return Config{Seed: 1, Probes: 400, Campaign: atlas.TestCampaign()}
-}
-
 // Run executes every scenario's campaign over an identical world (same
 // probes, same regions, same seed — only the network model changes) and
 // reports the resulting last-mile gap and feasibility zone.
@@ -193,14 +188,4 @@ func (r *Report) Format() []string {
 			o.Scenario, o.WirelessRatio, o.WirelessAddedMs, o.EUWithinMTP, o.MarketInZoneB, len(o.InZone)))
 	}
 	return lines
-}
-
-// Lookup finds a scenario's outcome.
-func (r *Report) Lookup(name string) (Outcome, bool) {
-	for _, o := range r.Outcomes {
-		if o.Scenario == name {
-			return o, true
-		}
-	}
-	return Outcome{}, false
 }

@@ -12,12 +12,9 @@ import (
 )
 
 func smallConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Probes = 300
 	c := atlas.TestCampaign()
 	c.End = c.Start.Add(14 * 24 * time.Hour)
-	cfg.Campaign = c
-	return cfg
+	return Config{Seed: 1, Probes: 300, Campaign: c}
 }
 
 func TestFiveGShiftsTheZone(t *testing.T) {
@@ -25,14 +22,8 @@ func TestFiveGShiftsTheZone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, ok := rep.Lookup("baseline")
-	if !ok {
-		t.Fatal("baseline missing")
-	}
-	fiveG, ok := rep.Lookup("5g-promised")
-	if !ok {
-		t.Fatal("5g missing")
-	}
+	base := outcome(t, rep, "baseline")
+	fiveG := outcome(t, rep, "5g-promised")
 	// The promised 5G collapses the wired/wireless gap...
 	if fiveG.WirelessRatio >= base.WirelessRatio {
 		t.Errorf("5G ratio %.2f >= baseline %.2f", fiveG.WirelessRatio, base.WirelessRatio)
@@ -65,9 +56,9 @@ func TestEarly5GIsIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := rep.Lookup("baseline")
-	early, _ := rep.Lookup("5g-early")
-	promised, _ := rep.Lookup("5g-promised")
+	base := outcome(t, rep, "baseline")
+	early := outcome(t, rep, "5g-early")
+	promised := outcome(t, rep, "5g-promised")
 	// Early 5G sits between today and the promise (§5's skepticism).
 	if !(promised.WirelessAddedMs <= early.WirelessAddedMs && early.WirelessAddedMs <= base.WirelessAddedMs) {
 		t.Errorf("ordering broken: promised=%.1f early=%.1f base=%.1f",
@@ -80,8 +71,8 @@ func TestNoBufferbloatHelpsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := rep.Lookup("baseline")
-	noBloat, _ := rep.Lookup("no-bufferbloat")
+	base := outcome(t, rep, "baseline")
+	noBloat := outcome(t, rep, "no-bufferbloat")
 	// Removing bufferbloat cannot hurt the wireless medians.
 	if noBloat.WirelessAddedMs > base.WirelessAddedMs*1.1 {
 		t.Errorf("no-bloat added %.1f > baseline %.1f", noBloat.WirelessAddedMs, base.WirelessAddedMs)
@@ -89,10 +80,10 @@ func TestNoBufferbloatHelpsTail(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(context.Background(), DefaultConfig()); err == nil {
+	if _, err := Run(context.Background(), smallConfig()); err == nil {
 		t.Error("no scenarios accepted")
 	}
-	bad := DefaultConfig()
+	bad := smallConfig()
 	bad.Probes = 0
 	if _, err := Run(context.Background(), bad, Baseline()); err == nil {
 		t.Error("zero probes accepted")
@@ -113,9 +104,6 @@ func TestFormat(t *testing.T) {
 	if len(lines) != 2 {
 		t.Errorf("Format produced %d lines", len(lines))
 	}
-	if _, ok := rep.Lookup("nope"); ok {
-		t.Error("unknown scenario found")
-	}
 }
 
 // TestFormatGoldenDigest pins the comparison table byte for byte: the
@@ -132,4 +120,16 @@ func TestFormatGoldenDigest(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("Format() digest = %s, want %s:\n%s", got, want, strings.Join(rep.Format(), "\n"))
 	}
+}
+
+// outcome finds one scenario's outcome.
+func outcome(t *testing.T, rep *Report, scenario string) Outcome {
+	t.Helper()
+	for _, o := range rep.Outcomes {
+		if o.Scenario == scenario {
+			return o
+		}
+	}
+	t.Fatalf("%s missing", scenario)
+	return Outcome{}
 }

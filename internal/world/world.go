@@ -21,12 +21,6 @@ type Config struct {
 	Probes int    // census size (paper: 3300)
 }
 
-// Default is the paper-scale world.
-func Default() Config { return Config{Seed: 1, Probes: 3300} }
-
-// Small is a compact world for tests, examples, and benchmarks.
-func Small() Config { return Config{Seed: 1, Probes: 800} }
-
 // World bundles the assembled components.
 type World struct {
 	Countries *geo.DB

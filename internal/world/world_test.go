@@ -3,7 +3,7 @@ package world
 import "testing"
 
 func TestBuildDefaultShapes(t *testing.T) {
-	w, err := Build(Small())
+	w, err := Build(Config{Seed: 1, Probes: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +33,5 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build(Config{Seed: 1, Probes: 10}); err == nil {
 		t.Error("probe count below country coverage accepted")
-	}
-}
-
-func TestDefaultConfigs(t *testing.T) {
-	if Default().Probes < 3200 {
-		t.Errorf("default census %d below the paper's 3200", Default().Probes)
-	}
-	if Small().Probes >= Default().Probes {
-		t.Error("small config not smaller than default")
 	}
 }

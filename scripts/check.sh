@@ -25,6 +25,12 @@ echo "== namelint =="
 # never see a name they would reject or have to escape.
 go run ./scripts/namelint ./cmd ./internal
 
+echo "== deadapi =="
+# Every exported identifier and method in internal/... must be read by a
+# non-test file (bench/ reads are listed as pinned), or be listed with a
+# reason in scripts/deadapi.allow; a stale or reasonless line fails too.
+go run ./scripts/deadapi
+
 echo "== go test -race (concurrency suites, uncached) =="
 # The scanner, the fused analysis passes, the campaign engine, the
 # storage layer (columnar codec + sinks), and the telemetry plane
