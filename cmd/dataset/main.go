@@ -110,10 +110,11 @@ func run(o options) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := windowPredicate(o.since, o.until)
+	since, until, err := parseWindowRange("", o.since, o.until)
 	if err != nil {
 		return nil, err
 	}
+	pred := &colf.Predicate{Since: since, Until: until}
 	switch o.op {
 	case "stats":
 		return statsOp(store, pred, o.workers)
@@ -130,27 +131,6 @@ func run(o options) ([]string, error) {
 	default:
 		return nil, fmt.Errorf("unknown op %q (want stats, continents, regions, hist, window, filter, or convert)", o.op)
 	}
-}
-
-// windowPredicate builds the scan predicate for the -since/-until
-// window; both empty yields nil (scan everything).
-func windowPredicate(since, until string) (*colf.Predicate, error) {
-	if since == "" && until == "" {
-		return nil, nil
-	}
-	var p colf.Predicate
-	var err error
-	if since != "" {
-		if p.Since, err = time.Parse(time.RFC3339, since); err != nil {
-			return nil, fmt.Errorf("bad -since: %w", err)
-		}
-	}
-	if until != "" {
-		if p.Until, err = time.Parse(time.RFC3339, until); err != nil {
-			return nil, fmt.Errorf("bad -until: %w", err)
-		}
-	}
-	return &p, nil
 }
 
 // scanWith runs one pass per worker over the store's samples file and

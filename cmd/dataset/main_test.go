@@ -141,6 +141,10 @@ func TestRunErrors(t *testing.T) {
 	if _, err := run(options{data: dir, op: "stats", workers: 4, until: "not-a-time"}); err == nil {
 		t.Error("bad -until accepted")
 	}
+	if _, err := run(options{data: dir, op: "continents", workers: 4,
+		since: "2019-07-03T00:00:00Z", until: "2019-07-02T00:00:00Z"}); err == nil {
+		t.Error("reversed -since/-until accepted")
+	}
 	if _, err := run(options{data: dir, op: "convert", workers: 4}); err == nil {
 		t.Error("convert without -out accepted")
 	}

@@ -9,14 +9,17 @@
 //	figures -fig 1                     # dataset-independent figures
 //	figures -fig 6 -data ./dataset -workers 8
 //
-// Dataset-independent figures: 1, 2, 3a, 3b. Dataset figures: 4, 5, 6, 7, 8.
-// -fig, the figure's CSV form and -snapshot are checked before any work.
-// With -data, every figure that needs a world (3a, 3b, 4-8) builds the
-// dataset's own (meta.json) unless -probes/-seed are given.
-// Every dataset figure is one suite report over the pass it reads: a
-// stored dataset is read with the parallel scanner (-workers shards the
-// file; the output is identical for any worker count), a synthesized
-// campaign is folded in memory as the same column blocks. Figures 4
+// The figure's entry in the internal/figures table decides the run: -fig
+// must name one, -csv needs a CSV form, and what the entry reads sets
+// what is loaded — nothing (1, 2), the world (3a, 3b), or the suite
+// passes of a dataset (4-8), which read the world too. -fig, -csv and
+// -snapshot are checked before any work. With -data, every figure that
+// reads a world builds the dataset's own (meta.json) unless
+// -probes/-seed are given. Every dataset figure is one suite report
+// over the passes its entry names: a stored dataset is read with the
+// parallel scanner (-workers shards the file; the output is identical
+// for any worker count), a synthesized campaign is folded in memory as
+// the same column blocks. Figures 4
 // and 5 resume from the dataset's analysis snapshot (samples.snap, a
 // few kilobytes of per-country and per-probe minima maintained by
 // cmd/shears): the scan decodes only blocks appended since and rewrites
@@ -52,11 +55,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/atlas"
 	"repro/internal/core"
 	"repro/internal/figures"
@@ -103,11 +104,17 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
 	var o options
-	flag.StringVar(&o.fig, "fig", "", "figure to render: 1, 2, 3a, 3b, 4, 5, 6, 7, 8")
+	var withCSV []string
+	for _, f := range figures.Table {
+		if f.CSV != nil {
+			withCSV = append(withCSV, f.Name)
+		}
+	}
+	flag.StringVar(&o.fig, "fig", "", "figure to render: "+strings.Join(figures.Names(), ", "))
 	flag.StringVar(&o.data, "data", "", "stored dataset directory (optional)")
 	flag.IntVar(&o.probes, "probes", 400, "world probe count; with -data the default is the dataset's (meta.json)")
 	flag.Uint64Var(&o.seed, "seed", 1, "world seed; with -data the default is the dataset's (meta.json)")
-	flag.BoolVar(&o.csv, "csv", false, "emit CSV instead of text (figures 1, 4, 5, 6, 7, 8)")
+	flag.BoolVar(&o.csv, "csv", false, "emit CSV instead of text (figures "+strings.Join(withCSV, ", ")+")")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "scan worker count for stored datasets")
 	flag.StringVar(&o.snapMode, "snapshot", "on", "analysis snapshot (samples.snap) for stored datasets: on or off")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
@@ -356,65 +363,61 @@ func figuresProgress(manifest *obs.RunManifest, start time.Time, fig string, sm 
 	}
 }
 
-// check rejects a flag combination no work can satisfy — a figure with
-// no CSV form, an unknown figure, a bad -snapshot — before a world is
-// built or a sample synthesized.
-func (o options) check() error {
-	if o.csv && o.fig != "1" && figurePasses(o.fig) == 0 {
-		return fmt.Errorf("figure %q has no CSV form", o.fig)
+// check looks -fig up in the figures table and rejects a flag
+// combination no work can satisfy — a figure with no CSV form, an
+// unknown figure, a bad -snapshot — before a world is built or a sample
+// synthesized.
+func (o options) check() (*figures.Figure, error) {
+	f, ok := figures.Lookup(o.fig)
+	if o.csv && (!ok || f.CSV == nil) {
+		return nil, fmt.Errorf("figure %q has no CSV form", o.fig)
 	}
-	if !slices.Contains(figures.Names(), o.fig) {
-		return fmt.Errorf("unknown figure %q (want one of %v)", o.fig, figures.Names())
+	if !ok {
+		return nil, fmt.Errorf("unknown figure %q (want one of %v)", o.fig, figures.Names())
 	}
 	if o.snapMode != "on" && o.snapMode != "off" && o.snapMode != "" {
-		return fmt.Errorf("invalid -snapshot %q (want on or off)", o.snapMode)
+		return nil, fmt.Errorf("invalid -snapshot %q (want on or off)", o.snapMode)
 	}
-	return nil
+	return f, nil
 }
 
+// render draws the figure from what its table entry reads: nothing, the
+// world, or the suite report over its passes — from the stored dataset
+// or a synthesized campaign.
 func render(o options, env *runEnv) ([]string, error) {
-	if err := o.check(); err != nil {
+	f, err := o.check()
+	if err != nil {
 		return nil, err
 	}
 	ctx := obs.ContextWith(context.Background(), env.span())
-	switch o.fig {
-	case "1":
-		series, lines, err := figures.Figure1(ctx, o.seed)
-		if err != nil || !o.csv {
-			return lines, err
-		}
-		var buf bytes.Buffer
-		if err := figures.Figure1CSV(&buf, series); err != nil {
+	in := &figures.Inputs{Ctx: ctx, CorpusSeed: o.seed}
+	if f.World {
+		w, d, err := loadWorld(o, env)
+		if err != nil {
 			return nil, err
 		}
-		return splitLines(buf.String()), nil
-	case "2":
-		return figures.Figure2(apps.Paper())
-	}
-
-	w, d, err := loadWorld(o, env)
-	if err != nil {
-		return nil, err
-	}
-	switch o.fig {
-	case "3a":
-		return figures.Figure3a(w.Catalog)
-	case "3b":
-		return figures.Figure3b(w.Probes)
-	}
-
-	span := env.span().Child("figure:" + o.fig)
-	defer span.End()
-	if d.store == nil {
-		if err := d.synthesize(ctx, w); err != nil {
-			return nil, err
+		in.World = w
+		if f.Passes != 0 {
+			span := env.span().Child("figure:" + o.fig)
+			defer span.End()
+			if d.store == nil {
+				if err := d.synthesize(ctx, w); err != nil {
+					return nil, err
+				}
+			}
+			if in.Report, err = d.report(obs.ContextWith(ctx, span), w.Index, f.Passes); err != nil {
+				return nil, err
+			}
 		}
 	}
-	rep, err := d.report(obs.ContextWith(ctx, span), w.Index, figurePasses(o.fig))
-	if err != nil {
+	if !o.csv {
+		return f.Lines(in)
+	}
+	var buf bytes.Buffer
+	if err := f.CSV(&buf, in); err != nil {
 		return nil, err
 	}
-	return figureLines(o.fig, o.csv, rep)
+	return splitLines(buf.String()), nil
 }
 
 // buildWorld synthesizes the world under its own stage span.
@@ -496,22 +499,6 @@ func (d *dataset) synthesize(ctx context.Context, w *world.World) error {
 	return err
 }
 
-// figurePasses names the suite pass a dataset figure reads. Zero for
-// the figures that read no dataset.
-func figurePasses(fig string) core.PassSet {
-	switch fig {
-	case "4":
-		return core.PassProximity
-	case "5":
-		return core.PassMinRTT
-	case "6":
-		return core.PassFullDist
-	case "7", "8":
-		return core.PassLastMile
-	}
-	return 0
-}
-
 // report is the one way a dataset figure gets its numbers: the suite
 // report over the passes it reads. A store goes through
 // core.ScanStoreSnap — Figures 4 and 5 seeded from samples.snap, the
@@ -530,44 +517,6 @@ func (d *dataset) report(ctx context.Context, idx *core.Index, passes core.PassS
 	}
 	d.env.noteScan(st, rep)
 	return rep, nil
-}
-
-// figureLines renders a dataset figure, as text or CSV, from the suite
-// report holding its pass.
-func figureLines(fig string, csv bool, rep *core.SuiteReport) ([]string, error) {
-	var buf bytes.Buffer
-	var err error
-	switch fig {
-	case "4":
-		if !csv {
-			return figures.Figure4Lines(rep.Proximity), nil
-		}
-		err = figures.Figure4CSV(&buf, rep.Proximity)
-	case "5", "6":
-		cdf := rep.MinRTT
-		if fig == "6" {
-			cdf = rep.FullDist
-		}
-		if !csv {
-			return figures.CDFLines(cdf)
-		}
-		err = figures.CDFCSV(&buf, cdf)
-	case "7":
-		if !csv {
-			return figures.Figure7Lines(rep.LastMile)
-		}
-		err = figures.Figure7CSV(&buf, rep.LastMile)
-	case "8":
-		rep8, lines, ferr := figures.Figure8(rep.LastMile, apps.Paper())
-		if ferr != nil || !csv {
-			return lines, ferr
-		}
-		err = figures.Figure8CSV(&buf, rep8)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return splitLines(buf.String()), nil
 }
 
 func splitLines(s string) []string {

@@ -529,7 +529,7 @@ func TestSnapshotOffWorksOnePass(t *testing.T) {
 		if m.Samples == 0 || m.Snapshot == nil || m.Snapshot.BlocksRead != m.Snapshot.BlocksTotal || m.Snapshot.PrefixSamples != 0 {
 			t.Errorf("fig %s: not a cold scan of the whole store: samples=%d snapshot=%+v", fig, m.Samples, m.Snapshot)
 		}
-		if want := figurePasses(fig).String(); m.Snapshot == nil || m.Snapshot.Passes != want {
+		if want := passesOf(fig).String(); m.Snapshot == nil || m.Snapshot.Passes != want {
 			t.Errorf("fig %s: scan worked passes %+v, want %s", fig, m.Snapshot, want)
 		}
 		for _, s := range m.Stages {

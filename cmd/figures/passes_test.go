@@ -13,11 +13,18 @@ import (
 	"repro/internal/atlas"
 	"repro/internal/colf"
 	"repro/internal/core"
+	"repro/internal/figures"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/snap"
 	"repro/internal/world"
 )
+
+// passesOf is the suite pass set the figures table gives fig.
+func passesOf(fig string) core.PassSet {
+	f, _ := figures.Lookup(fig)
+	return f.Passes
+}
 
 // passScenario is one starting state of a dataset directory: how much
 // of the campaign the store holds, and what the snapshot next to it
@@ -407,8 +414,8 @@ func TestNearestFiguresLeaveSnapshotAlone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c := m.Snapshot; c == nil || c.PrefixBlocks != 0 || c.PrefixSamples != 0 || c.BlocksRead != c.BlocksTotal || c.Passes != figurePasses(fig).String() {
-				t.Errorf("%s: fig %s manifest coverage %+v, want a cold scan of pass %s", state.name, fig, c, figurePasses(fig))
+			if c := m.Snapshot; c == nil || c.PrefixBlocks != 0 || c.PrefixSamples != 0 || c.BlocksRead != c.BlocksTotal || c.Passes != passesOf(fig).String() {
+				t.Errorf("%s: fig %s manifest coverage %+v, want a cold scan of pass %s", state.name, fig, c, passesOf(fig))
 			}
 			for _, s := range m.Stages {
 				if strings.HasPrefix(s.Name, "snap") {

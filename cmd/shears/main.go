@@ -1,7 +1,11 @@
 // Command shears is the end-to-end reproduction driver: it builds the
 // world (probes, cloud regions, latency model), runs the measurement
 // campaign, writes the dataset to disk, and regenerates every figure of
-// the paper from it.
+// the paper from it: it prints every entry of the internal/figures table
+// (then the §4.3, §4.1 and §5 companion tables), and -figdir writes each
+// CSV and SVG form an entry has as figure<N>.csv/.svg. One fused scan
+// folds the passes of every entry, and Figure 1's crawl is shared by its
+// text, CSV and SVG.
 //
 // Usage:
 //
@@ -430,14 +434,18 @@ func run(o options) (err error) {
 	// One fused parallel scan of the dataset computes every figure report;
 	// the renderers below only format what it already aggregated.
 	scanCtx := obs.ContextWith(context.Background(), figSpan)
-	// Each process folds what it prints: Figures 4-8 and the provider
-	// table. The scan also writes the run's one snapshot, covering every
-	// block; -snapshot off is the same call without a path.
+	// Each process folds what it prints: the passes of every figure of
+	// the table and the §4.1 provider table. The scan also writes the
+	// run's one snapshot, covering every block; -snapshot off is the same
+	// call without a path.
 	so := core.SnapshotOptions{
 		Metrics:       snapMetrics,
 		RefreshFactor: core.DefaultRefreshFactor,
 		Log:           logger.With("snap"),
-		Passes:        core.PassProximity | core.PassMinRTT | core.PassFullDist | core.PassLastMile | core.PassProvider,
+		Passes:        core.PassProvider,
+	}
+	for _, f := range figures.Table {
+		so.Passes |= f.Passes
 	}
 	if snapEnabled {
 		so.Path = store.SnapshotPath()
@@ -457,8 +465,12 @@ func run(o options) (err error) {
 			PrefixBlocks: st.PrefixBlocks, BlocksRead: st.BlocksRead, BlocksTotal: st.BlocksTotal,
 		}
 	}
+	// One Inputs serves the artifacts and the printout, so Figure 1's
+	// series is crawled once per run. Its corpus is the paper's whatever
+	// the campaign seed.
+	in := &figures.Inputs{CorpusSeed: 1, World: w, Report: rep, Start: cfg.Start}
 	if o.figDir != "" {
-		if err := writeArtifacts(o.figDir, rep, cfg, figSpan); err != nil {
+		if err := writeArtifacts(o.figDir, in, figSpan); err != nil {
 			return err
 		}
 		logger.Info("figure artifacts written", "dir", o.figDir)
@@ -470,7 +482,7 @@ func run(o options) (err error) {
 	if stdout == nil {
 		stdout = os.Stdout
 	}
-	return printFigures(stdout, rep, w, figSpan, attribution)
+	return printFigures(stdout, in, figSpan, attribution)
 }
 
 // buildTix builds (or incrementally extends) the dataset's temporal
@@ -664,131 +676,64 @@ func continentTally(m *atlas.Metrics) string {
 	return ", " + strings.Join(parts, " ")
 }
 
-// writeArtifacts exports the dataset figures as CSV and SVG files from the
-// fused scan's reports, one child span per artifact.
-func writeArtifacts(dir string, rep *core.SuiteReport, cfg atlas.CampaignConfig, span *obs.Span) error {
+// writeArtifacts writes figure<N>.csv and figure<N>.svg for every form
+// a figure of the table has, one child span per artifact.
+func writeArtifacts(dir string, in *figures.Inputs, span *obs.Span) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, fn func(io.Writer) error) error {
+	write := func(name string, form func(io.Writer, *figures.Inputs) error) error {
 		s := span.Child("artifact:" + name)
 		defer s.End()
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return err
 		}
-		if err := fn(f); err != nil {
+		if err := form(f, in); err != nil {
 			f.Close()
 			return err
 		}
 		return f.Close()
 	}
-	series, _, err := figures.Figure1(context.Background(), 1)
-	if err != nil {
-		return err
-	}
-	if err := write("figure1.csv", func(f io.Writer) error { return figures.Figure1CSV(f, series) }); err != nil {
-		return err
-	}
-	if err := write("figure1.svg", func(f io.Writer) error { return figures.Figure1SVG(f, series) }); err != nil {
-		return err
-	}
-	if err := write("figure4.csv", func(f io.Writer) error { return figures.Figure4CSV(f, rep.Proximity) }); err != nil {
-		return err
-	}
-	if err := write("figure5.csv", func(f io.Writer) error { return figures.CDFCSV(f, rep.MinRTT) }); err != nil {
-		return err
-	}
-	if err := write("figure5.svg", func(f io.Writer) error { return figures.CDFSVG(f, rep.MinRTT, "Figure 5: min RTT CDF by continent") }); err != nil {
-		return err
-	}
-	if err := write("figure6.csv", func(f io.Writer) error { return figures.CDFCSV(f, rep.FullDist) }); err != nil {
-		return err
-	}
-	if err := write("figure6.svg", func(f io.Writer) error { return figures.CDFSVG(f, rep.FullDist, "Figure 6: all pings to closest DC") }); err != nil {
-		return err
-	}
-	if err := write("figure7.csv", func(f io.Writer) error { return figures.Figure7CSV(f, rep.LastMile) }); err != nil {
-		return err
-	}
-	if err := write("figure7.svg", func(f io.Writer) error { return figures.Figure7SVG(f, rep.LastMile, cfg.Start) }); err != nil {
-		return err
-	}
-	rep8, _, err := figures.Figure8(rep.LastMile, apps.Paper())
-	if err != nil {
-		return err
-	}
-	return write("figure8.csv", func(f io.Writer) error { return figures.Figure8CSV(f, rep8) })
-}
-
-// printFigures writes every figure and companion table to out. The §4.3
-// table comes from attribution, which may still be computing.
-func printFigures(out io.Writer, rep *core.SuiteReport, w *world.World, span *obs.Span, attribution func() (*delay.Report, error)) error {
-	ctx := context.Background()
-	emit := func(name string, lines []string) {
-		fmt.Fprintf(out, "\n=== Figure %s ===\n", name)
-		for _, l := range lines {
-			fmt.Fprintln(out, l)
+	for i := range figures.Table {
+		f := &figures.Table[i]
+		if f.CSV != nil {
+			if err := write("figure"+f.Name+".csv", f.CSV); err != nil {
+				return err
+			}
+		}
+		if f.SVG != nil {
+			if err := write("figure"+f.Name+".svg", f.SVG); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// printFigures writes every figure of the table and the companion
+// tables to out. The §4.3 table comes from attribution, which may still
+// be computing.
+func printFigures(out io.Writer, in *figures.Inputs, span *obs.Span, attribution func() (*delay.Report, error)) error {
 	// figure runs fn under a child span and prints its lines.
-	figure := func(name string, fn func() ([]string, error)) error {
-		s := span.Child("figure:" + name)
+	figure := func(title string, fn func() ([]string, error)) error {
+		s := span.Child("figure:" + title)
 		defer s.End()
 		lines, err := fn()
 		if err != nil {
 			return err
 		}
-		emit(name, lines)
+		fmt.Fprintf(out, "\n=== Figure %s ===\n", title)
+		for _, l := range lines {
+			fmt.Fprintln(out, l)
+		}
 		return nil
 	}
-
-	if err := figure("1 (zeitgeist)", func() ([]string, error) {
-		_, l, err := figures.Figure1(ctx, 1)
-		return l, err
-	}); err != nil {
-		return err
-	}
-	if err := figure("2 (application requirements)", func() ([]string, error) {
-		return figures.Figure2(apps.Paper())
-	}); err != nil {
-		return err
-	}
-	if err := figure("3a (cloud regions)", func() ([]string, error) {
-		return figures.Figure3a(w.Catalog)
-	}); err != nil {
-		return err
-	}
-	if err := figure("3b (probes)", func() ([]string, error) {
-		return figures.Figure3b(w.Probes)
-	}); err != nil {
-		return err
-	}
-	if err := figure("4 (proximity to the cloud)", func() ([]string, error) {
-		return figures.Figure4Lines(rep.Proximity), nil
-	}); err != nil {
-		return err
-	}
-	if err := figure("5 (min RTT CDF by continent)", func() ([]string, error) {
-		return figures.CDFLines(rep.MinRTT)
-	}); err != nil {
-		return err
-	}
-	if err := figure("6 (all pings to closest DC)", func() ([]string, error) {
-		return figures.CDFLines(rep.FullDist)
-	}); err != nil {
-		return err
-	}
-	if err := figure("7 (wired vs wireless)", func() ([]string, error) {
-		return figures.Figure7Lines(rep.LastMile)
-	}); err != nil {
-		return err
-	}
-	if err := figure("8 (feasibility zone)", func() ([]string, error) {
-		_, l, err := figures.Figure8(rep.LastMile, apps.Paper())
-		return l, err
-	}); err != nil {
-		return err
+	for i := range figures.Table {
+		f := &figures.Table[i]
+		if err := figure(f.Title(), func() ([]string, error) { return f.Lines(in) }); err != nil {
+			return err
+		}
 	}
 
 	// §4.3 and §5 companion tables.
@@ -803,7 +748,7 @@ func printFigures(out io.Writer, rep *core.SuiteReport, w *world.World, span *ob
 	}
 	if err := figure("§4.1 (per-provider reachability)", func() ([]string, error) {
 		var lines []string
-		for _, row := range rep.Provider.Rows {
+		for _, row := range in.Report.Provider.Rows {
 			lines = append(lines, fmt.Sprintf("%-16s median=%6.1fms p95=%7.1fms loss=%.2f%% (n=%d)",
 				row.Provider, row.Summary.Median, row.Summary.P95, 100*row.LossRate, row.Summary.N))
 		}

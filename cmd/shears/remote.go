@@ -7,37 +7,33 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/figures"
+	"repro/internal/serve"
 )
 
-// remoteFigures lists the figures a running atlasd -serve-data instance
-// pre-renders, with the captions the local printer uses.
-var remoteFigures = []struct{ fig, title string }{
-	{"4", "proximity to the cloud"},
-	{"5", "min RTT CDF by continent"},
-	{"6", "all pings to closest DC"},
-	{"7", "wired vs wireless"},
-}
-
-// runRemote prints figures 4–7 fetched from a live atlasd analysis API
-// instead of scanning a local dataset. The serving engine answers from
-// its resident snapshot, so this needs no dataset on this machine and
-// works while the remote campaign is still appending. All four figures
-// carry the serving snapshot's ETag; if it advances between fetches the
-// mismatch is reported so the caller knows the set is not one
-// consistent cut.
+// runRemote prints the figures a running atlasd -serve-data instance
+// pre-renders (serve.ServedFigures), under the figures table's captions,
+// fetched from its analysis API instead of scanning a local dataset.
+// The serving engine answers from its resident snapshot, so this needs
+// no dataset on this machine and works while the remote campaign is
+// still appending. Every figure carries the serving snapshot's ETag; if
+// it advances between fetches the mismatch is reported so the caller
+// knows the set is not one consistent cut.
 func runRemote(base string, out io.Writer) error {
 	client := &http.Client{Timeout: 30 * time.Second}
 	base = strings.TrimRight(base, "/")
 	etags := make(map[string]bool)
-	for _, f := range remoteFigures {
-		body, etag, err := fetchFigure(client, base, f.fig)
+	for _, name := range serve.ServedFigures {
+		f, _ := figures.Lookup(name)
+		body, etag, err := fetchFigure(client, base, name)
 		if err != nil {
 			return err
 		}
 		if etag != "" {
 			etags[etag] = true
 		}
-		fmt.Fprintf(out, "\n=== Figure %s (%s) ===\n", f.fig, f.title)
+		fmt.Fprintf(out, "\n=== Figure %s ===\n", f.Title())
 		if _, err := out.Write(body); err != nil {
 			return err
 		}

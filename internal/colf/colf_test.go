@@ -171,16 +171,13 @@ func TestPredicateZoneAndRow(t *testing.T) {
 		{},
 		{Since: base.Add(6 * time.Hour), Until: base.Add(9 * time.Hour)},
 		{Until: base.Add(3 * time.Hour)},
-		{MinProbe: 100, MaxProbe: 120},
-		{RegionPrefix: "Amazon/"},
-		{RegionPrefix: "Nowhere/"},
 		{Since: base.Add(100 * 24 * time.Hour)},
 	}
 	for pi, p := range preds {
 		// Ground truth: row-by-row filtering over the raw rows.
 		var want int
 		for _, row := range rows {
-			if p.MatchRow(row.Probe, row.TimeNano, row.Region) {
+			if p.MatchRow(row.TimeNano) {
 				want++
 			}
 		}
@@ -197,7 +194,7 @@ func TestPredicateZoneAndRow(t *testing.T) {
 				skippedBlocks++
 				for k := 0; k < blk.Rows(); k++ {
 					row := blk.Row(k)
-					if p.MatchRow(row.Probe, row.TimeNano, row.Region) {
+					if p.MatchRow(row.TimeNano) {
 						t.Fatalf("pred %d skipped a block containing matching row %+v", pi, row)
 					}
 				}
@@ -205,7 +202,7 @@ func TestPredicateZoneAndRow(t *testing.T) {
 			}
 			for k := 0; k < blk.Rows(); k++ {
 				row := blk.Row(k)
-				if p.MatchRow(row.Probe, row.TimeNano, row.Region) {
+				if p.MatchRow(row.TimeNano) {
 					got++
 				}
 			}
@@ -213,7 +210,7 @@ func TestPredicateZoneAndRow(t *testing.T) {
 		if got != want {
 			t.Errorf("pred %d: %d rows via zones, %d via full filter", pi, got, want)
 		}
-		if p != nil && pi >= 6 && skippedBlocks != len(r.Blocks()) {
+		if p != nil && pi >= 4 && skippedBlocks != len(r.Blocks()) {
 			t.Errorf("pred %d: impossible predicate skipped only %d/%d blocks", pi, skippedBlocks, len(r.Blocks()))
 		}
 	}
@@ -224,8 +221,8 @@ func TestPredicateEmpty(t *testing.T) {
 	if !p.Empty() || !(&Predicate{}).Empty() {
 		t.Error("nil/zero predicate not Empty")
 	}
-	if (&Predicate{RegionPrefix: "x"}).Empty() || (&Predicate{MinProbe: 1}).Empty() {
-		t.Error("constrained predicate reported Empty")
+	if (&Predicate{Until: time.Unix(1, 0)}).Empty() {
+		t.Error("time-constrained predicate reported Empty")
 	}
 }
 

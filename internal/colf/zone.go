@@ -282,23 +282,16 @@ func decodeRegionZones(c *byteCursor, z Zone) ([]RegionZone, error) {
 	return regions, nil
 }
 
-// Predicate is a conjunction of per-column range filters. MatchZone is
+// Predicate is a time window over the timestamp column. MatchZone is
 // the block-skipping side: it answers "may this block contain a
 // matching row?" and errs toward true, so skipping is always safe.
 // Row-level filtering stays the consumer's job — a scan pass must
 // still test every decoded row (MatchRow), because kept blocks carry
-// non-matching rows too. Zero-valued fields leave their column
-// unconstrained.
+// non-matching rows too.
 type Predicate struct {
 	// Since/Until restrict timestamps to the half-open window
 	// [Since, Until). Zero times leave the corresponding side open.
 	Since, Until time.Time
-	// MinProbe/MaxProbe restrict probe IDs to an inclusive range; zero
-	// leaves the corresponding side open (probe IDs are positive).
-	MinProbe, MaxProbe int
-	// RegionPrefix restricts the region address to one prefix, e.g. one
-	// provider's "Amazon/" namespace.
-	RegionPrefix string
 }
 
 // Key returns a canonical encoding of the predicate: two predicates
@@ -316,22 +309,12 @@ func (p *Predicate) Key() string {
 	if !p.Until.IsZero() {
 		fmt.Fprintf(&b, "until=%d;", p.Until.UnixNano())
 	}
-	if p.MinProbe != 0 {
-		fmt.Fprintf(&b, "minprobe=%d;", p.MinProbe)
-	}
-	if p.MaxProbe != 0 {
-		fmt.Fprintf(&b, "maxprobe=%d;", p.MaxProbe)
-	}
-	if p.RegionPrefix != "" {
-		fmt.Fprintf(&b, "region=%q;", p.RegionPrefix)
-	}
 	return b.String()
 }
 
 // Empty reports whether the predicate constrains nothing.
 func (p *Predicate) Empty() bool {
-	return p == nil || (p.Since.IsZero() && p.Until.IsZero() &&
-		p.MinProbe == 0 && p.MaxProbe == 0 && p.RegionPrefix == "")
+	return p == nil || (p.Since.IsZero() && p.Until.IsZero())
 }
 
 // MatchZone reports whether a block with zone z may contain a matching
@@ -343,27 +326,7 @@ func (p *Predicate) MatchZone(z Zone) bool {
 	if !p.Since.IsZero() && z.MaxTime < p.Since.UnixNano() {
 		return false
 	}
-	if !p.Until.IsZero() && z.MinTime >= p.Until.UnixNano() {
-		return false
-	}
-	if p.MinProbe != 0 && z.MaxProbe < p.MinProbe {
-		return false
-	}
-	if p.MaxProbe != 0 && z.MinProbe > p.MaxProbe {
-		return false
-	}
-	if p.RegionPrefix != "" {
-		// A region with the prefix exists in [MinRegion, MaxRegion] only
-		// if the range reaches the prefix: not entirely below it and not
-		// entirely past its last possible expansion.
-		if z.MaxRegion < p.RegionPrefix {
-			return false
-		}
-		if hi, bounded := prefixSuccessor(p.RegionPrefix); bounded && z.MinRegion >= hi {
-			return false
-		}
-	}
-	return true
+	return p.Until.IsZero() || z.MinTime < p.Until.UnixNano()
 }
 
 // CoversZone is MatchZone's dual: it reports whether EVERY row of a
@@ -379,61 +342,17 @@ func (p *Predicate) CoversZone(z Zone) bool {
 	if !p.Since.IsZero() && z.MinTime < p.Since.UnixNano() {
 		return false
 	}
-	if !p.Until.IsZero() && z.MaxTime >= p.Until.UnixNano() {
-		return false
-	}
-	if p.MinProbe != 0 && z.MinProbe < p.MinProbe {
-		return false
-	}
-	if p.MaxProbe != 0 && z.MaxProbe > p.MaxProbe {
-		return false
-	}
-	if p.RegionPrefix != "" {
-		// If both lexicographic extremes carry the prefix, every region in
-		// [MinRegion, MaxRegion] does: a string in the range that lacked it
-		// would differ from the prefix at some byte and thereby fall below
-		// MinRegion or above MaxRegion.
-		if !strings.HasPrefix(z.MinRegion, p.RegionPrefix) || !strings.HasPrefix(z.MaxRegion, p.RegionPrefix) {
-			return false
-		}
-	}
-	return true
+	return p.Until.IsZero() || z.MaxTime < p.Until.UnixNano()
 }
 
 // MatchRow is the row-level mirror of MatchZone: exact, not
 // conservative.
-func (p *Predicate) MatchRow(probe int, timeNano int64, region string) bool {
+func (p *Predicate) MatchRow(timeNano int64) bool {
 	if p == nil {
 		return true
 	}
 	if !p.Since.IsZero() && timeNano < p.Since.UnixNano() {
 		return false
 	}
-	if !p.Until.IsZero() && timeNano >= p.Until.UnixNano() {
-		return false
-	}
-	if p.MinProbe != 0 && probe < p.MinProbe {
-		return false
-	}
-	if p.MaxProbe != 0 && probe > p.MaxProbe {
-		return false
-	}
-	if p.RegionPrefix != "" && (len(region) < len(p.RegionPrefix) || region[:len(p.RegionPrefix)] != p.RegionPrefix) {
-		return false
-	}
-	return true
-}
-
-// prefixSuccessor returns the smallest string greater than every
-// string with the given prefix, and whether such a bound exists (it
-// does not when the prefix is all 0xFF bytes).
-func prefixSuccessor(prefix string) (string, bool) {
-	b := []byte(prefix)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] != 0xFF {
-			b[i]++
-			return string(b[:i+1]), true
-		}
-	}
-	return "", false
+	return p.Until.IsZero() || timeNano < p.Until.UnixNano()
 }

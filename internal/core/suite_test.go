@@ -308,7 +308,7 @@ type matching struct {
 
 func (m matching) ForEach(fn func(results.Sample) error) error {
 	return m.src.ForEach(func(s results.Sample) error {
-		if !m.pred.MatchRow(s.ProbeID, s.Time.UnixNano(), s.Region) {
+		if !m.pred.MatchRow(s.Time.UnixNano()) {
 			return nil
 		}
 		return fn(s)
@@ -318,9 +318,8 @@ func (m matching) ForEach(fn func(results.Sample) error) error {
 // TestScanStoreMatchesRowOracle is the scanner's acceptance check. The
 // oracle is the sequential row fold (oracle_test.go): the suite's passes
 // observing Store.ForEach — every block decoded in full, row by row —
-// filtered by MatchRow. For every worker count and for predicates that leave blocks whole, cut
-// them mid-block, select a probe range and select a region prefix, the
-// block scan must leave the suite in the same state byte for byte
+// filtered by MatchRow. For every worker count and for windows that
+// leave blocks whole or cut them mid-block, the block scan must leave the suite in the same state byte for byte
 // (Suite.StateDump) and render the same figure lines and CSVs. With
 // no predicate the same holds through a prefix fold merged with a scan
 // of the remaining blocks, as a resident suite advances — and, for the
@@ -337,8 +336,6 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 	preds := map[string]*colf.Predicate{
 		"none":   nil,
 		"window": {Since: cfg.Start.Add(5*24*time.Hour + 97*time.Minute), Until: cfg.Start.Add(19*24*time.Hour + 11*time.Minute)},
-		"probes": {MinProbe: 60, MaxProbe: 310},
-		"region": {RegionPrefix: "Amazon/"},
 	}
 	for name, pred := range preds {
 		oracle, err := core.RowOracle(matching{store, pred}, w.Index, cfg.Start, week)

@@ -14,25 +14,20 @@ import (
 // is refused on load.
 const CheckpointVersion = 1
 
-// ShardMark records one shard's completed-round watermark.
-type ShardMark struct {
-	Shard int `json:"shard"`
-	Round int `json:"round"`
-}
-
 // Checkpoint is the engine's persisted resume state: everything needed to
 // continue an interrupted run without re-synthesizing the merged prefix.
 // SinkOffset is the durable byte length of the sink when the checkpoint
 // was taken; resuming truncates the sink back to it, dropping whatever
-// partial round followed.
+// partial round followed. The merge is round-synchronous, so Round is
+// every shard's watermark and the worker count is not part of it: a run
+// resumes at any -workers. Files that still carry the "workers" and
+// "shards" keys older writers added load unchanged.
 type Checkpoint struct {
-	Version     int         `json:"version"`
-	Fingerprint string      `json:"fingerprint"`
-	Workers     int         `json:"workers"`
-	Round       int         `json:"round"` // last fully merged round
-	Samples     uint64      `json:"samples"`
-	SinkOffset  int64       `json:"sink_offset"`
-	Shards      []ShardMark `json:"shards"`
+	Version     int    `json:"version"`
+	Fingerprint string `json:"fingerprint"`
+	Round       int    `json:"round"` // last fully merged round
+	Samples     uint64 `json:"samples"`
+	SinkOffset  int64  `json:"sink_offset"`
 }
 
 // Validate rejects structurally broken checkpoints.
@@ -40,15 +35,8 @@ func (c *Checkpoint) Validate() error {
 	if c.Version != CheckpointVersion {
 		return fmt.Errorf("engine: unsupported checkpoint version %d", c.Version)
 	}
-	if c.Round < 0 || c.SinkOffset < 0 || c.Workers < 1 {
-		return fmt.Errorf("engine: corrupt checkpoint (round=%d offset=%d workers=%d)",
-			c.Round, c.SinkOffset, c.Workers)
-	}
-	for _, s := range c.Shards {
-		if s.Round < c.Round {
-			return fmt.Errorf("engine: shard %d watermark %d behind merged round %d",
-				s.Shard, s.Round, c.Round)
-		}
+	if c.Round < 0 || c.SinkOffset < 0 {
+		return fmt.Errorf("engine: corrupt checkpoint (round=%d offset=%d)", c.Round, c.SinkOffset)
 	}
 	return nil
 }

@@ -34,11 +34,13 @@ type GenFunc func(ctx context.Context, shard, round int, emit func(results.Sampl
 // checkpoint so the recorded offset never points past flushed data.
 type CommitFunc func() (int64, error)
 
-// Defaults for the tunable knobs; zero values in Config select these.
-const (
-	DefaultQueueDepth      = 4
-	DefaultCheckpointEvery = 16
-)
+// DefaultCheckpointEvery is the checkpoint cadence, in merged rounds,
+// when Config.CheckpointEvery is zero.
+const DefaultCheckpointEvery = 16
+
+// queueDepth bounds the per-shard batch queue (backpressure): a shard
+// may run at most queueDepth rounds ahead of the merger.
+const queueDepth = 4
 
 // Config describes one engine run.
 type Config struct {
@@ -52,9 +54,6 @@ type Config struct {
 	// and progress metrics account for the pre-checkpoint prefix.
 	StartSamples uint64
 
-	// QueueDepth bounds the per-shard batch queue (backpressure): a shard
-	// may run at most QueueDepth rounds ahead of the merger.
-	QueueDepth int
 	// BatchHint is the expected sample count of one (shard, round) cell;
 	// workers preallocate batch buffers to this capacity so the hot loop
 	// avoids append-growth reallocation. Zero means no preallocation.
@@ -119,10 +118,6 @@ func Run(ctx context.Context, cfg Config) (uint64, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	queue := cfg.QueueDepth
-	if queue <= 0 {
-		queue = DefaultQueueDepth
-	}
 	ckEvery := cfg.CheckpointEvery
 	if ckEvery <= 0 {
 		ckEvery = DefaultCheckpointEvery
@@ -136,7 +131,7 @@ func Run(ctx context.Context, cfg Config) (uint64, error) {
 	chans := make([]chan batch, workers)
 	var wg sync.WaitGroup
 	for s := 0; s < workers; s++ {
-		ch := make(chan batch, queue)
+		ch := make(chan batch, queueDepth)
 		chans[s] = ch
 		wg.Add(1)
 		go func(shard int, ch chan<- batch) {
@@ -216,7 +211,7 @@ merge:
 			cfg.OnRound(round, emitted-roundStart)
 		}
 		if checkpointing && (round+1-cfg.StartRound)%ckEvery == 0 && round+1 < cfg.Rounds {
-			if err := writeCheckpoint(cfg, workers, round, emitted); err != nil {
+			if err := writeCheckpoint(cfg, round, emitted); err != nil {
 				runErr = err
 				break merge
 			}
@@ -264,7 +259,7 @@ func recvBatch(ctx context.Context, ch <-chan batch, m *Metrics) (batch, bool) {
 }
 
 // writeCheckpoint commits the sink and atomically persists the watermark.
-func writeCheckpoint(cfg Config, workers, round int, emitted uint64) error {
+func writeCheckpoint(cfg Config, round int, emitted uint64) error {
 	offset, err := cfg.Commit()
 	if err != nil {
 		return fmt.Errorf("engine: checkpoint commit: %w", err)
@@ -272,17 +267,9 @@ func writeCheckpoint(cfg Config, workers, round int, emitted uint64) error {
 	cp := Checkpoint{
 		Version:     CheckpointVersion,
 		Fingerprint: cfg.Fingerprint,
-		Workers:     workers,
 		Round:       round,
 		Samples:     emitted,
 		SinkOffset:  offset,
-		Shards:      make([]ShardMark, workers),
-	}
-	// The merge is round-synchronous, so every shard's durable watermark
-	// coincides with the merged round; the per-shard form is kept so the
-	// format survives a future asynchronous merger.
-	for s := range cp.Shards {
-		cp.Shards[s] = ShardMark{Shard: s, Round: round}
 	}
 	if err := cp.Save(cfg.CheckpointPath); err != nil {
 		return err

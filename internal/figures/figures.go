@@ -1,14 +1,17 @@
 // Package figures regenerates every figure of the paper's evaluation as
 // text rows/series: the same numbers the plots encode, in a form a harness
-// can assert against. One function per figure, each returning printable
-// lines; Figures 4-8 render the reports of one core.SuiteReport.
+// can assert against, plus CSV and SVG forms where a figure has them.
+// Table (table.go) is the one list of the figures: each entry's name,
+// caption, what it reads — nothing, the world, or the core.PassSet of a
+// suite report — and its text, CSV and SVG renderers. cmd/shears,
+// cmd/figures and internal/serve iterate or look up that table; the
+// per-figure functions below are what its entries call.
 package figures
 
 import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"sort"
 
 	"repro/internal/apps"
 	"repro/internal/cloud"
@@ -42,13 +45,18 @@ func Figure1(ctx context.Context, seed uint64) (*trends.Series, []string, error)
 	if err != nil {
 		return nil, nil, err
 	}
+	return series, figure1Lines(series), nil
+}
+
+// figure1Lines renders the zeitgeist series as text.
+func figure1Lines(series *trends.Series) []string {
 	lines := []string{"year  edge_pubs  cloud_pubs  edge_search  cloud_search  era"}
 	eras := series.Eras()
 	for _, p := range series.Points {
 		lines = append(lines, fmt.Sprintf("%d  %9d  %10d  %11.1f  %12.1f  %s",
 			p.Year, p.EdgePubs, p.CloudPubs, p.EdgeSearch, p.CloudSearch, eras[p.Year]))
 	}
-	return series, lines, nil
+	return lines
 }
 
 // Figure2 renders the application-requirements map grouped by quadrant.
@@ -180,11 +188,4 @@ func Figure8(lastMile *core.LastMileReport, catalog *apps.Catalog) (*apps.Feasib
 	lines = append(lines, rep.Format()...)
 	lines = append(lines, fmt.Sprintf("market in-zone=$%.0fB  out-zone=$%.0fB", rep.MarketInZone, rep.MarketOutZone))
 	return rep, lines, nil
-}
-
-// Names lists the figure identifiers in order.
-func Names() []string {
-	out := []string{"1", "2", "3a", "3b", "4", "5", "6", "7", "8"}
-	sort.Strings(out)
-	return out
 }

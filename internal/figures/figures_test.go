@@ -1,7 +1,10 @@
 package figures
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +152,54 @@ func TestFigures4Through8(t *testing.T) {
 func TestNames(t *testing.T) {
 	if got := len(Names()); got != 9 {
 		t.Errorf("Names() has %d entries", got)
+	}
+}
+
+// TestTable renders every form of every entry from one Inputs: each
+// entry's text equals its figure function's, a dataset figure reads the
+// world, every -fig name resolves, and Figure 1's forms share one crawl.
+func TestTable(t *testing.T) {
+	f := dataset(t)
+	in := &Inputs{CorpusSeed: 1, World: f.w, Report: scanned(t, f), Start: f.cfg.Start}
+	for _, name := range Names() {
+		fig, ok := Lookup(name)
+		if !ok || fig.Name != name {
+			t.Fatalf("Lookup(%q) = %v, %v", name, fig, ok)
+		}
+		if fig.Passes != 0 && !fig.World {
+			t.Errorf("figure %s reads passes but not the world", name)
+		}
+		lines, err := fig.Lines(in)
+		if err != nil || len(lines) == 0 {
+			t.Fatalf("figure %s: %d lines, %v", name, len(lines), err)
+		}
+		for _, form := range []func(io.Writer, *Inputs) error{fig.CSV, fig.SVG} {
+			if form == nil {
+				continue
+			}
+			var buf bytes.Buffer
+			if err := form(&buf, in); err != nil || buf.Len() == 0 {
+				t.Errorf("figure %s: %d form bytes, %v", name, buf.Len(), err)
+			}
+		}
+	}
+	if _, ok := Lookup("9"); ok {
+		t.Error("Lookup found figure 9")
+	}
+	series := in.series
+	if _, err := Table[0].Lines(in); err != nil || in.series != series {
+		t.Errorf("Figure 1 crawled again (err %v)", err)
+	}
+	_, want, err := Figure1(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := Table[0].Lines(in)
+	want4 := Figure4Lines(in.Report.Proximity)
+	fig4, _ := Lookup("4")
+	got4, _ := fig4.Lines(in)
+	if !slices.Equal(got, want) || !slices.Equal(got4, want4) {
+		t.Error("table text differs from the figure functions'")
 	}
 }
 

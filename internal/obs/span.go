@@ -88,14 +88,12 @@ func (s *Span) Duration() time.Duration {
 type SpanDump struct {
 	Name       string
 	Start      time.Time
-	End        time.Time // zero if the span is still open
 	DurationMs float64
 	Attrs      map[string]any
 	Children   []SpanDump
 }
 
-// Dump snapshots the span tree. Open spans report their duration so far
-// and a zero End.
+// Dump snapshots the span tree. Open spans report their duration so far.
 func (s *Span) Dump() SpanDump {
 	if s == nil {
 		return SpanDump{}
@@ -104,7 +102,6 @@ func (s *Span) Dump() SpanDump {
 	d := SpanDump{
 		Name:  s.name,
 		Start: s.start,
-		End:   s.end,
 	}
 	end := s.end
 	if end.IsZero() {

@@ -56,7 +56,6 @@ type Hop struct {
 // Trace is a full hop list for one path at one point in time.
 type Trace struct {
 	Src, Dst string
-	At       time.Time
 	Hops     []Hop
 	Lost     bool // the probe burst was lost end to end
 }
@@ -77,7 +76,7 @@ func Expand(p *netem.Path, src netem.Site, dstID string, t time.Time) (*Trace, e
 		return nil, errors.New("route: empty destination")
 	}
 	b := p.Sample(t)
-	tr := &Trace{Src: src.ID, Dst: dstID, At: t}
+	tr := &Trace{Src: src.ID, Dst: dstID}
 	if b.Lost {
 		tr.Lost = true
 		return tr, nil

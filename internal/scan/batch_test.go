@@ -27,7 +27,7 @@ func (a rowSeq) equal(b rowSeq) bool {
 func refRows(samples []results.Sample, pred *colf.Predicate) rowSeq {
 	var ref rowSeq
 	for _, s := range samples {
-		if pred.MatchRow(s.ProbeID, s.Time.UnixNano(), s.Region) {
+		if pred.MatchRow(s.Time.UnixNano()) {
 			ref.probe = append(ref.probe, s.ProbeID)
 			ref.rtt = append(ref.rtt, s.RTTms)
 		}
@@ -135,8 +135,6 @@ func TestBinaryBatchFilteredEquivalence(t *testing.T) {
 	}{
 		{"window", ordered, window, 11008, 43, 36, 41, 2},
 		{"window, shuffled time", shuffled, window, 11008, 43, 36, 41, 2},
-		{"probes", ordered, &colf.Predicate{MinProbe: 100, MaxProbe: 200}, 20000, 79, 0, 0, 79},
-		{"region", ordered, &colf.Predicate{RegionPrefix: "aws/"}, 20000, 79, 0, 0, 79},
 	}
 	for _, tc := range cases {
 		path := writeBinary(t, tc.samples, 256)
@@ -221,7 +219,7 @@ func TestBinaryZoneResolution(t *testing.T) {
 	}
 	tally := func(pred *colf.Predicate) (want zoneTally) {
 		for _, s := range samples {
-			if pred.MatchRow(s.ProbeID, s.Time.UnixNano(), s.Region) {
+			if pred.MatchRow(s.Time.UnixNano()) {
 				want.rows++
 				if !s.Lost {
 					want.delivered++

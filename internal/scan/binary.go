@@ -247,7 +247,7 @@ func foldGroup(ctx context.Context, r io.ReaderAt, group []colf.BlockInfo, pred 
 		}
 		want := cols
 		if !covered {
-			want = colf.ColAll // MatchRow reads time and region
+			want = colf.ColAll // compact copies every column
 		}
 		blk, err := dec.DecodeCols(r, bi, want)
 		if err != nil {
@@ -288,8 +288,8 @@ func foldGroup(ctx context.Context, r io.ReaderAt, group []colf.BlockInfo, pred 
 // validateRows runs results.Sample.Validate over the rows of blk —
 // decoded with every column — that pred admits.
 func validateRows(blk *colf.Block, off int64, pred *colf.Predicate) error {
-	for i, probe := range blk.Probe {
-		if !pred.MatchRow(probe, blk.TimeNano[i], blk.Region[i]) {
+	for i, t := range blk.TimeNano {
+		if !pred.MatchRow(t) {
 			continue
 		}
 		if err := results.FromRow(blk.Row(i)).Validate(); err != nil {
@@ -304,12 +304,12 @@ func validateRows(blk *colf.Block, off int64, pred *colf.Predicate) error {
 // untouched: surviving region codes still index it.
 func compact(blk *colf.Block, pred *colf.Predicate) {
 	n := 0
-	for i, probe := range blk.Probe {
-		if !pred.MatchRow(probe, blk.TimeNano[i], blk.Region[i]) {
+	for i, t := range blk.TimeNano {
+		if !pred.MatchRow(t) {
 			continue
 		}
-		blk.Probe[n] = probe
-		blk.TimeNano[n] = blk.TimeNano[i]
+		blk.Probe[n] = blk.Probe[i]
+		blk.TimeNano[n] = t
 		blk.Region[n] = blk.Region[i]
 		blk.RegionID[n] = blk.RegionID[i]
 		blk.RTT[n] = blk.RTT[i]

@@ -160,40 +160,6 @@ func TestBinaryPredicatePushdown(t *testing.T) {
 	}
 }
 
-// TestBinaryProbeAndRegionPushdown exercises the non-time zone
-// dimensions end to end.
-func TestBinaryProbeAndRegionPushdown(t *testing.T) {
-	// Probe IDs ascend with the row index, so probe zones partition the
-	// file just like timestamps do.
-	samples := genSamples(2000)
-	for i := range samples {
-		samples[i].ProbeID = i + 1
-	}
-	path := writeBinary(t, samples, 64)
-	pred := &colf.Predicate{MinProbe: 501, MaxProbe: 700}
-	ids, st := scanOrder(t, Config{Path: path, Workers: 4, Predicate: pred})
-	if len(ids) != 200 || ids[0] != 501 || ids[199] != 700 {
-		t.Fatalf("probe window kept %d rows [%v..]", len(ids), ids[:1])
-	}
-	if st.BlocksSkipped == 0 {
-		t.Error("probe window skipped no blocks")
-	}
-
-	// Region prefixes: every block holds all three regions, so nothing
-	// skips, but rows still filter exactly.
-	pred = &colf.Predicate{RegionPrefix: "aws/"}
-	var want int
-	for _, s := range samples {
-		if strings.HasPrefix(s.Region, "aws/") {
-			want++
-		}
-	}
-	_, st = scanOrder(t, Config{Path: path, Workers: 4, Predicate: pred})
-	if st.Samples != uint64(want) {
-		t.Errorf("region filter kept %d rows, want %d", st.Samples, want)
-	}
-}
-
 // TestBinaryAllBlocksSkipped covers the degenerate pushdown: a window
 // before the stream skips everything and still reports consistently.
 func TestBinaryAllBlocksSkipped(t *testing.T) {

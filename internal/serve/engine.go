@@ -94,9 +94,8 @@ type snapshotView struct {
 // background refresher, an atomically published snapshotView, and the
 // read cache in front of the HTTP handlers.
 type Engine struct {
-	store *results.Store
-	idx   *core.Index
-	opt   Options
+	idx *core.Index
+	opt Options
 
 	f *os.File // long-lived samples handle; ReadAt-shared by all scans
 
@@ -142,7 +141,7 @@ func NewEngine(store *results.Store, idx *core.Index, opt Options) (*Engine, err
 		return nil, err
 	}
 	e := &Engine{
-		store: store, idx: idx, opt: opt,
+		idx: idx, opt: opt,
 		f: f, hot: hot, cache: newCache(opt.Metrics.nilSafe().CacheEvictedBytes),
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
@@ -355,36 +354,31 @@ func (e *Engine) Refresh(ctx context.Context) error {
 	return nil
 }
 
+// ServedFigures names the figures /api/v1/figures/{fig} serves, in
+// order: the text form of each, from the figures table, over the
+// resident report.
+var ServedFigures = []string{"4", "5", "6", "7"}
+
 // renderFigures renders every served figure once, at publish time.
 // Rendering is also what freezes the report: Figure 6's distributions
 // arrive sorted, and the CDF marks sort Figure 5's, so the quantile
 // endpoint's reads are strictly read-only. No later Advance or Report
 // writes to either.
 func renderFigures(rep *core.SuiteReport) (map[string]*response, error) {
-	out := make(map[string]*response, 4)
-	put := func(fig string, lines []string) {
-		out[fig] = &response{
+	out := make(map[string]*response, len(ServedFigures))
+	in := &figures.Inputs{Report: rep}
+	for _, name := range ServedFigures {
+		f, _ := figures.Lookup(name)
+		lines, err := f.Lines(in)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = &response{
 			status:      200,
 			contentType: "text/plain; charset=utf-8",
 			body:        []byte(strings.Join(lines, "\n") + "\n"),
 		}
 	}
-	put("4", figures.Figure4Lines(rep.Proximity))
-	l5, err := figures.CDFLines(rep.MinRTT)
-	if err != nil {
-		return nil, err
-	}
-	put("5", l5)
-	l6, err := figures.CDFLines(rep.FullDist)
-	if err != nil {
-		return nil, err
-	}
-	put("6", l6)
-	l7, err := figures.Figure7Lines(rep.LastMile)
-	if err != nil {
-		return nil, err
-	}
-	put("7", l7)
 	return out, nil
 }
 

@@ -21,7 +21,7 @@ import (
 
 // Handler returns the serving layer's HTTP surface:
 //
-//	GET /api/v1/figures/{fig}  fig in 4|5|6|7 — paper-exact figure text
+//	GET /api/v1/figures/{fig}  fig in ServedFigures — paper-exact figure text
 //	GET /api/v1/quantile       ?p=0.5[&dist=full|min][&continent=EU]
 //	GET /api/v1/cdf            ?since=RFC3339&until=RFC3339
 //
@@ -207,7 +207,7 @@ func (e *Engine) handleFigure(w http.ResponseWriter, r *http.Request) {
 	fig := r.PathValue("fig")
 	resp, ok := v.figures[fig]
 	if !ok {
-		httpapi.Errorf(w, http.StatusNotFound, "unknown figure %q (serving 4, 5, 6, 7)", fig)
+		httpapi.Errorf(w, http.StatusNotFound, "unknown figure %q (serving %s)", fig, strings.Join(ServedFigures, ", "))
 		return
 	}
 	// The payload was rendered at publish time: it is written as is, with

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -192,6 +193,9 @@ func TestServeErrorShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertJSONError(get(h, "/api/v1/figures/9"), http.StatusNotFound)
+	if body := strings.TrimSpace(get(h, "/api/v1/figures/9").Body.String()); body != `{"error":"unknown figure \"9\" (serving 4, 5, 6, 7)"}` {
+		t.Fatalf("unknown figure body %s", body)
+	}
 	assertJSONError(get(h, "/api/v1/quantile?p=2"), http.StatusBadRequest)
 	assertJSONError(get(h, "/api/v1/quantile?p=0.5&dist=bogus"), http.StatusBadRequest)
 	assertJSONError(get(h, "/api/v1/quantile?p=0.5&continent=XX"), http.StatusBadRequest)

@@ -62,8 +62,8 @@ func TestDamagedFilesNeverYieldUnwrittenRecords(t *testing.T) {
 func checkpointKind(t *testing.T) fileKind {
 	path := filepath.Join(t.TempDir(), "checkpoint.json")
 	cp := engine.Checkpoint{
-		Version: engine.CheckpointVersion, Fingerprint: "fp", Workers: 2, Round: 3,
-		Samples: 96, SinkOffset: 4096, Shards: []engine.ShardMark{{Shard: 0, Round: 3}, {Shard: 1, Round: 4}},
+		Version: engine.CheckpointVersion, Fingerprint: "fp", Round: 3,
+		Samples: 96, SinkOffset: 4096,
 	}
 	if err := cp.Save(path); err != nil {
 		t.Fatal(err)

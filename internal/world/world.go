@@ -26,7 +26,6 @@ type World struct {
 	Countries *geo.DB
 	Catalog   *cloud.Catalog
 	Probes    *probe.Population
-	Model     *netem.Model
 	Platform  *atlas.Platform
 	Index     *core.Index
 }
@@ -64,7 +63,6 @@ func Build(cfg Config) (*World, error) {
 		Countries: db,
 		Catalog:   cat,
 		Probes:    pop,
-		Model:     model,
 		Platform:  platform,
 		Index:     idx,
 	}, nil

@@ -16,7 +16,7 @@ func TestBuildDefaultShapes(t *testing.T) {
 	if len(w.Probes.Countries()) < 166 {
 		t.Errorf("countries = %d", len(w.Probes.Countries()))
 	}
-	if w.Index == nil || w.Platform == nil || w.Model == nil || w.Countries == nil {
+	if w.Index == nil || w.Platform == nil || w.Countries == nil {
 		t.Error("incomplete world")
 	}
 	// Index and population agree on the public set.
