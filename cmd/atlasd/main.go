@@ -27,8 +27,8 @@
 // campaign serves live results while the campaign is still writing.
 //
 // The server logs structured leveled events (-log-format text|json,
-// -log-level) and keeps the most recent ones in an in-memory flight
-// recorder served at /debug/events. -debug addr serves net/http/pprof on
+// -log-level: internal/cmdrun's log flags and logger) and keeps the most
+// recent ones in an in-memory flight recorder served at /debug/events. -debug addr serves net/http/pprof on
 // a separate listener (opt-in, keep it off public interfaces).
 // SIGINT/SIGTERM shut the server down gracefully: in-flight requests
 // finish, running measurements settle, and a final metrics summary is
@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"repro/internal/atlas"
+	"repro/internal/cmdrun"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/scan"
@@ -73,22 +74,14 @@ func main() {
 		debug        = flag.String("debug", "", "serve net/http/pprof on this address (opt-in)")
 		serveData    = flag.String("serve-data", "", "serve the analysis API (figures, quantile, cdf) from this dataset directory")
 		serveRefresh = flag.Duration("serve-refresh", serve.DefaultRefresh, "least time between snapshot refresh passes for -serve-data (growth is checked 8 times per interval)")
-		logFormat    = flag.String("log-format", "text", "structured log encoding: text (logfmt) or json")
-		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
+		telemetry    cmdrun.Flags
 	)
+	telemetry.RegisterLog(flag.CommandLine)
 	flag.Parse()
-	level, err := obs.ParseLevel(*logLevel)
+	logger, rec, err := telemetry.Logger(os.Stderr, "atlasd", flightRecorderSize)
 	if err != nil {
 		log.Fatal(err)
 	}
-	format, err := obs.ParseLogFormat(*logFormat)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rec := obs.NewRecorder(flightRecorderSize)
-	logger := obs.NewLogger(os.Stderr,
-		obs.WithLogFormat(format), obs.WithLogLevel(level), obs.WithRecorder(rec),
-	).With("atlasd")
 	app, err := build(*probes, *seed, *scale, *grant, logger, rec)
 	if err != nil {
 		log.Fatal(err)

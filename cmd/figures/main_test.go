@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"repro/internal/atlas"
+	"repro/internal/cmdrun"
 	"repro/internal/obs"
 	"repro/internal/results"
-	"repro/internal/snap"
 	"repro/internal/world"
 )
 
@@ -109,6 +109,17 @@ func TestRenderFromStoredDataset(t *testing.T) {
 	}
 }
 
+// startRun starts a figures run whose log goes to w: the telemetry run
+// hands render. Nothing finishes it, so it writes no manifest.
+func startRun(t *testing.T, w io.Writer) *cmdrun.Run {
+	t.Helper()
+	r, err := cmdrun.Start(cmdrun.Config{Binary: "figures", LogDst: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestDatasetWorldFromMeta pins where a stored dataset's world comes
 // from. Left at their defaults, -probes and -seed are the dataset's own
 // (meta.json), so the figure and the snapshot are those of a run that
@@ -129,9 +140,10 @@ func TestDatasetWorldFromMeta(t *testing.T) {
 
 	// The flag defaults describe a different world (400 probes, seed 1).
 	var log bytes.Buffer
-	sm := snap.NewMetrics(obs.NewRegistry())
+	r := startRun(t, &log)
+	sm := r.SnapMetrics()
 	defaults := options{fig: "5", data: dir, probes: 400, seed: 1, workers: 2, snapMode: "on"}
-	got, err := render(defaults, &runEnv{snapMetrics: sm, log: obs.NewLogger(&log)})
+	got, err := render(defaults, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +158,11 @@ func TestDatasetWorldFromMeta(t *testing.T) {
 	}
 
 	log.Reset()
-	sm = snap.NewMetrics(obs.NewRegistry())
+	r = startRun(t, &log)
+	sm = r.SnapMetrics()
 	other := explicit
 	other.probes = 250
-	got, err = render(other, &runEnv{snapMetrics: sm, log: obs.NewLogger(&log)})
+	got, err = render(other, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +289,7 @@ func TestUnwritableSnapshotStillPrints(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got, log bytes.Buffer
-	if err := run(options{fig: "4", data: dir, csv: true, workers: 2, snapMode: "on", stdout: &got, logDst: &log, logLevel: "info"}); err != nil {
+	if err := run(options{fig: "4", data: dir, csv: true, workers: 2, snapMode: "on", stdout: &got, logDst: &log, telemetry: cmdrun.Flags{LogLevel: "info"}}); err != nil {
 		t.Fatalf("a snapshot that cannot be written failed the run: %v", err)
 	}
 	if got.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -286,8 +299,9 @@ func TestUnwritableSnapshotStillPrints(t *testing.T) {
 		t.Errorf("no warning about the failed write:\n%s", log.String())
 	}
 
-	sm := snap.NewMetrics(obs.NewRegistry())
-	if _, err := render(options{fig: "5", data: dir, workers: 2, snapMode: "on"}, &runEnv{snapMetrics: sm}); err != nil {
+	r := startRun(t, io.Discard)
+	sm := r.SnapMetrics()
+	if _, err := render(options{fig: "5", data: dir, workers: 2, snapMode: "on"}, r); err != nil {
 		t.Fatal(err)
 	}
 	if sm.WriteErrors.Value() != 1 || sm.Writes.Value() != 0 {
@@ -311,7 +325,7 @@ func TestRunServesStatusEndpoints(t *testing.T) {
 		errCh <- run(options{
 			fig: "6", data: dir, probes: 200, seed: 2, workers: 2, snapMode: "on",
 			stdout: io.Discard, logDst: io.Discard,
-			statusAddr: "127.0.0.1:0",
+			telemetry: cmdrun.Flags{StatusAddr: "127.0.0.1:0"},
 			statusReady: func(addr string) {
 				select {
 				case ready <- addr:
@@ -414,7 +428,7 @@ func TestWorldFiguresFromMeta(t *testing.T) {
 			t.Fatal(err)
 		}
 		var log bytes.Buffer
-		got, err := render(options{fig: fig, data: dir, probes: 400, seed: 1, snapMode: "on"}, &runEnv{log: obs.NewLogger(&log)})
+		got, err := render(options{fig: fig, data: dir, probes: 400, seed: 1, snapMode: "on"}, startRun(t, &log))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +444,7 @@ func TestWorldFiguresFromMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer
-	explicit, err := render(options{fig: "3b", data: dir, probes: 400, seed: 1, probesSet: true, seedSet: true, snapMode: "on"}, &runEnv{log: obs.NewLogger(&log)})
+	explicit, err := render(options{fig: "3b", data: dir, probes: 400, seed: 1, probesSet: true, seedSet: true, snapMode: "on"}, startRun(t, &log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,18 +479,31 @@ func TestBadFlagsFailBeforeAnyWork(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.o.probes, tc.o.seed = 400, 1
 			var log bytes.Buffer
-			root := obs.NewTrace("figures.run")
-			_, err := render(tc.o, &runEnv{root: root, log: obs.NewLogger(&log)})
+			r := startRun(t, &log)
+			_, err := render(tc.o, r)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want %s", err, tc.want)
 			}
 			if strings.Contains(log.String(), "world built") {
 				t.Errorf("a world was built first:\n%s", log.String())
 			}
-			if kids := root.Dump().Children; len(kids) != 0 {
+			if kids := r.Span().Dump().Children; len(kids) != 0 {
 				t.Errorf("work preceded the refusal: first span %q", kids[0].Name)
 			}
 		})
+	}
+}
+
+// TestFailedRenderWritesMemProfile: the heap profile is written on every
+// exit after setup, a render that fails included.
+func TestFailedRenderWritesMemProfile(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "m.prof")
+	err := run(options{fig: "99", snapMode: "on", logDst: io.Discard, telemetry: cmdrun.Flags{MemProfile: prof}})
+	if err == nil || !strings.Contains(err.Error(), `unknown figure "99"`) {
+		t.Fatalf("err = %v, want the unknown-figure error", err)
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Errorf("failed render left no heap profile (stat: %v)", err)
 	}
 }
 

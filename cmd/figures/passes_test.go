@@ -254,10 +254,11 @@ func TestSelectedPassesMatchCold(t *testing.T) {
 				for _, workers := range []int{1, 2, 5} {
 					dir := copyDir(t, tmpl)
 					start := stampOf(t, dir)
-					sm := snap.NewMetrics(obs.NewRegistry())
 					var log bytes.Buffer
+					r := startRun(t, &log)
+					sm := r.SnapMetrics()
 					opts.data, opts.workers, opts.snapMode = dir, workers, "on"
-					got, err := render(opts, &runEnv{snapMetrics: sm, log: obs.NewLogger(&log)})
+					got, err := render(opts, r)
 					if err != nil {
 						t.Fatalf("fig %s workers=%d: %v", fig, workers, err)
 					}
@@ -346,9 +347,10 @@ func TestSnapFiguresResumeFromEveryPrefix(t *testing.T) {
 				if err := os.WriteFile(store.SnapshotPath(), prefix, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				sm := snap.NewMetrics(obs.NewRegistry())
+				r := startRun(t, io.Discard)
+				sm := r.SnapMetrics()
 				opts.workers = workers
-				got, err := render(opts, &runEnv{snapMetrics: sm})
+				got, err := render(opts, r)
 				if err != nil {
 					t.Fatalf("fig %s from %d blocks, workers=%d: %v", fig, k+1, workers, err)
 				}

@@ -23,29 +23,21 @@
 // so -resume continues an interrupted run from the last watermark
 // instead of restarting.
 //
-// Observability: the driver emits structured leveled logs (-log-format
-// text|json, -log-level), prints periodic progress lines (samples/sec,
-// ETA, per-continent tallies) every -progress interval while the campaign
-// runs, and -trace out.json dumps the span tree of the whole run
-// (world build -> campaign rounds -> result write -> figure generation)
-// as Chrome trace-event JSON, loadable in Perfetto or chrome://tracing
-// and summarized by `trace -summary`.
-// -status-addr serves live run state over HTTP while the run executes:
-// GET /metrics (Prometheus text), GET /debug/events (flight-recorder
-// dump of recent log events), and GET /api/v1/progress (campaign round
-// watermarks, queue depths, snapshot and scan counters, ETA). Every run
-// also writes <out>/run.json — a manifest with the run ID, build
-// version, flags, world fingerprint, per-stage durations and
-// throughput. -cpuprofile/-memprofile write pprof profiles of the run.
+// Observability: internal/cmdrun owns the run's logs, profiles, status
+// server and <out>/run.json manifest; the driver adds the campaign and
+// engine blocks to /api/v1/progress, -progress log lines (samples/sec,
+// ETA, per-continent tallies), and -trace out.json: the run's span tree
+// as Chrome trace-event JSON (Perfetto, chrome://tracing, trace -summary).
 //
-// Analysis snapshots: the post-campaign figure scan writes
+// After the campaign the driver builds the temporal index
+// (<out>/samples.tix) beside the figure scan, and the scan writes
 // <out>/samples.snap — the Figure 4 and 5 state (per-country and
 // per-probe minima, kilobytes) over the whole finished store, written
 // once per run — so a later figures -fig 4|5 over the (possibly grown)
-// dataset decodes only blocks appended since. A failed write is a
-// warning, not a failed run. The campaign itself never touches the
-// file: an interrupted run leaves no snapshot and its -resume pays one
-// cold scan at the end. -snapshot off disables it.
+// dataset decodes only blocks appended since. A failed write of either
+// is a warning, not a failed run. The campaign itself never touches
+// them: an interrupted run leaves no snapshot and its -resume pays one
+// cold scan at the end.
 package main
 
 import (
@@ -54,8 +46,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -67,6 +57,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/atlas"
 	"repro/internal/bandwidth"
+	"repro/internal/cmdrun"
 	"repro/internal/colf"
 	"repro/internal/core"
 	"repro/internal/delay"
@@ -74,13 +65,11 @@ import (
 	"repro/internal/figures"
 	"repro/internal/obs"
 	"repro/internal/results"
-	"repro/internal/scan"
-	"repro/internal/snap"
 	"repro/internal/tix"
 	"repro/internal/world"
 )
 
-// options bundles the driver's knobs (one field per flag).
+// options bundles the driver's knobs (one field per flag; telemetry holds five).
 type options struct {
 	out             string
 	probes          int
@@ -94,14 +83,8 @@ type options struct {
 	workers         int // <= 0 means GOMAXPROCS
 	resume          bool
 	checkpointEvery int    // rounds; 0 disables checkpointing
-	snapshot        string // analysis snapshot mode: on, off
-	tix             string // temporal index mode: on, off
-	cpuProfile      string
-	memProfile      string
-	statusAddr      string // live status HTTP listener; empty disables
 	remote          string // base URL of a live atlasd analysis API; fetch figures instead of scanning
-	logFormat       string // structured log encoding: text or json
-	logLevel        string // minimum log level: debug, info, warn, error
+	telemetry       cmdrun.Flags
 
 	// Test hooks (unexported, zero in production).
 	stdout      io.Writer                       // figure output; nil means os.Stdout
@@ -110,17 +93,6 @@ type options struct {
 	onRound     func(round int, samples uint64) // observes each merged campaign round
 	ctx         context.Context                 // campaign context; nil means Background
 	reg         *obs.Registry                   // metrics registry; nil means a fresh one
-}
-
-// parseOnOff resolves an on|off mode flag; empty means on.
-func parseOnOff(flagName, mode string) (bool, error) {
-	switch mode {
-	case "on", "":
-		return true, nil
-	case "off":
-		return false, nil
-	}
-	return false, fmt.Errorf("invalid -%s %q (want on or off)", flagName, mode)
 }
 
 func main() {
@@ -139,14 +111,8 @@ func main() {
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "campaign worker count (output is identical for any value)")
 	flag.BoolVar(&o.resume, "resume", false, "resume an interrupted campaign from <out>/checkpoint.json")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", engine.DefaultCheckpointEvery, "rounds between checkpoints (0 disables checkpointing)")
-	flag.StringVar(&o.snapshot, "snapshot", "on", "analysis snapshot (samples.snap, written once by the post-campaign figure scan): on or off")
-	flag.StringVar(&o.tix, "tix", "on", "temporal aggregate index (samples.tix): on or off")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write an end-of-run heap profile to this file")
-	flag.StringVar(&o.statusAddr, "status-addr", "", "serve live run status (/metrics, /debug/events, /api/v1/progress) on this address")
 	flag.StringVar(&o.remote, "remote", "", "fetch figures 4-7 from a running atlasd -serve-data API at this base URL instead of running a campaign")
-	flag.StringVar(&o.logFormat, "log-format", "text", "structured log encoding: text (logfmt) or json")
-	flag.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
+	o.telemetry.Register(flag.CommandLine)
 	flag.Parse()
 	if o.remote != "" {
 		if err := runRemote(o.remote, os.Stdout); err != nil {
@@ -169,88 +135,37 @@ const manifestFile = "run.json"
 const flightRecorderSize = 512
 
 func run(o options) (err error) {
-	start := time.Now()
-	// Reject a bad mode before any campaign work.
-	snapEnabled, err := parseOnOff("snapshot", o.snapshot)
-	if err != nil {
-		return err
-	}
-	tixEnabled, err := parseOnOff("tix", o.tix)
-	if err != nil {
-		return err
-	}
-	level, err := obs.ParseLevel(o.logLevel)
-	if err != nil {
-		return err
-	}
-	logFormat, err := obs.ParseLogFormat(o.logFormat)
-	if err != nil {
-		return err
-	}
 	logDst := o.logDst
 	if logDst == nil {
 		logDst = os.Stderr
 	}
-	rec := obs.NewRecorder(flightRecorderSize)
-	logger := obs.NewLogger(logDst,
-		obs.WithLogFormat(logFormat), obs.WithLogLevel(level), obs.WithRecorder(rec),
-	).With("shears")
-	if o.cpuProfile != "" {
-		stop, perr := obs.StartCPUProfile(o.cpuProfile)
-		if perr != nil {
-			return perr
-		}
-		defer func() {
-			if serr := stop(); serr != nil && err == nil {
-				err = serr
-			}
-		}()
+	r, err := cmdrun.Start(cmdrun.Config{
+		Flags: o.telemetry, Binary: "shears", Events: flightRecorderSize,
+		Dir: o.out, Manifest: manifestFile,
+		LogDst: logDst, Registry: o.reg, StatusReady: o.statusReady,
+	})
+	if err != nil {
+		return err
 	}
-	if o.memProfile != "" {
-		defer func() {
-			if perr := obs.WriteHeapProfile(o.memProfile); perr != nil && err == nil {
-				err = perr
-			}
-		}()
-	}
-	reg := o.reg
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	m := atlas.NewMetrics(reg)
-	engMetrics := engine.NewMetrics(reg)
-	snapMetrics := snap.NewMetrics(reg)
-	scanMetrics := scan.NewMetrics(reg)
-	manifest := obs.NewRunManifest("shears", start)
-	manifest.Flags = obs.FlagsFromSet(flag.CommandLine)
-	root := obs.NewTrace("shears.run")
+	logger, root, manifest := r.Log(), r.Span(), r.Manifest()
+	m := atlas.NewMetrics(r.Registry())
+	engMetrics := engine.NewMetrics(r.Registry())
 	root.SetAttr("seed", o.seed)
 	root.SetAttr("probes", o.probes)
 	defer func() {
-		root.End()
-		dump := root.Dump()
-		if o.tracePath != "" {
-			if werr := writeTrace(o.tracePath, root, logger); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		for _, line := range obs.FormatStageTable(obs.StageTotals(dump), time.Since(start)) {
-			fmt.Fprintln(logDst, line)
-		}
-		// The manifest lands next to the dataset; skip it when the run died
-		// before the output directory existed.
-		if _, serr := os.Stat(o.out); serr == nil {
-			manifest.Finish(time.Now())
-			manifest.SetStagesFromDump(dump)
+		err = r.Finish(err, func(dump obs.SpanDump) error {
 			manifest.PeakQueueDepth = engMetrics.QueueDepthPeak.Value()
-			data, werr := manifest.JSON()
-			if werr == nil {
-				werr = snap.ReplaceFile(filepath.Join(o.out, manifestFile), data)
+			var werr error
+			if o.tracePath != "" {
+				if werr = writeTrace(o.tracePath, root); werr == nil {
+					logger.Info("trace written", "path", o.tracePath)
+				}
 			}
-			if werr != nil && err == nil {
-				err = werr
+			for _, line := range obs.FormatStageTable(obs.StageTotals(dump), r.Elapsed()) {
+				fmt.Fprintln(logDst, line)
 			}
-		}
+			return werr
+		})
 	}()
 
 	buildSpan := root.Child("world.build")
@@ -278,20 +193,8 @@ func run(o options) (err error) {
 		"campaign_start", cfg.Start.Format("2006-01-02"),
 		"campaign_end", cfg.End.Format("2006-01-02"), "workers", workers)
 
-	// Live status: /metrics, /debug/events and /api/v1/progress serve the
-	// run's state while it executes.
-	if o.statusAddr != "" {
-		ln, lerr := net.Listen("tcp", o.statusAddr)
-		if lerr != nil {
-			return lerr
-		}
-		srv := &http.Server{Handler: obs.NewStatusMux(reg, rec, progressSnapshot(manifest, start, m, engMetrics, snapMetrics, scanMetrics, cfg.Rounds()))}
-		go srv.Serve(ln)
-		defer srv.Close()
-		logger.Info("status server listening", "addr", ln.Addr().String())
-		if o.statusReady != nil {
-			o.statusReady(ln.Addr().String())
-		}
+	if err := r.Serve(campaignProgress(r, m, engMetrics, cfg.Rounds())); err != nil {
+		return err
 	}
 
 	// Open the sink: a fresh dataset, or — on resume — the existing one
@@ -332,7 +235,7 @@ func run(o options) (err error) {
 			return err
 		}
 	}
-	sink.Instrument(results.NewMetrics(reg))
+	sink.Instrument(results.NewMetrics(r.Registry()))
 
 	manifest.WorldFingerprint = fingerprint
 	campaignOpts := atlas.CampaignOptions{
@@ -386,27 +289,25 @@ func run(o options) (err error) {
 		return err
 	}
 	logger.Info("campaign complete",
-		"samples", n, "out", o.out, "elapsed", time.Since(start).Round(time.Millisecond))
+		"samples", n, "out", o.out, "elapsed", r.Elapsed().Round(time.Millisecond))
 
 	figSpan := root.Child("figures")
-	if tixEnabled {
-		// The temporal index is an accelerator: a build failure costs
-		// windowed queries their fast path, never the campaign. It runs
-		// beside the figure scan: both only read the closed samples file,
-		// tix.Extend is single-threaded, and the snapshot write and the
-		// renderers leave a core idle. Its span opens after the figures
-		// span, so the trace draws it on a lane of its own.
-		tixSpan := root.Child("tix.build")
-		tixDone := make(chan struct{})
-		go func() {
-			defer close(tixDone)
-			defer tixSpan.End()
-			if err := buildTix(store, w.Index, logger.With("tix")); err != nil {
-				logger.Warn("temporal index build failed", "error", err)
-			}
-		}()
-		defer func() { <-tixDone }()
-	}
+	// The temporal index is an accelerator: a build failure costs windowed
+	// queries their fast path, never the campaign. It runs beside the
+	// figure scan: both only read the closed samples file, tix.Extend is
+	// single-threaded, and the snapshot write and the renderers leave a
+	// core idle. Its span opens after the figures span, so the trace draws
+	// it on a lane of its own.
+	tixSpan := root.Child("tix.build")
+	tixDone := make(chan struct{})
+	go func() {
+		defer close(tixDone)
+		defer tixSpan.End()
+		if err := buildTix(store, w.Index, logger.With("tix")); err != nil {
+			logger.Warn("temporal index build failed", "error", err)
+		}
+	}()
+	defer func() { <-tixDone }()
 	defer figSpan.End()
 	if o.quiet && o.figDir == "" {
 		return nil
@@ -436,10 +337,10 @@ func run(o options) (err error) {
 	scanCtx := obs.ContextWith(context.Background(), figSpan)
 	// Each process folds what it prints: the passes of every figure of
 	// the table and the §4.1 provider table. The scan also writes the
-	// run's one snapshot, covering every block; -snapshot off is the same
-	// call without a path.
+	// run's one snapshot, covering every block.
 	so := core.SnapshotOptions{
-		Metrics:       snapMetrics,
+		Path:          store.SnapshotPath(),
+		Metrics:       r.SnapMetrics(),
 		RefreshFactor: core.DefaultRefreshFactor,
 		Log:           logger.With("snap"),
 		Passes:        core.PassProvider,
@@ -447,24 +348,11 @@ func run(o options) (err error) {
 	for _, f := range figures.Table {
 		so.Passes |= f.Passes
 	}
-	if snapEnabled {
-		so.Path = store.SnapshotPath()
-	}
-	rep, st, err := core.ScanStoreSnap(scanCtx, store, w.Index, cfg.Start, 7*24*time.Hour, workers, scanMetrics, so)
+	rep, st, err := core.ScanStoreSnap(scanCtx, store, w.Index, cfg.Start, 7*24*time.Hour, workers, r.ScanMetrics(), so)
 	if err != nil {
 		return err
 	}
-	logger.Info("scan complete",
-		"samples", st.Samples, "duration", st.Duration.Round(time.Millisecond),
-		"mb_per_sec", st.MBPerSec(), "workers", st.Workers)
-	if snapEnabled {
-		logger.Info("snapshot coverage",
-			"blocks_read", st.BlocksRead, "blocks_total", st.BlocksTotal,
-			"prefix_blocks", st.PrefixBlocks)
-		manifest.Snapshot = &obs.SnapshotCoverage{
-			PrefixBlocks: st.PrefixBlocks, BlocksRead: st.BlocksRead, BlocksTotal: st.BlocksTotal,
-		}
-	}
+	r.NoteScan(st, rep)
 	// One Inputs serves the artifacts and the printout, so Figure 1's
 	// series is crawled once per run. Its corpus is the paper's whatever
 	// the campaign seed.
@@ -520,7 +408,7 @@ func buildTix(store *results.Store, idx *core.Index, logger *obs.Logger) error {
 // writeTrace dumps the span tree as Chrome trace-event JSON
 // (Perfetto/chrome://tracing loadable). Write and close failures are
 // surfaced — a truncated trace must fail the run, not pass silently.
-func writeTrace(path string, root *obs.Span, logger *obs.Logger) error {
+func writeTrace(path string, root *obs.Span) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -532,82 +420,47 @@ func writeTrace(path string, root *obs.Span, logger *obs.Logger) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("closing trace %s: %w", path, err)
 	}
-	logger.Info("trace written", "path", path)
 	return nil
 }
 
-// progressSnapshot builds the /api/v1/progress payload function: a
-// per-request snapshot of the campaign watermarks, engine queue depths,
-// snapshot cache counters, and scan throughput.
-func progressSnapshot(manifest *obs.RunManifest, start time.Time, m *atlas.Metrics, em *engine.Metrics, sm *snap.Metrics, scm *scan.Metrics, totalRounds int) func() any {
-	type campaignProgress struct {
+// campaignProgress adds the campaign block (round watermarks, samples,
+// ETA) and the engine block (queue depths, per-shard rounds) to the
+// run's /api/v1/progress body.
+func campaignProgress(r *cmdrun.Run, m *atlas.Metrics, em *engine.Metrics, totalRounds int) func(map[string]any) {
+	type campaignBlock struct {
 		RoundsDone  float64 `json:"rounds_done"`
 		RoundsTotal float64 `json:"rounds_total"`
 		Samples     uint64  `json:"samples"`
 		SamplesLost uint64  `json:"samples_lost"`
 		ETASeconds  float64 `json:"eta_seconds"`
 	}
-	type engineProgress struct {
+	type engineBlock struct {
 		QueueDepth     float64            `json:"queue_depth"`
 		QueueDepthPeak float64            `json:"queue_depth_peak"`
 		ShardRounds    map[string]float64 `json:"shard_rounds,omitempty"`
 	}
-	type snapshotProgress struct {
-		Hits          uint64 `json:"hits"`
-		Misses        uint64 `json:"misses"`
-		Invalidations uint64 `json:"invalidations"`
-		Writes        uint64 `json:"writes"`
-	}
-	type scanProgress struct {
-		Scans         uint64  `json:"scans"`
-		Samples       uint64  `json:"samples"`
-		SamplesPerSec float64 `json:"samples_per_sec"`
-	}
-	type progress struct {
-		RunID         string           `json:"run_id"`
-		UptimeSeconds float64          `json:"uptime_seconds"`
-		Campaign      campaignProgress `json:"campaign"`
-		Engine        engineProgress   `json:"engine"`
-		Snapshot      snapshotProgress `json:"snapshot"`
-		Scan          scanProgress     `json:"scan"`
-	}
-	return func() any {
-		p := progress{
-			RunID:         manifest.RunID,
-			UptimeSeconds: time.Since(start).Seconds(),
-			Campaign: campaignProgress{
-				RoundsDone:  m.CampaignRoundsDone.Value(),
-				RoundsTotal: m.CampaignRoundsTotal.Value(),
-				Samples:     m.CampaignSamples.Sum(),
-				SamplesLost: m.CampaignLost.Value(),
-			},
-			Engine: engineProgress{
-				QueueDepth:     em.QueueDepth.Value(),
-				QueueDepthPeak: em.QueueDepthPeak.Value(),
-			},
-			Snapshot: snapshotProgress{
-				Hits:          sm.Hits.Value(),
-				Misses:        sm.Misses.Value(),
-				Invalidations: sm.Invalidations.Value(),
-				Writes:        sm.Writes.Value(),
-			},
-			Scan: scanProgress{
-				Scans:         scm.Scans.Value(),
-				Samples:       scm.Samples.Value(),
-				SamplesPerSec: scm.SamplesPerSec.Value(),
-			},
+	return func(p map[string]any) {
+		c := campaignBlock{
+			RoundsDone:  m.CampaignRoundsDone.Value(),
+			RoundsTotal: m.CampaignRoundsTotal.Value(),
+			Samples:     m.CampaignSamples.Sum(),
+			SamplesLost: m.CampaignLost.Value(),
 		}
-		if done := p.Campaign.RoundsDone; done > 0 && totalRounds > 0 && done < float64(totalRounds) {
-			perRound := time.Since(start).Seconds() / done
-			p.Campaign.ETASeconds = perRound * (float64(totalRounds) - done)
+		if done := c.RoundsDone; done > 0 && totalRounds > 0 && done < float64(totalRounds) {
+			perRound := r.Elapsed().Seconds() / done
+			c.ETASeconds = perRound * (float64(totalRounds) - done)
+		}
+		e := engineBlock{
+			QueueDepth:     em.QueueDepth.Value(),
+			QueueDepthPeak: em.QueueDepthPeak.Value(),
 		}
 		em.ShardRounds.Walk(func(labels []string, v float64) {
-			if p.Engine.ShardRounds == nil {
-				p.Engine.ShardRounds = make(map[string]float64)
+			if e.ShardRounds == nil {
+				e.ShardRounds = make(map[string]float64)
 			}
-			p.Engine.ShardRounds[labels[0]] = v
+			e.ShardRounds[labels[0]] = v
 		})
-		return p
+		p["campaign"], p["engine"] = c, e
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/atlas"
+	"repro/internal/cmdrun"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -67,26 +68,6 @@ func TestRunBuildsTemporalIndex(t *testing.T) {
 	}
 	if fi.Size() == 0 {
 		t.Error("temporal index is empty")
-	}
-
-	off := filepath.Join(t.TempDir(), "ds")
-	if err := run(options{out: off, probes: 200, seed: 1, days: 2, quiet: true, tix: "off"}); err != nil {
-		t.Fatal(err)
-	}
-	offStore, err := results.Open(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(offStore.TixPath()); !os.IsNotExist(err) {
-		t.Errorf("-tix off still produced an index (err=%v)", err)
-	}
-
-	// The modes are on and off; "auto" went with the second store format.
-	for _, o := range []options{{tix: "bogus"}, {tix: "auto"}, {snapshot: "auto"}} {
-		o.out, o.probes, o.seed, o.days, o.quiet = t.TempDir(), 200, 1, 1, true
-		if err := run(o); err == nil || !strings.Contains(err.Error(), "want on or off") {
-			t.Errorf("-tix %q -snapshot %q: err = %v", o.tix, o.snapshot, err)
-		}
 	}
 }
 
@@ -218,8 +199,9 @@ func TestRunWritesTrace(t *testing.T) {
 			t.Errorf("root lacks %q child; has %d children", want, len(root.Children))
 		}
 	}
-	// Rounds overlap on the parallel engine, and the reconstruction nests
-	// by containment, so count them anywhere under the campaign.
+	// Rounds overlap on the parallel engine; the trace's span links keep
+	// each under the span that opened it, so count them anywhere under the
+	// campaign.
 	var rounds int
 	var samples float64
 	var walk func(d obs.SpanDump)
@@ -312,8 +294,8 @@ func TestRunServesStatusEndpoints(t *testing.T) {
 	go func() {
 		errCh <- run(options{
 			out: dir, probes: 250, seed: 1, days: 2, quiet: true, workers: 2,
-			logDst:     io.Discard,
-			statusAddr: "127.0.0.1:0",
+			logDst:    io.Discard,
+			telemetry: cmdrun.Flags{StatusAddr: "127.0.0.1:0"},
 			statusReady: func(addr string) {
 				select {
 				case ready <- addr:

@@ -203,43 +203,37 @@ func FormatStageTable(totals []StageTotal, wall time.Duration) []string {
 	return lines
 }
 
-// ParseTrace decodes a Chrome trace-event JSON file — the container
-// object WriteChromeTrace writes, or a bare array of events — into a
-// SpanDump tree, reconstructing nesting from timestamp containment.
+// ParseTrace decodes the Chrome trace-event JSON WriteChromeTrace writes
+// into a SpanDump tree, hanging each event under the parent span it
+// names.
 func ParseTrace(data []byte) (SpanDump, error) {
 	if strings.TrimSpace(string(data)) == "" {
 		return SpanDump{}, fmt.Errorf("obs: empty trace file")
 	}
 	var ct chromeTrace
 	if err := json.Unmarshal(data, &ct); err != nil {
-		// Not the container object: a bare event array, or garbage.
-		if aerr := json.Unmarshal(data, &ct.TraceEvents); aerr != nil {
-			return SpanDump{}, fmt.Errorf("obs: trace file is not Chrome trace JSON: %w", err)
-		}
+		return SpanDump{}, fmt.Errorf("obs: trace file is not Chrome trace JSON: %w", err)
 	}
-	d := dumpFromChrome(ct.TraceEvents)
-	if d.Name == "" {
-		return SpanDump{}, fmt.Errorf("obs: trace file holds no complete (ph \"X\") events")
-	}
-	return d, nil
-}
-
-// dumpFromChrome rebuilds a span tree from complete events. Events that
-// carry this exporter's span numbers link to the parent they name. In
-// any other trace the event covering the widest interval becomes the
-// root and every other event nests under the smallest event that
-// contains it.
-func dumpFromChrome(events []chromeEvent) SpanDump {
-	complete := events[:0:0]
-	for _, e := range events {
+	var complete []chromeEvent
+	for _, e := range ct.TraceEvents {
 		if e.Ph == "X" {
 			complete = append(complete, e)
 		}
 	}
 	if len(complete) == 0 {
-		return SpanDump{}
+		return SpanDump{}, fmt.Errorf("obs: trace file holds no complete (ph \"X\") events")
 	}
+	// flattenDump numbers spans in the order it writes them, parents
+	// first: event i is span i+1 and names an earlier span, the root none.
 	children := make([][]int, len(complete))
+	for i, e := range complete {
+		if e.Span != i+1 || e.Parent > i || (e.Parent > 0) != (i > 0) {
+			return SpanDump{}, fmt.Errorf("obs: trace event %d (%q) lacks the span links WriteChromeTrace writes (span %d, parent %d)", i, e.Name, e.Span, e.Parent)
+		}
+		if i > 0 {
+			children[e.Parent-1] = append(children[e.Parent-1], i)
+		}
+	}
 	var build func(i int) SpanDump
 	build = func(i int) SpanDump {
 		d := SpanDump{Name: complete[i].Name, DurationMs: complete[i].Dur / 1e3, Attrs: complete[i].Args}
@@ -248,45 +242,5 @@ func dumpFromChrome(events []chromeEvent) SpanDump {
 		}
 		return d
 	}
-	// flattenDump numbers spans in the order it writes them, parents
-	// first: event i is span i+1 and names an earlier span, the root none.
-	linked := true
-	for i, e := range complete {
-		linked = linked && e.Span == i+1 && e.Parent <= i && (e.Parent > 0) == (i > 0)
-	}
-	if linked {
-		for i, e := range complete[1:] {
-			children[e.Parent-1] = append(children[e.Parent-1], i+1)
-		}
-		return build(0)
-	}
-	order := make([]int, len(complete))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ea, eb := complete[order[a]], complete[order[b]]
-		if ea.Ts != eb.Ts {
-			return ea.Ts < eb.Ts
-		}
-		return ea.Dur > eb.Dur
-	})
-	// Stack of enclosing events along the containment path; children are
-	// linked by index first so the tree can be materialized bottom-up.
-	type open struct {
-		end float64
-		idx int
-	}
-	rootIdx := order[0]
-	stack := []open{{end: complete[rootIdx].Ts + complete[rootIdx].Dur, idx: rootIdx}}
-	for _, i := range order[1:] {
-		e := complete[i]
-		for len(stack) > 1 && stack[len(stack)-1].end < e.Ts+e.Dur {
-			stack = stack[:len(stack)-1]
-		}
-		parent := stack[len(stack)-1].idx
-		children[parent] = append(children[parent], i)
-		stack = append(stack, open{end: e.Ts + e.Dur, idx: i})
-	}
-	return build(rootIdx)
+	return build(0), nil
 }

@@ -211,15 +211,14 @@ func TestParseTraceOverlappingSiblings(t *testing.T) {
 	}
 }
 
-func TestParseTraceBareEventArray(t *testing.T) {
-	events := `[{"name":"a","ph":"X","ts":0,"dur":100,"pid":1,"tid":1},
-	            {"name":"b","ph":"X","ts":10,"dur":50,"pid":1,"tid":1}]`
-	d, err := ParseTrace([]byte(events))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name != "a" || len(d.Children) != 1 || d.Children[0].Name != "b" {
-		t.Errorf("bare array parse: %+v", d)
+// TestParseTraceUnlinked: a trace whose events lack the span links
+// WriteChromeTrace writes is refused, and the error names the first
+// such event.
+func TestParseTraceUnlinked(t *testing.T) {
+	events := `{"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":100,"pid":1,"tid":1,"span":1},
+	                            {"name":"b","ph":"X","ts":10,"dur":50,"pid":1,"tid":1}]}`
+	if _, err := ParseTrace([]byte(events)); err == nil || !strings.Contains(err.Error(), `"b"`) {
+		t.Errorf("ParseTrace(unlinked) err = %v, want one naming event \"b\"", err)
 	}
 }
 

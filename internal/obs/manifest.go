@@ -136,9 +136,9 @@ func (m *RunManifest) SetStagesFromDump(d SpanDump) {
 	}
 }
 
-// JSON encodes the manifest as the indented JSON of run.json. The
-// binaries write it with snap.ReplaceFile, the durable replace every
-// file beside a store goes through.
+// JSON encodes the manifest as the indented JSON of run.json.
+// internal/cmdrun writes it with snap.ReplaceFile, the durable replace
+// every file beside a store goes through.
 func (m *RunManifest) JSON() ([]byte, error) {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 )
 
 // StartCPUProfile begins writing a CPU profile to path and returns the
-// function that stops profiling and closes the file. The CLIs hang this
-// off their -cpuprofile flag.
+// function that stops profiling and closes the file. internal/cmdrun
+// hangs this off the -cpuprofile flag.
 func StartCPUProfile(path string) (stop func() error, err error) {
 	f, err := os.Create(path)
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 
 // This file is the shared live-status surface: the handler set every
 // binary mounts so a run can be inspected while it executes. atlasd
-// wires the handlers into its API mux; the CLIs (shears, figures) serve
-// them from the -status-addr listener via NewStatusMux.
+// wires the handlers into its API mux; internal/cmdrun serves them for
+// shears and figures from the -status-addr listener via NewStatusMux.
 
 // MetricsHandler serves the registry's Prometheus text exposition.
 func MetricsHandler(reg *Registry) http.Handler {

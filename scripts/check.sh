@@ -36,10 +36,11 @@ echo "== go test -race (concurrency suites, uncached) =="
 # storage layer (columnar codec + sinks), and the telemetry plane
 # (registry scrapes racing registration, flight recorder) are the
 # shard-and-merge packages, and internal/serve runs concurrent readers
-# against snapshot swaps and cache invalidation under churn; run them
-# uncached so every gate exercises the race detector on fresh
+# against snapshot swaps and cache invalidation under churn; and
+# internal/cmdrun serves a run's status while the run still executes.
+# Run them uncached so every gate exercises the race detector on fresh
 # schedules.
-go test -race -count=1 ./internal/scan ./internal/core ./internal/engine ./internal/colf ./internal/results ./internal/snap ./internal/stats ./internal/obs ./internal/serve ./internal/tix
+go test -race -count=1 ./internal/scan ./internal/core ./internal/engine ./internal/colf ./internal/results ./internal/snap ./internal/stats ./internal/obs ./internal/serve ./internal/tix ./internal/cmdrun
 
 echo "== go test -race =="
 go test -race ./...
