@@ -10,12 +10,11 @@
 //
 //   - BenchmarkFigure1Trends .. Figure3bProbes, Figure8Feasibility,
 //     AnalysisThresholds, WhereIsTheDelay, BandwidthJustify, WhatIf,
-//     RouteExpand, ExpansionGreedy, AblationBackbone: the paper's
-//     dataset-independent analyses (trends crawl, catalog, census,
-//     feasibility, delay attribution, backhaul, counterfactual,
-//     traceroute, placement). No per-layer metric touches these
-//     packages; figures.render_ms times only Figures 4-7 rendering
-//     from an already-computed suite report.
+//     RouteExpand, AblationBackbone: the paper's dataset-independent
+//     analyses (trends crawl, catalog, census, feasibility, delay
+//     attribution, backhaul, counterfactual, traceroute). No per-layer
+//     metric touches these packages; figures.render_ms times only
+//     Figures 4-7 rendering from an already-computed suite report.
 //   - BenchmarkFigure4Proximity .. Figure7LastMile, ProviderComparison:
 //     each analysis alone — core.ScanMemory restricted to the one pass,
 //     folding an in-memory campaign's column blocks, then the figure's
@@ -28,9 +27,9 @@
 //     one worker count (the harness pins GOMAXPROCS=2) and no B/op.
 //   - BenchmarkPathRTT: netem.path_rtt_ns measures the same call over a
 //     fixed leg mix; this one reports allocs/op, which that does not.
-//   - BenchmarkLivePing, TCPProbe: the live measurement plane (virtual
-//     network echo, TCP handshake + request). bench/ has no workload or
-//     layer on it — its campaigns are synthesized, never pinged.
+//   - BenchmarkLivePing: the live measurement plane (virtual network
+//     echo). bench/ has no workload or layer on it — its campaigns are
+//     synthesized, never pinged.
 package repro
 
 import (
@@ -45,13 +44,10 @@ import (
 	"repro/internal/bandwidth"
 	"repro/internal/core"
 	"repro/internal/delay"
-	"repro/internal/expansion"
 	"repro/internal/figures"
 	"repro/internal/netem"
-	"repro/internal/netsim"
 	"repro/internal/results"
 	"repro/internal/route"
-	"repro/internal/tcping"
 	"repro/internal/whatif"
 	"repro/internal/world"
 )
@@ -403,42 +399,6 @@ func BenchmarkWhatIf(b *testing.B) {
 	}
 }
 
-// BenchmarkTCPProbe measures the full three-way-handshake + request cycle
-// through the virtual network (§5 TCP probing extension).
-func BenchmarkTCPProbe(b *testing.B) {
-	e := getEnv(b)
-	n, err := netsim.NewNetwork(e.w.Platform, netsim.WithTimeScale(0.0001))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer n.Close()
-	pr := e.w.Probes.Public()[0]
-	target := e.w.Platform.Targets(pr)[0]
-	srvEp, err := n.Attach(target.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := tcping.NewServer(srvEp); err != nil {
-		b.Fatal(err)
-	}
-	cliEp, err := n.Attach(pr.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	prober, err := tcping.NewProber(cliEp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prober.Probe(ctx, target.Addr(), 10*time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRouteExpand synthesizes a hop-level traceroute from a path.
 func BenchmarkRouteExpand(b *testing.B) {
 	e := getEnv(b)
@@ -452,19 +412,6 @@ func BenchmarkRouteExpand(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := route.Expand(path, site, r.Addr(), e.cfg.Start.Add(time.Duration(i)*time.Hour)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExpansionGreedy runs the §6 placement optimizer (3 picks from
-// the full candidate set).
-func BenchmarkExpansionGreedy(b *testing.B) {
-	e := getEnv(b)
-	cands := expansion.CountryCandidates(e.w.Platform, e.w.Countries)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := expansion.Greedy(e.w.Platform, cands, 3, e.cfg.Start); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -90,10 +90,10 @@ func TestPathCaching(t *testing.T) {
 		t.Error("path not cached")
 	}
 
-	// A region outside the probe's own target list (delay, route and
-	// expansion ask for those) is cached the same way, concurrent first
-	// lookups collapse to one instance, and a region of some other
-	// catalog is derived without a cell, not misfiled.
+	// A region outside the probe's own target list (delay and route ask
+	// for those) is cached the same way, concurrent first lookups
+	// collapse to one instance, and a region of some other catalog is
+	// derived without a cell, not misfiled.
 	var far *cloud.Region
 	for _, c := range p.Catalog.All() {
 		if !slices.Contains(p.Targets(pr), c) {

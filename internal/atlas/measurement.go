@@ -304,7 +304,14 @@ func (s *LiveService) Stop(id int) error {
 		s.mu.Unlock()
 		return fmt.Errorf("atlas: measurement %d is %s, not running", id, m.Status)
 	}
+	// The first Stop claims the cancel under the lock, so exactly one
+	// caller cancels and refunds; the rest find it already stopping.
 	cancel := m.cancel
+	if cancel == nil {
+		s.mu.Unlock()
+		return fmt.Errorf("atlas: measurement %d is stopping, not running", id)
+	}
+	m.cancel = nil
 	account := m.Account
 	s.mu.Unlock()
 	cancel()

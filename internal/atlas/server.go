@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -250,28 +251,49 @@ type SpecDTO struct {
 	TimeoutMs  int64  `json:"timeout_ms"`
 }
 
-// Spec converts the DTO to the internal spec.
-func (d SpecDTO) Spec() MeasurementSpec {
+// Spec converts the DTO to the internal spec. A millisecond count
+// whose Duration would overflow is an error, not a wrapped value.
+func (d SpecDTO) Spec() (MeasurementSpec, error) {
+	const limit = math.MaxInt64 / int64(time.Millisecond)
+	for _, ms := range []int64{d.IntervalMs, d.TimeoutMs} {
+		if ms > limit || ms < -limit {
+			return MeasurementSpec{}, fmt.Errorf("atlas: %d ms overflows a duration", ms)
+		}
+	}
 	return MeasurementSpec{
 		Target:   d.Target,
 		ProbeIDs: d.ProbeIDs,
 		Count:    d.Count,
 		Interval: time.Duration(d.IntervalMs) * time.Millisecond,
 		Timeout:  time.Duration(d.TimeoutMs) * time.Millisecond,
-	}
+	}, nil
 }
+
+// maxCreateBody bounds a measurement request body; a spec naming every
+// probe of a paper-scale world is a few tens of kilobytes.
+const maxCreateBody = 1 << 20
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var dto SpecDTO
-	if err := json.NewDecoder(r.Body).Decode(&dto); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateBody)).Decode(&dto); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad body: %w", err))
 		return
 	}
 	if dto.Account == "" {
 		writeError(w, http.StatusBadRequest, errors.New("missing account"))
 		return
 	}
-	id, err := s.live.Create(dto.Account, dto.Spec())
+	spec, err := dto.Spec()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	id, err := s.live.Create(dto.Account, spec)
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, ErrInsufficientCredits) {

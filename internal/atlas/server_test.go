@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -220,15 +222,31 @@ func TestAPIBadRequests(t *testing.T) {
 		}
 	}
 
-	// Malformed POST body.
-	resp, err := http.Post(ts.URL+"/api/v1/measurements", "application/json",
-		nil)
-	if err != nil {
+	// Hostile POST bodies: empty, over the size cap, and millisecond
+	// counts whose Duration would overflow (18446744073710 ms wraps to
+	// about 0.45 ms) on an otherwise valid, affordable spec.
+	if err := ledger.Grant("alice", 1000); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty POST = %d", resp.StatusCode)
+	pr := p.Population.Public()[0]
+	valid := fmt.Sprintf(`"account":"alice","target":%q,"probe_ids":[%d],"count":1`, p.Targets(pr)[0].Addr(), pr.ID)
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"empty", "", http.StatusBadRequest},
+		{"oversized", `{"account":"` + strings.Repeat("a", maxCreateBody) + `"}`, http.StatusRequestEntityTooLarge},
+		{"interval overflow", `{` + valid + `,"interval_ms":18446744073710,"timeout_ms":1000}`, http.StatusBadRequest},
+		{"timeout overflow", `{` + valid + `,"interval_ms":0,"timeout_ms":18446744073710}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/measurements", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s POST = %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
 	}
 }
 
@@ -291,6 +309,69 @@ func TestStopMeasurement(t *testing.T) {
 	// Stopping a missing measurement conflicts.
 	if err := stopMeasurement(ctx, c, 99999); err == nil {
 		t.Error("stop of unknown measurement accepted")
+	}
+}
+
+// Concurrent stops of one measurement refund it once: exactly one
+// caller succeeds, and net spend is the stopped measurements' collected
+// samples plus the full charge of another one still running. The race
+// is run over many measurements so a double refund cannot hide.
+func TestStopMeasurementConcurrent(t *testing.T) {
+	p := smallPlatform(t)
+	ledger := NewLedger()
+	if err := ledger.Grant("alice", 5000); err != nil {
+		t.Fatal(err)
+	}
+	live, err := NewLiveService(p, ledger, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(live.Close)
+	pr := p.Population.Public()[0]
+	// An hour's interval (3.6 s at this time scale) keeps every
+	// measurement running until it is stopped.
+	spec := MeasurementSpec{Target: p.Targets(pr)[0].Addr(), ProbeIDs: []int{pr.ID}, Count: 100, Interval: time.Hour, Timeout: 5 * time.Second}
+	other, err := live.Create("alice", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Stop(other)
+
+	const rounds, callers = 50, 8
+	want := spec.Cost()
+	spec.Count = 50
+	for round := 0; round < rounds; round++ {
+		id, err := live.Create("alice", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, callers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = live.Stop(id)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		ok := 0
+		for _, err := range errs {
+			if err == nil {
+				ok++
+			}
+		}
+		if ok != 1 {
+			t.Errorf("round %d: %d of %d concurrent stops succeeded, want 1", round, ok, callers)
+		}
+		m, _ := live.Get(id)
+		want += int64(len(m.Results)) * CostPerPing
+	}
+	if got := ledger.Spent("alice"); got != want {
+		t.Errorf("net spend = %d, want %d (collected samples + the running measurement's charge)", got, want)
 	}
 }
 

@@ -31,6 +31,23 @@ echo "== deadapi =="
 # reason in scripts/deadapi.allow; a stale or reasonless line fails too.
 go run ./scripts/deadapi
 
+echo "== reach =="
+# Every package under internal/ must be a dependency of some cmd/ main.
+# Examples, tests and bench/ do not count as reach: a package only they
+# import is either wired into a command or deleted.
+unreached=$(comm -23 <(go list ./internal/... | sort) <(go list -deps ./cmd/... | sort))
+if [ -n "$unreached" ]; then
+    echo "internal packages no command reaches:" >&2
+    echo "$unreached" >&2
+    exit 1
+fi
+
+echo "== examples (run to completion) =="
+# Compiling an example is not running it: each must exit 0.
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null
+done
+
 echo "== go test -race (concurrency suites, uncached) =="
 # The scanner, the fused analysis passes, the campaign engine, the
 # storage layer (columnar codec + sinks), and the telemetry plane
