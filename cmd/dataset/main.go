@@ -617,11 +617,7 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 	blocks := sf.Blocks()
 
 	openStart := time.Now()
-	ix, err := tix.Open(store.TixPath(), tix.Binding{
-		PassSet: tix.PassSetCDF,
-		Index:   w.Index.Fingerprint(),
-		Meta:    core.MetaFingerprint(meta),
-	}, blocks, nil)
+	ix, err := tix.Open(store.TixPath(), tix.BindingFor(w.Index.Fingerprint(), core.MetaFingerprint(meta)), blocks, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -644,7 +640,7 @@ func windowOp(store *results.Store, window, since, until string) ([]string, erro
 		return nil, err
 	}
 	// The curves and counts are composed; the quantiles below are what
-	// load the slabs.
+	// read slab chunks, those of their ranks' bins.
 	var rows []string
 	for _, ct := range res.Continents() {
 		var qs [3]float64

@@ -386,11 +386,7 @@ func buildTix(store *results.Store, idx *core.Index, logger *obs.Logger) error {
 	}
 	defer closer.Close()
 	blocks := sf.Blocks()
-	ix, err := tix.Open(store.TixPath(), tix.Binding{
-		PassSet: tix.PassSetCDF,
-		Index:   idx.Fingerprint(),
-		Meta:    core.MetaFingerprint(store.Meta()),
-	}, blocks, logger)
+	ix, err := tix.Open(store.TixPath(), tix.BindingFor(idx.Fingerprint(), core.MetaFingerprint(store.Meta())), blocks, logger)
 	if err != nil {
 		return err
 	}

@@ -175,9 +175,3 @@ func (r *Report) Format() []string {
 	emit(r.ByAccess)
 	return lines
 }
-
-// consistencyGapMs is used by tests: the mean components must reconstruct
-// the mean RTT up to the fixed processing floor.
-func (a Attribution) consistencyGapMs() float64 {
-	return a.MeanRTTms - (a.PropagationMs + a.TransitMs + a.LastMileMs + a.BloatMs)
-}

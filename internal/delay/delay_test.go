@@ -121,3 +121,9 @@ func group(t *testing.T, rep *Report, name string) Attribution {
 	t.Fatalf("%s missing", name)
 	return Attribution{}
 }
+
+// consistencyGapMs is what the mean components leave of the mean RTT:
+// they must reconstruct it up to the fixed processing floor.
+func (a Attribution) consistencyGapMs() float64 {
+	return a.MeanRTTms - (a.PropagationMs + a.TransitMs + a.LastMileMs + a.BloatMs)
+}

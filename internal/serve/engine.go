@@ -148,11 +148,7 @@ func NewEngine(store *results.Store, idx *core.Index, opt Options) (*Engine, err
 	if opt.TixPath != "" {
 		// Validate against the blocks the resident suite folded: every
 		// complete block the store held when it was opened.
-		ti, err := tix.Open(opt.TixPath, tix.Binding{
-			PassSet: tix.PassSetCDF,
-			Index:   idx.Fingerprint(),
-			Meta:    core.MetaFingerprint(store.Meta()),
-		}, hot.Blocks(), opt.Log)
+		ti, err := tix.Open(opt.TixPath, tix.BindingFor(idx.Fingerprint(), core.MetaFingerprint(store.Meta())), hot.Blocks(), opt.Log)
 		if err != nil {
 			// The index is an accelerator: serving must come up without it.
 			opt.Log.Warn("temporal index unavailable; windowed queries will scan",

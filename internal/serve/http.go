@@ -308,17 +308,17 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		var st stageTimes
 		e.serveCached(w, r, key, &st, func() (*response, error) {
-			// The index path loads the slabs before rendering, so the
-			// render's own time splits into select and encode. A slab that
-			// fails its CRC, or a selection that disagrees with the counts,
-			// falls back to the scan like any other index error.
+			// The index path refolds the edge pieces first; each quantile
+			// reads its bin's slab chunks, so the render splits into
+			// slab_read, select and encode. A chunk that fails its CRC, or a
+			// gather that disagrees with the counts, falls back to the scan.
 			var resp *response
 			ok, err := e.windowIndex(ctx, v, pred, func(res *tix.Result) error {
 				err := res.Load()
 				if err == nil {
 					t0 := time.Now()
 					resp, err = render(res)
-					st[stageEncode] += time.Since(t0) - res.Stats.Select
+					st[stageEncode] += time.Since(t0) - res.Stats.SlabRead - res.Stats.Select
 				}
 				st.addQuery(res.Stats)
 				e.opt.Metrics.nilSafe().WindowSlabBytes.Add(uint64(res.Stats.SlabBytes))

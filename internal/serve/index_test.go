@@ -7,7 +7,10 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -252,11 +255,56 @@ func TestServeCDFIndexPathGate(t *testing.T) {
 		t.Fatalf("fell back %d times, scanned %d times", fb, scans)
 	}
 
-	// A windowed quantile is what pays for slabs and selection.
-	if w := get(p.tix, windowTarget("/api/v1/quantile?p=0.9", since, until)); w.Code != http.StatusOK {
-		t.Fatalf("quantile: status %d", w.Code)
+	// A windowed quantile is what pays for slabs and selection. Its
+	// slab reads happen inside the render, and the Server-Timing stages
+	// account for its fill once each: in the median request they sum to
+	// within 10 % of the fill, taken as the request's time less a cache
+	// hit's (the median of as many hits).
+	const fills = 21
+	q := windowTarget("/api/v1/quantile?p=0.9", since, until)
+	timed := func() (*httptest.ResponseRecorder, time.Duration) {
+		t0 := time.Now()
+		w := get(p.tix, q)
+		if w.Code != http.StatusOK {
+			t.Fatalf("quantile: status %d", w.Code)
+		}
+		return w, time.Since(t0)
 	}
-	if m.WindowSlabBytes.Value() == 0 || m.WindowStageSeconds.With(stageNames[stageSelect]).Count() != 1 {
+	staged := make([]time.Duration, fills)
+	missed := make([]time.Duration, fills)
+	for i := range missed {
+		var w *httptest.ResponseRecorder
+		w, missed[i] = timed()
+		timing := w.Header().Get("Server-Timing")
+		if !strings.Contains(timing, stageNames[stageSlabRead]+";") {
+			t.Fatalf("windowed quantile's Server-Timing %q has no %s stage", timing, stageNames[stageSlabRead])
+		}
+		for _, metric := range strings.Split(timing, ", ") {
+			_, dur, _ := strings.Cut(metric, ";dur=")
+			ms, err := strconv.ParseFloat(dur, 64)
+			if err != nil {
+				t.Fatalf("Server-Timing %q: %v", timing, err)
+			}
+			staged[i] += time.Duration(ms * float64(time.Millisecond))
+		}
+	}
+	p.tixEng.SetCacheBypass(false)
+	timed() // the one fill the hits below reuse
+	hits := make([]time.Duration, fills)
+	for i := range hits {
+		_, hits[i] = timed()
+	}
+	slices.Sort(hits)
+	ratios := make([]float64, fills)
+	for i := range ratios {
+		ratios[i] = float64(staged[i]) / float64(missed[i]-hits[fills/2])
+	}
+	slices.Sort(ratios)
+	t.Logf("windowed quantile: stages/fill %.3f median (%.3f..%.3f), hit %v", ratios[fills/2], ratios[0], ratios[fills-1], hits[fills/2])
+	if r := ratios[fills/2]; r < 0.9 || r > 1.1 {
+		t.Fatalf("windowed quantile stages sum to %.2fx the fill in the median request", r)
+	}
+	if m.WindowSlabBytes.Value() == 0 || m.WindowStageSeconds.With(stageNames[stageSelect]).Count() != fills+1 {
 		t.Fatalf("windowed quantile read %d slab bytes over %d selections", m.WindowSlabBytes.Value(),
 			m.WindowStageSeconds.With(stageNames[stageSelect]).Count())
 	}

@@ -54,8 +54,8 @@ type Metrics struct {
 	// (see the stage* constants); each fill observes only the stages it
 	// ran, so a stage's count is how many fills reached it.
 	WindowStageSeconds *obs.HistogramVec // stage
-	// WindowSlabBytes counts sidecar record bytes index-served windows
-	// read back — the slabs, which only quantiles need.
+	// WindowSlabBytes counts the sidecar bytes index-served windows read
+	// back — slab chunks, which only quantiles need.
 	WindowSlabBytes *obs.Counter
 	// Refreshes counts snapshot advances published by the refresher.
 	Refreshes *obs.Counter
@@ -107,7 +107,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		WindowStageSeconds: reg.HistogramVec("serve_window_stage_seconds",
 			"Time one window fill spent in each stage it ran.", obs.FineDurationBuckets, "stage"),
 		WindowSlabBytes: reg.Counter("serve_window_slab_bytes_total",
-			"Sidecar record bytes read back by index-served windows."),
+			"Sidecar slab chunk bytes read back by index-served windows."),
 		Refreshes: reg.Counter("serve_refresh_total",
 			"Snapshot advances published by the refresher."),
 		RefreshErrors: reg.Counter("serve_refresh_errors_total",

@@ -39,12 +39,16 @@ var magic = [8]byte{'S', 'N', 'A', 'P', 2, 0, 0, '\n'}
 // overhead is a record's framing: the length prefix and the CRC trailer.
 const overhead = 8
 
+// PayloadOffset is where a record's payload starts: past its length.
+const PayloadOffset = 4
+
 // crcTable selects the Castagnoli polynomial, which has a dedicated
 // instruction on amd64/arm64 where the IEEE polynomial does not, so
 // checking a multi-megabyte index stays a small fraction of reading it.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
+// Checksum is the CRC-32C of b, the one every record carries.
+func Checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
 // ErrMismatch reports a file whose magic or binding is not the one the
 // reader asked for: a file of another format version, of another kind,
@@ -90,7 +94,7 @@ func decodeBinding(p []byte) (Binding, error) {
 func AppendRecord(b, payload []byte) []byte {
 	b = AppendUint32(b, uint32(len(payload)))
 	b = append(b, payload...)
-	return AppendUint32(b, checksum(payload))
+	return AppendUint32(b, Checksum(payload))
 }
 
 // Image returns a whole file: magic, b's binding record, then one record
@@ -142,8 +146,8 @@ func record(data []byte, off int64) (Record, string) {
 	if n == 0 || int64(len(rest)) < n+overhead {
 		return Record{}, "torn record"
 	}
-	payload := rest[4 : 4+n]
-	if checksum(payload) != binary.LittleEndian.Uint32(rest[4+n:]) {
+	payload := rest[PayloadOffset : PayloadOffset+n]
+	if Checksum(payload) != binary.LittleEndian.Uint32(rest[PayloadOffset+n:]) {
 		return Record{}, "record CRC mismatch"
 	}
 	return Record{Off: off, Payload: payload}, ""
@@ -187,23 +191,6 @@ func Validate(data []byte, want Binding) Prefix {
 		p.Valid += int64(rec.Len())
 	}
 	return p
-}
-
-// ReadRecord reads the len(buf)-byte record at off — located earlier by
-// Validate — into buf and returns its payload, aliasing buf, once its
-// length prefix and CRC check out again.
-func ReadRecord(r io.ReaderAt, off int64, buf []byte) ([]byte, error) {
-	if _, err := r.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	rec, stop := record(buf, 0)
-	if stop == "" && rec.Len() != len(buf) {
-		stop = "record length changed"
-	}
-	if stop != "" {
-		return nil, fmt.Errorf("snap: record at offset %d: %s", off, stop)
-	}
-	return rec.Payload, nil
 }
 
 // ReadFile reads a whole file that ReplaceFile wrote as Image(want,
@@ -286,7 +273,7 @@ func WindowCRCs(r io.ReaderAt, covered int64) (head, tail uint32, err error) {
 		if _, err := r.ReadAt(buf, off); err != nil {
 			return 0, err
 		}
-		return checksum(buf), nil
+		return Checksum(buf), nil
 	}
 	n := min(covered, WindowBytes)
 	if head, err = window(0, n); err != nil {

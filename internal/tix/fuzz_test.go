@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/geo"
+	"repro/internal/snap"
 )
 
 // PrefixRowBytes is the size of the prefix row each block record keeps
@@ -22,6 +23,12 @@ func fuzzSeedPayloads() [][]byte {
 	}
 	h6 := h
 	h6.rows, h6.delivered = 6, 6
+	var long [numContinents][]float64 // a slab of three chunks, the last short
+	for j := 0; j < 150; j++ {
+		long[geo.Europe] = append(long[geo.Europe], float64(j)/3)
+	}
+	h150 := h
+	h150.rows, h150.delivered = 150, 150
 	return [][]byte{
 		encodeBlock(nil, header{startOff: 8, endOff: 64, rows: 4}, &[numContinents][]float64{}),
 		encodeBlock(nil, h, &[numContinents][]float64{
@@ -29,14 +36,16 @@ func fuzzSeedPayloads() [][]byte {
 			geo.Oceania: {250.75, 400.5, 1234},
 		}),
 		encodeBlock(nil, h6, &all),
+		encodeBlock(nil, h150, &long),
 	}
 }
 
 // FuzzNodeRoundTrip hammers the block-record codec: arbitrary bytes
 // must never panic the decoder, and any payload Open would accept must
-// re-encode byte for byte and derive the same prefix row as the
-// per-sample bin kernel (foldGrid's arithmetic) computes from its
-// values.
+// re-encode byte for byte, derive the same prefix row as the per-sample
+// bin kernel (foldGrid's arithmetic) computes from its values, and get
+// a slab directory whose offsets locate each slab in the payload and
+// whose CRCs match each chunk.
 func FuzzNodeRoundTrip(f *testing.F) {
 	for _, seed := range fuzzSeedPayloads() {
 		f.Add(seed)
@@ -72,6 +81,21 @@ func FuzzNodeRoundTrip(f *testing.F) {
 		}
 		if ix.cum[1] != want {
 			t.Fatal("prefix row derived from the slabs differs from the per-sample bin counts")
+		}
+		const at = 4096 // where the payload starts in the sidecar
+		rec := locate(at, payload, s)
+		for ct, slab := range s {
+			if o := int(rec.off[ct] - at); len(slab) > 0 && (o < 0 || o+len(slab) > len(payload) || !bytes.Equal(payload[o:o+len(slab)], slab)) {
+				t.Fatalf("%v slab located at payload offset %d", geo.Continent(ct), o)
+			}
+			if len(rec.crc[ct]) != (len(slab)+chunkSize-1)/chunkSize {
+				t.Fatalf("%v slab of %d bytes has %d chunk CRCs", geo.Continent(ct), len(slab), len(rec.crc[ct]))
+			}
+			for c, sum := range rec.crc[ct] {
+				if snap.Checksum(slab[c*chunkSize:min((c+1)*chunkSize, len(slab))]) != sum {
+					t.Fatalf("%v slab chunk %d CRC %08x does not match its bytes", geo.Continent(ct), c, sum)
+				}
+			}
 		}
 	})
 }

@@ -23,21 +23,24 @@ import (
 
 // These tests pin the split this package makes between the curve path —
 // resident prefix rows, a count-only fold, zero sidecar I/O — and the
-// lazy slab path behind Load and Quantile.
+// slab path behind Quantile, which reads only its rank's bin's chunks.
 
 // TestCurvePathReadsNoSlabs: a query that is only asked for curves reads
-// nothing back from the sidecar and runs no selection; asking for a
-// quantile afterwards is what pays for the slabs, once.
+// nothing back from the sidecar and runs no selection. A quantile reads
+// only the slab chunks that hold its ranks' bin — under a quarter of the
+// covered records' bytes over the full window — and asking again for
+// the same continent and bin reads nothing more.
 func TestCurvePathReadsNoSlabs(t *testing.T) {
 	f := getFixture(t)
-	ix := f.build(t, filepath.Join(t.TempDir(), "samples.tix"), f.blocks)
+	path := filepath.Join(t.TempDir(), "samples.tix")
+	ix := f.build(t, path, f.blocks)
 	sf := f.openSamples(t)
 	res, err := ix.View().Query(context.Background(), sf, f.blocks, time.Time{}, time.Time{}, f.world.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Nodes == 0 {
-		t.Fatal("full window composed no records")
+	if res.Stats.Nodes != len(f.blocks) {
+		t.Fatalf("full window composed %d of %d records", res.Stats.Nodes, len(f.blocks))
 	}
 	for _, ct := range res.Continents() {
 		if len(res.Curve(ct)) != 400 || res.N(ct) == 0 {
@@ -47,20 +50,31 @@ func TestCurvePathReadsNoSlabs(t *testing.T) {
 	if st := res.Stats; st.SlabBytes != 0 || st.SlabRead != 0 || st.Select != 0 {
 		t.Fatalf("curve path touched the slabs: %d bytes, read %v, select %v", st.SlabBytes, st.SlabRead, st.Select)
 	}
-	cts := res.Continents()
-	if _, err := res.Quantile(cts[0], 0.5); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := res.Stats.SlabBytes
-	if loaded == 0 || res.Stats.SlabRead == 0 || res.Stats.Select == 0 {
+	var covered int64
+	for _, rec := range snap.Validate(data, f.binding).Records {
+		covered += int64(rec.Len())
+	}
+	ct := res.Continents()[0]
+	if _, err := res.Quantile(ct, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	read := res.Stats.SlabBytes
+	if read == 0 || res.Stats.SlabRead == 0 || res.Stats.Select == 0 {
 		t.Fatalf("quantile over %d records read %d slab bytes (read %v, select %v)",
-			res.Stats.Nodes, loaded, res.Stats.SlabRead, res.Stats.Select)
+			res.Stats.Nodes, read, res.Stats.SlabRead, res.Stats.Select)
 	}
-	if _, err := res.Quantile(cts[len(cts)-1], 0.9); err != nil {
+	if read*4 >= covered {
+		t.Fatalf("%v p50 read %d of the covered records' %d bytes, want under a quarter", ct, read, covered)
+	}
+	if _, err := res.Quantile(ct, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.SlabBytes != loaded {
-		t.Fatalf("second quantile re-read the slabs: %d -> %d bytes", loaded, res.Stats.SlabBytes)
+	if res.Stats.SlabBytes != read {
+		t.Fatalf("repeating %v p50 re-read the slabs: %d -> %d bytes", ct, read, res.Stats.SlabBytes)
 	}
 }
 
@@ -133,10 +147,23 @@ func TestViewBeforeLaterExtend(t *testing.T) {
 	}
 }
 
+// The two hand-cut blocks synthStore seals after its random rounds, at
+// these offsets from the campaign start.
+const (
+	synthChunkyAt = 40 * time.Hour
+	synthSingleAt = synthChunkyAt + 30*time.Minute
+)
+
 // synthStore writes a small hand-made store: Oceania's probes only ever
 // report past the 400 ms grid (a continent with N > 0 and all-zero
 // bins), the rest straddle the grid's edges — barely above 0, exactly
-// 400, a hair past it — and a few rows are lost.
+// 400, a hair past it — and a few rows are lost. Two hand-cut blocks
+// follow, which put the slab chunk edges under test (a chunk is 64
+// samples). In the first, Europe's slab is 64 samples in bin 0, 64 in
+// bin 5, 200 in bin 10 and 40 past the grid: bin 0's run ends and bin
+// 5's starts exactly on a chunk boundary, bin 10's spans four chunks,
+// and Oceania holds one sample. In the second, both continents hold
+// one: single-value slabs.
 func synthStore(t *testing.T, f *fixture) ([]results.Sample, []colf.BlockInfo, string) {
 	t.Helper()
 	byCt := make(map[geo.Continent][]int)
@@ -166,6 +193,25 @@ func synthStore(t *testing.T, f *fixture) ([]results.Sample, []colf.BlockInfo, s
 			samples = append(samples, s)
 		}
 	}
+	random := len(samples)
+	add := func(at time.Duration, ct geo.Continent, v float64) {
+		ids := byCt[ct]
+		samples = append(samples, results.Sample{Region: "synth/r", Time: start.Add(at), ProbeID: ids[rng.Intn(len(ids))], RTTms: v})
+	}
+	for j := 1; j <= 64; j++ {
+		add(synthChunkyAt, geo.Europe, 0.01*float64(j))
+		add(synthChunkyAt, geo.Europe, 5+float64(j)/65)
+	}
+	for j := 1; j <= 200; j++ {
+		add(synthChunkyAt, geo.Europe, 10+float64(j)/201)
+	}
+	for j := 0; j < 40; j++ {
+		add(synthChunkyAt, geo.Europe, 400.5+float64(j))
+	}
+	add(synthChunkyAt, geo.Oceania, 700)
+	chunky := len(samples)
+	add(synthSingleAt, geo.Europe, 42.5)
+	add(synthSingleAt, geo.Oceania, 800)
 	dir := t.TempDir()
 	store, sink, err := results.Create(dir, f.store.Meta(), results.FormatBinary)
 	if err != nil {
@@ -175,7 +221,8 @@ func synthStore(t *testing.T, f *fixture) ([]results.Sample, []colf.BlockInfo, s
 		if err := sink.Write(s); err != nil {
 			t.Fatal(err)
 		}
-		if (i+1)%50 == 0 { // blocks cut mid-round
+		// Random blocks are cut mid-round; the hand-cut ones stand alone.
+		if (i < random && (i+1)%50 == 0) || i+1 == random || i+1 == chunky {
 			if err := sink.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -223,6 +270,9 @@ func TestBeyondGridDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := samples[0].Time
+	// Windows 0-2 are fixed: the whole store, then each hand-cut block
+	// alone, which the new view composes from its one record.
+	fixed := [][2]time.Time{{}, {start.Add(synthChunkyAt), start.Add(synthChunkyAt + 1)}, {start.Add(synthSingleAt), start.Add(synthSingleAt + 1)}}
 	rng := rand.New(rand.NewSource(29))
 	zeroBins := false
 	for i := 0; i < 120; i++ {
@@ -231,8 +281,8 @@ func TestBeyondGridDifferential(t *testing.T) {
 			a, b = b, a
 		}
 		since, until := start.Add(time.Duration(a)*time.Minute), start.Add(time.Duration(b)*time.Minute)
-		if i == 0 {
-			since, until = time.Time{}, time.Time{}
+		if i < len(fixed) {
+			since, until = fixed[i][0], fixed[i][1]
 		}
 		want, rows, delivered := f.refFoldSamples(t, samples, since, until)
 		for name, v := range map[string]*tix.View{"new": ix.View(), "old": old} {
@@ -245,6 +295,9 @@ func TestBeyondGridDifferential(t *testing.T) {
 			}
 			if i == 0 && (res.Stats.FrontierBlocks > 0) != (name == "old") {
 				t.Fatalf("%s view decoded %d whole blocks past its frontier", name, res.Stats.FrontierBlocks)
+			}
+			if st := res.Stats; i > 0 && i < len(fixed) && name == "new" && (st.Nodes != 1 || st.EdgeBlocks+st.FrontierBlocks != 0) {
+				t.Fatalf("window %d over one hand-cut block assembled as %+v", i, st)
 			}
 			assertCurvesIdentical(t, res, want)
 			assertQuantilesIdentical(t, res, want)
@@ -314,56 +367,114 @@ func TestBeyondGridDifferential(t *testing.T) {
 	}
 }
 
-// TestCorruptSlabAfterOpen: a record damaged on disk after Open
-// validated it fails the slab path's per-read CRC — Load and Quantile
-// error, nothing is served from the bad bytes — while curves, which
-// compose from the prefix rows derived at Open, stay correct.
+// TestCorruptSlabAfterOpen damages a slab on disk after Open validated
+// it. Curves, which compose from the prefix rows derived at Open, stay
+// correct. A byte flipped in a chunk the quantile does not read leaves
+// its answer equal to the reference; one flipped in a chunk it reads —
+// the low byte of a sample, which keeps it inside its bin — fails that
+// chunk's resident CRC, and the quantile errors instead of answering.
 func TestCorruptSlabAfterOpen(t *testing.T) {
 	f := getFixture(t)
 	path := filepath.Join(t.TempDir(), "samples.tix")
 	ix := f.build(t, path, f.blocks)
 	sf := f.openSamples(t)
 	v := ix.View()
-
-	// Flip one byte in the middle record and one in the last: any
-	// full-range window composes both.
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _, _ := f.refFold(t, time.Time{}, time.Time{})
 	w, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	for _, off := range []int64{st.Size() / 2, st.Size() - 9} {
+
+	// The middle record's largest slab; q is a rank inside the bin of
+	// that slab's median sample, away from the bin's ends so both type-7
+	// ranks stay in it.
+	rec := ix.Nodes() / 2
+	var ct geo.Continent
+	var off int64
+	var n int
+	for _, c := range geo.Continents() {
+		if o, m := tix.SlabAt(v, rec, c); m > n {
+			ct, off, n = c, o, m
+		}
+	}
+	if 8*n <= 2*tix.ChunkSize {
+		t.Fatalf("record %d's largest slab holds %d samples, want over two chunks", rec, n)
+	}
+	raw := make([]byte, 8*n)
+	if _, err := w.ReadAt(raw, off); err != nil {
+		t.Fatal(err)
+	}
+	sample := func(j int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:])) }
+	bin := math.Ceil(sample(n / 2))
+	cdf := func(x float64) int {
+		p, err := want[ct].CDF(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(math.Round(p * float64(want[ct].N())))
+	}
+	below, upto := cdf(bin-1), cdf(bin)
+	if upto-below < 4 {
+		t.Fatalf("%v bin (%v, %v] holds %d samples, want at least 4", ct, bin-1, bin, upto-below)
+	}
+	q := float64((below+upto)/2) / float64(want[ct].N()-1)
+	wq, err := want[ct].Quantile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The chunks holding the slab's samples in that bin are the ones the
+	// quantile reads.
+	from, to := n, 0
+	for j := 0; j < n; j++ {
+		if x := sample(j); x > bin-1 && x <= bin {
+			from, to = min(from, j), j+1
+		}
+	}
+	read := [2]int{8 * from / tix.ChunkSize, (8*to - 1) / tix.ChunkSize}
+	unread := 0
+	if read[0] == 0 {
+		unread = (8*n - 1) / tix.ChunkSize
+	}
+	if unread >= read[0] && unread <= read[1] {
+		t.Fatalf("%v bin (%v, %v] fills every chunk of record %d's slab", ct, bin-1, bin, rec)
+	}
+	flip := func(at int64) {
 		var b [1]byte
-		if _, err := w.ReadAt(b[:], off); err != nil {
+		if _, err := w.ReadAt(b[:], at); err != nil {
 			t.Fatal(err)
 		}
 		b[0] ^= 0x55
-		if _, err := w.WriteAt(b[:], off); err != nil {
+		if _, err := w.WriteAt(b[:], at); err != nil {
 			t.Fatal(err)
 		}
 	}
+	quantile := func() (*tix.Result, float64, error) {
+		res, err := v.Query(context.Background(), sf, f.blocks, time.Time{}, time.Time{}, f.world.Index)
+		if err != nil {
+			t.Fatalf("curve path failed on a corrupt slab: %v", err)
+		}
+		assertCurvesIdentical(t, res, want)
+		got, err := res.Quantile(ct, q)
+		return res, got, err
+	}
 
-	res, err := v.Query(context.Background(), sf, f.blocks, time.Time{}, time.Time{}, f.world.Index)
-	if err != nil {
-		t.Fatalf("curve path failed on a corrupt slab: %v", err)
+	flip(off + int64(unread*tix.ChunkSize) + 3)
+	res, got, err := quantile()
+	if err != nil || got != wq || res.Stats.SlabBytes == 0 {
+		t.Fatalf("damage in unread chunk %d: %v q%v = %v (%v) after %d bytes, reference %v",
+			unread, ct, q, got, err, res.Stats.SlabBytes, wq)
 	}
-	want, _, _ := f.refFold(t, time.Time{}, time.Time{})
-	assertCurvesIdentical(t, res, want)
-	if err := res.Load(); err == nil || !strings.Contains(err.Error(), "CRC") {
-		t.Fatalf("slab path read a corrupt record: err = %v", err)
-	}
-	if _, err := res.Quantile(res.Continents()[0], 0.5); err == nil {
-		t.Fatal("quantile answered from a corrupt record")
+	flip(off + int64(8*from))
+	if _, got, err := quantile(); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("damage in read chunk %d: %v q%v answered %v, err = %v", read[0], ct, q, got, err)
 	}
 }
 
 // TestConcurrentQueryDuringExtend runs queries on an old view — which
-// decodes the blocks past its frontier and shares the decoder pool and
-// the prefix rows — while the index extends past it, appending to both.
+// decodes the blocks past its frontier and shares the decoder pool, the
+// prefix rows and the slab directory — while the index extends past it,
+// appending to all three.
 // Run under -race; every answer must still match the reference.
 func TestConcurrentQueryDuringExtend(t *testing.T) {
 	f := getFixture(t)
@@ -383,8 +494,9 @@ func TestConcurrentQueryDuringExtend(t *testing.T) {
 		wins[i] = win{f.sampleTime(a), f.sampleTime(b)}
 	}
 
-	// Workers only query and load; the test goroutine checks the answers
-	// once they are done.
+	// Workers only query, and every fourth asks a quantile, reading slab
+	// chunks through the shared directory; the test goroutine checks the
+	// answers once they are done.
 	type answer struct {
 		w   win
 		res *tix.Result
@@ -399,8 +511,8 @@ func TestConcurrentQueryDuringExtend(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				w := wins[(g+i)%len(wins)]
 				res, err := old.Query(context.Background(), sf, f.blocks, w.since, w.until, f.world.Index)
-				if err == nil && i%4 == 0 {
-					err = res.Load()
+				if err == nil && i%4 == 0 && res.Samples() > 0 {
+					_, err = res.Quantile(res.Continents()[0], 0.9)
 				}
 				answers[g] = append(answers[g], answer{w, res, err})
 			}

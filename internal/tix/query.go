@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -43,11 +44,11 @@ type QueryStats struct {
 	// SkippedBlocks is how many blocks the window excluded outright.
 	SkippedBlocks int
 
-	// GridCompose is the time spent composing the covered runs' prefix
-	// rows and the folded blocks' bins into the window's curves.
+	// GridCompose is the rest of Query's time: the block walk, and
+	// composing prefix rows and folded bins into the window's curves.
 	GridCompose time.Duration
-	// SlabRead is the time spent reading the covered records back from
-	// the sidecar: pread, CRC check and parse.
+	// SlabRead is the time spent reading slab chunks back from the
+	// sidecar: pread and CRC check.
 	SlabRead time.Duration
 	// EdgeDecode is the time spent decoding store blocks — edge and
 	// frontier alike.
@@ -56,9 +57,9 @@ type QueryStats struct {
 	// curve path, sample values on the slab path.
 	Fold time.Duration
 	// Select is the time spent gathering and selecting order statistics
-	// (Result.Quantile).
+	// (Result.Quantile), SlabRead excluded.
 	Select time.Duration
-	// SlabBytes is how many sidecar record bytes the window read.
+	// SlabBytes is how many sidecar bytes the window's quantiles read.
 	SlabBytes int64
 }
 
@@ -86,22 +87,20 @@ type Result struct {
 	// all of them (see curve.go).
 	cum counts
 
-	// The slab path's inputs: Load replays runs and pieces against the
-	// same sidecar, store and resolver, under the context Query ran with.
-	ctx      context.Context
-	sidecar  io.ReaderAt
-	recs     []blockRec
-	decoders *sync.Pool
-	store    io.ReaderAt
-	blocks   []colf.BlockInfo
-	tbl      []geo.Continent
-	runs     [][2]int // covered record runs [i, j)
-	pieces   []piece
+	// The slab path's inputs: the covered runs, whose slab chunks the
+	// quantiles read, and the pieces Load refolds under Query's context.
+	ctx    context.Context
+	v      *View
+	store  io.ReaderAt
+	blocks []colf.BlockInfo
+	tbl    []geo.Continent
+	runs   [][2]int // covered record runs [i, j)
+	pieces []piece
 
 	loaded  bool
 	loadErr error
-	slabs   []slabs                  // per covered record, in block order
 	edge    [numContinents][]float64 // the pieces' samples, unsorted
+	buf     []byte                   // the chunks of one slab run, reused
 	// gather keeps the last bin orderStat gathered: a type-7 quantile's
 	// two ranks nearly always share a bin, so the second reuses it.
 	gather struct {
@@ -173,22 +172,23 @@ func windowNanos(since, until time.Time) (int64, int64) {
 // blocks: each run of fully covered blocks with records composes as
 // cum[j] − cum[i], boundary blocks batch-decode and count only their
 // edge rows, and covered blocks past the last record decode whole.
-// Curves and counts compose here, with no sidecar read; the slabs load
-// lazily (Result.Load) for quantiles, which then answer exactly what a
-// cold row scan of the same window would.
+// Curves and counts compose here, with no sidecar read; quantiles read
+// only the slab chunks that hold their ranks' bins, and answer exactly
+// what a cold row scan of the same window would.
 //
 // blocks must be the same sealed block list the parent Index was
 // validated and extended against (or a prefix-consistent extension of
 // it — extra blocks past the frontier are decoded). store is the
 // samples file; cls resolves probes exactly as at build time. The
-// context is checked once per block, here and on the slab path.
+// context is checked once per block, here and in Load.
 func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.BlockInfo, since, until time.Time, cls Continents) (*Result, error) {
 	if cls == nil {
 		return nil, fmt.Errorf("tix: nil continent resolver")
 	}
+	begin := time.Now()
 	pred := &colf.Predicate{Since: since, Until: until}
 	sinceN, untilN := windowNanos(since, until)
-	res := &Result{ctx: ctx, sidecar: v.f, recs: v.recs, decoders: v.decoders, store: store, blocks: blocks, tbl: cls.ContinentTable()}
+	res := &Result{ctx: ctx, v: v, store: store, blocks: blocks, tbl: cls.ContinentTable()}
 	st := &res.Stats
 	dec := decoder(v.decoders)
 	defer v.decoders.Put(dec)
@@ -256,7 +256,6 @@ func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.Block
 
 	// The folded blocks' bins are per-bin so far; sum them cumulatively,
 	// then add each covered run's prefix difference.
-	t0 := time.Now()
 	for ct := range res.cum {
 		c := &res.cum[ct]
 		for k := 1; k <= curveBins; k++ {
@@ -274,16 +273,13 @@ func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.Block
 			}
 		}
 	}
-	st.GridCompose += time.Since(t0)
+	st.GridCompose += time.Since(begin) - st.EdgeDecode - st.Fold
 	return res, nil
 }
 
-// Load reads what the window's quantiles select from, once: every
-// covered block record is read back from the sidecar (CRC re-verified —
-// a corruption after Open fails here, never skews a quantile) into one
-// buffer its slabs stay aliased to, and every decoded piece folds its
-// selected rows' values again. The outcome, error included, is
-// remembered; Quantile calls it.
+// Load refolds what the window's quantiles select from besides the
+// slabs, once: every decoded piece folds its selected rows' values
+// again. The outcome, error included, is remembered; Quantile calls it.
 func (r *Result) Load() error {
 	if !r.loaded {
 		r.loaded = true
@@ -294,37 +290,8 @@ func (r *Result) Load() error {
 
 func (r *Result) load() error {
 	st := &r.Stats
-	size := 0
-	for _, run := range r.runs {
-		for _, rec := range r.recs[run[0]:run[1]] {
-			size += rec.len
-		}
-	}
-	buf := make([]byte, size)
-	t0 := time.Now()
-	for _, run := range r.runs {
-		for i := run[0]; i < run[1]; i++ {
-			if err := r.ctx.Err(); err != nil {
-				return err
-			}
-			n := r.recs[i].len
-			payload, err := snap.ReadRecord(r.sidecar, r.recs[i].off, buf[:n:n])
-			if err != nil {
-				return fmt.Errorf("tix: block record %d: %w", i, err)
-			}
-			buf = buf[n:]
-			_, s, err := decodeBlock(payload)
-			if err != nil {
-				return fmt.Errorf("tix: block record %d: %w", i, err)
-			}
-			r.slabs = append(r.slabs, s)
-			st.SlabBytes += int64(n)
-		}
-	}
-	st.SlabRead += time.Since(t0)
-
-	dec := decoder(r.decoders)
-	defer r.decoders.Put(dec)
+	dec := decoder(r.v.decoders)
+	defer r.v.decoders.Put(dec)
 	for _, p := range r.pieces {
 		if err := r.ctx.Err(); err != nil {
 			return err
@@ -346,7 +313,7 @@ func (r *Result) load() error {
 
 // Quantile returns one continent's q-quantile RTT over the window — the
 // type-7 interpolation stats.Dist.Quantile uses, between order
-// statistics orderStat selects — loading the slabs if no call has yet.
+// statistics orderStat selects — refolding the pieces if no call has yet.
 func (r *Result) Quantile(ct geo.Continent, q float64) (float64, error) {
 	n := r.N(ct)
 	if n == 0 {
@@ -355,19 +322,19 @@ func (r *Result) Quantile(ct geo.Continent, q float64) (float64, error) {
 	if err := r.Load(); err != nil {
 		return 0, err
 	}
-	t0 := time.Now()
+	t0, read := time.Now(), r.Stats.SlabRead
 	v, err := stats.QuantileOf(n, q, func(k int) (float64, error) { return r.orderStat(ct, k) })
-	r.Stats.Select += time.Since(t0)
+	r.Stats.Select += time.Since(t0) - (r.Stats.SlabRead - read)
 	return v, err
 }
 
 // orderStat returns ct's k-th smallest sample in the window. The
 // composed counts bracket rank k to one bin b and say exactly how many
-// samples lie below it; the bin's candidates are gathered — by two
-// binary searches per covered slab and a filter over the edge values —
-// and rank k − below is selected among them in linear time. A gather
-// that disagrees with the counts means a slab changed after Open: that
-// is an error, never an answer.
+// samples lie below it; the bin's candidates are gathered — from each
+// covered slab the run its prefix rows place in bin b, and a filter over
+// the edge values — and rank k − below is selected among them in linear
+// time. A gather that disagrees with the counts means a slab or a block
+// changed after Open: that is an error, never an answer.
 func (r *Result) orderStat(ct geo.Continent, k int) (float64, error) {
 	c := &r.cum[ct]
 	b := sort.Search(curveBins+1, func(j int) bool { return c[j] > uint64(k) })
@@ -388,14 +355,20 @@ func (r *Result) orderStat(ct geo.Continent, k int) (float64, error) {
 		}
 		g.valid, g.ct, g.bin, g.cand = false, ct, b, g.cand[:0]
 		var under uint64
-		for _, s := range r.slabs {
-			slab := s[ct]
-			n := len(slab) / 8
-			from := sort.Search(n, func(j int) bool { return at(slab, j) > lo })
-			to := from + sort.Search(n-from, func(j int) bool { return at(slab, from+j) > hi })
-			under += uint64(from)
-			for j := from; j < to; j++ {
-				g.cand = append(g.cand, at(slab, j))
+		for _, run := range r.runs {
+			for i := run[0]; i < run[1]; i++ {
+				// Record i's samples in bins 0..j are cum[i+1] − cum[i] at j.
+				l, h := &r.v.cum[i].bins[ct], &r.v.cum[i+1].bins[ct]
+				var from uint64
+				if b > 0 {
+					from = h[b-1] - l[b-1]
+				}
+				under += from
+				if to := h[b] - l[b]; to > from {
+					if err := r.gatherRun(i, ct, int(from), int(to), int(h[curveBins]-l[curveBins]), lo, hi); err != nil {
+						return 0, err
+					}
+				}
 			}
 		}
 		for _, v := range r.edge[ct] {
@@ -412,4 +385,32 @@ func (r *Result) orderStat(ct geo.Continent, k int) (float64, error) {
 		g.valid = true
 	}
 	return stats.SelectRank(g.cand, k-int(below)), nil
+}
+
+// gatherRun appends samples [from, to) of record i's n-sample ct slab,
+// which must lie in (lo, hi], to the gather. It reads only the chunks
+// holding them, each checked against the CRC taken at validation.
+func (r *Result) gatherRun(i int, ct geo.Continent, from, to, n int, lo, hi float64) error {
+	t0 := time.Now()
+	first, last := 8*from/chunkSize, (8*to-1)/chunkSize
+	start, end := first*chunkSize, min((last+1)*chunkSize, 8*n)
+	r.buf = slices.Grow(r.buf[:0], end-start)[:end-start]
+	if _, err := r.v.f.ReadAt(r.buf, r.v.recs[i].off[ct]+int64(start)); err != nil {
+		return fmt.Errorf("tix: block record %d: %w", i, err)
+	}
+	for c := first; c <= last; c++ {
+		if snap.Checksum(r.buf[c*chunkSize-start:min((c+1)*chunkSize, end)-start]) != r.v.recs[i].crc[ct][c] {
+			return fmt.Errorf("tix: block record %d: %v slab chunk %d CRC mismatch", i, ct, c)
+		}
+	}
+	r.Stats.SlabBytes += int64(end - start)
+	r.Stats.SlabRead += time.Since(t0)
+	for j := from; j < to; j++ {
+		v := at(r.buf, j-start/8)
+		if !(v > lo && v <= hi) {
+			return fmt.Errorf("tix: block record %d: %v sample %d is %v, outside bin %d (%v, %v]", i, ct, j, v, r.gather.bin, lo, hi)
+		}
+		r.gather.cand = append(r.gather.cand, v)
+	}
+	return nil
 }

@@ -32,11 +32,12 @@
 // Open — which reads and checksums every record anyway — derives each
 // block's curve grid from its slabs (see curve.go) and keeps only the
 // running prefix sums: cum[i] totals blocks [0, i), so a covered run
-// [i, j) is cum[j] − cum[i], however long. Extend derives the same rows
-// from the records it writes. Views share the rows, and a query composes
-// its curves with no sidecar I/O at all. The slabs are read back (CRC
-// re-verified on every read) only when a caller asks a Result for
-// quantiles.
+// [i, j) is cum[j] − cum[i], however long, plus a slab directory: each
+// slab's sidecar offset and the CRC-32C of each chunk of it, taken from
+// bytes just verified (0.8 % of the file). Extend derives the same from
+// the records it writes. Views share both; curves compose with no
+// sidecar I/O, and a quantile reads only the chunks holding its rank's
+// bin, each checked against its resident CRC before it is used.
 package tix
 
 import (
@@ -68,6 +69,11 @@ const recBlock = 0x02
 // under a different binding is discarded and rebuilt.
 type Binding = snap.Binding
 
+// BindingFor is the binding over these index and meta fingerprints.
+func BindingFor(index, meta string) Binding {
+	return Binding{PassSet: PassSetCDF, Index: index, Meta: meta}
+}
+
 // Continents resolves probe IDs to continents — the slice of core.Index
 // the block folds need: a dense table indexed by probe ID,
 // ContinentUnknown for probes the analysis skips (as are IDs past its
@@ -77,10 +83,15 @@ type Continents interface {
 	ContinentTable() []geo.Continent
 }
 
-// blockRec locates block i's record in the sidecar.
+// chunkSize is the slab chunk a quantile reads and verifies as one: 64
+// samples. 256 B read as fast with twice the CRCs; 1024 and 4096 slower.
+const chunkSize = 512
+
+// blockRec is block i's slab directory entry: per continent, the sidecar
+// offset of its slab and the CRC of each chunk (the last may be short).
 type blockRec struct {
-	off int64 // sidecar offset of the framed record
-	len int   // the record's framed size
+	off [numContinents]int64
+	crc [numContinents][]uint32
 }
 
 // Index is a temporal aggregate index opened for maintenance: Extend
@@ -163,19 +174,19 @@ func (ix *Index) load(blocks []colf.BlockInfo) error {
 	ix.recs = make([]blockRec, 0, len(p.Records))
 	ix.cum = make([]prefix, 1, len(p.Records)+1)
 	for i, rec := range p.Records {
-		h, slabs, err := decodeBlock(rec.Payload)
+		h, s, err := decodeBlock(rec.Payload)
 		why := "corrupt block record: "
 		if err == nil {
 			why, err = "stale block record: ", h.pin(blocks, i)
 		}
 		if err == nil {
-			why, err = "corrupt block record: ", ix.grow(h, slabs)
+			why, err = "corrupt block record: ", ix.grow(h, s)
 		}
 		if err != nil {
 			valid, stop = rec.Off, why+err.Error()
 			break
 		}
-		ix.recs = append(ix.recs, blockRec{off: rec.Off, len: rec.Len()})
+		ix.recs = append(ix.recs, locate(rec.Off+snap.PayloadOffset, rec.Payload, s))
 	}
 	ix.size = valid
 	if valid == int64(len(buf)) {
@@ -358,6 +369,21 @@ func (ix *Index) grow(h header, s slabs) error {
 	return nil
 }
 
+// locate builds the directory entry of a record whose payload starts at
+// sidecar offset at, from slabs s that alias it and that grow validated.
+func locate(at int64, payload []byte, s slabs) blockRec {
+	var rec blockRec
+	for ct, slab := range s {
+		crc := make([]uint32, (len(slab)+chunkSize-1)/chunkSize)
+		for c := range crc {
+			crc[c] = snap.Checksum(slab[c*chunkSize : min((c+1)*chunkSize, len(slab))])
+		}
+		// slab aliases payload, so their capacities end together.
+		rec.off[ct], rec.crc[ct] = at+int64(cap(payload)-cap(slab)), crc
+	}
+	return rec
+}
+
 // foldValues appends the selected delivered rows of blk whose probes
 // tbl resolves to their continents' value lists — the samples a scan
 // pass (core.WindowCDFPass) would fold, lost rows and unresolved probes
@@ -427,7 +453,7 @@ func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continen
 		if _, err := ix.f.WriteAt(rec, ix.size); err != nil {
 			return err
 		}
-		ix.recs = append(ix.recs, blockRec{off: ix.size, len: len(rec)})
+		ix.recs = append(ix.recs, locate(ix.size+snap.PayloadOffset, payload, s))
 		ix.size += int64(len(rec))
 	}
 	if len(ix.recs) > start {
@@ -450,7 +476,7 @@ func (ix *Index) Path() string { return ix.path }
 func (ix *Index) Close() error { return ix.f.Close() }
 
 // View publishes an immutable query handle over the records stored so
-// far. It shares the record directory, the prefix rows and the file
+// far. It shares the slab directory, the prefix rows and the file
 // handle: all three only ever grow past what the view can see, so a
 // later Extend never races a concurrent Query.
 func (ix *Index) View() *View {

@@ -67,13 +67,18 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # detector, so the gate's allocation bound measures the code and not the
 # instrumentation. The differential pins /cdf and /quantile bodies from
 # the index path to the scan engine's over randomized windows; the cost
-# gate asserts a /cdf index-path request reads zero sidecar bytes, loads
+# gate asserts a /cdf index-path request reads zero sidecar bytes, reads
 # no slab (nothing to select over), never scans, and allocates a bounded
-# number of objects; the corrupt-slab test that /quantile's per-read CRC
-# still catches a record damaged after open. The tix kernel tests pin
-# the windowed quantile's bin gather, and a gather that disagrees with
-# the counts as an error; the selection kernel it calls lives in
-# internal/stats, pinned against sorting there. The resident report is
+# number of objects, and that a windowed /quantile's Server-Timing stages
+# (slab_read among them) sum to within 10 % of its fill; the corrupt-slab
+# tests that a slab chunk damaged after open fails the quantile's
+# per-chunk CRC (and falls back to the scan), while damage in a chunk no
+# quantile reads changes no answer. The tix tests pin that a quantile
+# reads only its bin's chunks (under a quarter of the covered records'
+# bytes) across chunk boundaries, the bin gather over a real one-record
+# index, and a slab value outside the bin its prefix row names as an
+# error; the selection kernel it calls lives in internal/stats, pinned
+# against sorting there. The resident report is
 # pinned the same way: a HotSuite updated by delta after every Advance
 # against a cold scan at every boundary (its work counted: the rows each
 # update gathers, and the buffered rows it reads — no more than the step
