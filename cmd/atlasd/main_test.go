@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atlas"
 	"repro/internal/obs"
+	"repro/internal/results"
 	"repro/internal/serve"
 )
 
@@ -132,6 +135,79 @@ func TestBuildServesTelemetry(t *testing.T) {
 	}
 	if st.Probes != 200 || st.Regions != 101 {
 		t.Errorf("status census = %+v", st)
+	}
+
+	// With -serve-data, the serving block says where the resident bytes
+	// are. Distinct windows leave nothing in the read cache; a window
+	// asked for three times is kept on its second fill, so the cache
+	// then holds exactly its body.
+	dir := t.TempDir()
+	cfg := atlas.TestCampaign()
+	_, sink, err := results.Create(dir, cfg.Meta(1, app.world.Probes.Len(), app.world.Catalog.Len()), results.FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.world.Platform.RunCampaign(context.Background(), cfg, sink.Write); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.enableServing(dir, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	defer app.serveEngine.Close()
+	resident := func() serve.Resident {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/api/v1/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			Serving struct {
+				Resident *serve.Resident `json:"resident_bytes"`
+			} `json:"serving"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		r := st.Serving.Resident
+		if r == nil {
+			t.Fatal("status has no serving.resident_bytes")
+		}
+		if r.NearestRows <= 0 || r.KeptSets < 0 || r.TixPrefix < 0 || r.TixDirectory < 0 || r.ReadCache < 0 {
+			t.Fatalf("resident bytes %+v", *r)
+		}
+		return *r
+	}
+	cdf := func(day int) []byte {
+		t.Helper()
+		since := cfg.Start.Add(time.Duration(day) * 24 * time.Hour)
+		resp, err := http.Get(ts.URL + "/api/v1/cdf?since=" + since.Format(time.RFC3339) + "&until=" + since.Add(24*time.Hour).Format(time.RFC3339))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/cdf: status %d, %v: %s", resp.StatusCode, err, body)
+		}
+		return body
+	}
+	resident()
+	for day := 0; day < 5; day++ {
+		cdf(day)
+	}
+	if r := resident(); r.ReadCache != 0 {
+		t.Fatalf("distinct windows left %d bytes in the read cache", r.ReadCache)
+	}
+	var thrice []byte
+	for i := 0; i < 3; i++ {
+		thrice = cdf(6)
+	}
+	if r := resident(); r.ReadCache != int64(len(thrice)) {
+		t.Fatalf("read cache holds %d bytes after one window thrice, want its body's %d", r.ReadCache, len(thrice))
 	}
 }
 

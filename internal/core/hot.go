@@ -137,5 +137,11 @@ func (h *HotSuite) Covered() (bytes int64, blocks int) {
 // slice taken with a capped length stays valid; don't mutate it.
 func (h *HotSuite) Blocks() []colf.BlockInfo { return h.blocks }
 
+// ResidentBytes reports the bytes of the NearestPass row buffer (chunks,
+// best rows and row chain) and of the Figure 6/7 multisets.
+func (h *HotSuite) ResidentBytes() (nearestRows, keptSets int64) {
+	return h.suite.Nearest.residentBytes()
+}
+
 // Samples reports the number of samples folded into the state.
 func (h *HotSuite) Samples() uint64 { return h.samples }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/colf"
 	"repro/internal/geo"
@@ -321,6 +322,20 @@ func (p *NearestPass) Significance() (stats.KSResult, error) {
 	return stats.KolmogorovSmirnov(&wired, &wireless)
 }
 
+// residentBytes is what the pass holds, by capacity: the row buffer
+// (chunks, best rows and row chain) and the Figure 6/7 multisets.
+func (p *NearestPass) residentBytes() (rows, kept int64) {
+	rows = int64(cap(p.chunks))*int64(unsafe.Sizeof(rowChunk{})) + int64(cap(p.best))*int64(unsafe.Sizeof(bestRow{}))
+	for _, c := range p.chunks {
+		rows += int64(cap(c.probe))*4 + int64(cap(c.region))*2 + int64(cap(c.rtt))*8 + int64(cap(c.nanos))*8
+	}
+	rows += int64(cap(p.chain.base))*8 + int64(cap(p.chain.prev))*int64(unsafe.Sizeof([]int32(nil))) + int64(cap(p.chain.last))*4
+	for _, prev := range p.chain.prev {
+		rows += int64(cap(prev)) * 4
+	}
+	return rows, p.full.bytes() + p.weeks.bytes()
+}
+
 // keptSets is one figure's resident multisets: the kept rows of every
 // probe the figure admits, grouped by key, each set an ascending slice.
 // A slice a report has handed out is never written again — an update
@@ -343,6 +358,18 @@ type setDelta struct{ add, remove []float64 }
 
 func newKeptSets[K comparable]() *keptSets[K] {
 	return &keptSets[K]{sets: make(map[K][]float64)}
+}
+
+// bytes is what the sets hold, by capacity; 0 before the first report.
+func (v *keptSets[K]) bytes() int64 {
+	if v == nil {
+		return 0
+	}
+	n := int64(cap(v.region)) * 4
+	for _, set := range v.sets {
+		n += int64(cap(set)) * 8
+	}
+	return n
 }
 
 // sync brings the sets up to the pass's chunks. Every row of the chunks

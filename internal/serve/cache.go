@@ -22,18 +22,24 @@ type response struct {
 const cacheShards = 16
 
 // shardBudget bounds the response bodies one shard keeps between
-// publishes. Windowed keys are an unbounded space — every distinct
+// publishes. Windowed keys are an unbounded space — every repeated
 // since/until pair admits a ~100 KB /cdf body — so without a bound the
 // cache grows on demand until the next publish; with it the whole cache
 // holds at most cacheShards × shardBudget (64 MiB) plus the one body
 // that tipped each shard over.
 const shardBudget = 4 << 20
 
+// seenSlots sizes each shard's table of keys filled once and not kept: a
+// body is kept only on its key's second fill, as most windowed keys are
+// asked for once per snapshot and their bodies would never be read.
+const seenSlots = 1024
+
 // cache is the sharded read cache with singleflight coalescing. Keys
 // embed the snapshot fingerprint, so an entry can never serve bytes
 // from a different snapshot than its key names; invalidation on
 // snapshot advance and eviction over the byte budget exist to bound
-// memory and re-arm coalescing, not for correctness.
+// memory and re-arm coalescing, not for correctness. Only admission
+// looks at key hashes, so a collision admits early or costs a fill.
 type cache struct {
 	shards  [cacheShards]cacheShard
 	evicted *obs.Counter // body bytes dropped over budget; nil-inert
@@ -42,7 +48,8 @@ type cache struct {
 type cacheShard struct {
 	mu    sync.Mutex
 	m     map[string]*cacheEntry
-	bytes int // body bytes of the finished entries in m
+	bytes int               // body bytes of the finished entries in m
+	seen  [seenSlots]uint32 // per slot, the last key hash filled and not kept
 }
 
 // cacheEntry is one computation's lifecycle. done closes when the
@@ -64,20 +71,25 @@ func newCache(evicted *obs.Counter) *cache {
 	return c
 }
 
-func (c *cache) shard(key string) *cacheShard {
+// shard returns key's shard and its FNV-1a hash, which also picks the
+// key's slot in the shard's seen table.
+func (c *cache) shard(key string) (*cacheShard, uint32) {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%cacheShards]
+	sum := h.Sum32()
+	return &c.shards[sum%cacheShards], sum
 }
 
 // do returns the cached response for key, computing it via fill on a
 // miss. Exactly one caller per key runs fill at a time; the others wait
 // for its result (coalescing). A failed fill is forgotten, so the next
-// request retries instead of caching the error. The hit return
-// distinguishes a finished entry (true) from having led or waited on a
-// fill; waited reports a coalesced wait.
+// request retries instead of caching the error; a successful fill is
+// kept only if its key's hash is in its slot, else it records the hash
+// and its entry goes. The hit return distinguishes a finished entry
+// (true) from having led or waited on a fill; waited reports a
+// coalesced wait.
 func (c *cache) do(key string, fill func() (*response, error)) (resp *response, err error, hit, waited bool) {
-	sh := c.shard(key)
+	sh, h := c.shard(key)
 	sh.mu.Lock()
 	if e, ok := sh.m[key]; ok {
 		sh.mu.Unlock()
@@ -100,10 +112,13 @@ func (c *cache) do(key string, fill func() (*response, error)) (resp *response, 
 	// Only account for (or forget) our own entry — an invalidation may
 	// already have replaced it.
 	if sh.m[key] == e {
-		if e.err != nil {
-			delete(sh.m, key)
-		} else {
+		if s := &sh.seen[h/cacheShards%seenSlots]; e.err == nil && *s == h {
 			c.admit(sh, e)
+		} else {
+			if e.err == nil {
+				*s = h
+			}
+			delete(sh.m, key)
 		}
 	}
 	sh.mu.Unlock()
@@ -129,16 +144,30 @@ func (c *cache) admit(sh *cacheShard, e *cacheEntry) {
 	sh.bytes += size
 }
 
-// invalidate drops every finished and future entry, called when the
-// published snapshot advances. In-flight fills are left to complete
-// against their (now unreachable) entries; their waiters still get the
-// old snapshot's bytes, which the keyed fingerprint makes explicit.
+// invalidate drops every finished and future entry and forgets the keys
+// filled once, called when the published snapshot advances. In-flight
+// fills are left to complete against their (now unreachable) entries;
+// their waiters still get the old snapshot's bytes, which the keyed
+// fingerprint makes explicit.
 func (c *cache) invalidate() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.m = make(map[string]*cacheEntry)
 		sh.bytes = 0
+		sh.seen = [seenSlots]uint32{}
 		sh.mu.Unlock()
 	}
+}
+
+// bytes sums the body bytes of the finished entries over the shards.
+func (c *cache) bytes() int64 {
+	var n int64
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n += int64(sh.bytes)
+		sh.mu.Unlock()
+	}
+	return n
 }

@@ -87,6 +87,7 @@ type snapshotView struct {
 	// when the index is disabled or unavailable, in which case windowed
 	// queries scan the block list instead.
 	tixView   *tix.View
+	resident  Resident // taken at publish; Status fills in ReadCache
 	published time.Time
 }
 
@@ -323,6 +324,11 @@ func (e *Engine) Refresh(ctx context.Context) error {
 			tixView = e.tix.View()
 		}
 	}
+	var res Resident
+	res.NearestRows, res.KeptSets = e.hot.ResidentBytes()
+	if e.tix != nil {
+		res.TixPrefix, res.TixDirectory = e.tix.ResidentBytes()
+	}
 	view := &snapshotView{
 		fingerprint:   snap.Fingerprint(covered, e.hot.Samples(), head, tail),
 		coveredBytes:  covered,
@@ -332,6 +338,7 @@ func (e *Engine) Refresh(ctx context.Context) error {
 		figures:       figs,
 		blocks:        blocks[:len(blocks):len(blocks)],
 		tixView:       tixView,
+		resident:      res,
 		published:     time.Now(),
 	}
 	for _, r := range view.figures {
@@ -411,14 +418,30 @@ type Status struct {
 	Samples       uint64    `json:"samples"`
 	LagBytes      int64     `json:"refresh_lag_bytes"`
 	PublishedAt   time.Time `json:"published_at"`
+	Resident      Resident  `json:"resident_bytes"`
 }
 
-// Status reports the published snapshot's coverage.
+// Resident is where the serving state's bytes are: NearestPass's row
+// buffer (chunks, best rows, row chain), the Figure 6/7 multisets, the
+// index's prefix rows and slab directory (offsets and chunk CRCs; zero
+// without an index), and the bodies the read cache keeps.
+type Resident struct {
+	NearestRows  int64 `json:"nearest_rows"`
+	KeptSets     int64 `json:"kept_sets"`
+	TixPrefix    int64 `json:"tix_prefix"`
+	TixDirectory int64 `json:"tix_directory"`
+	ReadCache    int64 `json:"read_cache"`
+}
+
+// Status reports the published snapshot's coverage and where the
+// serving state's bytes are: all but the read cache as of the publish.
 func (e *Engine) Status() Status {
 	v := e.cur.Load()
 	if v == nil {
 		return Status{LagBytes: e.lag.Load()}
 	}
+	res := v.resident
+	res.ReadCache = e.cache.bytes()
 	return Status{
 		Snapshot:      v.fingerprint,
 		CoveredBytes:  v.coveredBytes,
@@ -426,5 +449,6 @@ func (e *Engine) Status() Status {
 		Samples:       v.samples,
 		LagBytes:      e.lag.Load(),
 		PublishedAt:   v.published,
+		Resident:      res,
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/colf"
 	"repro/internal/geo"
@@ -467,6 +468,19 @@ func (ix *Index) Frontier() int { return len(ix.recs) }
 
 // Nodes returns the stored block record count.
 func (ix *Index) Nodes() int { return len(ix.recs) }
+
+// ResidentBytes reports what the index keeps in memory, by capacity:
+// its prefix rows, and its slab directory of offsets and chunk CRCs.
+func (ix *Index) ResidentBytes() (prefixRows, directory int64) {
+	prefixRows = int64(cap(ix.cum)) * int64(unsafe.Sizeof(prefix{}))
+	directory = int64(cap(ix.recs)) * int64(unsafe.Sizeof(blockRec{}))
+	for i := range ix.recs {
+		for _, crc := range ix.recs[i].crc {
+			directory += int64(cap(crc)) * 4
+		}
+	}
+	return prefixRows, directory
+}
 
 // Path returns the sidecar path.
 func (ix *Index) Path() string { return ix.path }
