@@ -8,10 +8,10 @@
 // (BENCHMARK.json); these stay for what its 46 per-layer metrics do
 // not measure:
 //
-//   - BenchmarkFigure1Trends .. Figure3bProbes, Figure8Feasibility,
+//   - BenchmarkFigure1 .. Figure3bProbes, Figure8Feasibility,
 //     AnalysisThresholds, WhereIsTheDelay, BandwidthJustify, WhatIf,
 //     RouteExpand, AblationBackbone: the paper's dataset-independent
-//     analyses (trends crawl, catalog, census, feasibility, delay
+//     analyses (zeitgeist model, catalog, census, feasibility, delay
 //     attribution, backhaul, counterfactual, traceroute). No per-layer
 //     metric touches these packages; figures.render_ms times only
 //     Figures 4-7 rendering from an already-computed suite report.
@@ -96,14 +96,13 @@ func scanPasses(b *testing.B, e *benchEnv, passes core.PassSet) *core.SuiteRepor
 	return rep
 }
 
-// BenchmarkFigure1Trends crawls the scholar server and assembles the
-// zeitgeist series (Figure 1).
-func BenchmarkFigure1Trends(b *testing.B) {
-	ctx := context.Background()
+// BenchmarkFigure1 computes the zeitgeist series (Figure 1) from its
+// publication and search-interest models.
+func BenchmarkFigure1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := figures.Figure1(ctx, 1); err != nil {
-			b.Fatal(err)
+		if s := figures.Figure1(); len(s.Points) == 0 {
+			b.Fatal("empty series")
 		}
 	}
 }

@@ -214,7 +214,7 @@ func render(o options, r *cmdrun.Run) ([]string, error) {
 		return nil, err
 	}
 	ctx := obs.ContextWith(context.Background(), r.Span())
-	in := &figures.Inputs{Ctx: ctx, CorpusSeed: o.seed}
+	in := &figures.Inputs{}
 	if f.World {
 		w, d, err := loadWorld(o, r)
 		if err != nil {

@@ -34,6 +34,23 @@ func TestRenderDatasetIndependentFigures(t *testing.T) {
 	}
 }
 
+// TestFigure1IgnoresSeed: Figure 1 is the paper's zeitgeist whatever the
+// world seed, in every form, as shears prints it.
+func TestFigure1IgnoresSeed(t *testing.T) {
+	for _, csv := range []bool{false, true} {
+		var outs [2]bytes.Buffer
+		for i, seed := range []uint64{1, 2} {
+			if err := run(options{fig: "1", csv: csv, probes: 200, seed: seed, snapMode: "on",
+				stdout: &outs[i], logDst: io.Discard}); err != nil {
+				t.Fatalf("csv=%v seed %d: %v", csv, seed, err)
+			}
+		}
+		if outs[0].Len() == 0 || !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+			t.Errorf("csv=%v: -seed 1 and -seed 2 print different Figure 1s:\n%s\nvs\n%s", csv, &outs[0], &outs[1])
+		}
+	}
+}
+
 func TestRenderUnknownFigure(t *testing.T) {
 	_, err := render(options{fig: "42", probes: 200, seed: 1, snapMode: "on"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown figure") {

@@ -4,8 +4,7 @@
 // the paper from it: it prints every entry of the internal/figures table
 // (then the §4.3, §4.1 and §5 companion tables), and -figdir writes each
 // CSV and SVG form an entry has as figure<N>.csv/.svg. One fused scan
-// folds the passes of every entry, and Figure 1's crawl is shared by its
-// text, CSV and SVG.
+// folds the passes of every entry.
 //
 // Usage:
 //
@@ -135,6 +134,12 @@ const manifestFile = "run.json"
 const flightRecorderSize = 512
 
 func run(o options) (err error) {
+	if o.days < 0 {
+		return fmt.Errorf("-days %d is negative (0 = config default)", o.days)
+	}
+	if o.checkpointEvery < 0 {
+		return fmt.Errorf("-checkpoint-every %d is negative (0 disables checkpointing)", o.checkpointEvery)
+	}
 	logDst := o.logDst
 	if logDst == nil {
 		logDst = os.Stderr
@@ -353,10 +358,7 @@ func run(o options) (err error) {
 		return err
 	}
 	r.NoteScan(st, rep)
-	// One Inputs serves the artifacts and the printout, so Figure 1's
-	// series is crawled once per run. Its corpus is the paper's whatever
-	// the campaign seed.
-	in := &figures.Inputs{CorpusSeed: 1, World: w, Report: rep, Start: cfg.Start}
+	in := &figures.Inputs{World: w, Report: rep, Start: cfg.Start}
 	if o.figDir != "" {
 		if err := writeArtifacts(o.figDir, in, figSpan); err != nil {
 			return err

@@ -85,6 +85,27 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeFlags: a negative -days or -checkpoint-every is
+// refused by name before anything is written, not read as its default.
+func TestRunRejectsNegativeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		o    options
+		want string
+	}{
+		{options{days: -5, checkpointEvery: engine.DefaultCheckpointEvery}, "-days -5"},
+		{options{days: 1, checkpointEvery: -1}, "-checkpoint-every -1"},
+	} {
+		dir := filepath.Join(t.TempDir(), "ds")
+		tc.o.out, tc.o.probes, tc.o.seed, tc.o.quiet, tc.o.logDst = dir, 200, 1, true, io.Discard
+		if err := run(tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v, want one naming %s", err, tc.want)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s: the refused run created %s", tc.want, dir)
+		}
+	}
+}
+
 func TestRunWritesArtifacts(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ds")
 	figDir := filepath.Join(t.TempDir(), "figs")

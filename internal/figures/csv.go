@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/trends"
 )
 
 // CSV writers: the machine-readable form of each figure, for external
@@ -25,7 +24,7 @@ func writeAll(w io.Writer, rows [][]string) error {
 }
 
 // Figure1CSV writes the zeitgeist series.
-func Figure1CSV(w io.Writer, s *trends.Series) error {
+func Figure1CSV(w io.Writer, s *Series) error {
 	if s == nil {
 		return errors.New("figures: nil series")
 	}

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"bytes"
-	"context"
 	"encoding/csv"
 	"strings"
 	"testing"
@@ -20,12 +19,8 @@ func parseCSV(t *testing.T, buf *bytes.Buffer) [][]string {
 }
 
 func TestFigure1CSV(t *testing.T) {
-	series, _, err := Figure1(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := Figure1CSV(&buf, series); err != nil {
+	if err := Figure1CSV(&buf, Figure1()); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, &buf)

@@ -5,59 +5,19 @@
 // caption, what it reads — nothing, the world, or the core.PassSet of a
 // suite report — and its text, CSV and SVG renderers. cmd/shears,
 // cmd/figures and internal/serve iterate or look up that table; the
-// per-figure functions below are what its entries call.
+// per-figure functions below (Figure 1's in zeitgeist.go) are what its
+// entries call.
 package figures
 
 import (
-	"context"
 	"fmt"
-	"net/http/httptest"
 
 	"repro/internal/apps"
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/probe"
-	"repro/internal/trends"
 )
-
-// Figure1 builds the zeitgeist series by standing up the in-process
-// scholar server and crawling it, exactly like the paper's custom crawler.
-func Figure1(ctx context.Context, seed uint64) (*trends.Series, []string, error) {
-	corpus := trends.GenerateCorpus(seed)
-	srv, err := trends.NewScholarServer(corpus)
-	if err != nil {
-		return nil, nil, err
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	crawler, err := trends.NewCrawler(ts.URL, ts.Client())
-	if err != nil {
-		return nil, nil, err
-	}
-	tts := httptest.NewServer(trends.NewTrendsServer())
-	defer tts.Close()
-	trendsClient, err := trends.NewTrendsClient(tts.URL, tts.Client())
-	if err != nil {
-		return nil, nil, err
-	}
-	series, err := trends.BuildSeries(ctx, crawler, trendsClient)
-	if err != nil {
-		return nil, nil, err
-	}
-	return series, figure1Lines(series), nil
-}
-
-// figure1Lines renders the zeitgeist series as text.
-func figure1Lines(series *trends.Series) []string {
-	lines := []string{"year  edge_pubs  cloud_pubs  edge_search  cloud_search  era"}
-	eras := series.Eras()
-	for _, p := range series.Points {
-		lines = append(lines, fmt.Sprintf("%d  %9d  %10d  %11.1f  %12.1f  %s",
-			p.Year, p.EdgePubs, p.CloudPubs, p.EdgeSearch, p.CloudSearch, eras[p.Year]))
-	}
-	return lines
-}
 
 // Figure2 renders the application-requirements map grouped by quadrant.
 func Figure2(catalog *apps.Catalog) ([]string, error) {

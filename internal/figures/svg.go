@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/trends"
 )
 
 // SVGSeries is one polyline of a chart.
@@ -173,7 +172,7 @@ func CDFSVG(w io.Writer, rep *core.CDFReport, title string) error {
 }
 
 // Figure1SVG renders the zeitgeist publication series.
-func Figure1SVG(w io.Writer, s *trends.Series) error {
+func Figure1SVG(w io.Writer, s *Series) error {
 	if s == nil {
 		return errors.New("figures: nil series")
 	}

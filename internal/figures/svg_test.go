@@ -2,7 +2,6 @@ package figures
 
 import (
 	"bytes"
-	"context"
 	"encoding/xml"
 	"strings"
 	"testing"
@@ -70,12 +69,8 @@ func TestChartConstantSeries(t *testing.T) {
 func TestFigureSVGs(t *testing.T) {
 	f := dataset(t)
 
-	series, _, err := Figure1(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := Figure1SVG(&buf, series); err != nil {
+	if err := Figure1SVG(&buf, Figure1()); err != nil {
 		t.Fatal(err)
 	}
 	if n := validateSVG(t, &buf); n != 2 {

@@ -1,13 +1,11 @@
 package figures
 
 import (
-	"context"
 	"io"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/trends"
 	"repro/internal/world"
 )
 
@@ -37,38 +35,14 @@ func (f *Figure) Title() string { return f.Name + " (" + f.Caption + ")" }
 
 // Inputs is what a figure is drawn from. A caller fills the fields the
 // figures it renders read (Figure.World, Figure.Passes); one Inputs
-// serves every form of every figure of a run. Not safe for concurrent
-// use: Figure 1's series is built on first use and then shared.
+// serves every form of every figure of a run.
 type Inputs struct {
-	// Ctx scopes Figure 1's crawl; nil means context.Background().
-	Ctx context.Context
-	// CorpusSeed seeds Figure 1's publication corpus.
-	CorpusSeed uint64
 	// World backs Figures 3a and 3b.
 	World *world.World
 	// Report holds the passes Figures 4-8 read.
 	Report *core.SuiteReport
 	// Start is the campaign start, the x origin of Figure 7's SVG.
 	Start time.Time
-
-	series *trends.Series
-}
-
-// zeitgeist returns Figure 1's series, crawling the in-process servers
-// only the first time.
-func (in *Inputs) zeitgeist() (*trends.Series, error) {
-	if in.series == nil {
-		ctx := in.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		s, _, err := Figure1(ctx, in.CorpusSeed)
-		if err != nil {
-			return nil, err
-		}
-		in.series = s
-	}
-	return in.series, nil
 }
 
 // Table lists every figure of the paper once, in print order; Names,
@@ -76,15 +50,9 @@ func (in *Inputs) zeitgeist() (*trends.Series, error) {
 var Table = []Figure{
 	{
 		Name: "1", Caption: "zeitgeist",
-		Lines: func(in *Inputs) ([]string, error) {
-			s, err := in.zeitgeist()
-			if err != nil {
-				return nil, err
-			}
-			return figure1Lines(s), nil
-		},
-		CSV: fromSeries(Figure1CSV),
-		SVG: fromSeries(Figure1SVG),
+		Lines: func(*Inputs) ([]string, error) { return figure1Lines(Figure1()), nil },
+		CSV:   func(w io.Writer, _ *Inputs) error { return Figure1CSV(w, Figure1()) },
+		SVG:   func(w io.Writer, _ *Inputs) error { return Figure1SVG(w, Figure1()) },
 	},
 	{
 		Name: "2", Caption: "application requirements",
@@ -127,17 +95,6 @@ var Table = []Figure{
 			return Figure8CSV(w, rep)
 		},
 	},
-}
-
-// fromSeries adapts a Figure 1 writer to the table's form signature.
-func fromSeries(write func(io.Writer, *trends.Series) error) func(io.Writer, *Inputs) error {
-	return func(w io.Writer, in *Inputs) error {
-		s, err := in.zeitgeist()
-		if err != nil {
-			return err
-		}
-		return write(w, s)
-	}
 }
 
 // cdfFigure is the entry of a continent-grouped CDF figure (5 and 6):

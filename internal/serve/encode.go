@@ -92,9 +92,10 @@ func appendCurve(b []byte, pts []stats.CDFPoint) ([]byte, error) {
 }
 
 // encodeCDFBody renders the /api/v1/cdf response: the snapshot, the
-// window bounds as RFC 3339 strings (absent when that side was open),
-// and one entry per continent with samples. A window with no samples
-// lists "continents":null, as the marshalled nil slice always has.
+// window bounds as RFC 3339 strings in UTC with any fractional seconds
+// (absent when that side was open), and one entry per continent with
+// samples. A window with no samples lists "continents":null, as the
+// marshalled nil slice always has.
 func encodeCDFBody(fingerprint string, since, until time.Time, curves []continentCurve) ([]byte, error) {
 	// A 400-point curve renders to ~16 KB.
 	b := make([]byte, 0, 256+len(curves)*(20<<10))
@@ -102,11 +103,11 @@ func encodeCDFBody(fingerprint string, since, until time.Time, curves []continen
 	b = appendJSONString(b, fingerprint)
 	if !since.IsZero() {
 		b = append(b, `,"since":`...)
-		b = appendJSONString(b, since.Format(time.RFC3339))
+		b = appendJSONString(b, since.Format(time.RFC3339Nano))
 	}
 	if !until.IsZero() {
 		b = append(b, `,"until":`...)
-		b = appendJSONString(b, until.Format(time.RFC3339))
+		b = appendJSONString(b, until.Format(time.RFC3339Nano))
 	}
 	b = append(b, `,"continents":`...)
 	if len(curves) == 0 {

@@ -99,6 +99,7 @@ func TestCDFBodyMatchesEncodingJSON(t *testing.T) {
 	}{
 		{},
 		{since: since},
+		{since: since.Add(500 * time.Millisecond), until: since.Add(time.Hour + time.Nanosecond)},
 		{until: since.Add(time.Hour), curves: []continentCurve{{ct: geo.Europe, n: 7, curve: curve(7, 400)}}},
 		{since: since, until: since.Add(72 * time.Hour), curves: []continentCurve{
 			{ct: geo.Africa, n: 3_000_017, curve: curve(3_000_017, 400)},
@@ -110,10 +111,10 @@ func TestCDFBodyMatchesEncodingJSON(t *testing.T) {
 	for i, c := range cases {
 		ref := cdfBody{Snapshot: `fp-"<&>`}
 		if !c.since.IsZero() {
-			ref.Since = c.since.Format(time.RFC3339)
+			ref.Since = c.since.Format(time.RFC3339Nano)
 		}
 		if !c.until.IsZero() {
-			ref.Until = c.until.Format(time.RFC3339)
+			ref.Until = c.until.Format(time.RFC3339Nano)
 		}
 		for _, cc := range c.curves {
 			ref.Continents = append(ref.Continents, cdfDTO{

@@ -282,10 +282,10 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 	render := func(rep quantileSource) (*response, error) {
 		body := quantileBody{Snapshot: v.fingerprint, Dist: distName, P: p}
 		if !since.IsZero() {
-			body.Since = since.Format(time.RFC3339)
+			body.Since = since.Format(time.RFC3339Nano)
 		}
 		if !until.IsZero() {
-			body.Until = until.Format(time.RFC3339)
+			body.Until = until.Format(time.RFC3339Nano)
 		}
 		for _, ct := range rep.Continents() {
 			if only != geo.ContinentUnknown && ct != only {
@@ -356,12 +356,14 @@ type quantileSource interface {
 	Quantile(ct geo.Continent, q float64) (float64, error)
 }
 
-// parseWindowTime accepts RFC 3339 timestamps.
+// parseWindowTime accepts RFC 3339 timestamps and returns the instant
+// in UTC, so every spelling of one instant echoes the same bytes.
 func parseWindowTime(s string) (time.Time, error) {
 	if s == "" {
 		return time.Time{}, nil
 	}
-	return time.Parse(time.RFC3339, s)
+	t, err := time.Parse(time.RFC3339, s)
+	return t.UTC(), err
 }
 
 // parseWindow extracts and validates the since/until query params,

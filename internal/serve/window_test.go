@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -136,6 +137,54 @@ func TestServeWindowedIndexByteIdentity(t *testing.T) {
 // and scan engines byte-identical), the min distribution rejects
 // windows, and a key's second request is filled and kept, so its third
 // hits the cache without re-materializing.
+// TestServeWindowEchoesItsInstant: a window echoes the instant it was
+// keyed and filtered on. Two spellings of one instant share one cache
+// entry, so whichever fills it, every answer echoes the instant in UTC;
+// a fractional bound echoes its fraction.
+func TestServeWindowEchoesItsInstant(t *testing.T) {
+	f := newFixture(t, 200)
+	f.append(t, 0, f.mem.Len())
+	e, _ := f.newTixEngine(t)
+	if err := e.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	h := e.Handler()
+	since := f.cfg.Start.Add(2 * 24 * time.Hour).UTC()
+	until := since.Add(5 * 24 * time.Hour)
+	untilQ := "&until=" + until.Format(time.RFC3339)
+	spellings := []string{
+		since.In(time.FixedZone("", 2*3600)).Format(time.RFC3339),
+		since.Format(time.RFC3339),
+	}
+	for _, path := range []string{"/api/v1/cdf?", "/api/v1/quantile?p=0.9&"} {
+		var first string
+		// Each spelling three times: the read cache keeps a body on its
+		// key's second fill and answers the rest from it.
+		for i := 0; i < 6; i++ {
+			target := path + "since=" + url.QueryEscape(spellings[i%2]) + untilQ
+			w := get(h, target)
+			if w.Code != http.StatusOK {
+				t.Fatalf("GET %s: status %d: %s", target, w.Code, w.Body.String())
+			}
+			if i == 0 {
+				first = w.Body.String()
+				if want := `"since":"` + since.Format(time.RFC3339) + `"`; !strings.Contains(first, want) {
+					t.Fatalf("GET %s echoes no %s: %.200s", target, want, first)
+				}
+			} else if got := w.Body.String(); got != first {
+				t.Fatalf("GET %s (request %d) differs from the first answer:\n got %.200s\nwant %.200s", target, i+1, got, first)
+			}
+		}
+
+		frac := since.Add(500 * time.Millisecond)
+		target := path + "since=" + frac.Format(time.RFC3339Nano) + untilQ
+		w := get(h, target)
+		if want := `"since":"` + frac.Format(time.RFC3339Nano) + `"`; w.Code != http.StatusOK || !strings.Contains(w.Body.String(), want) {
+			t.Errorf("GET %s: status %d, body echoes no %s: %.200s", target, w.Code, want, w.Body.String())
+		}
+	}
+}
+
 func TestServeWindowedQuantile(t *testing.T) {
 	f := newFixture(t, 200)
 	f.append(t, 0, f.mem.Len())

@@ -42,6 +42,18 @@ if [ -n "$unreached" ]; then
     exit 1
 fi
 
+echo "== no httptest outside tests =="
+# net/http/httptest is test scaffolding: a command or internal package
+# whose non-test files import it runs a loopback server in production
+# where a direct call would do. go list's .Imports excludes test files.
+httptest_users=$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./internal/... ./cmd/... |
+    awk '{for (i = 2; i <= NF; i++) if ($i == "net/http/httptest") print $1}')
+if [ -n "$httptest_users" ]; then
+    echo "non-test code imports net/http/httptest:" >&2
+    echo "$httptest_users" >&2
+    exit 1
+fi
+
 echo "== examples (run to completion) =="
 # Compiling an example is not running it: each must exit 0.
 for ex in examples/*/; do
