@@ -135,3 +135,33 @@ func TestCDFBodyMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEncodeCDFBody renders a closed window's /cdf body: six
+// continents' 400-point curves whose P values are c/n over 10^5 to
+// 3·10^6 samples, rising to 1 around the 300th bin as an RTT CDF does.
+func BenchmarkEncodeCDFBody(b *testing.B) {
+	rng := rand.New(rand.NewSource(40))
+	var curves []continentCurve
+	for ct := geo.Africa; ct <= geo.SouthAmerica; ct++ {
+		n := 100_000 + rng.Intn(2_900_000)
+		pts := make([]stats.CDFPoint, 400)
+		cum := 0
+		for k := range pts {
+			cum = min(n, cum+rng.Intn(n/150+1))
+			pts[k] = stats.CDFPoint{X: float64(k + 1), P: float64(cum) / float64(n)}
+		}
+		curves = append(curves, continentCurve{ct: ct, n: n, curve: pts})
+	}
+	since := time.Date(2019, 9, 3, 0, 0, 0, 0, time.UTC)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body, err := encodeCDFBody("fp", since, since.Add(48*time.Hour), curves)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchBody = body
+	}
+}
+
+var benchBody []byte

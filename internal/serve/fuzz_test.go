@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"testing"
@@ -67,6 +68,32 @@ func FuzzWindowParams(f *testing.F) {
 				t.Fatalf("%s: index engine answered 200, scan engine %d:\nscan: %.300s\ntix:  %.300s",
 					target, ws.Code, ws.Body.String(), wt.Body.String())
 			}
+		}
+	})
+}
+
+// FuzzJSONFloat holds appendJSONFloat, whose [1e-6, 1) values go
+// through the curve-value kernel, to json.Marshal for any float64 bit
+// pattern; NaN and the infinities must be errors.
+func FuzzJSONFloat(f *testing.F) {
+	for _, v := range []float64{
+		0, 1, 0.5, 1.0 / 3, 0.1, 2.0 / 3000017, 1e-6, 9.999999999999999e-7, 1e21, 1e15,
+		math.Copysign(0, -1), math.MaxFloat64, 5e-324, math.NaN(), math.Inf(-1),
+	} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		got, err := appendJSONFloat(nil, v)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			if err == nil {
+				t.Fatalf("%v encoded as %s; encoding/json rejects it", v, got)
+			}
+			return
+		}
+		want, jerr := json.Marshal(v)
+		if err != nil || jerr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%v (bits %#x): encoder wrote %s (%v), encoding/json %s (%v)", v, bits, got, err, want, jerr)
 		}
 	})
 }

@@ -162,21 +162,37 @@ func (e *Engine) serveCached(w http.ResponseWriter, r *http.Request, key string,
 
 // writeResponse writes a ready response, handling conditional requests
 // (If-None-Match against the snapshot ETag) and counting a response
-// served while the snapshot lags the store.
+// served while the snapshot lags the store. Bodies are sent with their
+// Content-Length, not chunked.
 func (e *Engine) writeResponse(w http.ResponseWriter, r *http.Request, resp *response) {
 	if e.lag.Load() > 0 {
 		e.opt.Metrics.nilSafe().StaleServed.Inc()
 	}
 	if resp.etag != "" {
 		w.Header().Set("Etag", resp.etag)
-		if r.Header.Get("If-None-Match") == resp.etag {
+		if noneMatch(r.Header.Values("If-None-Match"), resp.etag) {
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 	}
 	w.Header().Set("Content-Type", resp.contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
 	w.WriteHeader(resp.status)
 	w.Write(resp.body)
+}
+
+// noneMatch reports whether If-None-Match values match etag as RFC 9110
+// §13.1.2 has it: "*", or any listed tag equal under weak comparison. A
+// snapshot ETag holds no comma, so splitting lists at commas is exact.
+func noneMatch(values []string, etag string) bool {
+	for _, v := range values {
+		for _, tag := range strings.Split(v, ",") {
+			if tag = strings.TrimSpace(tag); tag == "*" || strings.TrimPrefix(tag, "W/") == etag {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // jsonResponse marshals v into a cacheable response stamped with the
@@ -429,14 +445,16 @@ func (e *Engine) handleCDF(w http.ResponseWriter, r *http.Request) {
 // reads no sidecar bytes and selects nothing. The counts are the ones a
 // scan's distributions would yield, so the response bytes are identical
 // either way; without a usable index view the window falls back to the
-// scan.
+// scan. Building the curves' points counts as encode.
 func (e *Engine) windowCurves(ctx context.Context, v *snapshotView, pred *colf.Predicate, st *stageTimes) ([]continentCurve, error) {
 	var curves []continentCurve
 	ok, err := e.windowIndex(ctx, v, pred, func(res *tix.Result) error {
 		st.addQuery(res.Stats)
+		t0 := time.Now()
 		for _, ct := range res.Continents() {
 			curves = append(curves, continentCurve{ct: ct, n: res.N(ct), curve: res.Curve(ct)})
 		}
+		st[stageEncode] += time.Since(t0)
 		return nil
 	})
 	if ok || err != nil {
@@ -446,6 +464,8 @@ func (e *Engine) windowCurves(ctx context.Context, v *snapshotView, pred *colf.P
 	if err != nil {
 		return nil, err
 	}
+	t0 := time.Now()
+	defer func() { st[stageEncode] += time.Since(t0) }()
 	grid := core.DefaultGrid()
 	for _, ct := range rep.Continents() {
 		curve, err := rep.Curve(ct, grid)

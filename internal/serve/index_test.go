@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/colf"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
@@ -219,7 +221,8 @@ func TestServeWindowDifferential(t *testing.T) {
 // request composes from resident prefix rows — it reads no sidecar
 // bytes, loads no slab (so nothing can reach a selection), never scans,
 // and allocates a small bounded number of objects however many samples
-// the window holds.
+// the window holds. A /cdf fill's Server-Timing stages, and a windowed
+// /quantile's, sum to the fill.
 func TestServeCDFIndexPathGate(t *testing.T) {
 	f := newFixture(t, 200)
 	f.appendBlocks(t)
@@ -259,67 +262,107 @@ func TestServeCDFIndexPathGate(t *testing.T) {
 		t.Fatalf("fell back %d times, scanned %d times", fb, scans)
 	}
 
-	// A windowed quantile is what pays for slabs and selection. Its
-	// slab reads happen inside the render, and the Server-Timing stages
-	// account for its fill once each: in the median request they sum to
-	// within 10 % of the fill, taken as the request's time less a cache
-	// hit's (the median of as many hits).
-	const fills = 21
-	q := windowTarget("/api/v1/quantile?p=0.9", since, until)
-	timed := func() (*httptest.ResponseRecorder, time.Duration) {
-		t0 := time.Now()
-		w := get(p.tix, q)
-		if w.Code != http.StatusOK {
-			t.Fatalf("quantile: status %d", w.Code)
-		}
-		return w, time.Since(t0)
-	}
-	staged := make([]time.Duration, fills)
-	missed := make([]time.Duration, fills)
-	for i := range missed {
-		var w *httptest.ResponseRecorder
-		w, missed[i] = timed()
-		timing := w.Header().Get("Server-Timing")
-		if !strings.Contains(timing, stageNames[stageSlabRead]+";") {
-			t.Fatalf("windowed quantile's Server-Timing %q has no %s stage", timing, stageNames[stageSlabRead])
-		}
-		for _, metric := range strings.Split(timing, ", ") {
-			_, dur, _ := strings.Cut(metric, ";dur=")
-			ms, err := strconv.ParseFloat(dur, 64)
-			if err != nil {
-				t.Fatalf("Server-Timing %q: %v", timing, err)
+	// Each window fill's Server-Timing stages account for it once: in
+	// the median request they sum to within 10 % of the fill, taken as
+	// the request's time less a cache hit's (the median of as many
+	// hits, timed after all the fills). Each block starts from a fresh
+	// collection. A /cdf builds its curves' points under encode; a
+	// windowed quantile, which is what pays for slabs and selection,
+	// reads its slabs inside the render.
+	const fills = 41
+	stageSum := func(target string, stages ...stage) {
+		t.Helper()
+		timed := func() (*httptest.ResponseRecorder, time.Duration) {
+			t0 := time.Now()
+			w := get(p.tix, target)
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: status %d", target, w.Code)
 			}
-			staged[i] += time.Duration(ms * float64(time.Millisecond))
+			return w, time.Since(t0)
+		}
+		p.tixEng.SetCacheBypass(true)
+		staged := make([]time.Duration, fills)
+		missed := make([]time.Duration, fills)
+		runtime.GC()
+		for i := range missed {
+			var w *httptest.ResponseRecorder
+			w, missed[i] = timed()
+			timing := w.Header().Get("Server-Timing")
+			for _, st := range stages {
+				if !strings.Contains(timing, stageNames[st]+";") {
+					t.Fatalf("%s: Server-Timing %q has no %s stage", target, timing, stageNames[st])
+				}
+			}
+			for _, metric := range strings.Split(timing, ", ") {
+				_, dur, _ := strings.Cut(metric, ";dur=")
+				ms, err := strconv.ParseFloat(dur, 64)
+				if err != nil {
+					t.Fatalf("Server-Timing %q: %v", timing, err)
+				}
+				staged[i] += time.Duration(ms * float64(time.Millisecond))
+			}
+		}
+		// Bypassed fills never reached the cache: no key is remembered
+		// as filled once, so the first cached request is not kept and
+		// the second is the one the hits below reuse.
+		for i := range p.tixEng.cache.shards {
+			if p.tixEng.cache.shards[i].seen != [seenSlots]uint32{} {
+				t.Fatal("a bypassed fill recorded its key in the cache")
+			}
+		}
+		p.tixEng.SetCacheBypass(false)
+		timed()
+		timed()
+		hits := make([]time.Duration, fills)
+		runtime.GC()
+		for i := range hits {
+			_, hits[i] = timed()
+		}
+		p.tixEng.cache.invalidate()
+		slices.Sort(hits)
+		ratios := make([]float64, fills)
+		for i := range ratios {
+			ratios[i] = float64(staged[i]) / float64(missed[i]-hits[fills/2])
+		}
+		slices.Sort(ratios)
+		t.Logf("%s: stages/fill %.3f median (%.3f..%.3f), hit %v", target, ratios[fills/2], ratios[0], ratios[fills-1], hits[fills/2])
+		if r := ratios[fills/2]; r < 0.9 || r > 1.1 {
+			t.Fatalf("%s: stages sum to %.2fx the fill in the median request", target, r)
 		}
 	}
-	// Bypassed fills never reached the cache: no key is remembered as
-	// filled once, so the first cached request is not kept and the
-	// second is the one the hits below reuse.
-	for i := range p.tixEng.cache.shards {
-		if p.tixEng.cache.shards[i].seen != [seenSlots]uint32{} {
-			t.Fatal("a bypassed fill recorded its key in the cache")
-		}
-	}
-	p.tixEng.SetCacheBypass(false)
-	timed()
-	timed()
-	hits := make([]time.Duration, fills)
-	for i := range hits {
-		_, hits[i] = timed()
-	}
-	slices.Sort(hits)
-	ratios := make([]float64, fills)
-	for i := range ratios {
-		ratios[i] = float64(staged[i]) / float64(missed[i]-hits[fills/2])
-	}
-	slices.Sort(ratios)
-	t.Logf("windowed quantile: stages/fill %.3f median (%.3f..%.3f), hit %v", ratios[fills/2], ratios[0], ratios[fills-1], hits[fills/2])
-	if r := ratios[fills/2]; r < 0.9 || r > 1.1 {
-		t.Fatalf("windowed quantile stages sum to %.2fx the fill in the median request", r)
-	}
+	stageSum(target, stageGridCompose, stageEncode)
+	stageSum(windowTarget("/api/v1/quantile?p=0.9", since, until), stageSlabRead)
 	if m.WindowSlabBytes.Value() == 0 || m.WindowStageSeconds.With(stageNames[stageSelect]).Count() != fills+2 {
 		t.Fatalf("windowed quantile read %d slab bytes over %d selections", m.WindowSlabBytes.Value(),
 			m.WindowStageSeconds.With(stageNames[stageSelect]).Count())
+	}
+}
+
+// TestWindowCurvesCountsPointsAsEncode: building a window's curve
+// points is encode work on the index path and on the scan fallback
+// alike, so /cdf's stages cover it and not only the body rendering.
+func TestWindowCurvesCountsPointsAsEncode(t *testing.T) {
+	f := newFixture(t, 200)
+	f.appendBlocks(t)
+	scanEng, _ := f.newEngine(t)
+	tixEng, _ := f.newTixEngine(t)
+	pred := &colf.Predicate{Since: f.cfg.Start.Add(26 * time.Hour), Until: f.cfg.Start.Add(15 * 24 * time.Hour)}
+	for _, c := range []struct {
+		name string
+		e    *Engine
+		path stage
+	}{{"scan", scanEng, stageScan}, {"index", tixEng, stageGridCompose}} {
+		if err := c.e.Refresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var st stageTimes
+		curves, err := c.e.windowCurves(context.Background(), c.e.cur.Load(), pred, &st)
+		if err != nil || len(curves) == 0 {
+			t.Fatalf("%s: %d curves, %v", c.name, len(curves), err)
+		}
+		if st[c.path] == 0 || st[stageEncode] == 0 {
+			t.Errorf("%s path: %s %v, encode %v", c.name, stageNames[c.path], st[c.path], st[stageEncode])
+		}
 	}
 }
 

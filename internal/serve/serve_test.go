@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand"
 	"net/http"
@@ -161,6 +162,79 @@ func TestServeFiguresMatchColdScan(t *testing.T) {
 	// Pre-rendered figures bypass the read cache.
 	if hits, misses := m.CacheHits.Value(), m.CacheMisses.Value(); hits != 0 || misses != 0 {
 		t.Fatalf("figure requests moved the cache counters: %d hits, %d misses", hits, misses)
+	}
+}
+
+// TestServeLoopbackHeaders drives the handler over a loopback
+// connection, where framing shows: every 200 body goes out with its
+// Content-Length and no Transfer-Encoding. If-None-Match follows RFC
+// 9110 §13.1.2: "*", or any listed tag under weak comparison on any
+// header line, answers 304 with no body; a list without the tag — one
+// whose quotes hold the tag after a comma included — answers 200.
+func TestServeLoopbackHeaders(t *testing.T) {
+	f := newFixture(t, 200)
+	f.append(t, 0, f.mem.Len())
+	e, _ := f.newEngine(t)
+	if err := e.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(e.Handler())
+	defer srv.Close()
+	fetch := func(target string, ifNoneMatch ...string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, srv.URL+target, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range ifNoneMatch {
+			req.Header.Add("If-None-Match", v)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+
+	cdf := windowTarget("/api/v1/cdf", f.cfg.Start.Add(26*time.Hour), time.Time{})
+	for _, target := range []string{cdf, "/api/v1/quantile?p=0.9", "/api/v1/figures/5"} {
+		resp, body := fetch(target)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", target, resp.StatusCode)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: %d-byte body sent with Content-Length %d, Transfer-Encoding %q",
+				target, len(body), resp.ContentLength, resp.TransferEncoding)
+		}
+	}
+
+	resp, _ := fetch(cdf)
+	etag := resp.Header.Get("Etag")
+	for _, c := range []struct {
+		ifNoneMatch []string
+		want        int
+	}{
+		{[]string{etag}, http.StatusNotModified},
+		{[]string{`"x", ` + etag}, http.StatusNotModified},
+		{[]string{"W/" + etag}, http.StatusNotModified},
+		{[]string{"*"}, http.StatusNotModified},
+		{[]string{`"x"`, `W/"y",` + etag}, http.StatusNotModified},
+		{[]string{`"x", W/"y"`, `"z"`}, http.StatusOK},
+		{[]string{`"a,` + etag[1:]}, http.StatusOK},
+		{[]string{etag[:len(etag)-1]}, http.StatusOK},
+	} {
+		resp, body := fetch(cdf, c.ifNoneMatch...)
+		if resp.StatusCode != c.want {
+			t.Fatalf("If-None-Match %q: status %d, want %d", c.ifNoneMatch, resp.StatusCode, c.want)
+		}
+		if c.want == http.StatusNotModified && len(body) != 0 {
+			t.Fatalf("If-None-Match %q: 304 carried a %d-byte body", c.ifNoneMatch, len(body))
+		}
 	}
 }
 

@@ -81,8 +81,10 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # the index path to the scan engine's over randomized windows; the cost
 # gate asserts a /cdf index-path request reads zero sidecar bytes, reads
 # no slab (nothing to select over), never scans, and allocates a bounded
-# number of objects, and that a windowed /quantile's Server-Timing stages
-# (slab_read among them) sum to within 10 % of its fill; the corrupt-slab
+# number of objects, and that the Server-Timing stages of a /cdf and of
+# a windowed /quantile (slab_read among them) each sum to within 10 % of
+# the fill, and building a /cdf's curve points is counted under encode on
+# the index and the scan path; the corrupt-slab
 # tests that a slab chunk damaged after open fails the quantile's
 # per-chunk CRC (and falls back to the scan), while damage in a chunk no
 # quantile reads changes no answer. The tix tests pin that a quantile
@@ -99,8 +101,11 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # traced refresh recording each of its stages once. The nearest-region
 # kernel beside it: a warm ObserveBlock allocates its chunk and nothing
 # per row, a merge keeps the receiver's best row on a tie, and Figures
-# 6/7 come out byte-identical at 1, 2 and 3 scan workers.
-go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestServeCorruptSlabFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
+# 6/7 come out byte-identical at 1, 2 and 3 scan workers. The /cdf
+# curve-value kernel is pinned to strconv byte for byte (every c/n with
+# n <= 2000, powers of two +- 64 ulps, a million random values, k·1e-6
+# and k·1e-7), and what it declines still renders as encoding/json does.
+go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestWindowCurvesCountsPointsAsEncode|TestServeCorruptSlabFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestCurvePMatchesStrconv|TestCurvePDeclines|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
 go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestNearestObserveBlockSteadyStateAllocs|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount' ./internal/core
 go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather' ./internal/tix
 go test -count=1 -run 'TestSelectRankMatchesSort|TestSummarizeMatchesSort' ./internal/stats
@@ -131,14 +136,17 @@ echo "== fuzz smoke =="
 # must never panic; a payload Open accepts must re-encode byte for byte
 # and derive the same prefix row; the target kept its FuzzNodeRoundTrip
 # name), and the window parameters of /cdf and /quantile (never a panic
-# or a 5xx; every 200 body equal to the index-less engine's). Ten
-# seconds each catches regressions without turning the gate into a
-# fuzz farm.
+# or a 5xx; every 200 body equal to the index-less engine's), and the
+# JSON float encoder (any bit pattern renders as encoding/json does,
+# NaN and the infinities are errors, and the curve-value kernel equals
+# strconv wherever it does not decline). Ten seconds each catches
+# regressions without turning the gate into a fuzz farm.
 go test -run='^$' -fuzz='^FuzzBlockRoundTrip$' -fuzztime=10s ./internal/colf
 go test -run='^$' -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime=10s ./internal/snap
 go test -run='^$' -fuzz='^FuzzSuiteState$' -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz='^FuzzNodeRoundTrip$' -fuzztime=10s ./internal/tix
 go test -run='^$' -fuzz='^FuzzWindowParams$' -fuzztime=10s ./internal/serve
+go test -run='^$' -fuzz='^FuzzJSONFloat$' -fuzztime=10s ./internal/serve
 
 echo "== bench smoke =="
 # One iteration of every micro-benchmark catches bit-rot in bench code
