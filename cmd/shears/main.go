@@ -27,6 +27,9 @@
 // engine blocks to /api/v1/progress, -progress log lines (samples/sec,
 // ETA, per-continent tallies), and -trace out.json: the run's span tree
 // as Chrome trace-event JSON (Perfetto, chrome://tracing, trace -summary).
+// Under its campaign span the engine's stages sit beside the rounds: an
+// engine.generate per shard worker, results.write (the merger's time in
+// the sink) and a results.commit per checkpoint.
 //
 // After the campaign the driver builds the temporal index
 // (<out>/samples.tix) beside the figure scan, and the scan writes
@@ -252,16 +255,19 @@ func run(o options) (err error) {
 		Log:           logger.With("engine"),
 		OnRound:       o.onRound,
 	}
+	campSpan := root.Child("campaign")
 	if o.checkpointEvery > 0 {
 		campaignOpts.CheckpointPath = ckPath
 		campaignOpts.CheckpointEvery = o.checkpointEvery
 		// Commit flushes and fsyncs the samples file, so the checkpoint's
 		// offset is always durable on disk — and, for binary stores, a
 		// block boundary Resume can truncate to.
-		campaignOpts.Commit = sink.Commit
+		campaignOpts.Commit = func() (int64, error) {
+			s := campSpan.Child("results.commit")
+			defer s.End()
+			return sink.Commit()
+		}
 	}
-
-	campSpan := root.Child("campaign")
 	ctx := o.ctx
 	if ctx == nil {
 		ctx = context.Background()

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -197,7 +198,10 @@ func TestRunWritesTrace(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ds")
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	// A tiny progress interval exercises the reporter goroutine too.
-	if err := run(options{out: dir, probes: 250, seed: 1, days: 4, tracePath: tracePath, progressEvery: time.Millisecond}); err != nil {
+	// Two workers and a checkpoint every 8 rounds, so every campaign
+	// stage span appears whatever GOMAXPROCS the test runs under.
+	if err := run(options{out: dir, probes: 250, seed: 1, days: 4, workers: 2, checkpointEvery: 8,
+		tracePath: tracePath, progressEvery: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(tracePath)
@@ -222,17 +226,27 @@ func TestRunWritesTrace(t *testing.T) {
 	}
 	// Rounds overlap on the parallel engine; the trace's span links keep
 	// each under the span that opened it, so count them anywhere under the
-	// campaign.
+	// campaign. Beside them sit the engine's stage spans: one
+	// engine.generate per worker, one results.write, and a results.commit
+	// per checkpoint (rounds 8, 16 and 24 of 32), each taking time.
 	var rounds int
 	var samples float64
+	stages := map[string]int{}
 	var walk func(d obs.SpanDump)
 	walk = func(d obs.SpanDump) {
 		for _, c := range d.Children {
-			if c.Name != "round" {
+			switch c.Name {
+			case "round":
+				rounds++
+				samples += c.Attrs["samples"].(float64)
+			case "engine.generate", "results.write", "results.commit":
+				stages[c.Name]++
+				if c.DurationMs <= 0 {
+					t.Errorf("%s span has duration %v ms", c.Name, c.DurationMs)
+				}
+			default:
 				t.Errorf("unexpected span %q under campaign", c.Name)
 			}
-			rounds++
-			samples += c.Attrs["samples"].(float64)
 			walk(c)
 		}
 	}
@@ -242,6 +256,9 @@ func TestRunWritesTrace(t *testing.T) {
 	}
 	if samples == 0 {
 		t.Error("round spans carry no samples")
+	}
+	if want := map[string]int{"engine.generate": 2, "results.write": 1, "results.commit": 3}; !reflect.DeepEqual(stages, want) {
+		t.Errorf("campaign stage spans %v, want %v", stages, want)
 	}
 	figs := byName["figures"]
 	if len(figs.Children) == 0 {

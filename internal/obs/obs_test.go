@@ -274,6 +274,30 @@ func TestSpanTree(t *testing.T) {
 	}
 }
 
+// TestSpanChildSpent: a spent child is already ended, lasts exactly the
+// time it was given and ends at the clock's now, inside its open parent.
+func TestSpanChildSpent(t *testing.T) {
+	now := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+	clock := func() time.Time {
+		now = now.Add(10 * time.Millisecond)
+		return now
+	}
+	root := newTrace("run", clock)
+	c := root.ChildSpent("write", 7*time.Millisecond)
+	c.SetAttr("samples", 3)
+	if d := c.Duration(); d != 7*time.Millisecond {
+		t.Errorf("spent child lasts %v, want 7ms", d)
+	}
+	root.End()
+	d := root.Dump()
+	if len(d.Children) != 1 || d.Children[0].Name != "write" || d.Children[0].DurationMs != 7 {
+		t.Fatalf("children = %+v", d.Children)
+	}
+	if start := d.Children[0].Start; start.Before(d.Start) || start.Add(7*time.Millisecond).After(d.Start.Add(time.Duration(d.DurationMs*float64(time.Millisecond)))) {
+		t.Errorf("spent child [%v, +7ms] falls outside its parent starting %v", start, d.Start)
+	}
+}
+
 func TestSpanConcurrentChildren(t *testing.T) {
 	root := NewTrace("fanout")
 	var wg sync.WaitGroup

@@ -45,6 +45,22 @@ func (s *Span) Child(name string) *Span {
 	return c
 }
 
+// ChildSpent adds an ended child that lasts d and ends now. It stands
+// for a stage that ran in many slices, each too short to time as a span
+// of its own: d is the slices' summed time, so a stage table counts the
+// stage's own time, not the interval it was spread over.
+func (s *Span) ChildSpent(name string, d time.Duration) *Span {
+	c := s.Child(name)
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.end = c.start
+	c.start = c.end.Add(-d)
+	return c
+}
+
 // SetAttr attaches a key/value attribute to the span.
 func (s *Span) SetAttr(key string, value any) {
 	if s == nil {

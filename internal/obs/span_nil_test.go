@@ -18,6 +18,9 @@ func TestNilSpanInert(t *testing.T) {
 	if c := s.Child("child"); c != nil {
 		t.Error("nil.Child returned a non-nil span")
 	}
+	if c := s.ChildSpent("child", time.Second); c != nil {
+		t.Error("nil.ChildSpent returned a non-nil span")
+	}
 	s.SetAttr("k", "v") // must not panic
 	s.End()             // must not panic
 	if d := s.Duration(); d != 0 {
