@@ -380,7 +380,7 @@ func TestWriteAfterFinishRejected(t *testing.T) {
 func TestLosslessFloatAndExtremeRows(t *testing.T) {
 	rows := []Row{
 		{Probe: 1, TimeNano: 0, Region: "", RTT: math.Pi, Lost: false},
-		{Probe: 1 << 40, TimeNano: -5, Region: strings.Repeat("長い地域/", 40), RTT: math.SmallestNonzeroFloat64},
+		{Probe: int(^uint(0) >> 1), TimeNano: -5, Region: strings.Repeat("長い地域/", 40), RTT: math.SmallestNonzeroFloat64},
 		{Probe: -3, TimeNano: math.MaxInt64, Region: "r", RTT: math.Inf(1), Lost: true},
 		{Probe: 0, TimeNano: math.MinInt64, Region: "r", RTT: math.NaN(), Lost: true},
 		{Probe: 2, TimeNano: 1, Region: "\x00\xff", RTT: -0.0},

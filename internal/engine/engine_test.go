@@ -351,3 +351,95 @@ func TestOnCheckpointHook(t *testing.T) {
 		t.Fatalf("hooks = %+v, want %+v", hooks, want)
 	}
 }
+
+// recycleGen emits a cell of 1..maxCell samples whose count varies with
+// the cell, so a recycled buffer is refilled to a different length than
+// it last held. It allocates nothing: the regions are spelled up front.
+func recycleGen(regions []string, maxCell int) GenFunc {
+	return func(ctx context.Context, shard, round int, emit func(results.Sample) error) error {
+		n := 1 + (shard*7+round*3)%maxCell
+		for i := 0; i < n; i++ {
+			s := results.Sample{
+				ProbeID: shard*1_000_000 + round*1_000 + i + 1,
+				Region:  regions[shard],
+				Time:    time.Unix(int64(round), 0).UTC(),
+				RTTms:   float64(round*maxCell + i),
+			}
+			if err := emit(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestRunRecyclesBatches: the merger hands each drained batch buffer
+// back to its shard, so a run's allocations do not grow with its round
+// count — at most queueDepth+2 buffers per shard, however long the run —
+// and the merged stream stays canonical while buffers are reused.
+func TestRunRecyclesBatches(t *testing.T) {
+	const maxCell = 9
+	regions := make([]string, 8)
+	for i := range regions {
+		regions[i] = fmt.Sprintf("prov/r%d", i)
+	}
+	gen := recycleGen(regions, maxCell)
+	for _, workers := range []int{1, 2, 3, 7} {
+		const rounds = 40
+		var got []results.Sample
+		// A hint under the largest cell makes some buffers grow, so reuse
+		// sees capacities other than the hint.
+		_, err := Run(context.Background(), Config{
+			Workers:   workers,
+			Rounds:    rounds,
+			BatchHint: maxCell / 2,
+			Gen:       gen,
+			Sink: func(s results.Sample) error {
+				got = append(got, s)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var want []results.Sample
+		for round := 0; round < rounds; round++ {
+			for s := 0; s < workers; s++ {
+				gen(context.Background(), s, round, func(smp results.Sample) error {
+					want = append(want, smp)
+					return nil
+				})
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: merged stream diverges from canonical order", workers)
+		}
+	}
+
+	const workers, r = 2, 32
+	var sunk uint64
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(context.Background(), Config{
+				Workers:   workers,
+				Rounds:    rounds,
+				BatchHint: maxCell,
+				Gen:       gen,
+				Sink:      func(results.Sample) error { sunk++; return nil },
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(r), allocs(4*r)
+	t.Logf("allocations per run: %.0f at %d rounds, %.0f at %d", short, r, long, 4*r)
+	if sunk == 0 {
+		t.Fatal("no samples reached the sink")
+	}
+	// Which of its queueDepth+2 buffers a shard gets to allocate depends on
+	// scheduling; allocating one per round would add 3r per shard.
+	if slack := float64(workers * (queueDepth + 2)); long > short+slack {
+		t.Errorf("a run allocates %.0f times at %d rounds and %.0f at %d: batches are not recycled",
+			short, r, long, 4*r)
+	}
+}

@@ -11,16 +11,17 @@ import (
 )
 
 // referenceSample is Sample computed the direct way: math.Mod for the
-// local hour and math.Max(0, math.Sin(…)) on every call. Sample must
-// reproduce it to the bit, because every RTT in samples.bin and the
-// golden digests depend on it.
-func referenceSample(p *Path, t time.Time) Breakdown {
+// local hour from the site's longitude, math.Max(0, math.Sin(…)) on
+// every call, and the Config scalars read from the model, not from the
+// copies the path carries. Sample must reproduce it to the bit, because
+// every RTT in samples.bin and the golden digests depend on it.
+func referenceSample(m *Model, src Site, p *Path, t time.Time) Breakdown {
 	r := newRNG(p.key, uint64(t.Unix()), 2)
 	if r.float64() < p.lossP {
 		return Breakdown{Lost: true}
 	}
 	transit := r.inRange(p.transit.Lo, p.transit.Hi)
-	localHour := math.Mod(float64(t.Unix())/3600+p.src.Location.Lon/15+48, 24)
+	localHour := math.Mod(float64(t.Unix())/3600+src.Location.Lon/15+48, 24)
 	peak := math.Max(0, math.Sin((localHour-8)/12*math.Pi))
 	transit *= 1 + p.diurnal*peak*r.float64()
 
@@ -32,18 +33,18 @@ func referenceSample(p *Path, t time.Time) Breakdown {
 	win := uint64(t.Unix() / int64(bloatWindow/time.Second))
 	wr := newRNG(p.key, win, 3)
 	if p.bloatP > 0 && wr.float64() < p.bloatP {
-		bloat = wr.expMs(p.cfg.BloatMeanMs) * (0.5 + 0.5*r.float64())
+		bloat = wr.expMs(m.cfg.BloatMeanMs) * (0.5 + 0.5*r.float64())
 	}
 	jitter := r.lognormal(0, 0.15)
-	if jitter < p.cfg.JitterFloor {
-		jitter = p.cfg.JitterFloor
+	if jitter < m.cfg.JitterFloor {
+		jitter = m.cfg.JitterFloor
 	}
 	b := Breakdown{
 		PropagationMs: p.propMs,
 		TransitMs:     transit * jitter,
 		LastMileMs:    lastMile * jitter,
 		BloatMs:       bloat * jitter,
-		ProcessingMs:  p.cfg.ProcessingMs,
+		ProcessingMs:  m.cfg.ProcessingMs,
 	}
 	b.TotalMs = b.PropagationMs + b.TransitMs + b.LastMileMs + b.BloatMs + b.ProcessingMs
 	return b
@@ -64,18 +65,23 @@ func sameBreakdown(a, b Breakdown) bool {
 	return a.Lost == b.Lost && bits(a) == bits(b)
 }
 
+// sitePath is a derived path with the site it was derived from.
+type sitePath struct {
+	src  Site
+	path *Path
+}
+
 // seededPaths derives n paths from random sites worldwide, every tier and
 // access class, to a handful of targets.
-func seededPaths(t *testing.T, rng *rand.Rand, n int) []*Path {
+func seededPaths(t *testing.T, m *Model, rng *rand.Rand, n int) []sitePath {
 	t.Helper()
-	m := testModel(t)
 	targets := []Target{
 		{ID: "fra", Location: frankfurt, Continent: geo.Europe, Private: true},
 		{ID: "sto", Location: stockholm, Continent: geo.Europe},
 		{ID: "sfo", Location: geo.Point{Lat: 37.77, Lon: -122.42}, Continent: geo.NorthAmerica, Private: true},
 		{ID: "syd", Location: geo.Point{Lat: -33.87, Lon: 151.21}, Continent: geo.Oceania},
 	}
-	paths := make([]*Path, 0, n)
+	paths := make([]sitePath, 0, n)
 	for i := 0; i < n; i++ {
 		site := Site{
 			ID:        fmt.Sprintf("p%d", i),
@@ -88,7 +94,7 @@ func seededPaths(t *testing.T, rng *rand.Rand, n int) []*Path {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths = append(paths, p)
+		paths = append(paths, sitePath{site, p})
 	}
 	return paths
 }
@@ -100,7 +106,8 @@ func seededPaths(t *testing.T, rng *rand.Rand, n int) []*Path {
 // at local hours 8 and 20 — the sine's zeros — and their neighbours.
 func TestSampleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	paths := seededPaths(t, rng, 300)
+	m := testModel(t)
+	paths := seededPaths(t, m, rng, 300)
 	campaign := time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC).Unix()
 	var times []int64
 	for i := 0; i < 200; i++ {
@@ -113,21 +120,20 @@ func TestSampleMatchesReference(t *testing.T) {
 			math.MinInt64+rng.Int63n(1<<40)+3600, // and its negative end
 		)
 	}
-	check := func(p *Path, sec int64) {
+	check := func(sp sitePath, sec int64) {
 		ts := time.Unix(sec, 0)
-		if got, want := p.Sample(ts), referenceSample(p, ts); !sameBreakdown(got, want) {
-			t.Fatalf("path %s at Unix %d: Sample %+v, reference %+v", p.src.ID, sec, got, want)
+		if got, want := sp.path.Sample(ts), referenceSample(m, sp.src, sp.path, ts); !sameBreakdown(got, want) {
+			t.Fatalf("path %s at Unix %d: Sample %+v, reference %+v", sp.src.ID, sec, got, want)
 		}
 	}
-	for _, p := range paths {
+	for _, sp := range paths {
 		for _, sec := range times {
-			check(p, sec)
+			check(sp, sec)
 		}
 	}
 
 	// lon/15 + 48 is 56 (hour 8) at lon 120 and 44 (hour 20) at lon -60, so
 	// whole days land on the sine's zeros; stepped longitudes land beside.
-	m := testModel(t)
 	dst := Target{ID: "d", Location: frankfurt, Continent: geo.Europe}
 	for _, lon := range []float64{120, -60} {
 		lons, lo, hi := []float64{lon}, lon, lon
@@ -136,13 +142,14 @@ func TestSampleMatchesReference(t *testing.T) {
 			lons = append(lons, lo, hi)
 		}
 		for _, l := range lons {
-			p, err := m.Path(Site{ID: "z", Location: geo.Point{Lat: 10, Lon: l}, Continent: geo.Asia,
-				Tier: geo.Tier4, Access: AccessWireless}, dst)
+			src := Site{ID: "z", Location: geo.Point{Lat: 10, Lon: l}, Continent: geo.Asia,
+				Tier: geo.Tier4, Access: AccessWireless}
+			p, err := m.Path(src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, day := range []int64{-400, -1, 0, 1, 18140, 18500} {
-				check(p, day*86400)
+				check(sitePath{src, p}, day*86400)
 			}
 		}
 	}

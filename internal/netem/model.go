@@ -200,19 +200,25 @@ func NewModel(cfg Config, seed uint64) (*Model, error) {
 }
 
 // Path captures the fixed characteristics of one probe-to-datacenter route.
+// It holds scalars only — no endpoint IDs, no pointer to the model's
+// Config — so the many a campaign keeps live cost the collector nothing
+// to scan; Sample's Config values are copied in at derivation.
 type Path struct {
-	cfg        *Config
-	key        uint64
-	src        Site
-	dst        Target
-	propMs     float64 // propagation RTT including stretch
-	transit    Range   // per-sample transit band
-	lmBase     float64 // last-mile base (path constant)
-	lmJit      float64 // last-mile per-sample jitter span
-	bloatP     float64
-	lossP      float64
-	diurnal    float64
-	uplinkMbps float64
+	key          uint64
+	srcLoc       geo.Point
+	dstLoc       geo.Point
+	lonH         float64 // source longitude / 15: its local-time offset in hours
+	propMs       float64 // propagation RTT including stretch
+	transit      Range   // per-sample transit band
+	lmBase       float64 // last-mile base (path constant)
+	lmJit        float64 // last-mile per-sample jitter span
+	bloatP       float64
+	bloatMeanMs  float64
+	lossP        float64
+	diurnal      float64
+	jitterFloor  float64
+	processingMs float64
+	uplinkMbps   float64
 }
 
 // Path derives the route between src and dst. The derivation is
@@ -242,13 +248,16 @@ func (m *Model) Path(src Site, dst Target) (*Path, error) {
 	propMs := 2 * distKm / m.cfg.FiberKmPerMs * stretch
 
 	p := &Path{
-		cfg:     &m.cfg,
-		key:     key,
-		src:     src,
-		dst:     dst,
-		propMs:  propMs,
-		transit: m.cfg.TransitByTier[src.Tier],
-		diurnal: m.cfg.DiurnalAmpByTier[src.Tier],
+		key:          key,
+		srcLoc:       src.Location,
+		dstLoc:       dst.Location,
+		lonH:         src.Location.Lon / 15,
+		propMs:       propMs,
+		transit:      m.cfg.TransitByTier[src.Tier],
+		bloatMeanMs:  m.cfg.BloatMeanMs,
+		diurnal:      m.cfg.DiurnalAmpByTier[src.Tier],
+		jitterFloor:  m.cfg.JitterFloor,
+		processingMs: m.cfg.ProcessingMs,
 	}
 
 	switch src.Access {
@@ -296,7 +305,7 @@ func (p *Path) SerializationMs(payloadBytes int) float64 {
 
 // DistanceKm returns the great-circle endpoint distance.
 func (p *Path) DistanceKm() float64 {
-	return geo.DistanceKm(p.src.Location, p.dst.Location)
+	return geo.DistanceKm(p.srcLoc, p.dstLoc)
 }
 
 // bloatWindow is the wall-clock granularity of bufferbloat episodes; the
@@ -332,7 +341,7 @@ func (p *Path) Sample(t time.Time) Breakdown {
 	}
 	transit := r.inRange(p.transit.Lo, p.transit.Hi)
 	// Evening congestion peak in the probe's local time, scaled by tier.
-	peak := diurnalPeak(float64(t.Unix())/3600 + p.src.Location.Lon/15 + 48)
+	peak := diurnalPeak(float64(t.Unix())/3600 + p.lonH + 48)
 	transit *= 1 + p.diurnal*peak*r.float64()
 
 	lastMile := p.lmBase
@@ -346,22 +355,22 @@ func (p *Path) Sample(t time.Time) Breakdown {
 	win := uint64(t.Unix() / int64(bloatWindow/time.Second))
 	wr := newRNG(p.key, win, 3)
 	if p.bloatP > 0 && wr.float64() < p.bloatP {
-		bloat = wr.expMs(p.cfg.BloatMeanMs) * (0.5 + 0.5*r.float64())
+		bloat = wr.expMs(p.bloatMeanMs) * (0.5 + 0.5*r.float64())
 	}
 
 	// Multiplicative noise applies to the queueing components only;
 	// propagation is a hard floor, and the jitter floor bounds how far a
 	// lucky draw can undercut the path's typical cost.
 	jitter := r.lognormal(0, 0.15)
-	if jitter < p.cfg.JitterFloor {
-		jitter = p.cfg.JitterFloor
+	if jitter < p.jitterFloor {
+		jitter = p.jitterFloor
 	}
 	b := Breakdown{
 		PropagationMs: p.propMs,
 		TransitMs:     transit * jitter,
 		LastMileMs:    lastMile * jitter,
 		BloatMs:       bloat * jitter,
-		ProcessingMs:  p.cfg.ProcessingMs,
+		ProcessingMs:  p.processingMs,
 	}
 	b.TotalMs = b.PropagationMs + b.TransitMs + b.LastMileMs + b.BloatMs + b.ProcessingMs
 	return b

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -238,7 +239,7 @@ func TestFloorIsRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	floor := p.propMs + p.cfg.ProcessingMs // the physics floor
+	floor := p.propMs + m.cfg.ProcessingMs // the physics floor
 	if floor <= 0 {
 		t.Fatalf("floor = %v", floor)
 	}
@@ -309,4 +310,27 @@ func TestAccessString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", a, a.String(), want)
 		}
 	}
+}
+
+// TestPathHoldsNoPointers: a campaign keeps one Path per (probe, region)
+// pair live for its whole run, so Path must give the collector nothing
+// to scan — no pointer, string, slice, map, interface, channel or func
+// anywhere in it, nested structs and arrays included.
+func TestPathHoldsNoPointers(t *testing.T) {
+	var walk func(typ reflect.Type, at string)
+	walk = func(typ reflect.Type, at string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, at+"."+f.Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), at+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: Path must hold scalars only", at, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(Path{}), "Path")
 }

@@ -26,7 +26,7 @@ func TestFloorMonotoneInDistance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		floor := p.propMs + p.cfg.ProcessingMs
+		floor := p.propMs + m.cfg.ProcessingMs
 		if floor <= prev {
 			t.Fatalf("floor not monotone at %d deg: %.2f <= %.2f", d, floor, prev)
 		}

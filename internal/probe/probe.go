@@ -7,6 +7,7 @@ package probe
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/geo"
 	"repro/internal/netem"
@@ -56,6 +57,10 @@ type Probe struct {
 	Access    netem.Access  `json:"access"`
 	Env       Environment   `json:"env"`
 	Tags      []string      `json:"tags"`
+
+	// addr is Addr's answer, spelled once by NewPopulation: a campaign
+	// derives a path per (probe, region) pair from it.
+	addr string
 }
 
 // HasTag reports whether the probe carries the user tag.
@@ -85,8 +90,13 @@ func (p *Probe) Privileged() bool {
 	return p.Env == EnvCore || p.HasAnyTag(PrivilegedTags)
 }
 
-// Addr returns the probe's stable simulator address.
-func (p *Probe) Addr() string { return fmt.Sprintf("probe/%d", p.ID) }
+// Addr returns the probe's stable simulator address, "probe/<ID>".
+func (p *Probe) Addr() string {
+	if p.addr != "" {
+		return p.addr
+	}
+	return "probe/" + strconv.Itoa(p.ID)
+}
 
 // Site converts the probe into a netem path endpoint.
 func (p *Probe) Site() netem.Site {
@@ -105,7 +115,8 @@ type Population struct {
 	byID   map[int]*Probe
 }
 
-// NewPopulation indexes the probes. IDs must be unique and positive.
+// NewPopulation indexes the probes and spells each one's address. IDs
+// must be unique and positive, and must not change afterwards.
 func NewPopulation(probes []*Probe) (*Population, error) {
 	pop := &Population{byID: make(map[int]*Probe, len(probes))}
 	for _, p := range probes {
@@ -118,6 +129,7 @@ func NewPopulation(probes []*Probe) (*Population, error) {
 		if _, dup := pop.byID[p.ID]; dup {
 			return nil, fmt.Errorf("probe: duplicate ID %d", p.ID)
 		}
+		p.addr = p.Addr()
 		pop.byID[p.ID] = p
 		pop.probes = append(pop.probes, p)
 	}

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/geo"
@@ -152,6 +153,24 @@ func TestSiteConversion(t *testing.T) {
 	if s.ID != p.Addr() || s.Location != p.Location || s.Tier != p.Tier ||
 		s.Continent != p.Continent || s.Access != p.Access {
 		t.Errorf("Site() = %+v does not mirror probe %+v", s, p)
+	}
+}
+
+// TestAddr: every generated probe's address, spelled once when the
+// population is built, is the "probe/<ID>" fmt would spell, and a probe
+// built outside a population still answers.
+func TestAddr(t *testing.T) {
+	for _, p := range genDefault(t).All() {
+		if got, want := p.Addr(), fmt.Sprintf("probe/%d", p.ID); got != want {
+			t.Fatalf("probe %d: Addr() = %q, want %q", p.ID, got, want)
+		}
+	}
+	p := &Probe{ID: 42}
+	if got := p.Addr(); got != "probe/42" {
+		t.Errorf("literal probe: Addr() = %q, want probe/42", got)
+	}
+	if got := p.Site().ID; got != "probe/42" {
+		t.Errorf("literal probe: Site().ID = %q, want probe/42", got)
 	}
 }
 

@@ -16,6 +16,11 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== go vet (386) =="
+# Compiles every package and test for a 32-bit int without running them,
+# so a constant that overflows int there fails here, not on a 386 host.
+GOARCH=386 go vet ./...
+
 echo "== go build =="
 go build ./...
 
@@ -109,6 +114,21 @@ go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|Tes
 go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestNearestObserveBlockSteadyStateAllocs|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount' ./internal/core
 go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather' ./internal/tix
 go test -count=1 -run 'TestSelectRankMatchesSort|TestSummarizeMatchesSort' ./internal/stats
+
+echo "== campaign allocation gate =="
+# Like the windowed index gate, without the race detector so the
+# allocation ceilings measure the code. The campaign's steady state
+# allocates nothing per round: the engine recycles each shard's drained
+# batch buffers (a run allocates no more at 4x the rounds, and its merged
+# stream stays canonical at 1, 2, 3 and 7 workers), and a warmed round's
+# synthesis allocates a handful of objects at most. The paths it keeps
+# live hold no pointer for the collector to scan, Sample still matches
+# its reference (which computes lon/15 and reads the model's Config
+# itself) bit for bit, and each probe's address is spelled as fmt would.
+go test -count=1 -run '^TestRunRecyclesBatches$' ./internal/engine
+go test -count=1 -run '^TestSynthesizeRoundSteadyStateAllocs$' ./internal/atlas
+go test -count=1 -run '^(TestPathHoldsNoPointers|TestSampleMatchesReference)$' ./internal/netem
+go test -count=1 -run '^TestAddr$' ./internal/probe
 
 echo "== bench module (API compile + paper_run parity + traced smoke) =="
 # bench/ is its own module compiled against this one's exported API, and
