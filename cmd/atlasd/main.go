@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -103,7 +104,7 @@ type app struct {
 	live      *atlas.LiveService
 	registry  *obs.Registry
 	metrics   *atlas.Metrics
-	log       *obs.Logger
+	log       *slog.Logger
 	world     *world.World
 	worldSeed uint64
 
@@ -123,7 +124,10 @@ func (a *app) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.srv.ServeHTTP(w, r)
 }
 
-func build(probes int, seed uint64, scale float64, grants string, logger *obs.Logger, rec *obs.Recorder) (*app, error) {
+func build(probes int, seed uint64, scale float64, grants string, logger *slog.Logger, rec *obs.Recorder) (*app, error) {
+	if logger == nil {
+		logger = obs.Discard
+	}
 	w, err := world.Build(world.Config{Seed: seed, Probes: probes})
 	if err != nil {
 		return nil, err
@@ -191,7 +195,7 @@ func (a *app) enableServing(dir string, refresh time.Duration) error {
 		return fmt.Errorf("dataset %s was captured with seed=%d probes=%d; restart atlasd with matching -seed/-probes (got seed=%d probes=%d)",
 			dir, meta.Seed, meta.Probes, a.worldSeed, a.world.Probes.Len())
 	}
-	logger := a.log.With("serve")
+	logger := a.log.With("component", "serve")
 	eng, err := serve.NewEngine(store, a.world.Index, serve.Options{
 		Refresh:     refresh,
 		TixPath:     store.TixPath(),
@@ -216,6 +220,10 @@ func (a *app) enableServing(dir string, refresh time.Duration) error {
 // requests and running measurements.
 const shutdownTimeout = 10 * time.Second
 
+// readHeaderTimeout bounds how long each of atlasd's listeners waits for
+// a request's headers.
+const readHeaderTimeout = 5 * time.Second
+
 // newHTTPServer is the API listener's server: every phase of a
 // connection is bounded, so a client that stalls its headers, trickles a
 // body, never reads its response or parks an idle keep-alive cannot pin
@@ -225,7 +233,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      serve.DefaultFillTimeout + 30*time.Second,
 		IdleTimeout:       2 * time.Minute,
@@ -273,7 +281,7 @@ func serveApp(a *app, addr, debugAddr string) error {
 
 // logFinal emits the final telemetry summary so a terminated server
 // leaves its last counters in the log.
-func logFinal(m *atlas.Metrics, logger *obs.Logger) {
+func logFinal(m *atlas.Metrics, logger *slog.Logger) {
 	logger.Info("final counters",
 		"requests", m.ReqTotal.Sum(),
 		"measurements", m.MeasurementsCreated.Value(),
@@ -285,16 +293,24 @@ func logFinal(m *atlas.Metrics, logger *obs.Logger) {
 		"credits_spent", m.CreditsSpent.Value())
 }
 
-// serveDebug exposes the pprof profiling handlers on their own listener.
-func serveDebug(addr string, logger *obs.Logger) {
+// newDebugServer serves the pprof profiling handlers. The header bound
+// stops a client that never finishes its request from holding a
+// connection; there is no write bound, because /debug/pprof/profile and
+// /debug/pprof/trace stream for as long as the client asks.
+func newDebugServer(addr string) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+}
+
+// serveDebug exposes the pprof profiling handlers on their own listener.
+func serveDebug(addr string, logger *slog.Logger) {
 	logger.Info("pprof listening", "url", "http://"+addr+"/debug/pprof/")
-	if err := http.ListenAndServe(addr, mux); err != nil {
+	if err := newDebugServer(addr).ListenAndServe(); err != nil {
 		logger.Error("debug server failed", "error", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/atlas"
-	"repro/internal/obs"
+	"repro/internal/cmdrun"
 	"repro/internal/results"
 	"repro/internal/serve"
 )
@@ -234,8 +235,10 @@ func TestGracefulShutdown(t *testing.T) {
 // build the way main does: the build-time events must come back out of
 // GET /debug/events.
 func TestBuildServesFlightRecorder(t *testing.T) {
-	rec := obs.NewRecorder(flightRecorderSize)
-	logger := obs.NewLogger(io.Discard, obs.WithRecorder(rec)).With("atlasd")
+	logger, rec, err := cmdrun.Flags{}.Logger(io.Discard, "atlasd", flightRecorderSize)
+	if err != nil {
+		t.Fatal(err)
+	}
 	app, err := build(200, 1, 0.01, "demo=500", logger, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -294,5 +297,34 @@ func TestHTTPServerTimeouts(t *testing.T) {
 	}
 	if srv.WriteTimeout <= serve.DefaultFillTimeout {
 		t.Errorf("WriteTimeout %v would cut off a fill that runs to its %v deadline", srv.WriteTimeout, serve.DefaultFillTimeout)
+	}
+}
+
+// TestDebugServerClosesStalledRequest: a pprof client that sends half a
+// request line and stalls is cut off once the header bound passes, so
+// it cannot hold a connection for the life of the server. There is no
+// write bound: a CPU profile streams for as long as it was asked to.
+func TestDebugServerClosesStalledRequest(t *testing.T) {
+	srv := newDebugServer("127.0.0.1:0")
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout %v would cut off /debug/pprof/profile", srv.WriteTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /debug/pprof/ HT"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 10*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Errorf("stalled request still open past the %v header bound: %v", readHeaderTimeout, err)
 	}
 }

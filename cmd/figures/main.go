@@ -294,7 +294,7 @@ func loadWorld(o options, r *cmdrun.Run) (*world.World, *dataset, error) {
 		d.snap = core.SnapshotOptions{
 			RefreshFactor: core.DefaultRefreshFactor,
 			Metrics:       r.SnapMetrics(),
-			Log:           r.Log().With("snap"),
+			Log:           r.Log().With("component", "snap"),
 		}
 		own := o.probes == meta.Probes && o.seed == meta.Seed
 		if !own {

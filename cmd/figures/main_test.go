@@ -170,7 +170,7 @@ func TestDatasetWorldFromMeta(t *testing.T) {
 	if sm.Hits.Value() != 1 || sm.Invalidations.Value() != 0 || sm.Writes.Value() != 0 {
 		t.Errorf("defaults run: hit=%d invalid=%d write=%d, want a pure snapshot hit", sm.Hits.Value(), sm.Invalidations.Value(), sm.Writes.Value())
 	}
-	if strings.Contains(log.String(), "level=warn") {
+	if strings.Contains(log.String(), "level=WARN") {
 		t.Errorf("defaults run warned:\n%s", log.String())
 	}
 
@@ -186,7 +186,7 @@ func TestDatasetWorldFromMeta(t *testing.T) {
 	if strings.Join(got, "\n") == strings.Join(want, "\n") {
 		t.Error("an explicit -probes 250 analysed the dataset's 200-probe world")
 	}
-	if !strings.Contains(log.String(), "level=warn") || !strings.Contains(log.String(), "dataset_probes=200") {
+	if !strings.Contains(log.String(), "level=WARN") || !strings.Contains(log.String(), "dataset_probes=200") {
 		t.Errorf("mismatched world not warned about:\n%s", log.String())
 	}
 	if n := sm.Hits.Value() + sm.Misses.Value() + sm.Invalidations.Value() + sm.Writes.Value(); n != 0 {
@@ -312,7 +312,7 @@ func TestUnwritableSnapshotStillPrints(t *testing.T) {
 	if got.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("figure printed beside an unwritable snapshot differs from -snapshot off (%d vs %d bytes)", got.Len(), want.Len())
 	}
-	if !strings.Contains(log.String(), "level=warn") || !strings.Contains(log.String(), "snapshot not written") {
+	if !strings.Contains(log.String(), "level=WARN") || !strings.Contains(log.String(), "snapshot not written") {
 		t.Errorf("no warning about the failed write:\n%s", log.String())
 	}
 
@@ -452,7 +452,7 @@ func TestWorldFiguresFromMeta(t *testing.T) {
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("fig %s -data under the flag defaults is not the dataset's world:\n%s", fig, strings.Join(got, "\n"))
 		}
-		if !strings.Contains(log.String(), "seed=2") || strings.Contains(log.String(), "level=warn") {
+		if !strings.Contains(log.String(), "seed=2") || strings.Contains(log.String(), "level=WARN") {
 			t.Errorf("fig %s: want the dataset's world built without a warning:\n%s", fig, log.String())
 		}
 	}
@@ -468,7 +468,7 @@ func TestWorldFiguresFromMeta(t *testing.T) {
 	if strings.Join(explicit, "\n") != strings.Join(defaults, "\n") {
 		t.Error("an explicit -probes 400 -seed 1 did not win over the dataset's world")
 	}
-	if !strings.Contains(log.String(), "level=warn") || !strings.Contains(log.String(), "dataset_probes=200") {
+	if !strings.Contains(log.String(), "level=WARN") || !strings.Contains(log.String(), "dataset_probes=200") {
 		t.Errorf("mismatched world not warned about:\n%s", log.String())
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -201,29 +202,37 @@ func run(o options) (err error) {
 		"campaign_start", cfg.Start.Format("2006-01-02"),
 		"campaign_end", cfg.End.Format("2006-01-02"), "workers", workers)
 
-	if err := r.Serve(campaignProgress(r, m, engMetrics, cfg.Rounds())); err != nil {
-		return err
-	}
-
-	// Open the sink: a fresh dataset, or — on resume — the existing one
-	// truncated back to the checkpoint's durable offset.
+	// On resume the checkpoint names the round the campaign starts at,
+	// which the progress reports need before it runs.
 	fingerprint := cfg.Fingerprint(o.seed, w.Probes.Len())
 	ckPath := filepath.Join(o.out, checkpointFile)
 	var (
-		store        *results.Store
-		sink         *results.Sink
+		cp           *engine.Checkpoint
 		startRound   int
 		startSamples uint64
 	)
 	if o.resume {
-		cp, err := engine.LoadCheckpoint(ckPath)
-		if err != nil {
+		if cp, err = engine.LoadCheckpoint(ckPath); err != nil {
 			return err
 		}
 		if cp.Fingerprint != fingerprint {
 			return fmt.Errorf("checkpoint %s belongs to a different campaign (fingerprint %s, want %s); "+
 				"rerun with the original -seed/-probes/-full/-days or start fresh", ckPath, cp.Fingerprint, fingerprint)
 		}
+		startRound, startSamples = cp.Round+1, cp.Samples
+	}
+	eta := campaignETA{started: time.Now(), from: startRound, total: cfg.Rounds()}
+	if err := r.Serve(campaignProgress(m, engMetrics, eta)); err != nil {
+		return err
+	}
+
+	// Open the sink: a fresh dataset, or — on resume — the existing one
+	// truncated back to the checkpoint's durable offset.
+	var (
+		store *results.Store
+		sink  *results.Sink
+	)
+	if cp != nil {
 		store, err = results.Open(o.out)
 		if err != nil {
 			return err
@@ -232,7 +241,6 @@ func run(o options) (err error) {
 		if err != nil {
 			return err
 		}
-		startRound, startSamples = cp.Round+1, cp.Samples
 		logger.Info("resuming campaign",
 			"rounds_done", startRound, "rounds_total", cfg.Rounds(),
 			"samples", startSamples, "sink_offset", cp.SinkOffset)
@@ -252,7 +260,7 @@ func run(o options) (err error) {
 		StartRound:    startRound,
 		StartSamples:  startSamples,
 		EngineMetrics: engMetrics,
-		Log:           logger.With("engine"),
+		Log:           logger.With("component", "engine"),
 		OnRound:       o.onRound,
 	}
 	campSpan := root.Child("campaign")
@@ -273,7 +281,7 @@ func run(o options) (err error) {
 		ctx = context.Background()
 	}
 	ctx = obs.ContextWith(ctx, campSpan)
-	stopProgress := startProgress(logger, m, cfg.Rounds(), o.progressEvery)
+	stopProgress := startProgress(logger, m, eta, o.progressEvery)
 	n, err := w.Platform.RunCampaignOpts(ctx, cfg, campaignOpts, sink.Write)
 	stopProgress()
 	campSpan.End()
@@ -314,7 +322,7 @@ func run(o options) (err error) {
 	go func() {
 		defer close(tixDone)
 		defer tixSpan.End()
-		if err := buildTix(store, w.Index, logger.With("tix")); err != nil {
+		if err := buildTix(store, w.Index, logger.With("component", "tix")); err != nil {
 			logger.Warn("temporal index build failed", "error", err)
 		}
 	}()
@@ -353,7 +361,7 @@ func run(o options) (err error) {
 		Path:          store.SnapshotPath(),
 		Metrics:       r.SnapMetrics(),
 		RefreshFactor: core.DefaultRefreshFactor,
-		Log:           logger.With("snap"),
+		Log:           logger.With("component", "snap"),
 		Passes:        core.PassProvider,
 	}
 	for _, f := range figures.Table {
@@ -387,7 +395,7 @@ func run(o options) (err error) {
 // rescanning the campaign. A record is a function of its block alone,
 // so rebuilding after an interrupted run appends exactly the records
 // the earlier run would have.
-func buildTix(store *results.Store, idx *core.Index, logger *obs.Logger) error {
+func buildTix(store *results.Store, idx *core.Index, logger *slog.Logger) error {
 	sf, closer, err := colf.Open(store.SamplesPath())
 	if err != nil {
 		return err
@@ -427,10 +435,31 @@ func writeTrace(path string, root *obs.Span) error {
 	return nil
 }
 
+// campaignETA estimates the time a campaign has left from the pace of
+// the rounds this process has run. A run resumed at round from has run
+// done-from of the done rounds the gauge reports.
+type campaignETA struct {
+	started     time.Time
+	from, total int
+}
+
+// left is the estimated time from now to the campaign's last round,
+// done rounds in; ok is false until this process has run a round.
+func (e campaignETA) left(done float64, now time.Time) (d time.Duration, ok bool) {
+	ran := done - float64(e.from)
+	if ran <= 0 {
+		return 0, false
+	}
+	if rest := float64(e.total) - done; rest > 0 {
+		d = time.Duration(float64(now.Sub(e.started)) / ran * rest)
+	}
+	return d, true
+}
+
 // campaignProgress adds the campaign block (round watermarks, samples,
 // ETA) and the engine block (queue depths, per-shard rounds) to the
 // run's /api/v1/progress body.
-func campaignProgress(r *cmdrun.Run, m *atlas.Metrics, em *engine.Metrics, totalRounds int) func(map[string]any) {
+func campaignProgress(m *atlas.Metrics, em *engine.Metrics, eta campaignETA) func(map[string]any) {
 	type campaignBlock struct {
 		RoundsDone  float64 `json:"rounds_done"`
 		RoundsTotal float64 `json:"rounds_total"`
@@ -450,9 +479,8 @@ func campaignProgress(r *cmdrun.Run, m *atlas.Metrics, em *engine.Metrics, total
 			Samples:     m.CampaignSamples.Sum(),
 			SamplesLost: m.CampaignLost.Value(),
 		}
-		if done := c.RoundsDone; done > 0 && totalRounds > 0 && done < float64(totalRounds) {
-			perRound := r.Elapsed().Seconds() / done
-			c.ETASeconds = perRound * (float64(totalRounds) - done)
+		if d, ok := eta.left(c.RoundsDone, time.Now()); ok {
+			c.ETASeconds = d.Seconds()
 		}
 		e := engineBlock{
 			QueueDepth:     em.QueueDepth.Value(),
@@ -470,7 +498,7 @@ func campaignProgress(r *cmdrun.Run, m *atlas.Metrics, em *engine.Metrics, total
 
 // startProgress launches the periodic campaign progress reporter. The
 // returned stop function halts it and waits for the goroutine to exit.
-func startProgress(logger *obs.Logger, m *atlas.Metrics, totalRounds int, every time.Duration) (stop func()) {
+func startProgress(logger *slog.Logger, m *atlas.Metrics, eta campaignETA, every time.Duration) (stop func()) {
 	if every <= 0 {
 		return func() {}
 	}
@@ -481,9 +509,8 @@ func startProgress(logger *obs.Logger, m *atlas.Metrics, totalRounds int, every 
 		defer wg.Done()
 		t := time.NewTicker(every)
 		defer t.Stop()
-		started := time.Now()
 		var lastSamples uint64
-		lastAt := started
+		lastAt := time.Now()
 		for {
 			select {
 			case <-done:
@@ -493,16 +520,15 @@ func startProgress(logger *obs.Logger, m *atlas.Metrics, totalRounds int, every 
 				rate := float64(samples-lastSamples) / now.Sub(lastAt).Seconds()
 				lastSamples, lastAt = samples, now
 				roundsDone := m.CampaignRoundsDone.Value()
-				eta := "?"
-				if roundsDone > 0 && totalRounds > 0 {
-					perRound := time.Since(started).Seconds() / roundsDone
-					eta = time.Duration(perRound * (float64(totalRounds) - roundsDone) * float64(time.Second)).Round(time.Second).String()
+				left := "?"
+				if d, ok := eta.left(roundsDone, now); ok {
+					left = d.Round(time.Second).String()
 				}
 				logger.Info("progress",
-					"round", roundsDone, "rounds_total", totalRounds,
-					"pct", fmt.Sprintf("%.1f", 100*roundsDone/float64(totalRounds)),
+					"round", roundsDone, "rounds_total", eta.total,
+					"pct", fmt.Sprintf("%.1f", 100*roundsDone/float64(eta.total)),
 					"samples", samples, "samples_per_sec", fmt.Sprintf("%.0f", rate),
-					"eta", eta, "continents", strings.TrimPrefix(continentTally(m), ", "))
+					"eta", left, "continents", strings.TrimPrefix(continentTally(m), ", "))
 			}
 		}
 	}()

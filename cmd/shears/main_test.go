@@ -450,6 +450,51 @@ func TestRunServesStatusEndpoints(t *testing.T) {
 	}
 }
 
+// TestCampaignETAOnResume: a campaign resumed at round 8 of 16 has run
+// one round, in a second, once the gauge reads 9, so seven rounds take
+// about seven seconds more. Dividing by all nine rounds the gauge counts
+// would promise under one. The progress body and the progress log line
+// both take their ETA from campaignETA.
+func TestCampaignETAOnResume(t *testing.T) {
+	now := time.Now()
+	eta := campaignETA{started: now.Add(-time.Second), from: 8, total: 16}
+	for _, tc := range []struct {
+		done float64
+		want time.Duration
+		ok   bool
+	}{
+		{0, 0, false}, // the campaign has not seeded the gauge yet
+		{8, 0, false}, // seeded, no round run
+		{9, 7 * time.Second, true},
+		{12, time.Second, true},
+		{16, 0, true},
+	} {
+		if got, ok := eta.left(tc.done, now); ok != tc.ok || got != tc.want {
+			t.Errorf("%v rounds done: ETA %v, %v; want %v, %v", tc.done, got, ok, tc.want, tc.ok)
+		}
+	}
+
+	reg := obs.NewRegistry()
+	m := atlas.NewMetrics(reg)
+	m.CampaignRoundsTotal.Set(16)
+	m.CampaignRoundsDone.Set(9)
+	p := map[string]any{}
+	campaignProgress(m, engine.NewMetrics(reg), eta)(p)
+	b, err := json.Marshal(p["campaign"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c struct {
+		ETASeconds float64 `json:"eta_seconds"`
+	}
+	if err := json.Unmarshal(b, &c); err != nil {
+		t.Fatal(err)
+	}
+	if c.ETASeconds < 7 || c.ETASeconds > 8 {
+		t.Errorf("progress eta_seconds = %v one round after resuming at 8 of 16, want about 7", c.ETASeconds)
+	}
+}
+
 // TestRunWritesManifest checks the run.json evidence bundle: identity,
 // flags-independent defaults, per-stage durations, and throughput.
 func TestRunWritesManifest(t *testing.T) {

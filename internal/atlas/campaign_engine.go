@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"time"
 
 	"repro/internal/engine"
@@ -53,7 +54,7 @@ type CampaignOptions struct {
 
 	// Log, when set, receives the engine's structured events (checkpoint
 	// writes, run completion).
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // serial reports whether the options select the plain single-goroutine

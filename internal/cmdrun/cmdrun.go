@@ -9,6 +9,7 @@ package cmdrun
 import (
 	"flag"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -47,18 +48,13 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 
 // Logger parses the log flags and builds component's logger over dst,
 // keeping its last events log events in the returned flight recorder.
-func (f Flags) Logger(dst io.Writer, component string, events int) (*obs.Logger, *obs.Recorder, error) {
-	level, err := obs.ParseLevel(f.LogLevel)
-	if err != nil {
-		return nil, nil, err
-	}
-	format, err := obs.ParseLogFormat(f.LogFormat)
-	if err != nil {
-		return nil, nil, err
-	}
+func (f Flags) Logger(dst io.Writer, component string, events int) (*slog.Logger, *obs.Recorder, error) {
 	rec := obs.NewRecorder(events)
-	logger := obs.NewLogger(dst, obs.WithLogFormat(format), obs.WithLogLevel(level), obs.WithRecorder(rec))
-	return logger.With(component), rec, nil
+	logger, err := obs.NewLogger(dst, f.LogFormat, f.LogLevel, rec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return logger.With("component", component), rec, nil
 }
 
 // Config describes one command run.
@@ -81,12 +77,12 @@ type Config struct {
 }
 
 // Run is one started command run. A nil *Run, as unit tests pass, is
-// inert: Log, Span, SnapMetrics and ScanMetrics return nil and NoteScan
-// records nothing.
+// inert: Log returns obs.Discard, Span, SnapMetrics and ScanMetrics
+// return nil and NoteScan records nothing.
 type Run struct {
 	cfg      Config
 	began    time.Time
-	log      *obs.Logger
+	log      *slog.Logger
 	rec      *obs.Recorder
 	reg      *obs.Registry
 	snap     *snap.Metrics
@@ -127,9 +123,9 @@ func Start(cfg Config) (*Run, error) {
 }
 
 // Log is the run's component logger.
-func (r *Run) Log() *obs.Logger {
+func (r *Run) Log() *slog.Logger {
 	if r == nil {
-		return nil
+		return obs.Discard
 	}
 	return r.log
 }
@@ -216,7 +212,9 @@ func (r *Run) Serve(blocks func(progress map[string]any)) error {
 		blocks(p)
 		return p
 	}
-	r.srv = &http.Server{Handler: obs.NewStatusMux(r.reg, r.rec, progress)}
+	// A client that never finishes its request headers must not hold a
+	// connection open for the rest of the run.
+	r.srv = &http.Server{Handler: obs.NewStatusMux(r.reg, r.rec, progress), ReadHeaderTimeout: 5 * time.Second}
 	go r.srv.Serve(ln)
 	r.log.Info("status server listening", "addr", ln.Addr().String())
 	if r.cfg.StatusReady != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -169,6 +170,40 @@ func TestStatusServer(t *testing.T) {
 	if resp, err := c.Get("http://" + addr + "/metrics"); err == nil {
 		resp.Body.Close()
 		t.Error("status server still serving after Finish")
+	}
+}
+
+// TestStatusServerClosesStalledRequest: a status client that sends half
+// a request line and stalls is cut off once the header bound passes, so
+// it cannot hold a connection for the rest of the run.
+func TestStatusServerClosesStalledRequest(t *testing.T) {
+	ready := make(chan string, 1)
+	r, err := Start(Config{
+		Flags: Flags{StatusAddr: "127.0.0.1:0"}, Binary: "test",
+		LogDst: io.Discard, StatusReady: func(addr string) { ready <- addr },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Finish(nil, nil)
+	if err := r.Serve(func(map[string]any) {}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", <-ready)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HT"); err != nil {
+		t.Fatal(err)
+	}
+	bound := r.srv.ReadHeaderTimeout
+	if bound <= 0 {
+		t.Fatal("status server has no header bound")
+	}
+	conn.SetReadDeadline(time.Now().Add(bound + 10*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Errorf("stalled request still open past the %v header bound: %v", bound, err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io/fs"
+	"log/slog"
 	"math"
 	"os"
 	"sort"
@@ -61,7 +62,7 @@ type SnapshotOptions struct {
 	RefreshFactor float64
 	// Log, when set, receives snapshot lifecycle events (hit, miss,
 	// invalidation, write) for the run's flight recorder.
-	Log *obs.Logger
+	Log *slog.Logger
 	// Passes names the passes the caller will read from the report; the
 	// others come back nil. The zero value reports all six. A non-zero
 	// set within the two snapshot passes (Figures 4 and 5) is the only
@@ -69,6 +70,14 @@ type SnapshotOptions struct {
 	// and rewrite. Any other set scans cold over exactly its passes,
 	// and writes the file only if those include both snapshot passes.
 	Passes PassSet
+}
+
+// log is Log, or obs.Discard when Log is nil.
+func (so SnapshotOptions) log() *slog.Logger {
+	if so.Log == nil {
+		return obs.Discard
+	}
+	return so.Log
 }
 
 // resumes reports whether the scan so describes is one the snapshot can
@@ -363,13 +372,13 @@ func loadSnapshot(path string, store *results.Store, idx *Index, start time.Time
 	sm := so.Metrics
 	invalidate := func(reason string) {
 		sm.Invalidate()
-		so.Log.Info("snapshot invalidated", "path", path, "reason", reason)
+		so.log().Info("snapshot invalidated", "path", path, "reason", reason)
 	}
 	rec, err := snap.ReadFile(path, snapshotBinding(store, idx, start, binWidth))
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		sm.Miss()
-		so.Log.Debug("snapshot miss", "path", path)
+		so.log().Debug("snapshot miss", "path", path)
 		return nil, 0, nil
 	case errors.Is(err, snap.ErrMismatch):
 		invalidate("header mismatch")
@@ -431,7 +440,7 @@ func writeSnapshot(ctx context.Context, path string, store *results.Store, idx *
 		return err
 	}
 	so.Metrics.Wrote()
-	so.Log.Info("snapshot written", "path", path,
+	so.log().Info("snapshot written", "path", path,
 		"covered_bytes", st.DataEnd, "covered_blocks", st.BlocksTotal, "samples", samples)
 	return nil
 }
@@ -503,7 +512,7 @@ func scanSeeded(ctx context.Context, store *results.Store, idx *Index, start tim
 		// The covered boundary no longer holds (the store changed in a way
 		// the window CRCs could not see): drop the snapshot, scan cold.
 		so.Metrics.Invalidate()
-		so.Log.Warn("snapshot invalidated", "path", so.Path,
+		so.log().Warn("snapshot invalidated", "path", so.Path,
 			"reason", "resumed scan failed past covered boundary", "error", err)
 		prefix, prefixSamples, resume = nil, 0, nil
 		suites, st, err = scanOnce(nil)
@@ -521,7 +530,7 @@ func scanSeeded(ctx context.Context, store *results.Store, idx *Index, start tim
 		}
 		merged = prefix
 		so.Metrics.Hit(resume.Blocks, resume.Bytes)
-		so.Log.Info("snapshot hit", "path", so.Path,
+		so.log().Info("snapshot hit", "path", so.Path,
 			"covered_bytes", resume.Bytes, "covered_blocks", resume.Blocks,
 			"delta_bytes", st.DataEnd-resume.Bytes)
 	}
@@ -559,7 +568,7 @@ func ScanStoreSnap(ctx context.Context, store *results.Store, idx *Index, start 
 	}
 	if err := writeIfDue(ctx, store, idx, start, binWidth, merged, total, st, so); err != nil {
 		so.Metrics.WriteFailed()
-		so.Log.Warn("snapshot not written; the next run scans cold", "path", so.Path, "error", err)
+		so.log().Warn("snapshot not written; the next run scans cold", "path", so.Path, "error", err)
 	}
 	span := obs.From(ctx).Child("suite.report")
 	defer span.End()

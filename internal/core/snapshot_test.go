@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -333,7 +334,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 		t.Helper()
 		var log bytes.Buffer
 		sm := snap.NewMetrics(obs.NewRegistry())
-		so := core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Log: obs.NewLogger(&log), Passes: snapPasses}
+		so := core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Log: slog.New(slog.NewTextHandler(&log, nil)), Passes: snapPasses}
 		rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, binWidth, 3, nil, so)
 		if err != nil {
 			t.Fatal(err)
@@ -768,7 +769,7 @@ func TestSnapshotWriteFailureKeepsReport(t *testing.T) {
 	for _, passes := range []core.PassSet{core.PassProximity, 0} {
 		var log bytes.Buffer
 		sm := snap.NewMetrics(obs.NewRegistry())
-		so := core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Log: obs.NewLogger(&log), Passes: passes}
+		so := core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Log: slog.New(slog.NewTextHandler(&log, nil)), Passes: passes}
 		rep, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 2, nil, so)
 		if err != nil {
 			t.Fatalf("passes %v: an unwritable snapshot cost the report: %v", passes, err)
@@ -783,7 +784,7 @@ func TestSnapshotWriteFailureKeepsReport(t *testing.T) {
 		if sm.WriteErrors.Value() != 1 || sm.Writes.Value() != 0 {
 			t.Errorf("passes %v: snap_write_errors_total=%d snap_writes_total=%d, want 1 and 0", passes, sm.WriteErrors.Value(), sm.Writes.Value())
 		}
-		if !strings.Contains(log.String(), "level=warn") || !strings.Contains(log.String(), "snapshot not written") {
+		if !strings.Contains(log.String(), "level=WARN") || !strings.Contains(log.String(), "snapshot not written") {
 			t.Errorf("passes %v: the failed write is not warned about:\n%s", passes, log.String())
 		}
 	}

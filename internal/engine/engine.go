@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -96,7 +97,7 @@ type Config struct {
 
 	// Log, when set, receives structured events (checkpoint writes, run
 	// completion or failure) for the run's flight recorder.
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // batch is one (shard, round) cell traveling from a worker to the merger.
@@ -121,6 +122,9 @@ func Run(ctx context.Context, cfg Config) (uint64, error) {
 	}
 	if cfg.Rounds < 0 || cfg.StartRound < 0 || cfg.StartRound > cfg.Rounds {
 		return cfg.StartSamples, fmt.Errorf("engine: invalid round window start=%d rounds=%d", cfg.StartRound, cfg.Rounds)
+	}
+	if cfg.Log == nil {
+		cfg.Log = obs.Discard
 	}
 	workers := cfg.Workers
 	if workers < 1 {

@@ -2,62 +2,99 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func fixedClock() func() time.Time {
-	return func() time.Time { return time.Date(2020, 6, 1, 12, 0, 0, 0, time.UTC) }
+// newLogger is NewLogger for arguments the test knows are valid.
+func newLogger(t *testing.T, buf *bytes.Buffer, format, level string, rec *Recorder) *slog.Logger {
+	t.Helper()
+	l, err := NewLogger(buf, format, level, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
-// clocked pins l's clock to fixedClock.
-func clocked(l *Logger) *Logger {
-	l.sink.clock = fixedClock()
-	return l
+// untimed checks that a text line opens with a parseable time field and
+// returns the rest of it.
+func untimed(t *testing.T, line string) string {
+	t.Helper()
+	ts, rest, ok := strings.Cut(strings.TrimPrefix(line, "time="), " ")
+	if !ok || !strings.HasPrefix(line, "time=") {
+		t.Fatalf("line does not open with its time: %q", line)
+	}
+	if _, err := time.Parse(time.RFC3339Nano, ts); err != nil {
+		t.Errorf("time field: %v", err)
+	}
+	return rest
+}
+
+// dump decodes a recorder's /debug/events body.
+type dump struct {
+	Total   uint64           `json:"total"`
+	Dropped uint64           `json:"dropped"`
+	Events  []map[string]any `json:"events"`
+}
+
+func dumpOf(t *testing.T, rec *Recorder) dump {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var d dump
+	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
+		t.Fatalf("events dump does not parse: %v\n%s", err, buf.String())
+	}
+	return d
 }
 
 func TestLoggerTextFormat(t *testing.T) {
 	var buf bytes.Buffer
-	l := clocked(NewLogger(&buf))
-	l.With("shears").Info("campaign done", "samples", 42, "rate", 1.5, "out", "my dir")
-	got := buf.String()
-	want := `ts=2020-06-01T12:00:00Z level=info component=shears msg="campaign done" samples=42 rate=1.5 out="my dir"` + "\n"
-	if got != want {
-		t.Errorf("logfmt line:\n got %q\nwant %q", got, want)
+	l := newLogger(t, &buf, "text", "info", nil).With("component", "shears")
+	l.Info("campaign done", "samples", 42, "rate", 1.5, "out", "my dir")
+	want := `level=INFO msg="campaign done" samples=42 rate=1.5 out="my dir" component=shears` + "\n"
+	if got := untimed(t, buf.String()); got != want {
+		t.Errorf("text line:\n got %q\nwant %q", got, want)
 	}
 }
 
 func TestLoggerJSONFormat(t *testing.T) {
 	var buf bytes.Buffer
-	l := clocked(NewLogger(&buf, WithLogFormat(FormatJSON)))
-	l.With("atlasd").Warn("slow request", "route", "probes", "ms", 12.5)
+	l := newLogger(t, &buf, "json", "info", nil).With("component", "atlasd")
+	l.Warn("slow request", "route", "probes", "ms", 12.5, "error", fmt.Errorf("sink: broken"))
 	var obj map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
 		t.Fatalf("JSON line does not parse: %v\n%s", err, buf.String())
 	}
 	for k, want := range map[string]any{
-		"level":     "warn",
+		"level":     "WARN",
 		"component": "atlasd",
 		"msg":       "slow request",
 		"route":     "probes",
 		"ms":        12.5,
+		"error":     "sink: broken",
 	} {
 		if obj[k] != want {
 			t.Errorf("field %q = %v, want %v", k, obj[k], want)
 		}
 	}
-	if _, err := time.Parse(time.RFC3339Nano, obj["ts"].(string)); err != nil {
-		t.Errorf("ts field: %v", err)
+	if _, err := time.Parse(time.RFC3339Nano, obj["time"].(string)); err != nil {
+		t.Errorf("time field: %v", err)
 	}
 }
 
 func TestLoggerLevelGate(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, WithLogLevel(LevelWarn))
+	rec := NewRecorder(8)
+	l := newLogger(t, &buf, "text", "warn", rec)
 	l.Debug("dropped")
 	l.Info("dropped")
 	l.Warn("kept")
@@ -65,115 +102,133 @@ func TestLoggerLevelGate(t *testing.T) {
 	if n := strings.Count(buf.String(), "\n"); n != 2 {
 		t.Errorf("level gate let %d lines through, want 2:\n%s", n, buf.String())
 	}
-}
-
-func TestLoggerNilInert(t *testing.T) {
-	var l *Logger
-	// None of these may panic.
-	l.Debug("x")
-	l.Info("x", "k", 1)
-	l.Warn("x")
-	l.Error("x", "err", fmt.Errorf("boom"))
-	if l.With("sub") != nil {
-		t.Error("nil Logger With returned non-nil")
-	}
-	var r *Recorder
-	r.Record(Event{})
-	if r.Events() != nil || r.Total() != 0 {
-		t.Error("nil Recorder not inert")
+	if d := dumpOf(t, rec); d.Total != 2 {
+		t.Errorf("recorder kept %d records under the gate, want 2", d.Total)
 	}
 }
 
+// TestParseLevelAndFormat: an empty format and level, as a zero flag set
+// passes, mean text at info; names are case-blind; an unknown name is an
+// error that lists the flag's choices.
+func TestParseLevelAndFormat(t *testing.T) {
+	var buf bytes.Buffer
+	l := newLogger(t, &buf, "", "", nil)
+	l.Debug("dropped")
+	l.Info("kept", "n", 1)
+	if got := untimed(t, buf.String()); got != "level=INFO msg=kept n=1\n" {
+		t.Errorf("default line = %q", got)
+	}
+	for _, tc := range []struct{ format, level, want string }{
+		{"text", "loud", "want debug, info, warn, or error"},
+		{"text", "warning", "want debug, info, warn, or error"},
+		{"xml", "info", "want text or json"},
+	} {
+		_, err := NewLogger(&bytes.Buffer{}, tc.format, tc.level, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewLogger(format %q, level %q) err = %v, want %q", tc.format, tc.level, err, tc.want)
+		}
+	}
+	for _, ok := range []struct{ format, level string }{
+		{"logfmt", "debug"}, {"JSON", "ERROR"}, {"text", "Warn"},
+	} {
+		if _, err := NewLogger(&bytes.Buffer{}, ok.format, ok.level, nil); err != nil {
+			t.Errorf("NewLogger(format %q, level %q): %v", ok.format, ok.level, err)
+		}
+	}
+}
+
+// TestLoggerSubComponentNesting: a component under a component joins
+// the names with a dot, in the text line, the JSON line and the ring
+// alike.
 func TestLoggerSubComponentNesting(t *testing.T) {
-	var buf bytes.Buffer
-	l := clocked(NewLogger(&buf)).With("shears").With("scan")
-	l.Info("m")
-	want := `ts=2020-06-01T12:00:00Z level=info component=shears.scan msg=m` + "\n"
-	if got := buf.String(); got != want {
-		t.Errorf("nested component line = %q, want %q", got, want)
-	}
-}
-
-func TestLoggerNormalizesValues(t *testing.T) {
-	var buf bytes.Buffer
-	l := clocked(NewLogger(&buf))
-	l.Info("m", "err", fmt.Errorf("sink: broken"), "took", 1500*time.Millisecond)
-	got := buf.String()
-	if !strings.Contains(got, `err="sink: broken"`) {
-		t.Errorf("error value not normalized: %q", got)
-	}
-	if !strings.Contains(got, "took=1.5s") {
-		t.Errorf("duration value not normalized: %q", got)
-	}
-}
-
-func TestLoggerOddKVKept(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf)
-	l.Info("m", "k1", 1, "dangling")
-	if !strings.Contains(buf.String(), "!extra=dangling") {
-		t.Errorf("odd trailing value dropped: %q", buf.String())
+	for _, format := range []string{"text", "json"} {
+		var buf bytes.Buffer
+		rec := NewRecorder(4)
+		l := newLogger(t, &buf, format, "info", rec).With("component", "shears").With("component", "scan")
+		l.Info("m")
+		line := buf.String()
+		if format == "text" && !strings.HasSuffix(line, " component=shears.scan\n") {
+			t.Errorf("text line %q lacks the dotted component", line)
+		}
+		if format == "json" && !strings.Contains(line, `"component":"shears.scan"`) {
+			t.Errorf("JSON line %q lacks the dotted component", line)
+		}
+		if strings.Count(line, "component") != 1 {
+			t.Errorf("%s line %q repeats the component", format, line)
+		}
+		if d := dumpOf(t, rec); len(d.Events) != 1 || d.Events[0]["component"] != "shears.scan" {
+			t.Errorf("%s: ring = %+v, want one shears.scan record", format, d.Events)
+		}
 	}
 }
 
 func TestRecorderRingEviction(t *testing.T) {
-	r := NewRecorder(3)
-	for i := 0; i < 5; i++ {
-		r.Record(Event{Msg: fmt.Sprintf("e%d", i)})
+	rec := NewRecorder(2)
+	l := newLogger(t, &bytes.Buffer{}, "text", "info", rec).With("component", "engine")
+	for _, round := range []int{16, 32, 48} {
+		l.Info("checkpoint", "round", round)
 	}
-	events := r.Events()
-	if len(events) != 3 {
-		t.Fatalf("ring kept %d events, want 3", len(events))
+	d := dumpOf(t, rec)
+	if d.Total != 3 || d.Dropped != 1 || len(d.Events) != 2 {
+		t.Fatalf("dump total=%d dropped=%d events=%d, want 3/1/2", d.Total, d.Dropped, len(d.Events))
 	}
-	for i, want := range []string{"e2", "e3", "e4"} {
-		if events[i].Msg != want {
-			t.Errorf("events[%d] = %q, want %q (oldest first)", i, events[i].Msg, want)
+	for i, want := range []float64{32, 48} {
+		if got := d.Events[i]["round"]; got != want {
+			t.Errorf("events[%d] round = %v, want %v (oldest first)", i, got, want)
 		}
-	}
-	if r.Total() != 5 {
-		t.Errorf("Total = %d, want 5", r.Total())
 	}
 }
 
+// TestRecorderWriteJSON pins the /debug/events body: one object with
+// total, dropped and the events, each a JSON log record keeping level,
+// msg and component; an empty ring dumps an empty list.
 func TestRecorderWriteJSON(t *testing.T) {
-	r := NewRecorder(2)
-	l := clocked(NewLogger(nil, WithRecorder(r)))
-	l.With("engine").Info("checkpoint", "round", 16)
-	l.With("engine").Info("checkpoint", "round", 32)
-	l.With("engine").Info("checkpoint", "round", 48)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	var empty bytes.Buffer
+	if err := NewRecorder(2).WriteJSON(&empty); err != nil {
 		t.Fatal(err)
 	}
-	var dump struct {
-		Total   uint64           `json:"total"`
-		Dropped uint64           `json:"dropped"`
-		Events  []map[string]any `json:"events"`
+	if got := strings.Join(strings.Fields(empty.String()), ""); got != `{"total":0,"dropped":0,"events":[]}` {
+		t.Errorf("empty dump = %s", got)
 	}
-	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
-		t.Fatalf("events dump does not parse: %v\n%s", err, buf.String())
+	rec := NewRecorder(2)
+	newLogger(t, &bytes.Buffer{}, "text", "info", rec).With("component", "engine").Info("checkpoint", "round", 16)
+	d := dumpOf(t, rec)
+	if d.Total != 1 || d.Dropped != 0 || len(d.Events) != 1 {
+		t.Fatalf("dump total=%d dropped=%d events=%d, want 1/0/1", d.Total, d.Dropped, len(d.Events))
 	}
-	if dump.Total != 3 || dump.Dropped != 1 || len(dump.Events) != 2 {
-		t.Errorf("dump total=%d dropped=%d events=%d, want 3/1/2", dump.Total, dump.Dropped, len(dump.Events))
+	e := d.Events[0]
+	if e["level"] != "INFO" || e["msg"] != "checkpoint" || e["component"] != "engine" || e["round"] != float64(16) {
+		t.Errorf("event = %v", e)
 	}
-	if dump.Events[0]["round"] != float64(32) {
-		t.Errorf("oldest retained event round = %v, want 32", dump.Events[0]["round"])
+	if _, err := time.Parse(time.RFC3339Nano, fmt.Sprint(e["time"])); err != nil {
+		t.Errorf("event time: %v", err)
 	}
-	if dump.Events[0]["component"] != "engine" {
-		t.Errorf("component lost in dump: %v", dump.Events[0])
+}
+
+// TestRecorderKeepsValuesAsLogged: the ring encodes a record when it is
+// logged, so a slice the caller changes afterwards dumps as it was.
+func TestRecorderKeepsValuesAsLogged(t *testing.T) {
+	rec := NewRecorder(4)
+	l := newLogger(t, &bytes.Buffer{}, "text", "info", rec)
+	v := []int{1, 2}
+	l.Info("m", "v", v)
+	v[0] = 99
+	d := dumpOf(t, rec)
+	if got := fmt.Sprint(d.Events[0]["v"]); got != "[1 2]" {
+		t.Errorf("dumped v = %s, want [1 2] as logged", got)
 	}
 }
 
 func TestLoggerConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(64)
-	l := NewLogger(&buf, WithRecorder(rec))
+	l := newLogger(t, &buf, "text", "info", rec)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sub := l.With(fmt.Sprintf("g%d", g))
+			sub := l.With("component", fmt.Sprintf("g%d", g))
 			for i := 0; i < 50; i++ {
 				sub.Info("tick", "i", i)
 			}
@@ -184,35 +239,53 @@ func TestLoggerConcurrent(t *testing.T) {
 		t.Errorf("concurrent writers produced %d lines, want 400", n)
 	}
 	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
-		if !strings.HasPrefix(line, "ts=") || !strings.Contains(line, "msg=tick") {
+		if !strings.HasPrefix(line, "time=") || !strings.Contains(line, "msg=tick") {
 			t.Fatalf("torn log line: %q", line)
 		}
 	}
-	if rec.Total() != 400 {
-		t.Errorf("recorder saw %d events, want 400", rec.Total())
+	if d := dumpOf(t, rec); d.Total != 400 || len(d.Events) != 64 {
+		t.Errorf("recorder saw %d records and kept %d, want 400 and 64", d.Total, len(d.Events))
 	}
 }
 
-func TestParseLevelAndFormat(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError, "": LevelInfo,
-	} {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", in, got, err)
-		}
+// TestLoggerNilInert: Discard, which a nil Log option stands for, drops
+// everything and survives With; a logger without a recorder logs.
+func TestLoggerNilInert(t *testing.T) {
+	l := Discard.With("component", "x")
+	l.Error("x", "k", 1)
+	if l.Enabled(context.Background(), slog.LevelError) {
+		t.Error("Discard is enabled")
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel accepted garbage")
+	var buf bytes.Buffer
+	newLogger(t, &buf, "json", "info", nil).Info("m")
+	if !strings.Contains(buf.String(), `"msg":"m"`) {
+		t.Errorf("logger without a recorder wrote %q", buf.String())
 	}
-	for in, want := range map[string]LogFormat{"text": FormatText, "logfmt": FormatText, "json": FormatJSON, "": FormatText} {
-		got, err := ParseLogFormat(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLogFormat(%q) = %v, %v", in, got, err)
-		}
+}
+
+// TestLoggerNormalizesValues: an error logs as its message and a
+// duration as its String in text and as nanoseconds in JSON, in the
+// ring too.
+func TestLoggerNormalizesValues(t *testing.T) {
+	var buf bytes.Buffer
+	rec := NewRecorder(2)
+	newLogger(t, &buf, "text", "info", rec).Info("m", "err", fmt.Errorf("sink: broken"), "took", 1500*time.Millisecond)
+	if got := untimed(t, buf.String()); got != `level=INFO msg=m err="sink: broken" took=1.5s`+"\n" {
+		t.Errorf("text line = %q", got)
 	}
-	if _, err := ParseLogFormat("xml"); err == nil {
-		t.Error("ParseLogFormat accepted garbage")
+	e := dumpOf(t, rec).Events[0]
+	if e["err"] != "sink: broken" || e["took"] != float64(1500*time.Millisecond) {
+		t.Errorf("ring record = %v", e)
+	}
+}
+
+// TestLoggerOddKVKept: a trailing value without a key is kept, under
+// slog's !BADKEY.
+func TestLoggerOddKVKept(t *testing.T) {
+	var buf bytes.Buffer
+	kv := []any{"k1", 1, "dangling"} // a slice, so vet lets the odd list through
+	newLogger(t, &buf, "text", "info", nil).Info("m", kv...)
+	if !strings.Contains(buf.String(), "k1=1 !BADKEY=dangling") {
+		t.Errorf("odd trailing value dropped: %q", buf.String())
 	}
 }

@@ -27,8 +27,11 @@ func TestStatusMuxServesAllEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("demo_total", "A demo counter.").Add(7)
 	rec := NewRecorder(8)
-	l := NewLogger(nil, WithRecorder(rec))
-	l.With("test").Info("hello", "n", 1)
+	l, err := NewLogger(io.Discard, "", "", rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.With("component", "test").Info("hello", "n", 1)
 	type prog struct {
 		Round int `json:"round"`
 	}

@@ -21,6 +21,9 @@ import (
 // prefixBlocks/prefixBytes naming what was skipped. r is the data
 // source block payloads are read from.
 func scanBlocks(ctx context.Context, cfg Config, r io.ReaderAt, size int64, span *obs.Span, blocks []colf.BlockInfo, prefixBlocks int, prefixBytes int64) (Stats, error) {
+	if cfg.Log == nil {
+		cfg.Log = obs.Discard
+	}
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)

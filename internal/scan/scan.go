@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"time"
 
@@ -84,7 +85,7 @@ type Config struct {
 	// Metrics, when set, receives scan_* instruments.
 	Metrics *Metrics
 	// Log, when set, receives a scan-completion event with the stats.
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // Resume names the covered boundary a scan may skip to: the byte

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"os"
 	"strings"
 	"sync"
@@ -67,7 +68,7 @@ type Options struct {
 	Metrics     *Metrics
 	ScanMetrics *scan.Metrics
 	// Log, when set, receives serving lifecycle events.
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // snapshotView is one published, immutable serving state: the figure
@@ -132,6 +133,9 @@ func NewEngine(store *results.Store, idx *core.Index, opt Options) (*Engine, err
 	}
 	if opt.FillTimeout <= 0 {
 		opt.FillTimeout = DefaultFillTimeout
+	}
+	if opt.Log == nil {
+		opt.Log = obs.Discard
 	}
 	hot, err := core.NewHotSuite(store, idx, store.Meta().Start, BinWidth, core.SnapshotOptions{})
 	if err != nil {

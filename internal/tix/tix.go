@@ -44,6 +44,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"os"
 	"slices"
@@ -105,7 +106,7 @@ type Index struct {
 	path    string
 	f       *os.File
 	binding Binding
-	log     *obs.Logger
+	log     *slog.Logger
 
 	recs []blockRec // record i describes block i
 	cum  []prefix   // cum[i] totals blocks [0, i); len(recs)+1 rows
@@ -132,10 +133,13 @@ func decoder(pool *sync.Pool) *colf.BlockDecoder {
 // initialized empty index; a torn or invalid record suffix is
 // truncated away and the valid prefix kept. Open never decodes store
 // blocks — call Extend to grow the index to the block list.
-func Open(path string, b Binding, blocks []colf.BlockInfo, log *obs.Logger) (*Index, error) {
+func Open(path string, b Binding, blocks []colf.BlockInfo, log *slog.Logger) (*Index, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	if log == nil {
+		log = obs.Discard
 	}
 	ix := &Index{
 		path: path, f: f, binding: b, log: log,

@@ -1,7 +1,7 @@
 // Command namelint checks every metric name, metric label, and
 // structured log key literal in the tree against obs.ValidName — the
-// shared naming rule for the Prometheus exposition and the logfmt/JSON
-// log encodings. A name that fails the rule would either be rejected at
+// shared naming rule for the Prometheus exposition and the text/JSON
+// encodings of log/slog's handlers. A name that fails the rule would either be rejected at
 // registration (metrics, a runtime panic) or force quoting and escaping
 // in the exposition (log keys), so the gate catches both at review time.
 //
@@ -35,8 +35,9 @@ var metricCtors = map[string]bool{
 	"CounterVec": true, "GaugeVec": true, "HistogramVec": true,
 }
 
-// logMethods are the leveled logger methods whose variadic tail is
+// logMethods are *slog.Logger's leveled methods, whose variadic tail is
 // key/value pairs: string literals at key positions must be valid names.
+// The match is by method name and call shape, not by receiver type.
 var logMethods = map[string]bool{
 	"Debug": true, "Info": true, "Warn": true, "Error": true,
 }

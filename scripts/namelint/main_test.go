@@ -22,7 +22,7 @@ func lintSource(t *testing.T, src string) int {
 func TestLintFlagsBadNames(t *testing.T) {
 	src := `package p
 
-func f(reg *Registry, log *Logger) {
+func f(reg *Registry, log *slog.Logger) {
 	reg.Counter("good_total", "help")
 	reg.Counter("bad-name", "help")
 	reg.GaugeVec("ok_gauge", "help", "shard", "bad label")
