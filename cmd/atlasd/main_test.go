@@ -167,6 +167,7 @@ func TestBuildServesTelemetry(t *testing.T) {
 		defer resp.Body.Close()
 		var st struct {
 			Serving struct {
+				Samples  uint64          `json:"samples"`
 				Resident *serve.Resident `json:"resident_bytes"`
 			} `json:"serving"`
 		}
@@ -177,8 +178,10 @@ func TestBuildServesTelemetry(t *testing.T) {
 		if r == nil {
 			t.Fatal("status has no serving.resident_bytes")
 		}
-		if r.NearestRows <= 0 || r.KeptSets < 0 || r.TixPrefix < 0 || r.TixDirectory < 0 || r.ReadCache < 0 {
-			t.Fatalf("resident bytes %+v", *r)
+		// The row buffer is 14 bytes per delivered row plus its time runs,
+		// best rows and chunk headers: under 15 per served sample.
+		if r.NearestRows <= 0 || r.NearestRows >= 15*int64(st.Serving.Samples) || r.KeptSets < 0 || r.TixPrefix < 0 || r.TixDirectory < 0 || r.ReadCache < 0 {
+			t.Fatalf("resident bytes %+v over %d samples", *r, st.Serving.Samples)
 		}
 		return *r
 	}

@@ -24,12 +24,12 @@ import (
 // when a probe's nearest region flips.
 //
 // The buffer is one column chunk per observed block, in file order:
-// probe, interned region id, RTT and timestamp, allocated once at the
-// block's delivered count — 22 bytes per delivered sample, no
-// per-probe growth and nothing for the collector to walk. Beside it the
-// pass keeps each probe's best row, whose region is the probe's nearest.
-// A report filters the chunks against that per-probe nearest region and
-// sorts only the rows it keeps, about one in twenty.
+// probe, interned region id and RTT, allocated once at the block's
+// delivered count (14 bytes per sample), and the timestamps as runs a
+// round's rows share, 16 bytes each. Beside it the pass keeps each
+// probe's best row, whose region is the probe's nearest. A report
+// filters the chunks against that per-probe nearest region and sorts
+// only the rows it keeps, about one in twenty.
 //
 // Once a report has been taken, the pass also keeps that figure's kept
 // rows resident as ascending multisets (keptSets): the next report
@@ -69,12 +69,18 @@ type weekKey struct {
 }
 
 // rowChunk is one block's delivered samples of known probes, in file
-// order, as four parallel columns.
+// order: three parallel columns and the rows' timestamps as runs.
 type rowChunk struct {
 	probe  []int32
 	region []uint16 // the pass's interned region id
 	rtt    []float64
-	nanos  []int64 // unix nanoseconds
+	times  []timeRun
+}
+
+// timeRun stamps the rows from the previous run's end up to end.
+type timeRun struct {
+	end   int32
+	nanos int64 // unix nanoseconds
 }
 
 // add appends one delivered sample.
@@ -82,7 +88,10 @@ func (c *rowChunk) add(probe int, region uint16, rtt float64, nanos int64) {
 	c.probe = append(c.probe, int32(probe))
 	c.region = append(c.region, region)
 	c.rtt = append(c.rtt, rtt)
-	c.nanos = append(c.nanos, nanos)
+	if n := len(c.times); n == 0 || c.times[n-1].nanos != nanos {
+		c.times = append(c.times, timeRun{nanos: nanos})
+	}
+	c.times[len(c.times)-1].end = int32(len(c.rtt))
 }
 
 // bestRow is a probe's row of the lowest RTT, the earliest such row on a
@@ -135,10 +144,10 @@ func (p *NearestPass) Columns() colf.ColumnSet { return colf.ColTime | colf.ColR
 // ObserveBlock implements Pass: the block's kept rows become one chunk,
 // allocated once at the CRC-checked footer's delivered count — or at the
 // row count when the footer does not describe the rows at hand (a block
-// compacted to a predicate's rows, or one from results.Memory). A
-// dictionary entry is interned the first time a kept row references it
-// — at most one map lookup per entry per block, and the table never
-// names a region no row holds.
+// compacted to a predicate's rows, or one from results.Memory), its time
+// runs at the block's timestamp changes. A dictionary entry is interned
+// the first time a kept row references it — at most one map lookup per
+// entry per block, and the table never names a region no row holds.
 func (p *NearestPass) ObserveBlock(blk *colf.Block) error {
 	p.remap = p.remap[:0]
 	for range blk.Dict {
@@ -148,7 +157,13 @@ func (p *NearestPass) ObserveBlock(blk *colf.Block) error {
 	if blk.Zone.Rows != blk.Rows() {
 		n = blk.Rows()
 	}
-	ch := rowChunk{probe: make([]int32, 0, n), region: make([]uint16, 0, n), rtt: make([]float64, 0, n), nanos: make([]int64, 0, n)}
+	runs := 0
+	for i, t := range blk.TimeNano {
+		if i == 0 || t != blk.TimeNano[i-1] {
+			runs++
+		}
+	}
+	ch := rowChunk{probe: make([]int32, 0, n), region: make([]uint16, 0, n), rtt: make([]float64, 0, n), times: make([]timeRun, 0, runs)}
 	lastProbe, known := 0, false
 	var best *bestRow
 	for i, probe := range blk.Probe {
@@ -249,7 +264,8 @@ func (p *NearestPass) syncWeeks() error {
 		p.weeks = newKeptSets[weekKey]()
 	}
 	err := p.weeks.sync(p, func(id int) bool { return p.idx.byID[id].lastMile() }, func(id int, c *rowChunk, i int) (weekKey, error) {
-		t := time.Unix(0, c.nanos[i])
+		k, _ := slices.BinarySearchFunc(c.times, int32(i), func(r timeRun, i int32) int { return cmp.Compare(r.end, i+1) })
+		t := time.Unix(0, c.times[k].nanos)
 		if t.Before(p.start) {
 			return weekKey{}, fmt.Errorf("stats: sample at %v precedes series start %v", t.UTC(), p.start)
 		}
@@ -327,7 +343,7 @@ func (p *NearestPass) Significance() (stats.KSResult, error) {
 func (p *NearestPass) residentBytes() (rows, kept int64) {
 	rows = int64(cap(p.chunks))*int64(unsafe.Sizeof(rowChunk{})) + int64(cap(p.best))*int64(unsafe.Sizeof(bestRow{}))
 	for _, c := range p.chunks {
-		rows += int64(cap(c.probe))*4 + int64(cap(c.region))*2 + int64(cap(c.rtt))*8 + int64(cap(c.nanos))*8
+		rows += int64(cap(c.probe))*4 + int64(cap(c.region))*2 + int64(cap(c.rtt))*8 + int64(cap(c.times))*int64(unsafe.Sizeof(timeRun{}))
 	}
 	rows += int64(cap(p.chain.base))*8 + int64(cap(p.chain.prev))*int64(unsafe.Sizeof([]int32(nil))) + int64(cap(p.chain.last))*4
 	for _, prev := range p.chain.prev {

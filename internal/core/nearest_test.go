@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/colf"
 	"repro/internal/results"
@@ -73,6 +74,57 @@ func TestNearestObserveBlockSteadyStateAllocs(t *testing.T) {
 		if allocs[k] != 4 {
 			t.Errorf("warm ObserveBlock allocates %.0f times for a %d-row block, want 4 (its chunk)", allocs[k], rows[k])
 		}
+	}
+}
+
+// TestNearestChunkBytes pins the row buffer's size on a real store,
+// whose rows come in campaign rounds that each share one timestamp: a
+// chunk holds 14 bytes per kept row (probe, region id, RTT) and 16 per
+// run of one timestamp, and a block holds a handful of runs, not one per
+// row. Per-row timestamps would cost 22 bytes per row.
+func TestNearestChunkBytes(t *testing.T) {
+	f := dataset(t)
+	dir := t.TempDir()
+	_, sink, err := results.Create(dir, f.cfg.Meta(11, f.pop.Len(), 1), results.FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeSession(t, sink, fixtureSamples(t, 60000))
+	r, closer, err := colf.Open(dir + "/samples.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := append([]colf.BlockInfo(nil), r.Blocks()...)
+	closer.Close()
+	file, err := os.Open(dir + "/samples.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	p := NewNearestPass(f.idx, f.cfg.Start, passBinWidth)
+	empty, _ := p.residentBytes()
+	for _, bi := range blocks {
+		blk, err := colf.NewBlockDecoder().DecodeCols(file, bi, p.Columns())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ObserveBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept, runs := 0, 0
+	for _, c := range p.chunks {
+		kept += len(c.rtt)
+		runs += len(c.times)
+	}
+	rows, _ := p.residentBytes()
+	chunks := rows - empty - int64(cap(p.chunks))*int64(unsafe.Sizeof(rowChunk{}))
+	t.Logf("%d kept rows in %d chunks, %d time runs: %d bytes, %.2f per row", kept, len(p.chunks), runs, chunks, float64(chunks)/float64(kept))
+	if kept == 0 || runs*100 > kept {
+		t.Fatalf("%d kept rows in %d time runs; the test needs round-structured blocks", kept, runs)
+	}
+	if limit := int64(14*kept + 16*runs); chunks > limit {
+		t.Errorf("the chunks hold %d bytes, over 14 per kept row plus 16 per time run (%d)", chunks, limit)
 	}
 }
 

@@ -85,6 +85,14 @@ func (s *Suite) StateDump() ([]byte, error) {
 			byProbe[probe] = append(byProbe[probe], c, i)
 		}
 	}
+	// nanos finds row i's run by a linear walk, not the pass's search.
+	nanos := func(c *rowChunk, i int) int64 {
+		k := 0
+		for int(c.times[k].end) <= i {
+			k++
+		}
+		return c.times[k].nanos
+	}
 	for id, rows := range byProbe {
 		if len(rows) == 0 {
 			continue
@@ -96,13 +104,13 @@ func (s *Suite) StateDump() ([]byte, error) {
 			i := rows[k+1]
 			b = snap.AppendString(b, n.regions[c.region[i]])
 			b = snap.AppendFloat(b, c.rtt[i])
-			b = snap.AppendVarint(b, c.nanos[i])
+			b = snap.AppendVarint(b, nanos(c, i))
 		}
 		best := n.best[id]
 		b = snap.AppendString(b, n.regions[best.region])
 		b = snap.AppendFloat(b, best.rtt)
 	}
-	for _, provider := range sortedStrings(s.Provider.byProvider) {
+	for _, provider := range sortedKeys(s.Provider.byProvider) {
 		a := s.Provider.byProvider[provider]
 		b = snap.AppendString(b, provider)
 		if b, err = appendDist(b, a.dist); err != nil {

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/geo"
@@ -18,15 +19,15 @@ import (
 // all of them at once.
 type Pass = scan.Pass
 
-// sortedProbeIDs returns the tracker's keys ascending, for deterministic
-// report-time iteration.
-func sortedProbeIDs[V any](m map[int]V) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// sortedKeys returns m's keys ascending, for deterministic report-time
+// iteration and encoding.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Ints(ids)
-	return ids
+	slices.Sort(keys)
+	return keys
 }
 
 // mergeTypeError is the uniform complaint for a Merge called with a
@@ -91,11 +92,8 @@ func (p *ProximityPass) Report() (*ProximityReport, error) {
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	sort.Slice(rep.Rows, func(i, j int) bool {
-		if rep.Rows[i].MinRTTms != rep.Rows[j].MinRTTms {
-			return rep.Rows[i].MinRTTms < rep.Rows[j].MinRTTms
-		}
-		return rep.Rows[i].Country < rep.Rows[j].Country
+	slices.SortFunc(rep.Rows, func(a, b ProximityRow) int {
+		return cmp.Or(cmp.Compare(a.MinRTTms, b.MinRTTms), strings.Compare(a.Country, b.Country))
 	})
 	return rep, nil
 }
@@ -132,7 +130,7 @@ func (p *MinRTTPass) Report() (*CDFReport, error) {
 		return nil, errors.New("analysis: no delivered samples")
 	}
 	rep := &CDFReport{byContinent: make(map[geo.Continent]*stats.Dist)}
-	for _, probeID := range sortedProbeIDs(p.mins) {
+	for _, probeID := range sortedKeys(p.mins) {
 		ct, ok := p.idx.Continent(probeID)
 		if !ok {
 			continue
@@ -221,11 +219,8 @@ func (p *ProviderPass) Report() (*ProviderReport, error) {
 			LossRate: float64(a.lost) / float64(total),
 		})
 	}
-	sort.Slice(rep.Rows, func(i, j int) bool {
-		if rep.Rows[i].Summary.Median != rep.Rows[j].Summary.Median {
-			return rep.Rows[i].Summary.Median < rep.Rows[j].Summary.Median
-		}
-		return rep.Rows[i].Provider < rep.Rows[j].Provider
+	slices.SortFunc(rep.Rows, func(a, b ProviderRow) int {
+		return cmp.Or(cmp.Compare(a.Summary.Median, b.Summary.Median), strings.Compare(a.Provider, b.Provider))
 	})
 	return rep, nil
 }

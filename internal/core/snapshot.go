@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"time"
 
@@ -206,16 +205,6 @@ func NewSuiteFromState(idx *Index, start time.Time, binWidth time.Duration, stat
 	return s, nil
 }
 
-// sortedStrings returns m's keys ascending, for deterministic encoding.
-func sortedStrings[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // finiteRTT is the check both sections hold their minima to.
 func finiteRTT(rtt float64, section string) error {
 	if math.IsNaN(rtt) || math.IsInf(rtt, 0) {
@@ -226,7 +215,7 @@ func finiteRTT(rtt float64, section string) error {
 
 func appendProximityState(b []byte, p *ProximityPass) []byte {
 	b = snap.AppendUvarint(b, uint64(len(p.byCountry)))
-	for _, country := range sortedStrings(p.byCountry) {
+	for _, country := range sortedKeys(p.byCountry) {
 		a := p.byCountry[country]
 		b = snap.AppendString(b, country)
 		b = snap.AppendFloat(b, a.min)
@@ -274,7 +263,7 @@ func decodeProximityState(c *snap.Cursor, p *ProximityPass) error {
 
 func appendMinRTTState(b []byte, p *MinRTTPass) []byte {
 	b = snap.AppendUvarint(b, uint64(len(p.mins)))
-	for _, id := range sortedProbeIDs(p.mins) {
+	for _, id := range sortedKeys(p.mins) {
 		b = snap.AppendVarint(b, int64(id))
 		b = snap.AppendFloat(b, p.mins[id])
 	}
