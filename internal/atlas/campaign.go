@@ -228,21 +228,10 @@ func (p *Platform) synthesizeRound(ctx context.Context, cfg CampaignConfig, roun
 				return emitted, err
 			}
 			s := results.Sample{ProbeID: pr.ID, Region: r.Addr(), Time: at}
-			best := 0.0
-			got := false
-			for rep := 0; rep < cfg.PingsPerTarget; rep++ {
-				ms, lost := path.RTT(at.Add(time.Duration(rep) * time.Second))
-				if lost {
-					continue
-				}
-				if !got || ms < best {
-					best, got = ms, true
-				}
-			}
-			if got {
-				s.RTTms = best
-			} else {
+			if ms, lost := path.MinRTT(at, cfg.PingsPerTarget); lost {
 				s.Lost = true
+			} else {
+				s.RTTms = ms
 			}
 			if err := emit(s); err != nil {
 				return emitted, err

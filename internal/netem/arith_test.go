@@ -244,3 +244,80 @@ func TestMod24MatchesMathMod(t *testing.T) {
 		same(x)
 	}
 }
+
+// TestMinRTTMatchesRTTFold: MinRTT equals the campaign's strict-< fold of
+// RTT over t, t+1 s, …, bit for bit, all-lost included, for n ∈ {1, 2,
+// 3, 4, 7}, over seeded paths of every access class at the times
+// TestSampleMatchesReference draws — campaign rounds, before 1970 and
+// both ends of Unix time — under the default calibration, a lossy one
+// (where partial and total loss are common) and one whose jitter floor
+// is 1, so bounds tie totals. MinRTT allocates nothing for any n.
+func TestMinRTTMatchesRTTFold(t *testing.T) {
+	lossy := DefaultConfig()
+	lossy.LossWired, lossy.LossWireless, lossy.BloatProb = 0.3, 0.45, 0.5
+	flat := DefaultConfig()
+	flat.JitterFloor = 1
+	rng := rand.New(rand.NewSource(48))
+	campaign := time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC).Unix()
+	var times []int64
+	for i := 0; i < 40; i++ {
+		times = append(times,
+			campaign+rng.Int63n(274*24*3600),
+			-rng.Int63n(1<<40),
+			-rng.Int63n(3*24*3600),
+			campaign+int64(i)*3*3600,
+			math.MaxInt64-rng.Int63n(1<<40),
+			math.MinInt64+rng.Int63n(1<<40)+3600,
+		)
+	}
+	var classes [4]int
+	var allLost, multi int // folds of each kind seen
+	for _, cfg := range []Config{DefaultConfig(), lossy, flat} {
+		m, err := NewModel(cfg, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range seededPaths(t, m, rng, 80) {
+			classes[sp.src.Access]++
+			for _, sec := range times {
+				at := time.Unix(sec, 0)
+				for _, n := range []int{1, 2, 3, 4, 7} {
+					best, got := 0.0, false
+					for rep := 0; rep < n; rep++ {
+						ms, lost := sp.path.RTT(at.Add(time.Duration(rep) * time.Second))
+						if !lost && (!got || ms < best) {
+							best, got = ms, true
+						}
+					}
+					if ms, lost := sp.path.MinRTT(at, n); lost != !got || math.Float64bits(ms) != math.Float64bits(best) {
+						t.Fatalf("path %s at Unix %d, n=%d: MinRTT (%v, lost %v), RTT fold (%v, lost %v)",
+							sp.src.ID, sec, n, ms, lost, best, !got)
+					}
+					if !got {
+						allLost++
+					} else if n > 1 {
+						multi++
+					}
+				}
+			}
+		}
+	}
+	for a, c := range classes {
+		if c == 0 {
+			t.Fatalf("no path of access class %v", Access(a))
+		}
+	}
+	if allLost == 0 || multi == 0 {
+		t.Fatalf("all-lost folds %d, delivered multi-ping folds %d: both must occur", allLost, multi)
+	}
+
+	p := seededPaths(t, testModel(t), rng, 1)[0].path
+	at := time.Unix(campaign, 0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, n := range []int{0, 1, 3, 8, 9, 100} {
+			p.MinRTT(at, n)
+		}
+	}); allocs != 0 {
+		t.Fatalf("MinRTT allocated %v objects per run, want 0", allocs)
+	}
+}

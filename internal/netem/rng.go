@@ -70,3 +70,12 @@ func (r *rng) lognormal(mu, sigma float64) float64 {
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return math.Exp(mu + sigma*z)
 }
+
+// lognormalAtLeastMedian reports, without advancing r, whether the
+// lognormal r draws next is at least exp(mu): its Box–Muller cosine
+// cos(2πu2) is positive beyond doubt for u2 in [0, 0.24] ∪ [0.76, 1).
+func (r rng) lognormalAtLeastMedian() bool {
+	r.state += 0x9e3779b97f4a7c15 // step past u1 without mixing it
+	u2 := r.float64()
+	return u2 <= 0.24 || u2 >= 0.76
+}

@@ -22,3 +22,6 @@ const ChunkSize = chunkSize
 func SlabAt(v *View, i int, ct geo.Continent) (off int64, n int) {
 	return v.recs[i].off[ct], int(v.cum[i+1].bins[ct][curveBins] - v.cum[i].bins[ct][curveBins])
 }
+
+// SortSlab is the slab sort Extend runs on each block's values.
+var SortSlab = sortSlab

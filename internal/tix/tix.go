@@ -47,7 +47,6 @@ import (
 	"log/slog"
 	"math"
 	"os"
-	"slices"
 	"sync"
 	"unsafe"
 
@@ -411,6 +410,47 @@ func foldValues(vals *[numContinents][]float64, tbl []geo.Continent, blk *colf.B
 	return nil
 }
 
+// sortSlab sorts the finite values vs ascending — in slices.Sort's
+// order, with −0 before +0 — by an LSD radix sort over their float bits
+// mapped to order-preserving keys; a byte position every key shares
+// takes no pass. It returns scratch, grown to 2·len(vs) keys if it was
+// short, for the next call.
+func sortSlab(vs []float64, scratch []uint64) []uint64 {
+	n := len(vs)
+	if cap(scratch) < 2*n {
+		scratch = make([]uint64, 2*n)
+	}
+	keys, tmp := scratch[:n], scratch[n:2*n]
+	for i, v := range vs {
+		// Flip a negative value's every bit and a positive one's sign.
+		k := math.Float64bits(v)
+		keys[i] = k ^ (uint64(int64(k)>>63) | 1<<63)
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		var count [256]int
+		for _, k := range keys {
+			count[byte(k>>shift)]++
+		}
+		if n == 0 || count[byte(keys[0]>>shift)] == n {
+			continue
+		}
+		at := 0
+		for d, m := range count {
+			count[d], at = at, at+m
+		}
+		for _, k := range keys {
+			d := byte(k >> shift)
+			tmp[count[d]] = k
+			count[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	for i, k := range keys {
+		vs[i] = math.Float64frombits(k ^ (uint64(^(int64(k) >> 63)) | 1<<63))
+	}
+	return scratch
+}
+
 // Extend grows the index to cover the given sealed block list, which
 // must be the store's full list (a superset of what previous calls
 // saw — the store is append-only). Every block past the last record
@@ -427,6 +467,7 @@ func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continen
 	defer func() { ix.cum = ix.cum[:len(ix.recs)+1] }()
 	tbl := cls.ContinentTable()
 	var vals [numContinents][]float64
+	var scratch []uint64
 	var payload, rec []byte
 	start := len(ix.recs)
 	for i := start; i < len(blocks); i++ {
@@ -442,7 +483,7 @@ func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continen
 			return err
 		}
 		for _, vs := range vals {
-			slices.Sort(vs)
+			scratch = sortSlab(vs, scratch)
 		}
 		// blk.Zone is the CRC-verified footer zone — the trusted row totals.
 		h := header{startOff: bi.Off, endOff: bi.Off + bi.Len, rows: uint64(blk.Zone.Rows), delivered: uint64(blk.Zone.Delivered)}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -646,4 +647,60 @@ func TestStoreTruncationInvalidatesNodes(t *testing.T) {
 	want, _, _ := f.refFoldSamples(t, f.samples[:2*fixBlockRows], time.Time{}, time.Time{})
 	assertCurvesIdentical(t, res, want)
 	assertQuantilesIdentical(t, res, want)
+}
+
+// TestSortSlabMatchesSort: the slab radix sort orders finite values
+// exactly as slices.Sort does, bit for bit — every size from 0 to 5 000
+// in steps, heavy duplicates, negative values across the exponent range,
+// values sharing all but their low bytes (so passes are skipped), and
+// the fixture's first block as the per-continent slabs Extend sorts. Of
+// the two zeros, which slices.Sort leaves in no set order, −0 sorts first.
+func TestSortSlabMatchesSort(t *testing.T) {
+	f := getFixture(t)
+	var inputs [][]float64
+	block := map[geo.Continent][]float64{}
+	for _, s := range f.samples[:fixBlockRows] {
+		if ct, ok := f.world.Index.Continent(s.ProbeID); ok && !s.Lost {
+			block[ct] = append(block[ct], s.RTTms)
+		}
+	}
+	for _, vs := range block {
+		inputs = append(inputs, vs)
+	}
+	if len(inputs) < 2 {
+		t.Fatalf("fixture block resolves to %d continents", len(inputs))
+	}
+	rng := rand.New(rand.NewSource(48))
+	sizes := []int{5000}
+	for n := 0; n < 5000; n += 1 + n/6 {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		rtt, dup, signed, near := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range rtt {
+			rtt[i] = 1 + rng.ExpFloat64()*40
+			dup[i] = float64(rng.Intn(5)) * 2.5
+			signed[i] = math.Ldexp(rng.Float64()+0.5, rng.Intn(200)-100) * float64(1-2*rng.Intn(2))
+			near[i] = math.Float64frombits(math.Float64bits(12.5) + uint64(rng.Intn(1<<12)))
+		}
+		inputs = append(inputs, rtt, dup, signed, near)
+	}
+	var scratch []uint64
+	for _, in := range inputs {
+		want, got := slices.Clone(in), slices.Clone(in)
+		slices.Sort(want)
+		scratch = tix.SortSlab(got, scratch)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: sorted[%d] = %v, slices.Sort %v", len(in), i, got[i], want[i])
+			}
+		}
+	}
+	zeros := []float64{0, math.Copysign(0, -1), -1, 0, math.Copysign(0, -1)}
+	tix.SortSlab(zeros, nil)
+	for i, neg := range []bool{true, true, true, false, false} {
+		if math.Signbit(zeros[i]) != neg {
+			t.Fatalf("zeros sorted to %v: want -1, -0, -0, 0, 0", zeros)
+		}
+	}
 }
