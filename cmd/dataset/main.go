@@ -49,7 +49,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -382,7 +382,7 @@ func regionsOp(store *results.Store, pred *colf.Predicate, workers int) ([]strin
 	for name := range p.byRegion {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	lines := []string{"region                             rows  delivered   mean-rtt"}
 	for _, name := range names {
 		a := p.byRegion[name]
@@ -440,21 +440,16 @@ func histOp(store *results.Store, pred *colf.Predicate, workers int) ([]string, 
 	if h.Total() == 0 {
 		return nil, fmt.Errorf("dataset has no delivered samples")
 	}
-	var max uint64
+	top := h.Overflow()
 	for _, bin := range h.Bins() {
-		if bin.Count > max {
-			max = bin.Count
-		}
-	}
-	if h.Overflow() > max {
-		max = h.Overflow()
+		top = max(top, bin.Count)
 	}
 	const barWidth = 50
 	bar := func(n uint64) string {
-		if max == 0 {
+		if top == 0 {
 			return ""
 		}
-		return strings.Repeat("#", int(n*barWidth/max))
+		return strings.Repeat("#", int(n*barWidth/top))
 	}
 	lines := []string{fmt.Sprintf("RTT histogram (%d delivered samples)", h.Total())}
 	for _, bin := range h.Bins() {

@@ -83,10 +83,7 @@ func (p *Platform) RunCampaignOpts(ctx context.Context, cfg CampaignConfig, opts
 		return p.runSerial(ctx, cfg, probes, sink)
 	}
 
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(opts.Workers, 1)
 	if workers > len(probes) {
 		workers = len(probes)
 	}

@@ -58,18 +58,8 @@ func (z *Zone) observe(r Row) {
 		z.MinTime, z.MaxTime = r.TimeNano, r.TimeNano
 		z.MinRegion, z.MaxRegion = r.Region, r.Region
 	} else {
-		if r.Probe < z.MinProbe {
-			z.MinProbe = r.Probe
-		}
-		if r.Probe > z.MaxProbe {
-			z.MaxProbe = r.Probe
-		}
-		if r.TimeNano < z.MinTime {
-			z.MinTime = r.TimeNano
-		}
-		if r.TimeNano > z.MaxTime {
-			z.MaxTime = r.TimeNano
-		}
+		z.MinProbe, z.MaxProbe = min(z.MinProbe, r.Probe), max(z.MaxProbe, r.Probe)
+		z.MinTime, z.MaxTime = min(z.MinTime, r.TimeNano), max(z.MaxTime, r.TimeNano)
 		if r.Region < z.MinRegion {
 			z.MinRegion = r.Region
 		}

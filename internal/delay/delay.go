@@ -115,8 +115,9 @@ func WhereIsTheDelay(p *atlas.Platform, cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	byContinent := make(map[geo.Continent]*acc)
-	byAccess := make(map[netem.Access]*acc)
+	var byContinent [geo.SouthAmerica + 1]acc
+	var byAccess [netem.AccessCore + 1]acc
+	delivered := 0
 	for _, pr := range p.Population.Public() {
 		region := p.Catalog.Nearest(pr.Location)
 		if region == nil {
@@ -131,31 +132,22 @@ func WhereIsTheDelay(p *atlas.Platform, cfg Config) (*Report, error) {
 			if b.Lost {
 				continue
 			}
-			ca := byContinent[pr.Continent]
-			if ca == nil {
-				ca = &acc{}
-				byContinent[pr.Continent] = ca
-			}
-			ca.add(b)
-			aa := byAccess[pr.Access]
-			if aa == nil {
-				aa = &acc{}
-				byAccess[pr.Access] = aa
-			}
-			aa.add(b)
+			byContinent[pr.Continent].add(b)
+			byAccess[pr.Access].add(b)
+			delivered++
 		}
 	}
-	if len(byContinent) == 0 {
+	if delivered == 0 {
 		return nil, errors.New("delay: no samples")
 	}
 	rep := &Report{}
 	for _, ct := range geo.Continents() {
-		if a, ok := byContinent[ct]; ok && a.n > 0 {
+		if a := byContinent[ct]; a.n > 0 {
 			rep.ByContinent = append(rep.ByContinent, a.attribution(ct.String()))
 		}
 	}
 	for _, access := range []netem.Access{netem.AccessWired, netem.AccessWireless, netem.AccessCore} {
-		if a, ok := byAccess[access]; ok && a.n > 0 {
+		if a := byAccess[access]; a.n > 0 {
 			rep.ByAccess = append(rep.ByAccess, a.attribution(access.String()))
 		}
 	}

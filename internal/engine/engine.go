@@ -126,10 +126,7 @@ func Run(ctx context.Context, cfg Config) (uint64, error) {
 	if cfg.Log == nil {
 		cfg.Log = obs.Discard
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(cfg.Workers, 1)
 	ckEvery := cfg.CheckpointEvery
 	if ckEvery <= 0 {
 		ckEvery = DefaultCheckpointEvery
@@ -249,9 +246,7 @@ merge:
 			for _, ch := range chans {
 				depth += len(ch)
 			}
-			if depth > peakDepth {
-				peakDepth = depth
-			}
+			peakDepth = max(peakDepth, depth)
 			if m != nil {
 				m.QueueDepth.Set(float64(depth))
 				m.QueueDepthPeak.Set(float64(peakDepth))

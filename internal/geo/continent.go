@@ -22,60 +22,39 @@ func Continents() []Continent {
 	return []Continent{Africa, Asia, Europe, NorthAmerica, Oceania, SouthAmerica}
 }
 
-// String returns the full continent name as used in figure legends.
-func (c Continent) String() string {
-	switch c {
-	case Africa:
-		return "Africa"
-	case Asia:
-		return "Asia"
-	case Europe:
-		return "Europe"
-	case NorthAmerica:
-		return "North America"
-	case Oceania:
-		return "Oceania"
-	case SouthAmerica:
-		return "South America"
-	default:
-		return "Unknown"
-	}
+// continentNames holds each continent's full name and two-letter code.
+var continentNames = [...][2]string{
+	ContinentUnknown: {"Unknown", "??"},
+	Africa:           {"Africa", "AF"},
+	Asia:             {"Asia", "AS"},
+	Europe:           {"Europe", "EU"},
+	NorthAmerica:     {"North America", "NA"},
+	Oceania:          {"Oceania", "OC"},
+	SouthAmerica:     {"South America", "SA"},
 }
 
-// Code returns the two-letter continent code (AF, AS, EU, NA, OC, SA).
-func (c Continent) Code() string {
-	switch c {
-	case Africa:
-		return "AF"
-	case Asia:
-		return "AS"
-	case Europe:
-		return "EU"
-	case NorthAmerica:
-		return "NA"
-	case Oceania:
-		return "OC"
-	case SouthAmerica:
-		return "SA"
-	default:
-		return "??"
+// names is c's row of continentNames, the unknown one's when c is out of range.
+func (c Continent) names() [2]string {
+	if int(c) >= len(continentNames) {
+		c = ContinentUnknown
 	}
+	return continentNames[c]
 }
+
+// String returns the full continent name as used in figure legends.
+func (c Continent) String() string { return c.names()[0] }
+
+// Code returns the two-letter continent code (AF, AS, EU, NA, OC, SA).
+func (c Continent) Code() string { return c.names()[1] }
 
 // ParseContinent converts a two-letter code or full name into a Continent.
 func ParseContinent(s string) (Continent, error) {
-	switch s {
-	case "AF", "Africa":
-		return Africa, nil
-	case "AS", "Asia":
-		return Asia, nil
-	case "EU", "Europe":
-		return Europe, nil
-	case "NA", "North America":
-		return NorthAmerica, nil
-	case "OC", "Oceania":
-		return Oceania, nil
-	case "SA", "South America", "Latin America":
+	for _, c := range Continents() {
+		if s == c.Code() || s == c.String() {
+			return c, nil
+		}
+	}
+	if s == "Latin America" {
 		return SouthAmerica, nil
 	}
 	return ContinentUnknown, fmt.Errorf("geo: unknown continent %q", s)

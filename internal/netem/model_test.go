@@ -44,6 +44,8 @@ func TestConfigValidation(t *testing.T) {
 		{"bad tier band", func(c *Config) { c.TransitByTier[2] = Range{5, 1} }},
 		{"loss above 1", func(c *Config) { c.LossWireless = 1.5 }},
 		{"negative bloat", func(c *Config) { c.BloatMeanMs = -1 }},
+		{"negative diurnal amplitude", func(c *Config) { c.DiurnalAmpByTier[3] = -0.2 }},
+		{"NaN diurnal amplitude", func(c *Config) { c.DiurnalAmpByTier[1] = math.NaN() }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -18,13 +17,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 		return nil
 	}
 	r.mu.RLock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	families := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, name := range names {
+	var families []*family
+	for _, name := range sortedKeys(r.families) {
 		families = append(families, r.families[name])
 	}
 	r.mu.RUnlock()
@@ -51,7 +45,7 @@ func (f *family) writeText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 		return err
 	}
-	for _, key := range f.sortedKeys() {
+	for _, key := range sortedKeys(f.instances) {
 		values := splitLabelKey(key, len(f.labels))
 		switch m := f.instances[key].(type) {
 		case *Counter:

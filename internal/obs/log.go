@@ -121,10 +121,7 @@ type Recorder struct {
 
 // NewRecorder builds a recorder keeping the last n records (minimum 1).
 func NewRecorder(n int) *Recorder {
-	if n < 1 {
-		n = 1
-	}
-	return &Recorder{buf: make([]json.RawMessage, 0, n)}
+	return &Recorder{buf: make([]json.RawMessage, 0, max(n, 1))}
 }
 
 // Write keeps one encoded record, evicting the oldest when the ring is

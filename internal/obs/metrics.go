@@ -53,7 +53,7 @@ func (v *CounterVec) Walk(fn func(labels []string, value uint64)) {
 	}
 	v.f.mu.RLock()
 	defer v.f.mu.RUnlock()
-	for _, key := range v.f.sortedKeys() {
+	for _, key := range sortedKeys(v.f.instances) {
 		fn(splitLabelKey(key, len(v.f.labels)), v.f.instances[key].(*Counter).Value())
 	}
 }
@@ -108,7 +108,7 @@ func (v *GaugeVec) Walk(fn func(labels []string, value float64)) {
 	}
 	v.f.mu.RLock()
 	defer v.f.mu.RUnlock()
-	for _, key := range v.f.sortedKeys() {
+	for _, key := range sortedKeys(v.f.instances) {
 		fn(splitLabelKey(key, len(v.f.labels)), v.f.instances[key].(*Gauge).Value())
 	}
 }

@@ -16,7 +16,7 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -56,9 +56,11 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// validName reports whether name is a legal Prometheus metric or label
-// name: [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validName(name string) bool {
+// ValidName reports whether name is a legal Prometheus metric or label
+// name, [a-zA-Z_:][a-zA-Z0-9_:]*. The repo's name lint
+// (scripts/namelint) checks registered metric names and logger keys
+// against the same rule the registry enforces at run time.
+func ValidName(name string) bool {
 	if name == "" {
 		return false
 	}
@@ -71,12 +73,6 @@ func validName(name string) bool {
 	return true
 }
 
-// ValidName reports whether name is a legal metric, label, or log-key
-// name. Exported for the repo's name lint (scripts/namelint), which
-// checks registered metric names and logger keys against the same rule
-// the registry enforces at run time.
-func ValidName(name string) bool { return validName(name) }
-
 // register returns the family for name, creating it on first use. It
 // panics on an invalid name or on re-registration with a different shape —
 // both are programming errors, caught by any test that touches the metric.
@@ -84,18 +80,18 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 	if r == nil {
 		return nil
 	}
-	if !validName(name) {
+	if !ValidName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	for _, l := range labels {
-		if !validName(l) {
+		if !ValidName(l) {
 			panic(fmt.Sprintf("obs: invalid label name %q on %q", l, name))
 		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
-		if f.kind != kind || !equalStrings(f.labels, labels) {
+		if f.kind != kind || !slices.Equal(f.labels, labels) {
 			panic(fmt.Sprintf("obs: metric %q re-registered as %s%v, was %s%v",
 				name, kind, labels, f.kind, f.labels))
 		}
@@ -111,18 +107,6 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 	}
 	r.families[name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // labelKey joins label values into a map key. \xff cannot appear in a
@@ -159,13 +143,13 @@ func (f *family) instance(values []string, mk func() any) any {
 	return m
 }
 
-// sortedKeys returns the instance keys in deterministic order.
-func (f *family) sortedKeys() []string {
-	keys := make([]string, 0, len(f.instances))
-	for k := range f.instances {
+// sortedKeys returns m's keys in deterministic order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
 

@@ -6,6 +6,7 @@ package probe
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -27,17 +28,13 @@ const (
 
 // String names the environment.
 func (e Environment) String() string {
-	switch e {
-	case EnvHome:
-		return "home"
-	case EnvAccess:
-		return "access"
-	case EnvCore:
-		return "core"
-	default:
-		return "unknown"
+	if int(e) < len(environmentNames) {
+		return environmentNames[e]
 	}
+	return "unknown"
 }
+
+var environmentNames = [...]string{"unknown", "home", "access", "core"}
 
 // Well-known user tags, mirroring RIPE Atlas conventions. Wired and
 // wireless tag sets drive the Figure 7 filtering.
@@ -64,24 +61,10 @@ type Probe struct {
 }
 
 // HasTag reports whether the probe carries the user tag.
-func (p *Probe) HasTag(tag string) bool {
-	for _, t := range p.Tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
-}
+func (p *Probe) HasTag(tag string) bool { return slices.Contains(p.Tags, tag) }
 
 // HasAnyTag reports whether the probe carries at least one of the tags.
-func (p *Probe) HasAnyTag(tags []string) bool {
-	for _, t := range tags {
-		if p.HasTag(t) {
-			return true
-		}
-	}
-	return false
-}
+func (p *Probe) HasAnyTag(tags []string) bool { return slices.ContainsFunc(tags, p.HasTag) }
 
 // Privileged reports whether the probe is clearly installed in a privileged
 // location (datacenter or cloud network). The paper filters these out of all

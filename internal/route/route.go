@@ -28,21 +28,13 @@ const (
 
 // String names the hop kind.
 func (k HopKind) String() string {
-	switch k {
-	case HopAccess:
-		return "access"
-	case HopTransit:
-		return "transit"
-	case HopBackbone:
-		return "backbone"
-	case HopEdge:
-		return "dc-edge"
-	case HopTarget:
-		return "target"
-	default:
-		return "unknown"
+	if int(k) < len(hopKindNames) {
+		return hopKindNames[k]
 	}
+	return "unknown"
 }
+
+var hopKindNames = [...]string{"unknown", "access", "transit", "backbone", "dc-edge", "target"}
 
 // Hop is one traceroute line: a router with its cumulative round-trip
 // delay from the probe.

@@ -167,9 +167,7 @@ func groupBlocks(blocks []colf.BlockInfo, n int) [][]colf.BlockInfo {
 	if len(blocks) == 0 {
 		return nil
 	}
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	var total int64
 	for _, b := range blocks {
 		total += b.Len

@@ -50,7 +50,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -360,15 +360,9 @@ func walkIdents(n ast.Node, info *types.Info, own []types.Object, use func(types
 		if fn, ok := obj.(*types.Func); ok {
 			obj = fn.Origin() // a method of an instantiated generic type
 		}
-		if obj == nil {
-			return true
+		if obj != nil && !slices.Contains(own, obj) {
+			use(obj)
 		}
-		for _, o := range own {
-			if o == obj {
-				return true
-			}
-		}
-		use(obj)
 		return true
 	})
 }
@@ -489,6 +483,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
