@@ -136,6 +136,89 @@ func TestPathCaching(t *testing.T) {
 	}
 }
 
+// TestResolvePathsMatchesPath: the batched resolver is Path, batch by
+// batch. Every public pair resolves to the pointer Path returns, in
+// batches of every size up to the campaign's that mix pairs already in
+// the table with pairs derived fresh; a probe ID past the table and a
+// region of another catalog have no cell and are derived, as Path
+// derives them. A path error at job k of a round still emits the k
+// samples before it and counts them, as resolving one pair at a time
+// does.
+func TestResolvePathsMatchesPath(t *testing.T) {
+	p := smallPlatform(t)
+	var jobs []pathJob
+	for _, pr := range p.Population.Public() {
+		for _, r := range p.Targets(pr) {
+			jobs = append(jobs, pathJob{pr: pr, r: r})
+		}
+	}
+	for i := 0; i < len(jobs); i += 3 { // a third of the pairs are cached before any batch
+		if _, err := p.Path(jobs[i].pr, jobs[i].r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := 1
+	for lo := 0; lo < len(jobs); lo += size {
+		size = size%pathBatch + 1
+		batch := jobs[lo:min(lo+size, len(jobs))]
+		if n, err := p.resolvePaths(batch); n != len(batch) || err != nil {
+			t.Fatalf("batch at %d resolved %d of %d: %v", lo, n, len(batch), err)
+		}
+	}
+	for _, j := range jobs {
+		if want, err := p.Path(j.pr, j.r); err != nil || j.path != want {
+			t.Fatalf("probe %d to %s: resolved %p, Path %p (%v)", j.pr.ID, j.r.Addr(), j.path, want, err)
+		}
+	}
+
+	pr, r := jobs[0].pr, jobs[0].r
+	past := *pr
+	past.ID = p.Population.All()[p.Population.Len()-1].ID + 1 // the first ID past the table
+	other, err := cloud.Deployment(geo.World())
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, _ := other.Lookup(r.Addr())
+	loose := []pathJob{{pr: &past, r: r}, jobs[1], {pr: pr, r: twin}}
+	if n, err := p.resolvePaths(loose); n != len(loose) || err != nil {
+		t.Fatalf("resolved %d of %d: %v", n, len(loose), err)
+	}
+	for _, j := range []pathJob{loose[0], loose[2]} {
+		want, err := p.Path(j.pr, j.r)
+		if err != nil || j.path == nil || j.path == want || *j.path != *want {
+			t.Fatalf("a pair without a cell: resolved %p, Path %p (%v); want an equal path derived afresh", j.path, want, err)
+		}
+	}
+	if loose[1].path != jobs[1].path {
+		t.Fatal("a cached pair beside cell-less ones resolved to another path")
+	}
+
+	cfg := TestCampaign()
+	probes := p.Population.Public()
+	var want []results.Sample
+	if _, err := p.synthesizeRound(context.Background(), cfg, 0, probes, nil, func(s results.Sample) error {
+		want = append(want, s)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	bad := past
+	bad.Tier = 0 // Model.Path refuses it
+	for _, before := range []int{0, 5, pathBatch / cfg.TargetsPerRound, 40, len(probes)} {
+		withBad := slices.Insert(slices.Clone(probes), before, &bad)
+		var got []results.Sample
+		n, err := p.synthesizeRound(context.Background(), cfg, 0, withBad, nil, func(s results.Sample) error {
+			got = append(got, s)
+			return nil
+		})
+		k := before * cfg.TargetsPerRound
+		if err == nil || n != uint64(k) || !slices.Equal(got, want[:k]) {
+			t.Fatalf("bad probe after %d probes: emitted %d (%d samples, prefix equal %v), err %v; want %d samples and an error",
+				before, n, len(got), slices.Equal(got, want[:min(k, len(got))]), err, k)
+		}
+	}
+}
+
 // TestSynthesizeRoundSteadyStateAllocs is the ceiling on the campaign's
 // inner loop: once a round has filled the path table, synthesizing
 // another allocates nothing per sample beyond what emit does — no boxed
@@ -174,11 +257,11 @@ func TestLinkResolution(t *testing.T) {
 	r := p.Targets(pr)[0]
 	at := time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
 	// Forward and reverse legs must both resolve.
-	d1, _, err := p.Link(pr.Addr(), r.Addr(), at)
+	d1, _, err := p.Link(pr.Addr(), r.Addr(), 0, at)
 	if err != nil {
 		t.Fatalf("forward: %v", err)
 	}
-	d2, lost2, err := p.Link(r.Addr(), pr.Addr(), at)
+	d2, lost2, err := p.Link(r.Addr(), pr.Addr(), 0, at)
 	if err != nil {
 		t.Fatalf("reverse: %v", err)
 	}
@@ -189,13 +272,13 @@ func TestLinkResolution(t *testing.T) {
 		t.Error("reverse leg applied loss")
 	}
 	// Unknown pairs are rejected.
-	if _, _, err := p.Link("probe/999999", r.Addr(), at); err == nil {
+	if _, _, err := p.Link("probe/999999", r.Addr(), 0, at); err == nil {
 		t.Error("unknown probe accepted")
 	}
-	if _, _, err := p.Link(pr.Addr(), "Nebula/nowhere", at); err == nil {
+	if _, _, err := p.Link(pr.Addr(), "Nebula/nowhere", 0, at); err == nil {
 		t.Error("unknown region accepted")
 	}
-	if _, _, err := p.Link("x", "y", at); err == nil {
+	if _, _, err := p.Link("x", "y", 0, at); err == nil {
 		t.Error("garbage pair accepted")
 	}
 }
@@ -514,14 +597,14 @@ func TestLinkServiceSuffixes(t *testing.T) {
 	r := p.Targets(pr)[0]
 	at := time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
 	// Suffixed service addresses share the host's network location.
-	if _, _, err := p.Link(pr.Addr()+"/tcp-client", r.Addr()+"/tcp", at); err != nil {
+	if _, _, err := p.Link(pr.Addr()+"/tcp-client", r.Addr()+"/tcp", 0, at); err != nil {
 		t.Errorf("suffixed pair rejected: %v", err)
 	}
-	if _, _, err := p.Link(r.Addr()+"/tcp", pr.Addr(), at); err != nil {
+	if _, _, err := p.Link(r.Addr()+"/tcp", pr.Addr(), 0, at); err != nil {
 		t.Errorf("suffixed reverse rejected: %v", err)
 	}
 	// But garbage still fails.
-	if _, _, err := p.Link("Amazon/nope/tcp", pr.Addr(), at); err == nil {
+	if _, _, err := p.Link("Amazon/nope/tcp", pr.Addr(), 0, at); err == nil {
 		t.Error("unknown suffixed region accepted")
 	}
 }
@@ -531,11 +614,11 @@ func TestLinkSizedSerialization(t *testing.T) {
 	pr := p.Population.Public()[0]
 	r := p.Targets(pr)[0]
 	at := time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
-	small, _, err := p.LinkSized(pr.Addr(), r.Addr(), 64, at)
+	small, _, err := p.Link(pr.Addr(), r.Addr(), 64, at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, _, err := p.LinkSized(pr.Addr(), r.Addr(), 1<<20, at)
+	big, _, err := p.Link(pr.Addr(), r.Addr(), 1<<20, at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,11 +627,11 @@ func TestLinkSizedSerialization(t *testing.T) {
 		t.Errorf("1MiB leg (%v) not slower than 64B leg (%v)", big, small)
 	}
 	// The reverse (datacenter->probe) leg is not probe-uplink constrained.
-	revSmall, _, err := p.LinkSized(r.Addr(), pr.Addr(), 64, at)
+	revSmall, _, err := p.Link(r.Addr(), pr.Addr(), 64, at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	revBig, _, err := p.LinkSized(r.Addr(), pr.Addr(), 1<<20, at)
+	revBig, _, err := p.Link(r.Addr(), pr.Addr(), 1<<20, at)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,19 +111,10 @@ func (p *Platform) RunCampaign(ctx context.Context, cfg CampaignConfig, sink fun
 }
 
 // runSerial is the single-goroutine campaign loop.
-func (p *Platform) runSerial(ctx context.Context, cfg CampaignConfig, probes []*probe.Probe, sink func(results.Sample) error) (uint64, error) {
+func (p *Platform) runSerial(ctx context.Context, cfg CampaignConfig, probes []*probe.Probe, tally *campaignTally, sink func(results.Sample) error) (uint64, error) {
 	var emitted uint64
-	rounds := cfg.Rounds()
-	m := p.Metrics
 	span := obs.From(ctx)
-	span.SetAttr("rounds", rounds)
-	span.SetAttr("probes", len(probes))
-	if m != nil {
-		m.CampaignRoundsTotal.Set(float64(rounds))
-		m.CampaignRoundsDone.Set(0)
-	}
-	tally := p.newCampaignTally()
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < cfg.Rounds(); round++ {
 		if err := ctx.Err(); err != nil {
 			return emitted, err
 		}
@@ -137,8 +128,8 @@ func (p *Platform) runSerial(ctx context.Context, cfg CampaignConfig, probes []*
 		}
 		roundSpan.SetAttr("samples", n)
 		roundSpan.End()
-		if m != nil {
-			m.CampaignRoundsDone.Set(float64(round + 1))
+		if p.Metrics != nil {
+			p.Metrics.CampaignRoundsDone.Set(float64(round + 1))
 		}
 	}
 	span.SetAttr("samples", emitted)
@@ -203,12 +194,45 @@ func (l *localTally) flushTo(t *campaignTally) {
 // serial path and the engine's shard workers: a shard is just a
 // contiguous sub-slice of the public probe population, so concatenating
 // shard outputs in shard order reproduces the serial stream exactly.
+// It resolves a batch of pairs' paths at a time (resolvePaths), then
+// samples and emits them in order; a path error ends the round after
+// the samples before it, as resolving one pair at a time would.
 func (p *Platform) synthesizeRound(ctx context.Context, cfg CampaignConfig, round int, probes []*probe.Probe, tally *campaignTally, emit func(results.Sample) error) (uint64, error) {
 	at := cfg.RoundTime(round)
 	var emitted uint64
 	var local localTally
 	if tally != nil {
 		defer local.flushTo(tally)
+	}
+	var batch [pathBatch]pathJob
+	jobs := batch[:0]
+	sample := func() error {
+		n, resolveErr := p.resolvePaths(jobs)
+		for _, j := range jobs[:n] {
+			s := results.Sample{ProbeID: j.pr.ID, Region: j.r.Addr(), Time: at}
+			if ms, lost := j.path.MinRTT(at, cfg.PingsPerTarget); lost {
+				s.Lost = true
+			} else {
+				s.RTTms = ms
+			}
+			if err := emit(s); err != nil {
+				return err
+			}
+			emitted++
+			if emitted%ctxCheckEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			if tally != nil {
+				local.samples[j.pr.Continent]++
+				if s.Lost {
+					local.lost++
+				}
+			}
+		}
+		jobs = jobs[:0]
+		return resolveErr
 	}
 	for _, pr := range probes {
 		targets := p.Targets(pr)
@@ -222,36 +246,19 @@ func (p *Platform) synthesizeRound(ctx context.Context, cfg CampaignConfig, roun
 			// Rotate deterministically through the target list so each
 			// probe covers every region over the campaign.
 			idx := (round*cfg.TargetsPerRound + k + pr.ID) % len(targets)
-			r := targets[idx]
-			path, err := p.Path(pr, r)
-			if err != nil {
-				return emitted, err
-			}
-			s := results.Sample{ProbeID: pr.ID, Region: r.Addr(), Time: at}
-			if ms, lost := path.MinRTT(at, cfg.PingsPerTarget); lost {
-				s.Lost = true
-			} else {
-				s.RTTms = ms
-			}
-			if err := emit(s); err != nil {
-				return emitted, err
-			}
-			emitted++
-			if emitted%ctxCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
+			if jobs = append(jobs, pathJob{pr: pr, r: targets[idx]}); len(jobs) == pathBatch {
+				if err := sample(); err != nil {
 					return emitted, err
-				}
-			}
-			if tally != nil {
-				local.samples[pr.Continent]++
-				if s.Lost {
-					local.lost++
 				}
 			}
 		}
 	}
-	return emitted, nil
+	return emitted, sample()
 }
+
+// pathBatch is how many pairs synthesizeRound resolves at once: enough
+// misses to keep the memory system busy, few enough to stay in L1.
+const pathBatch = 32
 
 // participates deterministically thins probe-rounds: it hashes (probe,
 // round) into [0,1) and compares against the participation fraction.

@@ -79,29 +79,26 @@ func (p *Platform) RunCampaignOpts(ctx context.Context, cfg CampaignConfig, opts
 	if len(probes) == 0 {
 		return 0, fmt.Errorf("atlas: no public probes")
 	}
-	if opts.serial() {
-		return p.runSerial(ctx, cfg, probes, sink)
-	}
-
-	workers := max(opts.Workers, 1)
-	if workers > len(probes) {
-		workers = len(probes)
-	}
-	shards := shardProbes(probes, workers)
 	rounds := cfg.Rounds()
 	m := p.Metrics
 	span := obs.From(ctx)
 	span.SetAttr("rounds", rounds)
 	span.SetAttr("probes", len(probes))
-	span.SetAttr("workers", workers)
-	if opts.StartRound > 0 {
-		span.SetAttr("resume_round", opts.StartRound)
-	}
 	if m != nil {
 		m.CampaignRoundsTotal.Set(float64(rounds))
 		m.CampaignRoundsDone.Set(float64(opts.StartRound))
 	}
 	tally := p.newCampaignTally()
+	if opts.serial() {
+		return p.runSerial(ctx, cfg, probes, tally, sink)
+	}
+
+	workers := min(max(opts.Workers, 1), len(probes))
+	shards := shardProbes(probes, workers)
+	span.SetAttr("workers", workers)
+	if opts.StartRound > 0 {
+		span.SetAttr("resume_round", opts.StartRound)
+	}
 
 	// Upper bound on one (shard, round) cell, so worker batch buffers
 	// never reallocate mid-round.

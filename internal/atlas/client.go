@@ -37,20 +37,26 @@ func NewClient(base, account string, hc *http.Client) (*Client, error) {
 }
 
 func (c *Client) get(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	return c.do(ctx, http.MethodGet, path, nil, out)
+}
+
+// do sends one request, with body as its JSON payload if non-nil, and
+// decodes the JSON answer into out (unless out is nil); an error status
+// becomes an error carrying the server's message.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	return decodeResponse(resp, out)
-}
-
-func decodeResponse(resp *http.Response, out any) error {
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	answer, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
 		return err
 	}
@@ -58,7 +64,7 @@ func decodeResponse(resp *http.Response, out any) error {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
+		if json.Unmarshal(answer, &e) == nil && e.Error != "" {
 			return fmt.Errorf("atlas: %s: %s", resp.Status, e.Error)
 		}
 		return fmt.Errorf("atlas: %s", resp.Status)
@@ -66,7 +72,7 @@ func decodeResponse(resp *http.Response, out any) error {
 	if out == nil {
 		return nil
 	}
-	return json.Unmarshal(body, out)
+	return json.Unmarshal(answer, out)
 }
 
 // ProbeFilter narrows probe discovery.
@@ -134,20 +140,10 @@ func (c *Client) CreateMeasurement(ctx context.Context, target string, probeIDs 
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/api/v1/measurements", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
 	var out struct {
 		ID int `json:"id"`
 	}
-	if err := decodeResponse(resp, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/api/v1/measurements", body, &out); err != nil {
 		return 0, err
 	}
 	return out.ID, nil

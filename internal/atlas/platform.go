@@ -9,6 +9,7 @@ package atlas
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,21 +30,19 @@ type Platform struct {
 	// progress and per-continent sample tallies from RunCampaign.
 	Metrics *Metrics
 
-	// paths is the path cache: one row per probe ID, allocated on the
-	// probe's first lookup, one slot per catalog region. The campaign
-	// engine reads it from every shard worker on every sample, so a
-	// lookup is two atomic loads — no key to box, no string to hash.
-	paths []atomic.Pointer[pathRow]
+	// paths is the path cache: one slot per (probe ID, catalog region)
+	// pair, row-major by probe ID, allocated on the first lookup so that
+	// a process that never derives a path does not carry it. The
+	// campaign engine reads it from every shard worker on every sample,
+	// so a lookup is one atomic load — no key to box, no string to hash.
+	paths     []atomic.Pointer[netem.Path]
+	pathsOnce sync.Once
 
 	// targets is each continent's target list, indexed by the continent
 	// (ContinentUnknown's entry stays nil): the engine reads it once per
 	// probe per round.
 	targets [geo.SouthAmerica + 1][]*cloud.Region
 }
-
-// pathRow holds one probe's paths, indexed by the region's catalog
-// position.
-type pathRow []atomic.Pointer[netem.Path]
 
 // NewPlatform wires the pieces together.
 func NewPlatform(pop *probe.Population, cat *cloud.Catalog, model *netem.Model) (*Platform, error) {
@@ -60,7 +59,6 @@ func NewPlatform(pop *probe.Population, cat *cloud.Catalog, model *netem.Model) 
 		Population: pop,
 		Catalog:    cat,
 		Model:      model,
-		paths:      make([]atomic.Pointer[pathRow], pop.All()[pop.Len()-1].ID+1),
 	}
 	for _, ct := range geo.Continents() {
 		p.targets[ct] = cat.TargetsFor(ct)
@@ -82,63 +80,84 @@ func (p *Platform) Targets(pr *probe.Probe) []*cloud.Region {
 // deterministic (the model is immutable) and collapse to one canonical
 // instance.
 func (p *Platform) Path(pr *probe.Probe, r *cloud.Region) (*netem.Path, error) {
-	slot := p.pathSlot(pr, r)
-	if slot != nil {
-		if path := slot.Load(); path != nil {
-			return path, nil
-		}
-	}
-	path, err := p.Model.Path(pr.Site(), netem.Target{
-		ID:        r.Addr(),
-		Location:  r.Location,
-		Continent: p.Catalog.Continent(r),
-		Private:   r.Provider.Backbone == cloud.BackbonePrivate,
-	})
-	if err != nil || slot == nil {
-		return path, err
-	}
-	if !slot.CompareAndSwap(nil, path) {
-		return slot.Load(), nil
-	}
-	return path, nil
+	job := [1]pathJob{{pr: pr, r: r}}
+	_, err := p.resolvePaths(job[:])
+	return job[0].path, err
 }
 
-// pathSlot returns the cache cell of a pair, allocating the probe's row
-// on its first lookup. A pair the table has no cell for — a probe ID
-// past the population's, a region that is not the catalog's — gets nil
-// and is derived on every call.
-func (p *Platform) pathSlot(pr *probe.Probe, r *cloud.Region) *atomic.Pointer[netem.Path] {
-	pos, ok := p.Catalog.Position(r)
-	if !ok || uint(pr.ID) >= uint(len(p.paths)) {
-		return nil
-	}
-	cell := &p.paths[pr.ID]
-	row := cell.Load()
-	if row == nil {
-		fresh := make(pathRow, p.Catalog.Len())
-		if cell.CompareAndSwap(nil, &fresh) {
-			row = &fresh
-		} else {
-			row = cell.Load()
+// pathJob is one pair of a resolvePaths batch: its endpoints, and its
+// path once resolved.
+type pathJob struct {
+	pr   *probe.Probe
+	r    *cloud.Region
+	path *netem.Path
+}
+
+// resolvePaths sets each job's path as Path would, and returns how many
+// leading jobs it resolved with the error of the first that failed. It
+// works in passes over the batch: every job's cell load, then one touch
+// of each cached path. A pass's loads do not depend on each other, so
+// the cache misses of different jobs are in flight together instead of
+// one after another. The pairs still missing are then derived in job
+// order.
+func (p *Platform) resolvePaths(jobs []pathJob) (int, error) {
+	p.pathsOnce.Do(func() {
+		p.paths = make([]atomic.Pointer[netem.Path], (p.Population.All()[p.Population.Len()-1].ID+1)*p.Catalog.Len())
+	})
+	for i := range jobs {
+		j := &jobs[i]
+		j.path = nil
+		if slot := p.pathSlot(j.pr, j.r); slot != nil {
+			j.path = slot.Load()
 		}
 	}
-	return &(*row)[pos]
+	for _, j := range jobs {
+		if j.path != nil {
+			j.path.Touch()
+		}
+	}
+	for i := range jobs {
+		j := &jobs[i]
+		if j.path != nil {
+			continue
+		}
+		path, err := p.Model.Path(j.pr.Site(), netem.Target{
+			ID:        j.r.Addr(),
+			Location:  j.r.Location,
+			Continent: p.Catalog.Continent(j.r),
+			Private:   j.r.Provider.Backbone == cloud.BackbonePrivate,
+		})
+		if err != nil {
+			return i, err
+		}
+		if slot := p.pathSlot(j.pr, j.r); slot != nil && !slot.CompareAndSwap(nil, path) {
+			path = slot.Load()
+		}
+		j.path = path
+	}
+	return len(jobs), nil
+}
+
+// pathSlot returns the cache cell of a pair. A pair the table has no
+// cell for — a probe ID past the population's, a region that is not the
+// catalog's — gets nil and is derived on every call.
+func (p *Platform) pathSlot(pr *probe.Probe, r *cloud.Region) *atomic.Pointer[netem.Path] {
+	pos, ok := p.Catalog.Position(r)
+	if n := p.Catalog.Len(); ok && uint(pr.ID) < uint(len(p.paths)/n) {
+		return &p.paths[pr.ID*n+pos]
+	}
+	return nil
 }
 
 // Link implements netsim.Linker over the platform's paths: it resolves
 // probe/region pairs in either direction, samples the RTT at the send time,
 // and charges each leg half the RTT. Loss applies on the forward
 // (probe-to-region) leg only so the end-to-end loss rate matches the model.
-func (p *Platform) Link(src, dst string, at time.Time) (time.Duration, bool, error) {
-	return p.LinkSized(src, dst, 0, at)
-}
-
-// LinkSized implements netsim.SizedLinker: payload-carrying packets pay
-// serialization time on the probe's access uplink in addition to the
-// propagation delay. Only the probe-side (forward) leg is
-// capacity-constrained; datacenter downlinks are effectively unconstrained
-// at ping-scale payloads.
-func (p *Platform) LinkSized(src, dst string, size int, at time.Time) (time.Duration, bool, error) {
+// Payload-carrying packets pay serialization time on the probe's access
+// uplink in addition to the propagation delay. Only the probe-side
+// (forward) leg is capacity-constrained; datacenter downlinks are
+// effectively unconstrained at ping-scale payloads.
+func (p *Platform) Link(src, dst string, size int, at time.Time) (time.Duration, bool, error) {
 	pr, r, forward, err := p.resolve(src, dst)
 	if err != nil {
 		return 0, false, fmt.Errorf("atlas: no link between %q and %q", src, dst)

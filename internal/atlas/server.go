@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/geo"
@@ -62,6 +63,7 @@ func NewServer(p *Platform, ledger *Ledger, live *LiveService, opts ...ServerOpt
 	for _, o := range opts {
 		o(s)
 	}
+	allow := map[string][]string{} // each path's methods, in table order
 	for _, r := range []struct {
 		pattern string
 		route   string // metric label: one value per pattern, no IDs
@@ -71,36 +73,25 @@ func NewServer(p *Platform, ledger *Ledger, live *LiveService, opts ...ServerOpt
 		{"GET /api/v1/probes/{id}", "probe", s.handleProbe},
 		{"GET /api/v1/regions", "regions", s.handleRegions},
 		{"GET /api/v1/credits/{account}", "credits", s.handleCredits},
-		{"POST /api/v1/measurements", "measurement_create", s.handleCreate},
 		{"GET /api/v1/measurements", "measurement_list", s.handleList},
+		{"POST /api/v1/measurements", "measurement_create", s.handleCreate},
 		{"GET /api/v1/measurements/{id}", "measurement_get", s.handleMeasurement},
 		{"GET /api/v1/measurements/{id}/results", "measurement_results", s.handleResults},
 		{"DELETE /api/v1/measurements/{id}", "measurement_stop", s.handleStop},
 		{"GET /api/v1/status", "status", s.handleStatus},
 	} {
 		s.mux.HandleFunc(r.pattern, s.metrics.instrument(r.route, r.h))
+		method, path, _ := strings.Cut(r.pattern, " ")
+		allow[path] = append(allow[path], method)
 	}
 	// Uniform method handling: a wrong method on a known path answers
 	// 405 with an Allow header, not the mux's bare 404. The
 	// method-qualified patterns above are more specific and keep
 	// winning for the methods they name.
-	for _, f := range []struct {
-		pattern string
-		allow   []string
-	}{
-		{"/api/v1/probes", []string{"GET"}},
-		{"/api/v1/probes/{id}", []string{"GET"}},
-		{"/api/v1/regions", []string{"GET"}},
-		{"/api/v1/credits/{account}", []string{"GET"}},
-		{"/api/v1/measurements", []string{"GET", "POST"}},
-		{"/api/v1/measurements/{id}", []string{"GET", "DELETE"}},
-		{"/api/v1/measurements/{id}/results", []string{"GET"}},
-		{"/api/v1/status", []string{"GET"}},
-	} {
-		allow := f.allow
-		s.mux.HandleFunc(f.pattern, s.metrics.instrument("method_not_allowed",
+	for path, methods := range allow {
+		s.mux.HandleFunc(path, s.metrics.instrument("method_not_allowed",
 			func(w http.ResponseWriter, r *http.Request) {
-				httpapi.MethodNotAllowed(w, r, allow...)
+				httpapi.MethodNotAllowed(w, r, methods...)
 			}))
 	}
 	if s.metrics != nil && s.metrics.Registry != nil {

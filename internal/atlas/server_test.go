@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // apiFixture spins up the full platform + HTTP server + client stack.
@@ -377,17 +379,7 @@ func TestStopMeasurementConcurrent(t *testing.T) {
 
 // stopMeasurement cancels a measurement through the API's DELETE.
 func stopMeasurement(ctx context.Context, c *Client, id int) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		fmt.Sprintf("%s/api/v1/measurements/%d", c.base, id), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, nil)
+	return c.do(ctx, http.MethodDelete, fmt.Sprintf("/api/v1/measurements/%d", id), nil, nil)
 }
 
 // listMeasurements lists c's account's measurements.
@@ -446,5 +438,41 @@ func TestListMeasurements(t *testing.T) {
 	}
 	if len(ms) != 0 {
 		t.Errorf("other account sees %d measurements", len(ms))
+	}
+}
+
+// TestMethodNotAllowed: a method the API does not serve on a known path
+// answers 405 with that path's methods in the Allow header, in route
+// table order, and counts under the method_not_allowed route.
+func TestMethodNotAllowed(t *testing.T) {
+	p, ledger := smallPlatform(t), NewLedger()
+	live, err := NewLiveService(p, ledger, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(live.Close)
+	m := NewMetrics(obs.NewRegistry())
+	srv, err := NewServer(p, ledger, live, WithServerMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, allow := range map[string]string{
+		"/api/v1/probes":                 "GET",
+		"/api/v1/probes/3":               "GET",
+		"/api/v1/regions":                "GET",
+		"/api/v1/credits/alice":          "GET",
+		"/api/v1/measurements":           "GET, POST",
+		"/api/v1/measurements/1":         "GET, DELETE",
+		"/api/v1/measurements/1/results": "GET",
+		"/api/v1/status":                 "GET",
+	} {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPut, path, nil))
+		if w.Code != http.StatusMethodNotAllowed || w.Header().Get("Allow") != allow {
+			t.Errorf("PUT %s: status %d, Allow %q; want 405, Allow %q", path, w.Code, w.Header().Get("Allow"), allow)
+		}
+	}
+	if got := m.ReqTotal.With("method_not_allowed", "4xx").Value(); got != 8 {
+		t.Errorf("method_not_allowed counted %d requests, want 8", got)
 	}
 }

@@ -298,6 +298,13 @@ func (p *Path) SerializationMs(payloadBytes int) float64 {
 // DistanceKm returns the great-circle endpoint distance.
 func (p *Path) DistanceKm() float64 { return p.distKm }
 
+// Touch reads a word of each of the path's two cache lines, so that a
+// caller about to sample many paths can take their misses together. It
+// is not inlined: a load whose value goes unused would be compiled away.
+//
+//go:noinline
+func (p *Path) Touch() float64 { return p.propMs + p.uplinkMbps }
+
 // bloatWindow is the wall-clock granularity of bufferbloat episodes; the
 // paper cites queue build-ups "lasting several seconds" to minutes (§5).
 const bloatWindow = 10 * time.Minute

@@ -12,26 +12,20 @@ import (
 	"time"
 )
 
-// Linker decides the fate of a packet from src to dst sent at time at.
-// Implementations must be safe for concurrent use.
+// Linker decides the fate of a packet from src to dst sent at time at,
+// carrying size bytes of payload (so the delay can include serialization
+// time on the sender's uplink). Implementations must be safe for
+// concurrent use.
 type Linker interface {
-	Link(src, dst string, at time.Time) (delay time.Duration, lost bool, err error)
-}
-
-// SizedLinker is an optional Linker refinement: when the linker also
-// implements it, the network passes each packet's payload size so the
-// delay can include serialization time on the sender's uplink.
-type SizedLinker interface {
-	Linker
-	LinkSized(src, dst string, size int, at time.Time) (delay time.Duration, lost bool, err error)
+	Link(src, dst string, size int, at time.Time) (delay time.Duration, lost bool, err error)
 }
 
 // LinkerFunc adapts a function to the Linker interface.
-type LinkerFunc func(src, dst string, at time.Time) (time.Duration, bool, error)
+type LinkerFunc func(src, dst string, size int, at time.Time) (time.Duration, bool, error)
 
 // Link implements Linker.
-func (f LinkerFunc) Link(src, dst string, at time.Time) (time.Duration, bool, error) {
-	return f(src, dst, at)
+func (f LinkerFunc) Link(src, dst string, size int, at time.Time) (time.Duration, bool, error) {
+	return f(src, dst, size, at)
 }
 
 // Handler consumes a delivered payload. src is the sender's address.
@@ -73,7 +67,6 @@ func NewNetwork(linker Linker, opts ...Option) (*Network, error) {
 	n := &Network{
 		linker:    linker,
 		endpoints: make(map[string]*Endpoint),
-		metrics:   &Metrics{}, // nil obs fields: recording is a no-op
 		timers:    make(map[*time.Timer]struct{}),
 		timeScale: 1,
 	}
@@ -81,7 +74,7 @@ func NewNetwork(linker Linker, opts ...Option) (*Network, error) {
 		o(n)
 	}
 	if n.metrics == nil {
-		n.metrics = &Metrics{}
+		n.metrics = &Metrics{} // nil obs fields: recording is a no-op
 	}
 	return n, nil
 }
@@ -143,14 +136,7 @@ func (n *Network) send(src, dst string, payload []byte) error {
 	n.mu.Unlock()
 	n.metrics.Sent.Inc()
 
-	var delay time.Duration
-	var lost bool
-	var err error
-	if sized, ok := n.linker.(SizedLinker); ok {
-		delay, lost, err = sized.LinkSized(src, dst, len(payload), time.Now())
-	} else {
-		delay, lost, err = n.linker.Link(src, dst, time.Now())
-	}
+	delay, lost, err := n.linker.Link(src, dst, len(payload), time.Now())
 	if err != nil {
 		n.metrics.LinkerError.Inc()
 		return fmt.Errorf("netsim: %s -> %s: %w", src, dst, err)

@@ -11,7 +11,7 @@ import (
 )
 
 func constLinker(d time.Duration) Linker {
-	return LinkerFunc(func(src, dst string, at time.Time) (time.Duration, bool, error) {
+	return LinkerFunc(func(src, dst string, _ int, at time.Time) (time.Duration, bool, error) {
 		return d, false, nil
 	})
 }
@@ -107,7 +107,7 @@ func TestPayloadIsCopied(t *testing.T) {
 }
 
 func TestLoss(t *testing.T) {
-	lossy := LinkerFunc(func(src, dst string, at time.Time) (time.Duration, bool, error) {
+	lossy := LinkerFunc(func(src, dst string, _ int, at time.Time) (time.Duration, bool, error) {
 		return 0, true, nil
 	})
 	n, m := counted(t, lossy)
@@ -131,7 +131,7 @@ func TestLoss(t *testing.T) {
 }
 
 func TestLinkerError(t *testing.T) {
-	bad := LinkerFunc(func(src, dst string, at time.Time) (time.Duration, bool, error) {
+	bad := LinkerFunc(func(src, dst string, _ int, at time.Time) (time.Duration, bool, error) {
 		return 0, false, errors.New("no route")
 	})
 	n, m := counted(t, bad)
@@ -267,11 +267,7 @@ type sizedLinker struct {
 	sizes []int
 }
 
-func (l *sizedLinker) Link(src, dst string, at time.Time) (time.Duration, bool, error) {
-	return l.LinkSized(src, dst, 0, at)
-}
-
-func (l *sizedLinker) LinkSized(src, dst string, size int, at time.Time) (time.Duration, bool, error) {
+func (l *sizedLinker) Link(src, dst string, size int, at time.Time) (time.Duration, bool, error) {
 	l.mu.Lock()
 	l.sizes = append(l.sizes, size)
 	l.mu.Unlock()

@@ -13,7 +13,7 @@ import (
 func simPair(t *testing.T, delay time.Duration) (*Pinger, *netsim.Network) {
 	t.Helper()
 	n, err := netsim.NewNetwork(netsim.LinkerFunc(
-		func(src, dst string, at time.Time) (time.Duration, bool, error) {
+		func(src, dst string, _ int, at time.Time) (time.Duration, bool, error) {
 			return delay, false, nil
 		}))
 	if err != nil {
@@ -52,7 +52,7 @@ func TestPingOverVirtualNetwork(t *testing.T) {
 
 func TestPingTimeout(t *testing.T) {
 	n, err := netsim.NewNetwork(netsim.LinkerFunc(
-		func(src, dst string, at time.Time) (time.Duration, bool, error) {
+		func(src, dst string, _ int, at time.Time) (time.Duration, bool, error) {
 			return 0, true, nil // all packets lost
 		}))
 	if err != nil {
@@ -108,7 +108,7 @@ func TestPingValidation(t *testing.T) {
 
 func TestRTTScale(t *testing.T) {
 	n, err := netsim.NewNetwork(netsim.LinkerFunc(
-		func(src, dst string, at time.Time) (time.Duration, bool, error) {
+		func(src, dst string, _ int, at time.Time) (time.Duration, bool, error) {
 			return time.Millisecond, false, nil
 		}))
 	if err != nil {

@@ -58,6 +58,9 @@ func NewPinger(tr Transport, id uint16, opts ...PingerOption) (*Pinger, error) {
 	for _, o := range opts {
 		o(p)
 	}
+	if p.metrics == nil {
+		p.metrics = &Metrics{} // nil obs fields: recording is a no-op
+	}
 	tr.SetHandler(p.onPacket)
 	return p, nil
 }
@@ -119,22 +122,16 @@ func (p *Pinger) Ping(ctx context.Context, dst string, timeout time.Duration) (t
 	if err := p.tr.Send(dst, buf); err != nil {
 		return 0, err
 	}
-	if p.metrics != nil {
-		p.metrics.Sent.Inc()
-	}
+	p.metrics.Sent.Inc()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case rtt := <-ch:
-		if p.metrics != nil {
-			p.metrics.Received.Inc()
-			p.metrics.RTTms.Observe(float64(rtt) / float64(time.Millisecond))
-		}
+		p.metrics.Received.Inc()
+		p.metrics.RTTms.Observe(float64(rtt) / float64(time.Millisecond))
 		return rtt, nil
 	case <-timer.C:
-		if p.metrics != nil {
-			p.metrics.Timeouts.Inc()
-		}
+		p.metrics.Timeouts.Inc()
 		return 0, ErrTimeout
 	case <-ctx.Done():
 		return 0, ctx.Err()

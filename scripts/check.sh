@@ -129,15 +129,18 @@ echo "== campaign allocation gate =="
 # allocates nothing per round: the engine recycles each shard's drained
 # batch buffers (a run allocates no more at 4x the rounds, and its merged
 # stream stays canonical at 1, 2, 3 and 7 workers), and a warmed round's
-# synthesis allocates a handful of objects at most. The paths it keeps
-# live hold no pointer for the collector to scan, Sample still matches
-# its reference (which computes lon/15 and reads the model's Config
-# itself) bit for bit, MinRTT — which skips the noise of pings that
+# synthesis allocates a handful of objects at most. Its batched path
+# resolver returns what Platform.Path returns, pair for pair, derives
+# the pairs the table has no cell for, and on a path error still emits
+# the samples before it. The paths it keeps live hold no pointer for the
+# collector to scan, Sample still matches its reference (which computes
+# lon/15 and reads the model's Config itself) bit for bit, MinRTT —
+# which finishes pings in bound order and skips the noise of those that
 # cannot be the minimum — equals the fold of RTT over its pings bit for
-# bit and allocates nothing, and each probe's address is spelled as fmt
-# would.
+# bit across its groups of four and allocates nothing, and each probe's
+# address is spelled as fmt would.
 go test -count=1 -run '^TestRunRecyclesBatches$' ./internal/engine
-go test -count=1 -run '^TestSynthesizeRoundSteadyStateAllocs$' ./internal/atlas
+go test -count=1 -run '^(TestSynthesizeRoundSteadyStateAllocs|TestResolvePathsMatchesPath)$' ./internal/atlas
 go test -count=1 -run '^(TestPathHoldsNoPointers|TestSampleMatchesReference|TestMinRTTMatchesRTTFold)$' ./internal/netem
 go test -count=1 -run '^TestAddr$' ./internal/probe
 
