@@ -34,9 +34,6 @@
 // per-continent quantiles along with how many block records and edge
 // blocks the composition touched.
 //
-// The regions op folds the zones' per-region aggregate lists when the
-// store carries them, decoding rows only for blocks that don't.
-//
 // Flags precede the op: flag parsing stops at the first positional
 // argument.
 package main
@@ -151,9 +148,9 @@ func scanWith(store *results.Store, pred *colf.Predicate, workers int, newPass f
 	if err != nil {
 		return nil, err
 	}
-	log.Printf("scan: %d samples in %v (%.1f MB/s, %.0f samples/s, %d workers, %d/%d blocks read, %d skipped, %d zone-resolved)",
+	log.Printf("scan: %d samples in %v (%.1f MB/s, %.0f samples/s, %d workers, %d/%d blocks read, %d skipped)",
 		st.Samples, st.Duration.Round(time.Millisecond), st.MBPerSec(), st.SamplesPerSec(), st.Workers,
-		st.BlocksRead, st.BlocksTotal, st.BlocksSkipped, st.BlocksZone)
+		st.BlocksRead, st.BlocksTotal, st.BlocksSkipped)
 	return passes[0], nil
 }
 
@@ -298,9 +295,7 @@ type regionAgg struct {
 }
 
 // regionsPass tallies rows, delivered samples and mean delivered RTT
-// per region. Whole blocks resolve from the zone's per-region aggregate
-// list without decoding a row; blocks without the list (dictionaries
-// past the zone cap) decode and fold by dictionary code.
+// per region, folding each decoded block by dictionary code.
 type regionsPass struct {
 	byRegion map[string]*regionAgg
 	// accs caches the code → accumulator resolution for the current
@@ -338,20 +333,6 @@ func (p *regionsPass) ObserveBlock(blk *colf.Block) error {
 			a.delivered++
 			a.sum += blk.RTT[i]
 		}
-	}
-	return nil
-}
-
-func (p *regionsPass) CanObserveZone(z colf.Zone) bool {
-	return z.Rows == 0 || len(z.Regions) > 0
-}
-
-func (p *regionsPass) ObserveZone(z colf.Zone) error {
-	for _, rz := range z.Regions {
-		a := p.acc(rz.Region)
-		a.rows += uint64(rz.Rows)
-		a.delivered += uint64(rz.Delivered)
-		a.sum += rz.RTTSum
 	}
 	return nil
 }

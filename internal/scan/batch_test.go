@@ -160,15 +160,14 @@ func TestBinaryBatchFilteredEquivalence(t *testing.T) {
 	}
 }
 
-// zoneTally is an aggregate-only pass: with zone pre-aggregates it
-// absorbs whole blocks with zero row decode.
-type zoneTally struct {
+// tally is an aggregate-only pass: it reads no optional column.
+type tally struct {
 	rows, delivered uint64
 }
 
-func (p *zoneTally) Columns() colf.ColumnSet { return 0 }
+func (p *tally) Columns() colf.ColumnSet { return 0 }
 
-func (p *zoneTally) ObserveBlock(blk *colf.Block) error {
+func (p *tally) ObserveBlock(blk *colf.Block) error {
 	p.rows += uint64(blk.Rows())
 	for _, lost := range blk.Lost {
 		if !lost {
@@ -178,34 +177,26 @@ func (p *zoneTally) ObserveBlock(blk *colf.Block) error {
 	return nil
 }
 
-func (p *zoneTally) CanObserveZone(colf.Zone) bool { return true }
-
-func (p *zoneTally) ObserveZone(z colf.Zone) error {
-	p.rows += uint64(z.Rows)
-	p.delivered += uint64(z.Delivered)
-	return nil
-}
-
-func (p *zoneTally) Merge(other Pass) error {
-	o := other.(*zoneTally)
+func (p *tally) Merge(other Pass) error {
+	o := other.(*tally)
 	p.rows += o.rows
 	p.delivered += o.delivered
 	return nil
 }
 
-// TestBinaryZoneResolution pins the zone fast path: a scan whose only
-// pass is zone-capable resolves every covered block from its footer
-// pre-aggregates — zero rows decoded — decodes only the blocks a window
-// clips, and matches the tallies of the rows themselves.
-func TestBinaryZoneResolution(t *testing.T) {
+// TestBinaryAggregateOnlyPassDecodes pins that an aggregate-only pass
+// is answered from decoded, CRC-checked blocks like any other: every
+// block the predicate keeps is decoded, none is resolved from its zone,
+// and the tallies match the rows themselves.
+func TestBinaryAggregateOnlyPassDecodes(t *testing.T) {
 	samples := genSamples(20_000)
 	path := writeBinary(t, samples, 256)
 
-	run := func(cfg Config) (*zoneTally, Stats) {
-		var merged *zoneTally
+	run := func(cfg Config) (*tally, Stats) {
+		var merged *tally
 		cfg.Path = path
 		cfg.NewPasses = func(w int) ([]Pass, error) {
-			p := &zoneTally{}
+			p := &tally{}
 			if w == 0 {
 				merged = p
 			}
@@ -217,7 +208,7 @@ func TestBinaryZoneResolution(t *testing.T) {
 		}
 		return merged, st
 	}
-	tally := func(pred *colf.Predicate) (want zoneTally) {
+	rowTally := func(pred *colf.Predicate) (want tally) {
 		for _, s := range samples {
 			if pred.MatchRow(s.Time.UnixNano()) {
 				want.rows++
@@ -229,16 +220,13 @@ func TestBinaryZoneResolution(t *testing.T) {
 		return want
 	}
 
-	zoned, zst := run(Config{Workers: 4})
-	if zst.BlocksZone != zst.BlocksTotal || zst.RowsScanned != 0 || zst.BlocksRead != 0 {
-		t.Fatalf("zone scan resolved %d/%d blocks from zones, decoded %d rows; want all, 0",
-			zst.BlocksZone, zst.BlocksTotal, zst.RowsScanned)
+	whole, wst := run(Config{Workers: 4})
+	if wst.BlocksZone != 0 || wst.BlocksRead != wst.BlocksTotal || wst.RowsScanned != uint64(len(samples)) {
+		t.Fatalf("whole scan: %d zone, %d/%d read, %d rows decoded; want 0, all, %d",
+			wst.BlocksZone, wst.BlocksRead, wst.BlocksTotal, wst.RowsScanned, len(samples))
 	}
-	if zst.Samples != uint64(len(samples)) {
-		t.Errorf("zone scan counted %d samples, want %d", zst.Samples, len(samples))
-	}
-	if want := tally(nil); *zoned != want {
-		t.Errorf("zone tallies %+v != row tallies %+v", *zoned, want)
+	if want := rowTally(nil); *whole != want || wst.Samples != want.rows {
+		t.Errorf("tallies %+v (stats %d) != row tallies %+v", *whole, wst.Samples, want)
 	}
 
 	window := &colf.Predicate{
@@ -246,11 +234,11 @@ func TestBinaryZoneResolution(t *testing.T) {
 		Until: samples[0].Time.Add(4 * time.Hour),
 	}
 	clipped, cst := run(Config{Workers: 4, Predicate: window})
-	if cst.BlocksZone != 41 || cst.BlocksRead != 2 || cst.BlocksSkipped != 36 || cst.RowsScanned != 512 {
-		t.Errorf("windowed zone scan: %d zone, %d read, %d skipped, %d rows decoded; want 41, 2, 36, 512",
-			cst.BlocksZone, cst.BlocksRead, cst.BlocksSkipped, cst.RowsScanned)
+	if cst.BlocksZone != 0 || cst.BlocksRead != 43 || cst.BlocksSkipped != 36 || cst.RowsScanned != 43*256 {
+		t.Errorf("windowed scan: %d zone, %d read, %d skipped, %d rows decoded; want 0, 43, 36, %d",
+			cst.BlocksZone, cst.BlocksRead, cst.BlocksSkipped, cst.RowsScanned, 43*256)
 	}
-	if want := tally(window); *clipped != want || cst.Samples != want.rows {
-		t.Errorf("windowed zone tallies %+v (stats %d) != row tallies %+v", *clipped, cst.Samples, want)
+	if want := rowTally(window); *clipped != want || cst.Samples != want.rows {
+		t.Errorf("windowed tallies %+v (stats %d) != row tallies %+v", *clipped, cst.Samples, want)
 	}
 }

@@ -112,7 +112,6 @@ func scanBlocks(ctx context.Context, cfg Config, r io.ReaderAt, size int64, span
 		st.RowsScanned += res[w].rows
 		st.BytesDecoded += res[w].decoded
 		st.BlocksRead += res[w].read
-		st.BlocksZone += res[w].zoned
 	}
 	// First error in group (= file) order, so the reported failure is
 	// deterministic even when several groups fail.
@@ -146,7 +145,6 @@ func finish(st *Stats, span *obs.Span, cfg Config) {
 	span.SetAttr("blocks_total", st.BlocksTotal)
 	span.SetAttr("blocks_read", st.BlocksRead)
 	span.SetAttr("blocks_skipped", st.BlocksSkipped)
-	span.SetAttr("blocks_zone", st.BlocksZone)
 	span.SetAttr("prefix_blocks", st.PrefixBlocks)
 	span.SetAttr("bytes_decoded", st.BytesDecoded)
 	span.SetAttr("rows_scanned", st.RowsScanned)
@@ -155,7 +153,6 @@ func finish(st *Stats, span *obs.Span, cfg Config) {
 	cfg.Log.Debug("scan complete",
 		"workers", st.Workers, "samples", st.Samples,
 		"blocks_read", st.BlocksRead, "blocks_skipped", st.BlocksSkipped,
-		"blocks_zone", st.BlocksZone,
 		"blocks_total", st.BlocksTotal, "duration_ms", st.Duration.Milliseconds())
 }
 
@@ -197,55 +194,33 @@ func groupBlocks(blocks []colf.BlockInfo, n int) [][]colf.BlockInfo {
 }
 
 // groupStats is one worker's accounting: samples observed, rows
-// decoded (before row filtering), payload bytes decoded, blocks
-// decoded, and blocks resolved from zone pre-aggregates alone.
+// decoded (before row filtering), payload bytes decoded and blocks
+// decoded.
 type groupStats struct {
 	samples uint64
 	rows    uint64
 	decoded int64
 	read    int
-	zoned   int
 }
 
 // foldGroup decodes one contiguous block group and feeds every
-// predicate-matching row to ps. Per block it resolves from the zone
-// when it can and decodes otherwise:
-//
-//   - zone: the predicate covers the zone and every pass can absorb the
-//     zone's pre-aggregates — no decode at all;
-//   - decode: everything else. A block the predicate covers only partly
-//     is compacted to its matching rows, a block whose footer zone does
-//     not prove every row valid is validated row by row, and the passes
-//     then see the column arrays through ObserveBlock.
+// predicate-matching row to ps. Every block is decoded from its
+// CRC-checked bytes; a block the predicate covers only partly is then
+// compacted to its matching rows, a block whose footer zone does not
+// prove every row valid is validated row by row, and the passes see
+// the column arrays through ObserveBlock.
 func foldGroup(ctx context.Context, r io.ReaderAt, group []colf.BlockInfo, pred *colf.Predicate, ps []Pass) (gs groupStats, err error) {
 	dec := colf.NewBlockDecoder()
-
-	// Classify the pass set once; every worker holds the same types.
 	cols := colf.ColumnSet(0)
-	zonePs := make([]ZonePass, 0, len(ps))
 	for _, p := range ps {
 		cols |= p.Columns()
-		if zp, ok := p.(ZonePass); ok {
-			zonePs = append(zonePs, zp)
-		}
 	}
-	zoneAll := len(ps) > 0 && len(zonePs) == len(ps)
 
 	for _, bi := range group {
 		if err := ctx.Err(); err != nil {
 			return gs, err
 		}
 		covered := pred.Empty() || pred.CoversZone(bi.Zone)
-		if covered && zoneAll && canObserveZone(zonePs, bi.Zone) {
-			for _, zp := range zonePs {
-				if err := zp.ObserveZone(bi.Zone); err != nil {
-					return gs, err
-				}
-			}
-			gs.samples += uint64(bi.Zone.Rows)
-			gs.zoned++
-			continue
-		}
 		want := cols
 		if !covered {
 			want = colf.ColAll // compact copies every column
@@ -319,16 +294,6 @@ func compact(blk *colf.Block, pred *colf.Predicate) {
 	}
 	blk.Probe, blk.TimeNano, blk.Region = blk.Probe[:n], blk.TimeNano[:n], blk.Region[:n]
 	blk.RegionID, blk.RTT, blk.Lost = blk.RegionID[:n], blk.RTT[:n], blk.Lost[:n]
-}
-
-// canObserveZone reports whether every pass can absorb z.
-func canObserveZone(zonePs []ZonePass, z colf.Zone) bool {
-	for _, zp := range zonePs {
-		if !zp.CanObserveZone(z) {
-			return false
-		}
-	}
-	return true
 }
 
 // blockRowsValid reports whether every row of the block provably

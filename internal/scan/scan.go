@@ -43,21 +43,6 @@ type Pass interface {
 	Merge(other Pass) error
 }
 
-// ZonePass is a Pass that can absorb a whole block from its zone
-// pre-aggregates alone, with zero row decode. The scanner uses it only
-// when every pass of the scan is zone-capable for the block and the
-// predicate covers the zone; such blocks skip decoding entirely, which
-// also skips per-row validation — ZonePass is therefore opt-in for
-// aggregate-only consumers that accept zone-level granularity.
-type ZonePass interface {
-	Pass
-	// CanObserveZone reports whether z carries enough pre-aggregates for
-	// this pass (e.g. a zone whose block outgrew the per-region list).
-	CanObserveZone(z colf.Zone) bool
-	// ObserveZone folds the whole block summarized by z.
-	ObserveZone(z colf.Zone) error
-}
-
 // Config describes one scan.
 type Config struct {
 	// Path is the colf samples file to scan.
@@ -100,9 +85,7 @@ type Stats struct {
 	Workers int    // block groups actually scanned
 	Samples uint64 // samples observed
 	// RowsScanned counts rows decoded and examined, before predicate
-	// row-filtering (Samples counts only matches). Zone-resolved blocks
-	// contribute to Samples but not RowsScanned — their rows were never
-	// decoded.
+	// row-filtering (Samples counts only matches).
 	RowsScanned uint64
 	Bytes       int64           // file bytes covered
 	Duration    time.Duration   // wall-clock scan time
@@ -119,7 +102,7 @@ type Stats struct {
 	BlocksTotal   int   // blocks in the file, including the resumed prefix
 	BlocksRead    int   // blocks decoded
 	BlocksSkipped int   // blocks skipped via zone maps
-	BlocksZone    int   // blocks resolved from zone pre-aggregates, no decode
+	BlocksZone    int   // always 0: every block a scan uses is decoded; kept for readers of the old field
 	BytesDecoded  int64 // encoded bytes actually decoded
 }
 
