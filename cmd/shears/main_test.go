@@ -140,7 +140,9 @@ func TestRunWritesArtifacts(t *testing.T) {
 // samples.snap moved with each suite state version since (v3, v4, v5),
 // and samples.tix twice: when both took the shared record format of
 // internal/snap (snapshot +8 bytes, index -2), and when the index became
-// one record per block (pass set continent-cdf-v2); nothing else has.
+// one record per block (pass set continent-cdf-v2); samples.bin once,
+// when its block-index trailer took a CRC-32C (+4 bytes); nothing else
+// has.
 // stdout — every figure table, the §4.1 provider table and the §4.3
 // attribution — was recorded later, from `shears` without -quiet at the
 // commit before provider summaries came from selection and §4.3 ran
@@ -160,7 +162,7 @@ func TestRunGoldenDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 		golden := map[string]string{
-			filepath.Join(dir, "samples.bin"):    "d73e4c7519a2d9cb454f3f782c1e349ebcad3055c2a8cce89489ad76c1bb205b",
+			filepath.Join(dir, "samples.bin"):    "3b8ac61da9c5d98120a04f9ced30f5c7dcf553a29ca2e7f43715617a417b7354",
 			filepath.Join(dir, "samples.snap"):   "bdb075e5aeab3fe71332d9d43b38dc69cf857a1823b75b84104cccc34c27c781",
 			filepath.Join(dir, "samples.tix"):    "91a047d2325b714d8fc09b53bf0b60a3873497bc68e910bd85c25aad2c71d9e2",
 			filepath.Join(figDir, "figure4.csv"): "0769f523f93c6e187269a61d2466261d7310ce283b62dac630c3582c8868a8fa",
