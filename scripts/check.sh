@@ -135,10 +135,10 @@ echo "== campaign allocation gate =="
 # the samples before it. The paths it keeps live hold no pointer for the
 # collector to scan, Sample still matches its reference (which computes
 # lon/15 and reads the model's Config itself) bit for bit, MinRTT —
-# which finishes pings in bound order and skips the noise of those that
-# cannot be the minimum — equals the fold of RTT over its pings bit for
-# bit across its groups of four and allocates nothing, and each probe's
-# address is spelled as fmt would.
+# which takes its pings in time order and skips the noise of any whose
+# lower bound is not below the best total so far — equals the fold of
+# RTT over its pings bit for bit for one to nine pings and allocates
+# nothing, and each probe's address is spelled as fmt would.
 go test -count=1 -run '^TestRunRecyclesBatches$' ./internal/engine
 go test -count=1 -run '^(TestSynthesizeRoundSteadyStateAllocs|TestResolvePathsMatchesPath)$' ./internal/atlas
 go test -count=1 -run '^(TestPathHoldsNoPointers|TestSampleMatchesReference|TestMinRTTMatchesRTTFold)$' ./internal/netem
@@ -192,10 +192,17 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 echo "== smoke dataset =="
 # A short serial campaign the convert, figure-digest and temporal-index
 # smokes below read. Worker-count byte identity of samples.bin is pinned
-# by cmd/shears TestRunWorkerCountInvariance.
+# by cmd/shears TestRunWorkerCountInvariance. Its one-continent filter
+# must print the same regions table at one and three scan workers.
 smokedir="$(mktemp -d)"
 trap 'rm -rf "$smokedir"' EXIT
 go run ./cmd/shears -days 2 -probes 200 -quiet -out "$smokedir/serial"
+go run ./cmd/dataset -data "$smokedir/serial" -continent EU -out "$smokedir/eu" filter
+for workers in 1 3; do
+    go run ./cmd/dataset -data "$smokedir/eu" -workers "$workers" regions >"$smokedir/regions.w$workers.txt"
+done
+test -s "$smokedir/regions.w1.txt"
+cmp "$smokedir/regions.w1.txt" "$smokedir/regions.w3.txt"
 
 echo "== convert smoke (JSONL export/import round trip) =="
 # JSONL is the interchange encoding: exporting the serial store and
