@@ -2,7 +2,6 @@ package colf
 
 import (
 	"fmt"
-	"strings"
 	"time"
 )
 
@@ -225,24 +224,6 @@ type Predicate struct {
 	// Since/Until restrict timestamps to the half-open window
 	// [Since, Until). Zero times leave the corresponding side open.
 	Since, Until time.Time
-}
-
-// Key returns a canonical encoding of the predicate: two predicates
-// select the same rows if and only if their keys are equal. Consumers
-// use it as a cache-key component for windowed reads; the empty
-// predicate's key is "".
-func (p *Predicate) Key() string {
-	if p.Empty() {
-		return ""
-	}
-	var b strings.Builder
-	if !p.Since.IsZero() {
-		fmt.Fprintf(&b, "since=%d;", p.Since.UnixNano())
-	}
-	if !p.Until.IsZero() {
-		fmt.Fprintf(&b, "until=%d;", p.Until.UnixNano())
-	}
-	return b.String()
 }
 
 // Empty reports whether the predicate constrains nothing.

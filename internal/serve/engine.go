@@ -33,11 +33,9 @@ const DefaultRefresh = 500 * time.Millisecond
 // stats the store for growth.
 const pollsPerRefresh = 8
 
-// DefaultFillTimeout caps one cache fill (a windowed materialization)
-// when Options.FillTimeout is zero. Fills run outside the request's
-// cancellation scope so an aborting leader cannot poison coalesced
-// waiters — the deadline is what keeps that decoupling from turning
-// into an unbounded background scan.
+// DefaultFillTimeout caps one window fill (a windowed materialization)
+// when Options.FillTimeout is zero. A fill also stops when its request
+// goes away; the deadline bounds the one whose client waits it out.
 const DefaultFillTimeout = 30 * time.Second
 
 // Options configures an Engine.
@@ -60,7 +58,7 @@ type Options struct {
 	// instead of scanning. Empty disables the index; an index that
 	// fails to open or extend logs and serves by scan.
 	TixPath string
-	// FillTimeout is the hard deadline on one cache fill; zero means
+	// FillTimeout is the hard deadline on one window fill; zero means
 	// DefaultFillTimeout.
 	FillTimeout time.Duration
 	// Metrics and ScanMetrics receive the serve_* and scan_*
@@ -88,13 +86,13 @@ type snapshotView struct {
 	// when the index is disabled or unavailable, in which case windowed
 	// queries scan the block list instead.
 	tixView   *tix.View
-	resident  Resident // taken at publish; Status fills in ReadCache
+	resident  Resident // taken at publish
 	published time.Time
 }
 
 // Engine is the query serving engine: a resident HotSuite advanced by a
-// background refresher, an atomically published snapshotView, and the
-// read cache in front of the HTTP handlers.
+// background refresher, and an atomically published snapshotView the
+// HTTP handlers answer from.
 type Engine struct {
 	idx *core.Index
 	opt Options
@@ -107,12 +105,8 @@ type Engine struct {
 	hot       *core.HotSuite // its Blocks are every complete block folded so far
 	tix       *tix.Index     // temporal aggregate index; nil when disabled
 
-	cur   atomic.Pointer[snapshotView]
-	lag   atomic.Int64 // stable bytes past the published boundary
-	cache *cache
-	// bypassCache routes every request straight to its fill function —
-	// the no-cache baseline the load benchmark measures against.
-	bypassCache atomic.Bool
+	cur atomic.Pointer[snapshotView]
+	lag atomic.Int64 // stable bytes past the published boundary
 
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -147,7 +141,7 @@ func NewEngine(store *results.Store, idx *core.Index, opt Options) (*Engine, err
 	}
 	e := &Engine{
 		idx: idx, opt: opt,
-		f: f, hot: hot, cache: newCache(opt.Metrics.nilSafe().CacheEvictedBytes),
+		f: f, hot: hot,
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	if opt.TixPath != "" {
@@ -240,8 +234,8 @@ func (m *Metrics) nilSafe() *Metrics {
 
 // Refresh runs one refresh pass: locate the stable delta, fold it into
 // the resident state, and publish a new snapshot view with re-rendered
-// figures. A pass with no new complete blocks republishes nothing (the
-// cache stays warm). Errors leave the previous view serving.
+// figures. A pass with no new complete blocks republishes nothing, so
+// the ETag holds. Errors leave the previous view serving.
 func (e *Engine) Refresh(ctx context.Context) error {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
@@ -291,7 +285,7 @@ func (e *Engine) Refresh(ctx context.Context) error {
 
 	cur := e.cur.Load()
 	if cur != nil && cur.coveredBytes == covered {
-		return nil // nothing new: keep the view and its warm cache
+		return nil // nothing new: keep the view
 	}
 	if e.hot.Samples() == 0 {
 		return nil // nothing to serve yet
@@ -349,7 +343,6 @@ func (e *Engine) Refresh(ctx context.Context) error {
 		r.etag = etagFor(view.fingerprint)
 	}
 	e.cur.Store(view)
-	e.cache.invalidate()
 	m.Refreshes.Inc()
 	m.RefreshSeconds.Observe(time.Since(t0).Seconds())
 	m.CoveredBytes.Set(float64(covered))
@@ -391,10 +384,10 @@ func renderFigures(rep *core.SuiteReport) (map[string]*response, error) {
 
 func etagFor(fingerprint string) string { return `"` + fingerprint + `"` }
 
-// SetCacheBypass toggles the read cache off (true) or on. It exists
-// for the load benchmark's no-cache baseline and for tests; production
-// serving always runs with the cache on.
-func (e *Engine) SetCacheBypass(v bool) { e.bypassCache.Store(v) }
+// SetCacheBypass does nothing: there is no read cache to bypass, and
+// every request but a matching conditional one fills. It stays for the
+// load benchmark, which still calls it.
+func (e *Engine) SetCacheBypass(bool) {}
 
 // Close stops the refresher and releases the store handle. Safe to call
 // without Start (the refresher simply never ran).
@@ -426,26 +419,23 @@ type Status struct {
 }
 
 // Resident is where the serving state's bytes are: NearestPass's row
-// buffer (chunks, best rows, row chain), the Figure 6/7 multisets, the
-// index's prefix rows and slab directory (offsets and chunk CRCs; zero
-// without an index), and the bodies the read cache keeps.
+// buffer (chunks, best rows, row chain), the Figure 6/7 multisets, and
+// the index's prefix rows and slab directory (offsets and chunk CRCs;
+// zero without an index).
 type Resident struct {
 	NearestRows  int64 `json:"nearest_rows"`
 	KeptSets     int64 `json:"kept_sets"`
 	TixPrefix    int64 `json:"tix_prefix"`
 	TixDirectory int64 `json:"tix_directory"`
-	ReadCache    int64 `json:"read_cache"`
 }
 
 // Status reports the published snapshot's coverage and where the
-// serving state's bytes are: all but the read cache as of the publish.
+// serving state's bytes are as of the publish.
 func (e *Engine) Status() Status {
 	v := e.cur.Load()
 	if v == nil {
 		return Status{LagBytes: e.lag.Load()}
 	}
-	res := v.resident
-	res.ReadCache = e.cache.bytes()
 	return Status{
 		Snapshot:      v.fingerprint,
 		CoveredBytes:  v.coveredBytes,
@@ -453,6 +443,6 @@ func (e *Engine) Status() Status {
 		Samples:       v.samples,
 		LagBytes:      e.lag.Load(),
 		PublishedAt:   v.published,
-		Resident:      res,
+		Resident:      v.resident,
 	}
 }

@@ -14,12 +14,10 @@ import (
 // FuzzWindowParams sends arbitrary since/until/p/continent strings to
 // /cdf and /quantile on an index-backed engine. Nothing may panic or
 // answer 5xx, and every 200 body must equal the index-less engine's.
-// Both engines bypass the read cache, so every request is a fill.
 func FuzzWindowParams(f *testing.F) {
 	fx := newFixture(f, 200)
 	tailStart, dupStart := fx.appendBlocks(f)
 	p := fx.newEnginePair(f)
-	p.tixEng.SetCacheBypass(true)
 
 	rfc := func(t time.Time) string { return t.Format(time.RFC3339) }
 	// p = k/(n-1) lands on a rank exactly: n is Europe's sample count in

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -25,8 +24,10 @@ import (
 //	GET /api/v1/quantile       ?p=0.5[&dist=full|min][&continent=EU]
 //	GET /api/v1/cdf            ?since=RFC3339&until=RFC3339
 //
-// Every endpoint answers from the published snapshot through the read
-// cache; non-GET methods get a uniform 405 with Allow.
+// Every endpoint answers from the published snapshot: figures are
+// written as rendered at publish, and every other answer is filled per
+// request unless If-None-Match already holds the snapshot's ETag.
+// Non-GET methods get a uniform 405 with Allow.
 func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /api/v1/figures/{fig}", e.route("figures", e.handleFigure))
@@ -83,9 +84,8 @@ var stageNames = [numStages]string{
 	"grid_compose", "slab_read", "edge_decode", "fold", "select", "scan", "encode",
 }
 
-// stageTimes is where one window fill's time went. Only the request
-// that ran the fill has any; cache hits and coalesced waiters report
-// none.
+// stageTimes is where one window fill's time went; a 304 answered
+// before its fill has none.
 type stageTimes [numStages]time.Duration
 
 // addQuery folds an index query's stage durations in.
@@ -115,30 +115,19 @@ func (st *stageTimes) serverTiming() string {
 	return sb.String()
 }
 
-// serveCached runs key through the read cache and writes the result
-// with writeResponse, counting the hit, coalesced wait or miss. st, when
-// non-nil, is the stage breakdown fill records into: the stages that ran
-// are exported as serve_window_stage_seconds and a Server-Timing header.
-func (e *Engine) serveCached(w http.ResponseWriter, r *http.Request, key string, st *stageTimes, fill func() (*response, error)) {
+// serveFill answers one request from view v. Every body v serves
+// carries the ETag of v's fingerprint, so a conditional request holding
+// it gets its 304 before any fill; any other request runs fill and gets
+// the result through writeResponse. st, when non-nil, is the stage
+// breakdown fill records into: the stages that ran are exported as
+// serve_window_stage_seconds and a Server-Timing header.
+func (e *Engine) serveFill(w http.ResponseWriter, r *http.Request, v *snapshotView, st *stageTimes, fill func() (*response, error)) {
+	if etag := etagFor(v.fingerprint); noneMatch(r.Header.Values("If-None-Match"), etag) {
+		e.writeResponse(w, r, &response{etag: etag})
+		return
+	}
 	m := e.opt.Metrics.nilSafe()
-	var (
-		resp        *response
-		err         error
-		hit, waited bool
-	)
-	if e.bypassCache.Load() {
-		resp, err = fill()
-	} else {
-		resp, err, hit, waited = e.cache.do(key, fill)
-	}
-	switch {
-	case hit:
-		m.CacheHits.Inc()
-	case waited:
-		m.Coalesced.Inc()
-	default:
-		m.CacheMisses.Inc()
-	}
+	resp, err := fill()
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			httpapi.Error(w, http.StatusGatewayTimeout, "window materialization exceeded the fill deadline")
@@ -195,8 +184,17 @@ func noneMatch(values []string, etag string) bool {
 	return false
 }
 
-// jsonResponse marshals v into a cacheable response stamped with the
-// snapshot's ETag.
+// response is one finished HTTP payload. A published view's figures are
+// shared by every request that reads them and never written again.
+type response struct {
+	status      int
+	contentType string
+	etag        string
+	body        []byte
+}
+
+// jsonResponse marshals v into a response stamped with the snapshot's
+// ETag.
 func jsonResponse(v any, fingerprint string) (*response, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -226,8 +224,7 @@ func (e *Engine) handleFigure(w http.ResponseWriter, r *http.Request) {
 		httpapi.Errorf(w, http.StatusNotFound, "unknown figure %q (serving %s)", fig, strings.Join(ServedFigures, ", "))
 		return
 	}
-	// The payload was rendered at publish time: it is written as is, with
-	// no trip through the read cache.
+	// The payload was rendered at publish time: it is written as is.
 	e.writeResponse(w, r, resp)
 }
 
@@ -319,11 +316,10 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 	}
 	if windowed {
 		pred := &colf.Predicate{Since: since, Until: until}
-		key := fmt.Sprintf("quantile?dist=%s&p=%.17g&continent=%v&%s@%s", distName, p, only, pred.Key(), v.fingerprint)
 		ctx, cancel := e.fillContext(r)
 		defer cancel()
 		var st stageTimes
-		e.serveCached(w, r, key, &st, func() (*response, error) {
+		e.serveFill(w, r, v, &st, func() (*response, error) {
 			// The index path refolds the edge pieces first; each quantile
 			// reads its bin's slab chunks, so the render splits into
 			// slab_read, select and encode. A chunk that fails its CRC, or a
@@ -354,8 +350,7 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	key := fmt.Sprintf("quantile?dist=%s&p=%.17g&continent=%v@%s", distName, p, only, v.fingerprint)
-	e.serveCached(w, r, key, nil, func() (*response, error) {
+	e.serveFill(w, r, v, nil, func() (*response, error) {
 		// Post-render, every report distribution is materialized and
 		// sorted, so these rank queries are read-only — no scan, no
 		// mutation, safe under concurrent readers.
@@ -402,12 +397,12 @@ func (e *Engine) parseWindow(w http.ResponseWriter, q url.Values) (since, until 
 	return since, until, true
 }
 
-// fillContext builds the context a cache fill runs under: decoupled
-// from the request's cancellation (the leader aborting must not poison
-// coalesced waiters) but bounded by the hard fill deadline, so a
-// runaway materialization answers 504 instead of scanning forever.
+// fillContext builds the context a window fill runs under: the
+// request's, so a client that goes away stops its fill, bounded by the
+// hard fill deadline, so a runaway materialization answers 504 instead
+// of scanning forever.
 func (e *Engine) fillContext(r *http.Request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.WithoutCancel(r.Context()), e.opt.FillTimeout)
+	return context.WithTimeout(r.Context(), e.opt.FillTimeout)
 }
 
 func (e *Engine) handleCDF(w http.ResponseWriter, r *http.Request) {
@@ -420,11 +415,10 @@ func (e *Engine) handleCDF(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pred := &colf.Predicate{Since: since, Until: until}
-	key := "cdf?" + pred.Key() + "@" + v.fingerprint
 	ctx, cancel := e.fillContext(r)
 	defer cancel()
 	var st stageTimes
-	e.serveCached(w, r, key, &st, func() (*response, error) {
+	e.serveFill(w, r, v, &st, func() (*response, error) {
 		curves, err := e.windowCurves(ctx, v, pred, &st)
 		if err != nil {
 			return nil, err
@@ -481,9 +475,8 @@ func (e *Engine) windowCurves(ctx context.Context, v *snapshotView, pred *colf.P
 // view: it queries the view and hands the result to answer. It reports
 // false with no error when the window must be scanned instead: no index
 // view (disabled or invalidated), or a query or answer that failed —
-// counted and logged, never served. A deadline expiry counts a fill
-// timeout and propagates: the fallback scan would blow the same
-// deadline.
+// counted and logged, never served. A deadline expiry or an abandoned
+// request propagates: the fallback scan would end the same way.
 func (e *Engine) windowIndex(ctx context.Context, v *snapshotView, pred *colf.Predicate, answer func(*tix.Result) error) (bool, error) {
 	if v.tixView == nil {
 		return false, nil
@@ -499,8 +492,7 @@ func (e *Engine) windowIndex(ctx context.Context, v *snapshotView, pred *colf.Pr
 		m.WindowIndexEdgeBlocks.Add(uint64(res.Stats.EdgeBlocks))
 		return true, nil
 	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		m.FillTimeouts.Inc()
+	if fillEnded(m, err) {
 		return false, err
 	}
 	m.WindowIndexFallbacks.Inc()
@@ -531,11 +523,19 @@ func (e *Engine) windowScan(ctx context.Context, v *snapshotView, pred *colf.Pre
 	}
 	size := blockEnd(v.blocks)
 	if _, err := scan.Blocks(ctx, cfg, e.f, size, v.blocks, 0, colf.HeaderSize); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			m.FillTimeouts.Inc()
-		}
+		fillEnded(m, err)
 		return nil, err
 	}
 	// The scan merged every worker into the worker-0 pass.
 	return passes[0].Report()
+}
+
+// fillEnded reports whether err ended a fill early: its deadline passed,
+// which counts a fill timeout, or its request went away, which does not.
+func fillEnded(m *Metrics, err error) bool {
+	if errors.Is(err, context.DeadlineExceeded) {
+		m.FillTimeouts.Inc()
+		return true
+	}
+	return errors.Is(err, context.Canceled)
 }

@@ -2,9 +2,11 @@
 // atlasd: it keeps a decoded analysis suite resident in memory,
 // advances it incrementally as the campaign appends, and answers
 // figure, quantile, and windowed-CDF queries from that state — never
-// from a cold scan. A sharded read cache with singleflight coalescing
-// sits in front, keyed by (endpoint, parameters, snapshot fingerprint)
-// and invalidated wholesale whenever the snapshot advances.
+// from a cold scan. There is no read cache: a conditional request whose
+// ETag matches the published snapshot gets its 304 before any fill, and
+// every other request fills from the snapshot view. So an unconditional
+// repeat of one window refills: ~0.2–1 ms on the index path, and on an
+// engine without an index a scan, bounded by the fill deadline.
 package serve
 
 import (
@@ -18,16 +20,9 @@ type Metrics struct {
 	Requests *obs.CounterVec // route
 	// RequestSeconds is the end-to-end handler latency by route.
 	RequestSeconds *obs.HistogramVec // route
-	// CacheHits counts responses served from a finished cache entry.
-	CacheHits *obs.Counter
-	// CacheMisses counts requests that had to compute their response.
-	CacheMisses *obs.Counter
-	// Coalesced counts requests that waited on another request's
-	// in-flight computation instead of repeating it.
-	Coalesced *obs.Counter
-	// CacheEvictedBytes counts response body bytes dropped because a
-	// cache shard went over its byte budget between publishes.
-	CacheEvictedBytes *obs.Counter
+	// CacheHits and CacheMisses are never set, so they read 0: there is
+	// no read cache. They stay for the load benchmark, which reads them.
+	CacheHits, CacheMisses *obs.Counter
 	// StaleServed counts responses rendered from a snapshot older than
 	// the store's stable tail at request time — served fresh enough to
 	// answer, but behind the appender.
@@ -36,8 +31,9 @@ type Metrics struct {
 	// Steady-state figure and quantile requests must never scan; only
 	// windowed queries that missed the temporal index contribute here.
 	RequestScans *obs.Counter
-	// FillTimeouts counts cache fills that hit the hard fill deadline
-	// and answered 504 instead of scanning unboundedly.
+	// FillTimeouts counts window fills that hit the hard fill deadline
+	// and answered 504 instead of scanning unboundedly; a fill its
+	// request abandoned is not one.
 	FillTimeouts *obs.Counter
 	// WindowIndexQueries counts windowed requests materialized through
 	// the temporal aggregate index instead of a block scan.
@@ -82,20 +78,12 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Requests answered by the serving layer.", "route"),
 		RequestSeconds: reg.HistogramVec("serve_request_seconds",
 			"Serving-layer request latency.", obs.FineDurationBuckets, "route"),
-		CacheHits: reg.Counter("serve_cache_hits_total",
-			"Requests served from a finished cache entry."),
-		CacheMisses: reg.Counter("serve_cache_misses_total",
-			"Requests that computed their response."),
-		Coalesced: reg.Counter("serve_cache_coalesced_total",
-			"Requests that waited on an in-flight identical computation."),
-		CacheEvictedBytes: reg.Counter("serve_cache_evicted_bytes_total",
-			"Response body bytes dropped from cache shards over their byte budget."),
 		StaleServed: reg.Counter("serve_stale_served_total",
 			"Responses rendered behind the store's stable tail."),
 		RequestScans: reg.Counter("serve_request_scans_total",
 			"Store scans performed on the request path (windowed queries that missed the index)."),
 		FillTimeouts: reg.Counter("serve_fill_timeouts_total",
-			"Cache fills aborted by the hard fill deadline."),
+			"Window fills aborted by the hard fill deadline."),
 		WindowIndexQueries: reg.Counter("serve_window_index_queries_total",
 			"Windowed requests materialized through the temporal aggregate index."),
 		WindowIndexNodes: reg.Counter("serve_window_index_nodes_total",

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
@@ -132,15 +133,10 @@ func TestServeWindowedIndexByteIdentity(t *testing.T) {
 	}
 }
 
-// TestServeWindowedQuantile covers the new windowed /quantile variant:
-// values answer from the same window materialization as /cdf (index
-// and scan engines byte-identical), the min distribution rejects
-// windows, and a key's second request is filled and kept, so its third
-// hits the cache without re-materializing.
 // TestServeWindowEchoesItsInstant: a window echoes the instant it was
-// keyed and filtered on. Two spellings of one instant share one cache
-// entry, so whichever fills it, every answer echoes the instant in UTC;
-// a fractional bound echoes its fraction.
+// filtered on. Two spellings of one instant are one window, so every
+// answer to either echoes the instant in UTC; a fractional bound echoes
+// its fraction.
 func TestServeWindowEchoesItsInstant(t *testing.T) {
 	f := newFixture(t, 200)
 	f.append(t, 0, f.mem.Len())
@@ -158,8 +154,7 @@ func TestServeWindowEchoesItsInstant(t *testing.T) {
 	}
 	for _, path := range []string{"/api/v1/cdf?", "/api/v1/quantile?p=0.9&"} {
 		var first string
-		// Each spelling three times: the read cache keeps a body on its
-		// key's second fill and answers the rest from it.
+		// Each spelling three times, alternating, every one a fill.
 		for i := 0; i < 6; i++ {
 			target := path + "since=" + url.QueryEscape(spellings[i%2]) + untilQ
 			w := get(h, target)
@@ -185,6 +180,11 @@ func TestServeWindowEchoesItsInstant(t *testing.T) {
 	}
 }
 
+// TestServeWindowedQuantile covers the windowed /quantile variant:
+// values answer from the same window materialization as /cdf (index
+// and scan engines byte-identical), the min distribution rejects
+// windows, and each repeat of one window is one more index query with
+// identical bytes.
 func TestServeWindowedQuantile(t *testing.T) {
 	f := newFixture(t, 200)
 	f.append(t, 0, f.mem.Len())
@@ -267,10 +267,9 @@ func TestServeWindowedQuantile(t *testing.T) {
 			w.Body.String(), ws.Body.String())
 	}
 
-	// The second request fills again and is kept; the third is a cache
-	// hit, not a re-materialization.
+	// Each repeat is one more index query, with identical bytes.
 	queries := m.WindowIndexQueries.Value()
-	for i, want := range []uint64{queries + 1, queries + 1} {
+	for i, want := range []uint64{queries + 1, queries + 2} {
 		if again := get(h, target); again.Body.String() != w.Body.String() {
 			t.Fatalf("request %d of the windowed quantile served different bytes", i+2)
 		}
@@ -293,7 +292,9 @@ func TestServeWindowedQuantile(t *testing.T) {
 
 // TestServeFillDeadline pins the hard fill deadline: a windowed
 // materialization that cannot finish inside FillTimeout answers 504
-// and counts one fill timeout, with or without the index.
+// and counts one fill timeout, with or without the index. A conditional
+// request holding the snapshot's ETag never fills: it gets its 304
+// under the same deadline.
 func TestServeFillDeadline(t *testing.T) {
 	f := newFixture(t, 200)
 	f.append(t, 0, f.mem.Len())
@@ -330,9 +331,51 @@ func TestServeFillDeadline(t *testing.T) {
 			}
 			// Figures never materialize windows; they stay immune to the
 			// pathological deadline.
-			if w := get(e.Handler(), "/api/v1/figures/5"); w.Code != http.StatusOK {
-				t.Fatalf("figure under tiny fill deadline: status %d", w.Code)
+			fig := get(e.Handler(), "/api/v1/figures/5")
+			if fig.Code != http.StatusOK {
+				t.Fatalf("figure under tiny fill deadline: status %d", fig.Code)
+			}
+			since := f.cfg.Start.Add(24 * time.Hour)
+			for _, target := range []string{
+				windowTarget("/api/v1/cdf", since, since.Add(48*time.Hour)),
+				windowTarget("/api/v1/quantile?p=0.9", since, since.Add(48*time.Hour)),
+			} {
+				w := get(e.Handler(), target, "If-None-Match", fig.Header().Get("Etag"))
+				if w.Code != http.StatusNotModified {
+					t.Fatalf("conditional %s: status %d, want 304: %s", target, w.Code, w.Body.String())
+				}
+			}
+			if got := m.FillTimeouts.Value(); got != 1 {
+				t.Fatalf("conditional requests moved serve_fill_timeouts_total to %d", got)
 			}
 		})
+	}
+}
+
+// TestServeAbandonedRequestStopsFill: a window fill runs under its
+// request's context, so a request whose client has already gone runs
+// no index query and no scan, and is not counted as a fill timeout.
+func TestServeAbandonedRequestStopsFill(t *testing.T) {
+	f := newFixture(t, 200)
+	f.append(t, 0, f.mem.Len())
+	e, m := f.newTixEngine(t)
+	if err := e.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	since := f.cfg.Start.Add(24 * time.Hour)
+	target := windowTarget("/api/v1/cdf", since, since.Add(48*time.Hour))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	w := httptest.NewRecorder()
+	e.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx))
+	if w.Code == http.StatusOK {
+		t.Fatal("an abandoned request was answered 200")
+	}
+	if q, s, to := m.WindowIndexQueries.Value(), m.RequestScans.Value(), m.FillTimeouts.Value(); q != 0 || s != 0 || to != 0 {
+		t.Fatalf("abandoned request: %d index queries, %d scans, %d fill timeouts; want none", q, s, to)
+	}
+	// The same request, still wanted, answers from the index.
+	if w := get(e.Handler(), target); w.Code != http.StatusOK || m.WindowIndexQueries.Value() != 1 {
+		t.Fatalf("live request: status %d, %d index queries", w.Code, m.WindowIndexQueries.Value())
 	}
 }
