@@ -67,8 +67,8 @@ func NewDB(countries []Country) (*DB, error) {
 	return db, nil
 }
 
-// World returns the built-in database covering the 166 probe-hosting
-// countries of the study. It panics only on a programming error in the
+// World returns the built-in database of 178 countries (the paper's
+// census counts 166 probe-hosting ones). It panics only on a programming error in the
 // embedded table, which is covered by tests.
 func World() *DB {
 	db, err := NewDB(worldCountries)

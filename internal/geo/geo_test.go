@@ -136,8 +136,9 @@ func TestMeasurementTargets(t *testing.T) {
 
 func TestWorldDB(t *testing.T) {
 	db := World()
-	if db.Len() < 166 {
-		t.Errorf("world has %d countries, paper needs at least 166", db.Len())
+	// The paper's census is 166 countries; the table holds 178.
+	if db.Len() != 178 {
+		t.Errorf("world has %d countries, want 178", db.Len())
 	}
 	// Every continent must be represented.
 	counts := make(map[Continent]int)

@@ -85,8 +85,8 @@ func tierWeight(t geo.Tier) float64 {
 }
 
 // Generate builds a deterministic synthetic population over the country
-// database. Every country receives at least one probe, so country coverage
-// matches the paper's 166-country census.
+// database. Every country receives at least one probe, so all 178 of
+// geo.World's countries host probes (the paper's census counts 166).
 func Generate(db *geo.DB, cfg GenConfig) (*Population, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
