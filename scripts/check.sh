@@ -70,7 +70,7 @@ echo "== go test -race (concurrency suites, uncached) =="
 # storage layer (columnar codec + sinks), and the telemetry plane
 # (registry scrapes racing registration, flight recorder) are the
 # shard-and-merge packages, and internal/serve runs concurrent readers
-# against snapshot swaps and cache invalidation under churn; and
+# against snapshot swaps under churn; and
 # internal/cmdrun serves a run's status while the run still executes.
 # Run them uncached so every gate exercises the race detector on fresh
 # schedules.
