@@ -18,7 +18,7 @@
 // DIR: a decoded suite stays resident in memory, advanced incrementally
 // as the dataset appends, so queries never re-scan the store:
 //
-//	curl 'http://localhost:8080/api/v1/figures/4'             # pre-rendered figure JSON
+//	curl 'http://localhost:8080/api/v1/figures/4'             # pre-rendered figure text
 //	curl 'http://localhost:8080/api/v1/quantile?p=0.5'        # per-continent medians
 //	curl 'http://localhost:8080/api/v1/cdf?since=2019-09-01T00:00:00Z&until=2019-09-08T00:00:00Z'
 //
@@ -97,10 +97,10 @@ func main() {
 	}
 }
 
-// app bundles the built platform server with the pieces shutdown and
-// telemetry need after construction.
+// app bundles the one mux every request goes through with the pieces
+// shutdown and telemetry need after construction.
 type app struct {
-	srv       *atlas.Server
+	mux       *http.ServeMux
 	live      *atlas.LiveService
 	registry  *obs.Registry
 	metrics   *atlas.Metrics
@@ -108,20 +108,9 @@ type app struct {
 	world     *world.World
 	worldSeed uint64
 
-	// Query serving pieces, set when -serve-data is given.
+	// serveEngine is the query serving engine, set when -serve-data is
+	// given.
 	serveEngine *serve.Engine
-	serveAPI    http.Handler
-}
-
-// ServeHTTP routes analysis queries to the serving engine and
-// everything else to the platform API server.
-func (a *app) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if a.serveAPI != nil && (strings.HasPrefix(r.URL.Path, "/api/v1/figures/") ||
-		r.URL.Path == "/api/v1/quantile" || r.URL.Path == "/api/v1/cdf") {
-		a.serveAPI.ServeHTTP(w, r)
-		return
-	}
-	a.srv.ServeHTTP(w, r)
 }
 
 func build(probes int, seed uint64, scale float64, grants string, logger *slog.Logger, rec *obs.Recorder) (*app, error) {
@@ -134,7 +123,6 @@ func build(probes int, seed uint64, scale float64, grants string, logger *slog.L
 	}
 	registry := obs.NewRegistry()
 	metrics := atlas.NewMetrics(registry)
-	w.Platform.Metrics = metrics
 	ledger := atlas.NewLedger()
 	ledger.Instrument(metrics)
 	for _, g := range strings.Split(grants, ",") {
@@ -158,14 +146,16 @@ func build(probes int, seed uint64, scale float64, grants string, logger *slog.L
 	if err != nil {
 		return nil, err
 	}
-	a := &app{live: live, registry: registry, metrics: metrics, log: logger, world: w, worldSeed: seed}
-	srv, err := atlas.NewServer(w.Platform, ledger, live,
-		atlas.WithServerMetrics(metrics), atlas.WithServerEvents(rec),
-		atlas.WithServerServing(a.servingStatus))
+	a := &app{mux: http.NewServeMux(), live: live, registry: registry, metrics: metrics, log: logger, world: w, worldSeed: seed}
+	srv, err := atlas.NewServer(w.Platform, ledger, live, metrics, a.servingStatus)
 	if err != nil {
 		return nil, err
 	}
-	a.srv = srv
+	srv.Register(a.mux)
+	a.mux.Handle("GET /metrics", obs.MetricsHandler(registry))
+	if rec != nil {
+		a.mux.Handle("GET /debug/events", obs.EventsHandler(rec))
+	}
 	logger.Info("world built", "probes", w.Probes.Len(), "regions", w.Catalog.Len(), "seed", seed)
 	return a, nil
 }
@@ -179,8 +169,8 @@ func (a *app) servingStatus() any {
 	return a.serveEngine.Status()
 }
 
-// enableServing mounts the hot-path analysis API over the dataset in
-// dir: a resident decoded suite, advanced by a background refresher,
+// enableServing adds the hot-path analysis API over the dataset in dir
+// to the mux: a resident decoded suite, advanced by a background refresher,
 // answers figure/quantile/cdf queries without cold scans. The dataset
 // may still be growing — e.g. a shears campaign writing into the same
 // directory — in which case served results track the appending tail.
@@ -208,7 +198,7 @@ func (a *app) enableServing(dir string, refresh time.Duration) error {
 	}
 	eng.Start(context.Background())
 	a.serveEngine = eng
-	a.serveAPI = eng.Handler()
+	eng.Register(a.mux)
 	st := eng.Status()
 	logger.Info("serving enabled",
 		"dir", dir, "refresh", refresh,
@@ -243,7 +233,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 // serveApp runs the HTTP server (and the optional pprof listener) until
 // SIGINT/SIGTERM, then shuts down gracefully.
 func serveApp(a *app, addr, debugAddr string) error {
-	httpSrv := newHTTPServer(addr, a)
+	httpSrv := newHTTPServer(addr, a.mux)
 	if debugAddr != "" {
 		go serveDebug(debugAddr, a.log)
 	}

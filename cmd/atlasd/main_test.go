@@ -18,11 +18,12 @@ import (
 )
 
 func TestBuildServesAPI(t *testing.T) {
-	h, err := build(200, 1, 0.01, "demo=500,other=100", nil, nil)
+	app, err := build(200, 1, 0.01, "demo=500,other=100", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(h)
+	defer app.live.Close()
+	ts := httptest.NewServer(app.mux)
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/api/v1/regions")
@@ -94,7 +95,7 @@ func TestBuildServesTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer app.live.Close()
-	ts := httptest.NewServer(app)
+	ts := httptest.NewServer(app.mux)
 	defer ts.Close()
 
 	// Prometheus exposition is live from the start.
@@ -119,6 +120,10 @@ func TestBuildServesTelemetry(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// atlasd never runs a campaign, so it registers no campaign series.
+	if strings.Contains(string(body), "atlas_campaign_") {
+		t.Error("exposition lists atlas_campaign_* series, which atlasd never updates")
+	}
 
 	// The status snapshot reflects the built world.
 	stResp, err := http.Get(ts.URL + "/api/v1/status")
@@ -127,9 +132,10 @@ func TestBuildServesTelemetry(t *testing.T) {
 	}
 	defer stResp.Body.Close()
 	var st struct {
-		Probes  int     `json:"probes"`
-		Regions int     `json:"regions"`
-		Uptime  float64 `json:"uptime_seconds"`
+		Probes   int             `json:"probes"`
+		Regions  int             `json:"regions"`
+		Uptime   float64         `json:"uptime_seconds"`
+		Campaign json.RawMessage `json:"campaign"`
 	}
 	if err := json.NewDecoder(stResp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -137,22 +143,14 @@ func TestBuildServesTelemetry(t *testing.T) {
 	if st.Probes != 200 || st.Regions != 101 {
 		t.Errorf("status census = %+v", st)
 	}
+	if st.Campaign != nil {
+		t.Errorf("status carries a campaign block: %s", st.Campaign)
+	}
 
 	// With -serve-data, the serving block says where the resident bytes
 	// are, before and after windowed requests.
-	dir := t.TempDir()
 	cfg := atlas.TestCampaign()
-	_, sink, err := results.Create(dir, cfg.Meta(1, app.world.Probes.Len(), app.world.Catalog.Len()), results.FormatBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := app.world.Platform.RunCampaign(context.Background(), cfg, sink.Write); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := app.enableServing(dir, time.Hour); err != nil {
+	if err := app.enableServing(writeCampaign(t, app, cfg), time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	defer app.serveEngine.Close()
@@ -204,12 +202,91 @@ func TestBuildServesTelemetry(t *testing.T) {
 	resident()
 }
 
+// writeCampaign runs cfg on app's world into a fresh dataset directory,
+// which enableServing accepts.
+func writeCampaign(t *testing.T, app *app, cfg atlas.CampaignConfig) string {
+	t.Helper()
+	dir := t.TempDir()
+	_, sink, err := results.Create(dir, cfg.Meta(1, app.world.Probes.Len(), app.world.Catalog.Len()), results.FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.world.Platform.RunCampaign(context.Background(), cfg, sink.Write); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestOneMuxMethodNotAllowed: the API's and the serving layer's route
+// tables share the one mux, so a PUT to any path of either answers a
+// JSON 405 whose Allow header lists that path's methods, counted under
+// its own family's method_not_allowed route. Without -serve-data the
+// serving paths are not mounted at all.
+func TestOneMuxMethodNotAllowed(t *testing.T) {
+	app, err := build(200, 1, 0.01, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.live.Close()
+	serveReq := func(method, path string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		app.mux.ServeHTTP(w, httptest.NewRequest(method, path, nil))
+		return w
+	}
+	if w := serveReq(http.MethodGet, "/api/v1/cdf"); w.Code != http.StatusNotFound {
+		t.Fatalf("/api/v1/cdf without -serve-data = %d, want 404", w.Code)
+	}
+
+	cfg := atlas.TestCampaign()
+	cfg.End = cfg.Start.Add(24 * time.Hour)
+	if err := app.enableServing(writeCampaign(t, app, cfg), time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	defer app.serveEngine.Close()
+	for path, allow := range map[string]string{
+		"/api/v1/probes":                 "GET",
+		"/api/v1/probes/3":               "GET",
+		"/api/v1/regions":                "GET",
+		"/api/v1/credits/demo":           "GET",
+		"/api/v1/measurements":           "GET, POST",
+		"/api/v1/measurements/1":         "GET, DELETE",
+		"/api/v1/measurements/1/results": "GET",
+		"/api/v1/status":                 "GET",
+		"/api/v1/figures/5":              "GET",
+		"/api/v1/quantile":               "GET",
+		"/api/v1/cdf":                    "GET",
+	} {
+		w := serveReq(http.MethodPut, path)
+		var body struct {
+			Error string `json:"error"`
+		}
+		if w.Code != http.StatusMethodNotAllowed || w.Header().Get("Allow") != allow ||
+			w.Header().Get("Content-Type") != "application/json" ||
+			json.Unmarshal(w.Body.Bytes(), &body) != nil || body.Error == "" {
+			t.Errorf("PUT %s: status %d, Allow %q, %s; want a JSON 405 with Allow %q",
+				path, w.Code, w.Header().Get("Allow"), w.Body, allow)
+		}
+	}
+	expo := serveReq(http.MethodGet, "/metrics").Body.String()
+	for _, want := range []string{
+		`atlas_http_requests_total{route="method_not_allowed",class="4xx"} 8`,
+		`serve_requests_total{route="method_not_allowed",class="4xx"} 3`,
+	} {
+		if !strings.Contains(expo, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	app, err := build(200, 1, 0.01, "demo=500", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(app)
+	srv := httptest.NewServer(app.mux)
 	// Request, then shut down the way serve() does: HTTP drain first,
 	// then the live service; final telemetry must not panic.
 	if resp, err := http.Get(srv.URL + "/api/v1/regions"); err == nil {
@@ -236,7 +313,7 @@ func TestBuildServesFlightRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer app.live.Close()
-	ts := httptest.NewServer(app)
+	ts := httptest.NewServer(app.mux)
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/debug/events")

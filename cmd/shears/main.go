@@ -157,7 +157,7 @@ func run(o options) (err error) {
 		return err
 	}
 	logger, root, manifest := r.Log(), r.Span(), r.Manifest()
-	m := atlas.NewMetrics(r.Registry())
+	m := atlas.NewCampaignMetrics(r.Registry())
 	engMetrics := engine.NewMetrics(r.Registry())
 	root.SetAttr("seed", o.seed)
 	root.SetAttr("probes", o.probes)
@@ -390,7 +390,7 @@ func run(o options) (err error) {
 }
 
 // buildTix builds (or incrementally extends) the dataset's temporal
-// aggregate index so that windowed queries — dataset -op window, or an
+// aggregate index so that windowed queries — the dataset window op, or an
 // atlasd serving this directory — compose per-block records instead of
 // rescanning the campaign. A record is a function of its block alone,
 // so rebuilding after an interrupted run appends exactly the records
@@ -459,7 +459,7 @@ func (e campaignETA) left(done float64, now time.Time) (d time.Duration, ok bool
 // campaignProgress adds the campaign block (round watermarks, samples,
 // ETA) and the engine block (queue depths, per-shard rounds) to the
 // run's /api/v1/progress body.
-func campaignProgress(m *atlas.Metrics, em *engine.Metrics, eta campaignETA) func(map[string]any) {
+func campaignProgress(m *atlas.CampaignMetrics, em *engine.Metrics, eta campaignETA) func(map[string]any) {
 	type campaignBlock struct {
 		RoundsDone  float64 `json:"rounds_done"`
 		RoundsTotal float64 `json:"rounds_total"`
@@ -474,10 +474,10 @@ func campaignProgress(m *atlas.Metrics, em *engine.Metrics, eta campaignETA) fun
 	}
 	return func(p map[string]any) {
 		c := campaignBlock{
-			RoundsDone:  m.CampaignRoundsDone.Value(),
-			RoundsTotal: m.CampaignRoundsTotal.Value(),
-			Samples:     m.CampaignSamples.Sum(),
-			SamplesLost: m.CampaignLost.Value(),
+			RoundsDone:  m.RoundsDone.Value(),
+			RoundsTotal: m.RoundsTotal.Value(),
+			Samples:     m.Samples.Sum(),
+			SamplesLost: m.Lost.Value(),
 		}
 		if d, ok := eta.left(c.RoundsDone, time.Now()); ok {
 			c.ETASeconds = d.Seconds()
@@ -498,7 +498,7 @@ func campaignProgress(m *atlas.Metrics, em *engine.Metrics, eta campaignETA) fun
 
 // startProgress launches the periodic campaign progress reporter. The
 // returned stop function halts it and waits for the goroutine to exit.
-func startProgress(logger *slog.Logger, m *atlas.Metrics, eta campaignETA, every time.Duration) (stop func()) {
+func startProgress(logger *slog.Logger, m *atlas.CampaignMetrics, eta campaignETA, every time.Duration) (stop func()) {
 	if every <= 0 {
 		return func() {}
 	}
@@ -516,10 +516,10 @@ func startProgress(logger *slog.Logger, m *atlas.Metrics, eta campaignETA, every
 			case <-done:
 				return
 			case now := <-t.C:
-				samples := m.CampaignSamples.Sum()
+				samples := m.Samples.Sum()
 				rate := float64(samples-lastSamples) / now.Sub(lastAt).Seconds()
 				lastSamples, lastAt = samples, now
-				roundsDone := m.CampaignRoundsDone.Value()
+				roundsDone := m.RoundsDone.Value()
 				left := "?"
 				if d, ok := eta.left(roundsDone, now); ok {
 					left = d.Round(time.Second).String()
@@ -539,13 +539,13 @@ func startProgress(logger *slog.Logger, m *atlas.Metrics, eta campaignETA, every
 }
 
 // continentTally formats the per-continent sample counts, largest first.
-func continentTally(m *atlas.Metrics) string {
+func continentTally(m *atlas.CampaignMetrics) string {
 	type tally struct {
 		code string
 		n    uint64
 	}
 	var ts []tally
-	m.CampaignSamples.Walk(func(labels []string, v uint64) {
+	m.Samples.Walk(func(labels []string, v uint64) {
 		ts = append(ts, tally{labels[0], v})
 	})
 	if len(ts) == 0 {

@@ -414,6 +414,13 @@ func TestRunServesStatusEndpoints(t *testing.T) {
 			t.Errorf("mid-run /metrics lacks %q", want)
 		}
 	}
+	// shears registers only what it updates: no API server, no live
+	// network.
+	for _, absent := range []string{"atlas_http_", "netsim_"} {
+		if strings.Contains(metrics, absent) {
+			t.Errorf("mid-run /metrics lists %s* series, which shears never updates", absent)
+		}
+	}
 
 	var d struct {
 		Total  uint64 `json:"total"`
@@ -477,9 +484,9 @@ func TestCampaignETAOnResume(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	m := atlas.NewMetrics(reg)
-	m.CampaignRoundsTotal.Set(16)
-	m.CampaignRoundsDone.Set(9)
+	m := atlas.NewCampaignMetrics(reg)
+	m.RoundsTotal.Set(16)
+	m.RoundsDone.Set(9)
 	p := map[string]any{}
 	campaignProgress(m, engine.NewMetrics(reg), eta)(p)
 	b, err := json.Marshal(p["campaign"])

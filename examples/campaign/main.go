@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"time"
 
@@ -37,11 +38,13 @@ func run() error {
 		return err
 	}
 	defer live.Close()
-	srv, err := atlas.NewServer(w.Platform, ledger, live)
+	srv, err := atlas.NewServer(w.Platform, ledger, live, nil, nil)
 	if err != nil {
 		return err
 	}
-	ts := httptest.NewServer(srv)
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	fmt.Printf("platform API at %s\n", ts.URL)
 

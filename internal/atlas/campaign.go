@@ -129,7 +129,7 @@ func (p *Platform) runSerial(ctx context.Context, cfg CampaignConfig, probes []*
 		roundSpan.SetAttr("samples", n)
 		roundSpan.End()
 		if p.Metrics != nil {
-			p.Metrics.CampaignRoundsDone.Set(float64(round + 1))
+			p.Metrics.RoundsDone.Set(float64(round + 1))
 		}
 	}
 	span.SetAttr("samples", emitted)
@@ -161,9 +161,9 @@ func (p *Platform) newCampaignTally() *campaignTally {
 	if p.Metrics == nil {
 		return nil
 	}
-	t := &campaignTally{lost: p.Metrics.CampaignLost}
+	t := &campaignTally{lost: p.Metrics.Lost}
 	for _, ct := range geo.Continents() {
-		t.samples[ct] = p.Metrics.CampaignSamples.With(ct.Code())
+		t.samples[ct] = p.Metrics.Samples.With(ct.Code())
 	}
 	return t
 }

@@ -85,8 +85,8 @@ func (p *Platform) RunCampaignOpts(ctx context.Context, cfg CampaignConfig, opts
 	span.SetAttr("rounds", rounds)
 	span.SetAttr("probes", len(probes))
 	if m != nil {
-		m.CampaignRoundsTotal.Set(float64(rounds))
-		m.CampaignRoundsDone.Set(float64(opts.StartRound))
+		m.RoundsTotal.Set(float64(rounds))
+		m.RoundsDone.Set(float64(opts.StartRound))
 	}
 	tally := p.newCampaignTally()
 	if opts.serial() {
@@ -133,7 +133,7 @@ func (p *Platform) RunCampaignOpts(ctx context.Context, cfg CampaignConfig, opts
 			rs.SetAttr("samples", samples)
 			rs.End()
 			if m != nil {
-				m.CampaignRoundsDone.Set(float64(round + 1))
+				m.RoundsDone.Set(float64(round + 1))
 			}
 			if opts.OnRound != nil {
 				opts.OnRound(round, samples)

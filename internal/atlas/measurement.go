@@ -81,6 +81,7 @@ type Measurement struct {
 	Results []results.Sample `json:"results,omitempty"`
 
 	cancel context.CancelFunc `json:"-"`
+	done   chan struct{}      // closed once run has set the final status
 }
 
 // LiveService runs measurements over the virtual packet network, so a
@@ -196,7 +197,7 @@ func (s *LiveService) Create(account string, spec MeasurementSpec) (int, error) 
 	s.nextID++
 	id := s.nextID
 	ctx, cancel := context.WithCancel(context.Background())
-	m := &Measurement{ID: id, Account: account, Spec: spec, Status: StatusRunning, cancel: cancel}
+	m := &Measurement{ID: id, Account: account, Spec: spec, Status: StatusRunning, cancel: cancel, done: make(chan struct{})}
 	s.byID[id] = m
 	s.wg.Add(1)
 	s.mu.Unlock()
@@ -277,6 +278,7 @@ func (s *LiveService) run(ctx context.Context, m *Measurement) {
 	default:
 		m.Status = StatusDone
 	}
+	close(m.done)
 	final := m.Status
 	s.mu.Unlock()
 	if s.metrics != nil {
@@ -312,22 +314,16 @@ func (s *LiveService) Stop(id int) error {
 		return fmt.Errorf("atlas: measurement %d is stopping, not running", id)
 	}
 	m.cancel = nil
-	account := m.Account
 	s.mu.Unlock()
 	cancel()
 
-	// Wait for the runner to settle so the collected count is final.
-	for {
-		m, _ := s.Get(id)
-		if m.Status != StatusRunning {
-			unused := m.Spec.Cost() - int64(len(m.Results))*CostPerPing
-			if unused > 0 {
-				return s.ledger.Refund(account, unused)
-			}
-			return nil
-		}
-		time.Sleep(time.Millisecond)
+	// Wait for the runner to settle so the collected count is final: its
+	// pingers have stopped appending before done closes.
+	<-m.done
+	if unused := m.Spec.Cost() - int64(len(m.Results))*CostPerPing; unused > 0 {
+		return s.ledger.Refund(m.Account, unused)
 	}
+	return nil
 }
 
 // Get returns a snapshot of a measurement.
@@ -346,20 +342,20 @@ func (s *LiveService) Get(id int) (Measurement, bool) {
 // Wait blocks until the measurement leaves the running state or the
 // context expires, and returns the final snapshot.
 func (s *LiveService) Wait(ctx context.Context, id int) (Measurement, error) {
-	for {
-		m, ok := s.Get(id)
-		if !ok {
-			return Measurement{}, fmt.Errorf("atlas: unknown measurement %d", id)
-		}
-		if m.Status != StatusRunning {
-			return m, nil
-		}
-		select {
-		case <-ctx.Done():
-			return m, ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
+	s.mu.Lock()
+	m, ok := s.byID[id]
+	s.mu.Unlock()
+	if !ok {
+		return Measurement{}, fmt.Errorf("atlas: unknown measurement %d", id)
 	}
+	var err error
+	select {
+	case <-m.done:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	snap, _ := s.Get(id)
+	return snap, err
 }
 
 // Close waits for running measurements and shuts the network down.

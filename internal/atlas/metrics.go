@@ -1,26 +1,21 @@
 package atlas
 
 import (
-	"net/http"
-	"time"
-
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/ping"
 )
 
-// Metrics bundles every platform-level telemetry instrument: HTTP request
-// accounting for the API server, credit flow, live-measurement lifecycle,
-// campaign-synthesis progress, and the pinger/network instruments shared
-// with the lower layers. All fields are optional; a nil *Metrics (or any
-// nil field) disables that instrument.
+// Metrics bundles the platform server's telemetry instruments: HTTP
+// request accounting for the API routes, credit flow, live-measurement
+// lifecycle, and the pinger/network instruments shared with the lower
+// layers. All fields are optional; a nil *Metrics (or any nil field)
+// disables that instrument. A campaign's progress is CampaignMetrics.
 type Metrics struct {
-	Registry *obs.Registry
-
-	// HTTP middleware instruments.
-	ReqTotal     *obs.CounterVec   // route, class ("2xx", "4xx", ...)
+	// HTTP middleware instruments (httpapi.Instruments).
+	ReqTotal     *obs.CounterVec   // route, class ("2xx", "4xx", ..., "canceled")
 	ReqDur       *obs.HistogramVec // route; seconds
-	EncodeErrors *obs.CounterVec   // route; JSON encode failures in writeJSON
+	EncodeErrors *obs.CounterVec   // route; JSON encode failures
 
 	// Credit ledger flow.
 	CreditsGranted  *obs.Counter
@@ -35,22 +30,14 @@ type Metrics struct {
 	ResultsCollected    *obs.Counter
 	ProbeTimeouts       *obs.Counter
 
-	// Campaign synthesizer progress (RunCampaign).
-	CampaignSamples     *obs.CounterVec // continent
-	CampaignLost        *obs.Counter
-	CampaignRoundsDone  *obs.Gauge
-	CampaignRoundsTotal *obs.Gauge
-
 	// Shared lower-layer instruments.
 	Ping *ping.Metrics
 	Net  *netsim.Metrics
 }
 
-// NewMetrics registers the full platform instrument set on reg.
+// NewMetrics registers the platform server's instrument set on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Registry: reg,
-
 		ReqTotal: reg.CounterVec("atlas_http_requests_total",
 			"API requests by route and status class.", "route", "class"),
 		ReqDur: reg.HistogramVec("atlas_http_request_duration_seconds",
@@ -69,79 +56,29 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		ResultsCollected:    reg.Counter("atlas_results_collected_total", "Samples collected from live measurements."),
 		ProbeTimeouts:       reg.Counter("atlas_probe_timeouts_total", "Live pings that timed out (recorded as loss)."),
 
-		CampaignSamples: reg.CounterVec("atlas_campaign_samples_total",
-			"Campaign samples synthesized, by probe continent.", "continent"),
-		CampaignLost:        reg.Counter("atlas_campaign_samples_lost_total", "Campaign samples recorded as loss."),
-		CampaignRoundsDone:  reg.Gauge("atlas_campaign_rounds_done", "Campaign rounds completed so far."),
-		CampaignRoundsTotal: reg.Gauge("atlas_campaign_rounds_total", "Campaign rounds planned."),
-
 		Ping: ping.NewMetrics(reg),
 		Net:  netsim.NewMetrics(reg),
 	}
 }
 
-// statusWriter captures the response status class for the middleware and
-// carries JSON encode failures from writeJSON back to it: once the header
-// is out, the handler cannot change the status, so the error is surfaced
-// as a counter instead of being dropped.
-type statusWriter struct {
-	http.ResponseWriter
-	status    int
-	encodeErr error
+// CampaignMetrics is the campaign synthesizer's progress (RunCampaign):
+// the instrument set a campaign driver registers, apart from the
+// server's, which a campaign never updates. A nil *CampaignMetrics (or
+// any nil field) disables that instrument.
+type CampaignMetrics struct {
+	Samples     *obs.CounterVec // continent
+	Lost        *obs.Counter
+	RoundsDone  *obs.Gauge
+	RoundsTotal *obs.Gauge
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// statusClass buckets an HTTP status code ("2xx", "4xx", ...).
-func statusClass(code int) string {
-	switch {
-	case code >= 500:
-		return "5xx"
-	case code >= 400:
-		return "4xx"
-	case code >= 300:
-		return "3xx"
-	case code >= 200:
-		return "2xx"
-	default:
-		return "1xx"
-	}
-}
-
-// instrument wraps a handler with request counting, duration histograms,
-// and encode-error accounting under the given route label. With nil
-// metrics the handler is returned untouched.
-func (m *Metrics) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	if m == nil {
-		return h
-	}
-	reqTotal := m.ReqTotal
-	dur := m.ReqDur.With(route)
-	encodeErrs := m.EncodeErrors.With(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		h(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		reqTotal.With(route, statusClass(status)).Inc()
-		dur.Observe(time.Since(start).Seconds())
-		if sw.encodeErr != nil {
-			encodeErrs.Inc()
-		}
+// NewCampaignMetrics registers the campaign progress instruments on reg.
+func NewCampaignMetrics(reg *obs.Registry) *CampaignMetrics {
+	return &CampaignMetrics{
+		Samples: reg.CounterVec("atlas_campaign_samples_total",
+			"Campaign samples synthesized, by probe continent.", "continent"),
+		Lost:        reg.Counter("atlas_campaign_samples_lost_total", "Campaign samples recorded as loss."),
+		RoundsDone:  reg.Gauge("atlas_campaign_rounds_done", "Campaign rounds completed so far."),
+		RoundsTotal: reg.Gauge("atlas_campaign_rounds_total", "Campaign rounds planned."),
 	}
 }

@@ -18,8 +18,8 @@ import (
 func metricsFixture(t *testing.T) (*Platform, *Metrics, *Client, *httptest.Server) {
 	t.Helper()
 	p := smallPlatform(t)
-	m := NewMetrics(obs.NewRegistry())
-	p.Metrics = m
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
 	ledger := NewLedger()
 	ledger.Instrument(m)
 	if err := ledger.Grant("alice", 10000); err != nil {
@@ -30,11 +30,14 @@ func metricsFixture(t *testing.T) (*Platform, *Metrics, *Client, *httptest.Serve
 		t.Fatal(err)
 	}
 	t.Cleanup(live.Close)
-	srv, err := NewServer(p, ledger, live, WithServerMetrics(m))
+	srv, err := NewServer(p, ledger, live, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	mux.Handle("GET /metrics", obs.MetricsHandler(reg))
+	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	c, err := NewClient(ts.URL, "alice", ts.Client())
 	if err != nil {
@@ -242,34 +245,9 @@ func TestStatusWithoutMetrics(t *testing.T) {
 	}
 }
 
-func TestWriteJSONEncodeErrorSurfaced(t *testing.T) {
-	m := NewMetrics(obs.NewRegistry())
-	h := m.instrument("bad", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ch": make(chan int)}) // unencodable
-	})
-	rec := httptest.NewRecorder()
-	h(rec, httptest.NewRequest("GET", "/x", nil))
-	if got := m.EncodeErrors.With("bad").Value(); got != 1 {
-		t.Errorf("encode errors = %d, want 1", got)
-	}
-	// The status class is still recorded (2xx: header went out first).
-	if got := m.ReqTotal.With("bad", "2xx").Value(); got != 1 {
-		t.Errorf("requests = %d, want 1", got)
-	}
-
-	// A clean response records no encode error.
-	ok := m.instrument("ok", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]int{"n": 1})
-	})
-	ok(httptest.NewRecorder(), httptest.NewRequest("GET", "/y", nil))
-	if got := m.EncodeErrors.With("ok").Value(); got != 0 {
-		t.Errorf("clean route encode errors = %d", got)
-	}
-}
-
 func TestCampaignMetricsAndSpans(t *testing.T) {
 	p := smallPlatform(t)
-	m := NewMetrics(obs.NewRegistry())
+	m := NewCampaignMetrics(obs.NewRegistry())
 	p.Metrics = m
 
 	cfg := TestCampaign()
@@ -283,18 +261,18 @@ func TestCampaignMetricsAndSpans(t *testing.T) {
 	}
 	span.End()
 
-	if got := m.CampaignSamples.Sum(); got != n {
+	if got := m.Samples.Sum(); got != n {
 		t.Errorf("samples counter = %d, campaign emitted %d", got, n)
 	}
-	if got := m.CampaignRoundsDone.Value(); got != float64(cfg.Rounds()) {
+	if got := m.RoundsDone.Value(); got != float64(cfg.Rounds()) {
 		t.Errorf("rounds done = %v, want %d", got, cfg.Rounds())
 	}
-	if got := m.CampaignRoundsTotal.Value(); got != float64(cfg.Rounds()) {
+	if got := m.RoundsTotal.Value(); got != float64(cfg.Rounds()) {
 		t.Errorf("rounds total = %v, want %d", got, cfg.Rounds())
 	}
 	// Multiple continents actually contribute.
 	continents := 0
-	m.CampaignSamples.Walk(func(labels []string, v uint64) {
+	m.Samples.Walk(func(labels []string, v uint64) {
 		if v > 0 {
 			continents++
 		}

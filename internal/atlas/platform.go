@@ -28,7 +28,7 @@ type Platform struct {
 
 	// Metrics, when set before a campaign runs, receives per-round
 	// progress and per-continent sample tallies from RunCampaign.
-	Metrics *Metrics
+	Metrics *CampaignMetrics
 
 	// paths is the path cache: one slot per (probe ID, catalog region)
 	// pair, row-major by probe ID, allocated on the first lookup so that

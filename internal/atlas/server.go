@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/geo"
@@ -24,102 +23,40 @@ type Server struct {
 	platform *Platform
 	ledger   *Ledger
 	live     *LiveService
-	mux      *http.ServeMux
 	metrics  *Metrics
-	events   *obs.Recorder
 	serving  func() any
 	started  time.Time
 }
 
-// ServerOption configures a Server.
-type ServerOption func(*Server)
-
-// WithServerMetrics instruments every route with request/duration/error
-// accounting and additionally serves GET /metrics (Prometheus text
-// exposition of the metrics' registry).
-func WithServerMetrics(m *Metrics) ServerOption {
-	return func(s *Server) { s.metrics = m }
-}
-
-// WithServerEvents additionally serves GET /debug/events: a JSON dump of
-// the flight recorder's retained structured-log events.
-func WithServerEvents(rec *obs.Recorder) ServerOption {
-	return func(s *Server) { s.events = rec }
-}
-
-// WithServerServing embeds fn's result in the status report under
-// "serving" — the query-serving layer's snapshot coverage, provided as
-// a closure so this package needs no dependency on the serving engine.
-func WithServerServing(fn func() any) ServerOption {
-	return func(s *Server) { s.serving = fn }
-}
-
-// NewServer wires the HTTP handlers.
-func NewServer(p *Platform, ledger *Ledger, live *LiveService, opts ...ServerOption) (*Server, error) {
+// NewServer builds the API server. m, when non-nil, instruments every
+// route; serving, when non-nil, supplies the status report's "serving"
+// block — the query-serving layer's snapshot coverage, provided as a
+// closure so this package needs no dependency on the serving engine.
+func NewServer(p *Platform, ledger *Ledger, live *LiveService, m *Metrics, serving func() any) (*Server, error) {
 	if p == nil || ledger == nil || live == nil {
 		return nil, errors.New("atlas: nil component")
 	}
-	s := &Server{platform: p, ledger: ledger, live: live, mux: http.NewServeMux(), started: time.Now()}
-	for _, o := range opts {
-		o(s)
-	}
-	allow := map[string][]string{} // each path's methods, in table order
-	for _, r := range []struct {
-		pattern string
-		route   string // metric label: one value per pattern, no IDs
-		h       http.HandlerFunc
-	}{
-		{"GET /api/v1/probes", "probes", s.handleProbes},
-		{"GET /api/v1/probes/{id}", "probe", s.handleProbe},
-		{"GET /api/v1/regions", "regions", s.handleRegions},
-		{"GET /api/v1/credits/{account}", "credits", s.handleCredits},
-		{"GET /api/v1/measurements", "measurement_list", s.handleList},
-		{"POST /api/v1/measurements", "measurement_create", s.handleCreate},
-		{"GET /api/v1/measurements/{id}", "measurement_get", s.handleMeasurement},
-		{"GET /api/v1/measurements/{id}/results", "measurement_results", s.handleResults},
-		{"DELETE /api/v1/measurements/{id}", "measurement_stop", s.handleStop},
-		{"GET /api/v1/status", "status", s.handleStatus},
-	} {
-		s.mux.HandleFunc(r.pattern, s.metrics.instrument(r.route, r.h))
-		method, path, _ := strings.Cut(r.pattern, " ")
-		allow[path] = append(allow[path], method)
-	}
-	// Uniform method handling: a wrong method on a known path answers
-	// 405 with an Allow header, not the mux's bare 404. The
-	// method-qualified patterns above are more specific and keep
-	// winning for the methods they name.
-	for path, methods := range allow {
-		s.mux.HandleFunc(path, s.metrics.instrument("method_not_allowed",
-			func(w http.ResponseWriter, r *http.Request) {
-				httpapi.MethodNotAllowed(w, r, methods...)
-			}))
-	}
-	if s.metrics != nil && s.metrics.Registry != nil {
-		s.mux.Handle("GET /metrics", obs.MetricsHandler(s.metrics.Registry))
-	}
-	if s.events != nil {
-		s.mux.Handle("GET /debug/events", obs.EventsHandler(s.events))
-	}
-	return s, nil
+	return &Server{platform: p, ledger: ledger, live: live, metrics: m, serving: serving, started: time.Now()}, nil
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// writeJSON sends a JSON response through the shared httpapi encoding.
-// An encode failure is surfaced to the request-metrics middleware
-// (which counts it per route) instead of being silently discarded.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	if err := httpapi.WriteJSON(w, code, v); err != nil {
-		if sw, ok := w.(*statusWriter); ok {
-			sw.encodeErr = err
-		}
+// Register adds the API's route table to mux.
+func (s *Server) Register(mux *http.ServeMux) {
+	var in httpapi.Instruments
+	if m := s.metrics; m != nil {
+		in = httpapi.Instruments{Requests: m.ReqTotal, Seconds: m.ReqDur, EncodeErrors: m.EncodeErrors}
 	}
-}
-
-// writeError sends the platform's uniform {"error": ...} JSON shape.
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	httpapi.Register(mux, in, []httpapi.Route{
+		{Pattern: "GET /api/v1/probes", Name: "probes", Handler: s.handleProbes},
+		{Pattern: "GET /api/v1/probes/{id}", Name: "probe", Handler: s.handleProbe},
+		{Pattern: "GET /api/v1/regions", Name: "regions", Handler: s.handleRegions},
+		{Pattern: "GET /api/v1/credits/{account}", Name: "credits", Handler: s.handleCredits},
+		{Pattern: "GET /api/v1/measurements", Name: "measurement_list", Handler: s.handleList},
+		{Pattern: "POST /api/v1/measurements", Name: "measurement_create", Handler: s.handleCreate},
+		{Pattern: "GET /api/v1/measurements/{id}", Name: "measurement_get", Handler: s.handleMeasurement},
+		{Pattern: "GET /api/v1/measurements/{id}/results", Name: "measurement_results", Handler: s.handleResults},
+		{Pattern: "DELETE /api/v1/measurements/{id}", Name: "measurement_stop", Handler: s.handleStop},
+		{Pattern: "GET /api/v1/status", Name: "status", Handler: s.handleStatus},
+	})
 }
 
 // ProbeDTO is the wire representation of a probe.
@@ -151,7 +88,7 @@ func (s *Server) handleProbes(w http.ResponseWriter, r *http.Request) {
 	if c := q.Get("continent"); c != "" {
 		ct, err := geo.ParseContinent(c)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		continent = ct
@@ -160,7 +97,7 @@ func (s *Server) handleProbes(w http.ResponseWriter, r *http.Request) {
 	if l := q.Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", l))
+			httpapi.Errorf(w, http.StatusBadRequest, "bad limit %q", l)
 			return
 		}
 		limit = n
@@ -181,21 +118,21 @@ func (s *Server) handleProbes(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad probe id"))
+		httpapi.Error(w, http.StatusBadRequest, "bad probe id")
 		return
 	}
 	p, ok := s.platform.Population.Lookup(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("probe %d not found", id))
+		httpapi.Errorf(w, http.StatusNotFound, "probe %d not found", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, toProbeDTO(p))
+	httpapi.WriteJSON(w, http.StatusOK, toProbeDTO(p))
 }
 
 // RegionDTO is the wire representation of a cloud region.
@@ -220,12 +157,12 @@ func (s *Server) handleRegions(w http.ResponseWriter, r *http.Request) {
 			Lon:      reg.Location.Lon,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleCredits(w http.ResponseWriter, r *http.Request) {
 	account := r.PathValue("account")
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"account": account,
 		"balance": s.ledger.Balance(account),
 		"spent":   s.ledger.Spent(account),
@@ -272,16 +209,16 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooLarge) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, code, fmt.Errorf("bad body: %w", err))
+		httpapi.Errorf(w, code, "bad body: %v", err)
 		return
 	}
 	if dto.Account == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing account"))
+		httpapi.Error(w, http.StatusBadRequest, "missing account")
 		return
 	}
 	spec, err := dto.Spec()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		httpapi.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	id, err := s.live.Create(dto.Account, spec)
@@ -290,26 +227,26 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrInsufficientCredits) {
 			code = http.StatusPaymentRequired
 		}
-		writeError(w, code, err)
+		httpapi.Error(w, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]int{"id": id})
+	httpapi.WriteJSON(w, http.StatusCreated, map[string]int{"id": id})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	account := r.URL.Query().Get("account")
-	writeJSON(w, http.StatusOK, s.live.List(account))
+	httpapi.WriteJSON(w, http.StatusOK, s.live.List(account))
 }
 
 func (s *Server) measurementFromPath(w http.ResponseWriter, r *http.Request) (Measurement, bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad measurement id"))
+		httpapi.Error(w, http.StatusBadRequest, "bad measurement id")
 		return Measurement{}, false
 	}
 	m, ok := s.live.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("measurement %d not found", id))
+		httpapi.Errorf(w, http.StatusNotFound, "measurement %d not found", id)
 		return Measurement{}, false
 	}
 	return m, true
@@ -321,7 +258,7 @@ func (s *Server) handleMeasurement(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m.Results = nil // status endpoint omits the payload
-	writeJSON(w, http.StatusOK, m)
+	httpapi.WriteJSON(w, http.StatusOK, m)
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -329,31 +266,22 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, m.Results)
+	httpapi.WriteJSON(w, http.StatusOK, m.Results)
 }
 
 func (s *Server) handleStop(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad measurement id"))
+		httpapi.Error(w, http.StatusBadRequest, "bad measurement id")
 		return
 	}
 	if err := s.live.Stop(id); err != nil {
-		writeError(w, http.StatusConflict, err)
+		httpapi.Error(w, http.StatusConflict, err.Error())
 		return
 	}
 	m, _ := s.live.Get(id)
 	m.Results = nil
-	writeJSON(w, http.StatusOK, m)
-}
-
-// CampaignStatusDTO is the campaign-progress slice of the status report.
-type CampaignStatusDTO struct {
-	RoundsDone         float64           `json:"rounds_done"`
-	RoundsTotal        float64           `json:"rounds_total"`
-	Samples            uint64            `json:"samples"`
-	SamplesLost        uint64            `json:"samples_lost"`
-	SamplesByContinent map[string]uint64 `json:"samples_by_continent,omitempty"`
+	httpapi.WriteJSON(w, http.StatusOK, m)
 }
 
 // StatusDTO is the platform self-observability snapshot served at
@@ -362,15 +290,14 @@ type CampaignStatusDTO struct {
 // archived run are traceable the same way; Serving carries the query
 // layer's snapshot coverage when one is embedded.
 type StatusDTO struct {
-	UptimeSeconds    float64           `json:"uptime_seconds"`
-	Build            obs.BuildInfo     `json:"build"`
-	Probes           int               `json:"probes"`
-	Regions          int               `json:"regions"`
-	Measurements     map[Status]int    `json:"measurements"`
-	ResultsCollected uint64            `json:"results_collected"`
-	ProbeTimeouts    uint64            `json:"probe_timeouts"`
-	Campaign         CampaignStatusDTO `json:"campaign"`
-	Serving          any               `json:"serving,omitempty"`
+	UptimeSeconds    float64        `json:"uptime_seconds"`
+	Build            obs.BuildInfo  `json:"build"`
+	Probes           int            `json:"probes"`
+	Regions          int            `json:"regions"`
+	Measurements     map[Status]int `json:"measurements"`
+	ResultsCollected uint64         `json:"results_collected"`
+	ProbeTimeouts    uint64         `json:"probe_timeouts"`
+	Serving          any            `json:"serving,omitempty"`
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -390,18 +317,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if m := s.metrics; m != nil {
 		st.ResultsCollected = m.ResultsCollected.Value()
 		st.ProbeTimeouts = m.ProbeTimeouts.Value()
-		st.Campaign = CampaignStatusDTO{
-			RoundsDone:  m.CampaignRoundsDone.Value(),
-			RoundsTotal: m.CampaignRoundsTotal.Value(),
-			Samples:     m.CampaignSamples.Sum(),
-			SamplesLost: m.CampaignLost.Value(),
-		}
-		m.CampaignSamples.Walk(func(labels []string, v uint64) {
-			if st.Campaign.SamplesByContinent == nil {
-				st.Campaign.SamplesByContinent = make(map[string]uint64)
-			}
-			st.Campaign.SamplesByContinent[labels[0]] = v
-		})
 	}
-	writeJSON(w, http.StatusOK, st)
+	httpapi.WriteJSON(w, http.StatusOK, st)
 }

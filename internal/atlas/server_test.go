@@ -26,11 +26,13 @@ func apiFixture(t *testing.T) (*Platform, *Ledger, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(live.Close)
-	srv, err := NewServer(p, ledger, live)
+	srv, err := NewServer(p, ledger, live, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	c, err := NewClient(ts.URL, "alice", ts.Client())
 	if err != nil {
@@ -197,11 +199,13 @@ func TestAPIBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(live.Close)
-	srv, err := NewServer(p, ledger, live)
+	srv, err := NewServer(p, ledger, live, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
 	for _, tc := range []struct {
@@ -452,10 +456,12 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 	t.Cleanup(live.Close)
 	m := NewMetrics(obs.NewRegistry())
-	srv, err := NewServer(p, ledger, live, WithServerMetrics(m))
+	srv, err := NewServer(p, ledger, live, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mux := http.NewServeMux()
+	srv.Register(mux)
 	for path, allow := range map[string]string{
 		"/api/v1/probes":                 "GET",
 		"/api/v1/probes/3":               "GET",
@@ -467,7 +473,7 @@ func TestMethodNotAllowed(t *testing.T) {
 		"/api/v1/status":                 "GET",
 	} {
 		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPut, path, nil))
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPut, path, nil))
 		if w.Code != http.StatusMethodNotAllowed || w.Header().Get("Allow") != allow {
 			t.Errorf("PUT %s: status %d, Allow %q; want 405, Allow %q", path, w.Code, w.Header().Get("Allow"), allow)
 		}

@@ -7,7 +7,7 @@ import (
 
 // This file is the shared live-status surface: the handler set every
 // binary mounts so a run can be inspected while it executes. atlasd
-// wires the handlers into its API mux; internal/cmdrun serves them for
+// mounts the handlers on its one mux; internal/cmdrun serves them for
 // shears and figures from the -status-addr listener via NewStatusMux.
 
 // MetricsHandler serves the registry's Prometheus text exposition.

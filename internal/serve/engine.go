@@ -54,7 +54,7 @@ type Options struct {
 	SnapshotPath string
 	// TixPath, when set, maintains the temporal aggregate index at that
 	// path (normally store.TixPath()): the refresher extends it as
-	// blocks seal and windowed queries compose pre-merged segment nodes
+	// blocks seal and windowed queries compose its per-block records
 	// instead of scanning. Empty disables the index; an index that
 	// fails to open or extend logs and serves by scan.
 	TixPath string

@@ -18,7 +18,7 @@ import (
 	"repro/internal/tix"
 )
 
-// Handler returns the serving layer's HTTP surface:
+// Register adds the serving layer's route table to mux:
 //
 //	GET /api/v1/figures/{fig}  fig in ServedFigures — paper-exact figure text
 //	GET /api/v1/quantile       ?p=0.5[&dist=full|min][&continent=EU]
@@ -28,29 +28,20 @@ import (
 // written as rendered at publish, and every other answer is filled per
 // request unless If-None-Match already holds the snapshot's ETag.
 // Non-GET methods get a uniform 405 with Allow.
-func (e *Engine) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /api/v1/figures/{fig}", e.route("figures", e.handleFigure))
-	mux.HandleFunc("GET /api/v1/quantile", e.route("quantile", e.handleQuantile))
-	mux.HandleFunc("GET /api/v1/cdf", e.route("cdf", e.handleCDF))
-	methodGate := func(w http.ResponseWriter, r *http.Request) {
-		httpapi.MethodNotAllowed(w, r, http.MethodGet)
-	}
-	mux.HandleFunc("/api/v1/figures/{fig}", methodGate)
-	mux.HandleFunc("/api/v1/quantile", methodGate)
-	mux.HandleFunc("/api/v1/cdf", methodGate)
-	return mux
+func (e *Engine) Register(mux *http.ServeMux) {
+	m := e.opt.Metrics.nilSafe()
+	httpapi.Register(mux, httpapi.Instruments{Requests: m.Requests, Seconds: m.RequestSeconds}, []httpapi.Route{
+		{Pattern: "GET /api/v1/figures/{fig}", Name: "figures", Handler: e.handleFigure},
+		{Pattern: "GET /api/v1/quantile", Name: "quantile", Handler: e.handleQuantile},
+		{Pattern: "GET /api/v1/cdf", Name: "cdf", Handler: e.handleCDF},
+	})
 }
 
-// route wraps a handler with the per-route request instruments.
-func (e *Engine) route(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		m := e.opt.Metrics.nilSafe()
-		t0 := time.Now()
-		h(w, r)
-		m.Requests.With(name).Inc()
-		m.RequestSeconds.With(name).Observe(time.Since(t0).Seconds())
-	}
+// Handler returns a mux that serves the serving layer's routes alone.
+func (e *Engine) Handler() http.Handler {
+	mux := http.NewServeMux()
+	e.Register(mux)
+	return mux
 }
 
 // view loads the published snapshot, answering 503 (and returning nil)
@@ -120,7 +111,9 @@ func (st *stageTimes) serverTiming() string {
 // it gets its 304 before any fill; any other request runs fill and gets
 // the result through writeResponse. st, when non-nil, is the stage
 // breakdown fill records into: the stages that ran are exported as
-// serve_window_stage_seconds and a Server-Timing header.
+// serve_window_stage_seconds and a Server-Timing header. A fill its
+// request abandoned writes nothing: nobody reads the answer, and the
+// request middleware counts it as canceled.
 func (e *Engine) serveFill(w http.ResponseWriter, r *http.Request, v *snapshotView, st *stageTimes, fill func() (*response, error)) {
 	if etag := etagFor(v.fingerprint); noneMatch(r.Header.Values("If-None-Match"), etag) {
 		e.writeResponse(w, r, &response{etag: etag})
@@ -128,11 +121,13 @@ func (e *Engine) serveFill(w http.ResponseWriter, r *http.Request, v *snapshotVi
 	}
 	m := e.opt.Metrics.nilSafe()
 	resp, err := fill()
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			httpapi.Error(w, http.StatusGatewayTimeout, "window materialization exceeded the fill deadline")
-			return
-		}
+	switch {
+	case errors.Is(err, context.Canceled):
+		return
+	case errors.Is(err, context.DeadlineExceeded):
+		httpapi.Error(w, http.StatusGatewayTimeout, "window materialization exceeded the fill deadline")
+		return
+	case err != nil:
 		httpapi.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}

@@ -16,9 +16,11 @@ import (
 // Metrics are the serving layer's instruments. A nil *Metrics (or any
 // nil field) disables that instrument; the handlers never guard.
 type Metrics struct {
-	// Requests counts served requests by route.
-	Requests *obs.CounterVec // route
-	// RequestSeconds is the end-to-end handler latency by route.
+	// Requests counts requests by route and status class ("2xx", ...,
+	// "canceled" for one whose client left before any answer).
+	Requests *obs.CounterVec // route, class
+	// RequestSeconds is the end-to-end handler latency by route, of
+	// answered requests only.
 	RequestSeconds *obs.HistogramVec // route
 	// CacheHits and CacheMisses are never set, so they read 0: there is
 	// no read cache. They stay for the load benchmark, which reads them.
@@ -75,7 +77,7 @@ type Metrics struct {
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Requests: reg.CounterVec("serve_requests_total",
-			"Requests answered by the serving layer.", "route"),
+			"Serving-layer requests by route and status class.", "route", "class"),
 		RequestSeconds: reg.HistogramVec("serve_request_seconds",
 			"Serving-layer request latency.", obs.FineDurationBuckets, "route"),
 		StaleServed: reg.Counter("serve_stale_served_total",

@@ -354,7 +354,9 @@ func TestServeFillDeadline(t *testing.T) {
 
 // TestServeAbandonedRequestStopsFill: a window fill runs under its
 // request's context, so a request whose client has already gone runs
-// no index query and no scan, and is not counted as a fill timeout.
+// no index query and no scan, and is not counted as a fill timeout. It
+// writes nothing, and is counted as canceled, not as an answer whose
+// latency the request histogram would hold.
 func TestServeAbandonedRequestStopsFill(t *testing.T) {
 	f := newFixture(t, 200)
 	f.append(t, 0, f.mem.Len())
@@ -368,8 +370,11 @@ func TestServeAbandonedRequestStopsFill(t *testing.T) {
 	cancel()
 	w := httptest.NewRecorder()
 	e.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx))
-	if w.Code == http.StatusOK {
-		t.Fatal("an abandoned request was answered 200")
+	if w.Body.Len() != 0 {
+		t.Fatalf("an abandoned request was answered: %s", w.Body)
+	}
+	if c, n := m.Requests.With("cdf", "canceled").Value(), m.RequestSeconds.With("cdf").Count(); c != 1 || n != 0 {
+		t.Fatalf("abandoned request: %d canceled counts, %d latency observations; want 1, 0", c, n)
 	}
 	if q, s, to := m.WindowIndexQueries.Value(), m.RequestScans.Value(), m.FillTimeouts.Value(); q != 0 || s != 0 || to != 0 {
 		t.Fatalf("abandoned request: %d index queries, %d scans, %d fill timeouts; want none", q, s, to)

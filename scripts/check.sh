@@ -70,11 +70,13 @@ echo "== go test -race (concurrency suites, uncached) =="
 # storage layer (columnar codec + sinks), and the telemetry plane
 # (registry scrapes racing registration, flight recorder) are the
 # shard-and-merge packages, and internal/serve runs concurrent readers
-# against snapshot swaps under churn; and
-# internal/cmdrun serves a run's status while the run still executes.
+# against snapshot swaps under churn;
+# internal/cmdrun serves a run's status while the run still executes;
+# and internal/atlas hands each live measurement's end from its pinger
+# goroutines to Stop and Wait through a done channel.
 # Run them uncached so every gate exercises the race detector on fresh
 # schedules.
-go test -race -count=1 ./internal/scan ./internal/core ./internal/engine ./internal/colf ./internal/results ./internal/snap ./internal/stats ./internal/obs ./internal/serve ./internal/tix ./internal/cmdrun
+go test -race -count=1 ./internal/scan ./internal/core ./internal/engine ./internal/colf ./internal/results ./internal/snap ./internal/stats ./internal/obs ./internal/serve ./internal/tix ./internal/cmdrun ./internal/atlas
 
 echo "== go test -race =="
 go test -race ./...
