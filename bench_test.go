@@ -17,7 +17,7 @@
 //     Figures 4-7 rendering from an already-computed suite report.
 //   - BenchmarkFigure4Proximity .. Figure7LastMile, ProviderComparison:
 //     each analysis alone — core.ScanMemory restricted to the one pass,
-//     folding an in-memory campaign's column blocks, then the figure's
+//     scanning an in-memory campaign's colf image, then the figure's
 //     lines (Figure 7's report carries the KS test). bench/ only ever
 //     runs the six passes fused through the block scanner
 //     (scan.cold_samples_per_s_w1/_w2) and times their reports

@@ -53,6 +53,7 @@ import (
 
 	"repro/internal/atlas"
 	"repro/internal/cmdrun"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/scan"
@@ -152,10 +153,12 @@ func build(probes int, seed uint64, scale float64, grants string, logger *slog.L
 		return nil, err
 	}
 	srv.Register(a.mux)
-	a.mux.Handle("GET /metrics", obs.MetricsHandler(registry))
+	// Zero instruments: a scrape is not counted as an API request.
+	telemetry := []httpapi.Route{{Pattern: "GET /metrics", Name: "metrics", Handler: obs.MetricsHandler(registry)}}
 	if rec != nil {
-		a.mux.Handle("GET /debug/events", obs.EventsHandler(rec))
+		telemetry = append(telemetry, httpapi.Route{Pattern: "GET /debug/events", Name: "events", Handler: obs.EventsHandler(rec)})
 	}
+	httpapi.Register(a.mux, httpapi.Instruments{}, telemetry)
 	logger.Info("world built", "probes", w.Probes.Len(), "regions", w.Catalog.Len(), "seed", seed)
 	return a, nil
 }

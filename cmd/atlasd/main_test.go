@@ -223,8 +223,10 @@ func writeCampaign(t *testing.T, app *app, cfg atlas.CampaignConfig) string {
 // TestOneMuxMethodNotAllowed: the API's and the serving layer's route
 // tables share the one mux, so a PUT to any path of either answers a
 // JSON 405 whose Allow header lists that path's methods, counted under
-// its own family's method_not_allowed route. Without -serve-data the
-// serving paths are not mounted at all.
+// its own family's method_not_allowed route. /metrics answers the same
+// JSON 405 through a table with zero instruments, so it is counted
+// nowhere. Without -serve-data the serving paths are not mounted at all,
+// nor /debug/events without a flight recorder.
 func TestOneMuxMethodNotAllowed(t *testing.T) {
 	app, err := build(200, 1, 0.01, "", nil, nil)
 	if err != nil {
@@ -238,6 +240,9 @@ func TestOneMuxMethodNotAllowed(t *testing.T) {
 	}
 	if w := serveReq(http.MethodGet, "/api/v1/cdf"); w.Code != http.StatusNotFound {
 		t.Fatalf("/api/v1/cdf without -serve-data = %d, want 404", w.Code)
+	}
+	if w := serveReq(http.MethodGet, "/debug/events"); w.Code != http.StatusNotFound {
+		t.Fatalf("/debug/events without a flight recorder = %d, want 404", w.Code)
 	}
 
 	cfg := atlas.TestCampaign()
@@ -258,6 +263,7 @@ func TestOneMuxMethodNotAllowed(t *testing.T) {
 		"/api/v1/figures/5":              "GET",
 		"/api/v1/quantile":               "GET",
 		"/api/v1/cdf":                    "GET",
+		"/metrics":                       "GET",
 	} {
 		w := serveReq(http.MethodPut, path)
 		var body struct {

@@ -18,8 +18,8 @@
 // -probes/-seed are given. Every dataset figure is one suite report
 // over the passes its entry names: a stored dataset is read with the
 // parallel scanner (-workers shards the file; the output is identical
-// for any worker count), a synthesized campaign is folded in memory as
-// the same column blocks. Figures 4
+// for any worker count), and a synthesized campaign is held in memory as
+// the same colf blocks and folded by the same scanner. Figures 4
 // and 5 resume from the dataset's analysis snapshot (samples.snap, a
 // few kilobytes of per-country and per-probe minima maintained by
 // cmd/shears): the scan decodes only blocks appended since and rewrites
@@ -258,7 +258,7 @@ func buildWorld(o options, r *cmdrun.Run) (*world.World, error) {
 }
 
 // dataset is a figure's sample source: a stored campaign scanned in
-// parallel, or a freshly synthesized in-memory one folded block by block.
+// parallel, or a freshly synthesized one held in memory as a colf image.
 type dataset struct {
 	store   *results.Store  // non-nil when loaded from disk
 	mem     *results.Memory // the synthesized campaign otherwise

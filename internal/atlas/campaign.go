@@ -101,39 +101,14 @@ func (c CampaignConfig) Meta(seed uint64, probes, regions int) results.Meta {
 // the paper's filtering. It returns the number of samples emitted.
 //
 // Observability: a span carried in ctx (obs.ContextWith) gets one child
-// span per round; p.Metrics, when set, receives round progress gauges and
-// per-continent sample tallies as the campaign runs.
+// span per round beside the engine's stage spans; p.Metrics, when set,
+// receives round progress gauges and per-continent sample tallies as the
+// campaign runs.
 //
-// RunCampaign is the serial path; RunCampaignOpts runs the same workload
-// through the parallel execution engine with identical output.
+// RunCampaign is RunCampaignOpts with one worker: every campaign runs
+// through internal/engine.
 func (p *Platform) RunCampaign(ctx context.Context, cfg CampaignConfig, sink func(results.Sample) error) (uint64, error) {
 	return p.RunCampaignOpts(ctx, cfg, CampaignOptions{}, sink)
-}
-
-// runSerial is the single-goroutine campaign loop.
-func (p *Platform) runSerial(ctx context.Context, cfg CampaignConfig, probes []*probe.Probe, tally *campaignTally, sink func(results.Sample) error) (uint64, error) {
-	var emitted uint64
-	span := obs.From(ctx)
-	for round := 0; round < cfg.Rounds(); round++ {
-		if err := ctx.Err(); err != nil {
-			return emitted, err
-		}
-		roundSpan := span.Child("round")
-		roundSpan.SetAttr("round", round)
-		roundSpan.SetAttr("at", cfg.RoundTime(round).Format(time.RFC3339))
-		n, err := p.synthesizeRound(ctx, cfg, round, probes, tally, sink)
-		emitted += n
-		if err != nil {
-			return emitted, err
-		}
-		roundSpan.SetAttr("samples", n)
-		roundSpan.End()
-		if p.Metrics != nil {
-			p.Metrics.RoundsDone.Set(float64(round + 1))
-		}
-	}
-	span.SetAttr("samples", emitted)
-	return emitted, nil
 }
 
 // RoundTime returns the timestamp of one measurement round.
@@ -190,10 +165,10 @@ func (l *localTally) flushTo(t *campaignTally) {
 }
 
 // synthesizeRound emits one round's samples for the given probe slice in
-// deterministic (probe, target) order. It is the shared core of the
-// serial path and the engine's shard workers: a shard is just a
-// contiguous sub-slice of the public probe population, so concatenating
-// shard outputs in shard order reproduces the serial stream exactly.
+// deterministic (probe, target) order. It is the engine's shard
+// workload: a shard is just a contiguous sub-slice of the public probe
+// population, so concatenating shard outputs in shard order reproduces
+// the one-shard stream exactly.
 // It resolves a batch of pairs' paths at a time (resolvePaths), then
 // samples and emits them in order; a path error ends the round after
 // the samples before it, as resolving one pair at a time would.

@@ -13,11 +13,10 @@ import (
 	"repro/internal/results"
 )
 
-// CampaignOptions select the campaign execution strategy. The zero value
-// is the serial path; anything else routes through internal/engine.
+// CampaignOptions are a campaign's execution options. The zero value is
+// one worker, no checkpoints.
 type CampaignOptions struct {
-	// Workers is the shard/worker count. Values <= 1 run serially (unless
-	// checkpointing or resuming, which always use the engine). The merged
+	// Workers is the shard/worker count; values <= 1 run one. The merged
 	// output is byte-identical for every worker count.
 	Workers int
 
@@ -57,52 +56,38 @@ type CampaignOptions struct {
 	Log *slog.Logger
 }
 
-// serial reports whether the options select the plain single-goroutine
-// loop rather than the execution engine.
-func (o CampaignOptions) serial() bool {
-	return o.Workers <= 1 && o.CheckpointPath == "" && o.StartRound == 0 && o.StartSamples == 0
-}
-
-// RunCampaignOpts runs the campaign under the given execution options,
-// delegating to the parallel engine when they ask for more than the
-// serial loop: the public probe population is split into contiguous
-// shards (one per worker), every shard synthesizes its rounds on its own
-// goroutine, and the engine merges shard batches round-major in shard
-// order — reproducing the serial sample stream byte for byte for any
-// worker count, because each sample's value depends only on the seeded
-// latency model and the sample's (probe, target, time) identity.
+// RunCampaignOpts runs the campaign on the parallel engine: the public
+// probe population is split into contiguous shards (one per worker),
+// every shard synthesizes its rounds on its own goroutine, and the
+// engine merges shard batches round-major in shard order — the same
+// sample stream byte for byte for any worker count, because each
+// sample's value depends only on the seeded latency model and the
+// sample's (probe, target, time) identity. A path error fails the run
+// without sinking any of its (shard, round) batch.
 func (p *Platform) RunCampaignOpts(ctx context.Context, cfg CampaignConfig, opts CampaignOptions, sink func(results.Sample) error) (uint64, error) {
-	if err := cfg.Validate(); err != nil {
+	probes := len(p.Population.Public())
+	workers := min(max(opts.Workers, 1), probes)
+	gen, err := p.ShardGen(cfg, workers)
+	if err != nil {
 		return 0, err
-	}
-	probes := p.Population.Public()
-	if len(probes) == 0 {
-		return 0, fmt.Errorf("atlas: no public probes")
 	}
 	rounds := cfg.Rounds()
 	m := p.Metrics
 	span := obs.From(ctx)
 	span.SetAttr("rounds", rounds)
-	span.SetAttr("probes", len(probes))
-	if m != nil {
-		m.RoundsTotal.Set(float64(rounds))
-		m.RoundsDone.Set(float64(opts.StartRound))
-	}
-	tally := p.newCampaignTally()
-	if opts.serial() {
-		return p.runSerial(ctx, cfg, probes, tally, sink)
-	}
-
-	workers := min(max(opts.Workers, 1), len(probes))
-	shards := shardProbes(probes, workers)
+	span.SetAttr("probes", probes)
 	span.SetAttr("workers", workers)
 	if opts.StartRound > 0 {
 		span.SetAttr("resume_round", opts.StartRound)
 	}
+	if m != nil {
+		m.RoundsTotal.Set(float64(rounds))
+		m.RoundsDone.Set(float64(opts.StartRound))
+	}
 
 	// Upper bound on one (shard, round) cell, so worker batch buffers
 	// never reallocate mid-round.
-	hint := (len(probes) + workers - 1) / workers * cfg.TargetsPerRound
+	hint := (probes + workers - 1) / workers * cfg.TargetsPerRound
 
 	n, err := engine.Run(ctx, engine.Config{
 		Workers:         workers,
@@ -117,16 +102,11 @@ func (p *Platform) RunCampaignOpts(ctx context.Context, cfg CampaignConfig, opts
 		OnCheckpoint:    opts.OnCheckpoint,
 		Metrics:         opts.EngineMetrics,
 		Log:             opts.Log,
-		Gen: func(ctx context.Context, shard, round int, emit func(results.Sample) error) error {
-			_, err := p.synthesizeRound(ctx, cfg, round, shards[shard], tally, emit)
-			return err
-		},
-		Sink: sink,
+		Gen:             gen,
+		Sink:            sink,
 		OnRound: func(round int, samples uint64) {
 			// Rounds are generated concurrently, so per-round spans mark
-			// merge completion events rather than synthesis intervals;
-			// they keep the trace's round fan-out (and per-round sample
-			// attribution) identical in shape to the serial path.
+			// merge completion events rather than synthesis intervals.
 			rs := span.Child("round")
 			rs.SetAttr("round", round)
 			rs.SetAttr("at", cfg.RoundTime(round).Format(time.RFC3339))
@@ -146,11 +126,11 @@ func (p *Platform) RunCampaignOpts(ctx context.Context, cfg CampaignConfig, opts
 
 // ShardGen returns an engine.GenFunc that synthesizes the cells of an
 // n-way contiguous shard partition of the public probe population —
-// the exact workload RunCampaignOpts hands the engine, exposed so the
-// benchmark's dataset builder can synthesize rounds one at a time
-// between timed operations. The shard count, like the worker count,
-// never affects the merged byte stream: concatenating every shard's
-// round in shard order reproduces the serial round.
+// the workload RunCampaignOpts hands the engine, which the benchmark's
+// dataset builder also drives one round at a time between timed
+// operations. The shard count, like the worker count, never affects the
+// merged byte stream: concatenating every shard's round in shard order
+// reproduces the one-shard round.
 func (p *Platform) ShardGen(cfg CampaignConfig, shards int) (engine.GenFunc, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

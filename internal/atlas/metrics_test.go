@@ -281,16 +281,20 @@ func TestCampaignMetricsAndSpans(t *testing.T) {
 		t.Errorf("only %d continents sampled", continents)
 	}
 
+	// The engine's stage spans (engine.generate, results.write) sit
+	// beside the round spans.
 	d := span.Dump()
-	if len(d.Children) != cfg.Rounds() {
-		t.Fatalf("%d round spans, want %d", len(d.Children), cfg.Rounds())
-	}
+	rounds := 0
 	var total uint64
 	for _, c := range d.Children {
 		if c.Name != "round" {
-			t.Errorf("bad round span %+v", c)
+			continue
 		}
+		rounds++
 		total += c.Attrs["samples"].(uint64)
+	}
+	if rounds != cfg.Rounds() {
+		t.Fatalf("%d round spans, want %d", rounds, cfg.Rounds())
 	}
 	if total != n {
 		t.Errorf("round spans account for %d samples, campaign emitted %d", total, n)

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/scan"
 	"repro/internal/snap"
@@ -184,10 +185,10 @@ func (r *Run) NoteScan(st scan.Stats, rep *core.SuiteReport) {
 
 // Serve starts the status server when -status-addr names a listener:
 // GET /metrics, /debug/events and /api/v1/progress over the run's
-// registry and flight recorder. The progress body is the run ID, the
-// uptime, the snapshot and scan blocks, and whatever blocks adds; it is
-// built per request, so it reflects the live run. Finish closes the
-// server.
+// registry and flight recorder, with httpapi's JSON 405 for any other
+// method. The progress body is the run ID, the uptime, the snapshot and
+// scan blocks, and whatever blocks adds; it is built per request, so it
+// reflects the live run. Finish closes the server.
 func (r *Run) Serve(blocks func(progress map[string]any)) error {
 	if r.cfg.StatusAddr == "" {
 		return nil
@@ -212,9 +213,16 @@ func (r *Run) Serve(blocks func(progress map[string]any)) error {
 		blocks(p)
 		return p
 	}
+	// Zero instruments: a scrape is not counted as a request.
+	mux := http.NewServeMux()
+	httpapi.Register(mux, httpapi.Instruments{}, []httpapi.Route{
+		{Pattern: "GET /metrics", Name: "metrics", Handler: obs.MetricsHandler(r.reg)},
+		{Pattern: "GET /debug/events", Name: "events", Handler: obs.EventsHandler(r.rec)},
+		{Pattern: "GET /api/v1/progress", Name: "progress", Handler: obs.ProgressHandler(progress)},
+	})
 	// A client that never finishes its request headers must not hold a
 	// connection open for the rest of the run.
-	r.srv = &http.Server{Handler: obs.NewStatusMux(r.reg, r.rec, progress), ReadHeaderTimeout: 5 * time.Second}
+	r.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go r.srv.Serve(ln)
 	r.log.Info("status server listening", "addr", ln.Addr().String())
 	if r.cfg.StatusReady != nil {

@@ -173,6 +173,54 @@ func TestStatusServer(t *testing.T) {
 	}
 }
 
+// TestStatusServerEndpoints pins each status endpoint's content type,
+// and httpapi's JSON 405 with Allow for any other method than GET.
+func TestStatusServerEndpoints(t *testing.T) {
+	ready := make(chan string, 1)
+	r, err := Start(Config{
+		Flags: Flags{StatusAddr: "127.0.0.1:0"}, Binary: "test", Events: 8,
+		LogDst: io.Discard, StatusReady: func(addr string) { ready <- addr },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Finish(nil, nil)
+	if err := r.Serve(func(map[string]any) {}); err != nil {
+		t.Fatal(err)
+	}
+	addr := <-ready
+	for path, ctype := range map[string]string{
+		"/metrics":         "text/plain",
+		"/debug/events":    "application/json",
+		"/api/v1/progress": "application/json",
+	} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), ctype) {
+			t.Errorf("GET %s: status %d, content type %q; want 200 and %s", path, resp.StatusCode, resp.Header.Get("Content-Type"), ctype)
+		}
+
+		req, _ := http.NewRequest(http.MethodPut, "http://"+addr+path, nil)
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET" ||
+			resp.Header.Get("Content-Type") != "application/json" || derr != nil || body.Error == "" {
+			t.Errorf("PUT %s: status %d, Allow %q, content type %q, body error %q (%v); want a JSON 405 with Allow GET",
+				path, resp.StatusCode, resp.Header.Get("Allow"), resp.Header.Get("Content-Type"), body.Error, derr)
+		}
+	}
+}
+
 // TestStatusServerClosesStalledRequest: a status client that sends half
 // a request line and stalls is cut off once the header bound passes, so
 // it cannot hold a connection for the rest of the run.

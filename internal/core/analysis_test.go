@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/atlas"
 	"repro/internal/cloud"
+	"repro/internal/colf"
 	"repro/internal/geo"
 	"repro/internal/netem"
 	"repro/internal/probe"
@@ -365,8 +366,19 @@ func TestAccessClassString(t *testing.T) {
 func TestLastMileSignificance(t *testing.T) {
 	f := dataset(t)
 	p := NewNearestPass(f.idx, f.cfg.Start, passBinWidth)
-	if err := f.mem.ForEachBlock(p.ObserveBlock); err != nil {
+	img, blocks, err := f.mem.Image()
+	if err != nil {
 		t.Fatal(err)
+	}
+	dec := colf.NewBlockDecoder()
+	for _, bi := range blocks {
+		blk, err := dec.Decode(img, bi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ObserveBlock(blk); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := p.Significance()
 	if err != nil {

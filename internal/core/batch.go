@@ -7,16 +7,16 @@ import (
 
 // Batch kernels: every suite pass folds whole column arrays, never a
 // results.Sample per row. ObserveBlock is the only fold production code
-// reaches — a store's blocks come from the scanner, an in-memory
-// campaign's from results.Memory.ForEachBlock. Each kernel leaves
-// exactly the state a sample-by-sample fold of the same rows would —
-// same accumulators, same insertion order, same lazy creation — which
-// the row oracle in oracle_test.go pins byte for byte.
+// reaches, and the scanner is the only caller: a store's blocks and an
+// in-memory campaign's (results.Memory holds the same colf image) come
+// through it alike. Each kernel leaves exactly the state a
+// sample-by-sample fold of the same rows would — same accumulators,
+// same insertion order, same lazy creation — which the row oracle in
+// oracle_test.go pins byte for byte.
 //
 // The kernels assume every row already passes results.Sample.Validate,
 // which the scanner proves from the CRC-verified footer zone before
-// dispatching here (see scan.blockRowsValid) and results.Memory checks
-// on Add. Probe IDs are therefore
+// dispatching here (see scan.blockRowsValid). Probe IDs are therefore
 // > 0, making 0 a safe "no previous probe" sentinel for the run caches
 // below: blocks group consecutive rows by probe, so per-probe index
 // lookups (country, tier, access, ...) resolve once per run instead

@@ -92,22 +92,15 @@ func (h *HotSuite) Advance(ctx context.Context, r io.ReaderAt, size int64, block
 	if blocks[0].Off != h.coveredBytes {
 		return scan.Stats{}, fmt.Errorf("core: delta starts at offset %d, covered boundary is %d", blocks[0].Off, h.coveredBytes)
 	}
-	var suites []*Suite
-	cfg.NewPasses = func(worker int) ([]scan.Pass, error) {
-		s, err := NewSuite(h.idx, h.start, h.binWidth)
-		if err != nil {
-			return nil, err
-		}
-		s.sel = h.suite.sel
-		suites = append(suites, s)
-		return s.Passes(), nil
-	}
-	st, err := scan.Blocks(ctx, cfg, r, size, blocks, len(h.blocks), h.coveredBytes)
+	delta, st, err := fold(h.idx, h.start, h.binWidth, h.suite.sel, func(newPasses func(int) ([]scan.Pass, error)) (scan.Stats, error) {
+		cfg.NewPasses = newPasses
+		return scan.Blocks(ctx, cfg, r, size, blocks, len(h.blocks), h.coveredBytes)
+	})
 	if err != nil {
 		return st, err
 	}
 	// Receiver-first: the resident suite covers the earlier bytes.
-	if err := h.suite.Merge(suites[0]); err != nil {
+	if err := h.suite.Merge(delta); err != nil {
 		return st, err
 	}
 	h.samples += st.Samples

@@ -144,8 +144,8 @@ func (p *NearestPass) Columns() colf.ColumnSet { return colf.ColTime | colf.ColR
 // ObserveBlock implements Pass: the block's kept rows become one chunk,
 // allocated once at the CRC-checked footer's delivered count — or at the
 // row count when the footer does not describe the rows at hand (a block
-// compacted to a predicate's rows, or one from results.Memory), its time
-// runs at the block's timestamp changes. A dictionary entry is interned
+// compacted to a predicate's rows), its time runs at the block's
+// timestamp changes. A dictionary entry is interned
 // the first time a kept row references it — at most one map lookup per
 // entry per block, and the table never names a region no row holds.
 func (p *NearestPass) ObserveBlock(blk *colf.Block) error {

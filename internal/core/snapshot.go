@@ -476,27 +476,19 @@ func scanStoreMerged(ctx context.Context, store *results.Store, idx *Index, star
 // past resume with suites over sel and folds the result onto prefix
 // (both nil for a cold scan).
 func scanSeeded(ctx context.Context, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, workers int, m *scan.Metrics, so SnapshotOptions, sel PassSet, prefix *Suite, prefixSamples uint64, resume *scan.Resume) (*Suite, uint64, scan.Stats, error) {
-	scanOnce := func(r *scan.Resume) ([]*Suite, scan.Stats, error) {
-		var suites []*Suite
-		st, err := scan.File(ctx, scan.Config{
-			Path:    store.SamplesPath(),
-			Workers: workers,
-			Metrics: m,
-			Log:     so.Log,
-			Resume:  r,
-			NewPasses: func(worker int) ([]scan.Pass, error) {
-				s, err := NewSuite(idx, start, binWidth)
-				if err != nil {
-					return nil, err
-				}
-				s.sel = sel
-				suites = append(suites, s)
-				return s.Passes(), nil
-			},
+	scanOnce := func(r *scan.Resume) (*Suite, scan.Stats, error) {
+		return fold(idx, start, binWidth, sel, func(newPasses func(int) ([]scan.Pass, error)) (scan.Stats, error) {
+			return scan.File(ctx, scan.Config{
+				Path:      store.SamplesPath(),
+				Workers:   workers,
+				Metrics:   m,
+				Log:       so.Log,
+				Resume:    r,
+				NewPasses: newPasses,
+			})
 		})
-		return suites, st, err
 	}
-	suites, st, err := scanOnce(resume)
+	merged, st, err := scanOnce(resume)
 	if err != nil && resume != nil {
 		// The covered boundary no longer holds (the store changed in a way
 		// the window CRCs could not see): drop the snapshot, scan cold.
@@ -504,12 +496,11 @@ func scanSeeded(ctx context.Context, store *results.Store, idx *Index, start tim
 		so.log().Warn("snapshot invalidated", "path", so.Path,
 			"reason", "resumed scan failed past covered boundary", "error", err)
 		prefix, prefixSamples, resume = nil, 0, nil
-		suites, st, err = scanOnce(nil)
+		merged, st, err = scanOnce(nil)
 	}
 	if err != nil {
 		return nil, 0, st, err
 	}
-	merged := suites[0]
 	if prefix != nil {
 		span := obs.From(ctx).Child("snap.merge")
 		err := prefix.Merge(merged)

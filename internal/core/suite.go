@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/colf"
 	"repro/internal/results"
 	"repro/internal/scan"
 )
@@ -161,30 +160,45 @@ func (s *Suite) report(want PassSet) (*SuiteReport, error) {
 	return rep, nil
 }
 
+// fold runs one scan whose workers each feed a fresh suite over sel and
+// returns the merged suite (worker 0's, which receives every merge).
+// run starts the scan with the NewPasses it is given.
+func fold(idx *Index, start time.Time, binWidth time.Duration, sel PassSet, run func(newPasses func(worker int) ([]scan.Pass, error)) (scan.Stats, error)) (*Suite, scan.Stats, error) {
+	var suites []*Suite
+	st, err := run(func(worker int) ([]scan.Pass, error) {
+		s, err := NewSuite(idx, start, binWidth)
+		if err != nil {
+			return nil, err
+		}
+		s.sel = sel
+		suites = append(suites, s)
+		return s.Passes(), nil
+	})
+	if err != nil {
+		return nil, st, err
+	}
+	return suites[0], st, nil
+}
+
 // ScanMemory is the in-memory counterpart of ScanStore, for a campaign
-// that never went to a store: it folds mem's column blocks through the
-// suite restricted to passes (zero means all) and reports exactly what a
-// scan of the same samples in a store would. The reports of passes left
-// out come back nil.
+// that never went to a store: the store's scanner folds mem's colf image
+// through the suite restricted to passes (zero means all), so the report
+// is exactly what a scan of the same samples in a store gives. The
+// reports of passes left out come back nil.
 func ScanMemory(mem *results.Memory, idx *Index, start time.Time, binWidth time.Duration, passes PassSet) (*SuiteReport, error) {
 	if mem == nil || idx == nil {
 		return nil, errors.New("analysis: nil source or index")
 	}
-	s, err := NewSuite(idx, start, binWidth)
+	r, blocks, err := mem.Image()
 	if err != nil {
 		return nil, err
 	}
+	var sel PassSet
 	if passes.partial() {
-		s.sel = passes
+		sel = passes
 	}
-	selected := s.Passes()
-	err = mem.ForEachBlock(func(blk *colf.Block) error {
-		for _, p := range selected {
-			if err := p.ObserveBlock(blk); err != nil {
-				return err
-			}
-		}
-		return nil
+	s, st, err := fold(idx, start, binWidth, sel, func(newPasses func(int) ([]scan.Pass, error)) (scan.Stats, error) {
+		return scan.Blocks(context.Background(), scan.Config{NewPasses: newPasses}, r, 0, blocks, 0, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -193,7 +207,7 @@ func ScanMemory(mem *results.Memory, idx *Index, start time.Time, binWidth time.
 	if err != nil {
 		return nil, err
 	}
-	rep.Samples = uint64(mem.Len())
+	rep.Samples = st.Samples
 	return rep, nil
 }
 

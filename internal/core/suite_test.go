@@ -327,7 +327,7 @@ func (m matching) ForEach(fn func(results.Sample) error) error {
 // as a Figure 4/5 resume does — and through core.ScanStore and
 // core.ScanStoreSnap, whose samples.snap must not depend on the worker
 // count either — and through the in-memory entry point, which folds the
-// same samples as results.Memory's column blocks (memoryLeg).
+// same samples as results.Memory's colf image (memoryLeg).
 func TestScanStoreMatchesRowOracle(t *testing.T) {
 	store, w, cfg := fileDataset(t)
 	ctx := context.Background()
@@ -579,13 +579,13 @@ func figureCSVs(tb testing.TB, rep *core.SuiteReport) map[string]string {
 }
 
 // memoryLeg holds the in-memory entry point to the row oracle over the
-// same samples: results.Memory presents them as column blocks — the
-// last one short — and folding those leaves the oracle's suite state
-// (StateDump) byte for byte; core.ScanMemory renders the oracle's figures; a
-// pass-selective call reports exactly the selected passes, each equal to
-// the full run's; an empty Memory fails the way the per-figure
-// functions did; and a timestamp the binary format cannot hold is
-// refused, not wrapped.
+// same samples: results.Memory holds them as a colf image — the last
+// block short — and folding its decoded blocks leaves the oracle's suite
+// state (StateDump) byte for byte; core.ScanMemory renders the oracle's
+// figures; a pass-selective call reports exactly the selected passes,
+// each equal to the full run's; an empty Memory fails the way the
+// per-figure functions did; and a timestamp the binary format cannot
+// hold is refused at Add, not wrapped.
 func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.Time, wantState, wantRender []byte, wantKS string) {
 	t.Helper()
 	const week = 7 * 24 * time.Hour
@@ -602,8 +602,17 @@ func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.T
 	if err != nil {
 		t.Fatal(err)
 	}
+	img, infos, err := mem.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows, blocks := 0, 0
-	if err := mem.ForEachBlock(func(blk *colf.Block) error {
+	dec := colf.NewBlockDecoder()
+	for _, bi := range infos {
+		blk, err := dec.Decode(img, bi)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if blk.Rows() > colf.DefaultBlockRows {
 			t.Errorf("block %d holds %d rows", blocks, blk.Rows())
 		}
@@ -611,15 +620,12 @@ func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.T
 		blocks++
 		for _, p := range suite.Passes() {
 			if err := p.ObserveBlock(blk); err != nil {
-				return err
+				t.Fatal(err)
 			}
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if want := (len(all) + colf.DefaultBlockRows - 1) / colf.DefaultBlockRows; rows != len(all) || blocks != want {
-		t.Errorf("memory presented %d rows in %d blocks, want %d in %d", rows, blocks, len(all), want)
+		t.Errorf("memory image holds %d rows in %d blocks, want %d in %d", rows, blocks, len(all), want)
 	}
 	gotState, err := suite.StateDump()
 	if err != nil {
@@ -678,12 +684,7 @@ func memoryLeg(t *testing.T, all []results.Sample, idx *core.Index, start time.T
 	var far results.Memory
 	beyond := all[0]
 	beyond.Time = time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
-	for _, s := range []results.Sample{all[0], beyond} {
-		if err := far.Add(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := core.ScanMemory(&far, idx, start, week, 0); err == nil || !strings.Contains(err.Error(), "nanosecond range") {
+	if err := far.Add(beyond); err == nil || !strings.Contains(err.Error(), "nanosecond range") {
 		t.Errorf("timestamp outside the binary range: err = %v", err)
 	}
 }

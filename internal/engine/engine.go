@@ -40,6 +40,10 @@ type CommitFunc func() (int64, error)
 // when Config.CheckpointEvery is zero.
 const DefaultCheckpointEvery = 16
 
+// ctxCheckEvery is how many samples the merger sinks between context
+// checks.
+const ctxCheckEvery = 256
+
 // queueDepth bounds the per-shard batch queue (backpressure): a shard
 // may run at most queueDepth rounds ahead of the merger.
 const queueDepth = 4
@@ -227,7 +231,14 @@ merge:
 				break merge
 			}
 			t0 := time.Now()
-			for _, smp := range b.samples {
+			for i, smp := range b.samples {
+				// A round at paper scale is thousands of samples: checking
+				// the context only between batches would let a cancel (a
+				// SIGINT, or the sink's own) lag by a whole batch.
+				if i%ctxCheckEvery == 0 && runCtx.Err() != nil {
+					runErr = context.Cause(runCtx)
+					break merge
+				}
 				if err := cfg.Sink(smp); err != nil {
 					runErr = err
 					break merge

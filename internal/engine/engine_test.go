@@ -141,6 +141,35 @@ func TestRunHonorsContext(t *testing.T) {
 	}
 }
 
+// TestRunCancelDuringSinkStopsPromptly cancels from inside the sink,
+// mid-batch: the merger must stop within ctxCheckEvery samples rather
+// than drain the batch (and the batches queued behind it) first.
+func TestRunCancelDuringSinkStopsPromptly(t *testing.T) {
+	const perShard, cancelAt = 2_000, 100
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var n int
+		emitted, err := Run(ctx, Config{
+			Workers: workers,
+			Rounds:  50,
+			Gen:     testGen(workers, perShard),
+			Sink: func(results.Sample) error {
+				if n++; n == cancelAt {
+					cancel()
+				}
+				return nil
+			},
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if emitted > cancelAt+ctxCheckEvery {
+			t.Errorf("workers=%d: %d samples sunk after a cancel at %d", workers, emitted, cancelAt)
+		}
+	}
+}
+
 func TestRunChecksAndResumesFromCheckpoint(t *testing.T) {
 	const workers, rounds, perShard = 3, 12, 5
 	dir := t.TempDir()

@@ -1,7 +1,7 @@
 // Package results is the dataset layer: the campaign's measurement samples
 // as an append-only binary columnar store (internal/colf) with streaming
 // readers, a JSONL interchange codec for import and export, plus an
-// in-memory campaign that presents itself as the same column blocks.
+// in-memory campaign held as the same colf blocks in a byte buffer.
 // The paper's dataset is 3.2M datapoints over nine months (§4.1);
 // everything here streams so the analysis never needs the full dataset
 // in memory.
@@ -9,6 +9,7 @@ package results
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,68 +48,46 @@ func (s Sample) Validate() error {
 }
 
 // Memory holds a campaign's samples in memory, for campaigns small
-// enough to analyse without a store.
-type Memory struct{ samples []Sample }
-
-// Add validates and appends one sample.
-func (m *Memory) Add(s Sample) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	m.samples = append(m.samples, s)
-	return nil
+// enough to analyse without a store: the same colf blocks a Sink writes
+// to samples.bin, in a byte buffer instead of a file.
+type Memory struct {
+	buf bytes.Buffer
+	cw  *colf.Writer
 }
 
-// Len returns the number of stored samples.
-func (m *Memory) Len() int { return len(m.samples) }
+// Add validates and appends one sample. A timestamp the binary format
+// cannot hold is refused here, as a Sink refuses it.
+func (m *Memory) Add(s Sample) error {
+	if m.cw == nil {
+		m.cw = colf.NewWriter(&m.buf)
+	}
+	return writeSample(m.cw, s)
+}
+
+// Image seals the open block and returns a reader over the image and
+// its blocks, which the store's scanner folds as it folds a file. Adds
+// after Image start a new block, as they would after a Sink's Flush.
+func (m *Memory) Image() (*colf.Reader, []colf.BlockInfo, error) {
+	if m.cw != nil {
+		if err := m.cw.Flush(); err != nil {
+			return nil, nil, err
+		}
+	}
+	r, err := colf.NewReader(bytes.NewReader(m.buf.Bytes()), int64(m.buf.Len()))
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, r.Blocks(), nil
+}
 
 // ForEach calls fn for every sample in storage order. It stops at the
 // first error and returns it.
 func (m *Memory) ForEach(fn func(Sample) error) error {
-	for _, s := range m.samples {
-		if err := fn(s); err != nil {
-			return err
-		}
+	r, _, err := m.Image()
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-// ForEachBlock presents the samples the way a store's scanner does: as
-// column blocks of at most colf.DefaultBlockRows rows, in storage
-// order. One block is reused across calls, with the probe, time, RTT,
-// loss and region-code columns filled; its dictionary grows over the
-// walk, so a code means the same region in every block. Timestamps
-// pass the store's range check — one outside the binary format's
-// nanosecond range is refused, as a sink would refuse it.
-func (m *Memory) ForEachBlock(fn func(*colf.Block) error) error {
-	var blk colf.Block
-	codes := make(map[string]uint32)
-	for lo := 0; lo < len(m.samples); lo += colf.DefaultBlockRows {
-		hi := min(lo+colf.DefaultBlockRows, len(m.samples))
-		blk.Probe, blk.TimeNano, blk.RTT, blk.Lost, blk.RegionID =
-			blk.Probe[:0], blk.TimeNano[:0], blk.RTT[:0], blk.Lost[:0], blk.RegionID[:0]
-		for _, s := range m.samples[lo:hi] {
-			r, err := toRow(s)
-			if err != nil {
-				return err
-			}
-			code, ok := codes[r.Region]
-			if !ok {
-				code = uint32(len(blk.Dict))
-				codes[r.Region] = code
-				blk.Dict = append(blk.Dict, r.Region)
-			}
-			blk.Probe = append(blk.Probe, r.Probe)
-			blk.TimeNano = append(blk.TimeNano, r.TimeNano)
-			blk.RTT = append(blk.RTT, r.RTT)
-			blk.Lost = append(blk.Lost, r.Lost)
-			blk.RegionID = append(blk.RegionID, code)
-		}
-		if err := fn(&blk); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.ForEachRow(func(row colf.Row) error { return fn(FromRow(row)) })
 }
 
 // Writer streams samples to JSONL, the interchange encoding `dataset

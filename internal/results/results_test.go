@@ -126,72 +126,101 @@ func TestForEachStopsOnCallbackError(t *testing.T) {
 	}
 }
 
-// TestMemoryForEachBlock pins the block view: every sample once, in
-// order, in blocks of at most colf.DefaultBlockRows rows (the last one
-// short), region codes resolving through the growing dictionary — and a
-// timestamp the binary format cannot hold refused, as a sink refuses it.
-func TestMemoryForEachBlock(t *testing.T) {
-	var m Memory
+// memorySamples is n samples over three regions, some lost.
+func memorySamples(n int) []Sample {
 	regions := []string{"Amazon/eu-north-1", "Google/us-east1", "Vultr/ams"}
-	n := 2*colf.DefaultBlockRows + 17
+	out := make([]Sample, 0, n)
 	for i := 1; i <= n; i++ {
 		s := sample(i)
 		s.Region = regions[i%len(regions)]
 		s.Lost = i%11 == 0
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestMemoryImage pins the in-memory image: every sample once, in
+// order, in blocks of at most colf.DefaultBlockRows rows (the last one
+// short) — and a timestamp the binary format cannot hold refused at
+// Add, as a sink refuses it.
+func TestMemoryImage(t *testing.T) {
+	var m Memory
+	want := memorySamples(2*colf.DefaultBlockRows + 17)
+	for _, s := range want {
 		if err := m.Add(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var want, got []Sample
-	if err := m.ForEach(func(s Sample) error { want = append(want, s); return nil }); err != nil {
+	r, blocks, err := m.Image()
+	if err != nil {
 		t.Fatal(err)
 	}
 	var sizes []int
-	if err := m.ForEachBlock(func(blk *colf.Block) error {
-		sizes = append(sizes, blk.Rows())
-		for i := range blk.Probe {
-			got = append(got, FromRow(colf.Row{
-				Probe: blk.Probe[i], TimeNano: blk.TimeNano[i], Region: blk.Dict[blk.RegionID[i]],
-				RTT: blk.RTT[i], Lost: blk.Lost[i],
-			}))
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	for _, bi := range blocks {
+		sizes = append(sizes, bi.Zone.Rows)
 	}
 	if len(sizes) != 3 || sizes[0] != colf.DefaultBlockRows || sizes[1] != colf.DefaultBlockRows || sizes[2] != 17 {
 		t.Errorf("block sizes = %v", sizes)
 	}
+	var got []Sample
+	if err := r.ForEachRow(func(row colf.Row) error { got = append(got, FromRow(row)); return nil }); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(want) {
-		t.Fatalf("blocks hold %d rows, memory %d", len(got), len(want))
+		t.Fatalf("image holds %d rows, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !got[i].Time.Equal(want[i].Time) {
-			t.Fatalf("row %d: time %v, want %v", i, got[i].Time, want[i].Time)
-		}
-		got[i].Time = want[i].Time
 		if got[i] != want[i] {
 			t.Fatalf("row %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 
-	sentinel := errors.New("stop")
-	calls := 0
-	if err := m.ForEachBlock(func(*colf.Block) error { calls++; return sentinel }); !errors.Is(err, sentinel) || calls != 1 {
-		t.Errorf("callback error: err=%v after %d calls", err, calls)
-	}
 	var empty Memory
-	if err := empty.ForEachBlock(func(*colf.Block) error { t.Error("empty memory presented a block"); return nil }); err != nil {
-		t.Error(err)
+	if _, blocks, err := empty.Image(); err != nil || len(blocks) != 0 {
+		t.Errorf("empty memory: %d blocks, err %v", len(blocks), err)
 	}
 
 	far := sample(1)
 	far.Time = time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
-	if err := m.Add(far); err != nil {
+	if err := m.Add(far); err == nil || !strings.Contains(err.Error(), "nanosecond range") {
+		t.Errorf("timestamp outside the binary range: err = %v", err)
+	}
+}
+
+// TestMemoryImageMatchesSink pins one encoder: a Memory's image holds
+// the same block bytes a Sink writes to samples.bin for the same
+// samples.
+func TestMemoryImageMatchesSink(t *testing.T) {
+	samples := memorySamples(colf.DefaultBlockRows + 100)
+	var m Memory
+	dir := t.TempDir()
+	st, sink, err := Create(dir, Meta{Seed: 1, Start: t0, End: t0.Add(time.Hour),
+		IntervalHours: 1, Probes: 1, Regions: 3}, FormatBinary)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ForEachBlock(func(*colf.Block) error { return nil }); err == nil || !strings.Contains(err.Error(), "nanosecond range") {
-		t.Errorf("timestamp outside the binary range: err = %v", err)
+	for _, s := range samples {
+		if err := m.Add(s); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Write(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, blocks, err := m.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := blocks[len(blocks)-1]
+	img := make([]byte, last.Off+last.Len)
+	if _, err := r.ReadAt(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	if file := mustRead(t, st.SamplesPath()); !bytes.HasPrefix(file, img) {
+		t.Errorf("image (%d bytes) is not the block prefix of samples.bin (%d bytes)", len(img), len(file))
 	}
 }
 
@@ -203,8 +232,9 @@ func TestMemory(t *testing.T) {
 	if err := m.Add(sample(1)); err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 1 {
-		t.Errorf("Len = %d", m.Len())
+	n := 0
+	if err := m.ForEach(func(Sample) error { n++; return nil }); err != nil || n != 1 {
+		t.Errorf("ForEach saw %d samples, err %v", n, err)
 	}
 }
 

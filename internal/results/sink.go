@@ -69,16 +69,22 @@ func (s *Sink) Instrument(m *Metrics) {
 	}
 }
 
-// Write validates and appends one sample.
-func (s *Sink) Write(smp Sample) error {
-	if err := smp.Validate(); err != nil {
+// writeSample validates s and appends it to cw: the one encoder a Sink
+// and a Memory share.
+func writeSample(cw *colf.Writer, s Sample) error {
+	if err := s.Validate(); err != nil {
 		return err
 	}
-	r, err := toRow(smp)
+	r, err := toRow(s)
 	if err != nil {
 		return err
 	}
-	if err := s.cw.Write(r); err != nil {
+	return cw.Write(r)
+}
+
+// Write validates and appends one sample.
+func (s *Sink) Write(smp Sample) error {
+	if err := writeSample(s.cw, smp); err != nil {
 		return err
 	}
 	if s.metrics != nil {

@@ -57,7 +57,7 @@ func (f *fixture) newEnginePair(t testing.TB) enginePair {
 // rank.
 func (f *fixture) appendBlocks(t testing.TB) (tailStart, dupStart time.Time) {
 	t.Helper()
-	n := f.mem.Len()
+	n := f.n
 	rng := rand.New(rand.NewSource(13))
 	for from := 0; from < n; {
 		to := min(from+n/45+rng.Intn(n/45), n)

@@ -33,6 +33,7 @@ type fixture struct {
 	world *world.World
 	cfg   atlas.CampaignConfig
 	mem   *results.Memory
+	n     int // samples in mem
 	store *results.Store
 	sink  *results.Sink
 }
@@ -45,7 +46,8 @@ func newFixture(t testing.TB, probes int) *fixture {
 	}
 	cfg := atlas.TestCampaign()
 	var mem results.Memory
-	if _, err := w.Platform.RunCampaign(context.Background(), cfg, mem.Add); err != nil {
+	n, err := w.Platform.RunCampaign(context.Background(), cfg, mem.Add)
+	if err != nil {
 		t.Fatal(err)
 	}
 	meta := cfg.Meta(1, w.Probes.Len(), w.Catalog.Len())
@@ -54,7 +56,7 @@ func newFixture(t testing.TB, probes int) *fixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sink.Close() })
-	return &fixture{world: w, cfg: cfg, mem: &mem, store: store, sink: sink}
+	return &fixture{world: w, cfg: cfg, mem: &mem, n: int(n), store: store, sink: sink}
 }
 
 // append writes the sample index range [from, to) to the store and
@@ -124,7 +126,7 @@ func get(h http.Handler, target string, hdr ...string) *httptest.ResponseRecorde
 
 func TestServeFiguresMatchColdScan(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len())
+	f.append(t, 0, f.n)
 	e, m := f.newEngine(t)
 	if err := e.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
@@ -169,7 +171,7 @@ func TestServeFiguresMatchColdScan(t *testing.T) {
 // whose quotes hold the tag after a comma included — answers 200.
 func TestServeLoopbackHeaders(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len())
+	f.append(t, 0, f.n)
 	e, _ := f.newEngine(t)
 	if err := e.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
@@ -236,7 +238,7 @@ func TestServeLoopbackHeaders(t *testing.T) {
 
 func TestServeErrorShape(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len())
+	f.append(t, 0, f.n)
 	e, _ := f.newEngine(t)
 
 	h := e.Handler()
@@ -289,7 +291,7 @@ func TestServeErrorShape(t *testing.T) {
 // Refresh, and starts its passes at least Options.Refresh apart.
 func TestRefresherPublishesAppends(t *testing.T) {
 	f := newFixture(t, 200)
-	n := f.mem.Len()
+	n := f.n
 	f.append(t, 0, n/3)
 	const every = 100 * time.Millisecond
 	e, err := NewEngine(f.store, f.world.Index, Options{Workers: 2, Refresh: every})
@@ -329,7 +331,7 @@ func TestRefresherPublishesAppends(t *testing.T) {
 
 func TestServeQuantile(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len())
+	f.append(t, 0, f.n)
 	e, _ := f.newEngine(t)
 	if err := e.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
@@ -389,7 +391,7 @@ func TestServeQuantile(t *testing.T) {
 
 func TestServeWindowedCDF(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len())
+	f.append(t, 0, f.n)
 	e, m := f.newEngine(t)
 	if err := e.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
@@ -518,7 +520,7 @@ func TestServeWindowedCDF(t *testing.T) {
 // figures and /quantile bodies keep their bytes.
 func TestServeChurn(t *testing.T) {
 	f := newFixture(t, 200)
-	half := f.mem.Len() / 2
+	half := f.n / 2
 	f.append(t, 0, half)
 	e, _ := f.newEngine(t)
 	if err := e.Refresh(context.Background()); err != nil {
@@ -599,8 +601,8 @@ func TestServeChurn(t *testing.T) {
 	// finished refresh must be visible to the very next request.
 	const batches = 8
 	for b := 0; b < batches; b++ {
-		from := half + (f.mem.Len()-half)*b/batches
-		to := half + (f.mem.Len()-half)*(b+1)/batches
+		from := half + (f.n-half)*b/batches
+		to := half + (f.n-half)*(b+1)/batches
 		f.append(t, from, to)
 		prev := e.Status().Snapshot
 		if err := e.Refresh(context.Background()); err != nil {
@@ -647,14 +649,14 @@ func TestServeChurn(t *testing.T) {
 // records none.
 func TestRefreshRecordsStages(t *testing.T) {
 	f := newFixture(t, 200)
-	half := f.mem.Len() / 2
+	half := f.n / 2
 	f.append(t, 0, half)
 	e, _ := f.newTixEngine(t)
 	ctx := context.Background()
 	if err := e.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	f.append(t, half, f.mem.Len())
+	f.append(t, half, f.n)
 	traced := func() map[string]int {
 		t.Helper()
 		root := obs.NewTrace("serve.refresh")
@@ -755,7 +757,7 @@ func nearestFlips(f *fixture, cut int) int {
 // refreshes, instead of failing either.
 func TestServeTornTail(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len()/2)
+	f.append(t, 0, f.n/2)
 	cold := f.coldFigures(t)
 	fi, err := os.Stat(f.store.SamplesPath())
 	if err != nil {
@@ -805,7 +807,7 @@ func TestServeTornTail(t *testing.T) {
 // published report holds exactly the four figure passes.
 func TestServeSeedsFromSnapshot(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len())
+	f.append(t, 0, f.n)
 	cold := f.coldFigures(t)
 	ctx := context.Background()
 

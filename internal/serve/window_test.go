@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -61,7 +62,7 @@ func windowTarget(path string, since, until time.Time) string {
 // index's fault.
 func TestServeWindowedIndexByteIdentity(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len())
+	f.append(t, 0, f.n)
 
 	scanEng, scanM := f.newEngine(t)
 	tixEng, tixM := f.newTixEngine(t)
@@ -139,7 +140,7 @@ func TestServeWindowedIndexByteIdentity(t *testing.T) {
 // its fraction.
 func TestServeWindowEchoesItsInstant(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len())
+	f.append(t, 0, f.n)
 	e, _ := f.newTixEngine(t)
 	if err := e.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
@@ -180,6 +181,62 @@ func TestServeWindowEchoesItsInstant(t *testing.T) {
 	}
 }
 
+// TestServeWholeCampaignWindow pins which distribution each endpoint
+// answers. /cdf answers every delivered RTT with or without a window, so
+// a window covering the whole campaign serves the unwindowed body's
+// curves. /quantile answers that distribution only with a window:
+// without one it answers Figure 6's nearest-region distribution, though
+// both bodies say "dist":"full".
+func TestServeWholeCampaignWindow(t *testing.T) {
+	f := newFixture(t, 200)
+	f.append(t, 0, f.n)
+	e, _ := f.newTixEngine(t)
+	if err := e.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	h := e.Handler()
+	decode := func(target string, v any) {
+		t.Helper()
+		w := get(h, target)
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", target, w.Code, w.Body.String())
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), v); err != nil {
+			t.Fatalf("GET %s: %v", target, err)
+		}
+	}
+	var whole, all cdfBody
+	decode("/api/v1/cdf", &all)
+	decode(windowTarget("/api/v1/cdf", f.cfg.Start, f.cfg.End), &whole)
+	if len(all.Continents) == 0 || !reflect.DeepEqual(whole.Continents, all.Continents) {
+		t.Fatalf("whole-campaign /cdf window serves other curves than the unwindowed /cdf:\n%+v\n%+v", whole.Continents, all.Continents)
+	}
+	delivered := map[string]int{}
+	for _, c := range all.Continents {
+		delivered[c.Code] = c.Samples
+	}
+
+	var windowed, unwindowed quantileBody
+	decode(windowTarget("/api/v1/quantile?p=0.5", f.cfg.Start, f.cfg.End), &windowed)
+	decode("/api/v1/quantile?p=0.5", &unwindowed)
+	for _, c := range windowed.Continents {
+		if c.Samples != delivered[c.Code] {
+			t.Errorf("%s: windowed /quantile over %d samples, /cdf over %d", c.Code, c.Samples, delivered[c.Code])
+		}
+	}
+	rep := e.view(httptest.NewRecorder()).rep.FullDist
+	for _, c := range unwindowed.Continents {
+		ct, err := geoParse(t, c.Code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unwindowed.Dist != "full" || windowed.Dist != "full" || c.Samples != rep.N(ct) || c.Samples >= delivered[c.Code] {
+			t.Errorf("%s: unwindowed /quantile (dist %q) over %d samples; want Figure 6's %d, fewer than the %d delivered",
+				c.Code, unwindowed.Dist, c.Samples, rep.N(ct), delivered[c.Code])
+		}
+	}
+}
+
 // TestServeWindowedQuantile covers the windowed /quantile variant:
 // values answer from the same window materialization as /cdf (index
 // and scan engines byte-identical), the min distribution rejects
@@ -187,7 +244,7 @@ func TestServeWindowEchoesItsInstant(t *testing.T) {
 // identical bytes.
 func TestServeWindowedQuantile(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len())
+	f.append(t, 0, f.n)
 	e, m := f.newTixEngine(t)
 	scanEng, _ := f.newEngine(t)
 	ctx := context.Background()
@@ -297,7 +354,7 @@ func TestServeWindowedQuantile(t *testing.T) {
 // under the same deadline.
 func TestServeFillDeadline(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len())
+	f.append(t, 0, f.n)
 	for _, withTix := range []bool{false, true} {
 		name := "scan"
 		if withTix {
@@ -359,7 +416,7 @@ func TestServeFillDeadline(t *testing.T) {
 // latency the request histogram would hold.
 func TestServeAbandonedRequestStopsFill(t *testing.T) {
 	f := newFixture(t, 200)
-	f.append(t, 0, f.mem.Len())
+	f.append(t, 0, f.n)
 	e, m := f.newTixEngine(t)
 	if err := e.Refresh(context.Background()); err != nil {
 		t.Fatal(err)

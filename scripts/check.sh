@@ -192,14 +192,14 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 (cd bench && go test -run 'TestSmokeWorkloads' ./...)
 
 echo "== smoke dataset =="
-# A short serial campaign the convert, figure-digest and temporal-index
+# A short campaign the convert, figure-digest and temporal-index
 # smokes below read. Worker-count byte identity of samples.bin is pinned
 # by cmd/shears TestRunWorkerCountInvariance. Its one-continent filter
 # must print the same regions table at one and three scan workers.
 smokedir="$(mktemp -d)"
 trap 'rm -rf "$smokedir"' EXIT
-go run ./cmd/shears -days 2 -probes 200 -quiet -out "$smokedir/serial"
-go run ./cmd/dataset -data "$smokedir/serial" -continent EU -out "$smokedir/eu" filter
+go run ./cmd/shears -days 2 -probes 200 -quiet -out "$smokedir/store"
+go run ./cmd/dataset -data "$smokedir/store" -continent EU -out "$smokedir/eu" filter
 for workers in 1 3; do
     go run ./cmd/dataset -data "$smokedir/eu" -workers "$workers" regions >"$smokedir/regions.w$workers.txt"
 done
@@ -207,13 +207,13 @@ test -s "$smokedir/regions.w1.txt"
 cmp "$smokedir/regions.w1.txt" "$smokedir/regions.w3.txt"
 
 echo "== convert smoke (JSONL export/import round trip) =="
-# JSONL is the interchange encoding: exporting the serial store and
+# JSONL is the interchange encoding: exporting the smoke store and
 # importing the export must reproduce samples.bin byte for byte (the
 # two-day run ends before its first checkpoint, so no block was sealed
 # short), and exporting that again the same lines.
-go run ./cmd/dataset -data "$smokedir/serial" -out "$smokedir/jsonl" -to jsonl convert
+go run ./cmd/dataset -data "$smokedir/store" -out "$smokedir/jsonl" -to jsonl convert
 go run ./cmd/dataset -data "$smokedir/jsonl" -out "$smokedir/reimport" -to binary convert
-cmp "$smokedir/serial/samples.bin" "$smokedir/reimport/samples.bin"
+cmp "$smokedir/store/samples.bin" "$smokedir/reimport/samples.bin"
 go run ./cmd/dataset -data "$smokedir/reimport" -out "$smokedir/jsonl2" -to jsonl convert
 cmp "$smokedir/jsonl/samples.jsonl" "$smokedir/jsonl2/samples.jsonl"
 
@@ -223,7 +223,7 @@ echo "== figure digests (worker-count byte-identity) =="
 # bytes must not depend on the worker count.
 for fig in 6 7; do
     for workers in 1 4; do
-        go run ./cmd/figures -fig "$fig" -data "$smokedir/serial" -probes 200 \
+        go run ./cmd/figures -fig "$fig" -data "$smokedir/store" -probes 200 \
             -workers "$workers" -snapshot off 2>/dev/null | sha256sum | cut -d' ' -f1 \
             >"$smokedir/fig$fig.w$workers.sha256"
     done
@@ -232,17 +232,17 @@ for fig in 6 7; do
 done
 
 echo "== temporal index smoke (windowed equivalence) =="
-# The serial shears run above built samples.tix alongside the dataset;
+# The shears run above built samples.tix alongside the dataset;
 # -op window answers from it, composing block records plus edge-block
 # decodes. Pin its per-continent delivered sample counts
 # against -op continents, which cold-scans the same [since, until)
 # row by row — the index must agree with the scan exactly.
-test -s "$smokedir/serial/samples.tix"
+test -s "$smokedir/store/samples.tix"
 win_since="2019-09-01T12:00:00Z"
 win_until="2019-09-02T06:00:00Z"
-go run ./cmd/dataset -data "$smokedir/serial" \
+go run ./cmd/dataset -data "$smokedir/store" \
     -window "$win_since,$win_until" window >"$smokedir/window.idx.txt"
-go run ./cmd/dataset -data "$smokedir/serial" \
+go run ./cmd/dataset -data "$smokedir/store" \
     -since "$win_since" -until "$win_until" continents >"$smokedir/window.scan.txt"
 # Both tables pad the continent name to 14 columns (names can contain
 # spaces); the count is the first field after it.
