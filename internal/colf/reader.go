@@ -350,29 +350,6 @@ type Block struct {
 // Rows returns the decoded row count.
 func (b *Block) Rows() int { return len(b.Probe) }
 
-// EdgeRows returns the row range [lo, hi) of b whose timestamps fall
-// inside the half-open window [sinceNano, untilNano) — the rows a
-// window predicate admits from a partially covered edge block. The
-// block must have been decoded with ColTime. Campaign writers emit
-// rows in time order, so the time column is normally non-decreasing;
-// EdgeRows verifies that (one compare per row, far cheaper than the
-// per-row filter fold it replaces) and then locates both boundaries by
-// binary search, so the caller folds only in-window rows with no
-// per-row time test. When the column is not monotone, exact is false
-// and the full range returns: the caller must filter per row, which
-// keeps the semantics identical to MatchRow on every row.
-func (b *Block) EdgeRows(sinceNano, untilNano int64) (lo, hi int, exact bool) {
-	n := len(b.TimeNano)
-	for i := 1; i < n; i++ {
-		if b.TimeNano[i] < b.TimeNano[i-1] {
-			return 0, n, false
-		}
-	}
-	lo = sort.Search(n, func(i int) bool { return b.TimeNano[i] >= sinceNano })
-	hi = sort.Search(n, func(i int) bool { return b.TimeNano[i] >= untilNano })
-	return lo, hi, true
-}
-
 // Row assembles row i.
 func (b *Block) Row(i int) Row {
 	return Row{Probe: b.Probe[i], TimeNano: b.TimeNano[i], Region: b.Region[i], RTT: b.RTT[i], Lost: b.Lost[i]}

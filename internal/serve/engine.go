@@ -325,7 +325,7 @@ func (e *Engine) Refresh(ctx context.Context) error {
 	var res Resident
 	res.NearestRows, res.KeptSets = e.hot.ResidentBytes()
 	if e.tix != nil {
-		res.TixPrefix, res.TixDirectory = e.tix.ResidentBytes()
+		res.TixPrefix, res.TixDirectory, res.TixEdgeCodes = e.tix.ResidentBytes()
 	}
 	view := &snapshotView{
 		fingerprint:   snap.Fingerprint(covered, e.hot.Samples(), head, tail),
@@ -420,21 +420,27 @@ type Status struct {
 
 // Resident is where the serving state's bytes are: NearestPass's row
 // buffer (chunks, best rows, row chain), the Figure 6/7 multisets, and
-// the index's prefix rows and slab directory (offsets and chunk CRCs;
-// zero without an index).
+// the index's prefix rows, slab directory (offsets, chunk CRCs, code
+// slots) and edge codes (all three zero without an index).
 type Resident struct {
 	NearestRows  int64 `json:"nearest_rows"`
 	KeptSets     int64 `json:"kept_sets"`
 	TixPrefix    int64 `json:"tix_prefix"`
 	TixDirectory int64 `json:"tix_directory"`
+	TixEdgeCodes int64 `json:"tix_edge_codes"`
 }
 
 // Status reports the published snapshot's coverage and where the
-// serving state's bytes are as of the publish.
+// serving state's bytes are as of the publish, but for the edge codes:
+// windows add those after it, so they are read now.
 func (e *Engine) Status() Status {
 	v := e.cur.Load()
 	if v == nil {
 		return Status{LagBytes: e.lag.Load()}
+	}
+	res := v.resident
+	if v.tixView != nil {
+		res.TixEdgeCodes = v.tixView.EdgeCodeBytes()
 	}
 	return Status{
 		Snapshot:      v.fingerprint,
@@ -443,6 +449,6 @@ func (e *Engine) Status() Status {
 		Samples:       v.samples,
 		LagBytes:      e.lag.Load(),
 		PublishedAt:   v.published,
-		Resident:      v.resident,
+		Resident:      res,
 	}
 }

@@ -485,6 +485,7 @@ func (e *Engine) windowIndex(ctx context.Context, v *snapshotView, pred *colf.Pr
 		m.WindowIndexQueries.Inc()
 		m.WindowIndexNodes.Add(uint64(res.Stats.Nodes))
 		m.WindowIndexEdgeBlocks.Add(uint64(res.Stats.EdgeBlocks))
+		m.WindowIndexEdgeDecodes.Add(uint64(res.Stats.EdgeDecodes))
 		return true, nil
 	}
 	if fillEnded(m, err) {

@@ -236,13 +236,22 @@ func TestServeCDFIndexPathGate(t *testing.T) {
 		}
 	})
 	t.Logf("/cdf index path: %.0f allocs per request", allocs)
-	// A coarse tripwire beside the counters below: the request, recorder,
-	// two edge-block decodes and the body account for these; per-sample
-	// work would not stay flat as windows widen.
+	// A coarse tripwire beside the counters below: the request, recorder
+	// and body account for these (the window's edge blocks decode and
+	// code their rows once, in the warm-up run); per-sample work would not
+	// stay flat as windows widen.
 	if allocs > 200 {
 		t.Fatalf("/cdf index path allocates %.0f objects per request", allocs)
 	}
 	m := p.tixM
+	// AllocsPerRun ran 21 fills of the one window: each of its edge
+	// blocks decoded on the first, and the rest counted resident codes.
+	if cut, decoded := m.WindowIndexEdgeBlocks.Value(), m.WindowIndexEdgeDecodes.Value(); decoded == 0 || cut != 21*decoded {
+		t.Fatalf("21 fills of one window cut %d edge blocks and decoded %d", cut, decoded)
+	}
+	if codes := p.tixEng.Status().Resident.TixEdgeCodes; codes == 0 {
+		t.Fatal("status reports no resident edge codes after the window cut its blocks")
+	}
 	if got := m.WindowSlabBytes.Value(); got != 0 {
 		t.Fatalf("/cdf read %d slab bytes", got)
 	}
@@ -419,5 +428,46 @@ func TestServeCorruptSlabFallsBack(t *testing.T) {
 	}
 	if fb, scans := p.tixM.WindowIndexFallbacks.Value(), p.tixM.RequestScans.Value(); fb != 1 || scans != 1 {
 		t.Fatalf("damaged slab: %d fallbacks, %d scans, want 1 and 1", fb, scans)
+	}
+}
+
+// TestServeBackwardTimeFallsBack: a block whose time column steps
+// backwards gives the index no row range for a window that cuts it, so
+// /cdf and /quantile over such a window fall back to the scan — each
+// time, since the block keeps no codes — and serve the index-less
+// engine's bytes.
+func TestServeBackwardTimeFallsBack(t *testing.T) {
+	f := newFixture(t, 200)
+	f.append(t, 0, f.n)
+	var ids []int
+	for id, ct := range f.world.Index.ContinentTable() {
+		if ct != geo.ContinentUnknown && len(ids) < 8 {
+			ids = append(ids, id)
+		}
+	}
+	at := f.cfg.End.Add(24 * time.Hour)
+	for i, h := range []time.Duration{0, 2, 1, 3} {
+		for j, id := range ids {
+			s := results.Sample{ProbeID: id, Region: "synth/back", Time: at.Add(h * time.Hour), RTTms: 10 + float64(8*i+j)}
+			if err := f.sink.Write(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := f.sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p := f.newEnginePair(t)
+	since := at.Add(90 * time.Minute)
+	for pass := 0; pass < 2; pass++ {
+		for _, target := range []string{windowTarget("/api/v1/cdf", since, time.Time{}), windowTarget("/api/v1/quantile?p=0.5", since, time.Time{})} {
+			ws, wt := get(p.scan, target), get(p.tix, target)
+			if wt.Code != http.StatusOK || !bytes.Equal(ws.Body.Bytes(), wt.Body.Bytes()) {
+				t.Fatalf("%s: status %d, bodies equal %v", target, wt.Code, bytes.Equal(ws.Body.Bytes(), wt.Body.Bytes()))
+			}
+		}
+	}
+	if fb, scans := p.tixM.WindowIndexFallbacks.Value(), p.tixM.RequestScans.Value(); fb != 4 || scans != 4 {
+		t.Fatalf("four fills over a block stepping back in time: %d fallbacks, %d scans", fb, scans)
 	}
 }

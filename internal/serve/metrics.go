@@ -40,11 +40,13 @@ type Metrics struct {
 	// WindowIndexQueries counts windowed requests materialized through
 	// the temporal aggregate index instead of a block scan.
 	WindowIndexQueries *obs.Counter
-	// WindowIndexNodes and WindowIndexEdgeBlocks accumulate, across
-	// index-served windows, the block records composed from prefix rows
-	// and the boundary blocks that still had to decode.
-	WindowIndexNodes      *obs.Counter
-	WindowIndexEdgeBlocks *obs.Counter
+	// WindowIndexNodes, WindowIndexEdgeBlocks and WindowIndexEdgeDecodes
+	// accumulate, across index-served windows, the block records composed
+	// from prefix rows, the boundary blocks cut, and the cut blocks that
+	// no earlier window had cut, which decoded.
+	WindowIndexNodes       *obs.Counter
+	WindowIndexEdgeBlocks  *obs.Counter
+	WindowIndexEdgeDecodes *obs.Counter
 	// WindowIndexFallbacks counts windowed requests that had a live
 	// index view but fell back to scanning after a query error.
 	WindowIndexFallbacks *obs.Counter
@@ -91,7 +93,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		WindowIndexNodes: reg.Counter("serve_window_index_nodes_total",
 			"Block records composed across index-served windows."),
 		WindowIndexEdgeBlocks: reg.Counter("serve_window_index_edge_blocks_total",
-			"Boundary blocks decoded across index-served windows."),
+			"Boundary blocks cut across index-served windows."),
+		WindowIndexEdgeDecodes: reg.Counter("serve_window_index_edge_decodes_total",
+			"Boundary blocks decoded across index-served windows: those no earlier window had cut."),
 		WindowIndexFallbacks: reg.Counter("serve_window_index_fallbacks_total",
 			"Windowed requests that fell back from the index to a block scan."),
 		WindowStageSeconds: reg.HistogramVec("serve_window_stage_seconds",

@@ -3,6 +3,8 @@ package tix
 import (
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/colf"
 	"repro/internal/geo"
@@ -50,54 +52,75 @@ func curveBin(v float64) int {
 	return int(math.Ceil(v)) - 1
 }
 
-// rowSel selects the rows of one decoded block a piece folds: the index
-// range [lo, hi) and, when the block's time column is not monotone
-// (timed), a per-row test against the window — the slow edge path that
-// keeps the semantics of colf.Predicate.MatchRow on every row.
-type rowSel struct {
-	lo, hi       int
-	timed        bool
-	since, until int64
+// Edge codes: a block a window cuts is coded once, one uint16 per row —
+// ct·(curveBins+1) + bin for a delivered row of a resolved probe, else a
+// sentinel in the ContinentUnknown row of counts, which no sample
+// reaches. A row range then folds as one histogram pass: its length is
+// its rows, codeLost's count its undelivered ones.
+const (
+	codeLost = iota
+	codeUnresolved
+	_ = uint16(numContinents*(curveBins+1) - 1) // the largest code fits
+)
+
+// edgeCodes is one block's codes and time runs: each distinct timestamp,
+// ascending, and its first row (first ends with the row count).
+type edgeCodes struct {
+	codes []uint16
+	times []int64
+	first []int32
 }
 
-func (s rowSel) keep(blk *colf.Block, i int) bool {
-	return !s.timed || (blk.TimeNano[i] >= s.since && blk.TimeNano[i] < s.until)
-}
-
-// count returns how many rows s selects and how many of them were
-// delivered.
-func (s rowSel) count(blk *colf.Block) (rows, delivered uint64) {
-	for i := s.lo; i < s.hi; i++ {
-		if !s.keep(blk, i) {
-			continue
-		}
-		rows++
-		if !blk.Lost[i] {
-			delivered++
-		}
-	}
-	return rows, delivered
-}
-
-// foldGrid is the count-only kernel of the curve path: every selected
-// delivered row of a resolved probe bumps one bin of its continent in c
-// (per-bin, not yet cumulative) — no sort, and the continent comes from
-// the dense probe table instead of a map lookup. It rejects exactly the
-// samples Dist.Add would. Row totals are the caller's (see rowSel.count).
-func foldGrid(c *counts, tbl []geo.Continent, blk *colf.Block, s rowSel) error {
-	for i := s.lo; i < s.hi; i++ {
-		if blk.Lost[i] || !s.keep(blk, i) {
-			continue
-		}
+// code codes blk's rows under tbl into e, reusing its slices, rejecting
+// exactly the samples Dist.Add would, and takes its time runs if it was
+// decoded with colf.ColTime; a time column that steps backwards has none.
+func (e *edgeCodes) code(blk *colf.Block, tbl []geo.Continent) error {
+	e.codes, e.times, e.first = slices.Grow(e.codes[:0], blk.Rows())[:blk.Rows()], e.times[:0], e.first[:0]
+	for i := range e.codes {
 		p := blk.Probe[i]
-		if uint(p) >= uint(len(tbl)) || tbl[p] == geo.ContinentUnknown {
-			continue
+		switch {
+		case blk.Lost[i]:
+			e.codes[i] = codeLost
+		case uint(p) >= uint(len(tbl)) || tbl[p] == geo.ContinentUnknown:
+			e.codes[i] = codeUnresolved
+		case blk.RTT[i]-blk.RTT[i] != 0: // NaN or ±Inf
+			return fmt.Errorf("invalid sample %v", blk.RTT[i])
+		default:
+			e.codes[i] = uint16(int(tbl[p])*(curveBins+1) + curveBin(blk.RTT[i]))
 		}
-		v := blk.RTT[i]
-		if v-v != 0 { // NaN or ±Inf
-			return fmt.Errorf("tix: invalid sample %v", v)
-		}
-		c[tbl[p]][curveBin(v)]++
 	}
+	for i, t := range blk.TimeNano {
+		if i > 0 && t < blk.TimeNano[i-1] {
+			return fmt.Errorf("time steps backwards at row %d", i)
+		}
+		if i == 0 || t != blk.TimeNano[i-1] {
+			e.times, e.first = append(e.times, t), append(e.first, int32(i))
+		}
+	}
+	e.first = append(e.first, int32(len(e.codes)))
 	return nil
+}
+
+// rows returns the rows [lo, hi) whose timestamps lie in [since, until).
+func (e *edgeCodes) rows(since, until int64) (lo, hi int) {
+	i, _ := slices.BinarySearch(e.times, since)
+	j, _ := slices.BinarySearch(e.times, until)
+	return int(e.first[i]), int(e.first[j])
+}
+
+// fold counts codes [lo, hi) into c, per bin (not yet cumulative).
+func (e *edgeCodes) fold(c *counts, lo, hi int) {
+	flat := (*[numContinents * (curveBins + 1)]uint64)(unsafe.Pointer(c))
+	for _, code := range e.codes[lo:hi] {
+		flat[code]++
+	}
+}
+
+// values appends the RTT of each row in [lo, hi) coded to a continent.
+func (e *edgeCodes) values(vals *[numContinents][]float64, rtt []float64, lo, hi int) {
+	for i, code := range e.codes[lo:hi] {
+		if ct := code / (curveBins + 1); ct != 0 {
+			vals[ct] = append(vals[ct], rtt[lo+i])
+		}
+	}
 }

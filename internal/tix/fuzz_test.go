@@ -43,9 +43,9 @@ func fuzzSeedPayloads() [][]byte {
 // FuzzNodeRoundTrip hammers the block-record codec: arbitrary bytes
 // must never panic the decoder, and any payload Open would accept must
 // re-encode byte for byte, derive the same prefix row as the per-sample
-// bin kernel (foldGrid's arithmetic) computes from its values, and get
-// a slab directory whose offsets locate each slab in the payload and
-// whose CRCs match each chunk.
+// bin kernel (curveBin, which the edge codes use too) computes from its
+// values, and get a slab directory whose offsets locate each slab in
+// the payload and whose CRCs match each chunk.
 func FuzzNodeRoundTrip(f *testing.F) {
 	for _, seed := range fuzzSeedPayloads() {
 		f.Add(seed)

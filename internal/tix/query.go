@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/colf"
@@ -27,6 +28,9 @@ type View struct {
 	decoders *sync.Pool
 }
 
+// EdgeCodeBytes reports, by capacity, the edge codes resident in v's records.
+func (v *View) EdgeCodeBytes() int64 { return codeBytes(v.recs) }
+
 // QueryStats reports how a window was materialized — the observable
 // difference between the index path and a cold scan — and where its
 // time went. The slab-path fields (SlabRead, SlabBytes, Select) stay
@@ -35,9 +39,10 @@ type QueryStats struct {
 	// Nodes is how many block records composed the window from their
 	// prefix rows — blocks the query never decoded.
 	Nodes int
-	// EdgeBlocks is how many partially covered blocks were decoded and
-	// row-filtered at the window boundaries.
+	// EdgeBlocks is how many partially covered blocks the window cut.
 	EdgeBlocks int
+	// EdgeDecodes is how many of them no window had cut before: decoded.
+	EdgeDecodes int
 	// FrontierBlocks is how many fully covered blocks lay past the last
 	// record and were decoded whole.
 	FrontierBlocks int
@@ -51,10 +56,10 @@ type QueryStats struct {
 	// sidecar: pread and CRC check.
 	SlabRead time.Duration
 	// EdgeDecode is the time spent decoding store blocks — edge and
-	// frontier alike.
+	// frontier alike — and coding their rows.
 	EdgeDecode time.Duration
-	// Fold is the time spent folding decoded rows: bin counts on the
-	// curve path, sample values on the slab path.
+	// Fold is the time spent folding rows: counting codes on the curve
+	// path, sample values on the slab path.
 	Fold time.Duration
 	// Select is the time spent gathering and selecting order statistics
 	// (Result.Quantile), SlabRead excluded.
@@ -63,15 +68,12 @@ type QueryStats struct {
 	SlabBytes int64
 }
 
-// piece is one block a window decodes rather than composes — an edge
-// block (only sel's rows) or a covered block past the last record — kept
-// so the slab path can fold its values after the curves were answered
-// (decoding again is cheaper than every curve query keeping its column
-// buffers alive in case a quantile follows).
+// piece is one block a window counts from codes rather than composes:
+// an edge block's rows [lo, hi), or all of a block past the last record.
+// The slab path decodes it again for those rows' values.
 type piece struct {
-	block int
-	cols  colf.ColumnSet // the columns sel needs
-	sel   rowSel
+	block, lo, hi int
+	e             *edgeCodes
 }
 
 // Result is a materialized window: the row totals [since, until)
@@ -93,7 +95,6 @@ type Result struct {
 	v      *View
 	store  io.ReaderAt
 	blocks []colf.BlockInfo
-	tbl    []geo.Continent
 	runs   [][2]int // covered record runs [i, j)
 	pieces []piece
 
@@ -155,26 +156,15 @@ func (r *Result) Curve(ct geo.Continent) []stats.CDFPoint {
 	return pts
 }
 
-// windowNanos converts the half-open [since, until) window to the nano
-// bounds the row filters use; zero times mean unbounded.
-func windowNanos(since, until time.Time) (int64, int64) {
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	if !since.IsZero() {
-		lo = since.UnixNano()
-	}
-	if !until.IsZero() {
-		hi = until.UnixNano()
-	}
-	return lo, hi
-}
-
 // Query materializes the window [since, until) over the store's sealed
 // blocks: each run of fully covered blocks with records composes as
-// cum[j] − cum[i], boundary blocks batch-decode and count only their
-// edge rows, and covered blocks past the last record decode whole.
+// cum[j] − cum[i], a block the window cuts counts its in-window rows
+// from its edge codes — decoded the first time any window cuts it — and
+// covered blocks past the last record decode whole.
 // Curves and counts compose here, with no sidecar read; quantiles read
 // only the slab chunks that hold their ranks' bins, and answer exactly
-// what a cold row scan of the same window would.
+// what a cold row scan of the same window would. A cut block whose time
+// column steps backwards is an error.
 //
 // blocks must be the same sealed block list the parent Index was
 // validated and extended against (or a prefix-consistent extension of
@@ -187,8 +177,14 @@ func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.Block
 	}
 	begin := time.Now()
 	pred := &colf.Predicate{Since: since, Until: until}
-	sinceN, untilN := windowNanos(since, until)
-	res := &Result{ctx: ctx, v: v, store: store, blocks: blocks, tbl: cls.ContinentTable()}
+	sinceN, untilN := int64(math.MinInt64), int64(math.MaxInt64)
+	if !since.IsZero() {
+		sinceN = since.UnixNano()
+	}
+	if !until.IsZero() {
+		untilN = until.UnixNano()
+	}
+	res := &Result{ctx: ctx, v: v, store: store, blocks: blocks}
 	st := &res.Stats
 	dec := decoder(v.decoders)
 	defer v.decoders.Put(dec)
@@ -201,6 +197,7 @@ func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.Block
 			runStart = -1
 		}
 	}
+	folded := 0 // rows counted from codes
 	for i, bi := range blocks {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -219,43 +216,33 @@ func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.Block
 			continue
 		}
 		// The window cuts through this block, or it lies past the last
-		// record: decode it and count the rows the window selects.
-		cols := colf.ColTime
+		// record: count the rows it selects from the block's codes.
 		if covered {
-			cols = 0
 			st.FrontierBlocks++
 		} else {
 			st.EdgeBlocks++
 		}
-		t0 := time.Now()
-		blk, err := dec.DecodeCols(store, bi, cols)
+		e, err := v.codes(dec, store, i, bi, cls.ContinentTable(), !covered, st)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("tix: block %d: %w", i, err)
 		}
 		t1 := time.Now()
-		st.EdgeDecode += t1.Sub(t0)
-		sel := rowSel{hi: blk.Rows()}
+		lo, hi := 0, len(e.codes)
 		if !covered {
-			// A monotone time column (the normal case) pins the rows to an
-			// index range, which the slab path can reuse without the column.
-			sel = rowSel{hi: blk.Rows(), timed: true, since: sinceN, until: untilN}
-			if lo, hi, exact := blk.EdgeRows(sinceN, untilN); exact {
-				sel, cols = rowSel{lo: lo, hi: hi}, 0
-			}
+			lo, hi = e.rows(sinceN, untilN)
 		}
-		rows, delivered := sel.count(blk)
-		res.Rows += rows
-		res.Delivered += delivered
-		if err := foldGrid(&res.cum, res.tbl, blk, sel); err != nil {
-			return nil, err
-		}
+		e.fold(&res.cum, lo, hi)
+		folded += hi - lo
 		st.Fold += time.Since(t1)
-		res.pieces = append(res.pieces, piece{block: i, cols: cols, sel: sel})
+		res.pieces = append(res.pieces, piece{block: i, lo: lo, hi: hi, e: e})
 	}
 	flush(len(blocks))
 
-	// The folded blocks' bins are per-bin so far; sum them cumulatively,
-	// then add each covered run's prefix difference.
+	// Take the row totals from the sentinel row and clear it; sum the
+	// codes' per-bin counts cumulatively, then add each run's prefix rows.
+	res.Rows = uint64(folded)
+	res.Delivered = uint64(folded) - res.cum[geo.ContinentUnknown][codeLost]
+	res.cum[geo.ContinentUnknown] = [curveBins + 1]uint64{}
 	for ct := range res.cum {
 		c := &res.cum[ct]
 		for k := 1; k <= curveBins; k++ {
@@ -277,9 +264,41 @@ func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.Block
 	return res, nil
 }
 
+// codes returns block i's edge codes: its record's if a window cut it
+// before, else coded from a CRC-checked decode and, if cut, kept there.
+func (v *View) codes(dec *colf.BlockDecoder, store io.ReaderAt, i int, bi colf.BlockInfo, tbl []geo.Continent, cut bool, st *QueryStats) (*edgeCodes, error) {
+	var slot *atomic.Pointer[edgeCodes]
+	if cut && i < len(v.recs) {
+		slot = v.recs[i].edge
+		if e := slot.Load(); e != nil {
+			return e, nil
+		}
+	}
+	t0 := time.Now()
+	defer func() { st.EdgeDecode += time.Since(t0) }()
+	var cols colf.ColumnSet
+	if cut {
+		cols = colf.ColTime
+		st.EdgeDecodes++
+	}
+	blk, err := dec.DecodeCols(store, bi, cols)
+	if err != nil {
+		return nil, err
+	}
+	e := new(edgeCodes)
+	if err := e.code(blk, tbl); err != nil {
+		return nil, err
+	}
+	if slot == nil || slot.CompareAndSwap(nil, e) {
+		return e, nil
+	}
+	return slot.Load(), nil
+}
+
 // Load refolds what the window's quantiles select from besides the
-// slabs, once: every decoded piece folds its selected rows' values
-// again. The outcome, error included, is remembered; Quantile calls it.
+// slabs, once: every piece decodes again and appends its rows' values
+// to lists sized from the counts. The outcome, error included, is
+// remembered; Quantile calls it.
 func (r *Result) Load() error {
 	if !r.loaded {
 		r.loaded = true
@@ -290,6 +309,13 @@ func (r *Result) Load() error {
 
 func (r *Result) load() error {
 	st := &r.Stats
+	for ct := range r.edge { // a continent's N less its covered runs'
+		n := r.cum[ct][curveBins]
+		for _, run := range r.runs {
+			n -= r.v.cum[run[1]].bins[ct][curveBins] - r.v.cum[run[0]].bins[ct][curveBins]
+		}
+		r.edge[ct] = make([]float64, 0, n)
+	}
 	dec := decoder(r.v.decoders)
 	defer r.v.decoders.Put(dec)
 	for _, p := range r.pieces {
@@ -297,15 +323,16 @@ func (r *Result) load() error {
 			return err
 		}
 		t0 := time.Now()
-		blk, err := dec.DecodeCols(r.store, r.blocks[p.block], p.cols)
+		blk, err := dec.DecodeCols(r.store, r.blocks[p.block], 0)
 		if err != nil {
 			return err
 		}
 		t1 := time.Now()
 		st.EdgeDecode += t1.Sub(t0)
-		if err := foldValues(&r.edge, r.tbl, blk, p.sel); err != nil {
-			return err
+		if blk.Rows() != len(p.e.codes) {
+			return fmt.Errorf("tix: block %d holds %d rows, its codes %d", p.block, blk.Rows(), len(p.e.codes))
 		}
+		p.e.values(&r.edge, blk.RTT, p.lo, p.hi)
 		st.Fold += time.Since(t1)
 	}
 	return nil

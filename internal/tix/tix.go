@@ -2,9 +2,10 @@
 // per sealed block of a binary (colf) store, holding that block's
 // resolved delivered RTTs per continent as one ascending slab. An
 // arbitrary [since, until) window composes its fully covered blocks from
-// resident prefix sums of the records' curve grids, and decodes only
-// the partially covered edge blocks, instead of re-scanning every row in
-// the window. Each sample's RTT is stored once.
+// resident prefix sums of the records' curve grids, and the edge blocks
+// it cuts from their resident codes — decoded the first time any window
+// cuts them — instead of re-scanning every row in the window. Each
+// sample's RTT is stored once.
 //
 // The index lives in a sidecar (samples.tix) next to the samples file,
 // in the record format every derived file of a store shares
@@ -38,6 +39,11 @@
 // the records it writes. Views share both; curves compose with no
 // sidecar I/O, and a quantile reads only the chunks holding its rank's
 // bin, each checked against its resident CRC before it is used.
+//
+// Each record also has a slot, empty after Open and Extend, that the
+// first window to cut its block fills with edge codes (curve.go, 2 B per
+// row) from a CRC-checked decode. Later windows, through any View, count
+// them with no store read; like prefix rows, they are not checked again.
 package tix
 
 import (
@@ -48,6 +54,7 @@ import (
 	"math"
 	"os"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/colf"
@@ -89,18 +96,20 @@ type Continents interface {
 const chunkSize = 512
 
 // blockRec is block i's slab directory entry: per continent, the sidecar
-// offset of its slab and the CRC of each chunk (the last may be short).
+// offset of its slab and the CRC of each chunk (the last may be short),
+// and its edge code slot, which the Index and every View share.
 type blockRec struct {
-	off [numContinents]int64
-	crc [numContinents][]uint32
+	off  [numContinents]int64
+	crc  [numContinents][]uint32
+	edge *atomic.Pointer[edgeCodes]
 }
 
 // Index is a temporal aggregate index opened for maintenance: Extend
 // appends block records as blocks seal, View publishes immutable query
 // handles. The Index itself is single-writer (callers serialize Extend
 // and View); Views are safe for concurrent Query against a concurrent
-// Extend, because records and prefix rows are append-only and a View
-// only references those that existed when it was taken.
+// Extend: records and prefix rows are append-only, a View only sees
+// those that existed when it was taken, and a code slot fills by CAS.
 type Index struct {
 	path    string
 	f       *os.File
@@ -376,7 +385,7 @@ func (ix *Index) grow(h header, s slabs) error {
 // locate builds the directory entry of a record whose payload starts at
 // sidecar offset at, from slabs s that alias it and that grow validated.
 func locate(at int64, payload []byte, s slabs) blockRec {
-	var rec blockRec
+	rec := blockRec{edge: new(atomic.Pointer[edgeCodes])}
 	for ct, slab := range s {
 		crc := make([]uint32, (len(slab)+chunkSize-1)/chunkSize)
 		for c := range crc {
@@ -386,28 +395,6 @@ func locate(at int64, payload []byte, s slabs) blockRec {
 		rec.off[ct], rec.crc[ct] = at+int64(cap(payload)-cap(slab)), crc
 	}
 	return rec
-}
-
-// foldValues appends the selected delivered rows of blk whose probes
-// tbl resolves to their continents' value lists — the samples a scan
-// pass (core.WindowCDFPass) would fold, lost rows and unresolved probes
-// skipped. It rejects exactly the samples Dist.Add would.
-func foldValues(vals *[numContinents][]float64, tbl []geo.Continent, blk *colf.Block, s rowSel) error {
-	for i := s.lo; i < s.hi; i++ {
-		if blk.Lost[i] || !s.keep(blk, i) {
-			continue
-		}
-		p := blk.Probe[i]
-		if uint(p) >= uint(len(tbl)) || tbl[p] == geo.ContinentUnknown {
-			continue
-		}
-		v := blk.RTT[i]
-		if v-v != 0 { // NaN or ±Inf
-			return fmt.Errorf("tix: invalid sample %v", v)
-		}
-		vals[tbl[p]] = append(vals[tbl[p]], v)
-	}
-	return nil
 }
 
 // sortSlab sorts the finite values vs ascending — in slices.Sort's
@@ -454,7 +441,8 @@ func sortSlab(vs []float64, scratch []uint64) []uint64 {
 // Extend grows the index to cover the given sealed block list, which
 // must be the store's full list (a superset of what previous calls
 // saw — the store is append-only). Every block past the last record
-// decodes once, its resolved samples sort into per-continent slabs, and
+// decodes once, its coded rows' resolved samples (no slot is filled)
+// sort into per-continent slabs, and
 // its record appends; the record then goes through the same decode and
 // prefix derivation Open runs, so a built and a reopened index hold the
 // same rows. Appended records are fsynced once per call. A failed call
@@ -469,6 +457,7 @@ func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continen
 	var vals [numContinents][]float64
 	var scratch []uint64
 	var payload, rec []byte
+	var codes edgeCodes
 	start := len(ix.recs)
 	for i := start; i < len(blocks); i++ {
 		bi := blocks[i]
@@ -476,12 +465,13 @@ func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continen
 		if err != nil {
 			return err
 		}
+		if err := codes.code(blk, tbl); err != nil {
+			return fmt.Errorf("tix: block %d: %w", i, err)
+		}
 		for ct := range vals {
 			vals[ct] = vals[ct][:0]
 		}
-		if err := foldValues(&vals, tbl, blk, rowSel{hi: blk.Rows()}); err != nil {
-			return err
-		}
+		codes.values(&vals, blk.RTT, 0, blk.Rows())
 		for _, vs := range vals {
 			scratch = sortSlab(vs, scratch)
 		}
@@ -515,16 +505,28 @@ func (ix *Index) Frontier() int { return len(ix.recs) }
 func (ix *Index) Nodes() int { return len(ix.recs) }
 
 // ResidentBytes reports what the index keeps in memory, by capacity:
-// its prefix rows, and its slab directory of offsets and chunk CRCs.
-func (ix *Index) ResidentBytes() (prefixRows, directory int64) {
+// its prefix rows, its slab directory of offsets, chunk CRCs and code
+// slots, and the edge codes that windows have filled those slots with.
+func (ix *Index) ResidentBytes() (prefixRows, directory, codes int64) {
 	prefixRows = int64(cap(ix.cum)) * int64(unsafe.Sizeof(prefix{}))
 	directory = int64(cap(ix.recs)) * int64(unsafe.Sizeof(blockRec{}))
 	for i := range ix.recs {
+		directory += int64(unsafe.Sizeof(*ix.recs[i].edge))
 		for _, crc := range ix.recs[i].crc {
 			directory += int64(cap(crc)) * 4
 		}
 	}
-	return prefixRows, directory
+	return prefixRows, directory, codeBytes(ix.recs)
+}
+
+// codeBytes totals the edge codes filled into recs' slots, by capacity.
+func codeBytes(recs []blockRec) (n int64) {
+	for i := range recs {
+		if e := recs[i].edge.Load(); e != nil {
+			n += int64(unsafe.Sizeof(*e)) + 2*int64(cap(e.codes)) + 8*int64(cap(e.times)) + 4*int64(cap(e.first))
+		}
+	}
+	return n
 }
 
 // Path returns the sidecar path.
@@ -535,9 +537,9 @@ func (ix *Index) Path() string { return ix.path }
 func (ix *Index) Close() error { return ix.f.Close() }
 
 // View publishes an immutable query handle over the records stored so
-// far. It shares the slab directory, the prefix rows and the file
-// handle: all three only ever grow past what the view can see, so a
-// later Extend never races a concurrent Query.
+// far. It shares the slab directory and its code slots, the prefix rows
+// and the file handle: all three only ever grow past what the view can
+// see, so a later Extend never races a concurrent Query.
 func (ix *Index) View() *View {
 	n := len(ix.recs)
 	return &View{f: ix.f, recs: ix.recs[:n:n], cum: ix.cum[: n+1 : n+1], decoders: ix.decoders}

@@ -94,7 +94,16 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # the index and the scan path; the corrupt-slab
 # tests that a slab chunk damaged after open fails the quantile's
 # per-chunk CRC (and falls back to the scan), while damage in a chunk no
-# quantile reads changes no answer. The tix tests pin that a quantile
+# quantile reads changes no answer. Edge blocks decode once: the tix
+# tests pin that a block a window cuts is decoded the first time only —
+# later windows, through any View taken before or after an Extend,
+# count its resident codes and read no store byte (a counting reader
+# says so) — with cold, warm and index-less scan answers equal (rows,
+# delivered, curves, quantiles) over windows inside one block, on round
+# timestamps, with lost rows and unresolved probes; that a block whose
+# time steps backwards or whose CRC fails keeps no codes and fails every
+# window that cuts it (the serve test shows such a window answering
+# the scan's bytes). The tix tests also pin that a quantile
 # reads only its bin's chunks (under a quarter of the covered records'
 # bytes) across chunk boundaries, the bin gather over a real one-record
 # index, and a slab value outside the bin its prefix row names as an
@@ -120,9 +129,9 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # curve-value kernel is pinned to strconv byte for byte (every c/n with
 # n <= 2000, powers of two +- 64 ulps, a million random values, k·1e-6
 # and k·1e-7), and what it declines still renders as encoding/json does.
-go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestWindowCurvesCountsPointsAsEncode|TestServeCorruptSlabFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestCurvePMatchesStrconv|TestCurvePDeclines|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
+go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestWindowCurvesCountsPointsAsEncode|TestServeCorruptSlabFallsBack|TestServeBackwardTimeFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestCurvePMatchesStrconv|TestCurvePDeclines|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
 go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestNearestObserveBlockSteadyStateAllocs|TestNearestChunkBytes|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount|TestLastMileOutOfOrderTime' ./internal/core
-go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather|TestSortSlabMatchesSort' ./internal/tix
+go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather|TestSortSlabMatchesSort|TestEdgeCodesDifferential|TestWarmEdgeReadsNoStore|TestBackwardTimeFailsQuery|TestCRCDamagedEdgeBlock|TestViewsShareEdgeCodes' ./internal/tix
 go test -count=1 -run 'TestSelectRankMatchesSort|TestSummarizeMatchesSort' ./internal/stats
 
 echo "== campaign allocation gate =="
