@@ -10,11 +10,11 @@
 //
 //   - BenchmarkFigure1 .. Figure3bProbes, Figure8Feasibility,
 //     AnalysisThresholds, WhereIsTheDelay, BandwidthJustify, WhatIf,
-//     RouteExpand, AblationBackbone: the paper's dataset-independent
-//     analyses (zeitgeist model, catalog, census, feasibility, delay
-//     attribution, backhaul, counterfactual, traceroute). No per-layer
-//     metric touches these packages; figures.render_ms times only
-//     Figures 4-7 rendering from an already-computed suite report.
+//     AblationBackbone: the paper's dataset-independent analyses
+//     (zeitgeist model, catalog, census, feasibility, delay attribution,
+//     backhaul, counterfactual). No per-layer metric touches these
+//     packages; figures.render_ms times only Figures 4-7 rendering from
+//     an already-computed suite report.
 //   - BenchmarkFigure4Proximity .. Figure7LastMile, ProviderComparison:
 //     each analysis alone — core.ScanMemory restricted to the one pass,
 //     scanning an in-memory campaign's colf image, then the figure's
@@ -47,7 +47,6 @@ import (
 	"repro/internal/figures"
 	"repro/internal/netem"
 	"repro/internal/results"
-	"repro/internal/route"
 	"repro/internal/whatif"
 	"repro/internal/world"
 )
@@ -350,11 +349,9 @@ func BenchmarkAnalysisThresholds(b *testing.B) {
 // BenchmarkWhereIsTheDelay runs the §4.3 delay attribution over the world.
 func BenchmarkWhereIsTheDelay(b *testing.B) {
 	e := getEnv(b)
-	cfg := delay.DefaultConfig()
-	cfg.Rounds = 8
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := delay.WhereIsTheDelay(e.w.Platform, cfg); err != nil {
+		if _, err := delay.WhereIsTheDelay(e.w.Platform); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -393,24 +390,6 @@ func BenchmarkWhatIf(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := whatif.Run(ctx, cfg, whatif.Baseline(), whatif.FiveG()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRouteExpand synthesizes a hop-level traceroute from a path.
-func BenchmarkRouteExpand(b *testing.B) {
-	e := getEnv(b)
-	pr := e.w.Probes.Public()[0]
-	r := e.w.Platform.Targets(pr)[0]
-	path, err := e.w.Platform.Path(pr, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	site := pr.Site()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := route.Expand(path, site, r.Addr(), e.cfg.Start.Add(time.Duration(i)*time.Hour)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -343,7 +343,7 @@ func run(o options) (err error) {
 		go func() {
 			defer close(attrDone)
 			defer attrSpan.End()
-			attr, attrErr = delay.WhereIsTheDelay(w.Platform, delay.DefaultConfig())
+			attr, attrErr = delay.WhereIsTheDelay(w.Platform)
 		}()
 		defer func() { <-attrDone }()
 		attribution = func() (*delay.Report, error) {

@@ -1,6 +1,7 @@
-// Command trace prints a traceroute-style transcript for a probe-to-region
-// path of the simulated world, locating the delay along the path (§4.3).
-// It also summarizes run traces written by cmd/shears -trace.
+// Command trace prints where the delay of one probe-to-region path of the
+// simulated world lies at one instant: the path's sample split into
+// propagation, transit, last mile and bufferbloat, as the §4.3 table
+// shears prints. It also summarizes run traces written by cmd/shears -trace.
 //
 // Usage:
 //
@@ -8,6 +9,8 @@
 //	trace -country NG              # first probe in Nigeria, nearest region
 //	trace -summary trace.json      # per-stage wall-time table of a run trace
 //
+// -probes and -seed default to shears', so a probe ID names the same probe
+// in the dataset shears writes with its defaults.
 // -summary reads the Chrome trace-event JSON shears -trace writes.
 package main
 
@@ -19,9 +22,9 @@ import (
 	"time"
 
 	"repro/internal/cloud"
+	"repro/internal/delay"
 	"repro/internal/obs"
 	"repro/internal/probe"
-	"repro/internal/route"
 	"repro/internal/world"
 )
 
@@ -32,10 +35,10 @@ func main() {
 		probeID = flag.Int("probe", 0, "probe ID (0 = pick by -country)")
 		country = flag.String("country", "DE", "pick the first probe in this country when -probe is 0")
 		region  = flag.String("region", "", "target region address (empty = geographically nearest)")
-		probes  = flag.Int("probes", 400, "probe census size")
+		probes  = flag.Int("probes", 3300, "probe census size")
 		seed    = flag.Uint64("seed", 1, "world seed")
 		atStr   = flag.String("at", "2019-09-01T12:00:00Z", "sample time (RFC 3339)")
-		summary = flag.String("summary", "", "summarize this run trace (Chrome trace-event JSON) instead of tracerouting")
+		summary = flag.String("summary", "", "summarize this run trace (Chrome trace-event JSON) instead of sampling a path")
 	)
 	flag.Parse()
 	var lines []string
@@ -90,17 +93,14 @@ func run(probeID int, country, region string, probes int, seed uint64, atStr str
 	if err != nil {
 		return nil, err
 	}
-	tr, err := route.Expand(path, pr.Site(), r.Addr(), at)
-	if err != nil {
-		return nil, err
+	lines := []string{fmt.Sprintf("probe %d: %s, %s, %s last mile, to %s at %s",
+		pr.ID, pr.Country, pr.Continent, pr.Access, r.Addr(), at.Format(time.RFC3339))}
+	b := path.Sample(at)
+	if b.Lost {
+		return append(lines, "lost: the sample at this instant was lost end to end"), nil
 	}
-	lines := []string{fmt.Sprintf("probe %d: %s, %s, %s last mile", pr.ID, pr.Country, pr.Continent, pr.Access)}
-	lines = append(lines, tr.Format()...)
-	if !tr.Lost {
-		lines = append(lines, fmt.Sprintf("segments: access=%.1fms transit=%.1fms backbone=%.1fms",
-			tr.SegmentMs(route.HopAccess), tr.SegmentMs(route.HopTransit), tr.SegmentMs(route.HopBackbone)))
-	}
-	return lines, nil
+	row := delay.Attribute(fmt.Sprintf("probe %d", pr.ID), b)
+	return append(lines, delay.FormatRows([]delay.Attribution{row})...), nil
 }
 
 func pickProbe(w *world.World, probeID int, country string) (*probe.Probe, error) {

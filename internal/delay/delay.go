@@ -48,35 +48,14 @@ type Report struct {
 	ByAccess    []Attribution `json:"by_access"`
 }
 
-// Config controls the sampling.
-type Config struct {
-	Start   time.Time     // first sample time
-	Rounds  int           // samples per probe
-	Spacing time.Duration // time between samples
-}
+// The §4.3 sample: each path at 56 instants, a week from 2019-09-01
+// 00:00 UTC at three-hour spacing.
+const (
+	sampleRounds  = 56
+	sampleSpacing = 3 * time.Hour
+)
 
-// DefaultConfig samples a week at three-hour spacing.
-func DefaultConfig() Config {
-	return Config{
-		Start:   time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC),
-		Rounds:  56,
-		Spacing: 3 * time.Hour,
-	}
-}
-
-// Validate checks the sampling parameters.
-func (c Config) Validate() error {
-	if c.Start.IsZero() {
-		return errors.New("delay: zero start time")
-	}
-	if c.Rounds <= 0 {
-		return fmt.Errorf("delay: non-positive rounds %d", c.Rounds)
-	}
-	if c.Spacing <= 0 {
-		return fmt.Errorf("delay: non-positive spacing %v", c.Spacing)
-	}
-	return nil
-}
+var sampleStart = time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
 
 type acc struct {
 	n                                      int
@@ -105,15 +84,20 @@ func (a *acc) attribution(group string) Attribution {
 	}
 }
 
+// Attribute is the attribution of one delivered sample: the fold
+// WhereIsTheDelay averages, at n = 1.
+func Attribute(group string, b netem.Breakdown) Attribution {
+	var a acc
+	a.add(b)
+	return a.attribution(group)
+}
+
 // WhereIsTheDelay samples every public probe's path to its geographically
-// nearest region over the configured window and attributes the mean RTT to
-// its components.
-func WhereIsTheDelay(p *atlas.Platform, cfg Config) (*Report, error) {
+// nearest region over the §4.3 week and attributes the mean RTT to its
+// components.
+func WhereIsTheDelay(p *atlas.Platform) (*Report, error) {
 	if p == nil {
 		return nil, errors.New("delay: nil platform")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
 	}
 	var byContinent [geo.SouthAmerica + 1]acc
 	var byAccess [netem.AccessCore + 1]acc
@@ -127,8 +111,8 @@ func WhereIsTheDelay(p *atlas.Platform, cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < cfg.Rounds; i++ {
-			b := path.Sample(cfg.Start.Add(time.Duration(i) * cfg.Spacing))
+		for i := 0; i < sampleRounds; i++ {
+			b := path.Sample(sampleStart.Add(time.Duration(i) * sampleSpacing))
 			if b.Lost {
 				continue
 			}
@@ -156,14 +140,16 @@ func WhereIsTheDelay(p *atlas.Platform, cfg Config) (*Report, error) {
 
 // Format renders the report as figure-ready lines.
 func (r *Report) Format() []string {
+	return FormatRows(append(append([]Attribution(nil), r.ByContinent...), r.ByAccess...))
+}
+
+// FormatRows renders attributions as the table Format prints: a header,
+// then one row each.
+func FormatRows(rows []Attribution) []string {
 	lines := []string{"group            mean-rtt  propagation  transit  last-mile  bloat  dominant"}
-	emit := func(rows []Attribution) {
-		for _, a := range rows {
-			lines = append(lines, fmt.Sprintf("%-16s %7.1fms  %10.1fms %7.1fms %9.1fms %5.1fms  %s",
-				a.Group, a.MeanRTTms, a.PropagationMs, a.TransitMs, a.LastMileMs, a.BloatMs, a.Dominant()))
-		}
+	for _, a := range rows {
+		lines = append(lines, fmt.Sprintf("%-16s %7.1fms  %10.1fms %7.1fms %9.1fms %5.1fms  %s",
+			a.Group, a.MeanRTTms, a.PropagationMs, a.TransitMs, a.LastMileMs, a.BloatMs, a.Dominant()))
 	}
-	emit(r.ByContinent)
-	emit(r.ByAccess)
 	return lines
 }

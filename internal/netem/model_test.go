@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/geo"
 )
@@ -289,19 +290,6 @@ func TestLossRates(t *testing.T) {
 	}
 }
 
-func TestDistanceKm(t *testing.T) {
-	m := testModel(t)
-	p, err := m.Path(wiredSite("p", helsinki, geo.Tier1, geo.Europe),
-		Target{ID: "d", Location: stockholm, Continent: geo.Europe, Private: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := p.DistanceKm()
-	if d < 350 || d > 450 {
-		t.Errorf("Helsinki-Stockholm = %.0f km, want ~400", d)
-	}
-}
-
 func TestAccessString(t *testing.T) {
 	cases := map[Access]string{
 		AccessWired: "wired", AccessWireless: "wireless",
@@ -335,4 +323,12 @@ func TestPathHoldsNoPointers(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(Path{}), "Path")
+}
+
+// TestPathSize: a 120-byte Path fills one 128-byte size-class slot, the
+// two cache lines Touch reads; a smaller one would straddle lines.
+func TestPathSize(t *testing.T) {
+	if got := unsafe.Sizeof(Path{}); got != 120 {
+		t.Errorf("Path is %d bytes, want 120", got)
+	}
 }
