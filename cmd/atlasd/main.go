@@ -109,9 +109,10 @@ type app struct {
 	world     *world.World
 	worldSeed uint64
 
-	// serveEngine is the query serving engine, set when -serve-data is
-	// given.
+	// serveEngine is the query serving engine, and memBound the GC
+	// bound its resident state sets, both set when -serve-data is given.
 	serveEngine *serve.Engine
+	memBound    *memBound
 }
 
 func build(probes int, seed uint64, scale float64, grants string, logger *slog.Logger, rec *obs.Recorder) (*app, error) {
@@ -163,13 +164,28 @@ func build(probes int, seed uint64, scale float64, grants string, logger *slog.L
 	return a, nil
 }
 
+// servingStatus is the serving slice of /api/v1/status: the engine's,
+// and beside its resident bytes the heap they live in and the memory
+// limit in force.
+type servingStatus struct {
+	serve.Status
+	HeapLiveBytes    uint64 `json:"heap_live_bytes"`
+	HeapGoalBytes    uint64 `json:"heap_goal_bytes"`
+	MemoryLimitBytes int64  `json:"memory_limit_bytes"`
+}
+
 // servingStatus feeds /api/v1/status the serving engine's snapshot
-// coverage; nil (omitted from the JSON) when -serve-data is off.
+// coverage and memory; nil (omitted from the JSON) when -serve-data is
+// off.
 func (a *app) servingStatus() any {
 	if a.serveEngine == nil {
 		return nil
 	}
-	return a.serveEngine.Status()
+	m := readMem()
+	return servingStatus{
+		Status:        a.serveEngine.Status(),
+		HeapLiveBytes: m.live, HeapGoalBytes: m.goal, MemoryLimitBytes: m.limit,
+	}
 }
 
 // enableServing adds the hot-path analysis API over the dataset in dir
@@ -201,12 +217,24 @@ func (a *app) enableServing(dir string, refresh time.Duration) error {
 	}
 	eng.Start(context.Background())
 	a.serveEngine = eng
+	a.memBound = startMemBound(newMemGauges(a.registry))
 	eng.Register(a.mux)
 	st := eng.Status()
 	logger.Info("serving enabled",
 		"dir", dir, "refresh", refresh,
 		"covered_bytes", st.CoveredBytes, "samples", st.Samples)
 	return nil
+}
+
+// closeServing stops the memory bound and the serving refresher and
+// releases the refresher's read handle; without -serve-data it does
+// nothing.
+func (a *app) closeServing() error {
+	if a.serveEngine == nil {
+		return nil
+	}
+	a.memBound.Close()
+	return a.serveEngine.Close()
 }
 
 // shutdownTimeout bounds how long a graceful shutdown waits for in-flight
@@ -262,11 +290,8 @@ func serveApp(a *app, addr, debugAddr string) error {
 	}
 	// Let running measurement polls settle and flush the last samples.
 	a.live.Close()
-	// Stop the serving refresher and release its read handle.
-	if a.serveEngine != nil {
-		if cerr := a.serveEngine.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := a.closeServing(); cerr != nil && err == nil {
+		err = cerr
 	}
 	logFinal(a.metrics, a.log)
 	return err

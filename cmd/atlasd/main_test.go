@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -148,12 +150,14 @@ func TestBuildServesTelemetry(t *testing.T) {
 	}
 
 	// With -serve-data, the serving block says where the resident bytes
-	// are, before and after windowed requests.
+	// are, before and after windowed requests, and beside them the heap
+	// they live in and the memory limit atlasd derived from it.
 	cfg := atlas.TestCampaign()
+	keepMemoryLimit(t)
 	if err := app.enableServing(writeCampaign(t, app, cfg), time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	defer app.serveEngine.Close()
+	defer app.closeServing()
 	resident := func() serve.Resident {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/api/v1/status")
@@ -163,12 +167,19 @@ func TestBuildServesTelemetry(t *testing.T) {
 		defer resp.Body.Close()
 		var st struct {
 			Serving struct {
-				Samples  uint64          `json:"samples"`
-				Resident *serve.Resident `json:"resident_bytes"`
+				Samples     uint64          `json:"samples"`
+				Resident    *serve.Resident `json:"resident_bytes"`
+				HeapLive    uint64          `json:"heap_live_bytes"`
+				HeapGoal    uint64          `json:"heap_goal_bytes"`
+				MemoryLimit int64           `json:"memory_limit_bytes"`
 			} `json:"serving"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
+		}
+		if s := st.Serving; s.HeapLive == 0 || s.HeapGoal == 0 || s.MemoryLimit <= 0 ||
+			(os.Getenv("GOMEMLIMIT") == "" && s.MemoryLimit == math.MaxInt64) {
+			t.Fatalf("status heap live %d, goal %d, memory limit %d", s.HeapLive, s.HeapGoal, s.MemoryLimit)
 		}
 		r := st.Serving.Resident
 		if r == nil {
@@ -200,6 +211,20 @@ func TestBuildServesTelemetry(t *testing.T) {
 		cdf(day)
 	}
 	resident()
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"go_gc_heap_live_bytes ", "go_gc_heap_goal_bytes ", "go_gc_gomemlimit_bytes "} {
+		if !strings.Contains(string(body), "\n"+want) {
+			t.Errorf("exposition with -serve-data has no %s gauge", want)
+		}
+	}
 }
 
 // writeCampaign runs cfg on app's world into a fresh dataset directory,
@@ -247,10 +272,11 @@ func TestOneMuxMethodNotAllowed(t *testing.T) {
 
 	cfg := atlas.TestCampaign()
 	cfg.End = cfg.Start.Add(24 * time.Hour)
+	keepMemoryLimit(t)
 	if err := app.enableServing(writeCampaign(t, app, cfg), time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	defer app.serveEngine.Close()
+	defer app.closeServing()
 	for path, allow := range map[string]string{
 		"/api/v1/probes":                 "GET",
 		"/api/v1/probes/3":               "GET",

@@ -4,27 +4,38 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/stats"
 )
 
 // The /cdf body is ~100 KB of {"x":..,"p":..} points. Rendering it
 // through encoding/json reflects over every point and was the largest
 // stage left once the window itself composed from resident grids, so
 // the body is appended by hand instead — pinned byte-identical to
-// json.Marshal of the same shape (TestCDFBodyMatchesEncodingJSON), and
-// shared by the index and scan paths so the two cannot drift apart.
+// json.Marshal of the same points (TestCDFBodyMatchesEncodingJSON), and
+// shared by the index and scan paths so the two cannot drift apart. It
+// renders from counts, not points, into a pooled buffer: a warm /cdf
+// fill leaves the collector nothing the size of its window.
 
-// continentCurve is one continent's entry on /api/v1/cdf.
-type continentCurve struct {
-	ct    geo.Continent
-	n     int
-	curve []stats.CDFPoint
+// continentCounts is one continent's entry on /api/v1/cdf: its sample
+// count and its cumulative counts over core.DefaultGrid, cum[k] the
+// samples <= k+1 ms — the integers Dist.Curve divides by n.
+type continentCounts struct {
+	ct  geo.Continent
+	n   int
+	cum []uint64
 }
+
+// bodies keeps fill bodies' buffers: a /cdf body is ~100 KB, and a fill
+// that allocated it afresh would hand the collector that much per
+// request. serveFill takes one per fill and puts it back once the body
+// is written.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendJSONFloat appends f the way encoding/json renders a float64:
 // shortest round-trip digits, %f form except for exponents below -6 or
@@ -69,37 +80,28 @@ var curveX = func() []string {
 	return t
 }()
 
-// appendCurve appends pts as encoding/json renders []stats.CDFPoint. A
-// point on the grid takes its x from curveX. A curve's tail repeats its
-// P value wherever bins are empty; repeats copy the previous rendering
-// instead of formatting again.
-func appendCurve(b []byte, pts []stats.CDFPoint) ([]byte, error) {
-	if pts == nil {
-		return append(b, "null"...), nil
-	}
+// appendCurve appends the curve of c as encoding/json renders the
+// []stats.CDFPoint Dist.Curve sweeps over core.DefaultGrid: point k is
+// {k+1, float64(c.cum[k]) / float64(c.n)}, its x taken from curveX. A
+// curve's tail repeats its count wherever bins are empty, and so its P
+// value; repeats copy the previous rendering instead of formatting
+// again.
+func appendCurve(b []byte, c continentCounts) ([]byte, error) {
 	b = append(b, '[')
 	var err error
 	lastStart, lastEnd := 0, 0
-	for i, p := range pts {
-		if i > 0 {
+	for k, cum := range c.cum {
+		if k > 0 {
 			b = append(b, ',')
 		}
-		if p.X >= 1 && p.X <= float64(len(curveX)) && p.X == math.Trunc(p.X) {
-			b = append(b, curveX[int(p.X)-1]...)
-		} else {
-			b = append(b, `{"x":`...)
-			if b, err = appendJSONFloat(b, p.X); err != nil {
-				return b, err
-			}
-			b = append(b, `,"p":`...)
-		}
-		if i > 0 && math.Float64bits(p.P) == math.Float64bits(pts[i-1].P) {
+		b = append(b, curveX[k]...)
+		if k > 0 && cum == c.cum[k-1] {
 			start := len(b)
 			b = append(b, b[lastStart:lastEnd]...)
 			lastStart, lastEnd = start, len(b)
 		} else {
 			lastStart = len(b)
-			if b, err = appendJSONFloat(b, p.P); err != nil {
+			if b, err = appendJSONFloat(b, float64(cum)/float64(c.n)); err != nil {
 				return b, err
 			}
 			lastEnd = len(b)
@@ -109,15 +111,15 @@ func appendCurve(b []byte, pts []stats.CDFPoint) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// encodeCDFBody renders the /api/v1/cdf response: the snapshot, the
-// window bounds as RFC 3339 strings in UTC with any fractional seconds
-// (absent when that side was open), and one entry per continent with
-// samples. A window with no samples lists "continents":null, as the
-// marshalled nil slice always has.
-func encodeCDFBody(fingerprint string, since, until time.Time, curves []continentCurve) ([]byte, error) {
+// appendCDFBody appends the /api/v1/cdf response to b: the snapshot,
+// the window bounds as RFC 3339 strings in UTC with any fractional
+// seconds (absent when that side was open), and one entry per continent
+// with samples. A window with no samples lists "continents":null, as
+// the marshalled nil slice always has.
+func appendCDFBody(b []byte, fingerprint string, since, until time.Time, curves []continentCounts) ([]byte, error) {
 	// A 400-point curve renders to at most 400 × 39 bytes, with every P
 	// 24 characters long.
-	b := make([]byte, 0, 256+len(curves)*(16<<10))
+	b = slices.Grow(b, 256+len(curves)*(16<<10))
 	b = append(b, `{"snapshot":`...)
 	b = appendJSONString(b, fingerprint)
 	if !since.IsZero() {
@@ -146,7 +148,7 @@ func encodeCDFBody(fingerprint string, since, until time.Time, curves []continen
 		b = strconv.AppendInt(b, int64(c.n), 10)
 		b = append(b, `,"curve":`...)
 		var err error
-		if b, err = appendCurve(b, c.curve); err != nil {
+		if b, err = appendCurve(b, c); err != nil {
 			return nil, err
 		}
 		b = append(b, '}')

@@ -76,36 +76,41 @@ func TestJSONFloatMatchesEncodingJSON(t *testing.T) {
 }
 
 // TestCDFBodyMatchesEncodingJSON pins the whole hand-rendered /cdf body
-// to json.Marshal of cdfBody: open and closed windows, no continents
-// (null), an empty and a nil curve, runs of repeated P values, and
-// sub-1e-6 steps.
+// to json.Marshal of cdfBody holding the points the counts divide out:
+// open and closed windows, no continents (null), one sample, runs of
+// repeated counts (empty bins), a curve that never reaches 1 on the
+// grid, and sub-1e-6 steps.
 func TestCDFBodyMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	curve := func(n, bins int) []stats.CDFPoint {
-		pts := make([]stats.CDFPoint, bins)
+	counts := func(n, end int) continentCounts {
+		c := continentCounts{n: n, cum: make([]uint64, len(curveX))}
 		cum := 0
-		for k := range pts {
-			if rng.Intn(3) > 0 && cum < n { // a third of the bins stay empty
-				cum += rng.Intn(n - cum + 1)
+		for k := range c.cum {
+			if rng.Intn(3) > 0 && cum < end { // a third of the bins stay empty
+				cum += rng.Intn(end - cum + 1)
 			}
-			pts[k] = stats.CDFPoint{X: float64(k + 1), P: float64(cum) / float64(n)}
+			c.cum[k] = uint64(cum)
 		}
-		return pts
+		return c
+	}
+	with := func(ct geo.Continent, c continentCounts) continentCounts {
+		c.ct = ct
+		return c
 	}
 	since := time.Date(2019, 9, 3, 4, 5, 6, 0, time.UTC)
 	cases := []struct {
 		since, until time.Time
-		curves       []continentCurve
+		curves       []continentCounts
 	}{
 		{},
 		{since: since},
 		{since: since.Add(500 * time.Millisecond), until: since.Add(time.Hour + time.Nanosecond)},
-		{until: since.Add(time.Hour), curves: []continentCurve{{ct: geo.Europe, n: 7, curve: curve(7, 400)}}},
-		{since: since, until: since.Add(72 * time.Hour), curves: []continentCurve{
-			{ct: geo.Africa, n: 3_000_017, curve: curve(3_000_017, 400)},
-			{ct: geo.Asia, n: 1, curve: []stats.CDFPoint{}},
-			{ct: geo.Oceania, n: 2, curve: nil},
-			{ct: geo.SouthAmerica, n: 12345, curve: curve(12345, 400)},
+		{until: since.Add(time.Hour), curves: []continentCounts{with(geo.Europe, counts(7, 7))}},
+		{since: since, until: since.Add(72 * time.Hour), curves: []continentCounts{
+			with(geo.Africa, counts(3_000_017, 3_000_017)),
+			with(geo.Asia, counts(1, 1)),
+			with(geo.Oceania, counts(2, 0)),
+			with(geo.SouthAmerica, counts(12345, 12000)),
 		}},
 	}
 	for i, c := range cases {
@@ -117,8 +122,12 @@ func TestCDFBodyMatchesEncodingJSON(t *testing.T) {
 			ref.Until = c.until.Format(time.RFC3339Nano)
 		}
 		for _, cc := range c.curves {
+			pts := make([]stats.CDFPoint, len(cc.cum))
+			for k := range pts {
+				pts[k] = stats.CDFPoint{X: float64(k + 1), P: float64(cc.cum[k]) / float64(cc.n)}
+			}
 			ref.Continents = append(ref.Continents, cdfDTO{
-				Continent: cc.ct.String(), Code: cc.ct.Code(), Samples: cc.n, Curve: cc.curve,
+				Continent: cc.ct.String(), Code: cc.ct.Code(), Samples: cc.n, Curve: pts,
 			})
 		}
 		want, err := json.Marshal(ref)
@@ -126,37 +135,38 @@ func TestCDFBodyMatchesEncodingJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = append(want, '\n')
-		got, err := encodeCDFBody(ref.Snapshot, c.since, c.until, c.curves)
+		got, err := appendCDFBody([]byte("stale bytes"), ref.Snapshot, c.since, c.until, c.curves)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
+		if got, ok := bytes.CutPrefix(got, []byte("stale bytes")); !ok || !bytes.Equal(got, want) {
 			t.Fatalf("case %d: hand-rendered body diverges from encoding/json:\n got %.300s\nwant %.300s", i, got, want)
 		}
 	}
 }
 
-// BenchmarkEncodeCDFBody renders a closed window's /cdf body: six
-// continents' 400-point curves whose P values are c/n over 10^5 to
-// 3·10^6 samples, rising to 1 around the 300th bin as an RTT CDF does.
+// BenchmarkEncodeCDFBody renders a closed window's /cdf body into a
+// reused buffer: six continents' 400-point curves whose P values are
+// c/n over 10^5 to 3·10^6 samples, rising to 1 around the 300th bin as
+// an RTT CDF does.
 func BenchmarkEncodeCDFBody(b *testing.B) {
 	rng := rand.New(rand.NewSource(40))
-	var curves []continentCurve
+	var curves []continentCounts
 	for ct := geo.Africa; ct <= geo.SouthAmerica; ct++ {
 		n := 100_000 + rng.Intn(2_900_000)
-		pts := make([]stats.CDFPoint, 400)
+		c := continentCounts{ct: ct, n: n, cum: make([]uint64, len(curveX))}
 		cum := 0
-		for k := range pts {
+		for k := range c.cum {
 			cum = min(n, cum+rng.Intn(n/150+1))
-			pts[k] = stats.CDFPoint{X: float64(k + 1), P: float64(cum) / float64(n)}
+			c.cum[k] = uint64(cum)
 		}
-		curves = append(curves, continentCurve{ct: ct, n: n, curve: pts})
+		curves = append(curves, c)
 	}
 	since := time.Date(2019, 9, 3, 0, 0, 0, 0, time.UTC)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body, err := encodeCDFBody("fp", since, since.Add(48*time.Hour), curves)
+		body, err := appendCDFBody(benchBody[:0], "fp", since, since.Add(48*time.Hour), curves)
 		if err != nil {
 			b.Fatal(err)
 		}

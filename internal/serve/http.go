@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -109,18 +110,22 @@ func (st *stageTimes) serverTiming() string {
 // serveFill answers one request from view v. Every body v serves
 // carries the ETag of v's fingerprint, so a conditional request holding
 // it gets its 304 before any fill; any other request runs fill and gets
-// the result through writeResponse. st, when non-nil, is the stage
-// breakdown fill records into: the stages that ran are exported as
+// the result through writeResponse. fill appends its body to the empty
+// buffer it is handed, a pooled one that serveFill takes back once the
+// body is written. st, when non-nil, is the stage breakdown fill
+// records into: the stages that ran are exported as
 // serve_window_stage_seconds and a Server-Timing header. A fill its
 // request abandoned writes nothing: nobody reads the answer, and the
 // request middleware counts it as canceled.
-func (e *Engine) serveFill(w http.ResponseWriter, r *http.Request, v *snapshotView, st *stageTimes, fill func() (*response, error)) {
+func (e *Engine) serveFill(w http.ResponseWriter, r *http.Request, v *snapshotView, st *stageTimes, fill func(buf []byte) (*response, error)) {
 	if etag := etagFor(v.fingerprint); noneMatch(r.Header.Values("If-None-Match"), etag) {
 		e.writeResponse(w, r, &response{etag: etag})
 		return
 	}
 	m := e.opt.Metrics.nilSafe()
-	resp, err := fill()
+	buf := bodies.Get().(*[]byte)
+	defer bodies.Put(buf)
+	resp, err := fill((*buf)[:0])
 	switch {
 	case errors.Is(err, context.Canceled):
 		return
@@ -142,6 +147,10 @@ func (e *Engine) serveFill(w http.ResponseWriter, r *http.Request, v *snapshotVi
 		}
 	}
 	e.writeResponse(w, r, resp)
+	// Written: the body, grown as fill needed, is the next fill's buffer.
+	// Figure bodies, shared by every request of their view, never come
+	// through here.
+	*buf = resp.body[:0]
 }
 
 // writeResponse writes a ready response, handling conditional requests
@@ -180,7 +189,8 @@ func noneMatch(values []string, etag string) bool {
 }
 
 // response is one finished HTTP payload. A published view's figures are
-// shared by every request that reads them and never written again.
+// shared by every request that reads them and never written again; a
+// fill's body lives in a pooled buffer until serveFill has written it.
 type response struct {
 	status      int
 	contentType string
@@ -188,14 +198,14 @@ type response struct {
 	body        []byte
 }
 
-// jsonResponse marshals v into a response stamped with the snapshot's
-// ETag.
-func jsonResponse(v any, fingerprint string) (*response, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
+// jsonResponse appends v, as json.Marshal renders it, and a newline to
+// b, and wraps the body in a response stamped with the snapshot's ETag.
+func jsonResponse(b []byte, v any, fingerprint string) (*response, error) {
+	w := bytes.NewBuffer(b)
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		return nil, err
 	}
-	return jsonBody(append(body, '\n'), fingerprint), nil
+	return jsonBody(w.Bytes(), fingerprint), nil
 }
 
 // jsonBody wraps an already rendered JSON body the same way.
@@ -287,7 +297,7 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 		}
 		only = ct
 	}
-	render := func(rep quantileSource) (*response, error) {
+	render := func(buf []byte, rep quantileSource) (*response, error) {
 		body := quantileBody{Snapshot: v.fingerprint, Dist: distName, P: p}
 		if !since.IsZero() {
 			body.Since = since.Format(time.RFC3339Nano)
@@ -307,14 +317,14 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 				Continent: ct.String(), Code: ct.Code(), Samples: rep.N(ct), Value: val,
 			})
 		}
-		return jsonResponse(body, v.fingerprint)
+		return jsonResponse(buf, body, v.fingerprint)
 	}
 	if windowed {
 		pred := &colf.Predicate{Since: since, Until: until}
 		ctx, cancel := e.fillContext(r)
 		defer cancel()
 		var st stageTimes
-		e.serveFill(w, r, v, &st, func() (*response, error) {
+		e.serveFill(w, r, v, &st, func(buf []byte) (*response, error) {
 			// The index path refolds the edge pieces first; each quantile
 			// reads its bin's slab chunks, so the render splits into
 			// slab_read, select and encode. A chunk that fails its CRC, or a
@@ -324,7 +334,7 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 				err := res.Load()
 				if err == nil {
 					t0 := time.Now()
-					resp, err = render(res)
+					resp, err = render(buf, res)
 					st[stageEncode] += time.Since(t0) - res.Stats.SlabRead - res.Stats.Select
 				}
 				st.addQuery(res.Stats)
@@ -339,17 +349,17 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 				return nil, err
 			}
 			t0 := time.Now()
-			resp, err = render(src)
+			resp, err = render(buf, src)
 			st[stageEncode] += time.Since(t0)
 			return resp, err
 		})
 		return
 	}
-	e.serveFill(w, r, v, nil, func() (*response, error) {
+	e.serveFill(w, r, v, nil, func(buf []byte) (*response, error) {
 		// Post-render, every report distribution is materialized and
 		// sorted, so these rank queries are read-only — no scan, no
 		// mutation, safe under concurrent readers.
-		return render(rep)
+		return render(buf, rep)
 	})
 }
 
@@ -413,61 +423,61 @@ func (e *Engine) handleCDF(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := e.fillContext(r)
 	defer cancel()
 	var st stageTimes
-	e.serveFill(w, r, v, &st, func() (*response, error) {
-		curves, err := e.windowCurves(ctx, v, pred, &st)
+	e.serveFill(w, r, v, &st, func(buf []byte) (*response, error) {
+		var room [geo.SouthAmerica]continentCounts // every continent's entry, unallocated
+		encode := func(curves []continentCounts) (*response, error) {
+			body, err := appendCDFBody(buf, v.fingerprint, since, until, curves)
+			if err != nil {
+				return nil, err
+			}
+			return jsonBody(body, v.fingerprint), nil
+		}
+		// The index path composes the curves' counts from the published
+		// view's resident prefix rows plus a count-only fold of the
+		// boundary blocks; it reads no sidecar bytes and selects nothing,
+		// and renders before the Result goes back to its pool. The counts
+		// are the ones a scan's distributions would yield, so the response
+		// bytes are identical either way; without a usable index view the
+		// window falls back to the scan.
+		var resp *response
+		ok, err := e.windowIndex(ctx, v, pred, func(res *tix.Result) (err error) {
+			st.addQuery(res.Stats)
+			t0 := time.Now()
+			curves := room[:0]
+			for _, ct := range res.Continents() {
+				curves = append(curves, continentCounts{ct: ct, n: res.N(ct), cum: res.Counts(ct)})
+			}
+			resp, err = encode(curves)
+			st[stageEncode] += time.Since(t0)
+			return err
+		})
+		if ok || err != nil {
+			return resp, err
+		}
+		rep, err := e.windowScan(ctx, v, pred, &st)
 		if err != nil {
 			return nil, err
 		}
+		// Counting each distribution at the grid points is encode work,
+		// as composing them is on the index path.
 		t0 := time.Now()
-		body, err := encodeCDFBody(v.fingerprint, since, until, curves)
-		st[stageEncode] += time.Since(t0)
-		if err != nil {
-			return nil, err
+		defer func() { st[stageEncode] += time.Since(t0) }()
+		curves := room[:0]
+		for _, ct := range rep.Continents() {
+			d, _ := rep.Dist(ct)
+			cum := make([]uint64, len(curveX))
+			for k := range cum {
+				cum[k] = uint64(d.Count(float64(k + 1)))
+			}
+			curves = append(curves, continentCounts{ct: ct, n: d.N(), cum: cum})
 		}
-		return jsonBody(body, v.fingerprint), nil
+		return encode(curves)
 	})
-}
-
-// windowCurves answers one [since, until) window's per-continent CDF
-// curves. The index path composes them from the published view's
-// resident prefix rows plus a count-only fold of the boundary blocks; it
-// reads no sidecar bytes and selects nothing. The counts are the ones a
-// scan's distributions would yield, so the response bytes are identical
-// either way; without a usable index view the window falls back to the
-// scan. Building the curves' points counts as encode.
-func (e *Engine) windowCurves(ctx context.Context, v *snapshotView, pred *colf.Predicate, st *stageTimes) ([]continentCurve, error) {
-	var curves []continentCurve
-	ok, err := e.windowIndex(ctx, v, pred, func(res *tix.Result) error {
-		st.addQuery(res.Stats)
-		t0 := time.Now()
-		for _, ct := range res.Continents() {
-			curves = append(curves, continentCurve{ct: ct, n: res.N(ct), curve: res.Curve(ct)})
-		}
-		st[stageEncode] += time.Since(t0)
-		return nil
-	})
-	if ok || err != nil {
-		return curves, err
-	}
-	rep, err := e.windowScan(ctx, v, pred, st)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	defer func() { st[stageEncode] += time.Since(t0) }()
-	grid := core.DefaultGrid()
-	for _, ct := range rep.Continents() {
-		curve, err := rep.Curve(ct, grid)
-		if err != nil {
-			return nil, err
-		}
-		curves = append(curves, continentCurve{ct: ct, n: rep.N(ct), curve: curve})
-	}
-	return curves, nil
 }
 
 // windowIndex answers one window through the published temporal index
-// view: it queries the view and hands the result to answer. It reports
+// view: it queries the view, hands the result to answer and releases it,
+// so answer must render all it needs from it before returning. It reports
 // false with no error when the window must be scanned instead: no index
 // view (disabled or invalidated), or a query or answer that failed —
 // counted and logged, never served. A deadline expiry or an abandoned
@@ -480,13 +490,15 @@ func (e *Engine) windowIndex(ctx context.Context, v *snapshotView, pred *colf.Pr
 	res, err := v.tixView.Query(ctx, e.f, v.blocks, pred.Since, pred.Until, e.idx)
 	if err == nil {
 		err = answer(res)
-	}
-	if err == nil {
-		m.WindowIndexQueries.Inc()
-		m.WindowIndexNodes.Add(uint64(res.Stats.Nodes))
-		m.WindowIndexEdgeBlocks.Add(uint64(res.Stats.EdgeBlocks))
-		m.WindowIndexEdgeDecodes.Add(uint64(res.Stats.EdgeDecodes))
-		return true, nil
+		qs := res.Stats
+		res.Release() // answer is done with it
+		if err == nil {
+			m.WindowIndexQueries.Inc()
+			m.WindowIndexNodes.Add(uint64(qs.Nodes))
+			m.WindowIndexEdgeBlocks.Add(uint64(qs.EdgeBlocks))
+			m.WindowIndexEdgeDecodes.Add(uint64(qs.EdgeDecodes))
+			return true, nil
+		}
 	}
 	if fillEnded(m, err) {
 		return false, err

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/colf"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
@@ -276,7 +275,7 @@ func TestServeCDFIndexPathGate(t *testing.T) {
 	// recorder. Scheduling delay only adds time, so each part is taken at
 	// its least over as many fills and baselines, alternated so that both
 	// see the same load: the time in the stages, the time outside them
-	// and the baseline. A /cdf builds its curves' points under encode; a
+	// and the baseline. A /cdf renders its curves from counts under encode; a
 	// windowed quantile, which is what pays for slabs and selection,
 	// reads its slabs inside the render.
 	const fills = 41
@@ -340,34 +339,6 @@ func TestServeCDFIndexPathGate(t *testing.T) {
 	if m.WindowSlabBytes.Value() == 0 || m.WindowStageSeconds.With(stageNames[stageSelect]).Count() != fills+1 {
 		t.Fatalf("windowed quantile read %d slab bytes over %d selections", m.WindowSlabBytes.Value(),
 			m.WindowStageSeconds.With(stageNames[stageSelect]).Count())
-	}
-}
-
-// TestWindowCurvesCountsPointsAsEncode: building a window's curve
-// points is encode work on the index path and on the scan fallback
-// alike, so /cdf's stages cover it and not only the body rendering.
-func TestWindowCurvesCountsPointsAsEncode(t *testing.T) {
-	f := newFixture(t, 200)
-	f.appendBlocks(t)
-	scanEng, _ := f.newEngine(t)
-	tixEng, _ := f.newTixEngine(t)
-	pred := &colf.Predicate{Since: f.cfg.Start.Add(26 * time.Hour), Until: f.cfg.Start.Add(15 * 24 * time.Hour)}
-	for _, c := range []struct {
-		name string
-		e    *Engine
-		path stage
-	}{{"scan", scanEng, stageScan}, {"index", tixEng, stageGridCompose}} {
-		if err := c.e.Refresh(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		var st stageTimes
-		curves, err := c.e.windowCurves(context.Background(), c.e.cur.Load(), pred, &st)
-		if err != nil || len(curves) == 0 {
-			t.Fatalf("%s: %d curves, %v", c.name, len(curves), err)
-		}
-		if st[c.path] == 0 || st[stageEncode] == 0 {
-			t.Errorf("%s path: %s %v, encode %v", c.name, stageNames[c.path], st[c.path], st[stageEncode])
-		}
 	}
 }
 

@@ -712,7 +712,7 @@ func heldBodies(t testing.TB, v *snapshotView) map[string][]byte {
 					Continent: ct.String(), Code: ct.Code(), Samples: rep.N(ct), Value: val,
 				})
 			}
-			resp, err := jsonResponse(body, v.fingerprint)
+			resp, err := jsonResponse(nil, body, v.fingerprint)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -159,10 +159,14 @@ func (d *Dist) CDF(x float64) (float64, error) {
 	if d.N() == 0 {
 		return 0, ErrEmpty
 	}
+	return float64(d.Count(x)) / float64(d.N()), nil
+}
+
+// Count returns how many samples are <= x: the integer CDF divides by N.
+func (d *Dist) Count(x float64) int {
 	d.ensureSorted()
 	// Count of samples <= x == index of the first sample > x.
-	idx := sort.SearchFloat64s(d.samples, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(d.N()), nil
+	return sort.SearchFloat64s(d.samples, math.Nextafter(x, math.Inf(1)))
 }
 
 // CDFPoint is one (x, P(X<=x)) pair of an empirical CDF curve.

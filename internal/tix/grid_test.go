@@ -43,8 +43,8 @@ func TestCurvePathReadsNoSlabs(t *testing.T) {
 		t.Fatalf("full window composed %d of %d records", res.Stats.Nodes, len(f.blocks))
 	}
 	for _, ct := range res.Continents() {
-		if len(res.Curve(ct)) != 400 || res.N(ct) == 0 {
-			t.Fatalf("%v: curve of %d points over %d samples", ct, len(res.Curve(ct)), res.N(ct))
+		if len(res.Counts(ct)) != 400 || res.N(ct) == 0 {
+			t.Fatalf("%v: %d grid counts over %d samples", ct, len(res.Counts(ct)), res.N(ct))
 		}
 	}
 	if st := res.Stats; st.SlabBytes != 0 || st.SlabRead != 0 || st.Select != 0 {
@@ -302,8 +302,8 @@ func TestBeyondGridDifferential(t *testing.T) {
 			assertCurvesIdentical(t, res, want)
 			assertQuantilesIdentical(t, res, want)
 			if n := res.N(geo.Oceania); n > 0 {
-				if c := res.Curve(geo.Oceania); c[len(c)-1].P != 0 {
-					t.Fatalf("window %d: Oceania reports only past the grid, yet its curve reaches %v", i, c[len(c)-1].P)
+				if c := res.Counts(geo.Oceania); c[len(c)-1] != 0 {
+					t.Fatalf("window %d: Oceania reports only past the grid, yet %d samples lie on it", i, c[len(c)-1])
 				}
 				zeroBins = true
 			}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,10 +21,10 @@ import (
 // stored when it was taken. Views are safe for concurrent use and for
 // use concurrent with a later Extend on the parent Index.
 type View struct {
-	f        *os.File
-	recs     []blockRec
-	cum      []prefix
-	decoders *sync.Pool
+	f    *os.File
+	recs []blockRec
+	cum  []prefix
+	pool *pools
 }
 
 // EdgeCodeBytes reports, by capacity, the edge codes resident in v's records.
@@ -77,9 +76,11 @@ type piece struct {
 }
 
 // Result is a materialized window: the row totals [since, until)
-// covers and its per-continent sample counts and CDF curves — composed
-// eagerly, from prefix rows and folded bins — and, on demand, the
-// per-continent order statistics behind quantiles.
+// covers and its per-continent sample counts over the figure grid —
+// composed eagerly, from prefix rows and folded bins — and, on demand,
+// the per-continent order statistics behind quantiles. A Result comes
+// from a pool its View shares with the Index and its other Views;
+// Release hands it back.
 type Result struct {
 	Rows      uint64 // rows inside the window
 	Delivered uint64 // delivered rows inside the window
@@ -137,23 +138,31 @@ func (r *Result) Samples() int {
 	return n
 }
 
-// Curve returns one continent's CDF curve over the fixed figure grid
-// (x = 1..400 ms, core.DefaultGrid), composed purely from prefix rows
-// and edge folds — no pass over the samples. Every P value equals
-// float64(samples <= x) / float64(N), the exact division Dist.CDF
-// performs, so a figure rendered from these points is bit-identical to
-// one swept from the window's samples. A continent with no samples has
-// no curve.
-func (r *Result) Curve(ct geo.Continent) []stats.CDFPoint {
-	n := r.cum[ct][curveBins]
-	if n == 0 {
-		return nil
+// Counts returns one continent's cumulative counts over the fixed
+// figure grid (x = 1..400 ms, core.DefaultGrid), composed purely from
+// prefix rows and edge folds — no pass over the samples. Element k
+// counts the samples <= k+1 ms: the integer Dist.CDF divides by N at
+// that grid point, so a curve rendered from these counts is
+// bit-identical to one swept from the window's samples. The slice
+// aliases r and is valid until Release.
+func (r *Result) Counts(ct geo.Continent) []uint64 { return r.cum[ct][:curveBins:curveBins] }
+
+// Release hands r back to its View's pool for a later Query to reuse.
+// The counts are zeroed; the edge value lists, slab buffer and gather
+// candidates keep their capacity; the references to the view, store,
+// block list and codes go, so a pooled Result pins no retired view.
+// Neither r nor a slice it returned may be used afterwards. A Result
+// never released is simply collected.
+func (r *Result) Release() {
+	p := r.v.pool
+	edge, buf, cand, runs, pieces := r.edge, r.buf[:0], r.gather.cand[:0], r.runs[:0], r.pieces
+	clear(pieces) // a frontier block's codes belong to no record
+	*r = Result{buf: buf, runs: runs, pieces: pieces[:0]}
+	for ct := range edge {
+		r.edge[ct] = edge[ct][:0]
 	}
-	pts := make([]stats.CDFPoint, curveBins)
-	for k := range pts {
-		pts[k] = stats.CDFPoint{X: float64(k + 1), P: float64(r.cum[ct][k]) / float64(n)}
-	}
-	return pts
+	r.gather.cand = cand
+	p.results.Put(r)
 }
 
 // Query materializes the window [since, until) over the store's sealed
@@ -170,7 +179,8 @@ func (r *Result) Curve(ct geo.Continent) []stats.CDFPoint {
 // validated and extended against (or a prefix-consistent extension of
 // it — extra blocks past the frontier are decoded). store is the
 // samples file; cls resolves probes exactly as at build time. The
-// context is checked once per block, here and in Load.
+// context is checked once per block, here and in Load. The caller may
+// Release the Result once done with it.
 func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.BlockInfo, since, until time.Time, cls Continents) (*Result, error) {
 	if cls == nil {
 		return nil, fmt.Errorf("tix: nil continent resolver")
@@ -184,10 +194,14 @@ func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.Block
 	if !until.IsZero() {
 		untilN = until.UnixNano()
 	}
-	res := &Result{ctx: ctx, v: v, store: store, blocks: blocks}
+	res, _ := v.pool.results.Get().(*Result)
+	if res == nil {
+		res = new(Result)
+	}
+	res.ctx, res.v, res.store, res.blocks = ctx, v, store, blocks
 	st := &res.Stats
-	dec := decoder(v.decoders)
-	defer v.decoders.Put(dec)
+	dec := v.pool.decoder()
+	defer v.pool.decoders.Put(dec)
 
 	runStart := -1 // start of the current covered run of records, -1 if none
 	flush := func(end int) {
@@ -200,6 +214,7 @@ func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.Block
 	folded := 0 // rows counted from codes
 	for i, bi := range blocks {
 		if err := ctx.Err(); err != nil {
+			res.Release()
 			return nil, err
 		}
 		match := pred.MatchZone(bi.Zone)
@@ -224,6 +239,7 @@ func (v *View) Query(ctx context.Context, store io.ReaderAt, blocks []colf.Block
 		}
 		e, err := v.codes(dec, store, i, bi, cls.ContinentTable(), !covered, st)
 		if err != nil {
+			res.Release()
 			return nil, fmt.Errorf("tix: block %d: %w", i, err)
 		}
 		t1 := time.Now()
@@ -314,10 +330,10 @@ func (r *Result) load() error {
 		for _, run := range r.runs {
 			n -= r.v.cum[run[1]].bins[ct][curveBins] - r.v.cum[run[0]].bins[ct][curveBins]
 		}
-		r.edge[ct] = make([]float64, 0, n)
+		r.edge[ct] = slices.Grow(r.edge[ct][:0], int(n))
 	}
-	dec := decoder(r.v.decoders)
-	defer r.v.decoders.Put(dec)
+	dec := r.v.pool.decoder()
+	defer r.v.pool.decoders.Put(dec)
 	for _, p := range r.pieces {
 		if err := r.ctx.Err(); err != nil {
 			return err

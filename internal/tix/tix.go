@@ -120,16 +120,25 @@ type Index struct {
 	cum  []prefix   // cum[i] totals blocks [0, i); len(recs)+1 rows
 	size int64      // current file size (append offset)
 	dec  *colf.BlockDecoder
-	// decoders keeps idle block decoders for queries: a decode fills ~25
-	// bytes of column buffers per row, and a query that allocated them
-	// afresh would hand the collector a megabyte per request.
-	decoders *sync.Pool
+	pool *pools
 }
 
-// decoder takes an idle decoder from pool (or makes one); the caller
-// puts it back. A decoded block is only valid until then.
-func decoder(pool *sync.Pool) *colf.BlockDecoder {
-	if d, ok := pool.Get().(*colf.BlockDecoder); ok {
+// pools keeps the idle query scratch an Index and all its Views share.
+type pools struct {
+	// decoders: a decode fills ~25 bytes of column buffers per row, and
+	// a query that allocated them afresh would hand the collector a
+	// megabyte per request.
+	decoders sync.Pool
+	// results: a Result carries 22 KB of counts, and once asked for
+	// quantiles its edge values, slab chunks and gather candidates; a
+	// released Result keeps them all for the next Query.
+	results sync.Pool
+}
+
+// decoder takes an idle decoder from the pool (or makes one); the
+// caller puts it back. A decoded block is only valid until then.
+func (p *pools) decoder() *colf.BlockDecoder {
+	if d, ok := p.decoders.Get().(*colf.BlockDecoder); ok {
 		return d
 	}
 	return colf.NewBlockDecoder()
@@ -151,8 +160,8 @@ func Open(path string, b Binding, blocks []colf.BlockInfo, log *slog.Logger) (*I
 	}
 	ix := &Index{
 		path: path, f: f, binding: b, log: log,
-		dec:      colf.NewBlockDecoder(),
-		decoders: &sync.Pool{},
+		dec:  colf.NewBlockDecoder(),
+		pool: new(pools),
 	}
 	if err := ix.load(blocks); err != nil {
 		f.Close()
@@ -542,5 +551,5 @@ func (ix *Index) Close() error { return ix.f.Close() }
 // see, so a later Extend never races a concurrent Query.
 func (ix *Index) View() *View {
 	n := len(ix.recs)
-	return &View{f: ix.f, recs: ix.recs[:n:n], cum: ix.cum[: n+1 : n+1], decoders: ix.decoders}
+	return &View{f: ix.f, recs: ix.recs[:n:n], cum: ix.cum[: n+1 : n+1], pool: ix.pool}
 }

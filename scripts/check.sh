@@ -90,8 +90,12 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # no slab (nothing to select over), never scans, and allocates a bounded
 # number of objects, and that the Server-Timing stages of a /cdf and of
 # a windowed /quantile (slab_read among them) each sum to within 10 % of
-# the fill, and building a /cdf's curve points is counted under encode on
-# the index and the scan path; the corrupt-slab
+# the fill; a warm windowed /cdf and a warm windowed /quantile through
+# the handler each allocate at most 8 KB (pooled tix Results and body
+# buffers: no per-window garbage), and concurrent clients filling
+# distinct windows through those pools get the index-less engine's
+# bodies while the shared figure bodies stay byte-identical (also run
+# under -race above); the corrupt-slab
 # tests that a slab chunk damaged after open fails the quantile's
 # per-chunk CRC (and falls back to the scan), while damage in a chunk no
 # quantile reads changes no answer. Edge blocks decode once: the tix
@@ -110,7 +114,9 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # error; the selection kernel it calls lives in internal/stats, pinned
 # against sorting there. The radix sort Extend orders each block's
 # slabs with equals slices.Sort bit for bit (sizes 0 to 5 000,
-# duplicates, negative values, a real block's slabs). The resident
+# duplicates, negative values, a real block's slabs). The tix
+# differential against a cold fold releases each window's Result before
+# the next, so it also pins a reused Result's answers. The resident
 # report is pinned the same way: a HotSuite updated by delta after every Advance
 # against a cold scan at every boundary (its work counted: the rows each
 # update gathers, and the buffered rows it reads — no more than the step
@@ -129,10 +135,15 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # curve-value kernel is pinned to strconv byte for byte (every c/n with
 # n <= 2000, powers of two +- 64 ulps, a million random values, k·1e-6
 # and k·1e-7), and what it declines still renders as encoding/json does.
-go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestWindowCurvesCountsPointsAsEncode|TestServeCorruptSlabFallsBack|TestServeBackwardTimeFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestCurvePMatchesStrconv|TestCurvePDeclines|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
+go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestWarmWindowFillAllocs|TestConcurrentFillsKeepTheirBodies|TestServeCorruptSlabFallsBack|TestServeBackwardTimeFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestCurvePMatchesStrconv|TestCurvePDeclines|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
 go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestNearestObserveBlockSteadyStateAllocs|TestNearestChunkBytes|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount|TestLastMileOutOfOrderTime' ./internal/core
-go test -count=1 -run 'TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather|TestSortSlabMatchesSort|TestEdgeCodesDifferential|TestWarmEdgeReadsNoStore|TestBackwardTimeFailsQuery|TestCRCDamagedEdgeBlock|TestViewsShareEdgeCodes' ./internal/tix
+go test -count=1 -run 'TestQueryMatchesColdFold|TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather|TestSortSlabMatchesSort|TestEdgeCodesDifferential|TestWarmEdgeReadsNoStore|TestBackwardTimeFailsQuery|TestCRCDamagedEdgeBlock|TestViewsShareEdgeCodes' ./internal/tix
 go test -count=1 -run 'TestSelectRankMatchesSort|TestSummarizeMatchesSort' ./internal/stats
+
+echo "== benchtraj (verdict arithmetic) =="
+# The pair driver's quartiles, pair wins, claim rule and bounds; its
+# tests run nothing and time nothing.
+go test -count=1 ./scripts/benchtraj
 
 echo "== campaign allocation gate =="
 # Like the windowed index gate, without the race detector so the
