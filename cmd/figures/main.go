@@ -292,9 +292,8 @@ func loadWorld(o options, r *cmdrun.Run) (*world.World, *dataset, error) {
 		d.store, d.start = store, meta.Start
 		// -snapshot off is the same scan without a snapshot path.
 		d.snap = core.SnapshotOptions{
-			RefreshFactor: core.DefaultRefreshFactor,
-			Metrics:       r.SnapMetrics(),
-			Log:           r.Log().With("component", "snap"),
+			Metrics: r.SnapMetrics(),
+			Log:     r.Log().With("component", "snap"),
 		}
 		own := o.probes == meta.Probes && o.seed == meta.Seed
 		if !own {

@@ -217,7 +217,7 @@ func TestSelectedPassesMatchCold(t *testing.T) {
 			}
 			appendTo(t, store, all[:cut(0.4)])
 			appendTo(t, store, all[cut(0.4):cut(0.8)])
-			so := core.SnapshotOptions{Path: store.SnapshotPath(), RefreshFactor: core.DefaultRefreshFactor}
+			so := core.SnapshotOptions{Path: store.SnapshotPath()}
 			if _, _, err := core.ScanStoreSnap(context.Background(), store, w.Index, cfg.Start, 7*24*time.Hour, 2, nil, so); err != nil {
 				t.Fatal(err)
 			}

@@ -358,11 +358,10 @@ func run(o options) (err error) {
 	// the table and the §4.1 provider table. The scan also writes the
 	// run's one snapshot, covering every block.
 	so := core.SnapshotOptions{
-		Path:          store.SnapshotPath(),
-		Metrics:       r.SnapMetrics(),
-		RefreshFactor: core.DefaultRefreshFactor,
-		Log:           logger.With("component", "snap"),
-		Passes:        core.PassProvider,
+		Path:    store.SnapshotPath(),
+		Metrics: r.SnapMetrics(),
+		Log:     logger.With("component", "snap"),
+		Passes:  core.PassProvider,
 	}
 	for _, f := range figures.Table {
 		so.Passes |= f.Passes

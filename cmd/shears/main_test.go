@@ -711,7 +711,7 @@ func TestRunWritesSnapshotOnce(t *testing.T) {
 	}
 	sm := snap.NewMetrics(obs.NewRegistry())
 	_, st, err := core.ScanStoreSnap(context.Background(), store, w.Index, atlas.TestCampaign().Start, 7*24*time.Hour, 2, nil,
-		core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: core.PassProximity})
+		core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Passes: core.PassProximity})
 	if err != nil {
 		t.Fatal(err)
 	}

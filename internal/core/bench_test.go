@@ -92,7 +92,7 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 			sm := snap.NewMetrics(obs.NewRegistry())
 			b.StartTimer()
 			_, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, 7*24*time.Hour, 0, nil,
-				core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: core.PassProximity | core.PassMinRTT})
+				core.SnapshotOptions{Path: snapPath, Metrics: sm, Passes: core.PassProximity | core.PassMinRTT})
 			b.StopTimer()
 			if err != nil {
 				b.Fatal(err)

@@ -9,6 +9,10 @@ import "repro/internal/geo"
 // report carries (NearestPass.Significance).
 func (h *HotSuite) Suite() *Suite { return h.suite }
 
+// Finalize reports every pass the suite holds, for a suite a test
+// folded itself.
+func (s *Suite) Finalize() (*SuiteReport, error) { return s.report(s.sel) }
+
 // ResidentWork reports how many rows the last Figure 6 and Figure 7
 // updates gathered (added plus removed) and how many buffered rows each
 // read, -1 for a figure whose resident multisets were never built.

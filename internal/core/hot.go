@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/colf"
@@ -26,14 +25,8 @@ import (
 // A HotSuite is not safe for concurrent use; the serving layer advances
 // it from a single refresher goroutine and publishes immutable reports.
 type HotSuite struct {
-	idx      *Index
-	start    time.Time
-	binWidth time.Duration
-
-	suite        *Suite
-	samples      uint64
-	coveredBytes int64
-	blocks       []colf.BlockInfo // every block folded so far, in file order
+	covered
+	folded []colf.BlockInfo // every block folded so far, in file order
 }
 
 // hotPasses are the figures the serving layer publishes (4 to 7).
@@ -45,34 +38,27 @@ const hotPasses = PassProximity | PassMinRTT | PassFullDist | PassLastMile
 // never comes from a snapshot: the options are ignored (the parameter
 // stays for callers that still pass one).
 func NewHotSuite(store *results.Store, idx *Index, start time.Time, binWidth time.Duration, _ SnapshotOptions) (*HotSuite, error) {
-	if store == nil || idx == nil {
-		return nil, errors.New("core: nil store or index")
+	f, size, err := openSamples(store, idx)
+	if err != nil {
+		return nil, err
 	}
+	defer f.Close()
 	s, err := NewSuite(idx, start, binWidth)
 	if err != nil {
 		return nil, err
 	}
 	s.sel = hotPasses
-	h := &HotSuite{idx: idx, start: start, binWidth: binWidth, suite: s, coveredBytes: colf.HeaderSize}
-	f, err := os.Open(store.SamplesPath())
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size() <= colf.HeaderSize {
+	h := &HotSuite{covered: covered{idx: idx, start: start, binWidth: binWidth, sel: hotPasses, suite: s}}
+	if size <= colf.HeaderSize {
 		return h, nil
 	}
 	// A live store may end in a block the campaign is still writing: fold
 	// the complete ones, and a later Advance takes the rest.
-	blocks, stableEnd, err := colf.Locate(f, fi.Size(), colf.HeaderSize)
+	blocks, _, err := colf.Locate(f, size, colf.HeaderSize)
 	if err != nil && !errors.Is(err, colf.ErrTorn) {
 		return nil, fmt.Errorf("core: indexing store: %w", err)
 	}
-	if _, err := h.Advance(context.Background(), f, fi.Size(), blocks, stableEnd, scan.Config{}); err != nil {
+	if _, err := h.Advance(context.Background(), f, size, blocks, scan.Config{}); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -80,33 +66,22 @@ func NewHotSuite(store *results.Store, idx *Index, start time.Time, binWidth tim
 
 // Advance folds blocks — the complete blocks appended since the
 // covered boundary, located by the caller (colf.Locate) against its
-// long-lived data source r — into the resident state.
-// stableEnd is the boundary the blocks reach; a torn tail past it waits
-// for the next Advance. On error the resident state is unchanged and
-// still serviceable: a failed Advance loses freshness, never
-// correctness.
-func (h *HotSuite) Advance(ctx context.Context, r io.ReaderAt, size int64, blocks []colf.BlockInfo, stableEnd int64, cfg scan.Config) (scan.Stats, error) {
+// long-lived data source r — into the resident state; a torn tail past
+// them waits for the next Advance. On error the resident state is
+// unchanged and still serviceable: a failed Advance loses freshness,
+// never correctness.
+func (h *HotSuite) Advance(ctx context.Context, r io.ReaderAt, size int64, blocks []colf.BlockInfo, cfg scan.Config) (scan.Stats, error) {
 	if len(blocks) == 0 {
 		return scan.Stats{}, nil
 	}
-	if blocks[0].Off != h.coveredBytes {
-		return scan.Stats{}, fmt.Errorf("core: delta starts at offset %d, covered boundary is %d", blocks[0].Off, h.coveredBytes)
+	if covered, _ := h.Covered(); blocks[0].Off != covered {
+		return scan.Stats{}, fmt.Errorf("core: delta starts at offset %d, covered boundary is %d", blocks[0].Off, covered)
 	}
-	delta, st, err := fold(h.idx, h.start, h.binWidth, h.suite.sel, func(newPasses func(int) ([]scan.Pass, error)) (scan.Stats, error) {
-		cfg.NewPasses = newPasses
-		return scan.Blocks(ctx, cfg, r, size, blocks, len(h.blocks), h.coveredBytes)
-	})
-	if err != nil {
-		return st, err
+	st, err := h.advance(ctx, cfg, r, size, blocks)
+	if err == nil {
+		h.folded = append(h.folded, blocks...)
 	}
-	// Receiver-first: the resident suite covers the earlier bytes.
-	if err := h.suite.Merge(delta); err != nil {
-		return st, err
-	}
-	h.samples += st.Samples
-	h.coveredBytes = stableEnd
-	h.blocks = append(h.blocks, blocks...)
-	return st, nil
+	return st, err
 }
 
 // Report finalizes the resident state into a fresh figure report whose
@@ -117,18 +92,19 @@ func (h *HotSuite) Report() (*SuiteReport, error) {
 	if h.samples == 0 {
 		return nil, ErrEmptyStore
 	}
-	return h.suite.Report()
+	return h.report(h.sel)
 }
 
-// Covered reports the store prefix the resident state summarizes.
+// Covered reports the store prefix the resident state summarizes: the
+// header alone until a block is folded.
 func (h *HotSuite) Covered() (bytes int64, blocks int) {
-	return h.coveredBytes, len(h.blocks)
+	return max(h.bytes, colf.HeaderSize), h.blocks
 }
 
 // Blocks returns the blocks folded so far, in file order: the block
 // list of the covered prefix. Advance only appends, so a prefix of the
 // slice taken with a capped length stays valid; don't mutate it.
-func (h *HotSuite) Blocks() []colf.BlockInfo { return h.blocks }
+func (h *HotSuite) Blocks() []colf.BlockInfo { return h.folded }
 
 // ResidentBytes reports the bytes of the NearestPass row buffer (chunks,
 // best rows and row chain) and of the Figure 6/7 multisets.

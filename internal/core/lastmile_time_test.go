@@ -108,11 +108,11 @@ func TestLastMileOutOfOrderTime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blocks, stable, err := colf.Locate(f, fi.Size(), covered)
+			blocks, _, err := colf.Locate(f, fi.Size(), covered)
 			if err != nil || len(blocks) == 0 {
 				t.Fatalf("located %d blocks past %d: %v", len(blocks), covered, err)
 			}
-			if _, err := hot.Advance(ctx, f, fi.Size(), blocks, stable, scan.Config{Workers: 2}); err != nil {
+			if _, err := hot.Advance(ctx, f, fi.Size(), blocks, scan.Config{Workers: 2}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -108,11 +108,16 @@ func TestPartialSuiteNeverEncodes(t *testing.T) {
 	}
 	path := filepath.Join(dir, "samples.snap")
 	so := SnapshotOptions{Path: path}
-	st := scan.Stats{DataEnd: end, BlocksTotal: 1}
-	if err := writeSnapshot(context.Background(), path, store, f.idx, f.cfg.Start, passBinWidth, s, 2000, st, so); err == nil {
-		t.Error("partial suite written as a snapshot")
+	data, err := os.Open(store.SamplesPath())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := writeIfDue(context.Background(), store, f.idx, f.cfg.Start, passBinWidth, s, 2000, st, so); err != nil {
+	defer data.Close()
+	c := &covered{idx: f.idx, start: f.cfg.Start, binWidth: passBinWidth, suite: s, samples: 2000, bytes: end, blocks: 1}
+	if _, err := c.snapshotImage(data, store); err == nil {
+		t.Error("partial suite framed as a snapshot")
+	}
+	if err := c.writeIfDue(context.Background(), data, store, scan.Stats{DataEnd: end, BlocksTotal: 1}, so); err != nil {
 		t.Errorf("a suite without both snapshot passes is not due a write: %v", err)
 	}
 	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
@@ -159,7 +164,7 @@ func TestStoreGrowsAfterGateDecision(t *testing.T) {
 				end = writeSession(t, sink, smps[lo:hi])
 			}
 			sm := snap.NewMetrics(obs.NewRegistry())
-			so := SnapshotOptions{Path: store.SnapshotPath(), RefreshFactor: DefaultRefreshFactor, Metrics: sm, Passes: sel}
+			so := SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Passes: sel}
 			if _, err := UpdateSnapshot(ctx, store, f.idx, f.cfg.Start, passBinWidth, 2, nil, so); err != nil {
 				t.Fatal(err)
 			}
@@ -211,23 +216,37 @@ func TestStoreGrowsAfterGateDecision(t *testing.T) {
 				return
 			}
 
-			prefix, covered, resume := loadSnapshot(so.Path, store, f.idx, f.cfg.Start, passBinWidth, so)
-			if prefix == nil || prefix.sel != snapshotPasses || covered != 40000 {
-				t.Fatalf("loaded prefix = %v over %d samples, want the snapshot passes over 40000", prefix, covered)
-			}
-			grow(41000, 60000) // now 50 %: above it
-
-			merged, total, st, err := scanSeeded(ctx, store, f.idx, f.cfg.Start, passBinWidth, 2, nil, so, snapshotPasses, prefix, covered, resume)
+			data, err := os.Open(store.SamplesPath())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if total != 60000 || st.Samples != 20000 {
-				t.Errorf("folded %d samples (%d scanned), want 60000 (20000)", total, st.Samples)
+			defer data.Close()
+			size := func() int64 {
+				t.Helper()
+				fi, err := data.Stat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fi.Size()
+			}
+			merged := &covered{idx: f.idx, start: f.cfg.Start, binWidth: passBinWidth, sel: snapshotPasses}
+			merged.loadSnapshot(data, size(), store, so)
+			if merged.suite == nil || merged.suite.sel != snapshotPasses || merged.samples != 40000 {
+				t.Fatalf("loaded prefix = %v over %d samples, want the snapshot passes over 40000", merged.suite, merged.samples)
+			}
+			grow(41000, 60000) // now 50 %: above it
+
+			st, err := merged.advanceTo(ctx, scan.Config{Workers: 2}, data, size())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if merged.samples != 60000 || st.Samples != 20000 {
+				t.Errorf("folded %d samples (%d scanned), want 60000 (20000)", merged.samples, st.Samples)
 			}
 			if !so.rewriteDue(st) {
 				t.Fatal("the grown delta does not trip the gate; the test store is too small")
 			}
-			if err := writeIfDue(ctx, store, f.idx, f.cfg.Start, passBinWidth, merged, total, st, so); err != nil {
+			if err := merged.writeIfDue(ctx, data, store, st, so); err != nil {
 				t.Fatal(err)
 			}
 			if sm.Writes.Value() != 2 {

@@ -22,7 +22,7 @@ import (
 // and after every step a HotSuite advances over the new blocks and
 // reports, so each report runs the update, not a cold build. At every
 // boundary the report must equal a cold ScanStoreSnap of the same store:
-// Figures 4–8 lines and CSVs, Figure 6's N and quantiles per continent,
+// the samples it counts, Figures 4–8 lines and CSVs, Figure 6's N and quantiles per continent,
 // Figure 7's points, and the on-demand KS result must equal a cold
 // suite's. The campaign steps must move at least 100 probes' nearest
 // region between them. Two pass-selective suites, one reporting only
@@ -95,11 +95,11 @@ func TestResidentReportMatchesColdEveryStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks, end, err := colf.Locate(f, fi.Size(), covered)
+		blocks, _, err := colf.Locate(f, fi.Size(), covered)
 		if err != nil || len(blocks) == 0 {
 			t.Fatalf("located %d blocks past %d: %v", len(blocks), covered, err)
 		}
-		if _, err := hot.Advance(ctx, f, fi.Size(), blocks, end, scan.Config{Workers: 2}); err != nil {
+		if _, err := hot.Advance(ctx, f, fi.Size(), blocks, scan.Config{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 		for sel, resident := range selective {
@@ -131,7 +131,7 @@ func TestResidentReportMatchesColdEveryStep(t *testing.T) {
 		if err := resident.Merge(parts[0]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := resident.Report(); err != nil {
+		if _, err := resident.Finalize(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,6 +201,9 @@ func TestResidentReportMatchesColdEveryStep(t *testing.T) {
 		if !bytes.Equal(renderSuite(t, rep), renderSuite(t, cold)) {
 			t.Errorf("step %d: resident figures differ from the cold scan's", step)
 		}
+		if rep.Samples != cold.Samples || rep.Samples != uint64(len(written)) {
+			t.Errorf("step %d: resident report counts %d samples, the cold scan %d, the store holds %d", step, rep.Samples, cold.Samples, len(written))
+		}
 		for _, ct := range geo.Continents() {
 			if got, want := rep.FullDist.N(ct), cold.FullDist.N(ct); got != want {
 				t.Errorf("step %d %v: Figure 6 N %d, cold %d", step, ct, got, want)
@@ -225,7 +228,7 @@ func TestResidentReportMatchesColdEveryStep(t *testing.T) {
 
 		coldCSVs := figureCSVs(t, cold)
 		for sel, resident := range selective {
-			srep, err := resident.Report()
+			srep, err := resident.Finalize()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"io/fs"
 	"log/slog"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/colf"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/scan"
@@ -52,18 +54,15 @@ type SnapshotOptions struct {
 	Path string
 	// Metrics, when set, receives snap_* instruments.
 	Metrics *snap.Metrics
-	// RefreshFactor gates the snapshot rewrite after a resumed scan: the
-	// file is rewritten only once the newly scanned suffix exceeds
-	// RefreshFactor × the covered prefix size (cold scans always write).
-	// Zero rewrites on any new data. Deferring a rewrite is never a
-	// correctness risk — the next scan simply re-reads the same small
-	// suffix.
+	// RefreshFactor is ignored: a resumed scan rewrites the file once
+	// its delta reaches DefaultRefreshFactor × the covered prefix. The
+	// field stays for callers that still set it.
 	RefreshFactor float64
 	// Log, when set, receives snapshot lifecycle events (hit, miss,
 	// invalidation, write) for the run's flight recorder.
 	Log *slog.Logger
 	// Passes names the passes the caller will read from the report; the
-	// others come back nil. The zero value reports all six. A non-zero
+	// others come back nil. The zero value reports all five. A non-zero
 	// set within the two snapshot passes (Figures 4 and 5) is the only
 	// kind that opens the file at Path: it folds both, so it can resume
 	// and rewrite. Any other set scans cold over exactly its passes,
@@ -88,23 +87,20 @@ func (so SnapshotOptions) resumes() bool {
 // rewriteDue is the refresh gate, asked after every scan: cold scans
 // always write, a pure hit never does — the file already holds exactly
 // that state — and a resumed scan writes once its delta reaches
-// RefreshFactor × the covered prefix.
+// DefaultRefreshFactor × the covered prefix. Deferring a rewrite is
+// never a correctness risk: the next scan re-reads the same small
+// suffix.
 func (so SnapshotOptions) rewriteDue(st scan.Stats) bool {
 	if so.Path == "" {
 		return false
 	}
-	if st.PrefixBytes == 0 {
-		return true
-	}
-	delta := st.DataEnd - st.PrefixBytes
-	return delta != 0 && (so.RefreshFactor <= 0 || float64(delta) >= so.RefreshFactor*float64(st.PrefixBytes))
+	return st.PrefixBytes == 0 || float64(st.DataEnd-st.PrefixBytes) >= DefaultRefreshFactor*float64(st.PrefixBytes)
 }
 
-// DefaultRefreshFactor is the refresh gate the CLIs use: the snapshot
-// is rewritten once the unscanned suffix passes 1/16 of the covered
-// prefix, keeping any later resumed scan within ~6% of a cold scan's
-// decode volume while snapshot rewrites stay logarithmic in store
-// growth.
+// DefaultRefreshFactor is the refresh gate: the snapshot is rewritten
+// once the unscanned suffix passes 1/16 of the covered prefix, keeping
+// any later resumed scan within ~6% of a cold scan's decode volume while
+// snapshot rewrites stay logarithmic in store growth.
 const DefaultRefreshFactor = 1.0 / 16
 
 // Fingerprint hashes the index's analysis-relevant attributes: probe
@@ -348,190 +344,171 @@ func decodeCoverage(cur *snap.Cursor) (coverage, error) {
 	return c, err
 }
 
-// snapshotBinding is what a snapshot of store binds to: the pass set and
+// binding is what a snapshot of c over store binds to: the pass set and
 // figure geometry, the probe index and the campaign meta.
-func snapshotBinding(store *results.Store, idx *Index, start time.Time, binWidth time.Duration) snap.Binding {
-	return snap.Binding{PassSet: passSetID(start, binWidth), Index: idx.Fingerprint(), Meta: MetaFingerprint(store.Meta())}
+func (c *covered) binding(store *results.Store) snap.Binding {
+	return snap.Binding{PassSet: passSetID(c.start, c.binWidth), Index: c.idx.Fingerprint(), Meta: MetaFingerprint(store.Meta())}
 }
 
-// loadSnapshot reads, validates, and deserializes the snapshot at path.
-// Any failure returns nils after counting a miss (no file) or an
-// invalidation (anything else) — the caller then scans cold.
-func loadSnapshot(path string, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, so SnapshotOptions) (*Suite, uint64, *scan.Resume) {
+// openSamples opens the store's samples file: the one handle a store
+// fold reads the snapshot's windows, the blocks and the new snapshot's
+// windows through.
+func openSamples(store *results.Store, idx *Index) (*os.File, int64, error) {
+	if store == nil || idx == nil {
+		return nil, 0, errors.New("analysis: nil store or index")
+	}
+	f, err := os.Open(store.SamplesPath())
+	if err != nil {
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
+}
+
+// loadSnapshot seeds c, empty and over the snapshot passes, from the
+// snapshot at so.Path when it binds to c and store and its content
+// windows match f (size bytes). Any failure leaves c empty after
+// counting a miss (no file) or an invalidation (anything else) — the
+// fold then runs cold.
+func (c *covered) loadSnapshot(f io.ReaderAt, size int64, store *results.Store, so SnapshotOptions) {
 	sm := so.Metrics
 	invalidate := func(reason string) {
 		sm.Invalidate()
-		so.log().Info("snapshot invalidated", "path", path, "reason", reason)
+		so.log().Info("snapshot invalidated", "path", so.Path, "reason", reason)
 	}
-	rec, err := snap.ReadFile(path, snapshotBinding(store, idx, start, binWidth))
+	rec, err := snap.ReadFile(so.Path, c.binding(store))
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		sm.Miss()
-		so.log().Debug("snapshot miss", "path", path)
-		return nil, 0, nil
+		so.log().Debug("snapshot miss", "path", so.Path)
+		return
 	case errors.Is(err, snap.ErrMismatch):
 		invalidate("header mismatch")
-		return nil, 0, nil
+		return
 	case err != nil:
 		invalidate("unreadable: " + err.Error())
-		return nil, 0, nil
+		return
 	}
 	cur := snap.NewCursor(rec)
 	cov, err := decodeCoverage(cur)
 	if err != nil {
 		invalidate("coverage: " + err.Error())
-		return nil, 0, nil
+		return
 	}
-	f, err := os.Open(store.SamplesPath())
-	if err != nil {
-		invalidate("store unreadable")
-		return nil, 0, nil
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil || cov.Bytes > fi.Size() {
+	if cov.Bytes > size {
 		// Covered data no longer exists: the store was truncated (e.g. a
 		// checkpoint resume rolled back a partial round).
 		invalidate("store truncated below covered boundary")
-		return nil, 0, nil
+		return
 	}
 	head, tail, err := snap.WindowCRCs(f, cov.Bytes)
 	if err != nil || head != cov.HeadCRC || tail != cov.TailCRC {
 		invalidate("content window CRC mismatch")
-		return nil, 0, nil
+		return
 	}
 	state, _ := cur.Bytes(cur.Remaining()) // the rest of the record: cannot fail
-	suite, err := NewSuiteFromState(idx, start, binWidth, state)
+	suite, err := NewSuiteFromState(c.idx, c.start, c.binWidth, state)
 	if err != nil {
 		invalidate("state decode: " + err.Error())
-		return nil, 0, nil
+		return
 	}
-	return suite, cov.Samples, &scan.Resume{Bytes: cov.Bytes, Blocks: cov.Blocks}
+	c.suite, c.samples, c.bytes, c.blocks, c.fromSnap = suite, cov.Samples, cov.Bytes, cov.Blocks, true
 }
 
-// writeSnapshot durably persists merged's state as covering the store
-// prefix the scan just consumed. Its child spans split the cost into CPU
-// (snap.encode) and the file write with its fsyncs and rename
-// (snap.fsync).
-func writeSnapshot(ctx context.Context, path string, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, merged *Suite, samples uint64, st scan.Stats, so SnapshotOptions) error {
+// writeIfDue persists c as the store's snapshot when it holds both
+// snapshot passes and the refresh gate asks for a write after st. Its
+// child spans split the cost into CPU (snap.encode) and the file write
+// with its fsyncs and rename (snap.fsync).
+func (c *covered) writeIfDue(ctx context.Context, f io.ReaderAt, store *results.Store, st scan.Stats, so SnapshotOptions) error {
+	if !c.suite.holds(snapshotPasses) || !so.rewriteDue(st) {
+		return nil
+	}
 	parent := obs.From(ctx).Child("snapshot.write")
 	defer parent.End()
 	span := parent.Child("snap.encode")
-	img, err := snapshotImage(store, idx, start, binWidth, merged, samples, st)
+	img, err := c.snapshotImage(f, store)
 	span.End()
-	if err != nil {
-		return err
+	if err == nil {
+		span = parent.Child("snap.fsync")
+		err = snap.ReplaceFile(so.Path, img)
+		span.End()
 	}
-	span = parent.Child("snap.fsync")
-	err = snap.ReplaceFile(path, img)
-	span.End()
 	if err != nil {
-		return err
+		return fmt.Errorf("core: writing snapshot: %w", err)
 	}
 	so.Metrics.Wrote()
-	so.log().Info("snapshot written", "path", path,
-		"covered_bytes", st.DataEnd, "covered_blocks", st.BlocksTotal, "samples", samples)
+	so.log().Info("snapshot written", "path", so.Path,
+		"covered_bytes", c.bytes, "covered_blocks", c.blocks, "samples", c.samples)
 	return nil
 }
 
 // snapshotImage frames the snapshot file: the binding, then one record
-// of the coverage st describes followed by merged's encoded state.
-func snapshotImage(store *results.Store, idx *Index, start time.Time, binWidth time.Duration, merged *Suite, samples uint64, st scan.Stats) ([]byte, error) {
-	f, err := os.Open(store.SamplesPath())
+// of c's coverage, with f's window CRCs over it, followed by c's
+// encoded state.
+func (c *covered) snapshotImage(f io.ReaderAt, store *results.Store) ([]byte, error) {
+	cov := coverage{Bytes: c.bytes, Blocks: c.blocks, Samples: c.samples}
+	var err error
+	if cov.HeadCRC, cov.TailCRC, err = snap.WindowCRCs(f, c.bytes); err != nil {
+		return nil, err
+	}
+	state, err := c.suite.EncodeState()
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	cov := coverage{Bytes: st.DataEnd, Blocks: st.BlocksTotal, Samples: samples}
-	if cov.HeadCRC, cov.TailCRC, err = snap.WindowCRCs(f, st.DataEnd); err != nil {
-		return nil, err
-	}
-	state, err := merged.EncodeState()
-	if err != nil {
-		return nil, err
-	}
-	return snap.Image(snapshotBinding(store, idx, start, binWidth), append(cov.append(nil), state...)), nil
+	return snap.Image(c.binding(store), append(cov.append(nil), state...)), nil
 }
 
-// scanStoreMerged runs the scan so.Passes asks for and returns the
-// merged suite before any report runs, plus the total samples folded
-// into it. A pass set the snapshot can answer (see SnapshotOptions)
-// folds both snapshot passes, seeded from so.Path when the file
-// validates; any other scans cold over exactly so.Passes and never
-// opens the file.
-func scanStoreMerged(ctx context.Context, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, workers int, m *scan.Metrics, so SnapshotOptions) (*Suite, uint64, scan.Stats, error) {
-	if store == nil || idx == nil {
-		return nil, 0, scan.Stats{}, errors.New("analysis: nil store or index")
+// advanceTo locates the complete blocks of f (size bytes) past the
+// covered prefix and folds them into c. A torn tail fails the fold.
+func (c *covered) advanceTo(ctx context.Context, cfg scan.Config, f io.ReaderAt, size int64) (scan.Stats, error) {
+	var blocks []colf.BlockInfo
+	if size > 0 {
+		var err error
+		if blocks, _, err = colf.Locate(f, size, max(c.bytes, colf.HeaderSize)); err != nil {
+			return scan.Stats{}, err
+		}
 	}
-	if !so.resumes() {
-		return scanSeeded(ctx, store, idx, start, binWidth, workers, m, so, so.Passes, nil, 0, nil)
-	}
-	span := obs.From(ctx).Child("snap.load")
-	prefix, prefixSamples, resume := loadSnapshot(so.Path, store, idx, start, binWidth, so)
-	span.End()
-	return scanSeeded(ctx, store, idx, start, binWidth, workers, m, so, snapshotPasses, prefix, prefixSamples, resume)
+	return c.advance(ctx, cfg, f, size, blocks)
 }
 
-// scanSeeded is scanStoreMerged after the snapshot decision: it scans
-// past resume with suites over sel and folds the result onto prefix
-// (both nil for a cold scan).
-func scanSeeded(ctx context.Context, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, workers int, m *scan.Metrics, so SnapshotOptions, sel PassSet, prefix *Suite, prefixSamples uint64, resume *scan.Resume) (*Suite, uint64, scan.Stats, error) {
-	scanOnce := func(r *scan.Resume) (*Suite, scan.Stats, error) {
-		return fold(idx, start, binWidth, sel, func(newPasses func(int) ([]scan.Pass, error)) (scan.Stats, error) {
-			return scan.File(ctx, scan.Config{
-				Path:      store.SamplesPath(),
-				Workers:   workers,
-				Metrics:   m,
-				Log:       so.Log,
-				Resume:    r,
-				NewPasses: newPasses,
-			})
-		})
+// foldStore folds the samples file f (size bytes) of store into c,
+// which holds only its index and geometry. A pass set the snapshot can
+// answer (see SnapshotOptions) folds both snapshot passes, resumed
+// from so.Path when the file validates; any other folds cold over
+// exactly so.Passes and never opens the file. A store with no samples
+// returns ErrEmptyStore.
+func (c *covered) foldStore(ctx context.Context, f io.ReaderAt, size int64, store *results.Store, cfg scan.Config, so SnapshotOptions) (scan.Stats, error) {
+	c.sel = so.Passes
+	if so.resumes() {
+		c.sel = snapshotPasses
+		span := obs.From(ctx).Child("snap.load")
+		c.loadSnapshot(f, size, store, so)
+		span.End()
 	}
-	merged, st, err := scanOnce(resume)
-	if err != nil && resume != nil {
+	st, err := c.advanceTo(ctx, cfg, f, size)
+	switch {
+	case err != nil && c.bytes > 0:
 		// The covered boundary no longer holds (the store changed in a way
-		// the window CRCs could not see): drop the snapshot, scan cold.
+		// the window CRCs could not see): drop the snapshot, fold cold.
 		so.Metrics.Invalidate()
 		so.log().Warn("snapshot invalidated", "path", so.Path,
 			"reason", "resumed scan failed past covered boundary", "error", err)
-		prefix, prefixSamples, resume = nil, 0, nil
-		merged, st, err = scanOnce(nil)
-	}
-	if err != nil {
-		return nil, 0, st, err
-	}
-	if prefix != nil {
-		span := obs.From(ctx).Child("snap.merge")
-		err := prefix.Merge(merged)
-		span.End()
-		if err != nil {
-			return nil, 0, st, err
-		}
-		merged = prefix
-		so.Metrics.Hit(resume.Blocks, resume.Bytes)
+		*c = covered{idx: c.idx, start: c.start, binWidth: c.binWidth, sel: c.sel}
+		st, err = c.advanceTo(ctx, cfg, f, size)
+	case err == nil && st.PrefixBytes > 0:
+		so.Metrics.Hit(st.PrefixBlocks, st.PrefixBytes)
 		so.log().Info("snapshot hit", "path", so.Path,
-			"covered_bytes", resume.Bytes, "covered_blocks", resume.Blocks,
-			"delta_bytes", st.DataEnd-resume.Bytes)
+			"covered_bytes", st.PrefixBytes, "covered_blocks", st.PrefixBlocks,
+			"delta_bytes", st.DataEnd-st.PrefixBytes)
 	}
-	total := prefixSamples + st.Samples
-	if total == 0 {
-		return nil, 0, st, ErrEmptyStore
+	if err == nil && c.samples == 0 {
+		err = ErrEmptyStore
 	}
-	return merged, total, st, nil
-}
-
-// writeIfDue persists merged as the store's snapshot when it holds both
-// snapshot passes over the whole store and the refresh gate asks for a
-// write.
-func writeIfDue(ctx context.Context, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, merged *Suite, samples uint64, st scan.Stats, so SnapshotOptions) error {
-	if !merged.holds(snapshotPasses) || !so.rewriteDue(st) {
-		return nil
-	}
-	if err := writeSnapshot(ctx, so.Path, store, idx, start, binWidth, merged, samples, st, so); err != nil {
-		return fmt.Errorf("core: writing snapshot: %w", err)
-	}
-	return nil
+	return st, err
 }
 
 // ScanStoreSnap is ScanStore with snapshot support: a Figure 4/5 pass
@@ -542,22 +519,24 @@ func writeIfDue(ctx context.Context, store *results.Store, idx *Index, start tim
 // count. The snapshot is an accelerator: failing to write it costs the
 // next run its resume, never this one its report.
 func ScanStoreSnap(ctx context.Context, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, workers int, m *scan.Metrics, so SnapshotOptions) (*SuiteReport, scan.Stats, error) {
-	merged, total, st, err := scanStoreMerged(ctx, store, idx, start, binWidth, workers, m, so)
+	f, size, err := openSamples(store, idx)
+	if err != nil {
+		return nil, scan.Stats{}, err
+	}
+	defer f.Close()
+	c := &covered{idx: idx, start: start, binWidth: binWidth}
+	st, err := c.foldStore(ctx, f, size, store, scan.Config{Workers: workers, Metrics: m, Log: so.Log}, so)
 	if err != nil {
 		return nil, st, err
 	}
-	if err := writeIfDue(ctx, store, idx, start, binWidth, merged, total, st, so); err != nil {
+	if err := c.writeIfDue(ctx, f, store, st, so); err != nil {
 		so.Metrics.WriteFailed()
 		so.log().Warn("snapshot not written; the next run scans cold", "path", so.Path, "error", err)
 	}
 	span := obs.From(ctx).Child("suite.report")
 	defer span.End()
-	rep, err := merged.report(so.Passes)
-	if err != nil {
-		return nil, st, err
-	}
-	rep.Samples = total
-	return rep, st, nil
+	rep, err := c.report(so.Passes)
+	return rep, st, err
 }
 
 // UpdateSnapshot refreshes the store's snapshot without producing a
@@ -569,13 +548,19 @@ func UpdateSnapshot(ctx context.Context, store *results.Store, idx *Index, start
 	if so.Path == "" {
 		return scan.Stats{}, errors.New("core: UpdateSnapshot needs a snapshot path")
 	}
+	f, size, err := openSamples(store, idx)
+	if err != nil {
+		return scan.Stats{}, err
+	}
+	defer f.Close()
 	so.Passes = snapshotPasses
-	merged, total, st, err := scanStoreMerged(ctx, store, idx, start, binWidth, workers, m, so)
+	c := &covered{idx: idx, start: start, binWidth: binWidth}
+	st, err := c.foldStore(ctx, f, size, store, scan.Config{Workers: workers, Metrics: m, Log: so.Log}, so)
 	if errors.Is(err, ErrEmptyStore) {
 		return st, nil
 	}
 	if err != nil {
 		return st, err
 	}
-	return st, writeIfDue(ctx, store, idx, start, binWidth, merged, total, st, so)
+	return st, c.writeIfDue(ctx, f, store, st, so)
 }

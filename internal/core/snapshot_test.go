@@ -23,14 +23,15 @@ import (
 	"repro/internal/figures"
 	"repro/internal/obs"
 	"repro/internal/results"
+	"repro/internal/scan"
 	"repro/internal/snap"
 	"repro/internal/world"
 )
 
 // The snapshot tests drive a small appendable campaign: a store is
-// created with a 24-round prefix and then grown one round at a time,
-// checking after every append that a snapshot-resumed scan renders the
-// same bytes as a cold scan for every worker count.
+// created with a 24-round prefix and then grown a round or two at a
+// time, checking after every append that a snapshot-resumed scan renders
+// the same bytes as a cold scan for every worker count.
 
 const (
 	snapSeed     = 11
@@ -176,23 +177,24 @@ func coldRender(t *testing.T, store *results.Store, w *world.World, start time.T
 }
 
 // TestSnapshotEquivalenceOverAppends is the snapshot's acceptance check:
-// starting from a 24-round store, three successive one-round appends
+// starting from a 24-round store, three successive two-round appends —
+// each past the refresh gate, so each resumed scan rewrites the file —
 // each render byte-identical Figure 4/5 lines and CSVs and leave a
 // byte-identical samples.snap whether scanned cold or resumed from the
 // pre-append snapshot, for workers 1, 2, 4 and 7 — and the resumed
 // scans decode only the appended blocks.
 func TestSnapshotEquivalenceOverAppends(t *testing.T) {
 	w := snapWorldGet(t)
-	full := campaignPrefix(t, w, 27)
+	full := campaignPrefix(t, w, 30)
 	cuts := make([]int, 0, 3)
-	for _, rounds := range []int{24, 25, 26} {
+	for _, rounds := range []int{24, 26, 28} {
 		prefix := campaignPrefix(t, w, rounds)
 		if !reflect.DeepEqual(full[:len(prefix)], prefix) {
-			t.Fatalf("%d-round campaign is not a prefix of the 27-round one", rounds)
+			t.Fatalf("%d-round campaign is not a prefix of the 30-round one", rounds)
 		}
 		cuts = append(cuts, len(prefix))
 	}
-	cfg := snapConfig(27)
+	cfg := snapConfig(30)
 	meta := cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len())
 	ctx := context.Background()
 
@@ -795,18 +797,20 @@ func TestSnapshotWriteFailureKeepsReport(t *testing.T) {
 }
 
 // TestSnapshotRefreshGate exercises the amortized-rewrite policy: a
-// resumed scan whose delta sits below RefreshFactor of the covered
-// prefix serves correct figures but defers the snapshot rewrite, so the
-// next scan resumes from the same boundary; once the factor is crossed
-// (or zeroed), the rewrite happens and later scans are pure hits.
+// resumed scan whose delta sits below DefaultRefreshFactor of the
+// covered prefix serves correct figures but defers the snapshot
+// rewrite, so the next scan resumes from the same boundary; once the
+// store grows past the factor, the rewrite happens and later scans are
+// pure hits.
 func TestSnapshotRefreshGate(t *testing.T) {
 	w := snapWorldGet(t)
-	full := campaignPrefix(t, w, 27)
+	full := campaignPrefix(t, w, 28)
 	prefix := campaignPrefix(t, w, 26)
+	one := len(campaignPrefix(t, w, 27))
 	if !reflect.DeepEqual(full[:len(prefix)], prefix) {
-		t.Fatal("26-round campaign is not a prefix of the 27-round one")
+		t.Fatal("26-round campaign is not a prefix of the 28-round one")
 	}
-	cfg := snapConfig(27)
+	cfg := snapConfig(28)
 	meta := cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len())
 	ctx := context.Background()
 
@@ -816,14 +820,14 @@ func TestSnapshotRefreshGate(t *testing.T) {
 	// Seed write: the gate never blocks the first snapshot of a store.
 	sm := snap.NewMetrics(obs.NewRegistry())
 	_, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil,
-		core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: snapPasses})
+		core.SnapshotOptions{Path: snapPath, Metrics: sm, Passes: snapPasses})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sm.Writes.Value() != 1 {
 		t.Fatalf("seed scan wrote %d snapshots, want 1", sm.Writes.Value())
 	}
-	appendSamples(t, store, full[len(prefix):])
+	appendSamples(t, store, full[len(prefix):one])
 	want := coldRender(t, store, w, cfg.Start)
 
 	// One appended round is far below the default gate: figures are
@@ -832,7 +836,7 @@ func TestSnapshotRefreshGate(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		sm = snap.NewMetrics(obs.NewRegistry())
 		rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil,
-			core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: snapPasses})
+			core.SnapshotOptions{Path: snapPath, Metrics: sm, Passes: snapPasses})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -849,10 +853,12 @@ func TestSnapshotRefreshGate(t *testing.T) {
 		}
 	}
 
-	// A factor small enough that the delta crosses it forces the rewrite.
+	// A second round takes the delta past the gate: the rewrite happens.
+	appendSamples(t, store, full[one:])
+	want = coldRender(t, store, w, cfg.Start)
 	sm = snap.NewMetrics(obs.NewRegistry())
 	if _, _, err = core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil,
-		core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: 1e-9, Passes: snapPasses}); err != nil {
+		core.SnapshotOptions{Path: snapPath, Metrics: sm, Passes: snapPasses}); err != nil {
 		t.Fatal(err)
 	}
 	if sm.Hits.Value() != 1 || sm.Writes.Value() != 1 {
@@ -863,7 +869,7 @@ func TestSnapshotRefreshGate(t *testing.T) {
 	// decoded, same figures.
 	sm = snap.NewMetrics(obs.NewRegistry())
 	rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 3, nil,
-		core.SnapshotOptions{Path: snapPath, Metrics: sm, RefreshFactor: core.DefaultRefreshFactor, Passes: snapPasses})
+		core.SnapshotOptions{Path: snapPath, Metrics: sm, Passes: snapPasses})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -954,4 +960,133 @@ func FuzzSuiteState(f *testing.F) {
 			t.Fatalf("round trip is not stable (err %v)", err)
 		}
 	})
+}
+
+// TestScanStatsAccounting pins the scan.Stats the analysis entry points
+// return — the fields the snapshot's refresh gate reads and
+// run.figures.json's snapshot block records — over stores that grow: a
+// cold Figure 4/5 scan, a snapshot hit with a delta, a pure hit, and a
+// resident suite's first fold and a later Advance; ScanMemory, which
+// returns no stats, must count the same samples in its report. A
+// prefix is what the fold covered before its first block: nothing, for
+// a fold that covered nothing yet.
+func TestScanStatsAccounting(t *testing.T) {
+	w := snapWorldGet(t)
+	full := campaignPrefix(t, w, 26)
+	n24 := len(campaignPrefix(t, w, 24))
+	cfg := snapConfig(26)
+	meta := cfg.Meta(snapSeed, w.Probes.Len(), w.Catalog.Len())
+	ctx := context.Background()
+
+	type stats struct {
+		PrefixBlocks int
+		PrefixBytes  int64
+		BlocksTotal  int
+		BlocksRead   int
+		DataEnd      int64
+		Samples      uint64
+	}
+	check := func(name string, st scan.Stats, want stats) {
+		t.Helper()
+		got := stats{st.PrefixBlocks, st.PrefixBytes, st.BlocksTotal, st.BlocksRead, st.DataEnd, st.Samples}
+		if got != want {
+			t.Errorf("%s: stats %+v, want %+v", name, got, want)
+		}
+	}
+	// ends lists where each block of the store's samples file ends.
+	ends := func(store *results.Store) []int64 {
+		t.Helper()
+		r, closer, err := colf.Open(store.SamplesPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closer.Close()
+		var e []int64
+		for _, b := range r.Blocks() {
+			e = append(e, b.Off+b.Len)
+		}
+		return e
+	}
+	n := func(smps []results.Sample) uint64 { return uint64(len(smps)) }
+
+	// Two rounds on 24 cross the refresh gate, so the delta scan
+	// rewrites the snapshot and the next scan is a pure hit.
+	store := buildStore(t, filepath.Join(t.TempDir(), "ds"), meta, full[:n24])
+	sm := snap.NewMetrics(obs.NewRegistry())
+	so := core.SnapshotOptions{Path: store.SnapshotPath(), Metrics: sm, Passes: snapPasses}
+	// scanSnap scans the store, whose report must count all stored
+	// samples, prefix and delta alike.
+	scanSnap := func(stored uint64) scan.Stats {
+		t.Helper()
+		rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, snapBinWidth, 2, nil, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Samples != stored {
+			t.Errorf("report counts %d samples, the store holds %d", rep.Samples, stored)
+		}
+		return st
+	}
+	e0 := ends(store)
+	check("cold", scanSnap(n(full[:n24])), stats{0, 0, len(e0), len(e0), e0[len(e0)-1], n(full[:n24])})
+	appendSamples(t, store, full[n24:])
+	e1 := ends(store)
+	check("hit with delta", scanSnap(n(full)), stats{len(e0), e0[len(e0)-1], len(e1), len(e1) - len(e0), e1[len(e1)-1], n(full[n24:])})
+	if sm.Writes.Value() != 2 {
+		t.Fatalf("the delta scan did not rewrite the snapshot: %d writes", sm.Writes.Value())
+	}
+	check("pure hit", scanSnap(n(full)), stats{len(e1), e1[len(e1)-1], len(e1), 0, e1[len(e1)-1], 0})
+
+	var mem results.Memory
+	for _, s := range full {
+		if err := mem.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := core.ScanMemory(&mem, w.Index, cfg.Start, snapBinWidth, snapPasses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Samples != n(full) {
+		t.Errorf("ScanMemory reports %d samples, want %d", rep.Samples, n(full))
+	}
+
+	// The resident suite starts on an empty store, so its first fold is
+	// an Advance too.
+	live := buildStore(t, filepath.Join(t.TempDir(), "live"), meta, nil)
+	hot, err := core.NewHotSuite(live, w.Index, cfg.Start, snapBinWidth, core.SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(live.SamplesPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	advance := func() scan.Stats {
+		t.Helper()
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		covered, _ := hot.Covered()
+		blocks, _, err := colf.Locate(f, fi.Size(), covered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := hot.Advance(ctx, f, fi.Size(), blocks, scan.Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	appendSamples(t, live, full[:n24])
+	l0 := ends(live)
+	check("resident first fold", advance(), stats{0, 0, len(l0), len(l0), l0[len(l0)-1], n(full[:n24])})
+	appendSamples(t, live, full[n24:])
+	l1 := ends(live)
+	check("resident advance", advance(), stats{len(l0), l0[len(l0)-1], len(l1), len(l1) - len(l0), l1[len(l1)-1], n(full[n24:])})
+	if got, want := hot.Samples(), n(full); got != want {
+		t.Errorf("resident suite holds %d samples, want %d", got, want)
+	}
 }

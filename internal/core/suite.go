@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
+	"repro/internal/colf"
+	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/scan"
 )
@@ -123,11 +126,6 @@ type SuiteReport struct {
 	Provider  *ProviderReport
 }
 
-// Report finalizes all passes.
-func (s *Suite) Report() (*SuiteReport, error) {
-	return s.report(s.sel)
-}
-
 // report finalizes the passes want selects; the suite must hold them.
 func (s *Suite) report(want PassSet) (*SuiteReport, error) {
 	rep := &SuiteReport{Passes: s.sel}
@@ -160,24 +158,77 @@ func (s *Suite) report(want PassSet) (*SuiteReport, error) {
 	return rep, nil
 }
 
-// fold runs one scan whose workers each feed a fresh suite over sel and
-// returns the merged suite (worker 0's, which receives every merge).
-// run starts the scan with the NewPasses it is given.
-func fold(idx *Index, start time.Time, binWidth time.Duration, sel PassSet, run func(newPasses func(worker int) ([]scan.Pass, error)) (scan.Stats, error)) (*Suite, scan.Stats, error) {
-	var suites []*Suite
-	st, err := run(func(worker int) ([]scan.Pass, error) {
-		s, err := NewSuite(idx, start, binWidth)
+// covered is a suite over sel folded across a block-aligned prefix of a
+// colf stream, with the samples, bytes and blocks that prefix holds.
+// Every analysis fold advances one: a cold store scan, UpdateSnapshot
+// and ScanMemory start from an empty one, a Figure 4/5 resume from the
+// one samples.snap decodes to, and HotSuite keeps one resident. So
+// every report counts the samples it came from.
+type covered struct {
+	idx      *Index
+	start    time.Time
+	binWidth time.Duration
+	sel      PassSet
+
+	suite   *Suite // nil until the first fold adopts worker 0's
+	samples uint64
+	bytes   int64 // where the prefix ends; 0 before the first fold
+	blocks  int
+	// fromSnap marks a suite decoded from samples.snap: merging a fold
+	// onto it opens a snap.merge span.
+	fromSnap bool
+}
+
+// advance folds blocks — the complete blocks of r (size bytes) that
+// follow the covered prefix — with one suite per scan worker, then
+// adopts worker 0's suite, which holds the merged delta, when c has
+// none, and merges it onto c's otherwise. On a scan error c is
+// unchanged.
+func (c *covered) advance(ctx context.Context, cfg scan.Config, r io.ReaderAt, size int64, blocks []colf.BlockInfo) (scan.Stats, error) {
+	var delta *Suite
+	cfg.NewPasses = func(worker int) ([]scan.Pass, error) {
+		s, err := NewSuite(c.idx, c.start, c.binWidth)
 		if err != nil {
 			return nil, err
 		}
-		s.sel = sel
-		suites = append(suites, s)
+		s.sel = c.sel
+		if worker == 0 {
+			delta = s
+		}
 		return s.Passes(), nil
-	})
-	if err != nil {
-		return nil, st, err
 	}
-	return suites[0], st, nil
+	st, err := scan.Blocks(ctx, cfg, r, size, blocks, c.blocks, c.bytes)
+	if err != nil {
+		return st, err
+	}
+	if c.suite == nil {
+		c.suite = delta
+	} else {
+		var span *obs.Span
+		if c.fromSnap {
+			span = obs.From(ctx).Child("snap.merge")
+		}
+		// Receiver-first: the prefix covers the earlier bytes.
+		err = c.suite.Merge(delta)
+		span.End()
+		if err != nil {
+			return st, err
+		}
+	}
+	c.samples += st.Samples
+	c.bytes, c.blocks = st.DataEnd, st.BlocksTotal
+	return st, nil
+}
+
+// report finalizes the passes want selects into a report of the
+// covered samples.
+func (c *covered) report(want PassSet) (*SuiteReport, error) {
+	rep, err := c.suite.report(want)
+	if err != nil {
+		return nil, err
+	}
+	rep.Samples = c.samples
+	return rep, nil
 }
 
 // ScanMemory is the in-memory counterpart of ScanStore, for a campaign
@@ -193,22 +244,11 @@ func ScanMemory(mem *results.Memory, idx *Index, start time.Time, binWidth time.
 	if err != nil {
 		return nil, err
 	}
-	var sel PassSet
-	if passes.partial() {
-		sel = passes
-	}
-	s, st, err := fold(idx, start, binWidth, sel, func(newPasses func(int) ([]scan.Pass, error)) (scan.Stats, error) {
-		return scan.Blocks(context.Background(), scan.Config{NewPasses: newPasses}, r, 0, blocks, 0, 0)
-	})
-	if err != nil {
+	c := &covered{idx: idx, start: start, binWidth: binWidth, sel: passes}
+	if _, err := c.advance(context.Background(), scan.Config{}, r, 0, blocks); err != nil {
 		return nil, err
 	}
-	rep, err := s.Report()
-	if err != nil {
-		return nil, err
-	}
-	rep.Samples = st.Samples
-	return rep, nil
+	return c.report(passes)
 }
 
 // ScanStore computes every figure report with one parallel scan over the

@@ -350,7 +350,7 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := oracle.Report()
+		rep, err := oracle.Finalize()
 		if err != nil {
 			t.Fatalf("%s: oracle report: %v", name, err)
 		}
@@ -382,7 +382,7 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 			if !bytes.Equal(gotState, wantState) {
 				t.Errorf("%s workers=%d: suite state differs from the row oracle's", name, workers)
 			}
-			rep, err := suites[0].Report()
+			rep, err := suites[0].Finalize()
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -408,8 +408,8 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks := append([]colf.BlockInfo(nil), r.Blocks()...)
-		closer.Close()
+		defer closer.Close()
+		blocks := r.Blocks()
 		covered := len(blocks) * 2 / 3
 		var all []results.Sample
 		if err := store.ForEach(func(s results.Sample) error {
@@ -432,10 +432,8 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 		scanRest := func(workers int, sel core.PassSet) *core.Suite {
 			t.Helper()
 			var suites []*core.Suite
-			if _, err := scan.File(ctx, scan.Config{
-				Path:    store.SamplesPath(),
+			if _, err := scan.Blocks(ctx, scan.Config{
 				Workers: workers,
-				Resume:  &scan.Resume{Bytes: blocks[covered].Off, Blocks: covered},
 				NewPasses: func(int) ([]scan.Pass, error) {
 					s, err := core.NewSuite(w.Index, cfg.Start, week)
 					if err != nil {
@@ -444,7 +442,7 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 					suites = append(suites, s.Select(sel))
 					return s.Passes(), nil
 				},
-			}); err != nil {
+			}, r, 0, blocks[covered:], covered, blocks[covered].Off); err != nil {
 				t.Fatalf("resumed workers=%d: %v", workers, err)
 			}
 			return suites[0]
@@ -468,7 +466,7 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 			if !bytes.Equal(gotState, wantState) {
 				t.Errorf("advanced workers=%d: suite state differs from the row oracle's", workers)
 			}
-			rep, err := prefix.Report()
+			rep, err := prefix.Finalize()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -493,7 +491,7 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 			if !bytes.Equal(gotSnapState, wantSnapState) {
 				t.Errorf("resumed workers=%d: snapshot state differs from the row oracle's", workers)
 			}
-			resumed, err := seeded.Report()
+			resumed, err := seeded.Finalize()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -697,7 +695,7 @@ func TestRunSuiteMatchesScanStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := oracle.Report()
+	seq, err := oracle.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}

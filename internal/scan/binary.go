@@ -13,14 +13,19 @@ import (
 	"repro/internal/results"
 )
 
-// scanBlocks is the scan proper: it skips blocks whose zone maps cannot
+// Blocks scans an already-located colf block list against an open data
+// source r (size bytes), for callers that hold a long-lived handle and
+// locate blocks themselves. It skips blocks whose zone maps cannot
 // match cfg.Predicate, cuts the rest into contiguous groups, folds each
 // group on its own worker and merges the per-worker partials in file
-// order. blocks is the block list to decode — the whole file on a cold
-// scan, the suffix past the resume boundary otherwise, with
-// prefixBlocks/prefixBytes naming what was skipped. r is the data
-// source block payloads are read from.
-func scanBlocks(ctx context.Context, cfg Config, r io.ReaderAt, size int64, span *obs.Span, blocks []colf.BlockInfo, prefixBlocks int, prefixBytes int64) (Stats, error) {
+// order. prefixBlocks and prefixBytes name what an earlier fold covered
+// before blocks[0]; they only feed the stats. cfg.Path is ignored.
+func Blocks(ctx context.Context, cfg Config, r io.ReaderAt, size int64, blocks []colf.BlockInfo, prefixBlocks int, prefixBytes int64) (Stats, error) {
+	if cfg.NewPasses == nil {
+		return Stats{}, fmt.Errorf("scan: missing NewPasses")
+	}
+	span := obs.From(ctx).Child("scan")
+	defer span.End()
 	if cfg.Log == nil {
 		cfg.Log = obs.Discard
 	}

@@ -11,13 +11,11 @@ package scan
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"time"
 
 	"repro/internal/colf"
-	"repro/internal/obs"
 )
 
 // Pass is one streaming aggregate: it observes every matching row of a
@@ -60,24 +58,10 @@ type Config struct {
 	// pushdown that makes windowed queries cheap — and the rows of the
 	// remaining blocks are filtered exactly.
 	Predicate *colf.Predicate
-	// Resume, when set, skips the store prefix a snapshot already
-	// covers: only blocks past the boundary are grouped and decoded.
-	// The boundary must be block-aligned; a bogus one fails the scan
-	// rather than decoding garbage. The caller is responsible for
-	// proving the prefix still matches the snapshotted state (see
-	// internal/snap).
-	Resume *Resume
 	// Metrics, when set, receives scan_* instruments.
 	Metrics *Metrics
 	// Log, when set, receives a scan-completion event with the stats.
 	Log *slog.Logger
-}
-
-// Resume names the covered boundary a scan may skip to: the byte
-// offset and the block count before it.
-type Resume struct {
-	Bytes  int64
-	Blocks int
 }
 
 // Stats summarises one completed scan.
@@ -91,15 +75,17 @@ type Stats struct {
 	Duration    time.Duration   // wall-clock scan time
 	Busy        []time.Duration // per-worker busy time, group order
 
-	// Resume accounting; zero on cold scans.
-	PrefixBlocks int   // blocks before the resume boundary
-	PrefixBytes  int64 // bytes before the resume boundary
+	// Prefix accounting: what an earlier fold covered before the first
+	// block scanned (Blocks' prefixBlocks and prefixBytes); zero when
+	// the scan starts at the first block.
+	PrefixBlocks int
+	PrefixBytes  int64
 	// DataEnd is where sample data ends: the end of the last block,
 	// excluding any trailing index. A snapshot taken from this scan
 	// covers [0, DataEnd).
 	DataEnd int64
 
-	BlocksTotal   int   // blocks in the file, including the resumed prefix
+	BlocksTotal   int   // blocks in the file, including the prefix
 	BlocksRead    int   // blocks decoded
 	BlocksSkipped int   // blocks skipped via zone maps
 	BlocksZone    int   // always 0: every block a scan uses is decoded; kept for readers of the old field
@@ -140,11 +126,9 @@ func (st Stats) Utilization() float64 {
 // NewPasses) hold the fully merged aggregates. A zero-length file — a
 // store created but never written — scans as an empty dataset.
 func File(ctx context.Context, cfg Config) (Stats, error) {
-	if cfg.Path == "" || cfg.NewPasses == nil {
-		return Stats{}, fmt.Errorf("scan: missing Path or NewPasses")
+	if cfg.Path == "" {
+		return Stats{}, fmt.Errorf("scan: missing Path")
 	}
-	span := obs.From(ctx).Child("scan")
-	defer span.End()
 	f, err := os.Open(cfg.Path)
 	if err != nil {
 		return Stats{}, err
@@ -154,45 +138,9 @@ func File(ctx context.Context, cfg Config) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	size := fi.Size()
-	var (
-		blocks       []colf.BlockInfo
-		prefixBytes  int64
-		prefixBlocks int
-	)
-	switch {
-	case cfg.Resume != nil && cfg.Resume.Bytes > 0:
-		// Resume: locate only the blocks past the covered boundary. A
-		// torn tail fails the scan just as a cold open does.
-		prefixBytes, prefixBlocks = cfg.Resume.Bytes, cfg.Resume.Blocks
-		if blocks, _, err = colf.Locate(f, size, prefixBytes); err != nil {
-			return Stats{}, fmt.Errorf("scan: resume at offset %d: %w", prefixBytes, err)
-		}
-	case size == 0:
-	default:
-		rd, err := colf.NewReader(f, size)
-		if err != nil {
-			return Stats{}, err
-		}
-		blocks = rd.Blocks()
+	rd, err := colf.NewReader(f, fi.Size())
+	if err != nil {
+		return Stats{}, err
 	}
-	return scanBlocks(ctx, cfg, f, size, span, blocks, prefixBlocks, prefixBytes)
-}
-
-// Blocks scans an already-located colf block list against an open data
-// source, for callers that hold a long-lived handle and locate blocks
-// themselves — the serving layer's incremental refresh, which locates
-// new blocks with colf.Locate and must not reopen and re-walk the store
-// on every advance. The semantics match File exactly (same grouping,
-// pushdown, merge order and stats); cfg.Path and cfg.Resume are ignored
-// — the caller already resolved them into r, blocks and
-// prefixBlocks/prefixBytes (the blocks and bytes before blocks[0] that
-// an earlier scan covered).
-func Blocks(ctx context.Context, cfg Config, r io.ReaderAt, size int64, blocks []colf.BlockInfo, prefixBlocks int, prefixBytes int64) (Stats, error) {
-	if cfg.NewPasses == nil {
-		return Stats{}, fmt.Errorf("scan: missing NewPasses")
-	}
-	span := obs.From(ctx).Child("scan")
-	defer span.End()
-	return scanBlocks(ctx, cfg, r, size, span, blocks, prefixBlocks, prefixBytes)
+	return Blocks(ctx, cfg, f, fi.Size(), rd.Blocks(), 0, 0)
 }

@@ -74,27 +74,37 @@ func (p *orderPass) Merge(other Pass) error {
 	return nil
 }
 
-// TestFilePreservesOrder resumes past a covered prefix: for any worker
-// count the merged pass observes exactly
-// the rows past the boundary in file order, and a boundary that is not
-// a block boundary fails the scan instead of decoding garbage.
-func TestFilePreservesOrder(t *testing.T) {
+// TestBlocksPreservesOrderPastPrefix scans the blocks past a covered
+// prefix, as an incremental fold does: for any worker count the merged
+// pass observes exactly the rows past the boundary in file order, and
+// the stats account for the prefix without reading it.
+func TestBlocksPreservesOrderPastPrefix(t *testing.T) {
 	samples := genSamples(1201)
 	path := writeBinary(t, samples, 64)
 	rd, closer, err := colf.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer closer.Close()
 	blocks := rd.Blocks()
-	closer.Close()
 	const skip = 7
-	resume := &Resume{Bytes: blocks[skip].Off, Blocks: skip}
 	want := samples[skip*64:]
 	for _, workers := range []int{1, 2, 4, 7, 64} {
-		ids, st := scanOrder(t, Config{Path: path, Workers: workers, Resume: resume})
-		if st.PrefixBlocks != skip || st.PrefixBytes != resume.Bytes || st.BlocksTotal != len(blocks) || st.BlocksRead != len(blocks)-skip {
-			t.Errorf("workers=%d: resume accounting %+v", workers, st)
+		var keep []*orderPass
+		cfg := Config{Workers: workers, NewPasses: func(int) ([]Pass, error) {
+			p := &orderPass{}
+			keep = append(keep, p)
+			return []Pass{p}, nil
+		}}
+		st, err := Blocks(context.Background(), cfg, rd, 0, blocks[skip:], skip, blocks[skip].Off)
+		if err != nil {
+			t.Fatal(err)
 		}
+		last := blocks[len(blocks)-1]
+		if st.PrefixBlocks != skip || st.PrefixBytes != blocks[skip].Off || st.BlocksTotal != len(blocks) || st.BlocksRead != len(blocks)-skip || st.DataEnd != last.Off+last.Len {
+			t.Errorf("workers=%d: prefix accounting %+v", workers, st)
+		}
+		ids := keep[0].ids
 		if len(ids) != len(want) {
 			t.Fatalf("workers=%d: merged %d ids, want %d", workers, len(ids), len(want))
 		}
@@ -103,14 +113,6 @@ func TestFilePreservesOrder(t *testing.T) {
 				t.Fatalf("workers=%d: id[%d] = %d, want %d (order broken)", workers, i, ids[i], want[i].ProbeID)
 			}
 		}
-	}
-	_, err = File(context.Background(), Config{
-		Path:      path,
-		Resume:    &Resume{Bytes: resume.Bytes + 3, Blocks: skip},
-		NewPasses: func(int) ([]Pass, error) { return []Pass{&tallyPass{}}, nil },
-	})
-	if err == nil || !strings.Contains(err.Error(), "resume at offset") {
-		t.Errorf("mid-block resume err = %v, want a resume failure", err)
 	}
 }
 

@@ -264,7 +264,7 @@ func (e *Engine) Refresh(ctx context.Context) error {
 		m.RefreshLagBytes.Set(float64(stableEnd - covered))
 		if len(delta) > 0 {
 			sp := parent.Child("refresh_fold")
-			st, err := e.hot.Advance(obs.ContextWith(ctx, sp), e.f, size, delta, stableEnd, scan.Config{
+			st, err := e.hot.Advance(obs.ContextWith(ctx, sp), e.f, size, delta, scan.Config{
 				Workers: e.opt.Workers,
 				Metrics: e.opt.ScanMetrics,
 				Log:     e.opt.Log,

@@ -122,7 +122,11 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # update gathers, and the buffered rows it reads — no more than the step
 # appended plus the rows of the probes whose nearest region flipped), a
 # published view held byte-identical across later publishes, and a
-# traced refresh recording each of its stages once. The nearest-region
+# traced refresh recording each of its stages once. Beside it, the
+# scan.Stats every analysis entry point returns — the prefix, block and
+# sample counts the snapshot's refresh gate and run.figures.json read —
+# are pinned for a cold Figure 4/5 scan, a snapshot hit with a delta, a
+# pure hit, ScanMemory, and a resident suite's first fold and Advance. The nearest-region
 # kernel beside it: a warm ObserveBlock allocates its chunk and nothing
 # per row, a round-structured block's chunk holds 14 bytes per kept row
 # plus 16 per time run, a merge keeps the receiver's best row on a tie,
@@ -136,7 +140,7 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # n <= 2000, powers of two +- 64 ulps, a million random values, k·1e-6
 # and k·1e-7), and what it declines still renders as encoding/json does.
 go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestWarmWindowFillAllocs|TestConcurrentFillsKeepTheirBodies|TestServeCorruptSlabFallsBack|TestServeBackwardTimeFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestCurvePMatchesStrconv|TestCurvePDeclines|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
-go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestNearestObserveBlockSteadyStateAllocs|TestNearestChunkBytes|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount|TestLastMileOutOfOrderTime' ./internal/core
+go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestScanStatsAccounting|TestNearestObserveBlockSteadyStateAllocs|TestNearestChunkBytes|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount|TestLastMileOutOfOrderTime' ./internal/core
 go test -count=1 -run 'TestQueryMatchesColdFold|TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather|TestSortSlabMatchesSort|TestEdgeCodesDifferential|TestWarmEdgeReadsNoStore|TestBackwardTimeFailsQuery|TestCRCDamagedEdgeBlock|TestViewsShareEdgeCodes' ./internal/tix
 go test -count=1 -run 'TestSelectRankMatchesSort|TestSummarizeMatchesSort' ./internal/stats
 
