@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -246,6 +247,9 @@ func TestRunWritesManifest(t *testing.T) {
 	}
 	if m.Workers != 4 {
 		t.Errorf("manifest workers = %d, want 4", m.Workers)
+	}
+	if runtime.GOOS == "linux" && m.PeakRSSBytes == 0 {
+		t.Error("manifest lacks peak_rss_bytes on Linux")
 	}
 	if m.DurationMs <= 0 || m.End.Before(m.Start) {
 		t.Errorf("manifest window: start=%v end=%v duration=%vms", m.Start, m.End, m.DurationMs)

@@ -524,6 +524,9 @@ func TestRunWritesManifest(t *testing.T) {
 	if m.WorldFingerprint == "" || m.Workers < 1 {
 		t.Errorf("manifest workload: fingerprint=%q workers=%d", m.WorldFingerprint, m.Workers)
 	}
+	if runtime.GOOS == "linux" && m.PeakRSSBytes == 0 {
+		t.Error("manifest lacks peak_rss_bytes on Linux")
+	}
 	if m.DurationMs <= 0 || m.End.Before(m.Start) {
 		t.Errorf("manifest window: start=%v end=%v duration=%vms", m.Start, m.End, m.DurationMs)
 	}

@@ -44,10 +44,7 @@ func run() error {
 		return err
 	}
 	rep := suite.LastMile
-	days := len(rep.Wired)
-	if len(rep.Wireless) < days {
-		days = len(rep.Wireless)
-	}
+	days := min(len(rep.Wired), len(rep.Wireless))
 	fmt.Println("\nday  wired-median  wireless-median (to nearest region, tier-1/2 countries)")
 	for i := 0; i < days; i++ {
 		fmt.Printf("%3d  %9.1f ms  %12.1f ms\n", i+1, rep.Wired[i].Median, rep.Wireless[i].Median)

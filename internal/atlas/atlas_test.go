@@ -3,6 +3,7 @@ package atlas
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -74,26 +75,49 @@ func TestTargetsFollowMethodology(t *testing.T) {
 	}
 }
 
+// TestPathCaching: a campaign's table keeps one path per pair. Racing
+// first lookups of a pair collapse to one instance, a later lookup gets
+// it again, and it equals by value what Platform.Path derives afresh; a
+// region of another catalog has no cell and is derived on every
+// lookup, not misfiled.
 func TestPathCaching(t *testing.T) {
 	p := smallPlatform(t)
+	table := newPathTable(p)
 	pr := p.Population.Public()[0]
 	r := p.Targets(pr)[0]
-	p1, err := p.Path(pr, r)
-	if err != nil {
-		t.Fatal(err)
+	resolve := func(r *cloud.Region) *netem.Path {
+		job := [1]pathJob{{pr: pr, r: r}}
+		if _, err := table.resolvePaths(job[:]); err != nil {
+			t.Fatal(err)
+		}
+		return job[0].path
 	}
-	p2, err := p.Path(pr, r)
-	if err != nil {
-		t.Fatal(err)
+	got := make([]*netem.Path, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = resolve(r)
+		}()
 	}
-	if p1 != p2 {
+	wg.Wait()
+	for _, path := range got {
+		if path == nil || path != got[0] {
+			t.Fatal("racing lookups of one pair returned different paths")
+		}
+	}
+	if resolve(r) != got[0] {
 		t.Error("path not cached")
 	}
+	derived, err := p.Path(pr, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if derived == got[0] || *derived != *got[0] {
+		t.Errorf("Platform.Path returned %p, the table %p: want an equal path derived afresh", derived, got[0])
+	}
 
-	// A region outside the probe's own target list (delay and route ask
-	// for those) is cached the same way, concurrent first lookups
-	// collapse to one instance, and a region of some other catalog is
-	// derived without a cell, not misfiled.
 	var far *cloud.Region
 	for _, c := range p.Catalog.All() {
 		if !slices.Contains(p.Targets(pr), c) {
@@ -104,26 +128,7 @@ func TestPathCaching(t *testing.T) {
 	if far == nil {
 		t.Fatal("every region is a target of the first probe")
 	}
-	got := make([]*netem.Path, 8)
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			path, err := p.Path(pr, far)
-			if err != nil {
-				t.Error(err)
-			}
-			got[i] = path
-		}()
-	}
-	wg.Wait()
-	for _, path := range got {
-		if path == nil || path != got[0] {
-			t.Fatal("racing lookups of one pair returned different paths")
-		}
-	}
-	if got[0] == p1 {
+	if resolve(far) == got[0] {
 		t.Error("two regions share a path")
 	}
 	other, err := cloud.Deployment(geo.World())
@@ -131,21 +136,50 @@ func TestPathCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	twin, _ := other.Lookup(r.Addr())
-	if foreign, err := p.Path(pr, twin); err != nil || foreign == p1 {
-		t.Errorf("a region of another catalog was served from the table (err %v)", err)
+	want, err := p.Path(pr, twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if foreign := resolve(twin); foreign == got[0] || foreign == resolve(twin) || *foreign != *want {
+		t.Errorf("a region of another catalog was served from the table")
 	}
 }
 
+// TestPathTableDiesWithCampaign: the path table belongs to the campaign
+// that fills it. Once RunCampaignOpts returns, nothing holds the table,
+// so a collection frees it and every path in it, while the platform
+// lives on.
+func TestPathTableDiesWithCampaign(t *testing.T) {
+	p := smallPlatform(t)
+	tables := weakPathTables(t)
+	cfg := TestCampaign()
+	cfg.End = cfg.Start.Add(2 * 24 * time.Hour)
+	n, err := p.RunCampaignOpts(context.Background(), cfg, CampaignOptions{Workers: 2}, func(results.Sample) error { return nil })
+	if err != nil || n == 0 {
+		t.Fatalf("campaign: %d samples, %v", n, err)
+	}
+	if len(*tables) != 1 {
+		t.Fatalf("the campaign allocated %d path tables, want 1", len(*tables))
+	}
+	runtime.GC()
+	if (*tables)[0].Value() != nil {
+		t.Error("the campaign's path table outlived it")
+	}
+	runtime.KeepAlive(p)
+}
+
 // TestResolvePathsMatchesPath: the batched resolver is Path, batch by
-// batch. Every public pair resolves to the pointer Path returns, in
-// batches of every size up to the campaign's that mix pairs already in
-// the table with pairs derived fresh; a probe ID past the table and a
-// region of another catalog have no cell and are derived, as Path
-// derives them. A path error at job k of a round still emits the k
+// batch. Every public pair resolves to a path equal to the one Path
+// derives, in batches of every size up to the campaign's that mix pairs
+// already in the table with pairs derived fresh, and a later lookup of
+// the pair returns the same instance; a probe ID past the table and a
+// region of another catalog have no cell and are derived afresh on
+// every lookup. A path error at job k of a round still emits the k
 // samples before it and counts them, as resolving one pair at a time
 // does.
 func TestResolvePathsMatchesPath(t *testing.T) {
 	p := smallPlatform(t)
+	table := newPathTable(p)
 	var jobs []pathJob
 	for _, pr := range p.Population.Public() {
 		for _, r := range p.Targets(pr) {
@@ -153,7 +187,7 @@ func TestResolvePathsMatchesPath(t *testing.T) {
 		}
 	}
 	for i := 0; i < len(jobs); i += 3 { // a third of the pairs are cached before any batch
-		if _, err := p.Path(jobs[i].pr, jobs[i].r); err != nil {
+		if _, err := table.resolvePaths(jobs[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,13 +195,17 @@ func TestResolvePathsMatchesPath(t *testing.T) {
 	for lo := 0; lo < len(jobs); lo += size {
 		size = size%pathBatch + 1
 		batch := jobs[lo:min(lo+size, len(jobs))]
-		if n, err := p.resolvePaths(batch); n != len(batch) || err != nil {
+		if n, err := table.resolvePaths(batch); n != len(batch) || err != nil {
 			t.Fatalf("batch at %d resolved %d of %d: %v", lo, n, len(batch), err)
 		}
 	}
 	for _, j := range jobs {
-		if want, err := p.Path(j.pr, j.r); err != nil || j.path != want {
-			t.Fatalf("probe %d to %s: resolved %p, Path %p (%v)", j.pr.ID, j.r.Addr(), j.path, want, err)
+		again := [1]pathJob{{pr: j.pr, r: j.r}}
+		if _, err := table.resolvePaths(again[:]); err != nil || again[0].path != j.path {
+			t.Fatalf("probe %d to %s: resolved %p, then %p (%v)", j.pr.ID, j.r.Addr(), j.path, again[0].path, err)
+		}
+		if want, err := p.Path(j.pr, j.r); err != nil || *j.path != *want {
+			t.Fatalf("probe %d to %s: resolved a path unequal to Path's (%v)", j.pr.ID, j.r.Addr(), err)
 		}
 	}
 
@@ -180,13 +218,20 @@ func TestResolvePathsMatchesPath(t *testing.T) {
 	}
 	twin, _ := other.Lookup(r.Addr())
 	loose := []pathJob{{pr: &past, r: r}, jobs[1], {pr: pr, r: twin}}
-	if n, err := p.resolvePaths(loose); n != len(loose) || err != nil {
-		t.Fatalf("resolved %d of %d: %v", n, len(loose), err)
+	first := slices.Clone(loose)
+	for range 2 {
+		if n, err := table.resolvePaths(loose); n != len(loose) || err != nil {
+			t.Fatalf("resolved %d of %d: %v", n, len(loose), err)
+		}
 	}
-	for _, j := range []pathJob{loose[0], loose[2]} {
+	if _, err := table.resolvePaths(first); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 2} {
+		j := loose[k]
 		want, err := p.Path(j.pr, j.r)
-		if err != nil || j.path == nil || j.path == want || *j.path != *want {
-			t.Fatalf("a pair without a cell: resolved %p, Path %p (%v); want an equal path derived afresh", j.path, want, err)
+		if err != nil || j.path == nil || j.path == first[k].path || *j.path != *want {
+			t.Fatalf("a pair without a cell: resolved %p, earlier %p (%v); want an equal path derived afresh", j.path, first[k].path, err)
 		}
 	}
 	if loose[1].path != jobs[1].path {
@@ -196,7 +241,7 @@ func TestResolvePathsMatchesPath(t *testing.T) {
 	cfg := TestCampaign()
 	probes := p.Population.Public()
 	var want []results.Sample
-	if _, err := p.synthesizeRound(context.Background(), cfg, 0, probes, nil, func(s results.Sample) error {
+	if _, err := p.synthesizeRound(context.Background(), cfg, 0, probes, table, nil, func(s results.Sample) error {
 		want = append(want, s)
 		return nil
 	}); err != nil {
@@ -207,7 +252,7 @@ func TestResolvePathsMatchesPath(t *testing.T) {
 	for _, before := range []int{0, 5, pathBatch / cfg.TargetsPerRound, 40, len(probes)} {
 		withBad := slices.Insert(slices.Clone(probes), before, &bad)
 		var got []results.Sample
-		n, err := p.synthesizeRound(context.Background(), cfg, 0, withBad, nil, func(s results.Sample) error {
+		n, err := p.synthesizeRound(context.Background(), cfg, 0, withBad, table, nil, func(s results.Sample) error {
 			got = append(got, s)
 			return nil
 		})
@@ -226,13 +271,14 @@ func TestResolvePathsMatchesPath(t *testing.T) {
 // the round below emits ~400 samples.
 func TestSynthesizeRoundSteadyStateAllocs(t *testing.T) {
 	p := smallPlatform(t)
+	table := newPathTable(p)
 	cfg := TestCampaign()
 	probes := p.Population.Public()
 	var samples uint64
 	emit := func(results.Sample) error { samples++; return nil }
 	round := 0
 	synth := func() {
-		if _, err := p.synthesizeRound(context.Background(), cfg, round, probes, nil, emit); err != nil {
+		if _, err := p.synthesizeRound(context.Background(), cfg, round, probes, table, nil, emit); err != nil {
 			t.Fatal(err)
 		}
 		round++

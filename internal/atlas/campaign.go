@@ -169,10 +169,10 @@ func (l *localTally) flushTo(t *campaignTally) {
 // workload: a shard is just a contiguous sub-slice of the public probe
 // population, so concatenating shard outputs in shard order reproduces
 // the one-shard stream exactly.
-// It resolves a batch of pairs' paths at a time (resolvePaths), then
-// samples and emits them in order; a path error ends the round after
-// the samples before it, as resolving one pair at a time would.
-func (p *Platform) synthesizeRound(ctx context.Context, cfg CampaignConfig, round int, probes []*probe.Probe, tally *campaignTally, emit func(results.Sample) error) (uint64, error) {
+// It resolves a batch of pairs' paths at a time (paths.resolvePaths),
+// then samples and emits them in order; a path error ends the round
+// after the samples before it, as resolving one pair at a time would.
+func (p *Platform) synthesizeRound(ctx context.Context, cfg CampaignConfig, round int, probes []*probe.Probe, paths *pathTable, tally *campaignTally, emit func(results.Sample) error) (uint64, error) {
 	at := cfg.RoundTime(round)
 	var emitted uint64
 	var local localTally
@@ -182,7 +182,7 @@ func (p *Platform) synthesizeRound(ctx context.Context, cfg CampaignConfig, roun
 	var batch [pathBatch]pathJob
 	jobs := batch[:0]
 	sample := func() error {
-		n, resolveErr := p.resolvePaths(jobs)
+		n, resolveErr := paths.resolvePaths(jobs)
 		for _, j := range jobs[:n] {
 			s := results.Sample{ProbeID: j.pr.ID, Region: j.r.Addr(), Time: at}
 			if ms, lost := j.path.MinRTT(at, cfg.PingsPerTarget); lost {

@@ -143,12 +143,13 @@ func (p *Platform) ShardGen(cfg CampaignConfig, shards int) (engine.GenFunc, err
 		return nil, fmt.Errorf("atlas: shard count %d outside [1, %d]", shards, len(probes))
 	}
 	parts := shardProbes(probes, shards)
+	paths := newPathTable(p)
 	tally := p.newCampaignTally()
 	return func(ctx context.Context, shard, round int, emit func(results.Sample) error) error {
 		if shard < 0 || shard >= len(parts) {
 			return fmt.Errorf("atlas: shard %d outside the %d-way partition", shard, len(parts))
 		}
-		_, err := p.synthesizeRound(ctx, cfg, round, parts[shard], tally, emit)
+		_, err := p.synthesizeRound(ctx, cfg, round, parts[shard], paths, tally, emit)
 		return err
 	}, nil
 }

@@ -9,7 +9,6 @@ package atlas
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,7 +19,8 @@ import (
 )
 
 // Platform binds the probe population, the cloud catalog, and the latency
-// model together, and owns per-pair network paths.
+// model together. It keeps no paths: a campaign caches the ones it
+// samples in a pathTable of its own, and Path derives one per call.
 type Platform struct {
 	Population *probe.Population
 	Catalog    *cloud.Catalog
@@ -29,14 +29,6 @@ type Platform struct {
 	// Metrics, when set before a campaign runs, receives per-round
 	// progress and per-continent sample tallies from RunCampaign.
 	Metrics *CampaignMetrics
-
-	// paths is the path cache: one slot per (probe ID, catalog region)
-	// pair, row-major by probe ID, allocated on the first lookup so that
-	// a process that never derives a path does not carry it. The
-	// campaign engine reads it from every shard worker on every sample,
-	// so a lookup is one atomic load — no key to box, no string to hash.
-	paths     []atomic.Pointer[netem.Path]
-	pathsOnce sync.Once
 
 	// targets is each continent's target list, indexed by the continent
 	// (ContinentUnknown's entry stays nil): the engine reads it once per
@@ -75,14 +67,35 @@ func (p *Platform) Targets(pr *probe.Probe) []*cloud.Region {
 	return p.targets[pr.Continent]
 }
 
-// Path returns the (cached) network path between a probe and a region.
-// It is safe for concurrent use; racing derivations of the same pair are
-// deterministic (the model is immutable) and collapse to one canonical
-// instance.
+// Path derives the network path between a probe and a region. Every
+// call derives afresh (about a microsecond): the model is immutable, so
+// calls for one pair return equal paths, and a campaign's pathTable
+// holds the one it samples.
 func (p *Platform) Path(pr *probe.Probe, r *cloud.Region) (*netem.Path, error) {
-	job := [1]pathJob{{pr: pr, r: r}}
-	_, err := p.resolvePaths(job[:])
-	return job[0].path, err
+	return p.Model.Path(pr.Site(), netem.Target{
+		ID:        r.Addr(),
+		Location:  r.Location,
+		Continent: p.Catalog.Continent(r),
+		Private:   r.Provider.Backbone == cloud.BackbonePrivate,
+	})
+}
+
+// pathTable is one campaign's path cache: a slot per (probe ID, catalog
+// region) pair, row-major by probe ID. ShardGen allocates it and its
+// shard closures are its only holders, so it and its paths become
+// garbage when the campaign's engine returns. Every shard worker reads
+// it on every sample, so a lookup is one atomic load — no key to box, no
+// string to hash.
+type pathTable struct {
+	p     *Platform
+	slots []atomic.Pointer[netem.Path]
+}
+
+// newPathTable allocates an empty table over the platform's population
+// and catalog. It is a variable so that a test can hold a weak pointer
+// to each table and see it die with its campaign.
+var newPathTable = func(p *Platform) *pathTable {
+	return &pathTable{p: p, slots: make([]atomic.Pointer[netem.Path], (p.Population.All()[p.Population.Len()-1].ID+1)*p.Catalog.Len())}
 }
 
 // pathJob is one pair of a resolvePaths batch: its endpoints, and its
@@ -93,21 +106,19 @@ type pathJob struct {
 	path *netem.Path
 }
 
-// resolvePaths sets each job's path as Path would, and returns how many
-// leading jobs it resolved with the error of the first that failed. It
-// works in passes over the batch: every job's cell load, then one touch
-// of each cached path. A pass's loads do not depend on each other, so
-// the cache misses of different jobs are in flight together instead of
-// one after another. The pairs still missing are then derived in job
-// order.
-func (p *Platform) resolvePaths(jobs []pathJob) (int, error) {
-	p.pathsOnce.Do(func() {
-		p.paths = make([]atomic.Pointer[netem.Path], (p.Population.All()[p.Population.Len()-1].ID+1)*p.Catalog.Len())
-	})
+// resolvePaths sets each job's path, and returns how many leading jobs
+// it resolved with the error of the first that failed. It works in
+// passes over the batch: every job's cell load, then one touch of each
+// cached path. A pass's loads do not depend on each other, so the cache
+// misses of different jobs are in flight together instead of one after
+// another. The pairs still missing are then derived in job order
+// through Platform.Path; racing derivations of one pair collapse to the
+// instance the slot's CAS kept.
+func (t *pathTable) resolvePaths(jobs []pathJob) (int, error) {
 	for i := range jobs {
 		j := &jobs[i]
 		j.path = nil
-		if slot := p.pathSlot(j.pr, j.r); slot != nil {
+		if slot := t.slot(j.pr, j.r); slot != nil {
 			j.path = slot.Load()
 		}
 	}
@@ -121,16 +132,11 @@ func (p *Platform) resolvePaths(jobs []pathJob) (int, error) {
 		if j.path != nil {
 			continue
 		}
-		path, err := p.Model.Path(j.pr.Site(), netem.Target{
-			ID:        j.r.Addr(),
-			Location:  j.r.Location,
-			Continent: p.Catalog.Continent(j.r),
-			Private:   j.r.Provider.Backbone == cloud.BackbonePrivate,
-		})
+		path, err := t.p.Path(j.pr, j.r)
 		if err != nil {
 			return i, err
 		}
-		if slot := p.pathSlot(j.pr, j.r); slot != nil && !slot.CompareAndSwap(nil, path) {
+		if slot := t.slot(j.pr, j.r); slot != nil && !slot.CompareAndSwap(nil, path) {
 			path = slot.Load()
 		}
 		j.path = path
@@ -138,13 +144,13 @@ func (p *Platform) resolvePaths(jobs []pathJob) (int, error) {
 	return len(jobs), nil
 }
 
-// pathSlot returns the cache cell of a pair. A pair the table has no
-// cell for — a probe ID past the population's, a region that is not the
-// catalog's — gets nil and is derived on every call.
-func (p *Platform) pathSlot(pr *probe.Probe, r *cloud.Region) *atomic.Pointer[netem.Path] {
-	pos, ok := p.Catalog.Position(r)
-	if n := p.Catalog.Len(); ok && uint(pr.ID) < uint(len(p.paths)/n) {
-		return &p.paths[pr.ID*n+pos]
+// slot returns the cell of a pair. A pair the table has no cell for — a
+// probe ID past the population's, a region that is not the catalog's —
+// gets nil and is derived on every call.
+func (t *pathTable) slot(pr *probe.Probe, r *cloud.Region) *atomic.Pointer[netem.Path] {
+	pos, ok := t.p.Catalog.Position(r)
+	if n := t.p.Catalog.Len(); ok && uint(pr.ID) < uint(len(t.slots)/n) {
+		return &t.slots[pr.ID*n+pos]
 	}
 	return nil
 }

@@ -7,7 +7,9 @@
 package cmdrun
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -247,6 +249,13 @@ func (r *Run) Finish(runErr error, before func(obs.SpanDump) error) error {
 	r.root.End()
 	dump := r.root.Dump()
 	r.manifest.Finish(time.Now())
+	// VmHWM, in kB and absent off Linux; unlike ru_maxrss it does not
+	// start at the resident set of a parent that forked the process.
+	status, _ := os.ReadFile("/proc/self/status")
+	if _, hwm, ok := bytes.Cut(status, []byte("VmHWM:")); ok {
+		fmt.Sscan(string(hwm), &r.manifest.PeakRSSBytes)
+		r.manifest.PeakRSSBytes <<= 10
+	}
 	r.manifest.SetStagesFromDump(dump)
 	if before != nil {
 		keep(before(dump))

@@ -41,24 +41,14 @@ func (z *Zone) observe(r Row) {
 	} else {
 		z.MinProbe, z.MaxProbe = min(z.MinProbe, r.Probe), max(z.MaxProbe, r.Probe)
 		z.MinTime, z.MaxTime = min(z.MinTime, r.TimeNano), max(z.MaxTime, r.TimeNano)
-		if r.Region < z.MinRegion {
-			z.MinRegion = r.Region
-		}
-		if r.Region > z.MaxRegion {
-			z.MaxRegion = r.Region
-		}
+		z.MinRegion, z.MaxRegion = min(z.MinRegion, r.Region), max(z.MaxRegion, r.Region)
 	}
 	z.Rows++
 	if !r.Lost {
 		if z.Delivered == 0 {
 			z.MinRTT, z.MaxRTT = r.RTT, r.RTT
 		} else {
-			if r.RTT < z.MinRTT {
-				z.MinRTT = r.RTT
-			}
-			if r.RTT > z.MaxRTT {
-				z.MaxRTT = r.RTT
-			}
+			z.MinRTT, z.MaxRTT = min(z.MinRTT, r.RTT), max(z.MaxRTT, r.RTT)
 		}
 		z.Delivered++
 		z.RTTSum += r.RTT

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/colf"
-	"repro/internal/stats"
-)
+import "repro/internal/colf"
 
 // Batch kernels: every suite pass folds whole column arrays, never a
 // results.Sample per row. ObserveBlock is the only fold production code
@@ -101,24 +98,17 @@ func (p *MinRTTPass) ObserveBlock(blk *colf.Block) error {
 // dictionary and per-row codes.
 func (p *ProviderPass) Columns() colf.ColumnSet { return colf.ColRegionIDs }
 
-// ObserveBlock implements scan.BlockPass. The provider prefix is
-// carved off each dictionary entry once per block; accumulators
-// resolve lazily per code, only when a known probe's row actually
-// lands in one.
+// ObserveBlock implements scan.BlockPass. A dictionary entry's provider
+// prefix is carved off and its accumulator resolved the first time a
+// known probe's row references it in the block. A first walk counts
+// each provider's delivered rows, so the second copies their RTTs into
+// one chunk allocated at its size.
 func (p *ProviderPass) ObserveBlock(blk *colf.Block) error {
-	p.provs, p.provOK, p.accs = p.provs[:0], p.provOK[:0], p.accs[:0]
-	for _, region := range blk.Dict {
-		prov, ok := providerOf(region)
-		p.provs = append(p.provs, prov)
-		p.provOK = append(p.provOK, ok)
-		p.accs = append(p.accs, nil)
-	}
-	lastProbe := 0
-	known := false
+	p.accs = append(p.accs[:0], make([]*providerAcc, len(blk.Dict))...)
+	lastProbe, known := 0, false
 	for i, probe := range blk.Probe {
 		if probe != lastProbe {
-			lastProbe = probe
-			known = p.idx.Known(probe)
+			lastProbe, known = probe, p.idx.Known(probe)
 		}
 		if !known {
 			continue
@@ -126,13 +116,13 @@ func (p *ProviderPass) ObserveBlock(blk *colf.Block) error {
 		code := blk.RegionID[i]
 		a := p.accs[code]
 		if a == nil {
-			if !p.provOK[code] {
+			prov, ok := providerOf(blk.Dict[code])
+			if !ok {
 				continue
 			}
-			a = p.byProvider[p.provs[code]]
-			if a == nil {
-				a = &providerAcc{dist: &stats.Dist{}}
-				p.byProvider[p.provs[code]] = a
+			if a = p.byProvider[prov]; a == nil {
+				a = &providerAcc{}
+				p.byProvider[prov] = a
 			}
 			p.accs[code] = a
 		}
@@ -140,8 +130,16 @@ func (p *ProviderPass) ObserveBlock(blk *colf.Block) error {
 			a.lost++
 			continue
 		}
-		if err := a.dist.Add(blk.RTT[i]); err != nil {
-			return err
+		a.fresh++
+	}
+	for _, a := range p.accs {
+		if a != nil && a.fresh > 0 {
+			a.chunks, a.fresh = append(a.chunks, make([]float64, 0, a.fresh)), 0
+		}
+	}
+	for i, probe := range blk.Probe {
+		if a := p.accs[blk.RegionID[i]]; a != nil && !blk.Lost[i] && p.idx.Known(probe) {
+			a.chunks[len(a.chunks)-1] = append(a.chunks[len(a.chunks)-1], blk.RTT[i])
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/results"
@@ -113,7 +114,11 @@ func (s *Suite) StateDump() ([]byte, error) {
 	for _, provider := range sortedKeys(s.Provider.byProvider) {
 		a := s.Provider.byProvider[provider]
 		b = snap.AppendString(b, provider)
-		if b, err = appendDist(b, a.dist); err != nil {
+		d, err := stats.FromSamples(slices.Concat(a.chunks...))
+		if err != nil {
+			return nil, err
+		}
+		if b, err = appendDist(b, d); err != nil {
 			return nil, err
 		}
 		b = snap.AppendUvarint(b, uint64(a.lost))
@@ -225,12 +230,18 @@ func (p *ProviderPass) Observe(s results.Sample) error {
 	}
 	a := p.byProvider[provider]
 	if a == nil {
-		a = &providerAcc{dist: &stats.Dist{}}
+		a = &providerAcc{}
 		p.byProvider[provider] = a
 	}
 	if s.Lost {
 		a.lost++
 		return nil
 	}
-	return a.dist.Add(s.RTTms)
+	// Rows join one growing chunk: the dump folds the chunks in order,
+	// so their boundaries do not show.
+	if len(a.chunks) == 0 {
+		a.chunks = append(a.chunks, nil)
+	}
+	a.chunks[0] = append(a.chunks[0], s.RTTms)
+	return nil
 }

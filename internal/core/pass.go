@@ -65,10 +65,7 @@ func (p *ProximityPass) Merge(other Pass) error {
 			p.byCountry[country] = oa
 			continue
 		}
-		if oa.min < a.min {
-			a.min = oa.min
-		}
-		a.samples += oa.samples
+		a.min, a.samples = min(a.min, oa.min), a.samples+oa.samples
 	}
 	return nil
 }
@@ -154,21 +151,21 @@ func providerOf(region string) (string, bool) {
 	return provider, ok
 }
 
-// ProviderPass accumulates the per-provider latency comparison.
+// ProviderPass accumulates the per-provider latency comparison. It keeps
+// each provider's delivered RTTs as exact-size chunks, one per observed
+// block, in file order, and folds them only when a report asks.
 type ProviderPass struct {
 	idx        *Index
 	byProvider map[string]*providerAcc
-	// Per-block scratch for ObserveBlock, reused across blocks: the
-	// provider prefix of each dictionary code and the lazily resolved
-	// accumulator per code.
-	provs  []string
-	provOK []bool
-	accs   []*providerAcc
+	// accs is ObserveBlock's scratch, reused across blocks: each
+	// dictionary code's lazily resolved accumulator.
+	accs []*providerAcc
 }
 
 type providerAcc struct {
-	dist *stats.Dist
-	lost int
+	chunks [][]float64 // delivered RTTs, in file order
+	fresh  int         // the observed block's delivered rows
+	lost   int
 }
 
 // NewProviderPass builds the pass.
@@ -176,8 +173,9 @@ func NewProviderPass(idx *Index) *ProviderPass {
 	return &ProviderPass{idx: idx, byProvider: make(map[string]*providerAcc)}
 }
 
-// Merge implements Pass. Per-provider streams merge by replay, so the
-// mean/stddev folds in the summary match a sequential run bitwise.
+// Merge implements Pass: other's rows follow the receiver's in file
+// order, so the receiver adopts other's chunks after its own. other
+// must not be used afterwards.
 func (p *ProviderPass) Merge(other Pass) error {
 	o, ok := other.(*ProviderPass)
 	if !ok {
@@ -189,34 +187,38 @@ func (p *ProviderPass) Merge(other Pass) error {
 			p.byProvider[provider] = oa
 			continue
 		}
-		if err := a.dist.Merge(oa.dist); err != nil {
-			return err
-		}
+		a.chunks = append(a.chunks, oa.chunks...)
 		a.lost += oa.lost
 	}
+	o.byProvider = nil
 	return nil
 }
 
-// Report finishes the comparison.
+// Report finishes the comparison, one provider's distribution at a time.
 func (p *ProviderPass) Report() (*ProviderReport, error) {
 	if len(p.byProvider) == 0 {
 		return nil, errors.New("core: no samples")
 	}
 	rep := &ProviderReport{}
 	for provider, a := range p.byProvider {
-		if a.dist.N() == 0 {
+		if len(a.chunks) == 0 {
 			continue
 		}
-		sum, err := a.dist.Summarize()
+		// One exact-size buffer of the chunks in file order: the sums are
+		// those of the sequential fold.
+		d, err := stats.FromSamples(slices.Concat(a.chunks...))
 		if err != nil {
 			return nil, err
 		}
-		total := a.dist.N() + a.lost
+		sum, err := d.Summarize()
+		if err != nil {
+			return nil, err
+		}
 		rep.Rows = append(rep.Rows, ProviderRow{
 			Provider: provider,
 			Summary:  sum,
 			Lost:     a.lost,
-			LossRate: float64(a.lost) / float64(total),
+			LossRate: float64(a.lost) / float64(d.N()+a.lost),
 		})
 	}
 	slices.SortFunc(rep.Rows, func(a, b ProviderRow) int {

@@ -114,10 +114,7 @@ func Figure7Lines(rep *core.LastMileReport) ([]string, error) {
 		return nil, err
 	}
 	lines := []string{fmt.Sprintf("wireless/wired ratio=%.2fx  added=%.1fms", ratio, added)}
-	n := len(rep.Wired)
-	if len(rep.Wireless) < n {
-		n = len(rep.Wireless)
-	}
+	n := min(len(rep.Wired), len(rep.Wireless))
 	for i := 0; i < n; i++ {
 		lines = append(lines, fmt.Sprintf("week %2d  wired=%.1fms  wireless=%.1fms",
 			i+1, rep.Wired[i].Median, rep.Wireless[i].Median))

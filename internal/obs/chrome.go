@@ -1,10 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -55,8 +56,7 @@ func WriteChromeTraceDump(w io.Writer, d SpanDump) error {
 	var parents, depths []int
 	flattenDump(d, d.Start, -1, 0, &flat, &parents, &depths)
 	assignLanes(flat, parents, depths)
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: flat, DisplayUnit: "ms"})
+	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: flat, DisplayUnit: "ms"})
 }
 
 // flattenDump appends d and its children as complete events with
@@ -94,13 +94,8 @@ func assignLanes(events []chromeEvent, parents, depths []int) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		ea, eb := events[ia], events[ib]
-		if ea.Ts != eb.Ts {
-			return ea.Ts < eb.Ts
-		}
-		return depths[ia] < depths[ib] // parents before children at equal start
+	slices.SortStableFunc(order, func(a, b int) int { // parents before children at equal start
+		return cmp.Or(cmp.Compare(events[a].Ts, events[b].Ts), cmp.Compare(depths[a], depths[b]))
 	})
 	isAncestor := func(anc, i int) bool {
 		for p := parents[i]; p >= 0; p = parents[p] {
@@ -169,11 +164,8 @@ func StageTotals(d SpanDump) []StageTotal {
 	for _, t := range acc {
 		out = append(out, *t)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Name < out[j].Name
+	slices.SortFunc(out, func(a, b StageTotal) int {
+		return cmp.Or(cmp.Compare(b.Total, a.Total), strings.Compare(a.Name, b.Name))
 	})
 	return out
 }
@@ -187,9 +179,7 @@ func FormatStageTable(totals []StageTotal, wall time.Duration) []string {
 	}
 	width := len("stage")
 	for _, t := range totals {
-		if len(t.Name) > width {
-			width = len(t.Name)
-		}
+		width = max(width, len(t.Name))
 	}
 	lines := []string{fmt.Sprintf("%-*s  %7s  %12s  %6s", width, "stage", "count", "total", "share")}
 	for _, t := range totals {

@@ -15,7 +15,7 @@ import (
 // run, written as run.json next to the run's outputs: enough identity
 // (run ID, build version, flags, world fingerprint) to reproduce the
 // run and enough outcome (per-stage durations, throughput, snapshot
-// coverage, peak queue depth) to compare it against other runs.
+// coverage, peak queue depth and RSS) to compare it against other runs.
 type RunManifest struct {
 	RunID      string    `json:"run_id"`
 	Binary     string    `json:"binary"`
@@ -45,6 +45,8 @@ type RunManifest struct {
 
 	// PeakQueueDepth is the engine's high-water batch queue depth.
 	PeakQueueDepth float64 `json:"peak_queue_depth,omitempty"`
+	// PeakRSSBytes is VmHWM, absent where /proc/self/status is.
+	PeakRSSBytes uint64 `json:"peak_rss_bytes,omitempty"`
 }
 
 // StageDuration is one named stage's wall time.

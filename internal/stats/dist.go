@@ -49,6 +49,13 @@ func FromSorted(samples []float64) *Dist {
 	return d
 }
 
+// FromSamples returns a Dist that adopts samples in place, its sums
+// folded in order; a NaN or an infinity fails it as AddBulk would.
+func FromSamples(samples []float64) (*Dist, error) {
+	d := &Dist{samples: samples[:0:len(samples)]}
+	return d, d.AddBulk(samples)
+}
+
 // AddBulk appends a batch of samples in order — the batch-kernel entry
 // point. Behaviour matches calling Add per value (the valid prefix
 // before the first invalid sample is appended, then the error), but

@@ -53,6 +53,7 @@ import (
 	"log/slog"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -468,6 +469,9 @@ func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continen
 	var payload, rec []byte
 	var codes edgeCodes
 	start := len(ix.recs)
+	// Room for every row appended: a one-shot build allocates it once.
+	n := max(len(blocks)-start, 0)
+	ix.recs, ix.cum = slices.Grow(ix.recs, n), slices.Grow(ix.cum, n)
 	for i := start; i < len(blocks); i++ {
 		bi := blocks[i]
 		blk, err := ix.dec.DecodeCols(store, bi, 0)

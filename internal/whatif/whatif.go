@@ -158,10 +158,7 @@ func runScenario(ctx context.Context, sc Scenario, cfg Config, pop *probe.Popula
 
 	// A better last mile lowers the feasibility zone's floor. Clamp at
 	// 1 ms: even a perfect access link leaves some latency.
-	floor := added
-	if floor < 1 {
-		floor = 1
-	}
+	floor := max(added, 1)
 	zone, err := apps.DeriveZone(floor, core.HRTms, 1)
 	if err != nil {
 		return Outcome{}, err

@@ -83,3 +83,39 @@ func TestFailures(t *testing.T) {
 		t.Fatalf("fewer failures: %q", msg)
 	}
 }
+
+// TestVerify: the trajectory only appends entries to the committed
+// file, each with its stamp, the record seed, end-to-end names that
+// BENCHMARK.json declares and ordered quartiles.
+func TestVerify(t *testing.T) {
+	c := contract{EndToEnd: []spec{{Name: "peak_rss_mb"}}}
+	c.Workloads = append(c.Workloads, struct{ Name string }{"paper_run"})
+	one := `{"tree":"t1","commit":"c1","go":"go1.24.0","goarch":"amd64","gomaxprocs":2,"numcpu":2,"seed":1,"runs":3,` +
+		`"workloads":{"paper_run":{"peak_rss_mb":{"median":35,"q1":34,"q3":36}}}}`
+	two := strings.Replace(one, `"t1"`, `"t2"`, 1)
+	file := func(entries ...string) []byte { return []byte("[" + strings.Join(entries, ",\n") + "]\n") }
+	for _, tc := range []struct {
+		name     string
+		cur, old []byte
+		want     string // "" passes
+	}{
+		{"first entry, nothing committed", file(one), nil, ""},
+		{"one appended", file(one, two), file(one), ""},
+		{"unchanged", file(one), file(one), ""},
+		{"a per-layer metric", file(strings.Replace(one, "peak_rss_mb", "tix.build_ms", 1)), nil, "no metric"},
+		{"another seed", file(strings.Replace(one, `"seed":1`, `"seed":2`, 1)), nil, "seed is not 1"},
+		{"an entry removed", file(two), file(one, two), "only appended"},
+		{"an entry edited", file(strings.Replace(one, `"median":35`, `"median":34.5`, 1)), file(one), "never edited"},
+		{"an undeclared metric", file(strings.Replace(one, "peak_rss_mb", "rss", 1)), nil, "no metric"},
+		{"an undeclared workload", file(strings.Replace(one, "paper_run", "paper", 1)), nil, "no workload"},
+		{"an unknown field", file(strings.Replace(one, `"seed"`, `"sed"`, 1)), nil, "unknown field"},
+		{"no stamp", file(strings.Replace(one, `"go1.24.0"`, `""`, 1)), nil, "stamp"},
+		{"unordered quartiles", file(strings.Replace(one, `"q1":34`, `"q1":35.5`, 1)), nil, "q1 <= median"},
+		{"not an array", []byte(one), nil, "cannot unmarshal"},
+	} {
+		err := verify(c, tc.cur, tc.old)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

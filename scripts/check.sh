@@ -131,6 +131,10 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # per row, a round-structured block's chunk holds 14 bytes per kept row
 # plus 16 per time run, a merge keeps the receiver's best row on a tie,
 # and Figures 6/7 come out byte-identical at 1, 2 and 3 scan workers.
+# The provider kernel beside it: the §4.1 table equals a row-by-row
+# stats.Dist fold in file order, every Summary field bit for bit, at 1,
+# 2 and 3 scan workers, a NaN RTT fails it, and folding the blocks
+# allocates 8 bytes per delivered row plus a bounded amount per block.
 # Figure 7 and the KS test equal a per-sample reference on a store not
 # written in time order (rows alternating timestamps across a bin edge
 # and stepping backwards), cold and through delta updates that walk the
@@ -140,14 +144,18 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # n <= 2000, powers of two +- 64 ulps, a million random values, k·1e-6
 # and k·1e-7), and what it declines still renders as encoding/json does.
 go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestWarmWindowFillAllocs|TestConcurrentFillsKeepTheirBodies|TestServeCorruptSlabFallsBack|TestServeBackwardTimeFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestCurvePMatchesStrconv|TestCurvePDeclines|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
-go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestScanStatsAccounting|TestNearestObserveBlockSteadyStateAllocs|TestNearestChunkBytes|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount|TestLastMileOutOfOrderTime' ./internal/core
+go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestScanStatsAccounting|TestNearestObserveBlockSteadyStateAllocs|TestNearestChunkBytes|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount|TestLastMileOutOfOrderTime|TestProviderPassIsSequentialFold' ./internal/core
 go test -count=1 -run 'TestQueryMatchesColdFold|TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather|TestSortSlabMatchesSort|TestEdgeCodesDifferential|TestWarmEdgeReadsNoStore|TestBackwardTimeFailsQuery|TestCRCDamagedEdgeBlock|TestViewsShareEdgeCodes' ./internal/tix
 go test -count=1 -run 'TestSelectRankMatchesSort|TestSummarizeMatchesSort' ./internal/stats
 
-echo "== benchtraj (verdict arithmetic) =="
-# The pair driver's quartiles, pair wins, claim rule and bounds; its
-# tests run nothing and time nothing.
+echo "== benchtraj (verdict arithmetic, trajectory) =="
+# The pair driver's quartiles, pair wins, claim rule and bounds, and the
+# trajectory check; its tests run nothing and time nothing. verify
+# checks BENCH_pipeline.json only appended to its committed entries,
+# each with its stamp and BENCHMARK.json's names. Recording an entry
+# times the benchmark, so it stays out of this gate.
 go test -count=1 ./scripts/benchtraj
+go run ./scripts/benchtraj verify
 
 echo "== campaign allocation gate =="
 # Like the windowed index gate, without the race detector so the
@@ -156,9 +164,11 @@ echo "== campaign allocation gate =="
 # batch buffers (a run allocates no more at 4x the rounds, and its merged
 # stream stays canonical at 1, 2, 3 and 7 workers), and a warmed round's
 # synthesis allocates a handful of objects at most. Its batched path
-# resolver returns what Platform.Path returns, pair for pair, derives
-# the pairs the table has no cell for, and on a path error still emits
-# the samples before it. The paths it keeps live hold no pointer for the
+# resolver returns a path equal to what Platform.Path derives, pair for
+# pair, derives the pairs the table has no cell for, and on a path error
+# still emits the samples before it; the table dies with its campaign (a
+# weak pointer to it is cleared by the first collection after
+# RunCampaignOpts returns). The paths a campaign keeps live hold no pointer for the
 # collector to scan, Sample still matches its reference (which computes
 # lon/15 and reads the model's Config itself) bit for bit, MinRTT —
 # which takes its pings in time order and skips the noise of any whose
@@ -166,7 +176,7 @@ echo "== campaign allocation gate =="
 # RTT over its pings bit for bit for one to nine pings and allocates
 # nothing, and each probe's address is spelled as fmt would.
 go test -count=1 -run '^TestRunRecyclesBatches$' ./internal/engine
-go test -count=1 -run '^(TestSynthesizeRoundSteadyStateAllocs|TestResolvePathsMatchesPath)$' ./internal/atlas
+go test -count=1 -run '^(TestSynthesizeRoundSteadyStateAllocs|TestResolvePathsMatchesPath|TestPathTableDiesWithCampaign)$' ./internal/atlas
 go test -count=1 -run '^(TestPathHoldsNoPointers|TestSampleMatchesReference|TestMinRTTMatchesRTTFold)$' ./internal/netem
 go test -count=1 -run '^TestAddr$' ./internal/probe
 
