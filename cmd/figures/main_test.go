@@ -251,6 +251,9 @@ func TestRunWritesManifest(t *testing.T) {
 	if runtime.GOOS == "linux" && m.PeakRSSBytes == 0 {
 		t.Error("manifest lacks peak_rss_bytes on Linux")
 	}
+	if m.AllocBytes == 0 {
+		t.Error("manifest lacks alloc_bytes")
+	}
 	if m.DurationMs <= 0 || m.End.Before(m.Start) {
 		t.Errorf("manifest window: start=%v end=%v duration=%vms", m.Start, m.End, m.DurationMs)
 	}

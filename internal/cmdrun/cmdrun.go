@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/core"
@@ -234,10 +235,10 @@ func (r *Run) Serve(blocks func(progress map[string]any)) error {
 }
 
 // Finish tears the run down, on every exit after Start, in this order:
-// it ends the root span and stamps the manifest with the end time and
-// the root's stages, calls before (when non-nil) with the span dump,
-// writes the manifest, writes the heap profile, stops the CPU profile
-// and closes the status server. Every step runs whatever failed before
+// it ends the root span and stamps the manifest with the end time, the
+// peak resident set, the bytes allocated and the root's stages, calls
+// before (when non-nil) with the span dump, writes the manifest, writes
+// the heap profile, stops the CPU profile and closes the status server. Every step runs whatever failed before
 // it. Finish returns runErr, or else the first error a step met.
 func (r *Run) Finish(runErr error, before func(obs.SpanDump) error) error {
 	err := runErr
@@ -255,6 +256,11 @@ func (r *Run) Finish(runErr error, before func(obs.SpanDump) error) error {
 	if _, hwm, ok := bytes.Cut(status, []byte("VmHWM:")); ok {
 		fmt.Sscan(string(hwm), &r.manifest.PeakRSSBytes)
 		r.manifest.PeakRSSBytes <<= 10
+	}
+	allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(allocs)
+	if allocs[0].Value.Kind() == metrics.KindUint64 {
+		r.manifest.AllocBytes = allocs[0].Value.Uint64()
 	}
 	r.manifest.SetStagesFromDump(dump)
 	if before != nil {

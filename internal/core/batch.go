@@ -93,54 +93,3 @@ func (p *MinRTTPass) ObserveBlock(blk *colf.Block) error {
 	}
 	return nil
 }
-
-// Columns implements scan.BlockPass. Providers resolve from the block
-// dictionary and per-row codes.
-func (p *ProviderPass) Columns() colf.ColumnSet { return colf.ColRegionIDs }
-
-// ObserveBlock implements scan.BlockPass. A dictionary entry's provider
-// prefix is carved off and its accumulator resolved the first time a
-// known probe's row references it in the block. A first walk counts
-// each provider's delivered rows, so the second copies their RTTs into
-// one chunk allocated at its size.
-func (p *ProviderPass) ObserveBlock(blk *colf.Block) error {
-	p.accs = append(p.accs[:0], make([]*providerAcc, len(blk.Dict))...)
-	lastProbe, known := 0, false
-	for i, probe := range blk.Probe {
-		if probe != lastProbe {
-			lastProbe, known = probe, p.idx.Known(probe)
-		}
-		if !known {
-			continue
-		}
-		code := blk.RegionID[i]
-		a := p.accs[code]
-		if a == nil {
-			prov, ok := providerOf(blk.Dict[code])
-			if !ok {
-				continue
-			}
-			if a = p.byProvider[prov]; a == nil {
-				a = &providerAcc{}
-				p.byProvider[prov] = a
-			}
-			p.accs[code] = a
-		}
-		if blk.Lost[i] {
-			a.lost++
-			continue
-		}
-		a.fresh++
-	}
-	for _, a := range p.accs {
-		if a != nil && a.fresh > 0 {
-			a.chunks, a.fresh = append(a.chunks, make([]float64, 0, a.fresh)), 0
-		}
-	}
-	for i, probe := range blk.Probe {
-		if a := p.accs[blk.RegionID[i]]; a != nil && !blk.Lost[i] && p.idx.Known(probe) {
-			a.chunks[len(a.chunks)-1] = append(a.chunks[len(a.chunks)-1], blk.RTT[i])
-		}
-	}
-	return nil
-}

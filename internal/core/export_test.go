@@ -1,6 +1,14 @@
 package core
 
-import "repro/internal/geo"
+import (
+	"context"
+	"io"
+	"time"
+
+	"repro/internal/colf"
+	"repro/internal/geo"
+	"repro/internal/scan"
+)
 
 // Hooks core_test reads the resident report through: what no report
 // carries, and how much work the last update did.
@@ -32,4 +40,15 @@ func (s *Suite) ResidentWork() (full, weeks, fullRead, weeksRead int) {
 func (idx *Index) AccessTier(probeID int) (AccessClass, geo.Tier) {
 	info, _ := idx.info(probeID)
 	return info.access, info.tier
+}
+
+// ScanImage folds the blocks of a colf image through the whole suite at
+// the given scan worker count, as ScanMemory folds a results.Memory's
+// image at one, so a test can choose the image's block size.
+func ScanImage(r io.ReaderAt, blocks []colf.BlockInfo, idx *Index, start time.Time, binWidth time.Duration, workers int) (*SuiteReport, error) {
+	c := &covered{idx: idx, start: start, binWidth: binWidth}
+	if _, err := c.advance(context.Background(), scan.Config{Workers: workers}, r, 0, blocks); err != nil {
+		return nil, err
+	}
+	return c.report(0)
 }

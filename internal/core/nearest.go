@@ -29,7 +29,8 @@ import (
 // round's rows share, 16 bytes each. Beside it the pass keeps each
 // probe's best row, whose region is the probe's nearest. A report
 // filters the chunks against that per-probe nearest region and sorts
-// only the rows it keeps, about one in twenty.
+// only the rows it keeps, about one in twenty. The §4.1 provider table
+// (Providers) reads every buffered row, and a lost count per region.
 //
 // Once a report has been taken, the pass also keeps that figure's kept
 // rows resident as ascending multisets (keptSets): the next report
@@ -41,10 +42,12 @@ type NearestPass struct {
 	// start and binWidth are the Figure 7 bin geometry.
 	start    time.Time
 	binWidth time.Duration
-	// regions interns the region names the buffered rows reference, in
-	// first-reference order; ids inverts it.
+	// regions interns the region names the known probes' rows reference,
+	// in first-reference order; ids inverts it, and lost counts each
+	// region's lost rows.
 	regions []string
 	ids     map[string]uint16
+	lost    []int
 	// chunks is the row buffer, one chunk per observed block.
 	chunks []rowChunk
 	// best is dense by probe ID, like Index.byID.
@@ -133,6 +136,7 @@ func (p *NearestPass) intern(name string) (uint16, error) {
 	}
 	id := uint16(len(p.regions))
 	p.regions = append(p.regions, name)
+	p.lost = append(p.lost, 0)
 	p.ids[name] = id
 	return id, nil
 }
@@ -145,9 +149,10 @@ func (p *NearestPass) Columns() colf.ColumnSet { return colf.ColTime | colf.ColR
 // allocated once at the CRC-checked footer's delivered count — or at the
 // row count when the footer does not describe the rows at hand (a block
 // compacted to a predicate's rows), its time runs at the block's
-// timestamp changes. A dictionary entry is interned
-// the first time a kept row references it — at most one map lookup per
-// entry per block, and the table never names a region no row holds.
+// timestamp changes, and a known probe's lost row counts against its
+// region. A dictionary entry is interned the first time a known probe's
+// row references it — at most one map lookup per entry per block, and
+// the table never names a region no such row holds.
 func (p *NearestPass) ObserveBlock(blk *colf.Block) error {
 	p.remap = p.remap[:0]
 	for range blk.Dict {
@@ -167,9 +172,6 @@ func (p *NearestPass) ObserveBlock(blk *colf.Block) error {
 	lastProbe, known := 0, false
 	var best *bestRow
 	for i, probe := range blk.Probe {
-		if blk.Lost[i] {
-			continue
-		}
 		if probe != lastProbe {
 			lastProbe, known = probe, p.idx.Known(probe)
 			if known {
@@ -189,6 +191,10 @@ func (p *NearestPass) ObserveBlock(blk *colf.Block) error {
 			id = int32(fresh)
 			p.remap[code] = id
 		}
+		if blk.Lost[i] {
+			p.lost[id]++
+			continue
+		}
 		best.offer(uint16(id), blk.RTT[i])
 		ch.add(probe, uint16(id), blk.RTT[i], blk.TimeNano[i])
 	}
@@ -200,8 +206,8 @@ func (p *NearestPass) ObserveBlock(blk *colf.Block) error {
 
 // Merge implements Pass: other's rows follow the receiver's in file
 // order, so the receiver takes over other's chunks — relabelling their
-// region ids in place, not copying rows — and its best row wins a tie.
-// other must not be used afterwards.
+// region ids in place, not copying rows — adds other's lost counts, and
+// its best row wins a tie. other must not be used afterwards.
 func (p *NearestPass) Merge(other Pass) error {
 	o, ok := other.(*NearestPass)
 	if !ok {
@@ -217,6 +223,9 @@ func (p *NearestPass) Merge(other Pass) error {
 			return err
 		}
 		p.remap = append(p.remap, int32(id))
+	}
+	for id, n := range o.lost {
+		p.lost[p.remap[id]] += n
 	}
 	for _, ch := range o.chunks {
 		for i, id := range ch.region {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"slices"
 	"time"
 
 	"repro/internal/results"
@@ -50,14 +49,14 @@ func RunPasses(src Source, passes ...RowPass) error {
 	})
 }
 
-// RowOracle folds src row by row through a fresh suite — all four
+// RowOracle folds src row by row through a fresh suite — all three
 // passes in one walk — and returns it before any report runs.
 func RowOracle(src Source, idx *Index, start time.Time, binWidth time.Duration) (*Suite, error) {
 	s, err := NewSuite(idx, start, binWidth)
 	if err != nil {
 		return nil, err
 	}
-	return s, RunPasses(src, s.Proximity, s.MinRTT, s.Nearest, s.Provider)
+	return s, RunPasses(src, s.Proximity, s.MinRTT, s.Nearest)
 }
 
 // Select restricts a fresh suite to the passes ps names, as a
@@ -68,12 +67,13 @@ func (s *Suite) Select(ps PassSet) *Suite {
 }
 
 // StateDump spells out every accumulator of a whole suite — the two
-// snapshot passes as EncodeState writes them, then the passes that are
-// never persisted: the nearest-region buffer per probe in file order
+// snapshot passes as EncodeState writes them, then the nearest-region
+// buffer, which is never persisted: per probe its rows in file order
 // with its best row (region by name, so neither interning order nor
-// chunk boundaries show) and each
-// provider's distribution (see appendDist) with its loss count — so two
-// folds can be held to the same state, not just the same figures.
+// chunk boundaries show), and per provider the distribution of its
+// buffered RTTs in file order (see appendDist) with the lost counts of
+// its regions — so two folds can be held to the same state, not just
+// the same figures.
 func (s *Suite) StateDump() ([]byte, error) {
 	b, err := s.EncodeState()
 	if err != nil {
@@ -111,17 +111,29 @@ func (s *Suite) StateDump() ([]byte, error) {
 		b = snap.AppendString(b, n.regions[best.region])
 		b = snap.AppendFloat(b, best.rtt)
 	}
-	for _, provider := range sortedKeys(s.Provider.byProvider) {
-		a := s.Provider.byProvider[provider]
+	rtts, lost := map[string][]float64{}, map[string]int{}
+	for id, region := range n.regions {
+		if provider, ok := providerOf(region); ok {
+			lost[provider] += n.lost[id]
+		}
+	}
+	for c := range n.chunks {
+		for i, id := range n.chunks[c].region {
+			if provider, ok := providerOf(n.regions[id]); ok {
+				rtts[provider] = append(rtts[provider], n.chunks[c].rtt[i])
+			}
+		}
+	}
+	for _, provider := range sortedKeys(lost) {
 		b = snap.AppendString(b, provider)
-		d, err := stats.FromSamples(slices.Concat(a.chunks...))
+		d, err := stats.FromSamples(rtts[provider])
 		if err != nil {
 			return nil, err
 		}
 		if b, err = appendDist(b, d); err != nil {
 			return nil, err
 		}
-		b = snap.AppendUvarint(b, uint64(a.lost))
+		b = snap.AppendUvarint(b, uint64(lost[provider]))
 	}
 	return b, nil
 }
@@ -198,15 +210,16 @@ func (p *MinRTTPass) Observe(s results.Sample) error {
 
 // Observe implements RowPass.
 func (p *NearestPass) Observe(s results.Sample) error {
-	if s.Lost {
-		return nil
-	}
 	if !p.idx.Known(s.ProbeID) {
 		return nil
 	}
 	id, err := p.intern(s.Region)
 	if err != nil {
 		return err
+	}
+	if s.Lost {
+		p.lost[id]++
+		return nil
 	}
 	// Rows join the last chunk until a report has read it.
 	last := len(p.chunks) - 1
@@ -216,32 +229,5 @@ func (p *NearestPass) Observe(s results.Sample) error {
 	}
 	p.chunks[last].add(s.ProbeID, id, s.RTTms, s.Time.UnixNano())
 	p.best[s.ProbeID].offer(id, s.RTTms)
-	return nil
-}
-
-// Observe implements RowPass.
-func (p *ProviderPass) Observe(s results.Sample) error {
-	if !p.idx.Known(s.ProbeID) {
-		return nil
-	}
-	provider, ok := providerOf(s.Region)
-	if !ok {
-		return nil
-	}
-	a := p.byProvider[provider]
-	if a == nil {
-		a = &providerAcc{}
-		p.byProvider[provider] = a
-	}
-	if s.Lost {
-		a.lost++
-		return nil
-	}
-	// Rows join one growing chunk: the dump folds the chunks in order,
-	// so their boundaries do not show.
-	if len(a.chunks) == 0 {
-		a.chunks = append(a.chunks, nil)
-	}
-	a.chunks[0] = append(a.chunks[0], s.RTTms)
 	return nil
 }

@@ -143,86 +143,3 @@ func (p *MinRTTPass) Report() (*CDFReport, error) {
 	}
 	return rep, nil
 }
-
-// providerOf extracts the operator prefix of a "provider/id" region
-// address.
-func providerOf(region string) (string, bool) {
-	provider, _, ok := strings.Cut(region, "/")
-	return provider, ok
-}
-
-// ProviderPass accumulates the per-provider latency comparison. It keeps
-// each provider's delivered RTTs as exact-size chunks, one per observed
-// block, in file order, and folds them only when a report asks.
-type ProviderPass struct {
-	idx        *Index
-	byProvider map[string]*providerAcc
-	// accs is ObserveBlock's scratch, reused across blocks: each
-	// dictionary code's lazily resolved accumulator.
-	accs []*providerAcc
-}
-
-type providerAcc struct {
-	chunks [][]float64 // delivered RTTs, in file order
-	fresh  int         // the observed block's delivered rows
-	lost   int
-}
-
-// NewProviderPass builds the pass.
-func NewProviderPass(idx *Index) *ProviderPass {
-	return &ProviderPass{idx: idx, byProvider: make(map[string]*providerAcc)}
-}
-
-// Merge implements Pass: other's rows follow the receiver's in file
-// order, so the receiver adopts other's chunks after its own. other
-// must not be used afterwards.
-func (p *ProviderPass) Merge(other Pass) error {
-	o, ok := other.(*ProviderPass)
-	if !ok {
-		return mergeTypeError("ProviderPass", other)
-	}
-	for provider, oa := range o.byProvider {
-		a := p.byProvider[provider]
-		if a == nil {
-			p.byProvider[provider] = oa
-			continue
-		}
-		a.chunks = append(a.chunks, oa.chunks...)
-		a.lost += oa.lost
-	}
-	o.byProvider = nil
-	return nil
-}
-
-// Report finishes the comparison, one provider's distribution at a time.
-func (p *ProviderPass) Report() (*ProviderReport, error) {
-	if len(p.byProvider) == 0 {
-		return nil, errors.New("core: no samples")
-	}
-	rep := &ProviderReport{}
-	for provider, a := range p.byProvider {
-		if len(a.chunks) == 0 {
-			continue
-		}
-		// One exact-size buffer of the chunks in file order: the sums are
-		// those of the sequential fold.
-		d, err := stats.FromSamples(slices.Concat(a.chunks...))
-		if err != nil {
-			return nil, err
-		}
-		sum, err := d.Summarize()
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, ProviderRow{
-			Provider: provider,
-			Summary:  sum,
-			Lost:     a.lost,
-			LossRate: float64(a.lost) / float64(d.N()+a.lost),
-		})
-	}
-	slices.SortFunc(rep.Rows, func(a, b ProviderRow) int {
-		return cmp.Or(cmp.Compare(a.Summary.Median, b.Summary.Median), strings.Compare(a.Provider, b.Provider))
-	})
-	return rep, nil
-}

@@ -24,7 +24,7 @@ const (
 	PassMinRTT                        // Figure 5
 	PassFullDist                      // Figure 6
 	PassLastMile                      // Figures 7 and 8 (and NearestPass.Significance)
-	PassProvider                      // §4.1's per-provider table
+	PassProvider                      // §4.1's per-provider table (NearestPass.Providers)
 
 	allPasses = PassProvider<<1 - 1
 )
@@ -55,14 +55,13 @@ func (ps PassSet) String() string {
 }
 
 // Suite bundles one instance of every analysis pass so a single scan of
-// the dataset can feed all of them. Each worker of a parallel scan owns
-// its own Suite; after the scan the merged state lives in the first
+// the dataset can feed all five reports. Each worker of a parallel scan
+// owns its own Suite; after the scan the merged state lives in the first
 // worker's passes.
 type Suite struct {
 	Proximity *ProximityPass
 	MinRTT    *MinRTTPass
-	Nearest   *NearestPass // Figures 6, 7, 8 and the KS test
-	Provider  *ProviderPass
+	Nearest   *NearestPass // Figures 6, 7, 8, the KS test and the §4.1 table
 
 	// sel is zero except in a pass-selective scan, where only the
 	// selected passes observe, merge and report. A suite that leaves a
@@ -83,12 +82,11 @@ func NewSuite(idx *Index, start time.Time, binWidth time.Duration) (*Suite, erro
 		Proximity: NewProximityPass(idx),
 		MinRTT:    NewMinRTTPass(idx),
 		Nearest:   NewNearestPass(idx, start, binWidth),
-		Provider:  NewProviderPass(idx),
 	}, nil
 }
 
-// nearestPasses are the two selectable passes the one NearestPass serves.
-const nearestPasses = PassFullDist | PassLastMile
+// nearestPasses are the selectable passes the one NearestPass serves.
+const nearestPasses = PassFullDist | PassLastMile | PassProvider
 
 // Passes returns the suite's passes in a fixed order, matching across
 // workers so the scanner can merge them pairwise.
@@ -98,7 +96,6 @@ func (s *Suite) Passes() []Pass {
 		bits PassSet
 	}{
 		{s.Proximity, PassProximity}, {s.MinRTT, PassMinRTT}, {s.Nearest, nearestPasses},
-		{s.Provider, PassProvider},
 	}
 	passes := make([]Pass, 0, len(all))
 	for _, p := range all {
@@ -151,7 +148,7 @@ func (s *Suite) report(want PassSet) (*SuiteReport, error) {
 		}
 	}
 	if want.has(PassProvider) {
-		if rep.Provider, err = s.Provider.Report(); err != nil {
+		if rep.Provider, err = s.Nearest.Providers(); err != nil {
 			return nil, err
 		}
 	}

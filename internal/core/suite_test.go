@@ -34,8 +34,10 @@ var (
 
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if fileDir != "" {
-		os.RemoveAll(fileDir)
+	for _, dir := range []string{fileDir, goldenDir} {
+		if dir != "" {
+			os.RemoveAll(dir)
+		}
 	}
 	os.Exit(code)
 }
@@ -115,9 +117,7 @@ func TestScanStoreMatchesLegacy(t *testing.T) {
 	alone(nearest7)
 	rep7, err := nearest7.LastMile()
 	must(err)
-	providerPass := core.NewProviderPass(w.Index)
-	alone(providerPass)
-	provider, err := providerPass.Report()
+	provider, err := nearest6.Providers()
 	must(err)
 
 	lines4 := figures.Figure4Lines(rep4)

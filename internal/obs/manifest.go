@@ -47,6 +47,9 @@ type RunManifest struct {
 	PeakQueueDepth float64 `json:"peak_queue_depth,omitempty"`
 	// PeakRSSBytes is VmHWM, absent where /proc/self/status is.
 	PeakRSSBytes uint64 `json:"peak_rss_bytes,omitempty"`
+	// AllocBytes is the heap the process allocated over its life
+	// (runtime/metrics' /gc/heap/allocs:bytes), freed or not.
+	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
 }
 
 // StageDuration is one named stage's wall time.

@@ -131,10 +131,16 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # per row, a round-structured block's chunk holds 14 bytes per kept row
 # plus 16 per time run, a merge keeps the receiver's best row on a tie,
 # and Figures 6/7 come out byte-identical at 1, 2 and 3 scan workers.
-# The provider kernel beside it: the §4.1 table equals a row-by-row
+# The §4.1 table it derives from those chunks: it equals a row-by-row
 # stats.Dist fold in file order, every Summary field bit for bit, at 1,
-# 2 and 3 scan workers, a NaN RTT fails it, and folding the blocks
-# allocates 8 bytes per delivered row plus a bounded amount per block.
+# 2 and 3 scan workers, a NaN RTT fails it, and the report allocates one
+# buffer, 8 bytes per row of the largest provider, plus a small
+# constant; on a hand-made dataset a region whose every row was lost
+# still counts against its provider, a provider with only lost rows gets
+# no row, and unknown probes and regions without a provider prefix count
+# nowhere. Block cuts do not show: the same samples written at 1, 7, 977
+# and 8192 rows a block give the same Figures 4–8 and §4.1 rows at 1 and
+# 3 scan workers.
 # Figure 7 and the KS test equal a per-sample reference on a store not
 # written in time order (rows alternating timestamps across a bin edge
 # and stepping backwards), cold and through delta updates that walk the
@@ -144,7 +150,7 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # n <= 2000, powers of two +- 64 ulps, a million random values, k·1e-6
 # and k·1e-7), and what it declines still renders as encoding/json does.
 go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestWarmWindowFillAllocs|TestConcurrentFillsKeepTheirBodies|TestServeCorruptSlabFallsBack|TestServeBackwardTimeFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestCurvePMatchesStrconv|TestCurvePDeclines|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
-go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestScanStatsAccounting|TestNearestObserveBlockSteadyStateAllocs|TestNearestChunkBytes|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount|TestLastMileOutOfOrderTime|TestProviderPassIsSequentialFold' ./internal/core
+go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestScanStatsAccounting|TestNearestObserveBlockSteadyStateAllocs|TestNearestChunkBytes|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount|TestLastMileOutOfOrderTime|TestProviderTableIsSequentialFold|TestProviderTableCountsLosses|TestSuiteIgnoresBlockCuts' ./internal/core
 go test -count=1 -run 'TestQueryMatchesColdFold|TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather|TestSortSlabMatchesSort|TestEdgeCodesDifferential|TestWarmEdgeReadsNoStore|TestBackwardTimeFailsQuery|TestCRCDamagedEdgeBlock|TestViewsShareEdgeCodes' ./internal/tix
 go test -count=1 -run 'TestSelectRankMatchesSort|TestSummarizeMatchesSort' ./internal/stats
 
