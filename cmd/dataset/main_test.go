@@ -306,8 +306,8 @@ func TestConvertOp(t *testing.T) {
 // re-recorded when the block-index trailer took a CRC-32C: stats prints
 // the file size, which grew by 4 bytes.
 func TestOpsMatchGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digests recorded on amd64; other targets may fuse the float arithmetic differently")
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Skip("digests pinned on amd64 and 386; other targets may fuse the float arithmetic differently")
 	}
 	dir := buildDataset(t)
 	cfg := atlas.TestCampaign()

@@ -18,7 +18,10 @@ import (
 // 1 and 3 scan workers; every fold must render Figures 4–8 (lines and
 // CSVs) to the same bytes and give the same §4.1 rows, every Summary
 // field bit for bit. The per-block chunks NearestPass keeps, and the
-// §4.1 table gathers across, are cut differently by every size.
+// §4.1 table gathers across, are cut differently by every size. A
+// one-shot fold of Figures 6–8, which reads the blocks twice and keeps
+// only the rows its reports keep, renders them to the same bytes, with
+// the same KS result, at 1, 2 and 3 scan workers.
 func TestSuiteIgnoresBlockCuts(t *testing.T) {
 	const week = 7 * 24 * time.Hour
 	w, cfg, store := goldenDataset(t)
@@ -32,9 +35,9 @@ func TestSuiteIgnoresBlockCuts(t *testing.T) {
 	}
 
 	var (
-		wantLabel string
-		want      []byte
-		wantRows  []core.ProviderRow
+		wantLabel, wantKS string
+		want, wantNearest []byte
+		wantRows          []core.ProviderRow
 	)
 	for _, blockRows := range []int{8192, 977, 7, 1} {
 		var buf bytes.Buffer
@@ -57,13 +60,18 @@ func TestSuiteIgnoresBlockCuts(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3} {
 			label := fmt.Sprintf("%d rows a block, %d workers", blockRows, workers)
-			rep, err := core.ScanImage(img, img.Blocks(), w.Index, cfg.Start, week, workers)
+			s, err := core.FoldImage(img, img.Blocks(), w.Index, cfg.Start, week, workers, nil, 0, false)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			rep, err := s.Finalize()
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			got := renderSuite(t, rep)
 			if want == nil {
 				wantLabel, want, wantRows = label, got, rep.Provider.Rows
+				wantNearest, wantKS = nearestFigures(t, rep), significance(t, s)
 				continue
 			}
 			if !bytes.Equal(got, want) {
@@ -78,6 +86,23 @@ func TestSuiteIgnoresBlockCuts(t *testing.T) {
 				if row.Provider != prev.Provider || !sameBits(row.Summary, prev.Summary) || row.Lost != prev.Lost || row.LossRate != prev.LossRate {
 					t.Errorf("%s: %s row %+v, %s has %+v", label, row.Provider, row, wantLabel, prev)
 				}
+			}
+		}
+		for _, workers := range []int{1, 2, 3} {
+			label := fmt.Sprintf("one-shot, %d rows a block, %d workers", blockRows, workers)
+			s, err := core.FoldImage(img, img.Blocks(), w.Index, cfg.Start, week, workers, nil, core.PassFullDist|core.PassLastMile, true)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			rep, err := s.Finalize()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !bytes.Equal(nearestFigures(t, rep), wantNearest) {
+				t.Errorf("%s: Figures 6–8 differ from %s", label, wantLabel)
+			}
+			if got := significance(t, s); got != wantKS {
+				t.Errorf("%s: KS result %s, %s has %s", label, got, wantLabel, wantKS)
 			}
 		}
 	}

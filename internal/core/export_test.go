@@ -46,9 +46,33 @@ func (idx *Index) AccessTier(probeID int) (AccessClass, geo.Tier) {
 // the given scan worker count, as ScanMemory folds a results.Memory's
 // image at one, so a test can choose the image's block size.
 func ScanImage(r io.ReaderAt, blocks []colf.BlockInfo, idx *Index, start time.Time, binWidth time.Duration, workers int) (*SuiteReport, error) {
-	c := &covered{idx: idx, start: start, binWidth: binWidth}
-	if _, err := c.advance(context.Background(), scan.Config{Workers: workers}, r, 0, blocks); err != nil {
+	s, err := FoldImage(r, blocks, idx, start, binWidth, workers, nil, 0, false)
+	if err != nil {
 		return nil, err
 	}
-	return c.report(0)
+	return s.Finalize()
+}
+
+// FoldImage folds the blocks of a colf image that pred admits through
+// the suite over passes at the given scan worker count, and returns the
+// suite the report comes from. once folds as a one-shot fold does
+// (ScanStoreSnap, ScanMemory); otherwise as a fold that may be advanced.
+func FoldImage(r io.ReaderAt, blocks []colf.BlockInfo, idx *Index, start time.Time, binWidth time.Duration, workers int, pred *colf.Predicate, passes PassSet, once bool) (*Suite, error) {
+	c := &covered{idx: idx, start: start, binWidth: binWidth, sel: passes, once: once}
+	if _, err := c.advance(context.Background(), scan.Config{Workers: workers, Predicate: pred}, r, 0, blocks); err != nil {
+		return nil, err
+	}
+	return c.suite, nil
+}
+
+// BufferedRows counts the rows NearestPass buffers, and its chunks whose
+// columns were allocated past the rows they hold.
+func (s *Suite) BufferedRows() (rows, oversized int) {
+	for _, c := range s.Nearest.chunks {
+		rows += len(c.rtt)
+		if cap(c.probe) != len(c.probe) || cap(c.region) != len(c.region) || cap(c.rtt) != len(c.rtt) || cap(c.times) != len(c.times) {
+			oversized++
+		}
+	}
+	return rows, oversized
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"time"
@@ -37,6 +38,11 @@ import (
 // filters only the chunks appended since, reaches the rows of a probe
 // whose nearest region flipped through a per-probe row chain (rowChain),
 // and wraps the slices without gathering or sorting the rest.
+//
+// A fold that is reported once and never advanced needs none of that
+// slack, and reads the store twice instead (Suite.keepNearest): a pass
+// with a row filter (keep) still offers every row to best but buffers
+// only the rows the filter names, in chunks of exactly the kept count.
 type NearestPass struct {
 	idx *Index
 	// start and binWidth are the Figure 7 bin geometry.
@@ -50,6 +56,11 @@ type NearestPass struct {
 	lost    []int
 	// chunks is the row buffer, one chunk per observed block.
 	chunks []rowChunk
+	// keep, when non-nil, is the row filter: per probe, the region id of
+	// the only rows the pass buffers, -1 for none. scratch is where a
+	// filtered block's kept rows gather before they are copied out.
+	keep    []int32
+	scratch rowChunk
 	// best is dense by probe ID, like Index.byID.
 	best []bestRow
 	// chain links the chunks' rows by probe, as far as a report has
@@ -97,6 +108,21 @@ func (c *rowChunk) add(probe int, region uint16, rtt float64, nanos int64) {
 	c.times[len(c.times)-1].end = int32(len(c.rtt))
 }
 
+// emptied returns c's columns at length zero, for reuse.
+func (c *rowChunk) emptied() rowChunk {
+	return rowChunk{probe: c.probe[:0], region: c.region[:0], rtt: c.rtt[:0], times: c.times[:0]}
+}
+
+// clone copies c into columns of exactly its length.
+func (c *rowChunk) clone() rowChunk {
+	return rowChunk{
+		probe:  append(make([]int32, 0, len(c.probe)), c.probe...),
+		region: append(make([]uint16, 0, len(c.region)), c.region...),
+		rtt:    append(make([]float64, 0, len(c.rtt)), c.rtt...),
+		times:  append(make([]timeRun, 0, len(c.times)), c.times...),
+	}
+}
+
 // bestRow is a probe's row of the lowest RTT, the earliest such row on a
 // tie: strict < with first-wins is the sequential fold, and observing in
 // file order and merging earlier-pass-wins reproduces it exactly. region
@@ -126,6 +152,32 @@ func NewNearestPass(idx *Index, start time.Time, binWidth time.Duration) *Neares
 	return &NearestPass{idx: idx, start: start, binWidth: binWidth, ids: make(map[string]uint16), best: make([]bestRow, len(idx.byID))}
 }
 
+// kept returns an empty pass over p's index, geometry and interned
+// regions that buffers only the rows keep names. Starting from p's ids
+// is what lets keep name regions; each pass gets its own copy, which a
+// region p never saw would grow, so passes folding in parallel share
+// nothing they write.
+func (p *NearestPass) kept(keep []int32) *NearestPass {
+	q := NewNearestPass(p.idx, p.start, p.binWidth)
+	q.regions, q.ids, q.lost = slices.Clone(p.regions), maps.Clone(p.ids), make([]int, len(p.regions))
+	q.keep = keep
+	return q
+}
+
+// nearest is, per probe, the id of its nearest region — its best row's —
+// when admit accepts the probe, and -1 for a probe admit refuses or that
+// had no delivered row.
+func (p *NearestPass) nearest(admit func(id int) bool) []int32 {
+	nearest := make([]int32, len(p.best))
+	for id, b := range p.best {
+		nearest[id] = -1
+		if b.seen && admit(id) {
+			nearest[id] = int32(b.region)
+		}
+	}
+	return nearest
+}
+
 // intern returns the pass's id for a region name.
 func (p *NearestPass) intern(name string) (uint16, error) {
 	if id, ok := p.ids[name]; ok {
@@ -146,29 +198,36 @@ func (p *NearestPass) intern(name string) (uint16, error) {
 func (p *NearestPass) Columns() colf.ColumnSet { return colf.ColTime | colf.ColRegionIDs }
 
 // ObserveBlock implements Pass: the block's kept rows become one chunk,
-// allocated once at the CRC-checked footer's delivered count — or at the
-// row count when the footer does not describe the rows at hand (a block
-// compacted to a predicate's rows), its time runs at the block's
-// timestamp changes, and a known probe's lost row counts against its
-// region. A dictionary entry is interned the first time a known probe's
-// row references it — at most one map lookup per entry per block, and
-// the table never names a region no such row holds.
+// and a known probe's lost row counts against its region. Unfiltered,
+// the chunk is allocated once at the CRC-checked footer's delivered
+// count — or at the row count when the footer does not describe the
+// rows at hand (a block compacted to a predicate's rows) — and its time
+// runs at the block's timestamp changes; filtered, the rows gather in
+// the reused scratch chunk and are copied out at their own count. A
+// dictionary entry is interned the first time a known probe's row
+// references it — at most one map lookup per entry per block, and the
+// table never names a region no such row holds.
 func (p *NearestPass) ObserveBlock(blk *colf.Block) error {
 	p.remap = p.remap[:0]
 	for range blk.Dict {
 		p.remap = append(p.remap, -1)
 	}
-	n := blk.Zone.Delivered
-	if blk.Zone.Rows != blk.Rows() {
-		n = blk.Rows()
-	}
-	runs := 0
-	for i, t := range blk.TimeNano {
-		if i == 0 || t != blk.TimeNano[i-1] {
-			runs++
+	var ch rowChunk
+	if p.keep != nil {
+		ch = p.scratch.emptied()
+	} else {
+		n := blk.Zone.Delivered
+		if blk.Zone.Rows != blk.Rows() {
+			n = blk.Rows()
 		}
+		runs := 0
+		for i, t := range blk.TimeNano {
+			if i == 0 || t != blk.TimeNano[i-1] {
+				runs++
+			}
+		}
+		ch = rowChunk{probe: make([]int32, 0, n), region: make([]uint16, 0, n), rtt: make([]float64, 0, n), times: make([]timeRun, 0, runs)}
 	}
-	ch := rowChunk{probe: make([]int32, 0, n), region: make([]uint16, 0, n), rtt: make([]float64, 0, n), times: make([]timeRun, 0, runs)}
 	lastProbe, known := 0, false
 	var best *bestRow
 	for i, probe := range blk.Probe {
@@ -196,7 +255,13 @@ func (p *NearestPass) ObserveBlock(blk *colf.Block) error {
 			continue
 		}
 		best.offer(uint16(id), blk.RTT[i])
+		if p.keep != nil && p.keep[probe] != id {
+			continue
+		}
 		ch.add(probe, uint16(id), blk.RTT[i], blk.TimeNano[i])
+	}
+	if p.keep != nil {
+		p.scratch, ch = ch, ch.clone()
 	}
 	if len(ch.rtt) > 0 {
 		p.chunks = append(p.chunks, ch)
@@ -423,13 +488,7 @@ func (v *keptSets[K]) sync(p *NearestPass, admit func(id int) bool, key func(id 
 		}
 		end = p.chain.base[from]
 	}
-	nearest := make([]int32, len(p.best))
-	for id, b := range p.best {
-		nearest[id] = -1
-		if b.seen && admit(id) {
-			nearest[id] = int32(b.region)
-		}
-	}
+	nearest := p.nearest(admit)
 	deltas := make(map[K]*setDelta)
 	var (
 		last     K

@@ -11,7 +11,11 @@ import (
 
 // ProviderRow summarizes one cloud operator's reachability over the
 // campaign: the per-sample latency distribution of all delivered pings
-// toward that provider's regions.
+// toward that provider's regions. Lost and LossRate count samples, not
+// pings: a sample is a probe's minimum over its pings to one region in
+// one round, lost only when every one of them is — 15 of the nine-month
+// campaign's 3 079 647 samples, three pings each — so every provider's
+// LossRate rounds to 0.00 %.
 type ProviderRow struct {
 	Provider string        `json:"provider"`
 	Summary  stats.Summary `json:"summary"`

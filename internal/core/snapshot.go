@@ -497,7 +497,7 @@ func (c *covered) foldStore(ctx context.Context, f io.ReaderAt, size int64, stor
 		so.Metrics.Invalidate()
 		so.log().Warn("snapshot invalidated", "path", so.Path,
 			"reason", "resumed scan failed past covered boundary", "error", err)
-		*c = covered{idx: c.idx, start: c.start, binWidth: c.binWidth, sel: c.sel}
+		*c = covered{idx: c.idx, start: c.start, binWidth: c.binWidth, sel: c.sel, once: c.once}
 		st, err = c.advanceTo(ctx, cfg, f, size)
 	case err == nil && st.PrefixBytes > 0:
 		so.Metrics.Hit(st.PrefixBlocks, st.PrefixBytes)
@@ -524,7 +524,7 @@ func ScanStoreSnap(ctx context.Context, store *results.Store, idx *Index, start 
 		return nil, scan.Stats{}, err
 	}
 	defer f.Close()
-	c := &covered{idx: idx, start: start, binWidth: binWidth}
+	c := &covered{idx: idx, start: start, binWidth: binWidth, once: true}
 	st, err := c.foldStore(ctx, f, size, store, scan.Config{Workers: workers, Metrics: m, Log: so.Log}, so)
 	if err != nil {
 		return nil, st, err

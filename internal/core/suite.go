@@ -37,6 +37,13 @@ func (ps PassSet) has(p PassSet) bool { return ps == 0 || ps&p != 0 }
 // partial reports whether the set leaves any pass out.
 func (ps PassSet) partial() bool { return ps != 0 && ps&allPasses != allPasses }
 
+// readsTwice reports whether a one-shot fold over the set reads the
+// store twice (Suite.keepNearest): it selects a figure NearestPass
+// serves, but not the §4.1 table, which reads every buffered row.
+func (ps PassSet) readsTwice() bool {
+	return ps != 0 && ps&(PassFullDist|PassLastMile) != 0 && ps&PassProvider == 0
+}
+
 // holds reports whether the suite feeds every pass in ps.
 func (s *Suite) holds(ps PassSet) bool { return s.sel == 0 || s.sel&ps == ps }
 
@@ -174,14 +181,29 @@ type covered struct {
 	// fromSnap marks a suite decoded from samples.snap: merging a fold
 	// onto it opens a snap.merge span.
 	fromSnap bool
+	// once marks a fold that is reported once and never advanced
+	// (ScanStoreSnap, ScanMemory): over a pass set that readsTwice, its
+	// NearestPass buffers only the rows its reports keep.
+	once bool
 }
 
 // advance folds blocks — the complete blocks of r (size bytes) that
 // follow the covered prefix — with one suite per scan worker, then
 // adopts worker 0's suite, which holds the merged delta, when c has
-// none, and merges it onto c's otherwise. On a scan error c is
-// unchanged.
+// none, and merges it onto c's otherwise. A one-shot fold whose pass
+// set readsTwice makes that first read, under a nearest.resolve span,
+// with a NearestPass that buffers no row, and a second that buffers the
+// rows its reports keep (Suite.keepNearest); the stats are the first
+// read's. On a scan error c is unchanged.
 func (c *covered) advance(ctx context.Context, cfg scan.Config, r io.ReaderAt, size int64, blocks []colf.BlockInfo) (scan.Stats, error) {
+	twice := c.once && c.suite == nil && c.sel.readsTwice()
+	var none []int32 // the filter that keeps no row
+	if twice {
+		none = make([]int32, len(c.idx.byID))
+		for i := range none {
+			none[i] = -1
+		}
+	}
 	var delta *Suite
 	cfg.NewPasses = func(worker int) ([]scan.Pass, error) {
 		s, err := NewSuite(c.idx, c.start, c.binWidth)
@@ -189,12 +211,23 @@ func (c *covered) advance(ctx context.Context, cfg scan.Config, r io.ReaderAt, s
 			return nil, err
 		}
 		s.sel = c.sel
+		s.Nearest.keep = none
 		if worker == 0 {
 			delta = s
 		}
 		return s.Passes(), nil
 	}
-	st, err := scan.Blocks(ctx, cfg, r, size, blocks, c.blocks, c.bytes)
+	fold := ctx
+	var span *obs.Span
+	if twice {
+		span = obs.From(ctx).Child("nearest.resolve")
+		fold = obs.ContextWith(ctx, span)
+	}
+	st, err := scan.Blocks(fold, cfg, r, size, blocks, c.blocks, c.bytes)
+	span.End()
+	if err == nil && twice {
+		err = delta.keepNearest(ctx, cfg, r, size, blocks, c.blocks, c.bytes)
+	}
 	if err != nil {
 		return st, err
 	}
@@ -215,6 +248,32 @@ func (c *covered) advance(ctx context.Context, cfg scan.Config, r io.ReaderAt, s
 	c.samples += st.Samples
 	c.bytes, c.blocks = st.DataEnd, st.BlocksTotal
 	return st, nil
+}
+
+// keepNearest is a one-shot fold's second read of blocks. The first
+// left s.Nearest buffering no row but holding every probe's best one,
+// so each probe's nearest region is known: NearestPass alone folds the
+// blocks again, buffering only the rows of those regions, and takes
+// s.Nearest's place. It offers every row to its best rows as the first
+// read did, so they — and the regions the reports filter by — are the
+// first read's, and every buffered row is one the reports keep. The
+// scan metrics count the first read only.
+func (s *Suite) keepNearest(ctx context.Context, cfg scan.Config, r io.ReaderAt, size int64, blocks []colf.BlockInfo, prefixBlocks int, prefixBytes int64) error {
+	keep := s.Nearest.nearest(func(int) bool { return true })
+	var kept *NearestPass
+	cfg.Metrics = nil
+	cfg.NewPasses = func(worker int) ([]scan.Pass, error) {
+		p := s.Nearest.kept(keep)
+		if worker == 0 {
+			kept = p
+		}
+		return []scan.Pass{p}, nil
+	}
+	if _, err := scan.Blocks(ctx, cfg, r, size, blocks, prefixBlocks, prefixBytes); err != nil {
+		return err
+	}
+	s.Nearest = kept
+	return nil
 }
 
 // report finalizes the passes want selects into a report of the
@@ -241,7 +300,7 @@ func ScanMemory(mem *results.Memory, idx *Index, start time.Time, binWidth time.
 	if err != nil {
 		return nil, err
 	}
-	c := &covered{idx: idx, start: start, binWidth: binWidth, sel: passes}
+	c := &covered{idx: idx, start: start, binWidth: binWidth, sel: passes, once: true}
 	if _, err := c.advance(context.Background(), scan.Config{}, r, 0, blocks); err != nil {
 		return nil, err
 	}

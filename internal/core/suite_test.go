@@ -246,6 +246,37 @@ func renderSuite(tb testing.TB, rep *core.SuiteReport) []byte {
 	return buf.Bytes()
 }
 
+// nearestFigures renders what rep holds of Figures 6, 7 and 8, lines
+// and CSVs, as renderSuite does.
+func nearestFigures(tb testing.TB, rep *core.SuiteReport) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	check := func(err error) {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	write := func(lines []string, err error) {
+		tb.Helper()
+		check(err)
+		buf.WriteString(strings.Join(lines, "\n"))
+		buf.WriteString("\n--\n")
+	}
+	if rep.FullDist != nil {
+		write(figures.CDFLines(rep.FullDist))
+		check(figures.CDFCSV(&buf, rep.FullDist))
+	}
+	if rep.LastMile != nil {
+		write(figures.Figure7Lines(rep.LastMile))
+		check(figures.Figure7CSV(&buf, rep.LastMile))
+		rep8, lines, err := figures.Figure8(rep.LastMile, apps.Paper())
+		write(lines, err)
+		check(figures.Figure8CSV(&buf, rep8))
+	}
+	return buf.Bytes()
+}
+
 // significance is the on-demand KS result of a suite's nearest-region
 // pass, as text.
 func significance(tb testing.TB, s *core.Suite) string {
@@ -332,6 +363,11 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 	store, w, cfg := fileDataset(t)
 	ctx := context.Background()
 	const week = 7 * 24 * time.Hour
+	img, closeImg, err := colf.Open(store.SamplesPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeImg.Close()
 
 	preds := map[string]*colf.Predicate{
 		"none":   nil,
@@ -355,6 +391,7 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 			t.Fatalf("%s: oracle report: %v", name, err)
 		}
 		wantRender := renderSuite(t, rep)
+		wantNearest := nearestFigures(t, rep)
 		wantKS := significance(t, oracle)
 
 		for _, workers := range []int{1, 2, 4, 7} {
@@ -391,6 +428,24 @@ func TestScanStoreMatchesRowOracle(t *testing.T) {
 			}
 			if got := significance(t, suites[0]); got != wantKS {
 				t.Errorf("%s workers=%d: KS result %s, the row oracle's %s", name, workers, got, wantKS)
+			}
+
+			// A one-shot fold of Figures 6–8 reads the blocks twice and
+			// buffers only the rows its reports keep: the same figures
+			// and KS result.
+			once, err := core.FoldImage(img, img.Blocks(), w.Index, cfg.Start, week, workers, pred, core.PassFullDist|core.PassLastMile, true)
+			if err != nil {
+				t.Fatalf("%s workers=%d: one-shot fold: %v", name, workers, err)
+			}
+			onceRep, err := once.Finalize()
+			if err != nil {
+				t.Fatalf("%s workers=%d: one-shot fold: %v", name, workers, err)
+			}
+			if !bytes.Equal(nearestFigures(t, onceRep), wantNearest) {
+				t.Errorf("%s workers=%d: one-shot Figures 6–8 differ from the row oracle's", name, workers)
+			}
+			if got := significance(t, once); got != wantKS {
+				t.Errorf("%s workers=%d: one-shot KS result %s, the row oracle's %s", name, workers, got, wantKS)
 			}
 		}
 		if pred != nil {
@@ -708,32 +763,93 @@ func TestRunSuiteMatchesScanStore(t *testing.T) {
 	}
 }
 
-// TestNearestFiguresAtAnyWorkerCount pins Figures 6 and 7 as `figures
-// -fig 6|7` computes them — a cold scan over the one nearest-region pass
-// — byte for byte at one, two and three scan workers, so the chunks a
-// merge takes over reach every report in file order.
+// TestNearestFiguresAtAnyWorkerCount pins Figures 6, 7 and 8 as
+// `figures -fig 6|7|8` computes them — a cold one-shot scan over the
+// nearest-region pass, which reads the store twice and buffers only the
+// rows its reports keep — byte for byte, lines and CSVs, at one, two and
+// three scan workers, to what the all-rows buffer of a scan over all
+// five passes renders. So the chunks a merge takes over reach every
+// report in file order, and the second read keeps the rows the reports'
+// filter would. Its stats and sample count describe the store once.
 func TestNearestFiguresAtAnyWorkerCount(t *testing.T) {
 	store, w, cfg := fileDataset(t)
+	ctx := context.Background()
 	const week = 7 * 24 * time.Hour
-	for _, sel := range []core.PassSet{core.PassFullDist, core.PassLastMile} {
-		var want map[string]string
+	all, allStats, err := core.ScanStore(ctx, store, w.Index, cfg.Start, week, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sel := range []core.PassSet{core.PassFullDist, core.PassLastMile, core.PassFullDist | core.PassLastMile | core.PassMinRTT} {
+		ref := &core.SuiteReport{}
+		if sel&core.PassFullDist != 0 {
+			ref.FullDist = all.FullDist
+		}
+		if sel&core.PassLastMile != 0 {
+			ref.LastMile = all.LastMile
+		}
+		want := nearestFigures(t, ref)
 		for _, workers := range []int{1, 2, 3} {
-			rep, st, err := core.ScanStoreSnap(context.Background(), store, w.Index, cfg.Start, week, workers, nil, core.SnapshotOptions{Passes: sel})
+			rep, st, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, week, workers, nil, core.SnapshotOptions{Passes: sel})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", sel, workers, err)
 			}
 			if st.Workers != workers {
 				t.Errorf("%v workers=%d: scan used %d workers", sel, workers, st.Workers)
 			}
-			got := figureCSVs(t, rep)
-			if len(got) == 0 {
-				t.Fatalf("%v workers=%d: no figure came back", sel, workers)
+			if st.Samples != allStats.Samples || st.BlocksRead != allStats.BlocksRead || rep.Samples != all.Samples {
+				t.Errorf("%v workers=%d: %d samples over %d blocks read (report: %d), want the store once: %d over %d",
+					sel, workers, st.Samples, st.BlocksRead, rep.Samples, allStats.Samples, allStats.BlocksRead)
 			}
-			if want == nil {
-				want = got
-			} else if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v workers=%d: figures differ from one worker's", sel, workers)
+			if !bytes.Equal(nearestFigures(t, rep), want) {
+				t.Errorf("%v workers=%d: figures differ from the all-rows buffer's", sel, workers)
 			}
+			if sel&core.PassMinRTT != 0 && !reflect.DeepEqual(figureCSVs(t, &core.SuiteReport{MinRTT: rep.MinRTT}), figureCSVs(t, &core.SuiteReport{MinRTT: all.MinRTT})) {
+				t.Errorf("%v workers=%d: Figure 5 differs from the all-pass scan's", sel, workers)
+			}
+		}
+	}
+}
+
+// TestOneShotFoldRetention bounds what a one-shot Figure 6–8 fold
+// holds: its nearest-region pass buffers exactly the rows the reports
+// keep — as many as Figure 6 counts over all continents — in chunks
+// allocated at their kept count, at one, two and three scan workers.
+// The all-rows buffer of a fold that can be advanced holds far more.
+func TestOneShotFoldRetention(t *testing.T) {
+	store, w, cfg := fileDataset(t)
+	const week = 7 * 24 * time.Hour
+	img, closer, err := colf.Open(store.SamplesPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	sel := core.PassFullDist | core.PassLastMile
+	for _, workers := range []int{1, 2, 3} {
+		s, err := core.FoldImage(img, img.Blocks(), w.Index, cfg.Start, week, workers, nil, sel, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := 0
+		for _, ct := range rep.FullDist.Continents() {
+			kept += rep.FullDist.N(ct)
+		}
+		rows, oversized := s.BufferedRows()
+		if rows != kept || kept == 0 {
+			t.Errorf("workers=%d: the fold buffers %d rows, Figure 6 keeps %d", workers, rows, kept)
+		}
+		if oversized != 0 {
+			t.Errorf("workers=%d: %d chunks allocated past their kept rows", workers, oversized)
+		}
+		all, err := core.FoldImage(img, img.Blocks(), w.Index, cfg.Start, week, workers, nil, sel, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allRows, _ := all.BufferedRows(); allRows < 4*kept {
+			t.Errorf("workers=%d: the all-rows buffer holds %d rows, under 4 × the %d kept", workers, allRows, kept)
 		}
 	}
 }

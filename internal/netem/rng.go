@@ -68,7 +68,7 @@ func (r *rng) lognormal(mu, sigma float64) float64 {
 		u1 = math.SmallestNonzeroFloat64
 	}
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return math.Exp(mu + sigma*z)
+	return exp(mu + sigma*z)
 }
 
 // lognormalAtLeastMedian reports, without advancing r, whether the

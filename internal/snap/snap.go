@@ -11,10 +11,13 @@
 //	binding = string passSet | string index | string meta
 //
 // The binding names what the records were computed from; nothing past a
-// binding other than the one the reader expects is ever read. Validate
-// is the one reader: over a file image it returns the CRC-valid records
-// after a matching binding and the length of that valid prefix, and says
-// why it stopped. What a short prefix means is the owner's call — the
+// binding other than the one the reader expects is ever read. One
+// framing function checks every record, and two readers call it:
+// Validate, over a file image, returns the CRC-valid records after a
+// matching binding and the length of that valid prefix, and says why it
+// stopped; Walk finds the same prefix in a file streamed one record at a
+// time, handing each record to a callback instead of keeping it. What a
+// short prefix means is the owner's call — the
 // append-only index truncates to it, the whole-file snapshot and
 // checkpoint refuse it — so corruption costs a rebuild or an error,
 // never a record that was not written. Whole files are written by
@@ -158,39 +161,113 @@ func record(data []byte, off int64) (Record, string) {
 // fails its CRC. It allocates nothing but the Records slice — a record
 // takes at least nine bytes of data — and every payload aliases data.
 func Validate(data []byte, want Binding) Prefix {
+	var recs []Record
+	p, _ := walk(func(off, n int64) ([]byte, error) {
+		return data[off:min(off+n, int64(len(data)))], nil
+	}, int64(len(data)), want, func(rec Record) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	p.Records = recs
+	return p
+}
+
+// Walk is Validate over a file read through r (size bytes) rather than
+// an image in memory: it reads the file one record at a time into one
+// buffer, which grows only with the largest record (to 1.25 times it at
+// most), and hands every CRC-valid record after a binding equal to want
+// to fn, in file order. The payload aliases that buffer and is valid
+// only until fn returns; Walk reads nothing of a record after handing
+// it over. An error from fn stops the walk before that record: Valid is
+// the record's offset and Stop the error's text. The Prefix holds no
+// Records; the error returned is one r returned. A file shorter than
+// size reads as a torn tail.
+func Walk(r io.ReaderAt, size int64, want Binding, fn func(Record) error) (Prefix, error) {
+	var buf []byte
+	return walk(func(off, n int64) ([]byte, error) {
+		n = max(min(n, size-off), 0)
+		if int64(cap(buf)) < n {
+			// A quarter's headroom lets records of about one size share it.
+			buf = make([]byte, n+n/4)
+		}
+		got, err := r.ReadAt(buf[:n], off)
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		return buf[:got], nil
+	}, size, want, fn)
+}
+
+// walk is the one prefix reader behind Validate and Walk: read returns
+// what there is of the file's [off, off+n), which is size bytes long.
+// Each read takes a record and the length prefix of the one after it,
+// so only the binding's prefix takes a read of its own.
+func walk(read func(off, n int64) ([]byte, error), size int64, want Binding, fn func(Record) error) (Prefix, error) {
 	var p Prefix
-	switch {
-	case len(data) < len(magic):
-		p.Stop = "short file"
-		return p
-	case string(data[:len(magic)]) != string(magic[:]):
-		p.Stop = "bad magic"
-		return p
+	n := int64(-1) // the length prefix at the next offset, -1 while unread
+	next := func(off int64) (Record, string, error) {
+		if n < 0 {
+			data, err := read(off, PayloadOffset)
+			if err != nil {
+				return Record{}, "", err
+			}
+			if len(data) == PayloadOffset {
+				n = int64(binary.LittleEndian.Uint32(data))
+			}
+		}
+		data, err := read(off, max(n, 0)+overhead+PayloadOffset)
+		if err != nil {
+			return Record{}, "", err
+		}
+		rec, stop := record(data, 0)
+		rec.Off, n = off, -1
+		if rest := data[min(rec.Len(), len(data)):]; stop == "" && len(rest) == PayloadOffset {
+			n = int64(binary.LittleEndian.Uint32(rest))
+		}
+		return rec, stop, nil
 	}
-	rec, stop := record(data, int64(len(magic)))
-	if stop != "" {
+
+	head, err := read(0, int64(len(magic)))
+	switch {
+	case err != nil:
+		return p, err
+	case len(head) < len(magic):
+		p.Stop = "short file"
+		return p, nil
+	case string(head) != string(magic[:]):
+		p.Stop = "bad magic"
+		return p, nil
+	}
+	rec, stop, err := next(int64(len(magic)))
+	switch {
+	case err != nil:
+		return p, err
+	case stop != "":
 		p.Stop = "binding: " + stop
-		return p
+		return p, nil
 	}
 	b, err := decodeBinding(rec.Payload)
 	if err != nil {
 		p.Stop = "binding: " + err.Error()
-		return p
+		return p, nil
 	}
 	p.Binding = b
 	if b != want {
 		p.Stop = "binding mismatch"
-		return p
+		return p, nil
 	}
 	p.Valid = rec.Off + int64(rec.Len())
-	for p.Valid < int64(len(data)) {
-		if rec, p.Stop = record(data, p.Valid); p.Stop != "" {
+	for p.Valid < size {
+		if rec, p.Stop, err = next(p.Valid); err != nil || p.Stop != "" {
+			return p, err
+		}
+		if err := fn(rec); err != nil {
+			p.Stop = err.Error()
 			break
 		}
-		p.Records = append(p.Records, rec)
 		p.Valid += int64(rec.Len())
 	}
-	return p
+	return p, nil
 }
 
 // ReadFile reads a whole file that ReplaceFile wrote as Image(want,

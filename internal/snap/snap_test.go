@@ -3,6 +3,7 @@ package snap
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -83,6 +84,82 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// A zero-filled tail is torn, not a run of empty records.
 	if p := Validate(append(append([]byte(nil), img...), make([]byte, 16)...), b); len(p.Records) != len(testPayloads) || p.Stop != "torn record" {
 		t.Fatalf("zero tail: %+v", p)
+	}
+}
+
+// TestWalkMatchesValidate pins the streaming reader to the image one. On
+// every truncation and every single-bit flip of an image, under a
+// binding it does not hold, with a zero-filled tail and with a trailing
+// byte, Walk stops at Validate's Valid with Validate's Stop and hands
+// its callback Validate's records, in order and at their offsets. The
+// callback overwrites every byte its payload's capacity reaches, so a
+// walker that read a payload, its CRC or the next record's length after
+// the callback would diverge. A file shorter than the size Walk is told
+// reads as a torn tail at the same Valid, and a callback's error stops
+// the walk before its record, with the error's text as Stop.
+func TestWalkMatchesValidate(t *testing.T) {
+	b := testBinding()
+	img := Image(b, testPayloads...)
+	walk := func(data []byte, size int64, want Binding, fn func(Record) error) (Prefix, []Record) {
+		t.Helper()
+		var recs []Record
+		p, err := Walk(bytes.NewReader(data), size, want, func(rec Record) error {
+			recs = append(recs, Record{Off: rec.Off, Payload: bytes.Clone(rec.Payload)})
+			full := rec.Payload[:cap(rec.Payload)]
+			for i := range full {
+				full[i] = 0xa5
+			}
+			return fn(rec)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, recs
+	}
+	accept := func(Record) error { return nil }
+	check := func(label string, data []byte, want Binding) {
+		t.Helper()
+		v := Validate(data, want)
+		p, recs := walk(data, int64(len(data)), want, accept)
+		if p.Valid != v.Valid || p.Stop != v.Stop || p.Binding != v.Binding || len(recs) != len(v.Records) {
+			t.Fatalf("%s: Walk stopped at %d (%q) after %d records, Validate at %d (%q) after %d",
+				label, p.Valid, p.Stop, len(recs), v.Valid, v.Stop, len(v.Records))
+		}
+		for i, rec := range recs {
+			if rec.Off != v.Records[i].Off || !bytes.Equal(rec.Payload, v.Records[i].Payload) {
+				t.Fatalf("%s: record %d is %q at %d, Validate's %q at %d", label, i, rec.Payload, rec.Off, v.Records[i].Payload, v.Records[i].Off)
+			}
+		}
+	}
+	for n := 0; n <= len(img); n++ {
+		check(fmt.Sprintf("cut at %d", n), img[:n], b)
+	}
+	for i := range img {
+		for bit := 0; bit < 8; bit++ {
+			mut := append([]byte(nil), img...)
+			mut[i] ^= 1 << bit
+			check(fmt.Sprintf("byte %d bit %d flipped", i, bit), mut, b)
+		}
+	}
+	check("other binding", img, Binding{PassSet: b.PassSet})
+	check("zero tail", append(append([]byte(nil), img...), make([]byte, 16)...), b)
+	check("trailing byte", append(append([]byte(nil), img...), 0), b)
+
+	whole := Validate(img, b)
+	for _, rec := range whole.Records {
+		if p, _ := walk(img[:rec.Off], int64(len(img)), b, accept); p.Valid != rec.Off || p.Stop == "" {
+			t.Errorf("file shrunk to %d bytes: Walk stopped at %d (%q)", rec.Off, p.Valid, p.Stop)
+		}
+	}
+	second := whole.Records[1]
+	p, recs := walk(img, int64(len(img)), b, func(rec Record) error {
+		if rec.Off == second.Off {
+			return errors.New("refused")
+		}
+		return nil
+	})
+	if p.Valid != second.Off || p.Stop != "refused" || len(recs) != 2 {
+		t.Errorf("callback refusing record 1: Walk stopped at %d (%q) after %d records, want %d (\"refused\") after 2", p.Valid, p.Stop, len(recs), second.Off)
 	}
 }
 

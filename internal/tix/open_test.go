@@ -7,17 +7,20 @@ import (
 
 	"repro/internal/colf"
 	"repro/internal/results"
+	"repro/internal/snap"
 	"repro/internal/tix"
 )
 
-// TestOpenAllocatesFileOnce bounds what Open allocates to the sidecar's
-// own size plus a quarter, plus the resident prefix row of each record:
-// one buffer the file is read into, and one array of rows sized up front.
-// Reading the file through a growing buffer allocated several times its
-// size, and so would growing the rows one append at a time.
-func TestOpenAllocatesFileOnce(t *testing.T) {
+// TestOpenAllocatesOneRecord bounds what Open allocates by what it keeps
+// — the resident prefix rows and slab directory — plus two of the
+// sidecar's largest records and a small constant, however long the file
+// is: the file streams through one record buffer that grows only to the
+// largest record. Reading the whole file into a buffer of its own size
+// allocates several times that bound here, as would growing the rows one
+// append at a time.
+func TestOpenAllocatesOneRecord(t *testing.T) {
 	f := getFixture(t)
-	const blockRows = 4096
+	const blockRows = 1024
 	store, sink, err := results.Create(t.TempDir(), f.store.Meta(), results.FormatBinary)
 	if err != nil {
 		t.Fatal(err)
@@ -58,9 +61,13 @@ func TestOpenAllocatesFileOnce(t *testing.T) {
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(store.TixPath())
+	data, err := os.ReadFile(store.TixPath())
 	if err != nil {
 		t.Fatal(err)
+	}
+	largest := 0
+	for _, rec := range snap.Validate(data, f.binding).Records {
+		largest = max(largest, rec.Len())
 	}
 
 	var before, after runtime.MemStats
@@ -71,12 +78,16 @@ func TestOpenAllocatesFileOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Nodes() != nodes || nodes == 0 {
-		t.Fatalf("reopen validated %d of %d records", re.Nodes(), nodes)
+	if re.Nodes() != nodes || nodes < 10 {
+		t.Fatalf("reopen validated %d of %d records; the test needs a dozen", re.Nodes(), nodes)
 	}
+	prefixRows, directory, _ := re.ResidentBytes()
 	allocated := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(fi.Size()*5/4 + int64(nodes+1)*tix.PrefixRowBytes); allocated > limit {
-		t.Errorf("Open allocated %d bytes for a %d-byte sidecar (%.2fx), want at most %d",
-			allocated, fi.Size(), float64(allocated)/float64(fi.Size()), limit)
+	limit := uint64(prefixRows + directory + 2*int64(largest) + 4<<10)
+	t.Logf("Open allocated %d bytes: %d of prefix rows, %d of directory; the file is %d bytes, its largest record %d",
+		allocated, prefixRows, directory, len(data), largest)
+	if allocated > limit {
+		t.Errorf("Open allocated %d bytes for a %d-byte sidecar whose largest record is %d, want at most %d",
+			allocated, len(data), largest, limit)
 	}
 }

@@ -30,15 +30,16 @@
 //
 // # What stays resident
 //
-// Open — which reads and checksums every record anyway — derives each
-// block's curve grid from its slabs (see curve.go) and keeps only the
-// running prefix sums: cum[i] totals blocks [0, i), so a covered run
-// [i, j) is cum[j] − cum[i], however long, plus a slab directory: each
-// slab's sidecar offset and the CRC-32C of each chunk of it, taken from
-// bytes just verified (0.8 % of the file). Extend derives the same from
-// the records it writes. Views share both; curves compose with no
-// sidecar I/O, and a quantile reads only the chunks holding its rank's
-// bin, each checked against its resident CRC before it is used.
+// Open streams the file one record at a time through one reused buffer
+// (snap.Walk), and nothing of a record outlives it: from each record,
+// checksummed anyway, it derives the block's curve grid (see curve.go)
+// and keeps only the running prefix sums: cum[i] totals blocks [0, i),
+// so a covered run [i, j) is cum[j] − cum[i], however long, plus a slab
+// directory: each slab's sidecar offset and the CRC-32C of each chunk of
+// it, taken from bytes just verified (0.8 % of the file). Extend derives
+// the same from the records it writes. Views share both; curves compose
+// with no sidecar I/O, and a quantile reads only the chunks holding its
+// rank's bin, each checked against its resident CRC before it is used.
 //
 // Each record also has a slot, empty after Open and Extend, that the
 // first window to cut its block fills with edge codes (curve.go, 2 B per
@@ -174,49 +175,50 @@ func Open(path string, b Binding, blocks []colf.BlockInfo, log *slog.Logger) (*I
 // load validates the existing file — the shared record checks first,
 // then each record in full, which is where its prefix row comes from —
 // and truncates to the valid prefix or resets the file as the discipline
-// demands. The file is read once into a buffer of its own size.
+// demands. The file streams through snap.Walk's one record buffer, and
+// nothing here keeps a payload byte past its record: the prefix row and
+// the directory entry are derived while the record is at hand.
 func (ix *Index) load(blocks []colf.BlockInfo) error {
 	fi, err := ix.f.Stat()
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, fi.Size())
-	n, err := ix.f.ReadAt(buf, 0)
-	if err != nil && err != io.EOF {
+	p, err := snap.Walk(ix.f, fi.Size(), ix.binding, func(rec snap.Record) error {
+		if ix.cum == nil {
+			// A record past the block list fails pin: room for one per block.
+			ix.recs, ix.cum = make([]blockRec, 0, len(blocks)), make([]prefix, 1, len(blocks)+1)
+		}
+		h, s, err := decodeBlock(rec.Payload)
+		if err != nil {
+			return fmt.Errorf("corrupt block record: %w", err)
+		}
+		if err := h.pin(blocks, len(ix.recs)); err != nil {
+			return fmt.Errorf("stale block record: %w", err)
+		}
+		if err := ix.grow(h, s); err != nil {
+			return fmt.Errorf("corrupt block record: %w", err)
+		}
+		ix.recs = append(ix.recs, locate(rec.Off+snap.PayloadOffset, rec.Payload, s))
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	buf = buf[:n] // a file that shrank under us is a torn suffix like any other
-	p := snap.Validate(buf, ix.binding)
 	if p.Valid == 0 {
-		if len(buf) != 0 {
+		if fi.Size() != 0 {
 			ix.log.Info("tix reset", "path", ix.path, "reason", p.Stop)
 		}
 		return ix.reset()
 	}
-	valid, stop := p.Valid, p.Stop
-	ix.recs = make([]blockRec, 0, len(p.Records))
-	ix.cum = make([]prefix, 1, len(p.Records)+1)
-	for i, rec := range p.Records {
-		h, s, err := decodeBlock(rec.Payload)
-		why := "corrupt block record: "
-		if err == nil {
-			why, err = "stale block record: ", h.pin(blocks, i)
-		}
-		if err == nil {
-			why, err = "corrupt block record: ", ix.grow(h, s)
-		}
-		if err != nil {
-			valid, stop = rec.Off, why+err.Error()
-			break
-		}
-		ix.recs = append(ix.recs, locate(rec.Off+snap.PayloadOffset, rec.Payload, s))
+	if ix.cum == nil {
+		ix.cum = make([]prefix, 1)
 	}
-	ix.size = valid
-	if valid == int64(len(buf)) {
+	ix.size = p.Valid
+	if p.Stop == "" {
 		return nil
 	}
-	ix.log.Info("tix truncated", "path", ix.path, "reason", stop, "offset", valid)
-	return ix.f.Truncate(valid)
+	ix.log.Info("tix truncated", "path", ix.path, "reason", p.Stop, "offset", p.Valid)
+	return ix.f.Truncate(p.Valid)
 }
 
 // reset empties the index and rewrites the file as a bare binding.

@@ -131,6 +131,12 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # per row, a round-structured block's chunk holds 14 bytes per kept row
 # plus 16 per time run, a merge keeps the receiver's best row on a tie,
 # and Figures 6/7 come out byte-identical at 1, 2 and 3 scan workers.
+# A one-shot fold of Figures 6–8 (figures -fig 6|7|8, ScanMemory) reads
+# the blocks twice and buffers exactly the rows its reports keep — as
+# many as Figure 6 counts — in chunks of exactly their kept count, and
+# its Figures 6–8 (lines and CSVs) and KS result equal the all-rows
+# buffer's and the row oracle's at 1, 2 and 3 scan workers, with and
+# without a window predicate, and at every block size below.
 # The §4.1 table it derives from those chunks: it equals a row-by-row
 # stats.Dist fold in file order, every Summary field bit for bit, at 1,
 # 2 and 3 scan workers, a NaN RTT fails it, and the report allocates one
@@ -140,7 +146,7 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # no row, and unknown probes and regions without a provider prefix count
 # nowhere. Block cuts do not show: the same samples written at 1, 7, 977
 # and 8192 rows a block give the same Figures 4–8 and §4.1 rows at 1 and
-# 3 scan workers.
+# 3 scan workers, and the same one-shot Figures 6–8 at 1, 2 and 3.
 # Figure 7 and the KS test equal a per-sample reference on a store not
 # written in time order (rows alternating timestamps across a bin edge
 # and stepping backwards), cold and through delta updates that walk the
@@ -149,10 +155,25 @@ echo "== windowed index gate (differential + /cdf cost) =="
 # curve-value kernel is pinned to strconv byte for byte (every c/n with
 # n <= 2000, powers of two +- 64 ulps, a million random values, k·1e-6
 # and k·1e-7), and what it declines still renders as encoding/json does.
+# tix.Open streams samples.tix through snap.Walk: it allocates its
+# resident prefix rows and directory plus about one record, however long
+# the file (a whole-file read fails this bound), and the walker stops
+# where Validate does, with its records, on every cut and bit flip of an
+# image, reading nothing of a record after its callback.
 go test -count=1 -run 'TestServeWindowDifferential|TestServeCDFIndexPathGate|TestWarmWindowFillAllocs|TestConcurrentFillsKeepTheirBodies|TestServeCorruptSlabFallsBack|TestServeBackwardTimeFallsBack|TestCDFBodyMatchesEncodingJSON|TestJSONFloatMatchesEncodingJSON|TestCurvePMatchesStrconv|TestCurvePDeclines|TestServeChurn|TestRefreshRecordsStages' ./internal/serve
-go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestScanStatsAccounting|TestNearestObserveBlockSteadyStateAllocs|TestNearestChunkBytes|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount|TestLastMileOutOfOrderTime|TestProviderTableIsSequentialFold|TestProviderTableCountsLosses|TestSuiteIgnoresBlockCuts' ./internal/core
-go test -count=1 -run 'TestQueryMatchesColdFold|TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather|TestSortSlabMatchesSort|TestEdgeCodesDifferential|TestWarmEdgeReadsNoStore|TestBackwardTimeFailsQuery|TestCRCDamagedEdgeBlock|TestViewsShareEdgeCodes' ./internal/tix
+go test -count=1 -run 'TestResidentReportMatchesColdEveryStep|TestScanStatsAccounting|TestNearestObserveBlockSteadyStateAllocs|TestNearestChunkBytes|TestNearestMergeTieKeepsReceiversRow|TestNearestFiguresAtAnyWorkerCount|TestLastMileOutOfOrderTime|TestProviderTableIsSequentialFold|TestProviderTableCountsLosses|TestSuiteIgnoresBlockCuts|TestOneShotFoldRetention|TestScanStoreMatchesRowOracle' ./internal/core
+go test -count=1 -run 'TestQueryMatchesColdFold|TestCurvePathReadsNoSlabs|TestBeyondGridDifferential|TestCorruptSlabAfterOpen|TestOrderStatGathersTheBin|TestOrderStatRejectsMismatchedGather|TestSortSlabMatchesSort|TestEdgeCodesDifferential|TestWarmEdgeReadsNoStore|TestBackwardTimeFailsQuery|TestCRCDamagedEdgeBlock|TestViewsShareEdgeCodes|TestOpenAllocatesOneRecord' ./internal/tix
+go test -count=1 -run 'TestWalkMatchesValidate' ./internal/snap
 go test -count=1 -run 'TestSelectRankMatchesSort|TestSummarizeMatchesSort' ./internal/stats
+
+echo "== one answer on 386 (Exp kernel + golden digests) =="
+# The lognormal draw's exponential is a pure-Go transliteration of
+# math.Exp's amd64 FMA path (internal/netem/exp.go), pinned bit for bit
+# to math.Exp on 10^8 inputs on an amd64 host with FMA; so a 386 build,
+# whose math.Exp is another computation, writes the same samples, and
+# the golden digests of both commands hold there unedited.
+go test -count=1 -run '^TestExpMatchesMathExp$' ./internal/netem
+GOARCH=386 go test -count=1 -run 'TestRunGoldenDigests|TestOpsMatchGolden' ./cmd/shears ./cmd/dataset
 
 echo "== benchtraj (verdict arithmetic, trajectory) =="
 # The pair driver's quartiles, pair wins, claim rule and bounds, and the
