@@ -12,8 +12,8 @@
 //	dataset -data ./dataset regions
 //	dataset -data ./dataset -workers 8 hist
 //	dataset -data ./dataset -continent AF -out ./africa filter
-//	dataset -data ./dataset -out ./ds-jsonl -to jsonl convert
-//	dataset -data ./ds-jsonl -out ./dataset2 -to binary convert
+//	dataset -data ./dataset -out ./ds-jsonl convert
+//	dataset -data ./ds-jsonl -out ./dataset2 convert
 //	dataset -data ./dataset -since 2019-07-08T00:00:00Z -until 2019-07-15T00:00:00Z stats
 //	dataset -data ./dataset -window 2019-07-08T00:00:00Z,2019-07-15T00:00:00Z window
 //
@@ -22,8 +22,8 @@
 // only a fraction of the file.
 //
 // A store is binary (meta.json + samples.bin); JSONL is the interchange
-// encoding. convert -to jsonl exports a store as meta.json +
-// samples.jsonl and convert -to binary imports such a directory. JSONL
+// encoding. convert exports a store as meta.json + samples.jsonl and
+// imports any other directory as such an export. JSONL
 // -> binary -> JSONL is byte-exact; binary -> JSONL -> binary
 // reproduces samples.bin unless a campaign checkpoint sealed a short
 // block in the original (the samples are the same either way).
@@ -67,7 +67,6 @@ type options struct {
 	continent string
 	out       string
 	workers   int
-	to        string // convert direction: "jsonl" exports, "binary" imports; empty picks by what -data holds
 	since     string // RFC 3339 window start for scan ops
 	until     string // RFC 3339 window end (exclusive) for scan ops
 	window    string // "since,until" range for the window op
@@ -81,7 +80,6 @@ func main() {
 	flag.StringVar(&o.continent, "continent", "", "continent filter for the filter op (two-letter code)")
 	flag.StringVar(&o.out, "out", "", "output directory for the filter and convert ops")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "scan worker count (output is identical for any value)")
-	flag.StringVar(&o.to, "to", "", "convert direction: jsonl exports the store in -data, binary imports the JSONL directory in -data (default: export a store, import anything else)")
 	flag.StringVar(&o.since, "since", "", "restrict scan ops to samples at or after this RFC 3339 time")
 	flag.StringVar(&o.until, "until", "", "restrict scan ops to samples before this RFC 3339 time")
 	flag.StringVar(&o.window, "window", "", "window op range as \"since,until\" (RFC 3339; either side may be empty for an open end)")
@@ -101,7 +99,7 @@ func main() {
 
 func run(o options) ([]string, error) {
 	if o.op == "convert" { // the one op whose -data may not be a store
-		return convertOp(o.data, o.out, o.to)
+		return convertOp(o.data, o.out)
 	}
 	store, err := results.Open(o.data)
 	if err != nil {
@@ -155,36 +153,24 @@ func scanWith(store *results.Store, pred *colf.Predicate, workers int, newPass f
 }
 
 // convertOp moves a dataset between the binary store and its JSONL
-// interchange form, preserving sample order exactly: "jsonl" exports
-// the store in data, "binary" imports the interchange directory in
-// data, and an empty to exports when data is a store and imports
+// interchange form, preserving sample order exactly: it exports data
+// when data is a store and imports it as an interchange directory
 // otherwise.
-func convertOp(data, out, to string) ([]string, error) {
+func convertOp(data, out string) ([]string, error) {
 	if out == "" {
 		return nil, fmt.Errorf("convert needs -out")
 	}
 	if _, err := os.Stat(out); err == nil {
 		return nil, fmt.Errorf("output %s already exists", out)
 	}
-	store, err := results.Open(data) // fails unless data is a store
-	if to == "" {
-		to = "jsonl"
-		if err != nil {
-			to = "binary"
-		}
-	}
 	var n uint64
-	from, jsonlDir := "binary", out
-	switch to {
-	case "jsonl":
-		if err == nil {
-			n, err = store.Export(out)
-		}
-	case "binary":
-		from, jsonlDir = "jsonl", data
+	from, to, jsonlDir := "binary", "jsonl", out
+	store, err := results.Open(data) // fails unless data is a store
+	if err == nil {
+		n, err = store.Export(out)
+	} else {
+		from, to, jsonlDir = "jsonl", "binary", data
 		store, n, err = results.Import(data, out)
-	default:
-		err = fmt.Errorf("unknown -to %q (want binary or jsonl)", to)
 	}
 	if err != nil {
 		return nil, err

@@ -148,9 +148,6 @@ func TestRunErrors(t *testing.T) {
 	if _, err := run(options{data: dir, op: "convert", workers: 4}); err == nil {
 		t.Error("convert without -out accepted")
 	}
-	if _, err := run(options{data: dir, op: "convert", out: t.TempDir() + "/c", to: "parquet"}); err == nil {
-		t.Error("unknown convert target accepted")
-	}
 }
 
 func TestHistOp(t *testing.T) {
@@ -238,7 +235,7 @@ func TestRegionsZoneListStore(t *testing.T) {
 func TestConvertOp(t *testing.T) {
 	dir := buildDataset(t)
 	jl := filepath.Join(t.TempDir(), "jl")
-	// Empty -to exports a store.
+	// A store exports.
 	lines, err := run(options{data: dir, op: "convert", out: jl})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +258,7 @@ func TestConvertOp(t *testing.T) {
 	if _, err := run(options{data: jl, op: "stats", workers: 2}); err == nil || !strings.Contains(err.Error(), "convert") {
 		t.Errorf("stats on a JSONL directory: err = %v, want a pointer to convert", err)
 	}
-	// Empty -to imports anything that is not a store.
+	// Anything that is not a store imports.
 	back := filepath.Join(t.TempDir(), "back")
 	lines, err = run(options{data: jl, op: "convert", out: back})
 	if err != nil {
@@ -274,16 +271,13 @@ func TestConvertOp(t *testing.T) {
 		t.Error("binary -> jsonl -> binary does not reproduce samples.bin")
 	}
 	again := filepath.Join(t.TempDir(), "again")
-	if _, err := run(options{data: back, op: "convert", out: again, to: "jsonl"}); err != nil {
+	if _, err := run(options{data: back, op: "convert", out: again}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(read(again, "samples.jsonl"), jsonl) {
 		t.Error("jsonl -> binary -> jsonl round trip is not byte-identical")
 	}
-	// A direction the source cannot serve is an error, as is overwriting.
-	if _, err := run(options{data: jl, op: "convert", out: filepath.Join(t.TempDir(), "x"), to: "jsonl"}); err == nil {
-		t.Error("export of a JSONL directory accepted")
-	}
+	// Overwriting is an error.
 	if _, err := run(options{data: dir, op: "convert", out: jl}); err == nil {
 		t.Error("overwrite accepted")
 	}

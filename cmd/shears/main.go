@@ -12,15 +12,16 @@
 //	shears -out ./dataset -full      # paper-scale: 9 months, ~3.2M samples
 //	shears -out ./dataset -days 60   # custom window
 //	shears -out ./dataset -workers 8 # shard the campaign across 8 workers
-//	shears -out ./dataset -resume    # continue an interrupted run
 //	shears -remote http://host:8080  # print figures from a live atlasd -serve-data API
 //
 // The campaign runs on the parallel execution engine (internal/engine):
 // -workers shards the probe population across goroutines while keeping
 // the output byte-identical to a serial run, and the engine checkpoints
-// its progress into <out>/checkpoint.json every -checkpoint-every rounds
-// so -resume continues an interrupted run from the last watermark
-// instead of restarting.
+// its progress into <out>/checkpoint.json every -checkpoint-every rounds.
+// Re-running an interrupted command is how it is recovered: every run
+// reads the checkpoint, continues from its watermark when the checkpoint
+// is this campaign's at this cadence, and otherwise starts fresh and
+// logs why, so no checkpoint state fails a run.
 //
 // Observability: internal/cmdrun owns the run's logs, profiles, status
 // server and <out>/run.json manifest; the driver adds the campaign and
@@ -38,15 +39,17 @@
 // once per run — so a later figures -fig 4|5 over the (possibly grown)
 // dataset decodes only blocks appended since. A failed write of either
 // is a warning, not a failed run. The campaign itself never touches
-// them: an interrupted run leaves no snapshot and its -resume pays one
+// them: an interrupted run leaves no snapshot and its re-run pays one
 // cold scan at the end.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"log/slog"
 	"os"
@@ -83,8 +86,7 @@ type options struct {
 	figDir          string
 	tracePath       string
 	progressEvery   time.Duration
-	workers         int // <= 0 means GOMAXPROCS
-	resume          bool
+	workers         int    // <= 0 means GOMAXPROCS
 	checkpointEvery int    // rounds; 0 disables checkpointing
 	remote          string // base URL of a live atlasd analysis API; fetch figures instead of scanning
 	telemetry       cmdrun.Flags
@@ -112,7 +114,6 @@ func main() {
 	flag.StringVar(&o.tracePath, "trace", "", "write the run's span tree to this file as Chrome trace-event JSON (Perfetto, chrome://tracing, trace -summary)")
 	flag.DurationVar(&o.progressEvery, "progress", 5*time.Second, "campaign progress reporting interval (0 disables)")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "campaign worker count (output is identical for any value)")
-	flag.BoolVar(&o.resume, "resume", false, "resume an interrupted campaign from <out>/checkpoint.json")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", engine.DefaultCheckpointEvery, "rounds between checkpoints (0 disables checkpointing)")
 	flag.StringVar(&o.remote, "remote", "", "fetch figures 4-7 from a running atlasd -serve-data API at this base URL instead of running a campaign")
 	o.telemetry.Register(flag.CommandLine)
@@ -202,56 +203,32 @@ func run(o options) (err error) {
 		"campaign_start", cfg.Start.Format("2006-01-02"),
 		"campaign_end", cfg.End.Format("2006-01-02"), "workers", workers)
 
-	// On resume the checkpoint names the round the campaign starts at,
-	// which the progress reports need before it runs.
+	// Open the sink: the existing dataset truncated back to its last
+	// checkpoint, or a fresh one. The round the campaign starts at is
+	// one past the checkpoint's, which the progress reports need before
+	// it runs.
 	fingerprint := cfg.Fingerprint(o.seed, w.Probes.Len())
 	ckPath := filepath.Join(o.out, checkpointFile)
-	var (
-		cp           *engine.Checkpoint
-		startRound   int
-		startSamples uint64
-	)
-	if o.resume {
-		if cp, err = engine.LoadCheckpoint(ckPath); err != nil {
+	store, sink, cp := resume(o.out, ckPath, fingerprint, o.checkpointEvery, logger)
+	if cp == nil {
+		// A checkpoint that did not resume must not outlive the samples
+		// file it described.
+		if err := os.Remove(ckPath); err != nil && !os.IsNotExist(err) {
 			return err
 		}
-		if cp.Fingerprint != fingerprint {
-			return fmt.Errorf("checkpoint %s belongs to a different campaign (fingerprint %s, want %s); "+
-				"rerun with the original -seed/-probes/-full/-days or start fresh", ckPath, cp.Fingerprint, fingerprint)
+		meta := cfg.Meta(o.seed, w.Probes.Len(), w.Catalog.Len())
+		if store, sink, err = results.Create(o.out, meta, results.FormatBinary); err != nil {
+			return err
 		}
-		startRound, startSamples = cp.Round+1, cp.Samples
+		cp = &engine.Checkpoint{Round: -1}
 	}
+	startRound, startSamples := cp.Round+1, cp.Samples
+	sink.Instrument(results.NewMetrics(r.Registry()))
 	eta := campaignETA{started: time.Now(), from: startRound, total: cfg.Rounds()}
 	if err := r.Serve(campaignProgress(m, engMetrics, eta)); err != nil {
+		sink.Close()
 		return err
 	}
-
-	// Open the sink: a fresh dataset, or — on resume — the existing one
-	// truncated back to the checkpoint's durable offset.
-	var (
-		store *results.Store
-		sink  *results.Sink
-	)
-	if cp != nil {
-		store, err = results.Open(o.out)
-		if err != nil {
-			return err
-		}
-		sink, err = store.Resume(cp.SinkOffset)
-		if err != nil {
-			return err
-		}
-		logger.Info("resuming campaign",
-			"rounds_done", startRound, "rounds_total", cfg.Rounds(),
-			"samples", startSamples, "sink_offset", cp.SinkOffset)
-	} else {
-		meta := cfg.Meta(o.seed, w.Probes.Len(), w.Catalog.Len())
-		store, sink, err = results.Create(o.out, meta, results.FormatBinary)
-		if err != nil {
-			return err
-		}
-	}
-	sink.Instrument(results.NewMetrics(r.Registry()))
 
 	manifest.WorldFingerprint = fingerprint
 	campaignOpts := atlas.CampaignOptions{
@@ -292,7 +269,7 @@ func run(o options) (err error) {
 	if err != nil {
 		sink.Close()
 		if o.checkpointEvery > 0 {
-			logger.Warn("campaign interrupted; rerun with -resume to continue",
+			logger.Warn("campaign interrupted; rerun the same command to continue",
 				"samples", n, "checkpoint", ckPath, "error", err)
 		}
 		return err
@@ -386,6 +363,40 @@ func run(o options) (err error) {
 		stdout = os.Stdout
 	}
 	return printFigures(stdout, in, figSpan, attribution)
+}
+
+// resume reopens the campaign in dir at its checkpoint (ckPath): the
+// store, a sink truncated back to the checkpoint's durable offset, and
+// the checkpoint. It resumes only from a checkpoint of this campaign
+// (fingerprint) taken at this run's cadence (every; a run that does not
+// checkpoint resumes from none) whose offset the store accepts.
+// Checkpoints decide where blocks seal, so a resume at another cadence
+// would write other bytes than an uninterrupted run. Otherwise it
+// returns three nils and the run starts fresh; it logs why, unless
+// there was no checkpoint.
+func resume(dir, ckPath, fingerprint string, every int, logger *slog.Logger) (*results.Store, *results.Sink, *engine.Checkpoint) {
+	cp, err := engine.LoadCheckpoint(ckPath)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, nil, nil
+	case err != nil:
+	case cp.Fingerprint != fingerprint:
+		err = fmt.Errorf("checkpoint belongs to another campaign (fingerprint %s, want %s)", cp.Fingerprint, fingerprint)
+	case cp.Every != every || every == 0:
+		err = fmt.Errorf("checkpoint was taken every %d rounds, this run checkpoints every %d", cp.Every, every)
+	default:
+		var store *results.Store
+		if store, err = results.Open(dir); err == nil {
+			var sink *results.Sink
+			if sink, err = store.Resume(cp.SinkOffset); err == nil {
+				logger.Info("resuming campaign", "rounds_done", cp.Round+1,
+					"samples", cp.Samples, "sink_offset", cp.SinkOffset)
+				return store, sink, cp
+			}
+		}
+	}
+	logger.Warn("starting the campaign fresh", "checkpoint", ckPath, "reason", err.Error())
+	return nil, nil, nil
 }
 
 // buildTix builds (or incrementally extends) the dataset's temporal

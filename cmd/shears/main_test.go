@@ -626,43 +626,89 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestRunResumeErrors: no checkpoint state fails a run. A directory
+// holding no checkpoint, one taken at another cadence, another
+// campaign's, one whose offset the samples file cannot serve, or one
+// that is plain JSON, empty or torn starts the campaign fresh: the run
+// exits 0 with a fresh run's bytes, and its log says why it did not
+// resume — unless there was no checkpoint at all.
 func TestRunResumeErrors(t *testing.T) {
+	base := options{probes: 200, seed: 1, days: 3, quiet: true, figDir: filepath.Join(t.TempDir(), "figs"),
+		checkpointEvery: engine.DefaultCheckpointEvery}
+	ref := base
+	ref.out, ref.logDst = filepath.Join(t.TempDir(), "ref"), io.Discard
+	if err := run(ref); err != nil {
+		t.Fatal(err)
+	}
 	dir := filepath.Join(t.TempDir(), "ds")
-	// Nothing to resume: no checkpoint exists.
-	err := run(options{out: dir, probes: 200, seed: 1, days: 1, quiet: true, resume: true})
-	if !errors.Is(err, engine.ErrNoCheckpoint) {
-		t.Fatalf("resume without checkpoint: err = %v, want ErrNoCheckpoint", err)
+	ckPath := filepath.Join(dir, checkpointFile)
+	rerun := func(name, reason string) {
+		t.Helper()
+		var logs bytes.Buffer
+		o := base
+		o.out, o.logDst = dir, &logs
+		if err := run(o); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fresh := strings.Contains(logs.String(), "starting the campaign fresh")
+		if reason == "" && fresh {
+			t.Errorf("%s: the run logged a fresh start:\n%s", name, logs.String())
+		}
+		if reason != "" && (!fresh || !strings.Contains(logs.String(), reason)) {
+			t.Errorf("%s: the log does not say the run started fresh because %q:\n%s", name, reason, logs.String())
+		}
+		for _, f := range []string{"samples.bin", "samples.snap", "samples.tix"} {
+			want, err := os.ReadFile(filepath.Join(ref.out, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(filepath.Join(dir, f)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: %s differs from a fresh run's (err %v)", name, f, err)
+			}
+		}
 	}
+	rerun("no checkpoint", "")
 
-	// A checkpoint from different campaign parameters must be refused.
-	if err := run(options{out: dir, probes: 200, seed: 1, days: 1, quiet: true}); err != nil {
-		t.Fatal(err)
+	// A run interrupted at another cadence left a checkpoint that is
+	// this campaign's in every other respect.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cut := base
+	cut.out, cut.logDst, cut.ctx, cut.checkpointEvery = dir, io.Discard, ctx, 2
+	cut.onRound = func(round int, _ uint64) {
+		if round == 5 {
+			cancel()
+		}
 	}
-	cp := engine.Checkpoint{
-		Version: 1, Fingerprint: "deadbeefdeadbeef",
-		Round: 3, Samples: 10, SinkOffset: 100,
+	if err := run(cut); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
-	if err := cp.Save(filepath.Join(dir, "checkpoint.json")); err != nil {
-		t.Fatal(err)
-	}
-	err = run(options{out: dir, probes: 200, seed: 9, days: 1, quiet: true, resume: true})
-	if err == nil || !strings.Contains(err.Error(), "different campaign") {
-		t.Fatalf("fingerprint mismatch not refused: %v", err)
-	}
-
-	// A checkpoint that is plain JSON (the old format), empty or torn is
-	// refused before the store is opened: samples.bin keeps its bytes.
-	ckPath := filepath.Join(dir, "checkpoint.json")
-	samples := filepath.Join(dir, "samples.bin")
-	before, err := os.ReadFile(samples)
-	if err != nil {
-		t.Fatal(err)
+	cp, err := engine.LoadCheckpoint(ckPath)
+	if err != nil || cp.Every != 2 {
+		t.Fatalf("interrupted run's checkpoint = %+v, %v; want one taken every 2 rounds", cp, err)
 	}
 	written, err := os.ReadFile(ckPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := json.Marshal(cp)
+	rerun("another cadence", "taken every 2 rounds")
+
+	save := func(c engine.Checkpoint) {
+		t.Helper()
+		if err := c.Save(ckPath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := *cp
+	other.Every, other.Fingerprint = engine.DefaultCheckpointEvery, "deadbeefdeadbeef"
+	save(other)
+	rerun("another campaign", "another campaign")
+	past := *cp
+	past.Every, past.SinkOffset = engine.DefaultCheckpointEvery, 1<<40
+	save(past)
+	rerun("offset past EOF", "resume offset")
+
+	plain, err := json.Marshal(past)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,13 +716,47 @@ func TestRunResumeErrors(t *testing.T) {
 		if err := os.WriteFile(ckPath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := run(options{out: dir, probes: 200, seed: 1, days: 1, quiet: true, resume: true})
-		if err == nil || !strings.Contains(err.Error(), ckPath) {
-			t.Errorf("%s checkpoint: err = %v, want one naming %s", name, err, ckPath)
+		rerun(name, "corrupt checkpoint")
+	}
+}
+
+// TestRunRemovesStrayTempFiles: the temp files a writer killed inside
+// snap.ReplaceFile leaves in the dataset directory are gone after the
+// next run, which lists what an undisturbed run does.
+func TestRunRemovesStrayTempFiles(t *testing.T) {
+	list := func(dir string) []string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if after, err := os.ReadFile(samples); err != nil || !bytes.Equal(after, before) {
-			t.Errorf("%s checkpoint: a refused resume touched samples.bin (err %v)", name, err)
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
 		}
+		return names
+	}
+	o := options{probes: 200, seed: 1, days: 3, quiet: true, figDir: filepath.Join(t.TempDir(), "figs"),
+		checkpointEvery: engine.DefaultCheckpointEvery, logDst: io.Discard}
+	o.out = filepath.Join(t.TempDir(), "ref")
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	want := list(o.out)
+	o.out = filepath.Join(t.TempDir(), "ds")
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{".checkpoint.json.tmp-1", ".samples.snap.tmp-1"} {
+		if err := os.WriteFile(filepath.Join(o.out, name), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	if got := list(o.out); !reflect.DeepEqual(got, want) {
+		t.Errorf("directory after a run over stray temp files = %v, want %v", got, want)
 	}
 }
 
@@ -728,8 +808,8 @@ func TestRunWritesSnapshotOnce(t *testing.T) {
 }
 
 // TestRunResumeRebuildsSnapshot kills a campaign after its first
-// checkpoint: the interrupted directory holds no snapshot, and the
-// -resume run ends with the same dataset, snapshot and figure bytes as
+// checkpoint: the interrupted directory holds no snapshot, and
+// re-running the same command ends with the same dataset, snapshot and figure bytes as
 // an uninterrupted run.
 func TestRunResumeRebuildsSnapshot(t *testing.T) {
 	base := options{probes: 250, seed: 1, days: 6, checkpointEvery: 8, quiet: true, logDst: io.Discard}
@@ -759,7 +839,7 @@ func TestRunResumeRebuildsSnapshot(t *testing.T) {
 		t.Fatalf("interrupted run left a snapshot behind (err=%v)", err)
 	}
 
-	cut.ctx, cut.onRound, cut.resume, cut.workers = nil, nil, true, 3
+	cut.ctx, cut.onRound, cut.workers = nil, nil, 3
 	if err := run(cut); err != nil {
 		t.Fatal(err)
 	}

@@ -300,11 +300,6 @@ func TestRegionInterningAcrossBlocks(t *testing.T) {
 		if len(blk.Dict) != len(regionSets[bi]) {
 			t.Fatalf("block %d dictionary %v, want %v", bi, blk.Dict, regionSets[bi])
 		}
-		for i := range blk.Region {
-			if got, want := blk.Region[i], blk.Dict[blk.RegionID[i]]; got != want {
-				t.Fatalf("block %d row %d: Region %q != Dict[RegionID] %q", bi, i, got, want)
-			}
-		}
 		for _, s := range blk.Dict {
 			ptr := unsafe.StringData(s)
 			if first, ok := canonical[s]; !ok {
@@ -341,13 +336,13 @@ func TestDecodeColsSkipsColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// ColRegionIDs: dictionary and codes decode, no string fill.
+		// ColRegionIDs: dictionary and codes decode, no timestamps.
 		got, err := ids.DecodeCols(bytes.NewReader(file), bi, ColRegionIDs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.TimeNano) != 0 || len(got.Region) != 0 {
-			t.Fatalf("skipped columns materialized: %d times, %d regions", len(got.TimeNano), len(got.Region))
+		if len(got.TimeNano) != 0 {
+			t.Fatalf("skipped column materialized: %d times", len(got.TimeNano))
 		}
 		if !reflect.DeepEqual(got.Probe, want.Probe) || !reflect.DeepEqual(got.RTT, want.RTT) ||
 			!reflect.DeepEqual(got.Lost, want.Lost) || !reflect.DeepEqual(got.RegionID, want.RegionID) ||
@@ -359,9 +354,9 @@ func TestDecodeColsSkipsColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(bare.TimeNano) != 0 || len(bare.Region) != 0 || len(bare.RegionID) != 0 || bare.Dict != nil {
-			t.Fatalf("empty column set materialized optional columns: %d times, %d regions, %d ids, dict %v",
-				len(bare.TimeNano), len(bare.Region), len(bare.RegionID), bare.Dict)
+		if len(bare.TimeNano) != 0 || len(bare.RegionID) != 0 || bare.Dict != nil {
+			t.Fatalf("empty column set materialized optional columns: %d times, %d ids, dict %v",
+				len(bare.TimeNano), len(bare.RegionID), bare.Dict)
 		}
 		if !reflect.DeepEqual(bare.Probe, want.Probe) || !reflect.DeepEqual(bare.RTT, want.RTT) ||
 			!reflect.DeepEqual(bare.Lost, want.Lost) {

@@ -326,17 +326,14 @@ func openBlock(buf []byte, off int64) ([]byte, Zone, error) {
 // Block holds one decoded block in columnar form. Slices are owned by
 // the BlockDecoder and overwritten by its next Decode.
 //
-// The region column is exposed two ways: Region[i] as an interned
-// string (filled only when ColRegionStrings was requested), and
-// RegionID[i] as the block-local dictionary code with Dict as the
-// dictionary — Region[i] == Dict[RegionID[i]]. Batch kernels resolve
-// region → accumulator once per dictionary code instead of per row.
-// Dict entries are interned across blocks, so equal spellings are
-// pointer-equal between blocks of one decoder.
+// The region column is RegionID[i], the block-local dictionary code,
+// with Dict as the dictionary: row i's region is Dict[RegionID[i]].
+// Batch kernels resolve region → accumulator once per dictionary code
+// instead of per row. Dict entries are interned across blocks, so equal
+// spellings are pointer-equal between blocks of one decoder.
 type Block struct {
 	Probe    []int
-	TimeNano []int64  // empty when decoded without ColTime
-	Region   []string // empty when decoded without ColRegionStrings
+	TimeNano []int64 // empty when decoded without ColTime
 	RTT      []float64
 	Lost     []bool
 	RegionID []uint32
@@ -350,9 +347,9 @@ type Block struct {
 // Rows returns the decoded row count.
 func (b *Block) Rows() int { return len(b.Probe) }
 
-// Row assembles row i.
+// Row assembles row i of a block decoded with ColAll.
 func (b *Block) Row(i int) Row {
-	return Row{Probe: b.Probe[i], TimeNano: b.TimeNano[i], Region: b.Region[i], RTT: b.RTT[i], Lost: b.Lost[i]}
+	return Row{Probe: b.Probe[i], TimeNano: b.TimeNano[i], Region: b.Dict[b.RegionID[i]], RTT: b.RTT[i], Lost: b.Lost[i]}
 }
 
 // BlockDecoder decodes blocks, reusing its buffers and interning
@@ -373,23 +370,19 @@ func NewBlockDecoder() *BlockDecoder {
 
 // ColumnSet selects which optional columns DecodeCols materializes.
 // Probe, RTT, and loss always decode (they are cheap and the
-// validation sweep needs them); timestamps, region codes, and per-row
-// region strings are the expensive fills a batch kernel can skip.
+// validation sweep needs them); timestamps and region codes are the
+// expensive fills a batch kernel can skip.
 type ColumnSet uint8
 
 const (
 	// ColTime decodes the timestamp column into Block.TimeNano.
 	ColTime ColumnSet = 1 << iota
-	// ColRegionStrings fills Block.Region with interned strings
-	// (implies decoding the dictionary and codes).
-	ColRegionStrings
 	// ColRegionIDs decodes the region dictionary and per-row codes
-	// into Block.Dict and Block.RegionID without the per-row string
-	// fill — the form the batch kernels consume.
+	// into Block.Dict and Block.RegionID.
 	ColRegionIDs
 
 	// ColAll is the full row-assembly set Decode uses.
-	ColAll = ColTime | ColRegionStrings | ColRegionIDs
+	ColAll = ColTime | ColRegionIDs
 )
 
 // Decode reads and decodes the block described by bi. The returned
@@ -453,9 +446,9 @@ func (d *BlockDecoder) DecodeCols(r io.ReaderAt, bi BlockInfo, cols ColumnSet) (
 	}
 
 	// Region column: dictionary then codes (skipped wholesale when the
-	// pass set needs neither IDs nor strings — the bytes stay inside
-	// the CRC above but are never parsed).
-	if cols&(ColRegionIDs|ColRegionStrings) != 0 {
+	// pass set does not read it — the bytes stay inside the CRC above
+	// but are never parsed).
+	if cols&ColRegionIDs != 0 {
 		blk.RegionID = grow(blk.RegionID, rows)
 		rc := &byteCursor{b: regionSec}
 		dictN, err := rc.uvarint()
@@ -485,15 +478,6 @@ func (d *BlockDecoder) DecodeCols(r io.ReaderAt, bi BlockInfo, cols ColumnSet) (
 		blk.RegionID = blk.RegionID[:0]
 		blk.Dict = nil
 	}
-	if cols&ColRegionStrings != 0 {
-		blk.Region = grow(blk.Region, rows)
-		for i, code := range blk.RegionID {
-			blk.Region[i] = d.dict[code]
-		}
-	} else {
-		blk.Region = blk.Region[:0]
-	}
-
 	// RTT column: raw bits.
 	if len(rttSec) != rows*8 {
 		return nil, fmt.Errorf("colf: block at offset %d: RTT column holds %d bytes for %d rows", bi.Off, len(rttSec), rows)

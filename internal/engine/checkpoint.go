@@ -20,11 +20,16 @@ const CheckpointVersion = 1
 // was taken; resuming truncates the sink back to it, dropping whatever
 // partial round followed. The merge is round-synchronous, so Round is
 // every shard's watermark and the worker count is not part of it: a run
-// resumes at any -workers. Files that still carry the "workers" and
-// "shards" keys older writers added load unchanged.
+// resumes at any -workers. Every is the cadence the checkpoint was
+// taken at, which is part of what the run writes: each checkpoint seals
+// a block, so a run resumed at another cadence seals other blocks than
+// either uninterrupted run. Files that still carry the "workers" and
+// "shards" keys older writers added load unchanged, and files from
+// before Every was recorded load with it zero.
 type Checkpoint struct {
 	Version     int    `json:"version"`
 	Fingerprint string `json:"fingerprint"`
+	Every       int    `json:"every"` // rounds between checkpoints
 	Round       int    `json:"round"` // last fully merged round
 	Samples     uint64 `json:"samples"`
 	SinkOffset  int64  `json:"sink_offset"`
@@ -61,19 +66,16 @@ func (c *Checkpoint) Save(path string) error {
 	return snap.ReplaceFile(path, snap.Image(checkpointBinding, b))
 }
 
-// ErrNoCheckpoint reports that a resume was requested but no checkpoint
-// file exists (the run either never checkpointed or already completed).
-var ErrNoCheckpoint = errors.New("engine: no checkpoint")
-
 // LoadCheckpoint reads and validates a checkpoint file. A missing file
-// maps to ErrNoCheckpoint; a file that is empty, torn, corrupt or of
-// another format (the plain JSON checkpoints once were included) is an
-// error naming the path, never a resume point.
+// is the os error (errors.Is fs.ErrNotExist: the run either never
+// checkpointed or already completed); a file that is empty, torn,
+// corrupt or of another format (the plain JSON checkpoints once were
+// included) is an error naming the path, never a resume point.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	b, err := snap.ReadFile(path, checkpointBinding)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		return nil, fmt.Errorf("%w at %s", ErrNoCheckpoint, path)
+		return nil, err
 	case err != nil:
 		return nil, fmt.Errorf("engine: corrupt checkpoint %s: %w", path, err)
 	}

@@ -8,10 +8,10 @@
 // relies on survives parallelism.
 //
 // The engine also owns restartability: it periodically persists a small
-// JSON checkpoint (completed-round watermark per shard plus the sink's
-// durable byte offset) so an interrupted multi-month run resumes from the
-// last checkpoint instead of restarting, and applies backpressure through
-// bounded per-shard queues.
+// JSON checkpoint (the completed-round watermark, the cadence and the
+// sink's durable byte offset) so an interrupted multi-month run resumes
+// from the last checkpoint instead of restarting, and applies
+// backpressure through bounded per-shard queues.
 package engine
 
 import (
@@ -268,7 +268,7 @@ merge:
 			cfg.OnRound(round, emitted-roundStart)
 		}
 		if checkpointing && (round+1-cfg.StartRound)%ckEvery == 0 && round+1 < cfg.Rounds {
-			if err := writeCheckpoint(cfg, round, emitted); err != nil {
+			if err := writeCheckpoint(cfg, ckEvery, round, emitted); err != nil {
 				runErr = err
 				break merge
 			}
@@ -320,7 +320,7 @@ func recvBatch(ctx context.Context, ch <-chan batch, m *Metrics) (batch, bool) {
 }
 
 // writeCheckpoint commits the sink and atomically persists the watermark.
-func writeCheckpoint(cfg Config, round int, emitted uint64) error {
+func writeCheckpoint(cfg Config, every, round int, emitted uint64) error {
 	offset, err := cfg.Commit()
 	if err != nil {
 		return fmt.Errorf("engine: checkpoint commit: %w", err)
@@ -328,6 +328,7 @@ func writeCheckpoint(cfg Config, round int, emitted uint64) error {
 	cp := Checkpoint{
 		Version:     CheckpointVersion,
 		Fingerprint: cfg.Fingerprint,
+		Every:       every,
 		Round:       round,
 		Samples:     emitted,
 		SinkOffset:  offset,

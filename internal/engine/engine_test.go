@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -216,8 +217,8 @@ func TestRunChecksAndResumesFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Round != 7 || cp.Fingerprint != "fp-1" {
-		t.Fatalf("checkpoint = %+v, want round 7 fp-1", cp)
+	if cp.Round != 7 || cp.Fingerprint != "fp-1" || cp.Every != 4 {
+		t.Fatalf("checkpoint = %+v, want round 7 fp-1 every 4", cp)
 	}
 	if cp.Samples != uint64((cp.Round+1)*workers*perShard) {
 		t.Fatalf("checkpoint samples = %d, want %d", cp.Samples, (cp.Round+1)*workers*perShard)
@@ -279,8 +280,8 @@ func TestCheckpointSaveLoadRoundtrip(t *testing.T) {
 		}
 	}
 
-	if _, err := LoadCheckpoint(filepath.Join(dir, "missing.json")); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("missing file err = %v, want ErrNoCheckpoint", err)
+	if _, err := LoadCheckpoint(filepath.Join(dir, "missing.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file err = %v, want fs.ErrNotExist", err)
 	}
 
 	// Every file but the one Save wrote is an error that names the path:
@@ -306,7 +307,7 @@ func TestCheckpointSaveLoadRoundtrip(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadCheckpoint(path); err == nil || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), path) {
+		if _, err := LoadCheckpoint(path); err == nil || errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), path) {
 			t.Errorf("%s checkpoint: err = %v, want a corrupt-checkpoint error naming %s", name, err, path)
 		}
 	}

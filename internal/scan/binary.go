@@ -291,14 +291,13 @@ func compact(blk *colf.Block, pred *colf.Predicate) {
 		}
 		blk.Probe[n] = blk.Probe[i]
 		blk.TimeNano[n] = t
-		blk.Region[n] = blk.Region[i]
 		blk.RegionID[n] = blk.RegionID[i]
 		blk.RTT[n] = blk.RTT[i]
 		blk.Lost[n] = blk.Lost[i]
 		n++
 	}
-	blk.Probe, blk.TimeNano, blk.Region = blk.Probe[:n], blk.TimeNano[:n], blk.Region[:n]
-	blk.RegionID, blk.RTT, blk.Lost = blk.RegionID[:n], blk.RTT[:n], blk.Lost[:n]
+	blk.Probe, blk.TimeNano, blk.RegionID = blk.Probe[:n], blk.TimeNano[:n], blk.RegionID[:n]
+	blk.RTT, blk.Lost = blk.RTT[:n], blk.Lost[:n]
 }
 
 // blockRowsValid reports whether every row of the block provably

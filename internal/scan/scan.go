@@ -26,10 +26,9 @@ import (
 // fold exactly.
 type Pass interface {
 	// Columns reports the optional columns ObserveBlock reads. Probe,
-	// RTT and loss are always decoded; ColTime, ColRegionIDs and
-	// ColRegionStrings only when some pass (or the predicate) needs
-	// them, which is a major perf lever for passes that ignore
-	// timestamps.
+	// RTT and loss are always decoded; ColTime and ColRegionIDs only
+	// when some pass (or the predicate) needs them, which is a major
+	// perf lever for passes that ignore timestamps.
 	Columns() colf.ColumnSet
 	// ObserveBlock observes every row of blk in row order. Every row
 	// passes results.Sample.Validate and matches the scan's predicate:

@@ -32,6 +32,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // magic opens every file; the fifth byte is the format version. Version
@@ -296,9 +297,23 @@ func ReadFile(path string, want Binding) ([]byte, error) {
 // directory is written, fsynced and renamed over path, and then the
 // directory is fsynced so that the rename survives a crash too. A reader
 // sees the old file or the new one, never a torn one.
+//
+// A writer killed between creating its temp file and the rename leaves
+// the temp file behind, so each call first removes the temp files of
+// path it finds. A concurrent writer of the same path can lose its temp
+// file to that sweep: its rename fails and it loses that one write, but
+// path is still the old file or a whole new one.
 func ReplaceFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	prefix := "." + filepath.Base(path) + ".tmp-"
+	if entries, err := os.ReadDir(dir); err == nil {
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), prefix) {
+				os.Remove(filepath.Join(dir, e.Name())) // one that stays costs only its space
+			}
+		}
+	}
+	tmp, err := os.CreateTemp(dir, prefix+"*")
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -164,12 +165,18 @@ func TestWalkMatchesValidate(t *testing.T) {
 }
 
 // TestWriteReadFile pins the whole-file pair: ReplaceFile leaves exactly
-// the image and no temp file, a rewrite replaces it, and ReadFile hands
-// back the one record or says what it found instead.
+// the image and no temp file — not even those a killed writer of the
+// same path left, while another path's stay — a rewrite replaces it,
+// and ReadFile hands back the one record or says what it found instead.
 func TestWriteReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "samples.snap")
 	b := testBinding()
+	for _, name := range []string{".samples.snap.tmp-1", ".samples.snap.tmp-22", ".checkpoint.json.tmp-1"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	if _, err := ReadFile(path, b); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing file: got %v, want fs.ErrNotExist", err)
@@ -182,8 +189,16 @@ func TestWriteReadFile(t *testing.T) {
 			t.Errorf("read back %q, %v; want %q", got, err, payload)
 		}
 	}
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
-		t.Errorf("dir has %d entries after rewrite, want 1 (%v)", len(entries), err)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{".checkpoint.json.tmp-1", "samples.snap"}; !slices.Equal(names, want) {
+		t.Errorf("dir holds %v after the rewrite, want %v", names, want)
 	}
 
 	other := b

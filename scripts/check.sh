@@ -207,6 +207,16 @@ go test -count=1 -run '^(TestSynthesizeRoundSteadyStateAllocs|TestResolvePathsMa
 go test -count=1 -run '^(TestPathHoldsNoPointers|TestSampleMatchesReference|TestMinRTTMatchesRTTFold)$' ./internal/netem
 go test -count=1 -run '^TestAddr$' ./internal/probe
 
+echo "== kill drill (restart is re-running) =="
+# Builds shears, figures and dataset and SIGKILLs them on a fixed seeded
+# schedule: shears after its Nth checkpoint and at seeded instants,
+# figures -fig 4 while it writes samples.snap, dataset window while it
+# extends samples.tix. Re-running the same command must end with the
+# uninterrupted run's stdout, figure files, dataset files and directory
+# listing; a failure prints the schedule's seed. Uncached: the seeded
+# kill instants are fractions of a reference run timed in the gate.
+go test -count=1 -run '^TestKillDrill$' ./cmd/shears
+
 echo "== bench module (API compile + paper_run parity + traced smoke) =="
 # bench/ is its own module compiled against this one's exported API, and
 # its parity test pins what shears leaves on disk (samples.bin, figure
@@ -272,10 +282,10 @@ echo "== convert smoke (JSONL export/import round trip) =="
 # importing the export must reproduce samples.bin byte for byte (the
 # two-day run ends before its first checkpoint, so no block was sealed
 # short), and exporting that again the same lines.
-go run ./cmd/dataset -data "$smokedir/store" -out "$smokedir/jsonl" -to jsonl convert
-go run ./cmd/dataset -data "$smokedir/jsonl" -out "$smokedir/reimport" -to binary convert
+go run ./cmd/dataset -data "$smokedir/store" -out "$smokedir/jsonl" convert
+go run ./cmd/dataset -data "$smokedir/jsonl" -out "$smokedir/reimport" convert
 cmp "$smokedir/store/samples.bin" "$smokedir/reimport/samples.bin"
-go run ./cmd/dataset -data "$smokedir/reimport" -out "$smokedir/jsonl2" -to jsonl convert
+go run ./cmd/dataset -data "$smokedir/reimport" -out "$smokedir/jsonl2" convert
 cmp "$smokedir/jsonl/samples.jsonl" "$smokedir/jsonl2/samples.jsonl"
 
 echo "== figure digests (worker-count byte-identity) =="
